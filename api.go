@@ -116,8 +116,13 @@ func Instrument(prog *Program, opts InstrumentOptions) error {
 
 // Handlers.
 
-// ThreadCtx is the per-thread device context handlers execute with.
-type ThreadCtx = device.Ctx
+// WarpCtx is the warp view a handler executes with: the running mask,
+// ascending-lane iteration, warp collectives and per-lane accessors.
+type WarpCtx = device.Warp
+
+// Lane is one thread's accessor within a WarpCtx: indices, registers and
+// device memory.
+type Lane = device.Lane
 
 // HandlerArgs carries the decoded parameter objects into a handler.
 type HandlerArgs = isassi.HandlerArgs
@@ -125,7 +130,7 @@ type HandlerArgs = isassi.HandlerArgs
 // Handler binds a JCAL symbol to a Go handler function.
 type Handler = isassi.Handler
 
-// HandlerFunc is a per-thread instrumentation handler body.
+// HandlerFunc is an instrumentation handler body, called once per warp.
 type HandlerFunc = isassi.HandlerFunc
 
 // BeforeParams, MemoryParams, CondBranchParams and RegisterParams mirror
@@ -142,6 +147,10 @@ type Runtime = isassi.Runtime
 
 // NewRuntime creates a runtime for one instrumented program.
 func NewRuntime(prog *Program) *Runtime { return isassi.NewRuntime(prog) }
+
+// FullMask is the all-lanes predicate: WarpCtx.Ballot(FullMask) is
+// __ballot(1).
+const FullMask = device.FullMask
 
 // Warp intrinsic helpers usable inside handlers.
 var (

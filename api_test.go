@@ -33,9 +33,11 @@ func TestPublicAPIRoundtrip(t *testing.T) {
 	rt := sassi.NewRuntime(prog)
 	rt.MustRegister(&sassi.Handler{
 		Name: "h", What: sassi.PassMemoryInfo,
-		Fn: func(c *sassi.ThreadCtx, args sassi.HandlerArgs) {
-			if args.BP.IsMem() && args.BP.InstrWillExecute() {
-				c.AtomicAdd64(uint64(counter), 1)
+		Fn: func(w *sassi.WarpCtx, args sassi.HandlerArgs) {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if args.BP.IsMem() && args.BP.InstrWillExecute(l) {
+					w.Lane(l).AtomicAdd64(uint64(counter), 1)
+				}
 			}
 		},
 	})
@@ -102,7 +104,7 @@ func TestProfilersViaFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := sassi.NewRuntime(prog)
-	rt.MustRegister(prof.SequentialHandler())
+	rt.MustRegister(prof.Handler())
 	rt.Attach(ctx.Device())
 	res, err := spec.Run(ctx, prog, "UT")
 	if err != nil {

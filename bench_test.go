@@ -19,7 +19,7 @@ import (
 // prints the full formatted tables.
 
 func benchEnv() experiments.Env {
-	return experiments.Env{Config: sim.KeplerK10(), Fast: true}
+	return experiments.Env{Config: sim.KeplerK10()}
 }
 
 // BenchmarkTable1 regenerates the branch-divergence table (Case Study I).
@@ -180,10 +180,6 @@ func instrumentedRunCtx(b *testing.B, app string, setup func(ctx *cuda.Context) 
 	return ctx
 }
 
-func instrumentedCycles(b *testing.B, app string, setup func(ctx *cuda.Context) (*isassi.Handler, isassi.Options)) uint64 {
-	return instrumentedRunCtx(b, app, setup).TotalKernelCycles
-}
-
 // BenchmarkAblationABI quantifies §9.1's claim that ABI setup and register
 // spilling dominate instrumentation cost: it separates the modeled
 // overhead into the injected SASS (spills, parameter objects, call setup)
@@ -202,32 +198,13 @@ func BenchmarkAblationABI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ctx := instrumentedRunCtx(b, "parboil.stencil", func(ctx *cuda.Context) (*isassi.Handler, isassi.Options) {
 			p := handlers.NewOpCounter(ctx)
-			return p.Handler(true), p.Options()
+			return p.Handler(), p.Options()
 		})
 		if i == 0 {
 			overhead := float64(ctx.TotalKernelCycles - base)
 			bodyCharge := float64(ctx.TotalHandlerCalls) * float64(cfg.HandlerBodyCost)
 			b.ReportMetric(100*(overhead-bodyCharge)/overhead, "abi-share-of-overhead-%")
 		}
-	}
-}
-
-// BenchmarkAblationWarpSync compares the sequential lane execution of a
-// collective-free handler against goroutine-per-lane warp-synchronous
-// execution (host simulation cost, not modeled cycles).
-func BenchmarkAblationWarpSync(b *testing.B) {
-	for _, mode := range []struct {
-		name       string
-		sequential bool
-	}{{"sequential", true}, {"warpsync", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				instrumentedCycles(b, "demo.vecadd", func(ctx *cuda.Context) (*isassi.Handler, isassi.Options) {
-					p := handlers.NewOpCounter(ctx)
-					return p.Handler(mode.sequential), p.Options()
-				})
-			}
-		})
 	}
 }
 
@@ -252,7 +229,7 @@ func BenchmarkAblationLineSize(b *testing.B) {
 					b.Fatal(err)
 				}
 				rt := isassi.NewRuntime(prog)
-				rt.MustRegister(p.SequentialHandler())
+				rt.MustRegister(p.Handler())
 				rt.Attach(ctx.Device())
 				if _, err := spec.Run(ctx, prog, "default"); err != nil {
 					b.Fatal(err)

@@ -28,7 +28,6 @@ func main() {
 	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
 	injections := flag.Int("injections", 100, "fault injections per app for fig10 and cfi (paper: 1000)")
 	seed := flag.Uint64("seed", 2015, "campaign seed for fig10 and cfi")
-	faithful := flag.Bool("faithful-handlers", false, "use the collective (goroutine-per-lane) handlers instead of the fast sequential ones")
 	apps := flag.String("apps", "", "comma list restricting table2/table3/fig10 to specific workloads")
 	workers := flag.Int("workers", 0, "concurrent fig10 injection / sched candidate runs (0 = GOMAXPROCS); results are identical at any value")
 	candidates := flag.Int("candidates", 8, "schedule candidates per app for sched (seed 0 heuristic + jittered tie-breaks)")
@@ -52,7 +51,6 @@ func main() {
 	}
 	env := experiments.Default()
 	env.Config = cfg
-	env.Fast = !*faithful
 	env.Workers = *workers
 	var reg *obs.Registry
 	reg, tr, samp := obsFlags.Setup(func() *obs.Stats {

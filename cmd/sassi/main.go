@@ -46,7 +46,6 @@ func main() {
 	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
 	engine := flag.String("engine", "concurrent", "execution engine: concurrent, sequential, predecoded (all bit-equal; predecoded is fastest)")
 	disas := flag.Bool("disas", false, "print the compiled (and instrumented) SASS")
-	faithful := flag.Bool("faithful-handlers", false, "use the collective handlers")
 	ptxFile := flag.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
 	args := flag.String("args", "", "comma list of scalar kernel arguments for -ptx kernels")
 	grid := flag.Int("grid", 1, "grid size (CTAs) for -ptx kernels")
@@ -131,7 +130,7 @@ func main() {
 	case "opcount":
 		p := handlers.NewOpCounter(ctx)
 		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, p.Handler(!*faithful), reg)
+		registerHandler(prog, ctx, p.Handler(), reg)
 		report = func() {
 			t := p.Totals()
 			fmt.Printf("opcount: mem=%d wide=%d ctrl=%d sync=%d numeric=%d texture=%d total=%d\n",
@@ -141,7 +140,7 @@ func main() {
 	case "branch":
 		p := handlers.NewBranchProfiler(ctx)
 		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, pick(p.Handler(), p.SequentialHandler(), *faithful), reg)
+		registerHandler(prog, ctx, p.Handler(), reg)
 		report = func() {
 			rows, err := p.Results()
 			if err != nil {
@@ -160,7 +159,7 @@ func main() {
 	case "memdiv":
 		p := handlers.NewMemDivProfiler(ctx)
 		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, pick(p.Handler(), p.SequentialHandler(), *faithful), reg)
+		registerHandler(prog, ctx, p.Handler(), reg)
 		report = func() {
 			m, err := p.Matrix()
 			if err != nil {
@@ -178,7 +177,7 @@ func main() {
 	case "valueprof":
 		p := handlers.NewValueProfiler(ctx)
 		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, pick(p.Handler(), p.SequentialHandler(), *faithful), reg)
+		registerHandler(prog, ctx, p.Handler(), reg)
 		report = func() {
 			s, err := p.Summarize()
 			if err != nil {
@@ -259,13 +258,6 @@ func registerHandler(prog *sass.Program, ctx *cuda.Context, h *sassi.Handler, re
 	rt.Metrics = reg
 	rt.MustRegister(h)
 	rt.Attach(ctx.Device())
-}
-
-func pick(parallel, sequential *sassi.Handler, faithful bool) *sassi.Handler {
-	if faithful {
-		return parallel
-	}
-	return sequential
 }
 
 // ptxFileSpec wraps a PTX-like assembly file as an ad-hoc workload: pointer

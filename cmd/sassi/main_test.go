@@ -46,7 +46,7 @@ func statsRun(t *testing.T) []byte {
 	}
 	rt := sassi.NewRuntime(prog)
 	rt.Metrics = reg
-	rt.MustRegister(p.SequentialHandler())
+	rt.MustRegister(p.Handler())
 	rt.Attach(ctx.Device())
 
 	res, err := spec.Run(ctx, prog, spec.DefaultDataset())

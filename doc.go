@@ -32,8 +32,8 @@
 //	})
 //	ctx := sassi.NewContext(sassi.KeplerK10())
 //	rt := sassi.NewRuntime(prog)
-//	rt.MustRegister(&sassi.Handler{Name: "my_handler", Fn: func(c *sassi.ThreadCtx, a sassi.HandlerArgs) {
-//	    ...
+//	rt.MustRegister(&sassi.Handler{Name: "my_handler", Fn: func(w *sassi.WarpCtx, a sassi.HandlerArgs) {
+//	    for l := w.First(); l >= 0; l = w.Next(l) { ... w.Lane(l) ... }
 //	}})
 //	rt.Attach(ctx.Device())
 //	ctx.LaunchKernel(prog, "vecadd", sassi.LaunchParams{...})

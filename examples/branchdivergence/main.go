@@ -1,6 +1,6 @@
 // Case Study I (paper §5): per-branch SIMT control-flow profiling of a BFS
-// kernel across graph datasets, using the paper-faithful collective handler
-// (ballot/popc/ffs across the warp).
+// kernel across graph datasets, using the Figure 4 handler (ballot/popc/ffs
+// across the warp).
 //
 //	go run ./examples/branchdivergence
 package main

@@ -51,27 +51,32 @@ func main() {
 	rt.MustRegister(&sassi.Handler{
 		Name: "sassi_before_handler",
 		What: sassi.PassMemoryInfo,
-		Fn: func(c *sassi.ThreadCtx, args sassi.HandlerArgs) {
+		Fn: func(w *sassi.WarpCtx, args sassi.HandlerArgs) {
+			// A handler runs once per warp; the per-thread body of the
+			// CUDA original becomes a loop over the running lanes.
 			bp := args.BP
-			if bp.IsMem() {
-				c.AtomicAdd64(uint64(counters)+0*8, 1)
-				if args.MP != nil && args.MP.Width() > 4 {
-					c.AtomicAdd64(uint64(counters)+1*8, 1)
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				c := w.Lane(l)
+				if bp.IsMem() {
+					c.AtomicAdd64(uint64(counters)+0*8, 1)
+					if args.MP != nil && args.MP.Width() > 4 {
+						c.AtomicAdd64(uint64(counters)+1*8, 1)
+					}
 				}
+				if bp.IsControlXfer() {
+					c.AtomicAdd64(uint64(counters)+2*8, 1)
+				}
+				if bp.IsSync() {
+					c.AtomicAdd64(uint64(counters)+3*8, 1)
+				}
+				if bp.IsNumeric() {
+					c.AtomicAdd64(uint64(counters)+4*8, 1)
+				}
+				if bp.IsTexture() {
+					c.AtomicAdd64(uint64(counters)+5*8, 1)
+				}
+				c.AtomicAdd64(uint64(counters)+6*8, 1)
 			}
-			if bp.IsControlXfer() {
-				c.AtomicAdd64(uint64(counters)+2*8, 1)
-			}
-			if bp.IsSync() {
-				c.AtomicAdd64(uint64(counters)+3*8, 1)
-			}
-			if bp.IsNumeric() {
-				c.AtomicAdd64(uint64(counters)+4*8, 1)
-			}
-			if bp.IsTexture() {
-				c.AtomicAdd64(uint64(counters)+5*8, 1)
-			}
-			c.AtomicAdd64(uint64(counters)+6*8, 1)
 		},
 	})
 	rt.Attach(ctx.Device())

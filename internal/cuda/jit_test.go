@@ -52,8 +52,8 @@ func TestJITCachesCompiles(t *testing.T) {
 			return err
 		}
 		rt := isassi.NewRuntime(prog)
-		rt.MustRegister(&isassi.Handler{Name: "h", Sequential: true,
-			Fn: func(c *device.Ctx, args isassi.HandlerArgs) { calls++ }})
+		rt.MustRegister(&isassi.Handler{Name: "h",
+			Fn: func(w *device.Warp, args isassi.HandlerArgs) { calls++ }})
 		rt.Attach(ctx.Device())
 		return nil
 	})

@@ -19,7 +19,7 @@ func TestKernelExitOncePerLaunchConcurrentSMs(t *testing.T) {
 	prog := instrumentedProg(t)
 	rt := isassi.NewRuntime(prog)
 	rt.MustRegister(&isassi.Handler{Name: "h",
-		Fn: func(c *device.Ctx, args isassi.HandlerArgs) {}})
+		Fn: func(w *device.Warp, args isassi.HandlerArgs) {}})
 	rt.Attach(ctx.Device())
 
 	const launches = 4
@@ -76,7 +76,7 @@ func TestActivityRecordsDrainInLaunchOrder(t *testing.T) {
 	prog := instrumentedProg(t)
 	rt := isassi.NewRuntime(prog)
 	rt.MustRegister(&isassi.Handler{Name: "h",
-		Fn: func(c *device.Ctx, args isassi.HandlerArgs) {}})
+		Fn: func(w *device.Warp, args isassi.HandlerArgs) {}})
 	rt.Attach(ctx.Device())
 
 	var drained []cupti.ActivityRecord

@@ -38,9 +38,11 @@ func TestCounterBankPerLaunchIsolation(t *testing.T) {
 	prog := instrumentedProg(t)
 	bank := cupti.NewCounterBank(ctx, "counters", 2)
 	rt := isassi.NewRuntime(prog)
-	rt.MustRegister(&isassi.Handler{Name: "h", Sequential: true,
-		Fn: func(c *device.Ctx, args isassi.HandlerArgs) {
-			c.AtomicAdd64(bank.Ptr(0), 1)
+	rt.MustRegister(&isassi.Handler{Name: "h",
+		Fn: func(w *device.Warp, args isassi.HandlerArgs) {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				w.Lane(l).AtomicAdd64(bank.Ptr(0), 1)
+			}
 		}})
 	rt.Attach(ctx.Device())
 	out := ctx.Malloc(4*64, "out")
@@ -73,8 +75,8 @@ func TestSubscribeSitesFire(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	prog := instrumentedProg(t)
 	rt := isassi.NewRuntime(prog)
-	rt.MustRegister(&isassi.Handler{Name: "h", Sequential: true,
-		Fn: func(c *device.Ctx, args isassi.HandlerArgs) {}})
+	rt.MustRegister(&isassi.Handler{Name: "h",
+		Fn: func(w *device.Warp, args isassi.HandlerArgs) {}})
 	rt.Attach(ctx.Device())
 
 	var sawLaunch, sawExit bool

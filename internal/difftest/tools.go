@@ -28,7 +28,7 @@ func Tools() []Tool {
 	return []Tool{
 		{Name: "opcount", Make: func(ctx *cuda.Context) (sassi.Options, []*sassi.Handler) {
 			t := handlers.NewOpCounter(ctx)
-			return t.Options(), []*sassi.Handler{t.Handler(false)}
+			return t.Options(), []*sassi.Handler{t.Handler()}
 		}},
 		{Name: "branch", Make: func(ctx *cuda.Context) (sassi.Options, []*sassi.Handler) {
 			t := handlers.NewBranchProfiler(ctx)
@@ -96,8 +96,10 @@ func MutantClobberTool(reg uint8) Tool {
 			}
 			h := &sassi.Handler{
 				Name: "sassi_before_handler",
-				Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-					c.WriteReg(reg, 0xdeadbeef)
+				Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+					for l := w.First(); l >= 0; l = w.Next(l) {
+						w.Lane(l).WriteReg(reg, 0xdeadbeef)
+					}
 				},
 			}
 			return opts, []*sassi.Handler{h}

@@ -29,10 +29,6 @@ type Env struct {
 	// Config is the simulated GPU (default: the K10-like model the paper's
 	// case studies I-III used).
 	Config sim.Config
-	// Fast selects the sequential profiling handlers (identical results,
-	// no per-lane goroutines). The paper-faithful collective handlers are
-	// used when false.
-	Fast bool
 	// Workers bounds campaign-level concurrency (Figure 10 fault
 	// injections). Zero means GOMAXPROCS; results are identical at any
 	// value.
@@ -52,7 +48,7 @@ type Env struct {
 
 // Default returns the standard experiment environment.
 func Default() Env {
-	return Env{Config: sim.KeplerK10(), Fast: true, Cache: sassi.NewCompileCache()}
+	return Env{Config: sim.KeplerK10(), Cache: sassi.NewCompileCache()}
 }
 
 // instrumentedRun compiles a workload, applies an instrumentation spec,

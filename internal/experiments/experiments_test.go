@@ -9,7 +9,7 @@ import (
 )
 
 func testEnv() experiments.Env {
-	return experiments.Env{Config: sim.MiniGPU(), Fast: true}
+	return experiments.Env{Config: sim.MiniGPU()}
 }
 
 // TestTable1Shape checks the qualitative claims of the paper's Table 1:

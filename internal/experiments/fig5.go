@@ -28,9 +28,6 @@ func Figure5(env Env) (map[string][]Fig5Branch, error) {
 		_, err := instrumentedRun(env, "parboil.bfs", dataset,
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p = handlers.NewBranchProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			})
 		if err != nil {

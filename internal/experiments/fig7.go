@@ -47,9 +47,6 @@ func memDivMatrix(env Env, app, dataset string) (*mem.DivergenceMatrix, error) {
 	_, err := instrumentedRun(env, app, dataset,
 		func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p = handlers.NewMemDivProfiler(ctx)
-			if env.Fast {
-				return p.SequentialHandler(), p.Options()
-			}
 			return p.Handler(), p.Options()
 		})
 	if err != nil {

@@ -59,31 +59,22 @@ func overheadSetup(env Env, tool string) (func(ctx *cuda.Context) (*sassi.Handle
 	case "branch":
 		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p := handlers.NewBranchProfiler(ctx)
-			if env.Fast {
-				return p.SequentialHandler(), p.Options()
-			}
 			return p.Handler(), p.Options()
 		}, nil
 	case "memdiv":
 		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p := handlers.NewMemDivProfiler(ctx)
-			if env.Fast {
-				return p.SequentialHandler(), p.Options()
-			}
 			return p.Handler(), p.Options()
 		}, nil
 	case "valueprof":
 		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p := handlers.NewValueProfiler(ctx)
-			if env.Fast {
-				return p.SequentialHandler(), p.Options()
-			}
 			return p.Handler(), p.Options()
 		}, nil
 	case "opcount":
 		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p := handlers.NewOpCounter(ctx)
-			return p.Handler(env.Fast), p.Options()
+			return p.Handler(), p.Options()
 		}, nil
 	}
 	return nil, fmt.Errorf("experiments: unknown overhead tool %q", tool)

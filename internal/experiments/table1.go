@@ -49,9 +49,6 @@ func Table1(env Env) ([]Table1Row, error) {
 		_, err := instrumentedRun(env, app.workload, app.dataset,
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p = handlers.NewBranchProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			})
 		if err != nil {

@@ -40,9 +40,6 @@ func Table2(env Env, apps []string) ([]Table2Row, error) {
 		_, err := instrumentedRun(env, app, spec.DefaultDataset(),
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p = handlers.NewValueProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			})
 		if err != nil {

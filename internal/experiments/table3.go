@@ -61,23 +61,14 @@ func Table3(env Env, apps []string) ([]Table3Row, error) {
 		setups := [4]func(ctx *cuda.Context) (*sassi.Handler, sassi.Options){
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p := handlers.NewBranchProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			},
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p := handlers.NewMemDivProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			},
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 				p := handlers.NewValueProfiler(ctx)
-				if env.Fast {
-					return p.SequentialHandler(), p.Options()
-				}
 				return p.Handler(), p.Options()
 			},
 			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {

@@ -158,19 +158,12 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 	profCtx := cuda.NewContext(c.Config)
 	rt := sassi.NewRuntime(instProg)
 	rt.MustRegister(&sassi.Handler{
-		Name:       handlers.CFIHandlerSymbol,
-		Sequential: true,
-		NewFn: func() sassi.HandlerFunc {
-			fns := make([]sassi.HandlerFunc, 0, len(profilers)+1)
+		Name: handlers.CFIHandlerSymbol,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			for _, p := range profilers {
-				fns = append(fns, p.DispatchFn())
+				p.Profile(w, args)
 			}
-			fns = append(fns, chk.DispatchFn())
-			return func(ctx *device.Ctx, args sassi.HandlerArgs) {
-				for _, fn := range fns {
-					fn(ctx, args)
-				}
-			}
+			chk.Audit(w, args)
 		},
 	})
 	rt.Attach(profCtx.Device())
@@ -318,15 +311,10 @@ func (c *ControlCampaign) injectOnce(prog *sass.Program, inj *handlers.CtrlInjec
 	ctx.Device().Global.SetStrictBounds(false)
 	rt := sassi.NewRuntime(prog)
 	rt.MustRegister(&sassi.Handler{
-		Name:       handlers.CFIHandlerSymbol,
-		Sequential: true,
-		NewFn: func() sassi.HandlerFunc {
-			jf := inj.DispatchFn()
-			cf := chk.DispatchFn()
-			return func(dctx *device.Ctx, args sassi.HandlerArgs) {
-				jf(dctx, args)
-				cf(dctx, args)
-			}
+		Name: handlers.CFIHandlerSymbol,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			inj.Inject(w, args)
+			chk.Audit(w, args)
 		},
 	})
 	rt.Attach(ctx.Device())

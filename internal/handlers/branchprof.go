@@ -46,29 +46,33 @@ func (p *BranchProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
 		Name: "sassi_branch_handler",
 		What: sassi.PassCondBranchInfo,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			// Which way is this thread going?
-			dir := args.CBP.Direction()
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			// Which way is each thread going?
+			var dir uint32
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if args.CBP.Direction(l) {
+					dir |= 1 << uint(l)
+				}
+			}
 
 			// Masks and counts of active/taken/fall-through threads.
-			active := c.Ballot(true)
-			taken := c.Ballot(dir)
-			ntaken := c.Ballot(!dir)
+			active := w.Ballot(device.FullMask)
+			taken := w.Ballot(dir)
+			ntaken := w.Ballot(^dir)
 			numActive := device.Popc(active)
 			numTaken := device.Popc(taken)
 			numNotTaken := device.Popc(ntaken)
 
 			// The first active thread writes the warp's results.
-			if c.Lane() == device.Ffs(active)-1 {
-				stats := p.Table.Find(c, args.BP.InsAddr())
-				c.AtomicAdd64(stats+bfTotal*8, 1)
-				c.AtomicAdd64(stats+bfActive*8, uint64(numActive))
-				c.AtomicAdd64(stats+bfTaken*8, uint64(numTaken))
-				c.AtomicAdd64(stats+bfNotTaken*8, uint64(numNotTaken))
-				if numTaken != numActive && numNotTaken != numActive {
-					// Threads went different ways.
-					c.AtomicAdd64(stats+bfDiverge*8, 1)
-				}
+			c := w.Lane(device.Ffs(active) - 1)
+			stats := p.Table.Find(c, args.BP.InsAddr())
+			c.AtomicAdd64(stats+bfTotal*8, 1)
+			c.AtomicAdd64(stats+bfActive*8, uint64(numActive))
+			c.AtomicAdd64(stats+bfTaken*8, uint64(numTaken))
+			c.AtomicAdd64(stats+bfNotTaken*8, uint64(numNotTaken))
+			if numTaken != numActive && numNotTaken != numActive {
+				// Threads went different ways.
+				c.AtomicAdd64(stats+bfDiverge*8, 1)
 			}
 		},
 	}

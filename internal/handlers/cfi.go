@@ -129,29 +129,22 @@ func (c *CFIChecker) Prepare(prog *sass.Program) error {
 
 // Handler returns the checker's runtime handler.
 func (c *CFIChecker) Handler() *sassi.Handler {
-	return &sassi.Handler{
-		Name:       CFIHandlerSymbol,
-		NewFn:      c.DispatchFn,
-		Sequential: true,
-	}
+	return &sassi.Handler{Name: CFIHandlerSymbol, Fn: c.Audit}
 }
 
-// DispatchFn returns the per-warp-dispatch handler closure. It is exposed
-// so fault campaigns can compose it with an injector in one handler (the
-// injector corrupts on the first lane, the audit runs on the last).
-func (c *CFIChecker) DispatchFn() sassi.HandlerFunc {
+// Audit is the handler body. It is exported so fault campaigns can compose
+// it with an injector in one handler (the injector corrupts first, then
+// the audit runs).
+func (c *CFIChecker) Audit(w *device.Warp, args sassi.HandlerArgs) {
 	var execMask uint32
-	return func(ctx *device.Ctx, args sassi.HandlerArgs) {
-		if args.BP.InstrWillExecute() {
-			execMask |= 1 << uint(ctx.Lane())
+	for l := w.First(); l >= 0; l = w.Next(l) {
+		if args.BP.InstrWillExecute(l) {
+			execMask |= 1 << uint(l)
 		}
-		if !ctx.IsLastActive() {
-			return
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		c.audit(ctx, args, execMask)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.audit(w, args, execMask)
 }
 
 // Violations returns the findings so far (load-time and runtime).
@@ -179,12 +172,12 @@ func (c *CFIChecker) record(v CFIViolation) {
 	c.violations = append(c.violations, v)
 }
 
-// audit runs once per dispatch (on the last active lane): it validates the
-// warp's actual control state against the shadow and the legal sets, then
-// models the site instruction's effect on the shadow. execMask is the set
-// of lanes whose guard passes at the site.
-func (c *CFIChecker) audit(ctx *device.Ctx, args sassi.HandlerArgs, execMask uint32) {
-	w := ctx.Warp()
+// audit runs once per dispatch: it validates the warp's actual control
+// state against the shadow and the legal sets, then models the site
+// instruction's effect on the shadow. execMask is the set of lanes whose
+// guard passes at the site.
+func (c *CFIChecker) audit(ctx *device.Warp, args sassi.HandlerArgs, execMask uint32) {
+	w := ctx.Sim()
 	ck := c.kernels[w.CTA.Kernel.Name]
 	if ck == nil {
 		return // kernel not prepared (filtered instrumentation)

@@ -46,15 +46,10 @@ func runCFI(t *testing.T, spec *workloads.Spec, inj *handlers.CtrlInjector) (*ha
 	h := chk.Handler()
 	if inj != nil {
 		h = &sassi.Handler{
-			Name:       handlers.CFIHandlerSymbol,
-			Sequential: true,
-			NewFn: func() sassi.HandlerFunc {
-				jf := inj.DispatchFn()
-				cf := chk.DispatchFn()
-				return func(c *device.Ctx, args sassi.HandlerArgs) {
-					jf(c, args) // corrupt on the first lane...
-					cf(c, args) // ...so the same site's audit sees it
-				}
+			Name: handlers.CFIHandlerSymbol,
+			Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+				inj.Inject(w, args) // corrupt first...
+				chk.Audit(w, args)  // ...so the same site's audit sees it
 			},
 		}
 		ctx.Subscribe(cuda.LaunchCallbacks{PreLaunch: func(kernel string, idx int) {

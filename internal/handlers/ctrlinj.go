@@ -98,27 +98,20 @@ func (p *CtrlProfiler) SetInvocation(idx int) {
 	p.mu.Unlock()
 }
 
-// DispatchFn returns the per-dispatch profiling closure: it bumps the
-// warp's qualifying-site count once per dispatch (on the first lane).
-func (p *CtrlProfiler) DispatchFn() sassi.HandlerFunc {
-	counted := false
-	return func(ctx *device.Ctx, args sassi.HandlerArgs) {
-		if counted {
-			return
-		}
-		counted = true
-		w := ctx.Warp()
-		if !p.class.qualifies(w) {
-			return
-		}
-		p.mu.Lock()
-		key := CtrlWarpKey{Invocation: p.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}
-		if p.counts[key] == 0 {
-			p.order = append(p.order, key)
-		}
-		p.counts[key]++
-		p.mu.Unlock()
+// Profile is the handler body: it bumps the warp's qualifying-site count
+// once per dispatch.
+func (p *CtrlProfiler) Profile(ctx *device.Warp, _ sassi.HandlerArgs) {
+	w := ctx.Sim()
+	if !p.class.qualifies(w) {
+		return
 	}
+	p.mu.Lock()
+	key := CtrlWarpKey{Invocation: p.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}
+	if p.counts[key] == 0 {
+		p.order = append(p.order, key)
+	}
+	p.counts[key]++
+	p.mu.Unlock()
 }
 
 // Total returns the qualifying-dispatch count across all warps and
@@ -151,9 +144,9 @@ func (p *CtrlProfiler) Pick(flat uint64) (CtrlWarpKey, uint64, bool) {
 }
 
 // CtrlInjector corrupts warp control state at one chosen dynamic site:
-// the Nth qualifying dispatch of one warp in one launch. Compose its
-// DispatchFn before the CFI checker's in a single handler so the
-// corruption lands before the same site's audit.
+// the Nth qualifying dispatch of one warp in one launch. Compose Inject
+// before the CFI checker's Audit in a single handler so the corruption
+// lands before the same site's audit.
 type CtrlInjector struct {
 	mu     sync.Mutex
 	class  CtrlClass
@@ -198,36 +191,28 @@ func (j *CtrlInjector) Injected() (bool, string) {
 	return j.injected, j.desc
 }
 
-// DispatchFn returns the per-dispatch injection closure; the corruption
-// applies on the first lane of the chosen dispatch, before any composed
-// checker audits the warp.
-func (j *CtrlInjector) DispatchFn() sassi.HandlerFunc {
-	acted := false
-	return func(ctx *device.Ctx, args sassi.HandlerArgs) {
-		if acted {
-			return
-		}
-		acted = true
-		j.mu.Lock()
-		defer j.mu.Unlock()
-		if !j.armed || j.injected {
-			return
-		}
-		w := ctx.Warp()
-		if !j.class.qualifies(w) {
-			return
-		}
-		key := CtrlWarpKey{Invocation: j.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}
-		if key != j.target {
-			return
-		}
-		if j.counts[key] != j.nth {
-			j.counts[key]++
-			return
-		}
-		j.counts[key]++
-		j.corrupt(w)
+// Inject is the handler body; the corruption applies at the chosen
+// dispatch, before any composed checker audits the warp.
+func (j *CtrlInjector) Inject(ctx *device.Warp, _ sassi.HandlerArgs) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if !j.armed || j.injected {
+		return
 	}
+	w := ctx.Sim()
+	if !j.class.qualifies(w) {
+		return
+	}
+	key := CtrlWarpKey{Invocation: j.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}
+	if key != j.target {
+		return
+	}
+	if j.counts[key] != j.nth {
+		j.counts[key]++
+		return
+	}
+	j.counts[key]++
+	j.corrupt(w)
 }
 
 func (j *CtrlInjector) corrupt(w *sim.Warp) {

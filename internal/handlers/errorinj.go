@@ -48,20 +48,20 @@ func NewInjProfiler(ctx *cuda.Context, maxThreads int) *InjProfiler {
 // Options returns the instrumentation specification for profiling.
 func (p *InjProfiler) Options() sassi.Options { return injWhere() }
 
-// Handler counts qualifying sites per thread. It uses no collectives, so
-// it runs lanes sequentially (cheap).
+// Handler counts qualifying sites per thread.
 func (p *InjProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_errorinj_handler",
-		What:       sassi.PassRegisterInfo,
-		Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !args.BP.InstrWillExecute() {
-				return
-			}
-			tid := c.GlobalThreadIdx()
-			if tid < uint64(p.threads) {
-				c.AtomicAdd64(uint64(p.counts)+tid*8, 1)
+		Name: "sassi_errorinj_handler",
+		What: sassi.PassRegisterInfo,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if !args.BP.InstrWillExecute(l) {
+					continue
+				}
+				c := w.Lane(l)
+				if tid := c.GlobalThreadIdx(); tid < uint64(p.threads) {
+					c.AtomicAdd64(uint64(p.counts)+tid*8, 1)
+				}
 			}
 		},
 	}
@@ -150,30 +150,32 @@ func (inj *Injector) DidInject() bool { return inj.injected.Load() }
 // restore sequence — the capability CUDA-GDB-based injection lacked.
 func (inj *Injector) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_errorinj_handler",
-		What:       sassi.PassRegisterInfo,
-		Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+		Name: "sassi_errorinj_handler",
+		What: sassi.PassRegisterInfo,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			if !inj.armed.Load() || inj.injected.Load() {
 				return
 			}
-			if !args.BP.InstrWillExecute() {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if w.Lane(l).GlobalThreadIdx() != inj.Site.ThreadID {
+					continue
+				}
+				if !args.BP.InstrWillExecute(l) {
+					return
+				}
+				idx := inj.counter
+				inj.counter++
+				if idx == inj.Site.InstrIndex {
+					inj.inject(l, args)
+				}
 				return
 			}
-			if c.GlobalThreadIdx() != inj.Site.ThreadID {
-				return
-			}
-			idx := inj.counter
-			inj.counter++
-			if idx != inj.Site.InstrIndex {
-				return
-			}
-			inj.inject(c, args)
 		},
 	}
 }
 
-func (inj *Injector) inject(c *device.Ctx, args sassi.HandlerArgs) {
+// inject flips the selected state of lane l, the target thread.
+func (inj *Injector) inject(l int, args sassi.HandlerArgs) {
 	bp := args.BP
 	rp := args.RP
 	switch inj.Site.Target {
@@ -182,7 +184,7 @@ func (inj *Injector) inject(c *device.Ctx, args sassi.HandlerArgs) {
 		// back to a GPR flip.
 		if op := bp.Opcode(); op == sass.OpISETP || op == sass.OpFSETP || op == sass.OpPSETP {
 			p := uint8(inj.Site.DstSeed % 7)
-			bp.SetPredValue(p, !bp.GetPredValue(p))
+			bp.SetPredValue(l, p, !bp.GetPredValue(l, p))
 			inj.injected.Store(true)
 			inj.FlippedReg = p
 			inj.FlippedBit = uint32(p)
@@ -194,24 +196,24 @@ func (inj *Injector) inject(c *device.Ctx, args sassi.HandlerArgs) {
 		if nd == 0 {
 			// Register-less qualifying instruction (e.g. a store with CC);
 			// flip CC instead.
-			inj.flipCC(bp)
+			inj.flipCC(l, bp)
 			return
 		}
 		d := int(inj.Site.DstSeed) % nd
 		reg := rp.GPRDst(d)
 		bit := inj.Site.BitSeed % 32
-		rp.SetRegValue(reg, rp.GetRegValue(reg)^(1<<bit))
+		rp.SetRegValue(l, reg, rp.GetRegValue(l, reg)^(1<<bit))
 		inj.injected.Store(true)
 		inj.FlippedReg = reg
 		inj.FlippedBit = bit
 	case TargetCC:
-		inj.flipCC(bp)
+		inj.flipCC(l, bp)
 	}
 }
 
-func (inj *Injector) flipCC(bp sassi.BeforeParams) {
+func (inj *Injector) flipCC(l int, bp sassi.BeforeParams) {
 	bit := inj.Site.BitSeed % 4
-	bp.SetCCValue(bp.GetCCValue() ^ (1 << bit))
+	bp.SetCCValue(l, bp.GetCCValue(l)^(1<<bit))
 	inj.injected.Store(true)
 	inj.FlippedReg = 0xff
 	inj.FlippedBit = bit

@@ -23,10 +23,9 @@ func run(t *testing.T, workload, dataset string, setup func(ctx *cuda.Context) (
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	// Sequential SMs: these tests compare two runs of the same workload
-	// instruction-for-instruction, and parboil.bfs's ticket-queue frontier
-	// makes cross-SM interleaving observable (nondeterministic on real
-	// GPUs too), so they need the deterministic reference schedule.
+	// SMs run one after another: parboil.bfs's ticket-queue frontier makes
+	// cross-SM interleaving observable (nondeterministic on real GPUs too),
+	// so runs that are compared need the deterministic reference schedule.
 	cfg := sim.MiniGPU()
 	cfg.SequentialSMs = true
 	ctx := cuda.NewContext(cfg)
@@ -43,88 +42,6 @@ func run(t *testing.T, workload, dataset string, setup func(ctx *cuda.Context) (
 	}
 	if res.VerifyErr != nil {
 		t.Fatalf("instrumented run no longer verifies: %v", res.VerifyErr)
-	}
-}
-
-// TestBranchProfilerEquivalence checks the collective (Figure 4) and the
-// sequential branch profilers agree exactly.
-func TestBranchProfilerEquivalence(t *testing.T) {
-	var summaries [2]handlers.BranchSummary
-	for i, sequential := range []bool{false, true} {
-		var p *handlers.BranchProfiler
-		run(t, "parboil.bfs", "UT", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p = handlers.NewBranchProfiler(ctx)
-			if sequential {
-				return p.SequentialHandler(), p.Options()
-			}
-			return p.Handler(), p.Options()
-		})
-		s, err := p.Summarize()
-		if err != nil {
-			t.Fatalf("summarize: %v", err)
-		}
-		summaries[i] = s
-	}
-	if summaries[0] != summaries[1] {
-		t.Errorf("parallel %+v != sequential %+v", summaries[0], summaries[1])
-	}
-	if summaries[0].DynamicBranches == 0 || summaries[0].DynamicDivergent == 0 {
-		t.Errorf("bfs should have divergent branches: %+v", summaries[0])
-	}
-}
-
-// TestMemDivProfilerEquivalence checks the two memory-divergence handlers
-// produce identical 32x32 matrices.
-func TestMemDivProfilerEquivalence(t *testing.T) {
-	var totals [2]uint64
-	var pmf0 [2]float64
-	for i, sequential := range []bool{false, true} {
-		var p *handlers.MemDivProfiler
-		run(t, "parboil.spmv", "small", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p = handlers.NewMemDivProfiler(ctx)
-			if sequential {
-				return p.SequentialHandler(), p.Options()
-			}
-			return p.Handler(), p.Options()
-		})
-		m, err := p.Matrix()
-		if err != nil {
-			t.Fatalf("matrix: %v", err)
-		}
-		totals[i] = m.TotalAccesses()
-		pmf0[i] = m.UniqueLinePMF()[0]
-	}
-	if totals[0] != totals[1] || pmf0[0] != pmf0[1] {
-		t.Errorf("parallel (%d, %f) != sequential (%d, %f)", totals[0], pmf0[0], totals[1], pmf0[1])
-	}
-	if totals[0] == 0 {
-		t.Error("no accesses recorded")
-	}
-}
-
-// TestValueProfilerEquivalence checks the two value profilers agree.
-func TestValueProfilerEquivalence(t *testing.T) {
-	var sums [2]handlers.ValueSummary
-	for i, sequential := range []bool{false, true} {
-		var p *handlers.ValueProfiler
-		run(t, "demo.vecadd", "small", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p = handlers.NewValueProfiler(ctx)
-			if sequential {
-				return p.SequentialHandler(), p.Options()
-			}
-			return p.Handler(), p.Options()
-		})
-		s, err := p.Summarize()
-		if err != nil {
-			t.Fatalf("summarize: %v", err)
-		}
-		sums[i] = s
-	}
-	if sums[0] != sums[1] {
-		t.Errorf("parallel %+v != sequential %+v", sums[0], sums[1])
-	}
-	if sums[0].DynConstBitsPc == 0 || sums[0].DynScalarPc == 0 {
-		t.Errorf("vecadd should show constant bits and scalar writes: %+v", sums[0])
 	}
 }
 
@@ -148,6 +65,40 @@ func TestBranchProfilerConvergedKernel(t *testing.T) {
 	}
 }
 
+// TestBranchProfilerDivergentKernel: bfs on the UT graph must report
+// divergent branch executions (paper Table 1).
+func TestBranchProfilerDivergentKernel(t *testing.T) {
+	var p *handlers.BranchProfiler
+	run(t, "parboil.bfs", "UT", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+		p = handlers.NewBranchProfiler(ctx)
+		return p.Handler(), p.Options()
+	})
+	s, err := p.Summarize()
+	if err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	if s.DynamicBranches == 0 || s.DynamicDivergent == 0 {
+		t.Errorf("bfs should have divergent branches: %+v", s)
+	}
+}
+
+// TestValueProfilerSummary: vecadd writes registers with constant bits
+// (addresses, indices) and warp-uniform values (paper Table 2).
+func TestValueProfilerSummary(t *testing.T) {
+	var p *handlers.ValueProfiler
+	run(t, "demo.vecadd", "small", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+		p = handlers.NewValueProfiler(ctx)
+		return p.Handler(), p.Options()
+	})
+	s, err := p.Summarize()
+	if err != nil {
+		t.Fatalf("summarize: %v", err)
+	}
+	if s.DynConstBitsPc == 0 || s.DynScalarPc == 0 || s.DynScalarPc == 100 {
+		t.Errorf("vecadd should show constant bits and a mix of scalar and vector writes: %+v", s)
+	}
+}
+
 // TestMemDivCoalescedVsScattered: the ELL kernel must request far fewer
 // unique lines per access than the CSR kernel on the same matrix (the
 // Figure 7/8 contrast).
@@ -156,7 +107,7 @@ func TestMemDivCoalescedVsScattered(t *testing.T) {
 		var p *handlers.MemDivProfiler
 		run(t, workload, "default", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
 			p = handlers.NewMemDivProfiler(ctx)
-			return p.SequentialHandler(), p.Options()
+			return p.Handler(), p.Options()
 		})
 		m, err := p.Matrix()
 		if err != nil {

@@ -18,8 +18,8 @@ import (
 // uses. Each entry holds a fixed number of 64-bit counter fields.
 //
 // Claiming an empty slot uses a three-state header word (empty ->
-// initializing -> ready) so concurrent lanes of a warp cannot observe
-// half-initialized counters.
+// initializing -> ready) so warps on concurrently simulated SMs cannot
+// observe half-initialized counters.
 type InsTable struct {
 	ctx    *cuda.Context
 	base   uint64
@@ -56,7 +56,7 @@ func (t *InsTable) slotAddr(i int) uint64 { return t.base + uint64(i)*t.entrySiz
 // Find returns the device address of the counter fields for key, claiming
 // and initializing a slot on first use. It is called from handler (device)
 // code. A full table panics, surfacing as a handler fault.
-func (t *InsTable) Find(c *device.Ctx, key int32) uint64 {
+func (t *InsTable) Find(c device.Lane, key int32) uint64 {
 	h := int(uint32(key)*2654435761) % t.slots
 	for probe := 0; probe < t.slots; probe++ {
 		s := t.slotAddr((h + probe) % t.slots)

@@ -44,35 +44,45 @@ func (p *MemDivProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
 		Name: "sassi_memdiv_handler",
 		What: sassi.PassMemoryInfo,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !args.BP.InstrWillExecute() {
-				return
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			var lineAddr device.Vec64
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if !args.BP.InstrWillExecute(l) {
+					w.Return(l)
+					continue
+				}
+				addr := args.MP.Address(l)
+				// Only look at global memory requests; filter others out.
+				if !mem.IsGlobal(addr) {
+					w.Return(l)
+					continue
+				}
+				lineAddr[l] = addr >> p.OffsetBits
 			}
-			addr := args.MP.Address()
-			// Only look at global memory requests; filter others out.
-			if !mem.IsGlobal(addr) {
-				return
-			}
-			lineAddr := addr >> p.OffsetBits
 
-			workset := c.Ballot(true)
+			workset := w.Ballot(device.FullMask)
 			firstActive := device.Ffs(workset) - 1
 			numActive := device.Popc(workset)
 			unique := 0
 			for workset != 0 {
 				// Elect a leader, get its line, see who matches it.
 				leader := device.Ffs(workset) - 1
-				leadersAddr := c.Shfl64(lineAddr, leader)
-				notMatches := c.Ballot(leadersAddr != lineAddr)
+				leadersAddr := w.Shfl64(&lineAddr, leader)
+				var differs uint32
+				for l := w.First(); l >= 0; l = w.Next(l) {
+					if leadersAddr[l] != lineAddr[l] {
+						differs |= 1 << uint(l)
+					}
+				}
+				notMatches := w.Ballot(differs)
 				workset &= notMatches
 				unique++
 			}
 
-			// Every lane computed numActive and unique; the first active
-			// thread tallies into the 32x32 matrix.
-			if c.Lane() == firstActive {
+			// The first active thread tallies into the 32x32 matrix.
+			if firstActive >= 0 {
 				idx := uint64((numActive-1)*32 + (unique - 1))
-				c.AtomicAdd64(uint64(p.matrix)+idx*8, 1)
+				w.Lane(firstActive).AtomicAdd64(uint64(p.matrix)+idx*8, 1)
 			}
 		},
 	}

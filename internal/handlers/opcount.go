@@ -41,34 +41,40 @@ func (p *OpCounter) Options() sassi.Options {
 	}
 }
 
-// Handler is the Figure 3 translation. It needs no warp collectives, so a
-// Sequential variant is available for the ablation study.
-func (p *OpCounter) Handler(sequential bool) *sassi.Handler {
+// Handler is the Figure 3 translation: every thread bumps the counter of
+// each class its instruction belongs to.
+func (p *OpCounter) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_before_handler",
-		What:       sassi.PassMemoryInfo,
-		Sequential: sequential,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+		Name: "sassi_before_handler",
+		What: sassi.PassMemoryInfo,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			// The instruction's classes are the same for the whole warp.
 			bp := args.BP
-			if bp.IsMem() {
-				c.AtomicAdd64(p.Bank.Ptr(OcMem), 1)
-				if args.MP != nil && args.MP.Width() > 4 {
-					c.AtomicAdd64(p.Bank.Ptr(OcMemWide), 1)
+			isMem, isWide := bp.IsMem(), args.MP != nil && args.MP.Width() > 4
+			isControl, isSync := bp.IsControlXfer(), bp.IsSync()
+			isNumeric, isTexture := bp.IsNumeric(), bp.IsTexture()
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				c := w.Lane(l)
+				if isMem {
+					c.AtomicAdd64(p.Bank.Ptr(OcMem), 1)
+					if isWide {
+						c.AtomicAdd64(p.Bank.Ptr(OcMemWide), 1)
+					}
 				}
+				if isControl {
+					c.AtomicAdd64(p.Bank.Ptr(OcControl), 1)
+				}
+				if isSync {
+					c.AtomicAdd64(p.Bank.Ptr(OcSync), 1)
+				}
+				if isNumeric {
+					c.AtomicAdd64(p.Bank.Ptr(OcNumeric), 1)
+				}
+				if isTexture {
+					c.AtomicAdd64(p.Bank.Ptr(OcTexture), 1)
+				}
+				c.AtomicAdd64(p.Bank.Ptr(OcTotal), 1)
 			}
-			if bp.IsControlXfer() {
-				c.AtomicAdd64(p.Bank.Ptr(OcControl), 1)
-			}
-			if bp.IsSync() {
-				c.AtomicAdd64(p.Bank.Ptr(OcSync), 1)
-			}
-			if bp.IsNumeric() {
-				c.AtomicAdd64(p.Bank.Ptr(OcNumeric), 1)
-			}
-			if bp.IsTexture() {
-				c.AtomicAdd64(p.Bank.Ptr(OcTexture), 1)
-			}
-			c.AtomicAdd64(p.Bank.Ptr(OcTotal), 1)
 		},
 	}
 }

@@ -40,16 +40,13 @@ func (p *PCProfiler) Options() sassi.Options {
 }
 
 // Handler returns the registered handler. One table update per warp
-// execution: the last active lane writes for the whole warp.
+// execution: the first active lane writes for the whole warp.
 func (p *PCProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_pcprof_handler",
-		Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !c.IsLastActive() {
-				return
-			}
-			active := device.Popc(c.ActiveMask())
+		Name: "sassi_pcprof_handler",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			active := device.Popc(w.ActiveMask())
+			c := w.Lane(w.First())
 			stats := p.Table.Find(c, args.BP.InsAddr())
 			c.AtomicAdd64(stats+pcExec*8, 1)
 			c.AtomicAdd64(stats+pcLanes*8, uint64(active))

@@ -77,20 +77,15 @@ func (r *RaceChecker) Options() sassi.Options {
 	}
 }
 
-// Handler returns the runtime handler. Sequential mode keeps lane order
-// deterministic inside a warp; the mutex serializes across warps and SMs.
+// Handler returns the runtime handler. Lanes are checked in ascending
+// order; the mutex serializes across warps and SMs.
 func (r *RaceChecker) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_racecheck_handler",
-		What:       sassi.PassMemoryInfo,
-		Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !args.BP.InstrWillExecute() {
-				return
-			}
-			bx, by, bz := c.BlockIdx()
+		Name: "sassi_racecheck_handler",
+		What: sassi.PassMemoryInfo,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			bx, by, bz := w.Lane(w.First()).BlockIdx()
 			key := [3]uint32{bx, by, bz}
-			tid := c.FlatThreadIdx()
 
 			r.mu.Lock()
 			defer r.mu.Unlock()
@@ -100,24 +95,32 @@ func (r *RaceChecker) Handler() *sassi.Handler {
 				r.ctas[key] = cta
 			}
 
-			if args.MP == nil {
-				// BAR.SYNC site: this thread enters the next interval.
-				cta.phase[tid]++
-				return
+			// The access's static properties are the same on every lane.
+			var acc access
+			var write bool
+			var width uint64
+			if args.MP != nil {
+				acc = access{site: sass.IndexOfOffset(args.BP.InsOffset()), atomic: args.MP.IsAtomic()}
+				write, width = args.MP.IsStore(), uint64(args.MP.Width())
 			}
-			addr := args.MP.Address()
-			if !mem.IsShared(addr) {
-				return
-			}
-			acc := access{
-				tid:    tid,
-				phase:  cta.phase[tid],
-				site:   sass.IndexOfOffset(args.BP.InsOffset()),
-				atomic: args.MP.IsAtomic(),
-			}
-			write := args.MP.IsStore()
-			for b := uint64(0); b < uint64(args.MP.Width()); b++ {
-				r.touch(cta, addr+b, acc, write)
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if !args.BP.InstrWillExecute(l) {
+					continue
+				}
+				tid := w.Lane(l).FlatThreadIdx()
+				if args.MP == nil {
+					// BAR.SYNC site: this thread enters the next interval.
+					cta.phase[tid]++
+					continue
+				}
+				addr := args.MP.Address(l)
+				if !mem.IsShared(addr) {
+					continue
+				}
+				acc.tid, acc.phase = tid, cta.phase[tid]
+				for b := uint64(0); b < width; b++ {
+					r.touch(cta, addr+b, acc, write)
+				}
 			}
 		},
 	}

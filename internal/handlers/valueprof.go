@@ -66,41 +66,49 @@ func (p *ValueProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
 		Name: "sassi_after_handler",
 		What: sassi.PassRegisterInfo,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !args.BP.InstrWillExecute() {
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if !args.BP.InstrWillExecute(l) {
+					w.Return(l)
+				}
+			}
+			firstActive := device.Ffs(w.Ballot(device.FullMask)) - 1
+			if firstActive < 0 {
 				return
 			}
-			firstActive := device.Ffs(c.Ballot(true)) - 1
 			rp := args.RP
-			nd := rp.NumGPRDsts()
-			if nd > vfMaxDsts {
-				nd = vfMaxDsts
-			}
-			var stats uint64
-			if c.Lane() == firstActive {
-				stats = p.Table.Find(c, args.BP.InsAddr())
-			}
-			stats = c.Shfl64(stats, firstActive)
-			if c.Lane() == firstActive {
-				c.AtomicAdd64(stats+vfWeight*8, 1)
-				c.WriteGlobal64(stats+vfNumDsts*8, uint64(nd))
-			}
+			nd := min(rp.NumGPRDsts(), vfMaxDsts)
+
+			// The first active thread finds the instruction's counters;
+			// at warp level its pointer needs no shuffle to reach the rest.
+			leader := w.Lane(firstActive)
+			stats := p.Table.Find(leader, args.BP.InsAddr())
+			leader.AtomicAdd64(stats+vfWeight*8, 1)
+			leader.WriteGlobal64(stats+vfNumDsts*8, uint64(nd))
 			for d := 0; d < nd; d++ {
 				reg := rp.GPRDst(d)
-				v := rp.GetRegValue(reg)
+				var v, notV device.Vec32
+				for l := w.First(); l >= 0; l = w.Next(l) {
+					v[l] = rp.GetRegValue(l, reg)
+					notV[l] = ^v[l]
+				}
 
 				// Track constant one- and zero-bits with atomic ANDs.
-				c.AtomicAnd32(stats+uint64(vfDst(d, vfOnes))*8, v)
-				c.AtomicAnd32(stats+uint64(vfDst(d, vfZeros))*8, ^v)
+				w.AtomicAnd32(stats+uint64(vfDst(d, vfOnes))*8, &v)
+				w.AtomicAnd32(stats+uint64(vfDst(d, vfZeros))*8, &notV)
 
 				// Compare against the leader's value to decide scalarity.
-				leaderValue := c.Shfl(v, firstActive)
-				allSame := c.All(v == leaderValue)
-				if c.Lane() == firstActive {
-					c.WriteGlobal64(stats+uint64(vfDst(d, vfRegNum))*8, uint64(reg))
-					if !allSame {
-						c.AtomicAnd32(stats+uint64(vfDst(d, vfScalar))*8, 0)
+				leaderValue := w.Shfl(&v, firstActive)
+				var same uint32
+				for l := w.First(); l >= 0; l = w.Next(l) {
+					if v[l] == leaderValue[l] {
+						same |= 1 << uint(l)
 					}
+				}
+				allSame := w.All(same)
+				leader.WriteGlobal64(stats+uint64(vfDst(d, vfRegNum))*8, uint64(reg))
+				if !allSame {
+					leader.AtomicAnd32(stats+uint64(vfDst(d, vfScalar))*8, 0)
 				}
 			}
 		},

@@ -74,41 +74,42 @@ func (g *Global) Alloc(size uint64, name string) uint64 {
 
 // lockRange acquires the data stripes covering [addr, addr+n) in ascending
 // stripe order (the deadlock-freedom invariant every locker follows) and
-// returns the matching unlock.
-func (g *Global) lockRange(addr, n uint64) func() {
+// returns the held set, a plain value: handler atomics and warp accesses
+// take it on every operation, so it must not allocate.
+func (g *Global) lockRange(addr, n uint64) stripeLock {
 	if n == 0 {
 		n = 1
 	}
-	first := addr >> pageShift
-	last := (addr + n - 1) >> pageShift
-	if first == last {
-		s := &g.stripes[first%numStripes]
-		s.Lock()
-		return s.Unlock
-	}
-	if last-first+1 >= numStripes {
-		for i := range g.stripes {
-			g.stripes[i].Lock()
+	l := stripeLock{g: g, first: addr >> pageShift, last: (addr + n - 1) >> pageShift}
+	l.each((*sync.Mutex).Lock)
+	return l
+}
+
+// stripeLock is the set of data stripes covering pages [first, last].
+type stripeLock struct {
+	g           *Global
+	first, last uint64
+}
+
+func (l stripeLock) unlock() { l.each((*sync.Mutex).Unlock) }
+
+// each applies op to the covering stripes in ascending stripe order.
+func (l stripeLock) each(op func(*sync.Mutex)) {
+	switch {
+	case l.first == l.last:
+		op(&l.g.stripes[l.first%numStripes])
+	case l.last-l.first+1 >= numStripes:
+		for i := range l.g.stripes {
+			op(&l.g.stripes[i])
 		}
-		return func() {
-			for i := range g.stripes {
-				g.stripes[i].Unlock()
-			}
+	default:
+		var held [numStripes]bool
+		for pn := l.first; pn <= l.last; pn++ {
+			held[pn%numStripes] = true
 		}
-	}
-	var held [numStripes]bool
-	for pn := first; pn <= last; pn++ {
-		held[pn%numStripes] = true
-	}
-	for i := range held {
-		if held[i] {
-			g.stripes[i].Lock()
-		}
-	}
-	return func() {
 		for i := range held {
 			if held[i] {
-				g.stripes[i].Unlock()
+				op(&l.g.stripes[i])
 			}
 		}
 	}
@@ -212,8 +213,7 @@ func (g *Global) Read(addr uint64, buf []byte) error {
 		f.Write = false
 		return f
 	}
-	unlock := g.lockRange(addr, uint64(len(buf)))
-	defer unlock()
+	defer g.lockRange(addr, uint64(len(buf))).unlock()
 	g.readData(addr, buf)
 	return nil
 }
@@ -225,8 +225,7 @@ func (g *Global) Write(addr uint64, data []byte) error {
 		f.Write = true
 		return f
 	}
-	unlock := g.lockRange(addr, uint64(len(data)))
-	defer unlock()
+	defer g.lockRange(addr, uint64(len(data))).unlock()
 	g.writeData(addr, data)
 	return nil
 }
@@ -271,8 +270,7 @@ func (g *Global) Atomic32(addr uint64, f func(old uint32) uint32) (uint32, error
 		fl.Write = true
 		return 0, fl
 	}
-	unlock := g.lockRange(addr, 4)
-	defer unlock()
+	defer g.lockRange(addr, 4).unlock()
 	var b [4]byte
 	g.readData(addr, b[:])
 	old := binary.LittleEndian.Uint32(b[:])
@@ -289,8 +287,7 @@ func (g *Global) Atomic64(addr uint64, f func(old uint64) uint64) (uint64, error
 		fl.Write = true
 		return 0, fl
 	}
-	unlock := g.lockRange(addr, 8)
-	defer unlock()
+	defer g.lockRange(addr, 8).unlock()
 	var b [8]byte
 	g.readData(addr, b[:])
 	old := binary.LittleEndian.Uint64(b[:])

@@ -73,7 +73,7 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 			}
 		}
 	}
-	unlock := g.lockRange(lo, hi-lo+w)
+	held := g.lockRange(lo, hi-lo+w)
 
 	// Transfer with a one-page cache: coalesced warps touch one or two
 	// pages, so most lanes skip the page-table lock entirely.
@@ -111,6 +111,6 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 			copy(buf, cached[off:off+w])
 		}
 	}
-	unlock()
+	held.unlock()
 	return n, ferr
 }

@@ -69,7 +69,7 @@ func tracedBFSRun(t *testing.T) []byte {
 		t.Fatalf("instrument: %v", err)
 	}
 	rt := sassi.NewRuntime(prog)
-	rt.MustRegister(bp.SequentialHandler())
+	rt.MustRegister(bp.Handler())
 	rt.Attach(ctx.Device())
 
 	var res *workloads.Result

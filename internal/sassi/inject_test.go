@@ -80,7 +80,7 @@ func TestOpcountHandler(t *testing.T) {
 	rt.MustRegister(&sassi.Handler{
 		Name: "sassi_before_handler",
 		What: sassi.PassMemoryInfo,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+		Fn: perLane(func(c device.Lane, args sassi.HandlerArgs) {
 			bp := args.BP
 			if bp.IsMem() {
 				c.AtomicAdd64(counters+0*8, 1)
@@ -101,7 +101,7 @@ func TestOpcountHandler(t *testing.T) {
 				c.AtomicAdd64(counters+5*8, 1)
 			}
 			c.AtomicAdd64(counters+6*8, 1)
-		},
+		}),
 	})
 	rt.Attach(dev)
 

@@ -43,11 +43,8 @@ func TestMultiKernelSiteIDsUnique(t *testing.T) {
 	seenAddrs := map[int32]bool{}
 	ctx := cuda.NewContext(sim.MiniGPU())
 	rt := sassi.NewRuntime(prog)
-	rt.MustRegister(&sassi.Handler{Name: "h", Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !c.IsWarpLeader() {
-				return
-			}
+	rt.MustRegister(&sassi.Handler{Name: "h",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			seenIDs[args.BP.ID()] = true
 			seenAddrs[args.BP.InsAddr()] = true
 		}})
@@ -91,20 +88,16 @@ func TestTwoHandlersBeforeAndAfter(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	rt := sassi.NewRuntime(prog)
 	var befores, afters int
-	rt.MustRegister(&sassi.Handler{Name: "before_h", Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if c.IsWarpLeader() {
-				befores++
-				if !args.BP.IsMem() {
-					t.Error("before handler saw a non-memory site")
-				}
+	rt.MustRegister(&sassi.Handler{Name: "before_h",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			befores++
+			if !args.BP.IsMem() {
+				t.Error("before handler saw a non-memory site")
 			}
 		}})
-	rt.MustRegister(&sassi.Handler{Name: "after_h", Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if c.IsWarpLeader() {
-				afters++
-			}
+	rt.MustRegister(&sassi.Handler{Name: "after_h",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			afters++
 		}})
 	rt.Attach(ctx.Device())
 	buf := ctx.Malloc(4*32, "out")
@@ -141,7 +134,7 @@ func TestUnregisteredHandlerFaults(t *testing.T) {
 	}
 	// Registering a handler for a symbol with no JCAL site is an error too.
 	if err := rt.Register(&sassi.Handler{Name: "never_injected",
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {}}); err == nil {
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {}}); err == nil {
 		t.Error("registered a handler with no sites")
 	}
 }
@@ -168,17 +161,13 @@ func TestStackedInstrumentation(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	rt := sassi.NewRuntime(prog)
 	var first, second int
-	rt.MustRegister(&sassi.Handler{Name: "first", Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if c.IsWarpLeader() {
-				first++
-			}
+	rt.MustRegister(&sassi.Handler{Name: "first",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			first++
 		}})
-	rt.MustRegister(&sassi.Handler{Name: "second", Sequential: true,
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if c.IsWarpLeader() {
-				second++
-			}
+	rt.MustRegister(&sassi.Handler{Name: "second",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			second++
 		}})
 	rt.Attach(ctx.Device())
 	buf := ctx.Malloc(4*32, "out")

@@ -13,9 +13,20 @@ import (
 	"sassi/internal/sim"
 )
 
-// paramProbe instruments a kernel and captures handler args for assertion.
+// probe instruments a kernel and captures handler args for assertion. Its
+// body is per-thread code, as the parameter objects are per-thread.
 type probe struct {
-	fn func(c *device.Ctx, args sassi.HandlerArgs)
+	fn func(c device.Lane, args sassi.HandlerArgs)
+}
+
+// perLane adapts a per-thread body to the warp-level handler ABI: it runs
+// once for every running lane, in ascending order.
+func perLane(fn func(c device.Lane, args sassi.HandlerArgs)) sassi.HandlerFunc {
+	return func(w *device.Warp, args sassi.HandlerArgs) {
+		for l := w.First(); l >= 0; l = w.Next(l) {
+			fn(w.Lane(l), args)
+		}
+	}
 }
 
 // runProbe compiles the store kernel out[i] = i, instruments per opts, and
@@ -44,7 +55,7 @@ func runProbe(t *testing.T, opts sassi.Options, compile ptxas.Options, p *probe)
 	if name == "" {
 		name = opts.AfterHandler
 	}
-	rt.MustRegister(&sassi.Handler{Name: name, What: opts.What, Sequential: true, Fn: p.fn})
+	rt.MustRegister(&sassi.Handler{Name: name, What: opts.What, Fn: perLane(p.fn)})
 	rt.Attach(ctx.Device())
 	buf := ctx.Malloc(4*64, "out")
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
@@ -66,7 +77,7 @@ func runProbe(t *testing.T, opts sassi.Options, compile ptxas.Options, p *probe)
 // info and per-thread will-execute flags.
 func TestBeforeParamsFields(t *testing.T) {
 	seen := 0
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
 		bp := args.BP
 		if bp.Opcode() != sass.OpSTG {
 			return // other memory ops (none expected here)
@@ -79,8 +90,8 @@ func TestBeforeParamsFields(t *testing.T) {
 			t.Error("spurious class bits")
 		}
 		wantExec := c.FlatThreadIdx() < 16
-		if bp.InstrWillExecute() != wantExec {
-			t.Errorf("thread %d willExec = %v", c.FlatThreadIdx(), bp.InstrWillExecute())
+		if bp.InstrWillExecute(c.Index()) != wantExec {
+			t.Errorf("thread %d willExec = %v", c.FlatThreadIdx(), bp.InstrWillExecute(c.Index()))
 		}
 		if bp.InsAddr() != bp.FnAddr()+bp.InsOffset() {
 			t.Error("InsAddr identity broken")
@@ -102,15 +113,15 @@ func TestBeforeParamsFields(t *testing.T) {
 // actual per-thread store target.
 func TestMemoryParamsAddress(t *testing.T) {
 	var base uint64
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-		if args.BP.Opcode() != sass.OpSTG || !args.BP.InstrWillExecute() {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
+		if args.BP.Opcode() != sass.OpSTG || !args.BP.InstrWillExecute(c.Index()) {
 			return
 		}
 		mp := args.MP
 		if mp == nil {
 			t.Fatal("no memory params at a memory site")
 		}
-		addr := mp.Address()
+		addr := mp.Address(c.Index())
 		if base == 0 {
 			base = addr - 4*uint64(c.FlatThreadIdx())
 		}
@@ -124,7 +135,7 @@ func TestMemoryParamsAddress(t *testing.T) {
 		if mp.Width() != 4 {
 			t.Errorf("width = %d", mp.Width())
 		}
-		if !mp.IsGlobal() || mp.Domain() != mem.SpaceGlobal {
+		if !mp.IsGlobal(c.Index()) || mp.Domain() != mem.SpaceGlobal {
 			t.Error("domain wrong")
 		}
 	}}
@@ -137,7 +148,7 @@ func TestMemoryParamsAddress(t *testing.T) {
 // TestCondBranchParams: direction matches the per-thread predicate.
 func TestCondBranchParams(t *testing.T) {
 	seen := false
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
 		cb := args.CBP
 		if cb == nil {
 			t.Fatal("no branch params")
@@ -146,8 +157,8 @@ func TestCondBranchParams(t *testing.T) {
 		// The builder's If branches when the condition is FALSE (skip),
 		// so direction == (tid >= 16).
 		want := c.FlatThreadIdx() >= 16
-		if cb.Direction() != want {
-			t.Errorf("thread %d direction = %v", c.FlatThreadIdx(), cb.Direction())
+		if cb.Direction(c.Index()) != want {
+			t.Errorf("thread %d direction = %v", c.FlatThreadIdx(), cb.Direction(c.Index()))
 		}
 		if cb.TakenOffset() < 0 {
 			t.Error("taken offset missing")
@@ -167,8 +178,8 @@ func TestCondBranchParams(t *testing.T) {
 // values through the spill-aware accessor.
 func TestRegisterParamsValues(t *testing.T) {
 	seen := 0
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-		if !args.BP.InstrWillExecute() {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
+		if !args.BP.InstrWillExecute(c.Index()) {
 			return
 		}
 		rp := args.RP
@@ -177,7 +188,7 @@ func TestRegisterParamsValues(t *testing.T) {
 		}
 		// Find the S2R TID instruction: its dest must equal threadIdx.
 		if args.BP.Opcode() == sass.OpS2R && rp.NumGPRDsts() == 1 {
-			v := rp.GetRegValue(rp.GPRDst(0))
+			v := rp.GetRegValue(c.Index(), rp.GPRDst(0))
 			// S2R reads one of several specials; tid.x sites match flat id.
 			if v == c.FlatThreadIdx() {
 				seen++
@@ -197,8 +208,8 @@ func TestRegisterParamsValues(t *testing.T) {
 func TestSetRegValueThroughSpill(t *testing.T) {
 	// Flip bit 4 of the value the store writes (its data register), for
 	// thread 3 only, at the site just before the store.
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-		if args.BP.Opcode() != sass.OpSTG || !args.BP.InstrWillExecute() {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
+		if args.BP.Opcode() != sass.OpSTG || !args.BP.InstrWillExecute(c.Index()) {
 			return
 		}
 		if c.FlatThreadIdx() != 3 {
@@ -210,7 +221,7 @@ func TestSetRegValueThroughSpill(t *testing.T) {
 			t.Fatal("no register info at store")
 		}
 		reg := rp.GPRSrc(rp.NumGPRSrcs() - 1)
-		rp.SetRegValue(reg, rp.GetRegValue(reg)^16)
+		rp.SetRegValue(c.Index(), reg, rp.GetRegValue(c.Index(), reg)^16)
 	}}
 
 	b := ptx.NewKernel("k")
@@ -230,7 +241,7 @@ func TestSetRegValueThroughSpill(t *testing.T) {
 	}
 	ctx := cuda.NewContext(sim.MiniGPU())
 	rt := sassi.NewRuntime(prog)
-	rt.MustRegister(&sassi.Handler{Name: "h", What: sassi.PassRegisterInfo, Sequential: true, Fn: p.fn})
+	rt.MustRegister(&sassi.Handler{Name: "h", What: sassi.PassRegisterInfo, Fn: perLane(p.fn)})
 	rt.Attach(ctx.Device())
 	buf := ctx.Malloc(4*32, "out")
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
@@ -256,7 +267,7 @@ func TestSetPredAndCCThroughSpill(t *testing.T) {
 	// Kernel: P-guarded store where P = (tid < 32) (always true). Handler
 	// clears the branch predicate for thread 5 -> its store is skipped.
 	flipped := false
-	p := &probe{fn: func(c *device.Ctx, args sassi.HandlerArgs) {
+	p := &probe{fn: func(c device.Lane, args sassi.HandlerArgs) {
 		if args.BP.Opcode() != sass.OpSTG {
 			return
 		}
@@ -266,14 +277,14 @@ func TestSetPredAndCCThroughSpill(t *testing.T) {
 		bp := args.BP
 		// Find a set predicate and clear it.
 		for pr := uint8(0); pr < 7; pr++ {
-			if bp.GetPredValue(pr) {
-				bp.SetPredValue(pr, false)
+			if bp.GetPredValue(c.Index(), pr) {
+				bp.SetPredValue(c.Index(), pr, false)
 				flipped = true
 				break
 			}
 		}
 		// Exercise CC accessors too.
-		bp.SetCCValue(bp.GetCCValue())
+		bp.SetCCValue(c.Index(), bp.GetCCValue(c.Index()))
 	}}
 	runProbe2 := func() []uint32 {
 		b := ptx.NewKernel("k")
@@ -296,7 +307,7 @@ func TestSetPredAndCCThroughSpill(t *testing.T) {
 		}
 		ctx := cuda.NewContext(sim.MiniGPU())
 		rt := sassi.NewRuntime(prog)
-		rt.MustRegister(&sassi.Handler{Name: "h", Sequential: true, Fn: p.fn})
+		rt.MustRegister(&sassi.Handler{Name: "h", Fn: perLane(p.fn)})
 		rt.Attach(ctx.Device())
 		buf := ctx.Malloc(4*32, "out")
 		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{

@@ -2,6 +2,7 @@ package sassi
 
 import (
 	"fmt"
+	"sync"
 
 	"sassi/internal/device"
 	"sassi/internal/obs"
@@ -9,10 +10,11 @@ import (
 	"sassi/internal/sim"
 )
 
-// HandlerArgs carries the decoded ABI arguments into a handler. BP is
-// always present; exactly one of MP/CBP/RP is set when the site was
-// instrumented with a matching What flag, mirroring the two-pointer handler
-// signatures of the paper's case studies.
+// HandlerArgs carries the ABI arguments into a handler as lane-indexed
+// views. BP is always present; exactly one of MP/CBP/RP is set when the
+// site was instrumented with a matching What flag, mirroring the
+// two-pointer handler signatures of the paper's case studies. The views
+// are valid for the duration of the dispatch only.
 type HandlerArgs struct {
 	BP  BeforeParams
 	MP  *MemoryParams
@@ -20,30 +22,47 @@ type HandlerArgs struct {
 	RP  *RegisterParams
 }
 
-// HandlerFunc is a user instrumentation handler: per-thread Go code, the
-// analog of the paper's CUDA handler functions.
-type HandlerFunc func(ctx *device.Ctx, args HandlerArgs)
+// HandlerFunc is a user instrumentation handler, the analog of the paper's
+// CUDA handler functions. It is called once per JCAL dispatch, on the
+// goroutine simulating the warp's SM, with the warp-synchronous view of
+// the threads the CUDA code would run on (see package device). SMs execute
+// concurrently: state shared between dispatches needs synchronization,
+// warp-scoped scratch is just the function's locals.
+type HandlerFunc func(w *device.Warp, args HandlerArgs)
 
 // Handler binds a symbol name to a handler function.
 type Handler struct {
 	// Name is the JCAL symbol (e.g. "sassi_before_handler").
 	Name string
-	// Fn is the per-thread handler body.
+	// Fn is the handler body.
 	Fn HandlerFunc
-	// NewFn, when set, takes precedence over Fn: it is called once per
-	// warp dispatch and the returned closure handles that dispatch's lanes.
-	// Handlers that accumulate warp-scoped scratch across lanes must use it
-	// — SMs execute concurrently, so state captured outside the dispatch
-	// would be shared between warps running on different SMs.
-	NewFn func() HandlerFunc
 	// What tells the runtime how to interpret the second ABI argument;
 	// it must match the What used at instrumentation time.
 	What What
-	// Sequential runs lanes one after another instead of as concurrent
-	// goroutines. Only legal for handlers that use no warp collectives;
-	// the ablation benches measure the difference.
-	Sequential bool
 }
+
+// dispatch is the per-dispatch state a handler sees through pointers. It
+// is pooled (across runtimes: campaigns make one per run) so that a
+// dispatch allocates nothing.
+type dispatch struct {
+	warp device.Warp
+	bp   BeforeParams
+	mp   MemoryParams
+	cbp  CondBranchParams
+	rp   RegisterParams
+	// spillReg[:spillN] is the site's spill map (slot -> GPR number),
+	// cached by BeforeParams.spillSlot; spillN < 0 means not yet read.
+	spillN   int
+	spillReg [16]uint8
+}
+
+var dispatchPool = sync.Pool{New: func() any {
+	d := new(dispatch)
+	d.bp = BeforeParams{params{d, ABIArg0}}
+	xp := params{d, ABIArg1}
+	d.mp, d.cbp, d.rp = MemoryParams{xp}, CondBranchParams{xp}, RegisterParams{xp, d.bp}
+	return d
+}}
 
 // Runtime links handlers to an instrumented program and dispatches JCALs
 // from the simulator — the role the display driver + nvlink play for real
@@ -70,7 +89,7 @@ func NewRuntime(prog *sass.Program) *Runtime {
 // Register links a handler to its symbol. Unresolved handler symbols fault
 // at JCAL time, like an unlinked reference.
 func (rt *Runtime) Register(h *Handler) error {
-	if h.Name == "" || (h.Fn == nil && h.NewFn == nil) {
+	if h.Name == "" || h.Fn == nil {
 		return fmt.Errorf("sassi: handler needs a name and a function")
 	}
 	id, ok := rt.prog.Handlers[h.Name]
@@ -95,9 +114,13 @@ func (rt *Runtime) MustRegister(h *Handler) {
 	}
 }
 
-// Dispatch implements sim.Dispatcher: it runs the handler for every active
-// lane of the warp, decoding the ABI argument registers per lane.
-func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) error {
+// Dispatch implements sim.Dispatcher: it calls the handler once for the
+// warp. The injected code has marshalled each active lane's argument
+// pointers into its ABI registers; the views in HandlerArgs decode them on
+// demand. A simulated memory fault or any other panic in the handler
+// aborts the dispatch and is returned as a *HandlerError, which fails the
+// launch like any kernel fault.
+func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) (err error) {
 	h, ok := rt.byID[handlerID]
 	if !ok {
 		return fmt.Errorf("sassi: JCAL to unregistered handler id %d", handlerID)
@@ -106,29 +129,34 @@ func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) error {
 		c.Inc()
 		rt.activeLanes.Observe(uint64(w.NumActive()))
 	}
-	fn := h.Fn
-	if h.NewFn != nil {
-		fn = h.NewFn()
+	if w.ActiveMask() == 0 {
+		return nil
 	}
-	return device.RunWarp(dev, w, w.ActiveMask(), !h.Sequential, func(c *device.Ctx) {
-		bpAddr := uint64(c.ReadReg(ABIArg0)) | uint64(c.ReadReg(ABIArg0+1))<<32
-		xpAddr := uint64(c.ReadReg(ABIArg1)) | uint64(c.ReadReg(ABIArg1+1))<<32
-		args := HandlerArgs{BP: NewBeforeParams(c, bpAddr)}
-		if xpAddr != 0 {
-			switch {
-			case h.What&PassMemoryInfo != 0:
-				mp := NewMemoryParams(c, xpAddr)
-				args.MP = &mp
-			case h.What&PassCondBranchInfo != 0:
-				cbp := NewCondBranchParams(c, xpAddr)
-				args.CBP = &cbp
-			case h.What&PassRegisterInfo != 0:
-				rp := NewRegisterParams(c, xpAddr, args.BP)
-				args.RP = &rp
-			}
+	d := dispatchPool.Get().(*dispatch)
+	d.warp.Bind(dev, w)
+	d.spillN = -1
+	defer func() {
+		if r := recover(); r != nil {
+			err = newHandlerError(h, d, r)
 		}
-		fn(c, args)
-	})
+		d.warp = device.Warp{} // a pooled dispatch must not pin the device
+		dispatchPool.Put(d)
+	}()
+	args := HandlerArgs{BP: d.bp}
+	// The second pointer is null at sites with no extra object (e.g. a
+	// BAR under PassMemoryInfo), uniformly across the warp.
+	if t := w.Threads[d.warp.First()]; t.ReadReg(ABIArg1)|t.ReadReg(ABIArg1+1) != 0 {
+		switch {
+		case h.What&PassMemoryInfo != 0:
+			args.MP = &d.mp
+		case h.What&PassCondBranchInfo != 0:
+			args.CBP = &d.cbp
+		case h.What&PassRegisterInfo != 0:
+			args.RP = &d.rp
+		}
+	}
+	h.Fn(&d.warp, args)
+	return nil
 }
 
 // Attach installs the runtime as the device's dispatcher.

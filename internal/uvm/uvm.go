@@ -154,18 +154,18 @@ func (m *Manager) Options() sassi.Options {
 // Touches are recorded per warp access (one event per active lane).
 func (m *Manager) Handler() *sassi.Handler {
 	return &sassi.Handler{
-		Name:       "sassi_uvm_handler",
-		What:       sassi.PassMemoryInfo,
-		Sequential: true, // the manager's maps are not goroutine-safe
-		Fn: func(c *device.Ctx, args sassi.HandlerArgs) {
-			if !args.BP.InstrWillExecute() {
-				return
+		Name: "sassi_uvm_handler",
+		What: sassi.PassMemoryInfo,
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			isStore := args.MP.IsStore()
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				if !args.BP.InstrWillExecute(l) {
+					continue
+				}
+				if addr := args.MP.Address(l); mem.IsGlobal(addr) {
+					m.touch(addr, GPU, isStore)
+				}
 			}
-			addr := args.MP.Address()
-			if !mem.IsGlobal(addr) {
-				return
-			}
-			m.touch(addr, GPU, args.MP.IsStore())
 		},
 	}
 }
