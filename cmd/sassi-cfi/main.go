@@ -100,7 +100,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintf(stderr, "sassi-cfi: %s/%s: cfg: %v\n", name, k.Name, err)
 				return 2
 			}
-			for _, d := range cfi.Check(cfg) {
+			for _, d := range cfi.Check(analysis.NewKernelFacts(cfg)) {
 				if d.Sev == analysis.Error {
 					violated = true
 				}

@@ -72,6 +72,30 @@ func TestLintUniformityGolden(t *testing.T) {
 	}
 }
 
+// TestLintWorkloadsInstrumentGolden pins `sassi-lint -workloads -instrument`
+// — every check over all 31 workloads, compiled and then instrumented at
+// every site — to the output recorded before the value lattice was
+// rebuilt. CI diffs the command's output against the same file.
+func TestLintWorkloadsInstrumentGolden(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-workloads", "-instrument"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d (stderr: %s)", code, errb.String())
+	}
+	golden := filepath.Join("testdata", "workloads_instrument.golden")
+	if *updateGolden {
+		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run `go test -run Golden -update ./cmd/sassi-lint` to create it)", err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("lint output changed.\n--- got ---\n%s--- want ---\n%s", out.Bytes(), want)
+	}
+}
+
 // TestLintWerror: -Werror turns the mutants' race warnings into a failing
 // exit status, and the clean built-in suite stays green under the same
 // gate — the exact command CI runs.

@@ -196,11 +196,34 @@ func (m VerifyMode) String() string {
 	}
 }
 
+// KernelFacts is what one verification derives about a kernel and hands
+// to every registered check: the CFG and, built on first use, the value
+// lattice's fixpoint. A check that needs the valuation takes it from
+// Values — never from AnalyzeValues — so verifying a kernel runs the
+// fixpoint once however many checks consult it. Like the Valuation it
+// holds, a KernelFacts is for one goroutine.
+type KernelFacts struct {
+	CFG *sass.CFG
+	val *Valuation
+}
+
+// NewKernelFacts wraps a CFG for callers that run a check, or build a
+// dependence graph, outside VerifyKernel.
+func NewKernelFacts(cfg *sass.CFG) *KernelFacts { return &KernelFacts{CFG: cfg} }
+
+// Values returns AnalyzeValues(f.CFG), computed on the first call.
+func (f *KernelFacts) Values() *Valuation {
+	if f.val == nil {
+		f.val = AnalyzeValues(f.CFG)
+	}
+	return f.val
+}
+
 // KernelCheckFunc is a registered kernel-level check. It runs after the
 // built-in checks, only when the structural pass found no errors and the
 // CFG built, so implementations may assume resolved labels and in-range
 // operands.
-type KernelCheckFunc func(cfg *sass.CFG) []Diagnostic
+type KernelCheckFunc func(f *KernelFacts) []Diagnostic
 
 // kernelChecks is the registry of extra checks VerifyKernel runs, in
 // registration order. Packages contribute via RegisterKernelCheck from
@@ -266,24 +289,32 @@ func Verify(prog *sass.Program) []Diagnostic {
 // encoding round-trip checks over one kernel. Deeper checks are skipped
 // when the structural pass reports errors (the CFG may not be buildable).
 func VerifyKernel(k *sass.Kernel) []Diagnostic {
+	diags, _ := verifyKernel(k)
+	return diags
+}
+
+// verifyKernel also returns the facts the registered checks shared (nil
+// when they did not run).
+func verifyKernel(k *sass.Kernel) ([]Diagnostic, *KernelFacts) {
 	diags := CheckStructure(k)
 	if HasErrors(diags) {
-		return diags
+		return diags, nil
 	}
 	diags = append(diags, CheckDivergenceStack(k)...)
 	diags = append(diags, CheckRoundTripEncoding(k)...)
-	if cfg, err := sass.BuildCFG(k); err == nil {
-		diags = append(diags, CheckDefiniteAssignment(cfg)...)
-		for _, c := range kernelChecks {
-			diags = append(diags, c.fn(cfg)...)
-		}
-	} else {
-		diags = append(diags, Diagnostic{
+	cfg, err := sass.BuildCFG(k)
+	if err != nil {
+		return append(diags, Diagnostic{
 			Sev: Error, Check: CheckStructural, Kernel: k.Name, Instr: -1,
 			Msg: fmt.Sprintf("cannot build CFG: %v", err),
-		})
+		}), nil
 	}
-	return diags
+	diags = append(diags, CheckDefiniteAssignment(cfg)...)
+	facts := NewKernelFacts(cfg)
+	for _, c := range kernelChecks {
+		diags = append(diags, c.fn(facts)...)
+	}
+	return diags, facts
 }
 
 // checkLinkage verifies that every JCAL symbol in the kernel is interned

@@ -69,8 +69,8 @@ type Targets struct {
 func (t *Targets) Legal(ret int) bool { return t.Returns[ret] }
 
 // Check is the registered "cfi" kernel check: Analyze, diagnostics only.
-func Check(cfg *sass.CFG) []analysis.Diagnostic {
-	_, diags := Analyze(cfg)
+func Check(f *analysis.KernelFacts) []analysis.Diagnostic {
+	_, diags := Analyze(f)
 	return diags
 }
 
@@ -78,7 +78,8 @@ func Check(cfg *sass.CFG) []analysis.Diagnostic {
 // diagnostics. It assumes the structural pass ran clean (resolved labels,
 // in-range targets), which analysis.VerifyKernel guarantees before
 // registered checks run.
-func Analyze(cfg *sass.CFG) (*Targets, []analysis.Diagnostic) {
+func Analyze(f *analysis.KernelFacts) (*Targets, []analysis.Diagnostic) {
+	cfg := f.CFG
 	k := cfg.Kernel
 	t := &Targets{
 		Entries:   map[int]bool{},
@@ -101,7 +102,7 @@ func Analyze(cfg *sass.CFG) (*Targets, []analysis.Diagnostic) {
 		})
 	}
 
-	val := analysis.AnalyzeValues(cfg)
+	val := f.Values()
 	n := len(k.Instrs)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]

@@ -22,7 +22,7 @@ func kern(t *testing.T, labels map[string]int, instrs ...sass.Instruction) *sass
 	return k
 }
 
-func cfgOf(t *testing.T, k *sass.Kernel) *sass.CFG {
+func factsOf(t *testing.T, k *sass.Kernel) *analysis.KernelFacts {
 	t.Helper()
 	if diags := analysis.CheckStructure(k); analysis.HasErrors(diags) {
 		t.Fatalf("structural errors in test kernel: %v", diags)
@@ -31,7 +31,7 @@ func cfgOf(t *testing.T, k *sass.Kernel) *sass.CFG {
 	if err != nil {
 		t.Fatalf("build CFG: %v", err)
 	}
-	return cfg
+	return analysis.NewKernelFacts(cfg)
 }
 
 func mov(r uint8, v int64) sass.Instruction {
@@ -48,7 +48,7 @@ func TestCleanCallTree(t *testing.T) {
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(0), sass.Imm(1)}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	targets, diags := cfi.Analyze(cfgOf(t, k))
+	targets, diags := cfi.Analyze(factsOf(t, k))
 	if len(diags) != 0 {
 		t.Fatalf("clean call tree produced diagnostics: %v", diags)
 	}
@@ -66,7 +66,7 @@ func TestRetWithEmptyCallStack(t *testing.T) {
 		sass.New(sass.OpRET, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	want := "empty call stack"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -79,7 +79,7 @@ func TestUnreachableRet(t *testing.T) {
 		sass.New(sass.OpEXIT, nil, nil),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	want := "not reachable from any call site"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -97,7 +97,7 @@ func TestCallIntoRegionMiddle(t *testing.T) {
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(0), sass.Imm(1)}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	want := "call into the middle of a region"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -115,7 +115,7 @@ func TestSubroutineLoopHeadIsLegal(t *testing.T) {
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("fn")}).WithGuard(sass.PredGuard{Reg: 0}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	for _, d := range diags {
 		if d.Sev == analysis.Error {
 			t.Fatalf("legal subroutine loop head flagged: %v", diags)
@@ -129,7 +129,7 @@ func TestSyncOutsideRegion(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	want := "no enclosing SSY region"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -143,7 +143,7 @@ func TestBackwardSSYTarget(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(cfgOf(t, k))
+	_, diags := cfi.Analyze(factsOf(t, k))
 	want := "precedes the SSY"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -202,7 +202,7 @@ func TestMutantsRejected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: build CFG: %v", c.name, err)
 			}
-			if diags := cfi.Check(cfg); !hasError(diags, c.want) {
+			if diags := cfi.Check(analysis.NewKernelFacts(cfg)); !hasError(diags, c.want) {
 				t.Errorf("%s: missing %q error, got %v", c.name, c.want, diags)
 			}
 		}
@@ -216,7 +216,7 @@ func assertCFIClean(t *testing.T, what string, prog *sass.Program) {
 		if err != nil {
 			t.Fatalf("%s: %s: build CFG: %v", what, k.Name, err)
 		}
-		if diags := cfi.Check(cfg); len(diags) != 0 {
+		if diags := cfi.Check(analysis.NewKernelFacts(cfg)); len(diags) != 0 {
 			t.Errorf("%s: %s: cfi diagnostics on a clean built-in: %v", what, k.Name, diags)
 		}
 	}

@@ -60,7 +60,7 @@ func FuzzCFI(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		_, diags := cfi.Analyze(cfg)
+		_, diags := cfi.Analyze(analysis.NewKernelFacts(cfg))
 		for _, d := range diags {
 			_ = d.String()
 		}

@@ -24,7 +24,7 @@ func TestBuiltinWorkloadsClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: cfg: %v", name, k.Name, err)
 			}
-			for _, d := range Check(cfg) {
+			for _, d := range Check(analysis.NewKernelFacts(cfg)) {
 				t.Errorf("%s: %v", name, d)
 			}
 		}

@@ -14,20 +14,17 @@
 // internal/handlers (RaceChecker).
 package concurrency
 
-import (
-	"sassi/internal/analysis"
-	"sassi/internal/sass"
-)
+import "sassi/internal/analysis"
 
 func init() {
 	analysis.RegisterKernelCheck("concurrency", Check)
 }
 
-// Check runs both concurrency passes over one kernel, sharing a single
-// value-lattice fixpoint. This is the function the Verify registry calls.
-func Check(cfg *sass.CFG) []analysis.Diagnostic {
-	val := analysis.AnalyzeValues(cfg)
-	diags := CheckBarrierAlignment(cfg, val)
-	diags = append(diags, CheckSharedRaces(cfg, val)...)
+// Check runs both concurrency passes over one kernel on the verification's
+// shared value-lattice fixpoint. This is the function the Verify registry
+// calls.
+func Check(f *analysis.KernelFacts) []analysis.Diagnostic {
+	diags := CheckBarrierAlignment(f.CFG, f.Values())
+	diags = append(diags, CheckSharedRaces(f.CFG, f.Values())...)
 	return diags
 }

@@ -26,7 +26,7 @@ func checkKernel(t *testing.T, k *sass.Kernel) []analysis.Diagnostic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Check(cfg)
+	return Check(analysis.NewKernelFacts(cfg))
 }
 
 func findDiag(diags []analysis.Diagnostic, check, substr string) (analysis.Diagnostic, bool) {

@@ -68,7 +68,7 @@ func FuzzConcurrencyCheck(f *testing.F) {
 		if err != nil {
 			return // unbuildable CFGs are the structural pass's problem
 		}
-		for _, d := range Check(cfg) {
+		for _, d := range Check(analysis.NewKernelFacts(cfg)) {
 			_ = d.String()
 		}
 	})

@@ -32,7 +32,7 @@ func TestMutantsFlagged(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: cfg: %v", name, k.Name, err)
 			}
-			diags := Check(cfg)
+			diags := Check(analysis.NewKernelFacts(cfg))
 			if _, ok := findDiag(diags, analysis.CheckSharedRace, "barrier interval"); ok {
 				flagged = true
 			}

@@ -20,8 +20,8 @@ func init() {
 	analysis.RegisterKernelCheck(analysis.CheckSchedule, checkSchedule)
 }
 
-func checkSchedule(cfg *sass.CFG) []analysis.Diagnostic {
-	k := cfg.Kernel
+func checkSchedule(f *analysis.KernelFacts) []analysis.Diagnostic {
+	k := f.CFG.Kernel
 	if k.SchedOrig == nil {
 		return nil
 	}
@@ -79,7 +79,9 @@ func checkSchedule(cfg *sass.CFG) []analysis.Diagnostic {
 	}
 
 	// (c) Topological order of every block's dependence DAG.
-	g := Build(ocfg)
+	// The DAG is the reconstructed original's, a different instruction
+	// order from the kernel f describes: it needs facts of its own.
+	g := Build(analysis.NewKernelFacts(ocfg))
 	for _, bd := range g.Blocks {
 		for _, e := range bd.Edges {
 			if pos[e.From] >= pos[e.To] {

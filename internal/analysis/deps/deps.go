@@ -244,11 +244,12 @@ func disjoint(a, b memAccess, dims analysis.BlockDims) bool {
 }
 
 // Build constructs the dependence graph of a kernel. Labels must be
-// resolved (the CFG requires it).
-func Build(cfg *sass.CFG) *Graph {
+// resolved (the CFG requires it). Memory edges consult f's valuation.
+func Build(f *analysis.KernelFacts) *Graph {
+	cfg := f.CFG
 	k := cfg.Kernel
 	nbits := analysis.CCBit() + 1
-	val := analysis.AnalyzeValues(cfg)
+	val := f.Values()
 	dims := analysis.BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]}
 
 	g := &Graph{CFG: cfg}

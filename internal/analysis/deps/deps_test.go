@@ -26,7 +26,7 @@ func buildGraph(t *testing.T, k *sass.Kernel) *deps.Graph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deps.Build(cfg)
+	return deps.Build(analysis.NewKernelFacts(cfg))
 }
 
 // findEdge locates an edge (from, to) anywhere in the block DAGs.
@@ -327,7 +327,7 @@ func TestRAWEdgesWitnessedByReachingDefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := deps.Build(cfg)
+		g := deps.Build(analysis.NewKernelFacts(cfg))
 		ri := analysis.ReachingDefs(cfg)
 		for _, bd := range g.Blocks {
 			edges := map[[2]int]bool{}

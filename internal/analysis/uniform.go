@@ -33,18 +33,10 @@ func (u InstrUniformity) Uniform() bool { return u.GuardUniform && u.SrcsUniform
 // instruction's sources see exact values defined earlier under the same
 // guard.
 func (v *Valuation) Uniformity(idx int) InstrUniformity {
-	in := &v.cfg.Kernel.Instrs[idx]
-	s := v.at[idx]
-	out := InstrUniformity{GuardUniform: v.GuardFacts(idx).Uniform}
-	if g := in.Guard; !g.IsAlways() && s.gregs != nil && s.g == g {
-		old := s.viewG
-		s.viewG = true
-		out.SrcsUniform = srcsUniform(s, in)
-		s.viewG = old
-	} else {
-		out.SrcsUniform = srcsUniform(s, in)
+	return InstrUniformity{
+		GuardUniform: v.GuardFacts(idx).Uniform,
+		SrcsUniform:  srcsUniform(v.viewAt(idx), &v.cfg.Kernel.Instrs[idx]),
 	}
-	return out
 }
 
 // KernelUniformity runs the value analysis over one kernel and returns

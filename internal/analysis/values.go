@@ -76,7 +76,30 @@ type Value struct {
 
 	Const int64
 	Tid   [NumTerms]int64
-	Syms  map[Sym]int64 // nil = no symbol terms
+	// Syms are the symbol terms, sorted by symLess with no zero
+	// coefficient (so equal forms have equal slices); nil = none. Values
+	// share these slices: they are never written after construction.
+	Syms []SymTerm
+}
+
+// SymTerm is one coeff·sym term of an affine form.
+type SymTerm struct {
+	Sym   Sym
+	Coeff int64
+}
+
+// symLess orders symbols (kind, bank, offset, special register).
+func symLess(a, b Sym) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Bank != b.Bank {
+		return a.Bank < b.Bank
+	}
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	return a.SR < b.SR
 }
 
 // KnownConst builds a known constant value.
@@ -105,15 +128,8 @@ func (v Value) IsConst() (int64, bool) {
 	if !v.Known {
 		return 0, false
 	}
-	for _, c := range v.Tid {
-		if c != 0 {
-			return 0, false
-		}
-	}
-	for _, c := range v.Syms {
-		if c != 0 {
-			return 0, false
-		}
+	if v.HasTidTerm() || len(v.Syms) > 0 {
+		return 0, false
 	}
 	return v.Const, true
 }
@@ -129,23 +145,31 @@ func (v Value) HasTidTerm() bool {
 }
 
 // SymCoeff returns the coefficient of sym.
-func (v Value) SymCoeff(s Sym) int64 { return v.Syms[s] }
+func (v Value) SymCoeff(s Sym) int64 {
+	for _, t := range v.Syms {
+		if t.Sym == s {
+			return t.Coeff
+		}
+	}
+	return 0
+}
 
 // AddConst returns v + c (an address displacement).
 func (v Value) AddConst(c int64) Value { return addValues(v, KnownConst(c), false) }
 
 // equalValues reports exact structural equality of two known forms.
 func equalValues(a, b Value) bool {
-	if a.Const != b.Const || a.Tid != b.Tid {
+	return a.Const == b.Const && a.Tid == b.Tid && symsEqual(a.Syms, b.Syms)
+}
+
+// symsEqual reports whether two symbol-term lists are identical, which is
+// also when CTA-uniform symbols cancel between two threads' addresses.
+func symsEqual(a, b []SymTerm) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for s, c := range a.Syms {
-		if c != b.Syms[s] {
-			return false
-		}
-	}
-	for s, c := range b.Syms {
-		if c != a.Syms[s] {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -174,17 +198,36 @@ func addValues(a, b Value, negB bool) Value {
 	for i := range out.Tid {
 		out.Tid[i] += sign * b.Tid[i]
 	}
-	if len(a.Syms) > 0 || len(b.Syms) > 0 {
-		out.Syms = make(map[Sym]int64, len(a.Syms)+len(b.Syms))
-		for s, c := range a.Syms {
-			out.Syms[s] = c
-		}
-		for s, c := range b.Syms {
-			if n := out.Syms[s] + sign*c; n != 0 {
-				out.Syms[s] = n
-			} else {
-				delete(out.Syms, s)
+	out.Syms = addSyms(a.Syms, b.Syms, sign)
+	return out
+}
+
+// addSyms merges two sorted term lists into a + sign·b, dropping terms
+// that cancel. An operand without symbols costs nothing: the other list is
+// shared, not copied.
+func addSyms(a, b []SymTerm, sign int64) []SymTerm {
+	if len(b) == 0 {
+		return a
+	}
+	if len(a) == 0 && sign == 1 {
+		return b
+	}
+	out := make([]SymTerm, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		switch {
+		case j == len(b) || (i < len(a) && symLess(a[i].Sym, b[j].Sym)):
+			out = append(out, a[i])
+			i++
+		case i == len(a) || symLess(b[j].Sym, a[i].Sym):
+			out = append(out, SymTerm{b[j].Sym, sign * b[j].Coeff})
+			j++
+		default:
+			if c := a[i].Coeff + sign*b[j].Coeff; c != 0 {
+				out = append(out, SymTerm{a[i].Sym, c})
 			}
+			i++
+			j++
 		}
 	}
 	return out
@@ -203,9 +246,11 @@ func scaleValue(v Value, c int64) Value {
 		out.Tid[i] *= c
 	}
 	if len(v.Syms) > 0 {
-		out.Syms = make(map[Sym]int64, len(v.Syms))
-		for s, k := range v.Syms {
-			out.Syms[s] = k * c
+		out.Syms = make([]SymTerm, 0, len(v.Syms))
+		for _, t := range v.Syms {
+			if k := t.Coeff * c; k != 0 { // a product can wrap to zero
+				out.Syms = append(out.Syms, SymTerm{t.Sym, k})
+			}
 		}
 	}
 	return out
@@ -244,7 +289,10 @@ type PredFacts struct {
 
 // valState is the abstract machine state at one program point.
 type valState struct {
-	regs map[uint8]Value
+	// regs is indexed by GPR number and sized to the kernel's highest
+	// written register; the zero Value (Unknown, non-uniform) is what an
+	// unwritten register holds — entry garbage is per-thread.
+	regs []Value
 	pred [sass.NumPred + 1]PredFacts
 	cc   bool // condition-code warp-uniformity
 
@@ -253,33 +301,30 @@ type valState struct {
 	// main lattice must join a guarded def with the old value (later
 	// unguarded uses see either), but a later use under the SAME guard
 	// executes only when the def did, so it sees the def exactly. g is
-	// the current guard run; gregs holds the exact values defined under
-	// it, consulted when viewG is set. The view is transient: it resets
-	// when the guard changes, its predicate is redefined, or states
-	// merge.
+	// the current guard run; gregs (nil: no run) holds the exact values
+	// defined under it, indexed like regs with the zero Value for "not
+	// defined in this run" — a def that is itself the zero Value leaves
+	// the zero Value in regs too, so falling through reads the same.
+	// The view is consulted when viewG is set and is transient: it resets
+	// when the guard changes, its predicate is redefined, or states merge.
 	g     sass.PredGuard
-	gregs map[uint8]Value
+	gregs []Value
+	gbuf  []Value // gregs' storage, kept across runs
 	viewG bool
 }
 
-func newEntryState() *valState {
-	s := &valState{regs: make(map[uint8]Value)}
+func newEntryState(nregs int) *valState {
+	s := &valState{regs: make([]Value, nregs)}
 	s.pred[sass.PT] = PredFacts{Uniform: true}
 	return s
 }
 
-func (s *valState) clone() *valState {
-	c := &valState{pred: s.pred, cc: s.cc, g: s.g, regs: make(map[uint8]Value, len(s.regs))}
-	for r, v := range s.regs {
-		c.regs[r] = v
-	}
-	if s.gregs != nil {
-		c.gregs = make(map[uint8]Value, len(s.gregs))
-		for r, v := range s.gregs {
-			c.gregs[r] = v
-		}
-	}
-	return c
+// copyFrom overwrites s with o's main lattice. Only view-free states are
+// ever copied (block-entry states and the fixpoint's block-exit state).
+func (s *valState) copyFrom(o *valState) {
+	copy(s.regs, o.regs)
+	s.pred, s.cc = o.pred, o.cc
+	s.dropGuardView()
 }
 
 // dropGuardView discards the predication view.
@@ -289,22 +334,30 @@ func (s *valState) dropGuardView() {
 	s.viewG = false
 }
 
-// reg reads a register's tracked value; RZ is the constant 0 and
-// untracked registers are Unknown non-uniform (entry garbage). Under an
+// startGuardView opens an empty predication view for guard g.
+func (s *valState) startGuardView(g sass.PredGuard) {
+	if s.gbuf == nil {
+		s.gbuf = make([]Value, len(s.regs))
+	}
+	clear(s.gbuf)
+	s.g, s.gregs = g, s.gbuf
+}
+
+// reg reads a register's tracked value; RZ is the constant 0. Under an
 // active guard view, defs made under the same guard take precedence.
 func (s *valState) reg(r uint8) Value {
 	if r == sass.RZ {
 		return KnownConst(0)
 	}
+	if int(r) >= len(s.regs) {
+		return unknown(false) // never written
+	}
 	if s.viewG {
-		if v, ok := s.gregs[r]; ok {
+		if v := s.gregs[r]; v.Known || v.Uniform {
 			return v
 		}
 	}
-	if v, ok := s.regs[r]; ok {
-		return v
-	}
-	return unknown(false)
+	return s.regs[r]
 }
 
 func (s *valState) setReg(r uint8, v Value) {
@@ -325,26 +378,14 @@ func (s *valState) mergeFrom(o *valState, divMask Bits) bool {
 	changed := false
 	// Merged states have different guard histories: drop the view.
 	s.dropGuardView()
-	mergeReg := func(r uint8, cur, in Value, tracked bool) {
-		nv := JoinValues(cur, in)
-		if divMask != nil && divMask.Has(GPRBit(r)) && !nv.Known {
+	for r, cur := range s.regs {
+		nv := JoinValues(cur, o.regs[r])
+		if divMask != nil && divMask.Has(GPRBit(uint8(r))) && !nv.Known {
 			nv.Uniform = false
 		}
-		if !tracked || !sameLattice(cur, nv) {
+		if !sameLattice(cur, nv) {
 			s.regs[r] = nv
 			changed = true
-		}
-	}
-	for r, ov := range o.regs {
-		cur, ok := s.regs[r]
-		if !ok {
-			cur = unknown(false)
-		}
-		mergeReg(r, cur, ov, ok)
-	}
-	for r, cur := range s.regs {
-		if _, ok := o.regs[r]; !ok {
-			mergeReg(r, cur, unknown(false), true)
 		}
 	}
 	for p := range s.pred {
@@ -391,11 +432,42 @@ func sameLattice(a, b Value) bool {
 	return equalValues(a, b)
 }
 
-// Valuation is the result of AnalyzeValues: the abstract state before
-// every instruction.
+// Valuation is the result of AnalyzeValues. It keeps the fixpoint's state
+// at every basic-block entry and answers a query at instruction idx by
+// replaying the block's transfer functions up to idx: from where the
+// previous query stopped when that is earlier in the same block (so
+// ascending queries cost one transfer per instruction in total), from the
+// block entry otherwise. Queries move that cursor: one Valuation must not
+// be queried from two goroutines at once.
 type Valuation struct {
-	cfg *sass.CFG
-	at  []*valState // per instruction: state just before it executes
+	cfg     *sass.CFG
+	blockIn []*valState // state at each block's entry
+	cur     *valState   // replay cursor: the state just before instruction pos
+	pos     int
+}
+
+// at returns the state just before instruction idx. The result is the
+// cursor itself, valid until the next query.
+func (v *Valuation) at(idx int) *valState {
+	if blk := v.cfg.BlockOf(idx); v.pos > idx || v.pos < blk.Start {
+		v.cur.copyFrom(v.blockIn[blk.ID])
+		v.pos = blk.Start
+	}
+	for ; v.pos < idx; v.pos++ {
+		transferValues(v.cur, &v.cfg.Kernel.Instrs[v.pos])
+	}
+	v.cur.viewG = false
+	return v.cur
+}
+
+// viewAt is at with the predication view switched on when idx is guarded
+// by the guard run in force: its reads observe earlier same-guard defs
+// exactly rather than the may-not-execute join in the main lattice.
+func (v *Valuation) viewAt(idx int) *valState {
+	s := v.at(idx)
+	g := v.cfg.Kernel.Instrs[idx].Guard
+	s.viewG = !g.IsAlways() && s.gregs != nil && s.g == g
+	return s
 }
 
 // AnalyzeValues runs the forward value/uniformity analysis to a fixed
@@ -412,10 +484,18 @@ type Valuation struct {
 // exactly those merges. Non-uniformity only grows, so the nesting
 // terminates.
 func AnalyzeValues(cfg *sass.CFG) *Valuation {
-	nb := len(cfg.Blocks)
-	divMask := make([]Bits, nb)
+	nregs := 0
+	var buf [8]uint8
+	for i := range cfg.Kernel.Instrs {
+		for _, r := range cfg.Kernel.Instrs[i].AppendGPRDsts(buf[:0]) {
+			if r != sass.RZ && int(r) >= nregs {
+				nregs = int(r) + 1
+			}
+		}
+	}
+	divMask := make([]Bits, len(cfg.Blocks))
 	for {
-		v := solveValues(cfg, divMask)
+		v := solveValues(cfg, divMask, nregs)
 		if !growDivergenceMasks(cfg, v, divMask) {
 			return v
 		}
@@ -423,15 +503,14 @@ func AnalyzeValues(cfg *sass.CFG) *Valuation {
 }
 
 // solveValues is one inner fixpoint under the given merge masks.
-func solveValues(cfg *sass.CFG, divMask []Bits) *Valuation {
+func solveValues(cfg *sass.CFG, divMask []Bits, nregs int) *Valuation {
 	nb := len(cfg.Blocks)
-	blockIn := make([]*valState, nb)
 	// The entry block starts with everything Unknown non-uniform (register
-	// file garbage is per-thread); interior blocks start unreached and
-	// take their first predecessor state wholesale.
-	blockIn[0] = newEntryState()
-	reached := make([]bool, nb)
-	reached[0] = true
+	// file garbage is per-thread); interior blocks start unreached (nil)
+	// and take their first predecessor state wholesale.
+	blockIn := make([]*valState, nb)
+	blockIn[0] = newEntryState(nregs)
+	st := newEntryState(nregs)
 
 	inWork := make([]bool, nb)
 	work := []int{0}
@@ -441,7 +520,7 @@ func solveValues(cfg *sass.CFG, divMask []Bits) *Valuation {
 		work = work[1:]
 		inWork[b] = false
 		blk := cfg.Blocks[b]
-		st := blockIn[b].clone()
+		st.copyFrom(blockIn[b])
 		for i := blk.Start; i < blk.End; i++ {
 			transferValues(st, &cfg.Kernel.Instrs[i])
 		}
@@ -451,9 +530,9 @@ func solveValues(cfg *sass.CFG, divMask []Bits) *Valuation {
 		st.dropGuardView()
 		for _, sc := range blk.Succs {
 			changed := false
-			if !reached[sc] {
-				reached[sc] = true
-				blockIn[sc] = st.clone()
+			if blockIn[sc] == nil {
+				blockIn[sc] = newEntryState(nregs)
+				blockIn[sc].copyFrom(st)
 				changed = true
 			} else {
 				changed = blockIn[sc].mergeFrom(st, divMask[sc])
@@ -464,22 +543,13 @@ func solveValues(cfg *sass.CFG, divMask []Bits) *Valuation {
 			}
 		}
 	}
-
-	// Expand to per-instruction snapshots.
-	v := &Valuation{cfg: cfg, at: make([]*valState, len(cfg.Kernel.Instrs))}
-	for b := 0; b < nb; b++ {
-		blk := cfg.Blocks[b]
-		st := blockIn[b]
-		if st == nil { // unreachable block
-			st = newEntryState()
-		}
-		st = st.clone()
-		for i := blk.Start; i < blk.End; i++ {
-			v.at[i] = st.clone()
-			transferValues(st, &cfg.Kernel.Instrs[i])
+	// Unreachable blocks are queried like the entry.
+	for b := range blockIn {
+		if blockIn[b] == nil {
+			blockIn[b] = newEntryState(nregs)
 		}
 	}
-	return v
+	return &Valuation{cfg: cfg, blockIn: blockIn, cur: st, pos: -1}
 }
 
 // growDivergenceMasks extends divMask with the assigned-under-divergence
@@ -565,20 +635,10 @@ func divergenceRegion(cfg *sass.CFG, pdom []Bits, b int) (region, merges []int) 
 // it: when idx is guarded and r was defined earlier under the same
 // guard, the read observes that definition exactly (the predication
 // view) rather than the may-not-execute join in the main lattice.
-func (v *Valuation) RegValue(idx int, r uint8) Value {
-	s := v.at[idx]
-	if g := v.cfg.Kernel.Instrs[idx].Guard; !g.IsAlways() && s.gregs != nil && s.g == g {
-		if r != sass.RZ {
-			if val, ok := s.gregs[r]; ok {
-				return val
-			}
-		}
-	}
-	return s.reg(r)
-}
+func (v *Valuation) RegValue(idx int, r uint8) Value { return v.viewAt(idx).reg(r) }
 
 // PredAt returns the tracked facts of predicate p just before idx.
-func (v *Valuation) PredAt(idx int, p uint8) PredFacts { return v.at[idx].pred[p] }
+func (v *Valuation) PredAt(idx int, p uint8) PredFacts { return v.at(idx).pred[p] }
 
 // GuardFacts returns the facts of instruction idx's guard predicate; an
 // unguarded instruction is uniform.
@@ -587,23 +647,15 @@ func (v *Valuation) GuardFacts(idx int) PredFacts {
 	if g.IsAlways() {
 		return PredFacts{Uniform: true}
 	}
-	return v.at[idx].pred[g.Reg]
+	return v.at(idx).pred[g.Reg]
 }
 
 // OperandValue evaluates a source operand in the state before idx:
-// registers through the valuation, immediates as constants, constant-bank
-// words and CTA-uniform special registers as symbols.
+// registers through the valuation (same-guard reads observe earlier
+// same-guard defs exactly), immediates as constants, constant-bank words
+// and CTA-uniform special registers as symbols.
 func (v *Valuation) OperandValue(idx int, o sass.Operand) Value {
-	s := v.at[idx]
-	if g := v.cfg.Kernel.Instrs[idx].Guard; !g.IsAlways() && s.gregs != nil && s.g == g {
-		// Same-guard reads observe earlier same-guard defs exactly.
-		old := s.viewG
-		s.viewG = true
-		out := operandValue(s, o)
-		s.viewG = old
-		return out
-	}
-	return operandValue(s, o)
+	return operandValue(v.viewAt(idx), o)
 }
 
 func operandValue(s *valState, o sass.Operand) Value {
@@ -613,8 +665,7 @@ func operandValue(s *valState, o sass.Operand) Value {
 	case sass.OpdImm:
 		return KnownConst(o.Imm)
 	case sass.OpdCMem:
-		out := Value{Known: true, Syms: map[Sym]int64{{Kind: SymCMem, Bank: o.Bank, Off: o.Imm}: 1}}
-		return out
+		return Value{Known: true, Syms: []SymTerm{{Sym{Kind: SymCMem, Bank: o.Bank, Off: o.Imm}, 1}}}
 	case sass.OpdSReg:
 		return sregValue(o.SR)
 	default:
@@ -635,7 +686,7 @@ func sregValue(sr sass.SpecialReg) Value {
 	case sass.SRCtaidX, sass.SRCtaidY, sass.SRCtaidZ,
 		sass.SRNTidX, sass.SRNTidY, sass.SRNTidZ,
 		sass.SRNCtaidX, sass.SRNCtaidY, sass.SRNCtaidZ, sass.SRSMID:
-		return Value{Known: true, Syms: map[Sym]int64{{Kind: SymSReg, SR: sr}: 1}}
+		return Value{Known: true, Syms: []SymTerm{{Sym{Kind: SymSReg, SR: sr}, 1}}}
 	case sass.SRWarpID:
 		// Warp-uniform but thread-varying across the CTA: must not become
 		// a symbol (symbols cancel across threads in disjointness proofs).
@@ -686,14 +737,14 @@ func transferValues(s *valState, in *sass.Instruction) {
 		s.viewG = false
 	} else {
 		if s.gregs == nil || s.g != guard {
-			s.g = guard
-			s.gregs = make(map[uint8]Value)
+			s.startGuardView(guard)
 		}
 		s.viewG = true
 	}
 
 	// Compute the would-be destination value for single-GPR writers.
-	gprDsts := in.GPRDsts()
+	var dstBuf [8]uint8
+	gprDsts := in.AppendGPRDsts(dstBuf[:0])
 	var nv Value
 	computed := false
 	if len(gprDsts) == 1 {
@@ -948,15 +999,8 @@ func DisjointAcrossThreads(a Value, wa int, b Value, wb int, dims BlockDims) boo
 	}
 	// CTA-uniform symbols take the same runtime value for both threads,
 	// so they cancel — but only when the coefficients match exactly.
-	for s, c := range a.Syms {
-		if b.Syms[s] != c {
-			return false
-		}
-	}
-	for s, c := range b.Syms {
-		if a.Syms[s] != c {
-			return false
-		}
+	if !symsEqual(a.Syms, b.Syms) {
+		return false
 	}
 	dc := a.Const - b.Const // D = addrA(t1) − addrB(t2) at tid zero
 
@@ -1012,15 +1056,8 @@ func DisjointSameThread(a Value, wa int, b Value, wb int, dims BlockDims) bool {
 	if !a.Known || !b.Known || wa <= 0 || wb <= 0 {
 		return false
 	}
-	for s, c := range a.Syms {
-		if b.Syms[s] != c {
-			return false
-		}
-	}
-	for s, c := range b.Syms {
-		if a.Syms[s] != c {
-			return false
-		}
+	if !symsEqual(a.Syms, b.Syms) {
+		return false
 	}
 	dc := a.Const - b.Const
 	if a.Tid == b.Tid {

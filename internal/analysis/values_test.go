@@ -169,13 +169,13 @@ func TestDisjointConstSeparation(t *testing.T) {
 
 func TestDisjointSymbolCancellation(t *testing.T) {
 	s := Sym{Kind: SymCMem, Bank: 0, Off: 0x140}
-	a := Value{Known: true, Syms: map[Sym]int64{s: 1}}
-	b := Value{Known: true, Const: 1024, Syms: map[Sym]int64{s: 1}}
+	a := Value{Known: true, Syms: []SymTerm{{s, 1}}}
+	b := Value{Known: true, Const: 1024, Syms: []SymTerm{{s, 1}}}
 	if !DisjointAcrossThreads(a, 4, b, 4, BlockDims{}) {
 		t.Error("sym+0 vs sym+1024 not proven disjoint")
 	}
 	// Mismatched coefficients must not cancel.
-	c := Value{Known: true, Const: 1024, Syms: map[Sym]int64{s: 2}}
+	c := Value{Known: true, Const: 1024, Syms: []SymTerm{{s, 2}}}
 	if DisjointAcrossThreads(a, 4, c, 4, BlockDims{}) {
 		t.Error("mismatched symbol coefficients proven disjoint")
 	}
@@ -266,5 +266,55 @@ func TestSingleThreadZero(t *testing.T) {
 	}
 	if SingleThreadZero(Value{}, d1) {
 		t.Error("unknown value proven single-thread")
+	}
+}
+
+// TestValuesGuardRunAnyQueryOrder: inside a guard run (@P0 SHL; @P0 IADD;
+// @P0 STS) a same-guard read sees the earlier same-guard def exactly, and
+// an unguarded read the may-not-execute join — whichever way the queries
+// jump around the block, and however view and non-view queries at one
+// instruction interleave.
+func TestValuesGuardRunAnyQueryOrder(t *testing.T) {
+	p0 := sass.PredGuard{Reg: 0}
+	k := testKernel(t, nil,
+		sass.New(sass.OpS2R, []sass.Operand{sass.R(2)}, []sass.Operand{sass.SReg(sass.SRTidX)}),                    // 0
+		sass.New(sass.OpISETP, []sass.Operand{sass.P(0)}, []sass.Operand{sass.R(2), sass.Imm(3), sass.P(sass.PT)}), // 1
+		sass.New(sass.OpSHL, []sass.Operand{sass.R(3)}, []sass.Operand{sass.R(2), sass.Imm(2)}).WithGuard(p0),      // 2
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(4)}, []sass.Operand{sass.R(3), sass.Imm(16)}).WithGuard(p0),    // 3
+		sass.New(sass.OpSTS, nil, []sass.Operand{sass.Mem(4, 0), sass.R(2)}).WithGuard(p0),                         // 4
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(5)}, []sass.Operand{sass.R(4), sass.Imm(1)}),                   // 5: unguarded read
+		sass.New(sass.OpEXIT, nil, nil), // 6
+	)
+	check := func(v *Valuation, idx int) {
+		t.Helper()
+		r4 := v.RegValue(idx, 4)
+		_ = v.PredAt(idx, 0) // a non-view query in between must not disturb the view
+		opd := v.OperandValue(idx, sass.R(4))
+		switch idx {
+		case 4: // same guard: the def at 3, exactly
+			if !r4.Known || r4.Tid[TermTidX] != 4 || r4.Const != 16 || !EqualValues(r4, opd) {
+				t.Errorf("R4 under @P0 at %d = %+v / %+v, want 4*tid.x+16", idx, r4, opd)
+			}
+			if u := v.Uniformity(idx); u.GuardUniform || u.SrcsUniform {
+				t.Errorf("uniformity at %d = %+v, want neither", idx, u)
+			}
+		case 5: // unguarded: old garbage joined with the guarded def
+			if r4.Known || opd.Known || r4.IsUniform() {
+				t.Errorf("R4 unguarded at %d = %+v / %+v, want unknown non-uniform", idx, r4, opd)
+			}
+		case 3: // R4 not yet defined in the run
+			if r4.Known {
+				t.Errorf("R4 before its def = %+v, want unknown", r4)
+			}
+			if r3 := v.RegValue(idx, 3); !r3.Known || r3.Tid[TermTidX] != 4 {
+				t.Errorf("R3 under @P0 at %d = %+v, want 4*tid.x", idx, r3)
+			}
+		}
+	}
+	for _, order := range [][]int{{3, 4, 5}, {5, 4, 3}, {4, 3, 4, 5, 4}, {5, 3, 5, 4, 4}} {
+		v := analyze(t, k)
+		for _, idx := range order {
+			check(v, idx)
+		}
 	}
 }

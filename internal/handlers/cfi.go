@@ -109,7 +109,7 @@ func (c *CFIChecker) Prepare(prog *sass.Program) error {
 		if err != nil {
 			return fmt.Errorf("cfi: %s: build CFG: %w", k.Name, err)
 		}
-		targets, diags := cfi.Analyze(cfg)
+		targets, diags := cfi.Analyze(analysis.NewKernelFacts(cfg))
 		for _, d := range analysis.Errors(diags) {
 			c.record(CFIViolation{
 				Kernel: k.Name, Instr: d.Instr, Kind: "static",

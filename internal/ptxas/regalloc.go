@@ -8,8 +8,10 @@ package ptxas
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
+	"sassi/internal/analysis"
 	"sassi/internal/ptx"
 	"sassi/internal/sass"
 )
@@ -51,122 +53,129 @@ func liveAnalysis(f *ptx.Func) ([]interval, error) {
 			lead[i+1] = true
 		}
 	}
-	// Successor edges per instruction-ending-a-block.
-	succs := func(i int) []int {
+	// Successor edges per instruction-ending-a-block: ss[:k].
+	succs := func(i int) (ss [2]int, k int) {
 		in := &f.Instrs[i]
 		switch in.Op {
 		case ptx.OpExit:
-			return nil
+			return ss, 0
 		case ptx.OpBra:
-			t := labelPos[in.Label]
 			if in.Guard.Valid() {
-				return []int{t, i + 1}
+				return [2]int{labelPos[in.Label], i + 1}, 2
 			}
-			return []int{t}
+			return [2]int{labelPos[in.Label]}, 1
 		case ptx.OpSSY:
 			// Deferred paths resume at the reconvergence point.
-			return []int{labelPos[in.Label], i + 1}
+			return [2]int{labelPos[in.Label], i + 1}, 2
 		default:
-			return []int{i + 1}
+			return [2]int{i + 1}, 1
 		}
 	}
-	uses := func(in *ptx.Instr) []ptx.Value {
-		var out []ptx.Value
-		for _, v := range []ptx.Value{in.A, in.B, in.C, in.Guard} {
+	// uses returns the values the instruction reads: us[:k].
+	uses := func(in *ptx.Instr) (us [4]ptx.Value, k int) {
+		for _, v := range [...]ptx.Value{in.A, in.B, in.C, in.Guard} {
 			if v.Valid() {
-				out = append(out, v)
+				us[k] = v
+				k++
 			}
 		}
-		return out
+		return us, k
+	}
+	vid := func(v ptx.Value) int { return int(v.ID()) }
+	nv := 0 // one past the highest vreg ID
+	for i := range f.Instrs {
+		in := &f.Instrs[i]
+		for _, v := range [...]ptx.Value{in.Dst, in.A, in.B, in.C, in.Guard} {
+			if vid(v) >= nv {
+				nv = vid(v) + 1
+			}
+		}
 	}
 
-	// Backward dataflow over instructions (bitset per position would be
-	// faster; a map-set is fine at workload kernel sizes).
-	liveIn := make([]map[int32]bool, n+1)
+	// Backward dataflow over instructions: one bitset of vreg IDs per
+	// position, all cut from one backing array.
+	out := analysis.NewBits(nv)
+	words := len(out)
+	backing := make(analysis.Bits, (n+1)*words)
+	liveIn := make([]analysis.Bits, n+1)
 	for i := range liveIn {
-		liveIn[i] = map[int32]bool{}
+		liveIn[i] = backing[i*words : (i+1)*words]
 	}
-	vid := func(v ptx.Value) int32 { return v.ID() }
 	changed := true
 	for changed {
 		changed = false
 		for i := n - 1; i >= 0; i-- {
 			in := &f.Instrs[i]
-			out := map[int32]bool{}
-			for _, s := range succs(i) {
+			clear(out)
+			ss, k := succs(i)
+			for _, s := range ss[:k] {
 				if s <= n {
-					for v := range liveIn[s] {
-						out[v] = true
-					}
+					out.Union(liveIn[s])
 				}
 			}
 			// transfer: live = (out - def) + use. A guarded def merges.
 			if in.Dst.Valid() && !in.Guard.Valid() {
-				delete(out, vid(in.Dst))
+				out.Clear(vid(in.Dst))
 			}
-			for _, u := range uses(in) {
-				out[vid(u)] = true
+			us, k := uses(in)
+			for _, u := range us[:k] {
+				out.Set(vid(u))
 			}
 			if in.Dst.Valid() && in.Guard.Valid() {
-				out[vid(in.Dst)] = true
+				out.Set(vid(in.Dst))
 			}
-			if len(out) != len(liveIn[i]) {
-				liveIn[i] = out
+			if !out.Equal(liveIn[i]) {
+				liveIn[i].CopyFrom(out)
 				changed = true
-				continue
-			}
-			for v := range out {
-				if !liveIn[i][v] {
-					liveIn[i] = out
-					changed = true
-					break
-				}
 			}
 		}
 	}
 
-	// Intervals.
-	starts := map[int32]int{}
-	ends := map[int32]int{}
-	types := map[int32]ptx.Type{}
-	note := func(v ptx.Value, pos int) {
-		id := vid(v)
-		if _, ok := starts[id]; !ok {
+	// Intervals: first and last position each vreg is defined, used or live.
+	starts := make([]int, nv)
+	ends := make([]int, nv)
+	types := make([]ptx.Type, nv)
+	for v := range starts {
+		starts[v] = -1
+	}
+	note := func(id, pos int) {
+		if starts[id] < 0 {
 			starts[id] = pos
 		}
 		if pos > ends[id] {
 			ends[id] = pos
 		}
-		types[id] = f.TypeOf(v)
 	}
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		if in.Dst.Valid() {
-			note(in.Dst, i)
+			note(vid(in.Dst), i)
+			types[vid(in.Dst)] = f.TypeOf(in.Dst)
 		}
-		for _, u := range uses(in) {
-			note(u, i)
+		us, k := uses(in)
+		for _, u := range us[:k] {
+			note(vid(u), i)
+			types[vid(u)] = f.TypeOf(u)
 		}
-		for v := range liveIn[i] {
-			if _, ok := starts[v]; !ok {
-				starts[v] = i
-			}
-			if i > ends[v] {
-				ends[v] = i
+		for w, word := range liveIn[i] {
+			for ; word != 0; word &= word - 1 {
+				note(w*64+bits.TrailingZeros64(word), i)
 			}
 		}
 	}
-	out := make([]interval, 0, len(starts))
+	ivs := make([]interval, 0, nv)
 	for v, s := range starts {
-		out = append(out, interval{v: v, t: types[v], start: s, end: ends[v]})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].start != out[j].start {
-			return out[i].start < out[j].start
+		if s >= 0 {
+			ivs = append(ivs, interval{v: int32(v), t: types[v], start: s, end: ends[v]})
 		}
-		return out[i].v < out[j].v
+	}
+	sort.Slice(ivs, func(i, j int) bool {
+		if ivs[i].start != ivs[j].start {
+			return ivs[i].start < ivs[j].start
+		}
+		return ivs[i].v < ivs[j].v
 	})
-	return out, nil
+	return ivs, nil
 }
 
 // allocation maps virtual registers to physical SASS registers.

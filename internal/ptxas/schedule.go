@@ -38,7 +38,7 @@ func scheduleKernel(k *sass.Kernel, seed uint64) {
 	if err != nil {
 		return // leave the kernel unscheduled; Validate will judge it
 	}
-	g := deps.Build(cfg)
+	g := deps.Build(analysis.NewKernelFacts(cfg))
 	order := make([]int, 0, len(k.Instrs))
 	for _, bd := range g.Blocks {
 		order = append(order, scheduleBlock(k, bd, seed)...)

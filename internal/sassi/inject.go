@@ -74,6 +74,7 @@ type injector struct {
 	opts *Options
 
 	out      []sass.Instruction
+	pos      int // input instruction being rewritten
 	maxFrame int64
 
 	// Instrumentation-time accounting, published to opts.Metrics at the end
@@ -85,9 +86,26 @@ type injector struct {
 	injBySym    map[string]uint64
 }
 
+// push appends to out, which starts at the kernel's own length. When that
+// runs out, out is re-sized for the whole kernel from the expansion seen
+// so far in it — the first pos+1 input instructions became len(out) —
+// rather than creeping up through a 10–50x expansion a quarter at a time.
+// Sites can cluster (loads at the top of a kernel), so one step never more
+// than quadruples.
+func (ij *injector) push(in sass.Instruction) {
+	if len(ij.out) == cap(ij.out) {
+		n := len(ij.k.Instrs)
+		want := min(len(ij.out)*n/(ij.pos+1), 4*len(ij.out))
+		grown := make([]sass.Instruction, len(ij.out), want+want/8+n-ij.pos)
+		copy(grown, ij.out)
+		ij.out = grown
+	}
+	ij.out = append(ij.out, in)
+}
+
 func (ij *injector) emit(in sass.Instruction) {
 	in.Injected = true
-	ij.out = append(ij.out, in)
+	ij.push(in)
 }
 
 func (ij *injector) emitOp(op sass.Opcode, mods sass.Mods, dsts, srcs []sass.Operand) {
@@ -142,7 +160,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		}
 	}
 
-	ij := &injector{prog: prog, k: k, opts: opts}
+	ij := &injector{prog: prog, k: k, opts: opts, out: make([]sass.Instruction, 0, len(k.Instrs))}
 	remap := make([]int, len(k.Instrs)+1)
 	// origAt[i] = output position of input instruction i itself; remap[i]
 	// points before i's injected before-site code (where labels land).
@@ -158,6 +176,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 
 	for i := range k.Instrs {
 		remap[i] = len(ij.out)
+		ij.pos = i
 		in := &k.Instrs[i]
 
 		before := opts.beforeSite(in) ||
@@ -169,7 +188,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		}
 
 		origAt[i] = len(ij.out)
-		ij.out = append(ij.out, *in) // the original instruction, untouched
+		ij.push(*in) // the original instruction, untouched
 
 		if opts.afterSite(in) && opts.AfterHandler != "" && selected(i) {
 			var liveAfter sass.RegSet

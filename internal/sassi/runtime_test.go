@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,25 +17,6 @@ import (
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
 )
-
-// recorder sits between the simulator and the runtime and keeps what
-// Dispatch returned, which the simulator flattens into a KernelError.
-type recorder struct {
-	rt *sassi.Runtime
-
-	mu   sync.Mutex
-	errs []error
-}
-
-func (r *recorder) Dispatch(dev *sim.Device, w *sim.Warp, id int) error {
-	err := r.rt.Dispatch(dev, w, id)
-	if err != nil {
-		r.mu.Lock()
-		r.errs = append(r.errs, err)
-		r.mu.Unlock()
-	}
-	return err
-}
 
 var engines = []sim.Engine{sim.EngineConcurrent, sim.EngineSequential, sim.EnginePredecoded}
 
@@ -84,8 +64,8 @@ func settleGoroutines(t *testing.T, base int) {
 
 // TestHandlerFailureIsStructuredError: a handler that panics and one that
 // faults, both in the middle of a launch (CTA 5 only), under every engine.
-// Dispatch must return a *HandlerError locating the failure, the launch
-// must fail like any kernel fault, no goroutine may outlive it, later
+// The launch must fail like any kernel fault with an error that unwraps to
+// the *HandlerError locating the failure, no goroutine may outlive it, later
 // lanes of the failing dispatch must not have run, and the device and the
 // launch arena must serve the next launches as before.
 func TestHandlerFailureIsStructuredError(t *testing.T) {
@@ -135,8 +115,7 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 						}
 					}
 				}})
-				rec := &recorder{rt: rt}
-				ctx.Device().Dispatcher = rec
+				rt.Attach(ctx.Device())
 
 				// Steady state of clean launches before any failure.
 				clean := func() {
@@ -151,21 +130,17 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 				armed = true
 				for i := 0; i < 3; i++ {
 					ran = [storeCTAs]uint32{}
-					rec.errs = nil
 					err := launchStore(ctx, prog, buf)
 					var ke *sim.KernelError
 					if !errors.As(err, &ke) || ke.Kind != sim.ErrInvalid || ke.Kernel != "k" {
 						t.Fatalf("launch error = %v, want a kernel fault of k", err)
 					}
-					if len(rec.errs) != 1 {
-						t.Fatalf("%d dispatches failed, want 1", len(rec.errs))
-					}
-					if !strings.Contains(ke.Detail, rec.errs[0].Error()) {
-						t.Errorf("launch error %q does not carry the dispatch error %q", ke.Detail, rec.errs[0])
-					}
 					var he *sassi.HandlerError
-					if !errors.As(rec.errs[0], &he) {
-						t.Fatalf("Dispatch returned %T, want *sassi.HandlerError", rec.errs[0])
+					if !errors.As(err, &he) {
+						t.Fatalf("launch error %v does not unwrap to a *sassi.HandlerError", err)
+					}
+					if !strings.Contains(ke.Detail, he.Error()) {
+						t.Errorf("launch error %q does not carry the dispatch error %q", ke.Detail, he)
 					}
 					if he.Handler != "h" || he.Kernel != "k" || he.Lane != badLane || he.Site != 0 {
 						t.Errorf("located at %+v, want handler h, kernel k, site 0, lane %d", he, badLane)

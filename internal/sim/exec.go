@@ -97,6 +97,19 @@ func (e *engine) fail(w *Warp, kind ErrKind, format string, args ...any) error {
 	}
 }
 
+// failCause turns an error raised below the engine into the launch's
+// KernelError, keeping it as the cause: a memory fault, or anything else.
+func (e *engine) failCause(w *Warp, cause error) error {
+	if ke, ok := cause.(*KernelError); ok {
+		return ke
+	}
+	kind := ErrInvalid
+	if _, ok := cause.(*mem.Fault); ok {
+		kind = ErrMemFault
+	}
+	return &KernelError{Kind: kind, Kernel: e.k.Name, Detail: fmt.Sprintf("pc=%d: %v", w.PC, cause), Err: cause}
+}
+
 // cbRead32 reads a 32-bit word from the launch's constant bank.
 func (e *engine) cbRead32(off int64) (uint32, error) {
 	if off < 0 || off+4 > int64(len(e.cb)) {
@@ -220,13 +233,7 @@ func (e *engine) step(w *Warp) error {
 
 	advance, cost, err := e.execOp(w, in, exec, cost)
 	if err != nil {
-		if ke, ok := err.(*KernelError); ok {
-			return ke
-		}
-		if mf, ok := err.(*mem.Fault); ok {
-			return e.fail(w, ErrMemFault, "%v", mf)
-		}
-		return e.fail(w, ErrInvalid, "%v", err)
+		return e.failCause(w, err)
 	}
 	if advance {
 		w.PC++

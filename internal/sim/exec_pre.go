@@ -100,13 +100,7 @@ func (e *engine) stepPre(w *Warp) error {
 	}
 
 	if err != nil {
-		if ke, ok := err.(*KernelError); ok {
-			return ke
-		}
-		if mf, ok := err.(*mem.Fault); ok {
-			return e.fail(w, ErrMemFault, "%v", mf)
-		}
-		return e.fail(w, ErrInvalid, "%v", err)
+		return e.failCause(w, err)
 	}
 	if advance {
 		w.PC++

@@ -464,8 +464,16 @@ type KernelError struct {
 	Kind   ErrKind
 	Kernel string
 	Detail string
+	// Err is the error raised below the engine that failed the launch —
+	// a *mem.Fault, or what the handler dispatcher returned — when there
+	// is one; Detail already carries its text.
+	Err error
 }
 
 func (e *KernelError) Error() string {
 	return fmt.Sprintf("kernel %s: %s: %s", e.Kernel, e.Kind, e.Detail)
 }
+
+// Unwrap returns the cause, so errors.As reaches e.g. a
+// *sassi.HandlerError through what Launch returns.
+func (e *KernelError) Unwrap() error { return e.Err }
