@@ -24,14 +24,6 @@ import (
 
 // parallelBenchLaunch runs one sgemm(medium) end to end on a fresh device.
 func parallelBenchLaunch(tb testing.TB, sequential bool) {
-	parallelBenchEngine(tb, sequential, sim.EngineConcurrent)
-}
-
-// parallelBenchEngine runs sgemm(medium) on the given execution engine.
-// The interpreter-vs-predecoded ratio is the headline number for the
-// predecoded engine: unlike the SM/campaign rows it does not depend on
-// host cores, so it holds on a single-core machine too.
-func parallelBenchEngine(tb testing.TB, sequential bool, engine sim.Engine) {
 	spec, ok := workloads.Get("parboil.sgemm")
 	if !ok {
 		tb.Fatal("sgemm not registered")
@@ -42,7 +34,6 @@ func parallelBenchEngine(tb testing.TB, sequential bool, engine sim.Engine) {
 	}
 	cfg := sim.KeplerK10()
 	cfg.SequentialSMs = sequential
-	cfg.Engine = engine
 	ctx := cuda.NewContext(cfg)
 	res, err := spec.Run(ctx, prog, "medium")
 	if err != nil {
@@ -133,16 +124,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 			parallelBenchLaunch(b, false)
 		}
 	})
-	b.Run("engine=interpreter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			parallelBenchEngine(b, true, sim.EngineConcurrent)
-		}
-	})
-	b.Run("engine=predecoded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			parallelBenchEngine(b, true, sim.EnginePredecoded)
-		}
-	})
 	b.Run("sched=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			parallelBenchSched(b, false)
@@ -216,24 +197,19 @@ func TestWriteBenchParallelJSON(t *testing.T) {
 	r.Host.GOOS = runtime.GOOS
 	r.Host.GOARCH = runtime.GOARCH
 	r.Seconds = map[string]float64{
-		"launch_sms_sequential":     timeIt(func() { parallelBenchLaunch(t, true) }),
-		"launch_sms_parallel":       timeIt(func() { parallelBenchLaunch(t, false) }),
-		"launch_engine_interpreter": timeIt(func() { parallelBenchEngine(t, true, sim.EngineConcurrent) }),
-		"launch_engine_predecoded":  timeIt(func() { parallelBenchEngine(t, true, sim.EnginePredecoded) }),
-		"launch_sched_off":          timeIt(func() { parallelBenchSched(t, false) }),
-		"launch_sched_on":           timeIt(func() { parallelBenchSched(t, true) }),
-		"launch_pcsamp_off":         timeIt(func() { parallelBenchSampled(t, 0) }),
-		"launch_pcsamp_on":          timeIt(func() { parallelBenchSampled(t, pcsamp.DefaultPeriod) }),
-		"campaign_workers_1":        timeIt(func() { parallelBenchCampaign(t, 1) }),
-		"campaign_workers_ncpu":     timeIt(func() { parallelBenchCampaign(t, runtime.NumCPU()) }),
+		"launch_sms_sequential": timeIt(func() { parallelBenchLaunch(t, true) }),
+		"launch_sms_parallel":   timeIt(func() { parallelBenchLaunch(t, false) }),
+		"launch_sched_off":      timeIt(func() { parallelBenchSched(t, false) }),
+		"launch_sched_on":       timeIt(func() { parallelBenchSched(t, true) }),
+		"launch_pcsamp_off":     timeIt(func() { parallelBenchSampled(t, 0) }),
+		"launch_pcsamp_on":      timeIt(func() { parallelBenchSampled(t, pcsamp.DefaultPeriod) }),
+		"campaign_workers_1":    timeIt(func() { parallelBenchCampaign(t, 1) }),
+		"campaign_workers_ncpu": timeIt(func() { parallelBenchCampaign(t, runtime.NumCPU()) }),
 	}
 	r.Speedup = map[string]float64{
 		"sms":      r.Seconds["launch_sms_sequential"] / r.Seconds["launch_sms_parallel"],
 		"campaign": r.Seconds["campaign_workers_1"] / r.Seconds["campaign_workers_ncpu"],
 		"sched":    r.Seconds["launch_sched_off"] / r.Seconds["launch_sched_on"],
-		// Predecoded engine vs the reference interpreter, both on
-		// sequential SM dispatch — a pure single-thread efficiency ratio.
-		"predecoded": r.Seconds["launch_engine_interpreter"] / r.Seconds["launch_engine_predecoded"],
 		// Overhead ratio, not a speedup: >1 means sampling costs time.
 		"pcsamp_overhead": r.Seconds["launch_pcsamp_on"] / r.Seconds["launch_pcsamp_off"],
 	}

@@ -1,7 +1,8 @@
 // Command sassi-difftest runs a differential-testing campaign: generate
 // random kernels from a seed, execute each one uninstrumented and under
-// every selected SASSI handler tool, on both the parallel and sequential
-// SM engines, and compare final architectural state. Any divergence is
+// every selected SASSI handler tool, on the reference interpreter and on
+// the default core under both SM dispatch modes, and compare final
+// architectural state. Any divergence is
 // minimized by the shrinker and written out as a standalone .ptx repro.
 //
 // Usage:
@@ -92,5 +93,5 @@ func main() {
 			len(res.Failures), len(res.Errors))
 		os.Exit(1)
 	}
-	fmt.Println("PASS: all kernels bit-identical across engines and instrumentation")
+	fmt.Println("PASS: all kernels bit-identical across execution cells and instrumentation")
 }

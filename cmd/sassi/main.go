@@ -44,7 +44,6 @@ func main() {
 	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
 	tool := flag.String("tool", "none", "instrumentation: none, opcount, branch, memdiv, valueprof")
 	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
-	engine := flag.String("engine", "concurrent", "execution engine: concurrent, sequential, predecoded (all bit-equal; predecoded is fastest)")
 	disas := flag.Bool("disas", false, "print the compiled (and instrumented) SASS")
 	ptxFile := flag.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
 	args := flag.String("args", "", "comma list of scalar kernel arguments for -ptx kernels")
@@ -96,12 +95,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
 		os.Exit(2)
 	}
-	eng, engErr := sim.ParseEngine(*engine)
-	if engErr != nil {
-		fmt.Fprintln(os.Stderr, engErr)
-		os.Exit(2)
-	}
-	cfg.Engine = eng
 
 	ctx := cuda.NewContext(cfg)
 	var reg *obs.Registry

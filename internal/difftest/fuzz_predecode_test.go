@@ -4,15 +4,15 @@ import (
 	"testing"
 )
 
-// FuzzPredecode drives the predecoded-engine axis only: each seed's kernel
-// runs uninstrumented on the sequential reference interpreter and on the
-// predecoded block-dispatch engine, and any state or statistics divergence
-// is a crash. The committed corpus seeds are chosen (by scanning the
-// generator) so every kernel contains both a divergent region (If/IfElse,
-// where the engine must fall back to per-instruction interpretation and
-// the divergence stack) and a straight ALU run of three or more
-// statements (where the uniform-warp fast path and block dispatch engage)
-// — the boundary between the two is where predecode bugs live.
+// FuzzPredecode drives the execution axis only: each seed's kernel runs
+// uninstrumented on the reference interpreter and on the default
+// (predecoded) core, and any state or statistics divergence is a crash. The
+// committed corpus seeds are chosen (by scanning the generator) so every
+// kernel contains both a divergent region (If/IfElse, where the core must
+// fall back to per-instruction interpretation and the divergence stack) and
+// a straight ALU run of three or more statements (where the uniform-warp
+// fast path and block dispatch engage) — the boundary between the two is
+// where predecode bugs live.
 func FuzzPredecode(f *testing.F) {
 	for _, seed := range []uint64{18, 20, 26, 27, 32, 33, 34, 42, 46, 51, 63, 97, 100, 114} {
 		f.Add(seed)
@@ -34,14 +34,14 @@ func FuzzPredecode(f *testing.F) {
 			if rerr != nil {
 				repro = rerr.Error()
 			}
-			t.Fatalf("seed %d diverged on the predecoded axis: %s\nminimized repro:\n%s",
+			t.Fatalf("seed %d diverged on the execution axis: %s\nminimized repro:\n%s",
 				seed, res.Failures[0], repro)
 		}
 	})
 }
 
 // predecodeOracle runs with an empty tool list, so Run covers exactly the
-// engine axis (base/seq vs base/par vs base/pre) at three launches per
-// kernel — about an order of magnitude more kernels per second than the
-// full instrumentation matrix.
+// execution axis (base/ref-seq vs base/ref-par and base/core-*) at four
+// launches per kernel — several times more kernels per second than the full
+// instrumentation matrix.
 var predecodeOracle = NewOracle([]Tool{})

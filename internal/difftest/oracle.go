@@ -14,7 +14,8 @@ import (
 
 // Oracle runs one generated kernel through the full differential matrix.
 type Oracle struct {
-	// Cfg is the device model; SequentialSMs is overridden per launch.
+	// Cfg is the device model; SequentialSMs and ReferenceInterpreter are
+	// overridden per launch.
 	Cfg sim.Config
 	// Tools are the instrumentation configurations checked for
 	// transparency (default: Tools()).
@@ -58,26 +59,33 @@ type Result struct {
 // Failed reports whether any comparison diverged.
 func (r *Result) Failed() bool { return len(r.Failures) > 0 }
 
-// engineCells is the engine axis of the matrix: the sequential reference
-// interpreter, the concurrent-SM interpreter, and the predecoded
-// block-dispatch engine. Every cell must be bit-equal to the reference —
+// coreCell is one point of the execution axis: which model executes the
+// kernel (the reference interpreter, or the predecoded core every default
+// sim.Config runs) and how SMs are dispatched.
+type coreCell struct {
+	reference  bool
+	sequential bool
+	suffix     string
+}
+
+// coreCells is the execution axis of the matrix, reference vs default core
+// times SM dispatch. coreCells[0], the reference interpreter with SMs in
+// order, is the reference: every other cell must be bit-equal to it —
 // memory, registers, statistics, and metric snapshots.
-var engineCells = []struct {
-	engine sim.Engine
-	suffix string
-}{
-	{sim.EngineSequential, "seq"},
-	{sim.EngineConcurrent, "par"},
-	{sim.EnginePredecoded, "pre"},
+var coreCells = []coreCell{
+	{true, true, "ref-seq"},
+	{true, false, "ref-par"},
+	{false, true, "core-seq"},
+	{false, false, "core-par"},
 }
 
 // Run executes the matrix for one generated kernel:
 //
-//	base/seq ──full── base/par          (engine determinism)
-//	base/seq ──full── base/pre          (predecoded-engine equivalence)
-//	base/seq ─transp─ tool/seq          (injection transparency, per tool)
-//	tool/seq ──full── tool/par          (engine determinism under tools)
-//	tool/seq ──full── tool/pre          (predecoded SASSI-site fallback)
+//	base/ref-seq ──full── base/ref-par   (SM-dispatch determinism)
+//	base/ref-seq ──full── base/core-*    (default core equals the reference)
+//	base/ref-seq ─transp─ tool/ref-seq   (injection transparency, per tool)
+//	tool/ref-seq ──full── tool/ref-par   (determinism under tools)
+//	tool/ref-seq ──full── tool/core-*    (injected code on the default core)
 //
 // A non-nil error means the harness itself failed (the kernel would not
 // compile or the uninstrumented reference would not run) — a generator
@@ -95,18 +103,17 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 	}
 	res := &Result{Prog: p, NumRegs: base.Kernels[0].NumRegs}
 
-	ref, err := o.launch(p, base, nil, sim.EngineSequential, "base/seq")
+	ref, err := o.launch(p, base, nil, coreCells[0], "base")
 	res.Launches++
 	if err != nil {
 		return nil, fmt.Errorf("difftest: reference run seed %d: %w", p.Seed, err)
 	}
-	for _, cell := range engineCells[1:] {
-		variant := "base/" + cell.suffix
-		st, err := o.launch(p, base, nil, cell.engine, variant)
+	for _, cell := range coreCells[1:] {
+		st, err := o.launch(p, base, nil, cell, "base")
 		res.Launches++
 		if err != nil {
 			res.Failures = append(res.Failures, Failure{Axis: "engine",
-				Want: "base/seq", Got: variant, Diff: fmt.Sprintf("launch failed: %v", err)})
+				Want: ref.Variant, Got: "base/" + cell.suffix, Diff: fmt.Sprintf("launch failed: %v", err)})
 			continue
 		}
 		res.Failures = append(res.Failures, compareFull(ref, st)...)
@@ -114,17 +121,16 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 
 	for _, tool := range o.Tools {
 		tool := tool
-		for _, cell := range engineCells {
-			variant := tool.Name + "/" + cell.suffix
-			st, err := o.launch(p, nil, &instrumentedSpec{fp: fp, tool: tool}, cell.engine, variant)
+		for i, cell := range coreCells {
+			st, err := o.launch(p, nil, &instrumentedSpec{fp: fp, tool: tool}, cell, tool.Name)
 			res.Launches++
 			if err != nil {
 				res.Failures = append(res.Failures, Failure{Axis: "transparency",
-					Want: "base/seq", Got: variant,
+					Want: ref.Variant, Got: tool.Name + "/" + cell.suffix,
 					Diff: fmt.Sprintf("launch failed: %v", err)})
 				break
 			}
-			if cell.engine == sim.EngineSequential {
+			if i == 0 {
 				res.Failures = append(res.Failures,
 					compareTransparent(ref, st, o.HandlerMaxRegs)...)
 				o.lastSeq = st
@@ -144,15 +150,14 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 // source compiled with the post-RA list scheduler (ptxas
 // Options.Schedule, tie-broken by schedSeed) must retire with bit-equal
 // architectural state — every buffer, register, predicate, and memory
-// space — on both engines; only timing may move. The scheduled build also
-// passes through the compile-time verifier (the `schedule` check) under
-// go test, so an illegal reorder fails compilation before it ever runs.
+// space — in every cell of the execution axis; only timing may move. The
+// scheduled build also passes through the compile-time verifier (the
+// `schedule` check) under go test, so an illegal reorder fails compilation
+// before it ever runs.
 //
-//	base/seq ──arch── sched/seq         (schedule transparency)
-//	base/seq ──arch── sched/par         (… independent of engine)
-//	base/seq ──arch── sched/pre         (… including predecoded dispatch)
-//	sched/seq ─full── sched/par         (engine determinism, scheduled)
-//	sched/seq ─full── sched/pre         (predecoded determinism, scheduled)
+//	base/ref-seq ──arch── sched/*           (schedule transparency, every cell)
+//	sched/ref-seq ─full── sched/ref-par     (SM-dispatch determinism, scheduled)
+//	sched/ref-seq ─full── sched/core-*      (default core equals the reference, scheduled)
 func (o *Oracle) RunSchedule(p *Prog, schedSeed uint64) (*Result, error) {
 	fp, err := o.fingerprint(p)
 	if err != nil {
@@ -177,24 +182,23 @@ func (o *Oracle) RunSchedule(p *Prog, schedSeed uint64) (*Result, error) {
 	}
 	res := &Result{Prog: p, NumRegs: base.Kernels[0].NumRegs}
 
-	ref, err := o.launch(p, base, nil, sim.EngineSequential, "base/seq")
+	ref, err := o.launch(p, base, nil, coreCells[0], "base")
 	res.Launches++
 	if err != nil {
 		return nil, fmt.Errorf("difftest: reference run seed %d: %w", p.Seed, err)
 	}
 	var schedSeq *RunState
-	for _, cell := range engineCells {
-		variant := "sched/" + cell.suffix
-		st, err := o.launch(p, sched, nil, cell.engine, variant)
+	for i, cell := range coreCells {
+		st, err := o.launch(p, sched, nil, cell, "sched")
 		res.Launches++
 		if err != nil {
 			res.Failures = append(res.Failures, Failure{Axis: "schedule",
-				Want: "base/seq", Got: variant,
+				Want: ref.Variant, Got: "sched/" + cell.suffix,
 				Diff: fmt.Sprintf("launch failed: %v", err)})
 			continue
 		}
 		res.Failures = append(res.Failures, compareArch(ref, st)...)
-		if cell.engine == sim.EngineSequential {
+		if i == 0 {
 			schedSeq = st
 		} else if schedSeq != nil {
 			res.Failures = append(res.Failures, compareFull(schedSeq, st)...)
@@ -231,13 +235,15 @@ type instrumentedSpec struct {
 	tool Tool
 }
 
-// launch runs one matrix cell and snapshots its final state. Exactly one
-// of base/inst is set: base launches the uninstrumented program, inst
-// builds (through the cache) and launches the tool-instrumented variant.
+// launch runs one matrix cell and snapshots its final state as variant
+// build/cell.suffix. Exactly one of base/inst is set: base launches the
+// uninstrumented program, inst builds (through the cache) and launches the
+// tool-instrumented variant.
 func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
-	engine sim.Engine, variant string) (*RunState, error) {
+	cell coreCell, build string) (*RunState, error) {
 	cfg := o.Cfg
-	cfg.Engine = engine
+	cfg.ReferenceInterpreter = cell.reference
+	cfg.SequentialSMs = cell.sequential
 	ctx := cuda.NewContext(cfg)
 	dev := ctx.Device()
 	reg := obs.NewRegistry()
@@ -316,7 +322,7 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 		return nil, err
 	}
 	return &RunState{
-		Variant: variant,
+		Variant: build + "/" + cell.suffix,
 		CTAs:    col.ctas,
 		Out:     out,
 		Acc:     acc,

@@ -24,8 +24,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // tool's decoded results and every launch's KernelStats. The files were
 // recorded from the goroutine-per-lane rendezvous implementation of
 // Figures 4/6/9 at the commit before it was deleted, so a pass means the
-// warp-level handlers reproduce the per-thread ones bit for bit — under
-// all three engines.
+// warp-level handlers reproduce the per-thread ones bit for bit — on the
+// default core and on the reference interpreter.
 // Regenerate (only for an intended change of a profiler's output or of the
 // modeled statistics) with
 // `go test ./internal/handlers -run Equivalence -update`.
@@ -40,13 +40,30 @@ var (
 	valuePrograms = []string{"parboil.histo", "rodinia.b+tree", "rodinia.nn"}
 )
 
+// core is one way to execute the programs: the model (default core or
+// reference interpreter) and the SM dispatch. The subtest names predate
+// the default flip: "predecoded" is what every default sim.Config runs,
+// "concurrent" and "sequential" are the reference interpreter with SMs on
+// goroutines and in order.
+type core struct {
+	name                     string
+	reference, sequentialSMs bool
+}
+
+var cores = []core{
+	{"predecoded", false, false},
+	{"predecoded-sequential", false, true},
+	{"concurrent", true, false},
+	{"sequential", true, true},
+}
+
 // goldenTool wires one profiler and returns its handler, options and a
 // function decoding its results.
 type goldenTool func(ctx *cuda.Context) (*sassi.Handler, sassi.Options, func() (any, error))
 
 // goldenRun profiles one program on the benchmark's device configuration
 // and returns its golden record.
-func goldenRun(t *testing.T, program string, engine sim.Engine, tool goldenTool) string {
+func goldenRun(t *testing.T, program string, c core, tool goldenTool) string {
 	t.Helper()
 	spec, ok := workloads.Get(program)
 	if !ok {
@@ -57,7 +74,7 @@ func goldenRun(t *testing.T, program string, engine sim.Engine, tool goldenTool)
 		t.Fatalf("compile: %v", err)
 	}
 	cfg := sim.KeplerK10()
-	cfg.Engine = engine
+	cfg.ReferenceInterpreter, cfg.SequentialSMs = c.reference, c.sequentialSMs
 	ctx := cuda.NewContext(cfg)
 	var launches []string
 	ctx.Subscribe(cuda.LaunchCallbacks{PostLaunch: func(_ string, _ int, s *sim.KernelStats, _ error) {
@@ -88,20 +105,20 @@ func goldenRun(t *testing.T, program string, engine sim.Engine, tool goldenTool)
 	return fmt.Sprintf("%s %s results=%016x\n%s", program, h.Name, d.Sum64(), strings.Join(launches, ""))
 }
 
-// checkGolden runs tool over programs under every engine and compares the
+// checkGolden runs tool over programs on every core and compares the
 // concatenated records with testdata/golden_<name>.txt; with -update it
-// first rewrites the file from the concurrent engine.
+// first rewrites the file from the default core.
 func checkGolden(t *testing.T, name string, programs []string, tool goldenTool) {
 	file := filepath.Join("testdata", "golden_"+name+".txt")
-	record := func(t *testing.T, e sim.Engine) string {
+	record := func(t *testing.T, c core) string {
 		var b strings.Builder
 		for _, p := range programs {
-			b.WriteString(goldenRun(t, p, e, tool))
+			b.WriteString(goldenRun(t, p, c, tool))
 		}
 		return b.String()
 	}
 	if *updateGolden {
-		if err := os.WriteFile(file, []byte(record(t, sim.EngineConcurrent)), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(record(t, cores[0])), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +126,13 @@ func checkGolden(t *testing.T, name string, programs []string, tool goldenTool) 
 	if err != nil {
 		t.Fatalf("%v (run `go test ./internal/handlers -run Equivalence -update` to create it)", err)
 	}
-	engines := []sim.Engine{sim.EngineConcurrent, sim.EngineSequential, sim.EnginePredecoded}
+	run := cores
 	if testing.Short() {
-		engines = engines[:1]
+		run = run[:1]
 	}
-	for _, e := range engines {
-		t.Run(e.String(), func(t *testing.T) {
-			if got := record(t, e); got != string(want) {
+	for _, c := range run {
+		t.Run(c.name, func(t *testing.T) {
+			if got := record(t, c); got != string(want) {
 				t.Errorf("differs from %s (recorded from the per-lane rendezvous handlers)\n--- got ---\n%s--- want ---\n%s", file, got, want)
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // ParamDesc describes one kernel parameter as laid out in constant bank 0.
@@ -66,28 +67,67 @@ type Kernel struct {
 	// not serialized, and it must be dropped by any pass that edits the
 	// instruction stream afterwards (sassi.Instrument clears it).
 	SchedOrig []int
+
+	lowered lowering
+}
+
+// lowering is the kernel's cache slot for the form an executor derives from
+// Instrs (the simulator's predecoded kernel). It sits on the kernel so that
+// it lives exactly as long as the kernel does and is shared by every device
+// that launches it.
+type lowering struct {
+	mu    sync.Mutex
+	first *Instruction // identity of the Instrs array v was built from
+	n     int
+	v     any
+}
+
+// Lowered returns build(k) for the kernel's current instruction stream,
+// calling build only when there is no cached value or Instrs has been
+// replaced since it was built: sassi.Instrument and the scheduler rewrite a
+// kernel under the same *Kernel by installing a new Instrs slice, which
+// changes the array's address or length. (The slot keeps the old array
+// reachable, so its address cannot be reused while the value is cached.)
+// A pass that edits instructions inside the existing array after the kernel
+// has been launched is not detected; none does. Concurrent callers are
+// serialized, so build runs once per instruction stream.
+func (k *Kernel) Lowered(build func(*Kernel) any) any {
+	c := &k.lowered
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var first *Instruction
+	if len(k.Instrs) > 0 {
+		first = &k.Instrs[0]
+	}
+	if c.v == nil || c.first != first || c.n != len(k.Instrs) {
+		c.v, c.first, c.n = build(k), first, len(k.Instrs)
+	}
+	return c.v
 }
 
 // Clone returns a deep copy of the kernel sharing no mutable state, so the
 // copy survives in-place rewrites (e.g. instrumentation) of the original.
 func (k *Kernel) Clone() *Kernel {
-	c := *k
-	c.Instrs = make([]Instruction, len(k.Instrs))
+	c := &Kernel{
+		Name: k.Name, NumRegs: k.NumRegs, NumPreds: k.NumPreds,
+		SharedBytes: k.SharedBytes, LocalBytes: k.LocalBytes, BlockDim: k.BlockDim,
+		Instrs:    make([]Instruction, len(k.Instrs)),
+		Params:    append([]ParamDesc(nil), k.Params...),
+		SchedOrig: append([]int(nil), k.SchedOrig...),
+	}
 	for i := range k.Instrs {
 		in := k.Instrs[i]
 		in.Dsts = append([]Operand(nil), in.Dsts...)
 		in.Srcs = append([]Operand(nil), in.Srcs...)
 		c.Instrs[i] = in
 	}
-	c.Params = append([]ParamDesc(nil), k.Params...)
-	c.SchedOrig = append([]int(nil), k.SchedOrig...)
 	if k.Labels != nil {
 		c.Labels = make(map[string]int, len(k.Labels))
 		for name, idx := range k.Labels {
 			c.Labels[name] = idx
 		}
 	}
-	return &c
+	return c
 }
 
 // AddParam appends a parameter with natural alignment and returns its

@@ -2,6 +2,8 @@ package sass
 
 import (
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -38,15 +40,15 @@ func TestResolveLabelsError(t *testing.T) {
 func TestValidateCatchesBadInstr(t *testing.T) {
 	cases := []struct {
 		name string
-		k    Kernel
+		k    *Kernel
 	}{
-		{"empty", Kernel{Name: "k"}},
-		{"no exit", Kernel{Name: "k", Instrs: []Instruction{New(OpNOP, nil, nil)}}},
-		{"bad label", Kernel{Name: "k", Instrs: []Instruction{
+		{"empty", &Kernel{Name: "k"}},
+		{"no exit", &Kernel{Name: "k", Instrs: []Instruction{New(OpNOP, nil, nil)}}},
+		{"bad label", &Kernel{Name: "k", Instrs: []Instruction{
 			{Guard: Always, Op: OpBRA, Srcs: []Operand{{Kind: OpdLabel, Imm: 99}}},
 			New(OpEXIT, nil, nil),
 		}}},
-		{"bad pred", Kernel{Name: "k", Instrs: []Instruction{
+		{"bad pred", &Kernel{Name: "k", Instrs: []Instruction{
 			New(OpISETP, []Operand{{Kind: OpdPred, Reg: 9}}, []Operand{R(0), R(1), P(PT)}),
 			New(OpEXIT, nil, nil),
 		}}},
@@ -111,5 +113,46 @@ func TestLabelAtSorted(t *testing.T) {
 	got := k.LabelAt(0)
 	if len(got) != 2 || got[0] != "aa" || got[1] != "zz" {
 		t.Errorf("LabelAt = %v", got)
+	}
+}
+
+// TestLoweredFollowsInstrs: the cache slot builds once per instruction
+// stream, rebuilds when Instrs is replaced under the same *Kernel (new
+// array of the same length, or a different length), serializes concurrent
+// first users onto one build, and is not inherited by a Clone.
+func TestLoweredFollowsInstrs(t *testing.T) {
+	k := &Kernel{Name: "k", Instrs: []Instruction{New(OpNOP, nil, nil), New(OpEXIT, nil, nil)}}
+	var builds atomic.Int32
+	build := func(k *Kernel) any {
+		builds.Add(1)
+		return &k.Instrs[0] // any value tied to the array it was built from
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			k.Lowered(build)
+		}()
+	}
+	wg.Wait()
+	first := k.Lowered(build)
+	if builds.Load() != 1 {
+		t.Fatalf("%d builds for one instruction stream", builds.Load())
+	}
+
+	k.Instrs = append([]Instruction(nil), k.Instrs...) // same length, new array
+	if v := k.Lowered(build); v == first || builds.Load() != 2 {
+		t.Errorf("replaced array not noticed: %d builds", builds.Load())
+	}
+	k.Instrs = k.Instrs[:1] // same array, new length
+	if k.Lowered(build); builds.Load() != 3 {
+		t.Errorf("changed length not noticed: %d builds", builds.Load())
+	}
+	if c := k.Clone(); c.Lowered(build) != any(&c.Instrs[0]) || builds.Load() != 4 {
+		t.Errorf("clone did not build its own value: %d builds", builds.Load())
+	}
+	if k.Lowered(build); builds.Load() != 4 {
+		t.Errorf("the clone's build disturbed the original: %d builds", builds.Load())
 	}
 }

@@ -18,7 +18,19 @@ import (
 	"sassi/internal/sim"
 )
 
-var engines = []sim.Engine{sim.EngineConcurrent, sim.EngineSequential, sim.EnginePredecoded}
+// cores is the execution axis of the failure tests. The names predate the
+// default flip: "predecoded" is what every default sim.Config runs,
+// "concurrent" and "sequential" are the reference interpreter with SMs on
+// goroutines and in order.
+var cores = []struct {
+	name                     string
+	reference, sequentialSMs bool
+}{
+	{"predecoded", false, false},
+	{"predecoded-sequential", false, true},
+	{"concurrent", true, false},
+	{"sequential", true, true},
+}
 
 // storeKernel is out[gtid] = gtid, instrumented before its store.
 func storeKernel(t *testing.T) *sass.Program {
@@ -63,11 +75,12 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestHandlerFailureIsStructuredError: a handler that panics and one that
-// faults, both in the middle of a launch (CTA 5 only), under every engine.
-// The launch must fail like any kernel fault with an error that unwraps to
-// the *HandlerError locating the failure, no goroutine may outlive it, later
-// lanes of the failing dispatch must not have run, and the device and the
-// launch arena must serve the next launches as before.
+// faults, both in the middle of a launch (CTA 5 only), on every core. The
+// launch must fail like any kernel fault with an error that unwraps to the
+// *HandlerError locating the failure, no goroutine may outlive it, later
+// lanes of the failing dispatch must not have run, every CTA slab the
+// launch carved must be back with the device, and the device must serve
+// the next launches as before.
 func TestHandlerFailureIsStructuredError(t *testing.T) {
 	const badCTA, badLane = 5, 7
 	cases := []struct {
@@ -94,10 +107,10 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for _, engine := range engines {
-			t.Run(tc.name+"/"+engine.String(), func(t *testing.T) {
+		for _, core := range cores {
+			t.Run(tc.name+"/"+core.name, func(t *testing.T) {
 				cfg := sim.KeplerK10()
-				cfg.Engine = engine
+				cfg.ReferenceInterpreter, cfg.SequentialSMs = core.reference, core.sequentialSMs
 				ctx := cuda.NewContext(cfg)
 				prog := storeKernel(t)
 				buf := ctx.Malloc(4*32*storeCTAs, "out")
@@ -124,7 +137,6 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 					}
 				}
 				clean()
-				before := testing.AllocsPerRun(5, clean)
 
 				base := runtime.NumGoroutine()
 				armed = true
@@ -154,11 +166,15 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 					if ran[badCTA] != 1<<(badLane+1)-1 {
 						t.Errorf("lanes reached in the failing dispatch = %#x, want %#x", ran[badCTA], uint32(1<<(badLane+1)-1))
 					}
+					// The failing SM had CTAs resident and the others ran on:
+					// every slab is back, none left for the collector.
+					if n := ctx.Device().LiveSlabs(); n != 0 {
+						t.Errorf("%d CTA slabs outstanding after the failed launch", n)
+					}
 				}
 				settleGoroutines(t, base)
 
-				// Afterwards: correct results, and the same steady state —
-				// the failed launches cost the arena pool nothing.
+				// Afterwards: correct results.
 				armed = false
 				clean()
 				vals, err := ctx.ReadU32(buf, 32*storeCTAs)
@@ -169,12 +185,6 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 					if v != uint32(i) {
 						t.Fatalf("out[%d] = %d after the failed launches", i, v)
 					}
-				}
-				// A slab the failures had cost the pool would be rebuilt on
-				// every launch: four allocations per CTA. Concurrent SMs
-				// make the count wobble by a few, never by storeCTAs.
-				if after := testing.AllocsPerRun(5, clean); after > before+storeCTAs {
-					t.Errorf("clean launch allocates %.0f times after the failures, %.0f before", after, before)
 				}
 			})
 		}
@@ -200,7 +210,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := sim.MiniGPU()
-	cfg.Engine = sim.EngineSequential // AllocsPerRun must see this goroutine alone
+	cfg.SequentialSMs = true // AllocsPerRun must see this goroutine alone
 	ctx := cuda.NewContext(cfg)
 	p := handlers.NewBranchProfiler(ctx)
 	if err := sassi.Instrument(prog, p.Options()); err != nil {

@@ -1,19 +1,25 @@
 package sim
 
-import (
-	"sync"
+import "sassi/internal/mem"
 
-	"sassi/internal/mem"
-)
-
-// The predecoded engine arena-allocates per-launch state. A launch's
-// dominant allocations are per-thread: the Thread struct, its register
-// file, and its local-memory descriptor. The arena carves all three for a
-// whole CTA out of reusable slabs; when the CTA retires (after the
-// CTARetire observer has run) its slab returns to the arena, and at launch
-// end the arena itself returns to a package-level pool shared by all
-// devices. Between reuses only the carved prefix is zeroed — a memclr, not
-// an allocation — so steady-state launches allocate no per-thread memory.
+// A launch's dominant allocations are per-thread: the Thread struct, its
+// register file, and its local-memory descriptor. A ctaSlab carves all
+// three for a whole CTA out of reusable backing arrays; when the CTA
+// retires (after the CTARetire observer has run) or its launch fails, the
+// slab goes back to the free list of the SM that ran it. Between reuses
+// only the carved prefix is zeroed — a memclr, not an allocation — so
+// steady-state launches on a device allocate no per-thread memory.
+//
+// The free lists belong to the device, one per SM (Device.slabs). A device
+// runs one launch at a time and a launch runs each SM on one goroutine, so
+// a list has a single user at any moment: no lock, and no two SM goroutines
+// competing for the same slab, which would make the bytes a launch
+// allocates depend on how they interleave. Nothing but the device's own
+// lifetime frees a list — a sync.Pool here made allocation figures depend
+// on when the collector last ran. What a list retains is Thread structs,
+// register files and descriptors; stack storage is dropped at put, or every
+// retired thread's materialised stack would stay reachable until the slab's
+// next carve.
 //
 // Warp and CTA structs are deliberately NOT pooled: instrumentation
 // handlers key per-warp state by *Warp (e.g. the CFI shadow stacks, reset
@@ -21,14 +27,9 @@ import (
 // alias logically distinct warps. The slab contents are private to the
 // simulator; observers that want thread state past CTA retirement must
 // copy it (the difftest collector does).
-var arenaPool = sync.Pool{New: func() any { return &launchArena{} }}
-
-// launchArena is the per-launch slab pool. getSlab/putSlab are called once
-// per CTA build/retire — coarse enough that a single mutex costs nothing,
-// and it keeps the arena safe when SM goroutines build CTAs concurrently.
-type launchArena struct {
-	mu    sync.Mutex
-	slabs []*ctaSlab
+type slabList struct {
+	free []*ctaSlab
+	live int // slabs handed out and not yet returned
 }
 
 // ctaSlab backs the threads of one CTA. The backing arrays are carved by
@@ -41,20 +42,18 @@ type ctaSlab struct {
 	locals  []mem.Local
 }
 
-// getSlab returns a slab with capacity for nThreads threads of numRegs
-// registers each, reusing a pooled slab when one is large enough.
-func (a *launchArena) getSlab(nThreads, numRegs int) *ctaSlab {
-	a.mu.Lock()
-	for i := len(a.slabs) - 1; i >= 0; i-- {
-		s := a.slabs[i]
+// get returns a slab with capacity for nThreads threads of numRegs
+// registers each, reusing a free slab when one is large enough.
+func (l *slabList) get(nThreads, numRegs int) *ctaSlab {
+	l.live++
+	for i := len(l.free) - 1; i >= 0; i-- {
+		s := l.free[i]
 		if cap(s.threads) >= nThreads && cap(s.regs) >= nThreads*numRegs {
-			a.slabs[i] = a.slabs[len(a.slabs)-1]
-			a.slabs = a.slabs[:len(a.slabs)-1]
-			a.mu.Unlock()
+			l.free[i] = l.free[len(l.free)-1]
+			l.free = l.free[:len(l.free)-1]
 			return s
 		}
 	}
-	a.mu.Unlock()
 	return &ctaSlab{
 		threads: make([]Thread, 0, nThreads),
 		regs:    make([]uint32, 0, nThreads*numRegs),
@@ -62,20 +61,21 @@ func (a *launchArena) getSlab(nThreads, numRegs int) *ctaSlab {
 	}
 }
 
-// putSlab returns a retired CTA's slab for reuse. Contents are zeroed at
-// the next carve, not here, so error paths that never reuse pay nothing.
-func (a *launchArena) putSlab(s *ctaSlab) {
+// put takes back the slab of a CTA that retired or whose launch failed.
+// Thread structs and registers are zeroed at the next carve, not here; the
+// descriptors are cleared now because they hold the stacks.
+func (l *slabList) put(s *ctaSlab) {
+	clear(s.locals)
 	s.threads = s.threads[:0]
 	s.regs = s.regs[:0]
 	s.locals = s.locals[:0]
-	a.mu.Lock()
-	a.slabs = append(a.slabs, s)
-	a.mu.Unlock()
+	l.free = append(l.free, s)
+	l.live--
 }
 
-// newThread carves one thread from the slab: newThread(numRegs,
-// localBytes) with slab-backed storage. The local-memory descriptor is
-// lazy — its data slice is only materialized on first write.
+// newThread carves one thread from the slab. Its stack pointer starts at
+// the top of local memory (the stack grows down), and the local-memory
+// descriptor materialises storage only for what gets written.
 func (s *ctaSlab) newThread(numRegs, localBytes int) *Thread {
 	s.threads = append(s.threads, Thread{})
 	t := &s.threads[len(s.threads)-1]

@@ -25,12 +25,9 @@ type engine struct {
 	cb    []byte // constant bank 0 for this launch
 	stats *KernelStats
 
-	// pre is the predecoded form of k; non-nil only on the predecoded
-	// engine, where it switches warp stepping from step to stepPre.
+	// pre is the predecoded form of k, which stepPre executes; nil selects
+	// the reference interpreter (Config.ReferenceInterpreter), step.
 	pre *preKernel
-
-	// arena pools per-launch slab allocations (predecoded engine only).
-	arena *launchArena
 
 	sms    []smShard
 	ntid   [3]uint32

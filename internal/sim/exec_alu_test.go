@@ -287,6 +287,38 @@ func TestPSETPAndR2P(t *testing.T) {
 	}
 }
 
+// TestP2RR2PMasksAndCC: the predicate/CC shuttles injected code is built
+// from, per lane (R0 = tid), with partial masks, a non-zero merge operand
+// and the .X (condition code) forms.
+func TestP2RR2PMasksAndCC(t *testing.T) {
+	h := &warpHarness{
+		instrs: []sass.Instruction{
+			tid(0),
+			// Preds = tid under mask 0x55 (PT stays set, P1/P3/P5 stay clear).
+			alu(sass.OpR2P, sass.Mods{}, sass.RZ, sass.R(0), sass.Imm(0x55)),
+			movi(1, 0xffff0000),
+			// R2 = (R1 &^ 0x0f) | (Preds & 0x0f)
+			alu(sass.OpP2R, sass.Mods{}, 2, sass.R(1), sass.Imm(0x0f)),
+			// R3 = whole predicate file, PT included.
+			alu(sass.OpP2R, sass.Mods{}, 3, sass.R(sass.RZ), sass.Imm(0xff)),
+			// CC = tid>>1 under mask 0b0110, then read it back.
+			alu(sass.OpSHR, sass.Mods{Unsigned: true}, 4, sass.R(0), sass.Imm(1)),
+			alu(sass.OpR2P, sass.Mods{X: true}, sass.RZ, sass.R(4), sass.Imm(0b0110)),
+			alu(sass.OpP2R, sass.Mods{X: true}, 5, sass.R(1), sass.Imm(0xf)),
+		},
+		outRegs: []uint8{2, 3, 5},
+	}
+	for lane, got := range h.run(t) {
+		preds := uint32(lane) & 0x55
+		want := []uint32{0xffff0000 | preds&0x0f, preds | 1<<7, 0xffff0000 | uint32(lane)>>1&0b0110}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("lane %d out[%d] = %#x, want %#x", lane, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func fbits(f float32) int64 { return int64(int32(math.Float32bits(f))) }
 
 func TestFloatOps(t *testing.T) {

@@ -9,8 +9,8 @@ import (
 	"sassi/internal/sass"
 )
 
-// stepPre executes one instruction for warp w on the predecoded engine.
-// It is step() with the hot pieces swapped for their predecoded forms:
+// stepPre executes one instruction for warp w: the execution core's issue
+// loop. It is step() with the hot pieces swapped for their predecoded forms:
 // the guard is pre-split, operand kinds are resolved, the scoreboard
 // walks precomputed slot lists, and specialized classes execute with
 // manual lane loops (or a single leader computation broadcast to the
@@ -89,6 +89,8 @@ func (e *engine) stepPre(w *Warp) error {
 		e.execPreIADDC(w, p, exec)
 	case p.class == pcPSETP:
 		e.execPrePSETP(w, p, exec)
+	case p.class == pcP2R || p.class == pcR2P:
+		e.execPreP2R(w, p, exec)
 	case p.class == pcBRA:
 		advance = false
 		e.execPreBRA(w, exec, p.target)
@@ -852,6 +854,33 @@ func (e *engine) execPrePSETP(w *Warp, p *preInstr, exec uint32) {
 	}
 }
 
+// execPreP2R is the lane loop of both predicate/CC shuttles (execALULane's
+// P2R and R2P cases): P2R merges the predicate file — the condition code
+// with .X — into a GPR under a mask, R2P writes it back.
+func (e *engine) execPreP2R(w *Warp, p *preInstr, exec uint32) {
+	cc := p.flags&pfX != 0
+	for m := exec; m != 0; m &= m - 1 {
+		t := w.Threads[bits.TrailingZeros32(m)]
+		t.DynInstrs++
+		a := e.preSrcU32(t, &p.srcs[0])
+		mask := e.preSrcU32(t, &p.srcs[1])
+		switch {
+		case p.class == pcP2R:
+			src := uint32(t.Preds)
+			if cc {
+				src = uint32(t.CC)
+			}
+			t.WriteReg(p.dst, (a&^mask)|(src&mask))
+		case cc:
+			t.CC = (t.CC &^ uint8(mask)) | (uint8(a) & uint8(mask&0xf))
+		default:
+			// PT (bit 7) is not writable.
+			mask &= 0x7f
+			t.Preds = (t.Preds &^ uint8(mask)) | (uint8(a) & uint8(mask)) | 1<<7
+		}
+	}
+}
+
 // execPreBRA is execBranch with the label target resolved at predecode.
 func (e *engine) execPreBRA(w *Warp, taken uint32, target int32) {
 	fall := w.Active &^ taken
@@ -941,27 +970,37 @@ func (e *engine) execPreShared(w *Warp, p *preInstr, exec uint32) (int, error) {
 	return 2, nil
 }
 
-// execPreLocal is execLocal with resolved operands.
+// execPreLocal is execLocal with resolved operands and, like
+// execPreShared, a 32-bit path with no staging buffer: the word every
+// injected spill, fill and parameter store moves.
 func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
 	var buf [16]byte
 	nbytes := int(p.nbytes)
-	total := 0
 	for m := exec; m != 0; m &= m - 1 {
 		t := w.Threads[bits.TrailingZeros32(m)]
 		off := e.preLaneAddr(t, p)
-		if p.store {
+		var err error
+		switch {
+		case nbytes == 4 && p.store:
+			err = t.Local.Write32(off, t.ReadReg(p.dataReg))
+		case nbytes == 4:
+			var v uint32
+			if v, err = t.Local.Read32(off); err == nil {
+				t.WriteReg(p.dst, v)
+			}
+		case p.store:
 			storeFromRegs(t, p.dataReg, buf[:], p.width)
-			if err := t.Local.Write(off, buf[:nbytes]); err != nil {
-				return 0, err
+			err = t.Local.Write(off, buf[:nbytes])
+		default:
+			if err = t.Local.Read(off, buf[:nbytes]); err == nil {
+				loadIntoRegs(t, p.dst, buf[:], p.width)
 			}
-		} else {
-			if err := t.Local.Read(off, buf[:nbytes]); err != nil {
-				return 0, err
-			}
-			loadIntoRegs(t, p.dst, buf[:], p.width)
 		}
-		total += nbytes
+		if err != nil {
+			return 0, err
+		}
 	}
+	total := nbytes * bits.OnesCount32(exec)
 	lines := (total + int(e.dev.Cfg.CoalesceBytes) - 1) / int(e.dev.Cfg.CoalesceBytes)
 	return 4 + lines, nil
 }

@@ -57,61 +57,19 @@ type Config struct {
 	// does not request more.
 	DefaultStackBytes int
 
-	// SequentialSMs forces the launch engine to simulate SMs one after
-	// another on the calling goroutine instead of one goroutine per SM.
-	// Results are bit-equal either way; this is an escape hatch for
-	// debugging and the reference mode the equivalence tests compare
-	// against.
+	// SequentialSMs simulates SMs one after another on the calling goroutine
+	// instead of one goroutine per SM. Results are bit-equal either way; it
+	// is the one SM-dispatch knob, for debugging and for callers whose
+	// observers need a deterministic event order (a MemWatch forces it).
 	SequentialSMs bool
 
-	// Engine selects the execution engine. All engines are bit-equal; they
-	// differ only in speed. EngineConcurrent (the zero value) and
-	// EngineSequential are the classic interpreter with parallel or
-	// serialized SMs (EngineSequential implies SequentialSMs).
-	// EnginePredecoded predecodes each kernel at first launch and runs the
-	// block-dispatch interpreter with the uniform-warp fast path; it
-	// composes with SequentialSMs for SM dispatch.
-	Engine Engine
-}
-
-// Engine identifies one of the simulator's execution engines.
-type Engine int
-
-// Execution engines.
-const (
-	// EngineConcurrent is the classic interpreter, one goroutine per SM.
-	EngineConcurrent Engine = iota
-	// EngineSequential is the classic interpreter with SMs simulated one
-	// after another on the calling goroutine (the reference engine the
-	// equivalence tests compare against).
-	EngineSequential
-	// EnginePredecoded is the predecoded block-dispatch engine.
-	EnginePredecoded
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineConcurrent:
-		return "concurrent"
-	case EngineSequential:
-		return "sequential"
-	case EnginePredecoded:
-		return "predecoded"
-	}
-	return fmt.Sprintf("engine(%d)", int(e))
-}
-
-// ParseEngine converts an engine-selection flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "concurrent", "":
-		return EngineConcurrent, nil
-	case "sequential":
-		return EngineSequential, nil
-	case "predecoded":
-		return EnginePredecoded, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want concurrent, sequential, or predecoded)", s)
+	// ReferenceInterpreter makes Launch execute the kernel's
+	// sass.Instructions one at a time with the original interpreter (step)
+	// instead of the predecoded core. It exists for the equivalence oracles
+	// only — difftest, TestPredecodedBitEqualAllWorkloads and the handler
+	// goldens compare the default path against it bit for bit — runs
+	// several times slower, and is set by no CLI.
+	ReferenceInterpreter bool
 }
 
 // KeplerK10 approximates the paper's Tesla K10 G2 target (case studies
@@ -255,9 +213,18 @@ type Device struct {
 	traceNamed     bool
 	traceCycleBase uint64
 
-	// pre caches predecoded kernels for the predecoded engine (keyed by
-	// kernel pointer; kernels are immutable after compilation).
-	pre preCache
+	// slabs holds each SM's free list of CTA slabs (see arena.go).
+	slabs []slabList
+}
+
+// LiveSlabs returns how many CTA slabs are carved out and not yet returned
+// to the device: zero between launches, however the last one ended.
+func (d *Device) LiveSlabs() int {
+	n := 0
+	for i := range d.slabs {
+		n += d.slabs[i].live
+	}
+	return n
 }
 
 // MemAccess is one observed warp-level memory transaction set, tagged with
@@ -353,6 +320,7 @@ func NewDevice(cfg Config) *Device {
 		Cfg:    cfg,
 		Global: mem.NewGlobal(),
 		Coal:   mem.NewCoalescer(cfg.CoalesceBytes),
+		slabs:  make([]slabList, cfg.NumSMs),
 	}
 	slice := l2SliceBytes(&cfg)
 	d.L2s = make([]*mem.Cache, cfg.NumSMs)

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"reflect"
 	"testing"
 
 	"sassi/internal/sass"
@@ -10,7 +11,10 @@ import (
 // warpHarness executes a hand-assembled instruction sequence on a single
 // 32-lane warp and returns the chosen registers of every lane, observed by
 // storing them to global memory in an epilogue. The harness reserves
-// R40-R47 for its own prologue/epilogue; test code may use R0-R39.
+// R40-R47 for its own prologue/epilogue; test code may use R0-R39. Every
+// sequence runs on the default core and on the reference interpreter, and
+// the two must agree, so each instruction-semantics test also pins the
+// predecoded class of what it exercises to the interpreter's case.
 type warpHarness struct {
 	instrs  []sass.Instruction
 	labels  map[string]int
@@ -69,25 +73,34 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 
-	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(uint64(4*nout*h.threads), "out")
-	_, err := dev.Launch(prog, "t", sim.LaunchParams{
-		Grid: sim.D1(1), Block: sim.D1(h.threads),
-		Args: []uint64{out},
-	})
-	if err != nil {
-		t.Fatalf("launch: %v", err)
-	}
-	res := make([][]uint32, h.threads)
-	for lane := 0; lane < h.threads; lane++ {
-		res[lane] = make([]uint32, nout)
-		for i := 0; i < nout; i++ {
-			v, err := dev.Global.Read32(out + uint64(4*(lane*nout+i)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res[lane][i] = v
+	launch := func(cfg sim.Config) [][]uint32 {
+		dev := sim.NewDevice(cfg)
+		out := dev.Alloc(uint64(4*nout*h.threads), "out")
+		_, err := dev.Launch(prog, "t", sim.LaunchParams{
+			Grid: sim.D1(1), Block: sim.D1(h.threads),
+			Args: []uint64{out},
+		})
+		if err != nil {
+			t.Fatalf("launch: %v", err)
 		}
+		res := make([][]uint32, h.threads)
+		for lane := 0; lane < h.threads; lane++ {
+			res[lane] = make([]uint32, nout)
+			for i := 0; i < nout; i++ {
+				v, err := dev.Global.Read32(out + uint64(4*(lane*nout+i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				res[lane][i] = v
+			}
+		}
+		return res
+	}
+	res := launch(sim.MiniGPU())
+	ref := sim.MiniGPU()
+	ref.ReferenceInterpreter = true
+	if want := launch(ref); !reflect.DeepEqual(res, want) {
+		t.Fatalf("default core differs from the reference interpreter:\n got %v\nwant %v", res, want)
 	}
 	return res
 }

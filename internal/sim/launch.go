@@ -60,6 +60,10 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	if len(p.Args) != len(k.Params) {
 		return nil, fmt.Errorf("sim: kernel %q wants %d args, got %d", kernelName, len(k.Params), len(p.Args))
 	}
+	sharedBytes := k.SharedBytes + p.SharedBytes
+	if sharedBytes > d.Cfg.SharedPerSM {
+		return nil, fmt.Errorf("sim: CTA needs %d shared bytes, SM has %d", sharedBytes, d.Cfg.SharedPerSM)
+	}
 	e := &engine{dev: d, prog: prog, k: k}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -75,13 +79,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	}
 
 	// Build constant bank 0: launch metadata then parameters.
-	cbSize := sass.ParamBase
-	for _, pd := range k.Params {
-		if end := pd.Offset + pd.Size; end > cbSize {
-			cbSize = end
-		}
-	}
-	e.cb = make([]byte, cbSize)
+	e.cb = make([]byte, constBankSize(k))
 	binary.LittleEndian.PutUint32(e.cb[sass.CBStackBase:], uint32(mem.LocalBase))
 	binary.LittleEndian.PutUint32(e.cb[sass.CBSharedBase:], uint32(mem.SharedBase))
 	for i, pd := range k.Params {
@@ -92,12 +90,8 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 			binary.LittleEndian.PutUint32(e.cb[pd.Offset:], uint32(p.Args[i]))
 		}
 	}
-	if d.Cfg.Engine == EnginePredecoded {
-		// The constant bank's size is a function of the kernel's parameter
-		// layout, so the predecode (which bounds-checks cmem offsets against
-		// it) is valid for every launch and cached per device.
-		e.pre = d.pre.get(k, cbSize)
-		e.arena = arenaPool.Get().(*launchArena)
+	if !d.Cfg.ReferenceInterpreter {
+		e.pre = k.Lowered(predecode).(*preKernel)
 	}
 
 	// Geometry.
@@ -121,10 +115,6 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	localBytes := p.StackBytes
 	if localBytes == 0 {
 		localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
-	}
-	sharedBytes := k.SharedBytes + p.SharedBytes
-	if sharedBytes > d.Cfg.SharedPerSM {
-		return nil, fmt.Errorf("sim: CTA needs %d shared bytes, SM has %d", sharedBytes, d.Cfg.SharedPerSM)
 	}
 
 	// Residency limit per SM.
@@ -159,7 +149,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	smErrs := make([]error, d.Cfg.NumSMs)
 	// A MemWatch observer needs the sequential path: trace events funnel
 	// into one callback, and their order is part of the exported trace.
-	if d.Cfg.SequentialSMs || d.Cfg.Engine == EngineSequential || d.MemWatch != nil {
+	if d.Cfg.SequentialSMs || d.MemWatch != nil {
 		for sm, ctas := range perSM {
 			if len(ctas) == 0 {
 				continue
@@ -193,10 +183,6 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		d.traceAdvance(e.stats.Cycles)
 	}
 	e.publishMetrics()
-	if e.arena != nil {
-		arenaPool.Put(e.arena)
-		e.arena = nil
-	}
 	if e.samp != nil {
 		// Merge even a failed launch's samples: profiles of crashing
 		// kernels are exactly what a profiler is for.
@@ -208,6 +194,19 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		}
 	}
 	return e.stats, nil
+}
+
+// constBankSize returns the size of constant bank 0 for every launch of k:
+// the launch metadata, then the parameters. It depends on the kernel's
+// parameter layout only, never on launch arguments.
+func constBankSize(k *sass.Kernel) int {
+	size := sass.ParamBase
+	for _, pd := range k.Params {
+		if end := pd.Offset + pd.Size; end > size {
+			size = end
+		}
+	}
+	return size
 }
 
 func normDim(d *Dim3) {
@@ -301,9 +300,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, numRegs, localBytes, sha
 		Kernel: e.k,
 	}
 	threads := block.Count()
-	if e.arena != nil {
-		cta.slab = e.arena.getSlab(threads, numRegs)
-	}
+	cta.slab = e.dev.slabs[sm].get(threads, numRegs)
 	numWarps := (threads + WarpSize - 1) / WarpSize
 	for wi := 0; wi < numWarps; wi++ {
 		w := &Warp{CTA: cta, IDinCTA: wi}
@@ -312,12 +309,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, numRegs, localBytes, sha
 			if flat >= threads {
 				break
 			}
-			var t *Thread
-			if cta.slab != nil {
-				t = cta.slab.newThread(numRegs, localBytes)
-			} else {
-				t = newThread(numRegs, localBytes)
-			}
+			t := cta.slab.newThread(numRegs, localBytes)
 			t.FlatTid = uint32(flat)
 			t.TidX = uint32(flat % block.X)
 			t.TidY = uint32(flat / block.X % block.Y)
@@ -342,7 +334,14 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 	pending := ctas
 	st := &e.sms[sm]
 	tr := e.dev.Trace
+	slabs := &e.dev.slabs[sm]
 	var resident []*CTA
+	// A launch that fails leaves CTAs resident; their slabs go back too.
+	defer func() {
+		for _, cta := range resident {
+			slabs.put(cta.slab)
+		}
+	}()
 	for len(pending) > 0 || len(resident) > 0 {
 		for len(resident) < maxResident && len(pending) > 0 {
 			cta := e.buildCTA(pending[0], grid, block, numRegs, localBytes, sharedBytes, sm)
@@ -353,7 +352,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 		progress := false
 		// With exactly one live warp on the SM and nothing pending, no
 		// other warp can observe the instruction interleaving, so the
-		// predecoded engine may run that warp's whole basic blocks
+		// predecoded core may run that warp's whole basic blocks
 		// back-to-back instead of one instruction per sweep.
 		solo := e.pre != nil && len(pending) == 0 && len(resident) == 1 &&
 			resident[0].liveWarps() == 1
@@ -410,12 +409,9 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 				tr.Span(obs.PidDevice, sm, fmt.Sprintf("cta %d", cta.Index),
 					float64(e.cycleBase+cta.traceStart), float64(st.cycles-cta.traceStart), nil)
 			}
-			if cta.slab != nil {
-				// After the retire observer: anyone wanting thread state
-				// beyond this point must have copied it.
-				e.arena.putSlab(cta.slab)
-				cta.slab = nil
-			}
+			// After the retire observer: anyone wanting thread state
+			// beyond this point must have copied it.
+			slabs.put(cta.slab)
 		}
 		resident = live
 		if !progress && len(resident) > 0 {

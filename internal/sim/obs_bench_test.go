@@ -5,7 +5,7 @@ package sim
 // accounting lives in plain smShard fields and the registry is only
 // consulted once per launch in publishMetrics. BenchmarkObsOverhead is the
 // CI smoke benchmark; TestWarpIssueZeroAlloc is the hard guard that fails
-// the suite if an allocation sneaks into step().
+// the suite if an allocation sneaks into stepPre().
 
 import (
 	"testing"
@@ -16,16 +16,22 @@ import (
 	"sassi/internal/sass"
 )
 
-// benchWarp builds a minimal engine around a two-instruction uniform loop
-// (IADD R0,R0,R0; BRA loop) and returns a stepper that executes one warp
-// instruction per call, with the watchdog held off.
+// benchWarp is warpStepper around a two-instruction uniform loop
+// (IADD R0,R0,R0; BRA loop).
 func benchWarp(tb testing.TB, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sampler) func() {
-	tb.Helper()
-	k := &sass.Kernel{Name: "spin", NumRegs: 16, Labels: map[string]int{"loop": 0}}
-	k.Instrs = []sass.Instruction{
+	return warpStepper(tb, []sass.Instruction{
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(0), sass.R(0)}),
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("loop")}),
-	}
+	}, reg, tr, samp)
+}
+
+// warpStepper builds a minimal engine around a loop (label "loop" is its
+// first instruction) and returns a stepper that executes one warp
+// instruction of it per call on the execution core, with the watchdog held
+// off. Threads get 256 bytes of stack.
+func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sampler) func() {
+	tb.Helper()
+	k := &sass.Kernel{Name: "spin", NumRegs: 16, Labels: map[string]int{"loop": 0}, Instrs: loop}
 	if err := k.ResolveLabels(); err != nil {
 		tb.Fatal(err)
 	}
@@ -36,6 +42,7 @@ func benchWarp(tb testing.TB, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sa
 	dev.Metrics = reg
 	dev.Trace = tr
 	e := &engine{dev: dev, prog: prog, k: k}
+	e.pre = k.Lowered(predecode).(*preKernel)
 	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, dev.Cfg.NumSMs)}
 	e.sms = make([]smShard, dev.Cfg.NumSMs)
 	for i := range e.sms {
@@ -49,10 +56,10 @@ func benchWarp(tb testing.TB, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sa
 	if samp != nil {
 		e.attachSampler(samp, 32)
 	}
-	cta := e.buildCTA(0, D1(1), D1(32), 16, 0, 0, 0)
+	cta := e.buildCTA(0, D1(1), D1(32), 16, 256, 0, 0)
 	w := cta.Warps[0]
 	return func() {
-		if err := e.step(w); err != nil {
+		if err := e.stepPre(w); err != nil {
 			tb.Fatal(err)
 		}
 		w.DynWarpInstrs = 0 // hold the watchdog off
@@ -127,7 +134,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	})
 	// End-to-end: a full small launch with and without a live registry,
 	// capturing the per-launch publishMetrics cost in context.
-	launch := func(b *testing.B, reg *obs.Registry, samp *pcsamp.Sampler, engine Engine) {
+	launch := func(b *testing.B, reg *obs.Registry, samp *pcsamp.Sampler) {
 		k := &sass.Kernel{Name: "gid", NumRegs: 16, Labels: map[string]int{}}
 		out := k.AddParam("out", 8)
 		k.Instrs = []sass.Instruction{
@@ -143,9 +150,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		}
 		prog := sass.NewProgram()
 		prog.AddKernel(k)
-		cfg := MiniGPU()
-		cfg.Engine = engine
-		dev := NewDevice(cfg)
+		dev := NewDevice(MiniGPU())
 		dev.Metrics = reg
 		dev.PCSamp = samp
 		buf := dev.Alloc(4*64, "out")
@@ -158,11 +163,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("launch/disabled", func(b *testing.B) { launch(b, nil, nil, EngineConcurrent) })
-	b.Run("launch/enabled", func(b *testing.B) { launch(b, obs.NewRegistry(), nil, EngineConcurrent) })
-	b.Run("launch/sampled", func(b *testing.B) { launch(b, nil, pcsamp.New(pcsamp.DefaultPeriod), EngineConcurrent) })
-	// Predecoded engine: the per-launch predecode is cached per device and
-	// CTA thread state comes from the pooled arena, so steady-state launches
-	// allocate a small fraction of the interpreter's per-launch bytes.
-	b.Run("launch/predecoded", func(b *testing.B) { launch(b, nil, nil, EnginePredecoded) })
+	b.Run("launch/disabled", func(b *testing.B) { launch(b, nil, nil) })
+	b.Run("launch/enabled", func(b *testing.B) { launch(b, obs.NewRegistry(), nil) })
+	b.Run("launch/sampled", func(b *testing.B) { launch(b, nil, pcsamp.New(pcsamp.DefaultPeriod)) })
 }

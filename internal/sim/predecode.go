@@ -1,36 +1,33 @@
 package sim
 
 import (
-	"sync"
-
 	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
 
-// The predecoded execution engine rewrites the interpreter's hot path
-// without touching its semantics: at the first launch of a kernel on a
-// device, the SASS is predecoded into a dense flat format — operand kinds
-// resolved (RZ folded to zero, constant-bank offsets bounds-checked once,
-// predicate guards pre-split), scoreboard slot lists precomputed, static
-// issue costs and result latencies cached, straight-line instruction runs
-// measured per basic block, and a per-instruction "provably uniform" bit
-// derived from the affine value lattice (internal/analysis). Execution
-// then dispatches on a small class enum with manual lane loops instead of
-// per-operand switches and closure iterators, takes a uniform-warp fast
-// path (execute the leader lane once, broadcast the result) when the
-// lattice proved the instruction uniform, and falls back to the classic
-// interpreter's execOp for control transfers, barriers, SASSI handler
-// sites, and any operation without a specialized class — so instrumented
-// semantics are untouched by construction.
+// The execution core runs a predecoded form of the kernel, not its
+// sass.Instructions: at a kernel's first launch the SASS is lowered into a
+// dense flat format — operand kinds resolved (RZ folded to zero,
+// constant-bank offsets bounds-checked once, predicate guards pre-split),
+// scoreboard slot lists precomputed, static issue costs and result
+// latencies cached, straight-line instruction runs measured per basic
+// block, and a per-instruction "provably uniform" bit derived from the
+// affine value lattice (internal/analysis). Execution then dispatches on a
+// small class enum with manual lane loops instead of per-operand switches
+// and closure iterators, takes a uniform-warp fast path (execute the
+// leader lane once, broadcast the result) when the lattice proved the
+// instruction uniform, and falls back to the reference interpreter's
+// execOp for control transfers, barriers, SASSI handler calls, and any
+// operation without a specialized class.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
-// to the classic engines: stepPre replicates step's accounting exactly
-// and warps still issue one instruction per round-robin sweep, because
-// any cross-warp batching would reorder the per-SM memory access stream
-// and change cache statistics. Whole runs execute back-to-back only when
-// an SM has a single live warp and no pending CTAs, where no other warp
-// can observe the interleaving.
+// to the reference interpreter (Config.ReferenceInterpreter): stepPre
+// replicates step's accounting exactly and warps still issue one
+// instruction per round-robin sweep, because any cross-warp batching would
+// reorder the per-SM memory access stream and change cache statistics.
+// Whole runs execute back-to-back only when an SM has a single live warp
+// and no pending CTAs, where no other warp can observe the interleaving.
 
 // preClass selects a specialized execution path in stepPre. pcGeneric
 // delegates to the interpreter's execOp.
@@ -60,6 +57,8 @@ const (
 	pcMemL  // LDL/STL
 	pcIADDC // IADD with .CC and/or .X: the 64-bit carry chain
 	pcPSETP // predicate logic
+	pcP2R   // predicate file or (.X) CC into a GPR under a mask
+	pcR2P   // GPR into the predicate file or (.X) CC under a mask
 	pcBRA   // predicated branch with a label target
 	pcSYNC  // reconvergence pop
 )
@@ -94,7 +93,7 @@ const (
 	pfInjected                // SASSI-injected instruction
 	pfStraight                // always advances PC+1 and cannot block the warp
 	pfSetCC                   // pcIADDC: writes the condition code
-	pfX                       // pcIADDC: consumes the carry bit
+	pfX                       // pcIADDC: consumes the carry bit; pcP2R/pcR2P: CC, not predicates
 	pfFoldDyn                 // class's lane loops bump Thread.DynInstrs themselves
 )
 
@@ -148,33 +147,15 @@ type preInstr struct {
 	run uint16
 }
 
-// preKernel is the predecoded form of one kernel, cached per device.
+// preKernel is the predecoded form of one kernel. It is cached on the
+// kernel (sass.Kernel.Lowered), so every device that launches the kernel
+// shares one predecode and the cache dies with the kernel; Lowered rebuilds
+// it when the kernel's instruction stream has been replaced, which
+// sassi.Instrument does under the same *sass.Kernel. It is immutable once
+// built: any number of launches read it concurrently.
 type preKernel struct {
 	k   *sass.Kernel
 	ins []preInstr
-}
-
-// preCache is the per-device predecode cache. Kernels are immutable after
-// compilation, so the kernel pointer is a sound key; constant-bank
-// offsets validated here stay valid because the bank's size is a function
-// of the kernel's parameter layout, not of launch arguments.
-type preCache struct {
-	mu sync.Mutex
-	m  map[*sass.Kernel]*preKernel
-}
-
-func (c *preCache) get(k *sass.Kernel, cbSize int) *preKernel {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[*sass.Kernel]*preKernel)
-	}
-	if pk, ok := c.m[k]; ok {
-		return pk
-	}
-	pk := predecode(k, cbSize)
-	c.m[k] = pk
-	return pk
 }
 
 // straightLine reports whether the op always advances PC+1 and can
@@ -198,10 +179,12 @@ func broadcastSafe(c preClass) bool {
 	return c >= pcMOV && c <= pcMUFU
 }
 
-// predecode lowers one kernel into the dense format. cbSize is the
-// constant-bank size every launch of this kernel uses.
-func predecode(k *sass.Kernel, cbSize int) *preKernel {
+// predecode lowers one kernel into the dense format (the build function of
+// sass.Kernel.Lowered). Constant-bank offsets are validated against the
+// size every launch of the kernel uses, a function of its parameter layout.
+func predecode(k *sass.Kernel) any {
 	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs))}
+	cbSize := constBankSize(k)
 
 	// Per-instruction uniformity from the affine value lattice. An
 	// analysis failure (malformed CFG) just loses the fast path; the
@@ -239,8 +222,8 @@ func predecode(k *sass.Kernel, cbSize int) *preKernel {
 		// that walk; stepPre then skips its own counting pass. The
 		// shared/local classes keep the up-front pass: their loops fault
 		// mid-warp, and the interpreter counts every lane first.
-		if (p.class >= pcMOV && p.class <= pcMUFU) ||
-			p.class == pcIADDC || p.class == pcPSETP || p.class == pcMemG {
+		if (p.class >= pcMOV && p.class <= pcMUFU) || p.class == pcMemG ||
+			(p.class >= pcIADDC && p.class <= pcR2P) {
 			p.flags |= pfFoldDyn
 		}
 		p.staticCost = uint8(sass.IssueCost(in))
@@ -265,6 +248,16 @@ func predecode(k *sass.Kernel, cbSize int) *preKernel {
 // classify picks the specialized class for an instruction, or pcGeneric
 // when any precondition fails (the generic path is always correct).
 func classify(in *sass.Instruction, cbSize int) preClass {
+	// P2R/R2P carry .X as "the condition code, not the predicate file";
+	// injected code saves and restores both around every handler call.
+	if !in.Mods.SetCC {
+		switch {
+		case in.Op == sass.OpP2R && alu2OK(in, cbSize):
+			return pcP2R
+		case in.Op == sass.OpR2P && srcsOK(in, 2, cbSize):
+			return pcR2P
+		}
+	}
 	// Specialized ALU classes write exactly one 32-bit GPR (or predicate
 	// pair for SETP) and model no CC interaction. The CC-carrying IADD
 	// forms — the 64-bit address carry chains that dominate generic-path
@@ -537,6 +530,8 @@ func (p *preInstr) fillOperands(in *sass.Instruction, cbSize int) {
 	case p.class == pcPSETP:
 		// Only Dsts[0]; the interpreter ignores any complement operand.
 		p.dstP = in.Dsts[0].Reg
+	case p.class == pcR2P:
+		// Writes predicates or CC only; the interpreter ignores any Dsts.
 	default:
 		p.dst = in.Dsts[0].Reg
 	}

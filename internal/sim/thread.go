@@ -32,17 +32,6 @@ type Thread struct {
 	warp             *Warp
 }
 
-func newThread(numRegs int, localBytes int) *Thread {
-	t := &Thread{
-		Regs:  make([]uint32, numRegs),
-		Preds: 1 << 7, // PT
-		Local: mem.NewLocal(localBytes),
-	}
-	// Stack pointer starts at the top of local memory; stack grows down.
-	t.Regs[1] = uint32(localBytes)
-	return t
-}
-
 // ReadReg returns GPR r (RZ reads zero).
 func (t *Thread) ReadReg(r uint8) uint32 {
 	if r == 255 {
