@@ -14,6 +14,18 @@ type Bits []uint64
 // NewBits allocates a zeroed bitset holding n bits.
 func NewBits(n int) Bits { return make(Bits, (n+63)/64) }
 
+// newBitsTable allocates n zeroed bitsets of the given width as slices of
+// one backing array (cap == len each, so none can grow into the next).
+func newBitsTable(n, width int) []Bits {
+	words := (width + 63) / 64
+	backing := make(Bits, n*words)
+	sets := make([]Bits, n)
+	for i := range sets {
+		sets[i] = backing[i*words : (i+1)*words : (i+1)*words]
+	}
+	return sets
+}
+
 // Set sets bit i.
 func (b Bits) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
@@ -153,23 +165,22 @@ type Problem struct {
 // unreachable code are vacuously full.
 func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 	nb := len(cfg.Blocks)
-	in = make([]Bits, nb)
-	out = make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		in[b] = NewBits(p.Bits)
-		out[b] = NewBits(p.Bits)
-		if p.Meet == Intersect {
-			in[b].Fill(p.Bits)
-			out[b].Fill(p.Bits)
+	// Every set, and the two scratch sets of the iteration, from one array.
+	sets := newBitsTable(2*nb+3, p.Bits)
+	in, out = sets[:nb:nb], sets[nb:2*nb:2*nb]
+	acc, tmp, empty := sets[2*nb], sets[2*nb+1], sets[2*nb+2]
+	if p.Meet == Intersect {
+		for _, s := range sets[:2*nb] {
+			s.Fill(p.Bits)
 		}
 	}
 	boundary := p.Boundary
 	if boundary == nil {
-		boundary = NewBits(p.Bits)
+		boundary = empty
 	}
 
 	transfer := func(dst, src Bits, b int) bool {
-		tmp := src.Copy()
+		tmp.CopyFrom(src)
 		if p.Kill != nil && p.Kill[b] != nil {
 			tmp.AndNot(p.Kill[b])
 		}
@@ -183,11 +194,18 @@ func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 		return true
 	}
 	// meetInto folds src into acc under the problem's meet operator.
-	meetInto := func(acc, src Bits) {
+	meetInto := func(src Bits) {
 		if p.Meet == Union {
 			acc.Union(src)
 		} else {
 			acc.Intersect(src)
+		}
+	}
+	// resetAcc sets acc to the meet's identity.
+	resetAcc := func() {
+		clear(acc)
+		if p.Meet == Intersect {
+			acc.Fill(p.Bits)
 		}
 	}
 
@@ -195,23 +213,16 @@ func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 		changed = false
 		for b := 0; b < nb; b++ {
 			blk := cfg.Blocks[b]
+			resetAcc()
 			if p.Dir == Forward {
-				acc := NewBits(p.Bits)
-				if p.Meet == Intersect {
-					acc.Fill(p.Bits)
-				}
 				for _, pr := range blk.Preds {
-					meetInto(acc, out[pr])
+					meetInto(out[pr])
 				}
 				if b == 0 {
 					// Entry: the boundary is an additional incoming edge
 					// fact — for must-analyses it caps the meet (facts not
 					// true at entry are not true after a back-edge either).
-					if p.Meet == Intersect {
-						acc.Intersect(boundary)
-					} else {
-						acc.Union(boundary)
-					}
+					meetInto(boundary)
 				}
 				if !in[b].Equal(acc) {
 					in[b].CopyFrom(acc)
@@ -221,15 +232,11 @@ func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 					changed = true
 				}
 			} else {
-				acc := NewBits(p.Bits)
-				if p.Meet == Intersect {
-					acc.Fill(p.Bits)
-				}
 				if len(blk.Succs) == 0 {
 					acc.CopyFrom(boundary)
 				} else {
 					for _, s := range blk.Succs {
-						meetInto(acc, in[s])
+						meetInto(in[s])
 					}
 				}
 				if !out[b].Equal(acc) {
@@ -330,93 +337,38 @@ func RegSpaceName(bit int) string {
 	}
 }
 
-// instrUses returns the regspace indices instruction in reads. The guard
-// predicate is a read. A guarded (predicated) destination merges the old
-// register value on inactive lanes, so it normally counts as a read too —
-// except when maybeAssigned is non-nil and says the register cannot have
-// been assigned on any path here, in which case the merged-in value is
-// garbage on every lane and no correct program can depend on it.
-func instrUses(in *sass.Instruction, maybeAssigned Bits) []int {
-	var uses []int
-	for _, r := range in.GPRSrcs() {
-		uses = append(uses, GPRBit(r))
+// appendSrcUses appends to buf the regspace indices instruction in reads
+// through its operands, its guard and its carry-in — as opposed to a guarded
+// destination's merge of the old value, which MaybeUninitReads treats apart.
+func appendSrcUses(buf []int, in *sass.Instruction) []int {
+	var regs [16]uint8
+	for _, r := range in.AppendGPRSrcs(regs[:0]) {
+		buf = append(buf, GPRBit(r))
 	}
-	for _, p := range in.PredSrcs() {
-		uses = append(uses, PredBit(p))
+	for _, p := range in.AppendPredSrcs(regs[:0]) {
+		buf = append(buf, PredBit(p))
 	}
 	if in.Mods.X {
-		uses = append(uses, CCBit())
+		buf = append(buf, CCBit())
 	}
-	if !in.Guard.IsAlways() {
-		for _, r := range in.GPRDsts() {
-			if maybeAssigned == nil || maybeAssigned.Has(GPRBit(r)) {
-				uses = append(uses, GPRBit(r))
-			}
-		}
-		for _, p := range in.PredDsts() {
-			if maybeAssigned == nil || maybeAssigned.Has(PredBit(p)) {
-				uses = append(uses, PredBit(p))
-			}
-		}
-		if in.Mods.SetCC && (maybeAssigned == nil || maybeAssigned.Has(CCBit())) {
-			uses = append(uses, CCBit())
-		}
-	}
-	return uses
+	return buf
 }
 
-// instrDefs returns the regspace indices instruction in writes, and
-// whether the write is unconditional (guard always ⇒ the def kills).
-func instrDefs(in *sass.Instruction) (defs []int, uncond bool) {
-	for _, r := range in.GPRDsts() {
-		defs = append(defs, GPRBit(r))
+// appendDefs appends to buf the regspace indices instruction in writes;
+// the writes are unconditional (the def kills) iff in's guard is Always.
+// Callers hand it buf[:0] over a fixed array to stay allocation-free.
+func appendDefs(buf []int, in *sass.Instruction) []int {
+	var regs [16]uint8
+	for _, r := range in.AppendGPRDsts(regs[:0]) {
+		buf = append(buf, GPRBit(r))
 	}
-	for _, p := range in.PredDsts() {
-		defs = append(defs, PredBit(p))
+	for _, p := range in.AppendPredDsts(regs[:0]) {
+		buf = append(buf, PredBit(p))
 	}
 	if in.Mods.SetCC {
-		defs = append(defs, CCBit())
+		buf = append(buf, CCBit())
 	}
-	return defs, in.Guard.IsAlways()
-}
-
-// maybeAssignedIn computes, per instruction, the set of regspace entries
-// that may have been assigned (by any def, conditional or not) on at least
-// one path from kernel entry to that instruction. entrySet seeds the
-// kernel entry (the ABI-initialized registers, e.g. the stack pointer).
-func maybeAssignedIn(cfg *sass.CFG) []Bits {
-	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(regSpaceBits)
-		blk := cfg.Blocks[b]
-		for i := blk.Start; i < blk.End; i++ {
-			defs, _ := instrDefs(&cfg.Kernel.Instrs[i])
-			for _, d := range defs {
-				gen[b].Set(d)
-			}
-		}
-	}
-	boundary := NewBits(regSpaceBits)
-	boundary.Set(GPRBit(sass.SP))
-	blockIn, _ := Solve(cfg, Problem{
-		Dir: Forward, Meet: Union, Bits: regSpaceBits,
-		Gen: gen, Boundary: boundary,
-	})
-	// Expand to per-instruction precision.
-	perInstr := make([]Bits, len(cfg.Kernel.Instrs))
-	for b := 0; b < nb; b++ {
-		blk := cfg.Blocks[b]
-		cur := blockIn[b].Copy()
-		for i := blk.Start; i < blk.End; i++ {
-			perInstr[i] = cur.Copy()
-			defs, _ := instrDefs(&cfg.Kernel.Instrs[i])
-			for _, d := range defs {
-				cur.Set(d)
-			}
-		}
-	}
-	return perInstr
+	return buf
 }
 
 // DefSite is one definition site for reaching-definitions: instruction
@@ -444,9 +396,9 @@ type ReachInfo struct {
 func ReachingDefs(cfg *sass.CFG) *ReachInfo {
 	ri := &ReachInfo{cfg: cfg, byReg: map[int][]int{}}
 	siteAt := map[int][]int{} // instr -> site bit indices
+	var defBuf [16]int
 	for i := range cfg.Kernel.Instrs {
-		defs, _ := instrDefs(&cfg.Kernel.Instrs[i])
-		for _, d := range defs {
+		for _, d := range appendDefs(defBuf[:0], &cfg.Kernel.Instrs[i]) {
 			bit := len(ri.Sites)
 			ri.Sites = append(ri.Sites, DefSite{Instr: i, Reg: d})
 			ri.byReg[d] = append(ri.byReg[d], bit)
@@ -462,8 +414,9 @@ func ReachingDefs(cfg *sass.CFG) *ReachInfo {
 		kill[b] = NewBits(nbits)
 		blk := cfg.Blocks[b]
 		for i := blk.Start; i < blk.End; i++ {
-			defs, uncond := instrDefs(&cfg.Kernel.Instrs[i])
-			if uncond {
+			in := &cfg.Kernel.Instrs[i]
+			defs := appendDefs(defBuf[:0], in)
+			if in.Guard.IsAlways() {
 				// An unconditional def kills every other site of the same
 				// register, including earlier gens in this block.
 				for _, d := range defs {
@@ -493,9 +446,11 @@ func ReachingDefs(cfg *sass.CFG) *ReachInfo {
 func (ri *ReachInfo) ReachingAt(idx int, reg int) []int {
 	blk := ri.cfg.BlockOf(idx)
 	cur := ri.In[blk.ID].Copy()
+	var defBuf [16]int
 	for i := blk.Start; i < idx; i++ {
-		defs, uncond := instrDefs(&ri.cfg.Kernel.Instrs[i])
-		if uncond {
+		in := &ri.cfg.Kernel.Instrs[i]
+		defs := appendDefs(defBuf[:0], in)
+		if in.Guard.IsAlways() {
 			for _, d := range defs {
 				for _, s := range ri.byReg[d] {
 					cur.Clear(s)
@@ -519,58 +474,6 @@ func (ri *ReachInfo) ReachingAt(idx int, reg int) []int {
 	return out
 }
 
-// LiveSets is per-block liveness over the regspace, computed with the
-// generic framework. It deliberately re-derives what sass.ComputeLiveness
-// computes instruction-by-instruction; the two implementations are
-// cross-checked against each other by the property tests.
-type LiveSets struct {
-	In, Out []Bits
-}
-
-// BlockLiveness solves backward liveness over the regspace: a register is
-// live-in at a block if some path from the block start reaches a read of
-// it with no unconditional write in between. Guarded destinations count
-// as reads only when the register may have been assigned on some path
-// (see instrUses), matching sass.ComputeLiveness.
-func BlockLiveness(cfg *sass.CFG) *LiveSets {
-	maybe := maybeAssignedIn(cfg)
-	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb)  // upward-exposed uses
-	kill := make([]Bits, nb) // unconditional defs
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(regSpaceBits)
-		kill[b] = NewBits(regSpaceBits)
-		blk := cfg.Blocks[b]
-		// Walk backward so earlier uses shadow later kills correctly:
-		// live = (live − kill_i) ∪ use_i composed bottom-up.
-		for i := blk.End - 1; i >= blk.Start; i-- {
-			in := &cfg.Kernel.Instrs[i]
-			if in.Op == sass.OpCAL || in.Op == sass.OpRET {
-				// No call edges in the CFG: the callee (CAL) or the return
-				// continuation (RET) may read anything. Mirrors the same
-				// rule in sass.ComputeLiveness.
-				for k := 0; k < regSpaceBits; k++ {
-					gen[b].Set(k)
-				}
-			}
-			defs, uncond := instrDefs(in)
-			if uncond {
-				for _, d := range defs {
-					kill[b].Set(d)
-					gen[b].Clear(d)
-				}
-			}
-			for _, u := range instrUses(in, maybe[i]) {
-				gen[b].Set(u)
-			}
-		}
-	}
-	in, out := Solve(cfg, Problem{
-		Dir: Backward, Meet: Union, Bits: regSpaceBits, Gen: gen, Kill: kill,
-	})
-	return &LiveSets{In: in, Out: out}
-}
-
 // UninitRead is a read of a register that is not definitely assigned on
 // every path from kernel entry.
 type UninitRead struct {
@@ -592,79 +495,101 @@ type UninitRead struct {
 // pair is tracked block-locally and accepted until the guard predicate is
 // redefined.
 func MaybeUninitReads(cfg *sass.CFG) []UninitRead {
-	maybe := maybeAssignedIn(cfg)
+	instrs := cfg.Kernel.Instrs
 	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb) // definitely assigned by the block
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(regSpaceBits)
-		blk := cfg.Blocks[b]
+	// Two forward problems share the walk: which registers may have been
+	// assigned on some path (any def; a guarded destination merges a real
+	// old value only then) and which are assigned on every path
+	// (unconditional defs). Both keep block-entry states only; the walk
+	// below replays each block's defs from them.
+	const condSlots = 2 * (sass.PT + 1) // guards: predicate × negation
+	sets := newBitsTable(2*nb+3+condSlots, regSpaceBits)
+	mayGen, mustGen := sets[:nb:nb], sets[nb:2*nb:2*nb]
+	boundary, maybe, assigned := sets[2*nb], sets[2*nb+1], sets[2*nb+2]
+	// cond[g] = registers assigned under guard g since g's predicate was
+	// last written (block-local); condLive marks the slots in use.
+	cond := sets[2*nb+3:]
+	guardSlot := func(g sass.PredGuard) int {
+		slot := int(g.Reg&sass.PT) << 1
+		if g.Neg {
+			slot |= 1
+		}
+		return slot
+	}
+	var defBuf, useBuf [16]int
+	for b, blk := range cfg.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
-			defs, uncond := instrDefs(&cfg.Kernel.Instrs[i])
-			if uncond {
-				for _, d := range defs {
-					gen[b].Set(d)
+			for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
+				mayGen[b].Set(d)
+				if instrs[i].Guard.IsAlways() {
+					mustGen[b].Set(d)
 				}
 			}
 		}
 	}
-	boundary := NewBits(regSpaceBits)
 	boundary.Set(GPRBit(sass.SP))
-	blockIn, _ := Solve(cfg, Problem{
+	mayIn, _ := Solve(cfg, Problem{
+		Dir: Forward, Meet: Union, Bits: regSpaceBits,
+		Gen: mayGen, Boundary: boundary,
+	})
+	mustIn, _ := Solve(cfg, Problem{
 		Dir: Forward, Meet: Intersect, Bits: regSpaceBits,
-		Gen: gen, Boundary: boundary,
+		Gen: mustGen, Boundary: boundary,
 	})
 
 	var reads []UninitRead
-	for b := 0; b < nb; b++ {
-		blk := cfg.Blocks[b]
-		assigned := blockIn[b].Copy()
-		// condAssigned[g] = registers assigned under guard g since g's
-		// predicate was last written (block-local).
-		condAssigned := map[sass.PredGuard]Bits{}
+	for b, blk := range cfg.Blocks {
+		maybe.CopyFrom(mayIn[b])
+		assigned.CopyFrom(mustIn[b])
+		condLive := uint32(0)
 		for i := blk.Start; i < blk.End; i++ {
-			in := &cfg.Kernel.Instrs[i]
-			// Genuine source reads, as opposed to a guarded destination's
-			// merge of the old value: operands, guard, carry-in.
-			var srcUses []int
-			for _, r := range in.GPRSrcs() {
-				srcUses = append(srcUses, GPRBit(r))
-			}
-			for _, p := range in.PredSrcs() {
-				srcUses = append(srcUses, PredBit(p))
-			}
-			if in.Mods.X {
-				srcUses = append(srcUses, CCBit())
-			}
+			in := &instrs[i]
+			guarded := !in.Guard.IsAlways()
 			var condOK Bits
-			if !in.Guard.IsAlways() {
-				condOK = condAssigned[in.Guard]
+			if slot := guardSlot(in.Guard); guarded && condLive&(1<<slot) != 0 {
+				condOK = cond[slot]
 			}
-			for _, u := range instrUses(in, maybe[i]) {
+			read := func(u int, merge bool) {
 				if !assigned.Has(u) && !condOK.Has(u) {
-					reads = append(reads, UninitRead{
-						Instr: i, Reg: u, Merge: !containsInt(srcUses, u),
-					})
+					reads = append(reads, UninitRead{Instr: i, Reg: u, Merge: merge})
 				}
 			}
-			defs, uncond := instrDefs(in)
-			if uncond {
+			srcUses := appendSrcUses(useBuf[:0], in)
+			for _, u := range srcUses {
+				read(u, false)
+			}
+			defs := appendDefs(defBuf[:0], in)
+			switch {
+			case !guarded:
 				for _, d := range defs {
 					assigned.Set(d)
 				}
-			} else if len(defs) > 0 {
-				ca := condAssigned[in.Guard]
-				if ca == nil {
-					ca = NewBits(regSpaceBits)
-					condAssigned[in.Guard] = ca
+			case len(defs) > 0:
+				// A predicated destination merges the old register value on
+				// inactive lanes, so it counts as a read too — unless the
+				// register cannot have been assigned on any path here, in
+				// which case the merged-in value is garbage on every lane
+				// and no correct program can depend on it.
+				for _, d := range defs {
+					if maybe.Has(d) {
+						read(d, !containsInt(srcUses, d))
+					}
+				}
+				slot := guardSlot(in.Guard)
+				if condLive&(1<<slot) == 0 {
+					condLive |= 1 << slot
+					clear(cond[slot])
 				}
 				for _, d := range defs {
-					ca.Set(d)
+					cond[slot].Set(d)
 				}
 			}
-			// A write to a predicate invalidates facts conditional on it.
-			for _, p := range in.PredDsts() {
-				delete(condAssigned, sass.PredGuard{Reg: p})
-				delete(condAssigned, sass.PredGuard{Reg: p, Neg: true})
+			for _, d := range defs {
+				maybe.Set(d)
+				// A write to a predicate invalidates facts conditional on it.
+				if p := d - predBase; d >= predBase && d < ccIndex {
+					condLive &^= 3 << (2 * p)
+				}
 			}
 		}
 	}

@@ -180,28 +180,6 @@ func TestReachingDefsAcrossDiamond(t *testing.T) {
 	}
 }
 
-func TestBlockLivenessDiamond(t *testing.T) {
-	k := diamondKernel(t)
-	cfg, err := sass.BuildCFG(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls := BlockLiveness(cfg)
-	entry := cfg.BlockOf(0)
-	if !ls.In[entry.ID].Has(GPRBit(2)) {
-		t.Error("R2 (compared at entry) must be live-in at the entry block")
-	}
-	if ls.In[entry.ID].Has(GPRBit(3)) {
-		t.Error("R3 is written before any read; it must not be live-in at entry")
-	}
-	// P0's last read is the guarded BRA in the entry block; it is dead in
-	// both arms.
-	thenB := cfg.BlockOf(2)
-	if ls.In[thenB.ID].Has(PredBit(0)) {
-		t.Error("P0 must be dead by the then-arm")
-	}
-}
-
 func TestMaybeUninitReadsMergeFlag(t *testing.T) {
 	// R5 written once unconditionally, then merged under a never-before
 	// assigned predicate path: only the genuine source read of R6 and the

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"strconv"
 
 	"sassi/internal/sass"
 )
@@ -44,50 +43,55 @@ const (
 func CheckDivergenceStack(k *sass.Kernel) []Diagnostic {
 	n := len(k.Instrs)
 	var diags []Diagnostic
-	reported := map[string]bool{}
+	type finding struct {
+		instr int
+		msg   string
+	}
+	reported := map[finding]bool{}
 	report := func(sev Severity, i int, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		key := strconv.Itoa(i) + "\x00" + msg
-		if reported[key] {
+		f := finding{i, fmt.Sprintf(format, args...)}
+		if reported[f] {
 			return
 		}
-		reported[key] = true
+		reported[f] = true
 		diags = append(diags, Diagnostic{
-			Sev: sev, Check: CheckDivergence, Kernel: k.Name, Instr: i, Msg: msg,
+			Sev: sev, Check: CheckDivergence, Kernel: k.Name, Instr: i, Msg: f.msg,
 		})
 	}
 
+	// A state is a pc plus the two stacks, each named by its node in one
+	// hash-consed table: equal stacks have equal IDs, a push is a lookup
+	// and a pop is a parent link, so no path copies a stack.
 	type state struct {
-		pc   int
-		div  []int // SSY reconvergence targets, innermost last
-		call []int // CAL return addresses, innermost last
+		pc        int
+		div, call stackID // SSY reconvergence targets; CAL return addresses
 	}
-	keyOf := func(s state) string {
-		b := make([]byte, 0, 8+4*(len(s.div)+len(s.call)))
-		b = strconv.AppendInt(b, int64(s.pc), 10)
-		for _, t := range s.div {
-			b = append(b, 'd')
-			b = strconv.AppendInt(b, int64(t), 10)
-		}
-		for _, t := range s.call {
-			b = append(b, 'c')
-			b = strconv.AppendInt(b, int64(t), 10)
-		}
-		return string(b)
-	}
+	stacks := newStackTable()
 
-	seen := map[string]bool{}
+	// The memo. Nearly every pc is only ever reached with one pair of
+	// stacks: first[pc] holds that pair (+1, so 0 means none yet) and only a
+	// pc's further pairs go to the map. Pushed pcs lie in [0, n].
+	first := make([]uint64, n+1)
+	more := map[state]bool{}
+	seen := 0
 	work := []state{{pc: 0}}
 	push := func(s state) {
-		if key := keyOf(s); !seen[key] {
-			seen[key] = true
-			work = append(work, s)
+		pair := (uint64(s.div)<<32 | uint64(s.call)) + 1
+		switch {
+		case first[s.pc] == pair || more[s]:
+			return
+		case first[s.pc] == 0:
+			first[s.pc] = pair
+		default:
+			more[s] = true
 		}
+		seen++
+		work = append(work, s)
 	}
 	truncated := false
 
 	for len(work) > 0 {
-		if len(seen) > maxDivStates {
+		if seen > maxDivStates {
 			truncated = true
 			break
 		}
@@ -113,24 +117,24 @@ func CheckDivergenceStack(k *sass.Kernel) []Diagnostic {
 			if !ok || t.Imm < 0 || t.Imm > int64(n) {
 				continue // structural check reports it
 			}
-			if len(s.div) >= maxDivDepth {
+			if stacks.depth(s.div) >= maxDivDepth {
 				report(Error, s.pc, "divergence stack exceeds depth %d (runaway SSY nesting)", maxDivDepth)
 				continue
 			}
 			ns := succ(s.pc + 1)
-			ns.div = append(append([]int{}, s.div...), int(t.Imm))
+			ns.div = stacks.push(s.div, int(t.Imm))
 			push(ns)
 
 		case sass.OpSYNC:
 			if guarded {
 				report(Warning, s.pc, "guard on SYNC is ignored by the warp scheduler")
 			}
-			if len(s.div) == 0 {
+			if s.div == emptyStack {
 				report(Error, s.pc, "SYNC with empty divergence stack (warp would silently retire)")
 				continue
 			}
-			ns := state{pc: s.div[len(s.div)-1], div: s.div[:len(s.div)-1], call: s.call}
-			push(ns)
+			target, rest := stacks.pop(s.div)
+			push(state{pc: target, div: rest, call: s.call})
 
 		case sass.OpBRA:
 			t, ok := in.BranchTarget()
@@ -157,24 +161,24 @@ func CheckDivergenceStack(k *sass.Kernel) []Diagnostic {
 			if guarded {
 				report(Warning, s.pc, "guarded CAL diverges unless the guard is warp-uniform (the backend rejects divergent CAL)")
 			}
-			if len(s.call) >= maxCallDepth {
+			if stacks.depth(s.call) >= maxCallDepth {
 				report(Error, s.pc, "call stack exceeds depth %d (unbounded recursion?)", maxCallDepth)
 				continue
 			}
 			ns := succ(int(t.Imm))
-			ns.call = append(append([]int{}, s.call...), s.pc+1)
+			ns.call = stacks.push(s.call, s.pc+1)
 			push(ns)
 			if guarded {
 				push(succ(s.pc + 1))
 			}
 
 		case sass.OpRET:
-			if len(s.call) == 0 {
+			if s.call == emptyStack {
 				report(Error, s.pc, "RET with empty call stack")
 				continue
 			}
-			ns := state{pc: s.call[len(s.call)-1], div: s.div, call: s.call[:len(s.call)-1]}
-			push(ns)
+			ret, rest := stacks.pop(s.call)
+			push(state{pc: ret, div: s.div, call: rest})
 			if guarded {
 				push(succ(s.pc + 1))
 			}
@@ -193,4 +197,44 @@ func CheckDivergenceStack(k *sass.Kernel) []Diagnostic {
 		report(Warning, -1, "divergence analysis truncated after %d states; remaining paths unchecked", maxDivStates)
 	}
 	return diags
+}
+
+// stackID names an immutable stack of ints in a stackTable.
+type stackID int32
+
+const emptyStack stackID = 0
+
+type stackNode struct {
+	below stackID
+	top   int
+	depth int // of the stack this node is the top of
+}
+
+// stackTable hash-conses stacks: pushing the same value onto the same stack
+// always yields the same ID, so stacks compare by ID.
+type stackTable struct {
+	nodes []stackNode // nodes[id]; nodes[emptyStack] is the zero node
+	ids   map[stackNode]stackID
+}
+
+func newStackTable() *stackTable {
+	return &stackTable{nodes: make([]stackNode, 1), ids: map[stackNode]stackID{}}
+}
+
+func (t *stackTable) depth(s stackID) int { return t.nodes[s].depth }
+
+func (t *stackTable) push(s stackID, v int) stackID {
+	n := stackNode{below: s, top: v, depth: t.nodes[s].depth + 1}
+	id, ok := t.ids[n]
+	if !ok {
+		id = stackID(len(t.nodes))
+		t.nodes = append(t.nodes, n)
+		t.ids[n] = id
+	}
+	return id
+}
+
+// pop returns the top of non-empty stack s and the stack below it.
+func (t *stackTable) pop(s stackID) (top int, below stackID) {
+	return t.nodes[s].top, t.nodes[s].below
 }

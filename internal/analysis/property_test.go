@@ -13,16 +13,12 @@ import (
 // framework against the instruction-level analyses in internal/sass on
 // every kernel of every built-in workload:
 //
-//  1. BlockLiveness (framework, block granularity) agrees with
-//     sass.ComputeLiveness (hand-rolled, instruction granularity) at every
-//     block boundary — two independent implementations of the paper's
-//     "compiler knows exactly which registers to spill" claim;
-//  2. every maybe-uninitialized read MaybeUninitReads reports is of a
+//  1. every maybe-uninitialized read MaybeUninitReads reports is of a
 //     register that liveness also sees as live at the reading instruction;
-//  3. every genuine register source read either has a reaching definition
+//  2. every genuine register source read either has a reaching definition
 //     or is reported by the definite-assignment analysis (nothing reads a
 //     value no analysis can account for);
-//  4. the entry block dominates every reachable block.
+//  3. the entry block dominates every reachable block.
 func TestWorkloadDataflowProperties(t *testing.T) {
 	for _, name := range workloads.Names() {
 		name := name
@@ -47,36 +43,11 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 		t.Fatalf("kernel %s: %v", k.Name, err)
 	}
 	li := sass.ComputeLiveness(cfg)
-	ls := analysis.BlockLiveness(cfg)
 	ri := analysis.ReachingDefs(cfg)
 	dom := analysis.Dominators(cfg)
 	uninit := analysis.MaybeUninitReads(cfg)
 
-	// (1) Framework liveness vs instruction-level liveness at block starts.
-	for _, blk := range cfg.Blocks {
-		if blk.Start >= len(k.Instrs) {
-			continue
-		}
-		in := ls.In[blk.ID]
-		for r := 0; r < sass.NumGPR; r++ {
-			if got, want := in.Has(analysis.GPRBit(uint8(r))), li.LiveIn[blk.Start].Has(uint8(r)); got != want {
-				t.Errorf("kernel %s block %d: R%d live-in: framework=%t instruction-level=%t",
-					k.Name, blk.ID, r, got, want)
-			}
-		}
-		for p := uint8(0); p < sass.NumPred; p++ {
-			if got, want := in.Has(analysis.PredBit(p)), li.PredLiveIn[blk.Start].Has(p); got != want {
-				t.Errorf("kernel %s block %d: P%d live-in: framework=%t instruction-level=%t",
-					k.Name, blk.ID, p, got, want)
-			}
-		}
-		if got, want := in.Has(analysis.CCBit()), li.CCLiveIn[blk.Start]; got != want {
-			t.Errorf("kernel %s block %d: CC live-in: framework=%t instruction-level=%t",
-				k.Name, blk.ID, got, want)
-		}
-	}
-
-	// (2) Every maybe-uninit read is of a register live at the read.
+	// (1) Every maybe-uninit read is of a register live at the read.
 	uninitAt := map[[2]int]bool{}
 	for _, u := range uninit {
 		uninitAt[[2]int{u.Instr, u.Reg}] = true
@@ -99,7 +70,7 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 		}
 	}
 
-	// Reachability from the entry block, for (3) and (4).
+	// Reachability from the entry block, for (2) and (3).
 	reachable := make([]bool, len(cfg.Blocks))
 	stack := []int{0}
 	reachable[0] = true
@@ -114,7 +85,7 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 		}
 	}
 
-	// (3) Accounted reads: reaching def, def-assign report, or the
+	// (2) Accounted reads: reaching def, def-assign report, or the
 	// ABI-initialized stack pointer.
 	for i := range k.Instrs {
 		if !reachable[cfg.BlockOf(i).ID] {
@@ -137,7 +108,7 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 		}
 	}
 
-	// (4) The entry block dominates every reachable block.
+	// (3) The entry block dominates every reachable block.
 	for _, blk := range cfg.Blocks {
 		if reachable[blk.ID] && !analysis.Dominates(dom, 0, blk.ID) {
 			t.Errorf("kernel %s: entry does not dominate reachable block %d", k.Name, blk.ID)

@@ -6,11 +6,13 @@ import (
 	"sassi/internal/sass"
 )
 
-// CheckRoundTripEncoding serializes the kernel with MarshalBinary,
-// deserializes it, and requires the result to be semantically identical:
-// every instruction field the encoding carries must survive Encode→Decode
-// unchanged. (The Comment field is debug-only and deliberately not
-// encoded; it is excluded from the comparison.)
+// CheckRoundTripEncoding serializes the kernel with MarshalBinary, decodes
+// the bytes again one instruction at a time, and requires the result to be
+// semantically identical: every field the encoding carries must survive
+// Encode→Decode unchanged. (The Comment field is debug-only and deliberately
+// not encoded; it is excluded from the comparison.) The decoded kernel is
+// never materialized: each instruction is decoded into one scratch value and
+// compared against its original on the spot.
 func CheckRoundTripEncoding(k *sass.Kernel) []Diagnostic {
 	kernelDiag := func(format string, args ...any) []Diagnostic {
 		return []Diagnostic{{
@@ -22,71 +24,127 @@ func CheckRoundTripEncoding(k *sass.Kernel) []Diagnostic {
 	if err != nil {
 		return kernelDiag("encode failed: %v", err)
 	}
-	var dec sass.Kernel
-	if err := dec.UnmarshalBinary(data); err != nil {
+	diags, err := diffEncoding(k, data, CheckRoundTrip)
+	if err != nil {
 		return kernelDiag("decode of own encoding failed: %v", err)
 	}
-	return DiffKernels(k, &dec, CheckRoundTrip)
+	return diags
 }
 
-// DiffKernels compares two kernels field by field and reports every
-// difference as an error diagnostic under the given check name,
-// positioned in kernel a. It is the comparison core of both the
-// round-trip check and the round-trip unit tests (which corrupt the
-// decoded copy and expect the differences found).
-func DiffKernels(a, b *sass.Kernel, check string) []Diagnostic {
-	var diags []Diagnostic
-	bad := func(i int, format string, args ...any) {
-		diags = append(diags, Diagnostic{
-			Sev: Error, Check: check, Kernel: a.Name, Instr: i,
-			Msg: fmt.Sprintf(format, args...),
-		})
-	}
+// kernelDiff collects the differences between kernel a and another
+// rendition of it as error diagnostics positioned in a.
+type kernelDiff struct {
+	a          *sass.Kernel
+	check      string
+	diags      []Diagnostic
+	instrDiffs int
+}
+
+func (d *kernelDiff) bad(i int, format string, args ...any) {
+	d.diags = append(d.diags, Diagnostic{
+		Sev: Error, Check: d.check, Kernel: d.a.Name, Instr: i,
+		Msg: fmt.Sprintf(format, args...),
+	})
+}
+
+// header compares everything but the instruction stream.
+func (d *kernelDiff) header(b *sass.Kernel) {
+	a := d.a
 	if a.Name != b.Name {
-		bad(-1, "name %q became %q", a.Name, b.Name)
+		d.bad(-1, "name %q became %q", a.Name, b.Name)
 	}
 	if a.NumRegs != b.NumRegs || a.NumPreds != b.NumPreds {
-		bad(-1, "register counts (%d GPR, %d pred) became (%d, %d)",
+		d.bad(-1, "register counts (%d GPR, %d pred) became (%d, %d)",
 			a.NumRegs, a.NumPreds, b.NumRegs, b.NumPreds)
 	}
 	if a.SharedBytes != b.SharedBytes || a.LocalBytes != b.LocalBytes {
-		bad(-1, "memory sizes (shared %d, local %d) became (%d, %d)",
+		d.bad(-1, "memory sizes (shared %d, local %d) became (%d, %d)",
 			a.SharedBytes, a.LocalBytes, b.SharedBytes, b.LocalBytes)
 	}
 	if len(a.Params) != len(b.Params) {
-		bad(-1, "parameter count %d became %d", len(a.Params), len(b.Params))
+		d.bad(-1, "parameter count %d became %d", len(a.Params), len(b.Params))
 	} else {
 		for i := range a.Params {
 			if a.Params[i] != b.Params[i] {
-				bad(-1, "parameter %d %+v became %+v", i, a.Params[i], b.Params[i])
+				d.bad(-1, "parameter %d %+v became %+v", i, a.Params[i], b.Params[i])
 			}
 		}
 	}
 	if len(a.Labels) != len(b.Labels) {
-		bad(-1, "label count %d became %d", len(a.Labels), len(b.Labels))
+		d.bad(-1, "label count %d became %d", len(a.Labels), len(b.Labels))
 	} else {
 		for name, idx := range a.Labels {
 			if got, ok := b.Labels[name]; !ok || got != idx {
-				bad(-1, "label %q index %d became %d (present=%t)", name, idx, got, ok)
+				d.bad(-1, "label %q index %d became %d (present=%t)", name, idx, got, ok)
 			}
 		}
 	}
-	if len(a.Instrs) != len(b.Instrs) {
-		bad(-1, "instruction count %d became %d", len(a.Instrs), len(b.Instrs))
-		return diags
+}
+
+// sameLen compares the instruction counts; only equal-length streams are
+// compared instruction by instruction.
+func (d *kernelDiff) sameLen(n int) bool {
+	if len(d.a.Instrs) != n {
+		d.bad(-1, "instruction count %d became %d", len(d.a.Instrs), n)
+		return false
 	}
+	return true
+}
+
+// instr compares a's instruction i against b, reporting the first
+// maxInstrDiffs differing instructions.
+func (d *kernelDiff) instr(i int, b *sass.Instruction) {
 	const maxInstrDiffs = 8
-	reportedInstrs := 0
-	for i := range a.Instrs {
-		if msg := instrDiff(&a.Instrs[i], &b.Instrs[i]); msg != "" {
-			if reportedInstrs++; reportedInstrs > maxInstrDiffs {
-				bad(-1, "further instruction differences suppressed")
-				break
-			}
-			bad(i, "instruction changed: %s", msg)
+	if d.instrDiffs > maxInstrDiffs {
+		return
+	}
+	if msg := instrDiff(&d.a.Instrs[i], b); msg != "" {
+		if d.instrDiffs++; d.instrDiffs > maxInstrDiffs {
+			d.bad(-1, "further instruction differences suppressed")
+			return
+		}
+		d.bad(i, "instruction changed: %s", msg)
+	}
+}
+
+// DiffKernels compares two kernels field by field and reports every
+// difference as an error diagnostic under the given check name,
+// positioned in kernel a. The round-trip check makes the same comparison
+// against a byte stream (diffEncoding); the round-trip unit tests corrupt a
+// decoded copy and expect the differences found by both.
+func DiffKernels(a, b *sass.Kernel, check string) []Diagnostic {
+	d := kernelDiff{a: a, check: check}
+	d.header(b)
+	if d.sameLen(len(b.Instrs)) {
+		for i := range b.Instrs {
+			d.instr(i, &b.Instrs[i])
 		}
 	}
-	return diags
+	return d.diags
+}
+
+// diffEncoding is DiffKernels(a, b) for the kernel b that data encodes,
+// decoding b one instruction at a time into a scratch value. An encoding
+// that does not decode is an error, whatever differences preceded it.
+func diffEncoding(a *sass.Kernel, data []byte, check string) ([]Diagnostic, error) {
+	d := kernelDiff{a: a, check: check}
+	var hdr sass.Kernel
+	dec, err := sass.DecodeKernelHeader(data, &hdr)
+	if err != nil {
+		return nil, err
+	}
+	d.header(&hdr)
+	same := d.sameLen(dec.Len())
+	var scratch sass.Instruction
+	for i := 0; dec.Len() > 0; i++ {
+		if err := dec.Next(&scratch); err != nil {
+			return nil, err
+		}
+		if same {
+			d.instr(i, &scratch)
+		}
+	}
+	return d.diags, nil
 }
 
 // instrDiff describes the first semantic difference between two

@@ -128,11 +128,15 @@ func checkOperands(k *sass.Kernel, i int, in *sass.Instruction, bad func(int, st
 		bad(i, "undefined width modifier %d", w)
 		w = sass.W32
 	}
-	all := make([]sass.Operand, 0, len(in.Dsts)+len(in.Srcs))
-	all = append(all, in.Dsts...)
-	all = append(all, in.Srcs...)
-	for oi, o := range all {
+	// Operands are numbered across both lists, destinations first.
+	for oi := 0; oi < len(in.Dsts)+len(in.Srcs); oi++ {
 		isDst := oi < len(in.Dsts)
+		var o sass.Operand
+		if isDst {
+			o = in.Dsts[oi]
+		} else {
+			o = in.Srcs[oi-len(in.Dsts)]
+		}
 		switch o.Kind {
 		case sass.OpdNone:
 			bad(i, "operand %d is missing", oi)

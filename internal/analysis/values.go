@@ -573,8 +573,8 @@ func growDivergenceMasks(cfg *sass.CFG, v *Valuation, divMask []Bits) bool {
 			for _, rb := range region {
 				rblk := cfg.Blocks[rb]
 				for j := rblk.Start; j < rblk.End; j++ {
-					defs, _ := instrDefs(&cfg.Kernel.Instrs[j])
-					for _, d := range defs {
+					var defBuf [16]int
+					for _, d := range appendDefs(defBuf[:0], &cfg.Kernel.Instrs[j]) {
 						mask.Set(d)
 					}
 				}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -264,6 +265,15 @@ func TestRoundTripDiffDetectsCorruption(t *testing.T) {
 	if diags := DiffKernels(k, decode(), CheckRoundTrip); len(diags) != 0 {
 		t.Fatalf("identical kernels differ: %v", diags)
 	}
+	// A stream that stops decoding is an error whatever differences came
+	// before it, as it was when the whole kernel was decoded first.
+	enc, err := k.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if diags, err := diffEncoding(k, enc[:len(enc)-1], CheckRoundTrip); err == nil {
+		t.Fatalf("truncated encoding compared without error: %v", diags)
+	}
 
 	mutations := []struct {
 		name   string
@@ -281,7 +291,21 @@ func TestRoundTripDiffDetectsCorruption(t *testing.T) {
 		t.Run(m.name, func(t *testing.T) {
 			d := decode()
 			m.mutate(d)
-			wantError(t, DiffKernels(k, d, CheckRoundTrip), CheckRoundTrip, m.want)
+			diags := DiffKernels(k, d, CheckRoundTrip)
+			wantError(t, diags, CheckRoundTrip, m.want)
+			// The check itself compares against bytes, one decoded
+			// instruction at a time: it must find what DiffKernels finds.
+			data, err := d.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := diffEncoding(k, data, CheckRoundTrip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(streamed, diags) {
+				t.Errorf("streamed comparison reports\n%v\nDiffKernels\n%v", streamed, diags)
+			}
 		})
 	}
 }

@@ -178,6 +178,7 @@ func (c *Campaign) Run() (*Result, error) {
 
 	var profiles []launchProfile
 	var maxWarpInstrs uint64
+	zero := make([]byte, 8*maxThreads) // resets the counters between launches
 	profCtx.Subscribe(cuda.LaunchCallbacks{
 		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
 			counts, rerr := prof.Counts()
@@ -193,7 +194,6 @@ func (c *Campaign) Run() (*Result, error) {
 				maxWarpInstrs = stats.MaxWarpInstrs
 			}
 			// Reset for the next launch.
-			zero := make([]byte, 8*maxThreads)
 			_ = profCtx.MemcpyHtoD(profPtr(prof), zero)
 		},
 	})

@@ -75,9 +75,10 @@ func Compile(m *ptx.Module, opts Options) (*sass.Program, error) {
 // CompileFunc lowers a single kernel.
 func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 	if !opts.NoCopyProp {
-		copyPropagate(f)
-		deadCodeEliminate(f)
-		reduceDeadAtomics(f)
+		st := newValueStats(f)
+		copyPropagate(f, st)
+		deadCodeEliminate(f, st)
+		reduceDeadAtomics(f, st)
 	}
 	ivs, err := liveAnalysis(f)
 	if err != nil {
@@ -116,9 +117,10 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 }
 
 // coalesceMovs removes MOV Rd, Rd no-ops that register allocation created
-// by assigning a copy's source and destination the same register.
+// by assigning a copy's source and destination the same register,
+// compacting the stream in place.
 func coalesceMovs(k *sass.Kernel) {
-	keep := make([]sass.Instruction, 0, len(k.Instrs))
+	keep := k.Instrs[:0]
 	// oldIdx -> newIdx mapping for label fixup.
 	remap := make([]int, len(k.Instrs)+1)
 	for i := range k.Instrs {
@@ -224,25 +226,26 @@ func labelRefCount(k *sass.Kernel, name string) int {
 	return n
 }
 
-// removeInstrs deletes the given (sorted ascending) instruction indices and
-// remaps labels.
+// removeInstrs deletes the given (sorted ascending) instruction indices,
+// compacting the stream in place, and remaps labels.
 func removeInstrs(k *sass.Kernel, drop []int) {
-	dropSet := map[int]bool{}
-	for _, d := range drop {
-		dropSet[d] = true
+	for name, idx := range k.Labels {
+		// A label moves up by the number of dropped instructions before it.
+		shift := 0
+		for _, d := range drop {
+			if d < idx {
+				shift++
+			}
+		}
+		k.Labels[name] = idx - shift
 	}
-	remap := make([]int, len(k.Instrs)+1)
-	keep := make([]sass.Instruction, 0, len(k.Instrs))
+	keep := k.Instrs[:0]
 	for i := range k.Instrs {
-		remap[i] = len(keep)
-		if dropSet[i] {
+		if len(drop) > 0 && drop[0] == i {
+			drop = drop[1:]
 			continue
 		}
 		keep = append(keep, k.Instrs[i])
 	}
-	remap[len(k.Instrs)] = len(keep)
 	k.Instrs = keep
-	for name, idx := range k.Labels {
-		k.Labels[name] = remap[idx]
-	}
 }

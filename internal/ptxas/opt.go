@@ -11,26 +11,40 @@ import (
 // production backend would, so that SASSI later instruments optimized code
 // (the paper: injection happens after all compile-time optimization).
 
-// valueStats counts definitions and uses of every virtual register.
+// valueStats counts definitions and uses of every virtual register, in
+// slices indexed by value ID. One is built per function and recounted by
+// each pass that needs fresh numbers: the passes only ever remove values.
 type valueStats struct {
-	defs map[int32]int
-	uses map[int32]int
+	defs, uses []int32
 }
 
-func collectStats(f *ptx.Func) valueStats {
-	s := valueStats{defs: map[int32]int{}, uses: map[int32]int{}}
+func newValueStats(f *ptx.Func) *valueStats {
+	nv := int32(0) // one past the highest value ID
+	for i := range f.Instrs {
+		in := &f.Instrs[i]
+		for _, v := range [...]ptx.Value{in.Dst, in.A, in.B, in.C, in.Guard} {
+			nv = max(nv, v.ID()+1)
+		}
+	}
+	counts := make([]int32, 2*nv)
+	return &valueStats{defs: counts[:nv], uses: counts[nv:]}
+}
+
+// count recounts f's instructions.
+func (s *valueStats) count(f *ptx.Func) {
+	clear(s.defs)
+	clear(s.uses)
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		if in.Dst.Valid() {
 			s.defs[in.Dst.ID()]++
 		}
-		for _, v := range []ptx.Value{in.A, in.B, in.C, in.Guard} {
+		for _, v := range [...]ptx.Value{in.A, in.B, in.C, in.Guard} {
 			if v.Valid() {
 				s.uses[v.ID()]++
 			}
 		}
 	}
-	return s
 }
 
 // copyPropagate replaces uses of single-definition copies with their
@@ -38,8 +52,8 @@ func collectStats(f *ptx.Func) valueStats {
 // defined exactly once qualify: single-def values cannot be invalidated by
 // later redefinition, and d's definition dominates its uses in a verified
 // program, so global replacement is sound.
-func copyPropagate(f *ptx.Func) {
-	st := collectStats(f)
+func copyPropagate(f *ptx.Func, st *valueStats) {
+	st.count(f)
 	repl := map[int32]ptx.Value{}
 	resolve := func(v ptx.Value) ptx.Value {
 		for {
@@ -102,8 +116,8 @@ func pureOp(op ptx.Op) bool {
 // carry scheduler-dependent bits to kernel exit — the difftest oracle's
 // engine-axis comparison flagged exactly that. CAS keeps its destination:
 // its result feeds retry loops and dropping it changes the idiom's shape.
-func reduceDeadAtomics(f *ptx.Func) {
-	st := collectStats(f)
+func reduceDeadAtomics(f *ptx.Func, st *valueStats) {
+	st.count(f)
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
 		if in.Op == ptx.OpAtom && in.Atom != sass.AtomCAS &&
@@ -115,9 +129,9 @@ func reduceDeadAtomics(f *ptx.Func) {
 
 // deadCodeEliminate deletes pure instructions whose destinations are never
 // read, iterating to a fixed point (removals can orphan feeders).
-func deadCodeEliminate(f *ptx.Func) {
+func deadCodeEliminate(f *ptx.Func, st *valueStats) {
 	for {
-		st := collectStats(f)
+		st.count(f)
 		keep := f.Instrs[:0]
 		removed := false
 		for i := range f.Instrs {

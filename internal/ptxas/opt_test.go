@@ -42,7 +42,7 @@ func countAtomDsts(f *ptx.Func) (withDst, without int) {
 // (becoming no-return reductions); live fetches must keep theirs.
 func TestReduceDeadAtomics(t *testing.T) {
 	f := deadAtomicFunc(t)
-	reduceDeadAtomics(f)
+	reduceDeadAtomics(f, newValueStats(f))
 	withDst, without := countAtomDsts(f)
 	if withDst != 1 || without != 1 {
 		t.Fatalf("after reduceDeadAtomics: %d atomics keep a dst, %d dropped; want 1 and 1",
@@ -60,7 +60,7 @@ func TestReduceDeadAtomicsKeepsCAS(t *testing.T) {
 			f.Instrs[i].Atom = sass.AtomCAS
 		}
 	}
-	reduceDeadAtomics(f)
+	reduceDeadAtomics(f, newValueStats(f))
 	withDst, without := countAtomDsts(f)
 	if withDst != 2 || without != 0 {
 		t.Fatalf("after reduceDeadAtomics on CAS: %d keep a dst, %d dropped; want 2 and 0",

@@ -1,10 +1,11 @@
 package sass
 
 import (
-	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // Summary-word encoding. SASSI passes each instrumented instruction's static
@@ -100,259 +101,283 @@ func SummaryIsGuarded(w uint32) bool   { return w&(1<<21) != 0 }
 
 const kernelMagic = "SASSKRN1"
 
-// MarshalBinary serializes the kernel to a compact byte format.
+// Fixed byte counts of the format: an instruction is an 11-byte header plus
+// two operand-count bytes, an operand 13 bytes plus its name's length word.
+const (
+	instrHeaderBytes = 11
+	minInstrBytes    = instrHeaderBytes + 2
+	operandBytes     = 13
+	minOperandBytes  = operandBytes + 4
+)
+
+// MarshalBinary serializes the kernel to a compact byte format. Labels are
+// written in name order, so equal kernels have equal encodings.
 func (k *Kernel) MarshalBinary() ([]byte, error) {
-	var b bytes.Buffer
-	b.WriteString(kernelMagic)
-	writeStr := func(s string) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-		b.Write(n[:])
-		b.WriteString(s)
-	}
-	writeU32 := func(v uint32) {
-		var n [4]byte
-		binary.LittleEndian.PutUint32(n[:], v)
-		b.Write(n[:])
-	}
-	writeStr(k.Name)
-	writeU32(uint32(k.NumRegs))
-	writeU32(uint32(k.NumPreds))
-	writeU32(uint32(k.SharedBytes))
-	writeU32(uint32(k.LocalBytes))
-	writeU32(uint32(len(k.Params)))
+	names := make([]string, 0, len(k.Labels))
+	size := len(kernelMagic) + 4 + len(k.Name) + 4*7
 	for _, p := range k.Params {
-		writeStr(p.Name)
-		writeU32(uint32(p.Size))
-		writeU32(uint32(p.Offset))
+		size += 12 + len(p.Name)
 	}
-	writeU32(uint32(len(k.Labels)))
-	for name, idx := range k.Labels {
-		writeStr(name)
-		writeU32(uint32(idx))
+	for name := range k.Labels {
+		names = append(names, name)
+		size += 8 + len(name)
 	}
-	writeU32(uint32(len(k.Instrs)))
+	sort.Strings(names)
 	for i := range k.Instrs {
-		if err := marshalInstr(&b, &k.Instrs[i], writeStr, writeU32); err != nil {
-			return nil, fmt.Errorf("kernel %s instr %d: %w", k.Name, i, err)
+		in := &k.Instrs[i]
+		size += minInstrBytes + minOperandBytes*(len(in.Dsts)+len(in.Srcs))
+		for _, o := range in.Dsts {
+			size += len(o.Name)
+		}
+		for _, o := range in.Srcs {
+			size += len(o.Name)
 		}
 	}
-	return b.Bytes(), nil
+	b := make([]byte, 0, size)
+	b = append(b, kernelMagic...)
+	b = appendStr(b, k.Name)
+	b = appendInt(b, k.NumRegs)
+	b = appendInt(b, k.NumPreds)
+	b = appendInt(b, k.SharedBytes)
+	b = appendInt(b, k.LocalBytes)
+	b = appendInt(b, len(k.Params))
+	for _, p := range k.Params {
+		b = appendStr(b, p.Name)
+		b = appendInt(b, p.Size)
+		b = appendInt(b, p.Offset)
+	}
+	b = appendInt(b, len(names))
+	for _, name := range names {
+		b = appendStr(b, name)
+		b = appendInt(b, k.Labels[name])
+	}
+	b = appendInt(b, len(k.Instrs))
+	for i := range k.Instrs {
+		b = appendInstr(b, &k.Instrs[i])
+	}
+	return b, nil
 }
 
-func marshalInstr(b *bytes.Buffer, in *Instruction, writeStr func(string), writeU32 func(uint32)) error {
-	b.WriteByte(byte(in.Op))
-	b.WriteByte(in.Guard.Reg)
-	flags := byte(0)
-	if in.Guard.Neg {
-		flags |= 1
-	}
-	if in.Injected {
-		flags |= 2
-	}
-	b.WriteByte(flags)
-	// Mods.
-	b.WriteByte(byte(in.Mods.Width))
-	b.WriteByte(byte(in.Mods.Cmp))
-	b.WriteByte(byte(in.Mods.Logic))
-	b.WriteByte(byte(in.Mods.Atom))
-	b.WriteByte(byte(in.Mods.Mufu))
-	b.WriteByte(byte(in.Mods.Vote))
-	b.WriteByte(byte(in.Mods.Shfl))
-	mflags := byte(0)
-	if in.Mods.Unsigned {
-		mflags |= 1
-	}
-	if in.Mods.SetCC {
-		mflags |= 2
-	}
-	if in.Mods.X {
-		mflags |= 4
-	}
-	if in.Mods.E {
-		mflags |= 8
-	}
-	if in.Mods.NegB {
-		mflags |= 16
-	}
-	b.WriteByte(mflags)
-	writeOpds := func(ops []Operand) error {
-		b.WriteByte(byte(len(ops)))
-		for _, o := range ops {
-			b.WriteByte(byte(o.Kind))
-			b.WriteByte(o.Reg)
-			neg := byte(0)
-			if o.Neg {
-				neg = 1
-			}
-			b.WriteByte(neg)
-			b.WriteByte(o.Bank)
-			b.WriteByte(byte(o.SR))
-			var v [8]byte
-			binary.LittleEndian.PutUint64(v[:], uint64(o.Imm))
-			b.Write(v[:])
-			writeStr(o.Name)
+func appendInt(b []byte, v int) []byte {
+	return binary.LittleEndian.AppendUint32(b, uint32(v))
+}
+
+func appendStr(b []byte, s string) []byte {
+	return append(appendInt(b, len(s)), s...)
+}
+
+func flagBits(flags ...bool) byte {
+	var b byte
+	for i, f := range flags {
+		if f {
+			b |= 1 << i
 		}
+	}
+	return b
+}
+
+func appendInstr(b []byte, in *Instruction) []byte {
+	m := &in.Mods
+	b = append(b, byte(in.Op), in.Guard.Reg, flagBits(in.Guard.Neg, in.Injected),
+		byte(m.Width), byte(m.Cmp), byte(m.Logic), byte(m.Atom), byte(m.Mufu),
+		byte(m.Vote), byte(m.Shfl), flagBits(m.Unsigned, m.SetCC, m.X, m.E, m.NegB))
+	for _, ops := range [2][]Operand{in.Dsts, in.Srcs} {
+		b = append(b, byte(len(ops)))
+		for i := range ops {
+			o := &ops[i]
+			b = append(b, byte(o.Kind), o.Reg, flagBits(o.Neg), o.Bank, byte(o.SR))
+			b = binary.LittleEndian.AppendUint64(b, uint64(o.Imm))
+			b = appendStr(b, o.Name)
+		}
+	}
+	return b
+}
+
+// KernelDecoder reads the instruction stream of a MarshalBinary encoding one
+// instruction at a time, straight from the input bytes.
+type KernelDecoder struct {
+	data []byte
+	off  int
+	// err is the first decoding error; once set, every read yields zero.
+	err  error
+	n, i int // instructions declared, instructions decoded
+	// names interns label and symbol names: an instrumented kernel repeats
+	// its handler symbol at every site.
+	names map[string]string
+	// arena backs the operand lists Next cannot fit into the instruction it
+	// is handed (UnmarshalBinary: all of them).
+	arena []Operand
+}
+
+func (d *KernelDecoder) remaining() int { return len(d.data) - d.off }
+
+// take returns the next n input bytes, or nil after an error.
+func (d *KernelDecoder) take(n int) []byte {
+	if d.err == nil && n > d.remaining() {
+		d.err = io.ErrUnexpectedEOF
+	}
+	if d.err != nil {
 		return nil
 	}
-	if err := writeOpds(in.Dsts); err != nil {
-		return err
+	d.off += n
+	return d.data[d.off-n : d.off]
+}
+
+func (d *KernelDecoder) int() int {
+	b := d.take(4)
+	if b == nil {
+		return 0
 	}
-	return writeOpds(in.Srcs)
+	return int(binary.LittleEndian.Uint32(b))
+}
+
+// count reads an element count and caps it by the bytes actually
+// remaining, so a corrupted count cannot drive a huge allocation before the
+// element reads fail.
+func (d *KernelDecoder) count(what string, minSize int) int {
+	n := d.int()
+	if d.err == nil && (n < 0 || n*minSize > d.remaining()) {
+		d.err = fmt.Errorf("%s count %d exceeds remaining input (%d bytes)", what, n, d.remaining())
+	}
+	if d.err != nil {
+		return 0
+	}
+	return n
+}
+
+func (d *KernelDecoder) str() string {
+	n := d.int()
+	if d.err == nil && (n < 0 || n > d.remaining()) {
+		d.err = fmt.Errorf("string length %d exceeds remaining input", n)
+	}
+	b := d.take(n)
+	if len(b) == 0 {
+		return ""
+	}
+	if s, ok := d.names[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	d.names[s] = s
+	return s
+}
+
+// DecodeKernelHeader decodes everything in a MarshalBinary encoding that
+// precedes the instruction stream into k, leaving k.Instrs alone, and
+// returns a decoder positioned at the first instruction.
+func DecodeKernelHeader(data []byte, k *Kernel) (KernelDecoder, error) {
+	d := KernelDecoder{data: data, names: map[string]string{}}
+	if string(d.take(len(kernelMagic))) != kernelMagic {
+		return d, errors.New("bad kernel magic")
+	}
+	k.Name = d.str()
+	k.NumRegs, k.NumPreds, k.SharedBytes, k.LocalBytes = d.int(), d.int(), d.int(), d.int()
+	k.Params = make([]ParamDesc, d.count("param", 12))
+	for i := range k.Params {
+		k.Params[i] = ParamDesc{Name: d.str(), Size: d.int(), Offset: d.int()}
+	}
+	nl := d.count("label", 8)
+	k.Labels = make(map[string]int, nl)
+	for i := 0; i < nl && d.err == nil; i++ {
+		name := d.str()
+		k.Labels[name] = d.int()
+	}
+	d.n = d.count("instruction", minInstrBytes)
+	return d, d.err
+}
+
+// Len returns the number of instructions not yet decoded.
+func (d *KernelDecoder) Len() int { return d.n - d.i }
+
+// Next decodes the next instruction into in, overwriting every encoded
+// field (Comment is not encoded and is cleared). Operand lists reuse in's
+// own slices where they have the capacity, so a caller that hands the same
+// instruction to every call decodes a whole kernel into one scratch value.
+func (d *KernelDecoder) Next(in *Instruction) error {
+	if d.i == d.n {
+		return io.EOF
+	}
+	if hdr := d.take(instrHeaderBytes); hdr != nil {
+		dsts, srcs := in.Dsts, in.Srcs
+		*in = Instruction{
+			Op:       Opcode(hdr[0]),
+			Guard:    PredGuard{Reg: hdr[1], Neg: hdr[2]&1 != 0},
+			Injected: hdr[2]&2 != 0,
+			Mods: Mods{
+				Width: Width(hdr[3]), Cmp: CmpOp(hdr[4]), Logic: LogicOp(hdr[5]),
+				Atom: AtomOp(hdr[6]), Mufu: MufuFunc(hdr[7]), Vote: VoteMode(hdr[8]),
+				Shfl:     ShflMode(hdr[9]),
+				Unsigned: hdr[10]&1 != 0, SetCC: hdr[10]&2 != 0, X: hdr[10]&4 != 0,
+				E: hdr[10]&8 != 0, NegB: hdr[10]&16 != 0,
+			},
+		}
+		in.Dsts = d.operands(dsts)
+		in.Srcs = d.operands(srcs)
+	}
+	if d.err != nil {
+		return fmt.Errorf("instr %d: %w", d.i, d.err)
+	}
+	d.i++
+	return nil
+}
+
+// operands decodes one operand list into old's backing array if it is large
+// enough, else into a cap == len slice of the arena (so that an append to
+// one list can never write into its neighbour), else into a fresh slice.
+func (d *KernelDecoder) operands(old []Operand) []Operand {
+	n := 0
+	if nb := d.take(1); nb != nil {
+		n = int(nb[0])
+	}
+	if d.err == nil && n*minOperandBytes > d.remaining() {
+		d.err = io.ErrUnexpectedEOF
+	}
+	if d.err != nil {
+		return nil
+	}
+	ops := old[:0]
+	switch {
+	case n <= cap(old):
+		ops = old[:n]
+	case n <= cap(d.arena)-len(d.arena):
+		end := len(d.arena) + n
+		ops = d.arena[len(d.arena):end:end]
+		d.arena = d.arena[:end]
+	default:
+		ops = make([]Operand, n)
+	}
+	for i := range ops {
+		raw := d.take(operandBytes)
+		if raw == nil {
+			return nil
+		}
+		ops[i] = Operand{
+			Kind: OperandKind(raw[0]),
+			Reg:  raw[1],
+			Neg:  raw[2] != 0,
+			Bank: raw[3],
+			SR:   SpecialReg(raw[4]),
+			Imm:  int64(binary.LittleEndian.Uint64(raw[5:])),
+			Name: d.str(),
+		}
+	}
+	return ops
 }
 
 // UnmarshalBinary deserializes a kernel written by MarshalBinary.
 func (k *Kernel) UnmarshalBinary(data []byte) error {
-	r := bytes.NewReader(data)
-	magic := make([]byte, len(kernelMagic))
-	if _, err := io.ReadFull(r, magic); err != nil || string(magic) != kernelMagic {
-		return fmt.Errorf("bad kernel magic")
-	}
-	readU32 := func() (uint32, error) {
-		var n [4]byte
-		if _, err := io.ReadFull(r, n[:]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(n[:]), nil
-	}
-	// Cap a declared element count by the bytes actually remaining, so a
-	// corrupted count cannot drive a huge allocation before the element
-	// reads fail.
-	checkCount := func(what string, n, minSize int) error {
-		if n < 0 || n*minSize > r.Len() {
-			return fmt.Errorf("%s count %d exceeds remaining input (%d bytes)", what, n, r.Len())
-		}
-		return nil
-	}
-	readStr := func() (string, error) {
-		n, err := readU32()
-		if err != nil {
-			return "", err
-		}
-		if n == 0 {
-			// bytes.Reader returns io.EOF for empty reads at end-of-input.
-			return "", nil
-		}
-		if n > uint32(r.Len()) {
-			return "", fmt.Errorf("string length %d exceeds remaining input", n)
-		}
-		s := make([]byte, n)
-		if _, err := r.Read(s); err != nil {
-			return "", err
-		}
-		return string(s), nil
-	}
-	var err error
-	if k.Name, err = readStr(); err != nil {
-		return err
-	}
-	geti := func() int {
-		v, e := readU32()
-		if e != nil {
-			err = e
-		}
-		return int(v)
-	}
-	k.NumRegs = geti()
-	k.NumPreds = geti()
-	k.SharedBytes = geti()
-	k.LocalBytes = geti()
-	np := geti()
+	d, err := DecodeKernelHeader(data, k)
 	if err != nil {
 		return err
 	}
-	if err := checkCount("param", np, 12); err != nil {
-		return err
-	}
-	k.Params = make([]ParamDesc, np)
-	for i := range k.Params {
-		if k.Params[i].Name, err = readStr(); err != nil {
-			return err
-		}
-		k.Params[i].Size = geti()
-		k.Params[i].Offset = geti()
-	}
-	nl := geti()
-	if err != nil {
-		return err
-	}
-	if err := checkCount("label", nl, 8); err != nil {
-		return err
-	}
-	k.Labels = make(map[string]int, nl)
-	for i := 0; i < nl; i++ {
-		name, e := readStr()
-		if e != nil {
-			return e
-		}
-		k.Labels[name] = geti()
-	}
-	ni := geti()
-	if err != nil {
-		return err
-	}
-	if err := checkCount("instruction", ni, 13); err != nil {
-		return err
-	}
-	k.Instrs = make([]Instruction, ni)
+	// Every instruction still to come takes minInstrBytes and every operand
+	// minOperandBytes, which bounds the operand count from the input size.
+	k.Instrs = make([]Instruction, d.n)
+	d.arena = make([]Operand, 0, (d.remaining()-minInstrBytes*d.n)/minOperandBytes)
 	for i := range k.Instrs {
-		if err := unmarshalInstr(r, &k.Instrs[i], readStr); err != nil {
-			return fmt.Errorf("instr %d: %w", i, err)
+		if err := d.Next(&k.Instrs[i]); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-func unmarshalInstr(r *bytes.Reader, in *Instruction, readStr func() (string, error)) error {
-	hdr := make([]byte, 11)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return err
-	}
-	in.Op = Opcode(hdr[0])
-	in.Guard = PredGuard{Reg: hdr[1], Neg: hdr[2]&1 != 0}
-	in.Injected = hdr[2]&2 != 0
-	in.Mods = Mods{
-		Width: Width(hdr[3]), Cmp: CmpOp(hdr[4]), Logic: LogicOp(hdr[5]),
-		Atom: AtomOp(hdr[6]), Mufu: MufuFunc(hdr[7]), Vote: VoteMode(hdr[8]),
-		Shfl: ShflMode(hdr[9]),
-	}
-	in.Mods.Unsigned = hdr[10]&1 != 0
-	in.Mods.SetCC = hdr[10]&2 != 0
-	in.Mods.X = hdr[10]&4 != 0
-	in.Mods.E = hdr[10]&8 != 0
-	in.Mods.NegB = hdr[10]&16 != 0
-	readOpds := func() ([]Operand, error) {
-		nb, err := r.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if nb == 0 {
-			return nil, nil
-		}
-		ops := make([]Operand, nb)
-		for i := range ops {
-			raw := make([]byte, 13)
-			if _, err := io.ReadFull(r, raw); err != nil {
-				return nil, err
-			}
-			ops[i] = Operand{
-				Kind: OperandKind(raw[0]),
-				Reg:  raw[1],
-				Neg:  raw[2] != 0,
-				Bank: raw[3],
-				SR:   SpecialReg(raw[4]),
-				Imm:  int64(binary.LittleEndian.Uint64(raw[5:])),
-			}
-			if ops[i].Name, err = readStr(); err != nil {
-				return nil, err
-			}
-		}
-		return ops, nil
-	}
-	var err error
-	if in.Dsts, err = readOpds(); err != nil {
-		return err
-	}
-	in.Srcs, err = readOpds()
-	return err
 }

@@ -101,13 +101,13 @@ func (p PredGuard) String() string {
 type Instruction struct {
 	Guard PredGuard
 	Op    Opcode
-	Mods  Mods
-	Dsts  []Operand
-	Srcs  []Operand
-
 	// Injected marks instructions inserted by the SASSI instrumentor so
-	// that profiling of "original" code can distinguish them.
+	// that profiling of "original" code can distinguish them. (It sits with
+	// the other one-byte fields so the struct packs into 80 bytes.)
 	Injected bool
+	Mods     Mods
+	Dsts     []Operand
+	Srcs     []Operand
 
 	// Comment is carried through assembly/disassembly for readability.
 	Comment string
@@ -212,36 +212,56 @@ func (in *Instruction) AppendGPRSrcs(buf []uint8) []uint8 {
 }
 
 // PredDsts returns predicate registers written by the instruction.
-func (in *Instruction) PredDsts() []uint8 {
-	var out []uint8
+func (in *Instruction) PredDsts() []uint8 { return in.AppendPredDsts(nil) }
+
+// AppendPredDsts appends the written predicate registers to buf and returns
+// it (see AppendGPRDsts for the buffer discipline).
+func (in *Instruction) AppendPredDsts(buf []uint8) []uint8 {
 	for _, d := range in.Dsts {
 		if d.Kind == OpdPred && d.Reg != PT {
-			out = append(out, d.Reg)
+			buf = append(buf, d.Reg)
 		}
 	}
-	return out
+	return buf
 }
 
 // PredSrcs returns predicate registers read by the instruction, including
 // the guard.
-func (in *Instruction) PredSrcs() []uint8 {
-	var out []uint8
+func (in *Instruction) PredSrcs() []uint8 { return in.AppendPredSrcs(nil) }
+
+// AppendPredSrcs appends the read predicate registers, guard first, to buf
+// and returns it (see AppendGPRDsts for the buffer discipline).
+func (in *Instruction) AppendPredSrcs(buf []uint8) []uint8 {
 	if !in.Guard.IsAlways() && in.Guard.Reg != PT {
-		out = append(out, in.Guard.Reg)
+		buf = append(buf, in.Guard.Reg)
 	}
 	for _, s := range in.Srcs {
 		if s.Kind == OpdPred && s.Reg != PT {
-			out = append(out, s.Reg)
+			buf = append(buf, s.Reg)
 		}
 	}
-	return out
+	return buf
 }
 
 // WritesGPR reports whether the instruction writes any GPR.
-func (in *Instruction) WritesGPR() bool { return len(in.GPRDsts()) > 0 }
+func (in *Instruction) WritesGPR() bool {
+	for _, d := range in.Dsts {
+		if d.Kind == OpdReg && d.Reg != RZ {
+			return true
+		}
+	}
+	return false
+}
 
 // WritesPred reports whether the instruction writes any predicate register.
-func (in *Instruction) WritesPred() bool { return len(in.PredDsts()) > 0 }
+func (in *Instruction) WritesPred() bool {
+	for _, d := range in.Dsts {
+		if d.Kind == OpdPred && d.Reg != PT {
+			return true
+		}
+	}
+	return false
+}
 
 // WritesCC reports whether the instruction updates the condition code.
 func (in *Instruction) WritesCC() bool { return in.Mods.SetCC }

@@ -37,14 +37,16 @@ const (
 	OpdSym               // external symbol (JCAL target), resolved at link time
 )
 
-// Operand is a single instruction operand. The zero value is OpdNone.
+// Operand is a single instruction operand. The zero value is OpdNone. The
+// one-byte fields come first so the struct packs into 32 bytes: an
+// instrumented kernel holds millions of these.
 type Operand struct {
 	Kind OperandKind
 	Reg  uint8      // OpdReg: register number; OpdPred: predicate number; OpdMem: base register
 	Neg  bool       // OpdPred source: negated (@!Pn or !Pn)
-	Imm  int64      // OpdImm: value; OpdMem/OpdCMem: byte offset; OpdLabel: resolved index
 	Bank uint8      // OpdCMem: constant bank
 	SR   SpecialReg // OpdSReg
+	Imm  int64      // OpdImm: value; OpdMem/OpdCMem: byte offset; OpdLabel: resolved index
 	Name string     // OpdLabel/OpdSym: symbolic name
 }
 

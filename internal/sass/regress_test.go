@@ -160,3 +160,28 @@ func TestUnmarshalRejectsTruncation(t *testing.T) {
 		t.Fatalf("full encoding rejected: %v", err)
 	}
 }
+
+// Any single corrupted byte must produce an error or a kernel, never a
+// panic: a changed length or count word shifts everything after it, so the
+// decoder meets short reads in the middle of an operand as well as at
+// element boundaries.
+func TestUnmarshalSurvivesEveryByteCorruption(t *testing.T) {
+	k := buildKernel(t, map[string]int{"l": 1},
+		New(OpMOV32, []Operand{R(2)}, []Operand{Imm(7)}),
+		New(OpBRA, nil, []Operand{Label("l"), R(3)}),
+		New(OpJCAL, nil, []Operand{Sym("handler"), R(4)}),
+		New(OpEXIT, nil, nil),
+	)
+	data, err := k.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos := range data {
+		for v := 0; v < 256; v++ {
+			bad := append([]byte(nil), data...)
+			bad[pos] = byte(v)
+			var dec Kernel
+			_ = dec.UnmarshalBinary(bad)
+		}
+	}
+}
