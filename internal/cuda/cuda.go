@@ -21,6 +21,10 @@ type DevPtr uint64
 type LaunchCallbacks struct {
 	// PreLaunch runs before the kernel starts.
 	PreLaunch func(kernel string, launchIdx int)
+	// Twin runs after every PreLaunch and may return a second program for
+	// part of the grid (sim.LaunchParams.Twin); nil leaves the launch as
+	// the workload issued it. One subscriber at most may answer a launch.
+	Twin func(kernel string, launchIdx int) *sim.Twin
 	// PostLaunch runs after the kernel completes (or fails).
 	PostLaunch func(kernel string, launchIdx int, stats *sim.KernelStats, err error)
 }
@@ -70,6 +74,19 @@ type KernelAgg struct {
 // NewContext creates a context on a fresh device.
 func NewContext(cfg sim.Config) *Context {
 	return &Context{dev: sim.NewDevice(cfg), PerKernel: make(map[string]*KernelAgg)}
+}
+
+// Reset returns the context and its device to what NewContext gives —
+// no subscribers, no launches counted, empty device memory, cold caches,
+// nothing attached to the device — keeping the memory the device has
+// already allocated for itself (sim.Device.Reset). A campaign worker
+// resets one context between runs instead of building one per run.
+func (c *Context) Reset() error {
+	if err := c.dev.Reset(); err != nil {
+		return err
+	}
+	*c = Context{dev: c.dev, PerKernel: make(map[string]*KernelAgg)}
+	return nil
 }
 
 // Device exposes the underlying simulated GPU.
@@ -194,6 +211,17 @@ func (c *Context) LaunchKernel(prog *sass.Program, kernel string, p sim.LaunchPa
 	for _, cb := range c.callbacks {
 		if cb.PreLaunch != nil {
 			cb.PreLaunch(kernel, idx)
+		}
+	}
+	for _, cb := range c.callbacks {
+		if cb.Twin == nil {
+			continue
+		}
+		if t := cb.Twin(kernel, idx); t != nil {
+			if p.Twin != nil {
+				return nil, fmt.Errorf("cuda: launch %d of %s: two twin programs selected", idx, kernel)
+			}
+			p.Twin = t
 		}
 	}
 	stats, err := c.dev.Launch(prog, kernel, p)

@@ -115,3 +115,57 @@ func TestLaunchBadArgsCount(t *testing.T) {
 		t.Error("unknown kernel accepted")
 	}
 }
+
+// TestTwinCallbackAndReset: a Twin subscriber's program reaches the launch
+// the host code issues, two answers to one launch are an error, and Reset
+// leaves a context that counts launches, calls subscribers and allocates
+// like a new one.
+func TestTwinCallbackAndReset(t *testing.T) {
+	prog, twin := vecProg(t), vecProg(t)
+	ctx := cuda.NewContext(sim.MiniGPU())
+	var asked []int
+	answer := func(_ string, idx int) *sim.Twin {
+		asked = append(asked, idx)
+		return &sim.Twin{Prog: twin, CTAs: func(cta int) bool { return cta == 1 }}
+	}
+	ctx.Subscribe(cuda.LaunchCallbacks{Twin: answer})
+	var ran []*sass.Kernel
+	ctx.Device().CTARetire = func(cta *sim.CTA) {
+		if cta.Index == 1 {
+			ran = append(ran, cta.Kernel)
+		}
+	}
+	launch := func() error {
+		out := ctx.Malloc(4*64, "out")
+		_, err := ctx.LaunchKernel(prog, "store_tid", sim.LaunchParams{
+			Grid: sim.D1(2), Block: sim.D1(32), Args: []uint64{uint64(out)},
+		})
+		return err
+	}
+	first := ctx.Malloc(4, "probe")
+	if err := launch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 1 || asked[0] != 0 || len(ran) != 1 || ran[0] != twin.Kernels[0] {
+		t.Fatalf("Twin asked for launches %v; CTA 1 ran %v, want the twin's kernel once", asked, ran)
+	}
+	ctx.Subscribe(cuda.LaunchCallbacks{Twin: answer})
+	if err := launch(); err == nil {
+		t.Error("two Twin answers to one launch were accepted")
+	}
+
+	if err := ctx.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	asked = nil
+	if got := ctx.Malloc(4, "probe"); got != first {
+		t.Errorf("first allocation after Reset at %#x, a new context's is at %#x", got, first)
+	}
+	if err := launch(); err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 0 || ctx.Launches() != 1 || ctx.Device().CTARetire != nil {
+		t.Errorf("after Reset: Twin subscribers asked %v, %d launches counted, CTARetire still attached: %v",
+			asked, ctx.Launches(), ctx.Device().CTARetire != nil)
+	}
+}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -8,7 +9,9 @@ import (
 	"testing"
 
 	"sassi/internal/ptxas"
+	"sassi/internal/sass"
 	"sassi/internal/sassi"
+	"sassi/internal/sim"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -92,15 +95,53 @@ func TestOracleCatchesMutantClobber(t *testing.T) {
 	if !res.Failed() {
 		t.Fatalf("oracle missed the mutant clobber of live R%d", sassi.HandlerMaxRegs)
 	}
-	found := false
+	found, foundMixed := false, false
 	for _, f := range res.Failures {
 		if f.Axis == "transparency" {
 			found = true
-			break
+			foundMixed = foundMixed || strings.Contains(f.Got, "@cta")
 		}
 	}
 	if !found {
 		t.Fatalf("mutant clobber reported, but not on the transparency axis: %v", res.Failures)
+	}
+	if !foundMixed {
+		t.Fatalf("mutant clobber missed in the launch that runs one CTA instrumented: %v", res.Failures)
+	}
+}
+
+// TestMixedLaunchRejectsLayoutMutants seeds the twins a per-CTA kernel
+// selection must not accept — the same generated kernel with another
+// shared-memory size or another parameter list, either of which would run
+// the picked CTA against a constant bank and a shared window laid out for
+// a different kernel — and requires the launch to refuse them.
+func TestMixedLaunchRejectsLayoutMutants(t *testing.T) {
+	p := Generate(SplitMix(1, 0), DefaultSize())
+	o := NewOracle(nil)
+	base, err := o.compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutants := map[string]func(k *sass.Kernel){
+		"shared bytes": func(k *sass.Kernel) { k.SharedBytes += 16 },
+		"extra param":  func(k *sass.Kernel) { k.AddParam("extra", 4) },
+		"param offset": func(k *sass.Kernel) { k.Params[1].Offset += 8 },
+	}
+	for name, mutate := range mutants {
+		twin, err := o.compile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(twin.Kernels[0])
+		dev := sim.NewDevice(o.Cfg)
+		_, err = dev.Launch(base, KernelName, sim.LaunchParams{
+			Grid: sim.D1(p.GridX), Block: sim.D1(p.BlockX), Args: make([]uint64, 3),
+			Twin: &sim.Twin{Prog: twin, CTAs: func(cta int) bool { return cta == 0 }},
+		})
+		var te *sim.TwinError
+		if !errors.As(err, &te) {
+			t.Errorf("%s mutant: launch returned %v, want a *sim.TwinError", name, err)
+		}
 	}
 }
 

@@ -86,6 +86,9 @@ var coreCells = []coreCell{
 //	base/ref-seq ─transp─ tool/ref-seq   (injection transparency, per tool)
 //	tool/ref-seq ──full── tool/ref-par   (determinism under tools)
 //	tool/ref-seq ──full── tool/core-*    (injected code on the default core)
+//	base/ref-seq ─transp─ tool@cta/ref-seq   (one CTA from the tool's kernel, the
+//	                                          rest from base: sim.LaunchParams.Twin)
+//	tool@cta/ref-seq ─full─ tool@cta/core-par
 //
 // A non-nil error means the harness itself failed (the kernel would not
 // compile or the uninstrumented reference would not run) — a generator
@@ -139,12 +142,34 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 			}
 		}
 		o.lastSeq = nil
+
+		// The per-CTA kernel selection the fault campaigns run on: one
+		// CTA, picked by the seed, executes the tool's kernel and the rest
+		// the base kernel, on the reference and on the default core with
+		// the other SM dispatch.
+		mixed := &instrumentedSpec{fp: fp, tool: tool, cta: int(p.Seed % uint64(p.GridX))}
+		build := fmt.Sprintf("%s@cta%d", tool.Name, mixed.cta)
+		var mixedRef *RunState
+		for _, cell := range []coreCell{coreCells[0], coreCells[len(coreCells)-1]} {
+			st, err := o.launch(p, base, mixed, cell, build)
+			res.Launches++
+			if err != nil {
+				res.Failures = append(res.Failures, Failure{Axis: "transparency",
+					Want: ref.Variant, Got: build + "/" + cell.suffix,
+					Diff: fmt.Sprintf("launch failed: %v", err)})
+				break
+			}
+			if mixedRef == nil {
+				res.Failures = append(res.Failures,
+					compareTransparent(ref, st, o.HandlerMaxRegs)...)
+				mixedRef = st
+			} else {
+				res.Failures = append(res.Failures, compareFull(mixedRef, st)...)
+			}
+		}
 	}
 	return res, nil
 }
-
-// lastSeq threads the per-tool sequential run to its parallel sibling.
-// Oracles are single-goroutine; campaign workers each own an Oracle.
 
 // RunSchedule extends the matrix with the scheduling axis: the same
 // source compiled with the post-RA list scheduler (ptxas
@@ -233,12 +258,16 @@ func (o *Oracle) fingerprint(p *Prog) (string, error) {
 type instrumentedSpec struct {
 	fp   string
 	tool Tool
+	// cta is the one CTA that runs the instrumented kernel when launch is
+	// given the base program too.
+	cta int
 }
 
 // launch runs one matrix cell and snapshots its final state as variant
-// build/cell.suffix. Exactly one of base/inst is set: base launches the
-// uninstrumented program, inst builds (through the cache) and launches the
-// tool-instrumented variant.
+// build/cell.suffix. base alone launches the uninstrumented program; inst
+// alone builds (through the cache) the tool-instrumented variant and
+// launches it; both launch base with that variant as the twin of CTA
+// inst.cta.
 func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 	cell coreCell, build string) (*RunState, error) {
 	cfg := o.Cfg
@@ -305,11 +334,16 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 
 	col := newCollector()
 	dev.CTARetire = col.hook
-	stats, err := ctx.LaunchKernel(prog, KernelName, sim.LaunchParams{
+	params := sim.LaunchParams{
 		Grid:  sim.D1(p.GridX),
 		Block: sim.D1(p.BlockX),
 		Args:  []uint64{uint64(inPtr), uint64(outPtr), uint64(accPtr)},
-	})
+	}
+	if inst != nil && base != nil {
+		params.Twin = &sim.Twin{Prog: prog, CTAs: func(cta int) bool { return cta == inst.cta }}
+		prog = base
+	}
+	stats, err := ctx.LaunchKernel(prog, KernelName, params)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@
 package faults
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -65,9 +66,9 @@ type Campaign struct {
 	Targets []handlers.InjectTarget
 
 	// Workers is the number of injection executions run concurrently, each
-	// on its own simulated device. Every run derives its RNG from (Seed,
-	// run index), so the outcome distribution is identical at any worker
-	// count. Zero means GOMAXPROCS; 1 runs serially.
+	// worker on one simulated device it resets between runs. Every run
+	// derives its RNG from (Seed, run index), so every run's outcome is
+	// identical at any worker count. Zero means GOMAXPROCS; 1 runs serially.
 	Workers int
 
 	// Cache, when non-nil, is a shared compile cache; campaigns compile
@@ -91,11 +92,29 @@ type Campaign struct {
 	PCSamp *pcsamp.Sampler
 }
 
-// launchProfile records one launch's per-thread qualifying site counts.
+// launchProfile records one launch's per-thread qualifying site counts and
+// its CTA size, which places a grid-flat thread in its CTA.
 type launchProfile struct {
-	kernel string
-	counts []uint64
-	total  uint64
+	kernel     string
+	counts     []uint64
+	total      uint64
+	ctaThreads int
+}
+
+// LaunchSizeError reports a profiling run that launched more threads than
+// it had per-thread site counters for — sized by the largest launch of the
+// golden run, then of the previous profiling attempt: the site space would
+// silently lose the excess threads.
+type LaunchSizeError struct {
+	Kernel  string
+	Launch  int
+	Threads int
+	Max     int
+}
+
+func (e *LaunchSizeError) Error() string {
+	return fmt.Sprintf("faults: profiling launch %d (%s) has %d threads, the largest launch seen before it had %d",
+		e.Launch, e.Kernel, e.Threads, e.Max)
 }
 
 // Result aggregates a campaign.
@@ -118,6 +137,16 @@ func (r *Result) Fraction(o Outcome) float64 {
 // Run executes the full campaign: golden run, profiling run, then
 // Injections armed runs with outcome classification.
 func (c *Campaign) Run() (*Result, error) {
+	res, _, err := c.run(false)
+	return res, err
+}
+
+// run is Run, also returning every run's outcome. An injection run executes
+// the instrumented program only in the CTA its fault lands in (DESIGN.md
+// "Per-CTA kernel selection"); widen makes it every CTA of every launch,
+// which is what a campaign ran before kernels were selected per CTA and
+// what the per-run golden test holds the narrow set against.
+func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	if c.Injections <= 0 {
 		c.Injections = 100
 	}
@@ -140,19 +169,28 @@ func (c *Campaign) Run() (*Result, error) {
 	// (0) Golden reference run, uninstrumented.
 	goldenProg, err := c.Spec.CompileCached(cache, ptxas.Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	goldenCtx := cuda.NewContext(c.Config)
 	goldenCtx.Device().PCSamp = c.PCSamp
+	// The largest launch sizes the profiling run's per-thread counters.
+	maxThreads := 0
+	goldenCtx.Subscribe(cuda.LaunchCallbacks{
+		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
+			if stats != nil && stats.Threads > maxThreads {
+				maxThreads = stats.Threads
+			}
+		},
+	})
 	var golden *workloads.Result
 	c.Trace.HostSpan(obs.TidHostMain, "golden:"+c.Spec.Name, func() {
 		golden, err = c.Spec.Run(goldenCtx, goldenProg, c.Dataset)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("faults: golden run failed: %w", err)
+		return nil, nil, fmt.Errorf("faults: golden run failed: %w", err)
 	}
 	if golden.VerifyErr != nil {
-		return nil, fmt.Errorf("faults: golden run does not verify: %w", golden.VerifyErr)
+		return nil, nil, fmt.Errorf("faults: golden run does not verify: %w", golden.VerifyErr)
 	}
 
 	// The profiling handler and the injector share one instrumentation
@@ -162,47 +200,29 @@ func (c *Campaign) Run() (*Result, error) {
 	// closure — cached programs are shared read-only.
 	instProg, err := c.instrumentedProg(cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// (1) Profiling run: count qualifying dynamic instructions per thread
-	// per launch.
-	profCtx := cuda.NewContext(c.Config)
-	maxThreads := maxLaunchThreads(goldenCtx)
-	prof := handlers.NewInjProfiler(profCtx, maxThreads)
-	rt := sassi.NewRuntime(instProg)
-	if err := rt.Register(prof.Handler()); err != nil {
-		return nil, err
-	}
-	rt.Attach(profCtx.Device())
-
+	// per launch. The golden run's largest launch is a prediction of this
+	// run's; a program whose launch sizes depend on how its SMs interleave
+	// (parboil.bfs sizes a launch by its frontier) can exceed it, and is
+	// profiled again with the size it showed.
 	var profiles []launchProfile
 	var maxWarpInstrs uint64
-	zero := make([]byte, 8*maxThreads) // resets the counters between launches
-	profCtx.Subscribe(cuda.LaunchCallbacks{
-		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
-			counts, rerr := prof.Counts()
-			if rerr != nil || err != nil {
-				return
-			}
-			lp := launchProfile{kernel: kernel, counts: counts}
-			for _, v := range counts {
-				lp.total += v
-			}
-			profiles = append(profiles, lp)
-			if stats != nil && stats.MaxWarpInstrs > maxWarpInstrs {
-				maxWarpInstrs = stats.MaxWarpInstrs
-			}
-			// Reset for the next launch.
-			_ = profCtx.MemcpyHtoD(profPtr(prof), zero)
-		},
-	})
-	var profErr error
-	c.Trace.HostSpan(obs.TidHostMain, "profile:"+c.Spec.Name, func() {
-		_, profErr = c.Spec.Run(profCtx, instProg, c.Dataset)
-	})
-	if profErr != nil {
-		return nil, fmt.Errorf("faults: profiling run failed: %w", profErr)
+	for attempt := 1; ; attempt++ {
+		var largest *LaunchSizeError
+		profiles, maxWarpInstrs, largest, err = c.profile(instProg, maxThreads)
+		if err != nil {
+			return nil, nil, fmt.Errorf("faults: profiling run failed: %w", err)
+		}
+		if largest == nil {
+			break
+		}
+		if attempt == profileAttempts {
+			return nil, nil, largest
+		}
+		maxThreads = largest.Threads
 	}
 	var totalSites uint64
 	for _, lp := range profiles {
@@ -210,14 +230,15 @@ func (c *Campaign) Run() (*Result, error) {
 	}
 	res.SitesTotal = totalSites
 	if totalSites == 0 {
-		return nil, fmt.Errorf("faults: workload %s has no injectable sites", c.Spec.Name)
+		return nil, nil, fmt.Errorf("faults: workload %s has no injectable sites", c.Spec.Name)
 	}
 
 	// (2) Injection runs, fanned out over a worker pool. Each run seeds its
-	// own RNG from (campaign seed, run index) and simulates on a private
-	// device, so site selection and outcome are a pure function of the run
-	// index: the per-run outcomes — not just the histogram — are identical
-	// at any worker count.
+	// own RNG from (campaign seed, run index) and simulates on its worker's
+	// device, reset between runs to what a new one is, so site selection
+	// and outcome are a pure function of the run index: the per-run
+	// outcomes — not just the histogram — are identical at any worker
+	// count.
 	injCfg := c.Config
 	injCfg.WatchdogWarpInstrs = 20*maxWarpInstrs + 100_000
 	workers := c.Workers
@@ -245,6 +266,7 @@ func (c *Campaign) Run() (*Result, error) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ctx := cuda.NewContext(injCfg)
 			for {
 				run := int(next.Add(1)) - 1
 				if run >= c.Injections {
@@ -252,8 +274,9 @@ func (c *Campaign) Run() (*Result, error) {
 				}
 				rng := newRNG(runSeed(c.Seed, run))
 				site := c.selectSite(profiles, rng)
+				only := twinFor(instProg, site.Invocation, int(site.ThreadID)/profiles[site.Invocation].ctaThreads, widen)
 				ts := c.Trace.Now()
-				outcomes[run], errs[run] = c.injectOnce(instProg, site, injCfg, golden)
+				outcomes[run], errs[run] = c.injectOnce(ctx, goldenProg, instProg, only, site, golden)
 				runsCtr.Inc()
 				if errs[run] != nil {
 					failedCtr.Inc()
@@ -269,7 +292,7 @@ func (c *Campaign) Run() (*Result, error) {
 	wg.Wait()
 	for run, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("faults: injection run %d: %w", run, err)
+			return nil, nil, fmt.Errorf("faults: injection run %d: %w", run, err)
 		}
 	}
 	for _, o := range outcomes {
@@ -281,7 +304,57 @@ func (c *Campaign) Run() (*Result, error) {
 			reg.Counter(obs.MFaultsOutcomePref + Outcome(o).String()).Add(uint64(res.Counts[o]))
 		}
 	}
-	return res, nil
+	return res, outcomes, nil
+}
+
+// profileAttempts bounds how often run re-profiles a program whose launches
+// outgrow the size the previous attempt showed.
+const profileAttempts = 3
+
+// profile is the profiling run: the instrumented program, whole grid, with
+// one site counter per thread for launches of up to maxThreads threads. It
+// returns every launch's counts and the largest warp instruction count of
+// any launch (which calibrates the injection runs' watchdog), and reports
+// the largest launch that had more threads than counters, if any.
+func (c *Campaign) profile(inst *sass.Program, maxThreads int) ([]launchProfile, uint64, *LaunchSizeError, error) {
+	ctx := cuda.NewContext(c.Config)
+	prof := handlers.NewInjProfiler(ctx, maxThreads)
+	rt := sassi.NewRuntime(inst)
+	if err := rt.Register(prof.Handler()); err != nil {
+		return nil, 0, nil, err
+	}
+	rt.Attach(ctx.Device())
+
+	var profiles []launchProfile
+	var maxWarpInstrs uint64
+	var largest *LaunchSizeError
+	zero := make([]byte, 8*maxThreads) // resets the counters between launches
+	ctx.Subscribe(cuda.LaunchCallbacks{
+		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
+			counts, rerr := prof.Counts()
+			if rerr != nil || err != nil {
+				return
+			}
+			if stats.Threads > maxThreads && (largest == nil || stats.Threads > largest.Threads) {
+				largest = &LaunchSizeError{Kernel: kernel, Launch: idx, Threads: stats.Threads, Max: maxThreads}
+			}
+			lp := launchProfile{kernel: kernel, counts: counts, ctaThreads: stats.Threads / stats.CTAs}
+			for _, v := range counts {
+				lp.total += v
+			}
+			profiles = append(profiles, lp)
+			if stats.MaxWarpInstrs > maxWarpInstrs {
+				maxWarpInstrs = stats.MaxWarpInstrs
+			}
+			// Reset for the next launch.
+			_ = ctx.MemcpyHtoD(prof.DevPtr(), zero)
+		},
+	})
+	var err error
+	c.Trace.HostSpan(obs.TidHostMain, "profile:"+c.Spec.Name, func() {
+		_, err = c.Spec.Run(ctx, inst, c.Dataset)
+	})
+	return profiles, maxWarpInstrs, largest, err
 }
 
 // instrumentedProg builds (or fetches) the campaign's single instrumented
@@ -356,20 +429,35 @@ func (c *Campaign) selectSite(profiles []launchProfile, rng *prng) handlers.Inje
 	return handlers.InjectionSite{}
 }
 
-// injectOnce performs one armed run on its own device and classifies the
-// outcome. prog is the shared instrumented program (read-only).
-func (c *Campaign) injectOnce(prog *sass.Program, site handlers.InjectionSite, cfg sim.Config, golden *workloads.Result) (Outcome, error) {
+// twinFor returns the cuda.LaunchCallbacks.Twin of an injection run: CTA
+// cta of launch number launch runs inst, the instrumented program, and
+// every other CTA of every launch the program the run was given; widen
+// makes it every CTA of every launch.
+func twinFor(inst *sass.Program, launch, cta int, widen bool) func(string, int) *sim.Twin {
+	return func(_ string, idx int) *sim.Twin {
+		if !widen && idx != launch {
+			return nil
+		}
+		return &sim.Twin{Prog: inst, CTAs: func(i int) bool { return widen || i == cta }}
+	}
+}
+
+// injectOnce performs one armed run on ctx, a new or reset context, and
+// classifies the outcome, leaving ctx reset for the worker's next run. The
+// run is given prog, the uninstrumented program, and executes inst, the
+// instrumented one, where only selects it; both are shared and read-only.
+func (c *Campaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only func(string, int) *sim.Twin, site handlers.InjectionSite, golden *workloads.Result) (Outcome, error) {
 	inj := handlers.NewInjector(site)
-	ctx := cuda.NewContext(cfg)
 	// Lenient heap bounds: corrupted pointers land in mapped memory unless
 	// they leave the heap entirely, as on hardware.
 	ctx.Device().Global.SetStrictBounds(false)
-	rt := sassi.NewRuntime(prog)
+	rt := sassi.NewRuntime(inst)
 	if err := rt.Register(inj.Handler()); err != nil {
 		return Masked, err
 	}
 	rt.Attach(ctx.Device())
 	ctx.Subscribe(cuda.LaunchCallbacks{
+		Twin: only,
 		PreLaunch: func(kernel string, idx int) {
 			if idx == site.Invocation {
 				inj.Arm()
@@ -383,20 +471,27 @@ func (c *Campaign) injectOnce(prog *sass.Program, site handlers.InjectionSite, c
 	})
 
 	result, err := c.Spec.Run(ctx, prog, c.Dataset)
+	// A crashed or hung run leaves nothing behind for the next one — or
+	// the campaign stops here.
+	if rerr := ctx.Reset(); rerr != nil {
+		return Masked, rerr
+	}
 	if err != nil {
+		var te *sim.TwinError
+		if errors.As(err, &te) {
+			return Masked, err // the campaign's own launch set-up, not an outcome
+		}
 		var ke *sim.KernelError
-		if asKernelError(err, &ke) {
+		if errors.As(err, &ke) {
 			switch ke.Kind {
 			case sim.ErrMemFault:
 				return Crash, nil
 			case sim.ErrHang:
 				return Hang, nil
-			default:
-				return FailureSymptom, nil
 			}
 		}
-		// Host-side failure (bad sizes, download errors): an explicit
-		// error message — a failure symptom.
+		// Any other kernel error, or a host-side failure (bad sizes,
+		// download errors): an explicit error message — a failure symptom.
 		return FailureSymptom, nil
 	}
 	// Output comparison uses the workload's own comparator — Parboil and
@@ -412,33 +507,6 @@ func (c *Campaign) injectOnce(prog *sass.Program, site handlers.InjectionSite, c
 	}
 	return Masked, nil
 }
-
-func asKernelError(err error, out **sim.KernelError) bool {
-	for err != nil {
-		if ke, ok := err.(*sim.KernelError); ok {
-			*out = ke
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// maxLaunchThreads returns the largest grid size the golden run launched
-// (sizing the per-thread profile array).
-func maxLaunchThreads(ctx *cuda.Context) int {
-	// Context aggregates don't keep per-launch geometry; use a generous
-	// upper bound derived from total warp instrs if unavailable. The
-	// profile array is cheap, so default to 1<<16 threads.
-	return 1 << 16
-}
-
-// profPtr exposes the profiler's device array for host-side reset.
-func profPtr(p *handlers.InjProfiler) cuda.DevPtr { return p.DevPtr() }
 
 // prng is a local xorshift64* generator.
 type prng struct{ s uint64 }

@@ -7,6 +7,7 @@ package faults
 // silently alters output, or it is masked entirely.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -114,6 +115,12 @@ func (r *ControlResult) DetectionRate(class handlers.CtrlClass) float64 {
 
 // Run executes the full control campaign.
 func (c *ControlCampaign) Run() (*ControlResult, error) {
+	res, _, err := c.run(false)
+	return res, err
+}
+
+// run is Run, also returning every run's outcome; widen is Campaign.run's.
+func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error) {
 	if c.Injections <= 0 {
 		c.Injections = 100
 	}
@@ -127,21 +134,21 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 	// (0) Golden reference run, uninstrumented.
 	goldenProg, err := c.Spec.CompileCached(cache, ptxas.Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	golden, err := c.Spec.Run(cuda.NewContext(c.Config), goldenProg, c.Dataset)
 	if err != nil {
-		return nil, fmt.Errorf("faults: golden run failed: %w", err)
+		return nil, nil, fmt.Errorf("faults: golden run failed: %w", err)
 	}
 	if golden.VerifyErr != nil {
-		return nil, fmt.Errorf("faults: golden run does not verify: %w", golden.VerifyErr)
+		return nil, nil, fmt.Errorf("faults: golden run does not verify: %w", golden.VerifyErr)
 	}
 
 	// One instrumented program serves the profiling run and every injection
 	// run; per-run behavior comes entirely from the registered handler.
 	instProg, err := c.instrumentedProg(cache)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	// (1) Profiling run: enumerate each class's qualifying dispatch space
@@ -153,7 +160,7 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 	}
 	chk := handlers.NewCFIChecker()
 	if err := chk.Prepare(instProg); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	profCtx := cuda.NewContext(c.Config)
 	rt := sassi.NewRuntime(instProg)
@@ -184,10 +191,10 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 	})
 	profRes, err := c.Spec.Run(profCtx, instProg, c.Dataset)
 	if err != nil {
-		return nil, fmt.Errorf("faults: profiling run failed: %w", err)
+		return nil, nil, fmt.Errorf("faults: profiling run failed: %w", err)
 	}
 	if profRes.VerifyErr != nil {
-		return nil, fmt.Errorf("faults: profiling run does not verify: %w", profRes.VerifyErr)
+		return nil, nil, fmt.Errorf("faults: profiling run does not verify: %w", profRes.VerifyErr)
 	}
 	res.FalsePositives = len(chk.Violations()) + chk.Dropped
 	for cl := range profilers {
@@ -209,11 +216,11 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 		}
 	}
 	if len(usable) == 0 {
-		return nil, fmt.Errorf("faults: workload %s has no qualifying control-state sites", c.Spec.Name)
+		return nil, nil, fmt.Errorf("faults: workload %s has no qualifying control-state sites", c.Spec.Name)
 	}
 
-	// (2) Injection runs over a worker pool; each run is a pure function of
-	// (Seed, run index).
+	// (2) Injection runs over a worker pool, each worker on one device it
+	// resets between runs; each run is a pure function of (Seed, run index).
 	injCfg := c.Config
 	injCfg.WatchdogWarpInstrs = 20*maxWarpInstrs + 100_000
 	workers := c.Workers
@@ -225,6 +232,7 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 	}
 	type runPlan struct {
 		class handlers.CtrlClass
+		key   handlers.CtrlWarpKey
 		inj   *handlers.CtrlInjector
 	}
 	plan := func(run int) runPlan {
@@ -238,6 +246,7 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 		}
 		return runPlan{
 			class: class,
+			key:   key,
 			inj:   handlers.NewCtrlInjector(class, key, nth, rng.next(), rng.next(), kernelLen),
 		}
 	}
@@ -250,6 +259,7 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			ctx := cuda.NewContext(injCfg)
 			for {
 				run := int(next.Add(1)) - 1
 				if run >= c.Injections {
@@ -257,14 +267,15 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 				}
 				p := plan(run)
 				classOf[run] = p.class
-				outcomes[run], errs[run] = c.injectOnce(instProg, p.inj, injCfg, golden)
+				only := twinFor(instProg, p.key.Invocation, p.key.CTA, widen)
+				outcomes[run], errs[run] = c.injectOnce(ctx, goldenProg, instProg, only, p.inj, golden)
 			}
 		}()
 	}
 	wg.Wait()
 	for run, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("faults: control injection run %d: %w", run, err)
+			return nil, nil, fmt.Errorf("faults: control injection run %d: %w", run, err)
 		}
 	}
 	for run, o := range outcomes {
@@ -272,7 +283,7 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 		res.ClassTotals[classOf[run]]++
 		res.Total++
 	}
-	return res, nil
+	return res, outcomes, nil
 }
 
 // instrumentedProg builds (or fetches) the single CFI-instrumented program
@@ -296,20 +307,21 @@ func (c *ControlCampaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Pro
 	return cache.Get(c.Spec.InstrumentedKey(ptxas.Options{}, instKey), build)
 }
 
-// injectOnce performs one armed run on a private device: the injector
-// corrupts the chosen warp's control state ahead of the checker's audit in
-// the same dispatch, and the outcome is classified with detection taking
-// priority over downstream symptoms.
-func (c *ControlCampaign) injectOnce(prog *sass.Program, inj *handlers.CtrlInjector, cfg sim.Config, golden *workloads.Result) (CtrlOutcome, error) {
+// injectOnce performs one armed run on ctx, a new or reset context, leaving
+// it reset: the injector corrupts the chosen warp's control state ahead of
+// the checker's audit in the same dispatch, and the outcome is classified
+// with detection taking priority over downstream symptoms. prog, inst and
+// only are Campaign.injectOnce's: the checker audits the CTAs that run inst,
+// which include the corrupted warp's.
+func (c *ControlCampaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only func(string, int) *sim.Twin, inj *handlers.CtrlInjector, golden *workloads.Result) (CtrlOutcome, error) {
 	chk := handlers.NewCFIChecker()
-	if err := chk.Prepare(prog); err != nil {
+	if err := chk.Prepare(inst); err != nil {
 		return CtrlMasked, err
 	}
-	ctx := cuda.NewContext(cfg)
 	// Lenient heap bounds, as in the register campaigns: corrupted control
 	// flow may compute wild addresses that still land in mapped memory.
 	ctx.Device().Global.SetStrictBounds(false)
-	rt := sassi.NewRuntime(prog)
+	rt := sassi.NewRuntime(inst)
 	rt.MustRegister(&sassi.Handler{
 		Name: handlers.CFIHandlerSymbol,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
@@ -318,17 +330,25 @@ func (c *ControlCampaign) injectOnce(prog *sass.Program, inj *handlers.CtrlInjec
 		},
 	})
 	rt.Attach(ctx.Device())
-	ctx.Subscribe(cuda.LaunchCallbacks{PreLaunch: func(kernel string, idx int) {
-		inj.SetInvocation(idx)
-	}})
+	ctx.Subscribe(cuda.LaunchCallbacks{
+		Twin:      only,
+		PreLaunch: func(kernel string, idx int) { inj.SetInvocation(idx) },
+	})
 
 	result, err := c.Spec.Run(ctx, prog, c.Dataset)
+	if rerr := ctx.Reset(); rerr != nil {
+		return CtrlMasked, rerr
+	}
+	var te *sim.TwinError
+	if errors.As(err, &te) {
+		return CtrlMasked, err // the campaign's own launch set-up, not an outcome
+	}
 	if len(chk.Violations()) > 0 {
 		return CtrlDetected, nil
 	}
 	if err != nil {
 		var ke *sim.KernelError
-		if asKernelError(err, &ke) && ke.Kind == sim.ErrHang {
+		if errors.As(err, &ke) && ke.Kind == sim.ErrHang {
 			return CtrlHang, nil
 		}
 		return CtrlCrash, nil

@@ -131,6 +131,12 @@ func (c *Cache) Invalidate() {
 	}
 }
 
+// Reset returns the cache to its state after NewCache: cold, zero stats.
+func (c *Cache) Reset() {
+	c.Invalidate()
+	c.Stats = CacheStats{}
+}
+
 // DRAM is a simple bandwidth/latency model: every L2 miss costs a fixed
 // latency and occupies one transaction slot.
 type DRAM struct {

@@ -46,6 +46,24 @@ func NewGlobal() *Global {
 	return &Global{pages: make(map[uint64]*[pageSize]byte), next: GlobalBase, strict: true}
 }
 
+// Reset returns the memory to its state after NewGlobal — no allocations,
+// every byte zero, strict bounds — keeping the pages under the heap it had
+// allocated, zeroed, for the next run to write into. Pages outside it (a
+// lenient-mode stray write can map one anywhere in the 4 GiB window) are
+// dropped, so a reused memory retains no more than its last heap.
+func (g *Global) Reset() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for pn, p := range g.pages {
+		if pn<<pageShift < g.next {
+			clear(p[:])
+		} else {
+			delete(g.pages, pn)
+		}
+	}
+	g.next, g.allocs, g.strict = GlobalBase, g.allocs[:0], true
+}
+
 // SetStrictBounds selects the access-checking model. Strict mode faults on
 // any access outside an exact allocation — best for catching workload bugs.
 // Lenient mode only faults outside the allocated heap range, modeling real

@@ -125,6 +125,44 @@ func TestGlobalLenientWindow(t *testing.T) {
 	}
 }
 
+// TestGlobalReset: a reset memory is a new one to every reader — same
+// addresses from the allocator, zeros where the last tenant wrote (in its
+// heap and where a lenient stray store mapped a page), strict bounds — and
+// keeps no page outside the heap it had.
+func TestGlobalReset(t *testing.T) {
+	g := NewGlobal()
+	g.SetStrictBounds(false)
+	base := g.Alloc(3*pageSize, "heap")
+	stray := base + 1<<30
+	for _, addr := range []uint64{base, base + 2*pageSize + 8, stray} {
+		if err := g.Write32(addr, 0xdeadbeef); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Reset()
+	if g.Footprint() != 0 {
+		t.Errorf("footprint %d after Reset", g.Footprint())
+	}
+	if _, err := g.Read32(base); err == nil {
+		t.Error("bounds still lenient, or the old allocation still mapped, after Reset")
+	}
+	if got := g.Alloc(3*pageSize, "heap"); got != base {
+		t.Errorf("allocator restarts at %#x, want %#x", got, base)
+	}
+	g.SetStrictBounds(false)
+	for _, addr := range []uint64{base, base + 2*pageSize + 8, stray} {
+		if v, err := g.Read32(addr); err != nil || v != 0 {
+			t.Errorf("read %#x at %#x after Reset (err %v), want 0", v, addr, err)
+		}
+	}
+	if g.pages[stray>>pageShift] != nil {
+		t.Error("a page outside the heap survived Reset")
+	}
+	if g.pages[base>>pageShift] == nil {
+		t.Error("a heap page did not survive Reset")
+	}
+}
+
 func TestGlobalAtomics(t *testing.T) {
 	g := NewGlobal()
 	base := g.Alloc(16, "c")

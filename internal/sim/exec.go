@@ -20,14 +20,16 @@ import (
 // additionally fan out one goroutine per lane.
 type engine struct {
 	dev   *Device
-	prog  *sass.Program
-	k     *sass.Kernel
 	cb    []byte // constant bank 0 for this launch
 	stats *KernelStats
 
-	// pre is the predecoded form of k, which stepPre executes; nil selects
-	// the reference interpreter (Config.ReferenceInterpreter), step.
-	pre *preKernel
+	// base is the code of the launched kernel, which every CTA runs unless
+	// twinCTAs picks it for twin, the code of LaunchParams.Twin's kernel
+	// (nil for a launch without one). The two agree on everything the
+	// launch fixes once: name, parameter layout and so cb, shared bytes.
+	base     ctaCode
+	twin     *ctaCode
+	twinCTAs func(cta int) bool
 
 	sms    []smShard
 	ntid   [3]uint32
@@ -89,7 +91,7 @@ type smShard struct {
 func (e *engine) fail(w *Warp, kind ErrKind, format string, args ...any) error {
 	return &KernelError{
 		Kind:   kind,
-		Kernel: e.k.Name,
+		Kernel: e.stats.Kernel,
 		Detail: fmt.Sprintf("pc=%d: ", w.PC) + fmt.Sprintf(format, args...),
 	}
 }
@@ -104,7 +106,7 @@ func (e *engine) failCause(w *Warp, cause error) error {
 	if _, ok := cause.(*mem.Fault); ok {
 		kind = ErrMemFault
 	}
-	return &KernelError{Kind: kind, Kernel: e.k.Name, Detail: fmt.Sprintf("pc=%d: %v", w.PC, cause), Err: cause}
+	return &KernelError{Kind: kind, Kernel: e.stats.Kernel, Detail: fmt.Sprintf("pc=%d: %v", w.PC, cause), Err: cause}
 }
 
 // cbRead32 reads a 32-bit word from the launch's constant bank.
@@ -182,7 +184,8 @@ func (e *engine) step(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
 	}
-	if w.PC < 0 || w.PC >= len(e.k.Instrs) {
+	k := w.CTA.Kernel
+	if w.PC < 0 || w.PC >= len(k.Instrs) {
 		return e.fail(w, ErrInvalid, "PC out of range (fell off kernel end)")
 	}
 	st := &e.sms[w.CTA.SM]
@@ -203,7 +206,7 @@ func (e *engine) step(w *Warp) error {
 	if w.DynWarpInstrs > e.dev.Cfg.WatchdogWarpInstrs {
 		return e.fail(w, ErrHang, "watchdog: warp exceeded %d instructions", e.dev.Cfg.WatchdogWarpInstrs)
 	}
-	in := &e.k.Instrs[w.PC]
+	in := &k.Instrs[w.PC]
 
 	// Guard evaluation over the active mask.
 	exec := uint32(0)
@@ -363,7 +366,12 @@ func (e *engine) execJCAL(w *Warp, in *sass.Instruction, exec uint32) error {
 	if !ok || t.Kind != sass.OpdSym {
 		return fmt.Errorf("JCAL without symbol target")
 	}
-	id, ok := e.prog.Handlers[t.Name]
+	// The symbol table is the one of the program the CTA's kernel is from.
+	handlers := e.base.handlers
+	if e.twin != nil && w.CTA.Kernel == e.twin.k {
+		handlers = e.twin.handlers
+	}
+	id, ok := handlers[t.Name]
 	if !ok {
 		return fmt.Errorf("JCAL to unlinked symbol %q", t.Name)
 	}

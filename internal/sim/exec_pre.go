@@ -21,12 +21,13 @@ func (e *engine) stepPre(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
 	}
-	if w.PC < 0 || w.PC >= len(e.pre.ins) {
+	pre := w.CTA.pre
+	if w.PC < 0 || w.PC >= len(pre.ins) {
 		return e.fail(w, ErrInvalid, "PC out of range (fell off kernel end)")
 	}
 	st := &e.sms[w.CTA.SM]
 	pcIdx := w.PC
-	p := &e.pre.ins[pcIdx]
+	p := &pre.ins[pcIdx]
 	var divBefore uint64
 	if st.samp != nil {
 		divBefore = st.divergentBranches
@@ -78,7 +79,7 @@ func (e *engine) stepPre(w *Warp) error {
 	var err error
 	switch {
 	case p.class == pcGeneric:
-		advance, cost, err = e.execOp(w, &e.k.Instrs[pcIdx], exec, cost)
+		advance, cost, err = e.execOp(w, &pre.k.Instrs[pcIdx], exec, cost)
 	case p.class < pcMemG:
 		e.execPreALU(w, p, exec)
 	case p.class <= pcMemL:
@@ -111,7 +112,7 @@ func (e *engine) stepPre(w *Warp) error {
 	st.cycles += uint64(cost) + stall
 	st.scoreboardStalls += stall
 	if st.samp != nil && st.cycles >= st.sampNext {
-		e.takeSample(st, w, pcIdx, &e.k.Instrs[pcIdx], nexec, cost, stall, divBefore)
+		e.takeSample(st, w, pcIdx, &pre.k.Instrs[pcIdx], nexec, cost, stall, divBefore)
 	}
 	return nil
 }
@@ -1074,7 +1075,7 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 // classic interpreter path (mixed address spaces, forced-global faults).
 // No state has been modified when it is called.
 func (e *engine) execOpMemFallback(w *Warp, p *preInstr, exec uint32) (int, error) {
-	return e.execMem(w, &e.k.Instrs[w.PC], exec)
+	return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
 }
 
 // runWarpSolo runs w until it completes or reaches a barrier, dispatching
@@ -1089,8 +1090,8 @@ func (e *engine) execOpMemFallback(w *Warp, p *preInstr, exec uint32) (int, erro
 func (e *engine) runWarpSolo(w *Warp) error {
 	for !w.Done && !w.AtBarrier {
 		n := uint16(1)
-		if w.PC >= 0 && w.PC < len(e.pre.ins) {
-			n = e.pre.ins[w.PC].run
+		if pre := w.CTA.pre; w.PC >= 0 && w.PC < len(pre.ins) {
+			n = pre.ins[w.PC].run
 		}
 		for ; n > 0; n-- {
 			if err := e.stepPre(w); err != nil {

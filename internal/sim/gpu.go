@@ -336,6 +336,31 @@ func NewDevice(cfg Config) *Device {
 	return d
 }
 
+// Reset returns the device to what NewDevice(d.Cfg) gives — empty global
+// memory with strict bounds, cold caches with zero statistics, nothing
+// attached — while keeping what it has allocated for itself: global pages,
+// cache tag arrays and the SMs' slab lists. A device on which a launch left
+// a slab carved out is not reset: reusing it could alias a dead CTA's
+// threads into the next run.
+func (d *Device) Reset() error {
+	if n := d.LiveSlabs(); n != 0 {
+		return fmt.Errorf("sim: reset with %d CTA slabs still carved out", n)
+	}
+	d.Global.Reset()
+	for i := range d.L2s {
+		d.L2s[i].Reset()
+		d.DRAMs[i].Transactions = 0
+		if d.L1s[i] != nil {
+			d.L1s[i].Reset()
+		}
+	}
+	*d = Device{
+		Cfg: d.Cfg, Global: d.Global, Coal: d.Coal,
+		L2s: d.L2s, DRAMs: d.DRAMs, L1s: d.L1s, slabs: d.slabs,
+	}
+	return nil
+}
+
 // L2Stats returns the device-wide L2 statistics: the order-independent sum
 // over the per-SM slices.
 func (d *Device) L2Stats() mem.CacheStats {

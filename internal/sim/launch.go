@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sassi/internal/mem"
@@ -49,6 +50,94 @@ type LaunchParams struct {
 	// StackBytes overrides the per-thread local memory size (0 = config
 	// default plus the kernel's static requirement).
 	StackBytes int
+
+	// Twin, when non-nil, makes part of the grid run a second kernel.
+	Twin *Twin
+}
+
+// Twin selects, per CTA, a second kernel for a launch: the CTAs it picks
+// run Prog's kernel of the launched name — registers, local bytes,
+// predecoded stream and handler symbols all taken from it — and the rest
+// run the launched one. The two must share the name, the parameter layout
+// and the static shared bytes, so that one constant bank and one residency
+// limit serve both; Launch returns a *TwinError otherwise. Every record a
+// PC sampler, a trace or a MemWatch makes carries a PC and no kernel, so a
+// launch with a Twin on a device with one of them attached is refused too.
+// The fault campaigns use it to run instrumented code only in the CTA an
+// injection targets (DESIGN.md "Per-CTA kernel selection").
+type Twin struct {
+	Prog *sass.Program
+	// CTAs reports whether the CTA with this flat index runs Prog's
+	// kernel. SM goroutines call it concurrently, once per CTA.
+	CTAs func(cta int) bool
+}
+
+// TwinError reports a launch whose Twin cannot share it.
+type TwinError struct {
+	Kernel string
+	Reason string
+}
+
+func (e *TwinError) Error() string {
+	return fmt.Sprintf("sim: kernel %s: twin refused: %s", e.Kernel, e.Reason)
+}
+
+// ctaCode is what a CTA takes from the kernel it runs.
+type ctaCode struct {
+	k *sass.Kernel
+	// pre is the predecoded form of k, which stepPre executes; nil selects
+	// the reference interpreter (Config.ReferenceInterpreter), step.
+	pre *preKernel
+	// handlers is the owning program's JCAL symbol table.
+	handlers   map[string]int
+	numRegs    int
+	localBytes int
+}
+
+// code resolves what CTAs running k, a kernel of prog, take from it.
+func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) ctaCode {
+	c := ctaCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
+	if !d.Cfg.ReferenceInterpreter {
+		c.pre = k.Lowered(predecode).(*preKernel)
+	}
+	if c.numRegs < 16 {
+		c.numRegs = 16
+	}
+	if c.localBytes == 0 {
+		c.localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
+	}
+	return c
+}
+
+// twinCode checks that t's kernel can share a launch of k on d and
+// resolves its code.
+func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*ctaCode, error) {
+	refuse := func(format string, args ...any) (*ctaCode, error) {
+		return nil, &TwinError{Kernel: k.Name, Reason: fmt.Sprintf(format, args...)}
+	}
+	if t.Prog == nil || t.CTAs == nil {
+		return refuse("no program or no CTA set")
+	}
+	tk, ok := t.Prog.Kernel(k.Name)
+	if !ok {
+		return refuse("not in the twin program")
+	}
+	if !slices.Equal(tk.Params, k.Params) {
+		return refuse("parameter layout %v differs from %v", tk.Params, k.Params)
+	}
+	if tk.SharedBytes != k.SharedBytes {
+		return refuse("%d static shared bytes, launched kernel has %d", tk.SharedBytes, k.SharedBytes)
+	}
+	switch {
+	case d.PCSamp != nil:
+		return refuse("a PC sampler is attached")
+	case d.Trace != nil:
+		return refuse("a trace is attached")
+	case d.MemWatch != nil:
+		return refuse("a MemWatch is attached")
+	}
+	c := d.code(t.Prog, tk, p)
+	return &c, nil
 }
 
 // Launch executes a kernel on the device and returns its statistics.
@@ -64,7 +153,14 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	if sharedBytes > d.Cfg.SharedPerSM {
 		return nil, fmt.Errorf("sim: CTA needs %d shared bytes, SM has %d", sharedBytes, d.Cfg.SharedPerSM)
 	}
-	e := &engine{dev: d, prog: prog, k: k}
+	e := &engine{dev: d, base: d.code(prog, k, &p)}
+	if t := p.Twin; t != nil {
+		var err error
+		if e.twin, err = d.twinCode(t, k, &p); err != nil {
+			return nil, err
+		}
+		e.twinCTAs = t.CTAs
+	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
 		e.cycleBase = d.traceBase()
@@ -90,9 +186,6 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 			binary.LittleEndian.PutUint32(e.cb[pd.Offset:], uint32(p.Args[i]))
 		}
 	}
-	if !d.Cfg.ReferenceInterpreter {
-		e.pre = k.Lowered(predecode).(*preKernel)
-	}
 
 	// Geometry.
 	grid, block := p.Grid, p.Block
@@ -105,16 +198,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	e.stats.CTAs = numCTAs
 	e.stats.Threads = numCTAs * threadsPerCTA
 	if d.PCSamp != nil {
-		e.attachSampler(d.PCSamp, threadsPerCTA)
-	}
-
-	numRegs := k.NumRegs
-	if numRegs < 16 {
-		numRegs = 16
-	}
-	localBytes := p.StackBytes
-	if localBytes == 0 {
-		localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
+		e.attachSampler(d.PCSamp, k, threadsPerCTA)
 	}
 
 	// Residency limit per SM.
@@ -154,7 +238,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 			if len(ctas) == 0 {
 				continue
 			}
-			smErrs[sm] = e.runSM(sm, ctas, grid, block, numRegs, localBytes, sharedBytes, maxResident)
+			smErrs[sm] = e.runSM(sm, ctas, grid, block, sharedBytes, maxResident)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -165,7 +249,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 			wg.Add(1)
 			go func(sm int, ctas []int) {
 				defer wg.Done()
-				smErrs[sm] = e.runSM(sm, ctas, grid, block, numRegs, localBytes, sharedBytes, maxResident)
+				smErrs[sm] = e.runSM(sm, ctas, grid, block, sharedBytes, maxResident)
 			}(sm, ctas)
 		}
 		wg.Wait()
@@ -288,8 +372,14 @@ func (e *engine) publishMetrics() {
 	mem.PublishHierarchy(reg, e.dev.L1Stats(), e.dev.L2Stats(), e.dev.DRAMTransactions())
 }
 
-// buildCTA instantiates the threads and warps of one CTA.
-func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, numRegs, localBytes, sharedBytes, sm int) *CTA {
+// buildCTA instantiates the threads and warps of one CTA, running the twin
+// kernel if the launch has one and it picks this CTA.
+func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CTA {
+	code := &e.base
+	if e.twin != nil && e.twinCTAs(ctaIdx) {
+		code = e.twin
+	}
+	numRegs, localBytes := code.numRegs, code.localBytes
 	cx := uint32(ctaIdx % grid.X)
 	cy := uint32(ctaIdx / grid.X % grid.Y)
 	cz := uint32(ctaIdx / (grid.X * grid.Y))
@@ -297,7 +387,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, numRegs, localBytes, sha
 		Index: ctaIdx, CtaX: cx, CtaY: cy, CtaZ: cz,
 		Shared: mem.NewShared(sharedBytes),
 		SM:     sm,
-		Kernel: e.k,
+		Kernel: code.k, pre: code.pre,
 	}
 	threads := block.Count()
 	cta.slab = e.dev.slabs[sm].get(threads, numRegs)
@@ -330,10 +420,11 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, numRegs, localBytes, sha
 // runSM executes all CTAs assigned to one SM, keeping up to maxResident
 // CTAs concurrently resident and interleaving their warps round-robin, one
 // instruction per warp per sweep.
-func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes, sharedBytes, maxResident int) error {
+func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxResident int) error {
 	pending := ctas
 	st := &e.sms[sm]
 	tr := e.dev.Trace
+	ref := e.dev.Cfg.ReferenceInterpreter
 	slabs := &e.dev.slabs[sm]
 	var resident []*CTA
 	// A launch that fails leaves CTAs resident; their slabs go back too.
@@ -344,7 +435,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 	}()
 	for len(pending) > 0 || len(resident) > 0 {
 		for len(resident) < maxResident && len(pending) > 0 {
-			cta := e.buildCTA(pending[0], grid, block, numRegs, localBytes, sharedBytes, sm)
+			cta := e.buildCTA(pending[0], grid, block, sharedBytes, sm)
 			cta.traceStart = st.cycles
 			resident = append(resident, cta)
 			pending = pending[1:]
@@ -354,7 +445,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 		// other warp can observe the instruction interleaving, so the
 		// predecoded core may run that warp's whole basic blocks
 		// back-to-back instead of one instruction per sweep.
-		solo := e.pre != nil && len(pending) == 0 && len(resident) == 1 &&
+		solo := !ref && len(pending) == 0 && len(resident) == 1 &&
 			resident[0].liveWarps() == 1
 		for _, cta := range resident {
 			for _, w := range cta.Warps {
@@ -369,10 +460,10 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 				switch {
 				case solo:
 					err = e.runWarpSolo(w)
-				case e.pre != nil:
-					err = e.stepPre(w)
-				default:
+				case ref:
 					err = e.step(w)
+				default:
+					err = e.stepPre(w)
 				}
 				if err != nil {
 					return err
@@ -415,7 +506,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, numRegs, localBytes
 		}
 		resident = live
 		if !progress && len(resident) > 0 {
-			return &KernelError{Kind: ErrHang, Kernel: e.k.Name,
+			return &KernelError{Kind: ErrHang, Kernel: e.stats.Kernel,
 				Detail: fmt.Sprintf("SM %d deadlocked (barrier divergence?)", sm)}
 		}
 	}

@@ -41,8 +41,7 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	dev := NewDevice(MiniGPU())
 	dev.Metrics = reg
 	dev.Trace = tr
-	e := &engine{dev: dev, prog: prog, k: k}
-	e.pre = k.Lowered(predecode).(*preKernel)
+	e := &engine{dev: dev, base: dev.code(prog, k, &LaunchParams{StackBytes: 256})}
 	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, dev.Cfg.NumSMs)}
 	e.sms = make([]smShard, dev.Cfg.NumSMs)
 	for i := range e.sms {
@@ -54,9 +53,9 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	e.ntid = [3]uint32{32, 1, 1}
 	e.nctaid = [3]uint32{1, 1, 1}
 	if samp != nil {
-		e.attachSampler(samp, 32)
+		e.attachSampler(samp, k, 32)
 	}
-	cta := e.buildCTA(0, D1(1), D1(32), 16, 256, 0, 0)
+	cta := e.buildCTA(0, D1(1), D1(32), 0, 0)
 	w := cta.Warps[0]
 	return func() {
 		if err := e.stepPre(w); err != nil {

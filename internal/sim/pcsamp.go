@@ -47,10 +47,10 @@ func (e *engine) takeSample(st *smShard, w *Warp, pc int, in *sass.Instruction, 
 
 // attachSampler wires a device sampler into the launch engine: per-SM
 // buffers into the shards and the first boundary one period out.
-func (e *engine) attachSampler(s *pcsamp.Sampler, threadsPerCTA int) {
+func (e *engine) attachSampler(s *pcsamp.Sampler, k *sass.Kernel, threadsPerCTA int) {
 	e.sampPeriod = s.Period()
 	e.warpsPerCTA = (threadsPerCTA + WarpSize - 1) / WarpSize
-	e.samp = s.LaunchBegin(e.k, len(e.sms))
+	e.samp = s.LaunchBegin(k, len(e.sms))
 	for i := range e.sms {
 		e.sms[i].samp = e.samp.SMs[i]
 		e.sms[i].sampNext = e.sampPeriod

@@ -223,8 +223,10 @@ type CTA struct {
 	// Kernel is the (possibly instrumented) kernel this CTA executes —
 	// handlers that keep per-kernel shadow state key off it.
 	Kernel *sass.Kernel
+	// pre is Kernel's predecoded form (nil under the reference
+	// interpreter).
+	pre *preKernel
 
-	barrierGen int
 	// traceStart is the SM-cycle count when the CTA became resident (used
 	// only when the device records a trace).
 	traceStart uint64
@@ -256,7 +258,6 @@ func (c *CTA) barrierReady() bool {
 
 // releaseBarrier lets all warps proceed past the barrier.
 func (c *CTA) releaseBarrier() {
-	c.barrierGen++
 	for _, w := range c.Warps {
 		w.AtBarrier = false
 	}
