@@ -46,6 +46,17 @@ type collector struct {
 func newCollector() *collector { return &collector{ctas: make(map[int]*CTAState)} }
 
 func (c *collector) hook(cta *sim.CTA) {
+	st := Snapshot(cta)
+	c.mu.Lock()
+	c.ctas[cta.Index] = st
+	c.mu.Unlock()
+}
+
+// Snapshot copies a retiring CTA's architectural state — every thread's
+// registers, predicates, CC and whole local memory, and the CTA's shared
+// memory — with threads in FlatTid order. It is the collector's body, for
+// callers that attach their own sim.Device.CTARetire.
+func Snapshot(cta *sim.CTA) *CTAState {
 	st := &CTAState{Index: cta.Index}
 	if cta.Shared != nil && cta.Shared.Size() > 0 {
 		st.Shared = make([]byte, cta.Shared.Size())
@@ -72,9 +83,7 @@ func (c *collector) hook(cta *sim.CTA) {
 	sort.Slice(st.Threads, func(i, j int) bool {
 		return st.Threads[i].FlatTid < st.Threads[j].FlatTid
 	})
-	c.mu.Lock()
-	c.ctas[cta.Index] = st
-	c.mu.Unlock()
+	return st
 }
 
 // Failure is one oracle divergence, with a human-readable first diff.
