@@ -12,16 +12,16 @@ import (
 // rejects dynamically.
 func TestBarrierInsideDivergentArm(t *testing.T) {
 	k := testKernel(t, [3]int{32, 1, 1}, map[string]int{"else": 6, "join": 9},
-		tidx(0),                     // 0
+		tidx(0),                          // 0
 		setp(0, sass.R(0), sass.Imm(16)), // 1: P0 = tid.x < 16
-		ssy("join"),                 // 2
-		guarded(bra("else"), 0, true), // 3: @!P0 BRA else
-		nop(),                       // 4: then
-		sync(),                      // 5
-		bar(),                       // 6: else — runs with then-lanes deferred
-		nop(),                       // 7
-		sync(),                      // 8
-		exit(),                      // 9: join
+		ssy("join"),                      // 2
+		guarded(bra("else"), 0, true),    // 3: @!P0 BRA else
+		nop(),                            // 4: then
+		sync(),                           // 5
+		bar(),                            // 6: else — runs with then-lanes deferred
+		nop(),                            // 7
+		sync(),                           // 8
+		exit(),                           // 9: join
 	)
 	d, ok := findDiag(checkKernel(t, k), analysis.CheckBarrier, "has not reconverged")
 	if !ok {
@@ -40,7 +40,7 @@ func TestBarrierAfterReconvergenceClean(t *testing.T) {
 		setp(0, sass.R(0), sass.Imm(16)),
 		ssy("join"),
 		guarded(bra("else"), 0, true),
-		nop(),  // then
+		nop(), // then
 		sync(),
 		nop(), // else
 		nop(),

@@ -14,8 +14,8 @@ func TestRacePhaseSeparation(t *testing.T) {
 	build := func(withBar bool) *sass.Kernel {
 		instrs := []sass.Instruction{
 			tidx(0),
-			shl(1, 0, 2),  // R1 = 4*tid.x
-			sts(1, 0, 0),  // shared[4t] = tid
+			shl(1, 0, 2), // R1 = 4*tid.x
+			sts(1, 0, 0), // shared[4t] = tid
 		}
 		if withBar {
 			instrs = append(instrs, bar())
@@ -129,11 +129,11 @@ func TestRaceDisjointTilesClean(t *testing.T) {
 	k := testKernel(t, [3]int{16, 16, 1}, nil,
 		tidx(0),
 		sass.New(sass.OpS2R, []sass.Operand{sass.R(1)}, []sass.Operand{sass.SReg(sass.SRTidY)}),
-		shl(2, 0, 2),  // 4*tx
-		shl(3, 1, 6),  // 64*ty
+		shl(2, 0, 2), // 4*tx
+		shl(3, 1, 6), // 64*ty
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(4)}, []sass.Operand{sass.R(2), sass.R(3)}),
-		sts(4, 0, 0),     // tile A write: 4tx+64ty
-		lds(5, 4, 1024),  // tile B read: +1024, same interval
+		sts(4, 0, 0),    // tile A write: 4tx+64ty
+		lds(5, 4, 1024), // tile B read: +1024, same interval
 		exit(),
 	)
 	wantNone(t, checkKernel(t, k))

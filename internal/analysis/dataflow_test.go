@@ -131,8 +131,8 @@ func TestDominatorsDiamond(t *testing.T) {
 
 func TestReachingDefsKill(t *testing.T) {
 	k := testKernel(t, nil,
-		sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(1)}), // 0
-		sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(2)}), // 1: kills 0
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(1)}),           // 0
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(2)}),           // 1: kills 0
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(3)}, []sass.Operand{sass.R(2), sass.Imm(0)}), // 2
 		sass.New(sass.OpEXIT, nil, nil),
 	)

@@ -46,11 +46,11 @@ type EdgeKind uint8
 
 // Edge kinds.
 const (
-	RAW EdgeKind = iota // read-after-write on a register slot
-	WAR                 // write-after-read
-	WAW                 // write-after-write
-	Mem                 // possibly-aliasing memory access pair
-	Fence               // ordering against a scheduling fence
+	RAW   EdgeKind = iota // read-after-write on a register slot
+	WAR                   // write-after-read
+	WAW                   // write-after-write
+	Mem                   // possibly-aliasing memory access pair
+	Fence                 // ordering against a scheduling fence
 )
 
 var kindNames = [...]string{"RAW", "WAR", "WAW", "mem", "fence"}

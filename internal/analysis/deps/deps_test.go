@@ -112,9 +112,9 @@ func exit() sass.Instruction { return sass.New(sass.OpEXIT, nil, nil) }
 
 func TestEdgeRegisterClasses(t *testing.T) {
 	k := testKernel(t, [3]int{32, 1, 1}, nil,
-		movi(0, 1),   // 0: def R0
+		movi(0, 1),    // 0: def R0
 		iadd(1, 0, 0), // 1: use R0, def R1       — RAW on R0 from 0
-		movi(0, 2),   // 2: redef R0             — WAR from 1, WAW from 0
+		movi(0, 2),    // 2: redef R0             — WAR from 1, WAW from 0
 		exit(),
 	)
 	g := buildGraph(t, k)
@@ -136,10 +136,10 @@ func TestEdgeRegisterClasses(t *testing.T) {
 
 func TestEdgePredicate(t *testing.T) {
 	k := testKernel(t, [3]int{32, 1, 1}, nil,
-		movi(0, 5),                        // 0
-		setp(0, sass.R(0), sass.Imm(10)),  // 1: def P0
-		guarded(movi(1, 7), 0),            // 2: @P0 — reads P0
-		setp(0, sass.R(0), sass.Imm(20)),  // 3: redef P0 — WAR vs 2, WAW vs 1
+		movi(0, 5),                       // 0
+		setp(0, sass.R(0), sass.Imm(10)), // 1: def P0
+		guarded(movi(1, 7), 0),           // 2: @P0 — reads P0
+		setp(0, sass.R(0), sass.Imm(20)), // 3: redef P0 — WAR vs 2, WAW vs 1
 		exit(),
 	)
 	g := buildGraph(t, k)
@@ -299,11 +299,11 @@ func TestEdgeFence(t *testing.T) {
 
 func TestCrossBlockRAW(t *testing.T) {
 	k := testKernel(t, [3]int{32, 1, 1}, map[string]int{"L": 3},
-		movi(0, 1),                       // 0: def R0 (entry block)
+		movi(0, 1), // 0: def R0 (entry block)
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("L")}), // 1
-		exit(),                           // 2: unreachable block
-		iadd(1, 0, 0),                    // 3: L: use R0 — entry dominates
-		exit(),                           // 4
+		exit(),        // 2: unreachable block
+		iadd(1, 0, 0), // 3: L: use R0 — entry dominates
+		exit(),        // 4
 	)
 	g := buildGraph(t, k)
 	found := false

@@ -72,13 +72,13 @@ func TestValuesJoinAtMerge(t *testing.T) {
 	// Diamond: both arms write R4; equal values survive the join, unequal
 	// degrade to Unknown non-uniform (branch is tid-dependent).
 	k := testKernel(t, map[string]int{"else": 5, "join": 6},
-		sass.New(sass.OpS2R, []sass.Operand{sass.R(2)}, []sass.Operand{sass.SReg(sass.SRTidX)}),       // 0
+		sass.New(sass.OpS2R, []sass.Operand{sass.R(2)}, []sass.Operand{sass.SReg(sass.SRTidX)}),                    // 0
 		sass.New(sass.OpISETP, []sass.Operand{sass.P(0)}, []sass.Operand{sass.R(2), sass.Imm(3), sass.P(sass.PT)}), // 1
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("else")}).WithGuard(sass.PredGuard{Reg: 0, Neg: true}), // 2
-		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(7)}),  // 3: then
-		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("join")}),                   // 4
-		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(9)}),  // 5: else
-		sass.New(sass.OpEXIT, nil, nil),                                                 // 6: join
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(7)}),                             // 3: then
+		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("join")}),                                              // 4
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(9)}),                             // 5: else
+		sass.New(sass.OpEXIT, nil, nil), // 6: join
 	)
 	v := analyze(t, k)
 	r4 := v.RegValue(6, 4)
@@ -114,13 +114,13 @@ func TestValuesLoopInductionNotStable(t *testing.T) {
 	// R4 is an induction variable: must be Unknown at the loop body, never
 	// a fabricated symbol a disjointness proof could cancel.
 	k := testKernel(t, map[string]int{"head": 1, "done": 6},
-		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(0)}),              // 0
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(4)}, []sass.Operand{sass.Imm(0)}),                              // 0
 		sass.New(sass.OpISETP, []sass.Operand{sass.P(0)}, []sass.Operand{sass.R(4), sass.Imm(64), sass.P(sass.PT)}), // 1: head
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("done")}).WithGuard(sass.PredGuard{Reg: 0, Neg: true}),  // 2
-		sass.New(sass.OpIADD, []sass.Operand{sass.R(4)}, []sass.Operand{sass.R(4), sass.Imm(4)}),   // 3: body
-		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("head")}),                              // 4
-		sass.New(sass.OpNOP, nil, nil),                                                             // 5 (unreachable pad)
-		sass.New(sass.OpEXIT, nil, nil),                                                            // 6: done
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(4)}, []sass.Operand{sass.R(4), sass.Imm(4)}),                    // 3: body
+		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("head")}),                                               // 4
+		sass.New(sass.OpNOP, nil, nil),  // 5 (unreachable pad)
+		sass.New(sass.OpEXIT, nil, nil), // 6: done
 	)
 	v := analyze(t, k)
 	// At the loop head (after at least one back edge merge), R4 is 0 ⊔ 4k.

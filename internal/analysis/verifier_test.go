@@ -121,7 +121,7 @@ func TestDivergenceSyncOnEmptyStack(t *testing.T) {
 
 func TestDivergenceBalancedDiamondClean(t *testing.T) {
 	k := testKernel(t, map[string]int{"else": 3, "reconv": 4},
-		sass.New(sass.OpSSY, nil, []sass.Operand{sass.Label("reconv")}),                            // 0
+		sass.New(sass.OpSSY, nil, []sass.Operand{sass.Label("reconv")}),                                            // 0
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("else")}).WithGuard(sass.PredGuard{Reg: 0, Neg: true}), // 1
 		sass.New(sass.OpSYNC, nil, nil), // 2: then arm
 		sass.New(sass.OpSYNC, nil, nil), // 3: else arm

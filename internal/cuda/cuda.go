@@ -56,12 +56,12 @@ type Context struct {
 	launches  int
 
 	// Aggregate per-context statistics (nvprof analog).
-	TotalKernelCycles        uint64
-	TotalWarpInstrs          uint64
-	TotalInjectedWarpInstrs  uint64
-	TotalHandlerCalls        uint64
-	TotalScoreboardStalls    uint64
-	PerKernel                map[string]*KernelAgg
+	TotalKernelCycles       uint64
+	TotalWarpInstrs         uint64
+	TotalInjectedWarpInstrs uint64
+	TotalHandlerCalls       uint64
+	TotalScoreboardStalls   uint64
+	PerKernel               map[string]*KernelAgg
 }
 
 // KernelAgg accumulates per-kernel-name totals across launches.

@@ -164,7 +164,7 @@ type Lane struct {
 // Lane returns lane l's accessor. l must be one of the warp's active lanes.
 func (w *Warp) Lane(l int) Lane {
 	w.cur = l
-	return Lane{w: w, t: w.w.Threads[l], lane: l}
+	return Lane{w: w, t: w.w.Thread(l), lane: l}
 }
 
 // Index returns this thread's lane index within its warp (threadIdx & 31).
@@ -291,7 +291,7 @@ func (c Lane) ReadGeneric32(addr uint64) uint32 {
 	case mem.SpaceGlobal:
 		return c.ReadGlobal32(addr)
 	case mem.SpaceLocal:
-		v, err := c.t.Local.Read32(off)
+		v, err := c.t.ReadLocal32(off)
 		c.memPanic(err)
 		return v
 	case mem.SpaceShared:
@@ -310,7 +310,7 @@ func (c Lane) WriteGeneric32(addr uint64, v uint32) {
 	case mem.SpaceGlobal:
 		c.WriteGlobal32(addr, v)
 	case mem.SpaceLocal:
-		c.memPanic(c.t.Local.Write32(off, v))
+		c.memPanic(c.t.WriteLocal32(off, v))
 	case mem.SpaceShared:
 		c.memPanic(c.w.w.CTA.Shared.Write32(off, v))
 	default:
@@ -341,7 +341,7 @@ func (c Lane) ReadPred(p uint8) bool { return c.t.ReadPred(p) }
 func (c Lane) WritePred(p uint8, v bool) { c.t.WritePred(p, v) }
 
 // ReadCC returns the 4-bit condition code.
-func (c Lane) ReadCC() uint8 { return c.t.CC }
+func (c Lane) ReadCC() uint8 { return c.t.ReadCC() }
 
 // WriteCC sets the 4-bit condition code.
-func (c Lane) WriteCC(v uint8) { c.t.CC = v & 0xf }
+func (c Lane) WriteCC(v uint8) { c.t.WriteCC(v & 0xf) }

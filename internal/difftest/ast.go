@@ -73,28 +73,28 @@ type StmtKind int
 // modulo the pool size at render time), D selects the destination
 // variable, Op picks the sub-operation, and K picks slots/offsets/lanes.
 const (
-	StArith   StmtKind = iota // u[D] = intop(u[A], u[B])
-	StArithI                  // u[D] = intop(u[A], imm K)
-	StArithF                  // f[D] = floatop(f[A], f[B])
-	StMufu                    // f[D] = mufu(f[A])
-	StCvtUF                   // f[D] = cvt.f32(u[A])
-	StCvtFU                   // u[D] = bits(f[A]) or bits(cvt.s32(f[A]))
-	StSel                     // u[D] = setp(u[A] cmp u[B]) ? u[A] : u[D]
-	StVote                    // u[D] = ballot / select-on-all / select-on-any
-	StShfl                    // u[D] = shfl.idx(u[A], lane)
-	StLdIn                    // u[D] = in[u[A] & (InWords-1)]
-	StStOut                   // out[self][K] = u[A]
-	StLdOut                   // u[D] = out[self][K]
-	StAtom                    // atom add/max into acc or shared accumulator
-	StLdLocal                 // u[D] = local[K]
-	StStLocal                 // local[K] = u[A]
-	StLdShared                // u[D] = shared[own slot]
-	StStShared                // shared[own slot] = u[A]
-	StBar                     // barrier (uniform context only)
-	StXchg                    // cross-thread shared exchange with barriers
-	StIf                      // if u[A] cmp u[B] { Body }
-	StIfElse                  // if u[A] cmp u[B] { Body } else { Else }
-	StFor                     // for i in [0, Trip) { u[D] = i; Body }
+	StArith    StmtKind = iota // u[D] = intop(u[A], u[B])
+	StArithI                   // u[D] = intop(u[A], imm K)
+	StArithF                   // f[D] = floatop(f[A], f[B])
+	StMufu                     // f[D] = mufu(f[A])
+	StCvtUF                    // f[D] = cvt.f32(u[A])
+	StCvtFU                    // u[D] = bits(f[A]) or bits(cvt.s32(f[A]))
+	StSel                      // u[D] = setp(u[A] cmp u[B]) ? u[A] : u[D]
+	StVote                     // u[D] = ballot / select-on-all / select-on-any
+	StShfl                     // u[D] = shfl.idx(u[A], lane)
+	StLdIn                     // u[D] = in[u[A] & (InWords-1)]
+	StStOut                    // out[self][K] = u[A]
+	StLdOut                    // u[D] = out[self][K]
+	StAtom                     // atom add/max into acc or shared accumulator
+	StLdLocal                  // u[D] = local[K]
+	StStLocal                  // local[K] = u[A]
+	StLdShared                 // u[D] = shared[own slot]
+	StStShared                 // shared[own slot] = u[A]
+	StBar                      // barrier (uniform context only)
+	StXchg                     // cross-thread shared exchange with barriers
+	StIf                       // if u[A] cmp u[B] { Body }
+	StIfElse                   // if u[A] cmp u[B] { Body } else { Else }
+	StFor                      // for i in [0, Trip) { u[D] = i; Body }
 	numStmtKinds
 )
 

@@ -63,19 +63,23 @@ func Snapshot(cta *sim.CTA) *CTAState {
 		_ = cta.Shared.Read(0, st.Shared)
 	}
 	for _, w := range cta.Warps {
-		for _, t := range w.Threads {
+		for l := 0; l < sim.WarpSize; l++ {
+			t := w.Thread(l)
 			if t == nil {
-				continue
+				break
 			}
 			ts := ThreadState{
 				FlatTid: t.FlatTid,
-				Regs:    append([]uint32(nil), t.Regs...),
-				Preds:   t.Preds & 0x7f,
-				CC:      t.CC,
+				Regs:    make([]uint32, t.NumRegs()),
+				Preds:   t.PredBits() & 0x7f,
+				CC:      t.ReadCC(),
 			}
-			if t.Local != nil && t.Local.Size() > 0 {
-				ts.Local = make([]byte, t.Local.Size())
-				_ = t.Local.Read(0, ts.Local)
+			for r := range ts.Regs {
+				ts.Regs[r] = t.ReadReg(uint8(r))
+			}
+			if n := t.LocalSize(); n > 0 {
+				ts.Local = make([]byte, n)
+				_ = t.ReadLocal(0, ts.Local)
 			}
 			st.Threads = append(st.Threads, ts)
 		}

@@ -15,10 +15,11 @@ import (
 
 // TestInstrumentedStackCostsWhatItTouches: every thread of a
 // branch-instrumented parboil.sgemm launch spills to a frame at the top of
-// a stack of DefaultStackBytes plus that frame. What a thread materialises
-// is bounded by the frame the injector sized (the growth of the kernel's
-// LocalBytes), not by the stack: a small multiple of the frame, and every
-// thread that made a handler call materialises something.
+// a stack of DefaultStackBytes plus that frame. What a warp materialises
+// for its 32 interleaved stacks is bounded by the frame the injector sized
+// (the growth of the kernel's LocalBytes), not by the stack: 32 lanes × a
+// small multiple of the frame, and every warp that made a handler call
+// materialises something.
 func TestInstrumentedStackCostsWhatItTouches(t *testing.T) {
 	spec, _ := workloads.Get("parboil.sgemm")
 	prog, err := spec.Compile(ptxas.Options{})
@@ -40,35 +41,30 @@ func TestInstrumentedStackCostsWhatItTouches(t *testing.T) {
 	rt.MustRegister(p.Handler())
 	rt.Attach(ctx.Device())
 
-	threads, touched, worst, frame := 0, 0, 0, 0
+	warps, touched, worst, frame := 0, 0, 0, 0
 	ctx.Device().CTARetire = func(cta *sim.CTA) {
 		frame = cta.Kernel.LocalBytes - before[cta.Kernel.Name]
 		for _, w := range cta.Warps {
-			for _, th := range w.Threads {
-				if th == nil {
-					continue
-				}
-				threads++
-				n := th.Local.Materialized()
-				if n > 0 {
-					touched++
-				}
-				worst = max(worst, n)
+			warps++
+			n := w.LocalMaterialized()
+			if n > 0 {
+				touched++
 			}
+			worst = max(worst, n)
 		}
 	}
 	res, err := spec.Run(ctx, prog, spec.DefaultDataset())
 	if err != nil || res.VerifyErr != nil {
 		t.Fatal(err, res.VerifyErr)
 	}
-	if frame <= 0 || touched != threads {
-		t.Fatalf("frame %d bytes, %d of %d threads touched their stack: the launch did not spill", frame, touched, threads)
+	if frame <= 0 || touched != warps {
+		t.Fatalf("frame %d bytes, %d of %d warps touched their stacks: the launch did not spill", frame, touched, warps)
 	}
-	if worst > 3*frame || worst >= cfg.DefaultStackBytes/4 {
-		t.Errorf("a thread materialised %d stack bytes for a %d-byte frame (stack %d)",
+	if worst > sim.WarpSize*3*frame || worst >= sim.WarpSize*cfg.DefaultStackBytes/4 {
+		t.Errorf("a warp materialised %d stack bytes for 32 lanes of a %d-byte frame (stack %d)",
 			worst, frame, cfg.DefaultStackBytes+frame)
 	}
-	t.Logf("%d threads, frame %d bytes, most materialised by one thread %d", threads, frame, worst)
+	t.Logf("%d warps, frame %d bytes, most materialised by one warp %d (%d per lane)", warps, frame, worst, worst/sim.WarpSize)
 }
 
 // TestInstrumentedAllocationRepeatable: the same instrumented operation —

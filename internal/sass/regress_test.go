@@ -16,9 +16,9 @@ import (
 // appear dead at instrumentation sites before it and get clobbered.
 func TestGuardedExitFallsThrough(t *testing.T) {
 	k := buildKernel(t, nil,
-		New(OpEXIT, nil, nil).WithGuard(PredGuard{Reg: 0}),          // 0: @P0 EXIT
-		New(OpIADD, []Operand{R(2)}, []Operand{R(3), Imm(1)}),       // 1: reads R3
-		New(OpEXIT, nil, nil),                                       // 2
+		New(OpEXIT, nil, nil).WithGuard(PredGuard{Reg: 0}),    // 0: @P0 EXIT
+		New(OpIADD, []Operand{R(2)}, []Operand{R(3), Imm(1)}), // 1: reads R3
+		New(OpEXIT, nil, nil),                                 // 2
 	)
 	cfg, err := BuildCFG(k)
 	if err != nil {
@@ -44,9 +44,9 @@ func TestGuardedExitFallsThrough(t *testing.T) {
 // past it live.
 func TestUnconditionalExitTerminates(t *testing.T) {
 	k := buildKernel(t, nil,
-		New(OpEXIT, nil, nil),                                 // 0
+		New(OpEXIT, nil, nil), // 0
 		New(OpIADD, []Operand{R(2)}, []Operand{R(3), Imm(1)}), // 1: unreachable
-		New(OpEXIT, nil, nil),                                 // 2
+		New(OpEXIT, nil, nil), // 2
 	)
 	cfg, err := BuildCFG(k)
 	if err != nil {
@@ -67,9 +67,9 @@ func TestUnconditionalExitTerminates(t *testing.T) {
 // every instrumentation site before it would pointlessly spill garbage.
 func TestPredicatedFirstWriteNotLiveAtEntry(t *testing.T) {
 	k := buildKernel(t, nil,
-		New(OpISETP, []Operand{P(0)}, []Operand{R(2), Imm(0), P(PT)}),                    // 0
-		New(OpMOV32, []Operand{R(5)}, []Operand{Imm(1)}).WithGuard(PredGuard{Reg: 0}),    // 1: first write of R5, guarded
-		New(OpEXIT, nil, nil),                                                            // 2
+		New(OpISETP, []Operand{P(0)}, []Operand{R(2), Imm(0), P(PT)}),                 // 0
+		New(OpMOV32, []Operand{R(5)}, []Operand{Imm(1)}).WithGuard(PredGuard{Reg: 0}), // 1: first write of R5, guarded
+		New(OpEXIT, nil, nil), // 2
 	)
 	li := livenessOf(t, k)
 	if li.LiveIn[0].Has(5) {

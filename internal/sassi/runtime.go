@@ -145,7 +145,7 @@ func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) (err er
 	args := HandlerArgs{BP: d.bp}
 	// The second pointer is null at sites with no extra object (e.g. a
 	// BAR under PassMemoryInfo), uniformly across the warp.
-	if t := w.Threads[d.warp.First()]; t.ReadReg(ABIArg1)|t.ReadReg(ABIArg1+1) != 0 {
+	if t := w.Thread(d.warp.First()); t.ReadReg(ABIArg1)|t.ReadReg(ABIArg1+1) != 0 {
 		switch {
 		case h.What&PassMemoryInfo != 0:
 			args.MP = &d.mp

@@ -1,12 +1,15 @@
 package sim
 
-import "sassi/internal/mem"
+import (
+	"sassi/internal/mem"
+	"sassi/internal/sass"
+)
 
-// A launch's dominant allocations are per-thread: the Thread struct, its
-// register file, and its local-memory descriptor. A ctaSlab carves all
-// three for a whole CTA out of reusable backing arrays; when the CTA
-// retires (after the CTARetire observer has run) or its launch fails, the
-// slab goes back to the free list of the SM that ran it. Between reuses
+// A launch's dominant allocations are per-warp state: the Thread views,
+// the register rows, the scoreboard and the stack descriptor. A ctaSlab
+// carves all four for a whole CTA out of reusable backing arrays; when the
+// CTA retires (after the CTARetire observer has run) or its launch fails,
+// the slab goes back to the free list of the SM that ran it. Between reuses
 // only the carved prefix is zeroed — a memclr, not an allocation — so
 // steady-state launches on a device allocate no per-thread memory.
 //
@@ -17,9 +20,9 @@ import "sassi/internal/mem"
 // allocates depend on how they interleave. Nothing but the device's own
 // lifetime frees a list — a sync.Pool here made allocation figures depend
 // on when the collector last ran. What a list retains is Thread structs,
-// register files and descriptors; stack storage is dropped at put, or every
-// retired thread's materialised stack would stay reachable until the slab's
-// next carve.
+// register rows, scoreboards and descriptors; stack storage is dropped at
+// put, or every retired warp's materialised stack would stay reachable
+// until the slab's next carve.
 //
 // Warp and CTA structs are deliberately NOT pooled: instrumentation
 // handlers key per-warp state by *Warp (e.g. the CFI shadow stacks, reset
@@ -32,63 +35,90 @@ type slabList struct {
 	live int // slabs handed out and not yet returned
 }
 
-// ctaSlab backs the threads of one CTA. The backing arrays are carved by
-// appending within capacity; capacity is reserved up front for the whole
-// CTA so carving never reallocates (earlier *Thread pointers must stay
-// valid).
+// ctaSlab backs the warps of one CTA. The backing arrays are carved by
+// extending within capacity; capacity is reserved up front for the whole
+// CTA so carving never reallocates (earlier carves must stay valid).
+// Register rows are 32 lanes wide in every warp, a partial trailing one
+// included.
 type ctaSlab struct {
 	threads []Thread
 	regs    []uint32
-	locals  []mem.Local
+	sb      []uint64
+	locals  []mem.WarpLocal
+
+	// Row-kernel scratch for the CTA's warps, which step one at a time on
+	// one SM goroutine: rows[0..2] hold materialised or constant sources,
+	// rows[3] absorbs writes to RZ, and addrs holds a memory instruction's
+	// lane addresses. In the slab it is allocated once, not per launch.
+	rows  [4][WarpSize]uint32
+	addrs [WarpSize]uint64
 }
 
-// get returns a slab with capacity for nThreads threads of numRegs
-// registers each, reusing a free slab when one is large enough.
-func (l *slabList) get(nThreads, numRegs int) *ctaSlab {
+// slabShape is what a CTA carves from its slab.
+type slabShape struct {
+	threads, warps int
+	numRegs        int // registers per thread
+	sbSlots        int // scoreboard slots per warp
+	localBytes     int // local memory per thread
+}
+
+// get returns a slab that holds a CTA of shape s, reusing a free slab when
+// one is large enough.
+func (l *slabList) get(s slabShape) *ctaSlab {
 	l.live++
+	regs, sb := s.warps*s.numRegs*WarpSize, s.warps*s.sbSlots
 	for i := len(l.free) - 1; i >= 0; i-- {
-		s := l.free[i]
-		if cap(s.threads) >= nThreads && cap(s.regs) >= nThreads*numRegs {
+		f := l.free[i]
+		if cap(f.threads) >= s.threads && cap(f.regs) >= regs && cap(f.sb) >= sb && cap(f.locals) >= s.warps {
 			l.free[i] = l.free[len(l.free)-1]
 			l.free = l.free[:len(l.free)-1]
-			return s
+			return f
 		}
 	}
 	return &ctaSlab{
-		threads: make([]Thread, 0, nThreads),
-		regs:    make([]uint32, 0, nThreads*numRegs),
-		locals:  make([]mem.Local, 0, nThreads),
+		threads: make([]Thread, 0, s.threads),
+		regs:    make([]uint32, 0, regs),
+		sb:      make([]uint64, 0, sb),
+		locals:  make([]mem.WarpLocal, 0, s.warps),
 	}
 }
 
 // put takes back the slab of a CTA that retired or whose launch failed.
-// Thread structs and registers are zeroed at the next carve, not here; the
-// descriptors are cleared now because they hold the stacks.
+// Threads, registers and scoreboards are zeroed at the next carve, not
+// here; the descriptors are cleared now because they hold the stacks.
 func (l *slabList) put(s *ctaSlab) {
 	clear(s.locals)
 	s.threads = s.threads[:0]
 	s.regs = s.regs[:0]
+	s.sb = s.sb[:0]
 	s.locals = s.locals[:0]
 	l.free = append(l.free, s)
 	l.live--
 }
 
-// newThread carves one thread from the slab. Its stack pointer starts at
-// the top of local memory (the stack grows down), and the local-memory
-// descriptor materialises storage only for what gets written.
-func (s *ctaSlab) newThread(numRegs, localBytes int) *Thread {
-	s.threads = append(s.threads, Thread{})
-	t := &s.threads[len(s.threads)-1]
-	n := len(s.regs)
-	s.regs = s.regs[:n+numRegs]
-	regs := s.regs[n : n+numRegs : n+numRegs]
-	clear(regs)
-	s.locals = append(s.locals, mem.Local{})
-	l := &s.locals[len(s.locals)-1]
-	l.Reset(localBytes)
-	t.Regs = regs
-	t.Preds = 1 << 7 // PT
-	t.Local = l
-	t.Regs[1] = uint32(localBytes)
-	return t
+// carve extends *s by n zeroed elements within its capacity and returns
+// them, capacity-limited.
+func carve[T any](s *[]T, n int) []T {
+	k := len(*s)
+	*s = (*s)[:k+n]
+	c := (*s)[k : k+n : k+n]
+	clear(c)
+	return c
+}
+
+// carveWarp gives w its state for lanes threads: every register zero but
+// the stack pointer, which starts at the top of local memory (the stack
+// grows down), no predicate set but PT, a clear CC and scoreboard, and a
+// stack that materialises storage only for what gets written.
+func (s *ctaSlab) carveWarp(w *Warp, lanes int, shape *slabShape) {
+	w.threads = carve(&s.threads, lanes)
+	w.regs = carve(&s.regs, shape.numRegs*WarpSize)
+	w.readyAt = carve(&s.sb, shape.sbSlots)
+	w.local = &carve(&s.locals, 1)[0]
+	w.local.Reset(shape.localBytes)
+	sp := w.row(sass.SP)
+	for l := range sp {
+		sp[l] = uint32(shape.localBytes)
+	}
+	w.preds[sass.PT] = ^uint32(0)
 }

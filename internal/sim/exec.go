@@ -214,7 +214,7 @@ func (e *engine) step(w *Warp) error {
 		exec = w.Active
 	} else {
 		Lanes(w.Active, func(l int) {
-			if w.Threads[l] != nil && w.Threads[l].guardPasses(in.Guard.Reg, in.Guard.Neg) {
+			if t := w.Thread(l); t != nil && t.guardPasses(in.Guard.Reg, in.Guard.Neg) {
 				exec |= 1 << l
 			}
 		})
@@ -229,7 +229,6 @@ func (e *engine) step(w *Warp) error {
 		st.injectedThreadInstrs += uint64(nexec)
 	}
 	cost := issueCost(in)
-	Lanes(exec, func(l int) { w.Threads[l].DynInstrs++ })
 
 	advance, cost, err := e.execOp(w, in, exec, cost)
 	if err != nil {
@@ -398,20 +397,20 @@ func (e *engine) execVote(w *Warp, in *sass.Instruction, exec uint32) error {
 	}
 	var mask uint32
 	Lanes(exec, func(l int) {
-		if w.Threads[l].guardPasses(src.Reg, src.Neg) {
+		if w.Thread(l).guardPasses(src.Reg, src.Neg) {
 			mask |= 1 << l
 		}
 	})
 	d := in.Dsts[0]
 	switch in.Mods.Vote {
 	case sass.VoteBALLOT:
-		Lanes(exec, func(l int) { w.Threads[l].WriteReg(d.Reg, mask) })
+		Lanes(exec, func(l int) { w.Thread(l).WriteReg(d.Reg, mask) })
 	case sass.VoteALL:
 		v := mask == exec
-		Lanes(exec, func(l int) { w.Threads[l].WritePred(d.Reg, v) })
+		Lanes(exec, func(l int) { w.Thread(l).WritePred(d.Reg, v) })
 	case sass.VoteANY:
 		v := mask != 0
-		Lanes(exec, func(l int) { w.Threads[l].WritePred(d.Reg, v) })
+		Lanes(exec, func(l int) { w.Thread(l).WritePred(d.Reg, v) })
 	}
 	return nil
 }
@@ -426,14 +425,14 @@ func (e *engine) execShfl(w *Warp, in *sass.Instruction, exec uint32) error {
 	rd := in.Dsts[1]
 	var vals [WarpSize]uint32
 	Lanes(exec, func(l int) {
-		v, _ := e.srcU32(w.Threads[l], in.Srcs[0])
+		v, _ := e.srcU32(w.Thread(l), in.Srcs[0])
 		vals[l] = v
 	})
 	var results [WarpSize]uint32
 	var valid [WarpSize]bool
 	var outerErr error
 	Lanes(exec, func(l int) {
-		b, err := e.srcU32(w.Threads[l], in.Srcs[1])
+		b, err := e.srcU32(w.Thread(l), in.Srcs[1])
 		if err != nil {
 			outerErr = err
 			return
@@ -461,9 +460,9 @@ func (e *engine) execShfl(w *Warp, in *sass.Instruction, exec uint32) error {
 		return outerErr
 	}
 	Lanes(exec, func(l int) {
-		w.Threads[l].WriteReg(rd.Reg, results[l])
+		w.Thread(l).WriteReg(rd.Reg, results[l])
 		if pd.Kind == sass.OpdPred {
-			w.Threads[l].WritePred(pd.Reg, valid[l])
+			w.Thread(l).WritePred(pd.Reg, valid[l])
 		}
 	})
 	return nil
@@ -473,7 +472,7 @@ func (e *engine) execShfl(w *Warp, in *sass.Instruction, exec uint32) error {
 func (e *engine) unary(w *Warp, in *sass.Instruction, exec uint32, f func(uint32) uint32) error {
 	var err error
 	Lanes(exec, func(l int) {
-		t := w.Threads[l]
+		t := w.Thread(l)
 		a, e2 := e.srcU32(t, in.Srcs[0])
 		if e2 != nil {
 			err = e2
@@ -491,7 +490,7 @@ func (e *engine) execALU(w *Warp, in *sass.Instruction, exec uint32) error {
 		if err != nil {
 			return
 		}
-		err = e.execALULane(w.Threads[l], in)
+		err = e.execALULane(w.Thread(l), in)
 	})
 	return err
 }
@@ -520,24 +519,25 @@ func (e *engine) execALULane(t *Thread, in *sass.Instruction) error {
 			b = -b
 		}
 		sum := uint64(a) + uint64(b)
-		if in.Mods.X && t.CC&CCCarry != 0 {
+		if in.Mods.X && t.ReadCC()&CCCarry != 0 {
 			sum++
 		}
 		r := uint32(sum)
 		if in.Mods.SetCC {
-			t.CC = 0
+			cc := uint8(0)
 			if r == 0 {
-				t.CC |= CCZero
+				cc |= CCZero
 			}
 			if int32(r) < 0 {
-				t.CC |= CCSign
+				cc |= CCSign
 			}
 			if sum>>32 != 0 {
-				t.CC |= CCCarry
+				cc |= CCCarry
 			}
 			if (a^b)&0x8000_0000 == 0 && (a^r)&0x8000_0000 != 0 {
-				t.CC |= CCOvf
+				cc |= CCOvf
 			}
+			t.WriteCC(cc)
 		}
 		put(r)
 
@@ -788,9 +788,9 @@ func (e *engine) execALULane(t *Thread, in *sass.Instruction) error {
 		if err != nil {
 			return err
 		}
-		src := uint32(t.Preds)
+		src := uint32(t.PredBits())
 		if in.Mods.X {
-			src = uint32(t.CC)
+			src = uint32(t.ReadCC())
 		}
 		put((a &^ maskv) | (src & maskv))
 
@@ -804,13 +804,12 @@ func (e *engine) execALULane(t *Thread, in *sass.Instruction) error {
 			return err
 		}
 		if in.Mods.X {
-			t.CC = (t.CC &^ uint8(maskv)) | (uint8(a) & uint8(maskv&0xf))
+			t.WriteCC((t.ReadCC() &^ uint8(maskv)) | (uint8(a) & uint8(maskv&0xf)))
 			break
 		}
 		// PT (bit 7) is not writable.
 		maskv &= 0x7f
-		t.Preds = (t.Preds &^ uint8(maskv)) | (uint8(a) & uint8(maskv))
-		t.Preds |= 1 << 7
+		t.SetPredBits((t.PredBits() &^ uint8(maskv)) | (uint8(a) & uint8(maskv)))
 
 	case sass.OpPSETP:
 		pa := in.Srcs[0]

@@ -82,7 +82,7 @@ func (e *engine) execMem(w *Warp, in *sass.Instruction, exec uint32) (int, error
 			if lerr != nil {
 				return
 			}
-			t := w.Threads[l]
+			t := w.Thread(l)
 			off := int64(e.laneAddr(t, in, ref))
 			n := width.Regs()
 			for i := 0; i < n; i++ {
@@ -130,13 +130,13 @@ func (e *engine) execLocal(w *Warp, in *sass.Instruction, exec uint32, width sas
 		if lerr != nil {
 			return
 		}
-		t := w.Threads[l]
+		t := w.Thread(l)
 		off := e.laneAddr(t, in, ref)
 		if store {
 			storeFromRegs(t, in.Srcs[srcDataIdx(in)].Reg, buf[:], width)
-			lerr = t.Local.Write(off, buf[:nbytes])
+			lerr = t.WriteLocal(off, buf[:nbytes])
 		} else {
-			if lerr = t.Local.Read(off, buf[:nbytes]); lerr == nil {
+			if lerr = t.ReadLocal(off, buf[:nbytes]); lerr == nil {
 				loadIntoRegs(t, in.Dsts[0].Reg, buf[:], width)
 			}
 		}
@@ -175,7 +175,7 @@ func (e *engine) execShared(w *Warp, in *sass.Instruction, exec uint32, width sa
 		if lerr != nil {
 			return
 		}
-		t := w.Threads[l]
+		t := w.Thread(l)
 		off := e.laneAddr(t, in, ref)
 		if store {
 			storeFromRegs(t, in.Srcs[srcDataIdx(in)].Reg, buf[:], width)
@@ -207,7 +207,7 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		if lerr != nil {
 			return
 		}
-		t := w.Threads[l]
+		t := w.Thread(l)
 		addr := e.laneAddr(t, in, ref)
 		space, off := mem.Decode(addr)
 		if forceGlobal && space != mem.SpaceGlobal {
@@ -239,9 +239,9 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		case mem.SpaceLocal:
 			if store {
 				storeFromRegs(t, in.Srcs[srcDataIdx(in)].Reg, buf[:], width)
-				lerr = t.Local.Write(off, buf[:nbytes])
+				lerr = t.WriteLocal(off, buf[:nbytes])
 			} else {
-				if lerr = t.Local.Read(off, buf[:nbytes]); lerr == nil {
+				if lerr = t.ReadLocal(off, buf[:nbytes]); lerr == nil {
 					loadIntoRegs(t, in.Dsts[0].Reg, buf[:], width)
 				}
 			}
@@ -287,7 +287,7 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 		if lerr != nil {
 			return
 		}
-		t := w.Threads[l]
+		t := w.Thread(l)
 		addr := e.laneAddr(t, in, ref)
 		if !mem.IsGlobal(addr) {
 			lerr = &mem.Fault{Space: mem.SpaceGlobal, Addr: addr, Write: true,
@@ -358,7 +358,7 @@ func (e *engine) execAtomicShared(w *Warp, in *sass.Instruction, exec uint32) (i
 			return
 		}
 		n++
-		t := w.Threads[l]
+		t := w.Thread(l)
 		off := e.laneAddr(t, in, ref)
 		old, err := w.CTA.Shared.Read32(off)
 		if err != nil {

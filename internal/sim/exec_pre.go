@@ -11,12 +11,13 @@ import (
 
 // stepPre executes one instruction for warp w: the execution core's issue
 // loop. It is step() with the hot pieces swapped for their predecoded forms:
-// the guard is pre-split, operand kinds are resolved, the scoreboard
-// walks precomputed slot lists, and specialized classes execute with
-// manual lane loops (or a single leader computation broadcast to the
-// warp when the value lattice proved the instruction uniform). All
-// accounting — issue counters, watchdog, cycles, stalls, PC samples —
-// matches step() field for field.
+// the guard is one AND of a predicate's lane mask with the active mask,
+// operand kinds are resolved, the scoreboard walks precomputed slot lists,
+// and specialized classes execute as row kernels over the warp's register
+// rows (or once on the leader lane, broadcast to the warp, when the value
+// lattice proved the instruction uniform). All accounting — issue
+// counters, watchdog, cycles, stalls, PC samples — matches step() field for
+// field.
 func (e *engine) stepPre(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
@@ -41,23 +42,18 @@ func (e *engine) stepPre(w *Warp) error {
 	}
 
 	// Guard evaluation over the active mask. A lattice-proven uniform
-	// guard is evaluated once on the leader lane (all-or-none by proof);
-	// otherwise each active lane reads its own predicate file.
+	// guard is the leader lane's (all-or-none by proof).
 	exec := w.Active
 	if p.flags&pfGuardAlways == 0 {
-		gn := p.flags&pfGuardNeg != 0
-		if p.flags&pfUniform != 0 && exec != 0 {
-			if !w.Threads[bits.TrailingZeros32(exec)].guardPasses(p.guardReg, gn) {
-				exec = 0
-			}
-		} else {
+		g := w.preds[p.guardReg]
+		if p.flags&pfGuardNeg != 0 {
+			g = ^g
+		}
+		switch {
+		case p.flags&pfUniform == 0:
+			exec &= g
+		case exec&-exec&g == 0:
 			exec = 0
-			for m := w.Active; m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m)
-				if w.Threads[l].guardPasses(p.guardReg, gn) {
-					exec |= 1 << l
-				}
-			}
 		}
 	}
 
@@ -70,11 +66,6 @@ func (e *engine) stepPre(w *Warp) error {
 		st.injectedThreadInstrs += uint64(nexec)
 	}
 	cost := int(p.staticCost)
-	if p.flags&pfFoldDyn == 0 {
-		for m := exec; m != 0; m &= m - 1 {
-			w.Threads[bits.TrailingZeros32(m)].DynInstrs++
-		}
-	}
 	advance := true
 	var err error
 	switch {
@@ -137,138 +128,235 @@ func (w *Warp) scoreboardPre(p *preInstr, cost int) (stall uint64) {
 	return stall
 }
 
-// preSrcU32 evaluates a resolved scalar source operand for one thread.
-// All failure modes were discharged at predecode (out-of-range constant
-// words demote the instruction to pcGeneric), so reads cannot fault.
-func (e *engine) preSrcU32(t *Thread, s *preSrc) uint32 {
-	switch s.kind {
-	case psReg:
-		return t.Regs[s.reg]
-	case psImm:
-		return s.imm
-	case psCMem:
-		return binary.LittleEndian.Uint32(e.cb[s.off:])
-	case psSR:
-		return e.readSR(t, s.sr)
-	case psPred:
-		if t.guardPasses(s.reg, s.neg) {
-			return 1
-		}
-		return 0
-	}
-	return 0
+// zeroRow is what RZ reads in every lane.
+var zeroRow [WarpSize]uint32
+
+// opnd is one source of a row kernel: lane l reads row[l&mask]. A register
+// row or a materialised scratch row has mask WarpSize-1; a lane-invariant
+// value sits in row[0] with mask 0.
+type opnd struct {
+	row  *[WarpSize]uint32
+	mask int
 }
 
-// aluCompute executes one specialized single-destination ALU instruction
-// for one thread, returning the register result. The per-class semantics
-// mirror execALULane exactly.
-func (e *engine) aluCompute(t *Thread, p *preInstr) uint32 {
+func (o opnd) at(l int) uint32 { return o.row[l&o.mask&(WarpSize-1)] }
+
+// lane returns the lowest lane of a non-empty mask.
+func lane(m uint32) int { return bits.TrailingZeros32(m) & (WarpSize - 1) }
+
+// srcRow resolves source s for the lanes of exec: the register's row, or
+// scratch holding a lane-invariant value (RZ, an immediate, a
+// constant-bank word, a predicate equal over exec) or the special-register
+// or predicate values of exec's lanes. Constant-bank offsets were
+// validated at predecode, so nothing here can fault.
+func (e *engine) srcRow(w *Warp, s *preSrc, exec uint32, scratch *[WarpSize]uint32) opnd {
+	switch s.kind {
+	case psReg:
+		return opnd{w.row(s.reg), WarpSize - 1}
+	case psImm:
+		scratch[0] = s.imm
+	case psCMem:
+		scratch[0] = binary.LittleEndian.Uint32(e.cb[s.off:])
+	case psSR:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			scratch[l] = e.readSR(&w.threads[l], s.sr)
+		}
+		return opnd{scratch, WarpSize - 1}
+	case psPred:
+		v := w.predMask(s.reg, s.neg)
+		switch v & exec {
+		case exec:
+			scratch[0] = 1
+		case 0:
+			scratch[0] = 0
+		default:
+			for m := exec; m != 0; m &= m - 1 {
+				l := lane(m)
+				scratch[l] = v >> l & 1
+			}
+			return opnd{scratch, WarpSize - 1}
+		}
+	default: // psZero
+		scratch[0] = 0
+	}
+	return opnd{scratch, 0}
+}
+
+// predMask returns predicate p's lane mask, complemented when neg.
+func (w *Warp) predMask(p uint8, neg bool) uint32 {
+	if neg {
+		return ^w.preds[p]
+	}
+	return w.preds[p]
+}
+
+// srcRegRow returns register r's row for reading (RZ reads zero).
+func (w *Warp) srcRegRow(r uint8) *[WarpSize]uint32 {
+	if r == sass.RZ {
+		return &zeroRow
+	}
+	return w.row(r)
+}
+
+// dstRow returns register r's row for writing, or sink for RZ.
+func (w *Warp) dstRow(r uint8, sink *[WarpSize]uint32) *[WarpSize]uint32 {
+	if r == sass.RZ {
+		return sink
+	}
+	return w.row(r)
+}
+
+// aluRow is the lane kernel of every broadcast-safe ALU class but SETP:
+// d[l] = op(a[l], b[l], c[l]) for each lane l of exec, a predicate selector
+// reading as c[l] != 0. The class and modifier switches sit outside the
+// lane loops. It is the core's one statement of these classes' semantics;
+// the reference interpreter's execALULane is the independent other.
+func aluRow(p *preInstr, exec uint32, a, b, c opnd, d *[WarpSize]uint32) {
 	switch p.class {
 	case pcMOV:
-		return e.preSrcU32(t, &p.srcs[0])
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a.at(l)
+		}
 	case pcIADD:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		if p.negB {
-			b = -b
+		neg := p.negB
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			y := b.at(l)
+			if neg {
+				y = -y
+			}
+			d[l] = a.at(l) + y
 		}
-		return a + b
 	case pcIMUL:
-		return e.preSrcU32(t, &p.srcs[0]) * e.preSrcU32(t, &p.srcs[1])
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a.at(l) * b.at(l)
+		}
 	case pcIMAD:
-		return e.preSrcU32(t, &p.srcs[0])*e.preSrcU32(t, &p.srcs[1]) + e.preSrcU32(t, &p.srcs[2])
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a.at(l)*b.at(l) + c.at(l)
+		}
 	case pcISCADD:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		sh := e.preSrcU32(t, &p.srcs[2])
-		return (a << (sh & 31)) + b
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = a.at(l)<<(c.at(l)&31) + b.at(l)
+		}
 	case pcSHL:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		if b >= 32 {
-			return 0
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x, y := a.at(l), b.at(l)
+			v := uint32(0)
+			if y < 32 {
+				v = x << y
+			}
+			d[l] = v
 		}
-		return a << b
 	case pcSHR:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		if p.unsigned {
-			if b >= 32 {
-				return 0
+		unsigned := p.unsigned
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x, y := a.at(l), b.at(l)
+			var v uint32
+			switch {
+			case unsigned && y < 32:
+				v = x >> y
+			case unsigned:
+			case y >= 32:
+				v = u32(i32(x) >> 31)
+			default:
+				v = u32(i32(x) >> y)
 			}
-			return a >> b
+			d[l] = v
 		}
-		if b >= 32 {
-			b = 31
-		}
-		return u32(i32(a) >> b)
 	case pcLOP:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		switch p.logic {
-		case sass.LogicAND:
-			return a & b
-		case sass.LogicOR:
-			return a | b
-		case sass.LogicXOR:
-			return a ^ b
-		case sass.LogicPASS:
-			return b
-		case sass.LogicNOT:
-			return ^b
-		}
-		return 0
-	case pcSEL:
-		if t.guardPasses(p.srcs[2].reg, p.srcs[2].neg) {
-			return e.preSrcU32(t, &p.srcs[0])
-		}
-		return e.preSrcU32(t, &p.srcs[1])
-	case pcFADD:
-		a := e.preSrcU32(t, &p.srcs[0])
-		fb := f32(e.preSrcU32(t, &p.srcs[1]))
-		if p.negB {
-			fb = -fb
-		}
-		return f32b(f32(a) + fb)
-	case pcFMUL:
-		a := e.preSrcU32(t, &p.srcs[0])
-		fb := f32(e.preSrcU32(t, &p.srcs[1]))
-		if p.negB {
-			fb = -fb
-		}
-		return f32b(f32(a) * fb)
-	case pcFFMA:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		c := e.preSrcU32(t, &p.srcs[2])
-		return f32b(f32(a)*f32(b) + f32(c))
-	case pcIMNMX:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		takeMin := t.guardPasses(p.srcs[2].reg, p.srcs[2].neg)
-		if p.unsigned {
-			if (a < b) == takeMin {
-				return a
+		logic := p.logic
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x, y := a.at(l), b.at(l)
+			var v uint32
+			switch logic {
+			case sass.LogicAND:
+				v = x & y
+			case sass.LogicOR:
+				v = x | y
+			case sass.LogicXOR:
+				v = x ^ y
+			case sass.LogicPASS:
+				v = y
+			case sass.LogicNOT:
+				v = ^y
 			}
-			return b
+			d[l] = v
 		}
-		if (i32(a) < i32(b)) == takeMin {
-			return a
+	case pcSEL:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			if c.at(l) != 0 {
+				d[l] = a.at(l)
+			} else {
+				d[l] = b.at(l)
+			}
 		}
-		return b
+	case pcFADD:
+		neg := p.negB
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			fb := f32(b.at(l))
+			if neg {
+				fb = -fb
+			}
+			d[l] = f32b(f32(a.at(l)) + fb)
+		}
+	case pcFMUL:
+		neg := p.negB
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			fb := f32(b.at(l))
+			if neg {
+				fb = -fb
+			}
+			d[l] = f32b(f32(a.at(l)) * fb)
+		}
+	case pcFFMA:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = f32b(f32(a.at(l))*f32(b.at(l)) + f32(c.at(l)))
+		}
+	case pcIMNMX:
+		unsigned := p.unsigned
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x, y := a.at(l), b.at(l)
+			less := i32(x) < i32(y)
+			if unsigned {
+				less = x < y
+			}
+			if less == (c.at(l) != 0) {
+				d[l] = x
+			} else {
+				d[l] = y
+			}
+		}
 	case pcFMNMX:
-		a := e.preSrcU32(t, &p.srcs[0])
-		b := e.preSrcU32(t, &p.srcs[1])
-		takeMin := t.guardPasses(p.srcs[2].reg, p.srcs[2].neg)
-		if (f32(a) < f32(b)) == takeMin {
-			return a
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x, y := a.at(l), b.at(l)
+			if (f32(x) < f32(y)) == (c.at(l) != 0) {
+				d[l] = x
+			} else {
+				d[l] = y
+			}
 		}
-		return b
 	case pcMUFU:
-		x := float64(f32(e.preSrcU32(t, &p.srcs[0])))
-		return f32b(float32(mufuEval(p.mufu, x)))
+		fn := p.mufu
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = f32b(float32(mufuEval(fn, float64(f32(a.at(l))))))
+		}
 	}
-	return 0
 }
 
 // mufuEval evaluates one special-function-unit op; an out-of-enum
@@ -293,592 +381,198 @@ func mufuEval(fn sass.MufuFunc, x float64) float64 {
 	return 0
 }
 
-// setpCompute evaluates ISETP/FSETP for one thread, returning the primary
-// and complement predicate results (execSetp semantics).
-func (e *engine) setpCompute(t *Thread, p *preInstr) (bool, bool) {
-	a := e.preSrcU32(t, &p.srcs[0])
-	b := e.preSrcU32(t, &p.srcs[1])
-	var cmp bool
-	if p.class == pcFSETP {
-		fa, fb := f32(a), f32(b)
-		switch p.cmp {
-		case sass.CmpLT:
-			cmp = fa < fb
-		case sass.CmpLE:
-			cmp = fa <= fb
-		case sass.CmpGT:
-			cmp = fa > fb
-		case sass.CmpGE:
-			cmp = fa >= fb
-		case sass.CmpEQ:
-			cmp = fa == fb
-		case sass.CmpNE:
-			cmp = fa != fb
+// setpRow is the ISETP/FSETP lane kernel: over the lanes of exec it
+// compares a with b and combines the result with the predicate c, giving
+// the primary and complement destinations' lane masks.
+func setpRow(p *preInstr, exec uint32, a, b, c opnd) (v, vq uint32) {
+	fsetp := p.class == pcFSETP
+	var cmp, sel uint32
+	for m := exec; m != 0; m &= m - 1 {
+		l := lane(m)
+		if setpCmp(a.at(l), b.at(l), fsetp, p.unsigned, p.cmp) {
+			cmp |= 1 << l
 		}
-	} else if p.unsigned {
-		switch p.cmp {
-		case sass.CmpLT:
-			cmp = a < b
-		case sass.CmpLE:
-			cmp = a <= b
-		case sass.CmpGT:
-			cmp = a > b
-		case sass.CmpGE:
-			cmp = a >= b
-		case sass.CmpEQ:
-			cmp = a == b
-		case sass.CmpNE:
-			cmp = a != b
-		}
-	} else {
-		sa, sb := i32(a), i32(b)
-		switch p.cmp {
-		case sass.CmpLT:
-			cmp = sa < sb
-		case sass.CmpLE:
-			cmp = sa <= sb
-		case sass.CmpGT:
-			cmp = sa > sb
-		case sass.CmpGE:
-			cmp = sa >= sb
-		case sass.CmpEQ:
-			cmp = sa == sb
-		case sass.CmpNE:
-			cmp = sa != sb
+		if c.at(l) != 0 {
+			sel |= 1 << l
 		}
 	}
-	c := t.guardPasses(p.srcs[2].reg, p.srcs[2].neg)
 	switch p.logic {
 	case sass.LogicAND:
-		return cmp && c, !cmp && c
+		return cmp & sel, ^cmp & sel
 	case sass.LogicOR:
-		return cmp || c, !cmp || c
+		return cmp | sel, ^cmp | sel
 	case sass.LogicXOR:
-		return cmp != c, !cmp != c
+		return cmp ^ sel, ^cmp ^ sel
 	}
-	return cmp, !cmp
+	return cmp, ^cmp
 }
 
-// execPreALU runs one specialized ALU instruction over the executing
-// lanes: the uniform-warp fast path computes once on the leader lane and
-// broadcasts; otherwise every lane computes.
-func (e *engine) execPreALU(w *Warp, p *preInstr, exec uint32) {
-	if exec == 0 {
-		return
-	}
-	setp := p.class == pcISETP || p.class == pcFSETP
-	if p.flags&pfUniform != 0 && exec == w.Active {
-		lead := w.Threads[bits.TrailingZeros32(exec)]
-		if setp {
-			v, vq := e.setpCompute(lead, p)
-			for m := exec; m != 0; m &= m - 1 {
-				t := w.Threads[bits.TrailingZeros32(m)]
-				t.DynInstrs++
-				t.WritePred(p.dstP, v)
-				if p.dstQ != sass.PT {
-					t.WritePred(p.dstQ, vq)
-				}
-			}
-			return
-		}
-		v := e.aluCompute(lead, p)
-		if p.dst != sass.RZ {
-			for m := exec; m != 0; m &= m - 1 {
-				t := w.Threads[bits.TrailingZeros32(m)]
-				t.DynInstrs++
-				t.Regs[p.dst] = v
-			}
-		} else {
-			for m := exec; m != 0; m &= m - 1 {
-				w.Threads[bits.TrailingZeros32(m)].DynInstrs++
-			}
-		}
-		return
-	}
-	if setp {
-		e.execPreSetp(w, p, exec)
-		return
-	}
-	var ls laneSrcs
-	if p.dst != sass.RZ && e.resolveLaneSrcs(p, &ls, 3) && e.execPreALUFast(w, p, &ls, exec) {
-		return
-	}
-	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		t.DynInstrs++
-		t.WriteReg(p.dst, e.aluCompute(t, p))
-	}
-}
-
-// laneSrcs is the per-warp-step fetch plan for a specialized ALU
-// instruction: each source collapses to either a lane-invariant 32-bit
-// constant (immediate, constant-bank word — fixed for the launch — or
-// folded RZ) or a per-lane register index. Building the plan once per
-// warp step hoists the operand-kind dispatch out of the lane loop.
-type laneSrcs struct {
-	r0, r1, r2 int32 // register index; -1 selects the constant
-	c0, c1, c2 uint32
-}
-
-// resolveLaneSrcs fills the fetch plan for the first n sources and
-// reports whether all of them are lane-invariant constants or plain
-// register reads. Special registers and predicate operands keep the
-// per-lane slow path.
-func (e *engine) resolveLaneSrcs(p *preInstr, ls *laneSrcs, n int) bool {
-	ls.r0, ls.r1, ls.r2 = -1, -1, -1
-	for i := 0; i < n; i++ {
-		s := &p.srcs[i]
-		var r int32 = -1
-		var c uint32
-		switch s.kind {
-		case psZero:
-		case psReg:
-			r = int32(s.reg)
-		case psImm:
-			c = s.imm
-		case psCMem:
-			c = binary.LittleEndian.Uint32(e.cb[s.off:])
-		default:
-			return false
-		}
-		switch i {
-		case 0:
-			ls.r0, ls.c0 = r, c
-		case 1:
-			ls.r1, ls.c1 = r, c
-		case 2:
-			ls.r2, ls.c2 = r, c
-		}
-	}
-	return true
-}
-
-// execPreALUFast executes the hot ALU classes with the class switch and
-// all lane-invariant work hoisted out of the lane loop: per lane only
-// register reads, the arithmetic itself, and the destination write
-// remain. Reports false for classes without a specialized loop (the
-// predicate-selector family), which then use the aluCompute path. The
-// per-class arithmetic is the same expression aluCompute evaluates.
-func (e *engine) execPreALUFast(w *Warp, p *preInstr, ls *laneSrcs, exec uint32) bool {
-	dst := p.dst
-	switch p.class {
-	case pcMOV:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a := ls.c0
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			t.Regs[dst] = a
-		}
-	case pcIADD:
-		neg := p.negB
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			if neg {
-				b = -b
-			}
-			t.Regs[dst] = a + b
-		}
-	case pcIMUL:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			t.Regs[dst] = a * b
-		}
-	case pcIMAD:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b, c := ls.c0, ls.c1, ls.c2
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			if ls.r2 >= 0 {
-				c = t.Regs[ls.r2]
-			}
-			t.Regs[dst] = a*b + c
-		}
-	case pcISCADD:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b, sh := ls.c0, ls.c1, ls.c2
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			if ls.r2 >= 0 {
-				sh = t.Regs[ls.r2]
-			}
-			t.Regs[dst] = (a << (sh & 31)) + b
-		}
-	case pcSHL:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			v := uint32(0)
-			if b < 32 {
-				v = a << b
-			}
-			t.Regs[dst] = v
-		}
-	case pcSHR:
-		unsigned := p.unsigned
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			var v uint32
-			if unsigned {
-				if b < 32 {
-					v = a >> b
-				}
-			} else {
-				if b >= 32 {
-					b = 31
-				}
-				v = u32(i32(a) >> b)
-			}
-			t.Regs[dst] = v
-		}
-	case pcLOP:
-		logic := p.logic
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			var v uint32
-			switch logic {
-			case sass.LogicAND:
-				v = a & b
-			case sass.LogicOR:
-				v = a | b
-			case sass.LogicXOR:
-				v = a ^ b
-			case sass.LogicPASS:
-				v = b
-			case sass.LogicNOT:
-				v = ^b
-			}
-			t.Regs[dst] = v
-		}
-	case pcFADD:
-		neg := p.negB
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			fb := f32(b)
-			if neg {
-				fb = -fb
-			}
-			t.Regs[dst] = f32b(f32(a) + fb)
-		}
-	case pcFMUL:
-		neg := p.negB
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b := ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			fb := f32(b)
-			if neg {
-				fb = -fb
-			}
-			t.Regs[dst] = f32b(f32(a) * fb)
-		}
-	case pcFFMA:
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a, b, c := ls.c0, ls.c1, ls.c2
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-			if ls.r2 >= 0 {
-				c = t.Regs[ls.r2]
-			}
-			t.Regs[dst] = f32b(f32(a)*f32(b) + f32(c))
-		}
-	case pcMUFU:
-		fn := p.mufu
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			a := ls.c0
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			t.Regs[dst] = f32b(float32(mufuEval(fn, float64(f32(a)))))
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-// execPreSetp executes ISETP/FSETP with the operand fetch plan hoisted;
-// the compare and combine switches stay in the loop but are perfectly
-// predicted (the modifiers are loop-invariant).
-func (e *engine) execPreSetp(w *Warp, p *preInstr, exec uint32) {
-	var ls laneSrcs
-	if !e.resolveLaneSrcs(p, &ls, 2) {
-		for m := exec; m != 0; m &= m - 1 {
-			t := w.Threads[bits.TrailingZeros32(m)]
-			t.DynInstrs++
-			v, vq := e.setpCompute(t, p)
-			t.WritePred(p.dstP, v)
-			if p.dstQ != sass.PT {
-				t.WritePred(p.dstQ, vq)
-			}
-		}
-		return
-	}
-	sel := &p.srcs[2]
-	fsetp := p.class == pcFSETP
-	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		t.DynInstrs++
-		a, b := ls.c0, ls.c1
-		if ls.r0 >= 0 {
-			a = t.Regs[ls.r0]
-		}
-		if ls.r1 >= 0 {
-			b = t.Regs[ls.r1]
-		}
-		cmp := setpCmp(a, b, fsetp, p.unsigned, p.cmp)
-		c := t.guardPasses(sel.reg, sel.neg)
-		var v, vq bool
-		switch p.logic {
-		case sass.LogicAND:
-			v, vq = cmp && c, !cmp && c
-		case sass.LogicOR:
-			v, vq = cmp || c, !cmp || c
-		case sass.LogicXOR:
-			v, vq = cmp != c, !cmp != c
-		default:
-			v, vq = cmp, !cmp
-		}
-		t.WritePred(p.dstP, v)
-		if p.dstQ != sass.PT {
-			t.WritePred(p.dstQ, vq)
-		}
-	}
-}
-
-// setpCmp evaluates the SETP comparison for one lane (the compare leg of
-// setpCompute).
+// setpCmp evaluates the SETP comparison for one lane. Floats compare
+// unordered against NaN: every relation but NE is false, which deriving LE
+// and GE from LT, EQ and GT preserves.
 func setpCmp(a, b uint32, fsetp, unsigned bool, op sass.CmpOp) bool {
-	if fsetp {
+	var lt, eq, gt bool
+	switch {
+	case fsetp:
 		fa, fb := f32(a), f32(b)
-		switch op {
-		case sass.CmpLT:
-			return fa < fb
-		case sass.CmpLE:
-			return fa <= fb
-		case sass.CmpGT:
-			return fa > fb
-		case sass.CmpGE:
-			return fa >= fb
-		case sass.CmpEQ:
-			return fa == fb
-		case sass.CmpNE:
-			return fa != fb
-		}
-		return false
+		lt, eq, gt = fa < fb, fa == fb, fa > fb
+	case unsigned:
+		lt, eq, gt = a < b, a == b, a > b
+	default:
+		lt, eq, gt = i32(a) < i32(b), a == b, i32(a) > i32(b)
 	}
-	if unsigned {
-		switch op {
-		case sass.CmpLT:
-			return a < b
-		case sass.CmpLE:
-			return a <= b
-		case sass.CmpGT:
-			return a > b
-		case sass.CmpGE:
-			return a >= b
-		case sass.CmpEQ:
-			return a == b
-		case sass.CmpNE:
-			return a != b
-		}
-		return false
-	}
-	sa, sb := i32(a), i32(b)
 	switch op {
 	case sass.CmpLT:
-		return sa < sb
+		return lt
 	case sass.CmpLE:
-		return sa <= sb
+		return lt || eq
 	case sass.CmpGT:
-		return sa > sb
+		return gt
 	case sass.CmpGE:
-		return sa >= sb
+		return gt || eq
 	case sass.CmpEQ:
-		return sa == sb
+		return eq
 	case sass.CmpNE:
-		return sa != sb
+		return !eq
 	}
 	return false
 }
 
-// execPreIADDC is the CC-carrying IADD lane loop (execALULane's IADD
-// case with .X/.CC honored): consume the carry bit when pfX is set, and
+// execPreALU runs one broadcast-safe ALU instruction over the executing
+// lanes through its row kernel. A lattice-proven uniform instruction over
+// the whole active mask runs the kernel on the leader lane alone and
+// broadcasts the leader's result: every lane would compute it by proof.
+func (e *engine) execPreALU(w *Warp, p *preInstr, exec uint32) {
+	if exec == 0 {
+		return
+	}
+	run := exec
+	if p.flags&pfUniform != 0 && exec == w.Active {
+		run = exec & -exec
+	}
+	rows := &w.CTA.slab.rows
+	a := e.srcRow(w, &p.srcs[0], run, &rows[0])
+	b := e.srcRow(w, &p.srcs[1], run, &rows[1])
+	c := e.srcRow(w, &p.srcs[2], run, &rows[2])
+	if p.class == pcISETP || p.class == pcFSETP {
+		v, vq := setpRow(p, run, a, b, c)
+		if run != exec { // the leader's results, for every lane
+			v, vq = -(v>>lane(run)&1)&exec, -(vq>>lane(run)&1)&exec
+		}
+		w.writePreds(p.dstP, exec, v)
+		w.writePreds(p.dstQ, exec, vq)
+		return
+	}
+	d := w.dstRow(p.dst, &rows[3])
+	aluRow(p, run, a, b, c, d)
+	if run != exec {
+		v := d[lane(run)]
+		for m := exec &^ run; m != 0; m &= m - 1 {
+			d[lane(m)] = v
+		}
+	}
+}
+
+// execPreIADDC is the CC-carrying IADD row kernel (execALULane's IADD case
+// with .X/.CC honored): consume the carry bit when pfX is set, and
 // recompute the full condition code when pfSetCC is set. CC state is
 // per-lane, so there is no uniform broadcast for this class.
 func (e *engine) execPreIADDC(w *Warp, p *preInstr, exec uint32) {
-	var ls laneSrcs
-	fast := e.resolveLaneSrcs(p, &ls, 2)
+	rows := &w.CTA.slab.rows
+	a := e.srcRow(w, &p.srcs[0], exec, &rows[0])
+	b := e.srcRow(w, &p.srcs[1], exec, &rows[1])
+	d := w.dstRow(p.dst, &rows[3])
 	setCC := p.flags&pfSetCC != 0
 	useX := p.flags&pfX != 0
 	neg := p.negB
 	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		t.DynInstrs++
-		var a, b uint32
-		if fast {
-			a, b = ls.c0, ls.c1
-			if ls.r0 >= 0 {
-				a = t.Regs[ls.r0]
-			}
-			if ls.r1 >= 0 {
-				b = t.Regs[ls.r1]
-			}
-		} else {
-			a = e.preSrcU32(t, &p.srcs[0])
-			b = e.preSrcU32(t, &p.srcs[1])
-		}
+		l := lane(m)
+		x, y := a.at(l), b.at(l)
 		if neg {
-			b = -b
+			y = -y
 		}
-		sum := uint64(a) + uint64(b)
-		if useX && t.CC&CCCarry != 0 {
+		sum := uint64(x) + uint64(y)
+		if useX && w.cc[l]&CCCarry != 0 {
 			sum++
 		}
 		r := uint32(sum)
 		if setCC {
-			t.CC = 0
+			cc := uint8(0)
 			if r == 0 {
-				t.CC |= CCZero
+				cc |= CCZero
 			}
 			if int32(r) < 0 {
-				t.CC |= CCSign
+				cc |= CCSign
 			}
 			if sum>>32 != 0 {
-				t.CC |= CCCarry
+				cc |= CCCarry
 			}
-			if (a^b)&0x8000_0000 == 0 && (a^r)&0x8000_0000 != 0 {
-				t.CC |= CCOvf
+			if (x^y)&0x8000_0000 == 0 && (x^r)&0x8000_0000 != 0 {
+				cc |= CCOvf
 			}
+			w.cc[l] = cc
 		}
-		t.WriteReg(p.dst, r)
+		d[l] = r
 	}
 }
 
-// execPrePSETP is the predicate-logic lane loop (execALULane's PSETP
-// case): combine two source predicates and write the primary destination
+// execPrePSETP is predicate logic (execALULane's PSETP case) on lane
+// masks: combine two source predicates and write the primary destination
 // only, as the interpreter does.
 func (e *engine) execPrePSETP(w *Warp, p *preInstr, exec uint32) {
-	sa, sb := &p.srcs[0], &p.srcs[1]
-	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		t.DynInstrs++
-		a := t.guardPasses(sa.reg, sa.neg)
-		b := t.guardPasses(sb.reg, sb.neg)
-		var v bool
-		switch p.logic {
-		case sass.LogicAND:
-			v = a && b
-		case sass.LogicOR:
-			v = a || b
-		case sass.LogicXOR:
-			v = a != b
-		default:
-			v = a
-		}
-		t.WritePred(p.dstP, v)
+	a := w.predMask(p.srcs[0].reg, p.srcs[0].neg)
+	b := w.predMask(p.srcs[1].reg, p.srcs[1].neg)
+	switch p.logic {
+	case sass.LogicAND:
+		a &= b
+	case sass.LogicOR:
+		a |= b
+	case sass.LogicXOR:
+		a ^= b
 	}
+	w.writePreds(p.dstP, exec, a)
 }
 
-// execPreP2R is the lane loop of both predicate/CC shuttles (execALULane's
-// P2R and R2P cases): P2R merges the predicate file — the condition code
-// with .X — into a GPR under a mask, R2P writes it back.
+// execPreP2R is the row kernel of both predicate/CC shuttles
+// (execALULane's P2R and R2P cases): P2R merges the predicate file — the
+// condition code with .X — into a GPR under a mask, R2P writes it back.
 func (e *engine) execPreP2R(w *Warp, p *preInstr, exec uint32) {
+	rows := &w.CTA.slab.rows
+	a := e.srcRow(w, &p.srcs[0], exec, &rows[0])
+	mask := e.srcRow(w, &p.srcs[1], exec, &rows[1])
 	cc := p.flags&pfX != 0
-	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		t.DynInstrs++
-		a := e.preSrcU32(t, &p.srcs[0])
-		mask := e.preSrcU32(t, &p.srcs[1])
-		switch {
-		case p.class == pcP2R:
-			src := uint32(t.Preds)
+	var pb [WarpSize / 8]uint64 // every lane's predicate file, as P2R reads it
+	if !cc {
+		pb = w.predBytes()
+	}
+	if p.class == pcP2R {
+		d := w.dstRow(p.dst, &rows[3])
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			src := uint32(uint8(pb[l/8] >> (8 * (l % 8))))
 			if cc {
-				src = uint32(t.CC)
+				src = uint32(w.cc[l])
 			}
-			t.WriteReg(p.dst, (a&^mask)|(src&mask))
-		case cc:
-			t.CC = (t.CC &^ uint8(mask)) | (uint8(a) & uint8(mask&0xf))
-		default:
-			// PT (bit 7) is not writable.
-			mask &= 0x7f
-			t.Preds = (t.Preds &^ uint8(mask)) | (uint8(a) & uint8(mask)) | 1<<7
+			mk := mask.at(l)
+			d[l] = a.at(l)&^mk | src&mk
 		}
+		return
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		l := lane(m)
+		v, mk := uint8(a.at(l)), uint8(mask.at(l))
+		if cc {
+			w.cc[l] = w.cc[l]&^mk | v&mk&0xf
+			continue
+		}
+		// PT (bit 7) is not writable.
+		mk &= 0x7f
+		sh := 8 * (l % 8)
+		old := uint8(pb[l/8] >> sh)
+		pb[l/8] = pb[l/8]&^(0xff<<sh) | uint64(old&^mk|v&mk)<<sh
+	}
+	if !cc {
+		w.setPredBytes(&pb, exec)
 	}
 }
 
@@ -899,18 +593,58 @@ func (e *engine) execPreBRA(w *Warp, taken uint32, target int32) {
 	}
 }
 
-// preLaneAddr computes the effective address of the memory operand for
-// one lane (laneAddr over predecoded fields).
-func (e *engine) preLaneAddr(t *Thread, p *preInstr) uint64 {
-	var base uint64
+// laneAddrs computes the effective address of the memory operand for
+// every lane of exec (laneAddr over register rows).
+func (w *Warp) laneAddrs(p *preInstr, exec uint32, addrs *[WarpSize]uint64) {
+	off := uint64(p.memOff)
+	lo, hi := &zeroRow, &zeroRow
 	if p.memBase != sass.RZ {
+		lo = w.row(p.memBase)
 		if p.memE {
-			base = t.ReadReg64(p.memBase)
-		} else {
-			base = uint64(t.Regs[p.memBase])
+			hi = w.srcRegRow(p.memBase + 1)
 		}
 	}
-	return base + uint64(p.memOff)
+	for m := exec; m != 0; m &= m - 1 {
+		l := lane(m)
+		addrs[l] = (uint64(lo[l]) | uint64(hi[l])<<32) + off
+	}
+}
+
+// uniformAddr returns the address of p's memory operand when every lane of
+// exec computes the same one — decided from the address registers' rows,
+// not from the value lattice, since a flipped bit in one lane's base
+// register makes that lane diverge.
+func (w *Warp) uniformAddr(p *preInstr, exec uint32) (uint64, bool) {
+	off := uint64(p.memOff)
+	if p.memBase == sass.RZ {
+		return off, true
+	}
+	lo, ok := rowUniform(w.row(p.memBase), exec)
+	if !ok {
+		return 0, false
+	}
+	var hi uint32
+	if p.memE {
+		if hi, ok = rowUniform(w.srcRegRow(p.memBase+1), exec); !ok {
+			return 0, false
+		}
+	}
+	return (uint64(lo) | uint64(hi)<<32) + off, true
+}
+
+// rowUniform returns the value every lane of a non-empty exec holds in row,
+// when they agree.
+func rowUniform(row *[WarpSize]uint32, exec uint32) (uint32, bool) {
+	v := row[lane(exec)]
+	if exec == ^uint32(0) {
+		return v, *(*[WarpSize - 1]uint32)(row[1:]) == *(*[WarpSize - 1]uint32)(row[:WarpSize-1])
+	}
+	for m := exec; m != 0; m &= m - 1 {
+		if row[lane(m)] != v {
+			return 0, false
+		}
+	}
+	return v, true
 }
 
 // execPreMem dispatches the specialized memory classes.
@@ -927,26 +661,30 @@ func (e *engine) execPreMem(w *Warp, p *preInstr, exec uint32) (int, error) {
 	return e.execPreGeneric(w, p, exec)
 }
 
-// execPreShared is execShared with resolved operands and a 32-bit fast
-// path that skips the staging buffer.
+// execPreShared is execShared over register rows, with a 32-bit path that
+// skips the staging buffer.
 func (e *engine) execPreShared(w *Warp, p *preInstr, exec uint32) (int, error) {
 	sh := w.CTA.Shared
+	addrs := &w.CTA.slab.addrs
+	w.laneAddrs(p, exec, addrs)
 	if p.nbytes == 4 {
 		if p.store {
+			src := w.srcRegRow(p.dataReg)
 			for m := exec; m != 0; m &= m - 1 {
-				t := w.Threads[bits.TrailingZeros32(m)]
-				if err := sh.Write32(e.preLaneAddr(t, p), t.ReadReg(p.dataReg)); err != nil {
+				l := lane(m)
+				if err := sh.Write32(addrs[l], src[l]); err != nil {
 					return 2, err
 				}
 			}
 		} else {
+			d := w.dstRow(p.dst, &w.CTA.slab.rows[3])
 			for m := exec; m != 0; m &= m - 1 {
-				t := w.Threads[bits.TrailingZeros32(m)]
-				v, err := sh.Read32(e.preLaneAddr(t, p))
+				l := lane(m)
+				v, err := sh.Read32(addrs[l])
 				if err != nil {
 					return 2, err
 				}
-				t.WriteReg(p.dst, v)
+				d[l] = v
 			}
 		}
 		return 2, nil
@@ -954,15 +692,15 @@ func (e *engine) execPreShared(w *Warp, p *preInstr, exec uint32) (int, error) {
 	var buf [16]byte
 	nbytes := int(p.nbytes)
 	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		off := e.preLaneAddr(t, p)
+		l := lane(m)
+		t := &w.threads[l]
 		if p.store {
 			storeFromRegs(t, p.dataReg, buf[:], p.width)
-			if err := sh.Write(off, buf[:nbytes]); err != nil {
+			if err := sh.Write(addrs[l], buf[:nbytes]); err != nil {
 				return 2, err
 			}
 		} else {
-			if err := sh.Read(off, buf[:nbytes]); err != nil {
+			if err := sh.Read(addrs[l], buf[:nbytes]); err != nil {
 				return 2, err
 			}
 			loadIntoRegs(t, p.dst, buf[:], p.width)
@@ -971,35 +709,38 @@ func (e *engine) execPreShared(w *Warp, p *preInstr, exec uint32) (int, error) {
 	return 2, nil
 }
 
-// execPreLocal is execLocal with resolved operands and, like
-// execPreShared, a 32-bit path with no staging buffer: the word every
-// injected spill, fill and parameter store moves.
+// execPreLocal is execLocal on the warp's interleaved stack. A 4-byte
+// access at one offset for every lane — every injected spill, fill and
+// parameter store — moves a register row to or from a stack row with one
+// bounds check; other accesses go lane by lane, in ascending order, up to
+// the first faulting lane.
 func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
-	var buf [16]byte
 	nbytes := int(p.nbytes)
-	for m := exec; m != 0; m &= m - 1 {
-		t := w.Threads[bits.TrailingZeros32(m)]
-		off := e.preLaneAddr(t, p)
-		var err error
-		switch {
-		case nbytes == 4 && p.store:
-			err = t.Local.Write32(off, t.ReadReg(p.dataReg))
-		case nbytes == 4:
-			var v uint32
-			if v, err = t.Local.Read32(off); err == nil {
-				t.WriteReg(p.dst, v)
-			}
-		case p.store:
-			storeFromRegs(t, p.dataReg, buf[:], p.width)
-			err = t.Local.Write(off, buf[:nbytes])
-		default:
-			if err = t.Local.Read(off, buf[:nbytes]); err == nil {
+	slab := w.CTA.slab
+	var err error
+	if off, ok := w.uniformAddr(p, exec); ok && nbytes == 4 {
+		if p.store {
+			err = w.local.StoreRow(exec, off, w.srcRegRow(p.dataReg))
+		} else {
+			err = w.local.LoadRow(exec, off, w.dstRow(p.dst, &slab.rows[3]))
+		}
+	} else {
+		addrs := &slab.addrs
+		w.laneAddrs(p, exec, addrs)
+		var buf [16]byte
+		for m := exec; m != 0 && err == nil; m &= m - 1 {
+			l := lane(m)
+			t := &w.threads[l]
+			if p.store {
+				storeFromRegs(t, p.dataReg, buf[:], p.width)
+				err = w.local.Write(l, addrs[l], buf[:nbytes])
+			} else if err = w.local.Read(l, addrs[l], buf[:nbytes]); err == nil {
 				loadIntoRegs(t, p.dst, buf[:], p.width)
 			}
 		}
-		if err != nil {
-			return 0, err
-		}
+	}
+	if err != nil {
+		return 0, err
 	}
 	total := nbytes * bits.OnesCount32(exec)
 	lines := (total + int(e.dev.Cfg.CoalesceBytes) - 1) / int(e.dev.Cfg.CoalesceBytes)
@@ -1013,6 +754,8 @@ func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
 // forced-global faults behave identically.
 func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) {
 	st := &e.sms[w.CTA.SM]
+	addrs := &w.CTA.slab.addrs
+	w.laneAddrs(p, exec, addrs)
 	op := &st.warpOp
 	op.N = 0
 	op.Width = int(p.nbytes)
@@ -1022,18 +765,12 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 	access.Width = int(p.nbytes)
 	access.Store = p.store
 	for m := exec; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros32(m)
-		t := w.Threads[l]
-		t.DynInstrs++
-		addr := e.preLaneAddr(t, p)
+		l := lane(m)
+		addr := addrs[l]
 		if !mem.IsGlobal(addr) {
-			// pcMemG folds the DynInstrs pass into this loop; finish the
-			// remaining lanes before handing the instruction to the
-			// classic path, which expects the pass already done.
-			for m2 := m & (m - 1); m2 != 0; m2 &= m2 - 1 {
-				w.Threads[bits.TrailingZeros32(m2)].DynInstrs++
-			}
-			return e.execOpMemFallback(w, p, exec)
+			// Mixed address spaces and forced-global faults: the classic
+			// path, with no state modified yet.
+			return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
 		}
 		access.Addrs[l] = addr
 		access.Active |= 1 << l
@@ -1043,13 +780,13 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 	}
 	if p.store {
 		for i := 0; i < op.N; i++ {
-			storeFromRegs(w.Threads[lanes[i]], p.dataReg, op.Data[i][:], p.width)
+			storeFromRegs(&w.threads[lanes[i]], p.dataReg, op.Data[i][:], p.width)
 		}
 	}
 	nOK, err := e.dev.Global.AccessWarp(op)
 	if !p.store {
 		for i := 0; i < nOK; i++ {
-			loadIntoRegs(w.Threads[lanes[i]], p.dst, op.Data[i][:], p.width)
+			loadIntoRegs(&w.threads[lanes[i]], p.dst, op.Data[i][:], p.width)
 		}
 	}
 	if err != nil {
@@ -1069,13 +806,6 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 		})
 	}
 	return cost, nil
-}
-
-// execOpMemFallback reruns a specialized memory instruction through the
-// classic interpreter path (mixed address spaces, forced-global faults).
-// No state has been modified when it is called.
-func (e *engine) execOpMemFallback(w *Warp, p *preInstr, exec uint32) (int, error) {
-	return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
 }
 
 // runWarpSolo runs w until it completes or reaches a barrier, dispatching

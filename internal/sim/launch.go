@@ -92,13 +92,19 @@ type ctaCode struct {
 	handlers   map[string]int
 	numRegs    int
 	localBytes int
+	// sbSlots is the size of a warp's scoreboard: the GPRs k names, the
+	// predicates and the CC.
+	sbSlots int
 }
 
 // code resolves what CTAs running k, a kernel of prog, take from it.
 func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) ctaCode {
 	c := ctaCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
-	if !d.Cfg.ReferenceInterpreter {
+	if d.Cfg.ReferenceInterpreter {
+		c.sbSlots = scoreboardGPRs(k) + sbTail
+	} else {
 		c.pre = k.Lowered(predecode).(*preKernel)
+		c.sbSlots = c.pre.sbSlots
 	}
 	if c.numRegs < 16 {
 		c.numRegs = 16
@@ -379,7 +385,6 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 	if e.twin != nil && e.twinCTAs(ctaIdx) {
 		code = e.twin
 	}
-	numRegs, localBytes := code.numRegs, code.localBytes
 	cx := uint32(ctaIdx % grid.X)
 	cy := uint32(ctaIdx / grid.X % grid.Y)
 	cz := uint32(ctaIdx / (grid.X * grid.Y))
@@ -390,29 +395,28 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 		Kernel: code.k, pre: code.pre,
 	}
 	threads := block.Count()
-	cta.slab = e.dev.slabs[sm].get(threads, numRegs)
-	numWarps := (threads + WarpSize - 1) / WarpSize
-	for wi := 0; wi < numWarps; wi++ {
+	shape := slabShape{
+		threads: threads, warps: (threads + WarpSize - 1) / WarpSize,
+		numRegs: code.numRegs, sbSlots: code.sbSlots, localBytes: code.localBytes,
+	}
+	cta.slab = e.dev.slabs[sm].get(shape)
+	cta.Warps = make([]*Warp, shape.warps)
+	for wi := range cta.Warps {
 		w := &Warp{CTA: cta, IDinCTA: wi}
-		for lane := 0; lane < WarpSize; lane++ {
+		lanes := min(WarpSize, threads-wi*WarpSize)
+		cta.slab.carveWarp(w, lanes, &shape)
+		for lane := range w.threads {
 			flat := wi*WarpSize + lane
-			if flat >= threads {
-				break
+			w.threads[lane] = Thread{
+				TidX: uint32(flat % block.X), TidY: uint32(flat / block.X % block.Y),
+				TidZ: uint32(flat / (block.X * block.Y)), FlatTid: uint32(flat),
+				CtaX: cx, CtaY: cy, CtaZ: cz, LaneID: uint32(lane),
+				GlobalFlat: uint64(ctaIdx)*uint64(threads) + uint64(flat), warp: w,
 			}
-			t := cta.slab.newThread(numRegs, localBytes)
-			t.FlatTid = uint32(flat)
-			t.TidX = uint32(flat % block.X)
-			t.TidY = uint32(flat / block.X % block.Y)
-			t.TidZ = uint32(flat / (block.X * block.Y))
-			t.CtaX, t.CtaY, t.CtaZ = cx, cy, cz
-			t.LaneID = uint32(lane)
-			t.GlobalFlat = uint64(ctaIdx)*uint64(threads) + uint64(flat)
-			t.warp = w
-			w.Threads[lane] = t
-			w.Active |= 1 << lane
-			w.Alive |= 1 << lane
 		}
-		cta.Warps = append(cta.Warps, w)
+		w.Active = uint32(uint64(1)<<lanes - 1)
+		w.Alive = w.Active
+		cta.Warps[wi] = w
 	}
 	return cta
 }

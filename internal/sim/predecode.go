@@ -13,12 +13,12 @@ import (
 // latencies cached, straight-line instruction runs measured per basic
 // block, and a per-instruction "provably uniform" bit derived from the
 // affine value lattice (internal/analysis). Execution then dispatches on a
-// small class enum with manual lane loops instead of per-operand switches
-// and closure iterators, takes a uniform-warp fast path (execute the
-// leader lane once, broadcast the result) when the lattice proved the
-// instruction uniform, and falls back to the reference interpreter's
-// execOp for control transfers, barriers, SASSI handler calls, and any
-// operation without a specialized class.
+// small class enum to one row kernel per class over the warp's register
+// rows instead of per-operand switches and closure iterators, takes a
+// uniform-warp fast path (execute the leader lane once, broadcast the
+// result) when the lattice proved the instruction uniform, and falls back
+// to the reference interpreter's execOp for control transfers, barriers,
+// SASSI handler calls, and any operation without a specialized class.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -94,7 +94,6 @@ const (
 	pfStraight                // always advances PC+1 and cannot block the warp
 	pfSetCC                   // pcIADDC: writes the condition code
 	pfX                       // pcIADDC: consumes the carry bit; pcP2R/pcR2P: CC, not predicates
-	pfFoldDyn                 // class's lane loops bump Thread.DynInstrs themselves
 )
 
 // preInstr is one predecoded instruction. Fields beyond the shared header
@@ -156,6 +155,9 @@ type preInstr struct {
 type preKernel struct {
 	k   *sass.Kernel
 	ins []preInstr
+	// sbSlots is the size of a warp's scoreboard for k: the GPR slots
+	// (scoreboardGPRs), then the predicates and the CC.
+	sbSlots int
 }
 
 // straightLine reports whether the op always advances PC+1 and can
@@ -183,7 +185,8 @@ func broadcastSafe(c preClass) bool {
 // sass.Kernel.Lowered). Constant-bank offsets are validated against the
 // size every launch of the kernel uses, a function of its parameter layout.
 func predecode(k *sass.Kernel) any {
-	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs))}
+	gprs := scoreboardGPRs(k)
+	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail}
 	cbSize := constBankSize(k)
 
 	// Per-instruction uniformity from the affine value lattice. An
@@ -217,18 +220,9 @@ func predecode(k *sass.Kernel) any {
 		if in.Mods.X {
 			p.flags |= pfX
 		}
-		// Classes whose execution loops walk every executing lane before
-		// any fault can occur fold the per-lane DynInstrs increment into
-		// that walk; stepPre then skips its own counting pass. The
-		// shared/local classes keep the up-front pass: their loops fault
-		// mid-warp, and the interpreter counts every lane first.
-		if (p.class >= pcMOV && p.class <= pcMUFU) || p.class == pcMemG ||
-			(p.class >= pcIADDC && p.class <= pcR2P) {
-			p.flags |= pfFoldDyn
-		}
 		p.staticCost = uint8(sass.IssueCost(in))
 		p.resLat = uint8(sass.ResultLatency(in))
-		p.fillScoreboard(in)
+		p.fillScoreboard(in, gprs)
 		p.fillOperands(in, cbSize)
 	}
 
@@ -552,8 +546,10 @@ func (p *preInstr) fillOperands(in *sass.Instruction, cbSize int) {
 }
 
 // fillScoreboard precomputes the consider (sbSrc) and retire (sbDst) slot
-// lists, mirroring Warp.scoreboard instruction walks.
-func (p *preInstr) fillScoreboard(in *sass.Instruction) {
+// lists, mirroring Warp.scoreboard instruction walks; the predicate and CC
+// slots follow the kernel's gprs GPR slots.
+func (p *preInstr) fillScoreboard(in *sass.Instruction, gprs int) {
+	predBase, ccSlot := gprs, gprs+sass.NumPred
 	var buf [24]uint8
 	add := func(dst *[]uint16, slot int) {
 		for _, s := range *dst {
@@ -574,15 +570,15 @@ func (p *preInstr) fillScoreboard(in *sass.Instruction) {
 		}
 	}
 	if !in.Guard.IsAlways() && in.Guard.Reg != sass.PT {
-		add(&p.sbSrc, sbPredBase+int(in.Guard.Reg))
+		add(&p.sbSrc, predBase+int(in.Guard.Reg))
 	}
 	for _, s := range in.Srcs {
 		if s.Kind == sass.OpdPred && s.Reg != sass.PT {
-			add(&p.sbSrc, sbPredBase+int(s.Reg))
+			add(&p.sbSrc, predBase+int(s.Reg))
 		}
 	}
 	if in.Mods.X || in.Mods.SetCC {
-		add(&p.sbSrc, sbCCSlot)
+		add(&p.sbSrc, ccSlot)
 	}
 	for _, d := range in.AppendGPRDsts(buf[:0]) {
 		if d != sass.RZ {
@@ -591,10 +587,10 @@ func (p *preInstr) fillScoreboard(in *sass.Instruction) {
 	}
 	for _, d := range in.Dsts {
 		if d.Kind == sass.OpdPred && d.Reg != sass.PT {
-			add(&p.sbDst, sbPredBase+int(d.Reg))
+			add(&p.sbDst, predBase+int(d.Reg))
 		}
 	}
 	if in.Mods.SetCC {
-		add(&p.sbDst, sbCCSlot)
+		add(&p.sbDst, ccSlot)
 	}
 }

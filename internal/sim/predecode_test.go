@@ -340,11 +340,7 @@ func TestRetiredStacksAreDropped(t *testing.T) {
 	dev.CTARetire = func(cta *CTA) {
 		n := 0
 		for _, w := range cta.Warps {
-			for _, th := range w.Threads {
-				if th != nil {
-					n += th.Local.Materialized()
-				}
-			}
+			n += w.LocalMaterialized()
 		}
 		peak = max(peak, n)
 	}

@@ -24,6 +24,13 @@ type divEntry struct {
 }
 
 // Warp is a group of 32 threads executing in lockstep from a shared PC.
+//
+// Its architectural state is stored warp-major, the way the hardware's
+// register file and local memory lay it out: one row of 32 lane words per
+// register (regs[r*32+lane]), one 32-bit lane mask per predicate, and one
+// stack for all lanes interleaved by word (mem.WarpLocal). Registers, the
+// scoreboard, the threads and the stack descriptor are carved from the
+// CTA's slab. Thread is a lane's view of it.
 type Warp struct {
 	CTA     *CTA
 	IDinCTA int
@@ -35,30 +42,51 @@ type Warp struct {
 	Stack     []divEntry
 	CallStack []int
 
-	Threads [WarpSize]*Thread
-
 	AtBarrier bool
 	Done      bool
 
 	DynWarpInstrs uint64
 
+	threads []Thread  // lanes 0..len-1; fewer than 32 in a partial trailing warp
+	regs    []uint32  // regs[r*32+lane]
+	preds   [8]uint32 // lane mask per predicate; preds[PT] is all lanes
+	cc      [WarpSize]uint8
+	local   *mem.WarpLocal
+
 	// Scoreboard state for the stall model: clock is the warp's local
 	// issue clock, readyAt[slot] the clock value at which the register
-	// behind slot (GPRs 0..254, then predicates, then CC — the same
-	// regspace layout internal/analysis uses) is readable without a
-	// stall. Both live in the warp so the model is per-warp deterministic:
-	// cycles do not depend on how SMs or sibling warps interleave, which
-	// keeps parallel and sequential engines bit-equal.
+	// behind slot is readable without a stall. Slots are the GPRs the
+	// kernel names, then the seven predicates, then the CC (scoreboardGPRs,
+	// sbPred, sbCC). Both live in the warp so the model is per-warp
+	// deterministic: cycles do not depend on how SMs or sibling warps
+	// interleave, which keeps parallel and sequential engines bit-equal.
 	clock   uint64
-	readyAt [sbSlots]uint64
+	readyAt []uint64
 }
 
-// Scoreboard slot layout: one slot per GPR, per predicate, plus the CC.
-const (
-	sbPredBase = sass.NumGPR
-	sbCCSlot   = sbPredBase + sass.NumPred
-	sbSlots    = sbCCSlot + 1
-)
+// sbPred returns the scoreboard slot of predicate p, sbCC that of the CC:
+// the eight slots after the GPRs.
+func (w *Warp) sbPred(p uint8) int { return len(w.readyAt) - sbTail + int(p) }
+func (w *Warp) sbCC() int          { return len(w.readyAt) - 1 }
+
+// sbTail is the number of scoreboard slots after the GPRs: P0..P6, CC.
+const sbTail = sass.NumPred + 1
+
+// scoreboardGPRs returns how many GPR scoreboard slots k needs: one past
+// the highest register any instruction names.
+func scoreboardGPRs(k *sass.Kernel) int {
+	var buf [48]uint8
+	n := 0
+	for i := range k.Instrs {
+		in := &k.Instrs[i]
+		for _, r := range in.AppendGPRDsts(in.AppendGPRSrcs(buf[:0])) {
+			if r != sass.RZ {
+				n = max(n, int(r)+1)
+			}
+		}
+	}
+	return n
+}
 
 // scoreboard charges the warp's issue-stage hazards for in: it computes
 // the read-after-write/write-after-write stall against readyAt, advances
@@ -85,18 +113,18 @@ func (w *Warp) scoreboard(in *sass.Instruction, cost int) (stall uint64) {
 		}
 	}
 	if !in.Guard.IsAlways() && in.Guard.Reg != sass.PT {
-		consider(sbPredBase + int(in.Guard.Reg))
+		consider(w.sbPred(in.Guard.Reg))
 	}
 	for _, s := range in.Srcs {
 		if s.Kind == sass.OpdPred && s.Reg != sass.PT {
-			consider(sbPredBase + int(s.Reg))
+			consider(w.sbPred(s.Reg))
 		}
 	}
 	if in.Mods.X {
-		consider(sbCCSlot)
+		consider(w.sbCC())
 	}
 	if in.Mods.SetCC {
-		consider(sbCCSlot)
+		consider(w.sbCC())
 	}
 	if ready > w.clock {
 		stall = ready - w.clock
@@ -111,14 +139,67 @@ func (w *Warp) scoreboard(in *sass.Instruction, cost int) (stall uint64) {
 	}
 	for _, d := range in.Dsts {
 		if d.Kind == sass.OpdPred && d.Reg != sass.PT {
-			w.readyAt[sbPredBase+int(d.Reg)] = retire
+			w.readyAt[w.sbPred(d.Reg)] = retire
 		}
 	}
 	if in.Mods.SetCC {
-		w.readyAt[sbCCSlot] = retire
+		w.readyAt[w.sbCC()] = retire
 	}
 	return stall
 }
+
+// row returns register r's row of lane words; r must not be RZ.
+func (w *Warp) row(r uint8) *[WarpSize]uint32 {
+	return (*[WarpSize]uint32)(w.regs[int(r)*WarpSize:])
+}
+
+// writePreds sets predicate p to v in the lanes of mask (writes to PT are
+// dropped).
+func (w *Warp) writePreds(p uint8, mask, v uint32) {
+	if p != sass.PT {
+		w.preds[p] = w.preds[p]&^mask | v&mask
+	}
+}
+
+// spread8[b] has bit i of b in bit 0 of byte i: one byte of a lane mask
+// transposed into eight lane bytes.
+var spread8 = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			t[b] |= uint64(b>>i&1) << (8 * i)
+		}
+	}
+	return t
+}()
+
+// predBytes transposes the predicate masks into P2R's per-lane bytes: byte
+// l of the result (eight lanes per word) has bit n set where Pn holds in
+// lane l, bit 7 (PT) always.
+func (w *Warp) predBytes() (b [WarpSize / 8]uint64) {
+	for p, m := range w.preds {
+		for g := range b {
+			b[g] |= spread8[uint8(m>>(8*g))] << p
+		}
+	}
+	return b
+}
+
+// setPredBytes is predBytes' inverse for the lanes of mask: their P0..P6
+// are set from their bytes of b; PT stays set.
+func (w *Warp) setPredBytes(b *[WarpSize / 8]uint64, mask uint32) {
+	for p := range w.preds[:sass.PT] {
+		var v uint32
+		for g, x := range b {
+			// Bit 0 of each byte gathered into the top byte.
+			v |= uint32((x>>p&0x0101010101010101)*0x0102040810204080>>56) << (8 * g)
+		}
+		w.preds[p] = w.preds[p]&^mask | v&mask
+	}
+}
+
+// LocalMaterialized returns how many bytes of stack storage the warp holds
+// for all its lanes together (see mem.WarpLocal).
+func (w *Warp) LocalMaterialized() int { return w.local.Materialized() }
 
 // ActiveMask returns the current active lane mask.
 func (w *Warp) ActiveMask() uint32 { return w.Active }
@@ -126,9 +207,14 @@ func (w *Warp) ActiveMask() uint32 { return w.Active }
 // NumActive returns the number of active lanes.
 func (w *Warp) NumActive() int { return bits.OnesCount32(w.Active) }
 
-// Thread returns the thread in the given lane (may be nil in a partial
-// trailing warp).
-func (w *Warp) Thread(lane int) *Thread { return w.Threads[lane] }
+// Thread returns the thread in the given lane (nil in a partial trailing
+// warp's lanes past the CTA's last thread).
+func (w *Warp) Thread(lane int) *Thread {
+	if lane < len(w.threads) {
+		return &w.threads[lane]
+	}
+	return nil
+}
 
 // Lanes iterates the set bits of mask, calling fn with each lane index in
 // ascending order.
@@ -230,8 +316,8 @@ type CTA struct {
 	// traceStart is the SM-cycle count when the CTA became resident (used
 	// only when the device records a trace).
 	traceStart uint64
-	// slab is the arena slab backing this CTA's threads (predecoded
-	// engine only); returned to the arena at retirement.
+	// slab is the arena slab backing this CTA's warps' state; returned to
+	// the arena at retirement.
 	slab *ctaSlab
 }
 

@@ -171,12 +171,12 @@ func TestReadDecodesLegacyV1(t *testing.T) {
 		buf.Write(b[:])
 	}
 	w32pair := func(a, b uint32) { w64(uint64(a) | uint64(b)<<32) }
-	w64(2)                // two events
-	w32pair(7, 2<<1|1)    // pc=7, store, 2 lines
-	w64(0x100)            // line 0
-	w64(0x180)            // line 1
-	w32pair(9, 1<<1)      // pc=9, load, 1 line
-	w64(0x200)            // line 0
+	w64(2)             // two events
+	w32pair(7, 2<<1|1) // pc=7, store, 2 lines
+	w64(0x100)         // line 0
+	w64(0x180)         // line 1
+	w32pair(9, 1<<1)   // pc=9, load, 1 line
+	w64(0x200)         // line 0
 	back, err := trace.Read(&buf)
 	if err != nil {
 		t.Fatal(err)
