@@ -141,6 +141,32 @@ func (w *Warp) AtomicAnd32(addr uint64, v *Vec32) {
 	w.Lane(w.First()).AtomicAnd32(addr, all)
 }
 
+// AtomicAdd64 is every running lane of mask executing
+// atomicAdd(addrs[lane], v), in ascending lane order, as one batch: one
+// validation and one lock acquisition for the warp. A fault is the lowest
+// faulting lane's, and the lanes below it have added.
+func (w *Warp) AtomicAdd64(addrs *Vec64, mask uint32, v uint64) {
+	b := mem.AtomicBatch{Op: mem.AtomAdd, Width: 8}
+	mask &= w.running
+	for m := mask; m != 0; m &= m - 1 {
+		b.Addrs[b.N], b.Vals[b.N] = addrs[bits.TrailingZeros32(m)], v
+		b.N++
+	}
+	w.atomic(&b, mask)
+}
+
+// atomic applies b, whose entries are mask's lanes in ascending order, and
+// panics with the Fault of the lane whose entry faulted.
+func (w *Warp) atomic(b *mem.AtomicBatch, mask uint32) {
+	n, err := w.dev.Global.AtomicWarp(b)
+	if err != nil {
+		for ; n > 0; n-- {
+			mask &= mask - 1
+		}
+		panic(Fault{Lane: bits.TrailingZeros32(mask), Err: err})
+	}
+}
+
 // Popc is CUDA __popc.
 func Popc(x uint32) int { return bits.OnesCount32(x) }
 
@@ -223,63 +249,51 @@ func (c Lane) WriteGlobal64(addr uint64, v uint64) {
 	c.memPanic(c.w.dev.Global.Write64(addr, v))
 }
 
+// Atomics. Each is a one-entry batch of the device memory's atomic unit
+// (mem.AtomicBatch); a 4-byte atomic's operands are zero-extended.
+
+// atomic is this lane's read-modify-write of the width-byte word at addr:
+// it returns the old value.
+func (c Lane) atomic(op mem.AtomOp, width int, addr, v, swap uint64) uint64 {
+	b := mem.AtomicBatch{N: 1, Op: op, Width: width}
+	b.Addrs[0], b.Vals[0], b.Swaps[0] = addr, v, swap
+	c.w.atomic(&b, 1<<uint(c.lane))
+	return b.Vals[0]
+}
+
 // AtomicAdd32 is CUDA atomicAdd on a 32-bit counter; returns the old value.
 func (c Lane) AtomicAdd32(addr uint64, v uint32) uint32 {
-	old, err := c.w.dev.Global.Atomic32(addr, func(o uint32) uint32 { return o + v })
-	c.memPanic(err)
-	return old
+	return uint32(c.atomic(mem.AtomAdd, 4, addr, uint64(v), 0))
 }
 
 // AtomicAdd64 is CUDA atomicAdd on an unsigned long long counter.
 func (c Lane) AtomicAdd64(addr uint64, v uint64) uint64 {
-	old, err := c.w.dev.Global.Atomic64(addr, func(o uint64) uint64 { return o + v })
-	c.memPanic(err)
-	return old
+	return c.atomic(mem.AtomAdd, 8, addr, v, 0)
 }
 
 // AtomicAnd32 is CUDA atomicAnd (the value-profiling handler's workhorse).
 func (c Lane) AtomicAnd32(addr uint64, v uint32) uint32 {
-	old, err := c.w.dev.Global.Atomic32(addr, func(o uint32) uint32 { return o & v })
-	c.memPanic(err)
-	return old
+	return uint32(c.atomic(mem.AtomAnd, 4, addr, uint64(v), 0))
 }
 
 // AtomicOr32 is CUDA atomicOr.
 func (c Lane) AtomicOr32(addr uint64, v uint32) uint32 {
-	old, err := c.w.dev.Global.Atomic32(addr, func(o uint32) uint32 { return o | v })
-	c.memPanic(err)
-	return old
+	return uint32(c.atomic(mem.AtomOr, 4, addr, uint64(v), 0))
 }
 
 // AtomicMax32 is CUDA atomicMax (unsigned).
 func (c Lane) AtomicMax32(addr uint64, v uint32) uint32 {
-	old, err := c.w.dev.Global.Atomic32(addr, func(o uint32) uint32 { return max(o, v) })
-	c.memPanic(err)
-	return old
+	return uint32(c.atomic(mem.AtomMaxU, 4, addr, uint64(v), 0))
 }
 
 // AtomicCAS32 is CUDA atomicCAS.
 func (c Lane) AtomicCAS32(addr uint64, compare, val uint32) uint32 {
-	old, err := c.w.dev.Global.Atomic32(addr, func(o uint32) uint32 {
-		if o == compare {
-			return val
-		}
-		return o
-	})
-	c.memPanic(err)
-	return old
+	return uint32(c.atomic(mem.AtomCAS, 4, addr, uint64(compare), uint64(val)))
 }
 
 // AtomicCAS64 is CUDA atomicCAS on 64-bit values.
 func (c Lane) AtomicCAS64(addr uint64, compare, val uint64) uint64 {
-	old, err := c.w.dev.Global.Atomic64(addr, func(o uint64) uint64 {
-		if o == compare {
-			return val
-		}
-		return o
-	})
-	c.memPanic(err)
-	return old
+	return c.atomic(mem.AtomCAS, 8, addr, compare, val)
 }
 
 // ReadGeneric32 loads through the generic address space: local and shared

@@ -1,6 +1,7 @@
 package device_test
 
 import (
+	"errors"
 	"testing"
 
 	"sassi/internal/device"
@@ -340,6 +341,38 @@ func TestWarpAtomicAnd(t *testing.T) {
 	}
 	if v, _ := dev.Global.Read32(base); v != 0xffff0000 {
 		t.Errorf("after lanes 0-15 cleared their bit: %#x, want 0xffff0000", v)
+	}
+}
+
+// TestWarpAtomicAdd64: the warp-level atomicAdd adds for exactly the lanes
+// of its mask that are still running, lanes sharing a counter each adding,
+// and a fault is its lowest faulting lane's, with every lane below it added.
+func TestWarpAtomicAdd64(t *testing.T) {
+	dev := sim.NewDevice(sim.MiniGPU())
+	base := dev.Alloc(8*32, "c")
+	err := harness(t, dev, func(w *device.Warp) {
+		var addrs device.Vec64
+		for l := range addrs {
+			addrs[l] = base + 8*uint64(l%4)
+		}
+		for l := 24; l < 32; l++ {
+			w.Return(l)
+		}
+		w.AtomicAdd64(&addrs, evenLanes, 5) // lanes 0, 2, ..., 22
+		for l := range addrs {
+			addrs[l] = base + 8*uint64(l)
+		}
+		addrs[9] = 0xdeadbeef            // below the heap
+		w.AtomicAdd64(&addrs, 0x1ff8, 1) // lanes 3-12
+	})
+	var he *isassi.HandlerError
+	if !errors.As(err, &he) || he.Lane != 9 {
+		t.Fatalf("handler error %v, want lane 9's fault", err)
+	}
+	for i, want := range []uint64{30, 0, 30, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0} {
+		if v, _ := dev.Global.Read64(base + 8*uint64(i)); v != want {
+			t.Errorf("counter %d = %d, want %d", i, v, want)
+		}
 	}
 }
 

@@ -48,21 +48,26 @@ func NewInjProfiler(ctx *cuda.Context, maxThreads int) *InjProfiler {
 // Options returns the instrumentation specification for profiling.
 func (p *InjProfiler) Options() sassi.Options { return injWhere() }
 
-// Handler counts qualifying sites per thread.
+// Handler counts qualifying sites per thread: every lane whose instruction
+// executes adds one to its thread's counter, the warp's adds issued as one
+// batch.
 func (p *InjProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
 		Name: "sassi_errorinj_handler",
 		What: sassi.PassRegisterInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			var counters device.Vec64
+			var counting uint32
 			for l := w.First(); l >= 0; l = w.Next(l) {
 				if !args.BP.InstrWillExecute(l) {
 					continue
 				}
-				c := w.Lane(l)
-				if tid := c.GlobalThreadIdx(); tid < uint64(p.threads) {
-					c.AtomicAdd64(uint64(p.counts)+tid*8, 1)
+				if tid := w.Lane(l).GlobalThreadIdx(); tid < uint64(p.threads) {
+					counters[l] = uint64(p.counts) + tid*8
+					counting |= 1 << l
 				}
 			}
+			w.AtomicAdd64(&counters, counting, 1)
 		},
 	}
 }

@@ -22,7 +22,7 @@ const numStripes = 64
 // Global is safe for concurrent use from many goroutines: SMs execute in
 // parallel and instrumentation handlers may run one goroutine per warp
 // lane. Data accesses are serialized per page stripe rather than globally,
-// so traffic to disjoint ranges proceeds in parallel while ATOM
+// so traffic to disjoint ranges proceeds in parallel while atomic
 // read-modify-write semantics stay exact (the stripe lock covers the whole
 // RMW). Metadata (page table, allocator, bounds mode) sits behind a
 // separate RWMutex.
@@ -278,40 +278,6 @@ func (g *Global) Write64(addr uint64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
 	return g.Write(addr, b[:])
-}
-
-// Atomic32 applies f to the 32-bit word at addr atomically (the covering
-// stripe lock spans the whole read-modify-write) and returns the old value.
-func (g *Global) Atomic32(addr uint64, f func(old uint32) uint32) (uint32, error) {
-	if err := g.checkAlloc(addr, 4); err != nil {
-		fl := err.(*Fault)
-		fl.Write = true
-		return 0, fl
-	}
-	defer g.lockRange(addr, 4).unlock()
-	var b [4]byte
-	g.readData(addr, b[:])
-	old := binary.LittleEndian.Uint32(b[:])
-	binary.LittleEndian.PutUint32(b[:], f(old))
-	g.writeData(addr, b[:])
-	return old, nil
-}
-
-// Atomic64 applies f to the 64-bit word at addr atomically and returns the
-// old value.
-func (g *Global) Atomic64(addr uint64, f func(old uint64) uint64) (uint64, error) {
-	if err := g.checkAlloc(addr, 8); err != nil {
-		fl := err.(*Fault)
-		fl.Write = true
-		return 0, fl
-	}
-	defer g.lockRange(addr, 8).unlock()
-	var b [8]byte
-	g.readData(addr, b[:])
-	old := binary.LittleEndian.Uint64(b[:])
-	binary.LittleEndian.PutUint64(b[:], f(old))
-	g.writeData(addr, b[:])
-	return old, nil
 }
 
 // Footprint returns the total bytes currently allocated.

@@ -61,6 +61,85 @@ func TestGlobalConcurrentAtomics(t *testing.T) {
 	}
 }
 
+// TestGlobalConcurrentAtomicBatches interleaves, from many goroutines,
+// warp-wide atomic batches over counters shared between them (each batch
+// spans eight pages and adds twice to every counter it names), one-entry
+// atomics, and AccessWarp stores to words each goroutine owns on the same
+// pages. No update may be lost, two entries of one batch on one counter
+// must see each other's add and nobody else's, and every owned word must
+// hold its last store. Run under -race it is the batch path's locking proof.
+func TestGlobalConcurrentAtomicBatches(t *testing.T) {
+	g := NewGlobal()
+	const workers, counters = 8, 128
+	iters := 400
+	if testing.Short() {
+		iters = 100
+	}
+	base := g.Alloc(counters*4096, "counters") // one counter per 4 KiB
+	counter := func(i int) uint64 { return base + uint64(i%counters)*4096 }
+	row := func(w int) uint64 { return counter(16*w) + 64 } // 32 owned words
+
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var b AtomicBatch
+			var st WarpOp
+			for i := 0; i < iters; i++ {
+				b = AtomicBatch{N: 32, Op: AtomAdd, Width: 8}
+				for l := 0; l < 32; l++ {
+					b.Addrs[l], b.Vals[l] = counter(i+l/2*9), 1
+				}
+				if n, err := g.AtomicWarp(&b); n != 32 || err != nil {
+					t.Errorf("batch applied %d of 32: %v", n, err)
+					return
+				}
+				for l := 0; l < 32; l += 2 {
+					if b.Vals[l+1] != b.Vals[l]+1 {
+						t.Errorf("duplicate entries saw %d then %d", b.Vals[l], b.Vals[l+1])
+						return
+					}
+				}
+				one := AtomicBatch{N: 1, Op: AtomAdd, Width: 8, Addrs: [32]uint64{counter(i * 7)}, Vals: [32]uint64{1}}
+				if _, err := g.AtomicWarp(&one); err != nil {
+					t.Error(err)
+					return
+				}
+				st = WarpOp{N: 32, Store: true, Width: 4}
+				for l := 0; l < 32; l++ {
+					st.Addrs[l] = row(w) + uint64(4*l)
+					binary.LittleEndian.PutUint32(st.Data[l][:], uint32(i+l))
+				}
+				if _, err := g.AccessWarp(&st); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	var total uint64
+	for i := 0; i < counters; i++ {
+		v, err := g.Read64(counter(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += v
+	}
+	if want := uint64(workers * iters * 33); total != want {
+		t.Errorf("lost updates: counted %d, want %d", total, want)
+	}
+	for w := 0; w < workers; w++ {
+		for l := 0; l < 32; l++ {
+			if v, err := g.Read32(row(w) + uint64(4*l)); err != nil || v != uint32(iters-1+l) {
+				t.Errorf("worker %d word %d = %d, %v; want %d", w, l, v, err, iters-1+l)
+			}
+		}
+	}
+}
+
 // TestGlobalConcurrentCrossPage checks multi-page ranges (which take several
 // stripe locks in ascending order) stay consistent under concurrency.
 func TestGlobalConcurrentCrossPage(t *testing.T) {

@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"encoding/binary"
+	"testing"
+)
 
 func TestDecodeSpaces(t *testing.T) {
 	cases := []struct {
@@ -163,22 +166,47 @@ func TestGlobalReset(t *testing.T) {
 	}
 }
 
+// globalAtomicCases are one-entry atomics on a word that holds init before:
+// the value it holds after. They seed FuzzAtomicWarp.
+var globalAtomicCases = []struct {
+	op          AtomOp
+	width       int
+	off         uint64
+	init, v     uint64
+	swap, after uint64
+}{
+	{AtomAdd, 4, 0, 0, 5, 0, 5},
+	{AtomOr, 8, 8, 0, 0xff00000000, 0, 0xff00000000},
+	{AtomAdd, 4, 0, 0xffffffff, 2, 0, 1},
+	{AtomMin, 4, 4, 5, 0xffffffff, 0, 0xffffffff},
+	{AtomMinU, 4, 4, 5, 0xffffffff, 0, 5},
+	{AtomMax, 8, 8, 1 << 63, 1, 0, 1},
+	{AtomMaxU, 8, 8, 1 << 63, 1, 0, 1 << 63},
+	{AtomCAS, 4, 0, 7, 7, 9, 9},
+	{AtomCAS, 8, 8, 7, 6, 9, 7},
+	{AtomExch, 4, 2, 3, 0xabcd, 0, 0xabcd},
+}
+
 func TestGlobalAtomics(t *testing.T) {
-	g := NewGlobal()
-	base := g.Alloc(16, "c")
-	old, err := g.Atomic32(base, func(o uint32) uint32 { return o + 5 })
-	if err != nil || old != 0 {
-		t.Fatalf("atomic32: %v %v", old, err)
-	}
-	if v, _ := g.Read32(base); v != 5 {
-		t.Errorf("after add, value = %d", v)
-	}
-	old64, err := g.Atomic64(base+8, func(o uint64) uint64 { return o | 0xff00000000 })
-	if err != nil || old64 != 0 {
-		t.Fatalf("atomic64: %v %v", old64, err)
-	}
-	if v, _ := g.Read64(base + 8); v != 0xff00000000 {
-		t.Errorf("after or, value = %#x", v)
+	for _, c := range globalAtomicCases {
+		g := NewGlobal()
+		base := g.Alloc(16, "c")
+		b := AtomicBatch{N: 1, Op: AtomExch, Width: c.width, Addrs: [32]uint64{base + c.off}, Vals: [32]uint64{c.init}}
+		if _, err := g.AtomicWarp(&b); err != nil {
+			t.Fatal(err)
+		}
+		b = AtomicBatch{N: 1, Op: c.op, Width: c.width, Addrs: [32]uint64{base + c.off},
+			Vals: [32]uint64{c.v}, Swaps: [32]uint64{c.swap}}
+		if n, err := g.AtomicWarp(&b); n != 1 || err != nil || b.Vals[0] != c.init {
+			t.Errorf("op %d, %d bytes on %#x: applied %d, old %#x, %v", c.op, c.width, c.init, n, b.Vals[0], err)
+		}
+		buf := make([]byte, 8)
+		if err := g.Read(base+c.off, buf[:c.width]); err != nil {
+			t.Fatal(err)
+		}
+		if after := binary.LittleEndian.Uint64(buf); after != c.after {
+			t.Errorf("op %d, %d bytes on %#x with %#x: word holds %#x, want %#x", c.op, c.width, c.init, c.v, after, c.after)
+		}
 	}
 }
 

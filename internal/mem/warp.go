@@ -29,51 +29,10 @@ type WarpOp struct {
 // ordered to begin with.
 func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 	w := uint64(op.Width)
-
-	// One metadata read lock validates every lane. The covering-span check
-	// comes first: when a single allocation (or the mapped window) covers
-	// [lo, hi+width) — the overwhelmingly common case — one lookup clears
-	// all 32 lanes. A span failure does not imply a lane fault (the lanes
-	// may straddle two adjacent allocations), so it falls back to the
-	// per-lane walk, which also pins the exact faulting lane.
-	lo, hi := op.Addrs[0], op.Addrs[0]
-	for i := 1; i < op.N; i++ {
-		if a := op.Addrs[i]; a < lo {
-			lo = a
-		} else if a > hi {
-			hi = a
-		}
-	}
-	n := op.N
-	var ferr error
-	g.mu.RLock()
-	if g.findAlloc(lo, hi-lo+w) != nil {
-		for i := 0; i < op.N; i++ {
-			if err := g.findAlloc(op.Addrs[i], w); err != nil {
-				f := err.(*Fault)
-				f.Write = op.Store
-				n, ferr = i, f
-				break
-			}
-		}
-	}
-	g.mu.RUnlock()
+	n, held, ferr := g.admit(op.Addrs[:op.N], w, op.Store)
 	if n == 0 {
 		return 0, ferr
 	}
-
-	// One ascending-order acquisition of the union of covering stripes.
-	if n < op.N {
-		lo, hi = op.Addrs[0], op.Addrs[0]
-		for i := 1; i < n; i++ {
-			if a := op.Addrs[i]; a < lo {
-				lo = a
-			} else if a > hi {
-				hi = a
-			}
-		}
-	}
-	held := g.lockRange(lo, hi-lo+w)
 
 	// Transfer with a one-page cache: coalesced warps touch one or two
 	// pages, so most lanes skip the page-table lock entirely.
@@ -113,4 +72,51 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 	}
 	held.unlock()
 	return n, ferr
+}
+
+// admit validates a batch of w-byte accesses at addrs, in order, under one
+// metadata read lock, then takes the data stripes covering the ones that
+// passed, once, in ascending order. It returns how many passed — all, or
+// those before the first fault, returned as err with Write set to write —
+// and the held stripes, which the caller releases unless n is 0.
+//
+// The covering-span check comes first: when a single allocation (or the
+// mapped window) covers [lo, hi+w) — the overwhelmingly common case — one
+// lookup clears the whole batch. A span failure does not imply a fault
+// (the accesses may straddle two adjacent allocations), so it falls back
+// to the walk, which also pins the exact faulting entry.
+func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripeLock, err error) {
+	if len(addrs) == 0 {
+		return 0, held, nil
+	}
+	lo, hi := span(addrs)
+	n = len(addrs)
+	g.mu.RLock()
+	if g.findAlloc(lo, hi-lo+w) != nil {
+		for i, a := range addrs {
+			if ferr := g.findAlloc(a, w); ferr != nil {
+				f := ferr.(*Fault)
+				f.Write = write
+				n, err = i, f
+				break
+			}
+		}
+	}
+	g.mu.RUnlock()
+	if n == 0 {
+		return 0, held, err
+	}
+	if n < len(addrs) {
+		lo, hi = span(addrs[:n])
+	}
+	return n, g.lockRange(lo, hi-lo+w), err
+}
+
+// span returns the lowest and highest of a non-empty set of addresses.
+func span(addrs []uint64) (lo, hi uint64) {
+	lo, hi = addrs[0], addrs[0]
+	for _, a := range addrs[1:] {
+		lo, hi = min(lo, a), max(hi, a)
+	}
+	return lo, hi
 }

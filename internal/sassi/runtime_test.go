@@ -2,6 +2,7 @@ package sassi_test
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -192,67 +193,107 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 }
 
 // TestDispatchZeroAlloc pins the allocation contract of the warp-level
-// ABI: in steady state a full-warp dispatch of the branch profiler —
-// Runtime.Dispatch, the warp view, the parameter views and the Figure 4
-// body down to its device-memory atomics — performs no heap allocation.
+// ABI: in steady state a full-warp dispatch — Runtime.Dispatch, the warp
+// view, the parameter views and the handler body down to its device-memory
+// atomics — performs no heap allocation, for the branch profiler (Figure
+// 4, one-entry atomics) and the fault campaigns' site profiler (one warp
+// atomic).
 func TestDispatchZeroAlloc(t *testing.T) {
-	// One conditional branch on a full warp: if (tid < 16) out[tid] = tid.
-	b := ptx.NewKernel("k")
-	out := b.ParamU64("out")
-	i := b.GlobalTidX()
-	b.If(b.SetpI(sass.CmpLT, i, 16), func() {
-		b.StGlobalU32(b.Index(out, i, 2), 0, i)
-	})
-	m := ptx.NewModule()
-	m.Add(b.MustDone())
-	prog, err := ptxas.Compile(m, ptxas.Options{NoIfConvert: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := sim.MiniGPU()
-	cfg.SequentialSMs = true // AllocsPerRun must see this goroutine alone
-	ctx := cuda.NewContext(cfg)
-	p := handlers.NewBranchProfiler(ctx)
-	if err := sassi.Instrument(prog, p.Options()); err != nil {
-		t.Fatal(err)
-	}
-	rt := sassi.NewRuntime(prog)
-	rt.MustRegister(p.Handler())
+	for _, tc := range []struct {
+		name string
+		// handler returns a profiler's instrumentation, its handler, and
+		// a check of what it counted, given that the first dispatch ran 202
+		// times and every later one once.
+		handler func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error)
+	}{
+		{"branch", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewBranchProfiler(ctx)
+			return p.Options(), p.Handler(), func() error {
+				rows, err := p.Results()
+				if err != nil || len(rows) != 1 || rows[0].Total != 202 || rows[0].Divergent != 202 {
+					return fmt.Errorf("profile after 202 dispatches = %+v, %v", rows, err)
+				}
+				return nil
+			}
+		}},
+		{"injprofile", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewInjProfiler(ctx, 32)
+			return p.Options(), p.Handler(), func() error {
+				counts, err := p.Counts()
+				if err != nil {
+					return err
+				}
+				for tid, n := range counts {
+					if n <= 202 {
+						return fmt.Errorf("thread %d counted %d sites, want the first site's 202 and more", tid, n)
+					}
+				}
+				return nil
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// One conditional branch on a full warp: if (tid < 16) out[tid] = tid.
+			b := ptx.NewKernel("k")
+			out := b.ParamU64("out")
+			i := b.GlobalTidX()
+			b.If(b.SetpI(sass.CmpLT, i, 16), func() {
+				b.StGlobalU32(b.Index(out, i, 2), 0, i)
+			})
+			m := ptx.NewModule()
+			m.Add(b.MustDone())
+			prog, err := ptxas.Compile(m, ptxas.Options{NoIfConvert: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := sim.MiniGPU()
+			cfg.SequentialSMs = true // AllocsPerRun must see this goroutine alone
+			ctx := cuda.NewContext(cfg)
+			opts, h, check := tc.handler(ctx)
+			if err := sassi.Instrument(prog, opts); err != nil {
+				t.Fatal(err)
+			}
+			rt := sassi.NewRuntime(prog)
+			rt.MustRegister(h)
 
-	// Measure from inside the launch, where the warp stands at the JCAL
-	// with its ABI registers and parameter objects set up: the dispatch
-	// is repeated on that state.
-	measured := false
-	ctx.Device().Dispatcher = dispatcherFunc(func(dev *sim.Device, w *sim.Warp, id int) error {
-		if w.NumActive() != 32 {
-			t.Errorf("dispatch with %d active lanes, want a full warp", w.NumActive())
-		}
-		if err := rt.Dispatch(dev, w, id); err != nil { // warm-up: claims the table slot
-			return err
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if err := rt.Dispatch(dev, w, id); err != nil {
+			// Measure from inside the launch, where the warp stands at its
+			// first JCAL with its ABI registers and parameter objects set
+			// up: the dispatch is repeated on that state.
+			measured := false
+			ctx.Device().Dispatcher = dispatcherFunc(func(dev *sim.Device, w *sim.Warp, id int) error {
+				if measured {
+					return rt.Dispatch(dev, w, id)
+				}
+				measured = true
+				if w.NumActive() != 32 {
+					t.Errorf("dispatch with %d active lanes, want a full warp", w.NumActive())
+				}
+				if err := rt.Dispatch(dev, w, id); err != nil { // warm-up: claims the table slot
+					return err
+				}
+				allocs := testing.AllocsPerRun(200, func() {
+					if err := rt.Dispatch(dev, w, id); err != nil {
+						t.Error(err)
+					}
+				})
+				if allocs != 0 {
+					t.Errorf("%s dispatch allocates %.1f times, want 0", tc.name, allocs)
+				}
+				return nil
+			})
+			buf := ctx.Malloc(4*32, "out")
+			if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
+				Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if !measured {
+				t.Fatal("no dispatch happened")
+			}
+			if err := check(); err != nil {
 				t.Error(err)
 			}
 		})
-		if allocs != 0 {
-			t.Errorf("branch-profiler dispatch allocates %.1f times, want 0", allocs)
-		}
-		measured = true
-		return nil
-	})
-	buf := ctx.Malloc(4*32, "out")
-	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
-		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if !measured {
-		t.Fatal("no dispatch happened")
-	}
-	rows, err := p.Results()
-	if err != nil || len(rows) != 1 || rows[0].Total != 202 || rows[0].Divergent != 202 {
-		t.Errorf("profile after 202 dispatches = %+v, %v", rows, err)
 	}
 }
 

@@ -82,8 +82,9 @@ type smShard struct {
 
 	// warpOp is the predecoded engine's reusable batch descriptor for
 	// warp-level global accesses (single-writer: only this SM's goroutine
-	// touches it), and coalRes the coalescer result it reuses the same way
-	// so the steady state performs no allocation per access.
+	// touches it), and coalRes the coalescer result that warp accesses and
+	// atomics reuse the same way so the steady state performs no allocation
+	// per access.
 	warpOp  mem.WarpOp
 	coalRes mem.Result
 }

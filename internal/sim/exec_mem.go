@@ -270,83 +270,107 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 	return cost, nil
 }
 
-// execAtomicGlobal handles ATOM/RED: per-lane serialized RMW on global
-// memory, ascending lane order.
+// execAtomicGlobal handles ATOM/RED: one batched read-modify-write of the
+// exec lanes' words, applied in ascending lane order up to the first lane
+// whose address is not global or faults, every earlier lane's old value
+// written back.
 func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (int, error) {
 	ref, err := memRef(in)
 	if err != nil {
 		return 0, err
 	}
 	wide := in.Mods.Width == sass.W64
+	op, err := atomOp(in, in.Mods.Unsigned || wide) // 64-bit MIN and MAX compare unsigned
+	if err != nil {
+		return 0, err
+	}
+	b := mem.AtomicBatch{Op: op, Width: 4}
+	if wide {
+		b.Width = 8
+	}
 	hasDst := in.Op == sass.OpATOM && len(in.Dsts) > 0 && in.Dsts[0].Kind == sass.OpdReg && in.Dsts[0].Reg != sass.RZ
+	di := srcDataIdx(in)
+	cas := in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs)
 	var access mem.Access
 	access.Width = in.Mods.Width.Bytes()
 	access.Store = true
+	var lanes [WarpSize]uint8
 	var lerr error
-	Lanes(exec, func(l int) {
-		if lerr != nil {
-			return
-		}
-		t := w.Thread(l)
+	for m := exec; m != 0; m &= m - 1 {
+		l := lane(m)
+		t := &w.threads[l]
 		addr := e.laneAddr(t, in, ref)
 		if !mem.IsGlobal(addr) {
 			lerr = &mem.Fault{Space: mem.SpaceGlobal, Addr: addr, Write: true,
 				Why: "atomic requires a global address"}
-			return
+			break
 		}
 		access.Addrs[l] = addr
 		access.Active |= 1 << l
-		di := srcDataIdx(in)
-		if wide {
-			b := t.ReadReg64(in.Srcs[di].Reg)
-			var c uint64
-			if in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs) {
-				c = t.ReadReg64(in.Srcs[di+1].Reg)
-			}
-			old, err := e.dev.Global.Atomic64(addr, func(o uint64) uint64 {
-				return atomApply64(in.Mods.Atom, o, b, c)
-			})
-			if err != nil {
-				lerr = err
-				return
-			}
-			if hasDst {
-				t.WriteReg64(in.Dsts[0].Reg, old)
-			}
-		} else {
-			b := t.ReadReg(in.Srcs[di].Reg)
-			var c uint32
-			if in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs) {
-				c = t.ReadReg(in.Srcs[di+1].Reg)
-			}
-			old, err := e.dev.Global.Atomic32(addr, func(o uint32) uint32 {
-				return atomApply32(in.Mods.Atom, o, b, c, in.Mods.Unsigned)
-			})
-			if err != nil {
-				lerr = err
-				return
-			}
-			if hasDst {
-				t.WriteReg(in.Dsts[0].Reg, old)
+		b.Addrs[b.N], b.Vals[b.N] = addr, atomOperand(t, in.Srcs[di].Reg, b.Width)
+		if cas {
+			b.Swaps[b.N] = atomOperand(t, in.Srcs[di+1].Reg, b.Width)
+		}
+		lanes[b.N] = uint8(l)
+		b.N++
+	}
+	n, err := e.dev.Global.AtomicWarp(&b)
+	if hasDst {
+		for i := 0; i < n; i++ {
+			t := &w.threads[lanes[i]]
+			if wide {
+				t.WriteReg64(in.Dsts[0].Reg, b.Vals[i])
+			} else {
+				t.WriteReg(in.Dsts[0].Reg, uint32(b.Vals[i]))
 			}
 		}
-	})
-	if lerr != nil {
-		return 0, lerr
+	}
+	if err == nil {
+		err = lerr
+	}
+	if err != nil {
+		return 0, err
 	}
 	cost := 1
 	if access.Active != 0 {
-		res := e.dev.Coal.Coalesce(&access)
 		st := &e.sms[w.CTA.SM]
+		e.dev.Coal.CoalesceInto(&access, &st.coalRes)
+		res := &st.coalRes
 		st.globalTransactions += uint64(res.UniqueLines())
 		cost = st.hier.AccessLines(res.Lines, true) + res.NumActive
 	}
 	return cost, nil
 }
 
+// atomOperand reads an atomic's operand register (pair, for 8 bytes).
+func atomOperand(t *Thread, r uint8, width int) uint64 {
+	if width == 8 {
+		return t.ReadReg64(r)
+	}
+	return uint64(t.ReadReg(r))
+}
+
+// atomOp is the memory unit's operation for an ATOM, RED or ATOMS operator;
+// unsigned selects the unsigned MIN and MAX.
+func atomOp(in *sass.Instruction, unsigned bool) (mem.AtomOp, error) {
+	a := in.Mods.Atom
+	if a > sass.AtomCAS {
+		return 0, fmt.Errorf("%s: undefined atomic operator %d", in.Op, a)
+	}
+	op := mem.AtomOp(a) // the unit's first eight operations are the ISA's
+	if (a == sass.AtomMIN || a == sass.AtomMAX) && unsigned {
+		op += mem.AtomMinU - mem.AtomMin
+	}
+	return op, nil
+}
+
 // execAtomicShared handles ATOMS on the CTA scratchpad.
 func (e *engine) execAtomicShared(w *Warp, in *sass.Instruction, exec uint32) (int, error) {
 	ref, err := memRef(in)
+	if err != nil {
+		return 0, err
+	}
+	op, err := atomOp(in, in.Mods.Unsigned)
 	if err != nil {
 		return 0, err
 	}
@@ -371,7 +395,7 @@ func (e *engine) execAtomicShared(w *Warp, in *sass.Instruction, exec uint32) (i
 		if in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs) {
 			c = t.ReadReg(in.Srcs[di+1].Reg)
 		}
-		if err := w.CTA.Shared.Write32(off, atomApply32(in.Mods.Atom, old, b, c, in.Mods.Unsigned)); err != nil {
+		if err := w.CTA.Shared.Write32(off, uint32(op.Apply(4, uint64(old), uint64(b), uint64(c)))); err != nil {
 			lerr = err
 			return
 		}
@@ -380,78 +404,4 @@ func (e *engine) execAtomicShared(w *Warp, in *sass.Instruction, exec uint32) (i
 		}
 	})
 	return 2 + n, lerr
-}
-
-func atomApply32(op sass.AtomOp, old, b, c uint32, unsigned bool) uint32 {
-	switch op {
-	case sass.AtomADD:
-		return old + b
-	case sass.AtomMIN:
-		if unsigned {
-			if b < old {
-				return b
-			}
-			return old
-		}
-		if int32(b) < int32(old) {
-			return b
-		}
-		return old
-	case sass.AtomMAX:
-		if unsigned {
-			if b > old {
-				return b
-			}
-			return old
-		}
-		if int32(b) > int32(old) {
-			return b
-		}
-		return old
-	case sass.AtomAND:
-		return old & b
-	case sass.AtomOR:
-		return old | b
-	case sass.AtomXOR:
-		return old ^ b
-	case sass.AtomEXCH:
-		return b
-	case sass.AtomCAS:
-		if old == b {
-			return c
-		}
-		return old
-	}
-	return old
-}
-
-func atomApply64(op sass.AtomOp, old, b, c uint64) uint64 {
-	switch op {
-	case sass.AtomADD:
-		return old + b
-	case sass.AtomMIN:
-		if b < old {
-			return b
-		}
-		return old
-	case sass.AtomMAX:
-		if b > old {
-			return b
-		}
-		return old
-	case sass.AtomAND:
-		return old & b
-	case sass.AtomOR:
-		return old | b
-	case sass.AtomXOR:
-		return old ^ b
-	case sass.AtomEXCH:
-		return b
-	case sass.AtomCAS:
-		if old == b {
-			return c
-		}
-		return old
-	}
-	return old
 }

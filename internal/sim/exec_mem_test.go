@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"sassi/internal/mem"
@@ -248,6 +250,126 @@ func TestAtomicsShared(t *testing.T) {
 	})
 	if v, _ := dev.Global.Read32(scratch); v != 64 {
 		t.Errorf("shared atomic total = %d, want 64", v)
+	}
+}
+
+// TestAtomicMinMaxSignedness: a 32-bit MIN or MAX compares signed unless
+// .U, and a 64-bit one unsigned, whatever its modifiers.
+func TestAtomicMinMaxSignedness(t *testing.T) {
+	red := func(op sass.AtomOp, unsigned bool, w sass.Width, off int64) sass.Instruction {
+		return guarded(sass.Instruction{Op: sass.OpRED, Mods: sass.Mods{Atom: op, E: true, Width: w, Unsigned: unsigned},
+			Srcs: []sass.Operand{sass.Mem(40, off), sass.R(1)}}, 0, false)
+	}
+	five := func(w sass.Width, off int64) sass.Instruction {
+		return guarded(sass.Instruction{Op: sass.OpSTG, Mods: sass.Mods{E: true, Width: w},
+			Srcs: []sass.Operand{sass.Mem(40, off), sass.R(3)}}, 0, false)
+	}
+	dev, scratch := memRun(t, 0, func(off int) []sass.Instruction {
+		return append(ldScratch(off),
+			tid(0),
+			setp(0, sass.CmpEQ, true, sass.R(0), sass.Imm(0)), // lane 0 only
+			movi(1, -1), movi(2, -1), movi(3, 5), movi(4, 0),
+			five(sass.W32, 0), five(sass.W32, 4), five(sass.W64, 8), five(sass.W32, 16), five(sass.W32, 20),
+			red(sass.AtomMIN, false, sass.W32, 0),
+			red(sass.AtomMIN, true, sass.W32, 4),
+			red(sass.AtomMIN, false, sass.W64, 8),
+			red(sass.AtomMAX, false, sass.W32, 16),
+			red(sass.AtomMAX, true, sass.W32, 20),
+		)
+	})
+	for _, c := range []struct {
+		what string
+		off  uint64
+		want uint64
+	}{
+		{"MIN 5, -1", 0, 0xffffffff}, {"MIN.U 5, 0xffffffff", 4, 5}, {"MIN.64 5, 2^64-1", 8, 5},
+		{"MAX 5, -1", 16, 5}, {"MAX.U 5, 0xffffffff", 20, 0xffffffff},
+	} {
+		v, _ := dev.Global.Read64(scratch + c.off)
+		if c.off != 8 {
+			v = uint64(uint32(v))
+		}
+		if v != c.want {
+			t.Errorf("%s = %#x, want %#x", c.what, v, c.want)
+		}
+	}
+}
+
+// TestAtomicUndefinedOperator: an operator encoding past CAS, which no
+// encoder emits but a decoded binary can carry, fails the launch.
+func TestAtomicUndefinedOperator(t *testing.T) {
+	for _, op := range []sass.Opcode{sass.OpATOM, sass.OpATOMS} {
+		k := &sass.Kernel{Name: "m", Labels: map[string]int{}, NumRegs: 8, SharedBytes: 64}
+		k.Instrs = []sass.Instruction{
+			{Guard: sass.Always, Op: op, Mods: sass.Mods{Atom: sass.AtomCAS + 1, E: true},
+				Dsts: []sass.Operand{sass.R(2)}, Srcs: []sass.Operand{sass.Mem(sass.RZ, 0), sass.R(1)}},
+			sass.New(sass.OpEXIT, nil, nil),
+		}
+		prog := sass.NewProgram()
+		prog.AddKernel(k)
+		_, err := sim.NewDevice(sim.MiniGPU()).Launch(prog, "m", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32)})
+		var ke *sim.KernelError
+		if !errors.As(err, &ke) || ke.Kind != sim.ErrInvalid || !strings.Contains(ke.Detail, "undefined atomic operator") {
+			t.Errorf("%s with operator %d: %v, want an invalid-instruction error", op, sass.AtomCAS+1, err)
+		}
+	}
+}
+
+// TestAtomicGlobalFaultPrefix: a warp's ATOM stops at its lowest lane whose
+// address faults — past the allocation, or not global at all — with that
+// lane's fault, and every lane below it has applied.
+func TestAtomicGlobalFaultPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		hi   int64 // lane 16's address: scratch+4096, or this in the high word
+		why  string
+	}{
+		{"past the allocation", -1, "address outside any allocation"},
+		{"not global", 0, "atomic requires a global address"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := &sass.Kernel{Name: "m", Labels: map[string]int{}, NumRegs: 48}
+			off := k.AddParam("scratch", 8)
+			k.Instrs = append(ldScratch(off),
+				tid(0),
+				alu(sass.OpSHL, sass.Mods{}, 4, sass.R(0), sass.Imm(8)), // 256 bytes per lane
+				sass.Instruction{Guard: sass.Always, Op: sass.OpIADD, Mods: sass.Mods{SetCC: true},
+					Dsts: []sass.Operand{sass.R(40)}, Srcs: []sass.Operand{sass.R(40), sass.R(4)}},
+				sass.Instruction{Guard: sass.Always, Op: sass.OpIADD, Mods: sass.Mods{X: true},
+					Dsts: []sass.Operand{sass.R(41)}, Srcs: []sass.Operand{sass.R(41), sass.R(sass.RZ)}},
+				setp(0, sass.CmpGE, false, sass.R(0), sass.Imm(16)),
+				movi(1, 1),
+			)
+			if tc.hi >= 0 {
+				k.Instrs = append(k.Instrs, guarded(movi(41, tc.hi), 0, false))
+			}
+			k.Instrs = append(k.Instrs,
+				sass.Instruction{Guard: sass.Always, Op: sass.OpATOM,
+					Mods: sass.Mods{Atom: sass.AtomADD, E: true, Width: sass.W32},
+					Dsts: []sass.Operand{sass.R(2)},
+					Srcs: []sass.Operand{sass.Mem(40, 0), sass.R(1)}},
+				sass.New(sass.OpEXIT, nil, nil))
+			if err := k.ResolveLabels(); err != nil {
+				t.Fatal(err)
+			}
+			prog := sass.NewProgram()
+			prog.AddKernel(k)
+			dev := sim.NewDevice(sim.MiniGPU())
+			scratch := dev.Alloc(4096, "scratch")
+			_, err := dev.Launch(prog, "m", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{scratch}})
+			var f *mem.Fault
+			if !errors.As(err, &f) || f.Why != tc.why || !f.Write || f.Space != mem.SpaceGlobal {
+				t.Fatalf("launch error %v, want a global store fault: %s", err, tc.why)
+			}
+			if want := scratch + 4096; tc.hi < 0 && f.Addr != want {
+				t.Errorf("fault at %#x, want lane 16's %#x", f.Addr, want)
+			}
+			for lane := 0; lane < 16; lane++ {
+				if v, _ := dev.Global.Read32(scratch + uint64(256*lane)); v != 1 {
+					t.Errorf("lane %d's word = %d, want 1", lane, v)
+				}
+			}
+		})
 	}
 }
 

@@ -30,7 +30,8 @@ func benchWarp(tb testing.TB, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sa
 // warpStepper builds a minimal engine around a loop (label "loop" is its
 // first instruction) and returns a stepper that executes one warp
 // instruction of it per call on the execution core, with the watchdog held
-// off. Threads get 256 bytes of stack.
+// off. Threads get 256 bytes of stack, and the device 4 KiB of global
+// memory at mem.GlobalBase.
 func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *obs.Tracer, samp *pcsamp.Sampler) func() {
 	tb.Helper()
 	k := &sass.Kernel{Name: "spin", NumRegs: 16, Labels: map[string]int{"loop": 0}, Instrs: loop}
@@ -43,6 +44,7 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	dev := NewDevice(MiniGPU())
 	dev.Metrics = reg
 	dev.Trace = tr
+	dev.Alloc(4096, "global")
 	e := &engine{dev: dev, base: dev.code(prog, k, &LaunchParams{StackBytes: 256})}
 	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, dev.Cfg.NumSMs)}
 	e.sms = make([]smShard, dev.Cfg.NumSMs)
@@ -89,6 +91,33 @@ func TestWarpIssueZeroAlloc(t *testing.T) {
 					tc.name, allocs)
 			}
 		})
+	}
+}
+
+// TestAtomicIssueZeroAlloc extends the contract to global atomics: a loop
+// whose every iteration issues an ATOM and a RED on 32 lanes' words
+// performs no heap allocation, coalescer result included.
+func TestAtomicIssueZeroAlloc(t *testing.T) {
+	hi := sass.Imm(int64(mem.GlobalBase >> 32))
+	loop := []sass.Instruction{
+		sass.New(sass.OpS2R, []sass.Operand{sass.R(1)}, []sass.Operand{sass.SReg(sass.SRLaneID)}),
+		sass.New(sass.OpSHL, []sass.Operand{sass.R(2)}, []sass.Operand{sass.R(1), sass.Imm(3)}),
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(3)}, []sass.Operand{hi}),
+		{Guard: sass.Always, Op: sass.OpATOM, Mods: sass.Mods{Atom: sass.AtomADD, E: true, Width: sass.W64},
+			Dsts: []sass.Operand{sass.R(4)}, Srcs: []sass.Operand{sass.Mem(2, 0), sass.R(1)}},
+		{Guard: sass.Always, Op: sass.OpRED, Mods: sass.Mods{Atom: sass.AtomMAX, E: true},
+			Srcs: []sass.Operand{sass.Mem(2, 0), sass.R(1)}},
+		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("loop")}),
+	}
+	step := warpStepper(t, loop, nil, nil, nil)
+	iteration := func() {
+		for range loop {
+			step()
+		}
+	}
+	iteration()
+	if allocs := testing.AllocsPerRun(500, iteration); allocs != 0 {
+		t.Errorf("a loop iteration with an ATOM and a RED allocates %.1f times, want 0", allocs)
 	}
 }
 
