@@ -83,6 +83,11 @@ func (w *Warp) Running() uint32 { return w.running }
 // the handler and takes no part in later collectives.
 func (w *Warp) Return(l int) { w.running &^= 1 << uint(l) }
 
+// ReturnUnless removes every running lane outside keep, as if each had
+// returned: per-thread `if (!cond) return;` for the lanes whose cond is
+// set in keep.
+func (w *Warp) ReturnUnless(keep uint32) { w.running &= keep }
+
 // First returns the lowest running lane, or -1 when none is left.
 func (w *Warp) First() int { return Ffs(w.running) - 1 }
 
@@ -116,11 +121,12 @@ func (w *Warp) Shfl64(v *Vec64, srcLane int) Vec64 {
 	return shfl(w.running, (*[sim.WarpSize]uint64)(v), srcLane)
 }
 
-func shfl[T any](running uint32, v *[sim.WarpSize]T, srcLane int) [sim.WarpSize]T {
-	out := *v
+func shfl[T any](running uint32, v *[sim.WarpSize]T, srcLane int) (out [sim.WarpSize]T) {
+	out = *v
 	if uint(srcLane) < sim.WarpSize && running&(1<<uint(srcLane)) != 0 {
+		s := v[srcLane]
 		for m := running; m != 0; m &= m - 1 {
-			out[bits.TrailingZeros32(m)] = v[srcLane]
+			out[bits.TrailingZeros32(m)] = s
 		}
 	}
 	return out

@@ -48,12 +48,7 @@ func (p *BranchProfiler) Handler() *sassi.Handler {
 		What: sassi.PassCondBranchInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			// Which way is each thread going?
-			var dir uint32
-			for l := w.First(); l >= 0; l = w.Next(l) {
-				if args.CBP.Direction(l) {
-					dir |= 1 << uint(l)
-				}
-			}
+			dir := args.CBP.DirectionMask()
 
 			// Masks and counts of active/taken/fall-through threads.
 			active := w.Ballot(device.FullMask)

@@ -136,12 +136,7 @@ func (c *CFIChecker) Handler() *sassi.Handler {
 // it with an injector in one handler (the injector corrupts first, then
 // the audit runs).
 func (c *CFIChecker) Audit(w *device.Warp, args sassi.HandlerArgs) {
-	var execMask uint32
-	for l := w.First(); l >= 0; l = w.Next(l) {
-		if args.BP.InstrWillExecute(l) {
-			execMask |= 1 << uint(l)
-		}
-	}
+	execMask := args.BP.WillExecuteMask()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.audit(w, args, execMask)

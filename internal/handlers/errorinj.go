@@ -58,10 +58,8 @@ func (p *InjProfiler) Handler() *sassi.Handler {
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			var counters device.Vec64
 			var counting uint32
+			w.ReturnUnless(args.BP.WillExecuteMask())
 			for l := w.First(); l >= 0; l = w.Next(l) {
-				if !args.BP.InstrWillExecute(l) {
-					continue
-				}
 				if tid := w.Lane(l).GlobalThreadIdx(); tid < uint64(p.threads) {
 					counters[l] = uint64(p.counts) + tid*8
 					counting |= 1 << l

@@ -61,9 +61,12 @@ func (t *InsTable) Find(c device.Lane, key int32) uint64 {
 	for probe := 0; probe < t.slots; probe++ {
 		s := t.slotAddr((h + probe) % t.slots)
 		for {
-			status := c.ReadGlobal32(s)
+			// The status and key words are read together, as one 8-byte
+			// word: a ready slot's key was written before its status.
+			hdr := c.ReadGlobal64(s)
+			status := uint32(hdr)
 			if status == slotReady {
-				if int32(c.ReadGlobal32(s+4)) == key {
+				if int32(hdr>>32) == key {
 					return s + 8
 				}
 				break // occupied by another key; next probe

@@ -45,19 +45,16 @@ func (p *MemDivProfiler) Handler() *sassi.Handler {
 		Name: "sassi_memdiv_handler",
 		What: sassi.PassMemoryInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			w.ReturnUnless(args.BP.WillExecuteMask())
 			var lineAddr device.Vec64
+			args.MP.Addresses(&lineAddr)
 			for l := w.First(); l >= 0; l = w.Next(l) {
-				if !args.BP.InstrWillExecute(l) {
-					w.Return(l)
-					continue
-				}
-				addr := args.MP.Address(l)
 				// Only look at global memory requests; filter others out.
-				if !mem.IsGlobal(addr) {
+				if !mem.IsGlobal(lineAddr[l]) {
 					w.Return(l)
 					continue
 				}
-				lineAddr[l] = addr >> p.OffsetBits
+				lineAddr[l] >>= p.OffsetBits
 			}
 
 			workset := w.Ballot(device.FullMask)

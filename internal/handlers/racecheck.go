@@ -95,25 +95,26 @@ func (r *RaceChecker) Handler() *sassi.Handler {
 				r.ctas[key] = cta
 			}
 
+			// Threads whose instruction is predicated off take no part.
+			w.ReturnUnless(args.BP.WillExecuteMask())
 			// The access's static properties are the same on every lane.
 			var acc access
 			var write bool
 			var width uint64
+			var addrs device.Vec64
 			if args.MP != nil {
 				acc = access{site: sass.IndexOfOffset(args.BP.InsOffset()), atomic: args.MP.IsAtomic()}
 				write, width = args.MP.IsStore(), uint64(args.MP.Width())
+				args.MP.Addresses(&addrs)
 			}
 			for l := w.First(); l >= 0; l = w.Next(l) {
-				if !args.BP.InstrWillExecute(l) {
-					continue
-				}
 				tid := w.Lane(l).FlatThreadIdx()
 				if args.MP == nil {
 					// BAR.SYNC site: this thread enters the next interval.
 					cta.phase[tid]++
 					continue
 				}
-				addr := args.MP.Address(l)
+				addr := addrs[l]
 				if !mem.IsShared(addr) {
 					continue
 				}

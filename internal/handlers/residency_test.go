@@ -71,51 +71,75 @@ func TestInstrumentedStackCostsWhatItTouches(t *testing.T) {
 // compile, instrument, fresh context, run, collect — allocates the same
 // bytes every time, wherever the collector happens to run: with
 // runtime.GC() forced before a seeded launch of each repetition the
-// runtime.MemStats.TotalAlloc delta stays within 0.5 % of the first. The
-// benchmark's alloc_mb bound is 1 %; pooled launch state that the
-// collector could empty moved the figure by more than that.
+// runtime.MemStats.TotalAlloc delta stays within 0.5 % of the first, under
+// the branch, memory-divergence and value profilers. The benchmark's
+// alloc_mb bound is 1 %; pooled launch or dispatch state that the collector
+// could empty moved the figure by more than that.
 func TestInstrumentedAllocationRepeatable(t *testing.T) {
 	spec, _ := workloads.Get("parboil.histo")
-	op := func(gcBefore int) uint64 {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		prog, err := spec.Compile(ptxas.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ctx := cuda.NewContext(sim.KeplerK10())
-		ctx.Subscribe(cuda.LaunchCallbacks{PreLaunch: func(_ string, launch int) {
-			if launch == gcBefore {
-				runtime.GC()
-			}
-		}})
-		p := handlers.NewBranchProfiler(ctx)
-		if err := sassi.Instrument(prog, p.Options()); err != nil {
-			t.Fatal(err)
-		}
-		rt := sassi.NewRuntime(prog)
-		rt.MustRegister(p.Handler())
-		rt.Attach(ctx.Device())
-		res, err := spec.Run(ctx, prog, spec.DefaultDataset())
-		if err != nil || res.VerifyErr != nil {
-			t.Fatal(err, res.VerifyErr)
-		}
-		if _, err := p.Results(); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
+	tools := []struct {
+		name string
+		// wire builds the profiler: its instrumentation, its handler and
+		// its result collection.
+		wire func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error)
+	}{
+		{"branch", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewBranchProfiler(ctx)
+			return p.Options(), p.Handler(), func() error { _, err := p.Results(); return err }
+		}},
+		{"memdiv", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewMemDivProfiler(ctx)
+			return p.Options(), p.Handler(), func() error { _, err := p.Matrix(); return err }
+		}},
+		{"value", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewValueProfiler(ctx)
+			return p.Options(), p.Handler(), func() error { _, err := p.Results(); return err }
+		}},
 	}
-	op(-1) // lazy one-time set-up
-	base := op(-1)
-	rng := rand.New(rand.NewSource(20))
-	for run := 0; run < 8; run++ {
-		gcBefore := rng.Intn(4)
-		got := op(gcBefore)
-		t.Logf("run %d: GC before launch %d, %d bytes (first run %d)", run, gcBefore, got, base)
-		if off := 100 * (float64(got) - float64(base)) / float64(base); off > 0.5 || off < -0.5 {
-			t.Errorf("run %d (GC before launch %d) allocated %d bytes, the first %d: off by %.2f%%",
-				run, gcBefore, got, base, off)
-		}
+	for _, tool := range tools {
+		t.Run(tool.name, func(t *testing.T) {
+			op := func(gcBefore int) uint64 {
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				prog, err := spec.Compile(ptxas.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := cuda.NewContext(sim.KeplerK10())
+				ctx.Subscribe(cuda.LaunchCallbacks{PreLaunch: func(_ string, launch int) {
+					if launch == gcBefore {
+						runtime.GC()
+					}
+				}})
+				opts, h, collect := tool.wire(ctx)
+				if err := sassi.Instrument(prog, opts); err != nil {
+					t.Fatal(err)
+				}
+				rt := sassi.NewRuntime(prog)
+				rt.MustRegister(h)
+				rt.Attach(ctx.Device())
+				res, err := spec.Run(ctx, prog, spec.DefaultDataset())
+				if err != nil || res.VerifyErr != nil {
+					t.Fatal(err, res.VerifyErr)
+				}
+				if err := collect(); err != nil {
+					t.Fatal(err)
+				}
+				runtime.ReadMemStats(&m1)
+				return m1.TotalAlloc - m0.TotalAlloc
+			}
+			op(-1) // lazy one-time set-up
+			base := op(-1)
+			rng := rand.New(rand.NewSource(20))
+			for run := 0; run < 8; run++ {
+				gcBefore := rng.Intn(4)
+				got := op(gcBefore)
+				t.Logf("run %d: GC before launch %d, %d bytes (first run %d)", run, gcBefore, got, base)
+				if off := 100 * (float64(got) - float64(base)) / float64(base); off > 0.5 || off < -0.5 {
+					t.Errorf("run %d (GC before launch %d) allocated %d bytes, the first %d: off by %.2f%%",
+						run, gcBefore, got, base, off)
+				}
+			}
+		})
 	}
 }

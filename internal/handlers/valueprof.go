@@ -67,11 +67,7 @@ func (p *ValueProfiler) Handler() *sassi.Handler {
 		Name: "sassi_after_handler",
 		What: sassi.PassRegisterInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
-			for l := w.First(); l >= 0; l = w.Next(l) {
-				if !args.BP.InstrWillExecute(l) {
-					w.Return(l)
-				}
-			}
+			w.ReturnUnless(args.BP.WillExecuteMask())
 			firstActive := device.Ffs(w.Ballot(device.FullMask)) - 1
 			if firstActive < 0 {
 				return
@@ -88,8 +84,8 @@ func (p *ValueProfiler) Handler() *sassi.Handler {
 			for d := 0; d < nd; d++ {
 				reg := rp.GPRDst(d)
 				var v, notV device.Vec32
+				rp.GetRegValues(reg, &v)
 				for l := w.First(); l >= 0; l = w.Next(l) {
-					v[l] = rp.GetRegValue(l, reg)
 					notV[l] = ^v[l]
 				}
 

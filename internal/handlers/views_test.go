@@ -25,9 +25,11 @@ import (
 // dispatch) over the site id, the active mask, the will-execute mask and
 // the tool's per-lane values — branch directions, memory addresses,
 // destination register values. testdata/views.golden was recorded through
-// the per-lane accessors (Direction(l), Address(l), GetRegValue(l, r))
-// before the row-grain views existed; a change to how the views read the
-// parameter objects must reproduce it bit for bit. MiniGPU, sequential SMs.
+// the per-lane accessors (InstrWillExecute(l), Direction(l), Address(l),
+// GetRegValue(l, r)) before the row-grain views existed; the test reads
+// through the mask and vector accessors that replaced them in the
+// handlers (WillExecuteMask, DirectionMask, Addresses, GetRegValues) and
+// must reproduce it bit for bit. MiniGPU, sequential SMs.
 // Regenerate only for an intended change of what the injector passes:
 // `go test ./internal/handlers -run ViewsGolden -update`.
 func TestViewsGolden(t *testing.T) {
@@ -66,13 +68,7 @@ var viewTools = []viewTool{
 		p := handlers.NewBranchProfiler(ctx)
 		return p.Options(), p.Handler()
 	}, func(w *device.Warp, args sassi.HandlerArgs, rec *viewRecord) {
-		var dir uint32
-		for l := w.First(); l >= 0; l = w.Next(l) {
-			if args.CBP.Direction(l) {
-				dir |= 1 << uint(l)
-			}
-		}
-		rec.u32(dir)
+		rec.u32(args.CBP.DirectionMask())
 	}},
 	{"memdiv", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler) {
 		p := handlers.NewMemDivProfiler(ctx)
@@ -82,9 +78,7 @@ var viewTools = []viewTool{
 			return
 		}
 		var addr device.Vec64
-		for l := w.First(); l >= 0; l = w.Next(l) {
-			addr[l] = args.MP.Address(l)
-		}
+		args.MP.Addresses(&addr)
 		rec.vec64(&addr)
 	}},
 	{"value", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler) {
@@ -109,9 +103,7 @@ func readDstValues(w *device.Warp, args sassi.HandlerArgs, rec *viewRecord) {
 	for d := 0; d < nd; d++ {
 		reg := rp.GPRDst(d)
 		var v device.Vec32
-		for l := w.First(); l >= 0; l = w.Next(l) {
-			v[l] = rp.GetRegValue(l, reg)
-		}
+		rp.GetRegValues(reg, &v)
 		rec.u32(uint32(reg))
 		rec.vec32(&v)
 	}
@@ -161,13 +153,7 @@ func viewsRun(t *testing.T, program string, vt viewTool) string {
 		rec.b = rec.b[:0]
 		rec.u32(uint32(args.BP.ID()))
 		rec.u32(w.ActiveMask())
-		var exec uint32
-		for l := w.First(); l >= 0; l = w.Next(l) {
-			if args.BP.InstrWillExecute(l) {
-				exec |= 1 << uint(l)
-			}
-		}
-		rec.u32(exec)
+		rec.u32(args.BP.WillExecuteMask())
 		vt.read(w, args, &rec)
 		d := fnv.New64a()
 		d.Write(rec.b)

@@ -92,12 +92,10 @@ type AtomicBatch struct {
 // indistinguishable from it in any deterministic schedule.
 func (g *Global) AtomicWarp(b *AtomicBatch) (int, error) {
 	w := uint64(b.Width)
-	n, held, ferr := g.admit(b.Addrs[:b.N], w, true)
+	n, held, cachedPN, cached, ferr := g.admit(b.Addrs[:b.N], w, true)
 	if n == 0 {
 		return 0, ferr
 	}
-	var cachedPN uint64 = ^uint64(0)
-	var cached *[pageSize]byte
 	for i := 0; i < n; i++ {
 		a := b.Addrs[i]
 		var buf [8]byte

@@ -3,7 +3,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -99,7 +98,11 @@ func (g *Global) lockRange(addr, n uint64) stripeLock {
 		n = 1
 	}
 	l := stripeLock{g: g, first: addr >> pageShift, last: (addr + n - 1) >> pageShift}
-	l.each((*sync.Mutex).Lock)
+	if l.first == l.last {
+		g.stripes[l.first%numStripes].Lock()
+	} else {
+		l.each((*sync.Mutex).Lock)
+	}
 	return l
 }
 
@@ -109,13 +112,19 @@ type stripeLock struct {
 	first, last uint64
 }
 
-func (l stripeLock) unlock() { l.each((*sync.Mutex).Unlock) }
+func (l stripeLock) unlock() {
+	if l.first == l.last {
+		l.g.stripes[l.first%numStripes].Unlock()
+	} else {
+		l.each((*sync.Mutex).Unlock)
+	}
+}
 
-// each applies op to the covering stripes in ascending stripe order.
+// each applies op to the covering stripes in ascending stripe order (for a
+// lock of more than one page: lockRange and unlock take one stripe
+// directly).
 func (l stripeLock) each(op func(*sync.Mutex)) {
 	switch {
-	case l.first == l.last:
-		op(&l.g.stripes[l.first%numStripes])
 	case l.last-l.first+1 >= numStripes:
 		for i := range l.g.stripes {
 			op(&l.g.stripes[i])
@@ -146,9 +155,16 @@ func (g *Global) findAlloc(addr, n uint64) error {
 		}
 		return &Fault{Space: SpaceGlobal, Addr: addr, Why: "address outside the device heap"}
 	}
-	i := sort.Search(len(g.allocs), func(i int) bool {
-		return g.allocs[i].base+g.allocs[i].size > addr
-	})
+	// The first allocation ending above addr (sort.Search without the
+	// closure: every warp access and handler word comes through here).
+	i, j := 0, len(g.allocs)
+	for i < j {
+		if h := int(uint(i+j) >> 1); g.allocs[h].base+g.allocs[h].size > addr {
+			j = h
+		} else {
+			i = h + 1
+		}
+	}
 	if i < len(g.allocs) && g.allocs[i].base <= addr && addr+n <= g.allocs[i].base+g.allocs[i].size {
 		return nil
 	}
@@ -251,33 +267,76 @@ func (g *Global) Write(addr uint64, data []byte) error {
 // Read32 loads a 32-bit word.
 func (g *Global) Read32(addr uint64) (uint32, error) {
 	var b [4]byte
-	if err := g.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
+	err := g.word(addr, b[:], false)
+	return binary.LittleEndian.Uint32(b[:]), err
 }
 
 // Write32 stores a 32-bit word.
 func (g *Global) Write32(addr uint64, v uint32) error {
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	return g.Write(addr, b[:])
+	return g.word(addr, b[:], true)
 }
 
 // Read64 loads a 64-bit word.
 func (g *Global) Read64(addr uint64) (uint64, error) {
 	var b [8]byte
-	if err := g.Read(addr, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint64(b[:]), nil
+	err := g.word(addr, b[:], false)
+	return binary.LittleEndian.Uint64(b[:]), err
 }
 
 // Write64 stores a 64-bit word.
 func (g *Global) Write64(addr uint64, v uint64) error {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	return g.Write(addr, b[:])
+	return g.word(addr, b[:], true)
+}
+
+// word is Read (write false) or Write of a handler's word: the access is
+// validated and its page looked up under one metadata read lock, then
+// transferred under the page's stripe. A page that did not exist at the
+// lookup is looked up again under the stripe, where another SM may just
+// have created it; a page once created stays until Reset.
+func (g *Global) word(addr uint64, buf []byte, write bool) error {
+	n := uint64(len(buf))
+	pn, off := addr>>pageShift, addr&(pageSize-1)
+	g.mu.RLock()
+	err := g.findAlloc(addr, n)
+	p := g.pages[pn]
+	g.mu.RUnlock()
+	if err != nil {
+		f := err.(*Fault)
+		f.Write = write
+		return f
+	}
+	if off+n > pageSize {
+		held := g.lockRange(addr, n)
+		if write {
+			g.writeData(addr, buf)
+		} else {
+			g.readData(addr, buf)
+		}
+		held.unlock()
+		return nil
+	}
+	s := &g.stripes[pn%numStripes]
+	s.Lock()
+	switch {
+	case p == nil && write:
+		p = g.pageRW(pn)
+	case p == nil:
+		p = g.pageRO(pn)
+	}
+	switch {
+	case write:
+		copy(p[off:], buf)
+	case p == nil:
+		clear(buf)
+	default:
+		copy(buf, p[off:])
+	}
+	s.Unlock()
+	return nil
 }
 
 // Footprint returns the total bytes currently allocated.

@@ -182,6 +182,21 @@ func (l *WarpLocal) StoreRow(exec uint32, off uint64, src *[warpLanes]uint32) er
 	return nil
 }
 
+// StoreRow64 is a warp's 8-byte local store at one offset for every lane —
+// the register pair (lo, hi) of lane l goes to off and off+4 in its stack:
+// one bounds check covering all eight bytes, so a store that would run off
+// the end faults as Write does having written nothing, then two row copies.
+func (l *WarpLocal) StoreRow64(exec uint32, off uint64, lo, hi *[warpLanes]uint32) error {
+	if exec == 0 {
+		return nil
+	}
+	if err := l.check(off, 8, true); err != nil {
+		return err
+	}
+	_ = l.StoreRow(exec, off, lo)
+	return l.StoreRow(exec, off+4, hi)
+}
+
 // LoadRow is StoreRow's mirror: every lane l of exec loads its word at off
 // into dst[l].
 func (l *WarpLocal) LoadRow(exec uint32, off uint64, dst *[warpLanes]uint32) error {

@@ -29,15 +29,14 @@ type WarpOp struct {
 // ordered to begin with.
 func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 	w := uint64(op.Width)
-	n, held, ferr := g.admit(op.Addrs[:op.N], w, op.Store)
+	n, held, cachedPN, cached, ferr := g.admit(op.Addrs[:op.N], w, op.Store)
 	if n == 0 {
 		return 0, ferr
 	}
 
-	// Transfer with a one-page cache: coalesced warps touch one or two
-	// pages, so most lanes skip the page-table lock entirely.
-	var cachedPN uint64 = ^uint64(0)
-	var cached *[pageSize]byte
+	// Transfer with a one-page cache, seeded with admit's page: coalesced
+	// warps touch one or two pages, so most lanes skip the page-table lock
+	// entirely, and a single-page warp never takes it.
 	for i := 0; i < n; i++ {
 		a := op.Addrs[i]
 		buf := op.Data[i][:op.Width]
@@ -78,16 +77,20 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 // metadata read lock, then takes the data stripes covering the ones that
 // passed, once, in ascending order. It returns how many passed — all, or
 // those before the first fault, returned as err with Write set to write —
-// and the held stripes, which the caller releases unless n is 0.
+// and the held stripes, which the caller releases unless n is 0. Under the
+// same lock it looks up the page of the lowest address: pn and page, for
+// the caller's page cache — or ^0 and nil when that page has not been
+// created, which the caller must then look up under the stripe.
 //
 // The covering-span check comes first: when a single allocation (or the
 // mapped window) covers [lo, hi+w) — the overwhelmingly common case — one
 // lookup clears the whole batch. A span failure does not imply a fault
 // (the accesses may straddle two adjacent allocations), so it falls back
 // to the walk, which also pins the exact faulting entry.
-func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripeLock, err error) {
+func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripeLock, pn uint64, page *[pageSize]byte, err error) {
+	pn = ^uint64(0)
 	if len(addrs) == 0 {
-		return 0, held, nil
+		return 0, held, pn, nil, nil
 	}
 	lo, hi := span(addrs)
 	n = len(addrs)
@@ -102,14 +105,17 @@ func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripe
 			}
 		}
 	}
+	if page = g.pages[lo>>pageShift]; page != nil {
+		pn = lo >> pageShift
+	}
 	g.mu.RUnlock()
 	if n == 0 {
-		return 0, held, err
+		return 0, held, pn, nil, err
 	}
 	if n < len(addrs) {
 		lo, hi = span(addrs[:n])
 	}
-	return n, g.lockRange(lo, hi-lo+w), err
+	return n, g.lockRange(lo, hi-lo+w), pn, page, err
 }
 
 // span returns the lowest and highest of a non-empty set of addresses.

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/bits"
 	"math/rand"
 	"testing"
@@ -10,7 +11,8 @@ import (
 // The specification of WarpLocal is 32 Locals, one per lane, with a warp
 // access applied lane by lane in ascending order and stopped by the first
 // lane that faults. The simulator makes a warp access at one offset for
-// every lane with StoreRow or LoadRow and any other lane by lane with Write
+// every lane with StoreRow, StoreRow64 or LoadRow and any other lane by
+// lane with Write
 // or Read; the harness does the same, and sometimes takes the per-lane path
 // for a uniform access too. driveWarpLocal runs one operation stream against a
 // WarpLocal and 32 model Locals and requires identical bytes in every lane,
@@ -103,14 +105,14 @@ func driveWarpLocal(t *testing.T, size int, stream []byte) {
 		switch op {
 		case 0, 1, 2: // store
 			var data [warpLanes][16]byte
-			var words [warpLanes]uint32
+			var words, hiWords [warpLanes]uint32
 			for lane := range data {
 				for i := range data[lane] {
 					data[lane][i] = fill
 					fill = fill*7 + 3
 				}
-				words[lane] = uint32(data[lane][0]) | uint32(data[lane][1])<<8 |
-					uint32(data[lane][2])<<16 | uint32(data[lane][3])<<24
+				words[lane] = binary.LittleEndian.Uint32(data[lane][:])
+				hiWords[lane] = binary.LittleEndian.Uint32(data[lane][4:])
 			}
 			var want error
 			for m := exec; m != 0; m &= m - 1 {
@@ -121,8 +123,12 @@ func driveWarpLocal(t *testing.T, size int, stream []byte) {
 				lowest = min(lowest, int(offs[lane]))
 			}
 			var got error
-			if off, ok := uniformOver(exec, offs); n == 4 && ok && s.next()%4 != 0 {
-				got = wl.StoreRow(exec, off, &words)
+			if off, ok := uniformOver(exec, offs); (n == 4 || n == 8) && ok && s.next()%4 != 0 {
+				if n == 4 {
+					got = wl.StoreRow(exec, off, &words)
+				} else {
+					got = wl.StoreRow64(exec, off, &words, &hiWords)
+				}
 			} else {
 				for m := exec; m != 0; m &= m - 1 {
 					lane := bits.TrailingZeros32(m)

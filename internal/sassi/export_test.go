@@ -6,6 +6,13 @@ import "sassi/internal/sass"
 // it returns.
 var InstrumentKernel = instrumentKernel
 
+// RowGrain reports whether a dispatch's views read ABI argument 0's object,
+// and argument 1's, as stack rows rather than lane by lane.
+func RowGrain(args HandlerArgs) (arg0, arg1 bool) {
+	d := args.BP.d
+	return params{d, ABIArg0}.object().row, params{d, ABIArg1}.object().row
+}
+
 // SiteLengths plans the site Instrument would inject at in under opts with
 // the given live-register set, then emits it into buffers of outCap
 // instructions and opsCap operands (negative: exactly the plan). It returns

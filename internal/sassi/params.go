@@ -1,19 +1,36 @@
 package sassi
 
 import (
+	"math/bits"
+
 	"sassi/internal/device"
 	"sassi/internal/mem"
 	"sassi/internal/sass"
+	"sassi/internal/sim"
 )
 
-// The parameter views are lane-indexed windows over the objects the
-// injected code built on each thread's stack. Nothing is read until an
-// accessor is called, and every read is a simulated generic-memory load
-// against that lane's object, exactly as compiled handler code would
-// issue. Accessors of per-thread fields take the lane; accessors of
-// fields the injector materialized from immediates (site id, encoding,
+// The parameter views are windows over the objects the injected code built
+// on each thread's stack. Nothing is read until an accessor is called. The
+// definition of every read is a simulated generic-memory load against one
+// lane's object, exactly as compiled handler code would issue, at the
+// address that lane's ABI register pair holds. A per-thread field has a
+// lane form, which takes the lane (InstrWillExecute(l)), and a mask or
+// vector form, which reads it for every running lane (WillExecuteMask()).
+// Fields the injector materialized from immediates (site id, encoding,
 // register numbers, the spill map, ...) are the same on every lane and
-// read the lowest active lane's copy.
+// read the lowest active lane's copy, one word.
+//
+// Row grain. The injector puts every lane's objects at one offset from a
+// warp-uniform stack pointer, so on first use a dispatch decides whether an
+// argument's pointer is one address for every active lane. When it is, and
+// the address is local, a field of every active lane is one stack row
+// (sim.Warp.LoadLocal): one bounds check, which passes or fails for all
+// lanes alike. The last row read is cached for the dispatch, and the views'
+// own stores (SetRegValue, SetPredValue, SetCCValue) invalidate it. A
+// pointer that differs between lanes — a fault injection that flipped one
+// lane's stack pointer or argument register — or a row that fails its
+// bounds check takes the lane-by-lane loads instead, in ascending lane
+// order; they are the definition, and they name the lane that faults.
 
 // params is the shared core of the four views: the dispatch and the ABI
 // register pair holding each lane's generic pointer to the object.
@@ -22,28 +39,134 @@ type params struct {
 	arg uint8
 }
 
+// object is what one ABI argument points to in a dispatch: when decided
+// and row is set, every active lane's object is at addr.
+type object struct {
+	decided, row bool
+	addr         uint64
+}
+
+// fieldRow is a cached row: when valid, w[l] is the word at generic address
+// addr of every active lane l's object.
+type fieldRow struct {
+	valid bool
+	addr  uint64
+	w     [sim.WarpSize]uint32
+}
+
+// object returns what the argument points to, deciding it on first use
+// from the pointer rows of the active lanes.
+func (p params) object() *object {
+	o := &p.d.obj[(p.arg-ABIArg0)/2]
+	if !o.decided {
+		sw, active := p.d.warp.Sim(), p.d.warp.ActiveMask()
+		lo, okLo := sw.UniformReg(p.arg, active)
+		hi, okHi := sw.UniformReg(p.arg+1, active)
+		*o = object{decided: true, row: okLo && okHi, addr: uint64(lo) | uint64(hi)<<32}
+	}
+	return o
+}
+
+// active reports whether lane l is one of the dispatch's active lanes.
+func (p params) active(l int) bool { return p.d.warp.ActiveMask()>>uint(l)&1 != 0 }
+
 // at returns lane l's accessor and the generic address of its object (the
 // value the ABI passed in the register pair).
 func (p params) at(l int) (device.Lane, uint64) {
 	c := p.d.warp.Lane(l)
+	if o := p.object(); o.row && p.active(l) {
+		return c, o.addr
+	}
 	return c, uint64(c.ReadReg(p.arg)) | uint64(c.ReadReg(p.arg+1))<<32
+}
+
+// row returns the word at byte offset off of every active lane's object as
+// one row, or nil when the objects are not one local row or the row fails
+// its bounds check.
+func (p params) row(off int64) *[sim.WarpSize]uint32 {
+	o := p.object()
+	if !o.row {
+		return nil
+	}
+	a, r := o.addr+uint64(off), &p.d.row
+	if r.valid && r.addr == a {
+		return &r.w
+	}
+	r.valid = false
+	if !mem.IsLocal(a) || p.d.warp.Sim().LoadLocal(p.d.warp.ActiveMask(), a-mem.LocalBase, &r.w) != nil {
+		return nil
+	}
+	r.valid, r.addr = true, a
+	return &r.w
+}
+
+// rows is row for a read of the running lanes, nil when none is running.
+// It leaves the highest running lane as the warp's current lane, where
+// the lane-by-lane loads would.
+func (p params) rows(off int64) *[sim.WarpSize]uint32 {
+	running := p.d.warp.Running()
+	if running == 0 {
+		return nil
+	}
+	r := p.row(off)
+	if r != nil {
+		p.d.warp.Lane(31 - bits.LeadingZeros32(running))
+	}
+	return r
 }
 
 // u32 loads the word at byte offset off of lane l's object.
 func (p params) u32(l int, off int64) uint32 {
+	if p.active(l) {
+		if r := p.row(off); r != nil {
+			p.d.warp.Lane(l) // the current lane, as the load below sets it
+			return r[l]
+		}
+	}
 	c, addr := p.at(l)
 	return c.ReadGeneric32(addr + uint64(off))
 }
 
+// words sets dst[l] to the word at byte offset off of lane l's object for
+// every running lane l.
+func (p params) words(off int64, dst *[sim.WarpSize]uint32) {
+	w := &p.d.warp
+	if r := p.rows(off); r != nil {
+		for m := w.Running(); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			dst[l] = r[l]
+		}
+		return
+	}
+	for l := w.First(); l >= 0; l = w.Next(l) {
+		dst[l] = p.u32(l, off)
+	}
+}
+
+// mask returns the running lanes whose word at byte offset off is not 0.
+func (p params) mask(off int64) uint32 {
+	var v [sim.WarpSize]uint32
+	p.words(off, &v)
+	var m uint32
+	for r := p.d.warp.Running(); r != 0; r &= r - 1 {
+		if l := bits.TrailingZeros32(r); v[l] != 0 {
+			m |= 1 << l
+		}
+	}
+	return m
+}
+
 // put stores the word at byte offset off of lane l's object.
 func (p params) put(l int, off int64, v uint32) {
+	p.d.row.valid = false
 	c, addr := p.at(l)
 	c.WriteGeneric32(addr+uint64(off), v)
 }
 
 // static loads a warp-uniform word: the lowest active lane's copy.
 func (p params) static(off int64) uint32 {
-	return p.u32(device.Ffs(p.d.warp.ActiveMask())-1, off)
+	c, addr := p.at(device.Ffs(p.d.warp.ActiveMask()) - 1)
+	return c.ReadGeneric32(addr + uint64(off))
 }
 
 // BeforeParams is the handler-side view of the SASSIBeforeParams objects
@@ -56,6 +179,10 @@ func (bp BeforeParams) ID() int32 { return int32(bp.static(bpID)) }
 // InstrWillExecute reports whether the instrumented instruction's guard
 // passes for lane l.
 func (bp BeforeParams) InstrWillExecute(l int) bool { return bp.u32(l, bpWillExec) != 0 }
+
+// WillExecuteMask returns the running lanes whose guard passes: the
+// InstrWillExecute(l) of every running lane l as one lane mask.
+func (bp BeforeParams) WillExecuteMask() uint32 { return bp.mask(bpWillExec) }
 
 // FnAddr returns the kernel's pseudo base address.
 func (bp BeforeParams) FnAddr() int32 { return int32(bp.static(bpFnAddr)) }
@@ -142,6 +269,21 @@ func (bp BeforeParams) GetRegValue(l int, r uint8) uint32 {
 	return bp.d.warp.Lane(l).ReadReg(r)
 }
 
+// GetRegValues sets v[l] to GetRegValue(l, r) for every running lane l.
+func (bp BeforeParams) GetRegValues(r uint8, v *device.Vec32) {
+	dst := (*[sim.WarpSize]uint32)(v)
+	if slot := bp.spillSlot(r); slot >= 0 {
+		bp.words(bpGPRSpill+int64(slot)*4, dst)
+		return
+	}
+	w := &bp.d.warp
+	if running := w.Running(); running != 0 {
+		w.Lane(w.First()) // the current lane while the row is read, as for GetRegValue
+		w.Sim().ReadRegs(r, running, dst)
+		w.Lane(31 - bits.LeadingZeros32(running))
+	}
+}
+
 // SetRegValue writes lane l's GPR r, routing through the spill slot when
 // needed so the value is what the restore sequence reinstates.
 func (bp BeforeParams) SetRegValue(l int, r uint8, v uint32) {
@@ -184,6 +326,27 @@ func (mp MemoryParams) Address(l int) uint64 {
 	return c.ReadGeneric64(addr + mpAddress)
 }
 
+// Addresses sets v[l] to Address(l) for every running lane l.
+func (mp MemoryParams) Addresses(v *device.Vec64) {
+	w := &mp.d.warp
+	if lo := mp.rows(mpAddress); lo != nil {
+		for m := w.Running(); m != 0; m &= m - 1 {
+			l := bits.TrailingZeros32(m)
+			v[l] = uint64(lo[l])
+		}
+		if hi := mp.rows(mpAddress + 4); hi != nil {
+			for m := w.Running(); m != 0; m &= m - 1 {
+				l := bits.TrailingZeros32(m)
+				v[l] |= uint64(hi[l]) << 32
+			}
+			return
+		}
+	}
+	for l := w.First(); l >= 0; l = w.Next(l) {
+		v[l] = mp.Address(l)
+	}
+}
+
 // Width returns the per-thread access width in bytes.
 func (mp MemoryParams) Width() int { return int(mp.static(mpWidth)) }
 
@@ -210,6 +373,10 @@ type CondBranchParams struct{ params }
 // Direction reports whether lane l will take the branch (the paper's
 // brp->GetDirection()).
 func (cb CondBranchParams) Direction(l int) bool { return cb.u32(l, cbDirection) != 0 }
+
+// DirectionMask returns the running lanes that will take the branch: the
+// Direction(l) of every running lane l as one lane mask.
+func (cb CondBranchParams) DirectionMask() uint32 { return cb.mask(cbDirection) }
 
 // TakenOffset returns the branch target's byte offset.
 func (cb CondBranchParams) TakenOffset() int32 { return int32(cb.static(cbTakenOffset)) }
@@ -239,6 +406,10 @@ func (rp RegisterParams) GPRSrc(i int) uint8 { return uint8(rp.static(rpSrcRegs 
 
 // GetRegValue reads lane l's register at the site (spill-aware).
 func (rp RegisterParams) GetRegValue(l int, r uint8) uint32 { return rp.bp.GetRegValue(l, r) }
+
+// GetRegValues reads every running lane's register at the site
+// (spill-aware) into v.
+func (rp RegisterParams) GetRegValues(r uint8, v *device.Vec32) { rp.bp.GetRegValues(r, v) }
 
 // SetRegValue writes lane l's register at the site (spill-aware).
 func (rp RegisterParams) SetRegValue(l int, r uint8, v uint32) { rp.bp.SetRegValue(l, r, v) }

@@ -2,7 +2,6 @@ package sassi
 
 import (
 	"fmt"
-	"sync"
 
 	"sassi/internal/device"
 	"sassi/internal/obs"
@@ -41,35 +40,46 @@ type Handler struct {
 	What What
 }
 
-// dispatch is the per-dispatch state a handler sees through pointers. It
-// is pooled (across runtimes: campaigns make one per run) so that a
-// dispatch allocates nothing.
+// dispatch is the per-dispatch state a handler sees through pointers. One
+// lives in each SM's sim.Device.DispatchState slot, created by the SM's
+// first dispatch and reused by every later one, so that a dispatch
+// allocates nothing.
 type dispatch struct {
 	warp device.Warp
 	bp   BeforeParams
 	mp   MemoryParams
 	cbp  CondBranchParams
 	rp   RegisterParams
+	// obj[i] is what ABI argument i points to, decided on first use.
+	obj [2]object
 	// spillReg[:spillN] is the site's spill map (slot -> GPR number),
 	// cached by BeforeParams.spillSlot; spillN < 0 means not yet read.
 	spillN   int
 	spillReg [16]uint8
+	// row caches one field of the parameter objects for the active lanes.
+	row fieldRow
 }
 
-var dispatchPool = sync.Pool{New: func() any {
-	d := new(dispatch)
-	d.bp = BeforeParams{params{d, ABIArg0}}
-	xp := params{d, ABIArg1}
-	d.mp, d.cbp, d.rp = MemoryParams{xp}, CondBranchParams{xp}, RegisterParams{xp, d.bp}
+// dispatchOf returns SM sm's dispatch state on dev.
+func dispatchOf(dev *sim.Device, sm int) *dispatch {
+	slot := dev.DispatchState(sm)
+	d, ok := (*slot).(*dispatch)
+	if !ok {
+		d = new(dispatch)
+		d.bp = BeforeParams{params{d, ABIArg0}}
+		xp := params{d, ABIArg1}
+		d.mp, d.cbp, d.rp = MemoryParams{xp}, CondBranchParams{xp}, RegisterParams{xp, d.bp}
+		*slot = d
+	}
 	return d
-}}
+}
 
 // Runtime links handlers to an instrumented program and dispatches JCALs
 // from the simulator — the role the display driver + nvlink play for real
 // SASSI.
 type Runtime struct {
 	prog *sass.Program
-	byID map[int]*Handler
+	byID []*Handler // by handler id; nil where none is registered
 
 	// Metrics, when non-nil, counts dispatches per handler symbol
 	// (handlers.dispatch.<symbol>) and the warp occupancy of each call
@@ -77,13 +87,13 @@ type Runtime struct {
 	// resolve once there, so Dispatch does no registry lookups.
 	Metrics *obs.Registry
 
-	dispatches  map[int]*obs.Counter
+	dispatches  []*obs.Counter // by handler id
 	activeLanes *obs.Histogram
 }
 
 // NewRuntime creates a runtime for one instrumented program.
 func NewRuntime(prog *sass.Program) *Runtime {
-	return &Runtime{prog: prog, byID: make(map[int]*Handler)}
+	return &Runtime{prog: prog}
 }
 
 // Register links a handler to its symbol. Unresolved handler symbols fault
@@ -96,15 +106,24 @@ func (rt *Runtime) Register(h *Handler) error {
 	if !ok {
 		return fmt.Errorf("sassi: program has no JCAL site for symbol %q (was it instrumented?)", h.Name)
 	}
+	rt.byID = grow(rt.byID, id)
 	rt.byID[id] = h
 	if rt.Metrics != nil {
-		if rt.dispatches == nil {
-			rt.dispatches = make(map[int]*obs.Counter)
+		if rt.activeLanes == nil {
 			rt.activeLanes = rt.Metrics.Histogram(obs.MHandlerActiveLanes)
 		}
+		rt.dispatches = grow(rt.dispatches, id)
 		rt.dispatches[id] = rt.Metrics.Counter(obs.MHandlerDispatchPrefix + h.Name)
 	}
 	return nil
+}
+
+// grow returns s extended with zero values to hold index i.
+func grow[T any](s []T, i int) []T {
+	if i < len(s) {
+		return s
+	}
+	return append(s, make([]T, i+1-len(s))...)
 }
 
 // MustRegister is Register, panicking on error.
@@ -121,26 +140,28 @@ func (rt *Runtime) MustRegister(h *Handler) {
 // aborts the dispatch and is returned as a *HandlerError, which fails the
 // launch like any kernel fault.
 func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) (err error) {
-	h, ok := rt.byID[handlerID]
-	if !ok {
+	var h *Handler
+	if uint(handlerID) < uint(len(rt.byID)) {
+		h = rt.byID[handlerID]
+	}
+	if h == nil {
 		return fmt.Errorf("sassi: JCAL to unregistered handler id %d", handlerID)
 	}
-	if c := rt.dispatches[handlerID]; c != nil {
-		c.Inc()
+	if handlerID < len(rt.dispatches) && rt.dispatches[handlerID] != nil {
+		rt.dispatches[handlerID].Inc()
 		rt.activeLanes.Observe(uint64(w.NumActive()))
 	}
 	if w.ActiveMask() == 0 {
 		return nil
 	}
-	d := dispatchPool.Get().(*dispatch)
+	d := dispatchOf(dev, w.CTA.SM)
 	d.warp.Bind(dev, w)
-	d.spillN = -1
+	d.obj, d.spillN, d.row.valid = [2]object{}, -1, false
 	defer func() {
 		if r := recover(); r != nil {
 			err = newHandlerError(h, d, r)
 		}
-		d.warp = device.Warp{} // a pooled dispatch must not pin the device
-		dispatchPool.Put(d)
+		d.warp = device.Warp{} // the SM's state must not pin the warp
 	}()
 	args := HandlerArgs{BP: d.bp}
 	// The second pointer is null at sites with no extra object (e.g. a

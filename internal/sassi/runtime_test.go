@@ -33,8 +33,8 @@ var cores = []struct {
 	{"sequential", true, true},
 }
 
-// storeKernel is out[gtid] = gtid, instrumented before its store.
-func storeKernel(t *testing.T) *sass.Program {
+// storeProgram compiles out[gtid] = gtid.
+func storeProgram(t *testing.T) *sass.Program {
 	t.Helper()
 	b := ptx.NewKernel("k")
 	out := b.ParamU64("out")
@@ -46,6 +46,13 @@ func storeKernel(t *testing.T) *sass.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return prog
+}
+
+// storeKernel is out[gtid] = gtid, instrumented before its store.
+func storeKernel(t *testing.T) *sass.Program {
+	t.Helper()
+	prog := storeProgram(t)
 	if err := sassi.Instrument(prog, sassi.Options{Where: sassi.BeforeMem, BeforeHandler: "h"}); err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +203,9 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 // ABI: in steady state a full-warp dispatch — Runtime.Dispatch, the warp
 // view, the parameter views and the handler body down to its device-memory
 // atomics — performs no heap allocation, for the branch profiler (Figure
-// 4, one-entry atomics) and the fault campaigns' site profiler (one warp
-// atomic).
+// 4, one-entry atomics), the memory-divergence profiler (Figure 6, address
+// rows), the value profiler (Figure 9, register rows through the spill
+// map) and the fault campaigns' site profiler (one warp atomic).
 func TestDispatchZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -231,12 +239,41 @@ func TestDispatchZeroAlloc(t *testing.T) {
 				return nil
 			}
 		}},
+		{"memdiv", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewMemDivProfiler(ctx)
+			return p.Options(), p.Handler(), func() error {
+				// The first site is the full warp's store of 32 words: 128
+				// bytes, four 32-byte lines.
+				m, err := p.Matrix()
+				if err != nil || m.Counts[31][3] < 202 {
+					return fmt.Errorf("full-warp four-line accesses after 202 dispatches = %v, %v", m, err)
+				}
+				return nil
+			}
+		}},
+		{"value", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func() error) {
+			p := handlers.NewValueProfiler(ctx)
+			return p.Options(), p.Handler(), func() error {
+				rows, err := p.Results()
+				if err != nil {
+					return err
+				}
+				for _, r := range rows {
+					if r.Weight >= 202 {
+						return nil
+					}
+				}
+				return fmt.Errorf("no instruction profiled 202 times: %+v", rows)
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			// One conditional branch on a full warp: if (tid < 16) out[tid] = tid.
+			// A full-warp store, then one conditional branch on the full
+			// warp: out[tid+32] = tid; if (tid < 16) out[tid] = tid.
 			b := ptx.NewKernel("k")
 			out := b.ParamU64("out")
 			i := b.GlobalTidX()
+			b.StGlobalU32(b.Index(out, b.AddI(i, 32), 2), 0, i)
 			b.If(b.SetpI(sass.CmpLT, i, 16), func() {
 				b.StGlobalU32(b.Index(out, i, 2), 0, i)
 			})
@@ -281,7 +318,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 				}
 				return nil
 			})
-			buf := ctx.Malloc(4*32, "out")
+			buf := ctx.Malloc(4*64, "out")
 			if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 				Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 			}); err != nil {

@@ -13,7 +13,7 @@ import (
 // only the carved prefix is zeroed — a memclr, not an allocation — so
 // steady-state launches on a device allocate no per-thread memory.
 //
-// The free lists belong to the device, one per SM (Device.slabs). A device
+// The free lists belong to the device, one per SM (smState.slabs). A device
 // runs one launch at a time and a launch runs each SM on one goroutine, so
 // a list has a single user at any moment: no lock, and no two SM goroutines
 // competing for the same slab, which would make the bytes a launch

@@ -79,14 +79,6 @@ type smShard struct {
 	// sampling is off and one compare when it is on.
 	samp     *pcsamp.SMBuf
 	sampNext uint64
-
-	// warpOp is the predecoded engine's reusable batch descriptor for
-	// warp-level global accesses (single-writer: only this SM's goroutine
-	// touches it), and coalRes the coalescer result that warp accesses and
-	// atomics reuse the same way so the steady state performs no allocation
-	// per access.
-	warpOp  mem.WarpOp
-	coalRes mem.Result
 }
 
 func (e *engine) fail(w *Warp, kind ErrKind, format string, args ...any) error {
@@ -309,7 +301,7 @@ func (e *engine) execOp(w *Warp, in *sass.Instruction, exec uint32, cost int) (b
 		w.CallStack = w.CallStack[:len(w.CallStack)-1]
 
 	case sass.OpJCAL:
-		err = e.execJCAL(w, in, exec)
+		err = e.execJCAL(w, in)
 		cost += e.dev.Cfg.HandlerBodyCost
 
 	case sass.OpBAR:
@@ -360,31 +352,46 @@ func (e *engine) execBranch(w *Warp, in *sass.Instruction, taken uint32) error {
 	return nil
 }
 
-// execJCAL dispatches an instrumentation-handler call.
-func (e *engine) execJCAL(w *Warp, in *sass.Instruction, exec uint32) error {
+// execJCAL dispatches an instrumentation-handler call, looking its symbol
+// up in the program the CTA's kernel is from. (The core's pcJCAL class
+// carries the symbol resolved at launch instead.)
+func (e *engine) execJCAL(w *Warp, in *sass.Instruction) error {
 	t, ok := in.BranchTarget()
 	if !ok || t.Kind != sass.OpdSym {
 		return fmt.Errorf("JCAL without symbol target")
 	}
-	// The symbol table is the one of the program the CTA's kernel is from.
-	handlers := e.base.handlers
-	if e.twin != nil && w.CTA.Kernel == e.twin.k {
-		handlers = e.twin.handlers
-	}
-	id, ok := handlers[t.Name]
+	code := e.codeOf(w.CTA)
+	id, ok := code.handlers[t.Name]
 	if !ok {
-		return fmt.Errorf("JCAL to unlinked symbol %q", t.Name)
+		id = -1
+	}
+	return e.callHandler(w, code, id, t.Name)
+}
+
+// callHandler is a JCAL to handler id (-1: sym is not linked) from code:
+// the dispatch both cores share.
+func (e *engine) callHandler(w *Warp, code *ctaCode, id int, sym string) error {
+	if id < 0 {
+		return fmt.Errorf("JCAL to unlinked symbol %q", sym)
 	}
 	if e.dev.Dispatcher == nil {
-		return fmt.Errorf("JCAL %q with no handler dispatcher installed", t.Name)
+		return fmt.Errorf("JCAL %q with no handler dispatcher installed", sym)
 	}
 	st := &e.sms[w.CTA.SM]
 	st.handlerCalls++
 	if tr := e.dev.Trace; tr != nil {
-		tr.Span(obs.PidDevice, w.CTA.SM, "handler:"+t.Name,
+		tr.Span(obs.PidDevice, w.CTA.SM, code.spans[id],
 			float64(e.cycleBase+st.cycles), float64(e.dev.Cfg.HandlerBodyCost), nil)
 	}
 	return e.dev.Dispatcher.Dispatch(e.dev, w, id)
+}
+
+// codeOf returns the code cta runs: the twin's when the launch picked it.
+func (e *engine) codeOf(cta *CTA) *ctaCode {
+	if e.twin != nil && cta.Kernel == e.twin.k {
+		return e.twin
+	}
+	return &e.base
 }
 
 // execVote implements VOTE.{ALL,ANY,BALLOT} over the executing lanes.

@@ -334,8 +334,8 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 	cost := 1
 	if access.Active != 0 {
 		st := &e.sms[w.CTA.SM]
-		e.dev.Coal.CoalesceInto(&access, &st.coalRes)
-		res := &st.coalRes
+		res := &e.dev.perSM[w.CTA.SM].coalRes
+		e.dev.Coal.CoalesceInto(&access, res)
 		st.globalTransactions += uint64(res.UniqueLines())
 		cost = st.hier.AccessLines(res.Lines, true) + res.NumActive
 	}

@@ -86,6 +86,10 @@ func (e *engine) stepPre(w *Warp) error {
 	case p.class == pcBRA:
 		advance = false
 		e.execPreBRA(w, exec, p.target)
+	case p.class == pcJCAL:
+		code := e.codeOf(w.CTA)
+		err = e.callHandler(w, code, code.handlerIDs[p.target], pre.syms[p.target])
+		cost += e.dev.Cfg.HandlerBodyCost
 	default: // pcSYNC
 		advance = false
 		if !w.popToNonEmpty() {
@@ -712,16 +716,20 @@ func (e *engine) execPreShared(w *Warp, p *preInstr, exec uint32) (int, error) {
 // execPreLocal is execLocal on the warp's interleaved stack. A 4-byte
 // access at one offset for every lane — every injected spill, fill and
 // parameter store — moves a register row to or from a stack row with one
-// bounds check; other accesses go lane by lane, in ascending order, up to
-// the first faulting lane.
+// bounds check, and so does an 8-byte store (the memory-parameter
+// object's address field) with two rows; other accesses go lane by lane,
+// in ascending order, up to the first faulting lane.
 func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
 	nbytes := int(p.nbytes)
 	slab := w.CTA.slab
 	var err error
-	if off, ok := w.uniformAddr(p, exec); ok && nbytes == 4 {
-		if p.store {
+	if off, ok := w.uniformAddr(p, exec); ok && (nbytes == 4 || nbytes == 8 && p.store) {
+		switch {
+		case nbytes == 8:
+			err = w.local.StoreRow64(exec, off, w.srcRegRow(p.dataReg), w.srcRegRow(p.dataReg+1))
+		case p.store:
 			err = w.local.StoreRow(exec, off, w.srcRegRow(p.dataReg))
-		} else {
+		default:
 			err = w.local.LoadRow(exec, off, w.dstRow(p.dst, &slab.rows[3]))
 		}
 	} else {
@@ -753,10 +761,10 @@ func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
 // path before any state is touched, so mixed-space accesses and
 // forced-global faults behave identically.
 func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) {
-	st := &e.sms[w.CTA.SM]
+	st, keep := &e.sms[w.CTA.SM], &e.dev.perSM[w.CTA.SM]
 	addrs := &w.CTA.slab.addrs
 	w.laneAddrs(p, exec, addrs)
-	op := &st.warpOp
+	op := &keep.warpOp
 	op.N = 0
 	op.Width = int(p.nbytes)
 	op.Store = p.store
@@ -792,8 +800,8 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 	if err != nil {
 		return 0, err
 	}
-	e.dev.Coal.CoalesceInto(&access, &st.coalRes)
-	res := &st.coalRes
+	res := &keep.coalRes
+	e.dev.Coal.CoalesceInto(&access, res)
 	st.globalTransactions += uint64(res.UniqueLines())
 	cost := st.hier.AccessLines(res.Lines, p.store)
 	if e.dev.MemWatch != nil {

@@ -213,16 +213,39 @@ type Device struct {
 	traceNamed     bool
 	traceCycleBase uint64
 
-	// slabs holds each SM's free list of CTA slabs (see arena.go).
-	slabs []slabList
+	// perSM is what each SM keeps from one launch to the next.
+	perSM []smState
 }
+
+// smState is what one SM of a device keeps across launches: its free list
+// of CTA slabs (see arena.go), the state its Dispatcher keeps
+// (DispatchState), and the reusable descriptors of its warp-level global
+// accesses. A device runs one launch at a time and a launch runs each SM on
+// one goroutine, so each smState has one user at any moment: no lock. Only
+// the device's lifetime frees it, so what it holds is allocated once per
+// device and SM — not once per launch, and not on the collector's schedule
+// as a sync.Pool's contents would be.
+type smState struct {
+	slabs    slabList
+	dispatch any
+	// warpOp is the batch descriptor of a warp's global access and coalRes
+	// the coalescer result that warp accesses and atomics reuse.
+	warpOp  mem.WarpOp
+	coalRes mem.Result
+}
+
+// DispatchState returns SM sm's slot for a Dispatcher's per-call state:
+// during a launch only the goroutine simulating SM sm dispatches for it, so
+// what a dispatcher keeps there needs no lock, and it lives as long as the
+// device (see smState).
+func (d *Device) DispatchState(sm int) *any { return &d.perSM[sm].dispatch }
 
 // LiveSlabs returns how many CTA slabs are carved out and not yet returned
 // to the device: zero between launches, however the last one ended.
 func (d *Device) LiveSlabs() int {
 	n := 0
-	for i := range d.slabs {
-		n += d.slabs[i].live
+	for i := range d.perSM {
+		n += d.perSM[i].slabs.live
 	}
 	return n
 }
@@ -320,7 +343,7 @@ func NewDevice(cfg Config) *Device {
 		Cfg:    cfg,
 		Global: mem.NewGlobal(),
 		Coal:   mem.NewCoalescer(cfg.CoalesceBytes),
-		slabs:  make([]slabList, cfg.NumSMs),
+		perSM:  make([]smState, cfg.NumSMs),
 	}
 	slice := l2SliceBytes(&cfg)
 	d.L2s = make([]*mem.Cache, cfg.NumSMs)
@@ -339,7 +362,7 @@ func NewDevice(cfg Config) *Device {
 // Reset returns the device to what NewDevice(d.Cfg) gives — empty global
 // memory with strict bounds, cold caches with zero statistics, nothing
 // attached — while keeping what it has allocated for itself: global pages,
-// cache tag arrays and the SMs' slab lists. A device on which a launch left
+// cache tag arrays and each SM's smState. A device on which a launch left
 // a slab carved out is not reset: reusing it could alias a dead CTA's
 // threads into the next run.
 func (d *Device) Reset() error {
@@ -356,7 +379,7 @@ func (d *Device) Reset() error {
 	}
 	*d = Device{
 		Cfg: d.Cfg, Global: d.Global, Coal: d.Coal,
-		L2s: d.L2s, DRAMs: d.DRAMs, L1s: d.L1s, slabs: d.slabs,
+		L2s: d.L2s, DRAMs: d.DRAMs, L1s: d.L1s, perSM: d.perSM,
 	}
 	return nil
 }

@@ -88,8 +88,12 @@ type ctaCode struct {
 	// pre is the predecoded form of k, which stepPre executes; nil selects
 	// the reference interpreter (Config.ReferenceInterpreter), step.
 	pre *preKernel
-	// handlers is the owning program's JCAL symbol table.
+	// handlers is the owning program's JCAL symbol table; handlerIDs[i] is
+	// pre.syms[i]'s handler id in it, -1 when the program does not link it.
 	handlers   map[string]int
+	handlerIDs []int
+	// spans[id] is handler id's trace span name (only with a trace).
+	spans      []string
 	numRegs    int
 	localBytes int
 	// sbSlots is the size of a warp's scoreboard: the GPRs k names, the
@@ -105,6 +109,24 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) ctaCo
 	} else {
 		c.pre = k.Lowered(predecode).(*preKernel)
 		c.sbSlots = c.pre.sbSlots
+		if len(c.pre.syms) > 0 {
+			c.handlerIDs = make([]int, len(c.pre.syms))
+			for i, sym := range c.pre.syms {
+				if id, ok := prog.Handlers[sym]; ok {
+					c.handlerIDs[i] = id
+				} else {
+					c.handlerIDs[i] = -1
+				}
+			}
+		}
+	}
+	if d.Trace != nil {
+		for sym, id := range prog.Handlers {
+			if id >= len(c.spans) {
+				c.spans = append(c.spans, make([]string, id+1-len(c.spans))...)
+			}
+			c.spans[id] = "handler:" + sym
+		}
 	}
 	if c.numRegs < 16 {
 		c.numRegs = 16
@@ -399,7 +421,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 		threads: threads, warps: (threads + WarpSize - 1) / WarpSize,
 		numRegs: code.numRegs, sbSlots: code.sbSlots, localBytes: code.localBytes,
 	}
-	cta.slab = e.dev.slabs[sm].get(shape)
+	cta.slab = e.dev.perSM[sm].slabs.get(shape)
 	cta.Warps = make([]*Warp, shape.warps)
 	for wi := range cta.Warps {
 		w := &Warp{CTA: cta, IDinCTA: wi}
@@ -429,7 +451,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 	st := &e.sms[sm]
 	tr := e.dev.Trace
 	ref := e.dev.Cfg.ReferenceInterpreter
-	slabs := &e.dev.slabs[sm]
+	slabs := &e.dev.perSM[sm].slabs
 	var resident []*CTA
 	// A launch that fails leaves CTAs resident; their slabs go back too.
 	defer func() {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+
 	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
@@ -18,7 +20,8 @@ import (
 // uniform-warp fast path (execute the leader lane once, broadcast the
 // result) when the lattice proved the instruction uniform, and falls back
 // to the reference interpreter's execOp for control transfers, barriers,
-// SASSI handler calls, and any operation without a specialized class.
+// and any operation without a specialized class. A SASSI handler call has
+// one: its symbol is resolved once per launch, not per call.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -61,6 +64,7 @@ const (
 	pcR2P   // GPR into the predicate file or (.X) CC under a mask
 	pcBRA   // predicated branch with a label target
 	pcSYNC  // reconvergence pop
+	pcJCAL  // handler call; target indexes preKernel.syms
 )
 
 // preSrcKind is a resolved operand kind.
@@ -125,7 +129,8 @@ type preInstr struct {
 	unsigned bool
 	negB     bool
 
-	// target is the branch destination PC (pcBRA).
+	// target is the branch destination PC (pcBRA), or the index of the
+	// called symbol in preKernel.syms (pcJCAL).
 	target int32
 
 	// Memory classes.
@@ -158,6 +163,10 @@ type preKernel struct {
 	// sbSlots is the size of a warp's scoreboard for k: the GPR slots
 	// (scoreboardGPRs), then the predicates and the CC.
 	sbSlots int
+	// syms are the handler symbols k's JCALs name, in order of first use.
+	// A launch resolves them against the CTA's program (ctaCode.handlerIDs):
+	// the same kernel may be linked into more than one program.
+	syms []string
 }
 
 // straightLine reports whether the op always advances PC+1 and can
@@ -224,6 +233,14 @@ func predecode(k *sass.Kernel) any {
 		p.resLat = uint8(sass.ResultLatency(in))
 		p.fillScoreboard(in, gprs)
 		p.fillOperands(in, cbSize)
+		if p.class == pcJCAL {
+			t, _ := in.BranchTarget()
+			p.target = int32(slices.Index(pk.syms, t.Name))
+			if p.target < 0 {
+				p.target = int32(len(pk.syms))
+				pk.syms = append(pk.syms, t.Name)
+			}
+		}
 	}
 
 	// Straight-line runs: the length of the suffix of consecutive
@@ -348,6 +365,10 @@ func classify(in *sass.Instruction, cbSize int) preClass {
 		}
 	case sass.OpSYNC:
 		return pcSYNC
+	case sass.OpJCAL:
+		if t, ok := in.BranchTarget(); ok && t.Kind == sass.OpdSym {
+			return pcJCAL
+		}
 	case sass.OpLD, sass.OpST, sass.OpLDG, sass.OpSTG:
 		if memOK(in) {
 			return pcMemG
@@ -490,7 +511,7 @@ func (p *preInstr) fillOperands(in *sass.Instruction, cbSize int) {
 	p.dstP = sass.PT
 	p.dstQ = sass.PT
 	switch {
-	case p.class == pcGeneric || p.class == pcSYNC:
+	case p.class == pcGeneric || p.class == pcSYNC || p.class == pcJCAL:
 		return
 	case p.class == pcBRA:
 		t, _ := in.BranchTarget()

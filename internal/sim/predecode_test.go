@@ -355,8 +355,8 @@ func TestRetiredStacksAreDropped(t *testing.T) {
 	if peak != 256*stack {
 		t.Fatalf("a resident CTA materialised %d stack bytes, want %d", peak, 256*stack)
 	}
-	for sm := range dev.slabs {
-		for _, s := range dev.slabs[sm].free {
+	for sm := range dev.perSM {
+		for _, s := range dev.perSM[sm].slabs.free {
 			for i := range s.locals[:cap(s.locals)] {
 				if n := s.locals[:cap(s.locals)][i].Materialized(); n != 0 {
 					t.Fatalf("a free slab still holds %d stack bytes", n)

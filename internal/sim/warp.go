@@ -201,6 +201,35 @@ func (w *Warp) setPredBytes(b *[WarpSize / 8]uint64, mask uint32) {
 // for all its lanes together (see mem.WarpLocal).
 func (w *Warp) LocalMaterialized() int { return w.local.Materialized() }
 
+// Row-grain reads for handler dispatch: what the lanes of a non-empty mask
+// hold, read without a Thread view per lane.
+
+// UniformReg returns the value every lane of mask holds in GPR r, when they
+// agree.
+func (w *Warp) UniformReg(r uint8, mask uint32) (uint32, bool) {
+	return rowUniform(w.srcRegRow(r), mask)
+}
+
+// ReadRegs sets dst[l] to lane l's GPR r for every lane l of mask.
+func (w *Warp) ReadRegs(r uint8, mask uint32, dst *[WarpSize]uint32) {
+	src := w.srcRegRow(r)
+	if mask == ^uint32(0) {
+		*dst = *src
+		return
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		l := lane(m)
+		dst[l] = src[l]
+	}
+}
+
+// LoadLocal sets dst[l] to the word at offset off of lane l's local memory
+// for every lane l of mask: one bounds check for all of them, which fails
+// with the fault each lane's ReadLocal32 would return.
+func (w *Warp) LoadLocal(mask uint32, off uint64, dst *[WarpSize]uint32) error {
+	return w.local.LoadRow(mask, off, dst)
+}
+
 // ActiveMask returns the current active lane mask.
 func (w *Warp) ActiveMask() uint32 { return w.Active }
 

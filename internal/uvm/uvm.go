@@ -158,11 +158,11 @@ func (m *Manager) Handler() *sassi.Handler {
 		What: sassi.PassMemoryInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
 			isStore := args.MP.IsStore()
+			w.ReturnUnless(args.BP.WillExecuteMask())
+			var addrs device.Vec64
+			args.MP.Addresses(&addrs)
 			for l := w.First(); l >= 0; l = w.Next(l) {
-				if !args.BP.InstrWillExecute(l) {
-					continue
-				}
-				if addr := args.MP.Address(l); mem.IsGlobal(addr) {
+				if addr := addrs[l]; mem.IsGlobal(addr) {
 					m.touch(addr, GPU, isStore)
 				}
 			}
