@@ -7,13 +7,15 @@
 // parts.
 //
 //   - The running mask. It starts as the warp's active mask at the site.
-//     A thread that would `return` early is removed with Return; nothing
-//     else changes it.
+//     A thread that would `return` early is removed with Return, or the
+//     lanes outside a mask with ReturnUnless; nothing else changes it.
 //   - Lanes. First/Next walk the running lanes in ascending order, and
 //     Lane(l) is lane l's accessor for everything per-thread: indices,
 //     registers, the SASSI parameter objects on its stack, device memory
 //     and atomics. A per-thread scalar of the CUDA source becomes a lane
-//     vector (Vec32, Vec64) or a lane mask here.
+//     vector (Vec32, Vec64) or a lane mask here, and the parameter views
+//     read one for every running lane at once (sassi's WillExecuteMask,
+//     DirectionMask, Addresses, GetRegValues).
 //   - Collectives. Ballot, All, Any, Shfl and Shfl64 are pure functions of
 //     the running mask and the per-lane values: which lanes take part is
 //     exactly the mask the control flow above has maintained, so there is
@@ -22,9 +24,7 @@
 //
 // Figure 4 of the paper maps to Go like this:
 //
-//	bool dir = brp->GetDirection();        for l := w.First(); l >= 0; l = w.Next(l) {
-//	                                           if args.CBP.Direction(l) { dir |= 1 << l }
-//	                                       }
+//	bool dir = brp->GetDirection();        dir := args.CBP.DirectionMask()
 //	int active = __ballot(1);              active := w.Ballot(device.FullMask)
 //	int taken = __ballot(dir == true);     taken := w.Ballot(dir)
 //	int ntaken = __ballot(dir == false);   ntaken := w.Ballot(^dir)
@@ -35,7 +35,8 @@
 // A simulated memory fault or any other panic in handler code unwinds the
 // whole dispatch: lanes run in ascending order, so the first faulting lane
 // aborts it, later lanes never run, and the launch fails with that lane's
-// error (sassi.HandlerError).
+// error (sassi.HandlerError). A mask or vector accessor reads its lanes in
+// the same order and faults at the lowest lane whose read faults.
 package device
 
 import (
@@ -121,12 +122,11 @@ func (w *Warp) Shfl64(v *Vec64, srcLane int) Vec64 {
 	return shfl(w.running, (*[sim.WarpSize]uint64)(v), srcLane)
 }
 
-func shfl[T any](running uint32, v *[sim.WarpSize]T, srcLane int) (out [sim.WarpSize]T) {
-	out = *v
+func shfl[T any](running uint32, v *[sim.WarpSize]T, srcLane int) [sim.WarpSize]T {
+	out := *v
 	if uint(srcLane) < sim.WarpSize && running&(1<<uint(srcLane)) != 0 {
-		s := v[srcLane]
 		for m := running; m != 0; m &= m - 1 {
-			out[bits.TrailingZeros32(m)] = s
+			out[bits.TrailingZeros32(m)] = v[srcLane]
 		}
 	}
 	return out

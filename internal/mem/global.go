@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"sync"
 )
 
@@ -98,11 +99,7 @@ func (g *Global) lockRange(addr, n uint64) stripeLock {
 		n = 1
 	}
 	l := stripeLock{g: g, first: addr >> pageShift, last: (addr + n - 1) >> pageShift}
-	if l.first == l.last {
-		g.stripes[l.first%numStripes].Lock()
-	} else {
-		l.each((*sync.Mutex).Lock)
-	}
+	l.each((*sync.Mutex).Lock)
 	return l
 }
 
@@ -112,19 +109,13 @@ type stripeLock struct {
 	first, last uint64
 }
 
-func (l stripeLock) unlock() {
-	if l.first == l.last {
-		l.g.stripes[l.first%numStripes].Unlock()
-	} else {
-		l.each((*sync.Mutex).Unlock)
-	}
-}
+func (l stripeLock) unlock() { l.each((*sync.Mutex).Unlock) }
 
-// each applies op to the covering stripes in ascending stripe order (for a
-// lock of more than one page: lockRange and unlock take one stripe
-// directly).
+// each applies op to the covering stripes in ascending stripe order.
 func (l stripeLock) each(op func(*sync.Mutex)) {
 	switch {
+	case l.first == l.last:
+		op(&l.g.stripes[l.first%numStripes])
 	case l.last-l.first+1 >= numStripes:
 		for i := range l.g.stripes {
 			op(&l.g.stripes[i])
@@ -155,16 +146,9 @@ func (g *Global) findAlloc(addr, n uint64) error {
 		}
 		return &Fault{Space: SpaceGlobal, Addr: addr, Why: "address outside the device heap"}
 	}
-	// The first allocation ending above addr (sort.Search without the
-	// closure: every warp access and handler word comes through here).
-	i, j := 0, len(g.allocs)
-	for i < j {
-		if h := int(uint(i+j) >> 1); g.allocs[h].base+g.allocs[h].size > addr {
-			j = h
-		} else {
-			i = h + 1
-		}
-	}
+	i := sort.Search(len(g.allocs), func(i int) bool {
+		return g.allocs[i].base+g.allocs[i].size > addr
+	})
 	if i < len(g.allocs) && g.allocs[i].base <= addr && addr+n <= g.allocs[i].base+g.allocs[i].size {
 		return nil
 	}
