@@ -155,13 +155,6 @@ func (g *Global) findAlloc(addr, n uint64) error {
 	return &Fault{Space: SpaceGlobal, Addr: addr, Why: "address outside any allocation"}
 }
 
-// checkAlloc is findAlloc under the metadata read lock.
-func (g *Global) checkAlloc(addr, n uint64) error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.findAlloc(addr, n)
-}
-
 // pageRO returns the page backing addr, or nil if it was never written.
 func (g *Global) pageRO(pn uint64) *[pageSize]byte {
 	g.mu.RLock()
@@ -225,63 +218,18 @@ func (g *Global) writeData(addr uint64, data []byte) {
 }
 
 // Read copies device memory into buf, faulting on unmapped addresses.
-func (g *Global) Read(addr uint64, buf []byte) error {
-	if err := g.checkAlloc(addr, uint64(len(buf))); err != nil {
-		f := err.(*Fault)
-		f.Write = false
-		return f
-	}
-	defer g.lockRange(addr, uint64(len(buf))).unlock()
-	g.readData(addr, buf)
-	return nil
-}
+func (g *Global) Read(addr uint64, buf []byte) error { return g.access(addr, buf, false) }
 
-// Write copies buf into device memory, faulting on unmapped addresses.
-func (g *Global) Write(addr uint64, data []byte) error {
-	if err := g.checkAlloc(addr, uint64(len(data))); err != nil {
-		f := err.(*Fault)
-		f.Write = true
-		return f
-	}
-	defer g.lockRange(addr, uint64(len(data))).unlock()
-	g.writeData(addr, data)
-	return nil
-}
+// Write copies data into device memory, faulting on unmapped addresses.
+func (g *Global) Write(addr uint64, data []byte) error { return g.access(addr, data, true) }
 
-// Read32 loads a 32-bit word.
-func (g *Global) Read32(addr uint64) (uint32, error) {
-	var b [4]byte
-	err := g.word(addr, b[:], false)
-	return binary.LittleEndian.Uint32(b[:]), err
-}
-
-// Write32 stores a 32-bit word.
-func (g *Global) Write32(addr uint64, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return g.word(addr, b[:], true)
-}
-
-// Read64 loads a 64-bit word.
-func (g *Global) Read64(addr uint64) (uint64, error) {
-	var b [8]byte
-	err := g.word(addr, b[:], false)
-	return binary.LittleEndian.Uint64(b[:]), err
-}
-
-// Write64 stores a 64-bit word.
-func (g *Global) Write64(addr uint64, v uint64) error {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return g.word(addr, b[:], true)
-}
-
-// word is Read (write false) or Write of a handler's word: the access is
-// validated and its page looked up under one metadata read lock, then
-// transferred under the page's stripe. A page that did not exist at the
-// lookup is looked up again under the stripe, where another SM may just
-// have created it; a page once created stays until Reset.
-func (g *Global) word(addr uint64, buf []byte, write bool) error {
+// access is Read (write false) or Write. The access is validated and its
+// first page looked up under one metadata read lock. One within that page
+// is then transferred under the page's stripe alone; a page that did not
+// exist at the lookup is looked up again under the stripe, where another
+// SM may just have created it (a page once created stays until Reset). A
+// longer one takes every stripe it covers and copies page by page.
+func (g *Global) access(addr uint64, buf []byte, write bool) error {
 	n := uint64(len(buf))
 	pn, off := addr>>pageShift, addr&(pageSize-1)
 	g.mu.RLock()
@@ -292,6 +240,9 @@ func (g *Global) word(addr uint64, buf []byte, write bool) error {
 		f := err.(*Fault)
 		f.Write = write
 		return f
+	}
+	if n == 0 {
+		return nil
 	}
 	if off+n > pageSize {
 		held := g.lockRange(addr, n)
@@ -321,6 +272,38 @@ func (g *Global) word(addr uint64, buf []byte, write bool) error {
 	}
 	s.Unlock()
 	return nil
+}
+
+// Read32 loads a 32-bit word.
+func (g *Global) Read32(addr uint64) (uint32, error) {
+	var b [4]byte
+	if err := g.Read(addr, b[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint32(b[:]), nil
+}
+
+// Write32 stores a 32-bit word.
+func (g *Global) Write32(addr uint64, v uint32) error {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
+	return g.Write(addr, b[:])
+}
+
+// Read64 loads a 64-bit word.
+func (g *Global) Read64(addr uint64) (uint64, error) {
+	var b [8]byte
+	if err := g.Read(addr, b[:]); err != nil {
+		return 0, err
+	}
+	return binary.LittleEndian.Uint64(b[:]), nil
+}
+
+// Write64 stores a 64-bit word.
+func (g *Global) Write64(addr uint64, v uint64) error {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return g.Write(addr, b[:])
 }
 
 // Footprint returns the total bytes currently allocated.

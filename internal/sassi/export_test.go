@@ -6,11 +6,15 @@ import "sassi/internal/sass"
 // it returns.
 var InstrumentKernel = instrumentKernel
 
-// RowGrain reports whether a dispatch's views read ABI argument 0's object,
-// and argument 1's, as stack rows rather than lane by lane.
+// RowGrain reports whether the mask and vector accessors, called now, find
+// ABI argument 0's object, and argument 1's, at one address for every
+// running lane, the precondition of reading them as stack rows.
 func RowGrain(args HandlerArgs) (arg0, arg1 bool) {
 	d := args.BP.d
-	return params{d, ABIArg0}.object().row, params{d, ABIArg1}.object().row
+	running := d.warp.Running()
+	_, arg0 = params{d, ABIArg0}.object(running)
+	_, arg1 = params{d, ABIArg1}.object(running)
+	return arg0, arg1
 }
 
 // SiteLengths plans the site Instrument would inject at in under opts with

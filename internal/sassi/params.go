@@ -20,17 +20,17 @@ import (
 // register numbers, the spill map, ...) are the same on every lane and
 // read the lowest active lane's copy, one word.
 //
-// Row grain. The injector puts every lane's objects at one offset from a
-// warp-uniform stack pointer, so on first use a dispatch decides whether an
-// argument's pointer is one address for every active lane. When it is, and
-// the address is local, a field of every active lane is one stack row
-// (sim.Warp.LoadLocal): one bounds check, which passes or fails for all
-// lanes alike. The last row read is cached for the dispatch, and the views'
-// own stores (SetRegValue, SetPredValue, SetCCValue) invalidate it. A
-// pointer that differs between lanes — a fault injection that flipped one
-// lane's stack pointer or argument register — or a row that fails its
-// bounds check takes the lane-by-lane loads instead, in ascending lane
-// order; they are the definition, and they name the lane that faults.
+// Row grain, in the mask and vector forms only. The injector puts every
+// lane's objects at one offset from a warp-uniform stack pointer, so such a
+// read first checks, from the registers at the call, whether the
+// argument's pointer is one address for every running lane. When it is,
+// and the address is local, the field of every running lane is one stack
+// row (sim.Warp.LoadLocal) loaded straight into the caller's vector: one
+// bounds check, which passes or fails for all lanes alike. A pointer that
+// differs between lanes — a fault injection that flipped one lane's stack
+// pointer or argument register — or a row that fails its bounds check
+// takes the lane-by-lane loads instead, in ascending lane order; they are
+// the definition, and they name the lane that faults.
 
 // params is the shared core of the four views: the dispatch and the ABI
 // register pair holding each lane's generic pointer to the object.
@@ -39,105 +39,56 @@ type params struct {
 	arg uint8
 }
 
-// object is what one ABI argument points to in a dispatch: when decided
-// and row is set, every active lane's object is at addr.
-type object struct {
-	decided, row bool
-	addr         uint64
-}
-
-// fieldRow is a cached row: when valid, w[l] is the word at generic address
-// addr of every active lane l's object.
-type fieldRow struct {
-	valid bool
-	addr  uint64
-	w     [sim.WarpSize]uint32
-}
-
-// object returns what the argument points to, deciding it on first use
-// from the pointer rows of the active lanes.
-func (p params) object() *object {
-	o := &p.d.obj[(p.arg-ABIArg0)/2]
-	if !o.decided {
-		sw, active := p.d.warp.Sim(), p.d.warp.ActiveMask()
-		lo, okLo := sw.UniformReg(p.arg, active)
-		hi, okHi := sw.UniformReg(p.arg+1, active)
-		*o = object{decided: true, row: okLo && okHi, addr: uint64(lo) | uint64(hi)<<32}
-	}
-	return o
-}
-
-// active reports whether lane l is one of the dispatch's active lanes.
-func (p params) active(l int) bool { return p.d.warp.ActiveMask()>>uint(l)&1 != 0 }
-
 // at returns lane l's accessor and the generic address of its object (the
 // value the ABI passed in the register pair).
 func (p params) at(l int) (device.Lane, uint64) {
 	c := p.d.warp.Lane(l)
-	if o := p.object(); o.row && p.active(l) {
-		return c, o.addr
-	}
 	return c, uint64(c.ReadReg(p.arg)) | uint64(c.ReadReg(p.arg+1))<<32
-}
-
-// row returns the word at byte offset off of every active lane's object as
-// one row, or nil when the objects are not one local row or the row fails
-// its bounds check.
-func (p params) row(off int64) *[sim.WarpSize]uint32 {
-	o := p.object()
-	if !o.row {
-		return nil
-	}
-	a, r := o.addr+uint64(off), &p.d.row
-	if r.valid && r.addr == a {
-		return &r.w
-	}
-	r.valid = false
-	if !mem.IsLocal(a) || p.d.warp.Sim().LoadLocal(p.d.warp.ActiveMask(), a-mem.LocalBase, &r.w) != nil {
-		return nil
-	}
-	r.valid, r.addr = true, a
-	return &r.w
-}
-
-// rows is row for a read of the running lanes, nil when none is running.
-// It leaves the highest running lane as the warp's current lane, where
-// the lane-by-lane loads would.
-func (p params) rows(off int64) *[sim.WarpSize]uint32 {
-	running := p.d.warp.Running()
-	if running == 0 {
-		return nil
-	}
-	r := p.row(off)
-	if r != nil {
-		p.d.warp.Lane(31 - bits.LeadingZeros32(running))
-	}
-	return r
 }
 
 // u32 loads the word at byte offset off of lane l's object.
 func (p params) u32(l int, off int64) uint32 {
-	if p.active(l) {
-		if r := p.row(off); r != nil {
-			p.d.warp.Lane(l) // the current lane, as the load below sets it
-			return r[l]
-		}
-	}
 	c, addr := p.at(l)
 	return c.ReadGeneric32(addr + uint64(off))
+}
+
+// object returns the generic address every lane of mask holds in the
+// argument's register pair, and whether they agree. mask is not empty.
+func (p params) object(mask uint32) (uint64, bool) {
+	sw := p.d.warp.Sim()
+	lo, okLo := sw.UniformReg(p.arg, mask)
+	hi, okHi := sw.UniformReg(p.arg+1, mask)
+	return uint64(lo) | uint64(hi)<<32, okLo && okHi
+}
+
+// row sets dst[l] to the word at byte offset off of every running lane l's
+// object as one stack row, and reports whether it could: not when no lane
+// is running, the objects are not at one local address, or the row fails
+// its bounds check, and then dst is untouched. It leaves the highest
+// running lane as the warp's current lane, where the lane-by-lane loads
+// would.
+func (p params) row(off int64, dst *[sim.WarpSize]uint32) bool {
+	w := &p.d.warp
+	running := w.Running()
+	if running == 0 {
+		return false
+	}
+	addr, ok := p.object(running)
+	a := addr + uint64(off)
+	if !ok || !mem.IsLocal(a) || w.Sim().LoadLocal(running, a-mem.LocalBase, dst) != nil {
+		return false
+	}
+	w.Lane(31 - bits.LeadingZeros32(running))
+	return true
 }
 
 // words sets dst[l] to the word at byte offset off of lane l's object for
 // every running lane l.
 func (p params) words(off int64, dst *[sim.WarpSize]uint32) {
-	w := &p.d.warp
-	if r := p.rows(off); r != nil {
-		for m := w.Running(); m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m)
-			dst[l] = r[l]
-		}
+	if p.row(off, dst) {
 		return
 	}
+	w := &p.d.warp
 	for l := w.First(); l >= 0; l = w.Next(l) {
 		dst[l] = p.u32(l, off)
 	}
@@ -158,15 +109,13 @@ func (p params) mask(off int64) uint32 {
 
 // put stores the word at byte offset off of lane l's object.
 func (p params) put(l int, off int64, v uint32) {
-	p.d.row.valid = false
 	c, addr := p.at(l)
 	c.WriteGeneric32(addr+uint64(off), v)
 }
 
 // static loads a warp-uniform word: the lowest active lane's copy.
 func (p params) static(off int64) uint32 {
-	c, addr := p.at(device.Ffs(p.d.warp.ActiveMask()) - 1)
-	return c.ReadGeneric32(addr + uint64(off))
+	return p.u32(device.Ffs(p.d.warp.ActiveMask())-1, off)
 }
 
 // BeforeParams is the handler-side view of the SASSIBeforeParams objects
@@ -278,7 +227,6 @@ func (bp BeforeParams) GetRegValues(r uint8, v *device.Vec32) {
 	}
 	w := &bp.d.warp
 	if running := w.Running(); running != 0 {
-		w.Lane(w.First()) // the current lane while the row is read, as for GetRegValue
 		w.Sim().ReadRegs(r, running, dst)
 		w.Lane(31 - bits.LeadingZeros32(running))
 	}
@@ -329,18 +277,13 @@ func (mp MemoryParams) Address(l int) uint64 {
 // Addresses sets v[l] to Address(l) for every running lane l.
 func (mp MemoryParams) Addresses(v *device.Vec64) {
 	w := &mp.d.warp
-	if lo := mp.rows(mpAddress); lo != nil {
+	var lo, hi [sim.WarpSize]uint32
+	if mp.row(mpAddress, &lo) && mp.row(mpAddress+4, &hi) {
 		for m := w.Running(); m != 0; m &= m - 1 {
 			l := bits.TrailingZeros32(m)
-			v[l] = uint64(lo[l])
+			v[l] = uint64(lo[l]) | uint64(hi[l])<<32
 		}
-		if hi := mp.rows(mpAddress + 4); hi != nil {
-			for m := w.Running(); m != 0; m &= m - 1 {
-				l := bits.TrailingZeros32(m)
-				v[l] |= uint64(hi[l]) << 32
-			}
-			return
-		}
+		return
 	}
 	for l := w.First(); l >= 0; l = w.Next(l) {
 		v[l] = mp.Address(l)

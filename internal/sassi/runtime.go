@@ -50,14 +50,10 @@ type dispatch struct {
 	mp   MemoryParams
 	cbp  CondBranchParams
 	rp   RegisterParams
-	// obj[i] is what ABI argument i points to, decided on first use.
-	obj [2]object
 	// spillReg[:spillN] is the site's spill map (slot -> GPR number),
 	// cached by BeforeParams.spillSlot; spillN < 0 means not yet read.
 	spillN   int
 	spillReg [16]uint8
-	// row caches one field of the parameter objects for the active lanes.
-	row fieldRow
 }
 
 // dispatchOf returns SM sm's dispatch state on dev.
@@ -156,7 +152,7 @@ func (rt *Runtime) Dispatch(dev *sim.Device, w *sim.Warp, handlerID int) (err er
 	}
 	d := dispatchOf(dev, w.CTA.SM)
 	d.warp.Bind(dev, w)
-	d.obj, d.spillN, d.row.valid = [2]object{}, -1, false
+	d.spillN = -1
 	defer func() {
 		if r := recover(); r != nil {
 			err = newHandlerError(h, d, r)

@@ -139,10 +139,6 @@ func TestViewsSeeOwnStores(t *testing.T) {
 	checked := false
 	_, he := viewsDispatch(t, opts, nil, func(w *device.Warp, args sassi.HandlerArgs) viewRead {
 		bp, rp := args.BP, args.RP
-		for l := w.First(); l >= 0; l = w.Next(l) { // read every lane: the rows are cached
-			_ = bp.GetPredValue(l, 0)
-			_ = bp.GetCCValue(l)
-		}
 		p0 := bp.GetPredValue(lane, 0)
 		bp.SetPredValue(lane, 0, !p0)
 		if bp.GetPredValue(lane, 0) == p0 {
@@ -167,6 +163,50 @@ func TestViewsSeeOwnStores(t *testing.T) {
 	})
 	if he != nil || !checked {
 		t.Fatalf("dispatch: %v, checked %v", he, checked)
+	}
+}
+
+// TestViewsSeeRetargetedObject: SetRegValue of an ABI argument register
+// the injector did not spill (it is dead at the site) writes the register
+// itself, so it moves that lane's object for the rest of the dispatch.
+// Every later read goes through the new pointer, in the lane form and the
+// mask form alike — here a wild one, which fails both forms with the same
+// error at that lane.
+func TestViewsSeeRetargetedObject(t *testing.T) {
+	opts := sassi.Options{Where: sassi.AfterRegWrites, What: sassi.PassRegisterInfo, AfterHandler: "h"}
+	var ptr [2]uint32 // what lane's ABI argument 0 pair holds after the stores
+	retarget := func(read func(*device.Warp, sassi.HandlerArgs)) func(*device.Warp, sassi.HandlerArgs) viewRead {
+		return func(w *device.Warp, args sassi.HandlerArgs) viewRead {
+			args.RP.SetRegValue(lane, sassi.ABIArg0, 0x10)
+			args.RP.SetRegValue(lane, sassi.ABIArg0+1, 0)
+			c := w.Lane(lane)
+			ptr = [2]uint32{c.ReadReg(sassi.ABIArg0), c.ReadReg(sassi.ABIArg0 + 1)}
+			read(w, args)
+			return viewRead{}
+		}
+	}
+	_, laneErr := viewsDispatch(t, opts, nil, retarget(func(w *device.Warp, args sassi.HandlerArgs) {
+		for l := w.First(); l >= 0; l = w.Next(l) {
+			_ = args.BP.InstrWillExecute(l)
+		}
+	}))
+	if ptr != [2]uint32{0x10, 0} {
+		t.Fatalf("lane %d's argument 0 holds %#x after SetRegValue: the site spilled it", lane, ptr)
+	}
+	_, maskErr := viewsDispatch(t, opts, nil, retarget(func(w *device.Warp, args sassi.HandlerArgs) {
+		_ = args.BP.WillExecuteMask()
+	}))
+	if laneErr == nil || maskErr == nil {
+		t.Fatalf("lane form error %v, mask form error %v: want both to fail", laneErr, maskErr)
+	}
+	var lf, mf *mem.Fault
+	if !errors.As(laneErr, &lf) || !errors.As(maskErr, &mf) {
+		t.Fatalf("lane form %v, mask form %v: want memory faults", laneErr, maskErr)
+	}
+	le, me := *laneErr, *maskErr
+	le.Err, me.Err = nil, nil
+	if *lf != *mf || lf.Addr != 0x14 || le != me || le.Lane != lane {
+		t.Errorf("lane form %+v (%+v), mask form %+v (%+v): want a load at 0x14 by lane %d", le, *lf, me, *mf, lane)
 	}
 }
 
