@@ -92,7 +92,8 @@ type AtomicBatch struct {
 // indistinguishable from it in any deterministic schedule.
 func (g *Global) AtomicWarp(b *AtomicBatch) (int, error) {
 	w := uint64(b.Width)
-	n, held, cachedPN, cached, ferr := g.admit(b.Addrs[:b.N], w, true)
+	entries := uint32(uint64(1)<<b.N - 1) // entry i as lane i
+	n, held, cachedPN, cached, ferr := g.admit(&b.Addrs, entries, ShapeGeneral, w, true)
 	if n == 0 {
 		return 0, ferr
 	}

@@ -1,6 +1,9 @@
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Cache is a set-associative, LRU, write-through/no-write-allocate cache
 // model used for the L1 (per SM) and L2 (shared) levels. Only tags are
@@ -9,10 +12,14 @@ import "fmt"
 type Cache struct {
 	name      string
 	lineBytes uint64
+	lineShift uint
 	sets      int
 	ways      int
-	tags      [][]uint64 // [set][way] line address; ^uint64(0) = invalid
-	lru       [][]uint8  // [set][way] age; 0 = MRU
+	tags      []uint64 // [set*ways+way] line address; ^uint64(0) = invalid
+	lru       []uint8  // [set*ways+way] age; 0 = MRU
+	// mru is the line the last hit or allocation touched — at age 0 in its
+	// set until another line of that set is touched — or ^0 after a flush.
+	mru uint64
 
 	Stats CacheStats
 }
@@ -53,17 +60,10 @@ func NewCache(name string, sizeBytes, lineBytes uint64, ways int) *Cache {
 	if sets == 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("mem: cache %s: set count %d must be a nonzero power of two", name, sets))
 	}
-	c := &Cache{name: name, lineBytes: lineBytes, sets: sets, ways: ways}
-	c.tags = make([][]uint64, sets)
-	c.lru = make([][]uint8, sets)
-	for i := range c.tags {
-		c.tags[i] = make([]uint64, ways)
-		c.lru[i] = make([]uint8, ways)
-		for w := range c.tags[i] {
-			c.tags[i][w] = ^uint64(0)
-			c.lru[i][w] = uint8(w)
-		}
-	}
+	c := &Cache{name: name, lineBytes: lineBytes, lineShift: uint(bits.TrailingZeros64(lineBytes)), sets: sets, ways: ways}
+	c.tags = make([]uint64, sets*ways)
+	c.lru = make([]uint8, sets*ways)
+	c.Invalidate()
 	return c
 }
 
@@ -73,62 +73,69 @@ func (c *Cache) Name() string { return c.name }
 // LineBytes returns the cache line size.
 func (c *Cache) LineBytes() uint64 { return c.lineBytes }
 
-func (c *Cache) setOf(addr uint64) int {
-	return int((addr / c.lineBytes) % uint64(c.sets))
-}
-
-func (c *Cache) touch(set, way int) {
-	age := c.lru[set][way]
-	for w := 0; w < c.ways; w++ {
-		if c.lru[set][w] < age {
-			c.lru[set][w]++
-		}
-	}
-	c.lru[set][way] = 0
-}
-
 // Access performs a load (store=false) or store (store=true) of the line
 // containing addr and reports whether it hit. Loads allocate on miss;
 // stores are write-through and do not allocate.
+//
+// A lookup of the line the last hit or allocation touched is a hit that
+// changes only the statistics: that line is already its set's most recent.
+// Sectored traffic makes it common — a 128-byte line holds four of the
+// coalescer's 32-byte lines.
 func (c *Cache) Access(addr uint64, store bool) bool {
 	c.Stats.Accesses++
 	line := addr &^ (c.lineBytes - 1)
-	set := c.setOf(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[set][w] == line {
-			c.Stats.Hits++
-			c.touch(set, w)
-			return true
-		}
+	if line == c.mru {
+		c.Stats.Hits++
+		return true
 	}
-	c.Stats.Misses++
-	if store {
-		return false // no write allocate
-	}
-	// Allocate into the LRU way.
-	victim := 0
-	for w := 0; w < c.ways; w++ {
-		if c.lru[set][w] == uint8(c.ways-1) {
-			victim = w
+	base := int(addr>>c.lineShift&uint64(c.sets-1)) * c.ways
+	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
+	way := -1
+	for w, t := range tags {
+		if t == line {
+			way = w
 			break
 		}
 	}
-	if c.tags[set][victim] != ^uint64(0) {
-		c.Stats.Evictions++
+	hit := way >= 0
+	if hit {
+		c.Stats.Hits++
+	} else {
+		c.Stats.Misses++
+		if store {
+			return false // no write allocate
+		}
+		// Allocate into the LRU way.
+		way = 0
+		for w, age := range lru {
+			if age == uint8(c.ways-1) {
+				way = w
+				break
+			}
+		}
+		if tags[way] != ^uint64(0) {
+			c.Stats.Evictions++
+		}
+		tags[way] = line
 	}
-	c.tags[set][victim] = line
-	c.touch(set, victim)
-	return false
+	age := lru[way]
+	for w, a := range lru {
+		if a < age {
+			lru[w] = a + 1
+		}
+	}
+	lru[way] = 0
+	c.mru = line
+	return hit
 }
 
 // Invalidate clears all tags (kernel-boundary flush) without resetting stats.
 func (c *Cache) Invalidate() {
-	for s := range c.tags {
-		for w := range c.tags[s] {
-			c.tags[s][w] = ^uint64(0)
-			c.lru[s][w] = uint8(w)
-		}
+	for i := range c.tags {
+		c.tags[i] = ^uint64(0)
+		c.lru[i] = uint8(i % c.ways)
 	}
+	c.mru = ^uint64(0)
 }
 
 // Reset returns the cache to its state after NewCache: cold, zero stats.

@@ -1,5 +1,7 @@
 package mem
 
+import "math/bits"
+
 // Coalescer models the warp-level memory access unit: for each warp memory
 // instruction it merges the per-lane addresses into unique cache-line
 // transactions. The number of unique lines touched per warp instruction is
@@ -18,19 +20,6 @@ func NewCoalescer(lineBytes uint64) *Coalescer {
 	return &Coalescer{LineBytes: lineBytes}
 }
 
-// Access describes one warp memory instruction presented to the coalescer.
-type Access struct {
-	// Addrs holds the per-lane byte addresses; only lanes with the
-	// corresponding Active bit set participate.
-	Addrs [32]uint64
-	// Active is the warp's active mask for the access.
-	Active uint32
-	// Width is the per-thread access width in bytes.
-	Width int
-	// Store marks the access as a write.
-	Store bool
-}
-
 // Result describes the transactions an access generated.
 type Result struct {
 	// Lines lists the unique line base addresses, in first-touch order.
@@ -42,43 +31,56 @@ type Result struct {
 // UniqueLines returns the number of memory transactions (unique lines).
 func (r Result) UniqueLines() int { return len(r.Lines) }
 
-// Coalesce merges an access into unique line transactions. Accesses wider
-// than the remaining bytes in a line span two lines, as on hardware.
-func (c *Coalescer) Coalesce(a *Access) Result {
-	var res Result
-	c.CoalesceInto(a, &res)
-	return res
-}
-
-// CoalesceInto is Coalesce writing into a caller-owned Result, resetting
-// and reusing res.Lines so a per-SM Result makes the steady state
-// allocation-free. Deduplication is a linear scan of the lines emitted so
-// far: a warp touches a handful of unique lines, where scanning the slice
-// beats a map — and even a fully divergent warp stays a few hundred
-// word compares.
-func (c *Coalescer) CoalesceInto(a *Access, res *Result) {
+// CoalesceWarp merges the lane accesses of op (its Exec, Addrs, Width and
+// Shape) into unique line transactions, in first-touch order: lanes in
+// ascending order, each access's lines from its first byte's to its last
+// byte's, so one wider than the rest of its line spans two, as on
+// hardware. It resets and reuses res.Lines, so a per-SM Result makes the
+// steady state allocation-free.
+//
+// A uniform access's lines are those of its one address. Otherwise, while
+// the lines come in ascending order the emitted list is sorted and a line
+// is a repeat exactly when it equals the last one emitted; after the first
+// descent, every line is looked up in the whole list — a warp touches a
+// handful of unique lines, where scanning beats a map.
+func (c *Coalescer) CoalesceWarp(op *WarpOp, res *Result) {
 	res.Lines = res.Lines[:0]
-	res.NumActive = 0
+	res.NumActive = bits.OnesCount32(op.Exec)
+	if op.Exec == 0 {
+		return
+	}
+	w := uint64(op.Width)
+	if w == 0 {
+		w = 4
+	}
 	mask := c.LineBytes - 1
-	for lane := 0; lane < 32; lane++ {
-		if a.Active&(1<<lane) == 0 {
-			continue
-		}
-		res.NumActive++
-		first := a.Addrs[lane] &^ mask
-		w := uint64(a.Width)
-		if w == 0 {
-			w = 4
-		}
-		last := (a.Addrs[lane] + w - 1) &^ mask
+	lanes := op.Exec
+	if op.Shape == ShapeUniform {
+		lanes &= -lanes
+	}
+	sorted := true
+	for m := lanes; m != 0; m &= m - 1 {
+		a := op.Addrs[lane(m)]
+		last := (a + w - 1) &^ mask
 	lines:
-		for line := first; ; line += c.LineBytes {
-			for _, l := range res.Lines {
-				if l == line {
-					if line == last {
-						break lines
+		for line := a &^ mask; ; line += c.LineBytes {
+			n := len(res.Lines)
+			switch {
+			case n == 0 || sorted && line > res.Lines[n-1]:
+			case sorted && line == res.Lines[n-1]:
+				if line == last {
+					break lines
+				}
+				continue lines
+			default:
+				sorted = false
+				for _, l := range res.Lines {
+					if l == line {
+						if line == last {
+							break lines
+						}
+						continue lines
 					}
-					continue lines
 				}
 			}
 			res.Lines = append(res.Lines, line)

@@ -85,7 +85,8 @@ func TestGlobalConcurrentAtomicBatches(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			var b AtomicBatch
-			var st WarpOp
+			var addrs [32]uint64
+			var data [32]uint32
 			for i := 0; i < iters; i++ {
 				b = AtomicBatch{N: 32, Op: AtomAdd, Width: 8}
 				for l := 0; l < 32; l++ {
@@ -106,10 +107,10 @@ func TestGlobalConcurrentAtomicBatches(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				st = WarpOp{N: 32, Store: true, Width: 4}
+				st := WarpOp{Exec: ^uint32(0), Store: true, Width: 4, Shape: ShapeAscending,
+					Addrs: &addrs, Rows: [4]*[32]uint32{&data}}
 				for l := 0; l < 32; l++ {
-					st.Addrs[l] = row(w) + uint64(4*l)
-					binary.LittleEndian.PutUint32(st.Data[l][:], uint32(i+l))
+					addrs[l], data[l] = row(w)+uint64(4*l), uint32(i+l)
 				}
 				if _, err := g.AccessWarp(&st); err != nil {
 					t.Error(err)

@@ -1,106 +1,200 @@
 package mem
 
-// WarpOp is a reusable batch descriptor for one warp-level global-memory
-// access: up to 32 lane accesses of a common width, applied in ascending
-// lane order. The predecoded engine keeps one per SM shard so issuing a
-// warp access performs no allocation and — unlike 32 calls through
-// Read/Write — takes the metadata lock once and the covering stripe locks
-// once instead of three lock operations per lane.
+import (
+	"encoding/binary"
+	"math/bits"
+)
+
+// Shape is how the lane addresses of a warp access are laid out, as the
+// issuing SM found them in one pass over its address row. It lets the
+// access skip work the layout makes redundant; it never changes what the
+// access does.
+type Shape uint8
+
+const (
+	// ShapeGeneral is any layout.
+	ShapeGeneral Shape = iota
+	// ShapeAscending: addresses strictly ascend in lane order, so the
+	// lowest and highest exec lanes hold the lowest and highest address.
+	ShapeAscending
+	// ShapeUniform: every exec lane uses one address.
+	ShapeUniform
+)
+
+// WarpOp is one warp-level global-memory access: every lane l of Exec moves
+// Width bytes (1, 2, 4, 8 or 16) at Addrs[l], in ascending lane order —
+// except that a uniform access reads only its lowest exec lane's address. Its
+// data are register-major word rows, the layout of the warp's register
+// file: word i of lane l is Rows[i][l], for Width/4 rows, or one row whose
+// low bytes a 1- or 2-byte access moves (zero-extended on a load). A store
+// reads the rows; a load writes them in the lanes it applies. The engine
+// keeps one per SM, so a warp access allocates nothing.
 type WarpOp struct {
-	N     int // number of staged lanes
+	Exec  uint32
 	Store bool
-	Width int // bytes per lane access (1..16)
-	Addrs [32]uint64
-	Data  [32][16]byte // staged store data / returned load data, Width bytes per lane
+	Width int
+	Shape Shape
+	Addrs *[32]uint64
+	Rows  [4]*[32]uint32
 }
 
-// AccessWarp validates and applies the staged lane accesses in ascending
-// order with per-lane fault semantics identical to issuing Read/Write
-// once per lane: validation checks lanes in order and stops at the first
-// fault, the data of every earlier lane is still transferred, and the
-// returned fault carries the same space/address/why/write fields. It
-// returns the number of lanes applied; when n < op.N, err is lane n's
-// fault.
+// AccessWarp validates and applies the lane accesses in ascending lane
+// order with per-lane fault semantics identical to issuing Read/Write once
+// per lane: validation checks lanes in order and stops at the first fault,
+// every earlier lane is still transferred, and the returned fault carries
+// the same space/address/why/write fields. It returns the number of lanes
+// applied — the lowest n of Exec; when n is less than all of them, err is
+// the next lane's fault.
 //
-// The covering stripe locks are held across the whole batch, so the warp
-// access is atomic with respect to other SMs — strictly stronger than the
+// A uniform access is one transfer: a load reads the word once and
+// broadcasts it to every exec lane, a store writes the data of the highest
+// exec lane, the value the lanes' ascending stores leave behind; it faults,
+// applying nothing, exactly where its first lane would.
+//
+// The covering stripe locks are held across the whole access, so it is
+// atomic with respect to other SMs — strictly stronger than the
 // lane-at-a-time path, and indistinguishable from it in any deterministic
 // schedule since per-lane interleavings with another SM were never
 // ordered to begin with.
 func (g *Global) AccessWarp(op *WarpOp) (int, error) {
-	w := uint64(op.Width)
-	n, held, cachedPN, cached, ferr := g.admit(op.Addrs[:op.N], w, op.Store)
+	n, held, pn, page, ferr := g.admit(op.Addrs, op.Exec, op.Shape, uint64(op.Width), op.Store)
 	if n == 0 {
 		return 0, ferr
+	}
+	lanes, moves := op.Exec, n
+	uniform := op.Shape == ShapeUniform
+	first := op.Addrs[lane(op.Exec)]
+	if uniform && op.Store {
+		lanes, moves = 1<<(31-bits.LeadingZeros32(op.Exec)), 1
+	} else if uniform {
+		lanes, moves = op.Exec&-op.Exec, 1
 	}
 
 	// Transfer with a one-page cache, seeded with admit's page: coalesced
 	// warps touch one or two pages, so most lanes skip the page-table lock
 	// entirely, and a single-page warp never takes it.
-	for i := 0; i < n; i++ {
-		a := op.Addrs[i]
-		buf := op.Data[i][:op.Width]
-		pn := a >> pageShift
+	w := uint64(op.Width)
+	r0 := op.Rows[0]
+	var zeros [16]byte
+	for m, i := lanes, 0; i < moves; m, i = m&(m-1), i+1 {
+		l := lane(m)
+		a := op.Addrs[l]
+		if uniform {
+			a = first
+		}
 		off := a & (pageSize - 1)
 		if off+w > pageSize {
 			// Page-straddling access: take the general path.
+			var buf [16]byte
+			b := buf[:w]
 			if op.Store {
-				g.writeData(a, buf)
+				op.pack(l, b)
+				g.writeData(a, b)
 			} else {
-				g.readData(a, buf)
+				g.readData(a, b)
+				op.unpack(l, b)
 			}
 			continue
 		}
-		if pn != cachedPN {
-			cachedPN = pn
+		if a>>pageShift != pn {
+			pn = a >> pageShift
 			if op.Store {
-				cached = g.pageRW(pn)
+				page = g.pageRW(pn)
 			} else {
-				cached = g.pageRO(pn)
+				page = g.pageRO(pn)
 			}
 		}
 		switch {
+		case w == 4 && op.Store:
+			binary.LittleEndian.PutUint32(page[off:], r0[l])
+		case w == 4 && page == nil:
+			r0[l] = 0
+		case w == 4:
+			r0[l] = binary.LittleEndian.Uint32(page[off:])
 		case op.Store:
-			copy(cached[off:], buf)
-		case cached == nil:
+			op.pack(l, page[off:off+w])
+		case page == nil:
 			// Read of a never-written page: zeros, like readData.
-			clear(buf)
+			op.unpack(l, zeros[:w])
 		default:
-			copy(buf, cached[off:off+w])
+			op.unpack(l, page[off:off+w])
 		}
 	}
 	held.unlock()
+	if uniform && !op.Store {
+		src := lane(lanes)
+		for _, row := range op.Rows[:max(1, op.Width/4)] {
+			v := row[src]
+			for m := op.Exec; m != 0; m &= m - 1 {
+				row[lane(m)] = v
+			}
+		}
+	}
 	return n, ferr
 }
 
-// admit validates a batch of w-byte accesses at addrs, in order, under one
-// metadata read lock, then takes the data stripes covering the ones that
-// passed, once, in ascending order. It returns how many passed — all, or
-// those before the first fault, returned as err with Write set to write —
-// and the held stripes, which the caller releases unless n is 0. Under the
-// same lock it looks up the page of the lowest address: pn and page, for
-// the caller's page cache — or ^0 and nil when that page has not been
-// created, which the caller must then look up under the stripe.
+// pack copies lane l's Width bytes out of the rows into b.
+func (op *WarpOp) pack(l int, b []byte) {
+	switch op.Width {
+	case 1:
+		b[0] = byte(op.Rows[0][l])
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(op.Rows[0][l]))
+	default:
+		for i := range op.Width / 4 {
+			binary.LittleEndian.PutUint32(b[4*i:], op.Rows[i][l])
+		}
+	}
+}
+
+// unpack sets lane l's words in the rows from the Width bytes of b.
+func (op *WarpOp) unpack(l int, b []byte) {
+	switch op.Width {
+	case 1:
+		op.Rows[0][l] = uint32(b[0])
+	case 2:
+		op.Rows[0][l] = uint32(binary.LittleEndian.Uint16(b))
+	default:
+		for i := range op.Width / 4 {
+			op.Rows[i][l] = binary.LittleEndian.Uint32(b[4*i:])
+		}
+	}
+}
+
+// lane returns the lowest lane of a non-empty mask.
+func lane(m uint32) int { return bits.TrailingZeros32(m) & 31 }
+
+// admit validates the w-byte accesses of the lanes of mask at addrs, in
+// ascending lane order, under one metadata read lock, then takes the data
+// stripes covering the ones that passed, once, in ascending order. It
+// returns how many passed — all, or those before the first fault, returned
+// as err with Write set to write — and the held stripes, which the caller
+// releases unless n is 0. Under the same lock it looks up the page of the
+// lowest address: pn and page, for the caller's page cache — or ^0 and nil
+// when that page has not been created, which the caller must then look up
+// under the stripe.
 //
 // The covering-span check comes first: when a single allocation (or the
 // mapped window) covers [lo, hi+w) — the overwhelmingly common case — one
 // lookup clears the whole batch. A span failure does not imply a fault
 // (the accesses may straddle two adjacent allocations), so it falls back
-// to the walk, which also pins the exact faulting entry.
-func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripeLock, pn uint64, page *[pageSize]byte, err error) {
+// to the walk, which also pins the exact faulting entry. The shape gives
+// the span without a scan: one address, or the first and last lane's.
+func (g *Global) admit(addrs *[32]uint64, mask uint32, shape Shape, w uint64, write bool) (n int, held stripeLock, pn uint64, page *[pageSize]byte, err error) {
 	pn = ^uint64(0)
-	if len(addrs) == 0 {
+	if mask == 0 {
 		return 0, held, pn, nil, nil
 	}
-	lo, hi := span(addrs)
-	n = len(addrs)
+	lo, hi := spanOf(addrs, mask, shape)
+	n = bits.OnesCount32(mask)
 	g.mu.RLock()
 	if g.findAlloc(lo, hi-lo+w) != nil {
-		for i, a := range addrs {
-			if ferr := g.findAlloc(a, w); ferr != nil {
+		for m, i := mask, 0; m != 0; m, i = m&(m-1), i+1 {
+			if ferr := g.findAlloc(addrs[lane(m)], w); ferr != nil {
 				f := ferr.(*Fault)
 				f.Write = write
 				n, err = i, f
+				mask &^= m // the lanes that passed
 				break
 			}
 		}
@@ -112,16 +206,25 @@ func (g *Global) admit(addrs []uint64, w uint64, write bool) (n int, held stripe
 	if n == 0 {
 		return 0, held, pn, nil, err
 	}
-	if n < len(addrs) {
-		lo, hi = span(addrs[:n])
+	if err != nil {
+		lo, hi = spanOf(addrs, mask, shape)
 	}
 	return n, g.lockRange(lo, hi-lo+w), pn, page, err
 }
 
-// span returns the lowest and highest of a non-empty set of addresses.
-func span(addrs []uint64) (lo, hi uint64) {
-	lo, hi = addrs[0], addrs[0]
-	for _, a := range addrs[1:] {
+// spanOf returns the lowest and highest address of the lanes of a
+// non-empty mask.
+func spanOf(addrs *[32]uint64, mask uint32, shape Shape) (lo, hi uint64) {
+	switch shape {
+	case ShapeUniform:
+		lo = addrs[lane(mask)]
+		return lo, lo
+	case ShapeAscending:
+		return addrs[lane(mask)], addrs[31-bits.LeadingZeros32(mask)]
+	}
+	lo, hi = addrs[lane(mask)], addrs[lane(mask)]
+	for m := mask & (mask - 1); m != 0; m &= m - 1 {
+		a := addrs[lane(m)]
 		lo, hi = min(lo, a), max(hi, a)
 	}
 	return lo, hi

@@ -198,9 +198,8 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 	store := in.Op == sass.OpST || in.Op == sass.OpSTG
 	forceGlobal := in.Op == sass.OpLDG || in.Op == sass.OpSTG || in.Op == sass.OpTLD
 
-	var access mem.Access
-	access.Width = nbytes
-	access.Store = store
+	var addrs [WarpSize]uint64
+	var active uint32 // the lanes with a global address
 	var buf [16]byte
 	var lerr error
 	Lanes(exec, func(l int) {
@@ -217,8 +216,8 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		}
 		switch space {
 		case mem.SpaceGlobal:
-			access.Addrs[l] = addr
-			access.Active |= 1 << l
+			addrs[l] = addr
+			active |= 1 << l
 			if store {
 				storeFromRegs(t, in.Srcs[srcDataIdx(in)].Reg, buf[:], width)
 				lerr = e.dev.Global.Write(addr, buf[:nbytes])
@@ -254,16 +253,17 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		return 0, lerr
 	}
 	cost := 1
-	if access.Active != 0 {
-		res := e.dev.Coal.Coalesce(&access)
+	if active != 0 {
 		st := &e.sms[w.CTA.SM]
+		res := &e.dev.perSM[w.CTA.SM].coalRes
+		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: nbytes, Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
 		cost = st.hier.AccessLines(res.Lines, store)
 		if e.dev.MemWatch != nil {
 			e.dev.MemWatch(MemAccess{
 				PC: w.PC, SM: w.CTA.SM,
 				Warp:  w.CTA.Index*len(w.CTA.Warps) + w.IDinCTA,
-				Store: store, Res: res,
+				Store: store, Res: *res,
 			})
 		}
 	}
@@ -291,9 +291,8 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 	hasDst := in.Op == sass.OpATOM && len(in.Dsts) > 0 && in.Dsts[0].Kind == sass.OpdReg && in.Dsts[0].Reg != sass.RZ
 	di := srcDataIdx(in)
 	cas := in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs)
-	var access mem.Access
-	access.Width = in.Mods.Width.Bytes()
-	access.Store = true
+	var addrs [WarpSize]uint64
+	var active uint32 // the lanes staged into b
 	var lanes [WarpSize]uint8
 	var lerr error
 	for m := exec; m != 0; m &= m - 1 {
@@ -305,8 +304,8 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 				Why: "atomic requires a global address"}
 			break
 		}
-		access.Addrs[l] = addr
-		access.Active |= 1 << l
+		addrs[l] = addr
+		active |= 1 << l
 		b.Addrs[b.N], b.Vals[b.N] = addr, atomOperand(t, in.Srcs[di].Reg, b.Width)
 		if cas {
 			b.Swaps[b.N] = atomOperand(t, in.Srcs[di+1].Reg, b.Width)
@@ -332,10 +331,10 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 		return 0, err
 	}
 	cost := 1
-	if access.Active != 0 {
+	if active != 0 {
 		st := &e.sms[w.CTA.SM]
 		res := &e.dev.perSM[w.CTA.SM].coalRes
-		e.dev.Coal.CoalesceInto(&access, res)
+		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: in.Mods.Width.Bytes(), Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
 		cost = st.hier.AccessLines(res.Lines, true) + res.NumActive
 	}

@@ -755,53 +755,36 @@ func (e *engine) execPreLocal(w *Warp, p *preInstr, exec uint32) (int, error) {
 	return 4 + lines, nil
 }
 
-// execPreGeneric is execGeneric's all-lanes-global fast path: one batched
-// device-memory access per warp instead of three lock acquisitions per
-// lane. Any lane decoding to a non-global space falls back to the classic
-// path before any state is touched, so mixed-space accesses and
-// forced-global faults behave identically.
+// execPreGeneric is execGeneric's all-lanes-global path: one device-memory
+// access per warp, costing what its address row's shape needs. A uniform
+// address is read or written once; other shapes move the data between the
+// register rows and the page bytes, lane by lane. Any lane decoding to a
+// non-global space falls back to the classic path before any state is
+// touched, so mixed-space accesses and forced-global faults behave
+// identically.
 func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) {
-	st, keep := &e.sms[w.CTA.SM], &e.dev.perSM[w.CTA.SM]
-	addrs := &w.CTA.slab.addrs
-	w.laneAddrs(p, exec, addrs)
+	keep := &e.dev.perSM[w.CTA.SM]
 	op := &keep.warpOp
-	op.N = 0
-	op.Width = int(p.nbytes)
-	op.Store = p.store
-	var lanes [WarpSize]uint8
-	var access mem.Access
-	access.Width = int(p.nbytes)
-	access.Store = p.store
-	for m := exec; m != 0; m &= m - 1 {
-		l := lane(m)
-		addr := addrs[l]
-		if !mem.IsGlobal(addr) {
-			// Mixed address spaces and forced-global faults: the classic
-			// path, with no state modified yet.
-			return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
-		}
-		access.Addrs[l] = addr
-		access.Active |= 1 << l
-		op.Addrs[op.N] = addr
-		lanes[op.N] = uint8(l)
-		op.N++
+	op.Exec, op.Store, op.Width, op.Addrs = exec, p.store, int(p.nbytes), &w.CTA.slab.addrs
+	var global bool
+	if op.Shape, global = w.globalAddrs(p, exec, op.Addrs); !global {
+		// Mixed address spaces and forced-global faults: the classic path,
+		// with no state modified yet.
+		return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
 	}
-	if p.store {
-		for i := 0; i < op.N; i++ {
-			storeFromRegs(&w.threads[lanes[i]], p.dataReg, op.Data[i][:], p.width)
+	for i := range max(1, op.Width/4) {
+		if p.store {
+			op.Rows[i] = w.srcRegRow(p.dataReg + uint8(i))
+		} else {
+			op.Rows[i] = w.dstRow(p.dst+uint8(i), &w.CTA.slab.rows[3])
 		}
 	}
-	nOK, err := e.dev.Global.AccessWarp(op)
-	if !p.store {
-		for i := 0; i < nOK; i++ {
-			loadIntoRegs(&w.threads[lanes[i]], p.dst, op.Data[i][:], p.width)
-		}
-	}
-	if err != nil {
+	if _, err := e.dev.Global.AccessWarp(op); err != nil {
 		return 0, err
 	}
+	st := &e.sms[w.CTA.SM]
 	res := &keep.coalRes
-	e.dev.Coal.CoalesceInto(&access, res)
+	e.dev.Coal.CoalesceWarp(op, res)
 	st.globalTransactions += uint64(res.UniqueLines())
 	cost := st.hier.AccessLines(res.Lines, p.store)
 	if e.dev.MemWatch != nil {
@@ -814,6 +797,40 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 		})
 	}
 	return cost, nil
+}
+
+// globalAddrs is laneAddrs for a global access, classifying the address
+// row in the same pass: uniform when every lane of exec computes one
+// address — decided from the address registers' rows, as uniformAddr
+// decides it — ascending when the addresses strictly ascend in lane order,
+// general otherwise. A uniform access fills in its first lane only. It
+// reports false when some lane's address is not global.
+func (w *Warp) globalAddrs(p *preInstr, exec uint32, addrs *[WarpSize]uint64) (mem.Shape, bool) {
+	if a, ok := w.uniformAddr(p, exec); ok {
+		addrs[lane(exec)] = a
+		return mem.ShapeUniform, mem.IsGlobal(a)
+	}
+	off := uint64(p.memOff)
+	lo, hi := w.row(p.memBase), &zeroRow // a non-uniform base is a register
+	if p.memE {
+		hi = w.srcRegRow(p.memBase + 1)
+	}
+	l := lane(exec)
+	prev := (uint64(lo[l]) | uint64(hi[l])<<32) + off
+	addrs[l] = prev
+	global := mem.IsGlobal(prev)
+	shape := mem.ShapeAscending
+	for m := exec & (exec - 1); m != 0; m &= m - 1 {
+		l := lane(m)
+		a := (uint64(lo[l]) | uint64(hi[l])<<32) + off
+		addrs[l] = a
+		global = global && mem.IsGlobal(a)
+		if a <= prev {
+			shape = mem.ShapeGeneral
+		}
+		prev = a
+	}
+	return shape, global
 }
 
 // runWarpSolo runs w until it completes or reaches a barrier, dispatching

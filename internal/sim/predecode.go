@@ -370,7 +370,8 @@ func classify(in *sass.Instruction, cbSize int) preClass {
 			return pcJCAL
 		}
 	case sass.OpLD, sass.OpST, sass.OpLDG, sass.OpSTG:
-		if memOK(in) {
+		// A warp access moves whole register rows, or the low bytes of one.
+		if n := in.Mods.Width.Bytes(); memOK(in) && (n <= 2 || n%4 == 0 && n <= 16) {
 			return pcMemG
 		}
 	case sass.OpLDS, sass.OpSTS:
