@@ -121,6 +121,44 @@ func TestAtomicIssueZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestGenericIssueZeroAlloc extends the contract to global loads: a loop
+// whose every iteration issues a generic LD whose even lanes address global
+// memory and odd lanes their stacks — the lane-by-lane path, which once
+// allocated a fresh line list per access — and an LDG at one address for
+// every lane performs no heap allocation.
+func TestGenericIssueZeroAlloc(t *testing.T) {
+	r, imm := sass.R, sass.Imm
+	loop := []sass.Instruction{
+		sass.New(sass.OpS2R, []sass.Operand{r(1)}, []sass.Operand{sass.SReg(sass.SRLaneID)}),
+		sass.New(sass.OpSHL, []sass.Operand{r(2)}, []sass.Operand{r(1), imm(2)}),
+		sass.New(sass.OpMOV32, []sass.Operand{r(3)}, []sass.Operand{imm(int64(mem.GlobalBase >> 32))}),
+		{Guard: sass.Always, Op: sass.OpLOP, Mods: sass.Mods{Logic: sass.LogicAND},
+			Dsts: []sass.Operand{r(8)}, Srcs: []sass.Operand{r(1), imm(1)}},
+		{Guard: sass.Always, Op: sass.OpISETP, Mods: sass.Mods{Cmp: sass.CmpNE, Logic: sass.LogicAND},
+			Dsts: []sass.Operand{sass.P(0)}, Srcs: []sass.Operand{r(8), r(sass.RZ), sass.P(sass.PT)}},
+		{Guard: sass.PredGuard{Reg: 0}, Op: sass.OpMOV32, Dsts: []sass.Operand{r(3)}, Srcs: []sass.Operand{imm(0)}},
+		{Guard: sass.PredGuard{Reg: 0}, Op: sass.OpIADD32, Dsts: []sass.Operand{r(2)},
+			Srcs: []sass.Operand{r(2), imm(int64(mem.LocalBase))}},
+		{Guard: sass.Always, Op: sass.OpLD, Mods: sass.Mods{E: true},
+			Dsts: []sass.Operand{r(4)}, Srcs: []sass.Operand{sass.Mem(2, 0)}},
+		sass.New(sass.OpMOV32, []sass.Operand{r(6)}, []sass.Operand{imm(0)}),
+		sass.New(sass.OpMOV32, []sass.Operand{r(7)}, []sass.Operand{imm(int64(mem.GlobalBase >> 32))}),
+		{Guard: sass.Always, Op: sass.OpLDG, Mods: sass.Mods{E: true},
+			Dsts: []sass.Operand{r(5)}, Srcs: []sass.Operand{sass.Mem(6, 8)}},
+		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("loop")}),
+	}
+	step := warpStepper(t, loop, nil, nil, nil)
+	iteration := func() {
+		for range loop {
+			step()
+		}
+	}
+	iteration()
+	if allocs := testing.AllocsPerRun(500, iteration); allocs != 0 {
+		t.Errorf("a loop iteration with a mixed-space LD and a uniform LDG allocates %.1f times, want 0", allocs)
+	}
+}
+
 // launchBytesCeiling bounds what one steady-state launch of a 128-thread
 // CTA allocates: the engine, its per-SM shards and statistics, and per CTA
 // the CTA, Warp structs and shared memory — slabs are reused, stacks left
