@@ -1,6 +1,9 @@
 package mem
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Coalescer models the warp-level memory access unit: for each warp memory
 // instruction it merges the per-lane addresses into unique cache-line
@@ -58,32 +61,20 @@ func (c *Coalescer) CoalesceWarp(op *WarpOp, res *Result) {
 	if op.Shape == ShapeUniform {
 		lanes &= -lanes
 	}
-	sorted := true
+	sorted := true // the lines emitted so far ascend
 	for m := lanes; m != 0; m &= m - 1 {
 		a := op.Addrs[lane(m)]
 		last := (a + w - 1) &^ mask
-	lines:
 		for line := a &^ mask; ; line += c.LineBytes {
-			n := len(res.Lines)
-			switch {
-			case n == 0 || sorted && line > res.Lines[n-1]:
-			case sorted && line == res.Lines[n-1]:
-				if line == last {
-					break lines
-				}
-				continue lines
-			default:
-				sorted = false
-				for _, l := range res.Lines {
-					if l == line {
-						if line == last {
-							break lines
-						}
-						continue lines
-					}
-				}
+			seen := false
+			if n := len(res.Lines); n > 0 {
+				prev := res.Lines[n-1]
+				sorted = sorted && line >= prev
+				seen = line == prev || !sorted && slices.Contains(res.Lines, line)
 			}
-			res.Lines = append(res.Lines, line)
+			if !seen {
+				res.Lines = append(res.Lines, line)
+			}
 			if line == last {
 				break
 			}
