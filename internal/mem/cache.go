@@ -3,6 +3,7 @@ package mem
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Cache is a set-associative, LRU, write-through/no-write-allocate cache
@@ -15,9 +16,10 @@ type Cache struct {
 	lineShift uint
 	sets      int
 	ways      int
-	tags      []uint64 // [set*ways+way] line address; ^uint64(0) = invalid
-	lru       []uint8  // [set*ways+way] age; 0 = MRU
-	// mru is the line the last hit or allocation touched — at age 0 in its
+	// tags holds each set's ways in recency order, most recent first:
+	// [set*ways+age] line address; ^uint64(0) = invalid.
+	tags []uint64
+	// mru is the line the last hit or allocation touched — first in its
 	// set until another line of that set is touched — or ^0 after a flush.
 	mru uint64
 
@@ -62,7 +64,6 @@ func NewCache(name string, sizeBytes, lineBytes uint64, ways int) *Cache {
 	}
 	c := &Cache{name: name, lineBytes: lineBytes, lineShift: uint(bits.TrailingZeros64(lineBytes)), sets: sets, ways: ways}
 	c.tags = make([]uint64, sets*ways)
-	c.lru = make([]uint8, sets*ways)
 	c.Invalidate()
 	return c
 }
@@ -77,10 +78,11 @@ func (c *Cache) LineBytes() uint64 { return c.lineBytes }
 // containing addr and reports whether it hit. Loads allocate on miss;
 // stores are write-through and do not allocate.
 //
-// A lookup of the line the last hit or allocation touched is a hit that
-// changes only the statistics: that line is already its set's most recent.
-// Sectored traffic makes it common — a 128-byte line holds four of the
-// coalescer's 32-byte lines.
+// A set keeps its lines in recency order, so a hit moves its line to the
+// front and an allocation evicts the last. A lookup of the line the last
+// hit or allocation touched is a hit that changes only the statistics:
+// that line is already first in its set. Sectored traffic makes it common
+// — a 128-byte line holds four of the coalescer's 32-byte lines.
 func (c *Cache) Access(addr uint64, store bool) bool {
 	c.Stats.Accesses++
 	line := addr &^ (c.lineBytes - 1)
@@ -89,42 +91,25 @@ func (c *Cache) Access(addr uint64, store bool) bool {
 		return true
 	}
 	base := int(addr>>c.lineShift&uint64(c.sets-1)) * c.ways
-	tags, lru := c.tags[base:base+c.ways], c.lru[base:base+c.ways]
-	way := -1
-	for w, t := range tags {
-		if t == line {
-			way = w
-			break
-		}
-	}
-	hit := way >= 0
-	if hit {
+	set := c.tags[base : base+c.ways]
+	age := slices.Index(set, line)
+	hit := age >= 0
+	switch {
+	case hit:
 		c.Stats.Hits++
-	} else {
+	case store:
 		c.Stats.Misses++
-		if store {
-			return false // no write allocate
-		}
-		// Allocate into the LRU way.
-		way = 0
-		for w, age := range lru {
-			if age == uint8(c.ways-1) {
-				way = w
-				break
-			}
-		}
-		if tags[way] != ^uint64(0) {
+		return false // no write allocate
+	default:
+		// Allocate in place of the least recent line.
+		c.Stats.Misses++
+		age = c.ways - 1
+		if set[age] != ^uint64(0) {
 			c.Stats.Evictions++
 		}
-		tags[way] = line
 	}
-	age := lru[way]
-	for w, a := range lru {
-		if a < age {
-			lru[w] = a + 1
-		}
-	}
-	lru[way] = 0
+	copy(set[1:age+1], set[:age])
+	set[0] = line
 	c.mru = line
 	return hit
 }
@@ -133,7 +118,6 @@ func (c *Cache) Access(addr uint64, store bool) bool {
 func (c *Cache) Invalidate() {
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
-		c.lru[i] = uint8(i % c.ways)
 	}
 	c.mru = ^uint64(0)
 }
