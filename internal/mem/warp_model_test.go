@@ -315,6 +315,22 @@ func shapeOf(addrs *[32]uint64, exec uint32) Shape {
 	return ShapeGeneral
 }
 
+// modelPack stages lane l's store data from register rows as the engine's
+// storeFromRegs does: the low byte or half of the first row, else one
+// little-endian word per row.
+func modelPack(rows *[4][32]uint32, l int, b []byte) {
+	switch len(b) {
+	case 1:
+		b[0] = byte(rows[0][l])
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(rows[0][l]))
+	default:
+		for r := range len(b) / 4 {
+			binary.LittleEndian.PutUint32(b[4*r:], rows[r][l])
+		}
+	}
+}
+
 // modelRows is what the model's staged lane data leave in register rows:
 // lane by lane, 1 and 2 bytes zero-extended into the first row.
 func modelRows(op *warpOpModel, lanes []int, rows *[4][32]uint32) {
@@ -405,7 +421,7 @@ func driveGlobalWarpAccess(t *testing.T, stream []byte) {
 			l := lane(m)
 			model.Addrs[model.N] = addrs[l]
 			if store {
-				op.pack(l, model.Data[model.N][:width])
+				modelPack(&gotRows, l, model.Data[model.N][:width])
 			}
 			lanes = append(lanes, l)
 			model.N++

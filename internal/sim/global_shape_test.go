@@ -77,15 +77,16 @@ func runShape(t *testing.T, ref bool, prog *sass.Program, threads int) shapeOutc
 
 // Address layouts of a shape kernel: the byte offset of lane l's access.
 const (
-	layoutUniform    = iota // 48 for every lane
-	layoutContiguous        // l·width
-	layoutScattered         // (7l mod 32)·width
-	layoutDescending        // (31−l)·width
-	layoutFaultLane9        // l·width, but lane 9 outside the buffer
-	layoutOutside           // one address for every lane, outside every allocation
+	layoutUniform       = iota // 48 for every lane
+	layoutContiguous           // l·width
+	layoutScattered            // (7l mod 32)·width
+	layoutDescending           // (31−l)·width
+	layoutFaultLane9           // l·width, but lane 9 outside the buffer
+	layoutOutside              // one address for every lane, outside every allocation
+	layoutHighWordLane9        // 48 for every lane, but lane 9's high address word is one more
 )
 
-var layoutNames = [...]string{"uniform", "contiguous", "scattered", "descending", "fault-lane9", "outside"}
+var layoutNames = [...]string{"uniform", "contiguous", "scattered", "descending", "fault-lane9", "outside", "high-word-lane9"}
 
 // shapeKernel is a kernel whose lanes of the exec pattern (bit l for lane
 // l) load or store width bytes at the buffer plus their layout's offset:
@@ -111,7 +112,7 @@ func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass
 		sass.New(sass.OpMOV, []sass.Operand{r(3)}, []sass.Operand{sass.CMem(0, int64(arg+4))}),
 	}
 	switch layout {
-	case layoutUniform:
+	case layoutUniform, layoutHighWordLane9:
 		ins = append(ins, mov(4, 48))
 	case layoutContiguous, layoutFaultLane9:
 		ins = append(ins, op(sass.OpSHL, sass.Mods{}, 4, r(0), imm(shift)))
@@ -135,6 +136,14 @@ func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass
 	ins = append(ins,
 		op(sass.OpIADD, sass.Mods{SetCC: true}, 6, r(2), r(4)),
 		op(sass.OpIADD, sass.Mods{X: true}, 7, r(3), r(sass.RZ)),
+	)
+	if layout == layoutHighWordLane9 {
+		// Uniform low words do not make a uniform address.
+		ins = append(ins, setp(1, sass.CmpEQ, r(0), imm(9)),
+			sass.Instruction{Guard: sass.PredGuard{Reg: 1}, Op: sass.OpIADD32,
+				Dsts: []sass.Operand{r(7)}, Srcs: []sass.Operand{r(7), imm(1)}})
+	}
+	ins = append(ins,
 		// Lane data and load markers.
 		op(sass.OpIADD32, sass.Mods{}, 8, r(0), imm(0x1100)),
 		op(sass.OpIADD32, sass.Mods{}, 9, r(0), imm(0x2200)),
@@ -160,8 +169,9 @@ func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass
 }
 
 // TestGlobalShapesMatchReference runs warp global accesses of every address
-// layout the core tells apart — one address, ascending, neither — and two
-// that fault, at widths 4, 8 and 16, loaded and stored, by a trailing
+// layout the core tells apart — one address, ascending, neither — and three
+// that fault (one lane outside the buffer, one address outside every
+// allocation, one lane whose high address word alone differs), at widths 4, 8 and 16, loaded and stored, by a trailing
 // partial warp (a 20-thread CTA) and by exec masks with holes, on the core
 // and on the lane-by-lane reference interpreter. Registers, the buffer,
 // KernelStats and the fault must be identical; the faulting layouts must
