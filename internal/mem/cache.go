@@ -19,9 +19,6 @@ type Cache struct {
 	// tags holds each set's ways in recency order, most recent first:
 	// [set*ways+age] line address; ^uint64(0) = invalid.
 	tags []uint64
-	// mru is the line the last hit or allocation touched — first in its
-	// set until another line of that set is touched — or ^0 after a flush.
-	mru uint64
 
 	Stats CacheStats
 }
@@ -79,17 +76,10 @@ func (c *Cache) LineBytes() uint64 { return c.lineBytes }
 // stores are write-through and do not allocate.
 //
 // A set keeps its lines in recency order, so a hit moves its line to the
-// front and an allocation evicts the last. A lookup of the line the last
-// hit or allocation touched is a hit that changes only the statistics:
-// that line is already first in its set. Sectored traffic makes it common
-// — a 128-byte line holds four of the coalescer's 32-byte lines.
+// front and an allocation evicts the last.
 func (c *Cache) Access(addr uint64, store bool) bool {
 	c.Stats.Accesses++
 	line := addr &^ (c.lineBytes - 1)
-	if line == c.mru {
-		c.Stats.Hits++
-		return true
-	}
 	base := int(addr>>c.lineShift&uint64(c.sets-1)) * c.ways
 	set := c.tags[base : base+c.ways]
 	age := slices.Index(set, line)
@@ -110,7 +100,6 @@ func (c *Cache) Access(addr uint64, store bool) bool {
 	}
 	copy(set[1:age+1], set[:age])
 	set[0] = line
-	c.mru = line
 	return hit
 }
 
@@ -119,7 +108,6 @@ func (c *Cache) Invalidate() {
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
 	}
-	c.mru = ^uint64(0)
 }
 
 // Reset returns the cache to its state after NewCache: cold, zero stats.

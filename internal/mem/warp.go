@@ -74,7 +74,6 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 	// warps touch one or two pages, so most lanes skip the page-table lock
 	// entirely, and a single-page warp never takes it.
 	w := uint64(op.Width)
-	r0 := op.Rows[0]
 	var zeros [16]byte
 	for m, i := lanes, 0; i < moves; m, i = m&(m-1), i+1 {
 		l := lane(m)
@@ -105,12 +104,6 @@ func (g *Global) AccessWarp(op *WarpOp) (int, error) {
 			}
 		}
 		switch {
-		case w == 4 && op.Store:
-			binary.LittleEndian.PutUint32(page[off:], r0[l])
-		case w == 4 && page == nil:
-			r0[l] = 0
-		case w == 4:
-			r0[l] = binary.LittleEndian.Uint32(page[off:])
 		case op.Store:
 			op.pack(l, page[off:off+w])
 		case page == nil:

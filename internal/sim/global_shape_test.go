@@ -88,10 +88,25 @@ const (
 
 var layoutNames = [...]string{"uniform", "contiguous", "scattered", "descending", "fault-lane9", "outside", "high-word-lane9"}
 
+// shapeOffset is the buffer offset of lane l's nbytes-byte access under one
+// of the layouts that do not fault.
+func shapeOffset(layout, l, nbytes int) int {
+	switch layout {
+	case layoutContiguous:
+		return l * nbytes
+	case layoutScattered:
+		return 7 * l % 32 * nbytes
+	case layoutDescending:
+		return (31 - l) * nbytes
+	}
+	return 48
+}
+
 // shapeKernel is a kernel whose lanes of the exec pattern (bit l for lane
 // l) load or store width bytes at the buffer plus their layout's offset:
-// a load into R16.., preset to markers, a store from R8.., set per lane.
-func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass.Program {
+// a load into dst.. (R16.. are preset to markers; RZ discards its first
+// word and sends the next ones to R0..), a store from R8.., set per lane.
+func shapeKernel(layout int, width sass.Width, store bool, dst uint8, pattern uint32) *sass.Program {
 	r, imm := sass.R, sass.Imm
 	k := &sass.Kernel{Name: "shape", NumRegs: 24, Labels: map[string]int{}}
 	arg := k.AddParam("buf", 8)
@@ -160,7 +175,7 @@ func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass
 	if store {
 		access.Op, access.Srcs = sass.OpST, []sass.Operand{sass.Mem(6, 0), r(8)}
 	} else {
-		access.Op, access.Dsts, access.Srcs = sass.OpLD, []sass.Operand{r(16)}, []sass.Operand{sass.Mem(6, 0)}
+		access.Op, access.Dsts, access.Srcs = sass.OpLD, []sass.Operand{r(dst)}, []sass.Operand{sass.Mem(6, 0)}
 	}
 	k.Instrs = append(ins, access, sass.New(sass.OpEXIT, nil, nil))
 	prog := sass.NewProgram()
@@ -171,7 +186,8 @@ func shapeKernel(layout int, width sass.Width, store bool, pattern uint32) *sass
 // TestGlobalShapesMatchReference runs warp global accesses of every address
 // layout the core tells apart — one address, ascending, neither — and three
 // that fault (one lane outside the buffer, one address outside every
-// allocation, one lane whose high address word alone differs), at widths 4, 8 and 16, loaded and stored, by a trailing
+// allocation, one lane whose high address word alone differs), at widths
+// 1, 2, 4, 8 and 16, loaded into R16 or RZ and stored, by a trailing
 // partial warp (a 20-thread CTA) and by exec masks with holes, on the core
 // and on the lane-by-lane reference interpreter. Registers, the buffer,
 // KernelStats and the fault must be identical; the faulting layouts must
@@ -186,13 +202,22 @@ func TestGlobalShapesMatchReference(t *testing.T) {
 		{"holes", 32, 0xa5f0_3e96},
 		{"partial-warp-holes", 20, 0x000f_0ef6},
 	}
+	accesses := []struct {
+		name  string
+		store bool
+		dst   uint8
+	}{
+		{"load", false, 16},
+		{"load-rz", false, sass.RZ},
+		{"store", true, 0},
+	}
 	for layout, lname := range layoutNames {
-		for _, width := range []sass.Width{sass.W32, sass.W64, sass.W128} {
-			for _, store := range []bool{false, true} {
+		for _, width := range []sass.Width{sass.W8, sass.W16, sass.W32, sass.W64, sass.W128} {
+			for _, a := range accesses {
 				for _, m := range masks {
-					name := fmt.Sprintf("%s/%dB/store=%v/%s", lname, width.Bytes(), store, m.name)
+					name := fmt.Sprintf("%s/%dB/%s/%s", lname, width.Bytes(), a.name, m.name)
 					t.Run(name, func(t *testing.T) {
-						prog := shapeKernel(layout, width, store, m.pattern)
+						prog := shapeKernel(layout, width, a.store, a.dst, m.pattern)
 						got := runShape(t, false, prog, m.threads)
 						want := runShape(t, true, prog, m.threads)
 						var gotF, wantF *mem.Fault
@@ -214,6 +239,16 @@ func TestGlobalShapesMatchReference(t *testing.T) {
 						}
 						if !reflect.DeepEqual(got.stats, want.stats) {
 							t.Errorf("stats %+v, reference %+v", got.stats, want.stats)
+						}
+						if a.dst != sass.RZ || width != sass.W64 || gotF != nil {
+							return
+						}
+						// RZ discards the first word; R0 receives the second.
+						for l := range m.threads {
+							off := shapeOffset(layout, l, 8) + 4
+							if v := binary.LittleEndian.Uint32(got.memory[off:]); m.pattern>>l&1 != 0 && got.regs[l] != v {
+								t.Errorf("lane %d: R0 %#x, want the second word %#x", l, got.regs[l], v)
+							}
 						}
 					})
 				}
