@@ -11,7 +11,9 @@ import (
 // warpHarness executes a hand-assembled instruction sequence on a single
 // 32-lane warp and returns the chosen registers of every lane, observed by
 // storing them to global memory in an epilogue. The harness reserves
-// R40-R47 for its own prologue/epilogue; test code may use R0-R39. Every
+// R40-R47 for its own prologue/epilogue; test code may use R0-R39. Inputs,
+// when given, are loaded lane by lane into their registers before the
+// sequence runs. Every
 // sequence runs on the default core and on the reference interpreter, and
 // the two must agree, so each instruction-semantics test also pins the
 // predecoded class of what it exercises to the interpreter's case.
@@ -19,13 +21,21 @@ type warpHarness struct {
 	instrs  []sass.Instruction
 	labels  map[string]int
 	outRegs []uint8
+	inputs  []laneInput
 	threads int // defaults to 32
+}
+
+// laneInput sets register reg of lane l to v[l] before the sequence runs.
+type laneInput struct {
+	reg uint8
+	v   [32]uint32
 }
 
 const (
 	hOut = 40 // R40/R41: output pointer
 	hTid = 42
 	hTmp = 43
+	hIn  = 44 // R44/R45: input pointer
 )
 
 func (h *warpHarness) run(t *testing.T) [][]uint32 {
@@ -35,8 +45,27 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 	}
 	k := &sass.Kernel{Name: "t", Labels: map[string]int{}}
 	outOff := k.AddParam("out", 8)
+	nin := len(h.inputs)
+	if nin > 0 {
+		inOff := k.AddParam("in", 8)
+		k.Instrs = append(k.Instrs,
+			sass.New(sass.OpMOV, []sass.Operand{sass.R(hIn)}, []sass.Operand{sass.CMem(0, int64(inOff))}),
+			sass.New(sass.OpMOV, []sass.Operand{sass.R(hIn + 1)}, []sass.Operand{sass.CMem(0, int64(inOff+4))}),
+			sass.New(sass.OpS2R, []sass.Operand{sass.R(hTid)}, []sass.Operand{sass.SReg(sass.SRTidX)}),
+			sass.New(sass.OpMOV32, []sass.Operand{sass.R(hTmp)}, []sass.Operand{sass.Imm(int64(4 * nin))}),
+			sass.New(sass.OpIMUL, []sass.Operand{sass.R(hTid)}, []sass.Operand{sass.R(hTid), sass.R(hTmp)}),
+			sass.Instruction{Guard: sass.Always, Op: sass.OpIADD, Mods: sass.Mods{SetCC: true},
+				Dsts: []sass.Operand{sass.R(hIn)}, Srcs: []sass.Operand{sass.R(hIn), sass.R(hTid)}},
+			sass.Instruction{Guard: sass.Always, Op: sass.OpIADD, Mods: sass.Mods{X: true},
+				Dsts: []sass.Operand{sass.R(hIn + 1)}, Srcs: []sass.Operand{sass.R(hIn + 1), sass.R(sass.RZ)}})
+		for i, in := range h.inputs {
+			k.Instrs = append(k.Instrs, sass.Instruction{Guard: sass.Always, Op: sass.OpLDG,
+				Mods: sass.Mods{E: true}, Dsts: []sass.Operand{sass.R(in.reg)},
+				Srcs: []sass.Operand{sass.Mem(hIn, int64(4*i))}})
+		}
+	}
 	for name, idx := range h.labels {
-		k.Labels[name] = idx
+		k.Labels[name] = len(k.Instrs) + idx
 	}
 	k.Instrs = append(k.Instrs, h.instrs...)
 	epiStart := len(k.Instrs)
@@ -76,9 +105,20 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 	launch := func(cfg sim.Config) [][]uint32 {
 		dev := sim.NewDevice(cfg)
 		out := dev.Alloc(uint64(4*nout*h.threads), "out")
+		args := []uint64{out}
+		if nin > 0 {
+			in := dev.Alloc(uint64(4*nin*h.threads), "in")
+			for lane := 0; lane < h.threads; lane++ {
+				for i := range h.inputs {
+					if err := dev.Global.Write32(in+uint64(4*(lane*nin+i)), h.inputs[i].v[lane]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			args = append(args, in)
+		}
 		_, err := dev.Launch(prog, "t", sim.LaunchParams{
-			Grid: sim.D1(1), Block: sim.D1(h.threads),
-			Args: []uint64{out},
+			Grid: sim.D1(1), Block: sim.D1(h.threads), Args: args,
 		})
 		if err != nil {
 			t.Fatalf("launch: %v", err)
