@@ -10,12 +10,13 @@ import (
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
 // Oracle runs one generated kernel through the full differential matrix.
 type Oracle struct {
-	// Cfg is the device model; SequentialSMs and ReferenceInterpreter are
-	// overridden per launch.
+	// Cfg is the device model; SequentialSMs is overridden per launch, and
+	// the reference cells install package simref's interpreter.
 	Cfg sim.Config
 	// Tools are the instrumentation configurations checked for
 	// transparency (default: Tools()).
@@ -271,10 +272,12 @@ type instrumentedSpec struct {
 func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 	cell coreCell, build string) (*RunState, error) {
 	cfg := o.Cfg
-	cfg.ReferenceInterpreter = cell.reference
 	cfg.SequentialSMs = cell.sequential
 	ctx := cuda.NewContext(cfg)
 	dev := ctx.Device()
+	if cell.reference {
+		simref.Install(dev)
+	}
 	reg := obs.NewRegistry()
 	dev.Metrics = reg
 

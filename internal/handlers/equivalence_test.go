@@ -14,6 +14,7 @@ import (
 	"sassi/internal/ptxas"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 	"sassi/internal/workloads"
 )
 
@@ -74,8 +75,11 @@ func goldenRun(t *testing.T, program string, c core, tool goldenTool) string {
 		t.Fatalf("compile: %v", err)
 	}
 	cfg := sim.KeplerK10()
-	cfg.ReferenceInterpreter, cfg.SequentialSMs = c.reference, c.sequentialSMs
+	cfg.SequentialSMs = c.sequentialSMs
 	ctx := cuda.NewContext(cfg)
+	if c.reference {
+		simref.Install(ctx.Device())
+	}
 	var launches []string
 	ctx.Subscribe(cuda.LaunchCallbacks{PostLaunch: func(_ string, _ int, s *sim.KernelStats, _ error) {
 		if s != nil {

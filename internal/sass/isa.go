@@ -104,6 +104,50 @@ var opNames = [...]string{
 	OpVOTE: "VOTE", OpSHFL: "SHFL",
 }
 
+// operandCounts is the fewest destination and source operands each
+// opcode's every form has (the forms in the opcode comments above): the
+// operands the simulator reads unconditionally. Optional trailing operands
+// — a SETP's complement destination and combine predicate, the min/max
+// selector, CAS's swap value, an atomic's destination, SHFL's clamp — are
+// not counted.
+var operandCounts = [opCount]struct{ dsts, srcs uint8 }{
+	OpIADD: {1, 2}, OpIADD32: {1, 2}, OpIMUL: {1, 2}, OpIMAD: {1, 3},
+	OpISCADD: {1, 3}, OpISETP: {1, 2}, OpIMNMX: {1, 2}, OpLOP: {1, 2},
+	OpSHL: {1, 2}, OpSHR: {1, 2}, OpBFE: {1, 2}, OpBFI: {1, 3}, OpFLO: {1, 1},
+	OpPOPC: {1, 1}, OpSEL: {1, 3}, OpMOV: {1, 1}, OpMOV32: {1, 1},
+	OpS2R: {1, 1}, OpP2R: {1, 2}, OpR2P: {0, 2}, OpPSETP: {1, 2},
+	OpFADD: {1, 2}, OpFMUL: {1, 2}, OpFFMA: {1, 3}, OpFSETP: {1, 2},
+	OpFMNMX: {1, 2}, OpMUFU: {1, 1}, OpF2I: {1, 1}, OpI2F: {1, 1}, OpF2F: {1, 1},
+	OpLD: {1, 1}, OpST: {0, 2}, OpLDG: {1, 1}, OpSTG: {0, 2}, OpLDL: {1, 1},
+	OpSTL: {0, 2}, OpLDS: {1, 1}, OpSTS: {0, 2}, OpLDC: {1, 1},
+	OpATOM: {0, 2}, OpATOMS: {0, 2}, OpRED: {0, 2}, OpTLD: {1, 1},
+	OpBRA: {0, 1}, OpSSY: {0, 1}, OpPBK: {0, 1}, OpCAL: {0, 1}, OpJCAL: {0, 1},
+	OpVOTE: {1, 1}, OpSHFL: {2, 2},
+}
+
+// MinOperands returns the fewest destination and source operands every
+// form of the opcode has; o must be defined.
+func (o Opcode) MinOperands() (dsts, srcs int) {
+	n := operandCounts[o]
+	return int(n.dsts), int(n.srcs)
+}
+
+// CheckOperands reports an opcode outside the ISA, or an instruction with
+// fewer operands than every form of its opcode has.
+func (in *Instruction) CheckOperands() error {
+	if in.Op >= opCount {
+		return fmt.Errorf("bad opcode %d", in.Op)
+	}
+	dsts, srcs := in.Op.MinOperands()
+	if len(in.Dsts) < dsts {
+		return fmt.Errorf("%s has %d destination operands, needs %d", in.Op, len(in.Dsts), dsts)
+	}
+	if len(in.Srcs) < srcs {
+		return fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), srcs)
+	}
+	return nil
+}
+
 // String returns the SASS mnemonic for the opcode.
 func (o Opcode) String() string {
 	if int(o) < len(opNames) && opNames[o] != "" {

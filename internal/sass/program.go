@@ -232,8 +232,8 @@ func (k *Kernel) Validate() error {
 		if in.Op == OpEXIT {
 			sawExit = true
 		}
-		if in.Op >= opCount {
-			return fmt.Errorf("kernel %s@%d: bad opcode %d", k.Name, i, in.Op)
+		if err := in.CheckOperands(); err != nil {
+			return fmt.Errorf("kernel %s@%d: %v", k.Name, i, err)
 		}
 		for _, o := range append(append([]Operand{}, in.Dsts...), in.Srcs...) {
 			switch o.Kind {

@@ -17,6 +17,7 @@ import (
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
 // cores is the execution axis of the failure tests. The names predate the
@@ -118,8 +119,11 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 		for _, core := range cores {
 			t.Run(tc.name+"/"+core.name, func(t *testing.T) {
 				cfg := sim.KeplerK10()
-				cfg.ReferenceInterpreter, cfg.SequentialSMs = core.reference, core.sequentialSMs
+				cfg.SequentialSMs = core.sequentialSMs
 				ctx := cuda.NewContext(cfg)
+				if core.reference {
+					simref.Install(ctx.Device())
+				}
 				prog := storeKernel(t)
 				buf := ctx.Malloc(4*32*storeCTAs, "out")
 

@@ -433,10 +433,8 @@ func TestALUSemanticsGolden(t *testing.T) {
 	}
 	for _, c := range aluFaultCases() {
 		h := c.harness()
-		core := h.runErr(t, sim.MiniGPU())
-		ref := sim.MiniGPU()
-		ref.ReferenceInterpreter = true
-		want := h.runErr(t, ref)
+		core := h.runErr(t, sim.NewDevice(sim.MiniGPU()))
+		want := h.runErr(t, refDevice(sim.MiniGPU()))
 		if fmt.Sprint(core) != fmt.Sprint(want) {
 			t.Fatalf("%s: default core fails with %v, reference with %v", c.name, core, want)
 		}

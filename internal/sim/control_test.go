@@ -261,7 +261,7 @@ func TestWatchdogHang(t *testing.T) {
 		labels: map[string]int{"spin": 0},
 		instrs: []sass.Instruction{bra("spin")},
 	}
-	err := h.runErr(t, cfg)
+	err := h.runErr(t, sim.NewDevice(cfg))
 	ke, ok := err.(*sim.KernelError)
 	if !ok || ke.Kind != sim.ErrHang {
 		t.Fatalf("err = %v, want hang", err)
@@ -278,7 +278,7 @@ func TestMemFaultKillsKernel(t *testing.T) {
 				Srcs: []sass.Operand{sass.Mem(0, 0), sass.R(2)}},
 		},
 	}
-	err := h.runErr(t, sim.MiniGPU())
+	err := h.runErr(t, sim.NewDevice(sim.MiniGPU()))
 	ke, ok := err.(*sim.KernelError)
 	if !ok || ke.Kind != sim.ErrMemFault {
 		t.Fatalf("err = %v, want memory fault", err)
@@ -295,7 +295,7 @@ func TestDivergentBarrierIsError(t *testing.T) {
 			guarded(sass.New(sass.OpBAR, nil, nil), 0, false), // divergent barrier
 		},
 	}
-	err := h.runErr(t, sim.MiniGPU())
+	err := h.runErr(t, sim.NewDevice(sim.MiniGPU()))
 	if err == nil {
 		t.Fatal("divergent barrier accepted")
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 
 	"sassi/internal/mem"
@@ -45,6 +44,9 @@ type engine struct {
 	samp        *pcsamp.LaunchSamples
 	sampPeriod  uint64
 	warpsPerCTA int
+
+	// src is srcU32, bound once per launch for Device.Reference.
+	src SrcReader
 }
 
 // smShard is one SM's private slice of the launch state: its view of the
@@ -111,6 +113,8 @@ func (e *engine) cbRead32(off int64) (uint32, error) {
 }
 
 // srcU32 evaluates a scalar source operand for one thread.
+// An operand kind that is no value, or a constant-bank word past the bank,
+// is an error.
 func (e *engine) srcU32(t *Thread, o sass.Operand) (uint32, error) {
 	switch o.Kind {
 	case sass.OpdReg:
@@ -171,8 +175,10 @@ func (e *engine) readSR(t *Thread, sr sass.SpecialReg) uint32 {
 	return 0
 }
 
-// step executes one instruction for warp w. It returns an error only for
-// fatal kernel conditions (fault, hang, invalid op).
+// step executes one instruction for warp w from its sass.Instruction: the
+// reference interpreter's issue loop, which runs when a Device.Reference
+// is installed. It returns an error only for fatal kernel conditions
+// (fault, hang, invalid op).
 func (e *engine) step(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
@@ -242,18 +248,14 @@ func (e *engine) step(w *Warp) error {
 // execOp dispatches one instruction's operation, already past guard
 // evaluation and issue accounting. It returns whether the PC advances
 // sequentially and the final issue cost (the static cost plus any dynamic
-// memory or handler charge). Both the classic interpreter (step) and the
-// predecoded engine's fallback path (stepPre) funnel through it, so
-// delegated operations cannot diverge between engines.
+// memory or handler charge). The reference loop (step) runs every
+// instruction through it and the core (stepPre) the pcGeneric ones — the
+// warp-level operations — so those cannot diverge between the two.
 func (e *engine) execOp(w *Warp, in *sass.Instruction, exec uint32, cost int) (bool, int, error) {
 	advance := true
 	var err error
 	switch in.Op {
-	case sass.OpNOP, sass.OpF2F:
-		// F2F is a conversion that is value-preserving at our precision.
-		if in.Op == sass.OpF2F && exec != 0 {
-			err = e.unary(w, in, exec, func(a uint32) uint32 { return a })
-		}
+	case sass.OpNOP:
 
 	case sass.OpBRA:
 		advance = false
@@ -324,7 +326,12 @@ func (e *engine) execOp(w *Warp, in *sass.Instruction, exec uint32, cost int) (b
 		err = e.execShfl(w, in, exec)
 
 	default:
-		err = e.execALU(w, in, exec)
+		// ALU and SETP: the core's row kernels run them (stepPre), the
+		// reference loop Device.Reference.
+		if e.dev.Reference == nil {
+			return false, cost, fmt.Errorf("opcode %s not implemented", in.Op)
+		}
+		err = e.dev.Reference(w, in, exec, e.src)
 	}
 	return advance, cost, err
 }
@@ -473,563 +480,6 @@ func (e *engine) execShfl(w *Warp, in *sass.Instruction, exec uint32) error {
 			w.Thread(l).WritePred(pd.Reg, valid[l])
 		}
 	})
-	return nil
-}
-
-// unary applies f to src0 for each executing lane.
-func (e *engine) unary(w *Warp, in *sass.Instruction, exec uint32, f func(uint32) uint32) error {
-	var err error
-	Lanes(exec, func(l int) {
-		t := w.Thread(l)
-		a, e2 := e.srcU32(t, in.Srcs[0])
-		if e2 != nil {
-			err = e2
-			return
-		}
-		t.WriteReg(in.Dsts[0].Reg, f(a))
-	})
-	return err
-}
-
-// execALU handles the arithmetic/logic/move family per lane.
-func (e *engine) execALU(w *Warp, in *sass.Instruction, exec uint32) error {
-	var err error
-	Lanes(exec, func(l int) {
-		if err != nil {
-			return
-		}
-		err = e.execALULane(w.Thread(l), in)
-	})
-	return err
-}
-
-func (e *engine) execALULane(t *Thread, in *sass.Instruction) error {
-	get := func(i int) (uint32, error) {
-		if i >= len(in.Srcs) {
-			return 0, fmt.Errorf("%s: missing source %d", in.Op, i)
-		}
-		return e.srcU32(t, in.Srcs[i])
-	}
-	put := func(v uint32) {
-		t.WriteReg(in.Dsts[0].Reg, v)
-	}
-	switch in.Op {
-	case sass.OpIADD, sass.OpIADD32:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		if in.Mods.NegB {
-			b = -b
-		}
-		sum := uint64(a) + uint64(b)
-		if in.Mods.X && t.ReadCC()&CCCarry != 0 {
-			sum++
-		}
-		r := uint32(sum)
-		if in.Mods.SetCC {
-			cc := uint8(0)
-			if r == 0 {
-				cc |= CCZero
-			}
-			if int32(r) < 0 {
-				cc |= CCSign
-			}
-			if sum>>32 != 0 {
-				cc |= CCCarry
-			}
-			if (a^b)&0x8000_0000 == 0 && (a^r)&0x8000_0000 != 0 {
-				cc |= CCOvf
-			}
-			t.WriteCC(cc)
-		}
-		put(r)
-
-	case sass.OpIMUL:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		put(a * b)
-
-	case sass.OpIMAD:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		c, err := get(2)
-		if err != nil {
-			return err
-		}
-		put(a*b + c)
-
-	case sass.OpISCADD:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		sh, err := get(2)
-		if err != nil {
-			return err
-		}
-		put((a << (sh & 31)) + b)
-
-	case sass.OpISETP:
-		return e.execSetp(t, in, false)
-
-	case sass.OpFSETP:
-		return e.execSetp(t, in, true)
-
-	case sass.OpIMNMX:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		takeMin := true
-		if len(in.Srcs) > 2 && in.Srcs[2].Kind == sass.OpdPred {
-			takeMin = t.guardPasses(in.Srcs[2].Reg, in.Srcs[2].Neg)
-		}
-		var r uint32
-		if in.Mods.Unsigned {
-			if (a < b) == takeMin {
-				r = a
-			} else {
-				r = b
-			}
-		} else {
-			if (i32(a) < i32(b)) == takeMin {
-				r = a
-			} else {
-				r = b
-			}
-		}
-		put(r)
-
-	case sass.OpLOP:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		switch in.Mods.Logic {
-		case sass.LogicAND:
-			put(a & b)
-		case sass.LogicOR:
-			put(a | b)
-		case sass.LogicXOR:
-			put(a ^ b)
-		case sass.LogicPASS:
-			put(b)
-		case sass.LogicNOT:
-			put(^b)
-		}
-
-	case sass.OpSHL:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		if b >= 32 {
-			put(0)
-		} else {
-			put(a << b)
-		}
-
-	case sass.OpSHR:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		if in.Mods.Unsigned {
-			if b >= 32 {
-				put(0)
-			} else {
-				put(a >> b)
-			}
-		} else {
-			if b >= 32 {
-				b = 31
-			}
-			put(u32(i32(a) >> b))
-		}
-
-	case sass.OpBFE:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		pos := b & 0xff
-		n := (b >> 8) & 0xff
-		if n == 0 {
-			put(0)
-			break
-		}
-		if pos > 31 {
-			pos = 31
-		}
-		if pos+n > 32 {
-			n = 32 - pos
-		}
-		v := a >> pos
-		if n < 32 {
-			v &= (1 << n) - 1
-		}
-		if !in.Mods.Unsigned && n < 32 && v&(1<<(n-1)) != 0 {
-			v |= ^uint32(0) << n
-		}
-		put(v)
-
-	case sass.OpBFI:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		c, err := get(2)
-		if err != nil {
-			return err
-		}
-		pos := b & 0xff
-		n := (b >> 8) & 0xff
-		if pos > 31 {
-			pos = 31
-		}
-		if pos+n > 32 {
-			n = 32 - pos
-		}
-		maskv := uint32(0)
-		if n > 0 {
-			maskv = ((1 << n) - 1) << pos
-		}
-		put((c &^ maskv) | ((a << pos) & maskv))
-
-	case sass.OpFLO:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		if a == 0 {
-			put(^uint32(0))
-		} else {
-			put(uint32(31 - bits.LeadingZeros32(a)))
-		}
-
-	case sass.OpPOPC:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		put(uint32(bits.OnesCount32(a)))
-
-	case sass.OpSEL:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		sel := in.Srcs[2]
-		if t.guardPasses(sel.Reg, sel.Neg) {
-			put(a)
-		} else {
-			put(b)
-		}
-
-	case sass.OpMOV, sass.OpMOV32:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		put(a)
-
-	case sass.OpS2R:
-		put(e.readSR(t, in.Srcs[0].SR))
-
-	case sass.OpP2R:
-		// P2R moves the predicate file (or, with .X, the condition code)
-		// into a GPR under a mask; SASSI's spill sequences rely on it.
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		maskv, err := get(1)
-		if err != nil {
-			return err
-		}
-		src := uint32(t.PredBits())
-		if in.Mods.X {
-			src = uint32(t.ReadCC())
-		}
-		put((a &^ maskv) | (src & maskv))
-
-	case sass.OpR2P:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		maskv, err := get(1)
-		if err != nil {
-			return err
-		}
-		if in.Mods.X {
-			t.WriteCC((t.ReadCC() &^ uint8(maskv)) | (uint8(a) & uint8(maskv&0xf)))
-			break
-		}
-		// PT (bit 7) is not writable.
-		maskv &= 0x7f
-		t.SetPredBits((t.PredBits() &^ uint8(maskv)) | (uint8(a) & uint8(maskv)))
-
-	case sass.OpPSETP:
-		pa := in.Srcs[0]
-		pb := in.Srcs[1]
-		a := t.guardPasses(pa.Reg, pa.Neg)
-		b := t.guardPasses(pb.Reg, pb.Neg)
-		var v bool
-		switch in.Mods.Logic {
-		case sass.LogicAND:
-			v = a && b
-		case sass.LogicOR:
-			v = a || b
-		case sass.LogicXOR:
-			v = a != b
-		default:
-			v = a
-		}
-		t.WritePred(in.Dsts[0].Reg, v)
-
-	case sass.OpFADD:
-		return e.fbinop(t, in, func(a, b float32) float32 { return a + b })
-	case sass.OpFMUL:
-		return e.fbinop(t, in, func(a, b float32) float32 { return a * b })
-	case sass.OpFFMA:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		c, err := get(2)
-		if err != nil {
-			return err
-		}
-		put(f32b(f32(a)*f32(b) + f32(c)))
-	case sass.OpFMNMX:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		b, err := get(1)
-		if err != nil {
-			return err
-		}
-		takeMin := true
-		if len(in.Srcs) > 2 && in.Srcs[2].Kind == sass.OpdPred {
-			takeMin = t.guardPasses(in.Srcs[2].Reg, in.Srcs[2].Neg)
-		}
-		fa, fb := f32(a), f32(b)
-		if (fa < fb) == takeMin {
-			put(a)
-		} else {
-			put(b)
-		}
-
-	case sass.OpMUFU:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		x := float64(f32(a))
-		var r float64
-		switch in.Mods.Mufu {
-		case sass.MufuRCP:
-			r = 1 / x
-		case sass.MufuRSQ:
-			r = 1 / math.Sqrt(x)
-		case sass.MufuSQRT:
-			r = math.Sqrt(x)
-		case sass.MufuSIN:
-			r = math.Sin(x)
-		case sass.MufuCOS:
-			r = math.Cos(x)
-		case sass.MufuEX2:
-			r = math.Exp2(x)
-		case sass.MufuLG2:
-			r = math.Log2(x)
-		}
-		put(f32b(float32(r)))
-
-	case sass.OpF2I:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		f := f32(a)
-		switch {
-		case math.IsNaN(float64(f)):
-			put(0)
-		case f >= math.MaxInt32:
-			put(u32(math.MaxInt32))
-		case f <= math.MinInt32:
-			put(u32(math.MinInt32))
-		default:
-			put(u32(int32(f)))
-		}
-
-	case sass.OpI2F:
-		a, err := get(0)
-		if err != nil {
-			return err
-		}
-		if in.Mods.Unsigned {
-			put(f32b(float32(a)))
-		} else {
-			put(f32b(float32(i32(a))))
-		}
-
-	default:
-		return fmt.Errorf("opcode %s not implemented", in.Op)
-	}
-	return nil
-}
-
-func (e *engine) fbinop(t *Thread, in *sass.Instruction, f func(a, b float32) float32) error {
-	a, err := e.srcU32(t, in.Srcs[0])
-	if err != nil {
-		return err
-	}
-	b, err := e.srcU32(t, in.Srcs[1])
-	if err != nil {
-		return err
-	}
-	fb := f32(b)
-	if in.Mods.NegB {
-		fb = -fb
-	}
-	t.WriteReg(in.Dsts[0].Reg, f32b(f(f32(a), fb)))
-	return nil
-}
-
-// execSetp implements ISETP/FSETP: Pd = (a cmp b) LOGIC Pc, and optionally
-// Pq = !(a cmp b) LOGIC Pc.
-func (e *engine) execSetp(t *Thread, in *sass.Instruction, float bool) error {
-	a, err := e.srcU32(t, in.Srcs[0])
-	if err != nil {
-		return err
-	}
-	b, err := e.srcU32(t, in.Srcs[1])
-	if err != nil {
-		return err
-	}
-	var cmp bool
-	if float {
-		fa, fb := f32(a), f32(b)
-		switch in.Mods.Cmp {
-		case sass.CmpLT:
-			cmp = fa < fb
-		case sass.CmpLE:
-			cmp = fa <= fb
-		case sass.CmpGT:
-			cmp = fa > fb
-		case sass.CmpGE:
-			cmp = fa >= fb
-		case sass.CmpEQ:
-			cmp = fa == fb
-		case sass.CmpNE:
-			cmp = fa != fb
-		}
-	} else if in.Mods.Unsigned {
-		switch in.Mods.Cmp {
-		case sass.CmpLT:
-			cmp = a < b
-		case sass.CmpLE:
-			cmp = a <= b
-		case sass.CmpGT:
-			cmp = a > b
-		case sass.CmpGE:
-			cmp = a >= b
-		case sass.CmpEQ:
-			cmp = a == b
-		case sass.CmpNE:
-			cmp = a != b
-		}
-	} else {
-		sa, sb := i32(a), i32(b)
-		switch in.Mods.Cmp {
-		case sass.CmpLT:
-			cmp = sa < sb
-		case sass.CmpLE:
-			cmp = sa <= sb
-		case sass.CmpGT:
-			cmp = sa > sb
-		case sass.CmpGE:
-			cmp = sa >= sb
-		case sass.CmpEQ:
-			cmp = sa == sb
-		case sass.CmpNE:
-			cmp = sa != sb
-		}
-	}
-	c := true
-	if len(in.Srcs) > 2 && in.Srcs[2].Kind == sass.OpdPred {
-		c = t.guardPasses(in.Srcs[2].Reg, in.Srcs[2].Neg)
-	}
-	combine := func(x bool) bool {
-		switch in.Mods.Logic {
-		case sass.LogicAND:
-			return x && c
-		case sass.LogicOR:
-			return x || c
-		case sass.LogicXOR:
-			return x != c
-		}
-		return x
-	}
-	t.WritePred(in.Dsts[0].Reg, combine(cmp))
-	if len(in.Dsts) > 1 && in.Dsts[1].Kind == sass.OpdPred {
-		t.WritePred(in.Dsts[1].Reg, combine(!cmp))
-	}
 	return nil
 }
 

@@ -90,6 +90,10 @@ func (e *engine) stepPre(w *Warp) error {
 		code := e.codeOf(w.CTA)
 		err = e.callHandler(w, code, code.handlerIDs[p.target], pre.syms[p.target])
 		cost += e.dev.Cfg.HandlerBodyCost
+	case p.class == pcFault:
+		if exec != 0 {
+			err = e.srcFault(w, &pre.k.Instrs[pcIdx], exec)
+		}
 	default: // pcSYNC
 		advance = false
 		if !w.popToNonEmpty() {
@@ -130,6 +134,19 @@ func (w *Warp) scoreboardPre(p *preInstr, cost int) (stall uint64) {
 		w.readyAt[d] = retire
 	}
 	return stall
+}
+
+// srcFault returns the error the first lane of exec meets reading in's
+// value sources in order — what an ALU instruction of class pcFault fails
+// with before it writes anything.
+func (e *engine) srcFault(w *Warp, in *sass.Instruction, exec uint32) error {
+	t := &w.threads[lane(exec)]
+	for _, o := range in.Srcs[:valueSrcs(in.Op)] {
+		if _, err := e.srcU32(t, o); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // zeroRow is what RZ reads in every lane.
@@ -215,7 +232,7 @@ func (w *Warp) dstRow(r uint8, sink *[WarpSize]uint32) *[WarpSize]uint32 {
 // d[l] = op(a[l], b[l], c[l]) for each lane l of exec, a predicate selector
 // reading as c[l] != 0. The class and modifier switches sit outside the
 // lane loops. It is the core's one statement of these classes' semantics;
-// the reference interpreter's execALULane is the independent other.
+// package simref's lane interpreter is the independent other.
 func aluRow(p *preInstr, exec uint32, a, b, c opnd, d *[WarpSize]uint32) {
 	switch p.class {
 	case pcMOV:
@@ -308,21 +325,21 @@ func aluRow(p *preInstr, exec uint32, a, b, c opnd, d *[WarpSize]uint32) {
 		neg := p.negB
 		for m := exec; m != 0; m &= m - 1 {
 			l := lane(m)
-			fb := f32(b.at(l))
+			x, fb := a.at(l), f32(b.at(l))
 			if neg {
 				fb = -fb
 			}
-			d[l] = f32b(f32(a.at(l)) + fb)
+			d[l] = nanFirst(x, f32b(f32(x)+fb))
 		}
 	case pcFMUL:
 		neg := p.negB
 		for m := exec; m != 0; m &= m - 1 {
 			l := lane(m)
-			fb := f32(b.at(l))
+			x, fb := a.at(l), f32(b.at(l))
 			if neg {
 				fb = -fb
 			}
-			d[l] = f32b(f32(a.at(l)) * fb)
+			d[l] = nanFirst(x, f32b(f32(x)*fb))
 		}
 	case pcFFMA:
 		for m := exec; m != 0; m &= m - 1 {
@@ -360,7 +377,91 @@ func aluRow(p *preInstr, exec uint32, a, b, c opnd, d *[WarpSize]uint32) {
 			l := lane(m)
 			d[l] = f32b(float32(mufuEval(fn, float64(f32(a.at(l))))))
 		}
+	case pcBFE:
+		signed := !p.unsigned
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = bfe(a.at(l), b.at(l), signed)
+		}
+	case pcBFI:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			pos, n := bitField(b.at(l))
+			mask := (uint32(1)<<n - 1) << pos // all ones for n == 32
+			d[l] = c.at(l)&^mask | a.at(l)<<pos&mask
+		}
+	case pcFLO:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint32(31 - bits.LeadingZeros32(a.at(l))) // ~0 for 0
+		}
+	case pcPOPC:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			d[l] = uint32(bits.OnesCount32(a.at(l)))
+		}
+	case pcF2I:
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			f := f32(a.at(l))
+			switch {
+			case f != f: // NaN
+				d[l] = 0
+			case f >= 1<<31:
+				d[l] = math.MaxInt32
+			case f <= -1<<31:
+				d[l] = 1 << 31
+			default:
+				d[l] = u32(int32(f))
+			}
+		}
+	case pcI2F:
+		unsigned := p.unsigned
+		for m := exec; m != 0; m &= m - 1 {
+			l := lane(m)
+			x := a.at(l)
+			if unsigned {
+				d[l] = f32b(float32(x))
+			} else {
+				d[l] = f32b(float32(i32(x)))
+			}
+		}
 	}
+}
+
+// nanFirst is the result r of a float add or multiply whose first operand
+// is x: x quieted when x is a NaN, whatever the second operand is — which
+// NaN the hardware operation returns when both are depends on the operand
+// order the compiler picks, and the reference's order has x first.
+func nanFirst(x, r uint32) uint32 {
+	if x&0x7fffffff > 0x7f800000 {
+		return x | 1<<22
+	}
+	return r
+}
+
+// bitField decodes a BFE/BFI field operand, pos | len<<8: the position
+// clamped to 31 and the length to the bits left above it.
+func bitField(b uint32) (pos, n uint32) {
+	pos, n = min(b&0xff, 31), b>>8&0xff
+	return pos, min(n, 32-pos)
+}
+
+// bfe extracts the n-bit field of x at pos, sign-extending its top bit
+// when signed and the field is narrower than 32 bits; an empty field is 0.
+func bfe(x, b uint32, signed bool) uint32 {
+	pos, n := bitField(b)
+	if n == 0 {
+		return 0
+	}
+	v := x >> pos
+	if n < 32 {
+		v &= 1<<n - 1
+		if signed && v>>(n-1) != 0 {
+			v |= ^uint32(0) << n
+		}
+	}
+	return v
 }
 
 // mufuEval evaluates one special-function-unit op; an out-of-enum
@@ -477,8 +578,8 @@ func (e *engine) execPreALU(w *Warp, p *preInstr, exec uint32) {
 	}
 }
 
-// execPreIADDC is the CC-carrying IADD row kernel (execALULane's IADD case
-// with .X/.CC honored): consume the carry bit when pfX is set, and
+// execPreIADDC is the CC-carrying IADD row kernel (IADD with .X/.CC
+// honored): consume the carry bit when pfX is set, and
 // recompute the full condition code when pfSetCC is set. CC state is
 // per-lane, so there is no uniform broadcast for this class.
 func (e *engine) execPreIADDC(w *Warp, p *preInstr, exec uint32) {
@@ -520,9 +621,9 @@ func (e *engine) execPreIADDC(w *Warp, p *preInstr, exec uint32) {
 	}
 }
 
-// execPrePSETP is predicate logic (execALULane's PSETP case) on lane
-// masks: combine two source predicates and write the primary destination
-// only, as the interpreter does.
+// execPrePSETP is predicate logic on lane masks: combine two source
+// predicates and write the primary destination only; an operator outside
+// AND/OR/XOR passes the first.
 func (e *engine) execPrePSETP(w *Warp, p *preInstr, exec uint32) {
 	a := w.predMask(p.srcs[0].reg, p.srcs[0].neg)
 	b := w.predMask(p.srcs[1].reg, p.srcs[1].neg)
@@ -537,8 +638,7 @@ func (e *engine) execPrePSETP(w *Warp, p *preInstr, exec uint32) {
 	w.writePreds(p.dstP, exec, a)
 }
 
-// execPreP2R is the row kernel of both predicate/CC shuttles
-// (execALULane's P2R and R2P cases): P2R merges the predicate file — the
+// execPreP2R is the row kernel of both predicate/CC shuttles: P2R merges the predicate file — the
 // condition code with .X — into a GPR under a mask, R2P writes it back.
 func (e *engine) execPreP2R(w *Warp, p *preInstr, exec uint32) {
 	rows := &w.CTA.slab.rows

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"encoding/binary"
@@ -10,6 +10,8 @@ import (
 
 	"sassi/internal/mem"
 	"sassi/internal/sass"
+	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
 // shapeBufBytes is the global buffer a shape kernel addresses.
@@ -20,7 +22,7 @@ type shapeOutcome struct {
 	err    error
 	regs   []uint32
 	memory []byte
-	stats  KernelStats
+	stats  sim.KernelStats
 }
 
 // runShape runs prog's kernel as one CTA of threads threads with the address
@@ -30,9 +32,10 @@ type shapeOutcome struct {
 // the launch's KernelStats.
 func runShape(t *testing.T, ref bool, prog *sass.Program, threads int) shapeOutcome {
 	t.Helper()
-	cfg := MiniGPU()
-	cfg.ReferenceInterpreter = ref
-	d := NewDevice(cfg)
+	d := sim.NewDevice(sim.MiniGPU())
+	if ref {
+		simref.Install(d)
+	}
 	buf := d.Alloc(shapeBufBytes, "buf")
 	init := make([]byte, shapeBufBytes)
 	for i := range init {
@@ -41,37 +44,13 @@ func runShape(t *testing.T, ref bool, prog *sass.Program, threads int) shapeOutc
 	if err := d.Global.Write(buf, init); err != nil {
 		t.Fatal(err)
 	}
-	k := prog.Kernels[0]
-	p := LaunchParams{Grid: D1(1), Block: D1(threads), Args: []uint64{buf}}
-	e := &engine{dev: d, base: d.code(prog, k, &p)}
-	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, cfg.NumSMs), CTAs: 1, Threads: threads}
-	e.sms = make([]smShard, cfg.NumSMs)
-	for i := range e.sms {
-		e.sms[i].hier = mem.Hierarchy{
-			L1: d.L1s[i], L2: d.L2s[i], DRAM: d.DRAMs[i],
-			L1Latency: cfg.L1Latency, L2Latency: cfg.L2Latency,
-		}
-	}
-	e.cb = make([]byte, constBankSize(k))
-	binary.LittleEndian.PutUint64(e.cb[k.Params[0].Offset:], buf)
-	e.ntid = [3]uint32{uint32(threads), 1, 1}
-	e.nctaid = [3]uint32{1, 1, 1}
-	w := e.buildCTA(0, p.Grid, p.Block, 0, 0).Warps[0]
-	var out shapeOutcome
-	for !w.Done && out.err == nil {
-		if ref {
-			out.err = e.step(w)
-		} else {
-			out.err = e.stepPre(w)
-		}
-	}
-	e.finishStats()
-	out.regs = append([]uint32(nil), w.regs...)
-	out.memory = make([]byte, shapeBufBytes)
+	w, stats, err := sim.StepFirstWarp(t, d, prog, sim.LaunchParams{
+		Grid: sim.D1(1), Block: sim.D1(threads), Args: []uint64{buf},
+	})
+	out := shapeOutcome{err: err, regs: w.Regs(), stats: stats, memory: make([]byte, shapeBufBytes)}
 	if err := d.Global.Read(buf, out.memory); err != nil {
 		t.Fatal(err)
 	}
-	out.stats = *e.stats
 	return out
 }
 

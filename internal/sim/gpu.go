@@ -15,6 +15,7 @@ import (
 	"sassi/internal/mem"
 	"sassi/internal/obs"
 	"sassi/internal/obs/pcsamp"
+	"sassi/internal/sass"
 )
 
 // WarpSize is the number of threads per warp (fixed, as on NVIDIA parts).
@@ -62,14 +63,6 @@ type Config struct {
 	// is the one SM-dispatch knob, for debugging and for callers whose
 	// observers need a deterministic event order (a MemWatch forces it).
 	SequentialSMs bool
-
-	// ReferenceInterpreter makes Launch execute the kernel's
-	// sass.Instructions one at a time with the original interpreter (step)
-	// instead of the predecoded core. It exists for the equivalence oracles
-	// only — difftest, TestPredecodedBitEqualAllWorkloads and the handler
-	// goldens compare the default path against it bit for bit — runs
-	// several times slower, and is set by no CLI.
-	ReferenceInterpreter bool
 }
 
 // KeplerK10 approximates the paper's Tesla K10 G2 target (case studies
@@ -170,6 +163,14 @@ type Device struct {
 	// JCAL faults (no handlers linked). Implementations must tolerate
 	// concurrent calls from different SM goroutines.
 	Dispatcher Dispatcher
+
+	// Reference, when non-nil, makes every launch run the reference
+	// interpreter instead of the execution core: an issue loop (step) that
+	// executes each sass.Instruction as it stands, handing every ALU and
+	// SETP one to Reference. It exists for the equivalence oracles, which
+	// compare the core against it bit for bit; package simref installs it,
+	// and no product binary links that package.
+	Reference RefALU
 
 	// MemWatch, when non-nil, observes every warp-level global memory
 	// access after coalescing (trace export, §9.4 "driving other
@@ -313,6 +314,17 @@ type Dispatcher interface {
 	// concurrently from different SM goroutines.
 	Dispatch(dev *Device, w *Warp, handlerID int) error
 }
+
+// RefALU executes one ALU or SETP instruction for the lanes of exec of w,
+// reading its value sources through src. It may be invoked concurrently
+// from different SM goroutines.
+type RefALU func(w *Warp, in *sass.Instruction, exec uint32, src SrcReader) error
+
+// SrcReader reads value source o for thread t: a register (RZ reads 0), an
+// immediate, a constant-bank word, a special register, or a predicate as 0
+// or 1. Any other operand kind, or a constant-bank word past the bank, is
+// an error — a *mem.Fault for the latter.
+type SrcReader func(t *Thread, o sass.Operand) (uint32, error)
 
 // floorPow2 returns the largest power of two <= n (minimum 1).
 func floorPow2(n uint64) uint64 {

@@ -6,6 +6,7 @@ import (
 
 	"sassi/internal/sass"
 	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
 // warpHarness executes a hand-assembled instruction sequence on a single
@@ -102,8 +103,7 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 
-	launch := func(cfg sim.Config) [][]uint32 {
-		dev := sim.NewDevice(cfg)
+	launch := func(dev *sim.Device) [][]uint32 {
 		out := dev.Alloc(uint64(4*nout*h.threads), "out")
 		args := []uint64{out}
 		if nin > 0 {
@@ -136,17 +136,22 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 		}
 		return res
 	}
-	res := launch(sim.MiniGPU())
-	ref := sim.MiniGPU()
-	ref.ReferenceInterpreter = true
-	if want := launch(ref); !reflect.DeepEqual(res, want) {
+	res := launch(sim.NewDevice(sim.MiniGPU()))
+	if want := launch(refDevice(sim.MiniGPU())); !reflect.DeepEqual(res, want) {
 		t.Fatalf("default core differs from the reference interpreter:\n got %v\nwant %v", res, want)
 	}
 	return res
 }
 
-// runErr runs the harness expecting a launch failure and returns it.
-func (h *warpHarness) runErr(t *testing.T, cfg sim.Config) error {
+// refDevice returns a device on cfg that runs the reference interpreter.
+func refDevice(cfg sim.Config) *sim.Device {
+	dev := sim.NewDevice(cfg)
+	simref.Install(dev)
+	return dev
+}
+
+// runErr runs the harness on dev expecting a launch failure and returns it.
+func (h *warpHarness) runErr(t *testing.T, dev *sim.Device) error {
 	t.Helper()
 	if h.threads == 0 {
 		h.threads = 32
@@ -163,7 +168,6 @@ func (h *warpHarness) runErr(t *testing.T, cfg sim.Config) error {
 	}
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
-	dev := sim.NewDevice(cfg)
 	out := dev.Alloc(16, "out")
 	_, err := dev.Launch(prog, "t", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(h.threads), Args: []uint64{out},

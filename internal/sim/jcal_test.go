@@ -1,29 +1,23 @@
-package sim
+package sim_test
 
 import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"testing"
 
 	"sassi/internal/obs"
 	"sassi/internal/sass"
+	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
-// idDispatcher records which handler ids it was called with.
-type idDispatcher struct {
-	mu  sync.Mutex
-	ids map[int]int
-}
+// idDispatcher counts its calls per handler id (0 or 1).
+type idDispatcher struct{ ids [2]atomic.Int64 }
 
-func (d *idDispatcher) Dispatch(_ *Device, _ *Warp, id int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.ids == nil {
-		d.ids = map[int]int{}
-	}
-	d.ids[id]++
+func (d *idDispatcher) Dispatch(_ *sim.Device, _ *sim.Warp, id int) error {
+	d.ids[id].Add(1)
 	return nil
 }
 
@@ -66,24 +60,26 @@ func TestJCALResolvedPerProgram(t *testing.T) {
 	b.AddKernel(k)
 	for _, ref := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reference=%v", ref), func(t *testing.T) {
-			cfg := MiniGPU()
-			cfg.ReferenceInterpreter = ref
-			dev := NewDevice(cfg)
+			dev := sim.NewDevice(sim.MiniGPU())
+			if ref {
+				simref.Install(dev)
+			}
 			for _, tc := range []struct {
 				prog *sass.Program
 				id   int
 			}{{a, 1}, {b, 0}} {
 				d := &idDispatcher{}
 				dev.Dispatcher = d
-				if _, err := dev.Launch(tc.prog, "calls", LaunchParams{Grid: D1(1), Block: D1(64)}); err != nil {
+				if _, err := dev.Launch(tc.prog, "calls", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(64)}); err != nil {
 					t.Fatal(err)
 				}
-				if len(d.ids) != 1 || d.ids[tc.id] != 2 {
-					t.Errorf("dispatched ids %v, want id %d twice", d.ids, tc.id)
+				if n, other := d.ids[tc.id].Load(), d.ids[1-tc.id].Load(); n != 2 || other != 0 {
+					t.Errorf("dispatched id %d %d times and id %d %d times, want id %d twice",
+						tc.id, n, 1-tc.id, other, tc.id)
 				}
 			}
-			_, err := dev.Launch(a, "calls", LaunchParams{Grid: D1(2), Block: D1(64)})
-			var ke *KernelError
+			_, err := dev.Launch(a, "calls", sim.LaunchParams{Grid: sim.D1(2), Block: sim.D1(64)})
+			var ke *sim.KernelError
 			if !errors.As(err, &ke) || !strings.Contains(err.Error(), `JCAL to unlinked symbol "ghost"`) {
 				t.Errorf("launch reaching the unlinked JCAL: %v", err)
 			}
@@ -97,19 +93,22 @@ func TestJCALResolvedPerProgram(t *testing.T) {
 func TestTracedJCALNamesSpanOnce(t *testing.T) {
 	for _, ref := range []bool{false, true} {
 		t.Run(fmt.Sprintf("reference=%v", ref), func(t *testing.T) {
-			cfg := MiniGPU()
-			cfg.ReferenceInterpreter, cfg.SequentialSMs = ref, true
+			cfg := sim.MiniGPU()
+			cfg.SequentialSMs = true
 			allocs := func(n int) float64 {
 				prog := sass.NewProgram()
 				prog.InternHandler("h")
 				prog.AddKernel(jcalKernel(t, n, false))
-				dev := NewDevice(cfg)
+				dev := sim.NewDevice(cfg)
+				if ref {
+					simref.Install(dev)
+				}
 				dev.Dispatcher = &idDispatcher{}
 				// Past its cap the tracer drops spans without storing them,
 				// so what a call allocates is the span's name alone.
 				dev.Trace = &obs.Tracer{MaxEvents: 1}
 				launch := func() {
-					if _, err := dev.Launch(prog, "calls", LaunchParams{Grid: D1(1), Block: D1(32)}); err != nil {
+					if _, err := dev.Launch(prog, "calls", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32)}); err != nil {
 						t.Fatal(err)
 					}
 				}

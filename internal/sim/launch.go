@@ -85,8 +85,8 @@ func (e *TwinError) Error() string {
 // ctaCode is what a CTA takes from the kernel it runs.
 type ctaCode struct {
 	k *sass.Kernel
-	// pre is the predecoded form of k, which stepPre executes; nil selects
-	// the reference interpreter (Config.ReferenceInterpreter), step.
+	// pre is the predecoded form of k, which stepPre executes and from
+	// which step, the reference loop, takes the scoreboard size.
 	pre *preKernel
 	// handlers is the owning program's JCAL symbol table; handlerIDs[i] is
 	// pre.syms[i]'s handler id in it, -1 when the program does not link it.
@@ -96,27 +96,23 @@ type ctaCode struct {
 	spans      []string
 	numRegs    int
 	localBytes int
-	// sbSlots is the size of a warp's scoreboard: the GPRs k names, the
-	// predicates and the CC.
-	sbSlots int
 }
 
-// code resolves what CTAs running k, a kernel of prog, take from it.
-func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) ctaCode {
+// code resolves what CTAs running k, a kernel of prog, take from it. A
+// kernel that cannot run (preKernel.err) is an ErrInvalid KernelError.
+func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (ctaCode, error) {
 	c := ctaCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
-	if d.Cfg.ReferenceInterpreter {
-		c.sbSlots = scoreboardGPRs(k) + sbTail
-	} else {
-		c.pre = k.Lowered(predecode).(*preKernel)
-		c.sbSlots = c.pre.sbSlots
-		if len(c.pre.syms) > 0 {
-			c.handlerIDs = make([]int, len(c.pre.syms))
-			for i, sym := range c.pre.syms {
-				if id, ok := prog.Handlers[sym]; ok {
-					c.handlerIDs[i] = id
-				} else {
-					c.handlerIDs[i] = -1
-				}
+	c.pre = k.Lowered(predecode).(*preKernel)
+	if err := c.pre.err; err != nil {
+		return c, &KernelError{Kind: ErrInvalid, Kernel: k.Name, Detail: err.Error(), Err: err}
+	}
+	if len(c.pre.syms) > 0 {
+		c.handlerIDs = make([]int, len(c.pre.syms))
+		for i, sym := range c.pre.syms {
+			if id, ok := prog.Handlers[sym]; ok {
+				c.handlerIDs[i] = id
+			} else {
+				c.handlerIDs[i] = -1
 			}
 		}
 	}
@@ -134,7 +130,7 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) ctaCo
 	if c.localBytes == 0 {
 		c.localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
 	}
-	return c
+	return c, nil
 }
 
 // twinCode checks that t's kernel can share a launch of k on d and
@@ -164,8 +160,8 @@ func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*ctaCode, e
 	case d.MemWatch != nil:
 		return refuse("a MemWatch is attached")
 	}
-	c := d.code(t.Prog, tk, p)
-	return &c, nil
+	c, err := d.code(t.Prog, tk, p)
+	return &c, err
 }
 
 // Launch executes a kernel on the device and returns its statistics.
@@ -181,13 +177,19 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	if sharedBytes > d.Cfg.SharedPerSM {
 		return nil, fmt.Errorf("sim: CTA needs %d shared bytes, SM has %d", sharedBytes, d.Cfg.SharedPerSM)
 	}
-	e := &engine{dev: d, base: d.code(prog, k, &p)}
+	base, err := d.code(prog, k, &p)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{dev: d, base: base}
 	if t := p.Twin; t != nil {
-		var err error
 		if e.twin, err = d.twinCode(t, k, &p); err != nil {
 			return nil, err
 		}
 		e.twinCTAs = t.CTAs
+	}
+	if d.Reference != nil {
+		e.src = e.srcU32
 	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -202,18 +204,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		}
 	}
 
-	// Build constant bank 0: launch metadata then parameters.
-	e.cb = make([]byte, constBankSize(k))
-	binary.LittleEndian.PutUint32(e.cb[sass.CBStackBase:], uint32(mem.LocalBase))
-	binary.LittleEndian.PutUint32(e.cb[sass.CBSharedBase:], uint32(mem.SharedBase))
-	for i, pd := range k.Params {
-		switch pd.Size {
-		case 8:
-			binary.LittleEndian.PutUint64(e.cb[pd.Offset:], p.Args[i])
-		default:
-			binary.LittleEndian.PutUint32(e.cb[pd.Offset:], uint32(p.Args[i]))
-		}
-	}
+	e.cb = constBank(k, p.Args)
 
 	// Geometry.
 	grid, block := p.Grid, p.Block
@@ -306,6 +297,23 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		}
 	}
 	return e.stats, nil
+}
+
+// constBank builds constant bank 0 of a launch of k with args: the launch
+// metadata, then the parameters.
+func constBank(k *sass.Kernel, args []uint64) []byte {
+	cb := make([]byte, constBankSize(k))
+	binary.LittleEndian.PutUint32(cb[sass.CBStackBase:], uint32(mem.LocalBase))
+	binary.LittleEndian.PutUint32(cb[sass.CBSharedBase:], uint32(mem.SharedBase))
+	for i, pd := range k.Params {
+		switch pd.Size {
+		case 8:
+			binary.LittleEndian.PutUint64(cb[pd.Offset:], args[i])
+		default:
+			binary.LittleEndian.PutUint32(cb[pd.Offset:], uint32(args[i]))
+		}
+	}
+	return cb
 }
 
 // constBankSize returns the size of constant bank 0 for every launch of k:
@@ -419,7 +427,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 	threads := block.Count()
 	shape := slabShape{
 		threads: threads, warps: (threads + WarpSize - 1) / WarpSize,
-		numRegs: code.numRegs, sbSlots: code.sbSlots, localBytes: code.localBytes,
+		numRegs: code.numRegs, sbSlots: code.pre.sbSlots, localBytes: code.localBytes,
 	}
 	cta.slab = e.dev.perSM[sm].slabs.get(shape)
 	cta.Warps = make([]*Warp, shape.warps)
@@ -450,7 +458,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 	pending := ctas
 	st := &e.sms[sm]
 	tr := e.dev.Trace
-	ref := e.dev.Cfg.ReferenceInterpreter
+	ref := e.dev.Reference != nil
 	slabs := &e.dev.perSM[sm].slabs
 	var resident []*CTA
 	// A launch that fails leaves CTAs resident; their slabs go back too.

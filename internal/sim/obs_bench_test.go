@@ -45,21 +45,10 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	dev.Metrics = reg
 	dev.Trace = tr
 	dev.Alloc(4096, "global")
-	e := &engine{dev: dev, base: dev.code(prog, k, &LaunchParams{StackBytes: 256})}
-	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, dev.Cfg.NumSMs)}
-	e.sms = make([]smShard, dev.Cfg.NumSMs)
-	for i := range e.sms {
-		e.sms[i].hier = mem.Hierarchy{
-			L1: dev.L1s[i], L2: dev.L2s[i], DRAM: dev.DRAMs[i],
-			L1Latency: dev.Cfg.L1Latency, L2Latency: dev.Cfg.L2Latency,
-		}
-	}
-	e.ntid = [3]uint32{32, 1, 1}
-	e.nctaid = [3]uint32{1, 1, 1}
+	e, cta := testEngine(tb, dev, prog, LaunchParams{Grid: D1(1), Block: D1(32), StackBytes: 256})
 	if samp != nil {
 		e.attachSampler(samp, k, 32)
 	}
-	cta := e.buildCTA(0, D1(1), D1(32), 0, 0)
 	w := cta.Warps[0]
 	return func() {
 		if err := e.stepPre(w); err != nil {

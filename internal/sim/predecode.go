@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 
 	"sassi/internal/analysis"
@@ -16,24 +17,28 @@ import (
 // block, and a per-instruction "provably uniform" bit derived from the
 // affine value lattice (internal/analysis). Execution then dispatches on a
 // small class enum to one row kernel per class over the warp's register
-// rows instead of per-operand switches and closure iterators, takes a
+// rows instead of per-operand switches and closure iterators, and takes a
 // uniform-warp fast path (execute the leader lane once, broadcast the
-// result) when the lattice proved the instruction uniform, and falls back
-// to the reference interpreter's execOp for control transfers, barriers,
-// and any operation without a specialized class. A SASSI handler call has
-// one: its symbol is resolved once per launch, not per call.
+// result) when the lattice proved the instruction uniform. Every ALU and
+// SETP opcode has a class, whatever its modifiers and operands; execOp
+// keeps the warp-level operations — divergence-stack and call control,
+// barriers, collectives, atomics and memory shapes no class takes. A SASSI
+// handler call has a class too: its symbol is resolved once per launch,
+// not per call. A kernel with an instruction missing operands its opcode
+// always has is refused at launch (preKernel.err), whichever loop runs it.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
-// to the reference interpreter (Config.ReferenceInterpreter): stepPre
-// replicates step's accounting exactly and warps still issue one
-// instruction per round-robin sweep, because any cross-warp batching would
-// reorder the per-SM memory access stream and change cache statistics.
-// Whole runs execute back-to-back only when an SM has a single live warp
-// and no pending CTAs, where no other warp can observe the interleaving.
+// to the reference interpreter (Device.Reference, installed by package
+// simref for the equivalence oracles): stepPre replicates step's
+// accounting exactly and warps still issue one instruction per round-robin
+// sweep, because any cross-warp batching would reorder the per-SM memory
+// access stream and change cache statistics. Whole runs execute
+// back-to-back only when an SM has a single live warp and no pending CTAs,
+// where no other warp can observe the interleaving.
 
 // preClass selects a specialized execution path in stepPre. pcGeneric
-// delegates to the interpreter's execOp.
+// delegates to execOp.
 type preClass uint8
 
 const (
@@ -55,6 +60,12 @@ const (
 	pcIMNMX
 	pcFMNMX
 	pcMUFU  // special-function unit: RCP/RSQ/SQRT/SIN/COS/EX2/LG2
+	pcBFE   // bit-field extract
+	pcBFI   // bit-field insert
+	pcFLO   // find leading one
+	pcPOPC  // population count
+	pcF2I   // float to int32, saturating
+	pcI2F   // int32 or (.U32) uint32 to float
 	pcMemG  // LD/ST/LDG/STG: generic/global access, batched when all-global
 	pcMemS  // LDS/STS
 	pcMemL  // LDL/STL
@@ -65,6 +76,7 @@ const (
 	pcBRA   // predicated branch with a label target
 	pcSYNC  // reconvergence pop
 	pcJCAL  // handler call; target indexes preKernel.syms
+	pcFault // ALU instruction with an unreadable value source: fails when it executes
 )
 
 // preSrcKind is a resolved operand kind.
@@ -76,7 +88,7 @@ const (
 	psImm
 	psCMem // constant-bank word, offset validated at predecode
 	psSR   // special register (thread identity, clock, ...)
-	psPred // predicate operand evaluated to 0/1 (srcU32 semantics)
+	psPred // predicate evaluated to 0/1 (srcU32 semantics)
 )
 
 // preSrc is one resolved scalar source operand.
@@ -167,6 +179,9 @@ type preKernel struct {
 	// A launch resolves them against the CTA's program (ctaCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
+	// err, when non-nil, is why k cannot run: an instruction with fewer
+	// operands than its opcode always has. Nothing else is filled in then.
+	err error
 }
 
 // straightLine reports whether the op always advances PC+1 and can
@@ -187,13 +202,19 @@ func straightLine(op sass.Opcode) bool {
 // sources (another SM may store concurrently), and stores/atomics have
 // per-lane side effects the memory model must see individually.
 func broadcastSafe(c preClass) bool {
-	return c >= pcMOV && c <= pcMUFU
+	return c >= pcMOV && c <= pcI2F
 }
 
 // predecode lowers one kernel into the dense format (the build function of
-// sass.Kernel.Lowered). Constant-bank offsets are validated against the
-// size every launch of the kernel uses, a function of its parameter layout.
+// sass.Kernel.Lowered), or records why it cannot run. Constant-bank
+// offsets are validated against the size every launch of the kernel uses,
+// a function of its parameter layout.
 func predecode(k *sass.Kernel) any {
+	for i := range k.Instrs {
+		if err := k.Instrs[i].CheckOperands(); err != nil {
+			return &preKernel{k: k, err: fmt.Errorf("pc=%d: %v", i, err)}
+		}
+	}
 	gprs := scoreboardGPRs(k)
 	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail}
 	cbSize := constBankSize(k)
@@ -232,7 +253,7 @@ func predecode(k *sass.Kernel) any {
 		p.staticCost = uint8(sass.IssueCost(in))
 		p.resLat = uint8(sass.ResultLatency(in))
 		p.fillScoreboard(in, gprs)
-		p.fillOperands(in, cbSize)
+		p.fillOperands(in)
 		if p.class == pcJCAL {
 			t, _ := in.BranchTarget()
 			p.target = int32(slices.Index(pk.syms, t.Name))
@@ -256,109 +277,38 @@ func predecode(k *sass.Kernel) any {
 	return pk
 }
 
-// classify picks the specialized class for an instruction, or pcGeneric
-// when any precondition fails (the generic path is always correct).
+// aluClasses maps every ALU and SETP opcode to its class. IADD with a .CC
+// or .X is pcIADDC instead; any other opcode ignores both.
+var aluClasses = [...]preClass{
+	sass.OpMOV: pcMOV, sass.OpMOV32: pcMOV, sass.OpS2R: pcMOV, sass.OpF2F: pcMOV,
+	sass.OpIADD: pcIADD, sass.OpIADD32: pcIADD, sass.OpIMUL: pcIMUL, sass.OpIMAD: pcIMAD,
+	sass.OpISCADD: pcISCADD, sass.OpSHL: pcSHL, sass.OpSHR: pcSHR, sass.OpLOP: pcLOP,
+	sass.OpSEL: pcSEL, sass.OpISETP: pcISETP, sass.OpFSETP: pcFSETP, sass.OpFADD: pcFADD,
+	sass.OpFMUL: pcFMUL, sass.OpFFMA: pcFFMA, sass.OpIMNMX: pcIMNMX, sass.OpFMNMX: pcFMNMX,
+	sass.OpMUFU: pcMUFU, sass.OpBFE: pcBFE, sass.OpBFI: pcBFI, sass.OpFLO: pcFLO,
+	sass.OpPOPC: pcPOPC, sass.OpF2I: pcF2I, sass.OpI2F: pcI2F,
+	sass.OpPSETP: pcPSETP, sass.OpP2R: pcP2R, sass.OpR2P: pcR2P,
+}
+
+// classify picks an instruction's class. Every ALU and SETP opcode has
+// one, whatever its modifiers; one with a value source that cannot be read
+// — a constant-bank word past the bank, an operand kind that is no value —
+// is pcFault. The rest are pcGeneric unless a specialized class takes them.
 func classify(in *sass.Instruction, cbSize int) preClass {
-	// P2R/R2P carry .X as "the condition code, not the predicate file";
-	// injected code saves and restores both around every handler call.
-	if !in.Mods.SetCC {
-		switch {
-		case in.Op == sass.OpP2R && alu2OK(in, cbSize):
-			return pcP2R
-		case in.Op == sass.OpR2P && srcsOK(in, 2, cbSize):
-			return pcR2P
+	if int(in.Op) < len(aluClasses) && aluClasses[in.Op] != pcGeneric {
+		for _, o := range in.Srcs[:valueSrcs(in.Op)] {
+			if !srcOK(o, cbSize) {
+				return pcFault
+			}
 		}
-	}
-	// Specialized ALU classes write exactly one 32-bit GPR (or predicate
-	// pair for SETP) and model no CC interaction. The CC-carrying IADD
-	// forms — the 64-bit address carry chains that dominate generic-path
-	// traffic — get their own class; everything else touching CC stays
-	// generic.
-	if in.Mods.SetCC || in.Mods.X {
-		if (in.Op == sass.OpIADD || in.Op == sass.OpIADD32) && alu2OK(in, cbSize) {
-			return pcIADDC
+		if in.Op == sass.OpIADD || in.Op == sass.OpIADD32 {
+			if in.Mods.SetCC || in.Mods.X {
+				return pcIADDC
+			}
 		}
-		return pcGeneric
+		return aluClasses[in.Op]
 	}
 	switch in.Op {
-	case sass.OpMOV, sass.OpMOV32, sass.OpS2R, sass.OpF2F:
-		if alu1OK(in, cbSize) {
-			return pcMOV
-		}
-	case sass.OpIADD, sass.OpIADD32:
-		if alu2OK(in, cbSize) {
-			return pcIADD
-		}
-	case sass.OpIMUL:
-		if alu2OK(in, cbSize) {
-			return pcIMUL
-		}
-	case sass.OpIMAD:
-		if alu3OK(in, cbSize) {
-			return pcIMAD
-		}
-	case sass.OpISCADD:
-		if alu3OK(in, cbSize) {
-			return pcISCADD
-		}
-	case sass.OpSHL:
-		if alu2OK(in, cbSize) {
-			return pcSHL
-		}
-	case sass.OpSHR:
-		if alu2OK(in, cbSize) {
-			return pcSHR
-		}
-	case sass.OpLOP:
-		// An out-of-enum logic modifier silently writes nothing in the
-		// interpreter; keep that quirk on the generic path.
-		if in.Mods.Logic <= sass.LogicNOT && alu2OK(in, cbSize) {
-			return pcLOP
-		}
-	case sass.OpSEL:
-		if len(in.Srcs) == 3 && in.Srcs[2].Kind == sass.OpdPred && alu2OK(in, cbSize) {
-			return pcSEL
-		}
-	case sass.OpISETP:
-		if setpOK(in, cbSize) {
-			return pcISETP
-		}
-	case sass.OpFSETP:
-		if setpOK(in, cbSize) {
-			return pcFSETP
-		}
-	case sass.OpFADD:
-		if alu2OK(in, cbSize) {
-			return pcFADD
-		}
-	case sass.OpFMUL:
-		if alu2OK(in, cbSize) {
-			return pcFMUL
-		}
-	case sass.OpFFMA:
-		if alu3OK(in, cbSize) {
-			return pcFFMA
-		}
-	case sass.OpIMNMX:
-		if minmaxOK(in, cbSize) {
-			return pcIMNMX
-		}
-	case sass.OpFMNMX:
-		if minmaxOK(in, cbSize) {
-			return pcFMNMX
-		}
-	case sass.OpMUFU:
-		if alu1OK(in, cbSize) {
-			return pcMUFU
-		}
-	case sass.OpPSETP:
-		// The interpreter reads Srcs[0]/Srcs[1] as predicates and writes
-		// Dsts[0] only.
-		if len(in.Srcs) >= 2 && in.Srcs[0].Kind == sass.OpdPred &&
-			in.Srcs[1].Kind == sass.OpdPred &&
-			len(in.Dsts) >= 1 && in.Dsts[0].Kind == sass.OpdPred {
-			return pcPSETP
-		}
 	case sass.OpBRA:
 		if t, ok := in.BranchTarget(); ok && t.Kind == sass.OpdLabel {
 			return pcBRA
@@ -386,72 +336,33 @@ func classify(in *sass.Instruction, cbSize int) preClass {
 	return pcGeneric
 }
 
-// srcOK reports whether a source operand can be resolved to a preSrc.
+// valueSrcs is how many leading sources an ALU or SETP opcode reads as
+// 32-bit values; the operand after them, if any, is a predicate. S2R reads
+// its special register and PSETP its predicates whatever the operand kind.
+func valueSrcs(op sass.Opcode) int {
+	switch op {
+	case sass.OpS2R, sass.OpPSETP:
+		return 0
+	case sass.OpMOV, sass.OpMOV32, sass.OpF2F, sass.OpMUFU, sass.OpF2I, sass.OpI2F,
+		sass.OpFLO, sass.OpPOPC:
+		return 1
+	case sass.OpIMAD, sass.OpISCADD, sass.OpFFMA, sass.OpBFI:
+		return 3
+	}
+	return 2
+}
+
+// srcOK reports whether a value source can be read: a register, an
+// immediate, a special register, a predicate, or a constant-bank word
+// inside the bank.
 func srcOK(o sass.Operand, cbSize int) bool {
 	switch o.Kind {
 	case sass.OpdReg, sass.OpdImm, sass.OpdSReg, sass.OpdPred:
 		return true
 	case sass.OpdCMem:
-		// Out-of-range words must fault at execution time; the generic
-		// path reproduces the exact cbRead32 fault.
 		return o.Imm >= 0 && o.Imm+4 <= int64(cbSize)
 	}
 	return false
-}
-
-func dstOK(in *sass.Instruction) bool {
-	// One plain 32-bit GPR destination (W64 pairs and wider go generic).
-	return len(in.Dsts) == 1 && in.Dsts[0].Kind == sass.OpdReg &&
-		in.Mods.Width != sass.W64 && in.Mods.Width != sass.W128
-}
-
-func srcsOK(in *sass.Instruction, n, cbSize int) bool {
-	if len(in.Srcs) < n {
-		return false
-	}
-	for i := 0; i < n; i++ {
-		if !srcOK(in.Srcs[i], cbSize) {
-			return false
-		}
-	}
-	return true
-}
-
-func alu1OK(in *sass.Instruction, cbSize int) bool {
-	return dstOK(in) && srcsOK(in, 1, cbSize)
-}
-func alu2OK(in *sass.Instruction, cbSize int) bool {
-	return dstOK(in) && srcsOK(in, 2, cbSize)
-}
-func alu3OK(in *sass.Instruction, cbSize int) bool {
-	return dstOK(in) && srcsOK(in, 3, cbSize)
-}
-
-// minmaxOK admits IMNMX/FMNMX: two value sources plus an optional
-// predicate selector.
-func minmaxOK(in *sass.Instruction, cbSize int) bool {
-	if !dstOK(in) || !srcsOK(in, 2, cbSize) {
-		return false
-	}
-	return len(in.Srcs) <= 2 || in.Srcs[2].Kind == sass.OpdPred
-}
-
-// setpOK admits ISETP/FSETP: predicate destinations, two value sources,
-// optional combine predicate.
-func setpOK(in *sass.Instruction, cbSize int) bool {
-	if len(in.Dsts) < 1 || in.Dsts[0].Kind != sass.OpdPred {
-		return false
-	}
-	if len(in.Dsts) > 1 && in.Dsts[1].Kind != sass.OpdPred {
-		return false
-	}
-	if len(in.Dsts) > 2 {
-		return false
-	}
-	if !srcsOK(in, 2, cbSize) {
-		return false
-	}
-	return len(in.Srcs) <= 2 || in.Srcs[2].Kind == sass.OpdPred
 }
 
 // memOK admits a memory instruction to a specialized class: one memory
@@ -485,8 +396,7 @@ func memOK(in *sass.Instruction) bool {
 	return true
 }
 
-// resolveSrc lowers one scalar source operand. Callers have already
-// validated the operand via srcOK.
+// resolveSrc lowers one value source, which srcOK admitted.
 func resolveSrc(o sass.Operand) preSrc {
 	switch o.Kind {
 	case sass.OpdReg:
@@ -500,19 +410,23 @@ func resolveSrc(o sass.Operand) preSrc {
 		return preSrc{kind: psCMem, off: int32(o.Imm)}
 	case sass.OpdSReg:
 		return preSrc{kind: psSR, sr: o.SR}
-	case sass.OpdPred:
-		return preSrc{kind: psPred, reg: o.Reg, neg: o.Neg}
 	}
-	return preSrc{kind: psZero}
+	return predSrc(o)
 }
 
-// fillOperands resolves the class-specific operand fields.
-func (p *preInstr) fillOperands(in *sass.Instruction, cbSize int) {
+// predSrc reads operand o as the predicate its register field names.
+func predSrc(o sass.Operand) preSrc { return preSrc{kind: psPred, reg: o.Reg, neg: o.Neg} }
+
+// fillOperands resolves the class-specific operand fields. An ALU
+// instruction's destination is its first operand's register whatever the
+// operand's kind, and operands past the ones its opcode reads are ignored,
+// as the reference interpreter does.
+func (p *preInstr) fillOperands(in *sass.Instruction) {
 	p.dst = sass.RZ
 	p.dstP = sass.PT
 	p.dstQ = sass.PT
 	switch {
-	case p.class == pcGeneric || p.class == pcSYNC || p.class == pcJCAL:
+	case p.class == pcGeneric || p.class == pcSYNC || p.class == pcJCAL || p.class == pcFault:
 		return
 	case p.class == pcBRA:
 		t, _ := in.BranchTarget()
@@ -535,30 +449,38 @@ func (p *preInstr) fillOperands(in *sass.Instruction, cbSize int) {
 		} else {
 			p.dst = in.Dsts[0].Reg
 		}
-		// A modifier set preserving the guard is needed for the SETP
-		// fields below, but memory classes are done.
 		return
 	case p.class == pcISETP || p.class == pcFSETP:
 		p.dstP = in.Dsts[0].Reg
-		if len(in.Dsts) > 1 {
+		if len(in.Dsts) > 1 && in.Dsts[1].Kind == sass.OpdPred {
 			p.dstQ = in.Dsts[1].Reg
 		}
 	case p.class == pcPSETP:
-		// Only Dsts[0]; the interpreter ignores any complement operand.
 		p.dstP = in.Dsts[0].Reg
 	case p.class == pcR2P:
-		// Writes predicates or CC only; the interpreter ignores any Dsts.
+		// Writes predicates or CC only.
+	case p.class == pcLOP && in.Mods.Logic > sass.LogicNOT:
+		// An operator outside the enum writes nothing.
 	default:
 		p.dst = in.Dsts[0].Reg
 	}
-	for i := 0; i < 3 && i < len(in.Srcs); i++ {
+	n := valueSrcs(in.Op)
+	for i := range n {
 		p.srcs[i] = resolveSrc(in.Srcs[i])
 	}
-	// Absent optional predicate selectors read as PT (true), matching the
-	// interpreter's defaults in execSetp and the min/max family.
-	if (p.class == pcISETP || p.class == pcFSETP || p.class == pcIMNMX || p.class == pcFMNMX) &&
-		len(in.Srcs) <= 2 {
+	switch in.Op {
+	case sass.OpS2R:
+		p.srcs[0] = preSrc{kind: psSR, sr: in.Srcs[0].SR}
+	case sass.OpPSETP:
+		p.srcs[0], p.srcs[1] = predSrc(in.Srcs[0]), predSrc(in.Srcs[1])
+	case sass.OpSEL:
+		p.srcs[2] = predSrc(in.Srcs[2])
+	case sass.OpISETP, sass.OpFSETP, sass.OpIMNMX, sass.OpFMNMX:
+		// An absent selector, or one that is no predicate, reads as PT.
 		p.srcs[2] = preSrc{kind: psPred, reg: sass.PT}
+		if len(in.Srcs) > 2 && in.Srcs[2].Kind == sass.OpdPred {
+			p.srcs[2] = predSrc(in.Srcs[2])
+		}
 	}
 	p.cmp = in.Mods.Cmp
 	p.logic = in.Mods.Logic

@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"errors"
@@ -8,6 +8,8 @@ import (
 
 	"sassi/internal/mem"
 	"sassi/internal/sass"
+	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 )
 
 // stepWarp builds CTA 0 of a one-CTA launch of prog's first kernel and
@@ -16,28 +18,15 @@ import (
 // returns the error and every lane's whole stack as the warp left it.
 func stepWarp(t *testing.T, ref bool, prog *sass.Program, threads, stack int) (error, [][]byte) {
 	t.Helper()
-	cfg := MiniGPU()
-	cfg.ReferenceInterpreter = ref
-	d := NewDevice(cfg)
-	k := prog.Kernels[0]
-	p := LaunchParams{Grid: D1(1), Block: D1(threads), StackBytes: stack}
-	e := &engine{dev: d, base: d.code(prog, k, &p)}
-	e.stats = &KernelStats{Kernel: k.Name, SMCycles: make([]uint64, cfg.NumSMs)}
-	e.sms = make([]smShard, cfg.NumSMs)
-	e.cb = make([]byte, constBankSize(k))
-	w := e.buildCTA(0, p.Grid, p.Block, 0, 0).Warps[0]
-	var err error
-	for !w.Done && err == nil {
-		if ref {
-			err = e.step(w)
-		} else {
-			err = e.stepPre(w)
-		}
+	d := sim.NewDevice(sim.MiniGPU())
+	if ref {
+		simref.Install(d)
 	}
+	w, _, err := sim.StepFirstWarp(t, d, prog, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(threads), StackBytes: stack})
 	stacks := make([][]byte, threads)
 	for l := range stacks {
 		stacks[l] = make([]byte, stack)
-		if rerr := w.threads[l].ReadLocal(0, stacks[l]); rerr != nil {
+		if rerr := w.Thread(l).ReadLocal(0, stacks[l]); rerr != nil {
 			t.Fatal(rerr)
 		}
 	}

@@ -338,8 +338,7 @@ type CTA struct {
 	// Kernel is the (possibly instrumented) kernel this CTA executes —
 	// handlers that keep per-kernel shadow state key off it.
 	Kernel *sass.Kernel
-	// pre is Kernel's predecoded form (nil under the reference
-	// interpreter).
+	// pre is Kernel's predecoded form.
 	pre *preKernel
 
 	// traceStart is the SM-cycle count when the CTA became resident (used

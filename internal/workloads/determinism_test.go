@@ -7,12 +7,13 @@ import (
 	"sassi/internal/cuda"
 	"sassi/internal/ptxas"
 	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
 	"sassi/internal/workloads"
 )
 
 // collectStats runs a workload and returns the KernelStats of every launch,
 // in launch order.
-func collectStats(t *testing.T, name, dataset string, cfg sim.Config) []sim.KernelStats {
+func collectStats(t *testing.T, name, dataset string, cfg sim.Config, ref bool) []sim.KernelStats {
 	t.Helper()
 	spec, ok := workloads.Get(name)
 	if !ok {
@@ -23,6 +24,9 @@ func collectStats(t *testing.T, name, dataset string, cfg sim.Config) []sim.Kern
 		t.Fatal(err)
 	}
 	ctx := cuda.NewContext(cfg)
+	if ref {
+		simref.Install(ctx.Device())
+	}
 	var all []sim.KernelStats
 	ctx.Subscribe(cuda.LaunchCallbacks{
 		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
@@ -59,14 +63,14 @@ func TestParallelSMsBitEqualStats(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			seq := tc.cfg
 			seq.SequentialSMs = true
-			want := collectStats(t, "rodinia.bfs", "default", seq)
+			want := collectStats(t, "rodinia.bfs", "default", seq, false)
 			if len(want) < 2 {
 				t.Fatalf("bfs launched %d kernels, expected its two-kernel level loop", len(want))
 			}
 			par := tc.cfg
 			par.SequentialSMs = false
 			for i := 0; i < 2; i++ {
-				got := collectStats(t, "rodinia.bfs", "default", par)
+				got := collectStats(t, "rodinia.bfs", "default", par, false)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("parallel run %d stats diverge from sequential:\n got %+v\nwant %+v", i, got, want)
 				}

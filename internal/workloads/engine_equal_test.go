@@ -11,7 +11,7 @@ import (
 // TestPredecodedBitEqualAllWorkloads is the default core's workload-level
 // correctness gate: every registered workload must produce per-launch
 // KernelStats bit-equal to the reference interpreter
-// (Config.ReferenceInterpreter, sequential SMs), and pass its own output
+// (package simref, sequential SMs), and pass its own output
 // verification, on the default core in both SM-dispatch modes. Stats
 // equality covers the timing model (cycles, per-SM cycles, scoreboard
 // stalls, transaction counts) on top of the value correctness the verifier
@@ -20,14 +20,10 @@ import (
 func TestPredecodedBitEqualAllWorkloads(t *testing.T) {
 	for _, spec := range workloads.All() {
 		t.Run(spec.Name, func(t *testing.T) {
-			ref := sim.MiniGPU()
-			ref.ReferenceInterpreter = true
-			ref.SequentialSMs = true
-			want := collectStats(t, spec.Name, "default", ref)
-
 			cfg := sim.MiniGPU()
 			cfg.SequentialSMs = true
-			got := collectStats(t, spec.Name, "default", cfg)
+			want := collectStats(t, spec.Name, "default", cfg, true)
+			got := collectStats(t, spec.Name, "default", cfg, false)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("default-core stats diverge from the reference interpreter:\n got %+v\nwant %+v",
 					got, want)
@@ -39,13 +35,12 @@ func TestPredecodedBitEqualAllWorkloads(t *testing.T) {
 			// SM interleaving, so the reference interpreter itself diverges
 			// from its sequential run there; comparing the default core
 			// against either would test the race, not the core.
-			ref.SequentialSMs = false
-			if refPar := collectStats(t, spec.Name, "default", ref); !reflect.DeepEqual(refPar, want) {
+			cfg.SequentialSMs = false
+			if refPar := collectStats(t, spec.Name, "default", cfg, true); !reflect.DeepEqual(refPar, want) {
 				t.Logf("skipping concurrent-dispatch comparison: workload is schedule-dependent")
 				return
 			}
-			cfg.SequentialSMs = false
-			got = collectStats(t, spec.Name, "default", cfg)
+			got = collectStats(t, spec.Name, "default", cfg, false)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("default-core (concurrent SMs) stats diverge from the reference interpreter:\n got %+v\nwant %+v",
 					got, want)
