@@ -1,6 +1,10 @@
 package difftest
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"sassi/internal/sass"
+)
 
 // Size bounds the generated kernel. The zero value is replaced by
 // DefaultSize; the fuzz harness uses the smaller FuzzSize.
@@ -33,15 +37,9 @@ func (sz Size) orDefault() Size {
 	return sz
 }
 
-// SplitMix scrambles (seed, run) into an independent per-run seed — the
-// same construction the fault-campaign worker pool uses, so outcomes are a
-// pure function of (seed, run index) at any worker count.
-func SplitMix(seed, run uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(run+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+// SplitMix is sass.SplitMix: the per-run seed of (seed, run), so outcomes
+// are a pure function of (seed, run index) at any worker count.
+func SplitMix(seed, run uint64) uint64 { return sass.SplitMix(seed, run) }
 
 // stmtWeight is the generator's opcode mix. Weights skew toward ALU and
 // memory traffic, with enough control flow, collectives, and barriers that

@@ -9,8 +9,8 @@ import (
 
 	"sassi/internal/analysis"
 	"sassi/internal/cuda"
-	"sassi/internal/difftest"
 	"sassi/internal/ptxas"
+	"sassi/internal/sass"
 	"sassi/internal/workloads"
 )
 
@@ -123,7 +123,7 @@ func schedApp(env Env, app string, candidates int, seed uint64, workers int) (Sc
 	// jitter tie-breaking through the shared splitmix construction.
 	seeds := make([]uint64, candidates)
 	for i := 1; i < candidates; i++ {
-		seeds[i] = difftest.SplitMix(seed, uint64(i))
+		seeds[i] = sass.SplitMix(seed, uint64(i))
 	}
 
 	results := make([]schedCandidate, candidates)

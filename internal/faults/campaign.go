@@ -272,7 +272,7 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 				if run >= c.Injections {
 					return
 				}
-				rng := newRNG(runSeed(c.Seed, run))
+				rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
 				site := c.selectSite(profiles, rng)
 				only := twinFor(instProg, site.Invocation, int(site.ThreadID)/profiles[site.Invocation].ctaThreads, widen)
 				ts := c.Trace.Now()
@@ -381,19 +381,6 @@ func (c *Campaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Program, e
 		return build()
 	}
 	return cache.Get(c.Spec.InstrumentedKey(ptxas.Options{}, instKey), build)
-}
-
-// runSeed derives the RNG seed for one injection run from the campaign seed
-// and the run index (splitmix64 finalizer), decorrelating runs while keeping
-// each a pure function of (Seed, run).
-func runSeed(seed uint64, run int) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*uint64(run+1)
-	z ^= z >> 30
-	z *= 0xbf58476d1ce4e5b9
-	z ^= z >> 27
-	z *= 0x94d049bb133111eb
-	z ^= z >> 31
-	return z
 }
 
 // selectSite samples a (launch, thread, dynamic-instruction) tuple

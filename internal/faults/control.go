@@ -236,7 +236,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 		inj   *handlers.CtrlInjector
 	}
 	plan := func(run int) runPlan {
-		rng := newRNG(runSeed(c.Seed, run))
+		rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
 		class := usable[rng.next()%uint64(len(usable))]
 		p := profilers[class]
 		key, nth, _ := p.Pick(rng.next() % p.Total())

@@ -14,7 +14,7 @@ import (
 // the cycle counter measures.
 //
 // Tie-breaking among equally-stalled candidates is by critical-path
-// priority, then — when seed is non-zero — by a per-instruction splitmix
+// priority, then — when seed is non-zero — by a per-instruction sass.SplitMix
 // jitter. The autotuner (internal/experiments, cmd/sassi-sched) sweeps
 // seeds to explore the plateau of greedy-equivalent schedules; seed 0 is
 // the deterministic baseline heuristic.
@@ -83,7 +83,7 @@ func scheduleBlock(k *sass.Kernel, bd *deps.BlockDAG, seed uint64) []int {
 	if seed != 0 {
 		jitter = make([]uint64, n)
 		for i := range jitter {
-			jitter[i] = splitmix(seed, uint64(bd.Start+i))
+			jitter[i] = sass.SplitMix(seed, uint64(bd.Start+i))
 		}
 	}
 
@@ -177,14 +177,4 @@ func scheduleBlock(k *sass.Kernel, bd *deps.BlockDAG, seed uint64) []int {
 		out = append(out, bd.Start+i)
 	}
 	return out
-}
-
-// splitmix scrambles (seed, site) into an independent jitter word — the
-// same construction the fault-campaign and difftest worker pools use, so
-// candidate schedules are a pure function of the seed.
-func splitmix(seed, site uint64) uint64 {
-	z := seed + 0x9e3779b97f4a7c15*(site+1)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

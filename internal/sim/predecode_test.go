@@ -369,3 +369,40 @@ func TestRetiredStacksAreDropped(t *testing.T) {
 	}
 	runtime.KeepAlive(dev)
 }
+
+// TestClassifyTotalOverALU: every ALU and SETP opcode (the ISA's integer
+// and floating-point families, OpIADD through OpF2F) has a class in every
+// well-formed shape — under any modifier, with any kind of value source,
+// with or without optional operands — so execOp needs no per-lane arm.
+func TestClassifyTotalOverALU(t *testing.T) {
+	r := sass.R
+	srcKinds := []sass.Operand{r(3), r(sass.RZ), sass.Imm(-1), sass.CMem(0, sass.ParamBase),
+		sass.CMem(0, 1<<20), sass.SReg(sass.SRTidX), sass.P(2), sass.NotP(sass.PT)}
+	mods := []sass.Mods{{}, {SetCC: true}, {X: true}, {SetCC: true, X: true}, {NegB: true},
+		{Unsigned: true}, {Width: sass.W64}, {Width: sass.W128}, {Logic: 7}, {Cmp: 9}, {Mufu: 11}}
+	for op := sass.OpIADD; op <= sass.OpF2F; op++ {
+		dsts, srcs := op.MinOperands()
+		for _, m := range mods {
+			for _, k := range srcKinds {
+				for extra := 0; extra <= 1; extra++ {
+					in := sass.Instruction{Guard: sass.Always, Op: op, Mods: m}
+					for i := 0; i < dsts+extra; i++ {
+						in.Dsts = append(in.Dsts, sass.P(uint8(i)))
+						if op != sass.OpISETP && op != sass.OpFSETP && op != sass.OpPSETP {
+							in.Dsts[i] = r(uint8(i))
+						}
+					}
+					for i := 0; i < srcs; i++ {
+						in.Srcs = append(in.Srcs, k)
+					}
+					if extra > 0 {
+						in.Srcs = append(in.Srcs, sass.P(1))
+					}
+					if c := classify(&in, sass.ParamBase+8); c == pcGeneric {
+						t.Errorf("%s %+v srcs %v: pcGeneric", op, m, in.Srcs)
+					}
+				}
+			}
+		}
+	}
+}
