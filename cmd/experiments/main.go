@@ -20,12 +20,11 @@ import (
 	"sassi/internal/experiments"
 	"sassi/internal/obs"
 	"sassi/internal/obscli"
-	"sassi/internal/sim"
 )
 
 func main() {
 	runList := flag.String("run", "all", "comma list of experiments: table1,fig5,fig7,fig8,table2,fig10,cfi,table3,overhead,sched,pcsamp")
-	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
+	gpu := obscli.RegisterGPU("k10")
 	injections := flag.Int("injections", 100, "fault injections per app for fig10 and cfi (paper: 1000)")
 	seed := flag.Uint64("seed", 2015, "campaign seed for fig10 and cfi")
 	apps := flag.String("apps", "", "comma list restricting table2/table3/fig10 to specific workloads")
@@ -35,27 +34,14 @@ func main() {
 	obsFlags := obscli.Register()
 	flag.Parse()
 
-	var cfg sim.Config
-	switch *gpu {
-	case "k10":
-		cfg = sim.KeplerK10()
-	case "k20":
-		cfg = sim.KeplerK20()
-	case "k40":
-		cfg = sim.KeplerK40()
-	case "mini":
-		cfg = sim.MiniGPU()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
-		os.Exit(2)
-	}
+	cfg := gpu.Config()
 	env := experiments.Default()
 	env.Config = cfg
 	env.Workers = *workers
 	var reg *obs.Registry
 	reg, tr, samp := obsFlags.Setup(func() *obs.Stats {
 		s := obs.NewStats(reg)
-		s.GPU = *gpu
+		s.GPU = gpu.Name
 		return s
 	})
 	env.Cache.Metrics = reg
@@ -182,7 +168,7 @@ func main() {
 		})
 	}
 	stats := obs.NewStats(reg)
-	stats.GPU = *gpu
+	stats.GPU = gpu.Name
 	if err := obsFlags.Finish(tr, stats, samp); err != nil {
 		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
 		os.Exit(1)

@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"sassi/internal/difftest"
-	"sassi/internal/sim"
+	"sassi/internal/obscli"
 )
 
 func main() {
@@ -28,7 +28,7 @@ func main() {
 	n := flag.Int("n", 200, "number of generated kernels")
 	workers := flag.Int("workers", 0, "concurrent oracle runs (0 = GOMAXPROCS); results are identical at any value")
 	handlers := flag.String("handlers", "all", "comma-separated handler tools to check (all: "+strings.Join(difftest.ToolNames(), ",")+")")
-	gpu := flag.String("gpu", "mini", "device model: k10, k20, k40, mini")
+	gpu := obscli.RegisterGPU("mini")
 	outDir := flag.String("out", ".", "directory for minimized .ptx repros of failures")
 	noShrink := flag.Bool("no-shrink", false, "report raw failing kernels without minimizing")
 	flag.Parse()
@@ -38,20 +38,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	var cfg sim.Config
-	switch *gpu {
-	case "k10":
-		cfg = sim.KeplerK10()
-	case "k20":
-		cfg = sim.KeplerK20()
-	case "k40":
-		cfg = sim.KeplerK40()
-	case "mini":
-		cfg = sim.MiniGPU()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
-		os.Exit(2)
-	}
+	cfg := gpu.Config()
 
 	c := &difftest.Campaign{
 		Seed: *seed, Runs: *n, Workers: *workers,

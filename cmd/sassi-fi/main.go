@@ -18,7 +18,6 @@ import (
 	"sassi/internal/faults"
 	"sassi/internal/obs"
 	"sassi/internal/obscli"
-	"sassi/internal/sim"
 	"sassi/internal/workloads"
 )
 
@@ -27,7 +26,7 @@ func main() {
 	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
 	n := flag.Int("n", 100, "number of injection runs (paper: 1000)")
 	seed := flag.Uint64("seed", 2015, "site-selection seed")
-	gpu := flag.String("gpu", "k20", "device model: k10, k20, k40, mini")
+	gpu := obscli.RegisterGPU("k20")
 	workers := flag.Int("workers", 0, "concurrent injection runs (0 = GOMAXPROCS); results are identical at any value")
 	obsFlags := obscli.Register()
 	flag.Parse()
@@ -41,20 +40,7 @@ func main() {
 	if ds == "" {
 		ds = spec.DefaultDataset()
 	}
-	var cfg sim.Config
-	switch *gpu {
-	case "k10":
-		cfg = sim.KeplerK10()
-	case "k20":
-		cfg = sim.KeplerK20()
-	case "k40":
-		cfg = sim.KeplerK40()
-	case "mini":
-		cfg = sim.MiniGPU()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
-		os.Exit(2)
-	}
+	cfg := gpu.Config()
 
 	c := &faults.Campaign{
 		Spec: spec, Dataset: ds,
@@ -66,7 +52,7 @@ func main() {
 		s := obs.NewStats(reg)
 		s.Workload = *workload
 		s.Dataset = ds
-		s.GPU = *gpu
+		s.GPU = gpu.Name
 		s.Tool = "errorinj"
 		return s
 	}

@@ -21,8 +21,8 @@ import (
 	"strings"
 
 	"sassi/internal/experiments"
+	"sassi/internal/obscli"
 	"sassi/internal/ptxas"
-	"sassi/internal/sim"
 	"sassi/internal/workloads"
 )
 
@@ -32,24 +32,11 @@ func main() {
 	candidates := flag.Int("candidates", 8, "schedules evaluated per app (seed 0 heuristic + jittered tie-breaks)")
 	seed := flag.Uint64("seed", 2015, "sweep seed; candidate i uses splitmix64(seed, i)")
 	workers := flag.Int("workers", 0, "concurrent candidate evaluations (0 = GOMAXPROCS); results are identical at any value")
-	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
+	gpu := obscli.RegisterGPU("k10")
 	disasm := flag.Bool("disasm", false, "also print baseline vs winning-schedule disassembly per app")
 	flag.Parse()
 
-	var cfg sim.Config
-	switch *gpu {
-	case "k10":
-		cfg = sim.KeplerK10()
-	case "k20":
-		cfg = sim.KeplerK20()
-	case "k40":
-		cfg = sim.KeplerK40()
-	case "mini":
-		cfg = sim.MiniGPU()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
-		os.Exit(2)
-	}
+	cfg := gpu.Config()
 	env := experiments.Default()
 	env.Config = cfg
 	env.Workers = *workers

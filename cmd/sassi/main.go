@@ -43,7 +43,7 @@ func main() {
 	workload := flag.String("workload", "demo.vecadd", "workload to run")
 	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
 	tool := flag.String("tool", "none", "instrumentation: none, opcount, branch, memdiv, valueprof")
-	gpu := flag.String("gpu", "k10", "device model: k10, k20, k40, mini")
+	gpu := obscli.RegisterGPU("k10")
 	disas := flag.Bool("disas", false, "print the compiled (and instrumented) SASS")
 	ptxFile := flag.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
 	args := flag.String("args", "", "comma list of scalar kernel arguments for -ptx kernels")
@@ -81,26 +81,13 @@ func main() {
 		spec = ptxFileSpec(*ptxFile, *args, *grid, *block, *bufWords)
 		ds = spec.DefaultDataset()
 	}
-	var cfg sim.Config
-	switch *gpu {
-	case "k10":
-		cfg = sim.KeplerK10()
-	case "k20":
-		cfg = sim.KeplerK20()
-	case "k40":
-		cfg = sim.KeplerK40()
-	case "mini":
-		cfg = sim.MiniGPU()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", *gpu)
-		os.Exit(2)
-	}
+	cfg := gpu.Config()
 
 	ctx := cuda.NewContext(cfg)
 	var reg *obs.Registry
 	verified := false
 	reg, tr, samp := obsFlags.Setup(func() *obs.Stats {
-		return runStats(reg, ctx, *workload, ds, *gpu, *tool, verified)
+		return runStats(reg, ctx, *workload, ds, gpu.Name, *tool, verified)
 	})
 	ctx.Device().Metrics = reg
 	ctx.Device().Trace = tr
@@ -214,7 +201,7 @@ func main() {
 	if report != nil {
 		report()
 	}
-	if err := obsFlags.Finish(tr, runStats(reg, ctx, *workload, ds, *gpu, *tool, verified), samp); err != nil {
+	if err := obsFlags.Finish(tr, runStats(reg, ctx, *workload, ds, gpu.Name, *tool, verified), samp); err != nil {
 		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
 		os.Exit(1)
 	}

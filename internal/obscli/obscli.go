@@ -1,8 +1,9 @@
-// Package obscli wires the observability layer into the command-line
-// tools: cmd/sassi, cmd/sassi-fi, and cmd/experiments all expose the same
-// -trace / -stats-json / -http / -pcsamp flags through this package, so
-// the flag semantics (and the zero-cost-when-off rule: no flag, nil
-// registry, tracer, and sampler) stay identical across binaries.
+// Package obscli holds the flags the command-line tools share. It wires the
+// observability layer in: cmd/sassi, cmd/sassi-fi, and cmd/experiments all
+// expose the same -trace / -stats-json / -http / -pcsamp flags through it,
+// so the flag semantics (and the zero-cost-when-off rule: no flag, nil
+// registry, tracer, and sampler) stay identical across binaries. Every
+// tool that simulates takes its device model from the one -gpu flag here.
 package obscli
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"sassi/internal/obs"
 	"sassi/internal/obs/pcsamp"
+	"sassi/internal/sim"
 )
 
 // Flags holds the shared observability flag values.
@@ -144,4 +146,41 @@ func writeTo(path string, write func(w io.Writer) error) error {
 		return err
 	}
 	return w.Close()
+}
+
+// GPU is the -gpu flag: a device model by name.
+type GPU struct{ Name string }
+
+// RegisterGPU declares -gpu on the default flag set, defaulting to def.
+func RegisterGPU(def string) *GPU {
+	g := &GPU{}
+	flag.StringVar(&g.Name, "gpu", def, "device model: k10, k20, k40, mini")
+	return g
+}
+
+// GPUConfig returns the device model called name, and false for a name
+// -gpu does not know.
+func GPUConfig(name string) (sim.Config, bool) {
+	switch name {
+	case "k10":
+		return sim.KeplerK10(), true
+	case "k20":
+		return sim.KeplerK20(), true
+	case "k40":
+		return sim.KeplerK40(), true
+	case "mini":
+		return sim.MiniGPU(), true
+	}
+	return sim.Config{}, false
+}
+
+// Config returns the device model -gpu names. An unknown name ends the
+// process with exit status 2, as a flag-parsing error does.
+func (g *GPU) Config() sim.Config {
+	cfg, ok := GPUConfig(g.Name)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", g.Name)
+		os.Exit(2)
+	}
+	return cfg
 }

@@ -8,7 +8,9 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -150,5 +152,42 @@ func TestWriteToError(t *testing.T) {
 	f := &Flags{PCSampOut: filepath.Join(t.TempDir(), "no", "such", "dir", "p.folded")}
 	if err := f.Finish(nil, nil, pcsamp.New(1)); err == nil {
 		t.Error("Finish with unwritable -pcsamp path returned nil error")
+	}
+}
+
+// TestGPUFlag: -gpu names the four device models and defaults to what the
+// binary registers it with.
+func TestGPUFlag(t *testing.T) {
+	g := RegisterGPU("k20")
+	if g.Name != "k20" || g.Config().Name != sim.KeplerK20().Name {
+		t.Errorf("default -gpu = %q (%s), want k20", g.Name, g.Config().Name)
+	}
+	for name, want := range map[string]sim.Config{
+		"k10": sim.KeplerK10(), "k20": sim.KeplerK20(), "k40": sim.KeplerK40(), "mini": sim.MiniGPU(),
+	} {
+		if got, ok := GPUConfig(name); !ok || got != want {
+			t.Errorf("GPUConfig(%q) = %+v, %v; want %+v", name, got, ok, want)
+		}
+	}
+	if _, ok := GPUConfig("k80"); ok {
+		t.Error("GPUConfig(k80) found a model")
+	}
+}
+
+// TestGPUUnknownExits2: an unknown -gpu name ends the process with exit
+// status 2 and names the model on stderr, in a child process.
+func TestGPUUnknownExits2(t *testing.T) {
+	if os.Getenv("OBSCLI_GPU_CHILD") != "" {
+		(&GPU{Name: "k80"}).Config()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestGPUUnknownExits2$")
+	cmd.Env = append(os.Environ(), "OBSCLI_GPU_CHILD=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 || !strings.Contains(stderr.String(), `unknown gpu "k80"`) {
+		t.Errorf("child exited with %v, stderr %q; want status 2 naming the model", err, stderr.String())
 	}
 }
