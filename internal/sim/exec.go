@@ -44,9 +44,6 @@ type engine struct {
 	samp        *pcsamp.LaunchSamples
 	sampPeriod  uint64
 	warpsPerCTA int
-
-	// src is srcU32, bound once per launch for Device.Reference.
-	src SrcReader
 }
 
 // smShard is one SM's private slice of the launch state: its view of the
@@ -112,10 +109,9 @@ func (e *engine) cbRead32(off int64) (uint32, error) {
 	return binary.LittleEndian.Uint32(e.cb[off:]), nil
 }
 
-// srcU32 evaluates a scalar source operand for one thread.
-// An operand kind that is no value, or a constant-bank word past the bank,
-// is an error.
-func (e *engine) srcU32(t *Thread, o sass.Operand) (uint32, error) {
+// ReadSrc evaluates a value source operand for one thread (see
+// SrcReader).
+func (e *engine) ReadSrc(t *Thread, o sass.Operand) (uint32, error) {
 	switch o.Kind {
 	case sass.OpdReg:
 		return t.ReadReg(o.Reg), nil
@@ -331,7 +327,7 @@ func (e *engine) execOp(w *Warp, in *sass.Instruction, exec uint32, cost int) (b
 		if e.dev.Reference == nil {
 			return false, cost, fmt.Errorf("opcode %s not implemented", in.Op)
 		}
-		err = e.dev.Reference(w, in, exec, e.src)
+		err = e.dev.Reference(w, in, exec, e)
 	}
 	return advance, cost, err
 }
@@ -440,14 +436,14 @@ func (e *engine) execShfl(w *Warp, in *sass.Instruction, exec uint32) error {
 	rd := in.Dsts[1]
 	var vals [WarpSize]uint32
 	Lanes(exec, func(l int) {
-		v, _ := e.srcU32(w.Thread(l), in.Srcs[0])
+		v, _ := e.ReadSrc(w.Thread(l), in.Srcs[0])
 		vals[l] = v
 	})
 	var results [WarpSize]uint32
 	var valid [WarpSize]bool
 	var outerErr error
 	Lanes(exec, func(l int) {
-		b, err := e.srcU32(w.Thread(l), in.Srcs[1])
+		b, err := e.ReadSrc(w.Thread(l), in.Srcs[1])
 		if err != nil {
 			outerErr = err
 			return

@@ -142,7 +142,7 @@ func (w *Warp) scoreboardPre(p *preInstr, cost int) (stall uint64) {
 func (e *engine) srcFault(w *Warp, in *sass.Instruction, exec uint32) error {
 	t := &w.threads[lane(exec)]
 	for _, o := range in.Srcs[:valueSrcs(in.Op)] {
-		if _, err := e.srcU32(t, o); err != nil {
+		if _, err := e.ReadSrc(t, o); err != nil {
 			return err
 		}
 	}
@@ -465,7 +465,7 @@ func bfe(x, b uint32, signed bool) uint32 {
 }
 
 // mufuEval evaluates one special-function-unit op; an out-of-enum
-// function returns 0, matching the interpreter's silent default.
+// function returns 0, as the reference does.
 func mufuEval(fn sass.MufuFunc, x float64) float64 {
 	switch fn {
 	case sass.MufuRCP:

@@ -37,9 +37,6 @@ func testEngine(tb testing.TB, d *Device, prog *sass.Program, p LaunchParams) (*
 	}
 	e.ntid = [3]uint32{uint32(p.Block.X), uint32(p.Block.Y), uint32(p.Block.Z)}
 	e.nctaid = [3]uint32{uint32(p.Grid.X), uint32(p.Grid.Y), uint32(p.Grid.Z)}
-	if d.Reference != nil {
-		e.src = e.srcU32
-	}
 	return e, e.buildCTA(0, p.Grid, p.Block, 0, 0)
 }
 

@@ -320,11 +320,14 @@ type Dispatcher interface {
 // from different SM goroutines.
 type RefALU func(w *Warp, in *sass.Instruction, exec uint32, src SrcReader) error
 
-// SrcReader reads value source o for thread t: a register (RZ reads 0), an
-// immediate, a constant-bank word, a special register, or a predicate as 0
-// or 1. Any other operand kind, or a constant-bank word past the bank, is
-// an error — a *mem.Fault for the latter.
-type SrcReader func(t *Thread, o sass.Operand) (uint32, error)
+// SrcReader reads the value sources of a launch's instructions.
+type SrcReader interface {
+	// ReadSrc reads value source o for thread t: a register (RZ reads 0),
+	// an immediate, a constant-bank word, a special register, or a
+	// predicate as 0 or 1. Any other operand kind, or a constant-bank word
+	// past the bank, is an error — a *mem.Fault for the latter.
+	ReadSrc(t *Thread, o sass.Operand) (uint32, error)
+}
 
 // floorPow2 returns the largest power of two <= n (minimum 1).
 func floorPow2(n uint64) uint64 {

@@ -188,9 +188,6 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		}
 		e.twinCTAs = t.CTAs
 	}
-	if d.Reference != nil {
-		e.src = e.srcU32
-	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
 		e.cycleBase = d.traceBase()

@@ -88,7 +88,7 @@ const (
 	psImm
 	psCMem // constant-bank word, offset validated at predecode
 	psSR   // special register (thread identity, clock, ...)
-	psPred // predicate evaluated to 0/1 (srcU32 semantics)
+	psPred // predicate evaluated to 0/1 (ReadSrc semantics)
 )
 
 // preSrc is one resolved scalar source operand.
@@ -205,6 +205,20 @@ func broadcastSafe(c preClass) bool {
 	return c >= pcMOV && c <= pcI2F
 }
 
+// readsAsDeclared reports whether an instruction reads each operand as the
+// kind it declares, the kind the lattice judged its uniformity by: S2R
+// reads a special register and SEL a predicate selector whatever their
+// operands are.
+func readsAsDeclared(in *sass.Instruction) bool {
+	switch in.Op {
+	case sass.OpS2R:
+		return in.Srcs[0].Kind == sass.OpdSReg
+	case sass.OpSEL:
+		return in.Srcs[2].Kind == sass.OpdPred
+	}
+	return true
+}
+
 // predecode lowers one kernel into the dense format (the build function of
 // sass.Kernel.Lowered), or records why it cannot run. Constant-bank
 // offsets are validated against the size every launch of the kernel uses,
@@ -241,7 +255,7 @@ func predecode(k *sass.Kernel) any {
 		if straightLine(in.Op) {
 			p.flags |= pfStraight
 		}
-		if uni != nil && uni[i].Uniform() && broadcastSafe(p.class) {
+		if uni != nil && uni[i].Uniform() && broadcastSafe(p.class) && readsAsDeclared(in) {
 			p.flags |= pfUniform
 		}
 		if in.Mods.SetCC {

@@ -41,7 +41,7 @@ func execALULane(t *sim.Thread, in *sass.Instruction, src sim.SrcReader) error {
 		if i >= len(in.Srcs) {
 			return 0, fmt.Errorf("%s: missing source %d", in.Op, i)
 		}
-		return src(t, in.Srcs[i])
+		return src.ReadSrc(t, in.Srcs[i])
 	}
 	put := func(v uint32) {
 		t.WriteReg(in.Dsts[0].Reg, v)
@@ -318,7 +318,7 @@ func execALULane(t *sim.Thread, in *sass.Instruction, src sim.SrcReader) error {
 
 	case sass.OpS2R:
 		// The special register named, whatever the operand's kind.
-		v, _ := src(t, sass.SReg(in.Srcs[0].SR))
+		v, _ := src.ReadSrc(t, sass.SReg(in.Srcs[0].SR))
 		put(v)
 
 	case sass.OpP2R:
@@ -471,11 +471,11 @@ func execALULane(t *sim.Thread, in *sass.Instruction, src sim.SrcReader) error {
 }
 
 func fbinop(t *sim.Thread, in *sass.Instruction, src sim.SrcReader, f func(a, b float32) float32) error {
-	a, err := src(t, in.Srcs[0])
+	a, err := src.ReadSrc(t, in.Srcs[0])
 	if err != nil {
 		return err
 	}
-	b, err := src(t, in.Srcs[1])
+	b, err := src.ReadSrc(t, in.Srcs[1])
 	if err != nil {
 		return err
 	}
@@ -490,11 +490,11 @@ func fbinop(t *sim.Thread, in *sass.Instruction, src sim.SrcReader, f func(a, b 
 // execSetp implements ISETP/FSETP: Pd = (a cmp b) LOGIC Pc, and optionally
 // Pq = !(a cmp b) LOGIC Pc.
 func execSetp(t *sim.Thread, in *sass.Instruction, src sim.SrcReader, float bool) error {
-	a, err := src(t, in.Srcs[0])
+	a, err := src.ReadSrc(t, in.Srcs[0])
 	if err != nil {
 		return err
 	}
-	b, err := src(t, in.Srcs[1])
+	b, err := src.ReadSrc(t, in.Srcs[1])
 	if err != nil {
 		return err
 	}
