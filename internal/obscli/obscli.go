@@ -158,9 +158,9 @@ func RegisterGPU(def string) *GPU {
 	return g
 }
 
-// GPUConfig returns the device model called name, and false for a name
+// gpuConfig returns the device model called name, and false for a name
 // -gpu does not know.
-func GPUConfig(name string) (sim.Config, bool) {
+func gpuConfig(name string) (sim.Config, bool) {
 	switch name {
 	case "k10":
 		return sim.KeplerK10(), true
@@ -177,7 +177,7 @@ func GPUConfig(name string) (sim.Config, bool) {
 // Config returns the device model -gpu names. An unknown name ends the
 // process with exit status 2, as a flag-parsing error does.
 func (g *GPU) Config() sim.Config {
-	cfg, ok := GPUConfig(g.Name)
+	cfg, ok := gpuConfig(g.Name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown gpu %q\n", g.Name)
 		os.Exit(2)

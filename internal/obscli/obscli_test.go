@@ -165,12 +165,12 @@ func TestGPUFlag(t *testing.T) {
 	for name, want := range map[string]sim.Config{
 		"k10": sim.KeplerK10(), "k20": sim.KeplerK20(), "k40": sim.KeplerK40(), "mini": sim.MiniGPU(),
 	} {
-		if got, ok := GPUConfig(name); !ok || got != want {
-			t.Errorf("GPUConfig(%q) = %+v, %v; want %+v", name, got, ok, want)
+		if got, ok := gpuConfig(name); !ok || got != want {
+			t.Errorf("gpuConfig(%q) = %+v, %v; want %+v", name, got, ok, want)
 		}
 	}
-	if _, ok := GPUConfig("k80"); ok {
-		t.Error("GPUConfig(k80) found a model")
+	if _, ok := gpuConfig("k80"); ok {
+		t.Error("gpuConfig(k80) found a model")
 	}
 }
 
