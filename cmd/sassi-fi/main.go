@@ -1,7 +1,7 @@
 // Command sassi-fi runs a Case Study IV error-injection campaign against
-// one workload: profile the injection space, stochastically select sites,
-// flip single bits of architectural state, and classify each run's outcome
-// against a golden execution.
+// one workload: count the injection space during a golden execution,
+// stochastically select sites, flip single bits of architectural state, and
+// classify each run's outcome against the golden execution.
 //
 // Usage:
 //

@@ -9,10 +9,9 @@ import (
 // CheckRoundTripEncoding serializes the kernel with MarshalBinary, decodes
 // the bytes again one instruction at a time, and requires the result to be
 // semantically identical: every field the encoding carries must survive
-// Encode→Decode unchanged. (The Comment field is debug-only and deliberately
-// not encoded; it is excluded from the comparison.) The decoded kernel is
-// never materialized: each instruction is decoded into one scratch value and
-// compared against its original on the spot.
+// Encode→Decode unchanged. The decoded kernel is never materialized: each
+// instruction is decoded into one scratch value and compared against its
+// original on the spot.
 func CheckRoundTripEncoding(k *sass.Kernel) []Diagnostic {
 	kernelDiag := func(format string, args ...any) []Diagnostic {
 		return []Diagnostic{{
@@ -148,8 +147,8 @@ func diffEncoding(a *sass.Kernel, data []byte, check string) ([]Diagnostic, erro
 }
 
 // instrDiff describes the first semantic difference between two
-// instructions, or "" if they are equivalent. Comment is ignored; nil and
-// empty operand slices are equivalent.
+// instructions, or "" if they are equivalent. Nil and empty operand slices
+// are equivalent.
 func instrDiff(a, b *sass.Instruction) string {
 	if a.Op != b.Op {
 		return fmt.Sprintf("opcode %v became %v", a.Op, b.Op)

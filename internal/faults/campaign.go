@@ -1,7 +1,7 @@
 // Package faults drives Case Study IV's error-injection campaigns (§8):
-// profile the injection site space with one SASSI handler, stochastically
-// select sites, inject single-bit flips with a second handler, and classify
-// each run's outcome against a golden reference execution.
+// count the injection site space during a golden reference execution,
+// stochastically select sites, inject single-bit flips with a SASSI
+// handler, and classify each run's outcome against the golden execution.
 package faults
 
 import (
@@ -58,8 +58,8 @@ type Campaign struct {
 	Injections int
 	// Seed drives site selection.
 	Seed uint64
-	// Config is the device model; the watchdog is recalibrated from the
-	// profiling run automatically.
+	// Config is the device model; the injection runs' watchdog is
+	// recalibrated from the golden run automatically.
 	Config sim.Config
 	// Targets weights the state classes; zero value means the paper's mix
 	// (GPRs dominate, predicates and CC for compare instructions).
@@ -73,22 +73,22 @@ type Campaign struct {
 
 	// Cache, when non-nil, is a shared compile cache; campaigns compile
 	// the workload exactly twice (uninstrumented golden + one instrumented
-	// program shared by the profiling run and every injection run), and a
-	// shared cache extends that sharing across campaigns. Nil uses a
-	// campaign-private cache.
+	// program, whose injected code also defines the site space, shared by
+	// every injection run), and a shared cache extends that sharing across
+	// campaigns. Nil uses a campaign-private cache.
 	Cache *sassi.CompileCache
 
 	// Metrics, when non-nil, receives campaign progress: faults.runs,
 	// faults.runs_failed, faults.workers, faults.sites_total, and one
 	// faults.outcome.<name> counter per category.
 	Metrics *obs.Registry
-	// Trace, when non-nil, records the golden and profiling phases on the
-	// host lane and one wall-clock lane per injection worker (PidCampaign),
-	// with a span per run carrying its outcome.
+	// Trace, when non-nil, records the golden run on the host lane and one
+	// wall-clock lane per injection worker (PidCampaign), with a span per
+	// run carrying its outcome.
 	Trace *obs.Tracer
-	// PCSamp, when non-nil, PC-samples the golden run (only: the profiling
-	// and injection runs execute instrumented code whose PCs would not
-	// line up with the uninstrumented profile).
+	// PCSamp, when non-nil, PC-samples the golden run (only: the injection
+	// runs execute instrumented code whose PCs would not line up with the
+	// uninstrumented profile).
 	PCSamp *pcsamp.Sampler
 }
 
@@ -99,22 +99,6 @@ type launchProfile struct {
 	counts     []uint64
 	total      uint64
 	ctaThreads int
-}
-
-// LaunchSizeError reports a profiling run that launched more threads than
-// it had per-thread site counters for — sized by the largest launch of the
-// golden run, then of the previous profiling attempt: the site space would
-// silently lose the excess threads.
-type LaunchSizeError struct {
-	Kernel  string
-	Launch  int
-	Threads int
-	Max     int
-}
-
-func (e *LaunchSizeError) Error() string {
-	return fmt.Sprintf("faults: profiling launch %d (%s) has %d threads, the largest launch seen before it had %d",
-		e.Launch, e.Kernel, e.Threads, e.Max)
 }
 
 // Result aggregates a campaign.
@@ -134,8 +118,8 @@ func (r *Result) Fraction(o Outcome) float64 {
 	return float64(r.Counts[o]) / float64(r.Total)
 }
 
-// Run executes the full campaign: golden run, profiling run, then
-// Injections armed runs with outcome classification.
+// Run executes the full campaign: the golden run, which also counts the
+// site space, then Injections armed runs with outcome classification.
 func (c *Campaign) Run() (*Result, error) {
 	res, _, err := c.run(false)
 	return res, err
@@ -166,66 +150,14 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 		cache.Trace = c.Trace
 	}
 
-	// (0) Golden reference run, uninstrumented.
-	goldenProg, err := c.Spec.CompileCached(cache, ptxas.Options{})
+	// (1) Golden reference run, uninstrumented, counting the site space the
+	// injection runs sample from.
+	g, err := c.golden(cache)
 	if err != nil {
 		return nil, nil, err
-	}
-	goldenCtx := cuda.NewContext(c.Config)
-	goldenCtx.Device().PCSamp = c.PCSamp
-	// The largest launch sizes the profiling run's per-thread counters.
-	maxThreads := 0
-	goldenCtx.Subscribe(cuda.LaunchCallbacks{
-		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
-			if stats != nil && stats.Threads > maxThreads {
-				maxThreads = stats.Threads
-			}
-		},
-	})
-	var golden *workloads.Result
-	c.Trace.HostSpan(obs.TidHostMain, "golden:"+c.Spec.Name, func() {
-		golden, err = c.Spec.Run(goldenCtx, goldenProg, c.Dataset)
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("faults: golden run failed: %w", err)
-	}
-	if golden.VerifyErr != nil {
-		return nil, nil, fmt.Errorf("faults: golden run does not verify: %w", golden.VerifyErr)
-	}
-
-	// The profiling handler and the injector share one instrumentation
-	// descriptor (site selection is site-independent: "after register
-	// writes"), so a single instrumented program serves the profiling run
-	// and all N injection runs. Instrumentation happens inside the build
-	// closure — cached programs are shared read-only.
-	instProg, err := c.instrumentedProg(cache)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// (1) Profiling run: count qualifying dynamic instructions per thread
-	// per launch. The golden run's largest launch is a prediction of this
-	// run's; a program whose launch sizes depend on how its SMs interleave
-	// (parboil.bfs sizes a launch by its frontier) can exceed it, and is
-	// profiled again with the size it showed.
-	var profiles []launchProfile
-	var maxWarpInstrs uint64
-	for attempt := 1; ; attempt++ {
-		var largest *LaunchSizeError
-		profiles, maxWarpInstrs, largest, err = c.profile(instProg, maxThreads)
-		if err != nil {
-			return nil, nil, fmt.Errorf("faults: profiling run failed: %w", err)
-		}
-		if largest == nil {
-			break
-		}
-		if attempt == profileAttempts {
-			return nil, nil, largest
-		}
-		maxThreads = largest.Threads
 	}
 	var totalSites uint64
-	for _, lp := range profiles {
+	for _, lp := range g.profiles {
 		totalSites += lp.total
 	}
 	res.SitesTotal = totalSites
@@ -240,7 +172,7 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	// outcomes — not just the histogram — are identical at any worker
 	// count.
 	injCfg := c.Config
-	injCfg.WatchdogWarpInstrs = 20*maxWarpInstrs + 100_000
+	injCfg.WatchdogWarpInstrs = 20*g.maxWarpInstrs + 100_000
 	workers := c.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -273,10 +205,10 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 					return
 				}
 				rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
-				site := c.selectSite(profiles, rng)
-				only := twinFor(instProg, site.Invocation, int(site.ThreadID)/profiles[site.Invocation].ctaThreads, widen)
+				site := c.selectSite(g.profiles, totalSites, rng)
+				only := twinFor(g.inst, site.Invocation, int(site.ThreadID)/g.profiles[site.Invocation].ctaThreads, widen)
 				ts := c.Trace.Now()
-				outcomes[run], errs[run] = c.injectOnce(ctx, goldenProg, instProg, only, site, golden)
+				outcomes[run], errs[run] = c.injectOnce(ctx, g.prog, g.inst, only, site, g.result)
 				runsCtr.Inc()
 				if errs[run] != nil {
 					failedCtr.Inc()
@@ -307,61 +239,130 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	return res, outcomes, nil
 }
 
-// profileAttempts bounds how often run re-profiles a program whose launches
-// outgrow the size the previous attempt showed.
-const profileAttempts = 3
+// goldenRun is what a campaign's golden run yields: both programs, the
+// reference result, every launch's site space and the largest warp
+// instruction count of the instrumented program (the watchdog's base).
+type goldenRun struct {
+	prog, inst    *sass.Program
+	result        *workloads.Result
+	profiles      []launchProfile
+	maxWarpInstrs uint64
+}
 
-// profile is the profiling run: the instrumented program, whole grid, with
-// one site counter per thread for launches of up to maxThreads threads. It
-// returns every launch's counts and the largest warp instruction count of
-// any launch (which calibrates the injection runs' watchdog), and reports
-// the largest launch that had more threads than counters, if any.
-func (c *Campaign) profile(inst *sass.Program, maxThreads int) ([]launchProfile, uint64, *LaunchSizeError, error) {
-	ctx := cuda.NewContext(c.Config)
-	prof := handlers.NewInjProfiler(ctx, maxThreads)
-	rt := sassi.NewRuntime(inst)
-	if err := rt.Register(prof.Handler()); err != nil {
-		return nil, 0, nil, err
+// golden builds both programs and runs the uninstrumented one over the
+// whole grid with a site probe: per thread per launch, it counts the issues
+// of instructions the instrumented program calls the injection handler
+// after. Instrumentation is transparent (the difftest tool axis and
+// outcomes.golden certify it), so this is the instrumented run's path, and
+// the counts are what a profiling handler there would count.
+func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
+	inst, err := c.instrumentedProg(cache)
+	if err != nil {
+		return nil, err
 	}
-	rt.Attach(ctx.Device())
-
-	var profiles []launchProfile
-	var maxWarpInstrs uint64
-	var largest *LaunchSizeError
-	zero := make([]byte, 8*maxThreads) // resets the counters between launches
+	prog, err := c.Spec.CompileCached(cache, ptxas.Options{})
+	if err != nil {
+		return nil, err
+	}
+	probe, err := newSiteProbe(prog, inst)
+	if err != nil {
+		return nil, err
+	}
+	g := &goldenRun{prog: prog, inst: inst}
+	ctx := cuda.NewContext(c.Config)
+	ctx.Device().PCSamp = c.PCSamp
+	ctx.Device().Probe = probe
 	ctx.Subscribe(cuda.LaunchCallbacks{
 		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
-			counts, rerr := prof.Counts()
-			if rerr != nil || err != nil {
+			if err != nil {
 				return
 			}
-			if stats.Threads > maxThreads && (largest == nil || stats.Threads > largest.Threads) {
-				largest = &LaunchSizeError{Kernel: kernel, Launch: idx, Threads: stats.Threads, Max: maxThreads}
-			}
-			lp := launchProfile{kernel: kernel, counts: counts, ctaThreads: stats.Threads / stats.CTAs}
-			for _, v := range counts {
+			lp := launchProfile{kernel: kernel, counts: probe.counts, ctaThreads: stats.Threads / stats.CTAs}
+			for _, v := range lp.counts {
 				lp.total += v
 			}
-			profiles = append(profiles, lp)
-			if stats.MaxWarpInstrs > maxWarpInstrs {
-				maxWarpInstrs = stats.MaxWarpInstrs
-			}
-			// Reset for the next launch.
-			_ = ctx.MemcpyHtoD(prof.DevPtr(), zero)
+			g.profiles = append(g.profiles, lp)
+			g.maxWarpInstrs = max(g.maxWarpInstrs, probe.maxWarpInstrs)
 		},
 	})
-	var err error
-	c.Trace.HostSpan(obs.TidHostMain, "profile:"+c.Spec.Name, func() {
-		_, err = c.Spec.Run(ctx, inst, c.Dataset)
+	c.Trace.HostSpan(obs.TidHostMain, "golden:"+c.Spec.Name, func() {
+		g.result, err = c.Spec.Run(ctx, prog, c.Dataset)
 	})
-	return profiles, maxWarpInstrs, largest, err
+	if err != nil {
+		return nil, fmt.Errorf("faults: golden run failed: %w", err)
+	}
+	if g.result.VerifyErr != nil {
+		return nil, fmt.Errorf("faults: golden run does not verify: %w", g.result.VerifyErr)
+	}
+	// Every launch's counts cover the largest launch's threads, as one
+	// device counter buffer sized for it did.
+	most := 0
+	for _, lp := range g.profiles {
+		most = max(most, len(lp.counts))
+	}
+	for i, lp := range g.profiles {
+		g.profiles[i].counts = append(lp.counts, make([]uint64, most-len(lp.counts))...)
+	}
+	return g, nil
+}
+
+// siteProbe is a campaign's sim.SiteProbe: per golden kernel, the length
+// of the injected run that follows each of its instructions in the
+// instrumented program, and what the last launch counted.
+type siteProbe struct {
+	weights       map[string][]uint32
+	counts        []uint64
+	maxWarpInstrs uint64
+}
+
+// newSiteProbe derives the weights of every kernel of prog from its
+// instrumented copy in inst, whose original instructions must be prog's.
+func newSiteProbe(prog, inst *sass.Program) (*siteProbe, error) {
+	p := &siteProbe{weights: make(map[string][]uint32, len(prog.Kernels))}
+	for _, k := range prog.Kernels {
+		ik, ok := inst.Kernel(k.Name)
+		if !ok {
+			return nil, fmt.Errorf("faults: kernel %s is not in the instrumented program", k.Name)
+		}
+		w := make([]uint32, len(k.Instrs))
+		j := -1 // the original instruction the injected run follows
+		for i := range ik.Instrs {
+			in := &ik.Instrs[i]
+			if in.Injected && j >= 0 {
+				w[j]++
+				continue
+			}
+			if j++; in.Injected || j == len(k.Instrs) || !sameOriginal(in, &k.Instrs[j]) {
+				return nil, fmt.Errorf("faults: kernel %s: instrumented instruction %d (%s) is not original instruction %d",
+					k.Name, i, in, j)
+			}
+		}
+		if j+1 != len(k.Instrs) {
+			return nil, fmt.Errorf("faults: kernel %s: instrumented copy has %d of its %d instructions", k.Name, j+1, len(k.Instrs))
+		}
+		p.weights[k.Name] = w
+	}
+	return p, nil
+}
+
+// sameOriginal reports whether a, an instruction of an instrumented kernel,
+// is b carried over: the injected code renumbers branch targets only.
+func sameOriginal(a, b *sass.Instruction) bool {
+	return a.Op == b.Op && a.Guard == b.Guard && a.Mods == b.Mods &&
+		len(a.Dsts) == len(b.Dsts) && len(a.Srcs) == len(b.Srcs)
+}
+
+func (p *siteProbe) SiteWeights(k *sass.Kernel) []uint32 { return p.weights[k.Name] }
+
+func (p *siteProbe) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
+	p.counts, p.maxWarpInstrs = counts, maxWarpInstrs
 }
 
 // instrumentedProg builds (or fetches) the campaign's single instrumented
 // program. The injection descriptor is site-independent ("after register
-// writes", register info, sassi_errorinj_handler), so the profiling run and
-// every injection run share it; per-run behavior comes entirely from the
-// registered handler's state.
+// writes", register info, sassi_errorinj_handler), so every injection run
+// shares it, and the golden run's site probe reads the site space off it;
+// per-run behavior comes entirely from the registered handler's state.
 func (c *Campaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Program, error) {
 	instOpts := (&handlers.Injector{}).Options()
 	instKey, ok := instOpts.CacheKey()
@@ -384,12 +385,8 @@ func (c *Campaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Program, e
 }
 
 // selectSite samples a (launch, thread, dynamic-instruction) tuple
-// uniformly over the profiled site space, plus random seeds.
-func (c *Campaign) selectSite(profiles []launchProfile, rng *prng) handlers.InjectionSite {
-	var total uint64
-	for _, lp := range profiles {
-		total += lp.total
-	}
+// uniformly over the profiled site space of total sites, plus random seeds.
+func (c *Campaign) selectSite(profiles []launchProfile, total uint64, rng *prng) handlers.InjectionSite {
 	pick := rng.next() % total
 	for li, lp := range profiles {
 		if pick >= lp.total {

@@ -1,11 +1,6 @@
 package faults
 
-import (
-	"sassi/internal/cuda"
-	"sassi/internal/ptxas"
-	"sassi/internal/sassi"
-	"sassi/internal/sim"
-)
+import "sassi/internal/sassi"
 
 // RunOutcomes runs the campaign and returns every run's outcome, in run
 // order. widen makes injection runs execute instrumented code in every CTA
@@ -21,54 +16,23 @@ func (c *ControlCampaign) RunOutcomes(widen bool) ([]CtrlOutcome, error) {
 	return outcomes, err
 }
 
-// ProfiledLaunch is one launch of a campaign's profiling run.
+// ProfiledLaunch is one launch of a campaign's site space.
 type ProfiledLaunch struct {
 	Kernel string
 	Counts []uint64 // qualifying dynamic instructions per grid-flat thread
 }
 
-// Profile performs the campaign's golden and profiling runs as run does —
-// counters sized by the golden run's largest launch, re-profiled while a
-// launch outgrows them — and returns the profiling run's launches and the
-// largest warp instruction count of any of them.
+// Profile performs the campaign's golden run as run does and returns the
+// site space it counted, launch by launch, and the largest warp
+// instruction count the instrumented program reaches in any launch.
 func (c *Campaign) Profile() ([]ProfiledLaunch, uint64, error) {
-	cache := sassi.NewCompileCache()
-	goldenProg, err := c.Spec.CompileCached(cache, ptxas.Options{})
+	g, err := c.golden(sassi.NewCompileCache())
 	if err != nil {
 		return nil, 0, err
 	}
-	ctx := cuda.NewContext(c.Config)
-	maxThreads := 0
-	ctx.Subscribe(cuda.LaunchCallbacks{
-		PostLaunch: func(_ string, _ int, stats *sim.KernelStats, _ error) {
-			if stats != nil && stats.Threads > maxThreads {
-				maxThreads = stats.Threads
-			}
-		},
-	})
-	if _, err := c.Spec.Run(ctx, goldenProg, c.Dataset); err != nil {
-		return nil, 0, err
+	out := make([]ProfiledLaunch, len(g.profiles))
+	for i, lp := range g.profiles {
+		out[i] = ProfiledLaunch{Kernel: lp.kernel, Counts: lp.counts}
 	}
-	inst, err := c.instrumentedProg(cache)
-	if err != nil {
-		return nil, 0, err
-	}
-	for attempt := 1; ; attempt++ {
-		profiles, maxWarpInstrs, largest, err := c.profile(inst, maxThreads)
-		if err != nil {
-			return nil, 0, err
-		}
-		if largest != nil && attempt < profileAttempts {
-			maxThreads = largest.Threads
-			continue
-		}
-		if largest != nil {
-			return nil, 0, largest
-		}
-		out := make([]ProfiledLaunch, len(profiles))
-		for i, lp := range profiles {
-			out[i] = ProfiledLaunch{Kernel: lp.kernel, Counts: lp.counts}
-		}
-		return out, maxWarpInstrs, nil
-	}
+	return out, g.maxWarpInstrs, nil
 }

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"testing"
 
 	"sassi/internal/cuda"
@@ -41,13 +40,16 @@ func growingVecadd(t *testing.T, name string, sizes ...int) *workloads.Spec {
 	}
 }
 
-// TestProfileCoversLargerLaunch is the maxLaunchThreads bug and its bound: a
-// profiling run that launches more threads than the golden run did used to
-// lose them from the site space silently (and every campaign paid for 65536
-// counters). Now the campaign profiles again with the size it saw, and the
-// site space covers every thread; a program that outgrows every attempt is
-// a *LaunchSizeError, not a campaign over a truncated site space.
-func TestProfileCoversLargerLaunch(t *testing.T) {
+// TestSiteSpaceFollowsGoldenLaunches: a program whose launches grow from
+// one run to the next gets the complete site space of its golden run, with
+// no error. The site space used to come from a second, instrumented run
+// whose per-thread counters were sized by the golden run's largest launch,
+// so a profiling run that launched more threads lost them (or, bounded,
+// failed the campaign after three attempts); the golden run now counts its
+// own launches, sized per launch. Each campaign's golden run is the
+// program's first run, so it covers sizes[0] threads, whatever later runs
+// launch.
+func TestSiteSpaceFollowsGoldenLaunches(t *testing.T) {
 	sites := func(spec *workloads.Spec) uint64 {
 		t.Helper()
 		c := &Campaign{Spec: spec, Dataset: "-", Injections: 2, Seed: 1, Config: sim.MiniGPU(), Workers: 1}
@@ -57,21 +59,15 @@ func TestProfileCoversLargerLaunch(t *testing.T) {
 		}
 		return res.SitesTotal
 	}
-	steady := sites(growingVecadd(t, "test.vecadd-steady", 256))
-	if grown := sites(growingVecadd(t, "test.vecadd-grows-once", 64, 256)); grown != steady {
-		t.Errorf("golden run of 64 threads, profiling run of 256: %d sites, want the %d of 256 threads", grown, steady)
+	small := sites(growingVecadd(t, "test.vecadd-small", 64))
+	large := sites(growingVecadd(t, "test.vecadd-large", 320))
+	if small == 0 || large != 5*small {
+		t.Fatalf("64 threads: %d sites, 320 threads: %d, want five times as many", small, large)
 	}
-
-	c := &Campaign{
-		Spec: growingVecadd(t, "test.vecadd-keeps-growing", 64, 128, 192, 256, 320), Dataset: "-",
-		Injections: 2, Seed: 1, Config: sim.MiniGPU(), Workers: 1,
+	if got := sites(growingVecadd(t, "test.vecadd-keeps-growing", 64, 128, 192, 256, 320)); got != small {
+		t.Errorf("golden run of 64 threads, injection runs growing to 320: %d sites, want the %d of 64 threads", got, small)
 	}
-	_, err := c.Run()
-	var le *LaunchSizeError
-	if !errors.As(err, &le) {
-		t.Fatalf("campaign on a program that outgrows every profiling attempt returned %v, want a *LaunchSizeError", err)
-	}
-	if le.Threads != 256 || le.Max != 192 {
-		t.Errorf("error reports %d threads against %d counters, want 256 against 192", le.Threads, le.Max)
+	if got := sites(growingVecadd(t, "test.vecadd-starts-large", 320, 64)); got != large {
+		t.Errorf("golden run of 320 threads, injection runs of 64: %d sites, want the %d of 320 threads", got, large)
 	}
 }

@@ -289,10 +289,10 @@ func DecodeKernelHeader(data []byte, k *Kernel) (KernelDecoder, error) {
 // Len returns the number of instructions not yet decoded.
 func (d *KernelDecoder) Len() int { return d.n - d.i }
 
-// Next decodes the next instruction into in, overwriting every encoded
-// field (Comment is not encoded and is cleared). Operand lists reuse in's
-// own slices where they have the capacity, so a caller that hands the same
-// instruction to every call decodes a whole kernel into one scratch value.
+// Next decodes the next instruction into in, overwriting every field.
+// Operand lists reuse in's own slices where they have the capacity, so a
+// caller that hands the same instruction to every call decodes a whole
+// kernel into one scratch value.
 func (d *KernelDecoder) Next(in *Instruction) error {
 	if d.i == d.n {
 		return io.EOF

@@ -103,14 +103,11 @@ type Instruction struct {
 	Op    Opcode
 	// Injected marks instructions inserted by the SASSI instrumentor so
 	// that profiling of "original" code can distinguish them. (It sits with
-	// the other one-byte fields so the struct packs into 80 bytes.)
+	// the other one-byte fields so the struct packs into 64 bytes.)
 	Injected bool
 	Mods     Mods
 	Dsts     []Operand
 	Srcs     []Operand
-
-	// Comment is carried through assembly/disassembly for readability.
-	Comment string
 }
 
 // Clone returns a deep copy of the instruction.
@@ -337,9 +334,5 @@ func (in *Instruction) String() string {
 		b.WriteString(strings.Join(opds, ", "))
 	}
 	b.WriteString(" ;")
-	if in.Comment != "" {
-		b.WriteString(" // ")
-		b.WriteString(in.Comment)
-	}
 	return b.String()
 }

@@ -1,6 +1,17 @@
 package sass
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestInstructionSize pins the instruction's 64 bytes: every pre-launch
+// stage materializes one per instruction of every kernel it emits.
+func TestInstructionSize(t *testing.T) {
+	if n := unsafe.Sizeof(Instruction{}); n != 64 {
+		t.Errorf("sass.Instruction is %d bytes, want 64", n)
+	}
+}
 
 func TestOperandStrings(t *testing.T) {
 	cases := []struct {

@@ -104,48 +104,87 @@ var opNames = [...]string{
 	OpVOTE: "VOTE", OpSHFL: "SHFL",
 }
 
-// operandCounts is the fewest destination and source operands each
-// opcode's every form has (the forms in the opcode comments above): the
-// operands the simulator reads unconditionally. Optional trailing operands
-// — a SETP's complement destination and combine predicate, the min/max
-// selector, CAS's swap value, an atomic's destination, SHFL's clamp — are
-// not counted.
-var operandCounts = [opCount]struct{ dsts, srcs uint8 }{
-	OpIADD: {1, 2}, OpIADD32: {1, 2}, OpIMUL: {1, 2}, OpIMAD: {1, 3},
-	OpISCADD: {1, 3}, OpISETP: {1, 2}, OpIMNMX: {1, 2}, OpLOP: {1, 2},
-	OpSHL: {1, 2}, OpSHR: {1, 2}, OpBFE: {1, 2}, OpBFI: {1, 3}, OpFLO: {1, 1},
-	OpPOPC: {1, 1}, OpSEL: {1, 3}, OpMOV: {1, 1}, OpMOV32: {1, 1},
-	OpS2R: {1, 1}, OpP2R: {1, 2}, OpR2P: {0, 2}, OpPSETP: {1, 2},
-	OpFADD: {1, 2}, OpFMUL: {1, 2}, OpFFMA: {1, 3}, OpFSETP: {1, 2},
-	OpFMNMX: {1, 2}, OpMUFU: {1, 1}, OpF2I: {1, 1}, OpI2F: {1, 1}, OpF2F: {1, 1},
-	OpLD: {1, 1}, OpST: {0, 2}, OpLDG: {1, 1}, OpSTG: {0, 2}, OpLDL: {1, 1},
-	OpSTL: {0, 2}, OpLDS: {1, 1}, OpSTS: {0, 2}, OpLDC: {1, 1},
-	OpATOM: {0, 2}, OpATOMS: {0, 2}, OpRED: {0, 2}, OpTLD: {1, 1},
-	OpBRA: {0, 1}, OpSSY: {0, 1}, OpPBK: {0, 1}, OpCAL: {0, 1}, OpJCAL: {0, 1},
-	OpVOTE: {1, 1}, OpSHFL: {2, 2},
+// operandKinds lists, per opcode, how the simulator reads each operand
+// position that every form of the opcode has (the forms in the opcode
+// comments above): 'r' the operand's register field as a GPR, 'p' as a
+// predicate, 'v' the operand as a 32-bit value of its own kind, '.' not by
+// position (memory references and branch targets are found by kind). VOTE's
+// destination, 'd', is a GPR for BALLOT and a predicate otherwise. Optional
+// trailing operands — a SETP's complement destination and combine
+// predicate, the min/max selector, CAS's swap value, an atomic's
+// destination, SHFL's clamp — are read only when they have the kind the
+// form gives them, and are not listed.
+var operandKinds = [opCount]struct{ dsts, srcs string }{
+	OpIADD: {"r", "vv"}, OpIADD32: {"r", "vv"}, OpIMUL: {"r", "vv"}, OpIMAD: {"r", "vvv"},
+	OpISCADD: {"r", "vvv"}, OpISETP: {"p", "vv"}, OpIMNMX: {"r", "vv"}, OpLOP: {"r", "vv"},
+	OpSHL: {"r", "vv"}, OpSHR: {"r", "vv"}, OpBFE: {"r", "vv"}, OpBFI: {"r", "vvv"},
+	OpFLO: {"r", "v"}, OpPOPC: {"r", "v"}, OpSEL: {"r", "vvp"}, OpMOV: {"r", "v"},
+	OpMOV32: {"r", "v"}, OpS2R: {"r", "."}, OpP2R: {"r", "vv"}, OpR2P: {"", "vv"},
+	OpPSETP: {"p", "pp"}, OpFADD: {"r", "vv"}, OpFMUL: {"r", "vv"}, OpFFMA: {"r", "vvv"},
+	OpFSETP: {"p", "vv"}, OpFMNMX: {"r", "vv"}, OpMUFU: {"r", "v"}, OpF2I: {"r", "v"},
+	OpI2F: {"r", "v"}, OpF2F: {"r", "v"},
+	OpLD: {"r", "."}, OpST: {"", ".."}, OpLDG: {"r", "."}, OpSTG: {"", ".."},
+	OpLDL: {"r", "."}, OpSTL: {"", ".."}, OpLDS: {"r", "."}, OpSTS: {"", ".."},
+	OpLDC: {"r", "."}, OpATOM: {"", ".."}, OpATOMS: {"", ".."}, OpRED: {"", ".."},
+	OpTLD: {"r", "."},
+	OpBRA: {"", "."}, OpSSY: {"", "."}, OpPBK: {"", "."}, OpCAL: {"", "."}, OpJCAL: {"", "."},
+	OpVOTE: {"d", "p"}, OpSHFL: {"pr", "vv"},
 }
 
 // MinOperands returns the fewest destination and source operands every
 // form of the opcode has; o must be defined.
 func (o Opcode) MinOperands() (dsts, srcs int) {
-	n := operandCounts[o]
-	return int(n.dsts), int(n.srcs)
+	k := operandKinds[o]
+	return len(k.dsts), len(k.srcs)
 }
 
-// CheckOperands reports an opcode outside the ISA, or an instruction with
-// fewer operands than every form of its opcode has.
+// CheckOperands reports what would make the simulator misread an
+// instruction: an opcode outside the ISA, a guard past PT, fewer operands
+// than every form of its opcode has, a register number that is neither a
+// GPR nor RZ, or a predicate number past PT — in a predicate operand, or
+// in any operand at a position read as a predicate (a register there is
+// read as the predicate of its number, so RZ or R8 and above name none).
 func (in *Instruction) CheckOperands() error {
 	if in.Op >= opCount {
 		return fmt.Errorf("bad opcode %d", in.Op)
 	}
-	dsts, srcs := in.Op.MinOperands()
-	if len(in.Dsts) < dsts {
-		return fmt.Errorf("%s has %d destination operands, needs %d", in.Op, len(in.Dsts), dsts)
+	if in.Guard.Reg > PT {
+		return fmt.Errorf("%s has guard P%d", in.Op, in.Guard.Reg)
 	}
-	if len(in.Srcs) < srcs {
-		return fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), srcs)
+	kinds := operandKinds[in.Op]
+	if len(in.Dsts) < len(kinds.dsts) {
+		return fmt.Errorf("%s has %d destination operands, needs %d", in.Op, len(in.Dsts), len(kinds.dsts))
 	}
-	return nil
+	if len(in.Srcs) < len(kinds.srcs) {
+		return fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), len(kinds.srcs))
+	}
+	check := func(what string, ops []Operand, kinds string) error {
+		for i, o := range ops {
+			kind := byte('.')
+			if i < len(kinds) {
+				kind = kinds[i]
+			}
+			if kind == 'd' {
+				kind = 'p'
+				if in.Mods.Vote == VoteBALLOT {
+					kind = 'r'
+				}
+			}
+			switch {
+			case kind == 'p' && o.Reg > PT:
+				return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, i, o)
+			case o.Kind == OpdPred && o.Reg > PT:
+				return fmt.Errorf("%s %s %d names predicate P%d", in.Op, what, i, o.Reg)
+			case (o.Kind == OpdReg || o.Kind == OpdMem) && o.Reg != RZ && int(o.Reg) >= NumGPR:
+				return fmt.Errorf("%s %s %d names register R%d", in.Op, what, i, o.Reg)
+			}
+		}
+		return nil
+	}
+	if err := check("destination", in.Dsts, kinds.dsts); err != nil {
+		return err
+	}
+	return check("source", in.Srcs, kinds.srcs)
 }
 
 // String returns the SASS mnemonic for the opcode.

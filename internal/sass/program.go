@@ -219,8 +219,8 @@ func (k *Kernel) Disassemble() string {
 	return b.String()
 }
 
-// Validate performs structural checks: label targets in range, register
-// numbers legal, EXIT reachable, operand kinds sane for the opcode.
+// Validate performs structural checks: every instruction's operands as
+// CheckOperands requires them, label targets in range, EXIT reachable.
 func (k *Kernel) Validate() error {
 	n := len(k.Instrs)
 	if n == 0 {
@@ -235,24 +235,12 @@ func (k *Kernel) Validate() error {
 		if err := in.CheckOperands(); err != nil {
 			return fmt.Errorf("kernel %s@%d: %v", k.Name, i, err)
 		}
-		for _, o := range append(append([]Operand{}, in.Dsts...), in.Srcs...) {
-			switch o.Kind {
-			case OpdReg, OpdMem:
-				if o.Reg != RZ && int(o.Reg) >= NumGPR {
-					return fmt.Errorf("kernel %s@%d: bad register R%d", k.Name, i, o.Reg)
-				}
-			case OpdPred:
-				if o.Reg > PT {
-					return fmt.Errorf("kernel %s@%d: bad predicate P%d", k.Name, i, o.Reg)
-				}
-			case OpdLabel:
-				if o.Imm < 0 || o.Imm > int64(n) {
+		for _, ops := range [...][]Operand{in.Dsts, in.Srcs} {
+			for _, o := range ops {
+				if o.Kind == OpdLabel && (o.Imm < 0 || o.Imm > int64(n)) {
 					return fmt.Errorf("kernel %s@%d: label %q out of range (%d)", k.Name, i, o.Name, o.Imm)
 				}
 			}
-		}
-		if !in.Guard.IsAlways() && in.Guard.Reg > PT {
-			return fmt.Errorf("kernel %s@%d: bad guard P%d", k.Name, i, in.Guard.Reg)
 		}
 	}
 	if !sawExit {

@@ -44,6 +44,9 @@ type engine struct {
 	samp        *pcsamp.LaunchSamples
 	sampPeriod  uint64
 	warpsPerCTA int
+
+	// probe is the launch's site counting (nil without a Device.Probe).
+	probe *siteCount
 }
 
 // smShard is one SM's private slice of the launch state: its view of the
@@ -219,6 +222,9 @@ func (e *engine) step(w *Warp) error {
 	st.warpInstrs++
 	nexec := bits.OnesCount32(exec)
 	st.threadInstrs += uint64(nexec)
+	if e.probe != nil {
+		e.probe.issue(w, pcIdx, exec)
+	}
 	if in.Injected {
 		st.injectedWarpInstrs++
 		st.injectedThreadInstrs += uint64(nexec)

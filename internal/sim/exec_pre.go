@@ -61,6 +61,9 @@ func (e *engine) stepPre(w *Warp) error {
 	st.warpInstrs++
 	nexec := bits.OnesCount32(exec)
 	st.threadInstrs += uint64(nexec)
+	if e.probe != nil {
+		e.probe.issue(w, pcIdx, exec)
+	}
 	if p.flags&pfInjected != 0 {
 		st.injectedWarpInstrs++
 		st.injectedThreadInstrs += uint64(nexec)

@@ -210,6 +210,12 @@ type Device struct {
 	// concurrent calls; CTA.Index identifies the block deterministically.
 	CTARetire func(cta *CTA)
 
+	// Probe, when non-nil, counts every launch's instrumentation site
+	// space (see SiteProbe) while the launch runs uninstrumented code. It
+	// changes no KernelStats, result or PC sample; a launch with a Twin is
+	// refused while it is attached, since its weights describe one kernel.
+	Probe SiteProbe
+
 	traceMu        sync.Mutex
 	traceNamed     bool
 	traceCycleBase uint64

@@ -82,6 +82,9 @@ func (e *TwinError) Error() string {
 	return fmt.Sprintf("sim: kernel %s: twin refused: %s", e.Kernel, e.Reason)
 }
 
+// minRegs is the fewest registers a thread has, whatever its kernel asks.
+const minRegs = 16
+
 // ctaCode is what a CTA takes from the kernel it runs.
 type ctaCode struct {
 	k *sass.Kernel
@@ -124,9 +127,7 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (ctaC
 			c.spans[id] = "handler:" + sym
 		}
 	}
-	if c.numRegs < 16 {
-		c.numRegs = 16
-	}
+	c.numRegs = max(c.numRegs, minRegs)
 	if c.localBytes == 0 {
 		c.localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
 	}
@@ -159,6 +160,8 @@ func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*ctaCode, e
 		return refuse("a trace is attached")
 	case d.MemWatch != nil:
 		return refuse("a MemWatch is attached")
+	case d.Probe != nil:
+		return refuse("a site probe is attached")
 	}
 	c, err := d.code(t.Prog, tk, p)
 	return &c, err
@@ -213,6 +216,11 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	numCTAs := grid.Count()
 	e.stats.CTAs = numCTAs
 	e.stats.Threads = numCTAs * threadsPerCTA
+	if d.Probe != nil {
+		if err := e.attachProbe(k, numCTAs, threadsPerCTA); err != nil {
+			return nil, err
+		}
+	}
 	if d.PCSamp != nil {
 		e.attachSampler(d.PCSamp, k, threadsPerCTA)
 	}
@@ -287,6 +295,9 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		// Merge even a failed launch's samples: profiles of crashing
 		// kernels are exactly what a profiler is for.
 		d.PCSamp.LaunchEnd(e.samp)
+	}
+	if e.probe != nil {
+		e.probe.report(d.Probe)
 	}
 	for _, err := range smErrs {
 		if err != nil {
@@ -526,6 +537,9 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 			st.ctasRun++
 			if e.dev.CTARetire != nil {
 				e.dev.CTARetire(cta)
+			}
+			if e.probe != nil {
+				e.probe.retire(cta)
 			}
 			if tr != nil {
 				tr.Span(obs.PidDevice, sm, fmt.Sprintf("cta %d", cta.Index),

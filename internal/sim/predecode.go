@@ -24,8 +24,10 @@ import (
 // keeps the warp-level operations — divergence-stack and call control,
 // barriers, collectives, atomics and memory shapes no class takes. A SASSI
 // handler call has a class too: its symbol is resolved once per launch,
-// not per call. A kernel with an instruction missing operands its opcode
-// always has is refused at launch (preKernel.err), whichever loop runs it.
+// not per call. A kernel with an instruction whose operands would be
+// misread — missing, naming no register or predicate, or a register past
+// the kernel's count — is refused at launch (preKernel.err), whichever loop
+// runs it.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -179,8 +181,9 @@ type preKernel struct {
 	// A launch resolves them against the CTA's program (ctaCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
-	// err, when non-nil, is why k cannot run: an instruction with fewer
-	// operands than its opcode always has. Nothing else is filled in then.
+	// err, when non-nil, is why k cannot run: an instruction whose
+	// operands sass.Instruction.CheckOperands refuses, or a register past
+	// the kernel's register count. Nothing else is filled in then.
 	err error
 }
 
@@ -230,6 +233,9 @@ func predecode(k *sass.Kernel) any {
 		}
 	}
 	gprs := scoreboardGPRs(k)
+	if regs := max(k.NumRegs, minRegs); gprs > regs {
+		return &preKernel{k: k, err: fmt.Errorf("names R%d, the kernel has %d registers", gprs-1, regs)}
+	}
 	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail}
 	cbSize := constBankSize(k)
 

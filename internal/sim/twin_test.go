@@ -122,6 +122,7 @@ func TestTwinRefused(t *testing.T) {
 		"pcsamp":   func(d *sim.Device) { d.PCSamp = pcsamp.New(64) },
 		"trace":    func(d *sim.Device) { d.Trace = obs.NewTracer() },
 		"memwatch": func(d *sim.Device) { d.MemWatch = func(sim.MemAccess) {} },
+		"probe":    func(d *sim.Device) { d.Probe = &probeRecorder{} },
 	}
 	launch := func(t *testing.T, dev *sim.Device, twin *sim.Twin) {
 		t.Helper()
