@@ -294,8 +294,8 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	if g.result.VerifyErr != nil {
 		return nil, fmt.Errorf("faults: golden run does not verify: %w", g.result.VerifyErr)
 	}
-	// Every launch's counts cover the largest launch's threads, as one
-	// device counter buffer sized for it did.
+	// Every launch's counts cover the largest launch's threads: the layout
+	// of one counter buffer sized for it, which profile.golden hashes.
 	most := 0
 	for _, lp := range g.profiles {
 		most = max(most, len(lp.counts))
