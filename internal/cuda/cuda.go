@@ -21,9 +21,9 @@ type DevPtr uint64
 type LaunchCallbacks struct {
 	// PreLaunch runs before the kernel starts.
 	PreLaunch func(kernel string, launchIdx int)
-	// Twin runs after every PreLaunch and may return a second program for
-	// part of the grid (sim.LaunchParams.Twin); nil leaves the launch as
-	// the workload issued it. One subscriber at most may answer a launch.
+	// Twin runs after every PreLaunch and may return a second program and
+	// the warps that run it (sim.LaunchParams.Twin); nil leaves the launch
+	// as the workload issued it. One subscriber at most may answer a launch.
 	Twin func(kernel string, launchIdx int) *sim.Twin
 	// PostLaunch runs after the kernel completes (or fails).
 	PostLaunch func(kernel string, launchIdx int, stats *sim.KernelStats, err error)

@@ -126,13 +126,13 @@ func TestTwinCallbackAndReset(t *testing.T) {
 	var asked []int
 	answer := func(_ string, idx int) *sim.Twin {
 		asked = append(asked, idx)
-		return &sim.Twin{Prog: twin, CTAs: func(cta int) bool { return cta == 1 }}
+		return &sim.Twin{Prog: twin, Warps: func(cta, _ int) bool { return cta == 1 }}
 	}
 	ctx.Subscribe(cuda.LaunchCallbacks{Twin: answer})
 	var ran []*sass.Kernel
 	ctx.Device().CTARetire = func(cta *sim.CTA) {
 		if cta.Index == 1 {
-			ran = append(ran, cta.Kernel)
+			ran = append(ran, cta.Warps[0].Kernel())
 		}
 	}
 	launch := func() error {

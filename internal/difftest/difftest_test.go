@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -99,21 +100,25 @@ func TestOracleCatchesMutantClobber(t *testing.T) {
 	for _, f := range res.Failures {
 		if f.Axis == "transparency" {
 			found = true
-			foundMixed = foundMixed || strings.Contains(f.Got, "@cta")
+			foundMixed = foundMixed || mixedBuild.MatchString(f.Got)
 		}
 	}
 	if !found {
 		t.Fatalf("mutant clobber reported, but not on the transparency axis: %v", res.Failures)
 	}
 	if !foundMixed {
-		t.Fatalf("mutant clobber missed in the launch that runs one CTA instrumented: %v", res.Failures)
+		t.Fatalf("mutant clobber missed in the launch that runs one warp instrumented: %v", res.Failures)
 	}
 }
 
-// TestMixedLaunchRejectsLayoutMutants seeds the twins a per-CTA kernel
+// mixedBuild matches the variant of a launch that runs one warp, tool@cta<N>.w<M>,
+// from the tool's kernel.
+var mixedBuild = regexp.MustCompile(`@cta\d+\.w\d+/`)
+
+// TestMixedLaunchRejectsLayoutMutants seeds the twins a per-warp kernel
 // selection must not accept — the same generated kernel with another
 // shared-memory size or another parameter list, either of which would run
-// the picked CTA against a constant bank and a shared window laid out for
+// the picked warp against a constant bank and a shared window laid out for
 // a different kernel — and requires the launch to refuse them.
 func TestMixedLaunchRejectsLayoutMutants(t *testing.T) {
 	p := Generate(SplitMix(1, 0), DefaultSize())
@@ -136,7 +141,7 @@ func TestMixedLaunchRejectsLayoutMutants(t *testing.T) {
 		dev := sim.NewDevice(o.Cfg)
 		_, err = dev.Launch(base, KernelName, sim.LaunchParams{
 			Grid: sim.D1(p.GridX), Block: sim.D1(p.BlockX), Args: make([]uint64, 3),
-			Twin: &sim.Twin{Prog: twin, CTAs: func(cta int) bool { return cta == 0 }},
+			Twin: &sim.Twin{Prog: twin, Warps: func(cta, warp int) bool { return cta == 0 && warp == 0 }},
 		})
 		var te *sim.TwinError
 		if !errors.As(err, &te) {

@@ -87,9 +87,9 @@ var coreCells = []coreCell{
 //	base/ref-seq ─transp─ tool/ref-seq   (injection transparency, per tool)
 //	tool/ref-seq ──full── tool/ref-par   (determinism under tools)
 //	tool/ref-seq ──full── tool/core-*    (injected code on the default core)
-//	base/ref-seq ─transp─ tool@cta/ref-seq   (one CTA from the tool's kernel, the
-//	                                          rest from base: sim.LaunchParams.Twin)
-//	tool@cta/ref-seq ─full─ tool@cta/core-par
+//	base/ref-seq ─transp─ tool@cta.w/ref-seq  (one warp from the tool's kernel, the
+//	                                           rest from base: sim.LaunchParams.Twin)
+//	tool@cta.w/ref-seq ─full─ tool@cta.w/core-par
 //
 // A non-nil error means the harness itself failed (the kernel would not
 // compile or the uninstrumented reference would not run) — a generator
@@ -144,12 +144,15 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 		}
 		o.lastSeq = nil
 
-		// The per-CTA kernel selection the fault campaigns run on: one
-		// CTA, picked by the seed, executes the tool's kernel and the rest
-		// the base kernel, on the reference and on the default core with
-		// the other SM dispatch.
-		mixed := &instrumentedSpec{fp: fp, tool: tool, cta: int(p.Seed % uint64(p.GridX))}
-		build := fmt.Sprintf("%s@cta%d", tool.Name, mixed.cta)
+		// The per-warp kernel selection the fault campaigns run on: one
+		// warp of one CTA, both picked by the seed, executes the tool's
+		// kernel and the rest — its CTA's other warps included, across
+		// barriers and shared memory — the base kernel, on the reference
+		// and on the default core with the other SM dispatch.
+		warps := (p.BlockX + sim.WarpSize - 1) / sim.WarpSize
+		mixed := &instrumentedSpec{fp: fp, tool: tool,
+			cta: int(p.Seed % uint64(p.GridX)), warp: int(p.Seed / uint64(p.GridX) % uint64(warps))}
+		build := fmt.Sprintf("%s@cta%d.w%d", tool.Name, mixed.cta, mixed.warp)
 		var mixedRef *RunState
 		for _, cell := range []coreCell{coreCells[0], coreCells[len(coreCells)-1]} {
 			st, err := o.launch(p, base, mixed, cell, build)
@@ -259,16 +262,16 @@ func (o *Oracle) fingerprint(p *Prog) (string, error) {
 type instrumentedSpec struct {
 	fp   string
 	tool Tool
-	// cta is the one CTA that runs the instrumented kernel when launch is
-	// given the base program too.
-	cta int
+	// cta and warp name the one warp that runs the instrumented kernel
+	// when launch is given the base program too.
+	cta, warp int
 }
 
 // launch runs one matrix cell and snapshots its final state as variant
 // build/cell.suffix. base alone launches the uninstrumented program; inst
 // alone builds (through the cache) the tool-instrumented variant and
-// launches it; both launch base with that variant as the twin of CTA
-// inst.cta.
+// launches it; both launch base with that variant as the twin of warp
+// inst.warp of CTA inst.cta.
 func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 	cell coreCell, build string) (*RunState, error) {
 	cfg := o.Cfg
@@ -343,7 +346,7 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 		Args:  []uint64{uint64(inPtr), uint64(outPtr), uint64(accPtr)},
 	}
 	if inst != nil && base != nil {
-		params.Twin = &sim.Twin{Prog: prog, CTAs: func(cta int) bool { return cta == inst.cta }}
+		params.Twin = &sim.Twin{Prog: prog, Warps: func(cta, warp int) bool { return cta == inst.cta && warp == inst.warp }}
 		prog = base
 	}
 	stats, err := ctx.LaunchKernel(prog, KernelName, params)

@@ -93,7 +93,7 @@ type Campaign struct {
 }
 
 // launchProfile records one launch's per-thread qualifying site counts and
-// its CTA size, which places a grid-flat thread in its CTA.
+// its CTA size, which places a grid-flat thread in its CTA and warp.
 type launchProfile struct {
 	kernel     string
 	counts     []uint64
@@ -126,8 +126,8 @@ func (c *Campaign) Run() (*Result, error) {
 }
 
 // run is Run, also returning every run's outcome. An injection run executes
-// the instrumented program only in the CTA its fault lands in (DESIGN.md
-// "Per-CTA kernel selection"); widen makes it every CTA of every launch,
+// the instrumented program only in the warp its fault lands in (DESIGN.md
+// "Per-warp kernel selection"); widen makes it every warp of every launch,
 // which is what a campaign ran before kernels were selected per CTA and
 // what the per-run golden test holds the narrow set against.
 func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
@@ -206,7 +206,9 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 				}
 				rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
 				site := c.selectSite(g.profiles, totalSites, rng)
-				only := twinFor(g.inst, site.Invocation, int(site.ThreadID)/g.profiles[site.Invocation].ctaThreads, widen)
+				ctaThreads := g.profiles[site.Invocation].ctaThreads
+				tid := int(site.ThreadID)
+				only := twinFor(g.inst, site.Invocation, tid/ctaThreads, tid%ctaThreads/sim.WarpSize, widen)
 				ts := c.Trace.Now()
 				outcomes[run], errs[run] = c.injectOnce(ctx, g.prog, g.inst, only, site, g.result)
 				runsCtr.Inc()
@@ -413,16 +415,16 @@ func (c *Campaign) selectSite(profiles []launchProfile, total uint64, rng *prng)
 	return handlers.InjectionSite{}
 }
 
-// twinFor returns the cuda.LaunchCallbacks.Twin of an injection run: CTA
-// cta of launch number launch runs inst, the instrumented program, and
-// every other CTA of every launch the program the run was given; widen
-// makes it every CTA of every launch.
-func twinFor(inst *sass.Program, launch, cta int, widen bool) func(string, int) *sim.Twin {
+// twinFor returns the cuda.LaunchCallbacks.Twin of an injection run: warp
+// warp of CTA cta of launch number launch runs inst, the instrumented
+// program, and every other warp of every launch the program the run was
+// given; widen makes it every warp of every launch.
+func twinFor(inst *sass.Program, launch, cta, warp int, widen bool) func(string, int) *sim.Twin {
 	return func(_ string, idx int) *sim.Twin {
 		if !widen && idx != launch {
 			return nil
 		}
-		return &sim.Twin{Prog: inst, CTAs: func(i int) bool { return widen || i == cta }}
+		return &sim.Twin{Prog: inst, Warps: func(c, w int) bool { return widen || c == cta && w == warp }}
 	}
 }
 

@@ -267,7 +267,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 				}
 				p := plan(run)
 				classOf[run] = p.class
-				only := twinFor(instProg, p.key.Invocation, p.key.CTA, widen)
+				only := twinFor(instProg, p.key.Invocation, p.key.CTA, p.key.Warp, widen)
 				outcomes[run], errs[run] = c.injectOnce(ctx, goldenProg, instProg, only, p.inj, golden)
 			}
 		}()
@@ -311,8 +311,8 @@ func (c *ControlCampaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Pro
 // it reset: the injector corrupts the chosen warp's control state ahead of
 // the checker's audit in the same dispatch, and the outcome is classified
 // with detection taking priority over downstream symptoms. prog, inst and
-// only are Campaign.injectOnce's: the checker audits the CTAs that run inst,
-// which include the corrupted warp's.
+// only are Campaign.injectOnce's: the checker audits the warps that run
+// inst, which include the corrupted one.
 func (c *ControlCampaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only func(string, int) *sim.Twin, inj *handlers.CtrlInjector, golden *workloads.Result) (CtrlOutcome, error) {
 	chk := handlers.NewCFIChecker()
 	if err := chk.Prepare(inst); err != nil {

@@ -3,7 +3,7 @@ package faults
 import "sassi/internal/sassi"
 
 // RunOutcomes runs the campaign and returns every run's outcome, in run
-// order. widen makes injection runs execute instrumented code in every CTA
+// order. widen makes injection runs execute instrumented code in every warp
 // of every launch instead of only where the fault lands.
 func (c *Campaign) RunOutcomes(widen bool) ([]Outcome, error) {
 	_, outcomes, err := c.run(widen)

@@ -131,7 +131,7 @@ func checkGolden(t *testing.T, what string, keys []string, got, want map[string]
 // TestPerRunOutcomeGolden pins every injection run's outcome — the vector,
 // not the histogram — to what the whole-grid-instrumented, fresh-device
 // campaign of the parent commit produced: an injection run that executes
-// instrumented code only in the CTA the fault lands in, on a device the
+// instrumented code only in the warp the fault lands in, on a device the
 // worker resets between runs, must classify each run the same, at any
 // worker count.
 func TestPerRunOutcomeGolden(t *testing.T) {
@@ -162,7 +162,7 @@ func TestPerRunOutcomeGolden(t *testing.T) {
 }
 
 // TestPerRunOutcomeGoldenWidened runs the same campaigns with the
-// instrumented CTA set widened to every CTA of every launch — what a
+// instrumented warp set widened to every warp of every launch — what a
 // campaign did before it selected kernels per CTA — against the same
 // golden, so the oracle for the narrow set is the mechanism itself.
 func TestPerRunOutcomeGoldenWidened(t *testing.T) {

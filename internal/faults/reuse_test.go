@@ -66,7 +66,8 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 
 			// The watchdog sits between what a warp of the clean program
 			// needs and what one of the instrumented program needs (~49x),
-			// so the "hang" run below trips it in CTA 0 and no clean run does.
+			// so the "hang" run below trips it in warp 0 of CTA 0 and no clean
+			// run does.
 			cfg := sim.MiniGPU()
 			var maxWarpInstrs uint64
 			for _, s := range runClean(t, cuda.NewContext(cfg), clean).stats {
@@ -75,8 +76,8 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 			cfg.WatchdogWarpInstrs = 2 * maxWarpInstrs
 			want := runClean(t, cuda.NewContext(cfg), clean)
 
-			// Each failing run executes instrumented code in CTA 0 of the
-			// first launch, as an injection run does.
+			// Each failing run executes instrumented code in warp 0 of CTA
+			// 0 of the first launch, as an injection run does.
 			failing := []struct {
 				name    string
 				handler sassi.HandlerFunc
@@ -109,7 +110,7 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 					Name: (&handlers.Injector{}).Options().AfterHandler, What: sassi.PassRegisterInfo, Fn: f.handler,
 				})
 				rt.Attach(ctx.Device())
-				ctx.Subscribe(cuda.LaunchCallbacks{Twin: twinFor(inst, 0, 0, false)})
+				ctx.Subscribe(cuda.LaunchCallbacks{Twin: twinFor(inst, 0, 0, 0, false)})
 				if _, err := clean(ctx); !f.failed(err) {
 					t.Fatalf("%s run ended with %v", f.name, err)
 				}

@@ -173,7 +173,7 @@ func (c *CFIChecker) record(v CFIViolation) {
 // guard passes at the site.
 func (c *CFIChecker) audit(ctx *device.Warp, args sassi.HandlerArgs, execMask uint32) {
 	w := ctx.Sim()
-	ck := c.kernels[w.CTA.Kernel.Name]
+	ck := c.kernels[w.Kernel().Name]
 	if ck == nil {
 		return // kernel not prepared (filtered instrumentation)
 	}

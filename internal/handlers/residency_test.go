@@ -43,7 +43,8 @@ func TestInstrumentedStackCostsWhatItTouches(t *testing.T) {
 
 	warps, touched, worst, frame := 0, 0, 0, 0
 	ctx.Device().CTARetire = func(cta *sim.CTA) {
-		frame = cta.Kernel.LocalBytes - before[cta.Kernel.Name]
+		k := cta.Warps[0].Kernel()
+		frame = k.LocalBytes - before[k.Name]
 		for _, w := range cta.Warps {
 			warps++
 			n := w.LocalMaterialized()

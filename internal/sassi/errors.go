@@ -69,7 +69,7 @@ func (e *HandlerError) Unwrap() error { return e.Err }
 // newHandlerError builds the error for panic value r raised under d.
 func newHandlerError(h *Handler, d *dispatch, r any) *HandlerError {
 	sw := d.warp.Sim()
-	e := &HandlerError{Handler: h.Name, Kernel: sw.CTA.Kernel.Name, Site: -1, PC: sw.PC, Lane: d.warp.CurLane()}
+	e := &HandlerError{Handler: h.Name, Kernel: sw.Kernel().Name, Site: -1, PC: sw.PC, Lane: d.warp.CurLane()}
 	switch v := r.(type) {
 	case device.Fault:
 		e.Lane, e.Err = v.Lane, v.Err

@@ -54,22 +54,21 @@ type ctaSlab struct {
 	addrs [WarpSize]uint64
 }
 
-// slabShape is what a CTA carves from its slab.
+// slabShape is what a CTA carves from its slab, summed over its warps,
+// each of which carves for the kernel it runs (warpCode).
 type slabShape struct {
 	threads, warps int
-	numRegs        int // registers per thread
-	sbSlots        int // scoreboard slots per warp
-	localBytes     int // local memory per thread
+	regs           int // register words
+	sbSlots        int // scoreboard slots
 }
 
 // get returns a slab that holds a CTA of shape s, reusing a free slab when
 // one is large enough.
 func (l *slabList) get(s slabShape) *ctaSlab {
 	l.live++
-	regs, sb := s.warps*s.numRegs*WarpSize, s.warps*s.sbSlots
 	for i := len(l.free) - 1; i >= 0; i-- {
 		f := l.free[i]
-		if cap(f.threads) >= s.threads && cap(f.regs) >= regs && cap(f.sb) >= sb && cap(f.locals) >= s.warps {
+		if cap(f.threads) >= s.threads && cap(f.regs) >= s.regs && cap(f.sb) >= s.sbSlots && cap(f.locals) >= s.warps {
 			l.free[i] = l.free[len(l.free)-1]
 			l.free = l.free[:len(l.free)-1]
 			return f
@@ -77,8 +76,8 @@ func (l *slabList) get(s slabShape) *ctaSlab {
 	}
 	return &ctaSlab{
 		threads: make([]Thread, 0, s.threads),
-		regs:    make([]uint32, 0, regs),
-		sb:      make([]uint64, 0, sb),
+		regs:    make([]uint32, 0, s.regs),
+		sb:      make([]uint64, 0, s.sbSlots),
 		locals:  make([]mem.WarpLocal, 0, s.warps),
 	}
 }
@@ -106,19 +105,21 @@ func carve[T any](s *[]T, n int) []T {
 	return c
 }
 
-// carveWarp gives w its state for lanes threads: every register zero but
-// the stack pointer, which starts at the top of local memory (the stack
-// grows down), no predicate set but PT, a clear CC and scoreboard, and a
-// stack that materialises storage only for what gets written.
-func (s *ctaSlab) carveWarp(w *Warp, lanes int, shape *slabShape) {
+// carveWarp gives w its state for lanes threads, sized by the kernel it
+// runs: every register zero but the stack pointer, which starts at the top
+// of local memory (the stack grows down), no predicate set but PT, a clear
+// CC and scoreboard, and a stack that materialises storage only for what
+// gets written.
+func (s *ctaSlab) carveWarp(w *Warp, lanes int) {
+	c := w.code
 	w.threads = carve(&s.threads, lanes)
-	w.regs = carve(&s.regs, shape.numRegs*WarpSize)
-	w.readyAt = carve(&s.sb, shape.sbSlots)
+	w.regs = carve(&s.regs, c.numRegs*WarpSize)
+	w.readyAt = carve(&s.sb, c.pre.sbSlots)
 	w.local = &carve(&s.locals, 1)[0]
-	w.local.Reset(shape.localBytes)
+	w.local.Reset(c.localBytes)
 	sp := w.row(sass.SP)
 	for l := range sp {
-		sp[l] = uint32(shape.localBytes)
+		sp[l] = uint32(c.localBytes)
 	}
 	w.preds[sass.PT] = ^uint32(0)
 }

@@ -22,13 +22,13 @@ type engine struct {
 	cb    []byte // constant bank 0 for this launch
 	stats *KernelStats
 
-	// base is the code of the launched kernel, which every CTA runs unless
-	// twinCTAs picks it for twin, the code of LaunchParams.Twin's kernel
+	// base is the code of the launched kernel, which every warp runs unless
+	// twinWarps picks it for twin, the code of LaunchParams.Twin's kernel
 	// (nil for a launch without one). The two agree on everything the
 	// launch fixes once: name, parameter layout and so cb, shared bytes.
-	base     ctaCode
-	twin     *ctaCode
-	twinCTAs func(cta int) bool
+	base      warpCode
+	twin      *warpCode
+	twinWarps func(cta, warp int) bool
 
 	sms    []smShard
 	ntid   [3]uint32
@@ -182,7 +182,7 @@ func (e *engine) step(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
 	}
-	k := w.CTA.Kernel
+	k := w.code.k
 	if w.PC < 0 || w.PC >= len(k.Instrs) {
 		return e.fail(w, ErrInvalid, "PC out of range (fell off kernel end)")
 	}
@@ -362,24 +362,23 @@ func (e *engine) execBranch(w *Warp, in *sass.Instruction, taken uint32) error {
 }
 
 // execJCAL dispatches an instrumentation-handler call, looking its symbol
-// up in the program the CTA's kernel is from. (The core's pcJCAL class
+// up in the program the warp's kernel is from. (The core's pcJCAL class
 // carries the symbol resolved at launch instead.)
 func (e *engine) execJCAL(w *Warp, in *sass.Instruction) error {
 	t, ok := in.BranchTarget()
 	if !ok || t.Kind != sass.OpdSym {
 		return fmt.Errorf("JCAL without symbol target")
 	}
-	code := e.codeOf(w.CTA)
-	id, ok := code.handlers[t.Name]
+	id, ok := w.code.handlers[t.Name]
 	if !ok {
 		id = -1
 	}
-	return e.callHandler(w, code, id, t.Name)
+	return e.callHandler(w, id, t.Name)
 }
 
-// callHandler is a JCAL to handler id (-1: sym is not linked) from code:
-// the dispatch both cores share.
-func (e *engine) callHandler(w *Warp, code *ctaCode, id int, sym string) error {
+// callHandler is a JCAL from w to handler id of its program (-1: sym is not
+// linked): the dispatch both cores share.
+func (e *engine) callHandler(w *Warp, id int, sym string) error {
 	if id < 0 {
 		return fmt.Errorf("JCAL to unlinked symbol %q", sym)
 	}
@@ -389,18 +388,10 @@ func (e *engine) callHandler(w *Warp, code *ctaCode, id int, sym string) error {
 	st := &e.sms[w.CTA.SM]
 	st.handlerCalls++
 	if tr := e.dev.Trace; tr != nil {
-		tr.Span(obs.PidDevice, w.CTA.SM, code.spans[id],
+		tr.Span(obs.PidDevice, w.CTA.SM, w.code.spans[id],
 			float64(e.cycleBase+st.cycles), float64(e.dev.Cfg.HandlerBodyCost), nil)
 	}
 	return e.dev.Dispatcher.Dispatch(e.dev, w, id)
-}
-
-// codeOf returns the code cta runs: the twin's when the launch picked it.
-func (e *engine) codeOf(cta *CTA) *ctaCode {
-	if e.twin != nil && cta.Kernel == e.twin.k {
-		return e.twin
-	}
-	return &e.base
 }
 
 // execVote implements VOTE.{ALL,ANY,BALLOT} over the executing lanes.

@@ -22,7 +22,7 @@ func (e *engine) stepPre(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
 	}
-	pre := w.CTA.pre
+	pre := w.code.pre
 	if w.PC < 0 || w.PC >= len(pre.ins) {
 		return e.fail(w, ErrInvalid, "PC out of range (fell off kernel end)")
 	}
@@ -90,8 +90,7 @@ func (e *engine) stepPre(w *Warp) error {
 		advance = false
 		e.execPreBRA(w, exec, p.target)
 	case p.class == pcJCAL:
-		code := e.codeOf(w.CTA)
-		err = e.callHandler(w, code, code.handlerIDs[p.target], pre.syms[p.target])
+		err = e.callHandler(w, w.code.handlerIDs[p.target], pre.syms[p.target])
 		cost += e.dev.Cfg.HandlerBodyCost
 	case p.class == pcFault:
 		if exec != 0 {
@@ -873,7 +872,7 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 	if op.Shape, global = w.globalAddrs(p, exec, op.Addrs); !global {
 		// Mixed address spaces and forced-global faults: the classic path,
 		// with no state modified yet.
-		return e.execMem(w, &w.CTA.Kernel.Instrs[w.PC], exec)
+		return e.execMem(w, &w.code.k.Instrs[w.PC], exec)
 	}
 	for i := range max(1, op.Width/4) {
 		if p.store {
@@ -948,7 +947,7 @@ func (w *Warp) globalAddrs(p *preInstr, exec uint32, addrs *[WarpSize]uint64) (m
 func (e *engine) runWarpSolo(w *Warp) error {
 	for !w.Done && !w.AtBarrier {
 		n := uint16(1)
-		if pre := w.CTA.pre; w.PC >= 0 && w.PC < len(pre.ins) {
+		if pre := w.code.pre; w.PC >= 0 && w.PC < len(pre.ins) {
 			n = pre.ins[w.PC].run
 		}
 		for ; n > 0; n-- {

@@ -51,25 +51,27 @@ type LaunchParams struct {
 	// default plus the kernel's static requirement).
 	StackBytes int
 
-	// Twin, when non-nil, makes part of the grid run a second kernel.
+	// Twin, when non-nil, makes the warps it picks run a second kernel.
 	Twin *Twin
 }
 
-// Twin selects, per CTA, a second kernel for a launch: the CTAs it picks
+// Twin selects, per warp, a second kernel for a launch: the warps it picks
 // run Prog's kernel of the launched name — registers, local bytes,
-// predecoded stream and handler symbols all taken from it — and the rest
-// run the launched one. The two must share the name, the parameter layout
-// and the static shared bytes, so that one constant bank and one residency
-// limit serve both; Launch returns a *TwinError otherwise. Every record a
-// PC sampler, a trace or a MemWatch makes carries a PC and no kernel, so a
-// launch with a Twin on a device with one of them attached is refused too.
-// The fault campaigns use it to run instrumented code only in the CTA an
-// injection targets (DESIGN.md "Per-CTA kernel selection").
+// predecoded stream and handler symbols all taken from it — and the rest,
+// in the same CTA or another, run the launched one. The two must share the
+// name, the parameter layout and the static shared bytes, so that one
+// constant bank, one shared window and one residency limit serve both;
+// Launch returns a *TwinError otherwise. Every record a PC sampler, a trace
+// or a MemWatch makes carries a PC and no kernel, so a launch with a Twin
+// on a device with one of them attached is refused too.
+// The fault campaigns use it to run instrumented code only in the warp an
+// injection targets (DESIGN.md "Per-warp kernel selection").
 type Twin struct {
 	Prog *sass.Program
-	// CTAs reports whether the CTA with this flat index runs Prog's
-	// kernel. SM goroutines call it concurrently, once per CTA.
-	CTAs func(cta int) bool
+	// Warps reports whether warp warp (its index in the CTA) of the CTA
+	// with flat index cta runs Prog's kernel. SM goroutines call it
+	// concurrently, once per warp.
+	Warps func(cta, warp int) bool
 }
 
 // TwinError reports a launch whose Twin cannot share it.
@@ -85,8 +87,8 @@ func (e *TwinError) Error() string {
 // minRegs is the fewest registers a thread has, whatever its kernel asks.
 const minRegs = 16
 
-// ctaCode is what a CTA takes from the kernel it runs.
-type ctaCode struct {
+// warpCode is what a warp takes from the kernel it runs.
+type warpCode struct {
 	k *sass.Kernel
 	// pre is the predecoded form of k, which stepPre executes and from
 	// which step, the reference loop, takes the scoreboard size.
@@ -101,10 +103,10 @@ type ctaCode struct {
 	localBytes int
 }
 
-// code resolves what CTAs running k, a kernel of prog, take from it. A
+// code resolves what warps running k, a kernel of prog, take from it. A
 // kernel that cannot run (preKernel.err) is an ErrInvalid KernelError.
-func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (ctaCode, error) {
-	c := ctaCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
+func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (warpCode, error) {
+	c := warpCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
 	c.pre = k.Lowered(predecode).(*preKernel)
 	if err := c.pre.err; err != nil {
 		return c, &KernelError{Kind: ErrInvalid, Kernel: k.Name, Detail: err.Error(), Err: err}
@@ -136,12 +138,12 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (ctaC
 
 // twinCode checks that t's kernel can share a launch of k on d and
 // resolves its code.
-func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*ctaCode, error) {
-	refuse := func(format string, args ...any) (*ctaCode, error) {
+func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*warpCode, error) {
+	refuse := func(format string, args ...any) (*warpCode, error) {
 		return nil, &TwinError{Kernel: k.Name, Reason: fmt.Sprintf(format, args...)}
 	}
-	if t.Prog == nil || t.CTAs == nil {
-		return refuse("no program or no CTA set")
+	if t.Prog == nil || t.Warps == nil {
+		return refuse("no program or no warp set")
 	}
 	tk, ok := t.Prog.Kernel(k.Name)
 	if !ok {
@@ -189,7 +191,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		if e.twin, err = d.twinCode(t, k, &p); err != nil {
 			return nil, err
 		}
-		e.twinCTAs = t.CTAs
+		e.twinWarps = t.Warps
 	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -416,13 +418,11 @@ func (e *engine) publishMetrics() {
 	mem.PublishHierarchy(reg, e.dev.L1Stats(), e.dev.L2Stats(), e.dev.DRAMTransactions())
 }
 
-// buildCTA instantiates the threads and warps of one CTA, running the twin
-// kernel if the launch has one and it picks this CTA.
+// buildCTA instantiates the threads and warps of one CTA. Each warp runs
+// the twin kernel if the launch has one and it picks the warp, the launched
+// one otherwise, and is carved with its own kernel's registers, scoreboard
+// and local bytes.
 func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CTA {
-	code := &e.base
-	if e.twin != nil && e.twinCTAs(ctaIdx) {
-		code = e.twin
-	}
 	cx := uint32(ctaIdx % grid.X)
 	cy := uint32(ctaIdx / grid.X % grid.Y)
 	cz := uint32(ctaIdx / (grid.X * grid.Y))
@@ -430,19 +430,23 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 		Index: ctaIdx, CtaX: cx, CtaY: cy, CtaZ: cz,
 		Shared: mem.NewShared(sharedBytes),
 		SM:     sm,
-		Kernel: code.k, pre: code.pre,
 	}
 	threads := block.Count()
-	shape := slabShape{
-		threads: threads, warps: (threads + WarpSize - 1) / WarpSize,
-		numRegs: code.numRegs, sbSlots: code.pre.sbSlots, localBytes: code.localBytes,
-	}
-	cta.slab = e.dev.perSM[sm].slabs.get(shape)
+	shape := slabShape{threads: threads, warps: (threads + WarpSize - 1) / WarpSize}
 	cta.Warps = make([]*Warp, shape.warps)
 	for wi := range cta.Warps {
-		w := &Warp{CTA: cta, IDinCTA: wi}
+		code := &e.base
+		if e.twin != nil && e.twinWarps(ctaIdx, wi) {
+			code = e.twin
+		}
+		shape.regs += code.numRegs * WarpSize
+		shape.sbSlots += code.pre.sbSlots
+		cta.Warps[wi] = &Warp{CTA: cta, IDinCTA: wi, code: code}
+	}
+	cta.slab = e.dev.perSM[sm].slabs.get(shape)
+	for wi, w := range cta.Warps {
 		lanes := min(WarpSize, threads-wi*WarpSize)
-		cta.slab.carveWarp(w, lanes, &shape)
+		cta.slab.carveWarp(w, lanes)
 		for lane := range w.threads {
 			flat := wi*WarpSize + lane
 			w.threads[lane] = Thread{
@@ -454,7 +458,6 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 		}
 		w.Active = uint32(uint64(1)<<lanes - 1)
 		w.Alive = w.Active
-		cta.Warps[wi] = w
 	}
 	return cta
 }

@@ -178,7 +178,7 @@ type preKernel struct {
 	// (scoreboardGPRs), then the predicates and the CC.
 	sbSlots int
 	// syms are the handler symbols k's JCALs name, in order of first use.
-	// A launch resolves them against the CTA's program (ctaCode.handlerIDs):
+	// A launch resolves them against the warp's program (warpCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
 	// err, when non-nil, is why k cannot run: an instruction whose

@@ -31,9 +31,16 @@ type divEntry struct {
 // stack for all lanes interleaved by word (mem.WarpLocal). Registers, the
 // scoreboard, the threads and the stack descriptor are carved from the
 // CTA's slab. Thread is a lane's view of it.
+//
+// The kernel is a property of the warp: with a Twin, warps of one CTA may
+// run different kernels, each with its own register count, local bytes,
+// predecoded stream and handler table.
 type Warp struct {
 	CTA     *CTA
 	IDinCTA int
+
+	// code is what the warp runs (Kernel).
+	code *warpCode
 
 	PC     int
 	Active uint32 // lanes executing at PC
@@ -230,6 +237,10 @@ func (w *Warp) LoadLocal(mask uint32, off uint64, dst *[WarpSize]uint32) error {
 	return w.local.LoadRow(mask, off, dst)
 }
 
+// Kernel returns the (possibly instrumented) kernel the warp executes —
+// handlers that keep per-kernel shadow state key off it.
+func (w *Warp) Kernel() *sass.Kernel { return w.code.k }
+
 // ActiveMask returns the current active lane mask.
 func (w *Warp) ActiveMask() uint32 { return w.Active }
 
@@ -335,11 +346,6 @@ type CTA struct {
 	Shared           *mem.Shared
 	Warps            []*Warp
 	SM               int
-	// Kernel is the (possibly instrumented) kernel this CTA executes —
-	// handlers that keep per-kernel shadow state key off it.
-	Kernel *sass.Kernel
-	// pre is Kernel's predecoded form.
-	pre *preKernel
 
 	// traceStart is the SM-cycle count when the CTA became resident (used
 	// only when the device records a trace).
