@@ -1,6 +1,7 @@
 package handlers_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,5 +163,52 @@ func TestCFICheckerRejectsMutants(t *testing.T) {
 				t.Errorf("missing runtime %q violation; got %v", c.runtime, vs)
 			}
 		})
+	}
+}
+
+// TestCtrlProfilerOrderIsSMOrderFree profiles the call-tree demo's
+// return-address sites twenty times at concurrent SMs and asserts Pick
+// enumerates the warps in one order every time: a control campaign draws
+// its targets through Pick, so an order that follows how the SM goroutines
+// interleave draws different warps from run to run.
+func TestCtrlProfilerOrderIsSMOrderFree(t *testing.T) {
+	spec, ok := workloads.Get("demo.calltree")
+	if !ok {
+		t.Fatal("demo.calltree not registered")
+	}
+	prog, err := spec.Compile(ptxas.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sassi.Instrument(prog, handlers.NewCFIChecker().Options()); err != nil {
+		t.Fatal(err)
+	}
+	order := func() []handlers.CtrlWarpKey {
+		p := handlers.NewCtrlProfiler(handlers.CtrlRetBitFlip)
+		ctx := cuda.NewContext(sim.MiniGPU())
+		ctx.Subscribe(cuda.LaunchCallbacks{PreLaunch: func(_ string, idx int) { p.SetInvocation(idx) }})
+		rt := sassi.NewRuntime(prog)
+		rt.MustRegister(&sassi.Handler{Name: handlers.CFIHandlerSymbol, Fn: p.Profile})
+		rt.Attach(ctx.Device())
+		if _, err := spec.Run(ctx, prog, spec.DefaultDataset()); err != nil {
+			t.Fatal(err)
+		}
+		var keys []handlers.CtrlWarpKey
+		for flat := uint64(0); flat < p.Total(); flat++ {
+			key, _, _ := p.Pick(flat)
+			if len(keys) == 0 || keys[len(keys)-1] != key {
+				keys = append(keys, key)
+			}
+		}
+		return keys
+	}
+	want := order()
+	if len(want) < 2 {
+		t.Fatalf("only %d warps reach a return-address site", len(want))
+	}
+	for i := 1; i < 20; i++ {
+		if got := order(); !slices.Equal(got, want) {
+			t.Fatalf("run %d enumerates %v, run 0 %v", i, got, want)
+		}
 	}
 }
