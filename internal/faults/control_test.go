@@ -18,11 +18,9 @@ func TestControlCampaignCallTree(t *testing.T) {
 	if !ok {
 		t.Fatal("demo.calltree not registered")
 	}
-	cfg := sim.MiniGPU()
-	cfg.SequentialSMs = true
 	c := &faults.ControlCampaign{
 		Spec: spec, Dataset: "small",
-		Injections: 40, Seed: 11, Config: cfg,
+		Injections: 40, Seed: 11, Config: sim.MiniGPU(),
 	}
 	res, err := c.Run()
 	if err != nil {
@@ -68,12 +66,10 @@ func TestControlCampaignWorkerInvariance(t *testing.T) {
 	if !ok {
 		t.Fatal("demo.calltree not registered")
 	}
-	cfg := sim.MiniGPU()
-	cfg.SequentialSMs = true
 	run := func(workers int) *faults.ControlResult {
 		c := &faults.ControlCampaign{
 			Spec: spec, Dataset: "small",
-			Injections: 12, Seed: 3, Config: cfg, Workers: workers,
+			Injections: 12, Seed: 3, Config: sim.MiniGPU(), Workers: workers,
 		}
 		res, err := c.Run()
 		if err != nil {

@@ -1,7 +1,9 @@
 package handlers
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"sassi/internal/device"
@@ -82,7 +84,6 @@ type CtrlProfiler struct {
 	class      CtrlClass
 	invocation int
 	counts     map[CtrlWarpKey]uint64
-	order      []CtrlWarpKey // first-qualifying order, for deterministic enumeration
 }
 
 // NewCtrlProfiler profiles qualifying sites for one corruption class.
@@ -106,11 +107,7 @@ func (p *CtrlProfiler) Profile(ctx *device.Warp, _ sassi.HandlerArgs) {
 		return
 	}
 	p.mu.Lock()
-	key := CtrlWarpKey{Invocation: p.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}
-	if p.counts[key] == 0 {
-		p.order = append(p.order, key)
-	}
-	p.counts[key]++
+	p.counts[CtrlWarpKey{Invocation: p.invocation, CTA: w.CTA.Index, Warp: w.IDinCTA}]++
 	p.mu.Unlock()
 }
 
@@ -128,12 +125,19 @@ func (p *CtrlProfiler) Total() uint64 {
 
 // Pick maps a flat index in [0, Total) to a concrete injection target:
 // the warp and the ordinal of the qualifying dispatch within that warp's
-// stream. Enumeration follows first-qualifying order, which is
-// deterministic under SequentialSMs.
+// stream. Warps are enumerated in (Invocation, CTA, Warp) order, which no
+// interleaving of concurrent SMs can change.
 func (p *CtrlProfiler) Pick(flat uint64) (CtrlWarpKey, uint64, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, key := range p.order {
+	keys := make([]CtrlWarpKey, 0, len(p.counts))
+	for key := range p.counts {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b CtrlWarpKey) int {
+		return cmp.Or(cmp.Compare(a.Invocation, b.Invocation), cmp.Compare(a.CTA, b.CTA), cmp.Compare(a.Warp, b.Warp))
+	})
+	for _, key := range keys {
 		n := p.counts[key]
 		if flat < n {
 			return key, flat, true
