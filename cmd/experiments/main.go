@@ -5,6 +5,8 @@
 //	experiments -run all
 //	experiments -run table1,fig7 -gpu k10
 //	experiments -run fig10 -injections 1000
+//	experiments -run cfi -apps demo.calltree -injections 100 -assert-cfi-detect 0.95
+//	experiments -run sched -apps parboil.sgemm -candidates 32
 //
 // Output is the text rendering of each table/figure; EXPERIMENTS.md records
 // a reference run next to the paper's numbers.
@@ -24,14 +26,15 @@ import (
 
 func main() {
 	runList := flag.String("run", "all", "comma list of experiments: table1,fig5,fig7,fig8,table2,fig10,cfi,table3,overhead,sched,pcsamp")
-	gpu := obscli.RegisterGPU("k10")
+	gpu := obscli.RegisterGPU(flag.CommandLine, "k10")
 	injections := flag.Int("injections", 100, "fault injections per app for fig10 and cfi (paper: 1000)")
-	seed := flag.Uint64("seed", 2015, "campaign seed for fig10 and cfi")
+	seed := flag.Uint64("seed", 2015, "seed of the fig10 and cfi campaigns and the sched sweep")
 	apps := flag.String("apps", "", "comma list restricting table2/table3/fig10 to specific workloads")
 	workers := flag.Int("workers", 0, "concurrent fig10 injection / sched candidate runs (0 = GOMAXPROCS); results are identical at any value")
 	candidates := flag.Int("candidates", 8, "schedule candidates per app for sched (seed 0 heuristic + jittered tie-breaks)")
+	cfiDetect := flag.Float64("assert-cfi-detect", 0, "fail unless every cfi app has no false positive, draws return-address injections and detects at least this share of them (0 = no gate)")
 	pcsampTop5 := flag.Float64("assert-pcsamp-top5", 0, "fail unless every pcsamp app's top-5 agreement at the default period meets this bound (0 = no gate)")
-	obsFlags := obscli.Register()
+	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
 
 	cfg := gpu.Config()
@@ -120,6 +123,11 @@ func main() {
 		rows, err := experiments.CFICoverage(env, appList, *injections, *seed)
 		if err != nil {
 			return "", err
+		}
+		if *cfiDetect > 0 {
+			if err := experiments.AssertCFIDetect(rows, *cfiDetect); err != nil {
+				return "", err
+			}
 		}
 		return experiments.FormatCFICoverage(rows), nil
 	})

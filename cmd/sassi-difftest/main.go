@@ -28,7 +28,7 @@ func main() {
 	n := flag.Int("n", 200, "number of generated kernels")
 	workers := flag.Int("workers", 0, "concurrent oracle runs (0 = GOMAXPROCS); results are identical at any value")
 	handlers := flag.String("handlers", "all", "comma-separated handler tools to check (all: "+strings.Join(difftest.ToolNames(), ",")+")")
-	gpu := obscli.RegisterGPU("mini")
+	gpu := obscli.RegisterGPU(flag.CommandLine, "mini")
 	outDir := flag.String("out", ".", "directory for minimized .ptx repros of failures")
 	noShrink := flag.Bool("no-shrink", false, "report raw failing kernels without minimizing")
 	flag.Parse()

@@ -26,9 +26,9 @@ func main() {
 	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
 	n := flag.Int("n", 100, "number of injection runs (paper: 1000)")
 	seed := flag.Uint64("seed", 2015, "site-selection seed")
-	gpu := obscli.RegisterGPU("k20")
+	gpu := obscli.RegisterGPU(flag.CommandLine, "k20")
 	workers := flag.Int("workers", 0, "concurrent injection runs (0 = GOMAXPROCS); results are identical at any value")
-	obsFlags := obscli.Register()
+	obsFlags := obscli.Register(flag.CommandLine)
 	flag.Parse()
 
 	spec, ok := workloads.Get(*workload)

@@ -19,7 +19,7 @@
 // provably warp-uniform; GS together mark the instructions the predecoded
 // engine's uniform-warp fast path may execute once per warp). -workload
 // selects a single built-in by name, which is how the golden test pins
-// the lattice's coverage on parboil.sgemm.
+// the lattice's coverage on parboil.sgemm; it also takes a mutant's name.
 //
 // Usage:
 //
@@ -27,6 +27,7 @@
 //	sassi-lint -workloads -instrument
 //	sassi-lint -Werror -checks barrier-divergence,shared-race,cfi -workloads
 //	sassi-lint -uniformity -workload parboil.sgemm
+//	sassi-lint -checks cfi -workload mutant.cfi-ret-nocall
 //	sassi-lint -list-checks
 //
 // Diagnostics print one per line in a deterministic order; the exit
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sassi-lint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	lintWorkloads := fs.Bool("workloads", false, "lint every built-in workload")
-	oneWorkload := fs.String("workload", "", "lint a single built-in workload by name")
+	oneWorkload := fs.String("workload", "", "lint a single built-in workload or mutant by name")
 	lintMutants := fs.Bool("mutants", false, "lint every seed-buggy mutant workload")
 	uniformity := fs.Bool("uniformity", false, "dump per-instruction lattice uniformity facts instead of running checks")
 	instrument := fs.Bool("instrument", false, "also instrument each program and check the result")
@@ -108,12 +109,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *oneWorkload != "" {
+		label := "workload:"
 		spec, ok := workloads.Get(*oneWorkload)
+		if !ok {
+			label = "mutant:"
+			spec, ok = workloads.GetMutant(*oneWorkload)
+		}
 		if !ok {
 			fmt.Fprintf(stderr, "sassi-lint: unknown workload %q\n", *oneWorkload)
 			return 2
 		}
-		l.lintSpec("workload:"+*oneWorkload, spec)
+		l.lintSpec(label+*oneWorkload, spec)
 	}
 	if *lintMutants {
 		for _, name := range workloads.MutantNames() {

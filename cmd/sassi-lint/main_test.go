@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"sassi/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
@@ -159,5 +161,29 @@ func TestLintChecksValidation(t *testing.T) {
 	if code := run([]string{"-Werror", "-checks", "cfi", "-workloads"}, &out, &errb); code != 0 {
 		t.Errorf("-Werror -checks cfi over built-ins: exit %d, want 0\nstdout: %s\nstderr: %s",
 			code, out.String(), errb.String())
+	}
+}
+
+// TestLintOneMutant: -workload takes a mutant's name, and each mutant fails
+// the static half of its checker on its own — the cfi check for the
+// control-flow mutants, shared-race under -Werror for the others — while
+// the call-tree demo passes the cfi check.
+func TestLintOneMutant(t *testing.T) {
+	for _, name := range workloads.MutantNames() {
+		args := []string{"-Werror", "-checks", "shared-race", "-workload", name}
+		if strings.HasPrefix(name, "mutant.cfi-") {
+			args = []string{"-checks", "cfi", "-workload", name}
+		}
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 1 {
+			t.Errorf("%v: exit %d, want 1\nstdout: %s\nstderr: %s", args, code, out.String(), errb.String())
+		}
+		if !strings.Contains(out.String(), "mutant:"+name) {
+			t.Errorf("%v: no diagnostic names the mutant:\n%s", args, out.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-checks", "cfi", "-workload", "demo.calltree"}, &out, &errb); code != 0 {
+		t.Errorf("cfi check on demo.calltree: exit %d, want 0\nstdout: %s", code, out.String())
 	}
 }

@@ -9,6 +9,19 @@
 //	sassi -workload parboil.bfs -dataset NY -tool branch
 //	sassi -workload demo.vecadd -disas
 //	sassi -workload minife.csr -tool memdiv -gpu k40
+//	sassi -workload mutant.cfi-ret-nocall -tool cfi
+//	sassi -workload mutant.bfs-frontier -tool racecheck
+//
+// The cfi tool is the runtime half of control-flow integrity (a shadow
+// call and divergence stack audited at every control transfer), racecheck
+// the runtime shared-memory race detector; sassi-lint -checks
+// cfi,shared-race runs their static halves. -workload also takes the
+// seed-buggy mutants -list prints: a mutant compiles without the verify
+// post-pass and runs under a 1 000 000-instruction watchdog, since its
+// control state may spin. The exit status is 1 when a run fails or the
+// cfi or racecheck tool reports a finding, 2 on usage errors. Under cfi a
+// failed run is reported but the violation log is the verdict: corrupt
+// control flow is expected to fault.
 //
 // Kernels can also come from a PTX-like assembly file instead of the
 // built-in suite; pointer parameters get zero-filled device buffers and
@@ -21,11 +34,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
+	"sassi/internal/analysis"
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
 	"sassi/internal/obs"
@@ -39,49 +54,79 @@ import (
 )
 
 func main() {
-	list := flag.Bool("list", false, "list available workloads and exit")
-	workload := flag.String("workload", "demo.vecadd", "workload to run")
-	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
-	tool := flag.String("tool", "none", "instrumentation: none, opcount, branch, memdiv, valueprof")
-	gpu := obscli.RegisterGPU("k10")
-	disas := flag.Bool("disas", false, "print the compiled (and instrumented) SASS")
-	ptxFile := flag.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
-	args := flag.String("args", "", "comma list of scalar kernel arguments for -ptx kernels")
-	grid := flag.Int("grid", 1, "grid size (CTAs) for -ptx kernels")
-	block := flag.Int("block", 128, "block size (threads) for -ptx kernels")
-	bufWords := flag.Int("bufwords", 1024, "words allocated per pointer parameter for -ptx kernels")
-	obsFlags := obscli.Register()
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: parses args, runs, prints, and returns
+// the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sassi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list available workloads and mutants and exit")
+	workload := fs.String("workload", "demo.vecadd", "workload or mutant to run")
+	dataset := fs.String("dataset", "", "dataset (default: workload's first)")
+	tool := fs.String("tool", "none", "instrumentation: none, opcount, branch, memdiv, valueprof, cfi, racecheck")
+	gpu := obscli.RegisterGPU(fs, "k10")
+	disas := fs.Bool("disas", false, "print the compiled (and instrumented) SASS")
+	ptxFile := fs.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
+	argList := fs.String("args", "", "comma list of scalar kernel arguments for -ptx kernels")
+	grid := fs.Int("grid", 1, "grid size (CTAs) for -ptx kernels")
+	block := fs.Int("block", 128, "block size (threads) for -ptx kernels")
+	bufWords := fs.Int("bufwords", 1024, "words allocated per pointer parameter for -ptx kernels")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *list {
 		for _, name := range workloads.Names() {
 			s, _ := workloads.Get(name)
-			fmt.Printf("%-24s datasets: %v\n", name, s.Datasets)
+			fmt.Fprintf(stdout, "%-24s datasets: %v\n", name, s.Datasets)
 		}
-		return
+		for _, name := range workloads.MutantNames() {
+			s, _ := workloads.GetMutant(name)
+			fmt.Fprintf(stdout, "%-24s datasets: %v\n", name, s.Datasets)
+		}
+		return 0
 	}
 	var spec *workloads.Spec
 	var ds string
+	mutant := false
 	if *ptxFile == "" {
 		var ok bool
 		spec, ok = workloads.Get(*workload)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *workload)
-			os.Exit(2)
+			spec, mutant = workloads.GetMutant(*workload)
+			ok = mutant
+		}
+		if !ok {
+			fmt.Fprintf(stderr, "unknown workload %q (use -list)\n", *workload)
+			return 2
 		}
 		ds = *dataset
 		if ds == "" {
 			ds = spec.DefaultDataset()
 		}
 		if !spec.HasDataset(ds) {
-			fmt.Fprintf(os.Stderr, "workload %s has no dataset %q (have %v)\n", *workload, ds, spec.Datasets)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "workload %s has no dataset %q (have %v)\n", *workload, ds, spec.Datasets)
+			return 2
 		}
 	} else {
-		spec = ptxFileSpec(*ptxFile, *args, *grid, *block, *bufWords)
+		var err error
+		if spec, err = ptxFileSpec(*ptxFile, *argList, *grid, *block, *bufWords); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 		ds = spec.DefaultDataset()
 	}
 	cfg := gpu.Config()
+	compileOpts := ptxas.Options{}
+	if mutant {
+		// A mutant is corrupt by construction: the tool is the check, not
+		// the verifier, and its control state may spin.
+		compileOpts.Verify = analysis.VerifyOff
+		cfg.WatchdogWarpInstrs = 1_000_000
+	}
 
 	ctx := cuda.NewContext(cfg)
 	var reg *obs.Registry
@@ -96,85 +141,144 @@ func main() {
 	var prog *sass.Program
 	var err error
 	tr.HostSpan(obs.TidHostCompile, "compile:"+spec.Name, func() {
-		prog, err = spec.Compile(ptxas.Options{})
+		prog, err = spec.Compile(compileOpts)
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	// Wire up the selected tool.
+	// Select the tool: its instrumentation, its handler, and the report
+	// printed after the run. flagged is set by a report that finds a
+	// violation or race.
+	var opts sassi.Options
+	var handler *sassi.Handler
+	var prepare func(*sass.Program) error
 	var report func()
+	flagged := false
 	switch *tool {
 	case "none":
 	case "opcount":
 		p := handlers.NewOpCounter(ctx)
-		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, p.Handler(), reg)
+		opts, handler = p.Options(), p.Handler()
 		report = func() {
 			t := p.Totals()
-			fmt.Printf("opcount: mem=%d wide=%d ctrl=%d sync=%d numeric=%d texture=%d total=%d\n",
+			fmt.Fprintf(stdout, "opcount: mem=%d wide=%d ctrl=%d sync=%d numeric=%d texture=%d total=%d\n",
 				t[handlers.OcMem], t[handlers.OcMemWide], t[handlers.OcControl],
 				t[handlers.OcSync], t[handlers.OcNumeric], t[handlers.OcTexture], t[handlers.OcTotal])
 		}
 	case "branch":
 		p := handlers.NewBranchProfiler(ctx)
-		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, p.Handler(), reg)
+		opts, handler = p.Options(), p.Handler()
 		report = func() {
 			rows, err := p.Results()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			s, _ := p.Summarize()
-			fmt.Printf("branches: static=%d divergent=%d (%.1f%%); dynamic=%d divergent=%d (%.1f%%)\n",
+			fmt.Fprintf(stdout, "branches: static=%d divergent=%d (%.1f%%); dynamic=%d divergent=%d (%.1f%%)\n",
 				s.StaticBranches, s.StaticDivergent, s.StaticDivergentPc,
 				s.DynamicBranches, s.DynamicDivergent, s.DynDivergentPc)
 			for _, r := range rows {
-				fmt.Printf("  branch 0x%08x: executed=%d active=%d taken=%d fall=%d divergent=%d\n",
+				fmt.Fprintf(stdout, "  branch 0x%08x: executed=%d active=%d taken=%d fall=%d divergent=%d\n",
 					uint32(r.InsAddr), r.Total, r.Active, r.Taken, r.NotTaken, r.Divergent)
 			}
 		}
 	case "memdiv":
 		p := handlers.NewMemDivProfiler(ctx)
-		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, p.Handler(), reg)
+		opts, handler = p.Options(), p.Handler()
 		report = func() {
 			m, err := p.Matrix()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			pmf := m.UniqueLinePMF()
-			fmt.Printf("memory divergence over %d warp accesses (32B lines):\n", m.TotalAccesses())
+			fmt.Fprintf(stdout, "memory divergence over %d warp accesses (32B lines):\n", m.TotalAccesses())
 			for u, f := range pmf {
 				if f > 0.005 {
-					fmt.Printf("  %2d unique lines: %5.1f%%\n", u+1, 100*f)
+					fmt.Fprintf(stdout, "  %2d unique lines: %5.1f%%\n", u+1, 100*f)
 				}
 			}
 		}
 	case "valueprof":
 		p := handlers.NewValueProfiler(ctx)
-		mustInstrument(prog, p.Options(), reg, tr)
-		registerHandler(prog, ctx, p.Handler(), reg)
+		opts, handler = p.Options(), p.Handler()
 		report = func() {
 			s, err := p.Summarize()
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
-			fmt.Printf("value profile: dynamic const bits %.0f%%, scalar %.0f%%; static const bits %.0f%%, scalar %.0f%%\n",
+			fmt.Fprintf(stdout, "value profile: dynamic const bits %.0f%%, scalar %.0f%%; static const bits %.0f%%, scalar %.0f%%\n",
 				s.DynConstBitsPc, s.DynScalarPc, s.StatConstBitsPc, s.StatScalarPc)
 		}
+	case "cfi":
+		p := handlers.NewCFIChecker()
+		opts, handler, prepare = p.Options(), p.Handler(), p.Prepare
+		report = func() {
+			vs := p.Violations()
+			for _, v := range vs {
+				fmt.Fprintf(stdout, "cfi: %v\n", v)
+			}
+			if p.Dropped > 0 {
+				fmt.Fprintf(stdout, "cfi: (%d further violations dropped)\n", p.Dropped)
+			}
+			fmt.Fprintf(stdout, "cfi: %d violation(s)\n", len(vs)+p.Dropped)
+			flagged = len(vs)+p.Dropped > 0
+		}
+	case "racecheck":
+		// Race sites index the original kernels; name their opcodes before
+		// Instrument rewrites the program in place.
+		siteOp := map[int]sass.Opcode{}
+		for _, k := range prog.Kernels {
+			for i := range k.Instrs {
+				if _, seen := siteOp[i]; !seen {
+					siteOp[i] = k.Instrs[i].Op
+				}
+			}
+		}
+		p := handlers.NewRaceChecker()
+		opts, handler = p.Options(), p.Handler()
+		report = func() {
+			races := p.Races()
+			for _, r := range races {
+				fmt.Fprintf(stdout, "racecheck: %s@%04x <-> %s@%04x raced (same CTA, same barrier interval, distinct threads)\n",
+					siteOp[r.A], sass.InsOffset(r.A), siteOp[r.B], sass.InsOffset(r.B))
+			}
+			fmt.Fprintf(stdout, "racecheck: %d race(s)\n", len(races))
+			flagged = len(races) > 0
+		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown tool %q\n", *tool)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown tool %q\n", *tool)
+		return 2
+	}
+	if handler != nil {
+		opts.Metrics = reg
+		opts.Trace = tr
+		if mutant {
+			opts.Verify = analysis.VerifyOff
+		}
+		if err := sassi.Instrument(prog, opts); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		if prepare != nil {
+			if err := prepare(prog); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
+		}
+		rt := sassi.NewRuntime(prog)
+		rt.Metrics = reg
+		rt.MustRegister(handler)
+		rt.Attach(ctx.Device())
 	}
 
 	if *disas {
 		for _, k := range prog.Kernels {
-			fmt.Println(k.Disassemble())
+			fmt.Fprintln(stdout, k.Disassemble())
 		}
 	}
 
@@ -184,27 +288,35 @@ func main() {
 		res, err = spec.Run(ctx, prog, ds)
 	})
 	wall := time.Since(start)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "run failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res.Stdout)
-	if res.VerifyErr != nil {
-		fmt.Printf("VERIFICATION FAILED: %v\n", res.VerifyErr)
-	} else {
+	switch {
+	case err != nil:
+		fmt.Fprintf(stderr, "run failed: %v\n", err)
+		if *tool != "cfi" {
+			return 1
+		}
+	case res.VerifyErr != nil:
+		fmt.Fprint(stdout, res.Stdout)
+		fmt.Fprintf(stdout, "VERIFICATION FAILED: %v\n", res.VerifyErr)
+	default:
+		fmt.Fprint(stdout, res.Stdout)
 		verified = true
-		fmt.Println("verification: PASSED")
+		fmt.Fprintln(stdout, "verification: PASSED")
 	}
-	fmt.Printf("launches=%d kernel-cycles=%d warp-instrs=%d handler-calls=%d wall=%s\n",
+	fmt.Fprintf(stdout, "launches=%d kernel-cycles=%d warp-instrs=%d handler-calls=%d wall=%s\n",
 		ctx.Launches(), ctx.TotalKernelCycles, ctx.TotalWarpInstrs, ctx.TotalHandlerCalls,
 		wall.Round(time.Millisecond))
 	if report != nil {
 		report()
 	}
 	if err := obsFlags.Finish(tr, runStats(reg, ctx, *workload, ds, gpu.Name, *tool, verified), samp); err != nil {
-		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "obs output: %v\n", err)
+		return 1
 	}
+	if flagged {
+		fmt.Fprintf(stderr, "sassi: %s: %s reported findings\n", spec.Name, *tool)
+		return 1
+	}
+	return 0
 }
 
 // runStats assembles the -stats-json / HTTP stats object from the live
@@ -224,39 +336,21 @@ func runStats(reg *obs.Registry, ctx *cuda.Context, workload, dataset, gpu, tool
 	return s
 }
 
-func mustInstrument(prog *sass.Program, opts sassi.Options, reg *obs.Registry, tr *obs.Tracer) {
-	opts.Metrics = reg
-	opts.Trace = tr
-	if err := sassi.Instrument(prog, opts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-func registerHandler(prog *sass.Program, ctx *cuda.Context, h *sassi.Handler, reg *obs.Registry) {
-	rt := sassi.NewRuntime(prog)
-	rt.Metrics = reg
-	rt.MustRegister(h)
-	rt.Attach(ctx.Device())
-}
-
 // ptxFileSpec wraps a PTX-like assembly file as an ad-hoc workload: pointer
 // parameters get zero-filled device buffers of bufWords words each, scalar
 // parameters take values from the comma-separated args list, and the first
 // pointer buffer is dumped as the result.
-func ptxFileSpec(path, argList string, grid, block, bufWords int) *workloads.Spec {
+func ptxFileSpec(path, argList string, grid, block, bufWords int) (*workloads.Spec, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return nil, err
 	}
 	var scalars []uint64
 	if argList != "" {
 		for _, tok := range strings.Split(argList, ",") {
 			v, err := strconv.ParseUint(strings.TrimSpace(tok), 0, 64)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad -args entry %q: %v\n", tok, err)
-				os.Exit(2)
+				return nil, fmt.Errorf("bad -args entry %q: %v", tok, err)
 			}
 			scalars = append(scalars, v)
 		}
@@ -311,12 +405,5 @@ func ptxFileSpec(path, argList string, grid, block, bufWords int) *workloads.Spe
 			}
 			return res, nil
 		},
-	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	}, nil
 }

@@ -6,62 +6,33 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
-	"sassi/internal/cuda"
-	"sassi/internal/handlers"
 	"sassi/internal/obs"
-	"sassi/internal/ptxas"
-	"sassi/internal/sassi"
-	"sassi/internal/sim"
 	"sassi/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// statsRun performs the in-process equivalent of
+// statsRun runs
 //
-//	sassi -workload demo.vecadd -tool branch -gpu mini -stats-json -
+//	sassi -workload demo.vecadd -tool branch -gpu mini -stats-json FILE
 //
 // and returns the serialized stats bytes.
 func statsRun(t *testing.T) []byte {
 	t.Helper()
-	spec, ok := workloads.Get("demo.vecadd")
-	if !ok {
-		t.Fatal("demo.vecadd not registered")
+	path := filepath.Join(t.TempDir(), "stats.json")
+	var out, errb bytes.Buffer
+	args := []string{"-workload", "demo.vecadd", "-tool", "branch", "-gpu", "mini", "-stats-json", path}
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
 	}
-	reg := obs.NewRegistry()
-	ctx := cuda.NewContext(sim.MiniGPU())
-	ctx.Device().Metrics = reg
-
-	prog, err := spec.Compile(ptxas.Options{})
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("compile: %v", err)
+		t.Fatal(err)
 	}
-	p := handlers.NewBranchProfiler(ctx)
-	opts := p.Options()
-	opts.Metrics = reg
-	if err := sassi.Instrument(prog, opts); err != nil {
-		t.Fatalf("instrument: %v", err)
-	}
-	rt := sassi.NewRuntime(prog)
-	rt.Metrics = reg
-	rt.MustRegister(p.Handler())
-	rt.Attach(ctx.Device())
-
-	res, err := spec.Run(ctx, prog, spec.DefaultDataset())
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.VerifyErr != nil {
-		t.Fatalf("verification: %v", res.VerifyErr)
-	}
-	s := runStats(reg, ctx, "demo.vecadd", spec.DefaultDataset(), "mini", "branch", true)
-	var buf bytes.Buffer
-	if err := s.WriteJSON(&buf); err != nil {
-		t.Fatalf("write stats: %v", err)
-	}
-	return buf.Bytes()
+	return data
 }
 
 // TestStatsJSONGolden pins the -stats-json byte format — field order, sorted
@@ -129,5 +100,110 @@ func TestStatsJSONShape(t *testing.T) {
 	}
 	if _, ok := top["metrics"]; !ok {
 		t.Error("missing metrics object")
+	}
+}
+
+// sassiRun runs the command with args and returns its exit code and output.
+func sassiRun(args ...string) (code int, stdout, stderr string) {
+	var out, errb bytes.Buffer
+	code = run(args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+// mutants returns the seed-buggy mutants whose name does (cfi) or does not
+// start with mutant.cfi-.
+func mutants(cfi bool) []string {
+	var out []string
+	for _, name := range workloads.MutantNames() {
+		if strings.HasPrefix(name, "mutant.cfi-") == cfi {
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
+// TestCFIMutantsRejected: -tool cfi rejects every control-flow mutant: exit
+// 1 with the checker's violations printed, load-time and at run time, even
+// where the corrupt control flow faults the run.
+func TestCFIMutantsRejected(t *testing.T) {
+	for _, name := range mutants(true) {
+		t.Run(name, func(t *testing.T) {
+			code, out, errs := sassiRun("-tool", "cfi", "-gpu", "mini", "-workload", name)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out, errs)
+			}
+			if !strings.Contains(out, "cfi static: ") {
+				t.Errorf("no load-time violation:\n%s", out)
+			}
+			if strings.Contains(out, "cfi: 0 violation(s)") {
+				t.Errorf("violation count is zero:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestCFICleanWorkloads: the call-tree demo and a compiled built-in run
+// under -tool cfi with no violation, and verify.
+func TestCFICleanWorkloads(t *testing.T) {
+	for _, name := range []string{"demo.calltree", "demo.vecadd"} {
+		code, out, errs := sassiRun("-tool", "cfi", "-gpu", "mini", "-workload", name)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, want 0\nstdout: %s\nstderr: %s", name, code, out, errs)
+		}
+		if !strings.Contains(out, "verification: PASSED") || !strings.Contains(out, "cfi: 0 violation(s)") {
+			t.Errorf("%s: missing clean verdict:\n%s", name, out)
+		}
+	}
+}
+
+// TestRacecheckMutants: -tool racecheck confirms the seeded race of every
+// shared-memory mutant: exit 1 with the raced site pairs printed.
+func TestRacecheckMutants(t *testing.T) {
+	for _, name := range mutants(false) {
+		t.Run(name, func(t *testing.T) {
+			code, out, errs := sassiRun("-tool", "racecheck", "-gpu", "mini", "-workload", name)
+			if code != 1 {
+				t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out, errs)
+			}
+			if !strings.Contains(out, " raced (same CTA") {
+				t.Errorf("no race printed:\n%s", out)
+			}
+		})
+	}
+}
+
+// TestRacecheckCleanWorkload: a properly-barriered built-in runs under
+// -tool racecheck with no race.
+func TestRacecheckCleanWorkload(t *testing.T) {
+	code, out, errs := sassiRun("-tool", "racecheck", "-gpu", "mini", "-workload", "parboil.sgemm", "-dataset", "small")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstdout: %s\nstderr: %s", code, out, errs)
+	}
+	if !strings.Contains(out, "racecheck: 0 race(s)") {
+		t.Errorf("missing clean verdict:\n%s", out)
+	}
+}
+
+// TestUsage: unknown workloads, tools and flags are usage errors, and -list
+// names every workload and every mutant.
+func TestUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "no.such.workload"},
+		{"-workload", "demo.vecadd", "-tool", "no-such-tool"},
+		{"-workload", "demo.vecadd", "-dataset", "no-such-dataset"},
+		{"-no-such-flag"},
+	} {
+		if code, _, _ := sassiRun(args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+	code, out, _ := sassiRun("-list")
+	if code != 0 {
+		t.Errorf("-list: exit %d, want 0", code)
+	}
+	for _, name := range append(workloads.Names(), workloads.MutantNames()...) {
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("-list output missing %s", name)
+		}
 	}
 }

@@ -21,6 +21,15 @@
 //     workload suite (internal/workloads), and the evaluation harness that
 //     regenerates every table and figure (internal/experiments).
 //
+// Five commands drive the same workflow from the shell. cmd/sassi compiles
+// a workload (or a seed-buggy mutant), instruments it with one tool
+// (-tool opcount, branch, memdiv, valueprof, cfi or racecheck) and runs
+// it; cmd/sassi-lint runs the static verifier and its checks;
+// cmd/sassi-fi runs an error-injection campaign; cmd/experiments
+// regenerates the tables and figures, plus the cfi, sched and other
+// studies; cmd/sassi-difftest checks that instrumentation is transparent
+// on generated kernels.
+//
 // Quickstart (see examples/quickstart for the runnable version):
 //
 //	b := sassi.NewKernel("vecadd")

@@ -29,22 +29,6 @@ type LaunchCallbacks struct {
 	PostLaunch func(kernel string, launchIdx int, stats *sim.KernelStats, err error)
 }
 
-// MemcpyDir distinguishes copy directions for memcpy observers.
-type MemcpyDir int
-
-// Memcpy directions.
-const (
-	MemcpyHtoD MemcpyDir = iota
-	MemcpyDtoH
-)
-
-func (d MemcpyDir) String() string {
-	if d == MemcpyHtoD {
-		return "HtoD"
-	}
-	return "DtoH"
-}
-
 // Context owns a device and tracks launch statistics. Kernel launches are
 // serialized, which (as the paper notes for cudaMemcpy-separated launches)
 // keeps callback-managed counters race-free.
@@ -52,7 +36,6 @@ type Context struct {
 	dev *sim.Device
 
 	callbacks []LaunchCallbacks
-	memcpyCbs []func(dir MemcpyDir, bytes uint64)
 	launches  int
 
 	// Aggregate per-context statistics (nvprof analog).
@@ -95,18 +78,6 @@ func (c *Context) Device() *sim.Device { return c.dev }
 // Subscribe registers launch callbacks.
 func (c *Context) Subscribe(cb LaunchCallbacks) { c.callbacks = append(c.callbacks, cb) }
 
-// SubscribeMemcpy registers an observer fired after every successful
-// host<->device copy (the CUPTI memcpy-activity hook).
-func (c *Context) SubscribeMemcpy(cb func(dir MemcpyDir, bytes uint64)) {
-	c.memcpyCbs = append(c.memcpyCbs, cb)
-}
-
-func (c *Context) notifyMemcpy(dir MemcpyDir, bytes uint64) {
-	for _, cb := range c.memcpyCbs {
-		cb(dir, bytes)
-	}
-}
-
 // Malloc allocates device memory.
 func (c *Context) Malloc(n uint64, name string) DevPtr {
 	return DevPtr(c.dev.Alloc(n, name))
@@ -114,20 +85,12 @@ func (c *Context) Malloc(n uint64, name string) DevPtr {
 
 // MemcpyHtoD copies host bytes to the device.
 func (c *Context) MemcpyHtoD(dst DevPtr, src []byte) error {
-	if err := c.dev.Global.Write(uint64(dst), src); err != nil {
-		return err
-	}
-	c.notifyMemcpy(MemcpyHtoD, uint64(len(src)))
-	return nil
+	return c.dev.Global.Write(uint64(dst), src)
 }
 
 // MemcpyDtoH copies device bytes to the host.
 func (c *Context) MemcpyDtoH(dst []byte, src DevPtr) error {
-	if err := c.dev.Global.Read(uint64(src), dst); err != nil {
-		return err
-	}
-	c.notifyMemcpy(MemcpyDtoH, uint64(len(dst)))
-	return nil
+	return c.dev.Global.Read(uint64(src), dst)
 }
 
 // Memset32 fills count 32-bit words with v.

@@ -88,3 +88,24 @@ func FormatCFICoverage(rows []CFIRow) string {
 	}
 	return b.String()
 }
+
+// AssertCFIDetect is the gate of `experiments -run cfi -assert-cfi-detect`:
+// it returns an error unless every app had no CFI violation on its
+// uncorrupted run, drew at least one return-address injection, and detected
+// at least floor of them.
+func AssertCFIDetect(rows []CFIRow, floor float64) error {
+	for _, r := range rows {
+		res := r.Result
+		if res.FalsePositives != 0 {
+			return fmt.Errorf("experiments: %s: %d false positives on the uncorrupted run", r.App, res.FalsePositives)
+		}
+		if res.ClassTotals[handlers.CtrlRetBitFlip] == 0 {
+			return fmt.Errorf("experiments: %s: no return-address injections drawn", r.App)
+		}
+		if rate := res.DetectionRate(handlers.CtrlRetBitFlip); rate < floor {
+			return fmt.Errorf("experiments: %s: return-address detection %.1f%% below the %.1f%% floor",
+				r.App, 100*rate, 100*floor)
+		}
+	}
+	return nil
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sassi/internal/experiments"
+	"sassi/internal/faults"
 	"sassi/internal/sim"
 )
 
@@ -182,4 +183,33 @@ func TestFigure10Small(t *testing.T) {
 		t.Errorf("missing average row:\n%s", out)
 	}
 	t.Logf("\n%s", out)
+}
+
+// TestCFICampaign: a small control campaign on the call-tree demo at the
+// default concurrent SMs meets the 95% return-address detection floor with
+// no false positive, and AssertCFIDetect refuses a floor above 100%, a
+// false positive and a campaign that drew no return-address run.
+func TestCFICampaign(t *testing.T) {
+	rows, err := experiments.CFICoverage(testEnv(), []string{"demo.calltree"}, 25, 2015)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := experiments.AssertCFIDetect(rows, 0.95); err != nil {
+		t.Errorf("floor 0.95: %v\n%s", err, experiments.FormatCFICoverage(rows))
+	}
+	if !strings.Contains(experiments.FormatCFICoverage(rows), "false positives on the uncorrupted run: 0") {
+		t.Errorf("missing false-positive line:\n%s", experiments.FormatCFICoverage(rows))
+	}
+	if err := experiments.AssertCFIDetect(rows, 1.01); err == nil {
+		t.Error("floor 1.01 passed")
+	}
+	fp := *rows[0].Result
+	fp.FalsePositives = 1
+	if err := experiments.AssertCFIDetect([]experiments.CFIRow{{App: "fp", Result: &fp}}, 0); err == nil {
+		t.Error("a false positive passed")
+	}
+	var none faults.ControlResult
+	if err := experiments.AssertCFIDetect([]experiments.CFIRow{{App: "none", Result: &none}}, 0); err == nil {
+		t.Error("a campaign without return-address runs passed")
+	}
 }

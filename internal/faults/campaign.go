@@ -173,13 +173,7 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	// count.
 	injCfg := c.Config
 	injCfg.WatchdogWarpInstrs = 20*g.maxWarpInstrs + 100_000
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.Injections {
-		workers = c.Injections
-	}
+	workers := poolSize(c.Workers, c.Injections)
 	c.Metrics.Gauge(obs.MFaultsWorkers).Set(uint64(workers))
 	c.Metrics.Gauge(obs.MFaultsSitesTotal).Set(totalSites)
 	if c.Trace != nil {
@@ -191,43 +185,27 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	runsCtr := c.Metrics.Counter(obs.MFaultsRuns)
 	failedCtr := c.Metrics.Counter(obs.MFaultsRunsFailed)
 	outcomes := make([]Outcome, c.Injections)
-	errs := make([]error, c.Injections)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ctx := cuda.NewContext(injCfg)
-			for {
-				run := int(next.Add(1)) - 1
-				if run >= c.Injections {
-					return
-				}
-				rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
-				site := c.selectSite(g.profiles, totalSites, rng)
-				ctaThreads := g.profiles[site.Invocation].ctaThreads
-				tid := int(site.ThreadID)
-				only := twinFor(g.inst, site.Invocation, tid/ctaThreads, tid%ctaThreads/sim.WarpSize, widen)
-				ts := c.Trace.Now()
-				outcomes[run], errs[run] = c.injectOnce(ctx, g.prog, g.inst, only, site, g.result)
-				runsCtr.Inc()
-				if errs[run] != nil {
-					failedCtr.Inc()
-				}
-				if c.Trace != nil {
-					c.Trace.Span(obs.PidCampaign, w, fmt.Sprintf("run %d", run),
-						ts, c.Trace.Now()-ts,
-						map[string]any{"outcome": outcomes[run].String()})
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for run, err := range errs {
+	err = runPool(injCfg, workers, c.Injections, func(ctx *cuda.Context, w, run int) error {
+		rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
+		site := c.selectSite(g.profiles, totalSites, rng)
+		ctaThreads := g.profiles[site.Invocation].ctaThreads
+		tid := int(site.ThreadID)
+		only := twinFor(g.inst, site.Invocation, tid/ctaThreads, tid%ctaThreads/sim.WarpSize, widen)
+		ts := c.Trace.Now()
+		o, err := c.injectOnce(ctx, g.prog, g.inst, only, site, g.result)
+		outcomes[run] = o
+		runsCtr.Inc()
 		if err != nil {
-			return nil, nil, fmt.Errorf("faults: injection run %d: %w", run, err)
+			failedCtr.Inc()
 		}
+		if c.Trace != nil {
+			c.Trace.Span(obs.PidCampaign, w, fmt.Sprintf("run %d", run),
+				ts, c.Trace.Now()-ts, map[string]any{"outcome": o.String()})
+		}
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	for _, o := range outcomes {
 		res.Counts[o]++
@@ -258,7 +236,9 @@ type goldenRun struct {
 // outcomes.golden certify it), so this is the instrumented run's path, and
 // the counts are what a profiling handler there would count.
 func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
-	inst, err := c.instrumentedProg(cache)
+	// The golden run's site probe reads the site space off the injected
+	// code ("after register writes", register info).
+	inst, err := instrumented(cache, c.Spec, (&handlers.Injector{}).Options())
 	if err != nil {
 		return nil, err
 	}
@@ -360,30 +340,66 @@ func (p *siteProbe) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
 	p.counts, p.maxWarpInstrs = counts, maxWarpInstrs
 }
 
-// instrumentedProg builds (or fetches) the campaign's single instrumented
-// program. The injection descriptor is site-independent ("after register
-// writes", register info, sassi_errorinj_handler), so every injection run
-// shares it, and the golden run's site probe reads the site space off it;
-// per-run behavior comes entirely from the registered handler's state.
-func (c *Campaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Program, error) {
-	instOpts := (&handlers.Injector{}).Options()
-	instKey, ok := instOpts.CacheKey()
+// instrumented builds (or fetches) spec compiled and instrumented with
+// opts: the single program a campaign's injection runs share. Its
+// descriptor is site-independent, so per-run behaviour comes entirely from
+// the registered handler's state.
+func instrumented(cache *sassi.CompileCache, spec *workloads.Spec, opts sassi.Options) (*sass.Program, error) {
 	build := func() (*sass.Program, error) {
-		prog, err := c.Spec.Compile(ptxas.Options{})
+		prog, err := spec.Compile(ptxas.Options{})
 		if err != nil {
 			return nil, err
 		}
-		if err := sassi.Instrument(prog, instOpts); err != nil {
+		if err := sassi.Instrument(prog, opts); err != nil {
 			return nil, err
 		}
 		return prog, nil
 	}
+	key, ok := opts.CacheKey()
 	if !ok {
-		// Unreachable today (injWhere carries no Select closure), but keep
-		// the uncacheable path honest.
 		return build()
 	}
-	return cache.Get(c.Spec.InstrumentedKey(ptxas.Options{}, instKey), build)
+	return cache.Get(spec.InstrumentedKey(ptxas.Options{}, key), build)
+}
+
+// poolSize is the number of workers runPool starts for runs runs: workers,
+// or GOMAXPROCS when it is zero, and never more than there are runs.
+func poolSize(workers, runs int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return min(workers, runs)
+}
+
+// runPool executes runs [0, runs) over workers goroutines. Each worker owns
+// one context on cfg, which do leaves reset after every run, and takes the
+// next run index until none is left. It returns the error of the lowest
+// failed run, so which error is reported does not depend on scheduling.
+func runPool(cfg sim.Config, workers, runs int, do func(ctx *cuda.Context, worker, run int) error) error {
+	errs := make([]error, runs)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := cuda.NewContext(cfg)
+			for {
+				run := int(next.Add(1)) - 1
+				if run >= runs {
+					return
+				}
+				errs[run] = do(ctx, w, run)
+			}
+		}()
+	}
+	wg.Wait()
+	for run, err := range errs {
+		if err != nil {
+			return fmt.Errorf("faults: injection run %d: %w", run, err)
+		}
+	}
+	return nil
 }
 
 // selectSite samples a (launch, thread, dynamic-instruction) tuple

@@ -9,9 +9,6 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sassi/internal/cuda"
 	"sassi/internal/device"
@@ -146,7 +143,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 
 	// One instrumented program serves the profiling run and every injection
 	// run; per-run behavior comes entirely from the registered handler.
-	instProg, err := c.instrumentedProg(cache)
+	instProg, err := instrumented(cache, c.Spec, handlers.NewCFIChecker().Options())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,19 +220,9 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 	// resets between runs; each run is a pure function of (Seed, run index).
 	injCfg := c.Config
 	injCfg.WatchdogWarpInstrs = 20*maxWarpInstrs + 100_000
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.Injections {
-		workers = c.Injections
-	}
-	type runPlan struct {
-		class handlers.CtrlClass
-		key   handlers.CtrlWarpKey
-		inj   *handlers.CtrlInjector
-	}
-	plan := func(run int) runPlan {
+	outcomes := make([]CtrlOutcome, c.Injections)
+	classOf := make([]handlers.CtrlClass, c.Injections)
+	err = runPool(injCfg, poolSize(c.Workers, c.Injections), c.Injections, func(ctx *cuda.Context, _, run int) error {
 		rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
 		class := usable[rng.next()%uint64(len(usable))]
 		p := profilers[class]
@@ -244,39 +231,15 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 		if k, ok := instProg.Kernel(kernelOf[key.Invocation]); ok {
 			kernelLen = len(k.Instrs)
 		}
-		return runPlan{
-			class: class,
-			key:   key,
-			inj:   handlers.NewCtrlInjector(class, key, nth, rng.next(), rng.next(), kernelLen),
-		}
-	}
-	outcomes := make([]CtrlOutcome, c.Injections)
-	classOf := make([]handlers.CtrlClass, c.Injections)
-	errs := make([]error, c.Injections)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := cuda.NewContext(injCfg)
-			for {
-				run := int(next.Add(1)) - 1
-				if run >= c.Injections {
-					return
-				}
-				p := plan(run)
-				classOf[run] = p.class
-				only := twinFor(instProg, p.key.Invocation, p.key.CTA, p.key.Warp, widen)
-				outcomes[run], errs[run] = c.injectOnce(ctx, goldenProg, instProg, only, p.inj, golden)
-			}
-		}()
-	}
-	wg.Wait()
-	for run, err := range errs {
-		if err != nil {
-			return nil, nil, fmt.Errorf("faults: control injection run %d: %w", run, err)
-		}
+		inj := handlers.NewCtrlInjector(class, key, nth, rng.next(), rng.next(), kernelLen)
+		only := twinFor(instProg, key.Invocation, key.CTA, key.Warp, widen)
+		classOf[run] = class
+		var err error
+		outcomes[run], err = c.injectOnce(ctx, goldenProg, instProg, only, inj, golden)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	for run, o := range outcomes {
 		res.Counts[classOf[run]][o]++
@@ -284,27 +247,6 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 		res.Total++
 	}
 	return res, outcomes, nil
-}
-
-// instrumentedProg builds (or fetches) the single CFI-instrumented program
-// shared by the profiling run and every injection run.
-func (c *ControlCampaign) instrumentedProg(cache *sassi.CompileCache) (*sass.Program, error) {
-	instOpts := handlers.NewCFIChecker().Options()
-	instKey, ok := instOpts.CacheKey()
-	build := func() (*sass.Program, error) {
-		prog, err := c.Spec.Compile(ptxas.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := sassi.Instrument(prog, instOpts); err != nil {
-			return nil, err
-		}
-		return prog, nil
-	}
-	if !ok {
-		return build()
-	}
-	return cache.Get(c.Spec.InstrumentedKey(ptxas.Options{}, instKey), build)
 }
 
 // injectOnce performs one armed run on ctx, a new or reset context, leaving

@@ -57,8 +57,7 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := &Campaign{Spec: spec}
-			inst, err := c.instrumentedProg(sassi.NewCompileCache())
+			inst, err := instrumented(sassi.NewCompileCache(), spec, (&handlers.Injector{}).Options())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -28,7 +28,7 @@ type launchSites struct {
 func programs(t *testing.T, c *Campaign) (prog, inst *sass.Program) {
 	t.Helper()
 	cache := sassi.NewCompileCache()
-	inst, err := c.instrumentedProg(cache)
+	inst, err := instrumented(cache, c.Spec, (&handlers.Injector{}).Options())
 	if err != nil {
 		t.Fatal(err)
 	}

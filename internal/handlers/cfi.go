@@ -1,7 +1,10 @@
 package handlers
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 
 	"sassi/internal/analysis"
@@ -142,11 +145,19 @@ func (c *CFIChecker) Audit(w *device.Warp, args sassi.HandlerArgs) {
 	c.audit(w, args, execMask)
 }
 
-// Violations returns the findings so far (load-time and runtime).
+// Violations returns the findings so far (load-time and runtime), sorted
+// by kernel, site, kind and message: concurrent SMs record them in no
+// fixed order. Which findings the log keeps past its bound does follow
+// dispatch order; the count with Dropped does not.
 func (c *CFIChecker) Violations() []CFIViolation {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]CFIViolation(nil), c.violations...)
+	out := slices.Clone(c.violations)
+	slices.SortFunc(out, func(a, b CFIViolation) int {
+		return cmp.Or(strings.Compare(a.Kernel, b.Kernel), cmp.Compare(a.Instr, b.Instr),
+			strings.Compare(a.Kind, b.Kind), strings.Compare(a.Msg, b.Msg))
+	})
+	return out
 }
 
 // Reset clears findings and per-warp shadow state, keeping the prepared

@@ -16,10 +16,11 @@ import (
 )
 
 // runCFI executes a workload (or mutant) under the CFI checker, optionally
-// composing an injector ahead of the audit in the same dispatch. It
+// composing an injector ahead of the audit in the same dispatch, with SMs
+// simulated one after another when sequential is set. It
 // returns the checker and the run error (mutants and injections may fault
 // or mis-verify; the caller decides what is acceptable).
-func runCFI(t *testing.T, spec *workloads.Spec, inj *handlers.CtrlInjector) (*handlers.CFIChecker, error) {
+func runCFI(t *testing.T, spec *workloads.Spec, inj *handlers.CtrlInjector, sequential bool) (*handlers.CFIChecker, error) {
 	t.Helper()
 	prog, err := spec.Compile(ptxas.Options{Verify: analysis.VerifyOff})
 	if err != nil {
@@ -38,7 +39,7 @@ func runCFI(t *testing.T, spec *workloads.Spec, inj *handlers.CtrlInjector) (*ha
 	}
 
 	cfg := sim.MiniGPU()
-	cfg.SequentialSMs = true
+	cfg.SequentialSMs = sequential
 	// Corrupted control state can spin a warp; a tight watchdog keeps the
 	// hang outcomes fast (the calltree kernel retires in well under this).
 	cfg.WatchdogWarpInstrs = 100_000
@@ -75,7 +76,7 @@ func TestCFICheckerCleanRuns(t *testing.T) {
 		if !ok {
 			t.Fatalf("workload %s not registered", name)
 		}
-		chk, err := runCFI(t, spec, nil)
+		chk, err := runCFI(t, spec, nil, true)
 		if err != nil {
 			t.Fatalf("%s: clean run failed: %v", name, err)
 		}
@@ -116,7 +117,7 @@ func TestCFICheckerDetectsInjectedCorruption(t *testing.T) {
 		t.Run(c.class.String(), func(t *testing.T) {
 			target := handlers.CtrlWarpKey{Invocation: 0, CTA: 0, Warp: 0}
 			inj := handlers.NewCtrlInjector(c.class, target, c.nth, 1, 3, 31)
-			chk, runErr := runCFI(t, spec, inj)
+			chk, runErr := runCFI(t, spec, inj, true)
 			fired, desc := inj.Injected()
 			if !fired {
 				t.Fatalf("injection never fired (run err: %v)", runErr)
@@ -154,7 +155,7 @@ func TestCFICheckerRejectsMutants(t *testing.T) {
 			if !ok {
 				t.Fatalf("mutant %s not registered", c.name)
 			}
-			chk, _ := runCFI(t, spec, nil)
+			chk, _ := runCFI(t, spec, nil, true)
 			vs := chk.Violations()
 			if !hasKind(vs, "static") {
 				t.Errorf("no load-time static violation; got %v", vs)

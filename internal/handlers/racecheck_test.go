@@ -1,6 +1,7 @@
 package handlers_test
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -17,9 +18,10 @@ import (
 
 // raceCheck compiles and runs a spec under the RaceChecker handler and
 // returns the statically-predicted race pairs alongside the dynamically
-// observed ones. Mutant runs are allowed to produce wrong output (they
+// observed ones, with SMs simulated one after another when sequential is
+// set. Mutant runs are allowed to produce wrong output (they
 // are seeded data races); launch failures are not.
-func raceCheck(t *testing.T, spec *workloads.Spec, dataset string) (static [][2]int, dynamic []handlers.RacePair) {
+func raceCheck(t *testing.T, spec *workloads.Spec, dataset string, sequential bool) (static [][2]int, dynamic []handlers.RacePair) {
 	t.Helper()
 	prog, err := spec.Compile(ptxas.Options{Verify: analysis.VerifyOff})
 	if err != nil {
@@ -34,7 +36,7 @@ func raceCheck(t *testing.T, spec *workloads.Spec, dataset string) (static [][2]
 	}
 
 	cfg := sim.MiniGPU()
-	cfg.SequentialSMs = true
+	cfg.SequentialSMs = sequential
 	ctx := cuda.NewContext(cfg)
 	checker := handlers.NewRaceChecker()
 	if err := sassi.Instrument(prog, checker.Options()); err != nil {
@@ -62,7 +64,7 @@ func TestRaceCheckerConfirmsStaticReports(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			spec, _ := workloads.GetMutant(name)
-			static, dynamic := raceCheck(t, spec, spec.DefaultDataset())
+			static, dynamic := raceCheck(t, spec, spec.DefaultDataset(), true)
 			if len(static) == 0 {
 				t.Fatal("static pass silent on a seeded race")
 			}
@@ -104,12 +106,45 @@ func TestRaceCheckerSilentOnCleanWorkloads(t *testing.T) {
 			if !ok {
 				t.Fatalf("workload %s not registered", tc.workload)
 			}
-			static, dynamic := raceCheck(t, spec, tc.dataset)
+			static, dynamic := raceCheck(t, spec, tc.dataset, true)
 			if len(static) != 0 {
 				t.Errorf("static false positives: %v", static)
 			}
 			if len(dynamic) != 0 {
 				t.Errorf("dynamic false positives: %v", dynamic)
+			}
+		})
+	}
+}
+
+// TestMutantFindingsSMOrderFree: each seed-buggy mutant's findings under
+// its tool — the CFI checker's violations for the control-flow mutants,
+// the race checker's races for the others — are the same whether SMs run
+// concurrently or one after another, so `sassi -tool cfi|racecheck`
+// reports one verdict and one list at the default concurrent SMs.
+func TestMutantFindingsSMOrderFree(t *testing.T) {
+	for _, name := range workloads.MutantNames() {
+		t.Run(name, func(t *testing.T) {
+			spec, _ := workloads.GetMutant(name)
+			if strings.HasPrefix(name, "mutant.cfi-") {
+				seq, _ := runCFI(t, spec, nil, true)
+				par, _ := runCFI(t, spec, nil, false)
+				if !slices.Equal(seq.Violations(), par.Violations()) || seq.Dropped != par.Dropped {
+					t.Errorf("violations differ:\n sequential: %v (+%d)\n concurrent: %v (+%d)",
+						seq.Violations(), seq.Dropped, par.Violations(), par.Dropped)
+				}
+				if len(seq.Violations()) == 0 {
+					t.Error("no violations")
+				}
+				return
+			}
+			_, seq := raceCheck(t, spec, spec.DefaultDataset(), true)
+			_, par := raceCheck(t, spec, spec.DefaultDataset(), false)
+			if !slices.Equal(seq, par) {
+				t.Errorf("races differ:\n sequential: %v\n concurrent: %v", seq, par)
+			}
+			if len(seq) == 0 {
+				t.Error("no races")
 			}
 		})
 	}

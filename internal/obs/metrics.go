@@ -2,7 +2,7 @@
 // (counters, gauges, histograms, with per-SM sharding), a span tracer that
 // emits Chrome trace-event JSON loadable in Perfetto, an ordered stats-JSON
 // writer, and a Prometheus-text HTTP endpoint. It is the substrate the
-// CUPTI-analog Activity API and the overhead reports are built on.
+// overhead reports are built on.
 //
 // Design rules:
 //

@@ -33,20 +33,20 @@ type Flags struct {
 	PCSampPeriod uint64
 }
 
-// Register declares the shared observability flags on the default flag set.
-func Register() *Flags {
+// Register declares the shared observability flags on fs.
+func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	flag.StringVar(&f.TraceOut, "trace", "",
+	fs.StringVar(&f.TraceOut, "trace", "",
 		"write a Chrome trace-event JSON timeline here (load at ui.perfetto.dev)")
-	flag.StringVar(&f.StatsOut, "stats-json", "",
+	fs.StringVar(&f.StatsOut, "stats-json", "",
 		`write run statistics as sorted JSON here ("-" for stdout)`)
-	flag.StringVar(&f.HTTPAddr, "http", "",
+	fs.StringVar(&f.HTTPAddr, "http", "",
 		"serve /metrics (Prometheus text), /stats.json, /debug/pprof/, and /debug/sassiprof/profile on this address, e.g. :8080")
-	flag.StringVar(&f.PCSampOut, "pcsamp", "",
+	fs.StringVar(&f.PCSampOut, "pcsamp", "",
 		`write a folded-stack PC-sampling profile here ("-" for stdout; pipe into flamegraph.pl)`)
-	flag.StringVar(&f.PCSampPprof, "pcsamp-pprof", "",
+	fs.StringVar(&f.PCSampPprof, "pcsamp-pprof", "",
 		"write a gzipped pprof profile.proto PC-sampling profile here (view with go tool pprof)")
-	flag.Uint64Var(&f.PCSampPeriod, "pcsamp-period", pcsamp.DefaultPeriod,
+	fs.Uint64Var(&f.PCSampPeriod, "pcsamp-period", pcsamp.DefaultPeriod,
 		"PC-sampling cadence in modeled device cycles (1 = exact per-instruction attribution)")
 	return f
 }
@@ -151,10 +151,10 @@ func writeTo(path string, write func(w io.Writer) error) error {
 // GPU is the -gpu flag: a device model by name.
 type GPU struct{ Name string }
 
-// RegisterGPU declares -gpu on the default flag set, defaulting to def.
-func RegisterGPU(def string) *GPU {
+// RegisterGPU declares -gpu on fs, defaulting to def.
+func RegisterGPU(fs *flag.FlagSet, def string) *GPU {
 	g := &GPU{}
-	flag.StringVar(&g.Name, "gpu", def, "device model: k10, k20, k40, mini")
+	fs.StringVar(&g.Name, "gpu", def, "device model: k10, k20, k40, mini")
 	return g
 }
 

@@ -9,6 +9,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"flag"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,7 +23,7 @@ import (
 )
 
 func TestRegisterDefaults(t *testing.T) {
-	f := Register()
+	f := Register(flag.NewFlagSet("t", flag.ContinueOnError))
 	if f.Enabled() {
 		t.Error("Enabled() true with no flags set")
 	}
@@ -158,7 +159,7 @@ func TestWriteToError(t *testing.T) {
 // TestGPUFlag: -gpu names the four device models and defaults to what the
 // binary registers it with.
 func TestGPUFlag(t *testing.T) {
-	g := RegisterGPU("k20")
+	g := RegisterGPU(flag.NewFlagSet("t", flag.ContinueOnError), "k20")
 	if g.Name != "k20" || g.Config().Name != sim.KeplerK20().Name {
 		t.Errorf("default -gpu = %q (%s), want k20", g.Name, g.Config().Name)
 	}

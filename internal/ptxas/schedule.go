@@ -15,7 +15,7 @@ import (
 //
 // Tie-breaking among equally-stalled candidates is by critical-path
 // priority, then — when seed is non-zero — by a per-instruction sass.SplitMix
-// jitter. The autotuner (internal/experiments, cmd/sassi-sched) sweeps
+// jitter. The autotuner (experiments.SchedTable, `experiments -run sched`) sweeps
 // seeds to explore the plateau of greedy-equivalent schedules; seed 0 is
 // the deterministic baseline heuristic.
 //
