@@ -104,3 +104,60 @@ func TestSubscribeSitesFire(t *testing.T) {
 		t.Errorf("callbacks fired: launch=%v exit=%v", sawLaunch, sawExit)
 	}
 }
+
+// TestKernelExitOncePerLaunchConcurrentSMs pins the subscriber contract
+// under the parallel engine: with CTAs spread across 8 concurrently
+// simulated SMs, KernelExit fires exactly once per launch, after the
+// per-SM shards have been fully merged into one KernelStats.
+func TestKernelExitOncePerLaunchConcurrentSMs(t *testing.T) {
+	ctx := cuda.NewContext(sim.KeplerK10()) // 8 SMs, concurrent by default
+	prog := instrumentedProg(t)
+	rt := isassi.NewRuntime(prog)
+	rt.MustRegister(&isassi.Handler{Name: "h",
+		Fn: func(w *device.Warp, args isassi.HandlerArgs) {}})
+	rt.Attach(ctx.Device())
+
+	const launches = 4
+	const ctas, block = 32, 64
+	exits := map[int]int{}
+	cupti.Subscribe(ctx, func(site cupti.Site, d *cupti.CallbackData) {
+		if site != cupti.KernelExit {
+			return
+		}
+		exits[d.LaunchIdx]++
+		if d.Stats == nil {
+			t.Error("exit without stats")
+			return
+		}
+		// Merged geometry and counters: every CTA and every warp must be
+		// accounted for in the single exit callback.
+		if d.Stats.CTAs != ctas {
+			t.Errorf("launch %d: CTAs = %d, want %d", d.LaunchIdx, d.Stats.CTAs, ctas)
+		}
+		// One store site x (ctas*block/32) warps, one handler call each.
+		wantCalls := uint64(ctas * block / 32)
+		if d.Stats.HandlerCalls != wantCalls {
+			t.Errorf("launch %d: handler calls = %d, want %d",
+				d.LaunchIdx, d.Stats.HandlerCalls, wantCalls)
+		}
+		if d.Stats.WarpInstrs == 0 || d.Stats.InjectedWarpInstrs == 0 {
+			t.Errorf("launch %d: unmerged stats %+v", d.LaunchIdx, d.Stats)
+		}
+	})
+	out := ctx.Malloc(4*ctas*block, "out")
+	for l := 0; l < launches; l++ {
+		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
+			Grid: sim.D1(ctas), Block: sim.D1(block), Args: []uint64{uint64(out)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(exits) != launches {
+		t.Errorf("exit fired for %d launches, want %d", len(exits), launches)
+	}
+	for idx, n := range exits {
+		if n != 1 {
+			t.Errorf("launch %d: exit fired %d times, want exactly once", idx, n)
+		}
+	}
+}
