@@ -184,6 +184,56 @@ func TestRacecheckCleanWorkload(t *testing.T) {
 	}
 }
 
+// TestCFIUsage: under -tool cfi, unknown workloads and datasets are usage
+// errors, and -list names the CFI workload and mutants.
+func TestCFIUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tool", "cfi", "-workload", "no.such.workload"},
+		{"-tool", "cfi", "-workload", ""},
+		{"-tool", "cfi", "-workload", "mutant.cfi-ret-nocall", "-dataset", "no-such-dataset"},
+	} {
+		if code, _, _ := sassiRun(args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+	code, out, _ := sassiRun("-list")
+	if code != 0 {
+		t.Errorf("-list: exit %d, want 0", code)
+	}
+	for _, name := range append([]string{"demo.calltree"}, mutants(true)...) {
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("-list output missing %s", name)
+		}
+	}
+}
+
+// TestRacecheckUsage: under -tool racecheck, unknown workloads and datasets
+// are usage errors, and -list names every race mutant.
+func TestRacecheckUsage(t *testing.T) {
+	for _, args := range [][]string{
+		{"-tool", "racecheck", "-workload", "no.such.workload"},
+		{"-tool", "racecheck", "-workload", ""},
+		{"-tool", "racecheck", "-workload", "mutant.sgemm-nobar", "-dataset", "no-such-dataset"},
+	} {
+		if code, _, _ := sassiRun(args...); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
+	}
+	code, out, _ := sassiRun("-list")
+	if code != 0 {
+		t.Errorf("-list: exit %d, want 0", code)
+	}
+	race := mutants(false)
+	if len(race) == 0 {
+		t.Fatal("no race mutants registered")
+	}
+	for _, name := range race {
+		if !strings.Contains(out, name+" ") {
+			t.Errorf("-list output missing %s", name)
+		}
+	}
+}
+
 // TestUsage: unknown workloads, tools and flags are usage errors, and -list
 // names every workload and every mutant.
 func TestUsage(t *testing.T) {
