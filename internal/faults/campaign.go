@@ -13,6 +13,7 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
+	"sassi/internal/mem"
 	"sassi/internal/obs"
 	"sassi/internal/obs/pcsamp"
 	"sassi/internal/ptxas"
@@ -79,8 +80,11 @@ type Campaign struct {
 	Cache *sassi.CompileCache
 
 	// Metrics, when non-nil, receives campaign progress: faults.runs,
-	// faults.runs_failed, faults.workers, faults.sites_total, and one
-	// faults.outcome.<name> counter per category.
+	// faults.runs_failed, faults.runs_isolated (runs that simulated the
+	// target CTA alone), faults.runs_fenced (runs whose isolated attempt
+	// the fence stopped, then run again over the whole grid),
+	// faults.workers, faults.sites_total, and one faults.outcome.<name>
+	// counter per category.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records the golden run on the host lane and one
 	// wall-clock lane per injection worker (PidCampaign), with a span per
@@ -126,21 +130,14 @@ func (c *Campaign) Run() (*Result, error) {
 }
 
 // run is Run, also returning every run's outcome. An injection run executes
-// the instrumented program only in the warp its fault lands in (DESIGN.md
-// "Per-warp kernel selection"); widen makes it every warp of every launch,
+// the instrumented program only in the warp its fault lands in, and
+// simulates that warp's CTA alone in the target launch when the golden run
+// has shown the CTA to be isolated (DESIGN.md "Per-warp kernel
+// selection"); widen makes it every warp of every CTA of every launch,
 // which is what a campaign ran before kernels were selected per CTA and
 // what the per-run golden test holds the narrow set against.
 func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
-	if c.Injections <= 0 {
-		c.Injections = 100
-	}
-	if len(c.Targets) == 0 {
-		c.Targets = []handlers.InjectTarget{
-			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
-			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
-			handlers.TargetPred, handlers.TargetCC,
-		}
-	}
+	c.setDefaults()
 	res := &Result{Workload: c.Spec.Name, Dataset: c.Dataset}
 
 	cache := c.Cache
@@ -156,12 +153,8 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var totalSites uint64
-	for _, lp := range g.profiles {
-		totalSites += lp.total
-	}
-	res.SitesTotal = totalSites
-	if totalSites == 0 {
+	res.SitesTotal = g.sites
+	if g.sites == 0 {
 		return nil, nil, fmt.Errorf("faults: workload %s has no injectable sites", c.Spec.Name)
 	}
 
@@ -171,11 +164,10 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	// and outcome are a pure function of the run index: the per-run
 	// outcomes — not just the histogram — are identical at any worker
 	// count.
-	injCfg := c.Config
-	injCfg.WatchdogWarpInstrs = 20*g.maxWarpInstrs + 100_000
+	injCfg := c.injectionConfig(g)
 	workers := poolSize(c.Workers, c.Injections)
 	c.Metrics.Gauge(obs.MFaultsWorkers).Set(uint64(workers))
-	c.Metrics.Gauge(obs.MFaultsSitesTotal).Set(totalSites)
+	c.Metrics.Gauge(obs.MFaultsSitesTotal).Set(g.sites)
 	if c.Trace != nil {
 		c.Trace.NameProcess(obs.PidCampaign, "fault campaign (wall µs)")
 		for w := 0; w < workers; w++ {
@@ -184,23 +176,26 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	}
 	runsCtr := c.Metrics.Counter(obs.MFaultsRuns)
 	failedCtr := c.Metrics.Counter(obs.MFaultsRunsFailed)
+	isolatedCtr := c.Metrics.Counter(obs.MFaultsRunsIsolated)
+	fencedCtr := c.Metrics.Counter(obs.MFaultsRunsFenced)
 	outcomes := make([]Outcome, c.Injections)
 	err = runPool(injCfg, workers, c.Injections, func(ctx *cuda.Context, w, run int) error {
-		rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
-		site := c.selectSite(g.profiles, totalSites, rng)
-		ctaThreads := g.profiles[site.Invocation].ctaThreads
-		tid := int(site.ThreadID)
-		only := twinFor(g.inst, site.Invocation, tid/ctaThreads, tid%ctaThreads/sim.WarpSize, widen)
 		ts := c.Trace.Now()
-		o, err := c.injectOnce(ctx, g.prog, g.inst, only, site, g.result)
+		o, path, err := c.injectRun(ctx, g, run, widen)
 		outcomes[run] = o
 		runsCtr.Inc()
 		if err != nil {
 			failedCtr.Inc()
 		}
+		switch path {
+		case pathIsolated:
+			isolatedCtr.Inc()
+		case pathFenced:
+			fencedCtr.Inc()
+		}
 		if c.Trace != nil {
 			c.Trace.Span(obs.PidCampaign, w, fmt.Sprintf("run %d", run),
-				ts, c.Trace.Now()-ts, map[string]any{"outcome": o.String()})
+				ts, c.Trace.Now()-ts, map[string]any{"outcome": o.String(), "path": path.String()})
 		}
 		return err
 	})
@@ -219,14 +214,80 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	return res, outcomes, nil
 }
 
+// setDefaults fills in what a zero field of c means: 100 injections and the
+// paper's target mix.
+func (c *Campaign) setDefaults() {
+	if c.Injections <= 0 {
+		c.Injections = 100
+	}
+	if len(c.Targets) == 0 {
+		c.Targets = []handlers.InjectTarget{
+			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
+			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
+			handlers.TargetPred, handlers.TargetCC,
+		}
+	}
+}
+
+// injectionConfig is the device model of c's injection runs: c.Config with
+// the watchdog recalibrated from the golden run g.
+func (c *Campaign) injectionConfig(g *goldenRun) sim.Config {
+	cfg := c.Config
+	cfg.WatchdogWarpInstrs = 20*g.maxWarpInstrs + 100_000
+	return cfg
+}
+
 // goldenRun is what a campaign's golden run yields: both programs, the
-// reference result, every launch's site space and the largest warp
-// instruction count of the instrumented program (the watchdog's base).
+// reference result, every launch's site space and cut, and the largest
+// warp instruction count of the instrumented program (the watchdog's base).
 type goldenRun struct {
 	prog, inst    *sass.Program
 	result        *workloads.Result
 	profiles      []launchProfile
+	sites         uint64 // the profiles' total
+	cuts          []*launchCut
 	maxWarpInstrs uint64
+}
+
+// runPath is how an injection run executed its target launch.
+type runPath int
+
+const (
+	// pathWhole ran every CTA: the target CTA was not isolated, or the
+	// campaign was widened.
+	pathWhole runPath = iota
+	// pathIsolated ran the target CTA alone and spliced in the others.
+	pathIsolated
+	// pathFenced ran the target CTA alone until the fence stopped it,
+	// then the whole run again on pathWhole.
+	pathFenced
+)
+
+func (p runPath) String() string { return [...]string{"whole", "isolated", "fenced"}[p] }
+
+// injectRun performs injection run number run of the campaign on ctx, a new
+// or reset context it leaves reset: it draws the run's site from (Seed,
+// run) and classifies the outcome, simulating the target CTA alone in the
+// target launch when g shows it isolated and widen is false.
+func (c *Campaign) injectRun(ctx *cuda.Context, g *goldenRun, run int, widen bool) (Outcome, runPath, error) {
+	site := c.selectSite(g.profiles, g.sites, newRNG(sass.SplitMix(c.Seed, uint64(run))))
+	ctaThreads := g.profiles[site.Invocation].ctaThreads
+	tid := int(site.ThreadID)
+	cta, warp := tid/ctaThreads, tid%ctaThreads/sim.WarpSize
+	if cut := g.cuts[site.Invocation]; !widen && cut.alone[cta] {
+		splice := func(glob *mem.Global) error { return cut.splice(glob, cta) }
+		o, err := c.injectOnce(ctx, g, site, cut.twinFor(g.inst, site.Invocation, cta, warp), splice)
+		var fe *sim.FenceError
+		if !errors.As(err, &fe) {
+			return o, pathIsolated, err
+		}
+		// The run stopped short of what the whole grid would do: run it
+		// again without the cut.
+		o, err = c.injectOnce(ctx, g, site, twinFor(g.inst, site.Invocation, cta, warp, false), nil)
+		return o, pathFenced, err
+	}
+	o, err := c.injectOnce(ctx, g, site, twinFor(g.inst, site.Invocation, cta, warp, widen), nil)
+	return o, pathWhole, err
 }
 
 // golden builds both programs and runs the uninstrumented one over the
@@ -234,7 +295,8 @@ type goldenRun struct {
 // of instructions the instrumented program calls the injection handler
 // after. Instrumentation is transparent (the difftest tool axis and
 // outcomes.golden certify it), so this is the instrumented run's path, and
-// the counts are what a profiling handler there would count.
+// the counts are what a profiling handler there would count. Per launch it
+// also keeps the cut that lets an injection run simulate one CTA alone.
 func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	// The golden run's site probe reads the site space off the injected
 	// code ("after register writes", register info).
@@ -251,6 +313,12 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 		return nil, err
 	}
 	g := &goldenRun{prog: prog, inst: inst}
+	smDep := make(map[string]bool, len(prog.Kernels))
+	for _, k := range prog.Kernels {
+		ik, _ := inst.Kernel(k.Name) // newSiteProbe checked it is there
+		smDep[k.Name] = smDependent(k) || smDependent(ik)
+	}
+	var cutErr error
 	ctx := cuda.NewContext(c.Config)
 	ctx.Device().PCSamp = c.PCSamp
 	ctx.Device().Probe = probe
@@ -265,11 +333,19 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 			}
 			g.profiles = append(g.profiles, lp)
 			g.maxWarpInstrs = max(g.maxWarpInstrs, probe.maxWarpInstrs)
+			cut := newLaunchCut(probe.footprint, smDep[kernel])
+			if err := cut.readImage(ctx.Device().Global); err != nil && cutErr == nil {
+				cutErr = err
+			}
+			g.cuts = append(g.cuts, cut)
 		},
 	})
 	c.Trace.HostSpan(obs.TidHostMain, "golden:"+c.Spec.Name, func() {
 		g.result, err = c.Spec.Run(ctx, prog, c.Dataset)
 	})
+	if err == nil {
+		err = cutErr
+	}
 	if err != nil {
 		return nil, fmt.Errorf("faults: golden run failed: %w", err)
 	}
@@ -281,6 +357,7 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	most := 0
 	for _, lp := range g.profiles {
 		most = max(most, len(lp.counts))
+		g.sites += lp.total
 	}
 	for i, lp := range g.profiles {
 		g.profiles[i].counts = append(lp.counts, make([]uint64, most-len(lp.counts))...)
@@ -290,11 +367,12 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 
 // siteProbe is a campaign's sim.SiteProbe: per golden kernel, the length
 // of the injected run that follows each of its instructions in the
-// instrumented program, and what the last launch counted.
+// instrumented program, and what the last launch counted and touched.
 type siteProbe struct {
 	weights       map[string][]uint32
 	counts        []uint64
 	maxWarpInstrs uint64
+	footprint     *sim.Footprint
 }
 
 // newSiteProbe derives the weights of every kernel of prog from its
@@ -339,6 +417,8 @@ func (p *siteProbe) SiteWeights(k *sass.Kernel) []uint32 { return p.weights[k.Na
 func (p *siteProbe) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
 	p.counts, p.maxWarpInstrs = counts, maxWarpInstrs
 }
+
+func (p *siteProbe) LaunchFootprint(f *sim.Footprint) { p.footprint = f }
 
 // instrumented builds (or fetches) spec compiled and instrumented with
 // opts: the single program a campaign's injection runs share. Its
@@ -446,14 +526,18 @@ func twinFor(inst *sass.Program, launch, cta, warp int, widen bool) func(string,
 
 // injectOnce performs one armed run on ctx, a new or reset context, and
 // classifies the outcome, leaving ctx reset for the worker's next run. The
-// run is given prog, the uninstrumented program, and executes inst, the
-// instrumented one, where only selects it; both are shared and read-only.
-func (c *Campaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only func(string, int) *sim.Twin, site handlers.InjectionSite, golden *workloads.Result) (Outcome, error) {
+// run is given the golden run's uninstrumented program and executes its
+// instrumented one where only selects it; both are shared and read-only.
+// A non-nil splice runs on the device memory after a target launch that
+// succeeded (one that ran the target CTA alone); a *sim.FenceError return
+// means the fence stopped that launch, and the run has no outcome.
+func (c *Campaign) injectOnce(ctx *cuda.Context, g *goldenRun, site handlers.InjectionSite, only func(string, int) *sim.Twin, splice func(*mem.Global) error) (Outcome, error) {
 	inj := handlers.NewInjector(site)
+	var spliceErr error
 	// Lenient heap bounds: corrupted pointers land in mapped memory unless
 	// they leave the heap entirely, as on hardware.
 	ctx.Device().Global.SetStrictBounds(false)
-	rt := sassi.NewRuntime(inst)
+	rt := sassi.NewRuntime(g.inst)
 	if err := rt.Register(inj.Handler()); err != nil {
 		return Masked, err
 	}
@@ -466,22 +550,30 @@ func (c *Campaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only 
 			}
 		},
 		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
-			if idx == site.Invocation {
-				inj.Disarm()
+			if idx != site.Invocation {
+				return
+			}
+			inj.Disarm()
+			if splice != nil && err == nil {
+				spliceErr = splice(ctx.Device().Global)
 			}
 		},
 	})
 
-	result, err := c.Spec.Run(ctx, prog, c.Dataset)
+	result, err := c.Spec.Run(ctx, g.prog, c.Dataset)
 	// A crashed or hung run leaves nothing behind for the next one — or
 	// the campaign stops here.
 	if rerr := ctx.Reset(); rerr != nil {
 		return Masked, rerr
 	}
+	if spliceErr != nil {
+		return Masked, spliceErr
+	}
 	if err != nil {
 		var te *sim.TwinError
-		if errors.As(err, &te) {
-			return Masked, err // the campaign's own launch set-up, not an outcome
+		var fe *sim.FenceError
+		if errors.As(err, &te) || errors.As(err, &fe) {
+			return Masked, err // the campaign's own launch set-up or fence, not an outcome
 		}
 		var ke *sim.KernelError
 		if errors.As(err, &ke) {
@@ -501,10 +593,10 @@ func (c *Campaign) injectOnce(ctx *cuda.Context, prog, inst *sass.Program, only 
 	// flip that stays within tolerance counts as matching output. The
 	// stdout comparison is exact, so such a flip that changes the printed
 	// summary classifies as "stdout only different", the paper's category.
-	if !c.Spec.OutputsMatch(result.Output, golden.Output) {
+	if !c.Spec.OutputsMatch(result.Output, g.result.Output) {
 		return OutputDiff, nil
 	}
-	if result.Stdout != golden.Stdout {
+	if result.Stdout != g.result.Stdout {
 		return StdoutOnlyDiff, nil
 	}
 	return Masked, nil

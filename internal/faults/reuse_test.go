@@ -40,11 +40,12 @@ func runClean(t *testing.T, ctx *cuda.Context, run func(*cuda.Context) (*workloa
 // TestDeviceReuseAfterFailedRun is the property a campaign worker's reused
 // device needs (WarpGuard's failure mode: state leaking from a crashed run
 // into a later consumer): after a run that crashed, one the watchdog
-// stopped and one whose handler panicked — each leaving CTAs resident,
-// global memory and caches dirty, subscribers and a dispatcher attached —
-// a reset device runs the clean program bit-equal to a new device: every
-// launch's KernelStats (cycles included, so cache state too), the output,
-// stdout and the allocation footprint, with no slab outstanding in between.
+// stopped, one whose handler panicked and one running CTA 0 alone that its
+// fence stopped — each leaving CTAs resident, global memory and caches
+// dirty, subscribers and a dispatcher attached — a reset device runs the
+// clean program bit-equal to a new device: every launch's KernelStats
+// (cycles included, so cache state too), the output, stdout and the
+// allocation footprint, with no slab outstanding in between.
 func TestDeviceReuseAfterFailedRun(t *testing.T) {
 	for _, name := range []string{"demo.vecadd", "parboil.sgemm"} {
 		t.Run(name, func(t *testing.T) {
@@ -76,13 +77,25 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 			want := runClean(t, cuda.NewContext(cfg), clean)
 
 			// Each failing run executes instrumented code in warp 0 of CTA
-			// 0 of the first launch, as an injection run does.
+			// 0 of the first launch, as an injection run does, but the
+			// fenced one: it runs CTA 0 alone, original code throughout,
+			// and its fence refuses the CTA's first store once the store
+			// has written memory.
+			whole := twinFor(inst, 0, 0, 0, false)
+			fenced := func(_ string, idx int) *sim.Twin {
+				if idx != 0 {
+					return nil
+				}
+				return &sim.Twin{Prog: inst, Warps: func(int, int) bool { return false },
+					CTAs: func(c int) bool { return c == 0 }, Fence: func(_ []uint64, store bool) bool { return !store }}
+			}
 			failing := []struct {
 				name    string
+				twin    func(string, int) *sim.Twin
 				handler sassi.HandlerFunc
 				failed  func(error) bool
 			}{
-				{"crash", func(w *device.Warp, _ sassi.HandlerArgs) {
+				{"crash", whole, func(w *device.Warp, _ sassi.HandlerArgs) {
 					// Thread 0 loses its stack pointer: the restore
 					// sequence's first LDL leaves local memory.
 					if l := w.First(); w.Lane(l).GlobalThreadIdx() == 0 {
@@ -92,13 +105,17 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 					var ke *sim.KernelError
 					return errors.As(err, &ke) && ke.Kind == sim.ErrMemFault
 				}},
-				{"hang", func(*device.Warp, sassi.HandlerArgs) {}, func(err error) bool {
+				{"hang", whole, func(*device.Warp, sassi.HandlerArgs) {}, func(err error) bool {
 					var ke *sim.KernelError
 					return errors.As(err, &ke) && ke.Kind == sim.ErrHang
 				}},
-				{"handler panic", func(*device.Warp, sassi.HandlerArgs) { panic("handler bug") }, func(err error) bool {
+				{"handler panic", whole, func(*device.Warp, sassi.HandlerArgs) { panic("handler bug") }, func(err error) bool {
 					var he *sassi.HandlerError
 					return errors.As(err, &he)
+				}},
+				{"fenced", fenced, func(*device.Warp, sassi.HandlerArgs) {}, func(err error) bool {
+					var fe *sim.FenceError
+					return errors.As(err, &fe) && fe.CTA == 0
 				}},
 			}
 			ctx := cuda.NewContext(cfg)
@@ -109,7 +126,7 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 					Name: (&handlers.Injector{}).Options().AfterHandler, What: sassi.PassRegisterInfo, Fn: f.handler,
 				})
 				rt.Attach(ctx.Device())
-				ctx.Subscribe(cuda.LaunchCallbacks{Twin: twinFor(inst, 0, 0, 0, false)})
+				ctx.Subscribe(cuda.LaunchCallbacks{Twin: f.twin})
 				if _, err := clean(ctx); !f.failed(err) {
 					t.Fatalf("%s run ended with %v", f.name, err)
 				}

@@ -183,8 +183,10 @@ func (inj *Injector) inject(l int, args sassi.HandlerArgs) {
 	rp := args.RP
 	switch inj.Site.Target {
 	case TargetPred:
-		// Flip a predicate the instruction wrote; if it wrote none, fall
-		// back to a GPR flip.
+		// After an ISETP, FSETP or PSETP, flip predicate P(DstSeed % 7),
+		// one of P0..P6 whichever predicates the instruction wrote, so
+		// the flip may land on a predicate it did not write. After any
+		// other instruction, fall back to a GPR flip.
 		if op := bp.Opcode(); op == sass.OpISETP || op == sass.OpFSETP || op == sass.OpPSETP {
 			p := uint8(inj.Site.DstSeed % 7)
 			bp.SetPredValue(l, p, !bp.GetPredValue(l, p))

@@ -64,4 +64,9 @@ const (
 	MFaultsWorkers     = "faults.workers"
 	MFaultsSitesTotal  = "faults.sites_total"
 	MFaultsOutcomePref = "faults.outcome."
+	// Injection runs that simulated only the target CTA of the target
+	// launch, and those whose attempt to was stopped by the fence and
+	// run again over the whole grid.
+	MFaultsRunsIsolated = "faults.runs_isolated"
+	MFaultsRunsFenced   = "faults.runs_fenced"
 )

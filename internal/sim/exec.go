@@ -29,6 +29,10 @@ type engine struct {
 	base      warpCode
 	twin      *warpCode
 	twinWarps func(cta, warp int) bool
+	// ctas and fence are the Twin's CTA subset and fence (nil: the whole
+	// grid, unfenced).
+	ctas  func(cta int) bool
+	fence func(lines []uint64, store bool) bool
 
 	sms    []smShard
 	ntid   [3]uint32
@@ -92,16 +96,23 @@ func (e *engine) fail(w *Warp, kind ErrKind, format string, args ...any) error {
 }
 
 // failCause turns an error raised below the engine into the launch's
-// KernelError, keeping it as the cause: a memory fault, or anything else.
+// KernelError, keeping it as the cause: a memory fault, or anything else
+// but a FenceError, which stays what it is.
 func (e *engine) failCause(w *Warp, cause error) error {
-	if ke, ok := cause.(*KernelError); ok {
-		return ke
+	switch cause.(type) {
+	case *KernelError, *FenceError:
+		return cause
 	}
 	kind := ErrInvalid
 	if _, ok := cause.(*mem.Fault); ok {
 		kind = ErrMemFault
 	}
 	return &KernelError{Kind: kind, Kernel: e.stats.Kernel, Detail: fmt.Sprintf("pc=%d: %v", w.PC, cause), Err: cause}
+}
+
+// fenced is the FenceError of warp w's global access.
+func (e *engine) fenced(w *Warp, store, atomic bool) error {
+	return &FenceError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: w.PC, Store: store, Atomic: atomic}
 }
 
 // cbRead32 reads a 32-bit word from the launch's constant bank.

@@ -258,6 +258,12 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		res := &e.dev.perSM[w.CTA.SM].coalRes
 		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: nbytes, Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
+		if e.fence != nil && !e.fence(res.Lines, store) {
+			return 0, e.fenced(w, store, false)
+		}
+		if e.probe != nil {
+			e.probe.touch(w.CTA.Index, res.Lines, store)
+		}
 		cost = st.hier.AccessLines(res.Lines, store)
 		if e.dev.MemWatch != nil {
 			e.dev.MemWatch(MemAccess{
@@ -275,6 +281,9 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 // whose address is not global or faults, every earlier lane's old value
 // written back.
 func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (int, error) {
+	if e.fence != nil {
+		return 0, e.fenced(w, true, true)
+	}
 	ref, err := memRef(in)
 	if err != nil {
 		return 0, err
@@ -336,6 +345,9 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 		res := &e.dev.perSM[w.CTA.SM].coalRes
 		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: in.Mods.Width.Bytes(), Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
+		if e.probe != nil {
+			e.probe.atomic(w.CTA.Index, res.Lines)
+		}
 		cost = st.hier.AccessLines(res.Lines, true) + res.NumActive
 	}
 	return cost, nil

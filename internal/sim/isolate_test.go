@@ -1,0 +1,258 @@
+package sim_test
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"sassi/internal/sass"
+	"sassi/internal/sim"
+	"sassi/internal/sim/simref"
+)
+
+// copyKernel returns "copy", a kernel in which grid thread g loads in[g]
+// and stores it, plus whoami, to out[g]: whoami is
+// SR_NCTAID.X<<16 | SR_CTAID.X<<8 | SR_SMID. With red, every thread also
+// adds 1 to in[0] with a global RED.
+func copyKernel(t *testing.T, red bool) (*sass.Program, int) {
+	t.Helper()
+	r, imm := sass.R, sass.Imm
+	k := &sass.Kernel{Name: "copy", NumRegs: 16, Labels: map[string]int{}}
+	out := k.AddParam("out", 8)
+	in := k.AddParam("in", 8)
+	k.Instrs = []sass.Instruction{
+		sass.New(sass.OpMOV, []sass.Operand{r(2)}, []sass.Operand{sass.CMem(0, int64(out))}),
+		sass.New(sass.OpMOV, []sass.Operand{r(3)}, []sass.Operand{sass.CMem(0, int64(out+4))}),
+		sass.New(sass.OpMOV, []sass.Operand{r(12)}, []sass.Operand{sass.CMem(0, int64(in))}),
+		sass.New(sass.OpMOV, []sass.Operand{r(13)}, []sass.Operand{sass.CMem(0, int64(in+4))}),
+		sass.New(sass.OpS2R, []sass.Operand{r(0)}, []sass.Operand{sass.SReg(sass.SRTidX)}),
+		sass.New(sass.OpS2R, []sass.Operand{r(5)}, []sass.Operand{sass.SReg(sass.SRCtaidX)}),
+		sass.New(sass.OpS2R, []sass.Operand{r(6)}, []sass.Operand{sass.SReg(sass.SRNTidX)}),
+		sass.New(sass.OpS2R, []sass.Operand{r(8)}, []sass.Operand{sass.SReg(sass.SRNCtaidX)}),
+		sass.New(sass.OpS2R, []sass.Operand{r(9)}, []sass.Operand{sass.SReg(sass.SRSMID)}),
+		sass.New(sass.OpIMAD, []sass.Operand{r(10)}, []sass.Operand{r(8), imm(1 << 16), r(9)}),
+		sass.New(sass.OpIMAD, []sass.Operand{r(10)}, []sass.Operand{r(5), imm(1 << 8), r(10)}),
+		sass.New(sass.OpIMAD, []sass.Operand{r(4)}, []sass.Operand{r(5), r(6), r(0)}),
+		sass.New(sass.OpSHL, []sass.Operand{r(4)}, []sass.Operand{r(4), imm(2)}),
+		sass.New(sass.OpIADD, []sass.Operand{r(2)}, []sass.Operand{r(2), r(4)}),
+		sass.New(sass.OpIADD, []sass.Operand{r(14)}, []sass.Operand{r(12), r(4)}),
+		sass.New(sass.OpMOV, []sass.Operand{r(15)}, []sass.Operand{r(13)}),
+		{Guard: sass.Always, Op: sass.OpLDG, Mods: sass.Mods{E: true},
+			Dsts: []sass.Operand{r(11)}, Srcs: []sass.Operand{sass.Mem(14, 0)}},
+		sass.New(sass.OpIADD, []sass.Operand{r(10)}, []sass.Operand{r(10), r(11)}),
+	}
+	store := len(k.Instrs)
+	k.Instrs = append(k.Instrs, sass.Instruction{Guard: sass.Always, Op: sass.OpSTG, Mods: sass.Mods{E: true},
+		Srcs: []sass.Operand{sass.Mem(2, 0), r(10)}})
+	if red {
+		k.Instrs = append(k.Instrs,
+			sass.New(sass.OpMOV, []sass.Operand{r(1)}, []sass.Operand{imm(1)}),
+			sass.Instruction{Guard: sass.Always, Op: sass.OpRED, Mods: sass.Mods{Atom: sass.AtomADD, E: true},
+				Srcs: []sass.Operand{sass.Mem(12, 0), r(1)}})
+	}
+	k.Instrs = append(k.Instrs, sass.New(sass.OpEXIT, nil, nil))
+	if err := k.ResolveLabels(); err != nil {
+		t.Fatal(err)
+	}
+	prog := sass.NewProgram()
+	prog.AddKernel(k)
+	return prog, store
+}
+
+const copyCTAs, copyThreads = 12, 64
+
+// copyLaunch allocates copyKernel's buffers on dev, in[g] = 1000+g, and
+// returns their addresses and the launch parameters.
+func copyLaunch(dev *sim.Device) (out, in uint64, p sim.LaunchParams) {
+	n := copyCTAs * copyThreads
+	out, in = dev.Alloc(uint64(4*n), "out"), dev.Alloc(uint64(4*n), "in")
+	for g := 0; g < n; g++ {
+		_ = dev.Global.Write32(in+uint64(4*g), uint32(1000+g))
+	}
+	return out, in, sim.LaunchParams{Grid: sim.D1(copyCTAs), Block: sim.D1(copyThreads), Args: []uint64{out, in}}
+}
+
+// ctaLines returns the lines of CTA cta's words of the buffer at base.
+func ctaLines(base uint64, cta int, lineBytes uint64) []uint64 {
+	var lines []uint64
+	for a := base + uint64(4*cta*copyThreads); a < base+uint64(4*(cta+1)*copyThreads); a += lineBytes {
+		lines = append(lines, a&^(lineBytes-1))
+	}
+	return lines
+}
+
+// sortedLines returns lines ascending, without repeats.
+func sortedLines(lines []uint64) []uint64 {
+	lines = slices.Clone(lines)
+	slices.Sort(lines)
+	return slices.Compact(lines)
+}
+
+// TestTwinCTASubset: a launch whose Twin picks a CTA subset runs those
+// CTAs alone, each on the SM the whole grid gives it, and they read the
+// whole grid's SR_NCTAID and their own SR_CTAID; the other CTAs' words are
+// never written. On either core and either SM dispatch.
+func TestTwinCTASubset(t *testing.T) {
+	prog, _ := copyKernel(t, false)
+	subset := []int{1, 6, 11}
+	for _, ref := range []bool{false, true} {
+		for _, seq := range []bool{false, true} {
+			t.Run(fmt.Sprintf("reference=%v/sequentialSMs=%v", ref, seq), func(t *testing.T) {
+				newDev := func() *sim.Device {
+					cfg := sim.MiniGPU()
+					cfg.SequentialSMs = seq
+					dev := sim.NewDevice(cfg)
+					if ref {
+						simref.Install(dev)
+					}
+					return dev
+				}
+				whole := newDev()
+				wantOut, _, p := copyLaunch(whole)
+				if _, err := whole.Launch(prog, "copy", p); err != nil {
+					t.Fatal(err)
+				}
+				dev := newDev()
+				out, _, p := copyLaunch(dev)
+				// CTARetire runs on the SM goroutines.
+				var retired [copyCTAs]atomic.Int32
+				dev.CTARetire = func(cta *sim.CTA) {
+					retired[cta.Index].Add(1)
+					if cta.SM != cta.Index%dev.Cfg.NumSMs {
+						t.Errorf("CTA %d ran on SM %d", cta.Index, cta.SM)
+					}
+				}
+				p.Twin = &sim.Twin{Prog: prog, Warps: func(int, int) bool { return false },
+					CTAs: func(cta int) bool { return slices.Contains(subset, cta) }}
+				if _, err := dev.Launch(prog, "copy", p); err != nil {
+					t.Fatal(err)
+				}
+				for c := range retired {
+					if n, want := retired[c].Load(), slices.Contains(subset, c); n != 0 != want || n > 1 {
+						t.Errorf("CTA %d retired %d times", c, n)
+					}
+				}
+				for g := 0; g < copyCTAs*copyThreads; g++ {
+					got, _ := dev.Global.Read32(out + uint64(4*g))
+					want, _ := whole.Global.Read32(wantOut + uint64(4*g))
+					if !slices.Contains(subset, g/copyThreads) {
+						want = 0
+					}
+					if got != want {
+						t.Fatalf("thread %d stored %#x, want %#x", g, got, want)
+					}
+				}
+				if n := dev.LiveSlabs(); n != 0 {
+					t.Errorf("%d slabs outstanding", n)
+				}
+			})
+		}
+	}
+}
+
+// TestFenceStopsLaunch: a fence sees every global line a fenced CTA loads
+// and stores, and the launch stops with a *sim.FenceError naming the CTA,
+// the pc and the kind of access where it refuses one. A global atomic
+// stops a fenced launch before it changes memory.
+func TestFenceStopsLaunch(t *testing.T) {
+	const cta = 5
+	for _, ref := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reference=%v", ref), func(t *testing.T) {
+			newDev := func() *sim.Device {
+				dev := sim.NewDevice(sim.MiniGPU())
+				if ref {
+					simref.Install(dev)
+				}
+				return dev
+			}
+			prog, store := copyKernel(t, false)
+			only := func(c int) bool { return c == cta }
+			none := func(int, int) bool { return false }
+
+			// A fence that permits everything is asked about cta's lines.
+			dev := newDev()
+			out, in, p := copyLaunch(dev)
+			asked := map[bool][]uint64{}
+			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(lines []uint64, st bool) bool {
+				asked[st] = append(asked[st], lines...)
+				return true
+			}}
+			if _, err := dev.Launch(prog, "copy", p); err != nil {
+				t.Fatal(err)
+			}
+			lb := dev.Cfg.CoalesceBytes
+			for st, want := range map[bool][]uint64{false: ctaLines(in, cta, lb), true: ctaLines(out, cta, lb)} {
+				got := sortedLines(asked[st])
+				if !slices.Equal(got, want) {
+					t.Errorf("store=%v: fence asked about %x, want %x", st, got, want)
+				}
+			}
+
+			// A fence that refuses stores stops the launch at the store.
+			dev = newDev()
+			_, _, p = copyLaunch(dev)
+			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(_ []uint64, st bool) bool { return !st }}
+			_, err := dev.Launch(prog, "copy", p)
+			var fe *sim.FenceError
+			if !errors.As(err, &fe) || fe.CTA != cta || fe.PC != store || !fe.Store || fe.Atomic {
+				t.Errorf("refused store: launch ended with %#v", err)
+			}
+			if n := dev.LiveSlabs(); n != 0 {
+				t.Errorf("%d slabs outstanding", n)
+			}
+
+			// A global atomic stops a fenced launch untouched.
+			red, _ := copyKernel(t, true)
+			dev = newDev()
+			_, in, p = copyLaunch(dev)
+			p.Twin = &sim.Twin{Prog: red, Warps: none, CTAs: only, Fence: func([]uint64, bool) bool { return true }}
+			_, err = dev.Launch(red, "copy", p)
+			if !errors.As(err, &fe) || fe.CTA != cta || !fe.Atomic {
+				t.Errorf("atomic: launch ended with %#v", err)
+			}
+			if v, _ := dev.Global.Read32(in); v != 1000 {
+				t.Errorf("in[0] = %d after a fenced atomic, want 1000", v)
+			}
+		})
+	}
+}
+
+// TestSiteProbeFootprint: the probe reports, per CTA, the lines its warps
+// loaded and stored, ascending and without repeats, and whether it issued
+// a global atomic, whose lines count as both.
+func TestSiteProbeFootprint(t *testing.T) {
+	for _, red := range []bool{false, true} {
+		t.Run(fmt.Sprintf("red=%v", red), func(t *testing.T) {
+			prog, _ := copyKernel(t, red)
+			dev := sim.NewDevice(sim.MiniGPU())
+			probe := &probeRecorder{weights: map[string][]uint32{"copy": make([]uint32, len(prog.Kernels[0].Instrs))}}
+			dev.Probe = probe
+			out, in, p := copyLaunch(dev)
+			if _, err := dev.Launch(prog, "copy", p); err != nil {
+				t.Fatal(err)
+			}
+			if len(probe.footprints) != 1 {
+				t.Fatalf("%d footprints for one launch", len(probe.footprints))
+			}
+			f := probe.footprints[0]
+			lb := dev.Cfg.CoalesceBytes
+			if f.LineBytes != lb || len(f.Loads) != copyCTAs || len(f.Stores) != copyCTAs || len(f.Atomic) != copyCTAs {
+				t.Fatalf("footprint of %d-byte lines over %d/%d/%d CTAs", f.LineBytes, len(f.Loads), len(f.Stores), len(f.Atomic))
+			}
+			for c := 0; c < copyCTAs; c++ {
+				loads, stores := ctaLines(in, c, lb), ctaLines(out, c, lb)
+				if red {
+					first := in &^ (lb - 1)
+					loads = sortedLines(append(loads, first))
+					stores = sortedLines(append(stores, first))
+				}
+				if !slices.Equal(f.Loads[c], loads) || !slices.Equal(f.Stores[c], stores) || f.Atomic[c] != red {
+					t.Errorf("CTA %d: loads %x stores %x atomic %v\nwant loads %x stores %x atomic %v",
+						c, f.Loads[c], f.Stores[c], f.Atomic[c], loads, stores, red)
+				}
+			}
+		})
+	}
+}

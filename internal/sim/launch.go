@@ -65,13 +65,26 @@ type LaunchParams struct {
 // or a MemWatch makes carries a PC and no kernel, so a launch with a Twin
 // on a device with one of them attached is refused too.
 // The fault campaigns use it to run instrumented code only in the warp an
-// injection targets (DESIGN.md "Per-warp kernel selection").
+// injection targets, and, where the golden run has shown that warp's CTA
+// to share no global line with the others, to run that CTA alone
+// (DESIGN.md "Per-warp kernel selection").
 type Twin struct {
 	Prog *sass.Program
 	// Warps reports whether warp warp (its index in the CTA) of the CTA
 	// with flat index cta runs Prog's kernel. SM goroutines call it
 	// concurrently, once per warp.
 	Warps func(cta, warp int) bool
+	// CTAs, when non-nil, reports whether the CTA with flat index cta runs
+	// at all; the others are skipped. Every CTA that runs does so on the
+	// SM the whole grid would have given it, and the grid, SR_NCTAID and
+	// SR_CTAID stay those of the launch.
+	CTAs func(cta int) bool
+	// Fence, when non-nil, vets the launch's global memory accesses: after
+	// each warp load or store, with the lines it touched (base addresses
+	// of Config.CoalesceBytes lines, which may alias a reused buffer), and
+	// the launch stops with a *FenceError where it returns false. A fenced
+	// launch stops at any global atomic too, before it touches memory.
+	Fence func(lines []uint64, store bool) bool
 }
 
 // TwinError reports a launch whose Twin cannot share it.
@@ -82,6 +95,28 @@ type TwinError struct {
 
 func (e *TwinError) Error() string {
 	return fmt.Sprintf("sim: kernel %s: twin refused: %s", e.Kernel, e.Reason)
+}
+
+// FenceError reports a launch its Twin's Fence stopped: a warp of CTA CTA,
+// at pc PC, loaded or stored global lines the fence refused, or issued a
+// global atomic. What the launch had done by then is left as it was.
+type FenceError struct {
+	Kernel string
+	CTA    int
+	PC     int
+	Store  bool
+	Atomic bool
+}
+
+func (e *FenceError) Error() string {
+	what := "load"
+	switch {
+	case e.Atomic:
+		what = "atomic"
+	case e.Store:
+		what = "store"
+	}
+	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: global %s outside the fence", e.Kernel, e.CTA, e.PC, what)
 }
 
 // minRegs is the fewest registers a thread has, whatever its kernel asks.
@@ -191,7 +226,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		if e.twin, err = d.twinCode(t, k, &p); err != nil {
 			return nil, err
 		}
-		e.twinWarps = t.Warps
+		e.twinWarps, e.ctas, e.fence = t.Warps, t.CTAs, t.Fence
 	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -253,6 +288,9 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	// reported, keeping the outcome independent of goroutine timing.
 	perSM := make([][]int, d.Cfg.NumSMs)
 	for c := 0; c < numCTAs; c++ {
+		if e.ctas != nil && !e.ctas(c) {
+			continue
+		}
 		sm := c % d.Cfg.NumSMs
 		perSM[sm] = append(perSM[sm], c)
 	}

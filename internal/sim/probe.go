@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sassi/internal/sass"
 )
@@ -12,6 +13,8 @@ import (
 // would have issued with that pass's injected code in place. The fault
 // campaigns take their site space from the golden run this way instead of
 // running the instrumented program over the whole grid a second time.
+// The probe also records where each CTA of the launch reads and writes
+// global memory, which tells a campaign when one CTA can run alone.
 type SiteProbe interface {
 	// SiteWeights returns one weight per instruction of k: 0 where the
 	// instruction is not a site, otherwise the number of instructions the
@@ -24,18 +27,42 @@ type SiteProbe interface {
 	// injected code: its DynWarpInstrs plus the weights of the sites it
 	// issued. It is called once per launch, after every SM has finished.
 	LaunchSites(counts []uint64, maxWarpInstrs uint64)
+	// LaunchFootprint receives the launch's Footprint, once per launch,
+	// after LaunchSites.
+	LaunchFootprint(f *Footprint)
+}
+
+// Footprint is a launch's use of global memory per CTA, in lines of
+// Config.CoalesceBytes: the lines each CTA's warps loaded and the lines they
+// stored, as ascending line base addresses without repeats, and whether the
+// CTA issued a global atomic, whose lines count as loaded and stored. It
+// covers the core's loads, stores and atomics; a handler's own device
+// memory accesses are not in it.
+type Footprint struct {
+	LineBytes     uint64
+	Loads, Stores [][]uint64 // per CTA
+	Atomic        []bool     // per CTA
 }
 
 // siteCount is a launch's SiteProbe state. Every slice is indexed by grid
-// thread, launch-global warp or SM, each written only by the goroutine of
-// the SM running it, so nothing is locked.
+// thread, CTA, launch-global warp or SM, each written only by the goroutine
+// of the SM running it, so nothing is locked.
 type siteCount struct {
 	weights     []uint32
 	counts      []uint64 // per grid thread
 	added       []uint64 // per launch-global warp: the weights it issued
 	smMax       []uint64 // per SM: the largest retired DynWarpInstrs+added
 	warpsPerCTA int
+	fp          Footprint
+	seen        []lineFilter // per CTA: its loads', then its stores'
+	sorted      []int        // per CTA, likewise: how much of each list is compact
 }
+
+// lineFilter holds the last line seen in each of 32 slots, picked by line
+// number: a footprint list takes a line only when its slot holds another,
+// so the lines a CTA keeps coming back to (a histogram's bins, a tile it
+// rereads) are appended about once.
+type lineFilter [32]uint64
 
 // attachProbe sets up the launch's site counting for k.
 func (e *engine) attachProbe(k *sass.Kernel, numCTAs, threadsPerCTA int) error {
@@ -50,6 +77,14 @@ func (e *engine) attachProbe(k *sass.Kernel, numCTAs, threadsPerCTA int) error {
 		added:       make([]uint64, numCTAs*wpc),
 		smMax:       make([]uint64, e.dev.Cfg.NumSMs),
 		warpsPerCTA: wpc,
+		fp: Footprint{
+			LineBytes: e.dev.Cfg.CoalesceBytes,
+			Loads:     make([][]uint64, numCTAs),
+			Stores:    make([][]uint64, numCTAs),
+			Atomic:    make([]bool, numCTAs),
+		},
+		seen:   make([]lineFilter, 2*numCTAs),
+		sorted: make([]int, 2*numCTAs),
 	}
 	return nil
 }
@@ -68,6 +103,41 @@ func (s *siteCount) issue(w *Warp, pc int, exec uint32) {
 	s.added[w.CTA.Index*s.warpsPerCTA+w.IDinCTA] += uint64(wt)
 }
 
+// touch adds the lines of one warp access of CTA cta to its footprint. A
+// CTA that reads the same lines over and over is compacted whenever its
+// list has doubled since the last time.
+func (s *siteCount) touch(cta int, lines []uint64, store bool) {
+	set, i := &s.fp.Loads[cta], 2*cta
+	if store {
+		set, i = &s.fp.Stores[cta], 2*cta+1
+	}
+	seen := &s.seen[i]
+	for _, l := range lines {
+		if slot := &seen[l/s.fp.LineBytes%uint64(len(seen))]; *slot != l {
+			*slot = l
+			*set = append(*set, l)
+		}
+	}
+	if len(*set) > 2*s.sorted[i]+64 {
+		s.sorted[i] = compactLines(set)
+	}
+}
+
+// atomic adds the lines of one warp global atomic of CTA cta to both its
+// lists and marks the CTA.
+func (s *siteCount) atomic(cta int, lines []uint64) {
+	s.touch(cta, lines, false)
+	s.touch(cta, lines, true)
+	s.fp.Atomic[cta] = true
+}
+
+// compactLines sorts a line list and drops its repeats.
+func compactLines(set *[]uint64) int {
+	slices.Sort(*set)
+	*set = slices.Compact(*set)
+	return len(*set)
+}
+
 // retire folds a retiring CTA's warps into its SM's maximum.
 func (s *siteCount) retire(cta *CTA) {
 	for _, w := range cta.Warps {
@@ -76,11 +146,16 @@ func (s *siteCount) retire(cta *CTA) {
 	}
 }
 
-// report hands the launch's counts to the probe.
+// report hands the launch's counts and footprint to the probe.
 func (s *siteCount) report(p SiteProbe) {
 	var most uint64
 	for _, n := range s.smMax {
 		most = max(most, n)
 	}
 	p.LaunchSites(s.counts, most)
+	for c := range s.fp.Loads {
+		compactLines(&s.fp.Loads[c])
+		compactLines(&s.fp.Stores[c])
+	}
+	p.LaunchFootprint(&s.fp)
 }

@@ -13,9 +13,10 @@ import (
 // probeRecorder is a sim.SiteProbe with fixed weights per kernel name that
 // keeps every launch's report.
 type probeRecorder struct {
-	weights map[string][]uint32
-	counts  [][]uint64
-	max     []uint64
+	weights    map[string][]uint32
+	counts     [][]uint64
+	max        []uint64
+	footprints []*sim.Footprint
 }
 
 func (p *probeRecorder) SiteWeights(k *sass.Kernel) []uint32 { return p.weights[k.Name] }
@@ -24,6 +25,8 @@ func (p *probeRecorder) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
 	p.counts = append(p.counts, counts)
 	p.max = append(p.max, maxWarpInstrs)
 }
+
+func (p *probeRecorder) LaunchFootprint(f *sim.Footprint) { p.footprints = append(p.footprints, f) }
 
 // siteInstr is one instruction of siteKernel with the weight of its site
 // (0: not a site) and the label that names it, if any.

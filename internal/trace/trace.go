@@ -101,7 +101,8 @@ func (t *MemTracer) Write(w io.Writer) error {
 
 // Read deserializes a trace written by Write: both the current version-2
 // format and legacy version-1 traces (whose events decode with SM and Warp
-// zero) are accepted.
+// zero) are accepted. The counts a file claims size nothing up front: a
+// truncated or hostile file costs what it holds, not what it says.
 func Read(r io.Reader) (*MemTracer, error) {
 	var hdr [8]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -121,7 +122,7 @@ func Read(r io.Reader) (*MemTracer, error) {
 		return nil, err
 	}
 	n := binary.LittleEndian.Uint64(buf[:])
-	t := &MemTracer{Events: make([]Event, 0, n)}
+	t := &MemTracer{Events: make([]Event, 0, min(n, 1<<12))}
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(r, buf[:]); err != nil {
 			return nil, err
@@ -137,12 +138,12 @@ func Read(r io.Reader) (*MemTracer, error) {
 			e.SM = int32(binary.LittleEndian.Uint32(buf[:4]))
 			e.Warp = int32(binary.LittleEndian.Uint32(buf[4:]))
 		}
-		e.Lines = make([]uint64, count)
+		e.Lines = make([]uint64, 0, min(count, 2*32)) // at most two lines a lane
 		for j := 0; j < count; j++ {
 			if _, err := io.ReadFull(r, buf[:]); err != nil {
 				return nil, err
 			}
-			e.Lines[j] = binary.LittleEndian.Uint64(buf[:])
+			e.Lines = append(e.Lines, binary.LittleEndian.Uint64(buf[:]))
 		}
 		t.Events = append(t.Events, e)
 	}
