@@ -29,9 +29,7 @@ type engine struct {
 	base      warpCode
 	twin      *warpCode
 	twinWarps func(cta, warp int) bool
-	// ctas and fence are the Twin's CTA subset and fence (nil: the whole
-	// grid, unfenced).
-	ctas  func(cta int) bool
+	// fence is the Twin's fence (nil: unfenced).
 	fence func(lines []uint64, store bool) bool
 
 	sms    []smShard

@@ -226,7 +226,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		if e.twin, err = d.twinCode(t, k, &p); err != nil {
 			return nil, err
 		}
-		e.twinWarps, e.ctas, e.fence = t.Warps, t.CTAs, t.Fence
+		e.twinWarps, e.fence = t.Warps, t.Fence
 	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -287,8 +287,12 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	// another SM fails, and the lowest-numbered failing SM's error is
 	// reported, keeping the outcome independent of goroutine timing.
 	perSM := make([][]int, d.Cfg.NumSMs)
+	var runs func(cta int) bool // nil: every CTA
+	if p.Twin != nil {
+		runs = p.Twin.CTAs
+	}
 	for c := 0; c < numCTAs; c++ {
-		if e.ctas != nil && !e.ctas(c) {
+		if runs != nil && !runs(c) {
 			continue
 		}
 		sm := c % d.Cfg.NumSMs
