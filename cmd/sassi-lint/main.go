@@ -44,7 +44,6 @@ import (
 	"strings"
 
 	"sassi/internal/analysis"
-	_ "sassi/internal/analysis/cfi"         // register the cfi check
 	_ "sassi/internal/analysis/concurrency" // register barrier-divergence and shared-race
 	"sassi/internal/ptx"
 	"sassi/internal/ptxas"

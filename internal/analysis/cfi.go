@@ -7,7 +7,7 @@
 // loads them as per-kernel shadow tables and validates the warp's call
 // and divergence stacks at every control-transfer site.
 //
-// Importing the package registers the "cfi" check with analysis.Verify
+// Importing the package registers the "cfi" check with Verify
 // (the concurrency-package pattern), so sassi-lint and every verified
 // compile flag structural CFI violations:
 //
@@ -19,30 +19,27 @@
 //     target precedes it;
 //   - a CAL under a provably thread-dependent guard (the machine traps
 //     on divergent calls) — proven via the affine value lattice.
-package cfi
+package analysis
 
 import (
 	"fmt"
 	"sort"
 
-	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
 
 func init() {
-	analysis.RegisterKernelCheck(analysis.CheckCFI, Check)
+	RegisterKernelCheck(CheckCFI, checkCFI)
 }
 
-// Abstract-interpretation bounds, matching the divergence checker's.
-const (
-	maxCallDepth  = 32
-	maxCallStates = 1 << 14
-)
+// maxCallStates bounds the call-path abstract interpretation; its depth
+// bound is the divergence checker's maxCallDepth.
+const maxCallStates = 1 << 14
 
-// Targets holds one kernel's legal target sets, keyed by instruction
+// CFITargets holds one kernel's legal target sets, keyed by instruction
 // index. The runtime checker computes them over the instrumented kernel,
 // so indices there are instrumented-code indices.
-type Targets struct {
+type CFITargets struct {
 	// Entries are legal subroutine entry points: the targets of CAL
 	// instructions.
 	Entries map[int]bool
@@ -66,38 +63,38 @@ type Targets struct {
 
 // Legal reports whether a warp call-stack entry value is a legal return
 // address.
-func (t *Targets) Legal(ret int) bool { return t.Returns[ret] }
+func (t *CFITargets) Legal(ret int) bool { return t.Returns[ret] }
 
-// Check is the registered "cfi" kernel check: Analyze, diagnostics only.
-func Check(f *analysis.KernelFacts) []analysis.Diagnostic {
-	_, diags := Analyze(f)
+// checkCFI is the registered "cfi" kernel check: AnalyzeCFI, diagnostics only.
+func checkCFI(f *KernelFacts) []Diagnostic {
+	_, diags := AnalyzeCFI(f)
 	return diags
 }
 
-// Analyze derives the kernel's legal target sets and the structural CFI
+// AnalyzeCFI derives the kernel's legal target sets and the structural CFI
 // diagnostics. It assumes the structural pass ran clean (resolved labels,
-// in-range targets), which analysis.VerifyKernel guarantees before
-// registered checks run.
-func Analyze(f *analysis.KernelFacts) (*Targets, []analysis.Diagnostic) {
+// in-range targets), which VerifyKernel guarantees before registered
+// checks run.
+func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 	cfg := f.CFG
 	k := cfg.Kernel
-	t := &Targets{
+	t := &CFITargets{
 		Entries:   map[int]bool{},
 		Returns:   map[int]bool{},
 		Reconv:    map[int]bool{},
 		Defer:     map[int]bool{},
 		CallSites: map[int]int{},
 	}
-	var diags []analysis.Diagnostic
+	var diags []Diagnostic
 	errorf := func(idx int, format string, args ...any) {
-		diags = append(diags, analysis.Diagnostic{
-			Sev: analysis.Error, Check: analysis.CheckCFI, Kernel: k.Name,
+		diags = append(diags, Diagnostic{
+			Sev: Error, Check: CheckCFI, Kernel: k.Name,
 			Instr: idx, Msg: fmt.Sprintf(format, args...),
 		})
 	}
 	warnf := func(idx int, format string, args ...any) {
-		diags = append(diags, analysis.Diagnostic{
-			Sev: analysis.Warning, Check: analysis.CheckCFI, Kernel: k.Name,
+		diags = append(diags, Diagnostic{
+			Sev: Warning, Check: CheckCFI, Kernel: k.Name,
 			Instr: idx, Msg: fmt.Sprintf(format, args...),
 		})
 	}
@@ -140,7 +137,7 @@ func Analyze(f *analysis.KernelFacts) (*Targets, []analysis.Diagnostic) {
 	diags = append(diags, checkSyncRegions(k)...)
 	diags = append(diags, checkEntries(cfg, t)...)
 	diags = append(diags, checkCallPaths(cfg, t, errorf)...)
-	pdom := analysis.PostDominators(cfg)
+	pdom := PostDominators(cfg)
 	for i := range k.Instrs {
 		if k.Instrs[i].Op != sass.OpSSY {
 			continue
@@ -151,7 +148,7 @@ func Analyze(f *analysis.KernelFacts) (*Targets, []analysis.Diagnostic) {
 		}
 		tb := cfg.BlockOf(int(tgt.Imm))
 		sb := cfg.BlockOf(i)
-		if tb != nil && sb != nil && !analysis.PostDominates(pdom, tb.ID, sb.ID) {
+		if tb != nil && sb != nil && !PostDominates(pdom, tb.ID, sb.ID) {
 			warnf(i, "SSY reconvergence target @%04x does not post-dominate the SSY: some path skips the reconvergence point",
 				sass.InsOffset(int(tgt.Imm)))
 		}
@@ -163,8 +160,8 @@ func Analyze(f *analysis.KernelFacts) (*Targets, []analysis.Diagnostic) {
 // an SSY at i < s whose reconvergence target is beyond s. A SYNC outside
 // every region pops a frame that cannot belong to an enclosing SSY — the
 // shape control-state corruption produces.
-func checkSyncRegions(k *sass.Kernel) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic
+func checkSyncRegions(k *sass.Kernel) []Diagnostic {
+	var diags []Diagnostic
 	type region struct{ ssy, target int }
 	var regions []region
 	for i := range k.Instrs {
@@ -187,8 +184,8 @@ func checkSyncRegions(k *sass.Kernel) []analysis.Diagnostic {
 			}
 		}
 		if !enclosed {
-			diags = append(diags, analysis.Diagnostic{
-				Sev: analysis.Error, Check: analysis.CheckCFI, Kernel: k.Name, Instr: s,
+			diags = append(diags, Diagnostic{
+				Sev: Error, Check: CheckCFI, Kernel: k.Name, Instr: s,
 				Msg: "SYNC has no enclosing SSY region: reconvergence outside any SSY/SYNC pair",
 			})
 		}
@@ -201,8 +198,8 @@ func checkSyncRegions(k *sass.Kernel) []analysis.Diagnostic {
 // middle of a region). A predecessor inside the subroutine — a loop whose
 // head is the entry — is legal, so only predecessors not reachable from
 // the entry itself are flagged.
-func checkEntries(cfg *sass.CFG, t *Targets) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic
+func checkEntries(cfg *sass.CFG, t *CFITargets) []Diagnostic {
+	var diags []Diagnostic
 	entries := make([]int, 0, len(t.Entries))
 	for e := range t.Entries {
 		entries = append(entries, e)
@@ -213,8 +210,8 @@ func checkEntries(cfg *sass.CFG, t *Targets) []analysis.Diagnostic {
 		if eb == nil || eb.Start != e {
 			// A mid-block entry cannot happen after label resolution (the
 			// target is a leader); defensive for callers skipping checks.
-			diags = append(diags, analysis.Diagnostic{
-				Sev: analysis.Error, Check: analysis.CheckCFI, Kernel: cfg.Kernel.Name, Instr: e,
+			diags = append(diags, Diagnostic{
+				Sev: Error, Check: CheckCFI, Kernel: cfg.Kernel.Name, Instr: e,
 				Msg: "CAL target is not a basic-block head",
 			})
 			continue
@@ -225,8 +222,8 @@ func checkEntries(cfg *sass.CFG, t *Targets) []analysis.Diagnostic {
 		inBody := reachableFrom(cfg, eb.ID)
 		for _, p := range eb.Preds {
 			if !inBody[p] {
-				diags = append(diags, analysis.Diagnostic{
-					Sev: analysis.Error, Check: analysis.CheckCFI, Kernel: cfg.Kernel.Name, Instr: e,
+				diags = append(diags, Diagnostic{
+					Sev: Error, Check: CheckCFI, Kernel: cfg.Kernel.Name, Instr: e,
 					Msg: fmt.Sprintf("subroutine entry @%04x is also reachable by fall-through or branch from @%04x: call into the middle of a region",
 						sass.InsOffset(e), sass.InsOffset(cfg.Blocks[p].End-1)),
 				})
@@ -262,8 +259,8 @@ func reachableFrom(cfg *sass.CFG, b int) []bool {
 // with an empty call stack, RETs unreachable from any call site, and
 // call depth beyond the machine bound, and records the deepest stack
 // seen in t.MaxCallDepth.
-func checkCallPaths(cfg *sass.CFG, t *Targets, errorf func(int, string, ...any)) []analysis.Diagnostic {
-	var diags []analysis.Diagnostic // reported via errorf; kept for signature symmetry
+func checkCallPaths(cfg *sass.CFG, t *CFITargets, errorf func(int, string, ...any)) []Diagnostic {
+	var diags []Diagnostic // reported via errorf; kept for signature symmetry
 	k := cfg.Kernel
 	n := len(k.Instrs)
 	if n == 0 {

@@ -1,10 +1,9 @@
-package cfi_test
+package analysis_test
 
 import (
 	"testing"
 
 	"sassi/internal/analysis"
-	"sassi/internal/analysis/cfi"
 	"sassi/internal/sass"
 )
 
@@ -60,7 +59,7 @@ func FuzzCFI(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		_, diags := cfi.Analyze(analysis.NewKernelFacts(cfg))
+		_, diags := analysis.AnalyzeCFI(analysis.NewKernelFacts(cfg))
 		for _, d := range diags {
 			_ = d.String()
 		}

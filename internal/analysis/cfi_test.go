@@ -1,11 +1,10 @@
-package cfi_test
+package analysis_test
 
 import (
 	"strings"
 	"testing"
 
 	"sassi/internal/analysis"
-	"sassi/internal/analysis/cfi"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
@@ -48,7 +47,7 @@ func TestCleanCallTree(t *testing.T) {
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(0), sass.Imm(1)}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	targets, diags := cfi.Analyze(factsOf(t, k))
+	targets, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	if len(diags) != 0 {
 		t.Fatalf("clean call tree produced diagnostics: %v", diags)
 	}
@@ -66,7 +65,7 @@ func TestRetWithEmptyCallStack(t *testing.T) {
 		sass.New(sass.OpRET, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	want := "empty call stack"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -79,7 +78,7 @@ func TestUnreachableRet(t *testing.T) {
 		sass.New(sass.OpEXIT, nil, nil),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	want := "not reachable from any call site"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -97,7 +96,7 @@ func TestCallIntoRegionMiddle(t *testing.T) {
 		sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(0), sass.Imm(1)}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	want := "call into the middle of a region"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -115,7 +114,7 @@ func TestSubroutineLoopHeadIsLegal(t *testing.T) {
 		sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("fn")}).WithGuard(sass.PredGuard{Reg: 0}),
 		sass.New(sass.OpRET, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	for _, d := range diags {
 		if d.Sev == analysis.Error {
 			t.Fatalf("legal subroutine loop head flagged: %v", diags)
@@ -129,7 +128,7 @@ func TestSyncOutsideRegion(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	want := "no enclosing SSY region"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -143,7 +142,7 @@ func TestBackwardSSYTarget(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	_, diags := cfi.Analyze(factsOf(t, k))
+	_, diags := analysis.AnalyzeCFI(factsOf(t, k))
 	want := "precedes the SSY"
 	if !hasError(diags, want) {
 		t.Fatalf("missing %q error, got %v", want, diags)
@@ -202,7 +201,7 @@ func TestMutantsRejected(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: build CFG: %v", c.name, err)
 			}
-			if diags := cfi.Check(analysis.NewKernelFacts(cfg)); !hasError(diags, c.want) {
+			if _, diags := analysis.AnalyzeCFI(analysis.NewKernelFacts(cfg)); !hasError(diags, c.want) {
 				t.Errorf("%s: missing %q error, got %v", c.name, c.want, diags)
 			}
 		}
@@ -216,7 +215,7 @@ func assertCFIClean(t *testing.T, what string, prog *sass.Program) {
 		if err != nil {
 			t.Fatalf("%s: %s: build CFG: %v", what, k.Name, err)
 		}
-		if diags := cfi.Check(analysis.NewKernelFacts(cfg)); len(diags) != 0 {
+		if _, diags := analysis.AnalyzeCFI(analysis.NewKernelFacts(cfg)); len(diags) != 0 {
 			t.Errorf("%s: %s: cfi diagnostics on a clean built-in: %v", what, k.Name, diags)
 		}
 	}

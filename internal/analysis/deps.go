@@ -31,12 +31,11 @@
 // orderings, are fences here, and the autotuner additionally gates every
 // candidate schedule on bit-equal final state against the unscheduled
 // binary.
-package deps
+package analysis
 
 import (
 	"fmt"
 
-	"sassi/internal/analysis"
 	"sassi/internal/mem"
 	"sassi/internal/sass"
 )
@@ -65,7 +64,7 @@ func (k EdgeKind) String() string {
 // Edge is one dependence: the instruction at From must execute before the
 // one at To. Both are kernel-wide instruction indices with From < To in
 // the analyzed order. Slot is the regspace bit the dependence runs
-// through (analysis.GPRBit/PredBit/CCBit) for register edges, -1 for
+// through (GPRBit/PredBit/CCBit) for register edges, -1 for
 // memory and fence edges.
 type Edge struct {
 	From, To int
@@ -134,31 +133,31 @@ func fenceOp(in *sass.Instruction) bool {
 }
 
 // regSets returns the instruction's regspace use and def bitsets.
-func regSets(in *sass.Instruction, nbits int) (uses, defs analysis.Bits) {
-	uses, defs = analysis.NewBits(nbits), analysis.NewBits(nbits)
+func regSets(in *sass.Instruction, nbits int) (uses, defs Bits) {
+	uses, defs = NewBits(nbits), NewBits(nbits)
 	for _, r := range in.GPRSrcs() {
-		uses.Set(analysis.GPRBit(r))
+		uses.Set(GPRBit(r))
 	}
 	for _, p := range in.PredSrcs() {
-		uses.Set(analysis.PredBit(p))
+		uses.Set(PredBit(p))
 	}
 	if in.Mods.X {
-		uses.Set(analysis.CCBit())
+		uses.Set(CCBit())
 	}
 	for _, r := range in.GPRDsts() {
-		defs.Set(analysis.GPRBit(r))
+		defs.Set(GPRBit(r))
 	}
 	for _, p := range in.PredDsts() {
-		defs.Set(analysis.PredBit(p))
+		defs.Set(PredBit(p))
 	}
 	if in.Mods.SetCC {
-		defs.Set(analysis.CCBit())
+		defs.Set(CCBit())
 	}
 	return uses, defs
 }
 
 // firstCommon returns the lowest bit set in both sets, or -1.
-func firstCommon(a, b analysis.Bits) int {
+func firstCommon(a, b Bits) int {
 	for w := range a {
 		if m := a[w] & b[w]; m != 0 {
 			for bit := w * 64; bit < (w+1)*64; bit++ {
@@ -176,7 +175,7 @@ type memAccess struct {
 	isMem bool
 	write bool
 	known bool // addr is a usable lattice value
-	addr  analysis.Value
+	addr  Value
 	width int
 	local bool // space-relative per-thread local window (LDL/STL)
 }
@@ -186,7 +185,7 @@ type memAccess struct {
 // normalized into the generic address numbering (window base + offset) so
 // accesses in different spaces separate by construction; constant-bank
 // loads read an immutable space no store can touch and are excluded.
-func memAccessOf(val *analysis.Valuation, k *sass.Kernel, idx int) memAccess {
+func memAccessOf(val *Valuation, k *sass.Kernel, idx int) memAccess {
 	in := &k.Instrs[idx]
 	space := sass.MemSpaceOf(in.Op)
 	if space == sass.MemNone || space == sass.MemConst {
@@ -228,11 +227,11 @@ func memAccessOf(val *analysis.Valuation, k *sass.Kernel, idx int) memAccess {
 
 // disjoint reports whether the two accesses are proven non-overlapping
 // for every thread pair of the CTA.
-func disjoint(a, b memAccess, dims analysis.BlockDims) bool {
+func disjoint(a, b memAccess, dims BlockDims) bool {
 	if !a.known || !b.known {
 		return false
 	}
-	if !analysis.DisjointSameThread(a.addr, a.width, b.addr, b.width, dims) {
+	if !DisjointSameThread(a.addr, a.width, b.addr, b.width, dims) {
 		return false
 	}
 	if a.local && b.local {
@@ -240,24 +239,24 @@ func disjoint(a, b memAccess, dims analysis.BlockDims) bool {
 		// memories, so cross-thread disjointness is structural.
 		return true
 	}
-	return analysis.DisjointAcrossThreads(a.addr, a.width, b.addr, b.width, dims)
+	return DisjointAcrossThreads(a.addr, a.width, b.addr, b.width, dims)
 }
 
-// Build constructs the dependence graph of a kernel. Labels must be
+// BuildDeps constructs the dependence graph of a kernel. Labels must be
 // resolved (the CFG requires it). Memory edges consult f's valuation.
-func Build(f *analysis.KernelFacts) *Graph {
+func BuildDeps(f *KernelFacts) *Graph {
 	cfg := f.CFG
 	k := cfg.Kernel
-	nbits := analysis.CCBit() + 1
+	nbits := CCBit() + 1
 	val := f.Values()
-	dims := analysis.BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]}
+	dims := BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]}
 
 	g := &Graph{CFG: cfg}
 	for _, blk := range cfg.Blocks {
 		bd := &BlockDAG{ID: blk.ID, Start: blk.Start, End: blk.End}
 		n := bd.N()
-		uses := make([]analysis.Bits, n)
-		defs := make([]analysis.Bits, n)
+		uses := make([]Bits, n)
+		defs := make([]Bits, n)
 		fences := make([]bool, n)
 		mems := make([]memAccess, n)
 		for i := 0; i < n; i++ {
@@ -298,10 +297,10 @@ func Build(f *analysis.KernelFacts) *Graph {
 // definition reaching a use in another block, where the def's block
 // dominates the use's block so the ordering witness is unconditional.
 func crossBlockRAW(cfg *sass.CFG) []Edge {
-	ri := analysis.ReachingDefs(cfg)
-	dom := analysis.Dominators(cfg)
+	ri := ReachingDefs(cfg)
+	dom := Dominators(cfg)
 	k := cfg.Kernel
-	nbits := analysis.CCBit() + 1
+	nbits := CCBit() + 1
 	var out []Edge
 	for idx := range k.Instrs {
 		ub := cfg.BlockOf(idx).ID
@@ -309,7 +308,7 @@ func crossBlockRAW(cfg *sass.CFG) []Edge {
 		for _, slot := range use.Members() {
 			for _, def := range ri.ReachingAt(idx, slot) {
 				db := cfg.BlockOf(def).ID
-				if db == ub || !analysis.Dominates(dom, db, ub) {
+				if db == ub || !Dominates(dom, db, ub) {
 					continue
 				}
 				out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})

@@ -1,10 +1,9 @@
-package deps_test
+package analysis_test
 
 import (
 	"testing"
 
 	"sassi/internal/analysis"
-	"sassi/internal/analysis/deps"
 	"sassi/internal/difftest"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
@@ -20,17 +19,17 @@ func testKernel(t *testing.T, dims [3]int, labels map[string]int, instrs ...sass
 	return k
 }
 
-func buildGraph(t *testing.T, k *sass.Kernel) *deps.Graph {
+func buildGraph(t *testing.T, k *sass.Kernel) *analysis.Graph {
 	t.Helper()
 	cfg, err := sass.BuildCFG(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return deps.Build(analysis.NewKernelFacts(cfg))
+	return analysis.BuildDeps(analysis.NewKernelFacts(cfg))
 }
 
 // findEdge locates an edge (from, to) anywhere in the block DAGs.
-func findEdge(g *deps.Graph, from, to int) (deps.Edge, bool) {
+func findEdge(g *analysis.Graph, from, to int) (analysis.Edge, bool) {
 	for _, bd := range g.Blocks {
 		for _, e := range bd.Edges {
 			if e.From == from && e.To == to {
@@ -38,10 +37,10 @@ func findEdge(g *deps.Graph, from, to int) (deps.Edge, bool) {
 			}
 		}
 	}
-	return deps.Edge{}, false
+	return analysis.Edge{}, false
 }
 
-func wantEdge(t *testing.T, g *deps.Graph, from, to int, kind deps.EdgeKind) deps.Edge {
+func wantEdge(t *testing.T, g *analysis.Graph, from, to int, kind analysis.EdgeKind) analysis.Edge {
 	t.Helper()
 	e, ok := findEdge(g, from, to)
 	if !ok {
@@ -53,7 +52,7 @@ func wantEdge(t *testing.T, g *deps.Graph, from, to int, kind deps.EdgeKind) dep
 	return e
 }
 
-func wantNoEdge(t *testing.T, g *deps.Graph, from, to int) {
+func wantNoEdge(t *testing.T, g *analysis.Graph, from, to int) {
 	t.Helper()
 	if e, ok := findEdge(g, from, to); ok {
 		t.Fatalf("unexpected %s edge %d -> %d", e.Kind, from, to)
@@ -118,12 +117,12 @@ func TestEdgeRegisterClasses(t *testing.T) {
 		exit(),
 	)
 	g := buildGraph(t, k)
-	e := wantEdge(t, g, 0, 1, deps.RAW)
+	e := wantEdge(t, g, 0, 1, analysis.RAW)
 	if e.Slot != analysis.GPRBit(0) {
 		t.Errorf("RAW slot = %s, want R0", analysis.RegSpaceName(e.Slot))
 	}
-	wantEdge(t, g, 1, 2, deps.WAR)
-	wantEdge(t, g, 0, 2, deps.WAW)
+	wantEdge(t, g, 1, 2, analysis.WAR)
+	wantEdge(t, g, 0, 2, analysis.WAW)
 	// Independent instructions stay unordered: movi R0 at 0 and def R1 at 1
 	// conflict, but nothing orders 1 (def R1) against... use a clean pair:
 	k2 := testKernel(t, [3]int{32, 1, 1}, nil,
@@ -143,12 +142,12 @@ func TestEdgePredicate(t *testing.T) {
 		exit(),
 	)
 	g := buildGraph(t, k)
-	e := wantEdge(t, g, 1, 2, deps.RAW)
+	e := wantEdge(t, g, 1, 2, analysis.RAW)
 	if e.Slot != analysis.PredBit(0) {
 		t.Errorf("guard RAW slot = %s, want P0", analysis.RegSpaceName(e.Slot))
 	}
-	wantEdge(t, g, 2, 3, deps.WAR)
-	wantEdge(t, g, 1, 3, deps.WAW)
+	wantEdge(t, g, 2, 3, analysis.WAR)
+	wantEdge(t, g, 1, 3, analysis.WAW)
 }
 
 func TestEdgeCC(t *testing.T) {
@@ -162,7 +161,7 @@ func TestEdgeCC(t *testing.T) {
 		usecc,      // 2: uses CC (IADD.X)
 		exit(),
 	)
-	e := wantEdge(t, buildGraph(t, k), 1, 2, deps.RAW)
+	e := wantEdge(t, buildGraph(t, k), 1, 2, analysis.RAW)
 	if e.Slot != analysis.CCBit() {
 		t.Errorf("CC RAW slot = %s, want CC", analysis.RegSpaceName(e.Slot))
 	}
@@ -177,7 +176,7 @@ func TestEdgeMemSharedAliasAndDisjoint(t *testing.T) {
 		sts(1, 0, 0), // 3: same cell
 		exit(),
 	)
-	wantEdge(t, buildGraph(t, k), 2, 3, deps.Mem)
+	wantEdge(t, buildGraph(t, k), 2, 3, analysis.Mem)
 
 	// Stores 128 bytes apart with tid stride 4 over a 32-thread block:
 	// disjoint for every thread pair (same and cross), so no edge.
@@ -197,7 +196,7 @@ func TestEdgeMemSharedAliasAndDisjoint(t *testing.T) {
 		sts(1, 128, 0),
 		exit(),
 	)
-	wantEdge(t, buildGraph(t, k3), 1, 2, deps.Mem)
+	wantEdge(t, buildGraph(t, k3), 1, 2, analysis.Mem)
 }
 
 func TestEdgeMemLocalPerThread(t *testing.T) {
@@ -232,7 +231,7 @@ func TestEdgeMemLocalPerThread(t *testing.T) {
 		exit(),
 	)
 	wantNoEdge(t, buildGraph(t, k2), 2, 3)
-	wantEdge(t, buildGraph(t, k3), 2, 3, deps.Mem)
+	wantEdge(t, buildGraph(t, k3), 2, 3, analysis.Mem)
 
 	// Overlapping local accesses conflict in the same thread.
 	k4 := testKernel(t, [3]int{32, 1, 1}, nil,
@@ -242,7 +241,7 @@ func TestEdgeMemLocalPerThread(t *testing.T) {
 		ldl(2, 1, 0),
 		exit(),
 	)
-	wantEdge(t, buildGraph(t, k4), 2, 3, deps.Mem)
+	wantEdge(t, buildGraph(t, k4), 2, 3, analysis.Mem)
 }
 
 func TestEdgeFence(t *testing.T) {
@@ -253,8 +252,8 @@ func TestEdgeFence(t *testing.T) {
 		exit(),
 	)
 	g := buildGraph(t, k)
-	wantEdge(t, g, 0, 1, deps.Fence)
-	wantEdge(t, g, 1, 2, deps.Fence)
+	wantEdge(t, g, 0, 1, analysis.Fence)
+	wantEdge(t, g, 1, 2, analysis.Fence)
 
 	// Injected instrumentation is a fence even when register-independent.
 	inj := movi(1, 2)
@@ -264,7 +263,7 @@ func TestEdgeFence(t *testing.T) {
 		inj,
 		exit(),
 	)
-	wantEdge(t, buildGraph(t, k2), 0, 1, deps.Fence)
+	wantEdge(t, buildGraph(t, k2), 0, 1, analysis.Fence)
 
 	// S2R SR_CLOCK observes the cycle counter: fence. SR_TID does not.
 	clock := sass.New(sass.OpS2R, []sass.Operand{sass.R(2)}, []sass.Operand{sass.SReg(sass.SRClock)})
@@ -273,7 +272,7 @@ func TestEdgeFence(t *testing.T) {
 		clock,
 		exit(),
 	)
-	wantEdge(t, buildGraph(t, k3), 0, 1, deps.Fence)
+	wantEdge(t, buildGraph(t, k3), 0, 1, analysis.Fence)
 	k4 := testKernel(t, [3]int{32, 1, 1}, nil,
 		movi(0, 1),
 		tidx(2),
@@ -293,8 +292,8 @@ func TestEdgeFence(t *testing.T) {
 		exit(),
 	)
 	g5 := buildGraph(t, k5)
-	wantEdge(t, g5, 1, 2, deps.Fence)
-	wantEdge(t, g5, 2, 3, deps.Fence)
+	wantEdge(t, g5, 1, 2, analysis.Fence)
+	wantEdge(t, g5, 2, 3, analysis.Fence)
 }
 
 func TestCrossBlockRAW(t *testing.T) {
@@ -308,7 +307,7 @@ func TestCrossBlockRAW(t *testing.T) {
 	g := buildGraph(t, k)
 	found := false
 	for _, e := range g.Cross {
-		if e.From == 0 && e.To == 3 && e.Kind == deps.RAW && e.Slot == analysis.GPRBit(0) {
+		if e.From == 0 && e.To == 3 && e.Kind == analysis.RAW && e.Slot == analysis.GPRBit(0) {
 			found = true
 		}
 	}
@@ -327,7 +326,7 @@ func TestRAWEdgesWitnessedByReachingDefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := deps.Build(analysis.NewKernelFacts(cfg))
+		g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
 		ri := analysis.ReachingDefs(cfg)
 		for _, bd := range g.Blocks {
 			edges := map[[2]int]bool{}
@@ -338,7 +337,7 @@ func TestRAWEdgesWitnessedByReachingDefs(t *testing.T) {
 				if e.From >= e.To {
 					t.Fatalf("%s: edge %d -> %d not forward", k.Name, e.From, e.To)
 				}
-				if e.Kind != deps.RAW {
+				if e.Kind != analysis.RAW {
 					continue
 				}
 				direct := false

@@ -1,9 +1,8 @@
-package deps
+package analysis
 
 import (
 	"fmt"
 
-	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
 
@@ -17,17 +16,17 @@ import (
 // Kernels without SchedOrig (never scheduled, or rewritten by a later
 // pass that dropped the provenance) have nothing to certify.
 func init() {
-	analysis.RegisterKernelCheck(analysis.CheckSchedule, checkSchedule)
+	RegisterKernelCheck(CheckSchedule, checkSchedule)
 }
 
-func checkSchedule(f *analysis.KernelFacts) []analysis.Diagnostic {
+func checkSchedule(f *KernelFacts) []Diagnostic {
 	k := f.CFG.Kernel
 	if k.SchedOrig == nil {
 		return nil
 	}
-	bad := func(idx int, format string, args ...any) []analysis.Diagnostic {
-		return []analysis.Diagnostic{{
-			Sev: analysis.Error, Check: analysis.CheckSchedule,
+	bad := func(idx int, format string, args ...any) []Diagnostic {
+		return []Diagnostic{{
+			Sev: Error, Check: CheckSchedule,
 			Kernel: k.Name, Instr: idx, Msg: fmt.Sprintf(format, args...),
 		}}
 	}
@@ -64,7 +63,7 @@ func checkSchedule(f *analysis.KernelFacts) []analysis.Diagnostic {
 	// (b) Block-local: each original block's instructions stay inside the
 	// block's position range, so labels (which target block leaders) and
 	// the CFG partition survive untouched.
-	var diags []analysis.Diagnostic
+	var diags []Diagnostic
 	for _, blk := range ocfg.Blocks {
 		for o := blk.Start; o < blk.End; o++ {
 			if pos[o] < blk.Start || pos[o] >= blk.End {
@@ -81,7 +80,7 @@ func checkSchedule(f *analysis.KernelFacts) []analysis.Diagnostic {
 	// (c) Topological order of every block's dependence DAG.
 	// The DAG is the reconstructed original's, a different instruction
 	// order from the kernel f describes: it needs facts of its own.
-	g := Build(analysis.NewKernelFacts(ocfg))
+	g := BuildDeps(NewKernelFacts(ocfg))
 	for _, bd := range g.Blocks {
 		for _, e := range bd.Edges {
 			if pos[e.From] >= pos[e.To] {
@@ -98,5 +97,5 @@ func slotName(e Edge) string {
 	if e.Slot < 0 {
 		return "no slot"
 	}
-	return analysis.RegSpaceName(e.Slot)
+	return RegSpaceName(e.Slot)
 }

@@ -1,10 +1,9 @@
-package deps_test
+package analysis_test
 
 import (
 	"testing"
 
 	"sassi/internal/analysis"
-	_ "sassi/internal/analysis/deps" // registers the schedule check
 	"sassi/internal/sass"
 )
 

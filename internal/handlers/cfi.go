@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"sassi/internal/analysis"
-	"sassi/internal/analysis/cfi"
 	"sassi/internal/device"
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
@@ -49,7 +48,7 @@ func (v CFIViolation) String() string {
 // over the instrumented kernel plus the original→instrumented index map.
 type cfiKernel struct {
 	k       *sass.Kernel
-	targets *cfi.Targets
+	targets *analysis.CFITargets
 	instOf  []int // original instruction index -> instrumented index
 }
 
@@ -112,7 +111,7 @@ func (c *CFIChecker) Prepare(prog *sass.Program) error {
 		if err != nil {
 			return fmt.Errorf("cfi: %s: build CFG: %w", k.Name, err)
 		}
-		targets, diags := cfi.Analyze(analysis.NewKernelFacts(cfg))
+		targets, diags := analysis.AnalyzeCFI(analysis.NewKernelFacts(cfg))
 		for _, d := range analysis.Errors(diags) {
 			c.record(CFIViolation{
 				Kernel: k.Name, Instr: d.Instr, Kind: "static",

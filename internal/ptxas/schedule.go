@@ -2,7 +2,6 @@ package ptxas
 
 import (
 	"sassi/internal/analysis"
-	"sassi/internal/analysis/deps"
 	"sassi/internal/sass"
 )
 
@@ -38,7 +37,7 @@ func scheduleKernel(k *sass.Kernel, seed uint64) {
 	if err != nil {
 		return // leave the kernel unscheduled; Validate will judge it
 	}
-	g := deps.Build(analysis.NewKernelFacts(cfg))
+	g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
 	order := make([]int, 0, len(k.Instrs))
 	for _, bd := range g.Blocks {
 		order = append(order, scheduleBlock(k, bd, seed)...)
@@ -53,7 +52,7 @@ func scheduleKernel(k *sass.Kernel, seed uint64) {
 
 // scheduleBlock returns the block's instructions as original indices in
 // scheduled order.
-func scheduleBlock(k *sass.Kernel, bd *deps.BlockDAG, seed uint64) []int {
+func scheduleBlock(k *sass.Kernel, bd *analysis.BlockDAG, seed uint64) []int {
 	n := bd.N()
 	out := make([]int, 0, n)
 	if n <= 1 {
