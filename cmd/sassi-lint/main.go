@@ -44,7 +44,7 @@ import (
 	"strings"
 
 	"sassi/internal/analysis"
-	_ "sassi/internal/analysis/concurrency" // register barrier-divergence and shared-race
+	"sassi/internal/analysis/concurrency"
 	"sassi/internal/ptx"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
@@ -211,7 +211,7 @@ func (l *linter) lintFile(path string) {
 			l.dumpUniformity(path, prog)
 			return
 		}
-		l.report(path, analysis.VerifyKernel(k))
+		l.report(path, verifyKernel(k))
 	default: // PTX-like assembly
 		src, err := os.ReadFile(path)
 		if err != nil {
@@ -232,6 +232,18 @@ func (l *linter) lintFile(path string) {
 		}
 		l.lintProgram(path, prog)
 	}
+}
+
+// verifyKernel is analysis.VerifyKernel plus the concurrency checks, which
+// lint the user's program rather than certify the compiler's output and so
+// are not in Verify's list. They run on the facts verification built: one
+// value fixpoint per kernel.
+func verifyKernel(k *sass.Kernel) []analysis.Diagnostic {
+	diags, facts := analysis.VerifyKernelFacts(k)
+	if facts != nil {
+		diags = append(diags, concurrency.Check(facts)...)
+	}
+	return diags
 }
 
 // dumpUniformity prints the lattice's per-instruction uniformity facts for
@@ -272,7 +284,12 @@ func (l *linter) lintProgram(file string, prog *sass.Program) {
 		l.dumpUniformity(file, prog)
 		return
 	}
-	l.report(file, analysis.Verify(prog))
+	var diags []analysis.Diagnostic
+	for _, k := range prog.Kernels {
+		diags = append(diags, verifyKernel(k)...)
+		diags = append(diags, analysis.CheckLinkage(prog, k)...)
+	}
+	l.report(file, diags)
 	if !l.instrument {
 		return
 	}

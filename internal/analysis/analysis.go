@@ -1,7 +1,8 @@
 // Package analysis is the static-analysis layer over compiled SASS: a
 // reusable forward/backward dataflow framework (dominators, reaching
-// definitions, definite assignment, block liveness) plus a composable
-// verifier that every compiled and instrumented program passes through.
+// definitions, definite assignment, block liveness), the affine value
+// lattice, dependence DAGs, plus a verifier that every compiled and
+// instrumented program passes through.
 //
 // The paper's core claim (§3.2, §9.4) is that a compiler-level pass knows
 // the machine-code structure — CFG, exact register liveness, divergence
@@ -11,19 +12,28 @@
 // result many layers later, ptxas.Compile and sassi.Instrument fail fast
 // with a positioned diagnostic.
 //
-// Check classes (the catalogue):
+// Verify runs one fixed list of checks, the same in every binary:
 //
 //   - structural: branch/SSY targets in range, operands well-formed,
-//     no fall-through off the kernel end, unsupported opcodes;
+//     no fall-through off the kernel end, unsupported opcodes, and (the
+//     linkage check) every JCAL symbol in the program's handler table;
 //   - divergence: SSY/SYNC (and CAL/RET) push/pop depth matched, typed,
 //     and bounded on every control-flow path;
+//   - round-trip: Encode→Decode of every instruction is the identity;
 //   - def-assign: no GPR/predicate/CC read that is reachable-before-def
 //     from kernel entry (warnings — inputs arrive via constant bank);
-//   - round-trip: Encode→Decode of every instruction is the identity;
-//   - instr-safety: an instrumented kernel preserves the original
-//     instructions verbatim and in order, saves/restores every live
-//     register its injected code clobbers, follows the handler ABI, and
-//     uses dense, unique site IDs.
+//   - cfi: legal target sets for CAL/RET and SSY/SYNC reconvergence
+//     (cfi.go);
+//   - schedule: a scheduler-reordered kernel is a topological order of
+//     its original's dependence DAG (schedule.go, deps.go).
+//
+// Every one of them certifies what ptxas and SASSI emitted. Two more
+// check classes lie outside Verify: instr-safety, which compares an
+// instrumented kernel with its original (VerifyInstrumentedProgram, run
+// by sassi.Instrument), and the concurrency checks barrier-divergence and
+// shared-race (internal/analysis/concurrency), which lint the user's
+// program and run only under sassi-lint, on the facts VerifyKernelFacts
+// built.
 package analysis
 
 import (
@@ -59,19 +69,12 @@ const (
 	CheckDefAssign   = "def-assign"
 	CheckRoundTrip   = "round-trip"
 	CheckInstrSafety = "instr-safety"
-	// CheckBarrier and CheckSharedRace are registered by
-	// internal/analysis/concurrency (import it for the side effect).
+	CheckCFI         = "cfi"
+	CheckSchedule    = "schedule"
+	// CheckBarrier and CheckSharedRace are internal/analysis/concurrency's,
+	// outside Verify.
 	CheckBarrier    = "barrier-divergence"
 	CheckSharedRace = "shared-race"
-	// CheckCFI is registered by internal/analysis/cfi (import it for the
-	// side effect): legal-target sets for CAL/RET and SSY/SYNC
-	// reconvergence.
-	CheckCFI = "cfi"
-	// CheckSchedule is registered by internal/analysis/deps (import it
-	// for the side effect): certifies that a scheduler-reordered kernel
-	// (sass.Kernel.SchedOrig) is a topological order of the dependence
-	// DAG of the reconstructed original, fences respected.
-	CheckSchedule = "schedule"
 )
 
 // Diagnostic is one verifier finding, positioned at a kernel and (usually)
@@ -197,9 +200,10 @@ func (m VerifyMode) String() string {
 }
 
 // KernelFacts is what one verification derives about a kernel and hands
-// to every registered check: the CFG and, built on first use, the value
-// lattice's fixpoint. A check that needs the valuation takes it from
-// Values — never from AnalyzeValues — so verifying a kernel runs the
+// to every check that needs more than the instructions: the CFG and, built
+// on first use, the value lattice's fixpoint. A check that needs the
+// valuation takes it from Values — never from AnalyzeValues — so verifying
+// a kernel (and linting it for concurrency on the same facts) runs the
 // fixpoint once however many checks consult it. Like the Valuation it
 // holds, a KernelFacts is for one goroutine.
 type KernelFacts struct {
@@ -208,7 +212,7 @@ type KernelFacts struct {
 }
 
 // NewKernelFacts wraps a CFG for callers that run a check, or build a
-// dependence graph, outside VerifyKernel.
+// dependence graph, outside VerifyKernelFacts.
 func NewKernelFacts(cfg *sass.CFG) *KernelFacts { return &KernelFacts{CFG: cfg} }
 
 // Values returns AnalyzeValues(f.CFG), computed on the first call.
@@ -219,49 +223,9 @@ func (f *KernelFacts) Values() *Valuation {
 	return f.val
 }
 
-// KernelCheckFunc is a registered kernel-level check. It runs after the
-// built-in checks, only when the structural pass found no errors and the
-// CFG built, so implementations may assume resolved labels and in-range
-// operands.
-type KernelCheckFunc func(f *KernelFacts) []Diagnostic
-
-// kernelChecks is the registry of extra checks VerifyKernel runs, in
-// registration order. Packages contribute via RegisterKernelCheck from
-// init (e.g. internal/analysis/concurrency); consumers opt in by
-// importing the contributing package.
-var kernelChecks []struct {
-	name string
-	fn   KernelCheckFunc
-}
-
-// RegisterKernelCheck adds a named check to the Verify pipeline. It is
-// meant to be called from init; registering the same name twice panics.
-func RegisterKernelCheck(name string, fn KernelCheckFunc) {
-	for _, c := range kernelChecks {
-		if c.name == name {
-			panic("analysis: duplicate kernel check " + name)
-		}
-	}
-	kernelChecks = append(kernelChecks, struct {
-		name string
-		fn   KernelCheckFunc
-	}{name, fn})
-}
-
-// RegisteredChecks lists the names of registered kernel checks.
-func RegisteredChecks() []string {
-	out := make([]string, len(kernelChecks))
-	for i, c := range kernelChecks {
-		out[i] = c.name
-	}
-	return out
-}
-
 // KnownChecks lists every check class a diagnostic can carry — the full
-// Check* catalogue. Registered kernel-check names are registry keys, not
-// diagnostic classes (concurrency registers once and emits two classes),
-// so they are deliberately not included. Tools that accept a check filter
-// (sassi-lint -checks) validate names against this list.
+// Check* catalogue. Tools that accept a check filter (sassi-lint -checks)
+// validate names against this list.
 func KnownChecks() []string {
 	out := []string{
 		CheckStructural, CheckDivergence, CheckDefAssign,
@@ -273,29 +237,31 @@ func KnownChecks() []string {
 }
 
 // Verify runs every kernel-level check over the program plus the
-// program-level link check (JCAL symbols resolved in the handler table),
-// returning all findings sorted.
+// program-level linkage check (JCAL symbols resolved in the handler
+// table), returning all findings sorted.
 func Verify(prog *sass.Program) []Diagnostic {
 	var diags []Diagnostic
 	for _, k := range prog.Kernels {
 		diags = append(diags, VerifyKernel(k)...)
-		diags = append(diags, checkLinkage(prog, k)...)
+		diags = append(diags, CheckLinkage(prog, k)...)
 	}
 	SortDiagnostics(diags)
 	return diags
 }
 
-// VerifyKernel runs the structural, divergence, definite-assignment and
-// encoding round-trip checks over one kernel. Deeper checks are skipped
-// when the structural pass reports errors (the CFG may not be buildable).
+// VerifyKernel runs the structural, divergence, encoding round-trip,
+// definite-assignment, cfi and schedule checks over one kernel. Deeper
+// checks are skipped when the structural pass reports errors (the CFG may
+// not be buildable).
 func VerifyKernel(k *sass.Kernel) []Diagnostic {
-	diags, _ := verifyKernel(k)
+	diags, _ := VerifyKernelFacts(k)
 	return diags
 }
 
-// verifyKernel also returns the facts the registered checks shared (nil
-// when they did not run).
-func verifyKernel(k *sass.Kernel) ([]Diagnostic, *KernelFacts) {
+// VerifyKernelFacts is VerifyKernel that also returns the facts the cfi
+// and schedule checks shared (nil when they did not run), so a caller can
+// run further checks on them without a second value fixpoint.
+func VerifyKernelFacts(k *sass.Kernel) ([]Diagnostic, *KernelFacts) {
 	diags := CheckStructure(k)
 	if HasErrors(diags) {
 		return diags, nil
@@ -310,16 +276,19 @@ func verifyKernel(k *sass.Kernel) ([]Diagnostic, *KernelFacts) {
 		}), nil
 	}
 	diags = append(diags, CheckDefiniteAssignment(cfg)...)
+	// cfi and schedule share the facts; like every check after the
+	// structural pass, they may assume resolved labels and in-range
+	// operands.
 	facts := NewKernelFacts(cfg)
-	for _, c := range kernelChecks {
-		diags = append(diags, c.fn(facts)...)
-	}
+	_, cfi := AnalyzeCFI(facts)
+	diags = append(diags, cfi...)
+	diags = append(diags, checkSchedule(facts)...)
 	return diags, facts
 }
 
-// checkLinkage verifies that every JCAL symbol in the kernel is interned
+// CheckLinkage verifies that every JCAL symbol in the kernel is interned
 // in the program's handler table (i.e. the instrumentor linked it).
-func checkLinkage(prog *sass.Program, k *sass.Kernel) []Diagnostic {
+func CheckLinkage(prog *sass.Program, k *sass.Kernel) []Diagnostic {
 	var diags []Diagnostic
 	for i := range k.Instrs {
 		in := &k.Instrs[i]

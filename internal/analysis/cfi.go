@@ -1,4 +1,4 @@
-// Package cfi computes per-kernel legal target sets for every indirect
+// Control-flow integrity: AnalyzeCFI computes per-kernel legal target sets for every indirect
 // control transfer in compiled SASS — CAL call sites, RET return
 // addresses, SSY/SYNC reconvergence points, and the deferred paths of
 // divergent branches — and checks them statically, in the spirit of
@@ -7,9 +7,8 @@
 // loads them as per-kernel shadow tables and validates the warp's call
 // and divergence stacks at every control-transfer site.
 //
-// Importing the package registers the "cfi" check with Verify
-// (the concurrency-package pattern), so sassi-lint and every verified
-// compile flag structural CFI violations:
+// As the "cfi" check it is one of Verify's fixed list, so every verified
+// compile, in every binary, flags structural CFI violations:
 //
 //   - a CAL whose target is also reachable by fall-through or branch
 //     from outside the subroutine (a call into the middle of a region);
@@ -19,6 +18,7 @@
 //     target precedes it;
 //   - a CAL under a provably thread-dependent guard (the machine traps
 //     on divergent calls) — proven via the affine value lattice.
+
 package analysis
 
 import (
@@ -27,10 +27,6 @@ import (
 
 	"sassi/internal/sass"
 )
-
-func init() {
-	RegisterKernelCheck(CheckCFI, checkCFI)
-}
 
 // maxCallStates bounds the call-path abstract interpretation; its depth
 // bound is the divergence checker's maxCallDepth.
@@ -65,16 +61,10 @@ type CFITargets struct {
 // address.
 func (t *CFITargets) Legal(ret int) bool { return t.Returns[ret] }
 
-// checkCFI is the registered "cfi" kernel check: AnalyzeCFI, diagnostics only.
-func checkCFI(f *KernelFacts) []Diagnostic {
-	_, diags := AnalyzeCFI(f)
-	return diags
-}
-
 // AnalyzeCFI derives the kernel's legal target sets and the structural CFI
 // diagnostics. It assumes the structural pass ran clean (resolved labels,
-// in-range targets), which VerifyKernel guarantees before registered
-// checks run.
+// in-range targets), which VerifyKernelFacts guarantees before it runs
+// the check.
 func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 	cfg := f.CFG
 	k := cfg.Kernel

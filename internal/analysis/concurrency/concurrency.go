@@ -7,22 +7,19 @@
 // be proven thread-disjoint by the affine value lattice in
 // internal/analysis/values.go.
 //
-// Both passes register with the analysis.Verify registry on import, so
-// any consumer that blank-imports this package gets them in every
-// compile/instrument verification. The dynamic counterpart — a SASSI
-// race-detection handler cross-validating the static reports — lives in
-// internal/handlers (RaceChecker).
+// These checks are not in analysis.Verify's fixed list. The checks Verify
+// runs certify what ptxas and SASSI emitted. These lint the user's
+// program: a race or a divergent barrier is the author's bug, not the
+// compiler's. sassi-lint runs them on the facts analysis.VerifyKernelFacts
+// built, so the value fixpoint still runs once per kernel. The dynamic
+// counterpart, a SASSI race-detection handler cross-validating the static
+// reports, lives in internal/handlers (RaceChecker).
 package concurrency
 
 import "sassi/internal/analysis"
 
-func init() {
-	analysis.RegisterKernelCheck("concurrency", Check)
-}
-
 // Check runs both concurrency passes over one kernel on the verification's
-// shared value-lattice fixpoint. This is the function the Verify registry
-// calls.
+// shared value-lattice fixpoint.
 func Check(f *analysis.KernelFacts) []analysis.Diagnostic {
 	diags := CheckBarrierAlignment(f.CFG, f.Values())
 	diags = append(diags, CheckSharedRaces(f.CFG, f.Values())...)

@@ -39,8 +39,9 @@ func fuzzSharedKernel(tb testing.TB) *sass.Kernel {
 // FuzzConcurrencyCheck feeds mutated kernel encodings through the decoder
 // and the concurrency passes directly: whatever kernel decodes, barrier
 // and race analysis must diagnose or stay silent, never panic. (The
-// analysis package's FuzzVerify cannot reach these passes — registering
-// them there would be an import cycle — so they get their own target.)
+// analysis package's FuzzVerify cannot reach these passes — they are
+// outside Verify, and the analysis package cannot import this one — so
+// they get their own target.)
 func FuzzConcurrencyCheck(f *testing.F) {
 	seed, err := fuzzSharedKernel(f).MarshalBinary()
 	if err != nil {
@@ -58,9 +59,9 @@ func FuzzConcurrencyCheck(f *testing.F) {
 		if err := k.UnmarshalBinary(data); err != nil {
 			return // rejecting garbage is the expected path
 		}
-		// Registered kernel checks run only on structurally valid kernels
-		// (in-range operands, resolved labels) — honour that contract here
-		// exactly as VerifyKernel does.
+		// Check runs only on structurally valid kernels (in-range operands,
+		// resolved labels) — honour that contract here exactly as
+		// VerifyKernelFacts does.
 		if analysis.HasErrors(analysis.CheckStructure(k)) {
 			return
 		}

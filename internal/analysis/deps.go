@@ -1,6 +1,7 @@
-// Package deps builds static dependence DAGs over SASS kernels: the
-// legality foundation of the instruction scheduler (internal/ptxas) and
-// the `schedule` verifier check.
+// Dependence analysis: BuildDeps builds static dependence DAGs over SASS
+// kernels, the legality foundation of the instruction scheduler
+// (internal/ptxas) and of the `schedule` check (schedule.go), one of
+// Verify's fixed list.
 //
 // Within each basic block, instructions become DAG nodes and edges record
 // the constraints any reordering must respect:
@@ -31,6 +32,7 @@
 // orderings, are fences here, and the autotuner additionally gates every
 // candidate schedule on bit-equal final state against the unscheduled
 // binary.
+
 package analysis
 
 import (

@@ -98,8 +98,8 @@ func fuzzCallTreeKernel(t testing.TB) *sass.Kernel {
 // FuzzVerify feeds mutated kernel encodings through the decoder and the
 // full verifier: whatever bytes arrive, the pipeline must diagnose, never
 // panic. This is the robustness contract sassi-lint relies on for
-// .sasskrn inputs. The registered checks query one shared Valuation one
-// after another, each leaving its replay cursor wherever its last query
+// .sasskrn inputs. The cfi and schedule checks query one shared Valuation
+// one after another, each leaving its replay cursor wherever its last query
 // ended; their diagnostics must be what each check reports on facts of its
 // own.
 func FuzzVerify(f *testing.F) {
@@ -137,12 +137,10 @@ func FuzzVerify(f *testing.F) {
 		if err := k.UnmarshalBinary(data); err != nil {
 			return // rejecting garbage is the expected path
 		}
-		diags, facts := verifyKernel(k)
+		diags, facts := VerifyKernelFacts(k)
 		if facts != nil {
-			var own []Diagnostic
-			for _, c := range kernelChecks {
-				own = append(own, c.fn(NewKernelFacts(facts.CFG))...)
-			}
+			_, own := AnalyzeCFI(NewKernelFacts(facts.CFG))
+			own = append(own, checkSchedule(NewKernelFacts(facts.CFG))...)
 			if shared := diags[len(diags)-len(own):]; !slices.Equal(shared, own) {
 				t.Fatalf("checks sharing one facts value report\n%v\neach on its own\n%v", shared, own)
 			}

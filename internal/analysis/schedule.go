@@ -15,10 +15,6 @@ import (
 // register dependences, and non-disjoint memory pairs all respected.
 // Kernels without SchedOrig (never scheduled, or rewritten by a later
 // pass that dropped the provenance) have nothing to certify.
-func init() {
-	RegisterKernelCheck(CheckSchedule, checkSchedule)
-}
-
 func checkSchedule(f *KernelFacts) []Diagnostic {
 	k := f.CFG.Kernel
 	if k.SchedOrig == nil {

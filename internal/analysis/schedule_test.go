@@ -101,12 +101,3 @@ func TestCheckScheduleRejectsBlockEscape(t *testing.T) {
 		t.Fatal("cross-block permutation not reported")
 	}
 }
-
-func TestCheckScheduleRegistered(t *testing.T) {
-	for _, name := range analysis.RegisteredChecks() {
-		if name == analysis.CheckSchedule {
-			return
-		}
-	}
-	t.Fatal("schedule check not registered")
-}

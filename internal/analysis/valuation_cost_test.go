@@ -2,13 +2,14 @@ package analysis_test
 
 import (
 	"runtime"
-	"slices"
 	"testing"
 	"unsafe"
 
 	"sassi/internal/analysis"
-	_ "sassi/internal/analysis/concurrency" // register barrier-divergence and shared-race
+	"sassi/internal/analysis/concurrency"
+	"sassi/internal/ptxas"
 	"sassi/internal/sass"
+	"sassi/internal/workloads"
 )
 
 // sgemmMemdiv is the costliest program the benchmark verifies: parboil.sgemm
@@ -70,28 +71,45 @@ func TestAnalyzeValuesAllocationCeiling(t *testing.T) {
 	}
 }
 
-// TestVerifyRunsValueFixpointOncePerKernel: cfi, concurrency and schedule
-// all consult the value lattice, and one verification of a kernel pays for
-// one fixpoint: the checks are handed one facts value, whose Values
-// memoises, and by the end of the verification it holds the fixpoint they
-// asked it for.
+// TestVerifyRunsValueFixpointOncePerKernel: cfi, schedule and concurrency
+// all consult the value lattice, and one verification of a kernel plus
+// sassi-lint's concurrency lint on the facts it built pays for one
+// fixpoint: the checks are handed one facts value, whose Values memoises.
+// Verification alone asks for it (cfi always does); the lint reuses it.
+// The scheduled compile puts the schedule check on a kernel it certifies;
+// the fixpoint it runs on the reconstructed original is over a different
+// instruction order, in facts of its own.
 func TestVerifyRunsValueFixpointOncePerKernel(t *testing.T) {
-	for _, c := range []string{analysis.CheckCFI, "concurrency", analysis.CheckSchedule} {
-		if !slices.Contains(analysis.RegisteredChecks(), c) {
-			t.Fatalf("check %q is not registered in this test binary: %v", c, analysis.RegisteredChecks())
+	check := func(label string, k *sass.Kernel) {
+		t.Helper()
+		diags, facts := analysis.VerifyKernelFacts(k)
+		if analysis.HasErrors(diags) || facts == nil {
+			t.Fatalf("%s %s: does not verify: %v", label, k.Name, diags)
+		}
+		if n := facts.ValueRuns(); n != 1 {
+			t.Errorf("%s %s: verification ran the value fixpoint %d times, want 1", label, k.Name, n)
+		}
+		concurrency.Check(facts)
+		if n := facts.ValueRuns(); n != 1 {
+			t.Errorf("%s %s: verification and the concurrency lint ran the value fixpoint %d times, want 1", label, k.Name, n)
 		}
 	}
 	for _, name := range []string{"parboil.sgemm", "rodinia.bfs", "rodinia.srad_v1"} {
 		for _, v := range goldenVariants(name) {
 			for _, k := range compileVariant(t, name, v).Kernels {
-				diags, facts := analysis.VerifyKernelFacts(k)
-				if analysis.HasErrors(diags) || facts == nil {
-					t.Fatalf("%s %s %s: does not verify: %v", name, v.name, k.Name, diags)
-				}
-				if n := facts.ValueRuns(); n != 1 {
-					t.Errorf("%s %s %s: verification ran the value fixpoint %d times, want 1", name, v.name, k.Name, n)
-				}
+				check(name+" "+v.name, k)
 			}
+		}
+		spec, _ := workloads.Get(name)
+		prog, err := spec.Compile(ptxas.Options{Schedule: true, Verify: analysis.VerifyOff})
+		if err != nil {
+			t.Fatalf("%s: scheduled compile: %v", name, err)
+		}
+		for _, k := range prog.Kernels {
+			if k.SchedOrig == nil {
+				t.Fatalf("%s %s: scheduled compile recorded no SchedOrig", name, k.Name)
+			}
+			check(name+" scheduled", k)
 		}
 	}
 }
