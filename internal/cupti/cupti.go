@@ -1,62 +1,14 @@
 // Package cupti is the analog of NVIDIA's CUDA Profiling Tools Interface:
-// host-side code registers for callbacks at kernel launch and exit and uses
-// them to initialize device-resident instrumentation counters before a
-// kernel runs and to collect (and aggregate) them after it completes —
-// the protocol of the paper's §3.3.
+// host-side code registers for callbacks at kernel launch and exit
+// (cuda.Context.Subscribe) and uses them to initialize device-resident
+// instrumentation counters before a kernel runs and to collect (and
+// aggregate) them after it completes — the protocol of the paper's §3.3.
 package cupti
 
 import (
 	"sassi/internal/cuda"
 	"sassi/internal/sim"
 )
-
-// Site identifies a callback site.
-type Site int
-
-// Callback sites.
-const (
-	KernelLaunch Site = iota
-	KernelExit
-)
-
-// CallbackData describes the kernel event being observed.
-type CallbackData struct {
-	Kernel    string
-	LaunchIdx int
-	// Stats and Err are only set at KernelExit.
-	Stats *sim.KernelStats
-	Err   error
-}
-
-// Callback is a subscriber function.
-type Callback func(site Site, data *CallbackData)
-
-// Subscriber routes context launch hooks to registered callbacks.
-type Subscriber struct {
-	ctx *cuda.Context
-	cbs []Callback
-}
-
-// Subscribe attaches a new subscriber to a context.
-func Subscribe(ctx *cuda.Context, cb Callback) *Subscriber {
-	s := &Subscriber{ctx: ctx}
-	s.cbs = append(s.cbs, cb)
-	ctx.Subscribe(cuda.LaunchCallbacks{
-		PreLaunch: func(kernel string, idx int) {
-			d := &CallbackData{Kernel: kernel, LaunchIdx: idx}
-			for _, f := range s.cbs {
-				f(KernelLaunch, d)
-			}
-		},
-		PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {
-			d := &CallbackData{Kernel: kernel, LaunchIdx: idx, Stats: stats, Err: err}
-			for _, f := range s.cbs {
-				f(KernelExit, d)
-			}
-		},
-	})
-	return s
-}
 
 // CounterBank manages a device-resident array of 64-bit instrumentation
 // counters with the launch/exit init/collect protocol: zeroed on kernel
@@ -84,25 +36,23 @@ func NewCounterBank(ctx *cuda.Context, name string, count int) *CounterBank {
 	}
 	zero := make([]byte, 8*count)
 	_ = ctx.MemcpyHtoD(b.ptr, zero)
-	Subscribe(ctx, func(site Site, d *CallbackData) {
-		switch site {
-		case KernelLaunch:
-			_ = ctx.MemcpyHtoD(b.ptr, zero)
-		case KernelExit:
+	ctx.Subscribe(cuda.LaunchCallbacks{
+		PreLaunch: func(string, int) { _ = ctx.MemcpyHtoD(b.ptr, zero) },
+		PostLaunch: func(kernel string, _ int, _ *sim.KernelStats, _ error) {
 			vals, err := ctx.ReadU64(b.ptr, count)
 			if err != nil {
 				return
 			}
-			agg := b.PerKernel[d.Kernel]
+			agg := b.PerKernel[kernel]
 			if agg == nil {
 				agg = make([]uint64, count)
-				b.PerKernel[d.Kernel] = agg
+				b.PerKernel[kernel] = agg
 			}
 			for i, v := range vals {
 				b.Host[i] += v
 				agg[i] += v
 			}
-		}
+		},
 	})
 	return b
 }

@@ -70,7 +70,7 @@ func TestCounterBankPerLaunchIsolation(t *testing.T) {
 }
 
 // TestSubscribeSitesFire: both launch and exit callbacks observe the
-// kernel name and stats.
+// kernel name, and the exit callback the stats.
 func TestSubscribeSitesFire(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	prog := instrumentedProg(t)
@@ -80,19 +80,19 @@ func TestSubscribeSitesFire(t *testing.T) {
 	rt.Attach(ctx.Device())
 
 	var sawLaunch, sawExit bool
-	cupti.Subscribe(ctx, func(site cupti.Site, d *cupti.CallbackData) {
-		switch site {
-		case cupti.KernelLaunch:
+	ctx.Subscribe(cuda.LaunchCallbacks{
+		PreLaunch: func(kernel string, _ int) {
 			sawLaunch = true
-			if d.Kernel != "k" || d.Stats != nil {
-				t.Errorf("launch data = %+v", d)
+			if kernel != "k" {
+				t.Errorf("launch kernel = %q", kernel)
 			}
-		case cupti.KernelExit:
+		},
+		PostLaunch: func(kernel string, _ int, stats *sim.KernelStats, err error) {
 			sawExit = true
-			if d.Stats == nil || d.Err != nil {
-				t.Errorf("exit data = %+v", d)
+			if kernel != "k" || stats == nil || err != nil {
+				t.Errorf("exit: kernel %q, stats %+v, err %v", kernel, stats, err)
 			}
-		}
+		},
 	})
 	out := ctx.Malloc(4*64, "out")
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
@@ -107,7 +107,7 @@ func TestSubscribeSitesFire(t *testing.T) {
 
 // TestKernelExitOncePerLaunchConcurrentSMs pins the subscriber contract
 // under the parallel engine: with CTAs spread across 8 concurrently
-// simulated SMs, KernelExit fires exactly once per launch, after the
+// simulated SMs, PostLaunch fires exactly once per launch, after the
 // per-SM shards have been fully merged into one KernelStats.
 func TestKernelExitOncePerLaunchConcurrentSMs(t *testing.T) {
 	ctx := cuda.NewContext(sim.KeplerK10()) // 8 SMs, concurrent by default
@@ -120,30 +120,27 @@ func TestKernelExitOncePerLaunchConcurrentSMs(t *testing.T) {
 	const launches = 4
 	const ctas, block = 32, 64
 	exits := map[int]int{}
-	cupti.Subscribe(ctx, func(site cupti.Site, d *cupti.CallbackData) {
-		if site != cupti.KernelExit {
-			return
-		}
-		exits[d.LaunchIdx]++
-		if d.Stats == nil {
+	ctx.Subscribe(cuda.LaunchCallbacks{PostLaunch: func(_ string, idx int, stats *sim.KernelStats, _ error) {
+		exits[idx]++
+		if stats == nil {
 			t.Error("exit without stats")
 			return
 		}
 		// Merged geometry and counters: every CTA and every warp must be
 		// accounted for in the single exit callback.
-		if d.Stats.CTAs != ctas {
-			t.Errorf("launch %d: CTAs = %d, want %d", d.LaunchIdx, d.Stats.CTAs, ctas)
+		if stats.CTAs != ctas {
+			t.Errorf("launch %d: CTAs = %d, want %d", idx, stats.CTAs, ctas)
 		}
 		// One store site x (ctas*block/32) warps, one handler call each.
 		wantCalls := uint64(ctas * block / 32)
-		if d.Stats.HandlerCalls != wantCalls {
+		if stats.HandlerCalls != wantCalls {
 			t.Errorf("launch %d: handler calls = %d, want %d",
-				d.LaunchIdx, d.Stats.HandlerCalls, wantCalls)
+				idx, stats.HandlerCalls, wantCalls)
 		}
-		if d.Stats.WarpInstrs == 0 || d.Stats.InjectedWarpInstrs == 0 {
-			t.Errorf("launch %d: unmerged stats %+v", d.LaunchIdx, d.Stats)
+		if stats.WarpInstrs == 0 || stats.InjectedWarpInstrs == 0 {
+			t.Errorf("launch %d: unmerged stats %+v", idx, stats)
 		}
-	})
+	}})
 	out := ctx.Malloc(4*ctas*block, "out")
 	for l := 0; l < launches; l++ {
 		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
