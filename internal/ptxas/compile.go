@@ -18,9 +18,6 @@ type Options struct {
 	// NoIfConvert disables predication of short branches (ablation knob).
 	NoIfConvert bool
 
-	// NoCoalesceMov disables the copy-elimination peephole.
-	NoCoalesceMov bool
-
 	// NoCopyProp disables PTX-level copy propagation and dead code
 	// elimination (ablation knob).
 	NoCopyProp bool
@@ -45,8 +42,8 @@ type Options struct {
 // CacheKey returns a string uniquely identifying these options, for use as
 // part of a compile-cache key.
 func (o Options) CacheKey() string {
-	return fmt.Sprintf("maxregs=%d ifcvt=%t movcoal=%t copyprop=%t sched=%t schedseed=%d verify=%t",
-		o.MaxRegs, !o.NoIfConvert, !o.NoCoalesceMov, !o.NoCopyProp,
+	return fmt.Sprintf("maxregs=%d ifcvt=%t copyprop=%t sched=%t schedseed=%d verify=%t",
+		o.MaxRegs, !o.NoIfConvert, !o.NoCopyProp,
 		o.Schedule, o.SchedSeed, o.Verify.Enabled())
 }
 
@@ -96,9 +93,7 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 	if err := lo.lower(); err != nil {
 		return nil, err
 	}
-	if !opts.NoCoalesceMov {
-		coalesceMovs(k)
-	}
+	coalesceMovs(k)
 	if !opts.NoIfConvert {
 		ifConvert(k)
 	}
