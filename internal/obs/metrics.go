@@ -9,7 +9,8 @@
 //   - Disabled observability costs nothing on hot paths: every consumer
 //     guards with a nil check, and the simulator's warp-issue path keeps
 //     its counters in plain per-SM shard fields that are published to the
-//     registry only at kernel exit (BenchmarkObsOverhead pins 0 allocs/op).
+//     registry only at kernel exit (sim.TestWarpIssueZeroAlloc pins 0
+//     allocs per issued instruction).
 //   - All mutation is either atomic (counters, gauges, histogram buckets)
 //     or single-goroutine (per-SM shard cells), so concurrently-recorded
 //     metrics merge order-independently and parallel-vs-sequential

@@ -3,9 +3,8 @@ package sim
 // Allocation guard for the observability layer: with Metrics and Trace nil
 // (the default), the warp-issue hot path must not allocate at all — issue
 // accounting lives in plain smShard fields and the registry is only
-// consulted once per launch in publishMetrics. BenchmarkObsOverhead is the
-// CI smoke benchmark; TestWarpIssueZeroAlloc is the hard guard that fails
-// the suite if an allocation sneaks into stepPre().
+// consulted once per launch in publishMetrics. TestWarpIssueZeroAlloc is
+// the guard that fails the suite if an allocation sneaks into stepPre().
 
 import (
 	"runtime"
@@ -201,81 +200,4 @@ func TestWarpFootprint(t *testing.T) {
 		t.Logf("sim.Warp is %d bytes; a 128-thread launch allocates %d bytes (ceiling %d)",
 			unsafe.Sizeof(Warp{}), per, launchBytesCeiling)
 	}
-}
-
-// BenchmarkObsOverhead measures the per-warp-instruction cost of the
-// observability layer on the issue hot path. CI runs it as a smoke step;
-// BENCH_obs.json records a reference run. Expect ~0 delta between the
-// variants and 0 allocs/op on both.
-func BenchmarkObsOverhead(b *testing.B) {
-	b.Run("issue/disabled", func(b *testing.B) {
-		step := benchWarp(b, nil, nil, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	})
-	b.Run("issue/enabled", func(b *testing.B) {
-		step := benchWarp(b, obs.NewRegistry(), obs.NewTracer(), nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	})
-	// PC sampling at the default period: the acceptance bound is <=10%
-	// over issue/disabled. (At the default cadence 1-in-100 issues record
-	// a 64-byte ring write, so the expected delta is ~1%.)
-	b.Run("issue/sampling", func(b *testing.B) {
-		step := benchWarp(b, nil, nil, pcsamp.New(pcsamp.DefaultPeriod))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	})
-	// Worst case: every issue cycle sampled.
-	b.Run("issue/sampling-period1", func(b *testing.B) {
-		step := benchWarp(b, nil, nil, pcsamp.New(1))
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	})
-	// End-to-end: a full small launch with and without a live registry,
-	// capturing the per-launch publishMetrics cost in context.
-	launch := func(b *testing.B, reg *obs.Registry, samp *pcsamp.Sampler) {
-		k := &sass.Kernel{Name: "gid", NumRegs: 16, Labels: map[string]int{}}
-		out := k.AddParam("out", 8)
-		k.Instrs = []sass.Instruction{
-			sass.New(sass.OpMOV, []sass.Operand{sass.R(2)}, []sass.Operand{sass.CMem(0, int64(out))}),
-			sass.New(sass.OpMOV, []sass.Operand{sass.R(3)}, []sass.Operand{sass.CMem(0, int64(out+4))}),
-			sass.New(sass.OpS2R, []sass.Operand{sass.R(0)}, []sass.Operand{sass.SReg(sass.SRTidX)}),
-			{Guard: sass.Always, Op: sass.OpSTG, Mods: sass.Mods{E: true},
-				Srcs: []sass.Operand{sass.Mem(2, 0), sass.R(0)}},
-			sass.New(sass.OpEXIT, nil, nil),
-		}
-		if err := k.ResolveLabels(); err != nil {
-			b.Fatal(err)
-		}
-		prog := sass.NewProgram()
-		prog.AddKernel(k)
-		dev := NewDevice(MiniGPU())
-		dev.Metrics = reg
-		dev.PCSamp = samp
-		buf := dev.Alloc(4*64, "out")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dev.Launch(prog, "gid", LaunchParams{
-				Grid: D1(2), Block: D1(32), Args: []uint64{buf},
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("launch/disabled", func(b *testing.B) { launch(b, nil, nil) })
-	b.Run("launch/enabled", func(b *testing.B) { launch(b, obs.NewRegistry(), nil) })
-	b.Run("launch/sampled", func(b *testing.B) { launch(b, nil, pcsamp.New(pcsamp.DefaultPeriod)) })
 }
