@@ -6,7 +6,7 @@ import (
 )
 
 // Post-RA list scheduler. Each basic block's instructions are reordered
-// into a topological order of the dependence DAG (internal/analysis/deps)
+// into a topological order of the dependence DAG (analysis.BuildDeps)
 // that greedily minimizes scoreboard stalls under the shared latency
 // model (sass.IssueCost / sass.ResultLatency) — the exact cost the
 // simulator's per-warp scoreboard charges, so the schedule optimizes what

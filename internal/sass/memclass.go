@@ -4,7 +4,7 @@ package sass
 // the single source of truth shared by the instrumentation site selector
 // (sassi.BeforeMem via Opcode.IsMem), the memory-divergence profiler's
 // static site filter, and the dependence analysis in
-// internal/analysis/deps — all of which must agree on which opcodes touch
+// internal/analysis (BuildDeps) — all of which must agree on which opcodes touch
 // memory and where.
 type MemSpace uint8
 

@@ -61,7 +61,7 @@ type Kernel struct {
 	// SchedOrig, when non-nil, records that the instruction stream was
 	// reordered by the ptxas scheduling pass: SchedOrig[pos] is the index
 	// the instruction now at pos held in the original (pre-scheduling)
-	// order. The `schedule` verifier check (internal/analysis/deps) uses
+	// order. The `schedule` verifier check (internal/analysis) uses
 	// it to certify the reordering against the dependence DAG of the
 	// reconstructed original. Like BlockDim it is compile-time metadata,
 	// not serialized, and it must be dropped by any pass that edits the
