@@ -126,7 +126,7 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 
 	diags = append(diags, checkSyncRegions(k)...)
 	diags = append(diags, checkEntries(cfg, t)...)
-	diags = append(diags, checkCallPaths(cfg, t, errorf)...)
+	checkCallPaths(cfg, t, errorf)
 	pdom := PostDominators(cfg)
 	for i := range k.Instrs {
 		if k.Instrs[i].Op != sass.OpSSY {
@@ -245,16 +245,15 @@ func reachableFrom(cfg *sass.CFG, b int) []bool {
 
 // checkCallPaths abstractly interprets the kernel tracking only the call
 // stack: CAL pushes its return address and transfers to the callee, RET
-// pops and transfers to the popped address. It reports RETs reachable
-// with an empty call stack, RETs unreachable from any call site, and
-// call depth beyond the machine bound, and records the deepest stack
-// seen in t.MaxCallDepth.
-func checkCallPaths(cfg *sass.CFG, t *CFITargets, errorf func(int, string, ...any)) []Diagnostic {
-	var diags []Diagnostic // reported via errorf; kept for signature symmetry
+// pops and transfers to the popped address. It reports, through errorf,
+// RETs reachable with an empty call stack, RETs unreachable from any call
+// site, and call depth beyond the machine bound, and records the deepest
+// stack seen in t.MaxCallDepth.
+func checkCallPaths(cfg *sass.CFG, t *CFITargets, errorf func(int, string, ...any)) {
 	k := cfg.Kernel
 	n := len(k.Instrs)
 	if n == 0 {
-		return diags
+		return
 	}
 
 	type state struct {
@@ -350,5 +349,4 @@ func checkCallPaths(cfg *sass.CFG, t *CFITargets, errorf func(int, string, ...an
 			}
 		}
 	}
-	return diags
 }
