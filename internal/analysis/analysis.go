@@ -27,7 +27,7 @@
 //   - schedule: a scheduler-reordered kernel is a topological order of
 //     its original's dependence DAG (schedule.go, deps.go).
 //
-// Every one of them certifies what ptxas and SASSI emitted. Two more
+// Every one of them certifies what ptxas and SASSI emitted. Three more
 // check classes lie outside Verify: instr-safety, which compares an
 // instrumented kernel with its original (VerifyInstrumentedProgram, run
 // by sassi.Instrument), and the concurrency checks barrier-divergence and

@@ -1,8 +1,8 @@
-// Control-flow integrity: AnalyzeCFI computes per-kernel legal target sets for every indirect
-// control transfer in compiled SASS — CAL call sites, RET return
-// addresses, SSY/SYNC reconvergence points, and the deferred paths of
-// divergent branches — and checks them statically, in the spirit of
-// protected-site CFI on GPU binaries (WarpGuard). The same target sets
+// Control-flow integrity: AnalyzeCFI computes per-kernel legal target
+// sets for every indirect control transfer in compiled SASS — CAL call
+// sites, RET return addresses, SSY/SYNC reconvergence points, and the
+// deferred paths of divergent branches — and checks them statically, in
+// the spirit of protected-site CFI on GPU binaries (WarpGuard). The same target sets
 // feed the runtime cross-check (internal/handlers.CFIChecker), which
 // loads them as per-kernel shadow tables and validates the warp's call
 // and divergence stacks at every control-transfer site.
