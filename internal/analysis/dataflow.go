@@ -339,14 +339,22 @@ func RegSpaceName(bit int) string {
 
 // appendSrcUses appends to buf the regspace indices instruction in reads
 // through its operands, its guard and its carry-in — as opposed to a guarded
-// destination's merge of the old value, which MaybeUninitReads treats apart.
+// destination's merge of the old value, which MaybeUninitReads and
+// Liveness treat apart. A register group reaching past R254 (R254 as a
+// 64-bit pair is R254 and R255) has no bit — bit 255 is P0 — and neither
+// has a predicate number past P6: both are dropped, like RZ and PT. The
+// structural check reports them.
 func appendSrcUses(buf []int, in *sass.Instruction) []int {
 	var regs [16]uint8
 	for _, r := range in.AppendGPRSrcs(regs[:0]) {
-		buf = append(buf, GPRBit(r))
+		if r < sass.NumGPR {
+			buf = append(buf, GPRBit(r))
+		}
 	}
 	for _, p := range in.AppendPredSrcs(regs[:0]) {
-		buf = append(buf, PredBit(p))
+		if p < sass.NumPred {
+			buf = append(buf, PredBit(p))
+		}
 	}
 	if in.Mods.X {
 		buf = append(buf, CCBit())
@@ -356,14 +364,19 @@ func appendSrcUses(buf []int, in *sass.Instruction) []int {
 
 // appendDefs appends to buf the regspace indices instruction in writes;
 // the writes are unconditional (the def kills) iff in's guard is Always.
-// Callers hand it buf[:0] over a fixed array to stay allocation-free.
+// Registers past R254 and P6 are dropped as in appendSrcUses. Callers hand
+// it buf[:0] over a fixed array to stay allocation-free.
 func appendDefs(buf []int, in *sass.Instruction) []int {
 	var regs [16]uint8
 	for _, r := range in.AppendGPRDsts(regs[:0]) {
-		buf = append(buf, GPRBit(r))
+		if r < sass.NumGPR {
+			buf = append(buf, GPRBit(r))
+		}
 	}
 	for _, p := range in.AppendPredDsts(regs[:0]) {
-		buf = append(buf, PredBit(p))
+		if p < sass.NumPred {
+			buf = append(buf, PredBit(p))
+		}
 	}
 	if in.Mods.SetCC {
 		buf = append(buf, CCBit())
@@ -498,17 +511,17 @@ func MaybeUninitReads(cfg *sass.CFG) []UninitRead {
 	instrs := cfg.Kernel.Instrs
 	nb := len(cfg.Blocks)
 	// Two forward problems share the walk: which registers may have been
-	// assigned on some path (any def; a guarded destination merges a real
-	// old value only then) and which are assigned on every path
+	// assigned on some path (mayAssigned: a guarded destination merges a
+	// real old value only then) and which are assigned on every path
 	// (unconditional defs). Both keep block-entry states only; the walk
 	// below replays each block's defs from them.
 	const condSlots = 2 * (sass.PT + 1) // guards: predicate × negation
-	sets := newBitsTable(2*nb+3+condSlots, regSpaceBits)
-	mayGen, mustGen := sets[:nb:nb], sets[nb:2*nb:2*nb]
-	boundary, maybe, assigned := sets[2*nb], sets[2*nb+1], sets[2*nb+2]
+	sets := newBitsTable(nb+3+condSlots, regSpaceBits)
+	mustGen := sets[:nb:nb]
+	boundary, maybe, assigned := sets[nb], sets[nb+1], sets[nb+2]
 	// cond[g] = registers assigned under guard g since g's predicate was
 	// last written (block-local); condLive marks the slots in use.
-	cond := sets[2*nb+3:]
+	cond := sets[nb+3:]
 	guardSlot := func(g sass.PredGuard) int {
 		slot := int(g.Reg&sass.PT) << 1
 		if g.Neg {
@@ -519,19 +532,15 @@ func MaybeUninitReads(cfg *sass.CFG) []UninitRead {
 	var defBuf, useBuf [16]int
 	for b, blk := range cfg.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
-			for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
-				mayGen[b].Set(d)
-				if instrs[i].Guard.IsAlways() {
+			if instrs[i].Guard.IsAlways() {
+				for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
 					mustGen[b].Set(d)
 				}
 			}
 		}
 	}
 	boundary.Set(GPRBit(sass.SP))
-	mayIn, _ := Solve(cfg, Problem{
-		Dir: Forward, Meet: Union, Bits: regSpaceBits,
-		Gen: mayGen, Boundary: boundary,
-	})
+	mayIn := mayAssigned(cfg)
 	mustIn, _ := Solve(cfg, Problem{
 		Dir: Forward, Meet: Intersect, Bits: regSpaceBits,
 		Gen: mustGen, Boundary: boundary,

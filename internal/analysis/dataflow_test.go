@@ -212,6 +212,37 @@ func TestMaybeUninitReadsMergeFlag(t *testing.T) {
 	}
 }
 
+// TestDefAssignR255DoesNotAssignP0: a 64-bit load into R254 writes R254
+// and R255, and regspace bit 255 is P0. Nothing writes P0 here, so its
+// read as a guard must still be reported — R255 names no register and has
+// no bit of its own.
+func TestDefAssignR255DoesNotAssignP0(t *testing.T) {
+	ld := sass.New(sass.OpLDG, []sass.Operand{sass.R(254)}, []sass.Operand{sass.Mem(sass.SP, 0)})
+	ld.Mods.Width = sass.W64
+	k := testKernel(t, nil,
+		ld, // 0: writes R254, R255
+		sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(1)}).WithGuard(sass.PredGuard{Reg: 0}), // 1: reads P0
+		sass.New(sass.OpST, nil, []sass.Operand{sass.Mem(sass.SP, 0), sass.R(2)}),                                        // 2
+		sass.New(sass.OpEXIT, nil, nil),
+	)
+	cfg, err := sass.BuildCFG(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sawP0 bool
+	for _, r := range MaybeUninitReads(cfg) {
+		if r.Instr == 1 && r.Reg == PredBit(0) {
+			sawP0 = true
+		}
+	}
+	if !sawP0 {
+		t.Errorf("read of P0, which nothing wrote, not reported: %v", MaybeUninitReads(cfg))
+	}
+	if li := Liveness(cfg); !li.PredLiveIn[0].Has(0) {
+		t.Errorf("P0 is read at 1 and written nowhere: it must be live at 0, got %v", li.PredLiveIn[0].Preds())
+	}
+}
+
 func TestPostDominatorsDiamond(t *testing.T) {
 	k := diamondKernel(t)
 	cfg, err := sass.BuildCFG(k)

@@ -101,7 +101,9 @@ func fuzzCallTreeKernel(t testing.TB) *sass.Kernel {
 // .sasskrn inputs. The cfi and schedule checks query one shared Valuation
 // one after another, each leaving its replay cursor wherever its last query
 // ended; their diagnostics must be what each check reports on facts of its
-// own.
+// own. Liveness must also agree with the model it replaced
+// (liveness_model_test.go) on every decoded kernel that builds a CFG,
+// whether or not the verifier accepts it.
 func FuzzVerify(f *testing.F) {
 	seed, err := fuzzSeedKernel(f).MarshalBinary()
 	if err != nil {
@@ -136,6 +138,11 @@ func FuzzVerify(f *testing.F) {
 		k := new(sass.Kernel)
 		if err := k.UnmarshalBinary(data); err != nil {
 			return // rejecting garbage is the expected path
+		}
+		if cfg, err := sass.BuildCFG(k); err == nil {
+			if d := livenessMismatch(cfg); d != "" {
+				t.Fatal(d)
+			}
 		}
 		diags, facts := VerifyKernelFacts(k)
 		if facts != nil {

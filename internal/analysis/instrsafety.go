@@ -202,7 +202,7 @@ func VerifyInstrumentedKernel(orig, inst *sass.Kernel, spec ABISpec, origPos []i
 		bad(-1, "original kernel has no buildable CFG: %v", err)
 		return diags, nil
 	}
-	li := sass.ComputeLiveness(cfg)
+	li := Liveness(cfg)
 	sc := &siteChecker{spec: spec, inst: inst, bad: bad}
 	maxFrame := int64(0)
 	for p := 0; p < len(inst.Instrs); p++ {

@@ -131,7 +131,7 @@ func TestSafetyCatchesClobberedLiveRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	li := sass.ComputeLiveness(cfg)
+	li := analysis.Liveness(cfg)
 
 	// Retarget an injected restore (the LDL reloading a saved original
 	// value back into its register) at a different, live register: that

@@ -1,109 +1,24 @@
-package sass
+package analysis
 
-// Liveness computes, per instruction, which GPRs and predicate registers
-// are live (may be read before being overwritten on some path). SASSI uses
-// this to spill exactly the live state at each instrumentation site —
-// "the compiler knows exactly which registers to spill" (§3.2) — which is
-// the key efficiency advantage over binary rewriting.
+// The model for Liveness: the implementation it replaced (sass.ComputeLiveness
+// and its helpers), kept verbatim but for package qualifiers and names. It
+// restates the def/use, may-assigned and predicated-merge rules with two
+// private fixpoints of its own, so an agreement with Liveness is evidence
+// about the shared regspace helpers and Solve, not a tautology.
+// TestLivenessMatchesModel and FuzzVerify hold Liveness to it.
 
-import "math/bits"
+import (
+	"fmt"
 
-// RegSet is a dense bitset over the 256 GPR numbers.
-type RegSet [4]uint64
+	"sassi/internal/sass"
+)
 
-// Add inserts register r.
-func (s *RegSet) Add(r uint8) { s[r>>6] |= 1 << (r & 63) }
-
-// Remove deletes register r.
-func (s *RegSet) Remove(r uint8) { s[r>>6] &^= 1 << (r & 63) }
-
-// Has reports whether register r is in the set.
-func (s *RegSet) Has(r uint8) bool { return s[r>>6]&(1<<(r&63)) != 0 }
-
-// Union merges o into s and reports whether s changed.
-func (s *RegSet) Union(o *RegSet) bool {
-	changed := false
-	for i := range s {
-		n := s[i] | o[i]
-		if n != s[i] {
-			changed = true
-			s[i] = n
-		}
-	}
-	return changed
-}
-
-// Regs returns the member registers in ascending order.
-func (s *RegSet) Regs() []uint8 {
-	var out []uint8
-	for w := 0; w < 4; w++ {
-		word := s[w]
-		for word != 0 {
-			r := uint8(w<<6) + uint8(bits.TrailingZeros64(word))
-			out = append(out, r)
-			word &= word - 1
-		}
-	}
-	return out
-}
-
-// Count returns the set cardinality.
-func (s *RegSet) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// PredSet is a bitset over the 8 predicate register numbers.
-type PredSet uint8
-
-// Add inserts predicate p.
-func (s *PredSet) Add(p uint8) { *s |= 1 << p }
-
-// Remove deletes predicate p.
-func (s *PredSet) Remove(p uint8) { *s &^= 1 << p }
-
-// Has reports whether predicate p is in the set.
-func (s PredSet) Has(p uint8) bool { return s&(1<<p) != 0 }
-
-// Union merges o into s and reports whether s changed.
-func (s *PredSet) Union(o PredSet) bool {
-	n := *s | o
-	changed := n != *s
-	*s = n
-	return changed
-}
-
-// Preds returns member predicates in ascending order.
-func (s PredSet) Preds() []uint8 {
-	var out []uint8
-	for p := uint8(0); p < 8; p++ {
-		if s.Has(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// Count returns the set cardinality.
-func (s PredSet) Count() int {
-	n := 0
-	for p := uint8(0); p < 8; p++ {
-		if s.Has(p) {
-			n++
-		}
-	}
-	return n
-}
-
-// LiveInfo holds the per-instruction liveness results for a kernel.
-type LiveInfo struct {
+// modelLiveInfo holds the per-instruction liveness results for a kernel.
+type modelLiveInfo struct {
 	// LiveIn[i] is the set of GPRs live immediately before instruction i.
-	LiveIn []RegSet
+	LiveIn []sass.RegSet
 	// PredLiveIn[i] is the set of predicate registers live before i.
-	PredLiveIn []PredSet
+	PredLiveIn []sass.PredSet
 	// CCLiveIn[i] reports whether the condition code is live before i.
 	CCLiveIn []bool
 }
@@ -118,12 +33,12 @@ type LiveInfo struct {
 // the way back to kernel entry, and every instrumentation site before
 // them would pointlessly spill garbage. Nil maybe-sets mean "anything may
 // be assigned" (fully conservative).
-func instrDefsUses(in *Instruction, maybeR *RegSet, maybeP PredSet, maybeCC bool) (def, use RegSet, pdef, puse PredSet, ccDef, ccUse bool) {
+func instrDefsUses(in *sass.Instruction, maybeR *sass.RegSet, maybeP sass.PredSet, maybeCC bool) (def, use sass.RegSet, pdef, puse sass.PredSet, ccDef, ccUse bool) {
 	for _, r := range in.GPRSrcs() {
 		use.Add(r)
 	}
 	for _, r := range in.GPRDsts() {
-		if r == RZ {
+		if r == sass.RZ {
 			continue
 		}
 		if in.Guard.IsAlways() {
@@ -165,20 +80,20 @@ func instrDefsUses(in *Instruction, maybeR *RegSet, maybeP PredSet, maybeCC bool
 // been assigned (by any definition, predicated or not) on at least one
 // path from kernel entry — a forward may-analysis. The stack pointer is
 // ABI-initialized and counts as assigned at entry.
-func maybeAssignedAt(cfg *CFG) (regs []RegSet, preds []PredSet, cc []bool) {
+func maybeAssignedAt(cfg *sass.CFG) (regs []sass.RegSet, preds []sass.PredSet, cc []bool) {
 	k := cfg.Kernel
 	n := len(k.Instrs)
-	regs = make([]RegSet, n)
-	preds = make([]PredSet, n)
+	regs = make([]sass.RegSet, n)
+	preds = make([]sass.PredSet, n)
 	cc = make([]bool, n)
 	nb := len(cfg.Blocks)
 	// Per-block gen (every def in the block) and the block-in fixpoint.
-	genR := make([]RegSet, nb)
-	genP := make([]PredSet, nb)
+	genR := make([]sass.RegSet, nb)
+	genP := make([]sass.PredSet, nb)
 	genCC := make([]bool, nb)
-	addDefs := func(in *Instruction, r *RegSet, p *PredSet, c *bool) {
+	addDefs := func(in *sass.Instruction, r *sass.RegSet, p *sass.PredSet, c *bool) {
 		for _, d := range in.GPRDsts() {
-			if d != RZ {
+			if d != sass.RZ {
 				r.Add(d)
 			}
 		}
@@ -194,18 +109,18 @@ func maybeAssignedAt(cfg *CFG) (regs []RegSet, preds []PredSet, cc []bool) {
 			addDefs(&k.Instrs[i], &genR[bi], &genP[bi], &genCC[bi])
 		}
 	}
-	inR := make([]RegSet, nb)
-	inP := make([]PredSet, nb)
+	inR := make([]sass.RegSet, nb)
+	inP := make([]sass.PredSet, nb)
 	inCC := make([]bool, nb)
-	inR[0].Add(SP)
+	inR[0].Add(sass.SP)
 	for changed := true; changed; {
 		changed = false
 		for bi, b := range cfg.Blocks {
-			var accR RegSet
-			var accP PredSet
+			var accR sass.RegSet
+			var accP sass.PredSet
 			accCC := false
 			if bi == 0 {
-				accR.Add(SP)
+				accR.Add(sass.SP)
 			}
 			for _, pr := range b.Preds {
 				accR.Union(&genR[pr])
@@ -230,25 +145,25 @@ func maybeAssignedAt(cfg *CFG) (regs []RegSet, preds []PredSet, cc []bool) {
 	return regs, preds, cc
 }
 
-// ComputeLiveness runs backward dataflow over the CFG to a fixed point.
-func ComputeLiveness(cfg *CFG) *LiveInfo {
+// modelLiveness runs backward dataflow over the CFG to a fixed point.
+func modelLiveness(cfg *sass.CFG) *modelLiveInfo {
 	k := cfg.Kernel
 	n := len(k.Instrs)
-	li := &LiveInfo{
-		LiveIn:     make([]RegSet, n),
-		PredLiveIn: make([]PredSet, n),
+	li := &modelLiveInfo{
+		LiveIn:     make([]sass.RegSet, n),
+		PredLiveIn: make([]sass.PredSet, n),
 		CCLiveIn:   make([]bool, n),
 	}
 	// Block-level out sets.
-	blockOut := make([]RegSet, len(cfg.Blocks))
-	blockPredOut := make([]PredSet, len(cfg.Blocks))
+	blockOut := make([]sass.RegSet, len(cfg.Blocks))
+	blockPredOut := make([]sass.PredSet, len(cfg.Blocks))
 	blockCCOut := make([]bool, len(cfg.Blocks))
 
 	// Precompute per-instruction def/use.
-	defs := make([]RegSet, n)
-	uses := make([]RegSet, n)
-	pdefs := make([]PredSet, n)
-	puses := make([]PredSet, n)
+	defs := make([]sass.RegSet, n)
+	uses := make([]sass.RegSet, n)
+	pdefs := make([]sass.PredSet, n)
+	puses := make([]sass.PredSet, n)
 	ccdefs := make([]bool, n)
 	ccuses := make([]bool, n)
 	maybeR, maybeP, maybeCC := maybeAssignedAt(cfg)
@@ -262,8 +177,8 @@ func ComputeLiveness(cfg *CFG) *LiveInfo {
 		changed = false
 		for bi := len(cfg.Blocks) - 1; bi >= 0; bi-- {
 			b := cfg.Blocks[bi]
-			var out RegSet
-			var pout PredSet
+			var out sass.RegSet
+			var pout sass.PredSet
 			ccout := false
 			for _, s := range b.Succs {
 				sb := cfg.Blocks[s]
@@ -279,12 +194,12 @@ func ComputeLiveness(cfg *CFG) *LiveInfo {
 			// trees contain these ops; compiled kernels are unaffected.
 			if b.End > b.Start {
 				switch k.Instrs[b.End-1].Op {
-				case OpCAL, OpRET:
+				case sass.OpCAL, sass.OpRET:
 					for w := range out {
 						out[w] = ^uint64(0)
 					}
-					out.Remove(RZ)
-					pout = PredSet(0x7f)
+					out.Remove(sass.RZ)
+					pout = sass.PredSet(0x7f)
 					ccout = true
 				}
 			}
@@ -328,9 +243,25 @@ func ComputeLiveness(cfg *CFG) *LiveInfo {
 	return li
 }
 
-// LiveAt returns the GPRs and predicates live immediately before
-// instruction idx (the state a SASSI injection site must preserve).
-func (li *LiveInfo) LiveAt(idx int) (gprs []uint8, preds []uint8, cc bool) {
-	s := li.LiveIn[idx]
-	return s.Regs(), li.PredLiveIn[idx].Preds(), li.CCLiveIn[idx]
+// livenessMismatch compares Liveness with the model at every instruction
+// of cfg's kernel and describes the first difference, or returns "". R255
+// is left out of the comparison: the model tracks it as a source (R254
+// read as a 64-bit pair is R254 and R255), the regspace drops it.
+func livenessMismatch(cfg *sass.CFG) string {
+	got, want := Liveness(cfg), modelLiveness(cfg)
+	for i := range want.LiveIn {
+		var extra, lack sass.RegSet
+		for w := range extra {
+			extra[w] = got.LiveIn[i][w] &^ want.LiveIn[i][w]
+			lack[w] = want.LiveIn[i][w] &^ got.LiveIn[i][w]
+		}
+		lack.Remove(sass.RZ)
+		gp, wp := got.PredLiveIn[i], want.PredLiveIn[i]
+		if extra != (sass.RegSet{}) || lack != (sass.RegSet{}) || gp != wp || got.CCLiveIn[i] != want.CCLiveIn[i] {
+			return fmt.Sprintf("%s@%d: Liveness has R%v P%v the model does not, lacks R%v P%v; CC %v, model %v",
+				cfg.Kernel.Name, i, extra.Regs(), (gp &^ wp).Preds(), lack.Regs(), (wp &^ gp).Preds(),
+				got.CCLiveIn[i], want.CCLiveIn[i])
+		}
+	}
+	return ""
 }

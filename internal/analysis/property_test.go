@@ -9,9 +9,8 @@ import (
 	"sassi/internal/workloads"
 )
 
-// TestWorkloadDataflowProperties cross-checks the generic dataflow
-// framework against the instruction-level analyses in internal/sass on
-// every kernel of every built-in workload:
+// TestWorkloadDataflowProperties cross-checks the dataflow analyses
+// against each other on every kernel of every built-in workload:
 //
 //  1. every maybe-uninitialized read MaybeUninitReads reports is of a
 //     register that liveness also sees as live at the reading instruction;
@@ -42,7 +41,7 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 	if err != nil {
 		t.Fatalf("kernel %s: %v", k.Name, err)
 	}
-	li := sass.ComputeLiveness(cfg)
+	li := analysis.Liveness(cfg)
 	ri := analysis.ReachingDefs(cfg)
 	dom := analysis.Dominators(cfg)
 	uninit := analysis.MaybeUninitReads(cfg)

@@ -44,19 +44,11 @@ type Context struct {
 	TotalInjectedWarpInstrs uint64
 	TotalHandlerCalls       uint64
 	TotalScoreboardStalls   uint64
-	PerKernel               map[string]*KernelAgg
-}
-
-// KernelAgg accumulates per-kernel-name totals across launches.
-type KernelAgg struct {
-	Launches   int
-	Cycles     uint64
-	WarpInstrs uint64
 }
 
 // NewContext creates a context on a fresh device.
 func NewContext(cfg sim.Config) *Context {
-	return &Context{dev: sim.NewDevice(cfg), PerKernel: make(map[string]*KernelAgg)}
+	return &Context{dev: sim.NewDevice(cfg)}
 }
 
 // Reset returns the context and its device to what NewContext gives —
@@ -68,7 +60,7 @@ func (c *Context) Reset() error {
 	if err := c.dev.Reset(); err != nil {
 		return err
 	}
-	*c = Context{dev: c.dev, PerKernel: make(map[string]*KernelAgg)}
+	*c = Context{dev: c.dev}
 	return nil
 }
 
@@ -194,14 +186,6 @@ func (c *Context) LaunchKernel(prog *sass.Program, kernel string, p sim.LaunchPa
 		c.TotalInjectedWarpInstrs += stats.InjectedWarpInstrs
 		c.TotalHandlerCalls += stats.HandlerCalls
 		c.TotalScoreboardStalls += stats.ScoreboardStalls
-		agg := c.PerKernel[kernel]
-		if agg == nil {
-			agg = &KernelAgg{}
-			c.PerKernel[kernel] = agg
-		}
-		agg.Launches++
-		agg.Cycles += stats.Cycles
-		agg.WarpInstrs += stats.WarpInstrs
 	}
 	for _, cb := range c.callbacks {
 		if cb.PostLaunch != nil {

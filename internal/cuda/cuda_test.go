@@ -97,10 +97,6 @@ func TestLaunchCallbacksOrderAndStats(t *testing.T) {
 	if ctx.TotalKernelCycles == 0 || ctx.TotalWarpInstrs == 0 {
 		t.Error("aggregate stats empty")
 	}
-	agg := ctx.PerKernel["store_tid"]
-	if agg == nil || agg.Launches != 2 || agg.Cycles == 0 {
-		t.Errorf("per-kernel agg = %+v", agg)
-	}
 }
 
 func TestLaunchBadArgsCount(t *testing.T) {

@@ -21,8 +21,6 @@ type CounterBank struct {
 
 	// Host holds the accumulated totals across kernel launches.
 	Host []uint64
-	// PerKernel, when enabled, separates totals by kernel name.
-	PerKernel map[string][]uint64
 }
 
 // NewCounterBank allocates count device counters and subscribes to the
@@ -30,27 +28,20 @@ type CounterBank struct {
 func NewCounterBank(ctx *cuda.Context, name string, count int) *CounterBank {
 	b := &CounterBank{
 		ctx: ctx, count: count,
-		ptr:       ctx.Malloc(uint64(8*count), name),
-		Host:      make([]uint64, count),
-		PerKernel: make(map[string][]uint64),
+		ptr:  ctx.Malloc(uint64(8*count), name),
+		Host: make([]uint64, count),
 	}
 	zero := make([]byte, 8*count)
 	_ = ctx.MemcpyHtoD(b.ptr, zero)
 	ctx.Subscribe(cuda.LaunchCallbacks{
 		PreLaunch: func(string, int) { _ = ctx.MemcpyHtoD(b.ptr, zero) },
-		PostLaunch: func(kernel string, _ int, _ *sim.KernelStats, _ error) {
+		PostLaunch: func(string, int, *sim.KernelStats, error) {
 			vals, err := ctx.ReadU64(b.ptr, count)
 			if err != nil {
 				return
 			}
-			agg := b.PerKernel[kernel]
-			if agg == nil {
-				agg = make([]uint64, count)
-				b.PerKernel[kernel] = agg
-			}
 			for i, v := range vals {
 				b.Host[i] += v
-				agg[i] += v
 			}
 		},
 	})

@@ -1,6 +1,7 @@
 package pcsamp
 
 import (
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -32,12 +33,15 @@ func (s *Sampler) ProfileHandler() http.Handler {
 		}
 		timeout := 30 * time.Second
 		if v := q.Get("seconds"); v != "" {
+			// NaN, ±Inf and anything past time.Duration's range parse
+			// without error but convert to no meaningful duration.
 			secs, err := strconv.ParseFloat(v, 64)
-			if err != nil || secs <= 0 {
+			ns := secs * float64(time.Second)
+			if err != nil || !(secs > 0) || ns >= math.MaxInt64 {
 				http.Error(w, "bad seconds parameter", http.StatusBadRequest)
 				return
 			}
-			timeout = time.Duration(secs * float64(time.Second))
+			timeout = time.Duration(ns)
 		}
 		var base *Profile
 		if n > 0 {

@@ -390,6 +390,17 @@ func TestProfileHandler(t *testing.T) {
 		t.Errorf("bogus format status = %d, want 400", rec.Code)
 	}
 
+	// A wait bound that is not a positive, representable duration is
+	// refused before any wait: each of these once became a negative
+	// time.Duration and served an empty delta at once.
+	for _, secs := range []string{"0", "-1", "x", "NaN", "Inf", "-Inf", "1e300", "1e10"} {
+		rec = httptest.NewRecorder()
+		s.ProfileHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/profile?launches=1&format=folded&seconds="+secs, nil))
+		if rec.Code != 400 {
+			t.Errorf("seconds=%s status = %d, want 400", secs, rec.Code)
+		}
+	}
+
 	// launches=N with a short timeout serves the partial (empty) delta.
 	rec = httptest.NewRecorder()
 	s.ProfileHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/profile?launches=1&seconds=0.01&format=folded", nil))

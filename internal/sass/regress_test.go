@@ -11,86 +11,6 @@ import (
 	"testing"
 )
 
-// A guarded EXIT only retires the lanes whose guard passes; the rest fall
-// through. The CFG must model that edge, or values read after the EXIT
-// appear dead at instrumentation sites before it and get clobbered.
-func TestGuardedExitFallsThrough(t *testing.T) {
-	k := buildKernel(t, nil,
-		New(OpEXIT, nil, nil).WithGuard(PredGuard{Reg: 0}),    // 0: @P0 EXIT
-		New(OpIADD, []Operand{R(2)}, []Operand{R(3), Imm(1)}), // 1: reads R3
-		New(OpEXIT, nil, nil),                                 // 2
-	)
-	cfg, err := BuildCFG(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b0 := cfg.BlockOf(0)
-	found := false
-	for _, s := range b0.Succs {
-		if cfg.Blocks[s].Start == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("guarded EXIT block has no fallthrough successor")
-	}
-	li := livenessOf(t, k)
-	if !li.LiveIn[0].Has(3) {
-		t.Error("R3 is read past the guarded EXIT and must be live at entry")
-	}
-}
-
-// An unconditional EXIT really terminates: no fallthrough edge, nothing
-// past it live.
-func TestUnconditionalExitTerminates(t *testing.T) {
-	k := buildKernel(t, nil,
-		New(OpEXIT, nil, nil), // 0
-		New(OpIADD, []Operand{R(2)}, []Operand{R(3), Imm(1)}), // 1: unreachable
-		New(OpEXIT, nil, nil), // 2
-	)
-	cfg, err := BuildCFG(k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cfg.BlockOf(0).Succs); n != 0 {
-		t.Fatalf("unconditional EXIT block has %d successors, want 0", n)
-	}
-	li := livenessOf(t, k)
-	if li.LiveIn[0].Has(3) {
-		t.Error("R3 is only read in unreachable code; it must not be live at entry")
-	}
-}
-
-// A register whose first write is predicated merges the old value only if
-// the register may have been assigned on some path. An if-converted
-// temporary must therefore NOT be live back to kernel entry — otherwise
-// every instrumentation site before it would pointlessly spill garbage.
-func TestPredicatedFirstWriteNotLiveAtEntry(t *testing.T) {
-	k := buildKernel(t, nil,
-		New(OpISETP, []Operand{P(0)}, []Operand{R(2), Imm(0), P(PT)}),                 // 0
-		New(OpMOV32, []Operand{R(5)}, []Operand{Imm(1)}).WithGuard(PredGuard{Reg: 0}), // 1: first write of R5, guarded
-		New(OpEXIT, nil, nil), // 2
-	)
-	li := livenessOf(t, k)
-	if li.LiveIn[0].Has(5) {
-		t.Error("R5's first write is the predicated MOV; it must not be live at entry")
-	}
-
-	// Contrast: once R5 may have been assigned, a predicated write does
-	// merge the old value and keeps it live.
-	k2 := buildKernel(t, nil,
-		New(OpISETP, []Operand{P(0)}, []Operand{R(2), Imm(0), P(PT)}),                 // 0
-		New(OpMOV32, []Operand{R(5)}, []Operand{Imm(9)}),                              // 1: unconditional write
-		New(OpMOV32, []Operand{R(5)}, []Operand{Imm(1)}).WithGuard(PredGuard{Reg: 0}), // 2: merge
-		New(OpST, nil, []Operand{Mem(3, 0), R(5)}),                                    // 3
-		New(OpEXIT, nil, nil),
-	)
-	li2 := livenessOf(t, k2)
-	if !li2.LiveIn[2].Has(5) {
-		t.Error("R5 assigned at 1 and merged at 2: it must be live between them")
-	}
-}
-
 // corruptHeader builds a syntactically valid encoding prefix with a chosen
 // trailing element count.
 func corruptHeader(counts ...uint32) []byte {

@@ -259,7 +259,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 	if err != nil {
 		return 0, nil, err
 	}
-	li := sass.ComputeLiveness(cfg)
+	li := analysis.Liveness(cfg)
 
 	blockStart := make([]bool, len(k.Instrs))
 	for _, b := range cfg.Blocks {

@@ -76,7 +76,7 @@ func TestPlannedSiteLengths(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				li := sass.ComputeLiveness(cfg)
+				li := analysis.Liveness(cfg)
 				sites, origAt, err := sassi.InstrumentKernel(prog, k, ki, &opts, 0)
 				if err != nil {
 					t.Fatalf("%s/%s/%s: %v", spec.Name, tool, k.Name, err)
