@@ -324,14 +324,3 @@ func crossBlockRAW(cfg *sass.CFG) []Edge {
 func (g *Graph) BlockOf(idx int) *BlockDAG {
 	return g.Blocks[g.CFG.BlockOf(idx).ID]
 }
-
-// IsTopological reports whether pos — mapping each original instruction
-// index to its proposed position — respects every edge of the block.
-func (b *BlockDAG) IsTopological(pos []int) bool {
-	for _, e := range b.Edges {
-		if pos[e.From] >= pos[e.To] {
-			return false
-		}
-	}
-	return true
-}

@@ -1,5 +1,7 @@
 package analysis
 
+import "sassi/internal/sass"
+
 // UpdateGolden exposes the package's -update flag to the external tests.
 var UpdateGolden = updateGolden
 
@@ -14,4 +16,36 @@ func (f *KernelFacts) ValueRuns() int {
 		return 0
 	}
 	return 1
+}
+
+// DiffKernels is diffEncoding's comparison against a decoded kernel b
+// rather than a byte stream; the round-trip unit tests corrupt a decoded
+// copy and expect the differences found by both.
+func DiffKernels(a, b *sass.Kernel, check string) []Diagnostic {
+	d := kernelDiff{a: a, check: check}
+	d.header(b)
+	if d.sameLen(len(b.Instrs)) {
+		for i := range b.Instrs {
+			d.instr(i, &b.Instrs[i])
+		}
+	}
+	return d.diags
+}
+
+// SymCoeff returns the coefficient of sym.
+func (v Value) SymCoeff(s Sym) int64 {
+	for _, t := range v.Syms {
+		if t.Sym == s {
+			return t.Coeff
+		}
+	}
+	return 0
+}
+
+// OperandValue evaluates a source operand in the state before idx:
+// registers through the valuation (same-guard reads observe earlier
+// same-guard defs exactly), immediates as constants, constant-bank words
+// and CTA-uniform special registers as symbols.
+func (v *Valuation) OperandValue(idx int, o sass.Operand) Value {
+	return operandValue(v.viewAt(idx), o)
 }

@@ -106,25 +106,11 @@ func (d *kernelDiff) instr(i int, b *sass.Instruction) {
 	}
 }
 
-// DiffKernels compares two kernels field by field and reports every
-// difference as an error diagnostic under the given check name,
-// positioned in kernel a. The round-trip check makes the same comparison
-// against a byte stream (diffEncoding); the round-trip unit tests corrupt a
-// decoded copy and expect the differences found by both.
-func DiffKernels(a, b *sass.Kernel, check string) []Diagnostic {
-	d := kernelDiff{a: a, check: check}
-	d.header(b)
-	if d.sameLen(len(b.Instrs)) {
-		for i := range b.Instrs {
-			d.instr(i, &b.Instrs[i])
-		}
-	}
-	return d.diags
-}
-
-// diffEncoding is DiffKernels(a, b) for the kernel b that data encodes,
-// decoding b one instruction at a time into a scratch value. An encoding
-// that does not decode is an error, whatever differences preceded it.
+// diffEncoding compares kernel a field by field with the kernel b that
+// data encodes and reports every difference as an error diagnostic under
+// the given check name, positioned in a. It decodes b one instruction at a
+// time into a scratch value. An encoding that does not decode is an error,
+// whatever differences preceded it.
 func diffEncoding(a *sass.Kernel, data []byte, check string) ([]Diagnostic, error) {
 	d := kernelDiff{a: a, check: check}
 	var hdr sass.Kernel

@@ -29,7 +29,7 @@ type InstrUniformity struct {
 func (u InstrUniformity) Uniform() bool { return u.GuardUniform && u.SrcsUniform }
 
 // Uniformity returns the lattice's uniformity facts for instruction idx,
-// observing the same predication view OperandValue uses: a guarded
+// observing the same predication view RegValue uses: a guarded
 // instruction's sources see exact values defined earlier under the same
 // guard.
 func (v *Valuation) Uniformity(idx int) InstrUniformity {

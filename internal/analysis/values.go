@@ -144,16 +144,6 @@ func (v Value) HasTidTerm() bool {
 	return false
 }
 
-// SymCoeff returns the coefficient of sym.
-func (v Value) SymCoeff(s Sym) int64 {
-	for _, t := range v.Syms {
-		if t.Sym == s {
-			return t.Coeff
-		}
-	}
-	return 0
-}
-
 // AddConst returns v + c (an address displacement).
 func (v Value) AddConst(c int64) Value { return addValues(v, KnownConst(c), false) }
 
@@ -648,14 +638,6 @@ func (v *Valuation) GuardFacts(idx int) PredFacts {
 		return PredFacts{Uniform: true}
 	}
 	return v.at(idx).pred[g.Reg]
-}
-
-// OperandValue evaluates a source operand in the state before idx:
-// registers through the valuation (same-guard reads observe earlier
-// same-guard defs exactly), immediates as constants, constant-bank words
-// and CTA-uniform special registers as symbols.
-func (v *Valuation) OperandValue(idx int, o sass.Operand) Value {
-	return operandValue(v.viewAt(idx), o)
 }
 
 func operandValue(s *valState, o sass.Operand) Value {

@@ -51,8 +51,5 @@ func NewCounterBank(ctx *cuda.Context, name string, count int) *CounterBank {
 // Ptr returns the device address of counter i (for handler AtomicAdd64).
 func (b *CounterBank) Ptr(i int) uint64 { return uint64(b.ptr) + uint64(8*i) }
 
-// Base returns the device address of the counter array.
-func (b *CounterBank) Base() uint64 { return uint64(b.ptr) }
-
 // Len returns the number of counters.
 func (b *CounterBank) Len() int { return b.count }

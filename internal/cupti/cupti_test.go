@@ -60,7 +60,7 @@ func TestCounterBankPerLaunchIsolation(t *testing.T) {
 	if bank.Host[1] != 0 {
 		t.Errorf("untouched counter = %d", bank.Host[1])
 	}
-	if bank.Len() != 2 || bank.Ptr(1) != bank.Base()+8 {
+	if bank.Len() != 2 || bank.Ptr(1) != bank.Ptr(0)+8 {
 		t.Error("bank geometry accessors wrong")
 	}
 }

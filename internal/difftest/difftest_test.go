@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"sassi/internal/cuda"
+	"sassi/internal/device"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
@@ -228,5 +231,32 @@ func TestSplitMixMatchesCampaignDerivation(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("run %d: kernel depends on more than the derived seed", run)
 		}
+	}
+}
+
+// MutantClobberTool is a deliberately ABI-violating tool: its handler
+// writes garbage into GPR reg on every dispatch. Registers at or above
+// sassi.HandlerMaxRegs sit outside the injector's save/restore window, so
+// when reg is live this models an injector that clobbers a live register
+// — the seeded transparency bug the oracle must catch. reg must be below
+// the victim kernel's register count.
+func MutantClobberTool(reg uint8) Tool {
+	return Tool{
+		Name: fmt.Sprintf("mutant-clobber-r%d", reg),
+		Make: func(ctx *cuda.Context) (sassi.Options, []*sassi.Handler) {
+			opts := sassi.Options{
+				Where:         sassi.BeforeAll,
+				BeforeHandler: "sassi_before_handler",
+			}
+			h := &sassi.Handler{
+				Name: "sassi_before_handler",
+				Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+					for l := w.First(); l >= 0; l = w.Next(l) {
+						w.Lane(l).WriteReg(reg, 0xdeadbeef)
+					}
+				},
+			}
+			return opts, []*sassi.Handler{h}
+		},
 	}
 }

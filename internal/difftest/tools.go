@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"sassi/internal/cuda"
-	"sassi/internal/device"
 	"sassi/internal/handlers"
 	"sassi/internal/sassi"
 )
@@ -78,31 +77,4 @@ func SelectTools(spec string) ([]Tool, error) {
 		out = append(out, t)
 	}
 	return out, nil
-}
-
-// MutantClobberTool is a deliberately ABI-violating tool: its handler
-// writes garbage into GPR reg on every dispatch. Registers at or above
-// sassi.HandlerMaxRegs sit outside the injector's save/restore window, so
-// when reg is live this models an injector that clobbers a live register
-// — the seeded transparency bug the oracle must catch. reg must be below
-// the victim kernel's register count.
-func MutantClobberTool(reg uint8) Tool {
-	return Tool{
-		Name: fmt.Sprintf("mutant-clobber-r%d", reg),
-		Make: func(ctx *cuda.Context) (sassi.Options, []*sassi.Handler) {
-			opts := sassi.Options{
-				Where:         sassi.BeforeAll,
-				BeforeHandler: "sassi_before_handler",
-			}
-			h := &sassi.Handler{
-				Name: "sassi_before_handler",
-				Fn: func(w *device.Warp, args sassi.HandlerArgs) {
-					for l := w.First(); l >= 0; l = w.Next(l) {
-						w.Lane(l).WriteReg(reg, 0xdeadbeef)
-					}
-				},
-			}
-			return opts, []*sassi.Handler{h}
-		},
-	}
 }

@@ -18,7 +18,6 @@ import (
 	"sassi/internal/obs"
 	"sassi/internal/obs/pcsamp"
 	"sassi/internal/ptxas"
-	"sassi/internal/sass"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
 	"sassi/internal/workloads"
@@ -66,34 +65,8 @@ func instrumentedRun(env Env, workload, dataset string,
 	ctx.Device().Trace = env.Trace
 	ctx.Device().PCSamp = env.PCSamp
 	h, opts := setup(ctx)
-	// Instrumentation metrics attach only on the uncached path below: cached
-	// builds are shared, and their instrument pass already reported through
-	// the cache's own hooks on first build.
-	// Cached programs are shared read-only, so instrumentation must happen
-	// inside the build closure; options carrying a Select closure are
-	// uncacheable and take the fresh-compile path.
-	var prog *sass.Program
-	var err error
-	if instKey, cacheable := opts.CacheKey(); env.Cache != nil && cacheable {
-		prog, err = env.Cache.Get(spec.InstrumentedKey(ptxas.Options{}, instKey),
-			func() (*sass.Program, error) {
-				p, berr := spec.Compile(ptxas.Options{})
-				if berr != nil {
-					return nil, berr
-				}
-				if berr := sassi.Instrument(p, opts); berr != nil {
-					return nil, berr
-				}
-				return p, nil
-			})
-	} else {
-		opts.Metrics = env.Metrics
-		opts.Trace = env.Trace
-		prog, err = spec.Compile(ptxas.Options{})
-		if err == nil {
-			err = sassi.Instrument(prog, opts)
-		}
-	}
+	opts.Metrics, opts.Trace = env.Metrics, env.Trace
+	prog, err := spec.CompileInstrumented(env.Cache, ptxas.Options{}, opts)
 	if err != nil {
 		return nil, err
 	}

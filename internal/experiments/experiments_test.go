@@ -6,7 +6,10 @@ import (
 
 	"sassi/internal/experiments"
 	"sassi/internal/faults"
+	"sassi/internal/obs"
+	"sassi/internal/sassi"
 	"sassi/internal/sim"
+	"sassi/internal/workloads"
 )
 
 func testEnv() experiments.Env {
@@ -211,5 +214,30 @@ func TestCFICampaign(t *testing.T) {
 	var none faults.ControlResult
 	if err := experiments.AssertCFIDetect([]experiments.CFIRow{{App: "none", Result: &none}}, 0); err == nil {
 		t.Error("a campaign without return-address runs passed")
+	}
+}
+
+// TestInstrumentCountersOnCachedBuilds: the instrumented build an
+// experiment and a fault campaign share through their compile cache
+// reports its instrument pass to their registry.
+func TestInstrumentCountersOnCachedBuilds(t *testing.T) {
+	reg := obs.NewRegistry()
+	env := experiments.Env{Config: sim.MiniGPU(), Cache: sassi.NewCompileCache(), Metrics: reg}
+	if _, err := experiments.Table2(env, []string{"demo.vecadd"}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(obs.MSassiKernels).Value(); n == 0 {
+		t.Errorf("table2: %s = 0 after an instrumented build", obs.MSassiKernels)
+	}
+
+	spec, _ := workloads.Get("demo.vecadd")
+	reg = obs.NewRegistry()
+	c := faults.Campaign{Spec: spec, Dataset: spec.DefaultDataset(), Injections: 4, Seed: 1,
+		Config: sim.MiniGPU(), Workers: 1, Metrics: reg}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter(obs.MSassiKernels).Value(); n == 0 {
+		t.Errorf("faults.Campaign: %s = 0 after an instrumented build", obs.MSassiKernels)
 	}
 }

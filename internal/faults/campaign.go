@@ -300,7 +300,9 @@ func (c *Campaign) injectRun(ctx *cuda.Context, g *goldenRun, run int, widen boo
 func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	// The golden run's site probe reads the site space off the injected
 	// code ("after register writes", register info).
-	inst, err := instrumented(cache, c.Spec, (&handlers.Injector{}).Options())
+	opts := (&handlers.Injector{}).Options()
+	opts.Metrics, opts.Trace = c.Metrics, c.Trace
+	inst, err := c.Spec.CompileInstrumented(cache, ptxas.Options{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -419,28 +421,6 @@ func (p *siteProbe) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
 }
 
 func (p *siteProbe) LaunchFootprint(f *sim.Footprint) { p.footprint = f }
-
-// instrumented builds (or fetches) spec compiled and instrumented with
-// opts: the single program a campaign's injection runs share. Its
-// descriptor is site-independent, so per-run behaviour comes entirely from
-// the registered handler's state.
-func instrumented(cache *sassi.CompileCache, spec *workloads.Spec, opts sassi.Options) (*sass.Program, error) {
-	build := func() (*sass.Program, error) {
-		prog, err := spec.Compile(ptxas.Options{})
-		if err != nil {
-			return nil, err
-		}
-		if err := sassi.Instrument(prog, opts); err != nil {
-			return nil, err
-		}
-		return prog, nil
-	}
-	key, ok := opts.CacheKey()
-	if !ok {
-		return build()
-	}
-	return cache.Get(spec.InstrumentedKey(ptxas.Options{}, key), build)
-}
 
 // poolSize is the number of workers runPool starts for runs runs: workers,
 // or GOMAXPROCS when it is zero, and never more than there are runs.

@@ -143,7 +143,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 
 	// One instrumented program serves the profiling run and every injection
 	// run; per-run behavior comes entirely from the registered handler.
-	instProg, err := instrumented(cache, c.Spec, handlers.NewCFIChecker().Options())
+	instProg, err := c.Spec.CompileInstrumented(cache, ptxas.Options{}, handlers.NewCFIChecker().Options())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -58,7 +58,7 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := instrumented(sassi.NewCompileCache(), spec, (&handlers.Injector{}).Options())
+			inst, err := spec.CompileInstrumented(nil, ptxas.Options{}, (&handlers.Injector{}).Options())
 			if err != nil {
 				t.Fatal(err)
 			}

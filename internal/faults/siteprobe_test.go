@@ -28,7 +28,7 @@ type launchSites struct {
 func programs(t *testing.T, c *Campaign) (prog, inst *sass.Program) {
 	t.Helper()
 	cache := sassi.NewCompileCache()
-	inst, err := instrumented(cache, c.Spec, (&handlers.Injector{}).Options())
+	inst, err := c.Spec.CompileInstrumented(cache, ptxas.Options{}, (&handlers.Injector{}).Options())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,16 +43,6 @@ func (c CtrlClass) String() string {
 	return fmt.Sprintf("class-%d", int(c))
 }
 
-// ParseCtrlClass resolves a class name as printed by String.
-func ParseCtrlClass(s string) (CtrlClass, bool) {
-	for c := CtrlClass(0); c < NumCtrlClasses; c++ {
-		if c.String() == s {
-			return c, true
-		}
-	}
-	return 0, false
-}
-
 // qualifies reports whether a warp's state at a site can host this
 // corruption class.
 func (c CtrlClass) qualifies(w *sim.Warp) bool {

@@ -145,9 +145,6 @@ func (inj *Injector) Arm() { inj.armed.Store(true) }
 // Disarm disables the injector after the selected launch.
 func (inj *Injector) Disarm() { inj.armed.Store(false) }
 
-// DidInject reports whether the flip happened.
-func (inj *Injector) DidInject() bool { return inj.injected.Load() }
-
 // Handler performs the bit flip at the selected site. State mutation goes
 // through the spill-aware Set* accessors so the flipped value survives the
 // restore sequence — the capability CUDA-GDB-based injection lacked.

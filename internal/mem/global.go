@@ -2,7 +2,6 @@ package mem
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -315,15 +314,4 @@ func (g *Global) Footprint() uint64 {
 		n += a.size
 	}
 	return n
-}
-
-// Describe returns a human-readable allocation map (debugging aid).
-func (g *Global) Describe() string {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	s := ""
-	for _, a := range g.allocs {
-		s += fmt.Sprintf("[0x%x,0x%x) %s (%d bytes)\n", a.base, a.base+a.size, a.name, a.size)
-	}
-	return s
 }

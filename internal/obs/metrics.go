@@ -12,9 +12,10 @@
 //     registry only at kernel exit (sim.TestWarpIssueZeroAlloc pins 0
 //     allocs per issued instruction).
 //   - All mutation is either atomic (counters, gauges, histogram buckets)
-//     or single-goroutine (per-SM shard cells), so concurrently-recorded
-//     metrics merge order-independently and parallel-vs-sequential
-//     simulations stay bit-equal.
+//     or single-writer (sharded counter cells, which the simulator writes
+//     once per launch after merging the per-SM results), so metrics merge
+//     order-independently and parallel-vs-sequential simulations stay
+//     bit-equal.
 //   - Snapshot output is sorted by metric name, so serialized forms are
 //     deterministic and diffable.
 package obs
@@ -141,43 +142,21 @@ type HistBucket struct {
 	Count      uint64
 }
 
-// shardCell is one shard of a ShardedCounter, padded to its own cache line
-// so concurrent SM goroutines don't false-share.
-type shardCell struct {
-	v uint64
-	_ [7]uint64 // pad to 64 bytes
-}
-
-// ShardedCounter is a counter split into per-shard cells (one per SM).
-// Each shard is owned by exactly one goroutine during a simulation, so
-// increments are plain stores; Value sums the cells, which is
-// order-independent regardless of how the owners interleaved.
+// ShardedCounter is a counter split into per-shard cells (one per SM). It
+// has a single writer: the simulator adds every SM's count once per
+// launch, on the goroutine that runs after the per-SM results are merged.
+// Value sums the cells, so the total does not depend on the order the
+// shards were added in.
 type ShardedCounter struct {
-	cells []shardCell
+	cells []uint64
 }
 
-// AddShard adds n to one shard's cell. The caller must own the shard (one
-// writer per shard); there is no internal synchronization.
+// AddShard adds n to one shard's cell, without synchronization: the
+// caller is the counter's single writer.
 func (s *ShardedCounter) AddShard(shard int, n uint64) {
 	if s != nil {
-		s.cells[shard].v += n
+		s.cells[shard] += n
 	}
-}
-
-// ShardValue returns one shard's count.
-func (s *ShardedCounter) ShardValue(shard int) uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.cells[shard].v
-}
-
-// NumShards returns the shard count (0 for nil).
-func (s *ShardedCounter) NumShards() int {
-	if s == nil {
-		return 0
-	}
-	return len(s.cells)
 }
 
 // Value sums all shards.
@@ -186,8 +165,8 @@ func (s *ShardedCounter) Value() uint64 {
 		return 0
 	}
 	var t uint64
-	for i := range s.cells {
-		t += s.cells[i].v
+	for _, v := range s.cells {
+		t += v
 	}
 	return t
 }
@@ -271,10 +250,10 @@ func (r *Registry) Sharded(name string, shards int) *ShardedCounter {
 	defer r.mu.Unlock()
 	s := r.sharded[name]
 	if s == nil {
-		s = &ShardedCounter{cells: make([]shardCell, shards)}
+		s = &ShardedCounter{cells: make([]uint64, shards)}
 		r.sharded[name] = s
 	} else if len(s.cells) < shards {
-		cells := make([]shardCell, shards)
+		cells := make([]uint64, shards)
 		copy(cells, s.cells)
 		s.cells = cells
 	}
@@ -340,12 +319,8 @@ func (r *Registry) Snapshot() []Metric {
 			Value: h.Count(), Sum: h.Sum(), Buckets: h.Buckets()})
 	}
 	for n, s := range r.sharded {
-		m := Metric{Name: n, Kind: KindSharded, Value: s.Value()}
-		m.Shards = make([]uint64, len(s.cells))
-		for i := range s.cells {
-			m.Shards[i] = s.cells[i].v
-		}
-		out = append(out, m)
+		out = append(out, Metric{Name: n, Kind: KindSharded, Value: s.Value(),
+			Shards: append([]uint64(nil), s.cells...)})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

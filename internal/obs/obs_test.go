@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -51,29 +50,29 @@ func TestNilRegistryAndMetricsAreNoops(t *testing.T) {
 	}
 }
 
+// TestShardedCounterOrderIndependentMerge adds the same per-shard counts in
+// ascending and in descending shard order: the snapshots are equal.
 func TestShardedCounterOrderIndependentMerge(t *testing.T) {
-	r := NewRegistry()
-	s := r.Sharded("c", 8)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
+	snap := func(order []int) []Metric {
+		r := NewRegistry()
+		s := r.Sharded("c", 8)
+		for _, shard := range order {
 			for j := 0; j < 1000; j++ {
 				s.AddShard(shard, uint64(shard))
 			}
-		}(i)
+		}
+		return r.Snapshot()
 	}
-	wg.Wait()
+	up, down := snap([]int{0, 1, 2, 3, 4, 5, 6, 7}), snap([]int{7, 6, 5, 4, 3, 2, 1, 0})
+	if !reflect.DeepEqual(up, down) {
+		t.Fatalf("snapshots differ by add order:\n%+v\n%+v", up, down)
+	}
 	want := uint64(0)
 	for i := 0; i < 8; i++ {
 		want += uint64(i) * 1000
 	}
-	if s.Value() != want {
-		t.Fatalf("sharded total = %d, want %d", s.Value(), want)
-	}
-	if s.ShardValue(3) != 3000 {
-		t.Fatalf("shard 3 = %d, want 3000", s.ShardValue(3))
+	if m := up[0]; m.Value != want || m.Shards[3] != 3000 {
+		t.Fatalf("sharded total = %d, shard 3 = %d; want %d, 3000", m.Value, m.Shards[3], want)
 	}
 }
 
@@ -85,8 +84,8 @@ func TestShardedCounterWidens(t *testing.T) {
 	if s2 != s {
 		t.Fatal("widening must preserve identity")
 	}
-	if s.NumShards() != 4 || s.ShardValue(1) != 5 {
-		t.Fatalf("widened counter lost state: shards=%d v1=%d", s.NumShards(), s.ShardValue(1))
+	if m := r.Snapshot()[0]; len(m.Shards) != 4 || m.Shards[1] != 5 {
+		t.Fatalf("widened counter lost state: shards=%v", m.Shards)
 	}
 }
 

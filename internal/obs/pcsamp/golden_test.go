@@ -78,11 +78,7 @@ func TestGoldenFolded(t *testing.T) {
 }
 
 func TestGoldenProto(t *testing.T) {
-	var b bytes.Buffer
-	if err := sgemmProfile(t).WriteProto(&b); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "sgemm_profile.pb", b.Bytes())
+	checkGolden(t, "sgemm_profile.pb", sgemmProfile(t).Proto())
 }
 
 // TestPprofToolReadsProfile feeds the gzipped export to the real

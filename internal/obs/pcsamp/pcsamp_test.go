@@ -136,14 +136,7 @@ func TestMergeOrderIndependence(t *testing.T) {
 		return s.Profile()
 	}
 	p1, p2 := build([]int{0, 1}), build([]int{1, 0})
-	var w1, w2 bytes.Buffer
-	if err := p1.WriteProto(&w1); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.WriteProto(&w2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w1.Bytes(), w2.Bytes()) {
+	if !bytes.Equal(p1.proto(), p2.proto()) {
 		t.Error("profiles differ under launch completion order")
 	}
 }

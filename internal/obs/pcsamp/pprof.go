@@ -188,13 +188,6 @@ func (p *Profile) proto() []byte {
 	return out.b
 }
 
-// WriteProto writes the uncompressed profile.proto bytes (the golden test
-// compares these; `go tool pprof` accepts them too).
-func (p *Profile) WriteProto(w io.Writer) error {
-	_, err := w.Write(p.proto())
-	return err
-}
-
 // WritePprof writes the gzipped profile.proto that `go tool pprof`
 // conventionally consumes.
 func (p *Profile) WritePprof(w io.Writer) error {

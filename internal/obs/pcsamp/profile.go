@@ -139,15 +139,6 @@ func (p *Profile) PCCycles() map[PCKey]uint64 {
 	return out
 }
 
-// StallCycles estimates cycles attributed to each stall reason.
-func (p *Profile) StallCycles() [NumReasons]uint64 {
-	var out [NumReasons]uint64
-	for l, c := range p.Locs {
-		out[l.Reason] += c.Samples * p.Period
-	}
-	return out
-}
-
 // sortedLocs returns the locations in a canonical order so every export
 // is byte-deterministic.
 func (p *Profile) sortedLocs() []Loc {

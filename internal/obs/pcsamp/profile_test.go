@@ -31,9 +31,12 @@ func TestProfileAccessors(t *testing.T) {
 	if pcs[PCKey{"spin", 0}] != 20 || pcs[PCKey{"spin", 1}] != 30 {
 		t.Errorf("PCCycles = %v, want spin:0=20 spin:1=30", pcs)
 	}
-	stalls := prof.StallCycles()
+	var stalls [NumReasons]uint64
+	for l, c := range prof.Locs {
+		stalls[l.Reason] += c.Samples * prof.Period
+	}
 	if stalls[ReasonNone] != 20 || stalls[ReasonMemory] != 30 {
-		t.Errorf("StallCycles = %v, want none=20 memory=30", stalls)
+		t.Errorf("cycles by stall reason = %v, want none=20 memory=30", stalls)
 	}
 }
 
@@ -99,11 +102,7 @@ func TestWritePprof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var plain bytes.Buffer
-	if err := prof.WriteProto(&plain); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, plain.Bytes()) {
-		t.Error("gunzipped WritePprof bytes differ from WriteProto")
+	if !bytes.Equal(raw, prof.proto()) {
+		t.Error("gunzipped WritePprof bytes differ from the profile.proto encoding")
 	}
 }

@@ -47,17 +47,6 @@ func (b *Builder) want(v Value, what string, types ...Type) {
 	panic(fmt.Sprintf("ptx: %s: operand %s has type %s, want one of %v", what, v, t, types))
 }
 
-func (b *Builder) sameInt(a, c Value, what string) Type {
-	ta, tc := b.typeOf(a), b.typeOf(c)
-	if ta != tc {
-		panic(fmt.Sprintf("ptx: %s: mixed types %s and %s", what, ta, tc))
-	}
-	if ta != TU32 && ta != TS32 && ta != TU64 {
-		panic(fmt.Sprintf("ptx: %s: want integer type, got %s", what, ta))
-	}
-	return ta
-}
-
 // Parameters and constants.
 
 // ParamU64 declares a 64-bit (pointer) kernel parameter and loads it.

@@ -238,9 +238,6 @@ func (f *Func) TypeOf(v Value) Type {
 	return f.types[v.id]
 }
 
-// NumValues returns the number of virtual registers allocated.
-func (f *Func) NumValues() int { return int(f.nextID) }
-
 // AddParam declares a kernel parameter.
 func (f *Func) AddParam(name string, size int) {
 	f.Params = append(f.Params, Param{Name: name, Size: size})

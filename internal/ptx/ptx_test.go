@@ -158,7 +158,4 @@ func TestValueIdentity(t *testing.T) {
 	if zero.Valid() || f.TypeOf(zero) != TInvalid {
 		t.Error("zero value not invalid")
 	}
-	if f.NumValues() != 2 {
-		t.Errorf("NumValues = %d", f.NumValues())
-	}
 }

@@ -23,9 +23,10 @@ import (
 // legality against the reconstructed original stream.
 
 // ScheduleKernel applies the list scheduler to an already-compiled
-// kernel, recording provenance in SchedOrig. Exported for SASS-authored
-// programs (workloads.Spec.BuildProgram) that bypass CompileFunc; callers
-// should re-run analysis.Verify afterwards to certify the permutation.
+// kernel, recording provenance in SchedOrig. Exported for the tests that
+// schedule SASS-authored programs (workloads.Spec.BuildProgram), which
+// bypass CompileFunc; callers should re-run analysis.Verify afterwards to
+// certify the permutation.
 func ScheduleKernel(k *sass.Kernel, seed uint64) { scheduleKernel(k, seed) }
 
 // scheduleKernel reorders k in place. The kernel must have resolved

@@ -175,6 +175,3 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 func (c *CFG) BlockOf(idx int) *Block {
 	return c.Blocks[c.blockOf[idx]]
 }
-
-// NumBlocks returns the number of basic blocks.
-func (c *CFG) NumBlocks() int { return len(c.Blocks) }

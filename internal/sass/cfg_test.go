@@ -34,8 +34,8 @@ func TestCFGIfDiamond(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Blocks: [0..2] (ends with BRA), [3..3] wait—the SSY target also splits.
-	if cfg.NumBlocks() < 3 {
-		t.Fatalf("expected >=3 blocks, got %d", cfg.NumBlocks())
+	if len(cfg.Blocks) < 3 {
+		t.Fatalf("expected >=3 blocks, got %d", len(cfg.Blocks))
 	}
 	// Block containing the conditional BRA has two successors.
 	b := cfg.BlockOf(2)

@@ -93,7 +93,6 @@ func SummaryIsNumeric(w uint32) bool   { return w&sumNumeric != 0 }
 func SummaryIsTexture(w uint32) bool   { return w&sumTexture != 0 }
 func SummaryIsSpillFill(w uint32) bool { return w&sumSpillFill != 0 }
 func SummaryIsAtomic(w uint32) bool    { return w&(1<<27) != 0 }
-func SummaryWidth(w uint32) int        { return int(w >> 16 & 0x1f) }
 func SummaryIsGuarded(w uint32) bool   { return w&(1<<21) != 0 }
 
 // Binary serialization of compiled kernels, so that cmd tools can cache

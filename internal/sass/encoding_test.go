@@ -18,8 +18,8 @@ func TestEncodeSummaryFields(t *testing.T) {
 	if !SummaryIsMem(w) || !SummaryIsMemWrite(w) || SummaryIsMemRead(w) {
 		t.Error("store classification wrong")
 	}
-	if SummaryWidth(w) != 8 {
-		t.Errorf("width = %d, want 8", SummaryWidth(w))
+	if width := w >> 16 & 0x1f; width != 8 {
+		t.Errorf("width = %d, want 8", width)
 	}
 	if !SummaryIsGuarded(w) {
 		t.Error("guard bit missing")

@@ -198,22 +198,6 @@ func (o Opcode) String() string {
 // NumOpcodes reports the number of defined opcodes (for table sizing).
 func NumOpcodes() int { return int(opCount) }
 
-// OpcodeByName resolves a mnemonic back to its Opcode.
-func OpcodeByName(name string) (Opcode, bool) {
-	op, ok := opByName[name]
-	return op, ok
-}
-
-var opByName = func() map[string]Opcode {
-	m := make(map[string]Opcode, opCount)
-	for op, name := range opNames {
-		if name != "" {
-			m[name] = Opcode(op)
-		}
-	}
-	return m
-}()
-
 // Instruction classification, mirroring the SASSIBeforeParams query methods
 // of the paper (IsMem, IsControlXfer, IsNumeric, ...).
 
@@ -264,15 +248,6 @@ func (o Opcode) IsNumeric() bool {
 	case OpIADD, OpIADD32, OpIMUL, OpIMAD, OpISCADD, OpIMNMX, OpLOP, OpSHL,
 		OpSHR, OpBFE, OpBFI, OpFLO, OpPOPC, OpSEL, OpFADD, OpFMUL, OpFFMA,
 		OpFMNMX, OpMUFU, OpF2I, OpI2F, OpF2F:
-		return true
-	}
-	return false
-}
-
-// IsFloat reports whether the opcode operates on floating-point data.
-func (o Opcode) IsFloat() bool {
-	switch o {
-	case OpFADD, OpFMUL, OpFFMA, OpFSETP, OpFMNMX, OpMUFU, OpF2I, OpI2F, OpF2F:
 		return true
 	}
 	return false
@@ -336,16 +311,6 @@ func (l LogicOp) String() string {
 	return fmt.Sprintf("LOGIC(%d)", uint8(l))
 }
 
-// LogicByName resolves a logic mnemonic.
-func LogicByName(s string) (LogicOp, bool) {
-	for i, n := range logicNames {
-		if n == s {
-			return LogicOp(i), true
-		}
-	}
-	return 0, false
-}
-
 // AtomOp selects the read-modify-write function of ATOM/ATOMS/RED.
 type AtomOp uint8
 
@@ -368,16 +333,6 @@ func (a AtomOp) String() string {
 		return atomNames[a]
 	}
 	return fmt.Sprintf("ATOMOP(%d)", uint8(a))
-}
-
-// AtomByName resolves an atomic-op mnemonic.
-func AtomByName(s string) (AtomOp, bool) {
-	for i, n := range atomNames {
-		if n == s {
-			return AtomOp(i), true
-		}
-	}
-	return 0, false
 }
 
 // MufuFunc selects the MUFU special function.
@@ -403,16 +358,6 @@ func (f MufuFunc) String() string {
 	return fmt.Sprintf("MUFU(%d)", uint8(f))
 }
 
-// MufuByName resolves a MUFU function mnemonic.
-func MufuByName(s string) (MufuFunc, bool) {
-	for i, n := range mufuNames {
-		if n == s {
-			return MufuFunc(i), true
-		}
-	}
-	return 0, false
-}
-
 // VoteMode selects the VOTE collective.
 type VoteMode uint8
 
@@ -430,16 +375,6 @@ func (v VoteMode) String() string {
 		return voteNames[v]
 	}
 	return fmt.Sprintf("VOTE(%d)", uint8(v))
-}
-
-// VoteByName resolves a VOTE mode mnemonic.
-func VoteByName(s string) (VoteMode, bool) {
-	for i, n := range voteNames {
-		if n == s {
-			return VoteMode(i), true
-		}
-	}
-	return 0, false
 }
 
 // ShflMode selects the SHFL data movement pattern.
@@ -460,16 +395,6 @@ func (s ShflMode) String() string {
 		return shflNames[s]
 	}
 	return fmt.Sprintf("SHFL(%d)", uint8(s))
-}
-
-// ShflByName resolves a SHFL mode mnemonic.
-func ShflByName(s string) (ShflMode, bool) {
-	for i, n := range shflNames {
-		if n == s {
-			return ShflMode(i), true
-		}
-	}
-	return 0, false
 }
 
 // SpecialReg identifies an S2R-readable special register.
@@ -508,14 +433,4 @@ func (s SpecialReg) String() string {
 		return srNames[s]
 	}
 	return fmt.Sprintf("SR(%d)", uint8(s))
-}
-
-// SpecialRegByName resolves a special-register name.
-func SpecialRegByName(name string) (SpecialReg, bool) {
-	for i, n := range srNames {
-		if n == name {
-			return SpecialReg(i), true
-		}
-	}
-	return 0, false
 }

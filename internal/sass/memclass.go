@@ -75,16 +75,3 @@ func MemSpaceOf(o Opcode) MemSpace {
 // table-driven equivalent of IsMem, exported under the name the
 // SASSIBeforeParams-style query methods use.
 func IsMemoryOp(o Opcode) bool { return MemSpaceOf(o) != MemNone }
-
-// GenericAddressed reports whether the opcode's address operand is a
-// generic-space address (decoded through the local/shared/global windows
-// at run time) as opposed to a space-relative offset. LDG/STG/TLD and the
-// global atomics carry generic addresses even though their table space
-// says "global": the simulator routes them through the generic decoder.
-func GenericAddressed(o Opcode) bool {
-	switch MemSpaceOf(o) {
-	case MemGeneric, MemGlobal, MemTexture:
-		return true
-	}
-	return false
-}

@@ -1,9 +1,6 @@
 package sass
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Register numbers. GPRs are 32 bits wide; 64-bit quantities occupy an
 // aligned even/odd register pair, as on real hardware.
@@ -64,11 +61,6 @@ func NotP(n uint8) Operand { return Operand{Kind: OpdPred, Reg: n, Neg: true} }
 // Imm returns an immediate operand.
 func Imm(v int64) Operand { return Operand{Kind: OpdImm, Imm: v} }
 
-// FImm returns an immediate operand holding float32 bits.
-func FImm(f float32) Operand {
-	return Operand{Kind: OpdImm, Imm: int64(int32(math.Float32bits(f)))}
-}
-
 // CMem returns a constant-memory operand c[bank][offset].
 func CMem(bank uint8, offset int64) Operand {
 	return Operand{Kind: OpdCMem, Bank: bank, Imm: offset}
@@ -87,12 +79,6 @@ func Label(name string) Operand { return Operand{Kind: OpdLabel, Name: name, Imm
 
 // Sym returns an external symbol operand (JCAL target).
 func Sym(name string) Operand { return Operand{Kind: OpdSym, Name: name} }
-
-// IsReg reports whether the operand is a (non-RZ) general purpose register.
-func (o Operand) IsReg() bool { return o.Kind == OpdReg && o.Reg != RZ }
-
-// IsRZ reports whether the operand is the zero register.
-func (o Operand) IsRZ() bool { return o.Kind == OpdReg && o.Reg == RZ }
 
 // String formats the operand in SASS syntax.
 func (o Operand) String() string {

@@ -120,8 +120,8 @@ func TestWhereBBHeaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	jcals, _ := countSites(t, sassi.Options{Where: sassi.BBHeaders, BeforeHandler: "h"})
-	if jcals != cfg.NumBlocks() {
-		t.Errorf("BBHeaders sites = %d, want %d blocks", jcals, cfg.NumBlocks())
+	if jcals != len(cfg.Blocks) {
+		t.Errorf("BBHeaders sites = %d, want %d blocks", jcals, len(cfg.Blocks))
 	}
 }
 

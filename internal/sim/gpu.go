@@ -169,7 +169,8 @@ type Device struct {
 	// executes each sass.Instruction as it stands, handing every ALU and
 	// SETP one to Reference. It exists for the equivalence oracles, which
 	// compare the core against it bit for bit; package simref installs it,
-	// and no product binary links that package.
+	// and of the product binaries only cmd/sassi-difftest links that
+	// package.
 	Reference RefALU
 
 	// MemWatch, when non-nil, observes every warp-level global memory

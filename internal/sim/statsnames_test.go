@@ -65,3 +65,31 @@ func TestKernelStatsMetricsLive(t *testing.T) {
 		}
 	}
 }
+
+// KernelStatsMetrics maps every KernelStats field to the canonical obs
+// metric name publishMetrics exports it under, or "" for fields that are
+// identity/geometry rather than counters. The audit test in
+// statsnames_test.go fails the build when a KernelStats field is added
+// without deciding its observability story — the contract that every
+// counter the simulator grows shows up in both the sassi-stats JSON
+// metrics map and the Prometheus endpoint.
+func KernelStatsMetrics() map[string]string {
+	return map[string]string{
+		"Kernel": "", // identity, not a counter
+
+		"WarpInstrs":           obs.MSimWarpInstrs,
+		"ThreadInstrs":         obs.MSimThreadInstrs,
+		"InjectedWarpInstrs":   obs.MSimInjectedWarpInstrs,
+		"InjectedThreadInstrs": obs.MSimInjectedThreadInstrs,
+		"HandlerCalls":         obs.MSimHandlerCalls,
+		"MaxWarpInstrs":        obs.MSimMaxWarpInstrs,
+		"GlobalTransactions":   obs.MMemGlobalTrans,
+		"ScoreboardStalls":     obs.MSimScoreboardStalls,
+		"Cycles":               obs.MSimCycles,
+		// SMCycles is the per-shard decomposition of the same counter;
+		// the sharded registry entry flattens to sim.cycles.sm<i>.
+		"SMCycles": obs.MSimCycles,
+		"CTAs":     obs.MSimCTAs,
+		"Threads":  obs.MSimThreads,
+	}
+}

@@ -90,20 +90,6 @@ func (t *Thread) ReadCC() uint8 { return t.warp.cc[t.LaneID] }
 // WriteCC sets the condition code.
 func (t *Thread) WriteCC(v uint8) { t.warp.cc[t.LaneID] = v }
 
-// FlipRegBit flips one bit of GPR r — the fault-injection primitive.
-func (t *Thread) FlipRegBit(r uint8, bit uint) {
-	if r == sass.RZ {
-		return
-	}
-	t.warp.regs[int(r)*WarpSize+int(t.LaneID)] ^= 1 << (bit & 31)
-}
-
-// FlipPredBit flips predicate p.
-func (t *Thread) FlipPredBit(p uint8) { t.WritePred(p, !t.ReadPred(p)) }
-
-// FlipCCBit flips one of the four condition-code bits.
-func (t *Thread) FlipCCBit(bit uint) { t.warp.cc[t.LaneID] ^= 1 << (bit & 3) }
-
 // LocalSize returns the size of the thread's local memory in bytes.
 func (t *Thread) LocalSize() int { return t.warp.local.Size() }
 

@@ -52,7 +52,7 @@ func sampledRun(t *testing.T, spec *workloads.Spec, cfg sim.Config, period uint6
 		t.Fatal(res.VerifyErr)
 	}
 	var b bytes.Buffer
-	if err := s.Profile().WriteProto(&b); err != nil {
+	if err := s.Profile().WritePprof(&b); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes(), stats

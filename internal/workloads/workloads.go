@@ -145,9 +145,8 @@ func (s *Spec) Compile(opts ptxas.Options) (*sass.Program, error) {
 // CompileCached is Compile through a shared compile cache: every caller
 // asking for the same (workload, backend options) pair shares one compiled
 // program. A nil cache falls back to a fresh compile. The returned program
-// is shared — treat it as read-only; to cache an instrumented variant,
-// build it under InstrumentedKey with sassi.Instrument inside the build
-// closure.
+// is shared — treat it as read-only; CompileInstrumented caches an
+// instrumented variant.
 func (s *Spec) CompileCached(cache *sassi.CompileCache, opts ptxas.Options) (*sass.Program, error) {
 	if cache == nil {
 		return s.Compile(opts)
@@ -163,10 +162,27 @@ func (s *Spec) CompileKey(opts ptxas.Options) string {
 	return "workload=" + s.Name + " ptxas[" + opts.CacheKey() + "]"
 }
 
-// InstrumentedKey is the compile-cache key for this workload instrumented
-// with the descriptor instKey (from sassi.Options.CacheKey).
-func (s *Spec) InstrumentedKey(opts ptxas.Options, instKey string) string {
-	return s.CompileKey(opts) + " inst[" + instKey + "]"
+// CompileInstrumented compiles this workload with ptxOpts and instruments
+// it with opts, sharing the result through cache like CompileCached. It
+// builds fresh when cache is nil or opts.CacheKey says the options cannot
+// be cached. The build that runs reports to opts.Metrics and opts.Trace; a
+// cache hit builds nothing and reports nothing.
+func (s *Spec) CompileInstrumented(cache *sassi.CompileCache, ptxOpts ptxas.Options, opts sassi.Options) (*sass.Program, error) {
+	build := func() (*sass.Program, error) {
+		prog, err := s.Compile(ptxOpts)
+		if err != nil {
+			return nil, err
+		}
+		if err := sassi.Instrument(prog, opts); err != nil {
+			return nil, err
+		}
+		return prog, nil
+	}
+	instKey, ok := opts.CacheKey()
+	if cache == nil || !ok {
+		return build()
+	}
+	return cache.Get(s.CompileKey(ptxOpts)+" inst["+instKey+"]", build)
 }
 
 var registry = map[string]*Spec{}
