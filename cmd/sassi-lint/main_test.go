@@ -14,13 +14,14 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // TestLintMutantsGolden pins the lint output over the seed-buggy mutants:
-// the concurrency checks must flag every mutant, in a deterministic order,
-// with the exact rendered diagnostics the golden file records.
+// the concurrency and control-stack checks must flag every mutant, in a
+// deterministic order, with the exact rendered diagnostics the golden file
+// records.
 func TestLintMutantsGolden(t *testing.T) {
 	var out, errb bytes.Buffer
-	code := run([]string{"-checks", "barrier-divergence,shared-race", "-mutants"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d (races are warnings; stderr: %s)", code, errb.String())
+	code := run([]string{"-checks", "barrier-divergence,shared-race,divergence,cfi", "-mutants"}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1 (the CFI mutants are errors; stderr: %s)", code, errb.String())
 	}
 	if out.Len() == 0 {
 		t.Fatal("no diagnostics printed for the seed-buggy mutants")
