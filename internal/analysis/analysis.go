@@ -18,7 +18,7 @@
 //     no fall-through off the kernel end, unsupported opcodes, and (the
 //     linkage check) every JCAL symbol in the program's handler table;
 //   - divergence: SSY/SYNC (and CAL/RET) push/pop depth matched, typed,
-//     and bounded on every control-flow path;
+//     and bounded on every control-flow path (control.go);
 //   - round-trip: Encode→Decode of every instruction is the identity;
 //   - def-assign: no GPR/predicate/CC read that is reachable-before-def
 //     from kernel entry (warnings — inputs arrive via constant bank);
@@ -33,7 +33,8 @@
 // by sassi.Instrument), and the concurrency checks barrier-divergence and
 // shared-race (internal/analysis/concurrency), which lint the user's
 // program and run only under sassi-lint, on the facts VerifyKernelFacts
-// built.
+// built. The divergence, cfi and barrier-divergence checks render their
+// diagnostics from one walk of the warp's control stacks per kernel.
 package analysis
 
 import (
@@ -200,15 +201,17 @@ func (m VerifyMode) String() string {
 }
 
 // KernelFacts is what one verification derives about a kernel and hands
-// to every check that needs more than the instructions: the CFG and, built
-// on first use, the value lattice's fixpoint. A check that needs the
-// valuation takes it from Values — never from AnalyzeValues — so verifying
-// a kernel (and linting it for concurrency on the same facts) runs the
-// fixpoint once however many checks consult it. Like the Valuation it
+// to every check that needs more than the instructions: the CFG and, each
+// built on first use, the value lattice's fixpoint and the walk of the
+// warp's control stacks (control.go). A check that needs the valuation
+// takes it from Values — never from AnalyzeValues — so verifying a kernel
+// (and linting it for concurrency on the same facts) runs the fixpoint and
+// the walk once however many checks consult them. Like the Valuation it
 // holds, a KernelFacts is for one goroutine.
 type KernelFacts struct {
 	CFG *sass.CFG
 	val *Valuation
+	ctl *controlWalk
 }
 
 // NewKernelFacts wraps a CFG for callers that run a check, or build a
@@ -258,28 +261,24 @@ func VerifyKernel(k *sass.Kernel) []Diagnostic {
 	return diags
 }
 
-// VerifyKernelFacts is VerifyKernel that also returns the facts the cfi
-// and schedule checks shared (nil when they did not run), so a caller can
-// run further checks on them without a second value fixpoint.
+// VerifyKernelFacts is VerifyKernel that also returns the facts the
+// divergence, cfi and schedule checks shared (nil when they did not run),
+// so a caller can run further checks on them without a second value
+// fixpoint or control-stack walk.
 func VerifyKernelFacts(k *sass.Kernel) ([]Diagnostic, *KernelFacts) {
 	diags := CheckStructure(k)
 	if HasErrors(diags) {
 		return diags, nil
 	}
-	diags = append(diags, CheckDivergenceStack(k)...)
-	diags = append(diags, CheckRoundTripEncoding(k)...)
-	cfg, err := sass.BuildCFG(k)
-	if err != nil {
-		return append(diags, Diagnostic{
-			Sev: Error, Check: CheckStructural, Kernel: k.Name, Instr: -1,
-			Msg: fmt.Sprintf("cannot build CFG: %v", err),
-		}), nil
-	}
-	diags = append(diags, CheckDefiniteAssignment(cfg)...)
-	// cfi and schedule share the facts; like every check after the
-	// structural pass, they may assume resolved labels and in-range
-	// operands.
+	// The structural pass rejects the empty kernel, the one input BuildCFG
+	// refuses. divergence, cfi and schedule share the facts; like every
+	// check after the structural pass, they may assume resolved labels and
+	// in-range operands.
+	cfg, _ := sass.BuildCFG(k)
 	facts := NewKernelFacts(cfg)
+	diags = append(diags, checkDivergence(facts)...)
+	diags = append(diags, CheckRoundTripEncoding(k)...)
+	diags = append(diags, CheckDefiniteAssignment(cfg)...)
 	_, cfi := AnalyzeCFI(facts)
 	diags = append(diags, cfi...)
 	diags = append(diags, checkSchedule(facts)...)

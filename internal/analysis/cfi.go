@@ -2,10 +2,10 @@
 // sets for every indirect control transfer in compiled SASS — CAL call
 // sites, RET return addresses, SSY/SYNC reconvergence points, and the
 // deferred paths of divergent branches — and checks them statically, in
-// the spirit of protected-site CFI on GPU binaries (WarpGuard). The same target sets
-// feed the runtime cross-check (internal/handlers.CFIChecker), which
-// loads them as per-kernel shadow tables and validates the warp's call
-// and divergence stacks at every control-transfer site.
+// the spirit of protected-site CFI on GPU binaries (WarpGuard). The same
+// target sets feed the runtime cross-check (internal/handlers.CFIChecker),
+// which loads them as per-kernel shadow tables and validates the warp's
+// call and divergence stacks at every control-transfer site.
 //
 // As the "cfi" check it is one of Verify's fixed list, so every verified
 // compile, in every binary, flags structural CFI violations:
@@ -13,7 +13,8 @@
 //   - a CAL whose target is also reachable by fall-through or branch
 //     from outside the subroutine (a call into the middle of a region);
 //   - a RET reachable with an empty call stack, or never reachable from
-//     any call site at all;
+//     any call site at all, and call depth past the bound — read from the
+//     control-stack walk (control.go);
 //   - a SYNC with no enclosing SSY region, or an SSY whose reconvergence
 //     target precedes it;
 //   - a CAL under a provably thread-dependent guard (the machine traps
@@ -23,14 +24,9 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 
 	"sassi/internal/sass"
 )
-
-// maxCallStates bounds the call-path abstract interpretation; its depth
-// bound is the divergence checker's maxCallDepth.
-const maxCallStates = 1 << 14
 
 // CFITargets holds one kernel's legal target sets, keyed by instruction
 // index. The runtime checker computes them over the instrumented kernel,
@@ -52,9 +48,6 @@ type CFITargets struct {
 	Defer map[int]bool
 	// CallSites maps each CAL instruction index to its target.
 	CallSites map[int]int
-	// MaxCallDepth is the deepest call stack the abstract interpretation
-	// saw on any path from kernel entry.
-	MaxCallDepth int
 }
 
 // Legal reports whether a warp call-stack entry value is a legal return
@@ -76,111 +69,70 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 		CallSites: map[int]int{},
 	}
 	var diags []Diagnostic
-	errorf := func(idx int, format string, args ...any) {
+	report := func(sev Severity, idx int, format string, args ...any) {
 		diags = append(diags, Diagnostic{
-			Sev: Error, Check: CheckCFI, Kernel: k.Name,
-			Instr: idx, Msg: fmt.Sprintf(format, args...),
-		})
-	}
-	warnf := func(idx int, format string, args ...any) {
-		diags = append(diags, Diagnostic{
-			Sev: Warning, Check: CheckCFI, Kernel: k.Name,
+			Sev: sev, Check: CheckCFI, Kernel: k.Name,
 			Instr: idx, Msg: fmt.Sprintf(format, args...),
 		})
 	}
 
-	val := f.Values()
+	w := f.control()
+	pdom := PostDominators(cfg)
 	n := len(k.Instrs)
+	// A SYNC lies inside some SSY region when an earlier SSY's
+	// reconvergence target is beyond it. One outside every region pops a
+	// frame that cannot belong to an enclosing SSY: the shape control-state
+	// corruption produces.
+	regionEnd := 0
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
+		tgt, ok := in.BranchTarget()
+		ok = ok && tgt.Kind == sass.OpdLabel // else the structural check reports the operand
+		to := int(tgt.Imm)
 		switch {
-		case in.Op == sass.OpCAL:
-			tgt, ok := in.BranchTarget()
-			if !ok || tgt.Kind != sass.OpdLabel {
-				continue // structural check reports the malformed operand
-			}
-			t.Entries[int(tgt.Imm)] = true
-			t.CallSites[i] = int(tgt.Imm)
+		case in.Op == sass.OpCAL && ok:
+			t.Entries[to] = true
+			t.CallSites[i] = to
 			if i+1 < n {
 				t.Returns[i+1] = true
 			}
-			if !in.Guard.IsAlways() && val.GuardFacts(i).TidDep {
-				errorf(i, "CAL guard is provably thread-dependent: a divergent call traps")
+			if w.tidDep.Has(i) {
+				report(Error, i, "CAL guard is provably thread-dependent: a divergent call traps")
 			}
-		case in.Op == sass.OpSSY:
-			tgt, ok := in.BranchTarget()
-			if !ok || tgt.Kind != sass.OpdLabel {
-				continue
+			if w.noted(i)&noteCALDeep != 0 {
+				report(Error, i, "call depth exceeds %d on some path (unbounded recursion?)", maxCallDepth)
 			}
-			t.Reconv[int(tgt.Imm)] = true
-			if int(tgt.Imm) <= i {
-				errorf(i, "SSY reconvergence target @%04x precedes the SSY: reconvergence outside the region",
-					sass.InsOffset(int(tgt.Imm)))
+		case in.Op == sass.OpRET:
+			switch {
+			case w.noted(i)&noteRETEmpty != 0:
+				report(Error, i, "RET reachable with an empty call stack: no matching CAL on some path")
+			case w.noted(i)&noteRETCalled == 0 && !w.truncated && !w.cutShort:
+				// A path the walk stopped at a divergence-stack error
+				// (reported as such) may have gone on to this RET.
+				report(Error, i, "RET is not reachable from any call site: return cannot match a CAL")
 			}
-		case in.IsCondBranch():
-			if i+1 < n && !val.GuardFacts(i).Uniform {
-				t.Defer[i+1] = true
+		case in.Op == sass.OpSYNC && regionEnd <= i:
+			report(Error, i, "SYNC has no enclosing SSY region: reconvergence outside any SSY/SYNC pair")
+		case in.Op == sass.OpSSY && ok:
+			regionEnd = max(regionEnd, to)
+			t.Reconv[to] = true
+			if to <= i {
+				report(Error, i, "SSY reconvergence target @%04x precedes the SSY: reconvergence outside the region",
+					sass.InsOffset(to))
 			}
+			if to < n && !PostDominates(pdom, cfg.BlockOf(to).ID, cfg.BlockOf(i).ID) {
+				report(Warning, i, "SSY reconvergence target @%04x does not post-dominate the SSY: some path skips the reconvergence point",
+					sass.InsOffset(to))
+			}
+		case w.splits.Has(i) && i+1 < n:
+			t.Defer[i+1] = true
 		}
 	}
-
-	diags = append(diags, checkSyncRegions(k)...)
+	if w.truncated {
+		report(Warning, -1, "call-path analysis truncated after %d states; RET reachability unchecked", maxCtlStates)
+	}
 	diags = append(diags, checkEntries(cfg, t)...)
-	checkCallPaths(cfg, t, errorf)
-	pdom := PostDominators(cfg)
-	for i := range k.Instrs {
-		if k.Instrs[i].Op != sass.OpSSY {
-			continue
-		}
-		tgt, ok := k.Instrs[i].BranchTarget()
-		if !ok || tgt.Kind != sass.OpdLabel || int(tgt.Imm) >= n {
-			continue
-		}
-		tb := cfg.BlockOf(int(tgt.Imm))
-		sb := cfg.BlockOf(i)
-		if tb != nil && sb != nil && !PostDominates(pdom, tb.ID, sb.ID) {
-			warnf(i, "SSY reconvergence target @%04x does not post-dominate the SSY: some path skips the reconvergence point",
-				sass.InsOffset(int(tgt.Imm)))
-		}
-	}
 	return t, diags
-}
-
-// checkSyncRegions verifies that every SYNC lies inside some SSY region:
-// an SSY at i < s whose reconvergence target is beyond s. A SYNC outside
-// every region pops a frame that cannot belong to an enclosing SSY — the
-// shape control-state corruption produces.
-func checkSyncRegions(k *sass.Kernel) []Diagnostic {
-	var diags []Diagnostic
-	type region struct{ ssy, target int }
-	var regions []region
-	for i := range k.Instrs {
-		if k.Instrs[i].Op != sass.OpSSY {
-			continue
-		}
-		if tgt, ok := k.Instrs[i].BranchTarget(); ok && tgt.Kind == sass.OpdLabel {
-			regions = append(regions, region{i, int(tgt.Imm)})
-		}
-	}
-	for s := range k.Instrs {
-		if k.Instrs[s].Op != sass.OpSYNC {
-			continue
-		}
-		enclosed := false
-		for _, r := range regions {
-			if r.ssy < s && s < r.target {
-				enclosed = true
-				break
-			}
-		}
-		if !enclosed {
-			diags = append(diags, Diagnostic{
-				Sev: Error, Check: CheckCFI, Kernel: k.Name, Instr: s,
-				Msg: "SYNC has no enclosing SSY region: reconvergence outside any SSY/SYNC pair",
-			})
-		}
-	}
-	return diags
 }
 
 // checkEntries verifies that no subroutine entry is also reachable by
@@ -190,12 +142,10 @@ func checkSyncRegions(k *sass.Kernel) []Diagnostic {
 // the entry itself are flagged.
 func checkEntries(cfg *sass.CFG, t *CFITargets) []Diagnostic {
 	var diags []Diagnostic
-	entries := make([]int, 0, len(t.Entries))
-	for e := range t.Entries {
-		entries = append(entries, e)
-	}
-	sort.Ints(entries)
-	for _, e := range entries {
+	for e := range cfg.Kernel.Instrs {
+		if !t.Entries[e] {
+			continue
+		}
 		eb := cfg.BlockOf(e)
 		if eb == nil || eb.Start != e {
 			// A mid-block entry cannot happen after label resolution (the
@@ -241,112 +191,4 @@ func reachableFrom(cfg *sass.CFG, b int) []bool {
 		}
 	}
 	return seen
-}
-
-// checkCallPaths abstractly interprets the kernel tracking only the call
-// stack: CAL pushes its return address and transfers to the callee, RET
-// pops and transfers to the popped address. It reports, through errorf,
-// RETs reachable with an empty call stack, RETs unreachable from any call
-// site, and call depth beyond the machine bound, and records the deepest
-// stack seen in t.MaxCallDepth.
-func checkCallPaths(cfg *sass.CFG, t *CFITargets, errorf func(int, string, ...any)) {
-	k := cfg.Kernel
-	n := len(k.Instrs)
-	if n == 0 {
-		return
-	}
-
-	type state struct {
-		block int
-		stack string // call stack encoded as comma-joined return indices
-	}
-	encode := func(s []int) string {
-		out := ""
-		for _, v := range s {
-			out += fmt.Sprintf("%d,", v)
-		}
-		return out
-	}
-	seen := map[state]bool{}
-	type item struct {
-		block int
-		stack []int
-	}
-	work := []item{{block: 0}}
-	seen[state{0, ""}] = true
-
-	retReachable := map[int]bool{}  // RET index -> reached with non-empty stack
-	retEmpty := map[int]bool{}      // RET index -> reached with empty stack
-	depthExceeded := map[int]bool{} // CAL index -> depth bound hit
-	overflow := false
-
-	push := func(w *[]item, blk int, stack []int) {
-		key := state{blk, encode(stack)}
-		if seen[key] {
-			return
-		}
-		if len(seen) >= maxCallStates {
-			overflow = true
-			return
-		}
-		seen[key] = true
-		*w = append(*w, item{blk, stack})
-	}
-
-	for len(work) > 0 {
-		it := work[len(work)-1]
-		work = work[:len(work)-1]
-		if d := len(it.stack); d > t.MaxCallDepth {
-			t.MaxCallDepth = d
-		}
-		blk := cfg.Blocks[it.block]
-		last := blk.End - 1
-		in := &k.Instrs[last]
-		switch {
-		case in.Op == sass.OpCAL:
-			tgt, ok := in.BranchTarget()
-			if !ok || tgt.Kind != sass.OpdLabel || int(tgt.Imm) >= n {
-				continue
-			}
-			if len(it.stack) >= maxCallDepth {
-				if !depthExceeded[last] {
-					depthExceeded[last] = true
-					errorf(last, "call depth exceeds %d on some path (unbounded recursion?)", maxCallDepth)
-				}
-				continue
-			}
-			stack := append(append([]int(nil), it.stack...), last+1)
-			if cb := cfg.BlockOf(int(tgt.Imm)); cb != nil {
-				push(&work, cb.ID, stack)
-			}
-		case in.Op == sass.OpRET:
-			if len(it.stack) == 0 {
-				if !retEmpty[last] {
-					retEmpty[last] = true
-					errorf(last, "RET reachable with an empty call stack: no matching CAL on some path")
-				}
-				continue
-			}
-			retReachable[last] = true
-			ret := it.stack[len(it.stack)-1]
-			if ret >= n {
-				continue
-			}
-			if rb := cfg.BlockOf(ret); rb != nil {
-				push(&work, rb.ID, it.stack[:len(it.stack)-1])
-			}
-		default:
-			for _, s := range blk.Succs {
-				push(&work, s, it.stack)
-			}
-		}
-	}
-
-	if !overflow {
-		for i := range k.Instrs {
-			if k.Instrs[i].Op == sass.OpRET && !retReachable[i] && !retEmpty[i] {
-				errorf(i, "RET is not reachable from any call site: return cannot match a CAL")
-			}
-		}
-	}
 }

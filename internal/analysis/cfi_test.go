@@ -54,9 +54,6 @@ func TestCleanCallTree(t *testing.T) {
 	if !targets.Entries[4] || !targets.Returns[2] {
 		t.Fatalf("target sets wrong: entries=%v returns=%v", targets.Entries, targets.Returns)
 	}
-	if targets.MaxCallDepth != 1 {
-		t.Fatalf("MaxCallDepth = %d, want 1", targets.MaxCallDepth)
-	}
 }
 
 func TestRetWithEmptyCallStack(t *testing.T) {

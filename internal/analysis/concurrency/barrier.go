@@ -2,228 +2,59 @@ package concurrency
 
 import (
 	"fmt"
-	"strconv"
 
 	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
 
-// Walk bounds, mirroring analysis.CheckDivergenceStack.
-const (
-	maxDivDepth  = 32
-	maxCallDepth = 32
-	maxStates    = 1 << 16
-)
-
-// divEnt is one abstract divergence-stack entry. SSY reconvergence
-// entries (deferred) and branch-deferral entries share the resume pc; a
-// deferral additionally records which branch caused it and how certain
-// the analysis is that the branch actually diverges.
-type divEnt struct {
-	deferral bool
-	pc       int               // resume pc (SSY target, or branch fall-through)
-	sev      analysis.Severity // deferral: Error iff the guard is provably tid-dependent
-	branch   int               // deferral: instruction index of the diverging BRA
-}
-
-// CheckBarrierAlignment abstractly interprets every control-flow path,
-// tracking the same divergence stack the warp scheduler keeps, and
-// reports BAR.SYNC instructions that can execute while lanes are
-// deferred. This is the static mirror of the simulator's dynamic rule
-// (internal/sim/exec.go): BAR faults when Active != Alive (a branch
-// deferral has not reconverged) or when its guard excludes active lanes.
+// CheckBarrierAlignment reports BAR.SYNC instructions that can execute
+// while lanes are deferred, read from the kernel's control-stack walk
+// (analysis.KernelFacts.Barriers). This is the static mirror of the
+// simulator's dynamic rule (internal/sim/exec.go): BAR faults when Active
+// != Alive (a branch deferral has not reconverged) or when its guard
+// excludes active lanes.
 //
-// A guarded BRA whose guard the value lattice proves warp-uniform never
-// splits the warp, so only its two pure arms are explored; otherwise the
-// mixed outcome — taken path running first with the fall-through lanes
-// deferred until the next SYNC — is explored as well, carrying a
-// deferral entry whose severity is Error when the guard provably
-// compares tid-derived values (the warp WILL split given >1 thread) and
-// Warning when uniformity is merely unprovable.
-func CheckBarrierAlignment(cfg *sass.CFG, val *analysis.Valuation) []analysis.Diagnostic {
-	k := cfg.Kernel
-	n := len(k.Instrs)
+// The walk splits the warp at every guarded BRA whose guard the value
+// lattice cannot prove warp-uniform, so a deferral still open at a BAR is
+// an Error when the branch's guard provably compares tid-derived values
+// (the warp WILL split given >1 thread) and a Warning when uniformity is
+// merely unprovable.
+func CheckBarrierAlignment(f *analysis.KernelFacts) []analysis.Diagnostic {
+	k := f.CFG.Kernel
+	reached, open, truncated := f.Barriers()
 	var diags []analysis.Diagnostic
-	reported := map[string]bool{}
 	report := func(sev analysis.Severity, i int, format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		key := strconv.Itoa(i) + "\x00" + msg
-		if reported[key] {
-			return
-		}
-		reported[key] = true
 		diags = append(diags, analysis.Diagnostic{
-			Sev: sev, Check: analysis.CheckBarrier, Kernel: k.Name, Instr: i, Msg: msg,
+			Sev: sev, Check: analysis.CheckBarrier, Kernel: k.Name, Instr: i, Msg: fmt.Sprintf(format, args...),
 		})
 	}
-
-	type state struct {
-		pc   int
-		div  []divEnt
-		call []int
-	}
-	keyOf := func(s state) string {
-		b := make([]byte, 0, 8+8*(len(s.div)+len(s.call)))
-		b = strconv.AppendInt(b, int64(s.pc), 10)
-		for _, e := range s.div {
-			if e.deferral {
-				b = append(b, 'D')
-				b = strconv.AppendInt(b, int64(e.sev), 10)
-				b = append(b, '@')
-				b = strconv.AppendInt(b, int64(e.branch), 10)
-			} else {
-				b = append(b, 's')
-			}
-			b = strconv.AppendInt(b, int64(e.pc), 10)
+	for _, i := range reached {
+		if k.Instrs[i].Guard.IsAlways() {
+			continue
 		}
-		for _, t := range s.call {
-			b = append(b, 'c')
-			b = strconv.AppendInt(b, int64(t), 10)
-		}
-		return string(b)
-	}
-
-	seen := map[string]bool{}
-	var work []state
-	push := func(s state) {
-		if key := keyOf(s); !seen[key] {
-			seen[key] = true
-			work = append(work, s)
-		}
-	}
-	push(state{pc: 0})
-
-	for len(work) > 0 {
-		if len(seen) > maxStates {
-			// CheckDivergenceStack reports truncation for the kernel; stay
-			// silent here to avoid double warnings.
-			break
-		}
-		s := work[len(work)-1]
-		work = work[:len(work)-1]
-
-		if s.pc >= n {
-			continue // falls off the end: structural/divergence checks report it
-		}
-		in := &k.Instrs[s.pc]
-		guarded := !in.Guard.IsAlways()
-
-		succ := func(pc int) state { return state{pc: pc, div: s.div, call: s.call} }
-		pushDiv := func(pc int, e divEnt) {
-			ns := succ(pc)
-			ns.div = append(append([]divEnt{}, s.div...), e)
-			push(ns)
-		}
-		// popAll explores every stack suffix the scheduler's
-		// pop-to-non-empty could resume after the active lanes retire
-		// (which suffix depends on runtime lane masks).
-		popAll := func() {
-			for i := len(s.div) - 1; i >= 0; i-- {
-				push(state{pc: s.div[i].pc, div: s.div[:i], call: s.call})
-			}
-		}
-
-		switch in.Op {
-		case sass.OpSSY:
-			t, ok := in.BranchTarget()
-			if !ok || t.Imm < 0 || t.Imm > int64(n) {
-				continue
-			}
-			if len(s.div) >= maxDivDepth {
-				continue // CheckDivergenceStack reports runaway nesting
-			}
-			pushDiv(s.pc+1, divEnt{pc: int(t.Imm)})
-
-		case sass.OpSYNC:
-			if len(s.div) == 0 {
-				continue // reported by CheckDivergenceStack
-			}
-			top := s.div[len(s.div)-1]
-			push(state{pc: top.pc, div: s.div[:len(s.div)-1], call: s.call})
-
-		case sass.OpBRA:
-			t, ok := in.BranchTarget()
-			if !ok || t.Imm < 0 || t.Imm > int64(n) {
-				continue
-			}
-			if !guarded {
-				push(succ(int(t.Imm)))
-				continue
-			}
-			facts := val.GuardFacts(s.pc)
-			// Pure arms: the guard evaluates the same way in every lane.
-			push(succ(int(t.Imm)))
-			push(succ(s.pc + 1))
-			if !facts.Uniform && len(s.div) < maxDivDepth {
-				// Mixed outcome: taken lanes run, fall-through lanes are
-				// deferred until the next SYNC (sim pushes divDEF).
-				sev := analysis.Warning
-				if facts.TidDep {
-					sev = analysis.Error
-				}
-				pushDiv(int(t.Imm), divEnt{deferral: true, pc: s.pc + 1, sev: sev, branch: s.pc})
-			}
-
-		case sass.OpEXIT:
-			// Exiting lanes leave Active and Alive together, so a guarded
-			// EXIT never diverges the warp; when all active lanes retire
-			// the scheduler pops the stack to resume deferred lanes.
-			if guarded {
-				push(succ(s.pc + 1))
-			}
-			popAll()
-
-		case sass.OpCAL:
-			t, ok := in.BranchTarget()
-			if !ok || t.Imm < 0 || t.Imm > int64(n) || len(s.call) >= maxCallDepth {
-				continue
-			}
-			ns := succ(int(t.Imm))
-			ns.call = append(append([]int{}, s.call...), s.pc+1)
-			push(ns)
-			if guarded {
-				push(succ(s.pc + 1))
-			}
-
-		case sass.OpRET:
-			if len(s.call) == 0 {
-				continue
-			}
-			push(state{pc: s.call[len(s.call)-1], div: s.div, call: s.call[:len(s.call)-1]})
-			if guarded {
-				push(succ(s.pc + 1))
-			}
-
-		case sass.OpPBK, sass.OpBRK:
-			continue // rejected structurally
-
-		case sass.OpBAR:
-			if guarded {
-				facts := val.GuardFacts(s.pc)
-				switch {
-				case facts.TidDep:
-					report(analysis.Error, s.pc,
-						"guarded BAR.SYNC with a thread-dependent guard: lanes whose guard fails never arrive (deadlock)")
-				case !facts.Uniform:
-					report(analysis.Warning, s.pc,
-						"guarded BAR.SYNC: the guard is not provably warp-uniform, so some lanes may never arrive (deadlock)")
-				default:
-					report(analysis.Warning, s.pc,
-						"guarded BAR.SYNC deadlocks whenever the guard evaluates false (the simulator requires all active lanes to arrive)")
-				}
-			}
-			for _, e := range s.div {
-				if e.deferral {
-					report(e.sev, s.pc,
-						"BAR.SYNC reachable while the warp is diverged: the branch at @%04x has not reconverged (deferred lanes would never arrive: deadlock)",
-						sass.InsOffset(e.branch))
-				}
-			}
-			push(succ(s.pc + 1))
-
+		switch facts := f.Values().GuardFacts(i); {
+		case facts.TidDep:
+			report(analysis.Error, i,
+				"guarded BAR.SYNC with a thread-dependent guard: lanes whose guard fails never arrive (deadlock)")
+		case !facts.Uniform:
+			report(analysis.Warning, i,
+				"guarded BAR.SYNC: the guard is not provably warp-uniform, so some lanes may never arrive (deadlock)")
 		default:
-			push(succ(s.pc + 1))
+			report(analysis.Warning, i,
+				"guarded BAR.SYNC deadlocks whenever the guard evaluates false (the simulator requires all active lanes to arrive)")
 		}
+	}
+	for _, o := range open {
+		sev := analysis.Warning
+		if o.TidDep {
+			sev = analysis.Error
+		}
+		report(sev, o.Bar,
+			"BAR.SYNC reachable while the warp is diverged: the branch at @%04x has not reconverged (deferred lanes would never arrive: deadlock)",
+			sass.InsOffset(o.Branch))
+	}
+	if truncated {
+		report(analysis.Warning, -1, "barrier analysis truncated: the control-stack walk ran out of states; remaining paths unchecked")
 	}
 	return diags
 }

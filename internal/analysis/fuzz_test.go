@@ -98,10 +98,11 @@ func fuzzCallTreeKernel(t testing.TB) *sass.Kernel {
 // FuzzVerify feeds mutated kernel encodings through the decoder and the
 // full verifier: whatever bytes arrive, the pipeline must diagnose, never
 // panic. This is the robustness contract sassi-lint relies on for
-// .sasskrn inputs. The cfi and schedule checks query one shared Valuation
-// one after another, each leaving its replay cursor wherever its last query
-// ended; their diagnostics must be what each check reports on facts of its
-// own. Liveness must also agree with the model it replaced
+// .sasskrn inputs. The divergence, cfi and schedule checks share one
+// control-stack walk and query one Valuation one after another, each
+// leaving its replay cursor wherever its last query ended; their
+// diagnostics must be what each check reports on facts of its own.
+// Liveness must also agree with the model it replaced
 // (liveness_model_test.go) on every decoded kernel that builds a CFG,
 // whether or not the verifier accepts it.
 func FuzzVerify(f *testing.F) {
@@ -146,9 +147,18 @@ func FuzzVerify(f *testing.F) {
 		}
 		diags, facts := VerifyKernelFacts(k)
 		if facts != nil {
-			_, own := AnalyzeCFI(NewKernelFacts(facts.CFG))
+			own := checkDivergence(NewKernelFacts(facts.CFG))
+			_, cfi := AnalyzeCFI(NewKernelFacts(facts.CFG))
+			own = append(own, cfi...)
 			own = append(own, checkSchedule(NewKernelFacts(facts.CFG))...)
-			if shared := diags[len(diags)-len(own):]; !slices.Equal(shared, own) {
+			var shared []Diagnostic
+			for _, d := range diags {
+				switch d.Check {
+				case CheckDivergence, CheckCFI, CheckSchedule:
+					shared = append(shared, d)
+				}
+			}
+			if !slices.Equal(shared, own) {
 				t.Fatalf("checks sharing one facts value report\n%v\neach on its own\n%v", shared, own)
 			}
 		}

@@ -19,6 +19,17 @@ func testKernel(t *testing.T, labels map[string]int, instrs ...sass.Instruction)
 	return k
 }
 
+// checkDivergenceOf runs the divergence check on a structurally valid
+// kernel's own facts.
+func checkDivergenceOf(t *testing.T, k *sass.Kernel) []Diagnostic {
+	t.Helper()
+	cfg, err := sass.BuildCFG(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkDivergence(NewKernelFacts(cfg))
+}
+
 // findDiag returns the first diagnostic of the given check class whose
 // message contains substr.
 func findDiag(diags []Diagnostic, check, substr string) (Diagnostic, bool) {
@@ -116,7 +127,7 @@ func TestDivergenceSyncOnEmptyStack(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	wantError(t, CheckDivergenceStack(k), CheckDivergence, "empty divergence stack")
+	wantError(t, checkDivergenceOf(t, k), CheckDivergence, "empty divergence stack")
 }
 
 func TestDivergenceBalancedDiamondClean(t *testing.T) {
@@ -127,7 +138,7 @@ func TestDivergenceBalancedDiamondClean(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil), // 3: else arm
 		sass.New(sass.OpEXIT, nil, nil), // 4: reconv
 	)
-	wantClean(t, CheckDivergenceStack(k))
+	wantClean(t, checkDivergenceOf(t, k))
 }
 
 func TestDivergenceUnbalancedSSY(t *testing.T) {
@@ -140,7 +151,7 @@ func TestDivergenceUnbalancedSSY(t *testing.T) {
 		sass.New(sass.OpSYNC, nil, nil),                                 // 2: reconv — stack now empty
 		sass.New(sass.OpEXIT, nil, nil),                                 // 3
 	)
-	wantError(t, CheckDivergenceStack(k), CheckDivergence, "empty divergence stack")
+	wantError(t, checkDivergenceOf(t, k), CheckDivergence, "empty divergence stack")
 }
 
 func TestDivergenceRetOnEmptyCallStack(t *testing.T) {
@@ -148,7 +159,7 @@ func TestDivergenceRetOnEmptyCallStack(t *testing.T) {
 		sass.New(sass.OpRET, nil, nil),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	wantError(t, CheckDivergenceStack(k), CheckDivergence, "empty call stack")
+	wantError(t, checkDivergenceOf(t, k), CheckDivergence, "empty call stack")
 }
 
 func TestDivergenceUnboundedRecursion(t *testing.T) {
@@ -156,7 +167,7 @@ func TestDivergenceUnboundedRecursion(t *testing.T) {
 		sass.New(sass.OpCAL, nil, []sass.Operand{sass.Label("rec")}),
 		sass.New(sass.OpEXIT, nil, nil),
 	)
-	wantError(t, CheckDivergenceStack(k), CheckDivergence, "call stack exceeds depth")
+	wantError(t, checkDivergenceOf(t, k), CheckDivergence, "call stack exceeds depth")
 }
 
 func TestDefAssignReadBeforeDef(t *testing.T) {

@@ -43,6 +43,11 @@ func (s *Sampler) ProfileHandler() http.Handler {
 			}
 			timeout = time.Duration(ns)
 		}
+		format := q.Get("format")
+		if format != "" && format != "pprof" && format != "folded" {
+			http.Error(w, "bad format parameter (want pprof or folded)", http.StatusBadRequest)
+			return
+		}
 		var base *Profile
 		if n > 0 {
 			base = s.Profile()
@@ -52,16 +57,13 @@ func (s *Sampler) ProfileHandler() http.Handler {
 		if base != nil {
 			prof = prof.Sub(base)
 		}
-		switch q.Get("format") {
-		case "folded":
+		if format == "folded" {
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = prof.WriteFolded(w)
-		case "", "pprof":
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", `attachment; filename="sassiprof.pb.gz"`)
-			_ = prof.WritePprof(w)
-		default:
-			http.Error(w, "bad format parameter (want pprof or folded)", http.StatusBadRequest)
+			return
 		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("Content-Disposition", `attachment; filename="sassiprof.pb.gz"`)
+		_ = prof.WritePprof(w)
 	})
 }

@@ -383,6 +383,18 @@ func TestProfileHandler(t *testing.T) {
 		t.Errorf("bogus format status = %d, want 400", rec.Code)
 	}
 
+	// A bad format is refused before the wait for launches, which on this
+	// sampler would run out the default 30 s bound: no launch comes.
+	start := time.Now()
+	rec = httptest.NewRecorder()
+	s.ProfileHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/profile?launches=1&format=bogus", nil))
+	if rec.Code != 400 {
+		t.Errorf("launches=1&format=bogus status = %d, want 400", rec.Code)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("launches=1&format=bogus answered after %v: it waited for launches first", d)
+	}
+
 	// A wait bound that is not a positive, representable duration is
 	// refused before any wait: each of these once became a negative
 	// time.Duration and served an empty delta at once.
