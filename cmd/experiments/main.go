@@ -41,17 +41,9 @@ func main() {
 	env := experiments.Default()
 	env.Config = cfg
 	env.Workers = *workers
-	var reg *obs.Registry
-	reg, tr, samp := obsFlags.Setup(func() *obs.Stats {
-		s := obs.NewStats(reg)
-		s.GPU = gpu.Name
-		return s
-	})
-	env.Cache.Metrics = reg
-	env.Cache.Trace = tr
-	env.Metrics = reg
-	env.Trace = tr
-	env.PCSamp = samp
+	session := obsFlags.Start(func(s *obs.Stats) { s.GPU = gpu.Name })
+	env.Cache.Metrics, env.Cache.Trace = session.Metrics, session.Trace
+	env.Metrics, env.Trace, env.PCSamp = session.Metrics, session.Trace, session.PCSamp
 
 	var appList []string
 	if *apps != "" {
@@ -175,9 +167,7 @@ func main() {
 			return experiments.FormatOverheadReport(rows), nil
 		})
 	}
-	stats := obs.NewStats(reg)
-	stats.GPU = gpu.Name
-	if err := obsFlags.Finish(tr, stats, samp); err != nil {
+	if err := session.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
 		os.Exit(1)
 	}

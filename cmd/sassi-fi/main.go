@@ -47,19 +47,10 @@ func main() {
 		Injections: *n, Seed: *seed, Config: cfg,
 		Workers: *workers,
 	}
-	var reg *obs.Registry
-	campaignStats := func() *obs.Stats {
-		s := obs.NewStats(reg)
-		s.Workload = *workload
-		s.Dataset = ds
-		s.GPU = gpu.Name
-		s.Tool = "errorinj"
-		return s
-	}
-	reg, tr, samp := obsFlags.Setup(campaignStats)
-	c.Metrics = reg
-	c.Trace = tr
-	c.PCSamp = samp
+	session := obsFlags.Start(func(s *obs.Stats) {
+		s.Workload, s.Dataset, s.GPU, s.Tool = *workload, ds, gpu.Name, "errorinj"
+	})
+	c.Metrics, c.Trace, c.PCSamp = session.Metrics, session.Trace, session.PCSamp
 	start := time.Now()
 	res, err := c.Run()
 	if err != nil {
@@ -72,7 +63,7 @@ func main() {
 		oc := faults.Outcome(o)
 		fmt.Printf("  %-18s %5d (%5.1f%%)\n", oc.String()+":", res.Counts[o], 100*res.Fraction(oc))
 	}
-	if err := obsFlags.Finish(tr, campaignStats(), samp); err != nil {
+	if err := session.Finish(); err != nil {
 		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
 		os.Exit(1)
 	}

@@ -129,14 +129,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	ctx := cuda.NewContext(cfg)
-	var reg *obs.Registry
 	verified := false
-	reg, tr, samp := obsFlags.Setup(func() *obs.Stats {
-		return runStats(reg, ctx, *workload, ds, gpu.Name, *tool, verified)
+	session := obsFlags.Start(func(s *obs.Stats) {
+		s.Workload, s.Dataset, s.GPU, s.Tool = *workload, ds, gpu.Name, *tool
+		s.Launches = ctx.Launches()
+		s.KernelCycles = ctx.TotalKernelCycles
+		s.WarpInstrs = ctx.TotalWarpInstrs
+		s.HandlerCalls = ctx.TotalHandlerCalls
+		s.ScoreboardStalls = ctx.TotalScoreboardStalls
+		s.Verified = verified
 	})
-	ctx.Device().Metrics = reg
-	ctx.Device().Trace = tr
-	ctx.Device().PCSamp = samp
+	reg, tr := session.Metrics, session.Trace
+	ctx.Device().Metrics, ctx.Device().Trace, ctx.Device().PCSamp = reg, tr, session.PCSamp
 
 	var prog *sass.Program
 	var err error
@@ -308,7 +312,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if report != nil {
 		report()
 	}
-	if err := obsFlags.Finish(tr, runStats(reg, ctx, *workload, ds, gpu.Name, *tool, verified), samp); err != nil {
+	if err := session.Finish(); err != nil {
 		fmt.Fprintf(stderr, "obs output: %v\n", err)
 		return 1
 	}
@@ -317,23 +321,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// runStats assembles the -stats-json / HTTP stats object from the live
-// context and registry.
-func runStats(reg *obs.Registry, ctx *cuda.Context, workload, dataset, gpu, tool string, verified bool) *obs.Stats {
-	s := obs.NewStats(reg)
-	s.Workload = workload
-	s.Dataset = dataset
-	s.GPU = gpu
-	s.Tool = tool
-	s.Launches = ctx.Launches()
-	s.KernelCycles = ctx.TotalKernelCycles
-	s.WarpInstrs = ctx.TotalWarpInstrs
-	s.HandlerCalls = ctx.TotalHandlerCalls
-	s.ScoreboardStalls = ctx.TotalScoreboardStalls
-	s.Verified = verified
-	return s
 }
 
 // ptxFileSpec wraps a PTX-like assembly file as an ad-hoc workload: pointer

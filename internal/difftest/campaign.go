@@ -3,16 +3,15 @@ package difftest
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"sassi/internal/fanout"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
 )
 
-// Campaign drives many oracle runs over generated kernels, with the same
-// worker-pool discipline as the fault campaigns: per-run seeds are a pure
+// Campaign drives many oracle runs over generated kernels on the worker
+// pool the fault campaigns use, fanout.Run: per-run seeds are a pure
 // function of (Seed, run index) via SplitMix, so results are identical at
 // any worker count, and all workers share one CompileCache.
 type Campaign struct {
@@ -58,15 +57,8 @@ type CampaignResult struct {
 
 // Run executes the campaign. A non-nil error is reserved for setup
 // problems; kernel divergences land in CampaignResult.Failures and
-// harness errors in CampaignResult.Errors.
+// harness errors in CampaignResult.Errors, both in run order.
 func (c *Campaign) Run() (*CampaignResult, error) {
-	workers := c.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.Runs {
-		workers = c.Runs
-	}
 	cfg := c.Cfg
 	if cfg.NumSMs == 0 {
 		cfg = sim.MiniGPU()
@@ -76,67 +68,79 @@ func (c *Campaign) Run() (*CampaignResult, error) {
 		tools = Tools()
 	}
 	cache := sassi.NewCompileCache()
+	// Each worker owns an Oracle (Run threads per-tool state), all sharing
+	// the campaign-wide compile cache.
+	newOracle := func() *Oracle {
+		return &Oracle{Cfg: cfg, Tools: tools, Cache: cache, HandlerMaxRegs: sassi.HandlerMaxRegs}
+	}
+	// A run's harness error lands in its slot, not in fanout.Run's result:
+	// one run's error stops no other.
+	runs := make([]campaignRun, c.Runs)
+	var logMu sync.Mutex
+	fanout.Run(c.Workers, c.Runs, newOracle, func(o *Oracle, _, run int) error {
+		r := c.runOne(o, run)
+		if cf := r.failure; cf != nil && c.Log != nil {
+			logMu.Lock()
+			fmt.Fprintf(c.Log, "FAIL run %d seed %#x: %d divergence(s); first: %s\n",
+				run, cf.Seed, len(cf.Failures), cf.Failures[0])
+			logMu.Unlock()
+		}
+		runs[run] = r
+		return nil
+	})
 
 	res := &CampaignResult{Runs: c.Runs}
-	var (
-		mu       sync.Mutex
-		next     atomic.Int64
-		launches atomic.Int64
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker owns an Oracle (Run threads per-tool state), all
-			// sharing the campaign-wide compile cache.
-			o := &Oracle{Cfg: cfg, Tools: tools, Cache: cache,
-				HandlerMaxRegs: sassi.HandlerMaxRegs}
-			for {
-				run := int(next.Add(1)) - 1
-				if run >= c.Runs {
-					return
-				}
-				seed := SplitMix(c.Seed, uint64(run))
-				p := Generate(seed, c.Size)
-				r, err := o.Run(p)
-				if r != nil {
-					launches.Add(int64(r.Launches))
-				}
-				if err != nil {
-					mu.Lock()
-					res.Errors = append(res.Errors, fmt.Errorf("run %d: %w", run, err))
-					mu.Unlock()
-					continue
-				}
-				if !r.Failed() {
-					continue
-				}
-				cf := CampaignFailure{Run: run, Seed: seed, Prog: p, Failures: r.Failures}
-				if c.Shrink {
-					cf.Prog = Shrink(p, func(q *Prog) bool {
-						qr, qerr := o.Run(q)
-						if qr != nil {
-							launches.Add(int64(qr.Launches))
-						}
-						return qerr == nil && qr.Failed()
-					})
-					if qr, qerr := o.Run(cf.Prog); qerr == nil {
-						cf.Failures = qr.Failures
-					}
-				}
-				mu.Lock()
-				res.Failures = append(res.Failures, cf)
-				if c.Log != nil {
-					fmt.Fprintf(c.Log, "FAIL run %d seed %#x: %d divergence(s); first: %s\n",
-						run, seed, len(cf.Failures), cf.Failures[0])
-				}
-				mu.Unlock()
-			}
-		}()
+	for _, r := range runs {
+		res.Launches += r.launches
+		if r.err != nil {
+			res.Errors = append(res.Errors, r.err)
+		}
+		if r.failure != nil {
+			res.Failures = append(res.Failures, *r.failure)
+		}
 	}
-	wg.Wait()
-	res.Launches = int(launches.Load())
 	res.CacheHits, res.CacheMisses = cache.Stats()
 	return res, nil
+}
+
+// campaignRun is what one campaign run yields: the launches it made, and
+// its harness error or its divergence, if any.
+type campaignRun struct {
+	launches int
+	err      error
+	failure  *CampaignFailure
+}
+
+// runOne generates, checks and, if c.Shrink, minimizes run number run's
+// kernel on o.
+func (c *Campaign) runOne(o *Oracle, run int) campaignRun {
+	var out campaignRun
+	seed := SplitMix(c.Seed, uint64(run))
+	p := Generate(seed, c.Size)
+	r, err := o.Run(p)
+	if r != nil {
+		out.launches = r.Launches
+	}
+	if err != nil {
+		out.err = fmt.Errorf("run %d: %w", run, err)
+		return out
+	}
+	if !r.Failed() {
+		return out
+	}
+	cf := &CampaignFailure{Run: run, Seed: seed, Prog: p, Failures: r.Failures}
+	if c.Shrink {
+		cf.Prog = Shrink(p, func(q *Prog) bool {
+			qr, qerr := o.Run(q)
+			if qr != nil {
+				out.launches += qr.Launches
+			}
+			return qerr == nil && qr.Failed()
+		})
+		if qr, qerr := o.Run(cf.Prog); qerr == nil {
+			cf.Failures = qr.Failures
+		}
+	}
+	out.failure = cf
+	return out
 }

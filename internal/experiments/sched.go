@@ -3,12 +3,11 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"sassi/internal/analysis"
 	"sassi/internal/cuda"
+	"sassi/internal/fanout"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
 	"sassi/internal/workloads"
@@ -52,7 +51,7 @@ type schedCandidate struct {
 // SchedTable autotunes each application's instruction schedule: compile
 // with the list scheduler under `candidates` different tie-break seeds
 // (seed index 0 is the deterministic heuristic; the rest are splitmix
-// jitters of `seed`), fan the candidate evaluations across a worker pool,
+// jitters of `seed`), fan the candidate evaluations out with fanout.Run,
 // and keep the schedule with the fewest simulated cycles.
 //
 // Every candidate is double-gated before it may win:
@@ -77,13 +76,9 @@ func SchedTable(env Env, apps []string, candidates int, seed uint64) ([]SchedRow
 	if candidates <= 0 {
 		candidates = 8
 	}
-	workers := env.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var rows []SchedRow
 	for _, app := range apps {
-		row, err := schedApp(env, app, candidates, seed, workers)
+		row, err := schedApp(env, app, candidates, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +87,7 @@ func SchedTable(env Env, apps []string, candidates int, seed uint64) ([]SchedRow
 	return rows, nil
 }
 
-func schedApp(env Env, app string, candidates int, seed uint64, workers int) (SchedRow, error) {
+func schedApp(env Env, app string, candidates int, seed uint64) (SchedRow, error) {
 	// The autotuner compares cycle counts across candidates, so the
 	// measurement must be deterministic: force the sequential-SM engine
 	// for the baseline and every candidate (env is a copy).
@@ -127,35 +122,13 @@ func schedApp(env Env, app string, candidates int, seed uint64, workers int) (Sc
 	}
 
 	results := make([]schedCandidate, candidates)
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	var firstErr error
-	var errMu sync.Mutex
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				cycles, ok, err := evalSchedule(env, spec, dataset, seeds[i], baseRes)
-				if err != nil {
-					errMu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				results[i] = schedCandidate{cycles: cycles, ok: ok}
-			}
-		}()
-	}
-	for i := 0; i < candidates; i++ {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
-	if firstErr != nil {
-		return SchedRow{}, firstErr
+	_, err = fanout.Run[struct{}](env.Workers, candidates, nil, func(_ struct{}, _, i int) error {
+		cycles, ok, err := evalSchedule(env, spec, dataset, seeds[i], baseRes)
+		results[i] = schedCandidate{cycles: cycles, ok: ok}
+		return err
+	})
+	if err != nil {
+		return SchedRow{}, err
 	}
 
 	best := -1

@@ -7,11 +7,9 @@ package faults
 import (
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"sassi/internal/cuda"
+	"sassi/internal/fanout"
 	"sassi/internal/handlers"
 	"sassi/internal/mem"
 	"sassi/internal/obs"
@@ -138,6 +136,9 @@ func (c *Campaign) Run() (*Result, error) {
 // what the per-run golden test holds the narrow set against.
 func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	c.setDefaults()
+	if err := checkDataset(c.Spec, c.Dataset); err != nil {
+		return nil, nil, err
+	}
 	res := &Result{Workload: c.Spec.Name, Dataset: c.Dataset}
 
 	cache := c.Cache
@@ -165,7 +166,7 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	// outcomes — not just the histogram — are identical at any worker
 	// count.
 	injCfg := c.injectionConfig(g)
-	workers := poolSize(c.Workers, c.Injections)
+	workers := fanout.Size(c.Workers, c.Injections)
 	c.Metrics.Gauge(obs.MFaultsWorkers).Set(uint64(workers))
 	c.Metrics.Gauge(obs.MFaultsSitesTotal).Set(g.sites)
 	if c.Trace != nil {
@@ -179,7 +180,8 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	isolatedCtr := c.Metrics.Counter(obs.MFaultsRunsIsolated)
 	fencedCtr := c.Metrics.Counter(obs.MFaultsRunsFenced)
 	outcomes := make([]Outcome, c.Injections)
-	err = runPool(injCfg, workers, c.Injections, func(ctx *cuda.Context, w, run int) error {
+	newCtx := func() *cuda.Context { return cuda.NewContext(injCfg) }
+	failed, err := fanout.Run(workers, c.Injections, newCtx, func(ctx *cuda.Context, w, run int) error {
 		ts := c.Trace.Now()
 		o, path, err := c.injectRun(ctx, g, run, widen)
 		outcomes[run] = o
@@ -200,7 +202,7 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("faults: injection run %d: %w", failed, err)
 	}
 	for _, o := range outcomes {
 		res.Counts[o]++
@@ -212,6 +214,16 @@ func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 		}
 	}
 	return res, outcomes, nil
+}
+
+// checkDataset refuses a dataset spec does not have. Spec.Run does not:
+// a workload given a key it does not know runs its default data, which a
+// campaign would then report under the unknown name.
+func checkDataset(spec *workloads.Spec, dataset string) error {
+	if !spec.HasDataset(dataset) {
+		return fmt.Errorf("faults: workload %s has no dataset %q (have %v)", spec.Name, dataset, spec.Datasets)
+	}
+	return nil
 }
 
 // setDefaults fills in what a zero field of c means: 100 injections and the
@@ -421,46 +433,6 @@ func (p *siteProbe) LaunchSites(counts []uint64, maxWarpInstrs uint64) {
 }
 
 func (p *siteProbe) LaunchFootprint(f *sim.Footprint) { p.footprint = f }
-
-// poolSize is the number of workers runPool starts for runs runs: workers,
-// or GOMAXPROCS when it is zero, and never more than there are runs.
-func poolSize(workers, runs int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return min(workers, runs)
-}
-
-// runPool executes runs [0, runs) over workers goroutines. Each worker owns
-// one context on cfg, which do leaves reset after every run, and takes the
-// next run index until none is left. It returns the error of the lowest
-// failed run, so which error is reported does not depend on scheduling.
-func runPool(cfg sim.Config, workers, runs int, do func(ctx *cuda.Context, worker, run int) error) error {
-	errs := make([]error, runs)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ctx := cuda.NewContext(cfg)
-			for {
-				run := int(next.Add(1)) - 1
-				if run >= runs {
-					return
-				}
-				errs[run] = do(ctx, w, run)
-			}
-		}()
-	}
-	wg.Wait()
-	for run, err := range errs {
-		if err != nil {
-			return fmt.Errorf("faults: injection run %d: %w", run, err)
-		}
-	}
-	return nil
-}
 
 // selectSite samples a (launch, thread, dynamic-instruction) tuple
 // uniformly over the profiled site space of total sites, plus random seeds.

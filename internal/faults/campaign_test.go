@@ -1,6 +1,7 @@
 package faults_test
 
 import (
+	"strings"
 	"testing"
 
 	"sassi/internal/faults"
@@ -79,6 +80,24 @@ func TestCampaignWorkerInvariance(t *testing.T) {
 		if res.Counts != want.Counts || res.SitesTotal != want.SitesTotal {
 			t.Errorf("workers=%d: counts %v (sites %d) != workers=1 counts %v (sites %d)",
 				workers, res.Counts, res.SitesTotal, want.Counts, want.SitesTotal)
+		}
+	}
+}
+
+// TestCampaignsRefuseUnknownDataset: a workload runs its default data for
+// a dataset key it does not know, so a campaign given one would report
+// the default data's outcomes under the unknown name. Both campaign kinds
+// refuse it before the golden run.
+func TestCampaignsRefuseUnknownDataset(t *testing.T) {
+	for _, name := range []string{"demo.vecadd", "demo.calltree"} {
+		spec, _ := workloads.Get(name)
+		_, err := (&faults.Campaign{Spec: spec, Dataset: "bogus", Injections: 2, Config: sim.MiniGPU()}).Run()
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s: Campaign.Run with dataset bogus = %v, want an error naming it", name, err)
+		}
+		_, err = (&faults.ControlCampaign{Spec: spec, Dataset: "bogus", Injections: 2, Config: sim.MiniGPU()}).Run()
+		if err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("%s: ControlCampaign.Run with dataset bogus = %v, want an error naming it", name, err)
 		}
 	}
 }

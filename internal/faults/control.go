@@ -12,6 +12,7 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/device"
+	"sassi/internal/fanout"
 	"sassi/internal/handlers"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
@@ -54,10 +55,12 @@ func (o CtrlOutcome) String() string {
 const NumCtrlOutcomes = int(numCtrlOutcomes)
 
 // ControlCampaign configures a control-state corruption study on one
-// workload. The flow mirrors Campaign: golden run, one shared instrumented
-// program, a profiling run enumerating the per-class qualifying site
-// spaces (which doubles as the zero-false-positive check), then Injections
-// armed runs with outcome classification.
+// workload: a golden run, one shared instrumented program, an instrumented
+// profiling run enumerating the per-class qualifying site spaces (which
+// doubles as the zero-false-positive check), then Injections armed runs
+// with outcome classification. Unlike Campaign, whose golden run counts
+// the site space with a sim.SiteProbe, the control sites are dispatches of
+// the CFI checker's handler, so counting them takes the instrumented run.
 type ControlCampaign struct {
 	Spec    *workloads.Spec
 	Dataset string
@@ -120,6 +123,9 @@ func (c *ControlCampaign) Run() (*ControlResult, error) {
 func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error) {
 	if c.Injections <= 0 {
 		c.Injections = 100
+	}
+	if err := checkDataset(c.Spec, c.Dataset); err != nil {
+		return nil, nil, err
 	}
 	res := &ControlResult{Workload: c.Spec.Name, Dataset: c.Dataset}
 
@@ -222,7 +228,8 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 	injCfg.WatchdogWarpInstrs = 20*maxWarpInstrs + 100_000
 	outcomes := make([]CtrlOutcome, c.Injections)
 	classOf := make([]handlers.CtrlClass, c.Injections)
-	err = runPool(injCfg, poolSize(c.Workers, c.Injections), c.Injections, func(ctx *cuda.Context, _, run int) error {
+	newCtx := func() *cuda.Context { return cuda.NewContext(injCfg) }
+	failed, err := fanout.Run(c.Workers, c.Injections, newCtx, func(ctx *cuda.Context, _, run int) error {
 		rng := newRNG(sass.SplitMix(c.Seed, uint64(run)))
 		class := usable[rng.next()%uint64(len(usable))]
 		p := profilers[class]
@@ -239,7 +246,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("faults: injection run %d: %w", failed, err)
 	}
 	for run, o := range outcomes {
 		res.Counts[classOf[run]][o]++

@@ -132,6 +132,39 @@ func (f *Flags) Finish(tr *obs.Tracer, stats *obs.Stats, samp *pcsamp.Sampler) e
 	return nil
 }
 
+// Session is one command run's observability: the registry, tracer and
+// PC sampler its flags imply, each nil when its outputs are off, and the
+// command's own fields of the stats it reports.
+type Session struct {
+	Metrics *obs.Registry
+	Trace   *obs.Tracer
+	PCSamp  *pcsamp.Sampler
+	flags   *Flags
+	fill    func(*obs.Stats)
+}
+
+// Start is Setup for a command: every stats object the session reports —
+// one per /stats.json request and the -stats-json one Finish writes — is
+// the registry's, with fill setting the command's fields (workload,
+// device model, counters of its own) on it.
+func (f *Flags) Start(fill func(*obs.Stats)) *Session {
+	s := &Session{flags: f, fill: fill}
+	s.Metrics, s.Trace, s.PCSamp = f.Setup(s.stats)
+	return s
+}
+
+func (s *Session) stats() *obs.Stats {
+	st := obs.NewStats(s.Metrics)
+	s.fill(st)
+	return st
+}
+
+// Finish writes the -trace, -stats-json and -pcsamp* outputs the
+// session's flags ask for.
+func (s *Session) Finish() error {
+	return s.flags.Finish(s.Trace, s.stats(), s.PCSamp)
+}
+
 // writeTo streams write to path, with "-" meaning stdout.
 func writeTo(path string, write func(w io.Writer) error) error {
 	if path == "-" {

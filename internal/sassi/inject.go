@@ -31,9 +31,6 @@ func Instrument(prog *sass.Program, opts Options) error {
 	}
 	siteID := int32(0)
 	for ki, k := range prog.Kernels {
-		if !opts.wantsKernel(k.Name) {
-			continue
-		}
 		var orig *sass.Kernel
 		if verify {
 			orig = k.Clone()

@@ -88,10 +88,6 @@ type Options struct {
 	// Select, when non-nil, further filters sites chosen by Where.
 	Select func(k *sass.Kernel, idx int, in *sass.Instruction) bool
 
-	// Kernels, when non-empty, restricts instrumentation to the named
-	// kernels.
-	Kernels []string
-
 	// Verify controls the static safety check run after instrumentation
 	// (internal/analysis): original code preserved, live state saved and
 	// restored around handler calls, site IDs dense. The zero value runs
@@ -131,20 +127,8 @@ func (o *Options) CacheKey() (string, bool) {
 	if o.Select != nil {
 		return "", false
 	}
-	return fmt.Sprintf("where=%#x what=%#x before=%q after=%q kernels=%q verify=%t",
-		o.Where, o.What, o.BeforeHandler, o.AfterHandler, o.Kernels, o.Verify.Enabled()), true
-}
-
-func (o *Options) wantsKernel(name string) bool {
-	if len(o.Kernels) == 0 {
-		return true
-	}
-	for _, k := range o.Kernels {
-		if k == name {
-			return true
-		}
-	}
-	return false
+	return fmt.Sprintf("where=%#x what=%#x before=%q after=%q verify=%t",
+		o.Where, o.What, o.BeforeHandler, o.AfterHandler, o.Verify.Enabled()), true
 }
 
 // beforeSite reports whether instruction in should get before-injection.

@@ -166,20 +166,6 @@ func TestSelectFilter(t *testing.T) {
 	}
 }
 
-func TestKernelsFilter(t *testing.T) {
-	prog := buildMixed(t)
-	if err := sassi.Instrument(prog, sassi.Options{
-		Where: sassi.BeforeAll, BeforeHandler: "h", Kernels: []string{"other"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range prog.Kernels[0].Instrs {
-		if prog.Kernels[0].Instrs[i].Injected {
-			t.Fatal("kernel filter ignored")
-		}
-	}
-}
-
 func TestInstrumentRequiresHandler(t *testing.T) {
 	prog := buildMixed(t)
 	if err := sassi.Instrument(prog, sassi.Options{Where: sassi.BeforeAll}); err == nil {
