@@ -11,22 +11,14 @@
 // of check classes (unknown names are usage errors; -list-checks prints
 // the known set); -Werror makes warnings fail the run, which is how CI
 // gates the concurrency checks (warnings by design, so compiles still
-// succeed) over the built-in suite.
-//
-// -uniformity switches from checking to dumping: instead of diagnostics,
-// each kernel prints its affine-value-lattice uniformity facts, one line
-// per instruction (G = guard provably warp-uniform, S = every source
-// provably warp-uniform; GS together mark the instructions the predecoded
-// engine's uniform-warp fast path may execute once per warp). -workload
-// selects a single built-in by name, which is how the golden test pins
-// the lattice's coverage on parboil.sgemm; it also takes a mutant's name.
+// succeed) over the built-in suite. -workload lints a single built-in by
+// name; it also takes a mutant's name.
 //
 // Usage:
 //
 //	sassi-lint examples/ptxasm/squares.sptx
 //	sassi-lint -workloads -instrument
 //	sassi-lint -Werror -checks barrier-divergence,shared-race,cfi -workloads
-//	sassi-lint -uniformity -workload parboil.sgemm
 //	sassi-lint -checks cfi -workload mutant.cfi-ret-nocall
 //	sassi-lint -list-checks
 //
@@ -64,7 +56,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	lintWorkloads := fs.Bool("workloads", false, "lint every built-in workload")
 	oneWorkload := fs.String("workload", "", "lint a single built-in workload or mutant by name")
 	lintMutants := fs.Bool("mutants", false, "lint every seed-buggy mutant workload")
-	uniformity := fs.Bool("uniformity", false, "dump per-instruction lattice uniformity facts instead of running checks")
 	instrument := fs.Bool("instrument", false, "also instrument each program and check the result")
 	werror := fs.Bool("Werror", false, "treat warnings as errors for the exit status")
 	checks := fs.String("checks", "", "comma-separated check classes to report (default: all)")
@@ -80,11 +71,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if !*lintWorkloads && !*lintMutants && *oneWorkload == "" && fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "usage: sassi-lint [-Werror] [-checks list] [-list-checks] [-instrument] [-uniformity] [-workloads] [-workload name] [-mutants] [file.sptx|file.sasskrn ...]")
+		fmt.Fprintln(stderr, "usage: sassi-lint [-Werror] [-checks list] [-list-checks] [-instrument] [-workloads] [-workload name] [-mutants] [file.sptx|file.sasskrn ...]")
 		return 2
 	}
 
-	l := &linter{instrument: *instrument, uniformity: *uniformity, stdout: stdout, stderr: stderr}
+	l := &linter{instrument: *instrument, stdout: stdout, stderr: stderr}
 	if *checks != "" {
 		known := map[string]bool{}
 		for _, c := range analysis.KnownChecks() {
@@ -146,7 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 type linter struct {
 	instrument bool
-	uniformity bool
 	filter     map[string]bool // nil: report every check class
 	stdout     io.Writer
 	stderr     io.Writer
@@ -205,12 +195,6 @@ func (l *linter) lintFile(path string) {
 			l.fail("%s: %v", path, err)
 			return
 		}
-		if l.uniformity {
-			prog := sass.NewProgram()
-			prog.AddKernel(k)
-			l.dumpUniformity(path, prog)
-			return
-		}
 		l.report(path, verifyKernel(k))
 	default: // PTX-like assembly
 		src, err := os.ReadFile(path)
@@ -246,44 +230,7 @@ func verifyKernel(k *sass.Kernel) []analysis.Diagnostic {
 	return diags
 }
 
-// dumpUniformity prints the lattice's per-instruction uniformity facts for
-// every kernel: a summary line with the fully-uniform count, then one line
-// per instruction with G/S markers. The predecoded engine keys its
-// uniform-warp fast path off the same bits, so this dump is the engine's
-// fast-path coverage made inspectable.
-func (l *linter) dumpUniformity(file string, prog *sass.Program) {
-	for _, k := range prog.Kernels {
-		uni, err := analysis.KernelUniformity(k)
-		if err != nil {
-			l.fail("%s: %s: %v", file, k.Name, err)
-			continue
-		}
-		full := 0
-		for _, u := range uni {
-			if u.Uniform() {
-				full++
-			}
-		}
-		fmt.Fprintf(l.stdout, "%s kernel %s: %d/%d instructions fully uniform\n",
-			file, k.Name, full, len(k.Instrs))
-		for i := range k.Instrs {
-			g, s := byte('-'), byte('-')
-			if uni[i].GuardUniform {
-				g = 'G'
-			}
-			if uni[i].SrcsUniform {
-				s = 'S'
-			}
-			fmt.Fprintf(l.stdout, "%5d %c%c  %s\n", i, g, s, k.Instrs[i].String())
-		}
-	}
-}
-
 func (l *linter) lintProgram(file string, prog *sass.Program) {
-	if l.uniformity {
-		l.dumpUniformity(file, prog)
-		return
-	}
 	var diags []analysis.Diagnostic
 	for _, k := range prog.Kernels {
 		diags = append(diags, verifyKernel(k)...)

@@ -45,36 +45,6 @@ func TestLintMutantsGolden(t *testing.T) {
 	}
 }
 
-// TestLintUniformityGolden pins the uniformity dump on parboil.sgemm: the
-// exact set of instructions the affine value lattice proves warp-uniform.
-// The predecoded engine's fast-path coverage follows these bits, so a
-// lattice regression surfaces here as a golden diff before it surfaces as
-// a missed speedup.
-func TestLintUniformityGolden(t *testing.T) {
-	var out, errb bytes.Buffer
-	code := run([]string{"-uniformity", "-workload", "parboil.sgemm"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit %d (stderr: %s)", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "instructions fully uniform") {
-		t.Fatalf("no uniformity summary printed:\n%s", out.String())
-	}
-
-	golden := filepath.Join("testdata", "uniformity_sgemm.golden")
-	if *updateGolden {
-		if err := os.WriteFile(golden, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test -run Golden -update ./cmd/sassi-lint` to create it)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("uniformity dump changed.\n--- got ---\n%s--- want ---\n%s", out.Bytes(), want)
-	}
-}
-
 // TestLintWorkloadsInstrumentGolden pins `sassi-lint -workloads -instrument`
 // — every check over all 31 workloads, compiled and then instrumented at
 // every site — to the output recorded before the value lattice was

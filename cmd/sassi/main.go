@@ -328,6 +328,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 // parameters take values from the comma-separated args list, and the first
 // pointer buffer is dumped as the result.
 func ptxFileSpec(path, argList string, grid, block, bufWords int) (*workloads.Spec, error) {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"grid", grid}, {"block", block}, {"bufwords", bufWords}} {
+		if f.v < 1 {
+			return nil, fmt.Errorf("-%s %d: must be at least 1", f.name, f.v)
+		}
+	}
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err

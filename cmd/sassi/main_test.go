@@ -257,3 +257,23 @@ func TestUsage(t *testing.T) {
 		}
 	}
 }
+
+// TestPTXGeometryUsage: a -ptx run refuses a grid, block or buffer size
+// below one as a usage error naming the flag, rather than running a
+// geometry nobody asked for or failing to allocate the buffer.
+func TestPTXGeometryUsage(t *testing.T) {
+	sptx := filepath.Join("..", "..", "examples", "ptxasm", "squares.sptx")
+	for _, bad := range [][2]string{
+		{"-bufwords", "-1"}, {"-bufwords", "0"},
+		{"-grid", "0"}, {"-grid", "-3"},
+		{"-block", "-5"}, {"-block", "0"},
+	} {
+		code, _, stderr := sassiRun("-ptx", sptx, bad[0], bad[1])
+		if code != 2 || !strings.Contains(stderr, bad[0]) {
+			t.Errorf("%s %s: exit %d, stderr %q; want exit 2 naming the flag", bad[0], bad[1], code, stderr)
+		}
+	}
+	if code, _, stderr := sassiRun("-ptx", sptx, "-grid", "1", "-block", "1", "-bufwords", "1"); code != 0 {
+		t.Errorf("one CTA of one thread with a one-word buffer: exit %d\n%s", code, stderr)
+	}
+}

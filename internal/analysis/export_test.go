@@ -49,3 +49,33 @@ func (v Value) SymCoeff(s Sym) int64 {
 func (v *Valuation) OperandValue(idx int, o sass.Operand) Value {
 	return operandValue(v.viewAt(idx), o)
 }
+
+// InstrUniformity is what the lattice proves about one instruction's
+// inputs. Both bits are warp-level claims: they hold for every dynamic
+// execution of the instruction by any warp.
+type InstrUniformity struct {
+	// GuardUniform: the guard predicate (or "always") evaluates
+	// identically on every lane of a warp, so the instruction executes
+	// all-lanes-or-none.
+	GuardUniform bool
+	// SrcsUniform: every source read — GPRs (including memory-operand
+	// base registers), immediates, constant-bank words, special
+	// registers, predicate operands, and the carry-in when .X is used —
+	// is warp-uniform, so one lane's computation equals every lane's.
+	SrcsUniform bool
+}
+
+// Uniform reports whether the instruction is fully uniform: executed by
+// all lanes or none, with every lane computing the same values.
+func (u InstrUniformity) Uniform() bool { return u.GuardUniform && u.SrcsUniform }
+
+// Uniformity returns the lattice's uniformity facts for instruction idx,
+// observing the same predication view RegValue uses: a guarded
+// instruction's sources see exact values defined earlier under the same
+// guard.
+func (v *Valuation) Uniformity(idx int) InstrUniformity {
+	return InstrUniformity{
+		GuardUniform: v.GuardFacts(idx).Uniform,
+		SrcsUniform:  srcsUniform(v.viewAt(idx), &v.cfg.Kernel.Instrs[idx]),
+	}
+}

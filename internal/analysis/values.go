@@ -10,7 +10,7 @@ package analysis
 //	Const + Σ coeff·term       term ∈ {tid.x, tid.y, tid.z, laneid}
 //	      + Σ coeff·sym        sym  = a CTA-uniform, loop-invariant input
 //
-// — or Unknown, in which case only a warp-uniformity bit survives.
+// — or Unknown, in which case only a warp uniformity bit survives.
 // Symbols name loop-invariant sources whose runtime value is fixed for
 // the whole CTA: constant-bank words (kernel parameters) and the
 // CTA-uniform special registers (ctaid, ntid, nctaid, smid). Anything
@@ -23,7 +23,7 @@ package analysis
 //     wraparound; address expressions that overflow could defeat a
 //     disjointness proof's soundness, but in-window shared offsets never
 //     get close;
-//   - warp-uniformity (the Uniform bit) is coarser than CTA-uniformity:
+//   - warp uniformity (the Uniform bit) is coarser than CTA uniformity:
 //     SR_WARPID is warp-uniform but thread-varying across the CTA, so it
 //     is Unknown-uniform rather than a symbol.
 
@@ -108,7 +108,7 @@ func KnownConst(c int64) Value { return Value{Known: true, Const: c} }
 // unknown builds an Unknown value with the given uniformity.
 func unknown(uniform bool) Value { return Value{Uniform: uniform} }
 
-// IsUniform reports warp-uniformity: every lane of any warp computes the
+// IsUniform reports warp uniformity: every lane of any warp computes the
 // same value.
 func (v Value) IsUniform() bool {
 	if !v.Known {
@@ -284,7 +284,7 @@ type valState struct {
 	// unwritten register holds — entry garbage is per-thread.
 	regs []Value
 	pred [sass.NumPred + 1]PredFacts
-	cc   bool // condition-code warp-uniformity
+	cc   bool // condition-code warp uniformity
 
 	// Predication view: ptxas if-converts short branches into runs of
 	// instructions under one guard (@P0 SHL; @P0 IADD; @P0 STS). The
@@ -360,7 +360,7 @@ func (s *valState) setReg(r uint8, v Value) {
 // mergeFrom joins o into s, reporting change. divMask, when non-nil, is
 // the regspace set possibly assigned under a divergent branch whose paths
 // reconverge at this merge: a masked value that the join cannot prove
-// identical in all threads (anything non-Known) loses warp-uniformity,
+// identical in all threads (anything non-Known) loses warp uniformity,
 // because which definition a thread holds depends on the divergent path
 // it took. Equal Known forms are exempt — every thread then holds the
 // same affine function of its own tid regardless of path.
@@ -471,7 +471,7 @@ func (v *Valuation) viewAt(idx int) *valState {
 // non-uniform, computes its divergence region from the post-dominator
 // tree, and marks every reconvergence/merge point with the regspace set
 // possibly assigned inside the region; the inner fixpoint then degrades
-// exactly those merges. Non-uniformity only grows, so the nesting
+// exactly those merges. Non-uniform facts only grow, so the nesting
 // terminates.
 func AnalyzeValues(cfg *sass.CFG) *Valuation {
 	nregs := 0

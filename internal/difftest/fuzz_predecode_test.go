@@ -10,9 +10,8 @@ import (
 // committed corpus seeds are chosen (by scanning the generator) so every
 // kernel contains both a divergent region (If/IfElse, where the core must
 // fall back to per-instruction interpretation and the divergence stack) and
-// a straight ALU run of three or more statements (where the uniform-warp
-// fast path and block dispatch engage) — the boundary between the two is
-// where predecode bugs live.
+// a straight ALU run of three or more statements (where block dispatch
+// engages) — the boundary between the two is where predecode bugs live.
 func FuzzPredecode(f *testing.F) {
 	for _, seed := range []uint64{18, 20, 26, 27, 32, 33, 34, 42, 46, 51, 63, 97, 100, 114} {
 		f.Add(seed)

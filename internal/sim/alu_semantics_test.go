@@ -337,8 +337,8 @@ func aluCases() []aluCase {
 		ints(c.name, c.in)
 	}
 
-	// Uniform operands (immediates, RZ, a constant-bank word): the core's
-	// lattice may execute these once and broadcast.
+	// Uniform operands (immediates, RZ, a constant-bank word): every lane
+	// reads the same value.
 	cb := sass.CMem(0, int64(sass.CBStackBase))
 	uni := []struct {
 		name string

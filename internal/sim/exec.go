@@ -15,8 +15,8 @@ import (
 // (unless Config.SequentialSMs or a MemWatch forces the sequential path),
 // and all mutable per-launch state an SM touches lives in its smShard, so
 // the goroutines share nothing but the device's Global memory — which is
-// internally synchronized. Instrumentation handlers with warp collectives
-// additionally fan out one goroutine per lane.
+// internally synchronized. Instrumentation handlers run inline on the SM's
+// goroutine, collectives included (see package device).
 type engine struct {
 	dev   *Device
 	cb    []byte // constant bank 0 for this launch

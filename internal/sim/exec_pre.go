@@ -13,11 +13,9 @@ import (
 // loop. It is step() with the hot pieces swapped for their predecoded forms:
 // the guard is one AND of a predicate's lane mask with the active mask,
 // operand kinds are resolved, the scoreboard walks precomputed slot lists,
-// and specialized classes execute as row kernels over the warp's register
-// rows (or once on the leader lane, broadcast to the warp, when the value
-// lattice proved the instruction uniform). All accounting — issue
-// counters, watchdog, cycles, stalls, PC samples — matches step() field for
-// field.
+// and specialized classes execute as row kernels over the executing lanes'
+// register rows. All accounting — issue counters, watchdog, cycles, stalls,
+// PC samples — matches step() field for field.
 func (e *engine) stepPre(w *Warp) error {
 	if w.Done || w.AtBarrier {
 		return nil
@@ -41,20 +39,14 @@ func (e *engine) stepPre(w *Warp) error {
 		return e.fail(w, ErrHang, "watchdog: warp exceeded %d instructions", e.dev.Cfg.WatchdogWarpInstrs)
 	}
 
-	// Guard evaluation over the active mask. A lattice-proven uniform
-	// guard is the leader lane's (all-or-none by proof).
+	// Guard evaluation over the active mask.
 	exec := w.Active
 	if p.flags&pfGuardAlways == 0 {
 		g := w.preds[p.guardReg]
 		if p.flags&pfGuardNeg != 0 {
 			g = ^g
 		}
-		switch {
-		case p.flags&pfUniform == 0:
-			exec &= g
-		case exec&-exec&g == 0:
-			exec = 0
-		}
+		exec &= g
 	}
 
 	// Issue accounting.
@@ -230,7 +222,7 @@ func (w *Warp) dstRow(r uint8, sink *[WarpSize]uint32) *[WarpSize]uint32 {
 	return w.row(r)
 }
 
-// aluRow is the lane kernel of every broadcast-safe ALU class but SETP:
+// aluRow is the lane kernel of every class execPreALU runs but SETP:
 // d[l] = op(a[l], b[l], c[l]) for each lane l of exec, a predicate selector
 // reading as c[l] != 0. The class and modifier switches sit outside the
 // lane loops. It is the core's one statement of these classes' semantics;
@@ -545,45 +537,28 @@ func setpCmp(a, b uint32, fsetp, unsigned bool, op sass.CmpOp) bool {
 	return false
 }
 
-// execPreALU runs one broadcast-safe ALU instruction over the executing
-// lanes through its row kernel. A lattice-proven uniform instruction over
-// the whole active mask runs the kernel on the leader lane alone and
-// broadcasts the leader's result: every lane would compute it by proof.
+// execPreALU runs one instruction of a class from pcMOV to pcI2F over the
+// executing lanes through its row kernel: setpRow for SETP, else aluRow.
 func (e *engine) execPreALU(w *Warp, p *preInstr, exec uint32) {
 	if exec == 0 {
 		return
 	}
-	run := exec
-	if p.flags&pfUniform != 0 && exec == w.Active {
-		run = exec & -exec
-	}
 	rows := &w.CTA.slab.rows
-	a := e.srcRow(w, &p.srcs[0], run, &rows[0])
-	b := e.srcRow(w, &p.srcs[1], run, &rows[1])
-	c := e.srcRow(w, &p.srcs[2], run, &rows[2])
+	a := e.srcRow(w, &p.srcs[0], exec, &rows[0])
+	b := e.srcRow(w, &p.srcs[1], exec, &rows[1])
+	c := e.srcRow(w, &p.srcs[2], exec, &rows[2])
 	if p.class == pcISETP || p.class == pcFSETP {
-		v, vq := setpRow(p, run, a, b, c)
-		if run != exec { // the leader's results, for every lane
-			v, vq = -(v>>lane(run)&1)&exec, -(vq>>lane(run)&1)&exec
-		}
+		v, vq := setpRow(p, exec, a, b, c)
 		w.writePreds(p.dstP, exec, v)
 		w.writePreds(p.dstQ, exec, vq)
 		return
 	}
-	d := w.dstRow(p.dst, &rows[3])
-	aluRow(p, run, a, b, c, d)
-	if run != exec {
-		v := d[lane(run)]
-		for m := exec &^ run; m != 0; m &= m - 1 {
-			d[lane(m)] = v
-		}
-	}
+	aluRow(p, exec, a, b, c, w.dstRow(p.dst, &rows[3]))
 }
 
 // execPreIADDC is the CC-carrying IADD row kernel (IADD with .X/.CC
 // honored): consume the carry bit when pfX is set, and
-// recompute the full condition code when pfSetCC is set. CC state is
-// per-lane, so there is no uniform broadcast for this class.
+// recompute the full condition code when pfSetCC is set.
 func (e *engine) execPreIADDC(w *Warp, p *preInstr, exec uint32) {
 	rows := &w.CTA.slab.rows
 	a := e.srcRow(w, &p.srcs[0], exec, &rows[0])

@@ -24,6 +24,17 @@ type warpHarness struct {
 	outRegs []uint8
 	inputs  []laneInput
 	threads int // defaults to 32
+	// handler, when set, runs at every JCAL to the symbol "h", on both
+	// devices.
+	handler func(w *sim.Warp)
+}
+
+// funcDispatcher runs one handler function for every handler id.
+type funcDispatcher func(w *sim.Warp)
+
+func (f funcDispatcher) Dispatch(_ *sim.Device, w *sim.Warp, _ int) error {
+	f(w)
+	return nil
 }
 
 // laneInput sets register reg of lane l to v[l] before the sequence runs.
@@ -39,11 +50,10 @@ const (
 	hIn  = 44 // R44/R45: input pointer
 )
 
-func (h *warpHarness) run(t *testing.T) [][]uint32 {
+// kernel assembles the harness kernel: input prologue, the sequence, and
+// the output epilogue.
+func (h *warpHarness) kernel(t *testing.T) *sass.Kernel {
 	t.Helper()
-	if h.threads == 0 {
-		h.threads = 32
-	}
 	k := &sass.Kernel{Name: "t", Labels: map[string]int{}}
 	outOff := k.AddParam("out", 8)
 	nin := len(h.inputs)
@@ -100,10 +110,25 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 	if err := k.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	return k
+}
+
+func (h *warpHarness) run(t *testing.T) [][]uint32 {
+	t.Helper()
+	if h.threads == 0 {
+		h.threads = 32
+	}
+	nin, nout := len(h.inputs), len(h.outRegs)
 	prog := sass.NewProgram()
-	prog.AddKernel(k)
+	if h.handler != nil {
+		prog.InternHandler("h")
+	}
+	prog.AddKernel(h.kernel(t))
 
 	launch := func(dev *sim.Device) [][]uint32 {
+		if h.handler != nil {
+			dev.Dispatcher = funcDispatcher(h.handler)
+		}
 		out := dev.Alloc(uint64(4*nout*h.threads), "out")
 		args := []uint64{out}
 		if nin > 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 
-	"sassi/internal/analysis"
 	"sassi/internal/sass"
 )
 
@@ -13,18 +12,18 @@ import (
 // dense flat format — operand kinds resolved (RZ folded to zero,
 // constant-bank offsets bounds-checked once, predicate guards pre-split),
 // scoreboard slot lists precomputed, static issue costs and result
-// latencies cached, straight-line instruction runs measured per basic
-// block, and a per-instruction "provably uniform" bit derived from the
-// affine value lattice (internal/analysis). Execution then dispatches on a
-// small class enum to one row kernel per class over the warp's register
-// rows instead of per-operand switches and closure iterators, and takes a
-// uniform-warp fast path (execute the leader lane once, broadcast the
-// result) when the lattice proved the instruction uniform. Every ALU and
-// SETP opcode has a class, whatever its modifiers and operands; execOp
-// keeps the warp-level operations — divergence-stack and call control,
-// barriers, collectives, atomics and memory shapes no class takes. A SASSI
-// handler call has a class too: its symbol is resolved once per launch,
-// not per call. A kernel with an instruction whose operands would be
+// latencies cached, and straight-line instruction runs measured per basic
+// block. Execution then dispatches on a small class enum to one row kernel
+// per class, run over every executing lane's register rows, instead of
+// per-operand switches and closure iterators. The core takes no
+// static-analysis facts: a lane's result is computed from that lane's
+// operands even where the value lattice proves every lane holds the same
+// ones, so a handler or fault that changes one lane's copy propagates as
+// it does in the reference interpreter. Every ALU and SETP opcode has a
+// class, whatever its modifiers and operands; execOp keeps the warp-level
+// operations — divergence-stack and call control, barriers, collectives,
+// atomics and memory shapes no class takes. A SASSI handler call has a
+// class too: its symbol is resolved once per launch, not per call. A kernel with an instruction whose operands would be
 // misread — missing, naming no register or predicate, or a register past
 // the kernel's count — is refused at launch (preKernel.err), whichever loop
 // runs it.
@@ -107,7 +106,6 @@ type preSrc struct {
 const (
 	pfGuardAlways = 1 << iota // no guard predicate to evaluate
 	pfGuardNeg                // guard is negated
-	pfUniform                 // lattice-proven uniform and in a broadcast-safe class
 	pfInjected                // SASSI-injected instruction
 	pfStraight                // always advances PC+1 and cannot block the warp
 	pfSetCC                   // pcIADDC: writes the condition code
@@ -198,30 +196,6 @@ func straightLine(op sass.Opcode) bool {
 	return true
 }
 
-// broadcastSafe reports whether a specialized class reads only its
-// declared sources (covered by the lattice's srcsUniform) and writes only
-// its declared destinations, making leader-execute-and-broadcast legal.
-// Memory classes are excluded: a load's data is not a function of its
-// sources (another SM may store concurrently), and stores/atomics have
-// per-lane side effects the memory model must see individually.
-func broadcastSafe(c preClass) bool {
-	return c >= pcMOV && c <= pcI2F
-}
-
-// readsAsDeclared reports whether an instruction reads each operand as the
-// kind it declares, the kind the lattice judged its uniformity by: S2R
-// reads a special register and SEL a predicate selector whatever their
-// operands are.
-func readsAsDeclared(in *sass.Instruction) bool {
-	switch in.Op {
-	case sass.OpS2R:
-		return in.Srcs[0].Kind == sass.OpdSReg
-	case sass.OpSEL:
-		return in.Srcs[2].Kind == sass.OpdPred
-	}
-	return true
-}
-
 // predecode lowers one kernel into the dense format (the build function of
 // sass.Kernel.Lowered), or records why it cannot run. Constant-bank
 // offsets are validated against the size every launch of the kernel uses,
@@ -238,12 +212,6 @@ func predecode(k *sass.Kernel) any {
 	}
 	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail}
 	cbSize := constBankSize(k)
-
-	// Per-instruction uniformity from the affine value lattice. An
-	// analysis failure (malformed CFG) just loses the fast path; the
-	// instructions still execute via their specialized or generic class.
-	uni, _ := analysis.KernelUniformity(k)
-
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		p := &pk.ins[i]
@@ -260,9 +228,6 @@ func predecode(k *sass.Kernel) any {
 		}
 		if straightLine(in.Op) {
 			p.flags |= pfStraight
-		}
-		if uni != nil && uni[i].Uniform() && broadcastSafe(p.class) && readsAsDeclared(in) {
-			p.flags |= pfUniform
 		}
 		if in.Mods.SetCC {
 			p.flags |= pfSetCC

@@ -19,8 +19,8 @@ import (
 // TestPredecodedZeroAllocSteadyState pins the core's allocation contract:
 // after the launch-time predecode, the slab carve and the first store to a
 // thread's stack, issuing warp instructions through stepPre performs zero
-// heap allocations. The loop covers class dispatch, the uniform fast path,
-// per-lane ALU loops, the BRA control transfer, and the save/restore half
+// heap allocations. The loop covers class dispatch, the per-lane ALU
+// loops, the BRA control transfer, and the save/restore half
 // of an injected call: STL/LDL of a stack slot and P2R/R2P of the predicate
 // file and the condition code.
 func TestPredecodedZeroAllocSteadyState(t *testing.T) {
