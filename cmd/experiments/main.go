@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -25,17 +26,36 @@ import (
 )
 
 func main() {
-	runList := flag.String("run", "all", "comma list of experiments: table1,fig5,fig7,fig8,table2,fig10,cfi,table3,overhead,sched,pcsamp")
-	gpu := obscli.RegisterGPU(flag.CommandLine, "k10")
-	injections := flag.Int("injections", 100, "fault injections per app for fig10 and cfi (paper: 1000)")
-	seed := flag.Uint64("seed", 2015, "seed of the fig10 and cfi campaigns and the sched sweep")
-	apps := flag.String("apps", "", "comma list restricting table2/table3/fig10 to specific workloads")
-	workers := flag.Int("workers", 0, "concurrent fig10 injection / sched candidate runs (0 = GOMAXPROCS); results are identical at any value")
-	candidates := flag.Int("candidates", 8, "schedule candidates per app for sched (seed 0 heuristic + jittered tie-breaks)")
-	cfiDetect := flag.Float64("assert-cfi-detect", 0, "fail unless every cfi app has no false positive, draws return-address injections and detects at least this share of them (0 = no gate)")
-	pcsampTop5 := flag.Float64("assert-pcsamp-top5", 0, "fail unless every pcsamp app's top-5 agreement at the default period meets this bound (0 = no gate)")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: parses args, runs the experiments it
+// names in a fixed order, prints each one's rendering, and returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runList := fs.String("run", "all", "comma list of experiments: table1,fig5,fig7,fig8,table2,fig10,cfi,table3,overhead,sched,pcsamp")
+	gpu := obscli.RegisterGPU(fs, "k10")
+	injections := fs.Int("injections", 100, "fault injections per app for fig10 and cfi (paper: 1000)")
+	seed := fs.Uint64("seed", 2015, "seed of the fig10 and cfi campaigns and the sched sweep")
+	apps := fs.String("apps", "", "comma list restricting table2/table3/fig10 to specific workloads")
+	workers := fs.Int("workers", 0, "concurrent fig10 injection / sched candidate runs (0 = GOMAXPROCS); results are identical at any value")
+	candidates := fs.Int("candidates", 8, "schedule candidates per app for sched (seed 0 heuristic + jittered tie-breaks)")
+	cfiDetect := fs.Float64("assert-cfi-detect", 0, "fail unless every cfi app has no false positive, draws return-address injections and detects at least this share of them (0 = no gate)")
+	pcsampTop5 := fs.Float64("assert-pcsamp-top5", 0, "fail unless every pcsamp app's top-5 agreement at the default period meets this bound (0 = no gate)")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case *injections < 1:
+		fmt.Fprintf(stderr, "experiments: -injections must be at least 1, got %d\n", *injections)
+		return 2
+	case *workers < 0:
+		fmt.Fprintf(stderr, "experiments: -workers must be 0 (GOMAXPROCS) or more, got %d\n", *workers)
+		return 2
+	}
 
 	cfg := gpu.Config()
 	env := experiments.Default()
@@ -56,17 +76,19 @@ func main() {
 	}
 	all := want["all"]
 
+	failed := false
 	step := func(name string, f func() (string, error)) {
-		if !all && !want[name] {
+		if failed || !all && !want[name] {
 			return
 		}
 		start := time.Now()
 		out, err := f()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", name, err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "%s failed: %v\n", name, err)
+			failed = true
+			return
 		}
-		fmt.Printf("==== %s (%s) ====\n%s\n", name, time.Since(start).Round(time.Millisecond), out)
+		fmt.Fprintf(stdout, "==== %s (%s) ====\n%s\n", name, time.Since(start).Round(time.Millisecond), out)
 	}
 
 	step("table1", func() (string, error) {
@@ -167,8 +189,12 @@ func main() {
 			return experiments.FormatOverheadReport(rows), nil
 		})
 	}
-	if err := session.Finish(); err != nil {
-		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
-		os.Exit(1)
+	if failed {
+		return 1
 	}
+	if err := session.Finish(); err != nil {
+		fmt.Fprintf(stderr, "obs output: %v\n", err)
+		return 1
+	}
+	return 0
 }

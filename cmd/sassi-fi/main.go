@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -22,19 +23,37 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "rodinia.kmeans", "workload to inject into")
-	dataset := flag.String("dataset", "", "dataset (default: workload's first)")
-	n := flag.Int("n", 100, "number of injection runs (paper: 1000)")
-	seed := flag.Uint64("seed", 2015, "site-selection seed")
-	gpu := obscli.RegisterGPU(flag.CommandLine, "k20")
-	workers := flag.Int("workers", 0, "concurrent injection runs (0 = GOMAXPROCS); results are identical at any value")
-	obsFlags := obscli.Register(flag.CommandLine)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: parses args, runs the campaign, prints
+// its outcome histogram, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sassi-fi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	workload := fs.String("workload", "rodinia.kmeans", "workload to inject into")
+	dataset := fs.String("dataset", "", "dataset (default: workload's first)")
+	n := fs.Int("n", 100, "number of injection runs (paper: 1000)")
+	seed := fs.Uint64("seed", 2015, "site-selection seed")
+	gpu := obscli.RegisterGPU(fs, "k20")
+	workers := fs.Int("workers", 0, "concurrent injection runs (0 = GOMAXPROCS); results are identical at any value")
+	obsFlags := obscli.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	switch {
+	case *n < 1:
+		fmt.Fprintf(stderr, "sassi-fi: -n must be at least 1, got %d\n", *n)
+		return 2
+	case *workers < 0:
+		fmt.Fprintf(stderr, "sassi-fi: -workers must be 0 (GOMAXPROCS) or more, got %d\n", *workers)
+		return 2
+	}
 
 	spec, ok := workloads.Get(*workload)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *workload)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown workload %q\n", *workload)
+		return 2
 	}
 	ds := *dataset
 	if ds == "" {
@@ -54,17 +73,18 @@ func main() {
 	start := time.Now()
 	res, err := c.Run()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Printf("campaign: %s (%s), %d injections over %d candidate sites, %s\n",
+	fmt.Fprintf(stdout, "campaign: %s (%s), %d injections over %d candidate sites, %s\n",
 		res.Workload, res.Dataset, res.Total, res.SitesTotal, time.Since(start).Round(time.Millisecond))
 	for o := 0; o < faults.NumOutcomes; o++ {
 		oc := faults.Outcome(o)
-		fmt.Printf("  %-18s %5d (%5.1f%%)\n", oc.String()+":", res.Counts[o], 100*res.Fraction(oc))
+		fmt.Fprintf(stdout, "  %-18s %5d (%5.1f%%)\n", oc.String()+":", res.Counts[o], 100*res.Fraction(oc))
 	}
 	if err := session.Finish(); err != nil {
-		fmt.Fprintf(os.Stderr, "obs output: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "obs output: %v\n", err)
+		return 1
 	}
+	return 0
 }

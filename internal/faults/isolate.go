@@ -13,20 +13,33 @@ import (
 // launchCut is what the golden run keeps of one launch so that an injection
 // run can simulate one CTA of it alone (DESIGN.md "Per-warp kernel
 // selection"): every global line a CTA touched and which CTAs touched it,
-// the CTAs that may run alone, and the golden post-launch bytes of every
-// stored line, which stand in for the CTAs that do not run.
+// the CTAs that may run alone, the golden post-launch bytes of every
+// stored line, and the golden deltas of every reduction line, which stand
+// in for the CTAs that do not run.
 type launchCut struct {
 	lineBytes uint64
-	lines     []uint64  // ascending: every line some CTA loaded or stored
+	lines     []uint64  // ascending: every line some CTA loaded, stored or reduced
 	use       []lineUse // per line
 	alone     []bool    // per CTA: isolated
 	stored    []int     // ascending indices into lines of the stored ones
 	image     []byte    // lineBytes per stored line, in stored's order
+	// reduced lists the reduction lines, ascending; sums holds, per word
+	// of each in turn, what every CTA's reductions added to it; deltas is
+	// each CTA's own share, ascending by address (sim.Footprint.Deltas
+	// without the words of other lines).
+	reduced []uint64
+	sums    []uint32
+	deltas  [][]sim.Delta
 }
 
 // lineUse is the one CTA that loaded (stored) a line, noCTA when none did,
-// or manyCTAs when more than one did.
-type lineUse struct{ loader, storer int32 }
+// or manyCTAs when more than one did, and whether it is a reduction line:
+// one that CTAs only reduced. On any other line a reduction counts as a
+// load and a store.
+type lineUse struct {
+	loader, storer int32
+	reduced        bool
+}
 
 const (
 	noCTA    = -1
@@ -45,79 +58,125 @@ func note(who *int32, c int) {
 }
 
 // newLaunchCut builds a launch's cut from its golden footprint. CTA c of
-// the launch is isolated when it issued no global atomic, no line it
-// stored was loaded or stored by another CTA, and no line it loaded was
-// stored by another CTA; smDependent (the kernel reads SR_SMID or
-// SR_CLOCK, whose values depend on what shares c's SM) isolates none, and
-// then nothing else is kept. The image is left for the caller to read.
+// the launch is isolated when it issued no global atomic but reductions,
+// every line it stored (or reduced, outside the reduction lines) was
+// loaded or stored by no other CTA, and every line it loaded was stored by
+// no other CTA; smDependent (the kernel reads SR_SMID or SR_CLOCK, whose
+// values depend on what shares c's SM) isolates none, and then nothing
+// else is kept. The cut takes over f.Deltas; the image is left for the
+// caller to read.
 func newLaunchCut(f *sim.Footprint, smDependent bool) *launchCut {
 	lc := &launchCut{lineBytes: f.LineBytes, alone: make([]bool, len(f.Loads))}
 	if smDependent || !slices.Contains(f.Atomic, false) {
 		return lc // no CTA can run alone: nothing else is needed
 	}
-	// One key per line a CTA loaded or stored — the line's number counted
-	// from the lowest line, the CTA, then 1 for a store — sorted once, so
-	// that each line's users are adjacent.
+	// One key per line a CTA loaded, stored or reduced — the line's number
+	// counted from the lowest line, the CTA, then the sim.Access in two
+	// bits — sorted once, so that each line's users are adjacent.
+	lists := func(c int) [3][]uint64 { return [3][]uint64{f.Loads[c], f.Stores[c], f.Reduces[c]} }
 	lo, n := uint64(math.MaxUint64), 0
 	for c := range f.Loads {
-		for _, set := range [2][]uint64{f.Loads[c], f.Stores[c]} {
+		for _, set := range lists(c) {
 			if len(set) > 0 {
 				lo = min(lo, set[0])
 			}
 			n += len(set)
 		}
 	}
-	shift := 1 + bits.Len(uint(len(f.Loads)))
+	shift := 2 + bits.Len(uint(len(f.Loads)))
 	keys := make([]uint64, 0, n)
 	for c := range f.Loads {
-		for kind, set := range [2][]uint64{f.Loads[c], f.Stores[c]} {
+		for kind, set := range lists(c) {
 			for _, l := range set {
-				keys = append(keys, (l-lo)/lc.lineBytes<<shift|uint64(c)<<1|uint64(kind))
+				keys = append(keys, (l-lo)/lc.lineBytes<<shift|uint64(c)<<2|uint64(kind))
 			}
 		}
 	}
 	slices.Sort(keys)
-	cta := func(k uint64) int { return int(k >> 1 & (1<<(shift-1) - 1)) }
+	cta := func(k uint64) int { return int(k >> 2 & (1<<(shift-2) - 1)) }
+	access := func(k uint64) sim.Access { return sim.Access(k & 3) }
 	for c := range lc.alone {
 		lc.alone[c] = !f.Atomic[c]
 	}
 	for i := 0; i < len(keys); {
 		line := keys[i] >> shift
-		u, j := lineUse{noCTA, noCTA}, i
+		u, j, reduces := lineUse{loader: noCTA, storer: noCTA}, i, false
 		for ; j < len(keys) && keys[j]>>shift == line; j++ {
-			if keys[j]&1 != 0 {
-				note(&u.storer, cta(keys[j]))
-			} else {
+			switch access(keys[j]) {
+			case sim.AccessLoad:
 				note(&u.loader, cta(keys[j]))
+			case sim.AccessStore:
+				note(&u.storer, cta(keys[j]))
+			default:
+				reduces = true
+			}
+		}
+		u.reduced = reduces && u.loader == noCTA && u.storer == noCTA
+		if reduces && !u.reduced {
+			for _, k := range keys[i:j] {
+				if access(k) == sim.AccessReduce {
+					note(&u.loader, cta(k))
+					note(&u.storer, cta(k))
+				}
 			}
 		}
 		for _, k := range keys[i:j] {
-			if !u.permits(cta(k), k&1 != 0) {
+			if !u.permits(cta(k), access(k)) {
 				lc.alone[cta(k)] = false
 			}
 		}
 		if u.storer != noCTA {
 			lc.stored = append(lc.stored, len(lc.lines))
 		}
+		if u.reduced {
+			lc.reduced = append(lc.reduced, lo+line*lc.lineBytes)
+		}
 		lc.lines = append(lc.lines, lo+line*lc.lineBytes)
 		lc.use = append(lc.use, u)
 		i = j
 	}
+	lc.sumDeltas(f)
 	return lc
 }
 
-// permits reports whether CTA c may load (or store) a line so used
-// without meeting another CTA: no other CTA stored it, and, for a store,
-// none loaded it either.
-func (u lineUse) permits(c int, store bool) bool {
-	return (u.storer == noCTA || u.storer == int32(c)) && (!store || u.loader == noCTA || u.loader == int32(c))
+// sumDeltas adds up f's deltas to the words of the reduction lines, and
+// keeps each CTA's own, taking over f.Deltas.
+func (lc *launchCut) sumDeltas(f *sim.Footprint) {
+	if len(lc.reduced) == 0 {
+		return
+	}
+	words := lc.lineBytes / 4
+	lc.sums = make([]uint32, uint64(len(lc.reduced))*words)
+	lc.deltas = f.Deltas
+	for c, ds := range f.Deltas {
+		own := ds[:0]
+		for _, d := range ds {
+			if i, ok := slices.BinarySearch(lc.reduced, d.Addr-d.Addr%lc.lineBytes); ok {
+				lc.sums[uint64(i)*words+d.Addr%lc.lineBytes/4] += d.Sum
+				own = append(own, d)
+			}
+		}
+		lc.deltas[c] = own
+	}
 }
 
-// permits reports whether CTA c may load (or store) lines without meeting
-// another CTA; a line no CTA touched meets none.
-func (lc *launchCut) permits(c int, lines []uint64, store bool) bool {
+// permits reports whether CTA c may make an access of kind to a line so
+// used without meeting another CTA: on a reduction line, a reduction and
+// nothing else; on any other line, a load no other CTA stored, or a store
+// (or a reduction) no other CTA loaded or stored.
+func (u lineUse) permits(c int, kind sim.Access) bool {
+	if u.reduced {
+		return kind == sim.AccessReduce
+	}
+	mine := func(who int32) bool { return who == noCTA || who == int32(c) }
+	return mine(u.storer) && (kind == sim.AccessLoad || mine(u.loader))
+}
+
+// permits reports whether CTA c may make an access of kind to lines
+// without meeting another CTA; a line no CTA touched meets none.
+func (lc *launchCut) permits(c int, lines []uint64, kind sim.Access) bool {
 	for _, l := range lines {
-		if i, ok := slices.BinarySearch(lc.lines, l); ok && !lc.use[i].permits(c, store) {
+		if i, ok := slices.BinarySearch(lc.lines, l); ok && !lc.use[i].permits(c, kind) {
 			return false
 		}
 	}
@@ -168,19 +227,58 @@ func (lc *launchCut) twinFor(inst *sass.Program, launch, cta, warp int) func(str
 		t := only(kernel, idx)
 		if t != nil {
 			t.CTAs = func(c int) bool { return c == cta }
-			t.Fence = func(lines []uint64, store bool) bool { return lc.permits(cta, lines, store) }
+			t.Fence = func(lines []uint64, kind sim.Access) bool { return lc.permits(cta, lines, kind) }
 		}
 		return t
 	}
 }
 
 // splice writes the golden post-launch bytes of every line another CTA
-// than cta stored, after a launch that ran CTA cta alone, so that memory
-// holds what the whole grid would have left: cta's own lines keep what
-// cta wrote over their pre-launch bytes.
+// than cta stored, after a launch that ran CTA cta alone, and adds to every
+// word of the reduction lines what the other CTAs' reductions added to it
+// in the golden run — the sum over every CTA less cta's own — so that
+// memory holds what the whole grid would have left: cta's own lines keep
+// what cta wrote over their pre-launch bytes, and the reduction words
+// what cta added to them. Integer addition commutes and no reduced value is
+// read inside the launch, so the order of the additions cannot show.
 func (lc *launchCut) splice(g *mem.Global, cta int) error {
 	mine := func(i int) bool { return lc.use[lc.stored[i]].storer == int32(cta) }
-	return lc.eachRun(mine, g.Write)
+	if err := lc.eachRun(mine, g.Write); err != nil {
+		return err
+	}
+	if len(lc.reduced) == 0 {
+		return nil
+	}
+	own := lc.deltas[cta] // ascending, like the words of sums
+	b := mem.AtomicBatch{Op: mem.AtomAdd, Width: 4}
+	flush := func() error {
+		_, err := g.AtomicWarp(&b)
+		b.N = 0
+		return err
+	}
+	words := lc.lineBytes / 4
+	for i, line := range lc.reduced {
+		for w, sum := range lc.sums[uint64(i)*words:][:words] {
+			addr := line + 4*uint64(w)
+			if len(own) > 0 && own[0].Addr == addr {
+				sum -= own[0].Sum
+				own = own[1:]
+			}
+			if sum == 0 {
+				continue
+			}
+			b.Addrs[b.N], b.Vals[b.N] = addr, uint64(sum)
+			if b.N++; b.N == len(b.Addrs) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	if b.N == 0 {
+		return nil
+	}
+	return flush()
 }
 
 // smDependent reports whether k reads SR_SMID or SR_CLOCK.

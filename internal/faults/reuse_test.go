@@ -87,7 +87,7 @@ func TestDeviceReuseAfterFailedRun(t *testing.T) {
 					return nil
 				}
 				return &sim.Twin{Prog: inst, Warps: func(int, int) bool { return false },
-					CTAs: func(c int) bool { return c == 0 }, Fence: func(_ []uint64, store bool) bool { return !store }}
+					CTAs: func(c int) bool { return c == 0 }, Fence: func(_ []uint64, kind sim.Access) bool { return kind != sim.AccessStore }}
 			}
 			failing := []struct {
 				name    string

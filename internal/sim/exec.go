@@ -30,7 +30,7 @@ type engine struct {
 	twin      *warpCode
 	twinWarps func(cta, warp int) bool
 	// fence is the Twin's fence (nil: unfenced).
-	fence func(lines []uint64, store bool) bool
+	fence func(lines []uint64, kind Access) bool
 
 	sms    []smShard
 	ntid   [3]uint32
@@ -109,8 +109,8 @@ func (e *engine) failCause(w *Warp, cause error) error {
 }
 
 // fenced is the FenceError of warp w's global access.
-func (e *engine) fenced(w *Warp, store, atomic bool) error {
-	return &FenceError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: w.PC, Store: store, Atomic: atomic}
+func (e *engine) fenced(w *Warp, kind Access) error {
+	return &FenceError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: w.PC, Access: kind}
 }
 
 // cbRead32 reads a 32-bit word from the launch's constant bank.

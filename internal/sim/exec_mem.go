@@ -258,11 +258,11 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 		res := &e.dev.perSM[w.CTA.SM].coalRes
 		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: nbytes, Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
-		if e.fence != nil && !e.fence(res.Lines, store) {
-			return 0, e.fenced(w, store, false)
+		if e.fence != nil && !e.fence(res.Lines, accessOf(store)) {
+			return 0, e.fenced(w, accessOf(store))
 		}
 		if e.probe != nil {
-			e.probe.touch(w.CTA.Index, res.Lines, store)
+			e.probe.touch(w.CTA.Index, res.Lines, accessOf(store))
 		}
 		cost = st.hier.AccessLines(res.Lines, store)
 		if e.dev.MemWatch != nil {
@@ -279,11 +279,9 @@ func (e *engine) execGeneric(w *Warp, in *sass.Instruction, exec uint32, width s
 // execAtomicGlobal handles ATOM/RED: one batched read-modify-write of the
 // exec lanes' words, applied in ascending lane order up to the first lane
 // whose address is not global or faults, every earlier lane's old value
-// written back.
+// written back. A fenced launch asks the fence about a reduction's lines
+// and stops at any other global atomic, before either touches memory.
 func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (int, error) {
-	if e.fence != nil {
-		return 0, e.fenced(w, true, true)
-	}
 	ref, err := memRef(in)
 	if err != nil {
 		return 0, err
@@ -301,7 +299,8 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 	di := srcDataIdx(in)
 	cas := in.Mods.Atom == sass.AtomCAS && di+1 < len(in.Srcs)
 	var addrs [WarpSize]uint64
-	var active uint32 // the lanes staged into b
+	var addrBits uint64 // the staged addresses ORed
+	var active uint32   // the lanes staged into b
 	var lanes [WarpSize]uint8
 	var lerr error
 	for m := exec; m != 0; m &= m - 1 {
@@ -313,7 +312,7 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 				Why: "atomic requires a global address"}
 			break
 		}
-		addrs[l] = addr
+		addrs[l], addrBits = addr, addrBits|addr
 		active |= 1 << l
 		b.Addrs[b.N], b.Vals[b.N] = addr, atomOperand(t, in.Srcs[di].Reg, b.Width)
 		if cas {
@@ -321,6 +320,26 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 		}
 		lanes[b.N] = uint8(l)
 		b.N++
+	}
+	// A reduction adds to aligned words: misaligned ones may overlap, and
+	// additions to overlapping words do not commute.
+	reduce := in.Mods.Atom == sass.AtomADD && in.Mods.Width.Bytes() == 4 && !hasDst && addrBits&3 == 0
+	if e.fence != nil && !reduce {
+		return 0, e.fenced(w, AccessAtomic)
+	}
+	res := &e.dev.perSM[w.CTA.SM].coalRes
+	if active != 0 {
+		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: in.Mods.Width.Bytes(), Addrs: &addrs}, res)
+		if e.fence != nil && !e.fence(res.Lines, AccessReduce) {
+			return 0, e.fenced(w, AccessReduce)
+		}
+		if e.probe != nil {
+			if reduce {
+				e.probe.reduce(w.CTA.Index, res.Lines, &b) // b.Vals still holds the operands
+			} else {
+				e.probe.atomic(w.CTA.Index, res.Lines)
+			}
+		}
 	}
 	n, err := e.dev.Global.AtomicWarp(&b)
 	if hasDst {
@@ -342,12 +361,7 @@ func (e *engine) execAtomicGlobal(w *Warp, in *sass.Instruction, exec uint32) (i
 	cost := 1
 	if active != 0 {
 		st := &e.sms[w.CTA.SM]
-		res := &e.dev.perSM[w.CTA.SM].coalRes
-		e.dev.Coal.CoalesceWarp(&mem.WarpOp{Exec: active, Width: in.Mods.Width.Bytes(), Addrs: &addrs}, res)
 		st.globalTransactions += uint64(res.UniqueLines())
-		if e.probe != nil {
-			e.probe.atomic(w.CTA.Index, res.Lines)
-		}
 		cost = st.hier.AccessLines(res.Lines, true) + res.NumActive
 	}
 	return cost, nil

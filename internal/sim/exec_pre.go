@@ -863,11 +863,11 @@ func (e *engine) execPreGeneric(w *Warp, p *preInstr, exec uint32) (int, error) 
 	res := &keep.coalRes
 	e.dev.Coal.CoalesceWarp(op, res)
 	st.globalTransactions += uint64(res.UniqueLines())
-	if e.fence != nil && !e.fence(res.Lines, p.store) {
-		return 0, e.fenced(w, p.store, false)
+	if e.fence != nil && !e.fence(res.Lines, accessOf(p.store)) {
+		return 0, e.fenced(w, accessOf(p.store))
 	}
 	if e.probe != nil {
-		e.probe.touch(w.CTA.Index, res.Lines, p.store)
+		e.probe.touch(w.CTA.Index, res.Lines, accessOf(p.store))
 	}
 	cost := st.hier.AccessLines(res.Lines, p.store)
 	if e.dev.MemWatch != nil {

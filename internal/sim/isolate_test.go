@@ -14,9 +14,17 @@ import (
 
 // copyKernel returns "copy", a kernel in which grid thread g loads in[g]
 // and stores it, plus whoami, to out[g]: whoami is
-// SR_NCTAID.X<<16 | SR_CTAID.X<<8 | SR_SMID. With red, every thread also
-// adds 1 to in[0] with a global RED.
-func copyKernel(t *testing.T, red bool) (*sass.Program, int) {
+// SR_NCTAID.X<<16 | SR_CTAID.X<<8 | SR_SMID. Every thread then issues the
+// global atomic atom names on in[0], with operand 1:
+//   - "red": RED.ADD, a reduction;
+//   - "atom-rz": ATOM.ADD to RZ, a reduction too;
+//   - "atom": ATOM.ADD to R7, which writes a register;
+//   - "add64": RED.ADD.64;
+//   - "max": RED.MAX;
+//   - "unaligned": RED.ADD two bytes past in[0];
+//
+// and none for "".
+func copyKernel(t *testing.T, atom string) (*sass.Program, int) {
 	t.Helper()
 	r, imm := sass.R, sass.Imm
 	k := &sass.Kernel{Name: "copy", NumRegs: 16, Labels: map[string]int{}}
@@ -46,11 +54,26 @@ func copyKernel(t *testing.T, red bool) (*sass.Program, int) {
 	store := len(k.Instrs)
 	k.Instrs = append(k.Instrs, sass.Instruction{Guard: sass.Always, Op: sass.OpSTG, Mods: sass.Mods{E: true},
 		Srcs: []sass.Operand{sass.Mem(2, 0), r(10)}})
-	if red {
+	if atom != "" {
+		at := sass.Instruction{Guard: sass.Always, Op: sass.OpRED, Mods: sass.Mods{Atom: sass.AtomADD, E: true},
+			Srcs: []sass.Operand{sass.Mem(12, 0), r(6)}}
+		switch atom {
+		case "atom-rz", "atom":
+			at.Op, at.Dsts = sass.OpATOM, []sass.Operand{r(sass.RZ)}
+			if atom == "atom" {
+				at.Dsts[0] = r(7)
+			}
+		case "add64":
+			at.Mods.Width = sass.W64
+		case "max":
+			at.Mods.Atom = sass.AtomMAX
+		case "unaligned":
+			at.Srcs[0] = sass.Mem(12, 2)
+		}
 		k.Instrs = append(k.Instrs,
-			sass.New(sass.OpMOV, []sass.Operand{r(1)}, []sass.Operand{imm(1)}),
-			sass.Instruction{Guard: sass.Always, Op: sass.OpRED, Mods: sass.Mods{Atom: sass.AtomADD, E: true},
-				Srcs: []sass.Operand{sass.Mem(12, 0), r(1)}})
+			sass.New(sass.OpMOV, []sass.Operand{r(6)}, []sass.Operand{imm(1)}),
+			sass.New(sass.OpMOV, []sass.Operand{r(7)}, []sass.Operand{imm(0)}),
+			at)
 	}
 	k.Instrs = append(k.Instrs, sass.New(sass.OpEXIT, nil, nil))
 	if err := k.ResolveLabels(); err != nil {
@@ -95,7 +118,7 @@ func sortedLines(lines []uint64) []uint64 {
 // whole grid's SR_NCTAID and their own SR_CTAID; the other CTAs' words are
 // never written. On either core and either SM dispatch.
 func TestTwinCTASubset(t *testing.T) {
-	prog, _ := copyKernel(t, false)
+	prog, _ := copyKernel(t, "")
 	subset := []int{1, 6, 11}
 	for _, ref := range []bool{false, true} {
 		for _, seq := range []bool{false, true} {
@@ -152,10 +175,11 @@ func TestTwinCTASubset(t *testing.T) {
 	}
 }
 
-// TestFenceStopsLaunch: a fence sees every global line a fenced CTA loads
-// and stores, and the launch stops with a *sim.FenceError naming the CTA,
-// the pc and the kind of access where it refuses one. A global atomic
-// stops a fenced launch before it changes memory.
+// TestFenceStopsLaunch: a fence sees every global line a fenced CTA loads,
+// stores and reduces, and the launch stops with a *sim.FenceError naming
+// the CTA, the pc and the kind of access where it refuses one. A refused
+// reduction and any other global atomic stop a fenced launch before it
+// changes memory.
 func TestFenceStopsLaunch(t *testing.T) {
 	const cta = 5
 	for _, ref := range []bool{false, true} {
@@ -167,65 +191,94 @@ func TestFenceStopsLaunch(t *testing.T) {
 				}
 				return dev
 			}
-			prog, store := copyKernel(t, false)
+			prog, store := copyKernel(t, "red")
 			only := func(c int) bool { return c == cta }
 			none := func(int, int) bool { return false }
 
-			// A fence that permits everything is asked about cta's lines.
+			// A fence that permits everything is asked about cta's lines,
+			// and the reduction goes through.
 			dev := newDev()
 			out, in, p := copyLaunch(dev)
-			asked := map[bool][]uint64{}
-			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(lines []uint64, st bool) bool {
-				asked[st] = append(asked[st], lines...)
+			asked := map[sim.Access][]uint64{}
+			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(lines []uint64, kind sim.Access) bool {
+				asked[kind] = append(asked[kind], lines...)
 				return true
 			}}
 			if _, err := dev.Launch(prog, "copy", p); err != nil {
 				t.Fatal(err)
 			}
 			lb := dev.Cfg.CoalesceBytes
-			for st, want := range map[bool][]uint64{false: ctaLines(in, cta, lb), true: ctaLines(out, cta, lb)} {
-				got := sortedLines(asked[st])
-				if !slices.Equal(got, want) {
-					t.Errorf("store=%v: fence asked about %x, want %x", st, got, want)
+			for kind, want := range map[sim.Access][]uint64{
+				sim.AccessLoad: ctaLines(in, cta, lb), sim.AccessStore: ctaLines(out, cta, lb), sim.AccessReduce: {in &^ (lb - 1)},
+			} {
+				if got := sortedLines(asked[kind]); !slices.Equal(got, want) {
+					t.Errorf("%v: fence asked about %x, want %x", kind, got, want)
 				}
+			}
+			if len(asked) != 3 {
+				t.Errorf("fence asked about %v", asked)
+			}
+			if v, _ := dev.Global.Read32(in); v != 1000+copyThreads {
+				t.Errorf("in[0] = %d after one CTA's reductions, want %d", v, 1000+copyThreads)
 			}
 
 			// A fence that refuses stores stops the launch at the store.
 			dev = newDev()
 			_, _, p = copyLaunch(dev)
-			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(_ []uint64, st bool) bool { return !st }}
+			p.Twin = &sim.Twin{Prog: prog, Warps: none, CTAs: only, Fence: func(_ []uint64, kind sim.Access) bool { return kind != sim.AccessStore }}
 			_, err := dev.Launch(prog, "copy", p)
 			var fe *sim.FenceError
-			if !errors.As(err, &fe) || fe.CTA != cta || fe.PC != store || !fe.Store || fe.Atomic {
+			if !errors.As(err, &fe) || fe.CTA != cta || fe.PC != store || fe.Access != sim.AccessStore {
 				t.Errorf("refused store: launch ended with %#v", err)
 			}
 			if n := dev.LiveSlabs(); n != 0 {
 				t.Errorf("%d slabs outstanding", n)
 			}
 
-			// A global atomic stops a fenced launch untouched.
-			red, _ := copyKernel(t, true)
-			dev = newDev()
-			_, in, p = copyLaunch(dev)
-			p.Twin = &sim.Twin{Prog: red, Warps: none, CTAs: only, Fence: func([]uint64, bool) bool { return true }}
-			_, err = dev.Launch(red, "copy", p)
-			if !errors.As(err, &fe) || fe.CTA != cta || !fe.Atomic {
-				t.Errorf("atomic: launch ended with %#v", err)
-			}
-			if v, _ := dev.Global.Read32(in); v != 1000 {
-				t.Errorf("in[0] = %d after a fenced atomic, want 1000", v)
+			// A refused reduction, and any other global atomic under a
+			// fence that permits everything, stop the launch untouched.
+			for _, tc := range []struct {
+				atom   string
+				refuse sim.Access
+				want   sim.Access
+			}{
+				{"red", sim.AccessReduce, sim.AccessReduce},
+				{"atom-rz", sim.AccessReduce, sim.AccessReduce},
+				{"atom", sim.AccessAtomic, sim.AccessAtomic},
+				{"add64", sim.AccessAtomic, sim.AccessAtomic},
+				{"max", sim.AccessAtomic, sim.AccessAtomic},
+				{"unaligned", sim.AccessAtomic, sim.AccessAtomic},
+			} {
+				atom, _ := copyKernel(t, tc.atom)
+				dev = newDev()
+				_, in, p = copyLaunch(dev)
+				p.Twin = &sim.Twin{Prog: atom, Warps: none, CTAs: only, Fence: func(_ []uint64, kind sim.Access) bool { return kind != tc.refuse }}
+				_, err = dev.Launch(atom, "copy", p)
+				if !errors.As(err, &fe) || fe.CTA != cta || fe.Access != tc.want {
+					t.Errorf("%s: launch ended with %#v", tc.atom, err)
+				}
+				if v, _ := dev.Global.Read32(in); v != 1000 {
+					t.Errorf("%s: in[0] = %d after a fenced atomic, want 1000", tc.atom, v)
+				}
 			}
 		})
 	}
 }
 
 // TestSiteProbeFootprint: the probe reports, per CTA, the lines its warps
-// loaded and stored, ascending and without repeats, and whether it issued
-// a global atomic, whose lines count as both.
+// loaded, stored and reduced, ascending and without repeats, what its
+// reductions added to each word, and whether it issued a global atomic
+// other than a reduction, whose lines count as loaded and stored. A
+// reduction is an ADD to aligned 4-byte words that writes no register: an
+// ATOM with a destination, a 64-bit ADD, a MAX and an ADD to a misaligned
+// word are none.
 func TestSiteProbeFootprint(t *testing.T) {
-	for _, red := range []bool{false, true} {
-		t.Run(fmt.Sprintf("red=%v", red), func(t *testing.T) {
-			prog, _ := copyKernel(t, red)
+	for _, tc := range []struct{ name, atom string }{
+		{"red=false", ""}, {"red=true", "red"}, {"atom=rz", "atom-rz"}, {"atom=dst", "atom"}, {"add64", "add64"}, {"max", "max"}, {"unaligned", "unaligned"},
+	} {
+		atom := tc.atom
+		t.Run(tc.name, func(t *testing.T) {
+			prog, _ := copyKernel(t, atom)
 			dev := sim.NewDevice(sim.MiniGPU())
 			probe := &probeRecorder{weights: map[string][]uint32{"copy": make([]uint32, len(prog.Kernels[0].Instrs))}}
 			dev.Probe = probe
@@ -238,19 +291,29 @@ func TestSiteProbeFootprint(t *testing.T) {
 			}
 			f := probe.footprints[0]
 			lb := dev.Cfg.CoalesceBytes
-			if f.LineBytes != lb || len(f.Loads) != copyCTAs || len(f.Stores) != copyCTAs || len(f.Atomic) != copyCTAs {
-				t.Fatalf("footprint of %d-byte lines over %d/%d/%d CTAs", f.LineBytes, len(f.Loads), len(f.Stores), len(f.Atomic))
+			if f.LineBytes != lb || len(f.Loads) != copyCTAs || len(f.Stores) != copyCTAs || len(f.Reduces) != copyCTAs ||
+				len(f.Atomic) != copyCTAs || len(f.Deltas) != copyCTAs {
+				t.Fatalf("footprint of %d-byte lines over %d/%d/%d/%d/%d CTAs", f.LineBytes,
+					len(f.Loads), len(f.Stores), len(f.Reduces), len(f.Atomic), len(f.Deltas))
 			}
+			reduction := atom == "red" || atom == "atom-rz"
+			atomic := atom != "" && !reduction
+			first := in &^ (lb - 1)
 			for c := 0; c < copyCTAs; c++ {
 				loads, stores := ctaLines(in, c, lb), ctaLines(out, c, lb)
-				if red {
-					first := in &^ (lb - 1)
+				var reduces []uint64
+				var deltas []sim.Delta
+				if atomic {
 					loads = sortedLines(append(loads, first))
 					stores = sortedLines(append(stores, first))
 				}
-				if !slices.Equal(f.Loads[c], loads) || !slices.Equal(f.Stores[c], stores) || f.Atomic[c] != red {
-					t.Errorf("CTA %d: loads %x stores %x atomic %v\nwant loads %x stores %x atomic %v",
-						c, f.Loads[c], f.Stores[c], f.Atomic[c], loads, stores, red)
+				if reduction {
+					reduces, deltas = []uint64{first}, []sim.Delta{{Addr: in, Sum: copyThreads}}
+				}
+				if !slices.Equal(f.Loads[c], loads) || !slices.Equal(f.Stores[c], stores) || !slices.Equal(f.Reduces[c], reduces) ||
+					!slices.Equal(f.Deltas[c], deltas) || f.Atomic[c] != atomic {
+					t.Errorf("CTA %d: loads %x stores %x reduces %x deltas %v atomic %v\nwant loads %x stores %x reduces %x deltas %v atomic %v",
+						c, f.Loads[c], f.Stores[c], f.Reduces[c], f.Deltas[c], f.Atomic[c], loads, stores, reduces, deltas, atomic)
 				}
 			}
 		})

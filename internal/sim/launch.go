@@ -79,12 +79,41 @@ type Twin struct {
 	// SM the whole grid would have given it, and the grid, SR_NCTAID and
 	// SR_CTAID stay those of the launch.
 	CTAs func(cta int) bool
-	// Fence, when non-nil, vets the launch's global memory accesses: after
-	// each warp load or store, with the lines it touched (base addresses
-	// of Config.CoalesceBytes lines, which may alias a reused buffer), and
-	// the launch stops with a *FenceError where it returns false. A fenced
-	// launch stops at any global atomic too, before it touches memory.
-	Fence func(lines []uint64, store bool) bool
+	// Fence, when non-nil, vets the launch's global memory accesses, with
+	// the lines an access touches (base addresses of Config.CoalesceBytes
+	// lines, which may alias a reused buffer) and its kind: a warp load or
+	// store after it has happened, a reduction atomic (see AccessReduce)
+	// before it touches memory. The launch stops with a *FenceError where
+	// it returns false. A fenced launch stops at every other global atomic
+	// without asking, before it touches memory.
+	Fence func(lines []uint64, kind Access) bool
+}
+
+// Access is the kind of a warp's global memory access.
+type Access uint8
+
+const (
+	AccessLoad Access = iota
+	AccessStore
+	// AccessReduce is a reduction atomic: a global ATOM or RED that adds to
+	// aligned 4-byte words and writes no register, so that nothing it
+	// reads is observed and the order of reductions from different CTAs
+	// cannot show.
+	AccessReduce
+	// AccessAtomic is any other global atomic.
+	AccessAtomic
+)
+
+func (a Access) String() string {
+	return [...]string{"load", "store", "reduction", "atomic"}[a]
+}
+
+// accessOf is the kind of a warp load (store).
+func accessOf(store bool) Access {
+	if store {
+		return AccessStore
+	}
+	return AccessLoad
 }
 
 // TwinError reports a launch whose Twin cannot share it.
@@ -98,25 +127,18 @@ func (e *TwinError) Error() string {
 }
 
 // FenceError reports a launch its Twin's Fence stopped: a warp of CTA CTA,
-// at pc PC, loaded or stored global lines the fence refused, or issued a
-// global atomic. What the launch had done by then is left as it was.
+// at pc PC, made a global access of kind Access whose lines the fence
+// refused, or issued a global atomic other than a reduction (Access is
+// then AccessAtomic). What the launch had done by then is left as it was.
 type FenceError struct {
 	Kernel string
 	CTA    int
 	PC     int
-	Store  bool
-	Atomic bool
+	Access Access
 }
 
 func (e *FenceError) Error() string {
-	what := "load"
-	switch {
-	case e.Atomic:
-		what = "atomic"
-	case e.Store:
-		what = "store"
-	}
-	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: global %s outside the fence", e.Kernel, e.CTA, e.PC, what)
+	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: global %s outside the fence", e.Kernel, e.CTA, e.PC, e.Access)
 }
 
 // minRegs is the fewest registers a thread has, whatever its kernel asks.

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
+	"sassi/internal/mem"
 	"sassi/internal/sass"
 )
 
@@ -33,15 +35,27 @@ type SiteProbe interface {
 }
 
 // Footprint is a launch's use of global memory per CTA, in lines of
-// Config.CoalesceBytes: the lines each CTA's warps loaded and the lines they
-// stored, as ascending line base addresses without repeats, and whether the
-// CTA issued a global atomic, whose lines count as loaded and stored. It
-// covers the core's loads, stores and atomics; a handler's own device
-// memory accesses are not in it.
+// Config.CoalesceBytes: the lines each CTA's warps loaded, stored and
+// reduced, as ascending line base addresses without repeats, and whether
+// the CTA issued a global atomic other than a reduction, whose lines count
+// as loaded and stored. A reduction (AccessReduce: an ATOM or RED that adds
+// to aligned 4-byte words and writes no register) goes into Reduces and
+// Deltas alone. It covers the core's loads, stores and atomics; a
+// handler's own device memory accesses are not in it.
 type Footprint struct {
-	LineBytes     uint64
-	Loads, Stores [][]uint64 // per CTA
-	Atomic        []bool     // per CTA
+	LineBytes              uint64
+	Loads, Stores, Reduces [][]uint64 // per CTA
+	Atomic                 []bool     // per CTA
+	// Deltas is, per CTA, what its reductions added to each 32-bit word,
+	// ascending by address, one entry per word.
+	Deltas [][]Delta
+}
+
+// Delta is the sum, mod 2³², of what a CTA's reductions added to the word
+// at Addr.
+type Delta struct {
+	Addr uint64
+	Sum  uint32
 }
 
 // siteCount is a launch's SiteProbe state. Every slice is indexed by grid
@@ -54,8 +68,8 @@ type siteCount struct {
 	smMax       []uint64 // per SM: the largest retired DynWarpInstrs+added
 	warpsPerCTA int
 	fp          Footprint
-	seen        []lineFilter // per CTA: its loads', then its stores'
-	sorted      []int        // per CTA, likewise: how much of each list is compact
+	seen        []lineFilter // per CTA: its loads', stores' and reductions'
+	sorted      []int        // likewise, then per CTA its deltas': how much of each list is compact
 }
 
 // lineFilter holds the last line seen in each of 32 slots, picked by line
@@ -81,10 +95,12 @@ func (e *engine) attachProbe(k *sass.Kernel, numCTAs, threadsPerCTA int) error {
 			LineBytes: e.dev.Cfg.CoalesceBytes,
 			Loads:     make([][]uint64, numCTAs),
 			Stores:    make([][]uint64, numCTAs),
+			Reduces:   make([][]uint64, numCTAs),
 			Atomic:    make([]bool, numCTAs),
+			Deltas:    make([][]Delta, numCTAs),
 		},
-		seen:   make([]lineFilter, 2*numCTAs),
-		sorted: make([]int, 2*numCTAs),
+		seen:   make([]lineFilter, 3*numCTAs),
+		sorted: make([]int, 4*numCTAs),
 	}
 	return nil
 }
@@ -103,13 +119,16 @@ func (s *siteCount) issue(w *Warp, pc int, exec uint32) {
 	s.added[w.CTA.Index*s.warpsPerCTA+w.IDinCTA] += uint64(wt)
 }
 
-// touch adds the lines of one warp access of CTA cta to its footprint. A
-// CTA that reads the same lines over and over is compacted whenever its
-// list has doubled since the last time.
-func (s *siteCount) touch(cta int, lines []uint64, store bool) {
-	set, i := &s.fp.Loads[cta], 2*cta
-	if store {
-		set, i = &s.fp.Stores[cta], 2*cta+1
+// touch adds the lines of one warp access of CTA cta, of kind load, store
+// or reduce, to its footprint. A CTA that reads the same lines over and
+// over is compacted whenever its list has doubled since the last time.
+func (s *siteCount) touch(cta int, lines []uint64, kind Access) {
+	set, i := &s.fp.Loads[cta], 3*cta+int(kind)
+	switch kind {
+	case AccessStore:
+		set = &s.fp.Stores[cta]
+	case AccessReduce:
+		set = &s.fp.Reduces[cta]
 	}
 	seen := &s.seen[i]
 	for _, l := range lines {
@@ -123,12 +142,26 @@ func (s *siteCount) touch(cta int, lines []uint64, store bool) {
 	}
 }
 
-// atomic adds the lines of one warp global atomic of CTA cta to both its
-// lists and marks the CTA.
+// atomic adds the lines of one warp global atomic of CTA cta, not a
+// reduction, to both its lists and marks the CTA.
 func (s *siteCount) atomic(cta int, lines []uint64) {
-	s.touch(cta, lines, false)
-	s.touch(cta, lines, true)
+	s.touch(cta, lines, AccessLoad)
+	s.touch(cta, lines, AccessStore)
 	s.fp.Atomic[cta] = true
+}
+
+// reduce adds one warp reduction of CTA cta to its footprint: its lines,
+// and the operands b stages, before the batch is applied, to the CTA's
+// per-word deltas.
+func (s *siteCount) reduce(cta int, lines []uint64, b *mem.AtomicBatch) {
+	s.touch(cta, lines, AccessReduce)
+	set, i := &s.fp.Deltas[cta], 3*len(s.fp.Loads)+cta
+	for j := range b.N {
+		*set = append(*set, Delta{Addr: b.Addrs[j], Sum: uint32(b.Vals[j])})
+	}
+	if len(*set) > 2*s.sorted[i]+64 {
+		s.sorted[i] = compactDeltas(set)
+	}
 }
 
 // compactLines sorts a line list and drops its repeats.
@@ -136,6 +169,22 @@ func compactLines(set *[]uint64) int {
 	slices.Sort(*set)
 	*set = slices.Compact(*set)
 	return len(*set)
+}
+
+// compactDeltas sorts a delta list by address and sums each word's entries
+// into one.
+func compactDeltas(set *[]Delta) int {
+	slices.SortFunc(*set, func(a, b Delta) int { return cmp.Compare(a.Addr, b.Addr) })
+	out := (*set)[:0]
+	for _, d := range *set {
+		if n := len(out); n > 0 && out[n-1].Addr == d.Addr {
+			out[n-1].Sum += d.Sum
+		} else {
+			out = append(out, d)
+		}
+	}
+	*set = out
+	return len(out)
 }
 
 // retire folds a retiring CTA's warps into its SM's maximum.
@@ -156,6 +205,8 @@ func (s *siteCount) report(p SiteProbe) {
 	for c := range s.fp.Loads {
 		compactLines(&s.fp.Loads[c])
 		compactLines(&s.fp.Stores[c])
+		compactLines(&s.fp.Reduces[c])
+		compactDeltas(&s.fp.Deltas[c])
 	}
 	p.LaunchFootprint(&s.fp)
 }
