@@ -51,6 +51,19 @@ func TestWriteRegressionTestdata(t *testing.T) {
 				"commute (seq vs par: acc[7] differed); the generator now splits the\n" +
 				"accumulator into an ADD-only low half and a MAX-only high half",
 		},
+		{
+			name: "regress-sync-then-arm",
+			prog: &Prog{Seed: 314, GridX: 1, BlockX: 32, NumU: 7, NumF: 1, Stmts: []Stmt{
+				{Kind: StIfElse, D: 14, A: 60, B: 44, Op: 43, K: 41, Else: []Stmt{
+					{Kind: StArithI, D: 54, A: 30, B: 5, Op: 34, K: 46},
+				}},
+			}},
+			note: "regression: an empty then-arm's SYNC pops straight to the reconvergence\n" +
+				"point, where R7 is read, but the CFG gave it only a fall-through edge\n" +
+				"into the else-arm, which writes R7 first; liveness called R7 dead there\n" +
+				"and the site before that SYNC zeroed it as an ABI argument register\n" +
+				"(base/ref-seq vs opcount/ref-seq: out[3] = 0xbe vs 0x0)",
+		},
 	} {
 		if err := WriteRepro(filepath.Join("testdata", r.name+".ptx"), r.prog, r.note); err != nil {
 			t.Fatal(err)
