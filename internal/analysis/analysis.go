@@ -201,17 +201,18 @@ func (m VerifyMode) String() string {
 }
 
 // KernelFacts is what one verification derives about a kernel and hands
-// to every check that needs more than the instructions: the CFG and, each
-// built on first use, the value lattice's fixpoint and the walk of the
-// warp's control stacks (control.go). A check that needs the valuation
+// to every check that needs more than the instructions: the CFG, with the
+// walk of the warp's control stacks its SYNC edges come from, and, each
+// built on first use, the value lattice's fixpoint and the guard facts the
+// walk splits the warp by (control.go). A check that needs the valuation
 // takes it from Values — never from AnalyzeValues — so verifying a kernel
 // (and linting it for concurrency on the same facts) runs the fixpoint and
 // the walk once however many checks consult them. Like the Valuation it
 // holds, a KernelFacts is for one goroutine.
 type KernelFacts struct {
-	CFG *sass.CFG
-	val *Valuation
-	ctl *controlWalk
+	CFG   *sass.CFG
+	val   *Valuation
+	guard *guardFacts
 }
 
 // NewKernelFacts wraps a CFG for callers that run a check, or build a

@@ -76,7 +76,7 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 		})
 	}
 
-	w := f.control()
+	w, g := f.CFG.Control, f.guards()
 	pdom := PostDominators(cfg)
 	n := len(k.Instrs)
 	// A SYNC lies inside some SSY region when an earlier SSY's
@@ -96,17 +96,17 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 			if i+1 < n {
 				t.Returns[i+1] = true
 			}
-			if w.tidDep.Has(i) {
+			if g.tidDep.Has(i) {
 				report(Error, i, "CAL guard is provably thread-dependent: a divergent call traps")
 			}
-			if w.noted(i)&noteCALDeep != 0 {
-				report(Error, i, "call depth exceeds %d on some path (unbounded recursion?)", maxCallDepth)
+			if w.Noted(i)&sass.NoteCALDeep != 0 {
+				report(Error, i, "call depth exceeds %d on some path (unbounded recursion?)", sass.MaxCallDepth)
 			}
 		case in.Op == sass.OpRET:
 			switch {
-			case w.noted(i)&noteRETEmpty != 0:
+			case w.Noted(i)&sass.NoteRETEmpty != 0:
 				report(Error, i, "RET reachable with an empty call stack: no matching CAL on some path")
-			case w.noted(i)&noteRETCalled == 0 && !w.truncated && !w.cutShort:
+			case w.Noted(i)&sass.NoteRETCalled == 0 && !w.Truncated && !w.CutShort:
 				// A path the walk stopped at a divergence-stack error
 				// (reported as such) may have gone on to this RET.
 				report(Error, i, "RET is not reachable from any call site: return cannot match a CAL")
@@ -124,12 +124,12 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 				report(Warning, i, "SSY reconvergence target @%04x does not post-dominate the SSY: some path skips the reconvergence point",
 					sass.InsOffset(to))
 			}
-		case w.splits.Has(i) && i+1 < n:
+		case g.splits.Has(i) && i+1 < n:
 			t.Defer[i+1] = true
 		}
 	}
-	if w.truncated {
-		report(Warning, -1, "call-path analysis truncated after %d states; RET reachability unchecked", maxCtlStates)
+	if w.Truncated {
+		report(Warning, -1, "call-path analysis truncated after %d states; RET reachability unchecked", sass.MaxCtlStates)
 	}
 	diags = append(diags, checkEntries(cfg, t)...)
 	return t, diags

@@ -1,6 +1,9 @@
 package sass
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Block is a basic block: a maximal straight-line run of instructions.
 // Start is inclusive, End exclusive (instruction indices into the kernel).
@@ -15,9 +18,22 @@ type Block struct {
 // CFG is the control flow graph of a kernel. SASSI computes it from the
 // final machine code — one of the advantages the paper claims for
 // compiler-based instrumentation over binary rewriting (§9.4, §10.1).
+//
+// An edge means a lane active at the end of one block is next active at
+// the start of the other. That is the view injected code has: a site's
+// spills and fills touch only the lanes active there, so a register must
+// be saved wherever some lane may read it next. Branches and fall-through
+// give the edges of every instruction but SYNC; a SYNC's come from the
+// control-stack walk (Control), one to each reconvergence target it finds
+// on top of the divergence stack there. No edge leaves an unguarded EXIT,
+// whose lanes retire, or a RET, whose target is on the call stack (a
+// CAL's block falls through to the instruction after it instead).
 type CFG struct {
 	Kernel *Kernel
 	Blocks []*Block
+	// Control is the walk of the warp's control stacks the SYNC edges
+	// come from.
+	Control *ControlWalk
 	// blockOf maps an instruction index to its containing block ID.
 	blockOf []int
 }
@@ -26,48 +42,21 @@ type CFG struct {
 func leadersOf(k *Kernel) []bool {
 	n := len(k.Instrs)
 	lead := make([]bool, n+1)
-	if n > 0 {
-		lead[0] = true
+	lead[0] = true
+	target := func(in *Instruction) {
+		if t, ok := in.BranchTarget(); ok && t.Kind == OpdLabel && t.Imm >= 0 && int(t.Imm) <= n {
+			lead[t.Imm] = true
+		}
 	}
 	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		switch in.Op {
-		case OpBRA:
-			if t, ok := in.BranchTarget(); ok && t.Kind == OpdLabel {
-				if t.Imm >= 0 && int(t.Imm) <= n {
-					lead[t.Imm] = true
-				}
-			}
-			if i+1 <= n {
-				lead[i+1] = true
-			}
-		case OpEXIT, OpRET, OpBRK:
-			if i+1 <= n {
-				lead[i+1] = true
-			}
-		case OpSSY, OpPBK:
-			// SSY/PBK targets are reconvergence points: block leaders.
-			if t, ok := in.BranchTarget(); ok && t.Kind == OpdLabel {
-				if t.Imm >= 0 && int(t.Imm) <= n {
-					lead[t.Imm] = true
-				}
-			}
-		case OpSYNC:
-			// SYNC may transfer control (pop to the reconvergence point).
-			if i+1 <= n {
-				lead[i+1] = true
-			}
-		case OpCAL:
-			// Calls return to the next instruction; treat as fallthrough
-			// but keep the callee boundary clean.
-			if t, ok := in.BranchTarget(); ok && t.Kind == OpdLabel {
-				if t.Imm >= 0 && int(t.Imm) <= n {
-					lead[t.Imm] = true
-				}
-			}
-			if i+1 <= n {
-				lead[i+1] = true
-			}
+		switch in := &k.Instrs[i]; in.Op {
+		case OpBRA, OpCAL:
+			target(in)
+			lead[i+1] = true
+		case OpSSY:
+			target(in) // a reconvergence point
+		case OpEXIT, OpRET, OpSYNC:
+			lead[i+1] = true
 		}
 	}
 	return lead
@@ -93,79 +82,58 @@ func BuildCFG(k *Kernel) (*CFG, error) {
 			start = i
 		}
 	}
-	blockAt := func(idx int) (int, bool) {
-		if idx < 0 || idx >= n {
-			return 0, false
-		}
-		return cfg.blockOf[idx], true
-	}
+	// addEdge links the block ending at instruction from to the one
+	// starting at instruction to, if there is one.
 	addEdge := func(from, to int) {
-		for _, s := range cfg.Blocks[from].Succs {
-			if s == to {
-				return
-			}
+		if to < 0 || to >= n {
+			return
 		}
-		cfg.Blocks[from].Succs = append(cfg.Blocks[from].Succs, to)
-		cfg.Blocks[to].Preds = append(cfg.Blocks[to].Preds, from)
+		b, s := cfg.Blocks[cfg.blockOf[from]], cfg.blockOf[to]
+		if !slices.Contains(b.Succs, s) {
+			b.Succs = append(b.Succs, s)
+			cfg.Blocks[s].Preds = append(cfg.Blocks[s].Preds, b.ID)
+		}
 	}
-	for _, b := range cfg.Blocks {
-		last := &k.Instrs[b.End-1]
-		switch last.Op {
-		case OpBRA:
-			if t, ok := last.BranchTarget(); ok && t.Kind == OpdLabel {
-				if tb, ok := blockAt(int(t.Imm)); ok {
-					addEdge(b.ID, tb)
-				}
+	var ssys []int // the SSY targets, for a SYNC the walk could not follow
+	for i := range k.Instrs {
+		in := &k.Instrs[i]
+		t, ok := in.BranchTarget()
+		ok = ok && t.Kind == OpdLabel
+		switch {
+		case in.Op == OpSSY && ok:
+			ssys = append(ssys, int(t.Imm))
+		case in.Op == OpBRA && ok:
+			addEdge(i, int(t.Imm))
+		}
+		if i+1 < n && !lead[i+1] {
+			continue
+		}
+		// The last instruction of a block: does a lane fall through?
+		switch in.Op {
+		case OpBRA, OpEXIT:
+			if !in.Guard.IsAlways() {
+				addEdge(i, i+1)
 			}
-			if !last.Guard.IsAlways() {
-				// Conditional: may fall through.
-				if fb, ok := blockAt(b.End); ok {
-					addEdge(b.ID, fb)
-				}
-			}
-		case OpEXIT:
-			// No successors when unconditional. A guarded EXIT only
-			// retires the lanes whose guard passes; the remaining lanes
-			// fall through, so the next block is a real successor (the
-			// simulator advances the PC whenever Active is non-empty).
-			if !last.Guard.IsAlways() {
-				if fb, ok := blockAt(b.End); ok {
-					addEdge(b.ID, fb)
-				}
-			}
-		case OpRET:
-			// No successors: the return target lives on the call stack,
-			// and the scheduler pops it regardless of the guard.
-		case OpBRK:
-			// Break transfers to the PBK target; conservatively treat
-			// as also possibly falling through for liveness purposes.
-			if fb, ok := blockAt(b.End); ok {
-				addEdge(b.ID, fb)
-			}
-		case OpSYNC:
-			// Reconvergence pop: control continues either at the next
-			// instruction or at a deferred path. For liveness we add the
-			// fallthrough edge; divergent-path values are kept live by
-			// the SSY-target edges added when the branch was processed.
-			if fb, ok := blockAt(b.End); ok {
-				addEdge(b.ID, fb)
-			}
+		case OpRET, OpSYNC:
 		default:
-			if fb, ok := blockAt(b.End); ok {
-				addEdge(b.ID, fb)
+			addEdge(i, i+1)
+		}
+	}
+	w := walkControl(k)
+	cfg.Control = w
+	if w.Truncated || slices.ContainsFunc(w.Notes, func(b Note) bool { return b&(NoteSSYDeep|NoteCALDeep) != 0 }) {
+		// Some path went unwalked: every reconvergence point may follow
+		// every SYNC.
+		for i := range k.Instrs {
+			if k.Instrs[i].Op == OpSYNC {
+				for _, t := range ssys {
+					addEdge(i, t)
+				}
 			}
 		}
-		// SSY anywhere in the block makes its reconvergence target
-		// reachable from this block (a deferred path may resume there).
-		for j := b.Start; j < b.End; j++ {
-			in := &k.Instrs[j]
-			if in.Op == OpSSY || in.Op == OpPBK {
-				if t, ok := in.BranchTarget(); ok && t.Kind == OpdLabel {
-					if tb, ok := blockAt(int(t.Imm)); ok {
-						addEdge(b.ID, tb)
-					}
-				}
-			}
+	} else {
+		for _, e := range w.syncs {
+			addEdge(int(e[0]), int(e[1]))
 		}
 	}
 	return cfg, nil
