@@ -340,7 +340,8 @@ func RegSpaceName(bit int) string {
 // appendSrcUses appends to buf the regspace indices instruction in reads
 // through its operands, its guard and its carry-in — as opposed to a guarded
 // destination's merge of the old value, which MaybeUninitReads and
-// Liveness treat apart. A register group reaching past R254 (R254 as a
+// Liveness treat apart — and, for a JCAL, the handler argument registers
+// R4..R7 it passes. A register group reaching past R254 (R254 as a
 // 64-bit pair is R254 and R255) has no bit — bit 255 is P0 — and neither
 // has a predicate number past P6: both are dropped, like RZ and PT. The
 // structural check reports them.
@@ -348,6 +349,11 @@ func appendSrcUses(buf []int, in *sass.Instruction) []int {
 	var regs [16]uint8
 	for _, r := range in.AppendGPRSrcs(regs[:0]) {
 		if r < sass.NumGPR {
+			buf = append(buf, GPRBit(r))
+		}
+	}
+	if in.Op == sass.OpJCAL {
+		for r := uint8(sass.JCALArg0); r < sass.JCALArg1+2; r++ {
 			buf = append(buf, GPRBit(r))
 		}
 	}

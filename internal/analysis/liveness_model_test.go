@@ -1,7 +1,8 @@
 package analysis
 
 // The model for Liveness: the implementation it replaced (sass.ComputeLiveness
-// and its helpers), kept verbatim but for package qualifiers and names. It
+// and its helpers), kept verbatim but for package qualifiers and names and
+// the rule that a JCAL reads its handler argument registers. It
 // restates the def/use, may-assigned and predicated-merge rules with two
 // private fixpoints of its own, so an agreement with Liveness is evidence
 // about the shared regspace helpers and Solve, not a tautology.
@@ -71,8 +72,13 @@ func instrDefsUses(in *sass.Instruction, maybeR *sass.RegSet, maybeP sass.PredSe
 		ccUse = true
 	}
 	// SP is implicitly live throughout any kernel that has a stack; callers
-	// that care add it explicitly. JCAL/CAL clobber the ABI scratch regs but
-	// SASSI inserts those itself, so no special casing here.
+	// that care add it explicitly. A JCAL reads its handler arguments
+	// (R4..R7): a later instrumentation pass must keep them.
+	if in.Op == sass.OpJCAL {
+		for r := uint8(sass.JCALArg0); r < sass.JCALArg1+2; r++ {
+			use.Add(r)
+		}
+	}
 	return
 }
 

@@ -16,6 +16,11 @@ const (
 	// SP is the register holding the per-thread stack pointer by ABI
 	// convention (matches the paper's use of R1 in Figure 2).
 	SP = 1
+	// JCALArg0 and JCALArg1 start the register pairs a JCAL passes its
+	// handler's two 64-bit arguments in, (R4,R5) and (R6,R7), by the same
+	// convention (Figure 2): a JCAL reads R4..R7.
+	JCALArg0 = 4
+	JCALArg1 = 6
 )
 
 // OperandKind discriminates Operand variants.

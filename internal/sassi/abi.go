@@ -17,6 +17,8 @@
 // matching the paper's placement of SASSI as the last ptxas pass.
 package sassi
 
+import "sassi/internal/sass"
+
 // The CUDA-ABI conventions this instrumentor follows. They mirror the
 // paper's Figure 2: R1 is the stack pointer, 64-bit pointer arguments go
 // in (R4,R5) and (R6,R7), and instrumentation handlers may use at most
@@ -25,8 +27,8 @@ package sassi
 const (
 	// ABIArg0 and ABIArg1 are the register pairs carrying the two handler
 	// arguments (generic pointers to the parameter objects).
-	ABIArg0 = 4
-	ABIArg1 = 6
+	ABIArg0 = sass.JCALArg0
+	ABIArg1 = sass.JCALArg1
 
 	// HandlerMaxRegs caps the register footprint of instrumentation
 	// handlers (nvcc -maxrregcount=16 in the paper, §3.2). The injector
