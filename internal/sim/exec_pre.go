@@ -101,7 +101,7 @@ func (e *engine) stepPre(w *Warp) error {
 	if advance {
 		w.PC++
 	}
-	stall := w.scoreboardPre(p, cost)
+	stall := w.scoreboardPre(pre.slots[p.sb:], p, cost)
 	st.cycles += uint64(cost) + stall
 	st.scoreboardStalls += stall
 	if st.samp != nil && st.cycles >= st.sampNext {
@@ -110,11 +110,12 @@ func (e *engine) stepPre(w *Warp) error {
 	return nil
 }
 
-// scoreboardPre is Warp.scoreboard over precomputed slot lists: same
-// hazard model, no per-step operand walks.
-func (w *Warp) scoreboardPre(p *preInstr, cost int) (stall uint64) {
+// scoreboardPre is Warp.scoreboard over precomputed slot lists, which
+// start slots: same hazard model, no per-step operand walks.
+func (w *Warp) scoreboardPre(slots []uint16, p *preInstr, cost int) (stall uint64) {
+	src, dst := slots[:p.nsrc], slots[p.nsrc:][:p.ndst]
 	ready := uint64(0)
-	for _, s := range p.sbSrc {
+	for _, s := range src {
 		if r := w.readyAt[s]; r > ready {
 			ready = r
 		}
@@ -124,7 +125,7 @@ func (w *Warp) scoreboardPre(p *preInstr, cost int) (stall uint64) {
 	}
 	w.clock += stall + uint64(cost)
 	retire := w.clock + uint64(p.resLat)
-	for _, d := range p.sbDst {
+	for _, d := range dst {
 		w.readyAt[d] = retire
 	}
 	return stall

@@ -130,9 +130,10 @@ type preInstr struct {
 
 	// Scoreboard slot lists, replicating Warp.scoreboard's consider and
 	// retire sets exactly (GPR width expansion, guard and predicate
-	// sources, CC on .X/.CC).
-	sbSrc []uint16
-	sbDst []uint16
+	// sources, CC on .X/.CC): the consider set is preKernel.slots[sb:][:nsrc],
+	// the retire set the ndst slots after it.
+	sb         uint32
+	nsrc, ndst uint8
 
 	// Specialized-class modifiers.
 	cmp      sass.CmpOp
@@ -172,6 +173,9 @@ type preInstr struct {
 type preKernel struct {
 	k   *sass.Kernel
 	ins []preInstr
+	// slots holds every instruction's scoreboard slot lists, one after
+	// another (preInstr.sb).
+	slots []uint16
 	// sbSlots is the size of a warp's scoreboard for k: the GPR slots
 	// (scoreboardGPRs), then the predicates and the CC.
 	sbSlots int
@@ -210,7 +214,8 @@ func predecode(k *sass.Kernel) any {
 	if regs := max(k.NumRegs, minRegs); gprs > regs {
 		return &preKernel{k: k, err: fmt.Errorf("names R%d, the kernel has %d registers", gprs-1, regs)}
 	}
-	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail}
+	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail,
+		slots: make([]uint16, 0, 4*len(k.Instrs))}
 	cbSize := constBankSize(k)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
@@ -237,7 +242,7 @@ func predecode(k *sass.Kernel) any {
 		}
 		p.staticCost = uint8(sass.IssueCost(in))
 		p.resLat = uint8(sass.ResultLatency(in))
-		p.fillScoreboard(in, gprs)
+		pk.slots = p.fillScoreboard(pk.slots, in, gprs)
 		p.fillOperands(in)
 		if p.class == pcJCAL {
 			t, _ := in.BranchTarget()
@@ -474,52 +479,55 @@ func (p *preInstr) fillOperands(in *sass.Instruction) {
 	p.negB = in.Mods.NegB
 }
 
-// fillScoreboard precomputes the consider (sbSrc) and retire (sbDst) slot
-// lists, mirroring Warp.scoreboard instruction walks; the predicate and CC
-// slots follow the kernel's gprs GPR slots.
-func (p *preInstr) fillScoreboard(in *sass.Instruction, gprs int) {
+// fillScoreboard appends the consider and retire slot lists to slots and
+// records where they are (sb, nsrc, ndst), mirroring Warp.scoreboard's
+// instruction walks; the predicate and CC slots follow the kernel's gprs
+// GPR slots.
+func (p *preInstr) fillScoreboard(slots []uint16, in *sass.Instruction, gprs int) []uint16 {
 	predBase, ccSlot := gprs, gprs+sass.NumPred
 	var buf [24]uint8
-	add := func(dst *[]uint16, slot int) {
-		for _, s := range *dst {
-			if int(s) == slot {
-				return
-			}
+	start := len(slots)
+	list := start
+	add := func(slot int) {
+		if !slices.Contains(slots[list:], uint16(slot)) {
+			slots = append(slots, uint16(slot))
 		}
-		*dst = append(*dst, uint16(slot))
 	}
 	for _, r := range in.AppendGPRSrcs(buf[:0]) {
 		if r != sass.RZ {
-			add(&p.sbSrc, int(r))
+			add(int(r))
 		}
 	}
 	for _, r := range in.AppendGPRDsts(buf[:0]) {
 		if r != sass.RZ {
-			add(&p.sbSrc, int(r)) // WAW: the previous write must retire first
+			add(int(r)) // WAW: the previous write must retire first
 		}
 	}
 	if !in.Guard.IsAlways() && in.Guard.Reg != sass.PT {
-		add(&p.sbSrc, predBase+int(in.Guard.Reg))
+		add(predBase + int(in.Guard.Reg))
 	}
 	for _, s := range in.Srcs {
 		if s.Kind == sass.OpdPred && s.Reg != sass.PT {
-			add(&p.sbSrc, predBase+int(s.Reg))
+			add(predBase + int(s.Reg))
 		}
 	}
 	if in.Mods.X || in.Mods.SetCC {
-		add(&p.sbSrc, ccSlot)
+		add(ccSlot)
 	}
+	list = len(slots)
 	for _, d := range in.AppendGPRDsts(buf[:0]) {
 		if d != sass.RZ {
-			add(&p.sbDst, int(d))
+			add(int(d))
 		}
 	}
 	for _, d := range in.Dsts {
 		if d.Kind == sass.OpdPred && d.Reg != sass.PT {
-			add(&p.sbDst, predBase+int(d.Reg))
+			add(predBase + int(d.Reg))
 		}
 	}
 	if in.Mods.SetCC {
-		add(&p.sbDst, ccSlot)
+		add(ccSlot)
 	}
+	p.sb, p.nsrc, p.ndst = uint32(start), uint8(list-start), uint8(len(slots)-list)
+	return slots
 }
