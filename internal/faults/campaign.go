@@ -71,9 +71,9 @@ type Campaign struct {
 	Workers int
 
 	// Cache, when non-nil, is a shared compile cache; campaigns compile
-	// the workload exactly twice (uninstrumented golden + one instrumented
-	// program, whose injected code also defines the site space, shared by
-	// every injection run), and a shared cache extends that sharing across
+	// the workload once, for the golden program, and instrument a clone of
+	// it (whose injected code also defines the site space, shared by every
+	// injection run), and a shared cache extends that sharing across
 	// campaigns. Nil uses a campaign-private cache.
 	Cache *sassi.CompileCache
 
@@ -259,6 +259,9 @@ type goldenRun struct {
 	sites         uint64 // the profiles' total
 	cuts          []*launchCut
 	maxWarpInstrs uint64
+	// pcs maps each kernel's instructions to their places in inst
+	// (sim.TwinSite.PCs), from the site probe's weights.
+	pcs map[string][]int32
 }
 
 // runPath is how an injection run executed its target launch.
@@ -279,27 +282,46 @@ func (p runPath) String() string { return [...]string{"whole", "isolated", "fenc
 
 // injectRun performs injection run number run of the campaign on ctx, a new
 // or reset context it leaves reset: it draws the run's site from (Seed,
-// run) and classifies the outcome, simulating the target CTA alone in the
-// target launch when g shows it isolated and widen is false.
+// run) and classifies the outcome. Unless widen, the target warp runs
+// instrumented code only in the site's after-block (sim.TwinSite), and the
+// target CTA runs alone in the target launch when g shows it isolated.
 func (c *Campaign) injectRun(ctx *cuda.Context, g *goldenRun, run int, widen bool) (Outcome, runPath, error) {
 	site := c.selectSite(g.profiles, g.sites, newRNG(sass.SplitMix(c.Seed, uint64(run))))
 	ctaThreads := g.profiles[site.Invocation].ctaThreads
 	tid := int(site.ThreadID)
 	cta, warp := tid/ctaThreads, tid%ctaThreads/sim.WarpSize
-	if cut := g.cuts[site.Invocation]; !widen && cut.alone[cta] {
-		splice := func(glob *mem.Global) error { return cut.splice(glob, cta) }
-		o, err := c.injectOnce(ctx, g, site, cut.twinFor(g.inst, site.Invocation, cta, warp), splice)
-		var fe *sim.FenceError
-		if !errors.As(err, &fe) {
-			return o, pathIsolated, err
+	cut, path := g.cuts[site.Invocation], pathWhole
+	var at *sim.TwinSite
+	if !widen {
+		at = &sim.TwinSite{Thread: site.ThreadID, Instance: site.InstrIndex, PCs: g.pcs[site.Kernel]}
+		if cut.alone[cta] {
+			path = pathIsolated
 		}
-		// The run stopped short of what the whole grid would do: run it
-		// again without the cut.
-		o, err = c.injectOnce(ctx, g, site, twinFor(g.inst, site.Invocation, cta, warp, false), nil)
-		return o, pathFenced, err
 	}
-	o, err := c.injectOnce(ctx, g, site, twinFor(g.inst, site.Invocation, cta, warp, widen), nil)
-	return o, pathWhole, err
+	for {
+		only := twinFor(g.inst, site.Invocation, cta, warp, widen)
+		var splice func(*mem.Global) error
+		if path == pathIsolated {
+			only = cut.twinFor(g.inst, site.Invocation, cta, warp)
+			splice = func(glob *mem.Global) error { return cut.splice(glob, cta) }
+		}
+		o, err := c.injectOnce(ctx, g, site, at, only, splice)
+		var fe *sim.FenceError
+		var sfe *sim.SkippedFrameError
+		switch {
+		case errors.As(err, &fe) && path == pathIsolated:
+			// The run stopped short of what the whole grid would do: run
+			// it again without the cut.
+			path = pathFenced
+		case errors.As(err, &sfe) && at != nil:
+			// The run read where the skipped after-blocks would have left
+			// their frames: run it again with the target warp on
+			// instrumented code throughout.
+			at = nil
+		default:
+			return o, path, err
+		}
+	}
 }
 
 // golden builds both programs and runs the uninstrumented one over the
@@ -326,7 +348,14 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &goldenRun{prog: prog, inst: inst}
+	g := &goldenRun{prog: prog, inst: inst, pcs: make(map[string][]int32, len(probe.weights))}
+	for name, w := range probe.weights {
+		pcs := make([]int32, len(w)+1)
+		for i, n := range w {
+			pcs[i+1] = pcs[i] + 1 + int32(n)
+		}
+		g.pcs[name] = pcs
+	}
 	smDep := make(map[string]bool, len(prog.Kernels))
 	for _, k := range prog.Kernels {
 		ik, _ := inst.Kernel(k.Name) // newSiteProbe checked it is there
@@ -476,15 +505,32 @@ func twinFor(inst *sass.Program, launch, cta, warp int, widen bool) func(string,
 	}
 }
 
+// atSite narrows the twins only gives to the after-block of site at.
+func atSite(only func(string, int) *sim.Twin, at *sim.TwinSite) func(string, int) *sim.Twin {
+	return func(kernel string, idx int) *sim.Twin {
+		t := only(kernel, idx)
+		if t != nil {
+			t.Site = at
+		}
+		return t
+	}
+}
+
 // injectOnce performs one armed run on ctx, a new or reset context, and
 // classifies the outcome, leaving ctx reset for the worker's next run. The
 // run is given the golden run's uninstrumented program and executes its
 // instrumented one where only selects it; both are shared and read-only.
-// A non-nil splice runs on the device memory after a target launch that
-// succeeded (one that ran the target CTA alone); a *sim.FenceError return
+// A non-nil at narrows the target launch's twin to the site's after-block,
+// and the injector's count starts at the site. A non-nil splice runs on
+// the device memory after a target launch that succeeded (one that ran the
+// target CTA alone). A *sim.FenceError or *sim.SkippedFrameError return
 // means the fence stopped that launch, and the run has no outcome.
-func (c *Campaign) injectOnce(ctx *cuda.Context, g *goldenRun, site handlers.InjectionSite, only func(string, int) *sim.Twin, splice func(*mem.Global) error) (Outcome, error) {
+func (c *Campaign) injectOnce(ctx *cuda.Context, g *goldenRun, site handlers.InjectionSite, at *sim.TwinSite, only func(string, int) *sim.Twin, splice func(*mem.Global) error) (Outcome, error) {
 	inj := handlers.NewInjector(site)
+	if at != nil {
+		inj.Skip(site.InstrIndex)
+		only = atSite(only, at)
+	}
 	var spliceErr error
 	// Lenient heap bounds: corrupted pointers land in mapped memory unless
 	// they leave the heap entirely, as on hardware.
@@ -524,7 +570,8 @@ func (c *Campaign) injectOnce(ctx *cuda.Context, g *goldenRun, site handlers.Inj
 	if err != nil {
 		var te *sim.TwinError
 		var fe *sim.FenceError
-		if errors.As(err, &te) || errors.As(err, &fe) {
+		var sfe *sim.SkippedFrameError
+		if errors.As(err, &te) || errors.As(err, &fe) || errors.As(err, &sfe) {
 			return Masked, err // the campaign's own launch set-up or fence, not an outcome
 		}
 		var ke *sim.KernelError

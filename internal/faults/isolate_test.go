@@ -312,7 +312,7 @@ func TestFenceKeepsRedirectedReductions(t *testing.T) {
 		return tw
 	}
 	ctx := cuda.NewContext(c.injectionConfig(g))
-	_, err = c.injectOnce(ctx, g, site, fenced, func(glob *mem.Global) error { return cut.splice(glob, cta) })
+	_, err = c.injectOnce(ctx, g, site, nil, fenced, func(glob *mem.Global) error { return cut.splice(glob, cta) })
 	var fe *sim.FenceError
 	if !errors.As(err, &fe) || fe.Access != sim.AccessReduce || fe.CTA != cta {
 		t.Fatalf("%s run %d: isolated attempt ended with %v, want a refused reduction", app, run, err)

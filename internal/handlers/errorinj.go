@@ -138,6 +138,11 @@ func NewInjector(site InjectionSite) *Injector {
 // Options returns the instrumentation specification for injection runs.
 func (inj *Injector) Options() sassi.Options { return injWhere() }
 
+// Skip starts the injector's count at n: the target thread has executed n
+// qualifying instructions in code that does not call the handler (a
+// sim.TwinSite's warp before its site).
+func (inj *Injector) Skip(n uint64) { inj.counter = n }
+
 // Arm enables the injector (the campaign driver arms it when the selected
 // kernel invocation is reached, via CUPTI callbacks).
 func (inj *Injector) Arm() { inj.armed.Store(true) }

@@ -23,12 +23,11 @@ type engine struct {
 	stats *KernelStats
 
 	// base is the code of the launched kernel, which every warp runs unless
-	// twinWarps picks it for twin, the code of LaunchParams.Twin's kernel
-	// (nil for a launch without one). The two agree on everything the
-	// launch fixes once: name, parameter layout and so cb, shared bytes.
-	base      warpCode
-	twin      *warpCode
-	twinWarps func(cta, warp int) bool
+	// twin, LaunchParams.Twin's (nil for a launch without one), picks it.
+	// The two agree on everything the launch fixes once: name, parameter
+	// layout and so cb, shared bytes.
+	base warpCode
+	twin *twinCode
 	// fence is the Twin's fence (nil: unfenced).
 	fence func(lines []uint64, kind Access) bool
 
@@ -83,6 +82,9 @@ type smShard struct {
 	// sampling is off and one compare when it is on.
 	samp     *pcsamp.SMBuf
 	sampNext uint64
+
+	// target is the warp of the launch's Twin.Site, when this SM runs it.
+	target *Warp
 }
 
 func (e *engine) fail(w *Warp, kind ErrKind, format string, args ...any) error {

@@ -39,15 +39,7 @@ func (e *engine) stepPre(w *Warp) error {
 		return e.fail(w, ErrHang, "watchdog: warp exceeded %d instructions", e.dev.Cfg.WatchdogWarpInstrs)
 	}
 
-	// Guard evaluation over the active mask.
-	exec := w.Active
-	if p.flags&pfGuardAlways == 0 {
-		g := w.preds[p.guardReg]
-		if p.flags&pfGuardNeg != 0 {
-			g = ^g
-		}
-		exec &= g
-	}
+	exec := w.guardExec(p)
 
 	// Issue accounting.
 	st.warpInstrs++
@@ -108,6 +100,14 @@ func (e *engine) stepPre(w *Warp) error {
 		e.takeSample(st, w, pcIdx, &pre.k.Instrs[pcIdx], nexec, cost, stall, divBefore)
 	}
 	return nil
+}
+
+// guardExec is the lanes of the active mask in which p's guard passes.
+func (w *Warp) guardExec(p *preInstr) uint32 {
+	if p.flags&pfGuardAlways != 0 {
+		return w.Active
+	}
+	return w.Active & w.predMask(p.guardReg, p.flags&pfGuardNeg != 0)
 }
 
 // scoreboardPre is Warp.scoreboard over precomputed slot lists, which
@@ -927,6 +927,14 @@ func (w *Warp) globalAddrs(p *preInstr, exec uint32, addrs *[WarpSize]uint64) (m
 // interleaving, and every per-instruction accounting effect (cycles,
 // samples, watchdog) is produced by stepPre exactly as in sweep order.
 func (e *engine) runWarpSolo(w *Warp) error {
+	if w == e.sms[w.CTA.SM].target {
+		for !w.Done && !w.AtBarrier {
+			if err := e.stepSite(w); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	for !w.Done && !w.AtBarrier {
 		n := uint16(1)
 		if pre := w.code.pre; w.PC >= 0 && w.PC < len(pre.ins) {

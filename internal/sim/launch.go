@@ -87,6 +87,55 @@ type Twin struct {
 	// it returns false. A fenced launch stops at every other global atomic
 	// without asking, before it touches memory.
 	Fence func(lines []uint64, kind Access) bool
+	// Site, when non-nil, narrows the twin code of the warp holding its
+	// thread, which Warps must pick, to one after-block: see TwinSite.
+	Site *TwinSite
+}
+
+// TwinSite makes the warp a Twin's Warps picks for thread Thread run the
+// launched kernel up to one site instance, the twin's after-block of that
+// instance, and the launched kernel again. Prog's kernel must be the
+// launched one with an after-block of injected instructions behind some of
+// its instructions and nothing else added, which is what an injection pass
+// that calls its handler after instructions (sassi.AfterRegWrites) makes.
+//
+// The warp counts the issues of instructions with an after-block in which
+// Thread's lane executes; the Instance-th (from 0) is the site. When it has
+// executed the site, the warp goes to the first instruction of the site's
+// after-block in Prog's kernel, its divergence and call stacks moved to
+// that kernel's numbering; when that block has run and the stack pointer
+// row is what it was at the site, it comes back to the launched kernel at
+// the instruction after the site. Elsewhere it charges each after-block it
+// skips to its issue count, so the watchdog decides as if it had run them.
+// The block's handler sees the site as the first instance it is called
+// for. The skipped blocks' stack frames are not in local memory: once the
+// warp has come back, a load of its own from local memory below a lane's
+// stack pointer stops the launch with a *SkippedFrameError. (DESIGN.md
+// "Per-warp kernel selection".)
+type TwinSite struct {
+	// Thread is the grid-flat index of the thread.
+	Thread uint64
+	// Instance counts the site issues before the one whose block runs.
+	Instance uint64
+	// PCs[i] is the index in Prog's kernel of the launched kernel's
+	// instruction i, and PCs[len(PCs)-1] that kernel's length: instruction
+	// i's after-block is what lies between PCs[i] and PCs[i+1].
+	PCs []int32
+}
+
+// SkippedFrameError reports a launch stopped because the warp of its
+// Twin's Site, back in the launched kernel at pc PC, loaded from local
+// memory below a lane's stack pointer, where the after-blocks it skipped
+// would have left their frames. What the launch had done by then is left
+// as it was.
+type SkippedFrameError struct {
+	Kernel string
+	CTA    int
+	PC     int
+}
+
+func (e *SkippedFrameError) Error() string {
+	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: local load below the stack pointer after skipped after-blocks", e.Kernel, e.CTA, e.PC)
 }
 
 // Access is the kind of a warp's global memory access.
@@ -193,10 +242,18 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (warp
 	return c, nil
 }
 
-// twinCode checks that t's kernel can share a launch of k on d and
-// resolves its code.
-func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*warpCode, error) {
-	refuse := func(format string, args ...any) (*warpCode, error) {
+// twinCode is what the warps a Twin picks take from it: its kernel's
+// code, and the state of its Site (nil without one).
+type twinCode struct {
+	warpCode
+	warps func(cta, warp int) bool
+	site  *siteEntry
+}
+
+// twinCode checks that t's kernel can share a launch of k, whose code is
+// base, on d and resolves its code.
+func (d *Device) twinCode(t *Twin, k *sass.Kernel, base *warpCode, p *LaunchParams) (*twinCode, error) {
+	refuse := func(format string, args ...any) (*twinCode, error) {
 		return nil, &TwinError{Kernel: k.Name, Reason: fmt.Sprintf(format, args...)}
 	}
 	if t.Prog == nil || t.Warps == nil {
@@ -221,9 +278,46 @@ func (d *Device) twinCode(t *Twin, k *sass.Kernel, p *LaunchParams) (*warpCode, 
 		return refuse("a MemWatch is attached")
 	case d.Probe != nil:
 		return refuse("a site probe is attached")
+	case t.Site != nil && d.Reference != nil:
+		return refuse("the reference loop runs no site")
 	}
 	c, err := d.code(t.Prog, tk, p)
-	return &c, err
+	if err != nil {
+		return nil, err
+	}
+	tc := &twinCode{warpCode: c, warps: t.Warps}
+	if t.Site != nil {
+		if why := checkSitePCs(t.Site.PCs, base.pre, tk); why != "" {
+			return refuse("site: %s", why)
+		}
+		tc.site = &siteEntry{pcs: t.Site.PCs, left: t.Site.Instance}
+	}
+	return tc, nil
+}
+
+// checkSitePCs says why pcs cannot map the launched kernel, predecoded as
+// pre, into tk as TwinSite.PCs describes, or returns "". Each after-block
+// must be injected code behind an instruction that always goes on to the
+// next one, so that the block runs whenever it does.
+func checkSitePCs(pcs []int32, pre *preKernel, tk *sass.Kernel) string {
+	if len(pcs) != len(pre.ins)+1 || pcs[0] != 0 || int(pcs[len(pcs)-1]) != len(tk.Instrs) {
+		return fmt.Sprintf("%d PCs for %d instructions", len(pcs), len(pre.ins))
+	}
+	for i, p := range pre.ins {
+		from, to := int(pcs[i]), int(pcs[i+1])
+		if to <= from || tk.Instrs[from].Injected {
+			return fmt.Sprintf("instruction %d is not at %d", i, from)
+		}
+		if to > from+1 && p.flags&pfStraight == 0 {
+			return fmt.Sprintf("instruction %d has an after-block but may not go on to it", i)
+		}
+		for j := from + 1; j < to; j++ {
+			if !tk.Instrs[j].Injected {
+				return fmt.Sprintf("instruction %d's after-block holds an original", i)
+			}
+		}
+	}
+	return ""
 }
 
 // Launch executes a kernel on the device and returns its statistics.
@@ -245,10 +339,10 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	}
 	e := &engine{dev: d, base: base}
 	if t := p.Twin; t != nil {
-		if e.twin, err = d.twinCode(t, k, &p); err != nil {
+		if e.twin, err = d.twinCode(t, k, &e.base, &p); err != nil {
 			return nil, err
 		}
-		e.twinWarps, e.fence = t.Warps, t.Fence
+		e.fence = t.Fence
 	}
 	if d.Trace != nil {
 		d.nameTraceLanes()
@@ -275,6 +369,12 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	numCTAs := grid.Count()
 	e.stats.CTAs = numCTAs
 	e.stats.Threads = numCTAs * threadsPerCTA
+	if e.twin != nil && e.twin.site != nil {
+		s, thread := e.twin.site, p.Twin.Site.Thread
+		s.cta = int(thread / uint64(threadsPerCTA))
+		s.warp = int(thread % uint64(threadsPerCTA) / WarpSize)
+		s.lane = 1 << (thread % uint64(threadsPerCTA) % WarpSize)
+	}
 	if d.Probe != nil {
 		if err := e.attachProbe(k, numCTAs, threadsPerCTA); err != nil {
 			return nil, err
@@ -485,7 +585,8 @@ func (e *engine) publishMetrics() {
 // buildCTA instantiates the threads and warps of one CTA. Each warp runs
 // the twin kernel if the launch has one and it picks the warp, the launched
 // one otherwise, and is carved with its own kernel's registers, scoreboard
-// and local bytes.
+// and local bytes. The warp of a Twin.Site is carved with the twin's and
+// starts on the launched kernel, as its SM's target.
 func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CTA {
 	cx := uint32(ctaIdx % grid.X)
 	cy := uint32(ctaIdx / grid.X % grid.Y)
@@ -500,8 +601,8 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 	cta.Warps = make([]*Warp, shape.warps)
 	for wi := range cta.Warps {
 		code := &e.base
-		if e.twin != nil && e.twinWarps(ctaIdx, wi) {
-			code = e.twin
+		if e.twin != nil && e.twin.warps(ctaIdx, wi) {
+			code = &e.twin.warpCode
 		}
 		shape.regs += code.numRegs * WarpSize
 		shape.sbSlots += code.pre.sbSlots
@@ -523,7 +624,21 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 		w.Active = uint32(uint64(1)<<lanes - 1)
 		w.Alive = w.Active
 	}
+	if s := e.siteOf(ctaIdx); s != nil && s.warp < len(cta.Warps) {
+		if w := cta.Warps[s.warp]; w.code == &e.twin.warpCode {
+			w.code = &e.base
+			e.sms[sm].target = w
+		}
+	}
 	return cta
+}
+
+// siteOf returns the launch's Twin.Site state if its thread is in CTA cta.
+func (e *engine) siteOf(cta int) *siteEntry {
+	if e.twin == nil || e.twin.site == nil || e.twin.site.cta != cta {
+		return nil
+	}
+	return e.twin.site
 }
 
 // runSM executes all CTAs assigned to one SM, keeping up to maxResident
@@ -571,6 +686,8 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 					err = e.runWarpSolo(w)
 				case ref:
 					err = e.step(w)
+				case w == st.target:
+					err = e.stepSite(w)
 				default:
 					err = e.stepPre(w)
 				}

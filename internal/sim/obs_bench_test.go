@@ -155,12 +155,12 @@ const launchBytesCeiling = 5 << 10
 
 // TestWarpFootprint pins what a warp and a launch cost: the Warp struct
 // holds no per-register state (its register rows, scoreboard and stack
-// live in the CTA slab, sized by the kernel) and fits in 512 bytes, and a
+// live in the CTA slab, sized by the kernel) and fits in 256 bytes, and a
 // steady-state launch of a 128-thread kernel allocates at most
 // launchBytesCeiling.
 func TestWarpFootprint(t *testing.T) {
-	if n := unsafe.Sizeof(Warp{}); n > 512 {
-		t.Errorf("sim.Warp is %d bytes, want at most 512", n)
+	if n := unsafe.Sizeof(Warp{}); n > 256 {
+		t.Errorf("sim.Warp is %d bytes, want at most 256", n)
 	}
 	k := &sass.Kernel{Name: "gid", NumRegs: 16, Labels: map[string]int{}}
 	out := k.AddParam("out", 8)
