@@ -264,6 +264,20 @@ func NewProgram() *Program {
 	return &Program{Handlers: make(map[string]int)}
 }
 
+// Clone returns a deep copy of the program sharing no mutable state
+// (Kernel.Clone of every kernel), so that the copy can be instrumented
+// while the original is in use.
+func (p *Program) Clone() *Program {
+	c := &Program{Kernels: make([]*Kernel, len(p.Kernels)), Handlers: make(map[string]int, len(p.Handlers))}
+	for i, k := range p.Kernels {
+		c.Kernels[i] = k.Clone()
+	}
+	for sym, id := range p.Handlers {
+		c.Handlers[sym] = id
+	}
+	return c
+}
+
 // AddKernel appends a kernel.
 func (p *Program) AddKernel(k *Kernel) { p.Kernels = append(p.Kernels, k) }
 

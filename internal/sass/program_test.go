@@ -156,3 +156,36 @@ func TestLoweredFollowsInstrs(t *testing.T) {
 		t.Errorf("the clone's build disturbed the original: %d builds", builds.Load())
 	}
 }
+
+// TestProgramCloneIsDeep: rewriting a program's clone in place — kernels,
+// operands, labels, handler table — leaves the program as it was.
+func TestProgramCloneIsDeep(t *testing.T) {
+	k := &Kernel{Name: "k", NumRegs: 8, Labels: map[string]int{"top": 0},
+		Instrs: []Instruction{
+			New(OpBRA, nil, []Operand{Label("top")}),
+			New(OpEXIT, nil, nil),
+		}}
+	if err := k.ResolveLabels(); err != nil {
+		t.Fatal(err)
+	}
+	p := NewProgram()
+	p.AddKernel(k)
+	p.InternHandler("h")
+	before := k.Disassemble()
+
+	c := p.Clone()
+	ck := c.Kernels[0]
+	ck.Instrs[0].Srcs[0].Imm = 1
+	ck.Instrs = append(ck.Instrs, New(OpEXIT, nil, nil))
+	ck.Labels["top"] = 1
+	ck.NumRegs = 16
+	c.InternHandler("other")
+	c.Kernels = append(c.Kernels, &Kernel{Name: "extra"})
+
+	if k.Disassemble() != before || k.Labels["top"] != 0 || k.NumRegs != 8 || len(p.Kernels) != 1 {
+		t.Errorf("the original changed with its clone:\n%s", k.Disassemble())
+	}
+	if _, ok := p.Handlers["other"]; ok || len(p.Handlers) != 1 || c.Handlers["h"] != p.Handlers["h"] {
+		t.Errorf("handler tables: original %v, clone %v", p.Handlers, c.Handlers)
+	}
+}

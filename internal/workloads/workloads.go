@@ -165,13 +165,18 @@ func (s *Spec) CompileKey(opts ptxas.Options) string {
 // CompileInstrumented compiles this workload with ptxOpts and instruments
 // it with opts, sharing the result through cache like CompileCached. It
 // builds fresh when cache is nil or opts.CacheKey says the options cannot
-// be cached. The build that runs reports to opts.Metrics and opts.Trace; a
-// cache hit builds nothing and reports nothing.
+// be cached. With a cache, it instruments a clone of CompileCached's
+// program, so that the workload is compiled once for both. The build that
+// runs reports to opts.Metrics and opts.Trace; a cache hit builds nothing
+// and reports nothing.
 func (s *Spec) CompileInstrumented(cache *sassi.CompileCache, ptxOpts ptxas.Options, opts sassi.Options) (*sass.Program, error) {
 	build := func() (*sass.Program, error) {
-		prog, err := s.Compile(ptxOpts)
+		prog, err := s.CompileCached(cache, ptxOpts)
 		if err != nil {
 			return nil, err
+		}
+		if cache != nil {
+			prog = prog.Clone()
 		}
 		if err := sassi.Instrument(prog, opts); err != nil {
 			return nil, err
