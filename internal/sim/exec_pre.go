@@ -93,7 +93,8 @@ func (e *engine) stepPre(w *Warp) error {
 	if advance {
 		w.PC++
 	}
-	stall := w.scoreboardPre(pre.slots[p.sb:], p, cost)
+	slots := pre.slots[p.sb:]
+	stall := w.scoreboardPre(slots[:p.nsrc], slots[p.nsrc:][:p.ndst], p.resLat, cost)
 	st.cycles += uint64(cost) + stall
 	st.scoreboardStalls += stall
 	if st.samp != nil && st.cycles >= st.sampNext {
@@ -110,10 +111,10 @@ func (w *Warp) guardExec(p *preInstr) uint32 {
 	return w.Active & w.predMask(p.guardReg, p.flags&pfGuardNeg != 0)
 }
 
-// scoreboardPre is Warp.scoreboard over precomputed slot lists, which
-// start slots: same hazard model, no per-step operand walks.
-func (w *Warp) scoreboardPre(slots []uint16, p *preInstr, cost int) (stall uint64) {
-	src, dst := slots[:p.nsrc], slots[p.nsrc:][:p.ndst]
+// scoreboardPre is Warp.scoreboard over an instruction's precomputed slot
+// lists, src the consider set and dst the retire set, and its result
+// latency: same hazard model, no per-step operand walks.
+func (w *Warp) scoreboardPre(src, dst []uint16, resLat uint8, cost int) (stall uint64) {
 	ready := uint64(0)
 	for _, s := range src {
 		if r := w.readyAt[s]; r > ready {
@@ -124,7 +125,7 @@ func (w *Warp) scoreboardPre(slots []uint16, p *preInstr, cost int) (stall uint6
 		stall = ready - w.clock
 	}
 	w.clock += stall + uint64(cost)
-	retire := w.clock + uint64(p.resLat)
+	retire := w.clock + uint64(resLat)
 	for _, d := range dst {
 		w.readyAt[d] = retire
 	}
