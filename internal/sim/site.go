@@ -27,7 +27,7 @@ const (
 	siteBefore sitePhase = iota // the launched kernel, counting site issues
 	siteBlock                   // the twin, in the site's after-block
 	siteAfter                   // the launched kernel again
-	siteTwin                    // the twin to the end: the block moved the stack pointer
+	siteTwin                    // the twin to the end (comeBack)
 )
 
 // stepSite is stepPre for the warp of the launch's Twin.Site.
@@ -78,23 +78,25 @@ func (e *engine) stepSite(w *Warp) error {
 }
 
 // enter moves w, which has just executed the site at pc of the launched
-// kernel, to the first instruction of the site's after-block in twin.
+// kernel, to the first instruction of the site's after-block in twin. The
+// warp has run nothing but the launched kernel, so every PC on its stacks
+// is a label, a return address or the kernel's end: an index into pcs.
 func (s *siteEntry) enter(w *Warp, twin *warpCode, pc int) {
 	s.phase, s.leave, s.sp = siteBlock, int(s.pcs[pc+1]), *w.row(sass.SP)
 	w.code = twin
 	w.PC = int(s.pcs[pc]) + 1
 	for i := range w.Stack {
-		w.Stack[i].pc = s.toTwin(w.Stack[i].pc)
+		w.Stack[i].pc = int(s.pcs[w.Stack[i].pc])
 	}
 	for i, pc := range w.CallStack {
-		w.CallStack[i] = s.toTwin(pc)
+		w.CallStack[i] = int(s.pcs[pc])
 	}
 }
 
 // comeBack moves w, at the end of the site's after-block, back to base at
 // the instruction after the site, unless the block left the stack pointer
-// row changed or a stack entry with no instruction of base to go back to;
-// then w stays on the twin.
+// row changed, or a handler left a stack entry with no instruction of base
+// to go back to; then w stays on the twin.
 func (s *siteEntry) comeBack(w *Warp, base *warpCode) {
 	s.phase = siteTwin
 	if *w.row(sass.SP) != s.sp {
@@ -121,28 +123,9 @@ func (s *siteEntry) comeBack(w *Warp, base *warpCode) {
 	s.phase = siteAfter
 }
 
-// toTwin maps a PC of the launched kernel to the twin's; a PC outside the
-// kernel stays outside it.
-func (s *siteEntry) toTwin(pc int) int {
-	n := len(s.pcs) - 1
-	switch {
-	case pc < 0:
-		return pc
-	case pc > n:
-		return pc - n + int(s.pcs[n])
-	}
-	return int(s.pcs[pc])
-}
-
-// fromTwin is toTwin's inverse, false for a PC inside an after-block.
+// fromTwin maps a PC of the twin back to the launched kernel's, false for
+// one that is not the place of an instruction of that kernel or its end.
 func (s *siteEntry) fromTwin(pc int) (int, bool) {
-	n := len(s.pcs) - 1
-	switch {
-	case pc < 0:
-		return pc, true
-	case pc > int(s.pcs[n]):
-		return pc - int(s.pcs[n]) + n, true
-	}
 	return slices.BinarySearch(s.pcs, int32(pc))
 }
 
