@@ -128,12 +128,13 @@ func (c *Campaign) Run() (*Result, error) {
 }
 
 // run is Run, also returning every run's outcome. An injection run executes
-// the instrumented program only in the warp its fault lands in, and
-// simulates that warp's CTA alone in the target launch when the golden run
-// has shown the CTA to be isolated (DESIGN.md "Per-warp kernel
-// selection"); widen makes it every warp of every CTA of every launch,
-// which is what a campaign ran before kernels were selected per CTA and
-// what the per-run golden test holds the narrow set against.
+// the instrumented program only in the warp its fault lands in, and there
+// only in its site's after-block, and simulates that warp's CTA alone in
+// the target launch when the golden run has shown the CTA to be isolated
+// (DESIGN.md "Per-warp kernel selection"); widen makes it every warp of
+// every CTA of every launch, the whole instrumented program, which is what
+// a campaign ran before kernels were selected per CTA and what the
+// per-run golden test holds the narrow set against.
 func (c *Campaign) run(widen bool) (*Result, []Outcome, error) {
 	c.setDefaults()
 	if err := checkDataset(c.Spec, c.Dataset); err != nil {

@@ -65,9 +65,10 @@ type LaunchParams struct {
 // or a MemWatch makes carries a PC and no kernel, so a launch with a Twin
 // on a device with one of them attached is refused too.
 // The fault campaigns use it to run instrumented code only in the warp an
-// injection targets, and, where the golden run has shown that warp's CTA
-// to share no global line with the others, to run that CTA alone
-// (DESIGN.md "Per-warp kernel selection").
+// injection targets, and there only at the site the fault lands at (Site),
+// and, where the golden run has shown that warp's CTA to share no global
+// line with the others, to run that CTA alone (DESIGN.md "Per-warp kernel
+// selection").
 type Twin struct {
 	Prog *sass.Program
 	// Warps reports whether warp warp (its index in the CTA) of the CTA
@@ -671,6 +672,8 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 		// back-to-back instead of one instruction per sweep.
 		solo := !ref && len(pending) == 0 && len(resident) == 1 &&
 			resident[0].liveWarps() == 1
+		// Read once per sweep: a load per warp step costs base-suite 4 %.
+		target := st.target
 		for _, cta := range resident {
 			for _, w := range cta.Warps {
 				if w.Done {
@@ -686,7 +689,7 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 					err = e.runWarpSolo(w)
 				case ref:
 					err = e.step(w)
-				case w == st.target:
+				case w == target:
 					err = e.stepSite(w)
 				default:
 					err = e.stepPre(w)
