@@ -260,9 +260,6 @@ type goldenRun struct {
 	sites         uint64 // the profiles' total
 	cuts          []*launchCut
 	maxWarpInstrs uint64
-	// pcs maps each kernel's instructions to their places in inst
-	// (sim.TwinSite.PCs), from the site probe's weights.
-	pcs map[string][]int32
 }
 
 // runPath is how an injection run executed its target launch.
@@ -294,7 +291,7 @@ func (c *Campaign) injectRun(ctx *cuda.Context, g *goldenRun, run int, widen boo
 	cut, path := g.cuts[site.Invocation], pathWhole
 	var at *sim.TwinSite
 	if !widen {
-		at = &sim.TwinSite{Thread: site.ThreadID, Instance: site.InstrIndex, PCs: g.pcs[site.Kernel]}
+		at = &sim.TwinSite{Thread: site.ThreadID, Instance: site.InstrIndex}
 		if cut.alone[cta] {
 			path = pathIsolated
 		}
@@ -315,8 +312,9 @@ func (c *Campaign) injectRun(ctx *cuda.Context, g *goldenRun, run int, widen boo
 			// it again without the cut.
 			path = pathFenced
 		case errors.As(err, &sfe) && at != nil:
-			// The run read where the skipped after-blocks would have left
-			// their frames: run it again with the target warp on
+			// The original code could not stand in for the skipped
+			// after-blocks (a read of their frames, or a site block that
+			// moved the stack): run it again with the target warp on
 			// instrumented code throughout.
 			at = nil
 		default:
@@ -349,14 +347,7 @@ func (c *Campaign) golden(cache *sassi.CompileCache) (*goldenRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := &goldenRun{prog: prog, inst: inst, pcs: make(map[string][]int32, len(probe.weights))}
-	for name, w := range probe.weights {
-		pcs := make([]int32, len(w)+1)
-		for i, n := range w {
-			pcs[i+1] = pcs[i] + 1 + int32(n)
-		}
-		g.pcs[name] = pcs
-	}
+	g := &goldenRun{prog: prog, inst: inst}
 	smDep := make(map[string]bool, len(prog.Kernels))
 	for _, k := range prog.Kernels {
 		ik, _ := inst.Kernel(k.Name) // newSiteProbe checked it is there

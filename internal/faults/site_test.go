@@ -93,13 +93,16 @@ func TestSiteRunsOneBlock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		probe, err := newSiteProbe(g.prog, g.inst)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for run := range runs {
 			site := c.selectSite(g.profiles, g.sites, newRNG(sass.SplitMix(c.Seed, uint64(run))))
 			ctaThreads := g.profiles[site.Invocation].ctaThreads
 			cta, warp := int(site.ThreadID)/ctaThreads, int(site.ThreadID)%ctaThreads/sim.WarpSize
 			only := twinFor(g.inst, site.Invocation, cta, warp, false)
-			pcs := g.pcs[site.Kernel]
-			at := &sim.TwinSite{Thread: site.ThreadID, Instance: site.InstrIndex, PCs: pcs}
+			at := &sim.TwinSite{Thread: site.ThreadID, Instance: site.InstrIndex}
 
 			whole, wholeStats := runRecorded(t, c, g, site, nil, only)
 			narrow, narrowStats := runRecorded(t, c, g, site, at, only)
@@ -108,7 +111,7 @@ func TestSiteRunsOneBlock(t *testing.T) {
 					app, run, narrow.off, narrow.value, whole.off, whole.value)
 			}
 			i := sass.IndexOfOffset(whole.off)
-			if block := uint64(pcs[i+1] - pcs[i] - 1); narrowStats.InjectedWarpInstrs != block || narrow.calls != 1 {
+			if block := uint64(probe.weights[site.Kernel][i]); narrowStats.InjectedWarpInstrs != block || narrow.calls != 1 {
 				t.Errorf("%s run %d: %d injected instructions and %d handler calls, want the site's block of %d and one call",
 					app, run, narrowStats.InjectedWarpInstrs, narrow.calls, block)
 			}

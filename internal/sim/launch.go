@@ -106,7 +106,8 @@ type Twin struct {
 // after-block in Prog's kernel, its divergence and call stacks moved to
 // that kernel's numbering; when that block has run and the stack pointer
 // row is what it was at the site, it comes back to the launched kernel at
-// the instruction after the site. Elsewhere it charges each after-block it
+// the instruction after the site; otherwise the launch stops with a
+// *SkippedFrameError. Elsewhere it charges each after-block it
 // skips to its issue count, so the watchdog decides as if it had run them.
 // The block's handler sees the site as the first instance it is called
 // for. The skipped blocks' stack frames are not in local memory: once the
@@ -118,25 +119,24 @@ type TwinSite struct {
 	Thread uint64
 	// Instance counts the site issues before the one whose block runs.
 	Instance uint64
-	// PCs[i] is the index in Prog's kernel of the launched kernel's
-	// instruction i, and PCs[len(PCs)-1] that kernel's length: instruction
-	// i's after-block is what lies between PCs[i] and PCs[i+1].
-	PCs []int32
 }
 
 // SkippedFrameError reports a launch stopped because the warp of its
-// Twin's Site, back in the launched kernel at pc PC, loaded from local
-// memory below a lane's stack pointer, where the after-blocks it skipped
-// would have left their frames. What the launch had done by then is left
-// as it was.
+// Twin's Site could not run the launched kernel in place of the
+// after-blocks it skips, at pc PC of that kernel: back in it, the warp
+// loaded from local memory below a lane's stack pointer, where those
+// blocks would have left their frames; or the site's after-block ended
+// with the stack pointer row changed, or with a stack entry inside
+// injected code. What the launch had done by then is left as it was.
 type SkippedFrameError struct {
 	Kernel string
 	CTA    int
 	PC     int
+	Reason string
 }
 
 func (e *SkippedFrameError) Error() string {
-	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: local load below the stack pointer after skipped after-blocks", e.Kernel, e.CTA, e.PC)
+	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: %s", e.Kernel, e.CTA, e.PC, e.Reason)
 }
 
 // Access is the kind of a warp's global memory access.
@@ -288,37 +288,13 @@ func (d *Device) twinCode(t *Twin, k *sass.Kernel, base *warpCode, p *LaunchPara
 	}
 	tc := &twinCode{warpCode: c, warps: t.Warps}
 	if t.Site != nil {
-		if why := checkSitePCs(t.Site.PCs, base.pre, tk); why != "" {
-			return refuse("site: %s", why)
+		pcs := c.pre.sitePCs
+		if len(pcs) != len(base.pre.ins)+1 {
+			return refuse("site: not the launched kernel with after-blocks")
 		}
-		tc.site = &siteEntry{pcs: t.Site.PCs, left: t.Site.Instance}
+		tc.site = &siteEntry{pcs: pcs, left: t.Site.Instance}
 	}
 	return tc, nil
-}
-
-// checkSitePCs says why pcs cannot map the launched kernel, predecoded as
-// pre, into tk as TwinSite.PCs describes, or returns "". Each after-block
-// must be injected code behind an instruction that always goes on to the
-// next one, so that the block runs whenever it does.
-func checkSitePCs(pcs []int32, pre *preKernel, tk *sass.Kernel) string {
-	if len(pcs) != len(pre.ins)+1 || pcs[0] != 0 || int(pcs[len(pcs)-1]) != len(tk.Instrs) {
-		return fmt.Sprintf("%d PCs for %d instructions", len(pcs), len(pre.ins))
-	}
-	for i, p := range pre.ins {
-		from, to := int(pcs[i]), int(pcs[i+1])
-		if to <= from || tk.Instrs[from].Injected {
-			return fmt.Sprintf("instruction %d is not at %d", i, from)
-		}
-		if to > from+1 && p.flags&pfStraight == 0 {
-			return fmt.Sprintf("instruction %d has an after-block but may not go on to it", i)
-		}
-		for j := from + 1; j < to; j++ {
-			if !tk.Instrs[j].Injected {
-				return fmt.Sprintf("instruction %d's after-block holds an original", i)
-			}
-		}
-	}
-	return ""
 }
 
 // Launch executes a kernel on the device and returns its statistics.

@@ -179,6 +179,12 @@ type preKernel struct {
 	// sbSlots is the size of a warp's scoreboard for k: the GPR slots
 	// (scoreboardGPRs), then the predicates and the CC.
 	sbSlots int
+	// sitePCs, when k is a kernel with injected after-blocks (TwinSite),
+	// holds the index of each of its other instructions, in order, and then
+	// len(k.Instrs): the i-th one's after-block lies between sitePCs[i] and
+	// sitePCs[i+1]. Nil when k has no injected instruction, or one that is
+	// no such block (afterBlocks).
+	sitePCs []int32
 	// syms are the handler symbols k's JCALs name, in order of first use.
 	// A launch resolves them against the warp's program (warpCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
@@ -265,7 +271,33 @@ func predecode(k *sass.Kernel) any {
 			p.run = pk.ins[i+1].run + 1
 		}
 	}
+	pk.sitePCs = afterBlocks(pk.ins)
 	return pk
+}
+
+// afterBlocks returns preKernel.sitePCs for a kernel predecoded as ins. A
+// block must follow an instruction that always goes on to the next one, so
+// that the block runs whenever that instruction does.
+func afterBlocks(ins []preInstr) []int32 {
+	originals := 0
+	for i := range ins {
+		if ins[i].flags&pfInjected == 0 {
+			originals++
+		}
+	}
+	if originals == len(ins) || ins[0].flags&pfInjected != 0 {
+		return nil
+	}
+	pcs := make([]int32, 0, originals+1)
+	for i := range ins {
+		switch {
+		case ins[i].flags&pfInjected == 0:
+			pcs = append(pcs, int32(i))
+		case ins[i-1].flags&(pfInjected|pfStraight) == 0:
+			return nil
+		}
+	}
+	return append(pcs, int32(len(ins)))
 }
 
 // aluClasses maps every ALU and SETP opcode to its class. IADD with a .CC

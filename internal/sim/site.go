@@ -27,21 +27,19 @@ const (
 	siteBefore sitePhase = iota // the launched kernel, counting site issues
 	siteBlock                   // the twin, in the site's after-block
 	siteAfter                   // the launched kernel again
-	siteTwin                    // the twin to the end (comeBack)
 )
 
 // stepSite is stepPre for the warp of the launch's Twin.Site.
 func (e *engine) stepSite(w *Warp) error {
 	s := e.twin.site
-	switch s.phase {
-	case siteTwin:
-		return e.stepPre(w)
-	case siteBlock:
+	if s.phase == siteBlock {
 		if err := e.stepPre(w); err != nil {
 			return err
 		}
-		if w.PC == s.leave {
-			s.comeBack(w, &e.base)
+		if w.PC == s.leave && !s.comeBack(w, &e.base) {
+			pc, _ := s.fromTwin(s.leave)
+			return &SkippedFrameError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: pc,
+				Reason: "the site's after-block left the stack pointer or a stack entry changed"}
 		}
 		return nil
 	}
@@ -51,7 +49,8 @@ func (e *engine) stepSite(w *Warp) error {
 	}
 	exec := w.guardExec(&pre.ins[pc])
 	if s.phase == siteAfter && e.belowSP(w, &pre.k.Instrs[pc], exec) {
-		return &SkippedFrameError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: pc}
+		return &SkippedFrameError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: pc,
+			Reason: "local load below the stack pointer after skipped after-blocks"}
 	}
 	if err := e.stepPre(w); err != nil {
 		return err
@@ -94,33 +93,29 @@ func (s *siteEntry) enter(w *Warp, twin *warpCode, pc int) {
 }
 
 // comeBack moves w, at the end of the site's after-block, back to base at
-// the instruction after the site, unless the block left the stack pointer
-// row changed, or a handler left a stack entry with no instruction of base
-// to go back to; then w stays on the twin.
-func (s *siteEntry) comeBack(w *Warp, base *warpCode) {
-	s.phase = siteTwin
+// the instruction after the site. It reports false, w half moved, if the
+// block left the stack pointer row changed or a stack entry with no
+// instruction of base to go back to: base cannot then stand in for the
+// after-blocks w would run next.
+func (s *siteEntry) comeBack(w *Warp, base *warpCode) bool {
 	if *w.row(sass.SP) != s.sp {
-		return
+		return false
 	}
-	for _, d := range w.Stack {
-		if _, ok := s.fromTwin(d.pc); !ok {
-			return
-		}
-	}
-	for _, pc := range w.CallStack {
-		if _, ok := s.fromTwin(pc); !ok {
-			return
-		}
-	}
+	var ok bool
 	for i := range w.Stack {
-		w.Stack[i].pc, _ = s.fromTwin(w.Stack[i].pc)
+		if w.Stack[i].pc, ok = s.fromTwin(w.Stack[i].pc); !ok {
+			return false
+		}
 	}
-	for i, pc := range w.CallStack {
-		w.CallStack[i], _ = s.fromTwin(pc)
+	for i := range w.CallStack {
+		if w.CallStack[i], ok = s.fromTwin(w.CallStack[i]); !ok {
+			return false
+		}
 	}
 	w.PC, _ = s.fromTwin(w.PC)
 	w.code = base
 	s.phase = siteAfter
+	return true
 }
 
 // fromTwin maps a PC of the twin back to the launched kernel's, false for

@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"sassi/internal/sass"
@@ -11,11 +12,10 @@ import (
 
 // siteKernels returns "site", a kernel whose every instruction but the last
 // writes a register, stored to out[tid] at the end, and its twin with a
-// one-instruction after-block — a JCAL to handler h — behind each of them,
-// and the twin's TwinSite.PCs. With stale, instruction 2 loads its
-// register from 8 bytes below the stack pointer, where an after-block
-// frame would be.
-func siteKernels(t *testing.T, stale bool) (base, twin *sass.Program, pcs []int32) {
+// one-instruction after-block — a JCAL to handler h — behind each of them.
+// With stale, instruction 2 loads its register from 8 bytes below the stack
+// pointer, where an after-block frame would be.
+func siteKernels(t *testing.T, stale bool) (base, twin *sass.Program) {
 	t.Helper()
 	r, imm := sass.R, sass.Imm
 	k := &sass.Kernel{Name: "site", NumRegs: 16, Labels: map[string]int{}}
@@ -42,7 +42,6 @@ func siteKernels(t *testing.T, stale bool) (base, twin *sass.Program, pcs []int3
 	tk.NumRegs, tk.LocalBytes = 24, 64
 	tk.Instrs = tk.Instrs[:0:0]
 	for i, in := range k.Instrs {
-		pcs = append(pcs, int32(len(tk.Instrs)))
 		tk.Instrs = append(tk.Instrs, in)
 		if i < 8 {
 			jcal := sass.New(sass.OpJCAL, nil, []sass.Operand{sass.Sym("h")})
@@ -50,11 +49,10 @@ func siteKernels(t *testing.T, stale bool) (base, twin *sass.Program, pcs []int3
 			tk.Instrs = append(tk.Instrs, jcal)
 		}
 	}
-	pcs = append(pcs, int32(len(tk.Instrs)))
 	twin = sass.NewProgram()
 	twin.AddKernel(tk)
 	twin.InternHandler("h")
-	return base, twin, pcs
+	return base, twin
 }
 
 // spMover is a dispatcher that counts calls and, at its first, lowers lane
@@ -78,7 +76,7 @@ func (d *spMover) Dispatch(_ *sim.Device, w *sim.Warp, _ int) error {
 // and the launch error.
 func launchSite(t *testing.T, stale, site, moveSP bool, instance, budget uint64) (*spMover, *sim.KernelStats, error) {
 	t.Helper()
-	base, twin, pcs := siteKernels(t, stale)
+	base, twin := siteKernels(t, stale)
 	cfg := sim.MiniGPU()
 	if budget != 0 {
 		cfg.WatchdogWarpInstrs = budget
@@ -88,7 +86,7 @@ func launchSite(t *testing.T, stale, site, moveSP bool, instance, budget uint64)
 	dev.Dispatcher = disp
 	tw := &sim.Twin{Prog: twin, Warps: func(int, int) bool { return true }}
 	if site {
-		tw.Site = &sim.TwinSite{Thread: 0, Instance: instance, PCs: pcs}
+		tw.Site = &sim.TwinSite{Thread: 0, Instance: instance}
 	}
 	out := dev.Alloc(4*sim.WarpSize, "out")
 	stats, err := dev.Launch(base, "site", sim.LaunchParams{
@@ -129,21 +127,18 @@ func TestTwinSiteRunsOneBlock(t *testing.T) {
 	}
 }
 
-// TestTwinSiteStaysWhenSPMoves: a warp whose site's after-block leaves the
-// stack pointer row changed does not go back to the launched kernel; it
-// runs the rest of the twin, calling the handler after every site as the
-// whole twin does.
-func TestTwinSiteStaysWhenSPMoves(t *testing.T) {
-	whole, _, err := launchSite(t, false, false, true, 0, 0)
-	if err != nil {
+// TestTwinSiteStopsWhenSPMoves: a warp whose site's after-block leaves the
+// stack pointer row changed does not go back to the launched kernel; the
+// launch stops with a *SkippedFrameError at the instruction after the site,
+// for the caller to run again with the whole twin, which runs on.
+func TestTwinSiteStopsWhenSPMoves(t *testing.T) {
+	if _, _, err := launchSite(t, false, false, true, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	narrow, _, err := launchSite(t, false, true, true, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if narrow.calls != whole.calls || whole.calls != 8 {
-		t.Errorf("%d handler calls, the whole twin %d, want 8", narrow.calls, whole.calls)
+	_, _, err := launchSite(t, false, true, true, 0, 0)
+	var sfe *sim.SkippedFrameError
+	if !errors.As(err, &sfe) || sfe.PC != 1 || sfe.CTA != 0 {
+		t.Fatalf("got %v, want a stop at pc 1 of CTA 0", err)
 	}
 }
 
@@ -167,16 +162,35 @@ func TestTwinSiteFencesSkippedFrames(t *testing.T) {
 }
 
 // TestTwinSiteRefused: a Twin.Site is refused on the reference loop, and
-// with PCs that do not describe the twin.
+// over a twin that is not the launched kernel with after-blocks: one with
+// an original instruction more, one with no injected code, and one with a
+// block behind an instruction that may not go on to it.
 func TestTwinSiteRefused(t *testing.T) {
-	base, twin, pcs := siteKernels(t, false)
-	bad := append([]int32(nil), pcs...)
-	bad[3]++
+	base, twin := siteKernels(t, false)
+	tk, _ := twin.Kernel("site")
+	edit := func(f func(k *sass.Kernel)) *sass.Program {
+		k := tk.Clone()
+		f(k)
+		p := sass.NewProgram()
+		p.AddKernel(k)
+		p.InternHandler("h")
+		return p
+	}
+	extra := edit(func(k *sass.Kernel) {
+		k.Instrs = append(k.Instrs[:1:1], k.Instrs...)
+	})
+	bare := edit(func(k *sass.Kernel) {
+		k.Instrs = slices.DeleteFunc(k.Instrs, func(in sass.Instruction) bool { return in.Injected })
+	})
+	branch := edit(func(k *sass.Kernel) {
+		k.Labels["next"] = 2
+		k.Instrs[0] = sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("next")})
+	})
 	for _, c := range []struct {
 		name string
 		ref  bool
-		pcs  []int32
-	}{{"reference", true, pcs}, {"short", false, pcs[1:]}, {"shifted", false, bad}} {
+		twin *sass.Program
+	}{{"reference", true, twin}, {"extra", false, extra}, {"bare", false, bare}, {"branch", false, branch}} {
 		dev := sim.NewDevice(sim.MiniGPU())
 		if c.ref {
 			simref.Install(dev)
@@ -184,8 +198,7 @@ func TestTwinSiteRefused(t *testing.T) {
 		dev.Dispatcher = &spMover{}
 		_, err := dev.Launch(base, "site", sim.LaunchParams{
 			Grid: sim.D1(1), Block: sim.D1(sim.WarpSize), Args: []uint64{dev.Alloc(4*sim.WarpSize, "out")},
-			Twin: &sim.Twin{Prog: twin, Warps: func(int, int) bool { return true },
-				Site: &sim.TwinSite{PCs: c.pcs}}})
+			Twin: &sim.Twin{Prog: c.twin, Warps: func(int, int) bool { return true }, Site: &sim.TwinSite{}}})
 		var te *sim.TwinError
 		if !errors.As(err, &te) {
 			t.Errorf("%s: %v, want a TwinError", c.name, err)
