@@ -11,7 +11,7 @@ import (
 // one, since one warp holds the site's thread; only the goroutine of the SM
 // that runs that warp writes it.
 type siteEntry struct {
-	pcs       []int32 // TwinSite.PCs
+	pcs       []int32 // the twin's preKernel.sitePCs
 	cta, warp int
 	lane      uint32 // the thread's lane bit
 	left      uint64 // site issues to go before the site
