@@ -39,7 +39,7 @@ func (e *engine) stepSite(w *Warp) error {
 		if w.PC == s.leave && !s.comeBack(w, &e.base) {
 			pc, _ := s.fromTwin(s.leave)
 			return &SkippedFrameError{Kernel: e.stats.Kernel, CTA: w.CTA.Index, PC: pc,
-				Reason: "the site's after-block left the stack pointer or a stack entry changed"}
+				Reason: "the site's after-block ended with the stack pointer moved or a stack entry in injected code"}
 		}
 		return nil
 	}
