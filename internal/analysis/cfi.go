@@ -77,7 +77,7 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 	}
 
 	w, g := f.CFG.Control, f.guards()
-	pdom := PostDominators(cfg)
+	pdom := f.postDominators()
 	n := len(k.Instrs)
 	// A SYNC lies inside some SSY region when an earlier SSY's
 	// reconvergence target is beyond it. One outside every region pops a

@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"sassi/internal/sass"
 )
@@ -110,18 +111,6 @@ func (b Bits) Count() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Members lists the set bit indices in ascending order.
-func (b Bits) Members() []int {
-	var out []int
-	for wi, w := range b {
-		for w != 0 {
-			out = append(out, wi*64+bits.TrailingZeros64(w))
-			w &= w - 1
-		}
-	}
-	return out
 }
 
 // Direction of a dataflow problem.
@@ -257,11 +246,7 @@ func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 // from the entry report the full set (vacuous domination).
 func Dominators(cfg *sass.CFG) []Bits {
 	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(nb)
-		gen[b].Set(b)
-	}
+	gen := selfSets(nb)
 	_, out := Solve(cfg, Problem{
 		Dir:  Forward,
 		Meet: Intersect,
@@ -284,12 +269,9 @@ func Dominates(dom []Bits, a, b int) bool { return dom[b].Has(a) }
 // represented in the result. Blocks that cannot reach any exit (infinite
 // loops) report the full set (vacuous post-domination).
 func PostDominators(cfg *sass.CFG) []Bits {
+	postDomSolves.Add(1)
 	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(nb)
-		gen[b].Set(b)
-	}
+	gen := selfSets(nb)
 	// Backward + Intersect: Solve seeds every no-successor block's OUT from
 	// the boundary, which is exactly the virtual-exit edge — an empty
 	// boundary says nothing post-dominates the exit except the exit blocks
@@ -306,6 +288,20 @@ func PostDominators(cfg *sass.CFG) []Bits {
 // PostDominates reports whether block a post-dominates block b given
 // PostDominators' result.
 func PostDominates(pdom []Bits, a, b int) bool { return pdom[b].Has(a) }
+
+// postDomSolves counts PostDominators calls: a test holds each
+// KernelFacts to one.
+var postDomSolves atomic.Int64
+
+// selfSets returns n sets over n bits, set i holding bit i: the dominator
+// problems' Gen.
+func selfSets(n int) []Bits {
+	sets := newBitsTable(n, n)
+	for b, s := range sets {
+		s.Set(b)
+	}
+	return sets
+}
 
 // The register space used by the dataflow problems: GPRs R0..R254 at
 // [0,255), predicates P0..P6 at [predBase, predBase+7), and the condition
@@ -404,8 +400,33 @@ type ReachInfo struct {
 	Sites []DefSite
 	// In and Out are per-block reaching-definition sets.
 	In, Out []Bits
-	// byReg indexes Sites by regspace entry.
-	byReg map[int][]int
+	// Sites lists each instruction's sites together, in instruction
+	// order: instruction i's are Sites[instrSite[i]:instrSite[i+1]].
+	// byReg lists every site of regspace entry r, ascending:
+	// byReg[regSite[r]:regSite[r+1]].
+	instrSite, regSite []int32
+	byReg              []int32
+}
+
+// sitesOf returns the sites of regspace entry r, ascending.
+func (ri *ReachInfo) sitesOf(r int) []int32 { return ri.byReg[ri.regSite[r]:ri.regSite[r+1]] }
+
+// step carries cur, the sites reaching instruction i, past it: an
+// unconditional def kills every site of its registers, then i's own sites
+// reach.
+func (ri *ReachInfo) step(cur Bits, i int) {
+	in := &ri.cfg.Kernel.Instrs[i]
+	own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
+	if in.Guard.IsAlways() {
+		for _, d := range own {
+			for _, s := range ri.sitesOf(d.Reg) {
+				cur.Clear(int(s))
+			}
+		}
+	}
+	for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
+		cur.Set(int(s))
+	}
 }
 
 // ReachingDefs solves reaching definitions over the CFG: a definition d
@@ -413,84 +434,61 @@ type ReachInfo struct {
 // is not unconditionally redefined. Guarded (predicated) definitions
 // generate but do not kill.
 func ReachingDefs(cfg *sass.CFG) *ReachInfo {
-	ri := &ReachInfo{cfg: cfg, byReg: map[int][]int{}}
-	siteAt := map[int][]int{} // instr -> site bit indices
+	instrs := cfg.Kernel.Instrs
+	ri := &ReachInfo{cfg: cfg, instrSite: make([]int32, len(instrs)+1), regSite: make([]int32, regSpaceBits+1)}
 	var defBuf [16]int
-	for i := range cfg.Kernel.Instrs {
-		for _, d := range appendDefs(defBuf[:0], &cfg.Kernel.Instrs[i]) {
-			bit := len(ri.Sites)
+	n := 0
+	for i := range instrs {
+		n += len(appendDefs(defBuf[:0], &instrs[i]))
+	}
+	ri.Sites = make([]DefSite, 0, n)
+	for i := range instrs {
+		ri.instrSite[i] = int32(len(ri.Sites))
+		for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
 			ri.Sites = append(ri.Sites, DefSite{Instr: i, Reg: d})
-			ri.byReg[d] = append(ri.byReg[d], bit)
-			siteAt[i] = append(siteAt[i], bit)
+			ri.regSite[d+1]++
 		}
 	}
-	nbits := len(ri.Sites)
+	ri.instrSite[len(instrs)] = int32(n)
+	for r := range regSpaceBits {
+		ri.regSite[r+1] += ri.regSite[r]
+	}
+	ri.byReg = make([]int32, n)
+	next := make([]int32, regSpaceBits)
+	copy(next, ri.regSite)
+	for s, d := range ri.Sites {
+		ri.byReg[next[d.Reg]] = int32(s)
+		next[d.Reg]++
+	}
+
 	nb := len(cfg.Blocks)
-	gen := make([]Bits, nb)
-	kill := make([]Bits, nb)
-	for b := 0; b < nb; b++ {
-		gen[b] = NewBits(nbits)
-		kill[b] = NewBits(nbits)
-		blk := cfg.Blocks[b]
+	sets := newBitsTable(2*nb, n)
+	gen, kill := sets[:nb:nb], sets[nb:]
+	for b, blk := range cfg.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
-			in := &cfg.Kernel.Instrs[i]
-			defs := appendDefs(defBuf[:0], in)
-			if in.Guard.IsAlways() {
+			own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
+			if instrs[i].Guard.IsAlways() {
 				// An unconditional def kills every other site of the same
 				// register, including earlier gens in this block.
-				for _, d := range defs {
-					for _, s := range ri.byReg[d] {
+				for _, d := range own {
+					for _, s := range ri.sitesOf(d.Reg) {
 						if ri.Sites[s].Instr != i {
-							kill[b].Set(s)
-							gen[b].Clear(s)
+							kill[b].Set(int(s))
+							gen[b].Clear(int(s))
 						}
 					}
 				}
 			}
-			for _, s := range siteAt[i] {
-				gen[b].Set(s)
-				kill[b].Clear(s)
+			for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
+				gen[b].Set(int(s))
+				kill[b].Clear(int(s))
 			}
 		}
 	}
 	ri.In, ri.Out = Solve(cfg, Problem{
-		Dir: Forward, Meet: Union, Bits: nbits, Gen: gen, Kill: kill,
+		Dir: Forward, Meet: Union, Bits: n, Gen: gen, Kill: kill,
 	})
 	return ri
-}
-
-// ReachingAt returns the definition sites of regspace entry reg that
-// reach instruction idx (just before it executes), as instruction
-// indices.
-func (ri *ReachInfo) ReachingAt(idx int, reg int) []int {
-	blk := ri.cfg.BlockOf(idx)
-	cur := ri.In[blk.ID].Copy()
-	var defBuf [16]int
-	for i := blk.Start; i < idx; i++ {
-		in := &ri.cfg.Kernel.Instrs[i]
-		defs := appendDefs(defBuf[:0], in)
-		if in.Guard.IsAlways() {
-			for _, d := range defs {
-				for _, s := range ri.byReg[d] {
-					cur.Clear(s)
-				}
-			}
-		}
-		for _, d := range defs {
-			for _, s := range ri.byReg[d] {
-				if ri.Sites[s].Instr == i {
-					cur.Set(s)
-				}
-			}
-		}
-	}
-	var out []int
-	for _, s := range ri.byReg[reg] {
-		if cur.Has(s) {
-			out = append(out, ri.Sites[s].Instr)
-		}
-	}
-	return out
 }
 
 // UninitRead is a read of a register that is not definitely assigned on

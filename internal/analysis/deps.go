@@ -37,6 +37,7 @@ package analysis
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sassi/internal/mem"
 	"sassi/internal/sass"
@@ -86,11 +87,22 @@ func (b *BlockDAG) N() int { return b.End - b.Start }
 
 // LocalAdj returns the DAG as local adjacency lists plus in-degrees,
 // indexed by instruction position minus Start — the shape list scheduling
-// consumes.
+// consumes. The lists share one array.
 func (b *BlockDAG) LocalAdj() (succs [][]int, indeg []int) {
 	n := b.N()
 	succs = make([][]int, n)
 	indeg = make([]int, n)
+	// indeg counts out-degrees first, to carve the lists.
+	for _, e := range b.Edges {
+		indeg[e.From-b.Start]++
+	}
+	backing := make([]int, len(b.Edges))
+	off := 0
+	for u, d := range indeg {
+		succs[u] = backing[off : off : off+d]
+		off += d
+	}
+	clear(indeg)
 	for _, e := range b.Edges {
 		u, v := e.From-b.Start, e.To-b.Start
 		succs[u] = append(succs[u], v)
@@ -134,39 +146,35 @@ func fenceOp(in *sass.Instruction) bool {
 	return in.Op.IsAtomic()
 }
 
-// regSets returns the instruction's regspace use and def bitsets.
-func regSets(in *sass.Instruction, nbits int) (uses, defs Bits) {
-	uses, defs = NewBits(nbits), NewBits(nbits)
-	for _, r := range in.GPRSrcs() {
+// regSets fills uses and defs (cleared) with the instruction's regspace
+// use and def bits.
+func regSets(in *sass.Instruction, uses, defs Bits) {
+	var regs [16]uint8
+	for _, r := range in.AppendGPRSrcs(regs[:0]) {
 		uses.Set(GPRBit(r))
 	}
-	for _, p := range in.PredSrcs() {
+	for _, p := range in.AppendPredSrcs(regs[:0]) {
 		uses.Set(PredBit(p))
 	}
 	if in.Mods.X {
 		uses.Set(CCBit())
 	}
-	for _, r := range in.GPRDsts() {
+	for _, r := range in.AppendGPRDsts(regs[:0]) {
 		defs.Set(GPRBit(r))
 	}
-	for _, p := range in.PredDsts() {
+	for _, p := range in.AppendPredDsts(regs[:0]) {
 		defs.Set(PredBit(p))
 	}
 	if in.Mods.SetCC {
 		defs.Set(CCBit())
 	}
-	return uses, defs
 }
 
 // firstCommon returns the lowest bit set in both sets, or -1.
 func firstCommon(a, b Bits) int {
 	for w := range a {
 		if m := a[w] & b[w]; m != 0 {
-			for bit := w * 64; bit < (w+1)*64; bit++ {
-				if a.Has(bit) && b.Has(bit) {
-					return bit
-				}
-			}
+			return w*64 + bits.TrailingZeros64(m)
 		}
 	}
 	return -1
@@ -249,72 +257,103 @@ func disjoint(a, b memAccess, dims BlockDims) bool {
 func BuildDeps(f *KernelFacts) *Graph {
 	cfg := f.CFG
 	k := cfg.Kernel
-	nbits := CCBit() + 1
+	n := len(k.Instrs)
 	val := f.Values()
+	// Every instruction's use and def sets, from one table.
+	sets := newBitsTable(2*n, CCBit()+1)
+	uses, defs := sets[:n:n], sets[n:]
+	fences := make([]bool, n)
+	mems := make([]memAccess, n)
+	for i := range k.Instrs {
+		regSets(&k.Instrs[i], uses[i], defs[i])
+		fences[i] = fenceOp(&k.Instrs[i])
+		mems[i] = memAccessOf(val, k, i)
+	}
 	dims := BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]}
-
-	g := &Graph{CFG: cfg}
-	for _, blk := range cfg.Blocks {
-		bd := &BlockDAG{ID: blk.ID, Start: blk.Start, End: blk.End}
-		n := bd.N()
-		uses := make([]Bits, n)
-		defs := make([]Bits, n)
-		fences := make([]bool, n)
-		mems := make([]memAccess, n)
-		for i := 0; i < n; i++ {
-			in := &k.Instrs[blk.Start+i]
-			uses[i], defs[i] = regSets(in, nbits)
-			fences[i] = fenceOp(in)
-			mems[i] = memAccessOf(val, k, blk.Start+i)
+	// dependence is the edge that orders i < j of one block, if any.
+	dependence := func(i, j int) (Edge, bool) {
+		if fences[i] || fences[j] {
+			return Edge{From: i, To: j, Kind: Fence, Slot: -1}, true
 		}
-		for j := 1; j < n; j++ {
-			for i := 0; i < j; i++ {
-				from, to := blk.Start+i, blk.Start+j
-				switch {
-				case fences[i] || fences[j]:
-					bd.Edges = append(bd.Edges, Edge{From: from, To: to, Kind: Fence, Slot: -1})
-				case firstCommon(defs[i], uses[j]) >= 0:
-					bd.Edges = append(bd.Edges, Edge{From: from, To: to, Kind: RAW,
-						Slot: firstCommon(defs[i], uses[j])})
-				case firstCommon(defs[i], defs[j]) >= 0:
-					bd.Edges = append(bd.Edges, Edge{From: from, To: to, Kind: WAW,
-						Slot: firstCommon(defs[i], defs[j])})
-				case firstCommon(uses[i], defs[j]) >= 0:
-					bd.Edges = append(bd.Edges, Edge{From: from, To: to, Kind: WAR,
-						Slot: firstCommon(uses[i], defs[j])})
-				case mems[i].isMem && mems[j].isMem && (mems[i].write || mems[j].write):
-					if !disjoint(mems[i], mems[j], dims) {
-						bd.Edges = append(bd.Edges, Edge{From: from, To: to, Kind: Mem, Slot: -1})
-					}
+		if slot := firstCommon(defs[i], uses[j]); slot >= 0 {
+			return Edge{From: i, To: j, Kind: RAW, Slot: slot}, true
+		}
+		if slot := firstCommon(defs[i], defs[j]); slot >= 0 {
+			return Edge{From: i, To: j, Kind: WAW, Slot: slot}, true
+		}
+		if slot := firstCommon(uses[i], defs[j]); slot >= 0 {
+			return Edge{From: i, To: j, Kind: WAR, Slot: slot}, true
+		}
+		mi, mj := &mems[i], &mems[j]
+		if mi.isMem && mj.isMem && (mi.write || mj.write) && !disjoint(*mi, *mj, dims) {
+			return Edge{From: i, To: j, Kind: Mem, Slot: -1}, true
+		}
+		return Edge{}, false
+	}
+
+	// Count the edges, then list them in one array: pairs run in (j, i)
+	// order, a block's edges sliced out of it in turn.
+	total := 0
+	for _, blk := range cfg.Blocks {
+		for j := blk.Start + 1; j < blk.End; j++ {
+			for i := blk.Start; i < j; i++ {
+				if _, ok := dependence(i, j); ok {
+					total++
 				}
 			}
 		}
-		g.Blocks = append(g.Blocks, bd)
 	}
-	g.Cross = crossBlockRAW(cfg)
+	edges := make([]Edge, 0, total)
+	dags := make([]BlockDAG, len(cfg.Blocks))
+	g := &Graph{CFG: cfg, Blocks: make([]*BlockDAG, len(cfg.Blocks))}
+	for b, blk := range cfg.Blocks {
+		first := len(edges)
+		for j := blk.Start + 1; j < blk.End; j++ {
+			for i := blk.Start; i < j; i++ {
+				if e, ok := dependence(i, j); ok {
+					edges = append(edges, e)
+				}
+			}
+		}
+		dags[b] = BlockDAG{ID: blk.ID, Start: blk.Start, End: blk.End, Edges: edges[first:len(edges):len(edges)]}
+		g.Blocks[b] = &dags[b]
+	}
+	g.Cross = crossBlockRAW(f, uses)
 	return g
 }
 
 // crossBlockRAW collects the dominator-scoped cross-block RAW edges: a
 // definition reaching a use in another block, where the def's block
 // dominates the use's block so the ordering witness is unconditional.
-func crossBlockRAW(cfg *sass.CFG) []Edge {
-	ri := ReachingDefs(cfg)
-	dom := Dominators(cfg)
-	k := cfg.Kernel
-	nbits := CCBit() + 1
+// uses holds every instruction's regspace use set. Each block is walked
+// once, its reaching set carried from the block's entry set instruction by
+// instruction; edges come out by use, then slot, then definition,
+// ascending.
+func crossBlockRAW(f *KernelFacts, uses []Bits) []Edge {
+	cfg := f.CFG
+	ri := f.reachingDefs()
+	dom := f.dominators()
+	cur := NewBits(len(ri.Sites))
 	var out []Edge
-	for idx := range k.Instrs {
-		ub := cfg.BlockOf(idx).ID
-		use, _ := regSets(&k.Instrs[idx], nbits)
-		for _, slot := range use.Members() {
-			for _, def := range ri.ReachingAt(idx, slot) {
-				db := cfg.BlockOf(def).ID
-				if db == ub || !Dominates(dom, db, ub) {
-					continue
+	for _, blk := range cfg.Blocks {
+		ub := blk.ID
+		cur.CopyFrom(ri.In[ub])
+		for idx := blk.Start; idx < blk.End; idx++ {
+			for w, word := range uses[idx] {
+				for ; word != 0; word &= word - 1 {
+					slot := w*64 + bits.TrailingZeros64(word)
+					for _, s := range ri.sitesOf(slot) {
+						if !cur.Has(int(s)) {
+							continue
+						}
+						def := ri.Sites[s].Instr
+						if db := cfg.BlockOf(def).ID; db != ub && Dominates(dom, db, ub) {
+							out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})
+						}
+					}
 				}
-				out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})
 			}
+			ri.step(cur, idx)
 		}
 	}
 	return out

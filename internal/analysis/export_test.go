@@ -1,6 +1,12 @@
 package analysis
 
-import "sassi/internal/sass"
+import (
+	"fmt"
+	"math/bits"
+	"reflect"
+
+	"sassi/internal/sass"
+)
 
 // UpdateGolden exposes the package's -update flag to the external tests.
 var UpdateGolden = updateGolden
@@ -78,4 +84,109 @@ func (v *Valuation) Uniformity(idx int) InstrUniformity {
 		GuardUniform: v.GuardFacts(idx).Uniform,
 		SrcsUniform:  srcsUniform(v.viewAt(idx), &v.cfg.Kernel.Instrs[idx]),
 	}
+}
+
+// AnalyzeValues is NewKernelFacts(cfg).Values(): the value analysis of a
+// CFG no other check shares.
+func AnalyzeValues(cfg *sass.CFG) *Valuation { return NewKernelFacts(cfg).Values() }
+
+// ReachingAt returns the definition sites of regspace entry reg that
+// reach instruction idx (just before it executes), as instruction
+// indices. It replays idx's block from its entry set for every query: the
+// model the one-walk cross-block pass (crossBlockRAW) is held to.
+func (ri *ReachInfo) ReachingAt(idx int, reg int) []int {
+	blk := ri.cfg.BlockOf(idx)
+	cur := ri.In[blk.ID].Copy()
+	var defBuf [16]int
+	for i := blk.Start; i < idx; i++ {
+		in := &ri.cfg.Kernel.Instrs[i]
+		defs := appendDefs(defBuf[:0], in)
+		if in.Guard.IsAlways() {
+			for _, d := range defs {
+				for _, s := range ri.sitesOf(d) {
+					cur.Clear(int(s))
+				}
+			}
+		}
+		for _, d := range defs {
+			for _, s := range ri.sitesOf(d) {
+				if ri.Sites[s].Instr == i {
+					cur.Set(int(s))
+				}
+			}
+		}
+	}
+	var out []int
+	for _, s := range ri.sitesOf(reg) {
+		if cur.Has(int(s)) {
+			out = append(out, ri.Sites[s].Instr)
+		}
+	}
+	return out
+}
+
+// PostDominatorSolves is how many times PostDominators has run in this
+// process.
+func PostDominatorSolves() int64 { return postDomSolves.Load() }
+
+// Members lists the set bit indices in ascending order.
+func (b Bits) Members() []int {
+	var out []int
+	for wi, w := range b {
+		for w != 0 {
+			out = append(out, wi*64+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return out
+}
+
+// ColdSolveMismatch compares the value analysis of cfg, each of whose
+// divergence passes after the first starts from the fixpoint of the pass
+// before, with one that solves every pass from scratch: "" when every
+// block-entry state is equal, else the first difference. passes is how
+// many inner fixpoints the analysis ran.
+func ColdSolveMismatch(cfg *sass.CFG) (mismatch string, passes int) {
+	warm := NewKernelFacts(cfg).Values()
+	s := newValSolver(cfg)
+	d := newDivergence(NewKernelFacts(cfg))
+	s.cold(d.mask)
+	cold := &Valuation{cfg: cfg, blockIn: s.in, cur: s.st, pos: -1}
+	for passes = 1; len(d.grow(cold)) > 0; passes++ {
+		s.cold(d.mask)
+		cold.pos = -1
+	}
+	for b := range cold.blockIn {
+		w, c := &warm.blockIn[b], &cold.blockIn[b]
+		for r := range c.regs {
+			if !reflect.DeepEqual(w.regs[r], c.regs[r]) {
+				return fmt.Sprintf("block %d entry: R%d is %+v, cold %+v", b, r, w.regs[r], c.regs[r]), passes
+			}
+		}
+		for p := range c.pred {
+			if !reflect.DeepEqual(w.pred[p], c.pred[p]) {
+				return fmt.Sprintf("block %d entry: P%d is %+v, cold %+v", b, p, w.pred[p], c.pred[p]), passes
+			}
+		}
+		if w.cc != c.cc {
+			return fmt.Sprintf("block %d entry: CC uniform %v, cold %v", b, w.cc, c.cc), passes
+		}
+	}
+	return "", passes
+}
+
+// CrossBlockRAWPass readies f for the cross-block RAW pass — its use sets,
+// dominators and reaching definitions computed — and returns the pass, to
+// be run alone, and how many (instruction, use slot) queries it answers.
+func CrossBlockRAWPass(f *KernelFacts) (pass func() []Edge, queries int) {
+	k := f.CFG.Kernel
+	sets := newBitsTable(2*len(k.Instrs), CCBit()+1)
+	uses := sets[:len(k.Instrs)]
+	for i := range k.Instrs {
+		regSets(&k.Instrs[i], uses[i], sets[len(k.Instrs)+i])
+		queries += uses[i].Count()
+	}
+	f.reachingDefs()
+	f.dominators()
+	return func() []Edge { return crossBlockRAW(f, uses) }, queries
 }

@@ -303,10 +303,14 @@ type valState struct {
 	viewG bool
 }
 
-func newEntryState(nregs int) *valState {
-	s := &valState{regs: make([]Value, nregs)}
+// reset makes s the kernel-entry state: every register Unknown and not
+// uniform (register file garbage is per-thread), PT uniform.
+func (s *valState) reset() {
+	clear(s.regs)
+	s.pred = [sass.NumPred + 1]PredFacts{}
 	s.pred[sass.PT] = PredFacts{Uniform: true}
-	return s
+	s.cc = false
+	s.dropGuardView()
 }
 
 // copyFrom overwrites s with o's main lattice. Only view-free states are
@@ -357,23 +361,20 @@ func (s *valState) setReg(r uint8, v Value) {
 	s.regs[r] = v
 }
 
-// mergeFrom joins o into s, reporting change. divMask, when non-nil, is
-// the regspace set possibly assigned under a divergent branch whose paths
-// reconverge at this merge: a masked value that the join cannot prove
-// identical in all threads (anything non-Known) loses warp uniformity,
-// because which definition a thread holds depends on the divergent path
-// it took. Equal Known forms are exempt — every thread then holds the
-// same affine function of its own tid regardless of path.
+// mergeFrom joins o into s and applies divMask (degrade), reporting
+// change.
 func (s *valState) mergeFrom(o *valState, divMask Bits) bool {
+	changed := s.joinFrom(o)
+	return s.degrade(divMask) || changed
+}
+
+// joinFrom joins o into s, reporting change.
+func (s *valState) joinFrom(o *valState) bool {
 	changed := false
 	// Merged states have different guard histories: drop the view.
 	s.dropGuardView()
 	for r, cur := range s.regs {
-		nv := JoinValues(cur, o.regs[r])
-		if divMask != nil && divMask.Has(GPRBit(uint8(r))) && !nv.Known {
-			nv.Uniform = false
-		}
-		if !sameLattice(cur, nv) {
+		if nv := JoinValues(cur, o.regs[r]); !sameLattice(cur, nv) {
 			s.regs[r] = nv
 			changed = true
 		}
@@ -392,20 +393,45 @@ func (s *valState) mergeFrom(o *valState, divMask Bits) bool {
 		if se, oe := s.pred[p].EqZero, o.pred[p].EqZero; se != nil && oe != nil && equalValues(*se, *oe) {
 			n.EqZero = se
 		}
-		if divMask != nil && divMask.Has(PredBit(uint8(p))) {
-			n.Uniform = false
-		}
 		if n != s.pred[p] {
 			s.pred[p] = n
 			changed = true
 		}
 	}
-	ncc := s.cc && o.cc
-	if divMask != nil && divMask.Has(CCBit()) {
-		ncc = false
-	}
-	if s.cc != ncc {
+	if ncc := s.cc && o.cc; s.cc != ncc {
 		s.cc = ncc
+		changed = true
+	}
+	return changed
+}
+
+// degrade applies a merge mask to a joined state, reporting change.
+// divMask, when non-nil, is the regspace set possibly assigned under a
+// divergent branch whose paths reconverge at this merge: a masked value
+// that the join cannot prove identical in all threads (anything
+// non-Known) loses warp uniformity, because which definition a thread
+// holds depends on the divergent path it took. Equal Known forms are
+// exempt — every thread then holds the same affine function of its own
+// tid regardless of path.
+func (s *valState) degrade(divMask Bits) bool {
+	if divMask == nil {
+		return false
+	}
+	changed := false
+	for r := range s.regs {
+		if v := &s.regs[r]; !v.Known && v.Uniform && divMask.Has(GPRBit(uint8(r))) {
+			v.Uniform = false
+			changed = true
+		}
+	}
+	for p := range s.pred {
+		if f := &s.pred[p]; uint8(p) != sass.PT && f.Uniform && divMask.Has(PredBit(uint8(p))) {
+			f.Uniform = false
+			changed = true
+		}
+	}
+	if s.cc && divMask.Has(CCBit()) {
+		s.cc = false
 		changed = true
 	}
 	return changed
@@ -422,17 +448,17 @@ func sameLattice(a, b Value) bool {
 	return equalValues(a, b)
 }
 
-// Valuation is the result of AnalyzeValues. It keeps the fixpoint's state
-// at every basic-block entry and answers a query at instruction idx by
-// replaying the block's transfer functions up to idx: from where the
-// previous query stopped when that is earlier in the same block (so
-// ascending queries cost one transfer per instruction in total), from the
-// block entry otherwise. Queries move that cursor: one Valuation must not
-// be queried from two goroutines at once.
+// Valuation is the result of the value analysis (KernelFacts.Values). It
+// keeps the fixpoint's state at every basic-block entry and answers a
+// query at instruction idx by replaying the block's transfer functions up
+// to idx: from where the previous query stopped when that is earlier in
+// the same block (so ascending queries cost one transfer per instruction
+// in total), from the block entry otherwise. Queries move that cursor:
+// one Valuation must not be queried from two goroutines at once.
 type Valuation struct {
 	cfg     *sass.CFG
-	blockIn []*valState // state at each block's entry
-	cur     *valState   // replay cursor: the state just before instruction pos
+	blockIn []valState // state at each block's entry
+	cur     *valState  // replay cursor: the state just before instruction pos
 	pos     int
 }
 
@@ -440,7 +466,7 @@ type Valuation struct {
 // cursor itself, valid until the next query.
 func (v *Valuation) at(idx int) *valState {
 	if blk := v.cfg.BlockOf(idx); v.pos > idx || v.pos < blk.Start {
-		v.cur.copyFrom(v.blockIn[blk.ID])
+		v.cur.copyFrom(&v.blockIn[blk.ID])
 		v.pos = blk.Start
 	}
 	for ; v.pos < idx; v.pos++ {
@@ -460,8 +486,8 @@ func (v *Valuation) viewAt(idx int) *valState {
 	return s
 }
 
-// AnalyzeValues runs the forward value/uniformity analysis to a fixed
-// point over the CFG.
+// analyzeValues runs the forward value/uniformity analysis to a fixed
+// point over f's CFG.
 //
 // Uniformity is control-dependence-aware: path-insensitive joins alone
 // would either overclaim (two per-path constants merged under a
@@ -472,8 +498,40 @@ func (v *Valuation) viewAt(idx int) *valState {
 // tree, and marks every reconvergence/merge point with the regspace set
 // possibly assigned inside the region; the inner fixpoint then degrades
 // exactly those merges. Non-uniform facts only grow, so the nesting
-// terminates.
-func AnalyzeValues(cfg *sass.CFG) *Valuation {
+// terminates. Each inner fixpoint after the first starts from the one
+// before it (valSolver.warm; DESIGN.md "Value lattice").
+func analyzeValues(f *KernelFacts) *Valuation {
+	s := newValSolver(f.CFG)
+	d := newDivergence(f)
+	s.cold(d.mask)
+	v := &Valuation{cfg: f.CFG, blockIn: s.in, cur: s.st, pos: -1}
+	for {
+		grown := d.grow(v)
+		if len(grown) == 0 {
+			return v
+		}
+		s.warm(d.mask, grown)
+		v.pos = -1 // the solve ran over the cursor
+	}
+}
+
+// valSolver is the inner fixpoint's storage: every block's entry state,
+// their register files slices of one array, allocated once per analysis
+// and reused by every divergence pass.
+type valSolver struct {
+	cfg *sass.CFG
+	in  []valState
+	// reached: a state has arrived at the block (the entry's from the
+	// start); merged: a second one has been joined into it, so its merge
+	// mask applies. Unreached blocks keep the entry state.
+	reached, merged []bool
+	queued          []bool
+	queue           []int // ring of the queued blocks, FIFO
+	head, n         int
+	st              *valState // block-exit scratch; the Valuation's cursor
+}
+
+func newValSolver(cfg *sass.CFG) *valSolver {
 	nregs := 0
 	var buf [8]uint8
 	for i := range cfg.Kernel.Instrs {
@@ -483,142 +541,195 @@ func AnalyzeValues(cfg *sass.CFG) *Valuation {
 			}
 		}
 	}
-	divMask := make([]Bits, len(cfg.Blocks))
-	for {
-		v := solveValues(cfg, divMask, nregs)
-		if !growDivergenceMasks(cfg, v, divMask) {
-			return v
-		}
+	nb := len(cfg.Blocks)
+	regs := make([]Value, (nb+1)*nregs)
+	flags := make([]bool, 3*nb)
+	s := &valSolver{
+		cfg:     cfg,
+		in:      make([]valState, nb),
+		reached: flags[:nb:nb], merged: flags[nb : 2*nb : 2*nb], queued: flags[2*nb:],
+		queue: make([]int, nb),
+		st:    &valState{regs: regs[nb*nregs:]},
+	}
+	for b := range s.in {
+		s.in[b].regs = regs[b*nregs : (b+1)*nregs : (b+1)*nregs]
+	}
+	return s
+}
+
+// push queues block b unless it is queued.
+func (s *valSolver) push(b int) {
+	if !s.queued[b] {
+		s.queued[b] = true
+		s.queue[(s.head+s.n)%len(s.queue)] = b
+		s.n++
 	}
 }
 
-// solveValues is one inner fixpoint under the given merge masks.
-func solveValues(cfg *sass.CFG, divMask []Bits, nregs int) *Valuation {
-	nb := len(cfg.Blocks)
-	// The entry block starts with everything Unknown non-uniform (register
-	// file garbage is per-thread); interior blocks start unreached (nil)
-	// and take their first predecessor state wholesale.
-	blockIn := make([]*valState, nb)
-	blockIn[0] = newEntryState(nregs)
-	st := newEntryState(nregs)
+// cold solves from scratch under the merge masks divMask: the entry block
+// starts with the entry state, every other block unreached until its
+// first predecessor's state arrives, which it takes wholesale.
+func (s *valSolver) cold(divMask []Bits) {
+	for b := range s.in {
+		s.in[b].reset()
+	}
+	clear(s.reached)
+	clear(s.merged)
+	s.reached[0] = true
+	s.push(0)
+	s.run(divMask)
+}
 
-	inWork := make([]bool, nb)
-	work := []int{0}
-	inWork[0] = true
-	for len(work) > 0 {
-		b := work[0]
-		work = work[1:]
-		inWork[b] = false
-		blk := cfg.Blocks[b]
-		st.copyFrom(blockIn[b])
+// warm solves under divMask starting from the fixpoint under smaller
+// masks that s holds, after the masks of the grown blocks grew. Masks only
+// grow, so that fixpoint lies below the new one: the grown blocks into
+// which a merge has already joined states take their new mask now, as
+// their next merge would, and are re-queued when it changes them; the
+// worklist carries the change on from there.
+func (s *valSolver) warm(divMask []Bits, grown []int) {
+	for _, b := range grown {
+		if s.merged[b] && s.in[b].degrade(divMask[b]) {
+			s.push(b)
+		}
+	}
+	s.run(divMask)
+}
+
+// run drains the worklist.
+func (s *valSolver) run(divMask []Bits) {
+	st := s.st
+	for s.n > 0 {
+		b := s.queue[s.head]
+		s.head = (s.head + 1) % len(s.queue)
+		s.n--
+		s.queued[b] = false
+		blk := s.cfg.Blocks[b]
+		st.copyFrom(&s.in[b])
 		for i := blk.Start; i < blk.End; i++ {
-			transferValues(st, &cfg.Kernel.Instrs[i])
+			transferValues(st, &s.cfg.Kernel.Instrs[i])
 		}
 		// The predication view is an intra-block device: block-entry
 		// states never carry one (it also keeps the fixpoint's
 		// change-detection, which compares only the main lattice, sound).
 		st.dropGuardView()
 		for _, sc := range blk.Succs {
-			changed := false
-			if blockIn[sc] == nil {
-				blockIn[sc] = newEntryState(nregs)
-				blockIn[sc].copyFrom(st)
-				changed = true
+			changed := true
+			if !s.reached[sc] {
+				s.reached[sc] = true
+				s.in[sc].copyFrom(st)
 			} else {
-				changed = blockIn[sc].mergeFrom(st, divMask[sc])
+				s.merged[sc] = true
+				changed = s.in[sc].mergeFrom(st, divMask[sc])
 			}
-			if changed && !inWork[sc] {
-				inWork[sc] = true
-				work = append(work, sc)
+			if changed {
+				s.push(sc)
 			}
 		}
 	}
-	// Unreachable blocks are queried like the entry.
-	for b := range blockIn {
-		if blockIn[b] == nil {
-			blockIn[b] = newEntryState(nregs)
-		}
-	}
-	return &Valuation{cfg: cfg, blockIn: blockIn, cur: st, pos: -1}
 }
 
-// growDivergenceMasks extends divMask with the assigned-under-divergence
-// sets of every conditional branch whose guard the current valuation
-// cannot prove warp-uniform, reporting whether anything grew.
-func growDivergenceMasks(cfg *sass.CFG, v *Valuation, divMask []Bits) bool {
-	var pdom []Bits // computed lazily: most kernels have no divergent branch
-	grew := false
-	for b := range cfg.Blocks {
-		blk := cfg.Blocks[b]
+// divergence is the outer loop's state: each block's merge mask, and the
+// conditional branches whose regions the masks already hold (a branch the
+// valuation once found divergent stays so: non-uniform facts only grow).
+type divergence struct {
+	f    *KernelFacts
+	mask []Bits // per block; all nil until the first divergent branch
+	done Bits   // per instruction
+	// Scratch of grow and region.
+	grew, visited, merge Bits // per block
+	assigned             Bits // regspace
+	queue, grown         []int
+}
+
+func newDivergence(f *KernelFacts) *divergence {
+	return &divergence{
+		f:    f,
+		mask: make([]Bits, len(f.CFG.Blocks)),
+		done: NewBits(len(f.CFG.Kernel.Instrs)),
+	}
+}
+
+// grow extends the merge masks with the assigned-under-divergence sets of
+// every conditional branch whose guard the current valuation cannot prove
+// warp-uniform, returning the blocks whose mask grew, ascending (reused by
+// the next call).
+func (d *divergence) grow(v *Valuation) []int {
+	cfg := d.f.CFG
+	nb := len(cfg.Blocks)
+	d.grown = d.grown[:0]
+	for b, blk := range cfg.Blocks {
 		for i := blk.Start; i < blk.End; i++ {
 			in := &cfg.Kernel.Instrs[i]
-			if !in.IsCondBranch() || v.GuardFacts(i).Uniform {
+			if !in.IsCondBranch() || d.done.Has(i) || v.GuardFacts(i).Uniform {
 				continue
 			}
-			if pdom == nil {
-				pdom = PostDominators(cfg)
+			d.done.Set(i)
+			if d.assigned == nil {
+				// Most kernels have no divergent branch.
+				masks := newBitsTable(nb+1, regSpaceBits)
+				copy(d.mask, masks)
+				d.assigned = masks[nb]
+				scratch := newBitsTable(3, nb)
+				d.grew, d.visited, d.merge = scratch[0], scratch[1], scratch[2]
 			}
-			region, merges := divergenceRegion(cfg, pdom, b)
-			mask := NewBits(regSpaceBits)
-			for _, rb := range region {
-				rblk := cfg.Blocks[rb]
-				for j := rblk.Start; j < rblk.End; j++ {
-					var defBuf [16]int
-					for _, d := range appendDefs(defBuf[:0], &cfg.Kernel.Instrs[j]) {
-						mask.Set(d)
-					}
-				}
-			}
-			for _, mb := range merges {
-				if divMask[mb] == nil {
-					divMask[mb] = NewBits(regSpaceBits)
-				}
-				if divMask[mb].Union(mask) {
-					grew = true
+			d.region(b)
+			for mb := range nb {
+				if d.merge.Has(mb) && d.mask[mb].Union(d.assigned) {
+					d.grew.Set(mb)
 				}
 			}
 		}
 	}
-	return grew
+	for b := range nb {
+		if d.grew.Has(b) {
+			d.grown = append(d.grown, b)
+			d.grew.Clear(b)
+		}
+	}
+	return d.grown
 }
 
-// divergenceRegion returns the blocks on paths between branch block b and
-// its reconvergence (strict post-dominators of b), plus the merge points
-// that need divergence-aware joins: the reconvergence blocks themselves
-// and any multi-predecessor block inside the region (a loop head whose
-// latch diverges, an inner join).
-func divergenceRegion(cfg *sass.CFG, pdom []Bits, b int) (region, merges []int) {
-	stop := pdom[b].Copy()
-	stop.Clear(b)
-	visited := make(map[int]bool)
-	mergeSet := make(map[int]bool)
-	queue := []int{}
+// region walks the blocks on paths between branch block b and its
+// reconvergence (strict post-dominators of b), leaving in d.assigned the
+// regspace set they may assign and in d.merge the merge points that need
+// divergence-aware joins: the reconvergence blocks themselves and any
+// multi-predecessor block inside the region (a loop head whose latch
+// diverges, an inner join).
+func (d *divergence) region(b int) {
+	cfg := d.f.CFG
+	stop := d.f.postDominators()[b]
+	clear(d.visited)
+	clear(d.merge)
+	clear(d.assigned)
+	queue := d.queue[:0]
 	expand := func(from int) {
 		for _, s := range cfg.Blocks[from].Succs {
-			if stop.Has(s) {
-				mergeSet[s] = true
+			if s != b && stop.Has(s) {
+				d.merge.Set(s)
 				continue
 			}
-			if !visited[s] {
-				visited[s] = true
+			if !d.visited.Has(s) {
+				d.visited.Set(s)
 				queue = append(queue, s)
 			}
 		}
 	}
 	expand(b)
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		region = append(region, n)
-		if len(cfg.Blocks[n].Preds) >= 2 {
-			mergeSet[n] = true
+	var defBuf [16]int
+	for next := 0; next < len(queue); next++ {
+		n := queue[next]
+		rblk := cfg.Blocks[n]
+		if len(rblk.Preds) >= 2 {
+			d.merge.Set(n)
+		}
+		for j := rblk.Start; j < rblk.End; j++ {
+			for _, r := range appendDefs(defBuf[:0], &cfg.Kernel.Instrs[j]) {
+				d.assigned.Set(r)
+			}
 		}
 		expand(n)
 	}
-	for m := range mergeSet {
-		merges = append(merges, m)
-	}
-	return region, merges
+	d.queue = queue
 }
 
 // RegValue returns the tracked value of GPR r as instruction idx reads

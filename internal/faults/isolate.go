@@ -30,6 +30,14 @@ type launchCut struct {
 	reduced []uint64
 	sums    []uint32
 	deltas  [][]sim.Delta
+	// slots finds a line's index in lines in constant expected time: an
+	// open-addressing table of 1 + the index (0: empty), probed linearly
+	// from the top slotBits bits of the line's address times a Fibonacci
+	// constant. It has a power of two of at least twice as many slots as
+	// lines, so it grows with the lines the launch touched, not with the
+	// span of their addresses.
+	slots    []int32
+	slotBits uint8
 }
 
 // lineUse is the one CTA that loaded (stored) a line, noCTA when none did,
@@ -98,6 +106,13 @@ func newLaunchCut(f *sim.Footprint, smDependent bool) *launchCut {
 	for c := range lc.alone {
 		lc.alone[c] = !f.Atomic[c]
 	}
+	lines := 0
+	for i, k := range keys {
+		if i == 0 || k>>shift != keys[i-1]>>shift {
+			lines++
+		}
+	}
+	lc.lines, lc.use = make([]uint64, 0, lines), make([]lineUse, 0, lines)
 	for i := 0; i < len(keys); {
 		line := keys[i] >> shift
 		u, j, reduces := lineUse{loader: noCTA, storer: noCTA}, i, false
@@ -136,7 +151,45 @@ func newLaunchCut(f *sim.Footprint, smDependent bool) *launchCut {
 		i = j
 	}
 	lc.sumDeltas(f)
+	lc.index()
 	return lc
+}
+
+// fibonacci is 2⁶⁴ over the golden ratio, odd: multiplying by it spreads
+// line addresses, whose low bits are zero, over the top bits.
+const fibonacci = 0x9e3779b97f4a7c15
+
+// index builds slots over lines.
+func (lc *launchCut) index() {
+	if len(lc.lines) == 0 {
+		return
+	}
+	lc.slotBits = uint8(bits.Len(uint(2*len(lc.lines) - 1)))
+	lc.slots = make([]int32, 1<<lc.slotBits)
+	mask := uint64(len(lc.slots) - 1)
+	for i, l := range lc.lines {
+		h := l * fibonacci >> (64 - lc.slotBits)
+		for lc.slots[h] != 0 {
+			h = (h + 1) & mask
+		}
+		lc.slots[h] = int32(i + 1)
+	}
+}
+
+// find returns line l's index in lines, if the cut holds it.
+func (lc *launchCut) find(l uint64) (int, bool) {
+	if len(lc.slots) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(lc.slots) - 1)
+	for h := l * fibonacci >> (64 - lc.slotBits); ; h = (h + 1) & mask {
+		switch s := lc.slots[h]; {
+		case s == 0:
+			return 0, false
+		case lc.lines[s-1] == l:
+			return int(s - 1), true
+		}
+	}
 }
 
 // sumDeltas adds up f's deltas to the words of the reduction lines, and
@@ -176,7 +229,7 @@ func (u lineUse) permits(c int, kind sim.Access) bool {
 // without meeting another CTA; a line no CTA touched meets none.
 func (lc *launchCut) permits(c int, lines []uint64, kind sim.Access) bool {
 	for _, l := range lines {
-		if i, ok := slices.BinarySearch(lc.lines, l); ok && !lc.use[i].permits(c, kind) {
+		if i, ok := lc.find(l); ok && !lc.use[i].permits(c, kind) {
 			return false
 		}
 	}

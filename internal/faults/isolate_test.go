@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -114,6 +115,56 @@ func TestLaunchCutFence(t *testing.T) {
 	} {
 		if got := lc.permits(tc.cta, tc.lines, tc.kind); got != tc.want {
 			t.Errorf("CTA %d: %v of lines %x: permitted %v, want %v", tc.cta, tc.kind, tc.lines, got, tc.want)
+		}
+	}
+}
+
+// TestLaunchCutFindMatchesBinarySearch: the fence's constant-time line
+// lookup answers as a binary search of the cut's sorted lines does, on
+// random cuts whose lines spread over spans from a few lines to 2⁴⁰
+// bytes, asked for every line of the cut, its neighbours, and random
+// lines inside and outside the span; and its table holds fewer than four
+// slots per line whatever the span.
+func TestLaunchCutFindMatchesBinarySearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 300; trial++ {
+		lineBytes := uint64(32) << rng.Intn(3)
+		spanLines := int64(1) << (rng.Intn(36) + 1)
+		ctas := 1 + rng.Intn(16)
+		f := &sim.Footprint{
+			LineBytes: lineBytes,
+			Loads:     make([][]uint64, ctas), Stores: make([][]uint64, ctas), Reduces: make([][]uint64, ctas),
+			Atomic: make([]bool, ctas), Deltas: make([][]sim.Delta, ctas),
+		}
+		line := func() uint64 { return mem.GlobalBase + lineBytes*uint64(rng.Int63n(spanLines)) }
+		for c := range ctas {
+			for _, set := range []*[]uint64{&f.Loads[c], &f.Stores[c], &f.Reduces[c]} {
+				for range rng.Intn(24) {
+					*set = append(*set, line())
+				}
+				slices.Sort(*set)
+				*set = slices.Compact(*set)
+			}
+		}
+		lc := newLaunchCut(f, false)
+		if len(lc.lines) > 0 && len(lc.slots) >= 4*len(lc.lines) {
+			t.Errorf("trial %d: %d slots for %d lines", trial, len(lc.slots), len(lc.lines))
+		}
+		var queries []uint64
+		for _, l := range lc.lines {
+			queries = append(queries, l, l-lineBytes, l+lineBytes)
+		}
+		for range 64 {
+			queries = append(queries, line(), line()+lineBytes*uint64(spanLines), mem.GlobalBase-lineBytes*uint64(1+rng.Intn(64)))
+		}
+		queries = append(queries, 0, ^uint64(0)&^(lineBytes-1))
+		for _, q := range queries {
+			i, ok := lc.find(q)
+			j, want := slices.BinarySearch(lc.lines, q)
+			if ok != want || ok && i != j {
+				t.Fatalf("trial %d (%d lines over %d, %d-byte lines): line %#x found at %d, %v; binary search %d, %v",
+					trial, len(lc.lines), spanLines, lineBytes, q, i, ok, j, want)
+			}
 		}
 	}
 }

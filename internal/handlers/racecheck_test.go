@@ -32,7 +32,7 @@ func raceCheck(t *testing.T, spec *workloads.Spec, dataset string, sequential bo
 		if err != nil {
 			t.Fatalf("%s/%s: cfg: %v", spec.Name, k.Name, err)
 		}
-		static = append(static, concurrency.SharedRacePairs(cfg, analysis.AnalyzeValues(cfg))...)
+		static = append(static, concurrency.SharedRacePairs(cfg, analysis.NewKernelFacts(cfg).Values())...)
 	}
 
 	cfg := sim.MiniGPU()

@@ -39,7 +39,7 @@ func TestCoreComputesEveryLane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := analysis.AnalyzeValues(cfg)
+	v := analysis.NewKernelFacts(cfg).Values()
 	if !v.GuardFacts(guardedAdd).Uniform {
 		t.Fatal("lattice does not prove the guard P0 uniform")
 	}
