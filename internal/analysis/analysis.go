@@ -203,8 +203,8 @@ func (m VerifyMode) String() string {
 // KernelFacts is what one verification derives about a kernel and hands
 // to every check that needs more than the instructions: the CFG, with the
 // walk of the warp's control stacks its SYNC edges come from, and, each
-// computed on first use and kept, the dominators, postdominators and
-// reaching definitions, the value lattice's fixpoint and the guard facts
+// computed on first use and kept, the postdominators, the value lattice's
+// fixpoint and the guard facts
 // the walk splits the warp by (control.go). A check takes each from its
 // accessor — the valuation from Values, never a fresh analysis — so
 // verifying a kernel (linting it for concurrency, building its dependence
@@ -212,11 +212,10 @@ func (m VerifyMode) String() string {
 // consult it. Like the Valuation it holds, a KernelFacts is for one
 // goroutine.
 type KernelFacts struct {
-	CFG       *sass.CFG
-	val       *Valuation
-	guard     *guardFacts
-	dom, pdom []Bits
-	reach     *ReachInfo
+	CFG   *sass.CFG
+	val   *Valuation
+	guard *guardFacts
+	pdom  []Bits
 }
 
 // NewKernelFacts wraps a CFG for callers that run a check, or build a
@@ -232,28 +231,12 @@ func (f *KernelFacts) Values() *Valuation {
 	return f.val
 }
 
-// dominators returns Dominators(f.CFG), computed on the first call.
-func (f *KernelFacts) dominators() []Bits {
-	if f.dom == nil {
-		f.dom = Dominators(f.CFG)
-	}
-	return f.dom
-}
-
 // postDominators returns PostDominators(f.CFG), computed on the first call.
 func (f *KernelFacts) postDominators() []Bits {
 	if f.pdom == nil {
 		f.pdom = PostDominators(f.CFG)
 	}
 	return f.pdom
-}
-
-// reachingDefs returns ReachingDefs(f.CFG), computed on the first call.
-func (f *KernelFacts) reachingDefs() *ReachInfo {
-	if f.reach == nil {
-		f.reach = ReachingDefs(f.CFG)
-	}
-	return f.reach
 }
 
 // KnownChecks lists every check class a diagnostic can carry — the full

@@ -241,26 +241,6 @@ func Solve(cfg *sass.CFG, p Problem) (in, out []Bits) {
 	return in, out
 }
 
-// Dominators computes, for every block, the set of blocks that dominate
-// it (including itself), as a bitset over block IDs. Blocks unreachable
-// from the entry report the full set (vacuous domination).
-func Dominators(cfg *sass.CFG) []Bits {
-	nb := len(cfg.Blocks)
-	gen := selfSets(nb)
-	_, out := Solve(cfg, Problem{
-		Dir:  Forward,
-		Meet: Intersect,
-		Bits: nb,
-		Gen:  gen,
-		// Boundary empty: nothing dominates the entry except itself (Gen).
-	})
-	return out
-}
-
-// Dominates reports whether block a dominates block b given Dominators'
-// result.
-func Dominates(dom []Bits, a, b int) bool { return dom[b].Has(a) }
-
 // PostDominators computes, for every block, the set of blocks that
 // post-dominate it (including itself): b post-dominates a if every path
 // from a to kernel exit passes through b. Kernels can have several exit
@@ -384,111 +364,6 @@ func appendDefs(buf []int, in *sass.Instruction) []int {
 		buf = append(buf, CCBit())
 	}
 	return buf
-}
-
-// DefSite is one definition site for reaching-definitions: instruction
-// Instr defines regspace entry Reg.
-type DefSite struct {
-	Instr int
-	Reg   int // regspace index
-}
-
-// ReachInfo is the result of ReachingDefs. Bit i of a set refers to
-// Sites[i].
-type ReachInfo struct {
-	cfg   *sass.CFG
-	Sites []DefSite
-	// In and Out are per-block reaching-definition sets.
-	In, Out []Bits
-	// Sites lists each instruction's sites together, in instruction
-	// order: instruction i's are Sites[instrSite[i]:instrSite[i+1]].
-	// byReg lists every site of regspace entry r, ascending:
-	// byReg[regSite[r]:regSite[r+1]].
-	instrSite, regSite []int32
-	byReg              []int32
-}
-
-// sitesOf returns the sites of regspace entry r, ascending.
-func (ri *ReachInfo) sitesOf(r int) []int32 { return ri.byReg[ri.regSite[r]:ri.regSite[r+1]] }
-
-// step carries cur, the sites reaching instruction i, past it: an
-// unconditional def kills every site of its registers, then i's own sites
-// reach.
-func (ri *ReachInfo) step(cur Bits, i int) {
-	in := &ri.cfg.Kernel.Instrs[i]
-	own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
-	if in.Guard.IsAlways() {
-		for _, d := range own {
-			for _, s := range ri.sitesOf(d.Reg) {
-				cur.Clear(int(s))
-			}
-		}
-	}
-	for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
-		cur.Set(int(s))
-	}
-}
-
-// ReachingDefs solves reaching definitions over the CFG: a definition d
-// of register r reaches point p if there is a path from d to p on which r
-// is not unconditionally redefined. Guarded (predicated) definitions
-// generate but do not kill.
-func ReachingDefs(cfg *sass.CFG) *ReachInfo {
-	instrs := cfg.Kernel.Instrs
-	ri := &ReachInfo{cfg: cfg, instrSite: make([]int32, len(instrs)+1), regSite: make([]int32, regSpaceBits+1)}
-	var defBuf [16]int
-	n := 0
-	for i := range instrs {
-		n += len(appendDefs(defBuf[:0], &instrs[i]))
-	}
-	ri.Sites = make([]DefSite, 0, n)
-	for i := range instrs {
-		ri.instrSite[i] = int32(len(ri.Sites))
-		for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
-			ri.Sites = append(ri.Sites, DefSite{Instr: i, Reg: d})
-			ri.regSite[d+1]++
-		}
-	}
-	ri.instrSite[len(instrs)] = int32(n)
-	for r := range regSpaceBits {
-		ri.regSite[r+1] += ri.regSite[r]
-	}
-	ri.byReg = make([]int32, n)
-	next := make([]int32, regSpaceBits)
-	copy(next, ri.regSite)
-	for s, d := range ri.Sites {
-		ri.byReg[next[d.Reg]] = int32(s)
-		next[d.Reg]++
-	}
-
-	nb := len(cfg.Blocks)
-	sets := newBitsTable(2*nb, n)
-	gen, kill := sets[:nb:nb], sets[nb:]
-	for b, blk := range cfg.Blocks {
-		for i := blk.Start; i < blk.End; i++ {
-			own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
-			if instrs[i].Guard.IsAlways() {
-				// An unconditional def kills every other site of the same
-				// register, including earlier gens in this block.
-				for _, d := range own {
-					for _, s := range ri.sitesOf(d.Reg) {
-						if ri.Sites[s].Instr != i {
-							kill[b].Set(int(s))
-							gen[b].Clear(int(s))
-						}
-					}
-				}
-			}
-			for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
-				gen[b].Set(int(s))
-				kill[b].Clear(int(s))
-			}
-		}
-	}
-	ri.In, ri.Out = Solve(cfg, Problem{
-		Dir: Forward, Meet: Union, Bits: n, Gen: gen, Kill: kill,
-	})
-	return ri
 }
 
 // UninitRead is a read of a register that is not definitely assigned on

@@ -111,19 +111,12 @@ func (b *BlockDAG) LocalAdj() (succs [][]int, indeg []int) {
 	return succs, indeg
 }
 
-// Graph is the per-block dependence DAG forest of one kernel, plus the
-// dominator-scoped cross-block register dependences (informational: the
-// scheduler never moves instructions across blocks, and the cross edges
-// let clients and the property tests see the def-use structure the
-// block-local restriction preserves).
+// Graph is the per-block dependence DAG forest of one kernel. The
+// scheduler never moves instructions across blocks, so it holds no
+// cross-block edges.
 type Graph struct {
 	CFG    *sass.CFG
 	Blocks []*BlockDAG
-	// Cross holds RAW edges whose definition and use sit in different
-	// blocks, restricted to defs whose block dominates the use's block
-	// (the scoped subset with a guaranteed-ordered witness; merge-point
-	// reaching defs from sibling branches carry no such order).
-	Cross []Edge
 }
 
 // fenceOp reports whether the instruction orders the whole stream.
@@ -318,45 +311,7 @@ func BuildDeps(f *KernelFacts) *Graph {
 		dags[b] = BlockDAG{ID: blk.ID, Start: blk.Start, End: blk.End, Edges: edges[first:len(edges):len(edges)]}
 		g.Blocks[b] = &dags[b]
 	}
-	g.Cross = crossBlockRAW(f, uses)
 	return g
-}
-
-// crossBlockRAW collects the dominator-scoped cross-block RAW edges: a
-// definition reaching a use in another block, where the def's block
-// dominates the use's block so the ordering witness is unconditional.
-// uses holds every instruction's regspace use set. Each block is walked
-// once, its reaching set carried from the block's entry set instruction by
-// instruction; edges come out by use, then slot, then definition,
-// ascending.
-func crossBlockRAW(f *KernelFacts, uses []Bits) []Edge {
-	cfg := f.CFG
-	ri := f.reachingDefs()
-	dom := f.dominators()
-	cur := NewBits(len(ri.Sites))
-	var out []Edge
-	for _, blk := range cfg.Blocks {
-		ub := blk.ID
-		cur.CopyFrom(ri.In[ub])
-		for idx := blk.Start; idx < blk.End; idx++ {
-			for w, word := range uses[idx] {
-				for ; word != 0; word &= word - 1 {
-					slot := w*64 + bits.TrailingZeros64(word)
-					for _, s := range ri.sitesOf(slot) {
-						if !cur.Has(int(s)) {
-							continue
-						}
-						def := ri.Sites[s].Instr
-						if db := cfg.BlockOf(def).ID; db != ub && Dominates(dom, db, ub) {
-							out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})
-						}
-					}
-				}
-			}
-			ri.step(cur, idx)
-		}
-	}
-	return out
 }
 
 // BlockOf returns the block DAG containing instruction idx.

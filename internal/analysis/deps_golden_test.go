@@ -17,7 +17,8 @@ import (
 )
 
 // depsDigest hashes a kernel's dependence graph in the order BuildDeps
-// lists it: every block's edges, then the cross-block edges. The order is
+// lists it: every block's edges, then the cross-block edges CrossEdges
+// lists. The order is
 // part of the contract — the list scheduler walks LocalAdj's successor
 // lists in it — so the digest is order-sensitive.
 func depsDigest(t testing.TB, k *sass.Kernel) string {
@@ -26,7 +27,9 @@ func depsDigest(t testing.TB, k *sass.Kernel) string {
 	if err != nil {
 		t.Fatalf("kernel %s: %v", k.Name, err)
 	}
-	g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
+	f := analysis.NewKernelFacts(cfg)
+	g := analysis.BuildDeps(f)
+	cross := analysis.CrossEdges(f)
 	d := fnv.New64a()
 	var buf [25]byte
 	edge := func(e analysis.Edge) {
@@ -46,10 +49,10 @@ func depsDigest(t testing.TB, k *sass.Kernel) string {
 		}
 		local += len(bd.Edges)
 	}
-	for _, e := range g.Cross {
+	for _, e := range cross {
 		edge(e)
 	}
-	return fmt.Sprintf("instrs=%d edges=%d cross=%d digest=%016x", len(k.Instrs), local, len(g.Cross), d.Sum64())
+	return fmt.Sprintf("instrs=%d edges=%d cross=%d digest=%016x", len(k.Instrs), local, len(cross), d.Sum64())
 }
 
 // TestDepsGolden pins every dependence edge BuildDeps lists, in order, on

@@ -304,15 +304,19 @@ func TestCrossBlockRAW(t *testing.T) {
 		iadd(1, 0, 0), // 3: L: use R0 — entry dominates
 		exit(),        // 4
 	)
-	g := buildGraph(t, k)
+	cfg, err := sass.BuildCFG(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cross := analysis.CrossEdges(analysis.NewKernelFacts(cfg))
 	found := false
-	for _, e := range g.Cross {
+	for _, e := range cross {
 		if e.From == 0 && e.To == 3 && e.Kind == analysis.RAW && e.Slot == analysis.GPRBit(0) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("missing dominator-scoped cross-block RAW 0 -> 3; got %v", g.Cross)
+		t.Fatalf("missing dominator-scoped cross-block RAW 0 -> 3; got %v", cross)
 	}
 }
 
@@ -326,7 +330,8 @@ func TestRAWEdgesWitnessedByReachingDefs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
+		f := analysis.NewKernelFacts(cfg)
+		g := analysis.BuildDeps(f)
 		ri := analysis.ReachingDefs(cfg)
 		for _, bd := range g.Blocks {
 			edges := map[[2]int]bool{}
@@ -367,7 +372,7 @@ func TestRAWEdgesWitnessedByReachingDefs(t *testing.T) {
 		}
 		// Cross-block edges carry a direct reaching-defs witness by
 		// construction; verify it.
-		for _, e := range g.Cross {
+		for _, e := range analysis.CrossEdges(f) {
 			ok := false
 			for _, d := range ri.ReachingAt(e.To, e.Slot) {
 				if d == e.From {

@@ -175,6 +175,22 @@ func ColdSolveMismatch(cfg *sass.CFG) (mismatch string, passes int) {
 	return "", passes
 }
 
+// The dominator-scoped cross-block register dependences: RAW edges whose
+// definition and use sit in different blocks, restricted to defs whose
+// block dominates the use's block (the scoped subset with a
+// guaranteed-ordered witness; merge-point reaching defs from sibling
+// branches carry no such order). The scheduler never moves instructions
+// across blocks, so BuildDeps does not compute them; the property tests and
+// the dependence golden read them here, with the reaching definitions and
+// dominators they are derived from.
+
+// CrossEdges returns the dominator-scoped cross-block RAW edges of f's
+// kernel.
+func CrossEdges(f *KernelFacts) []Edge {
+	pass, _ := CrossBlockRAWPass(f)
+	return pass()
+}
+
 // CrossBlockRAWPass readies f for the cross-block RAW pass — its use sets,
 // dominators and reaching definitions computed — and returns the pass, to
 // be run alone, and how many (instruction, use slot) queries it answers.
@@ -186,7 +202,166 @@ func CrossBlockRAWPass(f *KernelFacts) (pass func() []Edge, queries int) {
 		regSets(&k.Instrs[i], uses[i], sets[len(k.Instrs)+i])
 		queries += uses[i].Count()
 	}
-	f.reachingDefs()
-	f.dominators()
-	return func() []Edge { return crossBlockRAW(f, uses) }, queries
+	ri, dom := ReachingDefs(f.CFG), Dominators(f.CFG)
+	return func() []Edge { return crossBlockRAW(f.CFG, ri, dom, uses) }, queries
+}
+
+// crossBlockRAW collects the dominator-scoped cross-block RAW edges: a
+// definition reaching a use in another block, where the def's block
+// dominates the use's block so the ordering witness is unconditional.
+// uses holds every instruction's regspace use set, ri and dom the kernel's
+// reaching definitions and dominators. Each block is walked once, its
+// reaching set carried from the block's entry set instruction by
+// instruction; edges come out by use, then slot, then definition,
+// ascending.
+func crossBlockRAW(cfg *sass.CFG, ri *ReachInfo, dom, uses []Bits) []Edge {
+	cur := NewBits(len(ri.Sites))
+	var out []Edge
+	for _, blk := range cfg.Blocks {
+		ub := blk.ID
+		cur.CopyFrom(ri.In[ub])
+		for idx := blk.Start; idx < blk.End; idx++ {
+			for w, word := range uses[idx] {
+				for ; word != 0; word &= word - 1 {
+					slot := w*64 + bits.TrailingZeros64(word)
+					for _, s := range ri.sitesOf(slot) {
+						if !cur.Has(int(s)) {
+							continue
+						}
+						def := ri.Sites[s].Instr
+						if db := cfg.BlockOf(def).ID; db != ub && Dominates(dom, db, ub) {
+							out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})
+						}
+					}
+				}
+			}
+			ri.step(cur, idx)
+		}
+	}
+	return out
+}
+
+// Dominators computes, for every block, the set of blocks that dominate
+// it (including itself), as a bitset over block IDs. Blocks unreachable
+// from the entry report the full set (vacuous domination).
+func Dominators(cfg *sass.CFG) []Bits {
+	nb := len(cfg.Blocks)
+	gen := selfSets(nb)
+	_, out := Solve(cfg, Problem{
+		Dir:  Forward,
+		Meet: Intersect,
+		Bits: nb,
+		Gen:  gen,
+		// Boundary empty: nothing dominates the entry except itself (Gen).
+	})
+	return out
+}
+
+// Dominates reports whether block a dominates block b given Dominators'
+// result.
+func Dominates(dom []Bits, a, b int) bool { return dom[b].Has(a) }
+
+// DefSite is one definition site for reaching-definitions: instruction
+// Instr defines regspace entry Reg.
+type DefSite struct {
+	Instr int
+	Reg   int // regspace index
+}
+
+// ReachInfo is the result of ReachingDefs. Bit i of a set refers to
+// Sites[i].
+type ReachInfo struct {
+	cfg   *sass.CFG
+	Sites []DefSite
+	// In and Out are per-block reaching-definition sets.
+	In, Out []Bits
+	// Sites lists each instruction's sites together, in instruction
+	// order: instruction i's are Sites[instrSite[i]:instrSite[i+1]].
+	// byReg lists every site of regspace entry r, ascending:
+	// byReg[regSite[r]:regSite[r+1]].
+	instrSite, regSite []int32
+	byReg              []int32
+}
+
+// sitesOf returns the sites of regspace entry r, ascending.
+func (ri *ReachInfo) sitesOf(r int) []int32 { return ri.byReg[ri.regSite[r]:ri.regSite[r+1]] }
+
+// step carries cur, the sites reaching instruction i, past it: an
+// unconditional def kills every site of its registers, then i's own sites
+// reach.
+func (ri *ReachInfo) step(cur Bits, i int) {
+	in := &ri.cfg.Kernel.Instrs[i]
+	own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
+	if in.Guard.IsAlways() {
+		for _, d := range own {
+			for _, s := range ri.sitesOf(d.Reg) {
+				cur.Clear(int(s))
+			}
+		}
+	}
+	for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
+		cur.Set(int(s))
+	}
+}
+
+// ReachingDefs solves reaching definitions over the CFG: a definition d
+// of register r reaches point p if there is a path from d to p on which r
+// is not unconditionally redefined. Guarded (predicated) definitions
+// generate but do not kill.
+func ReachingDefs(cfg *sass.CFG) *ReachInfo {
+	instrs := cfg.Kernel.Instrs
+	ri := &ReachInfo{cfg: cfg, instrSite: make([]int32, len(instrs)+1), regSite: make([]int32, regSpaceBits+1)}
+	var defBuf [16]int
+	n := 0
+	for i := range instrs {
+		n += len(appendDefs(defBuf[:0], &instrs[i]))
+	}
+	ri.Sites = make([]DefSite, 0, n)
+	for i := range instrs {
+		ri.instrSite[i] = int32(len(ri.Sites))
+		for _, d := range appendDefs(defBuf[:0], &instrs[i]) {
+			ri.Sites = append(ri.Sites, DefSite{Instr: i, Reg: d})
+			ri.regSite[d+1]++
+		}
+	}
+	ri.instrSite[len(instrs)] = int32(n)
+	for r := range regSpaceBits {
+		ri.regSite[r+1] += ri.regSite[r]
+	}
+	ri.byReg = make([]int32, n)
+	next := make([]int32, regSpaceBits)
+	copy(next, ri.regSite)
+	for s, d := range ri.Sites {
+		ri.byReg[next[d.Reg]] = int32(s)
+		next[d.Reg]++
+	}
+
+	nb := len(cfg.Blocks)
+	sets := newBitsTable(2*nb, n)
+	gen, kill := sets[:nb:nb], sets[nb:]
+	for b, blk := range cfg.Blocks {
+		for i := blk.Start; i < blk.End; i++ {
+			own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
+			if instrs[i].Guard.IsAlways() {
+				// An unconditional def kills every other site of the same
+				// register, including earlier gens in this block.
+				for _, d := range own {
+					for _, s := range ri.sitesOf(d.Reg) {
+						if ri.Sites[s].Instr != i {
+							kill[b].Set(int(s))
+							gen[b].Clear(int(s))
+						}
+					}
+				}
+			}
+			for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
+				gen[b].Set(int(s))
+				kill[b].Clear(int(s))
+			}
+		}
+	}
+	ri.In, ri.Out = Solve(cfg, Problem{
+		Dir: Forward, Meet: Union, Bits: n, Gen: gen, Kill: kill,
+	})
+	return ri
 }

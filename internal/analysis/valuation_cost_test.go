@@ -87,25 +87,24 @@ func TestAnalyzeValuesAllocationCeiling(t *testing.T) {
 
 // TestBuildDepsAllocationCeiling keeps the dependence graph to its edges,
 // listed in one array of exactly their number, plus tables of bounded size
-// per instruction (use and def sets, memory accesses, definition sites)
-// and the valuation it consults: the ceiling is the edges, twice the
-// cross-block ones (their list grows by appending), 320 B per instruction
-// (278 measured) and valuationCeiling. When each block appended its edges
-// one at a time and every cross-block query copied a reaching set, the
-// same kernel took 10 372 489 B per call against 2 369 024 B since.
+// per instruction (use and def sets, memory accesses) and the valuation it
+// consults: the ceiling is the edges, 320 B per instruction and
+// valuationCeiling. When each block appended its edges one at a time and
+// every cross-block query copied a reaching set, the same kernel took
+// 10 372 489 B per call against 2 369 024 B with the one-walk cross-block
+// pass, which BuildDeps no longer runs.
 func TestBuildDepsAllocationCeiling(t *testing.T) {
 	cfg := sgemmMemdiv(t)
 	var g *analysis.Graph
 	perCall := allocPerCall(func() { g = analysis.BuildDeps(analysis.NewKernelFacts(cfg)) })
 	sinkGraph = g
-	edges := 2 * len(g.Cross)
+	edges := 0
 	for _, bd := range g.Blocks {
 		edges += len(bd.Edges)
 	}
 	valuation, _ := valuationCeiling(cfg)
 	ceiling := uint64(edges)*uint64(unsafe.Sizeof(analysis.Edge{})) + 320*uint64(len(cfg.Kernel.Instrs)) + valuation
-	t.Logf("%d instrs, %d block and %d cross edges: %d B/call; ceiling %d B",
-		len(cfg.Kernel.Instrs), edges-2*len(g.Cross), len(g.Cross), perCall, ceiling)
+	t.Logf("%d instrs, %d edges: %d B/call; ceiling %d B", len(cfg.Kernel.Instrs), edges, perCall, ceiling)
 	if perCall > ceiling {
 		t.Errorf("BuildDeps allocates %d B per call, ceiling edges·sizeof(Edge) + 320·instrs + valuation = %d B", perCall, ceiling)
 	}

@@ -98,6 +98,11 @@ func (p PredGuard) String() string {
 // fixed per-opcode order; Srcs lists source operands. Memory references and
 // immediate operands appear in Srcs even for stores (the address expression
 // is a source).
+//
+// Operand lists may share their backing arrays with other instructions: the
+// instrumentor gives every site the same list for each operand list that
+// repeats from site to site, and the decoder carves every list from one
+// arena. Clone an instruction before editing its operands.
 type Instruction struct {
 	Guard PredGuard
 	Op    Opcode

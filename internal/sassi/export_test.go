@@ -2,9 +2,11 @@ package sassi
 
 import "sassi/internal/sass"
 
-// InstrumentKernel is instrumentKernel, for tests that need the remap table
-// it returns.
-var InstrumentKernel = instrumentKernel
+// InstrumentKernel is instrumentKernel with a table of site lists of its
+// own, for tests that need the remap table it returns.
+func InstrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32) (int32, []int, error) {
+	return instrumentKernel(prog, k, ki, opts, siteBase, newSiteLists(opts))
+}
 
 // RowGrain reports whether the mask and vector accessors, called now, find
 // ABI argument 0's object, and argument 1's, at one address for every
@@ -19,19 +21,20 @@ func RowGrain(args HandlerArgs) (arg0, arg1 bool) {
 
 // SiteLengths plans the site Instrument would inject at in under opts with
 // the given live-register set, then emits it into buffers of outCap
-// instructions and opsCap operands (negative: exactly the plan). It returns
-// the planned and the emitted (instructions, operands) and how many
-// instructions the output buffer holds afterwards.
-func SiteLengths(opts Options, in *sass.Instruction, live sass.RegSet, outCap, opsCap int) (planned, emitted [2]int, outLen int, err error) {
+// instructions and opsCap arena operands (negative: exactly the plan). It
+// returns the planned and the emitted (instructions, operands, arena
+// operands) and how many instructions the output buffer holds afterwards.
+func SiteLengths(opts Options, in *sass.Instruction, live sass.RegSet, outCap, opsCap int) (planned, emitted [3]int, outLen int, err error) {
 	k := &sass.Kernel{Name: "site", Instrs: []sass.Instruction{*in}}
-	ij := &injector{prog: sass.NewProgram(), k: k, opts: &opts}
+	opts.BeforeHandler = "h"
+	ij := &injector{prog: sass.NewProgram(), k: k, opts: &opts, lists: newSiteLists(&opts)}
 	st := ij.newSite(0, in, &live)
 	l := ij.plan(st)
 	if outCap < 0 {
-		outCap, opsCap = l.instrs, l.operands
+		outCap, opsCap = l.instrs, l.arena
 	}
 	ij.out = make([]sass.Instruction, outCap)
 	ij.ops = make([]sass.Operand, opsCap)
-	err = ij.injectCall(st, 0, 0, "h")
-	return [2]int{l.instrs, l.operands}, [2]int{ij.n, ij.nops}, len(ij.out), err
+	err = ij.injectCall(st, 0, 0, ij.lists.call[0])
+	return [3]int{l.instrs, l.operands, l.arena}, [3]int{ij.n, ij.nops, ij.narena}, len(ij.out), err
 }

@@ -30,13 +30,14 @@ func Instrument(prog *sass.Program, opts Options) error {
 		origPos = map[string][]int{}
 	}
 	siteID := int32(0)
+	lists := newSiteLists(&opts)
 	for ki, k := range prog.Kernels {
 		var orig *sass.Kernel
 		if verify {
 			orig = k.Clone()
 		}
 		t0 := opts.Trace.Now()
-		n, remap, err := instrumentKernel(prog, k, ki, &opts, siteID)
+		n, remap, err := instrumentKernel(prog, k, ki, &opts, siteID, lists)
 		if err != nil {
 			var ie *Error
 			if errors.As(err, &ie) {
@@ -68,20 +69,23 @@ func Instrument(prog *sass.Program, opts Options) error {
 func FnAddr(ki int) int32 { return int32(ki+1) << 20 }
 
 type injector struct {
-	prog *sass.Program
-	k    *sass.Kernel
-	opts *Options
+	prog  *sass.Program
+	k     *sass.Kernel
+	opts  *Options
+	lists *siteLists
 
 	// out and ops are the planned output, sized exactly before anything is
-	// emitted: the instruction stream, and the arena every injected operand
-	// list is a cap == len sub-slice of (so an append to one list can never
-	// write into its neighbour). n and nops count what has been emitted;
-	// they keep counting past the end without writing, so a site that
-	// outruns its plan is reported, never resized for.
-	out      []sass.Instruction
-	ops      []sass.Operand
-	n, nops  int
-	maxFrame int64
+	// emitted: the instruction stream, and the arena that holds the operand
+	// lists which differ from site to site, each a cap == len sub-slice (so
+	// an append to one list can never write into its neighbour). Every other
+	// injected list comes from lists. n counts the instructions emitted,
+	// nops their operands and narena the arena's share of those; they keep
+	// counting past the end without writing, so a site that outruns its
+	// plan is reported, never resized for.
+	out             []sass.Instruction
+	ops             []sass.Operand
+	n, nops, narena int
+	maxFrame        int64
 
 	// Instrumentation-time accounting, published to opts.Metrics at the end
 	// of instrumentKernel. saveRestore is the ABI spill/fill share of
@@ -92,24 +96,146 @@ type injector struct {
 	injBySym    map[string]uint64
 }
 
-// emit writes one injected instruction whose first nd operands are its
-// destinations and the rest its sources.
+// maxFrameSize is the largest stack frame a site allocates: RegisterParams
+// is the largest extra object.
+const maxFrameSize = (bpSize + rpSize + 15) &^ 15
+
+// siteLists holds the operand lists that repeat at every site — Figure 2's
+// frame adjusts, spills and fills, predicate snapshots, parameter stores,
+// argument pointers and call — for one Instrument call. A list is carved
+// the first time a site needs it, indexed by what the emitter already
+// knows (frame size, spill slot, register, field offset, symbol), and from
+// then on shared, as a cap == len slice, by every instruction that uses
+// it. Injected lists are therefore never written in place.
+type siteLists struct {
+	free []sass.Operand // the unused tail of the chunk lists are carved from
+
+	frame [2][maxFrameSize/16 + 1]*[3]sass.Operand // IADD R1, R1, -frame (+frame), by frame/16
+	store [maxFrameSize / 4]*[2]sass.Operand       // STL [R1+off], R4, by off/4
+	// slot[s][r] is Rr, [R1+spill slot s], Rr: the fill LDL lists its
+	// first two operands, the spill STL its last two.
+	slot [HandlerMaxRegs][HandlerMaxRegs]*[3]sass.Operand
+	zero [HandlerMaxRegs]*[2]sass.Operand    // MOV32I Rr, 0
+	flag [HandlerMaxRegs][2]*[3]sass.Operand // IADD Rr, RZ, v
+
+	// The lists that have no key: the predicate and CC snapshot (P2R, its
+	// STL, P2R.X, its STL) and its restore (LDL, R2P, LDL, R2P.X), the
+	// stores of the branch direction and the 64-bit address, the argument
+	// pointers (LOP.OR argN, R1, c[0][stack], IADD arg1, arg1, bpSize) and
+	// the calls of the before and the after handler.
+	snapshot, restore [4][]sass.Operand
+	direction, addr   []sass.Operand
+	argPtr            [2][]sass.Operand
+	argOff            []sass.Operand
+	call              [2][]sass.Operand
+}
+
+// listChunk is how many operands siteLists carves its lists from at a time.
+const listChunk = 64
+
+func newSiteLists(opts *Options) *siteLists {
+	t := &siteLists{}
+	r3 := sass.R(scratchPred)
+	t.snapshot = [4][]sass.Operand{
+		t.carve(r3, sass.R(sass.RZ), sass.Imm(0xff)), t.carve(sass.Mem(sass.SP, bpPRSpill), r3),
+		t.carve(r3, sass.R(sass.RZ), sass.Imm(0xf)), t.carve(sass.Mem(sass.SP, bpCCSpill), r3),
+	}
+	t.restore = [4][]sass.Operand{
+		t.carve(r3, sass.Mem(sass.SP, bpPRSpill)), t.carve(r3, sass.Imm(0x7f)),
+		t.carve(r3, sass.Mem(sass.SP, bpCCSpill)), t.carve(r3, sass.Imm(0xf)),
+	}
+	t.direction = t.carve(sass.Mem(sass.SP, bpSize+cbDirection), sass.R(6))
+	t.addr = t.carve(sass.Mem(sass.SP, bpSize+mpAddress), sass.R(6))
+	for i, r := range [2]uint8{ABIArg0, ABIArg1} {
+		t.argPtr[i] = t.carve(sass.R(r), sass.R(sass.SP), sass.CMem(0, sass.CBStackBase))
+	}
+	t.argOff = t.carve(sass.R(ABIArg1), sass.R(ABIArg1), sass.Imm(bpSize))
+	for i, sym := range [2]string{opts.BeforeHandler, opts.AfterHandler} {
+		if sym != "" {
+			t.call[i] = t.carve(sass.Sym(sym))
+		}
+	}
+	return t
+}
+
+// carve returns a cap == len copy of opds cut from the current chunk.
+func (t *siteLists) carve(opds ...sass.Operand) []sass.Operand {
+	if len(t.free) < len(opds) {
+		t.free = make([]sass.Operand, listChunk)
+	}
+	l := t.free[:len(opds):len(opds)]
+	copy(l, opds)
+	t.free = t.free[len(opds):]
+	return l
+}
+
+// two returns the list *p, carved from a and b on first use.
+func (t *siteLists) two(p **[2]sass.Operand, a, b sass.Operand) []sass.Operand {
+	if *p == nil {
+		*p = (*[2]sass.Operand)(t.carve(a, b))
+	}
+	return (*p)[:]
+}
+
+// three returns the list *p, carved from a, b and c on first use.
+func (t *siteLists) three(p **[3]sass.Operand, a, b, c sass.Operand) []sass.Operand {
+	if *p == nil {
+		*p = (*[3]sass.Operand)(t.carve(a, b, c))
+	}
+	return (*p)[:]
+}
+
+// frameAdjust is IADD R1, R1, -frame, or +frame for the release.
+func (t *siteLists) frameAdjust(frame int64, release bool) []sass.Operand {
+	rel, delta := 0, -frame
+	if release {
+		rel, delta = 1, frame
+	}
+	return t.three(&t.frame[rel][frame/16], sass.R(sass.SP), sass.R(sass.SP), sass.Imm(delta))
+}
+
+// slotList is slot[s][r].
+func (t *siteLists) slotList(s int, r uint8) []sass.Operand {
+	return t.three(&t.slot[s][r], sass.R(r), sass.Mem(sass.SP, bpGPRSpill+int64(s)*4), sass.R(r))
+}
+
+// emit writes one injected instruction whose operands differ from site to
+// site, copied into the arena: the first nd are its destinations and the
+// rest its sources.
 func (ij *injector) emit(g sass.PredGuard, op sass.Opcode, mods sass.Mods, nd int, opds ...sass.Operand) {
-	if end := ij.nops + len(opds); ij.n < len(ij.out) && end <= len(ij.ops) {
-		copy(ij.ops[ij.nops:], opds)
+	end := ij.narena + len(opds)
+	if end <= len(ij.ops) {
+		l := ij.ops[ij.narena:end:end]
+		copy(l, opds)
+		ij.put(g, op, mods, nd, l)
+	} else {
+		ij.n++
+		ij.nops += len(opds)
+	}
+	ij.narena = end
+}
+
+// put writes one injected instruction over the operand list l, which it
+// shares: the first nd operands are its destinations and the rest its
+// sources.
+func (ij *injector) put(g sass.PredGuard, op sass.Opcode, mods sass.Mods, nd int, l []sass.Operand) {
+	if ij.n < len(ij.out) {
 		in := &ij.out[ij.n]
-		*in = sass.Instruction{Guard: g, Op: op, Mods: mods, Injected: true,
-			Srcs: ij.ops[ij.nops+nd : end : end]}
+		*in = sass.Instruction{Guard: g, Op: op, Mods: mods, Injected: true, Srcs: l[nd:len(l):len(l)]}
 		if nd > 0 {
-			in.Dsts = ij.ops[ij.nops : ij.nops+nd : ij.nops+nd]
+			in.Dsts = l[:nd:nd]
 		}
 	}
 	ij.n++
-	ij.nops += len(opds)
+	ij.nops += len(l)
 }
 
 func (ij *injector) emitOp(op sass.Opcode, mods sass.Mods, nd int, opds ...sass.Operand) {
 	ij.emit(sass.Always, op, mods, nd, opds...)
+}
+
+func (ij *injector) putOp(op sass.Opcode, mods sass.Mods, nd int, l []sass.Operand) {
+	ij.put(sass.Always, op, mods, nd, l)
 }
 
 // movImm materializes a 32-bit immediate into reg.
@@ -117,42 +243,66 @@ func (ij *injector) movImm(reg uint8, v int32) {
 	ij.emitOp(sass.OpMOV32, sass.Mods{}, 1, sass.R(reg), sass.Imm(int64(v)))
 }
 
-// stl stores reg to [R1+off].
-func (ij *injector) stl(off int64, reg uint8) {
-	ij.emitOp(sass.OpSTL, sass.Mods{}, 0, sass.Mem(sass.SP, off), sass.R(reg))
+// movZero clears reg with MOV32I reg, 0.
+func (ij *injector) movZero(reg uint8) {
+	t := ij.lists
+	ij.putOp(sass.OpMOV32, sass.Mods{}, 1, t.two(&t.zero[reg], sass.R(reg), sass.Imm(0)))
 }
 
-// stl64 stores the (reg,reg+1) pair to [R1+off].
-func (ij *injector) stl64(off int64, reg uint8) {
-	ij.emitOp(sass.OpSTL, sass.Mods{Width: sass.W64}, 0, sass.Mem(sass.SP, off), sass.R(reg))
+// spill stores reg to spill slot s, fill loads it back.
+func (ij *injector) spill(s int, reg uint8) {
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, ij.lists.slotList(s, reg)[1:])
 }
 
-// ldl loads [R1+off] into reg.
-func (ij *injector) ldl(off int64, reg uint8) {
-	ij.emitOp(sass.OpLDL, sass.Mods{}, 1, sass.R(reg), sass.Mem(sass.SP, off))
+func (ij *injector) fill(s int, reg uint8) {
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, ij.lists.slotList(s, reg)[:2:2])
 }
 
-// field materializes an immediate into a BeforeParams field via R4.
+// field materializes an immediate into the parameter field at [R1+off]
+// via R4.
 func (ij *injector) field(off int64, v int32) {
 	ij.movImm(4, v)
-	ij.stl(off, 4)
+	ij.storeField(off)
+}
+
+// storeField stores R4 to the parameter field at [R1+off].
+func (ij *injector) storeField(off int64) {
+	t := ij.lists
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, t.two(&t.store[off/4], sass.Mem(sass.SP, off), sass.R(4)))
 }
 
 // guardFlag sets reg to 1 on the threads guard g passes for and to 0 on the
 // rest, exactly as Figure 2 does with a pair of predicated IADDs.
 func (ij *injector) guardFlag(g sass.PredGuard, reg uint8) {
-	ij.emit(g, sass.OpIADD, sass.Mods{}, 1, sass.R(reg), sass.R(sass.RZ), sass.Imm(1))
-	ij.emit(sass.PredGuard{Reg: g.Reg, Neg: !g.Neg}, sass.OpIADD, sass.Mods{}, 1,
-		sass.R(reg), sass.R(sass.RZ), sass.Imm(0))
+	t := ij.lists
+	for i, guard := range [2]sass.PredGuard{g, {Reg: g.Reg, Neg: !g.Neg}} {
+		v := 1 - i
+		ij.put(guard, sass.OpIADD, sass.Mods{}, 1,
+			t.three(&t.flag[reg][v], sass.R(reg), sass.R(sass.RZ), sass.Imm(int64(v))))
+	}
 }
 
-// seqLen is the planned size of an injected sequence.
-type seqLen struct{ instrs, operands int }
+// seqLen is the planned size of an injected sequence: its instructions,
+// their operands, and how many of those the arena holds.
+type seqLen struct{ instrs, operands, arena int }
 
-// add counts n instructions of opds operands each.
+// add counts n instructions of opds shared operands each.
 func (l *seqLen) add(n, opds int) {
 	l.instrs += n
 	l.operands += n * opds
+}
+
+// addArena counts n instructions of opds arena operands each.
+func (l *seqLen) addArena(n, opds int) {
+	l.add(n, opds)
+	l.arena += n * opds
+}
+
+// fields counts n parameter fields: a MOV32I of the field's value and its
+// STL.
+func (l *seqLen) fields(n int) {
+	l.addArena(n, 2)
+	l.add(n, 2)
 }
 
 // site is one handler call to inject, reduced to what the emitted sequence
@@ -202,31 +352,33 @@ func (ij *injector) plan(st site) seqLen {
 		case addrNone:
 			l.add(2, 2)
 		case addrPair:
-			l.add(2, 3)
+			l.addArena(2, 3)
 		case addrLocal, addrShared:
-			l.add(2, 3)
+			l.addArena(2, 3)
 			l.add(1, 2)
 		default:
-			l.add(1, 3)
+			l.addArena(1, 3)
 			l.add(1, 2)
 		}
-		l.add(1+2*3, 2) // STL.64 and three fields
+		l.add(1, 2) // STL.64
+		l.fields(3)
 	case cbSize:
 		l.add(2, 3)
-		l.add(1+2*2, 2)
+		l.add(1, 2)
+		l.fields(2)
 	case rpSize:
 		var buf [32]uint8
 		dsts, srcs := regParams(in, &buf)
-		l.add(2*(2+len(dsts)+len(srcs)), 2)
+		l.fields(2 + len(dsts) + len(srcs))
 	}
 	if in.Guard.IsAlways() { // willExecute
-		l.add(2, 2)
+		l.fields(1)
 	} else {
 		l.add(2, 3)
 		l.add(1, 2)
 	}
-	l.add(2*9, 2) // (4) nine static fields
-	l.add(1, 3)   // (5) LOP.OR arg0, and three or two MOV32I
+	l.fields(9) // (4) nine static fields
+	l.add(1, 3) // (5) LOP.OR arg0, and three or two MOV32I 0
 	if st.extra > 0 {
 		l.add(2, 3)
 		l.add(2, 2)
@@ -246,12 +398,14 @@ func (ij *injector) plan(st site) seqLen {
 // It works in two passes. The plan pass decides every site and computes its
 // length (plan), which fixes where each input instruction lands and the
 // exact size of the output and of its operand arena. The emit pass fills
-// both, rewriting label operands through the remap table as the original
-// instructions are copied (in place: their operand lists are shared with
-// the input, which this kernel replaces). A site whose emitted length
+// both, taking every other injected list from lists, and rewrites label
+// operands through the remap table as the original instructions are copied
+// (in place: their operand lists are shared with the input, which this
+// kernel replaces). Only label operands are rewritten, and injected code
+// holds none, so a shared list is never written. A site whose emitted length
 // differs from its plan is an *Error; the kernel is then left unusable, as
 // a program is after any failed Instrument.
-func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32) (int32, []int, error) {
+func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32, lists *siteLists) (int32, []int, error) {
 	cfg, err := sass.BuildCFG(k)
 	if err != nil {
 		return 0, nil, err
@@ -265,7 +419,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		}
 	}
 
-	ij := &injector{prog: prog, k: k, opts: opts}
+	ij := &injector{prog: prog, k: k, opts: opts, lists: lists}
 	// remap[i] is where input instruction i's before-site code starts (where
 	// labels land); origAt[i] the output position of instruction i itself.
 	// A site exists exactly where the two leave a gap.
@@ -286,7 +440,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 	planSite := func(st site) {
 		l := ij.plan(st)
 		total.instrs += l.instrs
-		total.operands += l.operands
+		total.arena += l.arena
 	}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
@@ -306,12 +460,12 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 	remap[len(k.Instrs)] = total.instrs
 
 	ij.out = make([]sass.Instruction, total.instrs)
-	ij.ops = make([]sass.Operand, total.operands)
+	ij.ops = make([]sass.Operand, total.arena)
 	sites := int32(0)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if origAt[i] > remap[i] {
-			if err := ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), siteBase+sites, ki, opts.BeforeHandler); err != nil {
+			if err := ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), siteBase+sites, ki, lists.call[0]); err != nil {
 				return 0, nil, err
 			}
 			sites++
@@ -329,7 +483,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		ij.out[ij.n] = *in // the original instruction, otherwise untouched
 		ij.n++
 		if remap[i+1] > origAt[i]+1 {
-			if err := ij.injectCall(ij.newSite(i, in, liveAfter(i)), siteBase+sites, ki, opts.AfterHandler); err != nil {
+			if err := ij.injectCall(ij.newSite(i, in, liveAfter(i)), siteBase+sites, ki, lists.call[1]); err != nil {
 				return 0, nil, err
 			}
 			sites++
@@ -363,52 +517,54 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 // injectCall emits the full ABI-compliant call sequence for one site and
 // checks it against the site's plan. st.origIdx identifies the instrumented
 // instruction by its position in the kernel being instrumented, so
-// handler-visible addresses are stable across instrumentation configs.
-func (ij *injector) injectCall(st site, siteID int32, ki int, handlerSym string) error {
+// handler-visible addresses are stable across instrumentation configs. call
+// is the JCAL's operand list, which names the handler.
+func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operand) error {
 	in := st.in
 	frame := frameSize(st.extra)
 	if frame > ij.maxFrame {
 		ij.maxFrame = frame
 	}
-	startN, startOps := ij.n, ij.nops
+	startN, startOps, startArena := ij.n, ij.nops, ij.narena
+	lists := ij.lists
 
 	// (1) Allocate the stack frame.
-	ij.emitOp(sass.OpIADD, sass.Mods{}, 1, sass.R(sass.SP), sass.R(sass.SP), sass.Imm(-frame))
+	ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.frameAdjust(frame, false))
 
 	// (2) Spill the site's registers, in ascending order, to consecutive
 	// slots. Predicates and condition code ride through R3 (already spilled
 	// if it was live).
-	var spillOff [HandlerMaxRegs]int64
+	var spillSlot [HandlerMaxRegs]int
 	var spillRegs [HandlerMaxRegs]uint8
 	spills := 0
 	for m := st.spills; m != 0; m &= m - 1 {
 		r := uint8(bits.TrailingZeros16(m))
 		spillRegs[spills] = r
-		spillOff[r] = bpGPRSpill + int64(spills)*4
-		ij.stl(spillOff[r], r)
+		spillSlot[r] = spills
+		ij.spill(spills, r)
 		spills++
 	}
-	ij.emitOp(sass.OpP2R, sass.Mods{}, 1, sass.R(scratchPred), sass.R(sass.RZ), sass.Imm(0xff))
-	ij.stl(bpPRSpill, scratchPred)
-	ij.emitOp(sass.OpP2R, sass.Mods{X: true}, 1, sass.R(scratchPred), sass.R(sass.RZ), sass.Imm(0xf))
-	ij.stl(bpCCSpill, scratchPred)
+	ij.putOp(sass.OpP2R, sass.Mods{}, 1, lists.snapshot[0])
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, lists.snapshot[1])
+	ij.putOp(sass.OpP2R, sass.Mods{X: true}, 1, lists.snapshot[2])
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, lists.snapshot[3])
 
 	// (3) Data that depends on original register/predicate state must be
 	// captured before scratch registers are reused: the extra object's
 	// address computation and the will-execute flag.
 	switch st.extra {
 	case mpSize:
-		ij.materializeMemParams(in, int64(bpSize), &spillOff)
+		ij.materializeMemParams(in, &spillSlot)
 	case cbSize:
-		ij.materializeCondBranchParams(st.origIdx, in, int64(bpSize))
+		ij.materializeCondBranchParams(st.origIdx, in)
 	case rpSize:
-		ij.materializeRegParams(in, int64(bpSize))
+		ij.materializeRegParams(in)
 	}
 	if in.Guard.IsAlways() {
 		ij.field(bpWillExec, 1)
 	} else {
 		ij.guardFlag(in.Guard, 4)
-		ij.stl(bpWillExec, 4)
+		ij.storeField(bpWillExec)
 	}
 
 	// (4) Static BeforeParams fields.
@@ -432,39 +588,37 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, handlerSym string)
 	}
 
 	// (5) Argument pointers: generic addresses of the stack objects.
-	ij.emitOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1,
-		sass.R(ABIArg0), sass.R(sass.SP), sass.CMem(0, sass.CBStackBase))
-	ij.movImm(ABIArg0+1, 0)
+	ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, lists.argPtr[0])
+	ij.movZero(ABIArg0 + 1)
 	if st.extra > 0 {
-		ij.emitOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1,
-			sass.R(ABIArg1), sass.R(sass.SP), sass.CMem(0, sass.CBStackBase))
-		ij.emitOp(sass.OpIADD, sass.Mods{}, 1,
-			sass.R(ABIArg1), sass.R(ABIArg1), sass.Imm(int64(bpSize)))
+		ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, lists.argPtr[1])
+		ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.argOff)
 	} else {
-		ij.movImm(ABIArg1, 0)
+		ij.movZero(ABIArg1)
 	}
-	ij.movImm(ABIArg1+1, 0)
+	ij.movZero(ABIArg1 + 1)
 
 	// (6) The call.
+	handlerSym := call[0].Name
 	ij.prog.InternHandler(handlerSym)
-	ij.emitOp(sass.OpJCAL, sass.Mods{}, 0, sass.Sym(handlerSym))
+	ij.putOp(sass.OpJCAL, sass.Mods{}, 0, call)
 
 	// (7) Restore: predicates and CC first (through R3), then GPRs —
 	// restoring R3's own value last — and release the frame.
-	ij.ldl(bpPRSpill, scratchPred)
-	ij.emitOp(sass.OpR2P, sass.Mods{}, 0, sass.R(scratchPred), sass.Imm(0x7f))
-	ij.ldl(bpCCSpill, scratchPred)
-	ij.emitOp(sass.OpR2P, sass.Mods{X: true}, 0, sass.R(scratchPred), sass.Imm(0xf))
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, lists.restore[0])
+	ij.putOp(sass.OpR2P, sass.Mods{}, 0, lists.restore[1])
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, lists.restore[2])
+	ij.putOp(sass.OpR2P, sass.Mods{X: true}, 0, lists.restore[3])
 	for slot, r := range spillRegs[:spills] {
-		ij.ldl(bpGPRSpill+int64(slot)*4, r)
+		ij.fill(slot, r)
 	}
-	ij.emitOp(sass.OpIADD, sass.Mods{}, 1, sass.R(sass.SP), sass.R(sass.SP), sass.Imm(frame))
+	ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.frameAdjust(frame, true))
 
-	emitted := seqLen{ij.n - startN, ij.nops - startOps}
+	emitted := seqLen{ij.n - startN, ij.nops - startOps, ij.narena - startArena}
 	if want := ij.plan(st); emitted != want {
 		return &Error{Kernel: ij.k.Name, Site: st.origIdx, Err: fmt.Errorf(
-			"site planned as %d instructions with %d operands, emitted %d with %d",
-			want.instrs, want.operands, emitted.instrs, emitted.operands)}
+			"site planned as %d instructions with %d operands (%d in the arena), emitted %d with %d (%d)",
+			want.instrs, want.operands, want.arena, emitted.instrs, emitted.operands, emitted.arena)}
 	}
 
 	// Account the site: everything emitted is injected; the save/restore
@@ -541,9 +695,11 @@ func usesScratchPred(ref sass.Operand, form addrForm) int {
 // materializeMemParams builds the MemoryParams object at [R1+base]: it
 // computes the effective address into (R6,R7) by replicating the original
 // address arithmetic (Figure 2 step 5) and fills in the static
-// width/properties/domain fields. spillOff maps spilled registers to their
-// frame slots.
-func (ij *injector) materializeMemParams(in *sass.Instruction, base int64, spillOff *[HandlerMaxRegs]int64) {
+// width/properties/domain fields. spillSlot maps spilled registers to their
+// frame slots. Of its operand lists only the arithmetic's, which are the
+// address's, go to the arena.
+func (ij *injector) materializeMemParams(in *sass.Instruction, spillSlot *[HandlerMaxRegs]int) {
+	const base = bpSize
 	ref, form := memAddr(in)
 	// By this point R3 holds the predicate snapshot, not its original value.
 	// If the address base (or the high half of an extended pair) is R3,
@@ -551,7 +707,7 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, base int64, spill
 	// will receive the result anyway.
 	origReg := func(r, scratch uint8) uint8 {
 		if r == scratchPred {
-			ij.ldl(spillOff[r], scratch)
+			ij.fill(spillSlot[r], scratch)
 			return scratch
 		}
 		return r
@@ -569,8 +725,8 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, base int64, spill
 	}
 	switch form {
 	case addrNone:
-		ij.movImm(6, 0)
-		ij.movImm(7, 0)
+		ij.movZero(6)
+		ij.movZero(7)
 	case addrPair:
 		lo := origReg(ref.Reg, 6)
 		ij.emitOp(sass.OpIADD, sass.Mods{SetCC: true}, 1, sass.R(6), sass.R(lo), sass.Imm(ref.Imm))
@@ -587,12 +743,12 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, base int64, spill
 		}
 		ij.emitOp(sass.OpIADD, sass.Mods{}, 1, sass.R(6), sass.R(origReg(ref.Reg, 6)), sass.Imm(ref.Imm))
 		ij.emitOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, sass.R(6), sass.R(6), sass.CMem(0, window))
-		ij.movImm(7, 0)
+		ij.movZero(7)
 	default:
 		ij.emitOp(sass.OpIADD, sass.Mods{}, 1, sass.R(6), sass.R(origReg(ref.Reg, 6)), sass.Imm(ref.Imm))
-		ij.movImm(7, 0)
+		ij.movZero(7)
 	}
-	ij.stl64(base+mpAddress, 6)
+	ij.putOp(sass.OpSTL, sass.Mods{Width: sass.W64}, 0, ij.lists.addr)
 	ij.field(base+mpProperties, int32(sass.EncodeSummary(in)))
 	ij.field(base+mpWidth, int32(in.Mods.Width.Bytes()))
 	ij.field(base+mpDomain, domain)
@@ -600,9 +756,10 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, base int64, spill
 
 // materializeCondBranchParams records the thread's branch direction and the
 // static target/fall-through offsets.
-func (ij *injector) materializeCondBranchParams(origIdx int, in *sass.Instruction, base int64) {
+func (ij *injector) materializeCondBranchParams(origIdx int, in *sass.Instruction) {
+	const base = bpSize
 	ij.guardFlag(in.Guard, 6)
-	ij.stl(base+cbDirection, 6)
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, ij.lists.direction)
 	takenOff := int32(-1)
 	if t, ok := in.BranchTarget(); ok && t.Kind == sass.OpdLabel {
 		takenOff = sass.InsOffset(int(t.Imm))
@@ -627,7 +784,8 @@ func regParams(in *sass.Instruction, buf *[32]uint8) (dsts, srcs []uint8) {
 
 // materializeRegParams records the instruction's destination and source
 // GPR numbers; values are resolved at handler time through the spill map.
-func (ij *injector) materializeRegParams(in *sass.Instruction, base int64) {
+func (ij *injector) materializeRegParams(in *sass.Instruction) {
+	const base = bpSize
 	var buf [32]uint8
 	dsts, srcs := regParams(in, &buf)
 	ij.field(base+rpNumDsts, int32(len(dsts)))

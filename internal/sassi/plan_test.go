@@ -215,10 +215,16 @@ func TestPlanMismatchIsError(t *testing.T) {
 	}
 }
 
-// TestInstrumentAllocationCeiling: instrumenting allocates what it emits.
-// Stated against the size of the output — instructions plus operand lists
-// — so it holds on any host: the value tool on parboil.sgemm may allocate
-// 1.15× its output plus a constant for the analyses of the input.
+// TestInstrumentAllocationCeiling: instrumenting allocates what it emits,
+// and an operand list that many injected instructions repeat is emitted
+// once. The output is stated as the instruction stream plus each distinct
+// injected operand list (by content, across the program) counted once, so
+// it holds on any host: the value tool on parboil.sgemm may allocate 1.25×
+// that plus a constant for the analyses of the input. The factor leaves
+// room for the per-site lists: every MOV32I of a parameter field has its
+// own, though many hold the same immediate. Against a ceiling of 480 128 B
+// the injector allocates 434 144 B; one that copies every list of every
+// site into its arena allocated 694 112 B.
 func TestInstrumentAllocationCeiling(t *testing.T) {
 	spec, _ := workloads.Get("parboil.sgemm")
 	prog, err := spec.Compile(ptxas.Options{Verify: analysis.VerifyOff})
@@ -238,19 +244,50 @@ func TestInstrumentAllocationCeiling(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	output := uintptr(0)
+	lists := map[string]bool{}
 	for _, k := range prog.Kernels {
 		output += uintptr(len(k.Instrs)) * unsafe.Sizeof(sass.Instruction{})
 		for i := range k.Instrs {
-			if in := &k.Instrs[i]; in.Injected {
+			in := &k.Instrs[i]
+			if key := fmt.Sprint(in.Dsts, in.Srcs); in.Injected && !lists[key] {
+				lists[key] = true
 				output += uintptr(len(in.Dsts)+len(in.Srcs)) * unsafe.Sizeof(sass.Operand{})
 			}
 		}
 	}
 	// CFG, liveness and the two remap tables are linear in the input.
-	ceiling := uint64(output)*115/100 + uint64(inputInstrs)*256 + 16<<10
+	ceiling := uint64(output)*125/100 + uint64(inputInstrs)*256 + 16<<10
 	if got := after.TotalAlloc - before.TotalAlloc; got > ceiling {
 		t.Errorf("Instrument allocated %d bytes for %d bytes of output (ceiling %d)", got, output, ceiling)
 	} else {
 		t.Logf("Instrument allocated %d bytes for %d bytes of output (ceiling %d)", got, output, ceiling)
+	}
+}
+
+// BenchmarkInstrument instruments parboil.sgemm under each case-study tool:
+// the cost per Instrument call, its bytes and its allocations. Each
+// iteration instruments a fresh copy of the compiled program; the copy is
+// made with the timer stopped.
+func BenchmarkInstrument(b *testing.B) {
+	spec, _ := workloads.Get("parboil.sgemm")
+	prog, err := spec.Compile(ptxas.Options{Verify: analysis.VerifyOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tools := toolOptions()
+	for _, tool := range []string{"branch", "memdiv", "value"} {
+		opts := tools[tool]
+		opts.Verify = analysis.VerifyOff
+		b.Run(tool, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				b.StopTimer()
+				p := prog.Clone()
+				b.StartTimer()
+				if err := sassi.Instrument(p, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
