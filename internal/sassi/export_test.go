@@ -2,11 +2,9 @@ package sassi
 
 import "sassi/internal/sass"
 
-// InstrumentKernel is instrumentKernel with a table of site lists of its
-// own, for tests that need the remap table it returns.
-func InstrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32) (int32, []int, error) {
-	return instrumentKernel(prog, k, ki, opts, siteBase, newSiteLists(opts))
-}
+// InstrumentKernel is instrumentKernel, for tests that need the remap table
+// it returns.
+var InstrumentKernel = instrumentKernel
 
 // RowGrain reports whether the mask and vector accessors, called now, find
 // ABI argument 0's object, and argument 1's, at one address for every
@@ -27,7 +25,7 @@ func RowGrain(args HandlerArgs) (arg0, arg1 bool) {
 func SiteLengths(opts Options, in *sass.Instruction, live sass.RegSet, outCap, opsCap int) (planned, emitted [3]int, outLen int, err error) {
 	k := &sass.Kernel{Name: "site", Instrs: []sass.Instruction{*in}}
 	opts.BeforeHandler = "h"
-	ij := &injector{prog: sass.NewProgram(), k: k, opts: &opts, lists: newSiteLists(&opts)}
+	ij := &injector{prog: sass.NewProgram(), k: k, opts: &opts}
 	st := ij.newSite(0, in, &live)
 	l := ij.plan(st)
 	if outCap < 0 {
@@ -35,6 +33,6 @@ func SiteLengths(opts Options, in *sass.Instruction, live sass.RegSet, outCap, o
 	}
 	ij.out = make([]sass.Instruction, outCap)
 	ij.ops = make([]sass.Operand, opsCap)
-	err = ij.injectCall(st, 0, 0, ij.lists.call[0])
+	err = ij.injectCall(st, 0, 0, []sass.Operand{sass.Sym(opts.BeforeHandler)})
 	return [3]int{l.instrs, l.operands, l.arena}, [3]int{ij.n, ij.nops, ij.narena}, len(ij.out), err
 }

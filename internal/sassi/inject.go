@@ -30,14 +30,13 @@ func Instrument(prog *sass.Program, opts Options) error {
 		origPos = map[string][]int{}
 	}
 	siteID := int32(0)
-	lists := newSiteLists(&opts)
 	for ki, k := range prog.Kernels {
 		var orig *sass.Kernel
 		if verify {
 			orig = k.Clone()
 		}
 		t0 := opts.Trace.Now()
-		n, remap, err := instrumentKernel(prog, k, ki, &opts, siteID, lists)
+		n, remap, err := instrumentKernel(prog, k, ki, &opts, siteID)
 		if err != nil {
 			var ie *Error
 			if errors.As(err, &ie) {
@@ -69,16 +68,15 @@ func Instrument(prog *sass.Program, opts Options) error {
 func FnAddr(ki int) int32 { return int32(ki+1) << 20 }
 
 type injector struct {
-	prog  *sass.Program
-	k     *sass.Kernel
-	opts  *Options
-	lists *siteLists
+	prog *sass.Program
+	k    *sass.Kernel
+	opts *Options
 
 	// out and ops are the planned output, sized exactly before anything is
 	// emitted: the instruction stream, and the arena that holds the operand
 	// lists which differ from site to site, each a cap == len sub-slice (so
 	// an append to one list can never write into its neighbour). Every other
-	// injected list comes from lists. n counts the instructions emitted,
+	// injected list comes from shared. n counts the instructions emitted,
 	// nops their operands and narena the arena's share of those; they keep
 	// counting past the end without writing, so a site that outruns its
 	// plan is reported, never resized for.
@@ -102,101 +100,69 @@ const maxFrameSize = (bpSize + rpSize + 15) &^ 15
 
 // siteLists holds the operand lists that repeat at every site — Figure 2's
 // frame adjusts, spills and fills, predicate snapshots, parameter stores,
-// argument pointers and call — for one Instrument call. A list is carved
-// the first time a site needs it, indexed by what the emitter already
-// knows (frame size, spill slot, register, field offset, symbol), and from
-// then on shared, as a cap == len slice, by every instruction that uses
-// it. Injected lists are therefore never written in place.
+// guard flags and argument pointers — indexed by what the emitter already
+// knows (frame size, spill slot, register, field offset). There is one
+// table, shared, built when the package is initialised and never written
+// after: every instruction that uses a list holds it as a cap == len slice,
+// so injected lists are never written in place.
 type siteLists struct {
-	free []sass.Operand // the unused tail of the chunk lists are carved from
-
-	frame [2][maxFrameSize/16 + 1]*[3]sass.Operand // IADD R1, R1, -frame (+frame), by frame/16
-	store [maxFrameSize / 4]*[2]sass.Operand       // STL [R1+off], R4, by off/4
+	frame [2][maxFrameSize/16 + 1][3]sass.Operand // IADD R1, R1, -frame (+frame), by frame/16
+	store [maxFrameSize / 4][2]sass.Operand       // STL [R1+off], R4, by off/4
 	// slot[s][r] is Rr, [R1+spill slot s], Rr: the fill LDL lists its
 	// first two operands, the spill STL its last two.
-	slot [HandlerMaxRegs][HandlerMaxRegs]*[3]sass.Operand
-	zero [HandlerMaxRegs]*[2]sass.Operand    // MOV32I Rr, 0
-	flag [HandlerMaxRegs][2]*[3]sass.Operand // IADD Rr, RZ, v
+	slot [HandlerMaxRegs][HandlerMaxRegs][3]sass.Operand
+	zero [HandlerMaxRegs][2]sass.Operand    // MOV32I Rr, 0
+	flag [HandlerMaxRegs][2][3]sass.Operand // IADD Rr, RZ, v
 
 	// The lists that have no key: the predicate and CC snapshot (P2R, its
 	// STL, P2R.X, its STL) and its restore (LDL, R2P, LDL, R2P.X), the
-	// stores of the branch direction and the 64-bit address, the argument
-	// pointers (LOP.OR argN, R1, c[0][stack], IADD arg1, arg1, bpSize) and
-	// the calls of the before and the after handler.
+	// stores of the branch direction and the 64-bit address, and the
+	// argument pointers (LOP.OR argN, R1, c[0][stack], IADD arg1, arg1,
+	// bpSize).
 	snapshot, restore [4][]sass.Operand
 	direction, addr   []sass.Operand
 	argPtr            [2][]sass.Operand
 	argOff            []sass.Operand
-	call              [2][]sass.Operand
 }
 
-// listChunk is how many operands siteLists carves its lists from at a time.
-const listChunk = 64
+// shared is the table every injector reads.
+var shared = newSiteLists()
 
-func newSiteLists(opts *Options) *siteLists {
+func newSiteLists() *siteLists {
 	t := &siteLists{}
-	r3 := sass.R(scratchPred)
-	t.snapshot = [4][]sass.Operand{
-		t.carve(r3, sass.R(sass.RZ), sass.Imm(0xff)), t.carve(sass.Mem(sass.SP, bpPRSpill), r3),
-		t.carve(r3, sass.R(sass.RZ), sass.Imm(0xf)), t.carve(sass.Mem(sass.SP, bpCCSpill), r3),
+	for i := range t.frame[0] {
+		frame := int64(i) * 16
+		t.frame[0][i] = [3]sass.Operand{sass.R(sass.SP), sass.R(sass.SP), sass.Imm(-frame)}
+		t.frame[1][i] = [3]sass.Operand{sass.R(sass.SP), sass.R(sass.SP), sass.Imm(frame)}
 	}
-	t.restore = [4][]sass.Operand{
-		t.carve(r3, sass.Mem(sass.SP, bpPRSpill)), t.carve(r3, sass.Imm(0x7f)),
-		t.carve(r3, sass.Mem(sass.SP, bpCCSpill)), t.carve(r3, sass.Imm(0xf)),
+	for i := range t.store {
+		t.store[i] = [2]sass.Operand{sass.Mem(sass.SP, int64(i)*4), sass.R(4)}
 	}
-	t.direction = t.carve(sass.Mem(sass.SP, bpSize+cbDirection), sass.R(6))
-	t.addr = t.carve(sass.Mem(sass.SP, bpSize+mpAddress), sass.R(6))
-	for i, r := range [2]uint8{ABIArg0, ABIArg1} {
-		t.argPtr[i] = t.carve(sass.R(r), sass.R(sass.SP), sass.CMem(0, sass.CBStackBase))
-	}
-	t.argOff = t.carve(sass.R(ABIArg1), sass.R(ABIArg1), sass.Imm(bpSize))
-	for i, sym := range [2]string{opts.BeforeHandler, opts.AfterHandler} {
-		if sym != "" {
-			t.call[i] = t.carve(sass.Sym(sym))
+	for r := range uint8(HandlerMaxRegs) {
+		for s := range t.slot {
+			t.slot[s][r] = [3]sass.Operand{sass.R(r), sass.Mem(sass.SP, bpGPRSpill+int64(s)*4), sass.R(r)}
+		}
+		t.zero[r] = [2]sass.Operand{sass.R(r), sass.Imm(0)}
+		for v := range t.flag[r] {
+			t.flag[r][v] = [3]sass.Operand{sass.R(r), sass.R(sass.RZ), sass.Imm(int64(v))}
 		}
 	}
+	r3 := sass.R(scratchPred)
+	t.snapshot = [4][]sass.Operand{
+		{r3, sass.R(sass.RZ), sass.Imm(0xff)}, {sass.Mem(sass.SP, bpPRSpill), r3},
+		{r3, sass.R(sass.RZ), sass.Imm(0xf)}, {sass.Mem(sass.SP, bpCCSpill), r3},
+	}
+	t.restore = [4][]sass.Operand{
+		{r3, sass.Mem(sass.SP, bpPRSpill)}, {r3, sass.Imm(0x7f)},
+		{r3, sass.Mem(sass.SP, bpCCSpill)}, {r3, sass.Imm(0xf)},
+	}
+	t.direction = []sass.Operand{sass.Mem(sass.SP, bpSize+cbDirection), sass.R(6)}
+	t.addr = []sass.Operand{sass.Mem(sass.SP, bpSize+mpAddress), sass.R(6)}
+	for i, r := range [2]uint8{ABIArg0, ABIArg1} {
+		t.argPtr[i] = []sass.Operand{sass.R(r), sass.R(sass.SP), sass.CMem(0, sass.CBStackBase)}
+	}
+	t.argOff = []sass.Operand{sass.R(ABIArg1), sass.R(ABIArg1), sass.Imm(bpSize)}
 	return t
-}
-
-// carve returns a cap == len copy of opds cut from the current chunk.
-func (t *siteLists) carve(opds ...sass.Operand) []sass.Operand {
-	if len(t.free) < len(opds) {
-		t.free = make([]sass.Operand, listChunk)
-	}
-	l := t.free[:len(opds):len(opds)]
-	copy(l, opds)
-	t.free = t.free[len(opds):]
-	return l
-}
-
-// two returns the list *p, carved from a and b on first use.
-func (t *siteLists) two(p **[2]sass.Operand, a, b sass.Operand) []sass.Operand {
-	if *p == nil {
-		*p = (*[2]sass.Operand)(t.carve(a, b))
-	}
-	return (*p)[:]
-}
-
-// three returns the list *p, carved from a, b and c on first use.
-func (t *siteLists) three(p **[3]sass.Operand, a, b, c sass.Operand) []sass.Operand {
-	if *p == nil {
-		*p = (*[3]sass.Operand)(t.carve(a, b, c))
-	}
-	return (*p)[:]
-}
-
-// frameAdjust is IADD R1, R1, -frame, or +frame for the release.
-func (t *siteLists) frameAdjust(frame int64, release bool) []sass.Operand {
-	rel, delta := 0, -frame
-	if release {
-		rel, delta = 1, frame
-	}
-	return t.three(&t.frame[rel][frame/16], sass.R(sass.SP), sass.R(sass.SP), sass.Imm(delta))
-}
-
-// slotList is slot[s][r].
-func (t *siteLists) slotList(s int, r uint8) []sass.Operand {
-	return t.three(&t.slot[s][r], sass.R(r), sass.Mem(sass.SP, bpGPRSpill+int64(s)*4), sass.R(r))
 }
 
 // emit writes one injected instruction whose operands differ from site to
@@ -245,17 +211,16 @@ func (ij *injector) movImm(reg uint8, v int32) {
 
 // movZero clears reg with MOV32I reg, 0.
 func (ij *injector) movZero(reg uint8) {
-	t := ij.lists
-	ij.putOp(sass.OpMOV32, sass.Mods{}, 1, t.two(&t.zero[reg], sass.R(reg), sass.Imm(0)))
+	ij.putOp(sass.OpMOV32, sass.Mods{}, 1, shared.zero[reg][:])
 }
 
 // spill stores reg to spill slot s, fill loads it back.
 func (ij *injector) spill(s int, reg uint8) {
-	ij.putOp(sass.OpSTL, sass.Mods{}, 0, ij.lists.slotList(s, reg)[1:])
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, shared.slot[s][reg][1:])
 }
 
 func (ij *injector) fill(s int, reg uint8) {
-	ij.putOp(sass.OpLDL, sass.Mods{}, 1, ij.lists.slotList(s, reg)[:2:2])
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, shared.slot[s][reg][:2:2])
 }
 
 // field materializes an immediate into the parameter field at [R1+off]
@@ -267,18 +232,14 @@ func (ij *injector) field(off int64, v int32) {
 
 // storeField stores R4 to the parameter field at [R1+off].
 func (ij *injector) storeField(off int64) {
-	t := ij.lists
-	ij.putOp(sass.OpSTL, sass.Mods{}, 0, t.two(&t.store[off/4], sass.Mem(sass.SP, off), sass.R(4)))
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, shared.store[off/4][:])
 }
 
 // guardFlag sets reg to 1 on the threads guard g passes for and to 0 on the
 // rest, exactly as Figure 2 does with a pair of predicated IADDs.
 func (ij *injector) guardFlag(g sass.PredGuard, reg uint8) {
-	t := ij.lists
 	for i, guard := range [2]sass.PredGuard{g, {Reg: g.Reg, Neg: !g.Neg}} {
-		v := 1 - i
-		ij.put(guard, sass.OpIADD, sass.Mods{}, 1,
-			t.three(&t.flag[reg][v], sass.R(reg), sass.R(sass.RZ), sass.Imm(int64(v))))
+		ij.put(guard, sass.OpIADD, sass.Mods{}, 1, shared.flag[reg][1-i][:])
 	}
 }
 
@@ -398,14 +359,14 @@ func (ij *injector) plan(st site) seqLen {
 // It works in two passes. The plan pass decides every site and computes its
 // length (plan), which fixes where each input instruction lands and the
 // exact size of the output and of its operand arena. The emit pass fills
-// both, taking every other injected list from lists, and rewrites label
+// both, taking every other injected list from shared, and rewrites label
 // operands through the remap table as the original instructions are copied
 // (in place: their operand lists are shared with the input, which this
 // kernel replaces). Only label operands are rewritten, and injected code
 // holds none, so a shared list is never written. A site whose emitted length
 // differs from its plan is an *Error; the kernel is then left unusable, as
 // a program is after any failed Instrument.
-func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32, lists *siteLists) (int32, []int, error) {
+func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32) (int32, []int, error) {
 	cfg, err := sass.BuildCFG(k)
 	if err != nil {
 		return 0, nil, err
@@ -419,7 +380,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		}
 	}
 
-	ij := &injector{prog: prog, k: k, opts: opts, lists: lists}
+	ij := &injector{prog: prog, k: k, opts: opts}
 	// remap[i] is where input instruction i's before-site code starts (where
 	// labels land); origAt[i] the output position of instruction i itself.
 	// A site exists exactly where the two leave a gap.
@@ -461,11 +422,13 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 
 	ij.out = make([]sass.Instruction, total.instrs)
 	ij.ops = make([]sass.Operand, total.arena)
+	// The JCAL operand lists of the before and the after handler.
+	calls := []sass.Operand{sass.Sym(opts.BeforeHandler), sass.Sym(opts.AfterHandler)}
 	sites := int32(0)
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if origAt[i] > remap[i] {
-			if err := ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), siteBase+sites, ki, lists.call[0]); err != nil {
+			if err := ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), siteBase+sites, ki, calls[:1:1]); err != nil {
 				return 0, nil, err
 			}
 			sites++
@@ -483,7 +446,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		ij.out[ij.n] = *in // the original instruction, otherwise untouched
 		ij.n++
 		if remap[i+1] > origAt[i]+1 {
-			if err := ij.injectCall(ij.newSite(i, in, liveAfter(i)), siteBase+sites, ki, lists.call[1]); err != nil {
+			if err := ij.injectCall(ij.newSite(i, in, liveAfter(i)), siteBase+sites, ki, calls[1:]); err != nil {
 				return 0, nil, err
 			}
 			sites++
@@ -526,10 +489,9 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 		ij.maxFrame = frame
 	}
 	startN, startOps, startArena := ij.n, ij.nops, ij.narena
-	lists := ij.lists
 
 	// (1) Allocate the stack frame.
-	ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.frameAdjust(frame, false))
+	ij.putOp(sass.OpIADD, sass.Mods{}, 1, shared.frame[0][frame/16][:])
 
 	// (2) Spill the site's registers, in ascending order, to consecutive
 	// slots. Predicates and condition code ride through R3 (already spilled
@@ -544,10 +506,10 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 		ij.spill(spills, r)
 		spills++
 	}
-	ij.putOp(sass.OpP2R, sass.Mods{}, 1, lists.snapshot[0])
-	ij.putOp(sass.OpSTL, sass.Mods{}, 0, lists.snapshot[1])
-	ij.putOp(sass.OpP2R, sass.Mods{X: true}, 1, lists.snapshot[2])
-	ij.putOp(sass.OpSTL, sass.Mods{}, 0, lists.snapshot[3])
+	ij.putOp(sass.OpP2R, sass.Mods{}, 1, shared.snapshot[0])
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, shared.snapshot[1])
+	ij.putOp(sass.OpP2R, sass.Mods{X: true}, 1, shared.snapshot[2])
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, shared.snapshot[3])
 
 	// (3) Data that depends on original register/predicate state must be
 	// captured before scratch registers are reused: the extra object's
@@ -588,11 +550,11 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 	}
 
 	// (5) Argument pointers: generic addresses of the stack objects.
-	ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, lists.argPtr[0])
+	ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, shared.argPtr[0])
 	ij.movZero(ABIArg0 + 1)
 	if st.extra > 0 {
-		ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, lists.argPtr[1])
-		ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.argOff)
+		ij.putOp(sass.OpLOP, sass.Mods{Logic: sass.LogicOR}, 1, shared.argPtr[1])
+		ij.putOp(sass.OpIADD, sass.Mods{}, 1, shared.argOff)
 	} else {
 		ij.movZero(ABIArg1)
 	}
@@ -605,14 +567,14 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 
 	// (7) Restore: predicates and CC first (through R3), then GPRs —
 	// restoring R3's own value last — and release the frame.
-	ij.putOp(sass.OpLDL, sass.Mods{}, 1, lists.restore[0])
-	ij.putOp(sass.OpR2P, sass.Mods{}, 0, lists.restore[1])
-	ij.putOp(sass.OpLDL, sass.Mods{}, 1, lists.restore[2])
-	ij.putOp(sass.OpR2P, sass.Mods{X: true}, 0, lists.restore[3])
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, shared.restore[0])
+	ij.putOp(sass.OpR2P, sass.Mods{}, 0, shared.restore[1])
+	ij.putOp(sass.OpLDL, sass.Mods{}, 1, shared.restore[2])
+	ij.putOp(sass.OpR2P, sass.Mods{X: true}, 0, shared.restore[3])
 	for slot, r := range spillRegs[:spills] {
 		ij.fill(slot, r)
 	}
-	ij.putOp(sass.OpIADD, sass.Mods{}, 1, lists.frameAdjust(frame, true))
+	ij.putOp(sass.OpIADD, sass.Mods{}, 1, shared.frame[1][frame/16][:])
 
 	emitted := seqLen{ij.n - startN, ij.nops - startOps, ij.narena - startArena}
 	if want := ij.plan(st); emitted != want {
@@ -748,7 +710,7 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, spillSlot *[Handl
 		ij.emitOp(sass.OpIADD, sass.Mods{}, 1, sass.R(6), sass.R(origReg(ref.Reg, 6)), sass.Imm(ref.Imm))
 		ij.movZero(7)
 	}
-	ij.putOp(sass.OpSTL, sass.Mods{Width: sass.W64}, 0, ij.lists.addr)
+	ij.putOp(sass.OpSTL, sass.Mods{Width: sass.W64}, 0, shared.addr)
 	ij.field(base+mpProperties, int32(sass.EncodeSummary(in)))
 	ij.field(base+mpWidth, int32(in.Mods.Width.Bytes()))
 	ij.field(base+mpDomain, domain)
@@ -759,7 +721,7 @@ func (ij *injector) materializeMemParams(in *sass.Instruction, spillSlot *[Handl
 func (ij *injector) materializeCondBranchParams(origIdx int, in *sass.Instruction) {
 	const base = bpSize
 	ij.guardFlag(in.Guard, 6)
-	ij.putOp(sass.OpSTL, sass.Mods{}, 0, ij.lists.direction)
+	ij.putOp(sass.OpSTL, sass.Mods{}, 0, shared.direction)
 	takenOff := int32(-1)
 	if t, ok := in.BranchTarget(); ok && t.Kind == sass.OpdLabel {
 		takenOff = sass.InsOffset(int(t.Imm))

@@ -175,9 +175,11 @@ func TestPlannedSiteShapes(t *testing.T) {
 					t.Errorf("%s (pass %s, %d live): planned %v, emitted %v, err %v", name, wname, lv.Count(), planned, emitted, err)
 				}
 				// Into buffers too small for it, the emitter counts on
-				// without writing past them or growing them.
-				planned, emitted, outLen, err := sassi.SiteLengths(opts, &in, lv, planned[0]/2, planned[1]/3)
-				if err != nil || planned != emitted || outLen != planned[0]/2 {
+				// without writing past them or growing them. Every site
+				// has parameter-field immediates, so a third of its
+				// arena operands overflows the arena too.
+				planned, emitted, outLen, err := sassi.SiteLengths(opts, &in, lv, planned[0]/2, planned[2]/3)
+				if err != nil || planned != emitted || outLen != planned[0]/2 || emitted[2] <= planned[2]/3 {
 					t.Errorf("%s (pass %s) into short buffers: planned %v, emitted %v, buffer %d, err %v", name, wname, planned, emitted, outLen, err)
 				}
 			}
@@ -223,7 +225,7 @@ func TestPlanMismatchIsError(t *testing.T) {
 // that plus a constant for the analyses of the input. The factor leaves
 // room for the per-site lists: every MOV32I of a parameter field has its
 // own, though many hold the same immediate. Against a ceiling of 480 128 B
-// the injector allocates 434 144 B; one that copies every list of every
+// the injector allocates 423 840 B; one that copies every list of every
 // site into its arena allocated 694 112 B.
 func TestInstrumentAllocationCeiling(t *testing.T) {
 	spec, _ := workloads.Get("parboil.sgemm")
