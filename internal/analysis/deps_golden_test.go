@@ -17,9 +17,7 @@ import (
 )
 
 // depsDigest hashes a kernel's dependence graph in the order BuildDeps
-// lists it: every block's edges, then the cross-block edges CrossEdges
-// lists. The order is
-// part of the contract — the list scheduler walks LocalAdj's successor
+// lists it, block by block. The order is part of the contract — the list scheduler walks LocalAdj's successor
 // lists in it — so the digest is order-sensitive.
 func depsDigest(t testing.TB, k *sass.Kernel) string {
 	t.Helper()
@@ -29,7 +27,6 @@ func depsDigest(t testing.TB, k *sass.Kernel) string {
 	}
 	f := analysis.NewKernelFacts(cfg)
 	g := analysis.BuildDeps(f)
-	cross := analysis.CrossEdges(f)
 	d := fnv.New64a()
 	var buf [25]byte
 	edge := func(e analysis.Edge) {
@@ -49,18 +46,13 @@ func depsDigest(t testing.TB, k *sass.Kernel) string {
 		}
 		local += len(bd.Edges)
 	}
-	for _, e := range cross {
-		edge(e)
-	}
-	return fmt.Sprintf("instrs=%d edges=%d cross=%d digest=%016x", len(k.Instrs), local, len(cross), d.Sum64())
+	return fmt.Sprintf("instrs=%d edges=%d digest=%016x", len(k.Instrs), local, d.Sum64())
 }
 
 // TestDepsGolden pins every dependence edge BuildDeps lists, in order, on
 // every workload under every golden variant, on its scheduled compile, and
-// on difftest kernels of seeds 0-399. testdata/deps.golden was recorded
-// from the implementation that replayed each block prefix per queried
-// register slot (ReachInfo.ReachingAt), before the one-walk cross-block
-// pass replaced it, so a pass means the edge lists are unchanged.
+// on difftest kernels of seeds 0-399, so a pass means the edge lists are
+// unchanged.
 // Regenerate (only when the graph is meant to change) with
 // `go test ./internal/analysis -run DepsGolden -update`.
 func TestDepsGolden(t *testing.T) {
