@@ -92,8 +92,7 @@ func AnalyzeValues(cfg *sass.CFG) *Valuation { return NewKernelFacts(cfg).Values
 
 // ReachingAt returns the definition sites of regspace entry reg that
 // reach instruction idx (just before it executes), as instruction
-// indices. It replays idx's block from its entry set for every query: the
-// model the one-walk cross-block pass (crossBlockRAW) is held to.
+// indices. It replays idx's block from its entry set for every query.
 func (ri *ReachInfo) ReachingAt(idx int, reg int) []int {
 	blk := ri.cfg.BlockOf(idx)
 	cur := ri.In[blk.ID].Copy()
@@ -175,72 +174,6 @@ func ColdSolveMismatch(cfg *sass.CFG) (mismatch string, passes int) {
 	return "", passes
 }
 
-// The dominator-scoped cross-block register dependences: RAW edges whose
-// definition and use sit in different blocks, restricted to defs whose
-// block dominates the use's block (the scoped subset with a
-// guaranteed-ordered witness; merge-point reaching defs from sibling
-// branches carry no such order). The scheduler never moves instructions
-// across blocks, so BuildDeps does not compute them; the property tests and
-// the dependence golden read them here, with the reaching definitions and
-// dominators they are derived from.
-
-// CrossEdges returns the dominator-scoped cross-block RAW edges of f's
-// kernel.
-func CrossEdges(f *KernelFacts) []Edge {
-	pass, _ := CrossBlockRAWPass(f)
-	return pass()
-}
-
-// CrossBlockRAWPass readies f for the cross-block RAW pass — its use sets,
-// dominators and reaching definitions computed — and returns the pass, to
-// be run alone, and how many (instruction, use slot) queries it answers.
-func CrossBlockRAWPass(f *KernelFacts) (pass func() []Edge, queries int) {
-	k := f.CFG.Kernel
-	sets := newBitsTable(2*len(k.Instrs), CCBit()+1)
-	uses := sets[:len(k.Instrs)]
-	for i := range k.Instrs {
-		regSets(&k.Instrs[i], uses[i], sets[len(k.Instrs)+i])
-		queries += uses[i].Count()
-	}
-	ri, dom := ReachingDefs(f.CFG), Dominators(f.CFG)
-	return func() []Edge { return crossBlockRAW(f.CFG, ri, dom, uses) }, queries
-}
-
-// crossBlockRAW collects the dominator-scoped cross-block RAW edges: a
-// definition reaching a use in another block, where the def's block
-// dominates the use's block so the ordering witness is unconditional.
-// uses holds every instruction's regspace use set, ri and dom the kernel's
-// reaching definitions and dominators. Each block is walked once, its
-// reaching set carried from the block's entry set instruction by
-// instruction; edges come out by use, then slot, then definition,
-// ascending.
-func crossBlockRAW(cfg *sass.CFG, ri *ReachInfo, dom, uses []Bits) []Edge {
-	cur := NewBits(len(ri.Sites))
-	var out []Edge
-	for _, blk := range cfg.Blocks {
-		ub := blk.ID
-		cur.CopyFrom(ri.In[ub])
-		for idx := blk.Start; idx < blk.End; idx++ {
-			for w, word := range uses[idx] {
-				for ; word != 0; word &= word - 1 {
-					slot := w*64 + bits.TrailingZeros64(word)
-					for _, s := range ri.sitesOf(slot) {
-						if !cur.Has(int(s)) {
-							continue
-						}
-						def := ri.Sites[s].Instr
-						if db := cfg.BlockOf(def).ID; db != ub && Dominates(dom, db, ub) {
-							out = append(out, Edge{From: def, To: idx, Kind: RAW, Slot: slot})
-						}
-					}
-				}
-			}
-			ri.step(cur, idx)
-		}
-	}
-	return out
-}
-
 // Dominators computes, for every block, the set of blocks that dominate
 // it (including itself), as a bitset over block IDs. Blocks unreachable
 // from the entry report the full set (vacuous domination).
@@ -285,24 +218,6 @@ type ReachInfo struct {
 
 // sitesOf returns the sites of regspace entry r, ascending.
 func (ri *ReachInfo) sitesOf(r int) []int32 { return ri.byReg[ri.regSite[r]:ri.regSite[r+1]] }
-
-// step carries cur, the sites reaching instruction i, past it: an
-// unconditional def kills every site of its registers, then i's own sites
-// reach.
-func (ri *ReachInfo) step(cur Bits, i int) {
-	in := &ri.cfg.Kernel.Instrs[i]
-	own := ri.Sites[ri.instrSite[i]:ri.instrSite[i+1]]
-	if in.Guard.IsAlways() {
-		for _, d := range own {
-			for _, s := range ri.sitesOf(d.Reg) {
-				cur.Clear(int(s))
-			}
-		}
-	}
-	for s := ri.instrSite[i]; s < ri.instrSite[i+1]; s++ {
-		cur.Set(int(s))
-	}
-}
 
 // ReachingDefs solves reaching definitions over the CFG: a definition d
 // of register r reaches point p if there is a path from d to p on which r

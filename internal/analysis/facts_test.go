@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"math/bits"
 	"testing"
 
 	"sassi/internal/analysis"
@@ -30,25 +29,5 @@ func TestKernelFactsSolvePostDominatorsOnce(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCrossBlockRAWAllocatesNothingPerQuery: the cross-block pass carries
-// one reaching set through each block, so on the costliest verified kernel
-// it allocates that set and its growing edge list, nothing per (use,
-// slot) query.
-func TestCrossBlockRAWAllocatesNothingPerQuery(t *testing.T) {
-	pass, queries := analysis.CrossBlockRAWPass(analysis.NewKernelFacts(sgemmMemdiv(t)))
-	var edges []analysis.Edge
-	allocs := testing.AllocsPerRun(10, func() { edges = pass() })
-	// The set, the edge list's first append and one growth per power of
-	// two of the edges.
-	limit := 2 + bits.Len(uint(len(edges)))
-	t.Logf("%d queries, %d edges: %.0f allocations per pass, limit %d", queries, len(edges), allocs, limit)
-	if queries < 10*limit {
-		t.Fatalf("%d queries are too few to tell per-query allocations from %d", queries, limit)
-	}
-	if allocs > float64(limit) {
-		t.Errorf("crossBlockRAW allocates %.0f times per pass for %d queries, want at most %d", allocs, queries, limit)
 	}
 }
