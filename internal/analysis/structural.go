@@ -6,17 +6,17 @@ import (
 	"sassi/internal/sass"
 )
 
-// CheckStructure validates the static shape of a kernel: opcodes defined,
-// operand kinds and register numbers legal, branch/SSY/CAL targets
-// resolved and in range (targets are instruction indices, so being "on an
-// instruction boundary" is inherent — a decoded target outside [0,n] is
-// the corruption this catches), control cannot fall off the kernel end,
-// and no opcodes the execution backend rejects (PBK/BRK). Results that
-// are entirely discarded (every destination RZ/PT) are flagged as
-// warnings.
-//
-// Unlike Kernel.Validate, which returns the first problem as an error,
-// this pass collects every finding with a position.
+// CheckStructure validates the static shape of a kernel: each
+// instruction's opcode and operands by sass.Kernel.CheckInstr, the rule
+// set the launch refuses a kernel by too, and the registers it names
+// within the kernel's allocation; and then the kernel-level rules:
+// branch/SSY/CAL targets resolved and in range (targets are instruction
+// indices, so being "on an instruction boundary" is inherent — a decoded
+// target outside [0,n] is the corruption this catches), a JCAL symbol, an
+// EXIT, control cannot fall off the kernel end, and no opcodes the
+// execution backend rejects (PBK/BRK). Results that are entirely discarded
+// (every destination RZ/PT) are flagged as warnings. It collects every
+// finding with a position.
 func CheckStructure(k *sass.Kernel) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(i int, format string, args ...any) {
@@ -41,9 +41,11 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 	sawExit := false
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
-		if int(in.Op) >= sass.NumOpcodes() {
-			bad(i, "undefined opcode %d", in.Op)
-			continue
+		if err := k.CheckInstr(i); err != nil {
+			bad(i, "%v", err)
+			if int(in.Op) >= sass.NumOpcodes() {
+				continue
+			}
 		}
 		if in.Op == sass.OpEXIT {
 			sawExit = true
@@ -51,10 +53,7 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 		if in.Op == sass.OpPBK || in.Op == sass.OpBRK {
 			bad(i, "%s is not supported by the execution backend", in.Op)
 		}
-		if !in.Guard.IsAlways() && in.Guard.Reg > sass.PT {
-			bad(i, "guard references undefined predicate P%d", in.Guard.Reg)
-		}
-		checkOperands(k, i, in, bad)
+		checkAllocation(k, i, in, bad)
 
 		switch in.Op {
 		case sass.OpBRA, sass.OpSSY, sass.OpCAL:
@@ -118,60 +117,26 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 	return diags
 }
 
-// checkOperands validates one instruction's operand encodings.
-func checkOperands(k *sass.Kernel, i int, in *sass.Instruction, bad func(int, string, ...any)) {
-	n := len(k.Instrs)
-	w := in.Mods.Width
-	switch w {
-	case 0, sass.W8, sass.W16, sass.W32, sass.W64, sass.W128:
-	default:
-		bad(i, "undefined width modifier %d", w)
-		w = sass.W32
+// checkAllocation reports the registers in names past k.NumRegs (SP
+// aside), when the kernel states its count. This certifies the compiler's
+// register allocation and is no operand rule: the launch gives every
+// thread at least 16 registers, so it runs such a kernel, and only Verify
+// refuses it.
+func checkAllocation(k *sass.Kernel, i int, in *sass.Instruction, bad func(int, string, ...any)) {
+	if k.NumRegs == 0 {
+		return
 	}
-	// Operands are numbered across both lists, destinations first.
-	for oi := 0; oi < len(in.Dsts)+len(in.Srcs); oi++ {
-		isDst := oi < len(in.Dsts)
-		var o sass.Operand
-		if isDst {
-			o = in.Dsts[oi]
-		} else {
-			o = in.Srcs[oi-len(in.Dsts)]
-		}
-		switch o.Kind {
-		case sass.OpdNone:
-			bad(i, "operand %d is missing", oi)
-		case sass.OpdReg:
-			// Every uint8 names a real register (R0..R254 plus RZ=255),
-			// but a multi-register access must not run off the file.
-			wide := (isDst && in.Op.IsMemRead()) ||
-				(!isDst && in.Op.IsMemWrite() && oi-len(in.Dsts) > 0)
-			if o.Reg != sass.RZ && wide {
-				if int(o.Reg)+w.Regs()-1 >= sass.NumGPR {
-					bad(i, "R%d..R%d register group runs past the register file", o.Reg, int(o.Reg)+w.Regs()-1)
-				}
+	for _, ops := range [...][]sass.Operand{in.Dsts, in.Srcs} {
+		for _, o := range ops {
+			if o.Reg == sass.RZ || int(o.Reg) == sass.SP || int(o.Reg) < k.NumRegs {
+				continue
 			}
-			if o.Reg != sass.RZ && int(o.Reg) != sass.SP && int(o.Reg) >= k.NumRegs && k.NumRegs > 0 {
+			switch o.Kind {
+			case sass.OpdReg:
 				bad(i, "R%d exceeds the kernel's register allocation (NumRegs=%d)", o.Reg, k.NumRegs)
-			}
-		case sass.OpdPred:
-			if o.Reg > sass.PT {
-				bad(i, "undefined predicate P%d", o.Reg)
-			}
-		case sass.OpdMem:
-			if o.Reg != sass.RZ && in.Mods.E && int(o.Reg)+1 >= sass.NumGPR {
-				bad(i, "64-bit address pair R%d..R%d runs past the register file", o.Reg, int(o.Reg)+1)
-			}
-			if o.Reg != sass.RZ && int(o.Reg) != sass.SP && int(o.Reg) >= k.NumRegs && k.NumRegs > 0 {
+			case sass.OpdMem:
 				bad(i, "address base R%d exceeds the kernel's register allocation (NumRegs=%d)", o.Reg, k.NumRegs)
 			}
-		case sass.OpdLabel:
-			if o.Imm < 0 || o.Imm > int64(n) {
-				bad(i, "label %q resolves outside the kernel (%d of %d instructions)", o.Name, o.Imm, n)
-			}
-		case sass.OpdImm, sass.OpdCMem, sass.OpdSReg, sass.OpdSym:
-			// Always well-formed as encoded.
-		default:
-			bad(i, "undefined operand kind %d", o.Kind)
 		}
 	}
 }

@@ -105,10 +105,26 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 	if opts.Schedule {
 		scheduleKernel(k, opts.SchedSeed)
 	}
-	if err := k.Validate(); err != nil {
+	if err := checkKernel(k); err != nil {
 		return nil, fmt.Errorf("ptxas: %w", err)
 	}
 	return k, nil
+}
+
+// checkKernel refuses what the compiler must never emit: an instruction the
+// launch would refuse (sass.Kernel.CheckInstr) or a kernel with no EXIT.
+func checkKernel(k *sass.Kernel) error {
+	exit := false
+	for i := range k.Instrs {
+		if err := k.CheckInstr(i); err != nil {
+			return fmt.Errorf("kernel %s@%d: %v", k.Name, i, err)
+		}
+		exit = exit || k.Instrs[i].Op == sass.OpEXIT
+	}
+	if !exit {
+		return fmt.Errorf("kernel %s: no EXIT instruction", k.Name)
+	}
+	return nil
 }
 
 // coalesceMovs removes MOV Rd, Rd no-ops that register allocation created

@@ -36,7 +36,7 @@ func ScheduleKernel(k *sass.Kernel, seed uint64) { scheduleKernel(k, seed) }
 func scheduleKernel(k *sass.Kernel, seed uint64) {
 	cfg, err := sass.BuildCFG(k)
 	if err != nil {
-		return // leave the kernel unscheduled; Validate will judge it
+		return // leave the kernel unscheduled; checkKernel will judge it
 	}
 	g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
 	order := make([]int, 0, len(k.Instrs))

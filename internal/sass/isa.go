@@ -138,18 +138,26 @@ func (o Opcode) MinOperands() (dsts, srcs int) {
 	return len(k.dsts), len(k.srcs)
 }
 
-// CheckOperands reports what would make the simulator misread an
-// instruction: an opcode outside the ISA, a guard past PT, fewer operands
-// than every form of its opcode has, a register number that is neither a
-// GPR nor RZ, or a predicate number past PT — in a predicate operand, or
-// in any operand at a position read as a predicate (a register there is
-// read as the predicate of its number, so RZ or R8 and above name none).
-func (in *Instruction) CheckOperands() error {
+// CheckInstr is the one operand rule set: Verify's structural check, the
+// compiler's output check and the launch all judge instruction i of k by
+// it, so a kernel the verifier accepts is one the simulator runs. It
+// reports the first of: an opcode outside the ISA; a guard past PT; fewer
+// operands than every form of the opcode has; an undefined width; and, in
+// each destination and then each source, a register or predicate at a
+// position read as a predicate that names none (a register there is read
+// as the predicate of its number, so RZ or R8 and above name none), an
+// operand missing, a predicate past PT, a register group or a .E address
+// pair that runs past the register file, a label outside [0, len(k.Instrs)]
+// or an undefined operand kind. Whether a register lies within the
+// kernel's allocation is not an operand rule: the launch gives every
+// thread at least as many registers as the kernel asks for.
+func (k *Kernel) CheckInstr(i int) error {
+	in := &k.Instrs[i]
 	if in.Op >= opCount {
-		return fmt.Errorf("bad opcode %d", in.Op)
+		return fmt.Errorf("undefined opcode %d", in.Op)
 	}
 	if in.Guard.Reg > PT {
-		return fmt.Errorf("%s has guard P%d", in.Op, in.Guard.Reg)
+		return fmt.Errorf("guard references undefined predicate P%d", in.Guard.Reg)
 	}
 	kinds := operandKinds[in.Op]
 	if len(in.Dsts) < len(kinds.dsts) {
@@ -158,33 +166,76 @@ func (in *Instruction) CheckOperands() error {
 	if len(in.Srcs) < len(kinds.srcs) {
 		return fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), len(kinds.srcs))
 	}
-	check := func(what string, ops []Operand, kinds string) error {
-		for i, o := range ops {
-			kind := byte('.')
-			if i < len(kinds) {
-				kind = kinds[i]
-			}
-			if kind == 'd' {
-				kind = 'p'
-				if in.Mods.Vote == VoteBALLOT {
-					kind = 'r'
-				}
-			}
-			switch {
-			case kind == 'p' && o.Reg > PT:
-				return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, i, o)
-			case o.Kind == OpdPred && o.Reg > PT:
-				return fmt.Errorf("%s %s %d names predicate P%d", in.Op, what, i, o.Reg)
-			case (o.Kind == OpdReg || o.Kind == OpdMem) && o.Reg != RZ && int(o.Reg) >= NumGPR:
-				return fmt.Errorf("%s %s %d names register R%d", in.Op, what, i, o.Reg)
-			}
+	switch in.Mods.Width {
+	case 0, W8, W16, W32, W64, W128:
+	default:
+		return fmt.Errorf("undefined width modifier %d", in.Mods.Width)
+	}
+	for j := range in.Dsts {
+		if err := k.checkOperand(in, true, j, kinds.dsts); err != nil {
+			return err
 		}
-		return nil
 	}
-	if err := check("destination", in.Dsts, kinds.dsts); err != nil {
-		return err
+	for j := range in.Srcs {
+		if err := k.checkOperand(in, false, j, kinds.srcs); err != nil {
+			return err
+		}
 	}
-	return check("source", in.Srcs, kinds.srcs)
+	return nil
+}
+
+// checkOperand checks in's j-th destination (dst) or source, whose
+// position the opcode reads as kinds[j] (operandKinds).
+func (k *Kernel) checkOperand(in *Instruction, dst bool, j int, kinds string) error {
+	var o Operand
+	what, oi := "destination", j // oi numbers both lists, destinations first
+	if dst {
+		o = in.Dsts[j]
+	} else {
+		o, what, oi = in.Srcs[j], "source", len(in.Dsts)+j
+	}
+	kind := byte('.')
+	if j < len(kinds) {
+		kind = kinds[j]
+	}
+	if kind == 'd' {
+		kind = 'p'
+		if in.Mods.Vote == VoteBALLOT {
+			kind = 'r'
+		}
+	}
+	if kind == 'p' && o.Reg > PT {
+		return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, j, o)
+	}
+	switch o.Kind {
+	case OpdNone:
+		return fmt.Errorf("operand %d is missing", oi)
+	case OpdReg:
+		// Every uint8 names a register (R0..R254, or RZ), but a
+		// multi-register load destination or store value must not run off
+		// the file.
+		wide := dst && in.Op.IsMemRead() || !dst && in.Op.IsMemWrite() && j > 0
+		if last := int(o.Reg) + in.Mods.Width.Regs() - 1; wide && o.Reg != RZ && last >= NumGPR {
+			return fmt.Errorf("R%d..R%d register group runs past the register file", o.Reg, last)
+		}
+	case OpdPred:
+		if o.Reg > PT {
+			return fmt.Errorf("undefined predicate P%d", o.Reg)
+		}
+	case OpdMem:
+		if in.Mods.E && o.Reg != RZ && int(o.Reg)+1 >= NumGPR {
+			return fmt.Errorf("64-bit address pair R%d..R%d runs past the register file", o.Reg, int(o.Reg)+1)
+		}
+	case OpdLabel:
+		if n := len(k.Instrs); o.Imm < 0 || o.Imm > int64(n) {
+			return fmt.Errorf("label %q resolves outside the kernel (%d of %d instructions)", o.Name, o.Imm, n)
+		}
+	case OpdImm, OpdCMem, OpdSReg, OpdSym:
+		// Always well-formed as encoded.
+	default:
+		return fmt.Errorf("undefined operand kind %d", o.Kind)
+	}
+	return nil
 }
 
 // String returns the SASS mnemonic for the opcode.

@@ -219,36 +219,6 @@ func (k *Kernel) Disassemble() string {
 	return b.String()
 }
 
-// Validate performs structural checks: every instruction's operands as
-// CheckOperands requires them, label targets in range, EXIT reachable.
-func (k *Kernel) Validate() error {
-	n := len(k.Instrs)
-	if n == 0 {
-		return fmt.Errorf("kernel %s: empty", k.Name)
-	}
-	sawExit := false
-	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		if in.Op == OpEXIT {
-			sawExit = true
-		}
-		if err := in.CheckOperands(); err != nil {
-			return fmt.Errorf("kernel %s@%d: %v", k.Name, i, err)
-		}
-		for _, ops := range [...][]Operand{in.Dsts, in.Srcs} {
-			for _, o := range ops {
-				if o.Kind == OpdLabel && (o.Imm < 0 || o.Imm > int64(n)) {
-					return fmt.Errorf("kernel %s@%d: label %q out of range (%d)", k.Name, i, o.Name, o.Imm)
-				}
-			}
-		}
-	}
-	if !sawExit {
-		return fmt.Errorf("kernel %s: no EXIT instruction", k.Name)
-	}
-	return nil
-}
-
 // Program is a linked unit: kernels plus the symbols (instrumentation
 // handlers) its JCALs refer to.
 type Program struct {

@@ -37,29 +37,22 @@ func TestResolveLabelsError(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesBadInstr: CheckInstr refuses a label past the kernel
+// and a predicate past PT, and accepts EXIT.
 func TestValidateCatchesBadInstr(t *testing.T) {
-	cases := []struct {
-		name string
-		k    *Kernel
-	}{
-		{"empty", &Kernel{Name: "k"}},
-		{"no exit", &Kernel{Name: "k", Instrs: []Instruction{New(OpNOP, nil, nil)}}},
-		{"bad label", &Kernel{Name: "k", Instrs: []Instruction{
-			{Guard: Always, Op: OpBRA, Srcs: []Operand{{Kind: OpdLabel, Imm: 99}}},
-			New(OpEXIT, nil, nil),
-		}}},
-		{"bad pred", &Kernel{Name: "k", Instrs: []Instruction{
-			New(OpISETP, []Operand{{Kind: OpdPred, Reg: 9}}, []Operand{R(0), R(1), P(PT)}),
-			New(OpEXIT, nil, nil),
-		}}},
+	exit := New(OpEXIT, nil, nil)
+	cases := map[string]Instruction{
+		"bad label": {Guard: Always, Op: OpBRA, Srcs: []Operand{{Kind: OpdLabel, Imm: 99}}},
+		"bad pred":  New(OpISETP, []Operand{{Kind: OpdPred, Reg: 9}}, []Operand{R(0), R(1), P(PT)}),
 	}
-	for _, c := range cases {
-		if err := c.k.Validate(); err == nil {
-			t.Errorf("%s: validation passed unexpectedly", c.name)
+	for name, in := range cases {
+		k := &Kernel{Name: "k", Instrs: []Instruction{in, exit}}
+		if err := k.CheckInstr(0); err == nil {
+			t.Errorf("%s: validation passed unexpectedly", name)
 		}
 	}
-	good := Kernel{Name: "k", Instrs: []Instruction{New(OpEXIT, nil, nil)}}
-	if err := good.Validate(); err != nil {
+	good := Kernel{Name: "k", Instrs: []Instruction{exit}}
+	if err := good.CheckInstr(0); err != nil {
 		t.Errorf("good kernel rejected: %v", err)
 	}
 }

@@ -20,9 +20,7 @@ func memRun(t *testing.T, sharedBytes int, body func(scratchOff int) []sass.Inst
 	if err := k.ResolveLabels(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	requireWellFormed(t, k)
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())

@@ -107,10 +107,19 @@ func (h *warpHarness) kernel(t *testing.T) *sass.Kernel {
 		t.Fatal(err)
 	}
 	k.NumRegs = 48
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	requireWellFormed(t, k)
 	return k
+}
+
+// requireWellFormed fails t at the first instruction of k that
+// sass.Kernel.CheckInstr refuses.
+func requireWellFormed(t *testing.T, k *sass.Kernel) {
+	t.Helper()
+	for i := range k.Instrs {
+		if err := k.CheckInstr(i); err != nil {
+			t.Fatalf("%s@%d: %v", k.Name, i, err)
+		}
+	}
 }
 
 func (h *warpHarness) run(t *testing.T) [][]uint32 {

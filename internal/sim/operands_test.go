@@ -9,13 +9,12 @@ import (
 	"sassi/internal/sim"
 )
 
-// requireRefused requires a kernel of in and EXIT to be refused by Validate
-// and at launch (requireLaunchRefused).
+// requireRefused requires a kernel of in and EXIT to be refused by
+// sass.Kernel.CheckInstr and at launch (requireLaunchRefused).
 func requireRefused(t *testing.T, name string, in sass.Instruction) {
 	t.Helper()
-	k := badKernel(in)
-	if err := k.Validate(); err == nil {
-		t.Errorf("%s: Validate accepts it", name)
+	if badKernel(in).CheckInstr(0) == nil {
+		t.Errorf("%s: CheckInstr accepts it", name)
 	}
 	requireLaunchRefused(t, name, in)
 }
@@ -64,9 +63,7 @@ func wellFormed(t *testing.T, op sass.Opcode) sass.Instruction {
 	for i := 0; i < srcs; i++ {
 		in.Srcs = append(in.Srcs, sass.R(uint8(4+i)))
 	}
-	if err := in.CheckOperands(); err != nil {
-		t.Fatalf("%s: %v", in.String(), err)
-	}
+	requireWellFormed(t, badKernel(in))
 	return in
 }
 
@@ -75,8 +72,8 @@ func wellFormed(t *testing.T, op sass.Opcode) sass.Instruction {
 // with one source; an IADD or a VOTE with no destination — is refused by
 // Launch with an ErrInvalid KernelError before any CTA takes a slab, on the
 // execution core and on the reference interpreter, where running it would
-// index past the operands inside an SM goroutine. Kernel.Validate refuses
-// it from the same table.
+// index past the operands inside an SM goroutine. Kernel.CheckInstr
+// refuses it from the same table.
 func TestMissingOperandsRefusedAtLaunch(t *testing.T) {
 	for op := sass.Opcode(0); int(op) < sass.NumOpcodes(); op++ {
 		full := wellFormed(t, op)
@@ -100,8 +97,8 @@ func TestMissingOperandsRefusedAtLaunch(t *testing.T) {
 // names none (PSETP P0, RZ, P1; SEL R0, R1, R2, R20), a guard past PT
 // (@P9 MOV R0, R1), and a register past the kernel's count. Each used to
 // index the predicate file or the register rows out of range inside an SM
-// goroutine, on both loops, and kill the process. (Validate refuses all but
-// the last too.)
+// goroutine, on both loops, and kill the process. (CheckInstr refuses all
+// but the last too.)
 func TestMisreadOperandsRefusedAtLaunch(t *testing.T) {
 	for op := sass.Opcode(0); int(op) < sass.NumOpcodes(); op++ {
 		full := wellFormed(t, op)
@@ -119,13 +116,14 @@ func TestMisreadOperandsRefusedAtLaunch(t *testing.T) {
 				return in
 			}
 			requireRefused(t, fmt.Sprintf("%s/pos%d/P9", op, pos), set(sass.Operand{Kind: sass.OpdPred, Reg: 9}))
-			if rz := set(sass.R(sass.RZ)); rz.CheckOperands() != nil { // a position read as a predicate
+			if rz := set(sass.R(sass.RZ)); badKernel(rz).CheckInstr(0) != nil { // a position read as a predicate
 				requireRefused(t, fmt.Sprintf("%s/pos%d/RZ", op, pos), rz)
 				requireRefused(t, fmt.Sprintf("%s/pos%d/R8", op, pos), set(sass.R(8)))
 			}
 		}
 	}
-	// Validate cannot know the 16 registers every thread has at least.
+	// CheckInstr does not judge the allocation: the launch gives every thread
+	// at least 16 registers.
 	past := map[string]sass.Instruction{
 		"MOV R16":          sass.New(sass.OpMOV, []sass.Operand{sass.R(16)}, []sass.Operand{sass.R(1)}),
 		"IADD R0, R1, R40": sass.New(sass.OpIADD, []sass.Operand{sass.R(0)}, []sass.Operand{sass.R(1), sass.R(40)}),

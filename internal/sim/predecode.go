@@ -23,10 +23,10 @@ import (
 // class, whatever its modifiers and operands; execOp keeps the warp-level
 // operations — divergence-stack and call control, barriers, collectives,
 // atomics and memory shapes no class takes. A SASSI handler call has a
-// class too: its symbol is resolved once per launch, not per call. A kernel with an instruction whose operands would be
-// misread — missing, naming no register or predicate, or a register past
-// the kernel's count — is refused at launch (preKernel.err), whichever loop
-// runs it.
+// class too: its symbol is resolved once per launch, not per call. A
+// kernel with an instruction sass.Kernel.CheckInstr refuses — the rule set
+// Verify judges it by too — or a register past the kernel's count is
+// refused at launch (preKernel.err), whichever loop runs it.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -189,9 +189,9 @@ type preKernel struct {
 	// A launch resolves them against the warp's program (warpCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
-	// err, when non-nil, is why k cannot run: an instruction whose
-	// operands sass.Instruction.CheckOperands refuses, or a register past
-	// the kernel's register count. Nothing else is filled in then.
+	// err, when non-nil, is why k cannot run: an instruction
+	// sass.Kernel.CheckInstr refuses, or a register past the kernel's
+	// register count. Nothing else is filled in then.
 	err error
 }
 
@@ -212,7 +212,7 @@ func straightLine(op sass.Opcode) bool {
 // a function of its parameter layout.
 func predecode(k *sass.Kernel) any {
 	for i := range k.Instrs {
-		if err := k.Instrs[i].CheckOperands(); err != nil {
+		if err := k.CheckInstr(i); err != nil {
 			return &preKernel{k: k, err: fmt.Errorf("pc=%d: %v", i, err)}
 		}
 	}

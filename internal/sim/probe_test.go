@@ -84,9 +84,7 @@ func siteKernel(t *testing.T, padded bool) (*sass.Program, []uint32) {
 	if err := k.ResolveLabels(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	requireWellFormed(t, k)
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	return prog, weights

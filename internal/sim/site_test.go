@@ -185,6 +185,9 @@ func TestTwinSiteRefused(t *testing.T) {
 	branch := edit(func(k *sass.Kernel) {
 		k.Labels["next"] = 2
 		k.Instrs[0] = sass.New(sass.OpBRA, nil, []sass.Operand{sass.Label("next")})
+		if err := k.ResolveLabels(); err != nil {
+			t.Fatal(err)
+		}
 	})
 	for _, c := range []struct {
 		name string
