@@ -60,9 +60,6 @@ type Campaign struct {
 	// Config is the device model; the injection runs' watchdog is
 	// recalibrated from the golden run automatically.
 	Config sim.Config
-	// Targets weights the state classes; zero value means the paper's mix
-	// (GPRs dominate, predicates and CC for compare instructions).
-	Targets []handlers.InjectTarget
 
 	// Workers is the number of injection executions run concurrently, each
 	// worker on one simulated device it resets between runs. Every run
@@ -227,19 +224,20 @@ func checkDataset(spec *workloads.Spec, dataset string) error {
 	return nil
 }
 
-// setDefaults fills in what a zero field of c means: 100 injections and the
-// paper's target mix.
+// setDefaults fills in what a zero field of c means: 100 injections.
 func (c *Campaign) setDefaults() {
 	if c.Injections <= 0 {
 		c.Injections = 100
 	}
-	if len(c.Targets) == 0 {
-		c.Targets = []handlers.InjectTarget{
-			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
-			handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
-			handlers.TargetPred, handlers.TargetCC,
-		}
-	}
+}
+
+// injectTargets is the paper's mix of the state classes a run flips a bit
+// in, each run drawing one entry: GPRs dominate, predicates and CC for
+// compare instructions.
+var injectTargets = [...]handlers.InjectTarget{
+	handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
+	handlers.TargetGPR, handlers.TargetGPR, handlers.TargetGPR,
+	handlers.TargetPred, handlers.TargetCC,
 }
 
 // injectionConfig is the device model of c's injection runs: c.Config with
@@ -476,7 +474,7 @@ func (c *Campaign) selectSite(profiles []launchProfile, total uint64, rng *prng)
 				InstrIndex: pick,
 				DstSeed:    uint32(rng.next()),
 				BitSeed:    uint32(rng.next()),
-				Target:     c.Targets[rng.next()%uint64(len(c.Targets))],
+				Target:     injectTargets[rng.next()%uint64(len(injectTargets))],
 			}
 		}
 	}

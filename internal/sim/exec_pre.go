@@ -918,13 +918,10 @@ func (w *Warp) globalAddrs(p *preInstr, exec uint32, addrs *[WarpSize]uint64) (m
 	return shape, global
 }
 
-// runWarpSolo runs w until it completes or reaches a barrier, dispatching
-// per predecoded basic-block run: after the instruction at the head of a
-// straight-line run, the rest of the run executes with no Done/AtBarrier
-// re-checks, which is sound because straight-line instructions always
-// advance PC+1 and can neither block the warp nor redirect control. Legal
-// only when w is the SM's sole live warp with no pending CTAs — then no
-// other warp can observe the departure from one-instruction-per-sweep
+// runWarpSolo runs w until it completes or reaches a barrier, issuing its
+// instructions back to back with no sweep over the SM's other warps.
+// Legal only when w is the SM's sole live warp with no pending CTAs — then
+// no other warp can observe the departure from one-instruction-per-sweep
 // interleaving, and every per-instruction accounting effect (cycles,
 // samples, watchdog) is produced by stepPre exactly as in sweep order.
 func (e *engine) runWarpSolo(w *Warp) error {
@@ -937,14 +934,8 @@ func (e *engine) runWarpSolo(w *Warp) error {
 		return nil
 	}
 	for !w.Done && !w.AtBarrier {
-		n := uint16(1)
-		if pre := w.code.pre; w.PC >= 0 && w.PC < len(pre.ins) {
-			n = pre.ins[w.PC].run
-		}
-		for ; n > 0; n-- {
-			if err := e.stepPre(w); err != nil {
-				return err
-			}
+		if err := e.stepPre(w); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -644,8 +644,8 @@ func (e *engine) runSM(sm int, ctas []int, grid, block Dim3, sharedBytes, maxRes
 		progress := false
 		// With exactly one live warp on the SM and nothing pending, no
 		// other warp can observe the instruction interleaving, so the
-		// predecoded core may run that warp's whole basic blocks
-		// back-to-back instead of one instruction per sweep.
+		// predecoded core may run that warp back-to-back instead of one
+		// instruction per sweep.
 		solo := !ref && len(pending) == 0 && len(resident) == 1 &&
 			resident[0].liveWarps() == 1
 		// Read once per sweep: a load per warp step costs base-suite 4 %.

@@ -11,9 +11,8 @@ import (
 // sass.Instructions: at a kernel's first launch the SASS is lowered into a
 // dense flat format — operand kinds resolved (RZ folded to zero,
 // constant-bank offsets bounds-checked once, predicate guards pre-split),
-// scoreboard slot lists precomputed, static issue costs and result
-// latencies cached, and straight-line instruction runs measured per basic
-// block. Execution then dispatches on a small class enum to one row kernel
+// scoreboard slot lists precomputed, and static issue costs and result
+// latencies cached. Execution then dispatches on a small class enum to one row kernel
 // per class, run over every executing lane's register rows, instead of
 // per-operand switches and closure iterators. The core takes no
 // static-analysis facts: a lane's result is computed from that lane's
@@ -34,9 +33,9 @@ import (
 // simref for the equivalence oracles): stepPre replicates step's
 // accounting exactly and warps still issue one instruction per round-robin
 // sweep, because any cross-warp batching would reorder the per-SM memory
-// access stream and change cache statistics. Whole runs execute
-// back-to-back only when an SM has a single live warp and no pending CTAs,
-// where no other warp can observe the interleaving.
+// access stream and change cache statistics. A warp's instructions issue
+// back-to-back only when it is its SM's single live warp and no CTAs are
+// pending, where no other warp can observe the interleaving.
 
 // preClass selects a specialized execution path in stepPre. pcGeneric
 // delegates to execOp.
@@ -156,12 +155,6 @@ type preInstr struct {
 	forceG   bool  // LDG/STG: address must decode to global space
 	dataReg  uint8 // store data base register
 	memFault bool  // memory op needs per-lane space decode (generic LD/ST)
-
-	// run is the number of consecutive straight-line instructions
-	// starting here (including this one); 1 for anything that can branch,
-	// block, or leave the kernel. The solo-warp block dispatcher executes
-	// a whole run between liveness checks.
-	run uint16
 }
 
 // preKernel is the predecoded form of one kernel. It is cached on the
@@ -196,7 +189,7 @@ type preKernel struct {
 }
 
 // straightLine reports whether the op always advances PC+1 and can
-// neither block the warp nor redirect control: the run-membership test.
+// neither block the warp nor redirect control (afterBlocks).
 func straightLine(op sass.Opcode) bool {
 	switch op {
 	case sass.OpBRA, sass.OpSYNC, sass.OpBRK, sass.OpPBK, sass.OpEXIT,
@@ -258,17 +251,6 @@ func predecode(k *sass.Kernel) any {
 				p.target = int32(len(pk.syms))
 				pk.syms = append(pk.syms, t.Name)
 			}
-		}
-	}
-
-	// Straight-line runs: the length of the suffix of consecutive
-	// pfStraight instructions starting at each PC.
-	for i := len(pk.ins) - 1; i >= 0; i-- {
-		p := &pk.ins[i]
-		p.run = 1
-		if p.flags&pfStraight != 0 && i+1 < len(pk.ins) &&
-			pk.ins[i+1].flags&pfStraight != 0 && pk.ins[i+1].run < 1<<14 {
-			p.run = pk.ins[i+1].run + 1
 		}
 	}
 	pk.sitePCs = afterBlocks(pk.ins)
