@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"sassi/internal/sass"
 	"sassi/internal/workloads"
 )
 
@@ -156,5 +157,30 @@ func TestLintOneMutant(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-checks", "cfi", "-workload", "demo.calltree"}, &out, &errb); code != 0 {
 		t.Errorf("cfi check on demo.calltree: exit %d, want 0\nstdout: %s", code, out.String())
+	}
+}
+
+// TestLintShortOperandsFails: a decoded kernel whose IADD has one source,
+// which the launch refuses, fails the lint with the launch's message as a
+// structural error at that instruction.
+func TestLintShortOperandsFails(t *testing.T) {
+	k := &sass.Kernel{Name: "short", Instrs: []sass.Instruction{
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(2)}, []sass.Operand{sass.R(3)}),
+		sass.New(sass.OpEXIT, nil, nil),
+	}}
+	data, err := k.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "short.sasskrn")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{path}, &out, &errb); code != 1 {
+		t.Errorf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+	}
+	if want := "short@0000: error: structural: IADD has 1 source operands, needs 2"; !strings.Contains(out.String(), want) {
+		t.Errorf("output lacks %q:\n%s", want, out.String())
 	}
 }

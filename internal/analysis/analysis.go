@@ -1,6 +1,6 @@
 // Package analysis is the static-analysis layer over compiled SASS: a
-// reusable forward/backward dataflow framework (dominators, reaching
-// definitions, definite assignment, block liveness), the affine value
+// reusable forward/backward dataflow framework (postdominators, definite
+// assignment, block liveness), the affine value
 // lattice, dependence DAGs, plus a verifier that every compiled and
 // instrumented program passes through.
 //
@@ -14,8 +14,13 @@
 //
 // Verify runs one fixed list of checks, the same in every binary:
 //
-//   - structural: branch/SSY targets in range, operands well-formed,
-//     no fall-through off the kernel end, unsupported opcodes, and (the
+//   - structural: every instruction well formed by sass.Kernel.CheckInstr,
+//     the one operand rule set ptxas and the launch apply too, so Verify
+//     refuses an instruction exactly when the launch would; registers
+//     within the kernel's allocation, a rule of Verify's alone (it
+//     certifies ptxas's register allocation, and the launch gives every
+//     thread at least 16 registers); branch/SSY targets in range, no
+//     fall-through off the kernel end, unsupported opcodes, and (the
 //     linkage check) every JCAL symbol in the program's handler table;
 //   - divergence: SSY/SYNC (and CAL/RET) push/pop depth matched, typed,
 //     and bounded on every control-flow path (control.go);

@@ -131,6 +131,19 @@ func FuzzVerify(f *testing.F) {
 	f.Add(zeroed)
 	f.Add([]byte("SASSKRN1"))
 	f.Add([]byte{})
+	// Instructions the launch refuses: IADD with one source, and SEL with
+	// R9 where it reads a predicate.
+	for _, in := range []sass.Instruction{
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(2)}, []sass.Operand{sass.R(3)}),
+		sass.New(sass.OpSEL, []sass.Operand{sass.R(2)}, []sass.Operand{sass.R(3), sass.R(4), sass.R(9)}),
+	} {
+		k := &sass.Kernel{Name: "misread", Instrs: []sass.Instruction{in, sass.New(sass.OpEXIT, nil, nil)}}
+		data, err := k.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

@@ -127,8 +127,9 @@ func checkAllocation(k *sass.Kernel, i int, in *sass.Instruction, bad func(int, 
 		return
 	}
 	for _, ops := range [...][]sass.Operand{in.Dsts, in.Srcs} {
-		for _, o := range ops {
-			if o.Reg == sass.RZ || int(o.Reg) == sass.SP || int(o.Reg) < k.NumRegs {
+		for j := range ops {
+			o := &ops[j]
+			if int(o.Reg) < k.NumRegs || o.Reg == sass.RZ || int(o.Reg) == sass.SP {
 				continue
 			}
 			switch o.Kind {

@@ -149,8 +149,9 @@ func (o Opcode) MinOperands() (dsts, srcs int) {
 // operand missing, a predicate past PT, a register group or a .E address
 // pair that runs past the register file, a label outside [0, len(k.Instrs)]
 // or an undefined operand kind. Whether a register lies within the
-// kernel's allocation is not an operand rule: the launch gives every
-// thread at least as many registers as the kernel asks for.
+// kernel's register count is left to the callers: Verify holds the
+// compiler's allocation to NumRegs, the launch to the registers it gives
+// every thread, at least 16.
 func (k *Kernel) CheckInstr(i int) error {
 	in := &k.Instrs[i]
 	if in.Op >= opCount {
@@ -172,28 +173,21 @@ func (k *Kernel) CheckInstr(i int) error {
 		return fmt.Errorf("undefined width modifier %d", in.Mods.Width)
 	}
 	for j := range in.Dsts {
-		if err := k.checkOperand(in, true, j, kinds.dsts); err != nil {
+		if err := k.checkOperand(in, &in.Dsts[j], true, j, kinds.dsts); err != nil {
 			return err
 		}
 	}
 	for j := range in.Srcs {
-		if err := k.checkOperand(in, false, j, kinds.srcs); err != nil {
+		if err := k.checkOperand(in, &in.Srcs[j], false, j, kinds.srcs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// checkOperand checks in's j-th destination (dst) or source, whose
+// checkOperand checks o, in's j-th destination (dst) or source, whose
 // position the opcode reads as kinds[j] (operandKinds).
-func (k *Kernel) checkOperand(in *Instruction, dst bool, j int, kinds string) error {
-	var o Operand
-	what, oi := "destination", j // oi numbers both lists, destinations first
-	if dst {
-		o = in.Dsts[j]
-	} else {
-		o, what, oi = in.Srcs[j], "source", len(in.Dsts)+j
-	}
+func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kinds string) error {
 	kind := byte('.')
 	if j < len(kinds) {
 		kind = kinds[j]
@@ -205,17 +199,24 @@ func (k *Kernel) checkOperand(in *Instruction, dst bool, j int, kinds string) er
 		}
 	}
 	if kind == 'p' && o.Reg > PT {
-		return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, j, o)
+		what := "source"
+		if dst {
+			what = "destination"
+		}
+		return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, j, *o)
 	}
 	switch o.Kind {
 	case OpdNone:
-		return fmt.Errorf("operand %d is missing", oi)
+		if !dst {
+			j += len(in.Dsts) // operands are numbered across both lists
+		}
+		return fmt.Errorf("operand %d is missing", j)
 	case OpdReg:
-		// Every uint8 names a register (R0..R254, or RZ), but a
-		// multi-register load destination or store value must not run off
-		// the file.
-		wide := dst && in.Op.IsMemRead() || !dst && in.Op.IsMemWrite() && j > 0
-		if last := int(o.Reg) + in.Mods.Width.Regs() - 1; wide && o.Reg != RZ && last >= NumGPR {
+		// Every uint8 names a register (R0..R254, or RZ), but a load's
+		// destination group or a store's value group (a source after the
+		// address) must not run off the file.
+		if last := int(o.Reg) + in.Mods.Width.Regs() - 1; last >= NumGPR && o.Reg != RZ &&
+			(dst && in.Op.IsMemRead() || !dst && in.Op.IsMemWrite() && j > 0) {
 			return fmt.Errorf("R%d..R%d register group runs past the register file", o.Reg, last)
 		}
 	case OpdPred:

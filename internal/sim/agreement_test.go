@@ -156,3 +156,21 @@ func TestVerifyAgreesWithLaunch(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocationRuleIsVerifyOnly: IADD R10, R3, 1 in a kernel of 8
+// registers is refused by Verify, which certifies ptxas's register
+// allocation, and run by Launch, which gives every thread at least 16
+// registers: the allocation rule is no operand rule.
+func TestAllocationRuleIsVerifyOnly(t *testing.T) {
+	k := &sass.Kernel{Name: "k", NumRegs: 8, Instrs: []sass.Instruction{
+		sass.New(sass.OpIADD, []sass.Operand{sass.R(10)}, []sass.Operand{sass.R(3), sass.Imm(1)}),
+		sass.New(sass.OpEXIT, nil, nil),
+	}}
+	const want = "R10 exceeds the kernel's register allocation (NumRegs=8)"
+	if msgs := structuralErrors(k, 0); len(msgs) != 1 || msgs[0] != want {
+		t.Errorf("Verify reports %q, want %q", msgs, want)
+	}
+	if err := launchRefusal(sim.NewDevice(sim.MiniGPU()), k); err != nil {
+		t.Errorf("Launch refuses it: %v", err)
+	}
+}

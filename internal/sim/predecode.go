@@ -12,9 +12,9 @@ import (
 // dense flat format — operand kinds resolved (RZ folded to zero,
 // constant-bank offsets bounds-checked once, predicate guards pre-split),
 // scoreboard slot lists precomputed, and static issue costs and result
-// latencies cached. Execution then dispatches on a small class enum to one row kernel
-// per class, run over every executing lane's register rows, instead of
-// per-operand switches and closure iterators. The core takes no
+// latencies cached. Execution then dispatches on a small class enum to one
+// row kernel per class, run over every executing lane's register rows,
+// instead of per-operand switches and closure iterators. The core takes no
 // static-analysis facts: a lane's result is computed from that lane's
 // operands even where the value lattice proves every lane holds the same
 // ones, so a handler or fault that changes one lane's copy propagates as
