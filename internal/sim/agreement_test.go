@@ -10,20 +10,11 @@ import (
 	"sassi/internal/sim"
 )
 
-// agreementBase is a well-formed instruction of op: the operands every
-// form of it has, registers R0.. as destinations and R4.. as sources (a
-// register at a position read as a predicate names the predicate of its
-// number), a memory reference as a memory op's address, a label to the
-// kernel's EXIT as a branch target and a symbol as a JCAL's.
-func agreementBase(op sass.Opcode) sass.Instruction {
-	dsts, srcs := op.MinOperands()
-	in := sass.Instruction{Guard: sass.Always, Op: op}
-	for i := 0; i < dsts; i++ {
-		in.Dsts = append(in.Dsts, sass.R(uint8(i)))
-	}
-	for i := 0; i < srcs; i++ {
-		in.Srcs = append(in.Srcs, sass.R(uint8(4+i)))
-	}
+// agreementBase is wellFormed's instruction of op with a memory reference
+// as a memory op's address, a label to the kernel's EXIT as a branch
+// target and a symbol as a JCAL's.
+func agreementBase(t *testing.T, op sass.Opcode) sass.Instruction {
+	in := wellFormed(t, op)
 	switch {
 	case op == sass.OpBRA || op == sass.OpSSY || op == sass.OpPBK || op == sass.OpCAL:
 		in.Srcs[0] = sass.Operand{Kind: sass.OpdLabel, Name: "exit", Imm: 1}
@@ -107,16 +98,17 @@ func structuralErrors(k *sass.Kernel, pc int) []string {
 // launchRefusal launches k, one CTA of one warp, and returns why Launch
 // refused it before running it, or nil if it ran (whether or not the run
 // faulted: a launch that ran returns its stats).
-func launchRefusal(dev *sim.Device, k *sass.Kernel) error {
+func launchRefusal(t *testing.T, dev *sim.Device, k *sass.Kernel) error {
+	t.Helper()
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	prog.InternHandler("h")
 	stats, err := dev.Launch(prog, k.Name, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32)})
+	if stats == nil && err == nil {
+		t.Fatal("Launch returned neither stats nor an error")
+	}
 	if stats != nil {
 		return nil
-	}
-	if err == nil {
-		panic("Launch returned neither stats nor an error")
 	}
 	return err
 }
@@ -136,7 +128,7 @@ func TestVerifyAgreesWithLaunch(t *testing.T) {
 	dev := sim.NewDevice(cfg)
 	exit := sass.New(sass.OpEXIT, nil, nil)
 	for op := sass.Opcode(0); int(op) < sass.NumOpcodes(); op++ {
-		base := agreementBase(op)
+		base := agreementBase(t, op)
 		vs := malformedVariants(base)
 		if op != sass.OpPBK && op != sass.OpBRK {
 			vs = append(vs, operandVariant{"well-formed", base})
@@ -144,7 +136,7 @@ func TestVerifyAgreesWithLaunch(t *testing.T) {
 		for _, v := range vs {
 			k := &sass.Kernel{Name: "k", NumRegs: sass.NumGPR, Instrs: []sass.Instruction{v.in, exit}}
 			verify := structuralErrors(k, 0)
-			launch := launchRefusal(dev, k)
+			launch := launchRefusal(t, dev, k)
 			switch {
 			case len(verify) == 0 && launch != nil:
 				t.Errorf("%s (%s): Verify accepts it, Launch refuses it: %v", v.in.String(), v.name, launch)
@@ -170,7 +162,7 @@ func TestAllocationRuleIsVerifyOnly(t *testing.T) {
 	if msgs := structuralErrors(k, 0); len(msgs) != 1 || msgs[0] != want {
 		t.Errorf("Verify reports %q, want %q", msgs, want)
 	}
-	if err := launchRefusal(sim.NewDevice(sim.MiniGPU()), k); err != nil {
+	if err := launchRefusal(t, sim.NewDevice(sim.MiniGPU()), k); err != nil {
 		t.Errorf("Launch refuses it: %v", err)
 	}
 }
