@@ -48,6 +48,25 @@ func BenchmarkBuildDeps(b *testing.B) {
 	}
 }
 
+// BenchmarkCheckStructure runs the structural check over every kernel of
+// every workload's base, branch and memdiv programs: one op is the whole
+// set, the admission work Verify does on the compile-only path.
+func BenchmarkCheckStructure(b *testing.B) {
+	var ks []*sass.Kernel
+	for _, name := range workloads.Names() {
+		for _, v := range goldenVariants(name)[:3] {
+			ks = append(ks, compileVariant(b, name, v).Kernels...)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, k := range ks {
+			sinkDiags = analysis.CheckStructure(k)
+		}
+	}
+}
+
 // valuationCeiling is what the value analysis of cfg may allocate: its
 // block-entry states and the replay cursor, one register file each in one
 // array, the cursor's predication view, a state header per block, and a
