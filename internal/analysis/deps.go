@@ -17,8 +17,8 @@
 //     memory instructions reorders every lane of one against every lane of
 //     the other — the proof must cover all pairs, not just one thread.
 //   - Fence edges pinning instructions that order the whole stream:
-//     control transfers (BRA/BRK/CAL/JCAL/RET/EXIT/SYNC), divergence-stack
-//     pushes (SSY/PBK), barriers, atomics, clock reads, and
+//     control transfers (BRA/CAL/JCAL/RET/EXIT/SYNC), divergence-stack
+//     pushes (SSY), barriers, atomics, clock reads, and
 //     SASSI-injected instrumentation sites. A fence is ordered against
 //     every other instruction of its block, which fixes its position under
 //     any topological order.
@@ -125,7 +125,7 @@ func fenceOp(in *sass.Instruction) bool {
 		return true // instrumentation sites must observe the original order
 	}
 	switch in.Op {
-	case sass.OpBRA, sass.OpBRK, sass.OpPBK, sass.OpSSY, sass.OpSYNC,
+	case sass.OpBRA, sass.OpSSY, sass.OpSYNC,
 		sass.OpCAL, sass.OpJCAL, sass.OpRET, sass.OpEXIT, sass.OpBAR:
 		return true
 	case sass.OpS2R:

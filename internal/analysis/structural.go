@@ -7,16 +7,15 @@ import (
 )
 
 // CheckStructure validates the static shape of a kernel: each
-// instruction's opcode and operands by sass.Kernel.CheckInstr, the rule
-// set the launch refuses a kernel by too, and the registers it names
-// within the kernel's allocation; and then the kernel-level rules:
-// branch/SSY/CAL targets resolved and in range (targets are instruction
-// indices, so being "on an instruction boundary" is inherent — a decoded
-// target outside [0,n] is the corruption this catches), a JCAL symbol, an
-// EXIT, control cannot fall off the kernel end, and no opcodes the
-// execution backend rejects (PBK/BRK). Results that are entirely discarded
-// (every destination RZ/PT) are flagged as warnings. It collects every
-// finding with a position.
+// instruction by sass.Kernel.CheckInstr, the rule set the launch refuses a
+// kernel by too, and the register figure CheckInstr returns for it within
+// the kernel's allocation (NumRegs, or the MinRegs every launch gives a
+// thread when the kernel states none); an instruction CheckInstr refuses
+// gets that one finding and no other. Then the rules the launch does not
+// check before it runs: a BRA/SSY/CAL label and a JCAL symbol present, an
+// EXIT, and control unable to fall off the kernel end. Results that are
+// entirely discarded (every destination RZ/PT) are flagged as warnings.
+// It collects every finding with a position.
 func CheckStructure(k *sass.Kernel) []Diagnostic {
 	var diags []Diagnostic
 	bad := func(i int, format string, args ...any) {
@@ -38,31 +37,29 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 		return diags
 	}
 
+	regs := k.NumRegs
+	if regs == 0 {
+		regs = sass.MinRegs
+	}
 	sawExit := false
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
-		if err := k.CheckInstr(i); err != nil {
-			bad(i, "%v", err)
-			if int(in.Op) >= sass.NumOpcodes() {
-				continue
-			}
-		}
 		if in.Op == sass.OpEXIT {
 			sawExit = true
 		}
-		if in.Op == sass.OpPBK || in.Op == sass.OpBRK {
-			bad(i, "%s is not supported by the execution backend", in.Op)
+		gprs, err := k.CheckInstr(i)
+		if err != nil {
+			bad(i, "%v", err)
+			continue
 		}
-		checkAllocation(k, i, in, bad)
+		if gprs > regs {
+			bad(i, "R%d exceeds the kernel's register allocation (NumRegs=%d)", gprs-1, k.NumRegs)
+		}
 
 		switch in.Op {
 		case sass.OpBRA, sass.OpSSY, sass.OpCAL:
 			if t, ok := in.BranchTarget(); !ok || t.Kind != sass.OpdLabel {
 				bad(i, "%s has no label operand", in.Op)
-			} else if t.Imm < 0 {
-				bad(i, "%s target label %q is unresolved", in.Op, t.Name)
-			} else if t.Imm > int64(n) {
-				bad(i, "%s target %d is past the kernel end (%d instructions)", in.Op, t.Imm, n)
 			}
 		case sass.OpJCAL:
 			hasSym := false
@@ -115,29 +112,4 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 		bad(n-1, "control can fall off the kernel end (last instruction is not an unconditional EXIT/BRA/RET/SYNC)")
 	}
 	return diags
-}
-
-// checkAllocation reports the registers in names past k.NumRegs (SP
-// aside), when the kernel states its count. This certifies the compiler's
-// register allocation and is no operand rule: the launch gives every
-// thread at least 16 registers, so it runs such a kernel, and only Verify
-// refuses it.
-func checkAllocation(k *sass.Kernel, i int, in *sass.Instruction, bad func(int, string, ...any)) {
-	if k.NumRegs == 0 {
-		return
-	}
-	for _, ops := range [...][]sass.Operand{in.Dsts, in.Srcs} {
-		for j := range ops {
-			o := &ops[j]
-			if int(o.Reg) < k.NumRegs || o.Reg == sass.RZ || int(o.Reg) == sass.SP {
-				continue
-			}
-			switch o.Kind {
-			case sass.OpdReg:
-				bad(i, "R%d exceeds the kernel's register allocation (NumRegs=%d)", o.Reg, k.NumRegs)
-			case sass.OpdMem:
-				bad(i, "address base R%d exceeds the kernel's register allocation (NumRegs=%d)", o.Reg, k.NumRegs)
-			}
-		}
-	}
 }

@@ -15,17 +15,13 @@ import (
 )
 
 // launchGPRs is the GPR count the launch bounds k by and sizes a warp's
-// scoreboard to: one past the highest register any instruction names.
+// scoreboard to: the highest register figure sass.Kernel.CheckInstr
+// returns for an instruction of k.
 func launchGPRs(k *sass.Kernel) int {
-	var buf [48]uint8
 	n := 0
 	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		for _, r := range in.AppendGPRDsts(in.AppendGPRSrcs(buf[:0])) {
-			if r != sass.RZ {
-				n = max(n, int(r)+1)
-			}
-		}
+		gprs, _ := k.CheckInstr(i)
+		n = max(n, gprs)
 	}
 	return n
 }

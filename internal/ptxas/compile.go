@@ -116,7 +116,7 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 func checkKernel(k *sass.Kernel) error {
 	exit := false
 	for i := range k.Instrs {
-		if err := k.CheckInstr(i); err != nil {
+		if _, err := k.CheckInstr(i); err != nil {
 			return fmt.Errorf("kernel %s@%d: %v", k.Name, i, err)
 		}
 		exit = exit || k.Instrs[i].Op == sass.OpEXIT

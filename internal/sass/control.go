@@ -278,9 +278,6 @@ func (w *ControlWalk) drain() bool {
 				w.push(pc+1, s.div, s.call)
 			}
 
-		case OpPBK, OpBRK:
-			continue // structural check reports these
-
 		case OpBAR:
 			for d := s.div; d != emptyStack; {
 				top, below := stacks.pop(d)

@@ -161,18 +161,9 @@ func (in *Instruction) GPRDsts() []uint8 { return in.AppendGPRDsts(nil) }
 // caller-owned buffer (buf[:0] over a fixed array) keeps hot paths like
 // the simulator's scoreboard allocation-free.
 func (in *Instruction) AppendGPRDsts(buf []uint8) []uint8 {
-	for _, d := range in.Dsts {
-		if d.Kind != OpdReg || d.Reg == RZ {
-			continue
-		}
-		n := 1
-		if in.Op.IsMem() && in.Op.IsMemRead() {
-			n = in.Mods.Width.Regs()
-		} else if in.Mods.Width == W64 {
-			n = 2
-		}
-		for i := 0; i < n; i++ {
-			buf = append(buf, d.Reg+uint8(i))
+	for j := range in.Dsts {
+		if d := &in.Dsts[j]; d.Kind == OpdReg {
+			buf = appendSpan(buf, d.Reg, in.gprSpan(d, true, j))
 		}
 	}
 	return buf
@@ -185,30 +176,40 @@ func (in *Instruction) GPRSrcs() []uint8 { return in.AppendGPRSrcs(nil) }
 // AppendGPRSrcs appends the read GPRs to buf and returns it (see
 // AppendGPRDsts for the buffer discipline).
 func (in *Instruction) AppendGPRSrcs(buf []uint8) []uint8 {
-	add := func(r uint8, n int) {
-		if r == RZ {
-			return
-		}
-		for i := 0; i < n; i++ {
-			buf = append(buf, r+uint8(i))
-		}
+	for j := range in.Srcs {
+		s := &in.Srcs[j]
+		buf = appendSpan(buf, s.Reg, in.gprSpan(s, false, j))
 	}
-	for i, s := range in.Srcs {
-		switch s.Kind {
-		case OpdReg:
-			n := 1
-			// Store data operand is widened with the access width.
-			if in.Op.IsMemWrite() && i > 0 {
-				n = in.Mods.Width.Regs()
-			}
-			add(s.Reg, n)
-		case OpdMem:
-			n := 1
-			if in.Mods.E {
-				n = 2 // 64-bit address in a register pair
-			}
-			add(s.Reg, n)
+	return buf
+}
+
+// gprSpan returns how many consecutive GPRs, from o.Reg, operand o names
+// as in's j-th destination (dst) or source: a load's destination and a
+// store's value (a source after the address) the access width's group, any
+// other 64-bit destination and a .E address a pair, any other register or
+// address one, and RZ and every other kind none. The register lists above
+// and CheckInstr's register figure both count by it.
+func (in *Instruction) gprSpan(o *Operand, dst bool, j int) int {
+	switch {
+	case o.Reg == RZ || o.Kind != OpdReg && o.Kind != OpdMem:
+		return 0
+	case o.Kind == OpdMem:
+		if in.Mods.E {
+			return 2
 		}
+		return 1
+	case dst && in.Op.IsMemRead(), !dst && j > 0 && in.Op.IsMemWrite():
+		return in.Mods.Width.Regs()
+	case dst && in.Mods.Width == W64:
+		return 2
+	}
+	return 1
+}
+
+// appendSpan appends the n registers from r to buf.
+func appendSpan(buf []uint8, r uint8, n int) []uint8 {
+	for i := 0; i < n; i++ {
+		buf = append(buf, r+uint8(i))
 	}
 	return buf
 }

@@ -72,8 +72,11 @@ const (
 	OpBRA  // BRA target                         (predicated => conditional branch)
 	OpSSY  // SSY target                         (push reconvergence point)
 	OpSYNC // SYNC                               (pop divergence stack / reconverge)
-	OpBRK  // BRK                                (break to PBK target)
-	OpPBK  // PBK target                         (push break point)
+	// 47 and 48 are reserved: they were a break-stack pair that nothing
+	// emitted and no backend ran. They stay undefined, so that every other
+	// opcode keeps the number committed encodings carry.
+	_
+	_
 	OpCAL  // CAL target                         (call, pushes return PC)
 	OpJCAL // JCAL sym                           (call linked symbol; SASSI handlers)
 	OpRET  // RET
@@ -99,7 +102,7 @@ var opNames = [...]string{
 	OpLD: "LD", OpST: "ST", OpLDG: "LDG", OpSTG: "STG", OpLDL: "LDL",
 	OpSTL: "STL", OpLDS: "LDS", OpSTS: "STS", OpLDC: "LDC",
 	OpATOM: "ATOM", OpATOMS: "ATOMS", OpRED: "RED", OpTLD: "TLD",
-	OpBRA: "BRA", OpSSY: "SSY", OpSYNC: "SYNC", OpBRK: "BRK", OpPBK: "PBK",
+	OpBRA: "BRA", OpSSY: "SSY", OpSYNC: "SYNC",
 	OpCAL: "CAL", OpJCAL: "JCAL", OpRET: "RET", OpEXIT: "EXIT", OpBAR: "BAR",
 	OpVOTE: "VOTE", OpSHFL: "SHFL",
 }
@@ -127,12 +130,16 @@ var operandKinds = [opCount]struct{ dsts, srcs string }{
 	OpLDL: {"r", "."}, OpSTL: {"", ".."}, OpLDS: {"r", "."}, OpSTS: {"", ".."},
 	OpLDC: {"r", "."}, OpATOM: {"", ".."}, OpATOMS: {"", ".."}, OpRED: {"", ".."},
 	OpTLD: {"r", "."},
-	OpBRA: {"", "."}, OpSSY: {"", "."}, OpPBK: {"", "."}, OpCAL: {"", "."}, OpJCAL: {"", "."},
+	OpBRA: {"", "."}, OpSSY: {"", "."}, OpCAL: {"", "."}, OpJCAL: {"", "."},
 	OpVOTE: {"d", "p"}, OpSHFL: {"pr", "vv"},
 }
 
+// Defined reports whether o is an opcode of the ISA: one with a name, so
+// neither a reserved number nor one past the table.
+func (o Opcode) Defined() bool { return int(o) < len(opNames) && opNames[o] != "" }
+
 // MinOperands returns the fewest destination and source operands every
-// form of the opcode has; o must be defined.
+// form of the opcode has; o must be below NumOpcodes.
 func (o Opcode) MinOperands() (dsts, srcs int) {
 	k := operandKinds[o]
 	return len(k.dsts), len(k.srcs)
@@ -141,53 +148,59 @@ func (o Opcode) MinOperands() (dsts, srcs int) {
 // CheckInstr is the one operand rule set: Verify's structural check, the
 // compiler's output check and the launch all judge instruction i of k by
 // it, so a kernel the verifier accepts is one the simulator runs. It
-// reports the first of: an opcode outside the ISA; a guard past PT; fewer
-// operands than every form of the opcode has; an undefined width; and, in
-// each destination and then each source, a register or predicate at a
-// position read as a predicate that names none (a register there is read
-// as the predicate of its number, so RZ or R8 and above name none), an
-// operand missing, a predicate past PT, a register group or a .E address
-// pair that runs past the register file, a label outside [0, len(k.Instrs)]
-// or an undefined operand kind. Whether a register lies within the
-// kernel's register count is left to the callers: Verify holds the
-// compiler's allocation to NumRegs, the launch to the registers it gives
-// every thread, at least 16.
-func (k *Kernel) CheckInstr(i int) error {
+// reports the first of: an opcode that is not Defined; a guard past PT;
+// fewer operands than every form of the opcode has; an undefined width;
+// and, in each destination and then each source, a register or predicate
+// at a position read as a predicate that names none (a register there is
+// read as the predicate of its number, so RZ or R8 and above name none),
+// an operand missing, a predicate past PT, a label outside
+// [0, len(k.Instrs)], an undefined operand kind or a register group or
+// .E address pair that runs past the register file. On an instruction it
+// accepts, gprs is one past the highest GPR the instruction names, groups
+// and pairs counted whole (gprSpan), or 0 when it names none: the figure
+// both callers bound, Verify by the kernel's NumRegs and the launch by the
+// registers it gives every thread, NumRegs but at least MinRegs.
+func (k *Kernel) CheckInstr(i int) (gprs int, err error) {
 	in := &k.Instrs[i]
-	if in.Op >= opCount {
-		return fmt.Errorf("undefined opcode %d", in.Op)
+	if !in.Op.Defined() {
+		return 0, fmt.Errorf("undefined opcode %d", in.Op)
 	}
 	if in.Guard.Reg > PT {
-		return fmt.Errorf("guard references undefined predicate P%d", in.Guard.Reg)
+		return 0, fmt.Errorf("guard references undefined predicate P%d", in.Guard.Reg)
 	}
 	kinds := operandKinds[in.Op]
 	if len(in.Dsts) < len(kinds.dsts) {
-		return fmt.Errorf("%s has %d destination operands, needs %d", in.Op, len(in.Dsts), len(kinds.dsts))
+		return 0, fmt.Errorf("%s has %d destination operands, needs %d", in.Op, len(in.Dsts), len(kinds.dsts))
 	}
 	if len(in.Srcs) < len(kinds.srcs) {
-		return fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), len(kinds.srcs))
+		return 0, fmt.Errorf("%s has %d source operands, needs %d", in.Op, len(in.Srcs), len(kinds.srcs))
 	}
 	switch in.Mods.Width {
 	case 0, W8, W16, W32, W64, W128:
 	default:
-		return fmt.Errorf("undefined width modifier %d", in.Mods.Width)
+		return 0, fmt.Errorf("undefined width modifier %d", in.Mods.Width)
 	}
 	for j := range in.Dsts {
-		if err := k.checkOperand(in, &in.Dsts[j], true, j, kinds.dsts); err != nil {
-			return err
+		end, err := k.checkOperand(in, &in.Dsts[j], true, j, kinds.dsts)
+		if err != nil {
+			return 0, err
 		}
+		gprs = max(gprs, end)
 	}
 	for j := range in.Srcs {
-		if err := k.checkOperand(in, &in.Srcs[j], false, j, kinds.srcs); err != nil {
-			return err
+		end, err := k.checkOperand(in, &in.Srcs[j], false, j, kinds.srcs)
+		if err != nil {
+			return 0, err
 		}
+		gprs = max(gprs, end)
 	}
-	return nil
+	return gprs, nil
 }
 
 // checkOperand checks o, in's j-th destination (dst) or source, whose
-// position the opcode reads as kinds[j] (operandKinds).
-func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kinds string) error {
+// position the opcode reads as kinds[j] (operandKinds), and returns one
+// past the last GPR it names, 0 when it names none.
+func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kinds string) (end int, err error) {
 	kind := byte('.')
 	if j < len(kinds) {
 		kind = kinds[j]
@@ -203,51 +216,50 @@ func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kind
 		if dst {
 			what = "destination"
 		}
-		return fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, j, *o)
+		return 0, fmt.Errorf("%s %s %d (%s) is read as a predicate and names none", in.Op, what, j, *o)
 	}
 	switch o.Kind {
 	case OpdNone:
 		if !dst {
 			j += len(in.Dsts) // operands are numbered across both lists
 		}
-		return fmt.Errorf("operand %d is missing", j)
-	case OpdReg:
-		// Every uint8 names a register (R0..R254, or RZ), but a load's
-		// destination group or a store's value group (a source after the
-		// address) must not run off the file.
-		if last := int(o.Reg) + in.Mods.Width.Regs() - 1; last >= NumGPR && o.Reg != RZ &&
-			(dst && in.Op.IsMemRead() || !dst && in.Op.IsMemWrite() && j > 0) {
-			return fmt.Errorf("R%d..R%d register group runs past the register file", o.Reg, last)
-		}
+		return 0, fmt.Errorf("operand %d is missing", j)
 	case OpdPred:
 		if o.Reg > PT {
-			return fmt.Errorf("undefined predicate P%d", o.Reg)
-		}
-	case OpdMem:
-		if in.Mods.E && o.Reg != RZ && int(o.Reg)+1 >= NumGPR {
-			return fmt.Errorf("64-bit address pair R%d..R%d runs past the register file", o.Reg, int(o.Reg)+1)
+			return 0, fmt.Errorf("undefined predicate P%d", o.Reg)
 		}
 	case OpdLabel:
-		if n := len(k.Instrs); o.Imm < 0 || o.Imm > int64(n) {
-			return fmt.Errorf("label %q resolves outside the kernel (%d of %d instructions)", o.Name, o.Imm, n)
+		if o.Imm < 0 {
+			return 0, fmt.Errorf("label %q is unresolved", o.Name)
 		}
-	case OpdImm, OpdCMem, OpdSReg, OpdSym:
-		// Always well-formed as encoded.
+		if n := len(k.Instrs); o.Imm > int64(n) {
+			return 0, fmt.Errorf("label %q (%d) is past the kernel end (%d instructions)", o.Name, o.Imm, n)
+		}
+	case OpdReg, OpdMem, OpdImm, OpdCMem, OpdSReg, OpdSym:
+		// Every uint8 names a register (R0..R254, or RZ).
 	default:
-		return fmt.Errorf("undefined operand kind %d", o.Kind)
+		return 0, fmt.Errorf("undefined operand kind %d", o.Kind)
 	}
-	return nil
+	n := in.gprSpan(o, dst, j)
+	if n == 0 {
+		return 0, nil
+	}
+	if end = int(o.Reg) + n; end > NumGPR {
+		return 0, fmt.Errorf("R%d..R%d runs past the register file", o.Reg, end-1)
+	}
+	return end, nil
 }
 
 // String returns the SASS mnemonic for the opcode.
 func (o Opcode) String() string {
-	if int(o) < len(opNames) && opNames[o] != "" {
+	if o.Defined() {
 		return opNames[o]
 	}
 	return fmt.Sprintf("OP(%d)", uint8(o))
 }
 
-// NumOpcodes reports the number of defined opcodes (for table sizing).
+// NumOpcodes reports one past the highest opcode number, for table sizing
+// and for walking every number; the reserved ones are not Defined.
 func NumOpcodes() int { return int(opCount) }
 
 // Instruction classification, mirroring the SASSIBeforeParams query methods
@@ -282,7 +294,7 @@ func (o Opcode) IsSpillOrFill() bool { return MemSpaceOf(o) == MemLocal }
 // IsControlXfer reports whether the opcode may transfer control.
 func (o Opcode) IsControlXfer() bool {
 	switch o {
-	case OpBRA, OpBRK, OpCAL, OpJCAL, OpRET, OpEXIT, OpSYNC:
+	case OpBRA, OpCAL, OpJCAL, OpRET, OpEXIT, OpSYNC:
 		return true
 	}
 	return false

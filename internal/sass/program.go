@@ -30,6 +30,10 @@ const (
 	ParamBase = 0x140
 )
 
+// MinRegs is the fewest registers a launch gives a thread, whatever its
+// kernel's NumRegs; Verify holds a kernel that states no NumRegs to it.
+const MinRegs = 16
+
 // Kernel is one compiled GPU entry point: a flat instruction sequence plus
 // the resources the launch needs to reserve.
 type Kernel struct {

@@ -47,12 +47,12 @@ func TestValidateCatchesBadInstr(t *testing.T) {
 	}
 	for name, in := range cases {
 		k := &Kernel{Name: "k", Instrs: []Instruction{in, exit}}
-		if err := k.CheckInstr(0); err == nil {
+		if _, err := k.CheckInstr(0); err == nil {
 			t.Errorf("%s: validation passed unexpectedly", name)
 		}
 	}
 	good := Kernel{Name: "k", Instrs: []Instruction{exit}}
-	if err := good.CheckInstr(0); err != nil {
+	if _, err := good.CheckInstr(0); err != nil {
 		t.Errorf("good kernel rejected: %v", err)
 	}
 }

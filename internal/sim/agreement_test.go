@@ -12,11 +12,15 @@ import (
 
 // agreementBase is wellFormed's instruction of op with a memory reference
 // as a memory op's address, a label to the kernel's EXIT as a branch
-// target and a symbol as a JCAL's.
+// target and a symbol as a JCAL's; for a reserved opcode number, one with
+// no operands.
 func agreementBase(t *testing.T, op sass.Opcode) sass.Instruction {
+	if !op.Defined() {
+		return sass.Instruction{Guard: sass.Always, Op: op}
+	}
 	in := wellFormed(t, op)
 	switch {
-	case op == sass.OpBRA || op == sass.OpSSY || op == sass.OpPBK || op == sass.OpCAL:
+	case op == sass.OpBRA || op == sass.OpSSY || op == sass.OpCAL:
 		in.Srcs[0] = sass.Operand{Kind: sass.OpdLabel, Name: "exit", Imm: 1}
 	case op == sass.OpJCAL:
 		in.Srcs[0] = sass.Sym("h")
@@ -115,13 +119,12 @@ func launchRefusal(t *testing.T, dev *sim.Device, k *sass.Kernel) error {
 
 // TestVerifyAgreesWithLaunch: analysis.CheckStructure reports an error at
 // an instruction exactly when Launch refuses its kernel before running it,
-// for every opcode well formed and with each malformed variant
-// (malformedVariants), and the launch's error carries Verify's first
-// message there: both judge an instruction by sass.Kernel.CheckInstr. The
-// kernel is the instruction and EXIT, with every register allocated, so
-// the allocation rule (Verify only) never fires. CheckStructure refuses
-// PBK and BRK whatever their operands, which the backend faults on only
-// when they issue, so their well-formed forms are left out.
+// for every opcode number, reserved ones included, as agreementBase builds
+// it and with each malformed variant (malformedVariants), and the launch's
+// error carries Verify's first message there: both judge an instruction by
+// sass.Kernel.CheckInstr. The kernel is the instruction and EXIT, with
+// every register allocated, so the allocation rule (Verify only) never
+// fires.
 func TestVerifyAgreesWithLaunch(t *testing.T) {
 	cfg := sim.MiniGPU()
 	cfg.WatchdogWarpInstrs = 1 << 12
@@ -129,10 +132,7 @@ func TestVerifyAgreesWithLaunch(t *testing.T) {
 	exit := sass.New(sass.OpEXIT, nil, nil)
 	for op := sass.Opcode(0); int(op) < sass.NumOpcodes(); op++ {
 		base := agreementBase(t, op)
-		vs := malformedVariants(base)
-		if op != sass.OpPBK && op != sass.OpBRK {
-			vs = append(vs, operandVariant{"well-formed", base})
-		}
+		vs := append(malformedVariants(base), operandVariant{"base", base})
 		for _, v := range vs {
 			k := &sass.Kernel{Name: "k", NumRegs: sass.NumGPR, Instrs: []sass.Instruction{v.in, exit}}
 			verify := structuralErrors(k, 0)
@@ -164,5 +164,57 @@ func TestAllocationRuleIsVerifyOnly(t *testing.T) {
 	}
 	if err := launchRefusal(t, sim.NewDevice(sim.MiniGPU()), k); err != nil {
 		t.Errorf("Launch refuses it: %v", err)
+	}
+}
+
+// TestKernelAdmissionAgrees extends TestVerifyAgreesWithLaunch from the
+// instruction to the kernel: analysis.CheckStructure reports an error
+// exactly when Launch refuses the kernel before running it, on every row
+// but those marked verifyOnly, where Verify refuses a kernel that Launch
+// runs, for the reason given. A JCAL to a symbol the program does not link
+// is refused by neither: the launch fails it when it issues (the program
+// it is linked into is the launch's, not the kernel's).
+func TestKernelAdmissionAgrees(t *testing.T) {
+	cfg := sim.MiniGPU()
+	cfg.WatchdogWarpInstrs = 1 << 12
+	dev := sim.NewDevice(cfg)
+	exit := sass.New(sass.OpEXIT, nil, nil)
+	mov := sass.New(sass.OpMOV32, []sass.Operand{sass.R(2)}, []sass.Operand{sass.Imm(1)})
+	bra := func(target int64) sass.Instruction {
+		return sass.New(sass.OpBRA, nil, []sass.Operand{{Kind: sass.OpdLabel, Name: "l", Imm: target}})
+	}
+	kernel := func(numRegs int, ins ...sass.Instruction) *sass.Kernel {
+		return &sass.Kernel{Name: "k", NumRegs: numRegs, Instrs: ins}
+	}
+	ldg64 := sass.Instruction{Guard: sass.Always, Op: sass.OpLDG, Mods: sass.Mods{Width: sass.W64},
+		Dsts: []sass.Operand{sass.R(19)}, Srcs: []sass.Operand{sass.Mem(4, 0)}}
+	iadd20 := sass.New(sass.OpIADD, []sass.Operand{sass.R(20)}, []sass.Operand{sass.R(3), sass.Imm(1)})
+	for _, c := range []struct {
+		name       string
+		k          *sass.Kernel
+		verifyOnly string
+	}{
+		{"empty", kernel(16), "the launch judges instructions; with none, the first issue falls off the end"},
+		{"no EXIT", kernel(16, mov, bra(0)), "the launch does not trace control flow; the watchdog stops a warp that never exits"},
+		{"falls off the end", kernel(16, mov, exit.WithGuard(sass.PredGuard{Reg: 0})),
+			"the launch does not trace control flow; a warp that reaches the end faults there"},
+		{"branch past the end", kernel(16, bra(3), exit), ""},
+		{"unresolved branch", kernel(16, bra(-1), exit), ""},
+		{"JCAL to an unlinked symbol", kernel(16, sass.New(sass.OpJCAL, nil, []sass.Operand{sass.Sym("unlinked")}), exit), ""},
+		{"LDG.64 R19 at NumRegs 20", kernel(20, ldg64, exit), ""},
+		{"IADD R20 at NumRegs 0", kernel(0, iadd20, exit), ""},
+	} {
+		verify := analysis.Errors(analysis.CheckStructure(c.k))
+		launch := launchRefusal(t, dev, c.k)
+		switch {
+		case c.verifyOnly != "":
+			if len(verify) == 0 || launch != nil {
+				t.Errorf("%s: listed as refused by Verify only, but Verify reports %v and Launch refuses with %v", c.name, verify, launch)
+			}
+		case len(verify) == 0 && launch != nil:
+			t.Errorf("%s: Verify accepts it, Launch refuses it: %v", c.name, launch)
+		case len(verify) > 0 && launch == nil:
+			t.Errorf("%s: Verify refuses it (%v), Launch runs it", c.name, verify)
+		}
 	}
 }

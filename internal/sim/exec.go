@@ -284,11 +284,6 @@ func (e *engine) execOp(w *Warp, in *sass.Instruction, exec uint32, cost int) (b
 			w.Done = true
 		}
 
-	case sass.OpPBK, sass.OpBRK:
-		// The compiler expresses loop exits through the SSY/SYNC idiom;
-		// break tokens are defined by the ISA but never emitted.
-		return false, cost, e.fail(w, ErrInvalid, "PBK/BRK are not supported by this backend")
-
 	case sass.OpEXIT:
 		w.exitLanes(exec)
 		if w.Active == 0 {

@@ -116,7 +116,7 @@ func (h *warpHarness) kernel(t *testing.T) *sass.Kernel {
 func requireWellFormed(t *testing.T, k *sass.Kernel) {
 	t.Helper()
 	for i := range k.Instrs {
-		if err := k.CheckInstr(i); err != nil {
+		if _, err := k.CheckInstr(i); err != nil {
 			t.Fatalf("%s@%d: %v", k.Name, i, err)
 		}
 	}

@@ -191,9 +191,6 @@ func (e *FenceError) Error() string {
 	return fmt.Sprintf("sim: kernel %s: CTA %d pc=%d: global %s outside the fence", e.Kernel, e.CTA, e.PC, e.Access)
 }
 
-// minRegs is the fewest registers a thread has, whatever its kernel asks.
-const minRegs = 16
-
 // warpCode is what a warp takes from the kernel it runs.
 type warpCode struct {
 	k *sass.Kernel
@@ -236,7 +233,8 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (warp
 			c.spans[id] = "handler:" + sym
 		}
 	}
-	c.numRegs = max(c.numRegs, minRegs)
+	// Every register an admitted kernel names lies below both bounds.
+	c.numRegs = min(max(c.numRegs, sass.MinRegs), sass.NumGPR)
 	if c.localBytes == 0 {
 		c.localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
 	}

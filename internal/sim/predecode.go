@@ -24,8 +24,8 @@ import (
 // atomics and memory shapes no class takes. A SASSI handler call has a
 // class too: its symbol is resolved once per launch, not per call. A
 // kernel with an instruction sass.Kernel.CheckInstr refuses — the rule set
-// Verify judges it by too — or a register past the kernel's count is
-// refused at launch (preKernel.err), whichever loop runs it.
+// Verify judges it by too — or whose register figure is past the kernel's
+// count is refused at launch (preKernel.err), whichever loop runs it.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -169,8 +169,9 @@ type preKernel struct {
 	// slots holds every instruction's scoreboard slot lists, one after
 	// another (preInstr.sb).
 	slots []uint16
-	// sbSlots is the size of a warp's scoreboard for k: the GPR slots
-	// (scoreboardGPRs), then the predicates and the CC.
+	// sbSlots is the size of a warp's scoreboard for k: a slot per GPR up
+	// to the highest any instruction names (sass.Kernel.CheckInstr's
+	// figure), then the predicates and the CC.
 	sbSlots int
 	// sitePCs, when k is a kernel with injected after-blocks (TwinSite),
 	// holds the index of each of its other instructions, in order, and then
@@ -182,9 +183,9 @@ type preKernel struct {
 	// A launch resolves them against the warp's program (warpCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
-	// err, when non-nil, is why k cannot run: an instruction
-	// sass.Kernel.CheckInstr refuses, or a register past the kernel's
-	// register count. Nothing else is filled in then.
+	// err, when non-nil, is why k cannot run: the first instruction
+	// sass.Kernel.CheckInstr refuses or whose register figure is past the
+	// registers a thread gets. Nothing else is filled in then.
 	err error
 }
 
@@ -192,7 +193,7 @@ type preKernel struct {
 // neither block the warp nor redirect control (afterBlocks).
 func straightLine(op sass.Opcode) bool {
 	switch op {
-	case sass.OpBRA, sass.OpSYNC, sass.OpBRK, sass.OpPBK, sass.OpEXIT,
+	case sass.OpBRA, sass.OpSYNC, sass.OpEXIT,
 		sass.OpCAL, sass.OpRET, sass.OpJCAL, sass.OpBAR:
 		return false
 	}
@@ -204,14 +205,16 @@ func straightLine(op sass.Opcode) bool {
 // offsets are validated against the size every launch of the kernel uses,
 // a function of its parameter layout.
 func predecode(k *sass.Kernel) any {
+	regs, gprs := max(k.NumRegs, sass.MinRegs), 0
 	for i := range k.Instrs {
-		if err := k.CheckInstr(i); err != nil {
+		n, err := k.CheckInstr(i)
+		if err == nil && n > regs {
+			err = fmt.Errorf("names R%d, the kernel has %d registers", n-1, regs)
+		}
+		if err != nil {
 			return &preKernel{k: k, err: fmt.Errorf("pc=%d: %v", i, err)}
 		}
-	}
-	gprs := scoreboardGPRs(k)
-	if regs := max(k.NumRegs, minRegs); gprs > regs {
-		return &preKernel{k: k, err: fmt.Errorf("names R%d, the kernel has %d registers", gprs-1, regs)}
+		gprs = max(gprs, n)
 	}
 	// The built-in workloads' instructions name 2.9 slots on average.
 	pk := &preKernel{k: k, ins: make([]preInstr, len(k.Instrs)), sbSlots: gprs + sbTail,

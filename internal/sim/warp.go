@@ -63,7 +63,7 @@ type Warp struct {
 	// Scoreboard state for the stall model: clock is the warp's local
 	// issue clock, readyAt[slot] the clock value at which the register
 	// behind slot is readable without a stall. Slots are the GPRs the
-	// kernel names, then the seven predicates, then the CC (scoreboardGPRs,
+	// kernel names, then the seven predicates, then the CC (predecode,
 	// sbPred, sbCC). Both live in the warp so the model is per-warp
 	// deterministic: cycles do not depend on how SMs or sibling warps
 	// interleave, which keeps parallel and sequential engines bit-equal.
@@ -78,22 +78,6 @@ func (w *Warp) sbCC() int          { return len(w.readyAt) - 1 }
 
 // sbTail is the number of scoreboard slots after the GPRs: P0..P6, CC.
 const sbTail = sass.NumPred + 1
-
-// scoreboardGPRs returns how many GPR scoreboard slots k needs: one past
-// the highest register any instruction names.
-func scoreboardGPRs(k *sass.Kernel) int {
-	var buf [48]uint8
-	n := 0
-	for i := range k.Instrs {
-		in := &k.Instrs[i]
-		for _, r := range in.AppendGPRDsts(in.AppendGPRSrcs(buf[:0])) {
-			if r != sass.RZ {
-				n = max(n, int(r)+1)
-			}
-		}
-	}
-	return n
-}
 
 // scoreboard charges the warp's issue-stage hazards for in: it computes
 // the read-after-write/write-after-write stall against readyAt, advances
