@@ -190,20 +190,25 @@ func (in *Instruction) AppendGPRSrcs(buf []uint8) []uint8 {
 // address one, and RZ and every other kind none. The register lists above
 // and CheckInstr's register figure both count by it.
 func (in *Instruction) gprSpan(o *Operand, dst bool, j int) int {
-	switch {
-	case o.Reg == RZ || o.Kind != OpdReg && o.Kind != OpdMem:
+	if o.Reg == RZ {
 		return 0
-	case o.Kind == OpdMem:
+	}
+	switch o.Kind {
+	case OpdMem:
 		if in.Mods.E {
 			return 2
 		}
 		return 1
-	case dst && in.Op.IsMemRead(), !dst && j > 0 && in.Op.IsMemWrite():
-		return in.Mods.Width.Regs()
-	case dst && in.Mods.Width == W64:
-		return 2
+	case OpdReg:
+		if dst && in.Op.IsMemRead() || !dst && j > 0 && in.Op.IsMemWrite() {
+			return in.Mods.Width.Regs()
+		}
+		if dst && in.Mods.Width == W64 {
+			return 2
+		}
+		return 1
 	}
-	return 1
+	return 0
 }
 
 // appendSpan appends the n registers from r to buf.

@@ -235,17 +235,18 @@ func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kind
 		if n := len(k.Instrs); o.Imm > int64(n) {
 			return 0, fmt.Errorf("label %q (%d) is past the kernel end (%d instructions)", o.Name, o.Imm, n)
 		}
-	case OpdReg, OpdMem, OpdImm, OpdCMem, OpdSReg, OpdSym:
-		// Every uint8 names a register (R0..R254, or RZ).
+	case OpdReg, OpdMem:
+		// Every uint8 names a register (R0..R254, or RZ), but a group or
+		// a pair must not run off the file.
+		if n := in.gprSpan(o, dst, j); n > 0 {
+			if end = int(o.Reg) + n; end > NumGPR {
+				return 0, fmt.Errorf("R%d..R%d runs past the register file", o.Reg, end-1)
+			}
+		}
+	case OpdImm, OpdCMem, OpdSReg, OpdSym:
+		// Always well formed as encoded.
 	default:
 		return 0, fmt.Errorf("undefined operand kind %d", o.Kind)
-	}
-	n := in.gprSpan(o, dst, j)
-	if n == 0 {
-		return 0, nil
-	}
-	if end = int(o.Reg) + n; end > NumGPR {
-		return 0, fmt.Errorf("R%d..R%d runs past the register file", o.Reg, end-1)
 	}
 	return end, nil
 }
