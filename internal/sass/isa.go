@@ -158,8 +158,8 @@ func (o Opcode) MinOperands() (dsts, srcs int) {
 // .E address pair that runs past the register file. On an instruction it
 // accepts, gprs is one past the highest GPR the instruction names, groups
 // and pairs counted whole (gprSpan), or 0 when it names none: the figure
-// both callers bound, Verify by the kernel's NumRegs and the launch by the
-// registers it gives every thread, NumRegs but at least MinRegs.
+// Verify bounds by the kernel's NumRegs and the launch by the registers it
+// gives every thread, NumRegs but at least MinRegs.
 func (k *Kernel) CheckInstr(i int) (gprs int, err error) {
 	in := &k.Instrs[i]
 	if !in.Op.Defined() {
@@ -244,7 +244,7 @@ func (k *Kernel) checkOperand(in *Instruction, o *Operand, dst bool, j int, kind
 			}
 		}
 	case OpdImm, OpdCMem, OpdSReg, OpdSym:
-		// Always well formed as encoded.
+		// Always well-formed as encoded.
 	default:
 		return 0, fmt.Errorf("undefined operand kind %d", o.Kind)
 	}

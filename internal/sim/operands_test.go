@@ -101,11 +101,13 @@ func TestMissingOperandsRefusedAtLaunch(t *testing.T) {
 // (@P9 MOV R0, R1), and a register past the kernel's count. Each used to
 // index the predicate file or the register rows out of range inside an SM
 // goroutine, on both loops, and kill the process. (CheckInstr refuses all
-// but the last too.)
+// but the last too.) A reserved opcode number, which names no operation,
+// is refused the same way.
 func TestMisreadOperandsRefusedAtLaunch(t *testing.T) {
 	for op := sass.Opcode(0); int(op) < sass.NumOpcodes(); op++ {
 		if !op.Defined() {
-			continue // no form to misread (TestVerifyAgreesWithLaunch)
+			requireRefused(t, fmt.Sprintf("%s/bare", op), sass.Instruction{Guard: sass.Always, Op: op})
+			continue
 		}
 		full := wellFormed(t, op)
 		in := full.Clone()
