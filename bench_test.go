@@ -247,27 +247,3 @@ func BenchmarkAblationLineSize(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkAblationIfConvert measures the backend's short-branch
-// predication: cycles with and without if-conversion.
-func BenchmarkAblationIfConvert(b *testing.B) {
-	run := func(noIfCvt bool) uint64 {
-		spec, _ := workloads.Get("rodinia.pathfinder")
-		prog, err := spec.Compile(ptxas.Options{NoIfConvert: noIfCvt})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ctx := cuda.NewContext(sim.KeplerK10())
-		if _, err := spec.Run(ctx, prog, spec.DefaultDataset()); err != nil {
-			b.Fatal(err)
-		}
-		return ctx.TotalKernelCycles
-	}
-	for i := 0; i < b.N; i++ {
-		with := run(false)
-		without := run(true)
-		if i == 0 {
-			b.ReportMetric(float64(without)/float64(with), "cycles-ratio-noifcvt/ifcvt")
-		}
-	}
-}

@@ -10,18 +10,6 @@ import (
 
 // Options configure the backend.
 type Options struct {
-	// MaxRegs caps per-thread register use (nvcc -maxrregcount). Zero
-	// means the hardware limit. The backend has no spiller; exceeding the
-	// cap is a compile error.
-	MaxRegs int
-
-	// NoIfConvert disables predication of short branches (ablation knob).
-	NoIfConvert bool
-
-	// NoCopyProp disables PTX-level copy propagation and dead code
-	// elimination (ablation knob).
-	NoCopyProp bool
-
 	// Schedule enables the post-RA list scheduler (schedule.go): each
 	// block is reordered into a stall-minimizing topological order of the
 	// dependence DAG, with provenance recorded in Kernel.SchedOrig for the
@@ -42,8 +30,7 @@ type Options struct {
 // CacheKey returns a string uniquely identifying these options, for use as
 // part of a compile-cache key.
 func (o Options) CacheKey() string {
-	return fmt.Sprintf("maxregs=%d ifcvt=%t copyprop=%t sched=%t schedseed=%d verify=%t",
-		o.MaxRegs, !o.NoIfConvert, !o.NoCopyProp,
+	return fmt.Sprintf("sched=%t schedseed=%d verify=%t",
 		o.Schedule, o.SchedSeed, o.Verify.Enabled())
 }
 
@@ -71,17 +58,15 @@ func Compile(m *ptx.Module, opts Options) (*sass.Program, error) {
 
 // CompileFunc lowers a single kernel.
 func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
-	if !opts.NoCopyProp {
-		st := newValueStats(f)
-		copyPropagate(f, st)
-		deadCodeEliminate(f, st)
-		reduceDeadAtomics(f, st)
-	}
+	st := newValueStats(f)
+	copyPropagate(f, st)
+	deadCodeEliminate(f, st)
+	reduceDeadAtomics(f, st)
 	ivs, err := liveAnalysis(f)
 	if err != nil {
 		return nil, fmt.Errorf("ptxas: %s: %w", f.Name, err)
 	}
-	alloc, err := allocate(ivs, opts.MaxRegs)
+	alloc, err := allocate(ivs)
 	if err != nil {
 		return nil, fmt.Errorf("ptxas: %s: %w", f.Name, err)
 	}
@@ -94,9 +79,7 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 		return nil, err
 	}
 	coalesceMovs(k)
-	if !opts.NoIfConvert {
-		ifConvert(k)
-	}
+	ifConvert(k)
 	if err := k.ResolveLabels(); err != nil {
 		return nil, fmt.Errorf("ptxas: %w", err)
 	}

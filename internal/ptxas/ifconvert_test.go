@@ -49,27 +49,33 @@ func TestIfConvertPredicatesShortBranches(t *testing.T) {
 	}
 }
 
-// TestNoIfConvertKeepsBranch: the ablation knob preserves the divergence
-// idiom.
-func TestNoIfConvertKeepsBranch(t *testing.T) {
-	k := buildGuardedStore(t, ptxas.Options{NoIfConvert: true})
+// TestIfConvertKeepsLongBranch: a body longer than the if-conversion
+// limit keeps the divergence idiom.
+func TestIfConvertKeepsLongBranch(t *testing.T) {
+	k := buildLongGuardedStore(t)
 	dis := k.Disassemble()
 	if !strings.Contains(dis, "SSY") || !strings.Contains(dis, "SYNC") {
-		t.Errorf("expected SSY/SYNC with if-conversion disabled:\n%s", dis)
+		t.Errorf("expected SSY/SYNC around a long body:\n%s", dis)
 	}
 }
 
-// TestCopyPropShrinksCode: copy propagation + DCE must strictly reduce the
-// instruction count of builder-generated code, and if-conversion must
-// shrink it further.
-func TestCopyPropShrinksCode(t *testing.T) {
-	with := len(buildGuardedStore(t, ptxas.Options{}).Instrs)
-	without := len(buildGuardedStore(t, ptxas.Options{NoCopyProp: true, NoIfConvert: true}).Instrs)
-	withNoCvt := len(buildGuardedStore(t, ptxas.Options{NoIfConvert: true}).Instrs)
-	if withNoCvt >= without {
-		t.Errorf("copy-prop did not shrink code: %d -> %d", without, withNoCvt)
+// buildLongGuardedStore is buildGuardedStore with more stores in the body
+// than if-conversion predicates.
+func buildLongGuardedStore(t *testing.T) *sass.Kernel {
+	t.Helper()
+	b := ptx.NewKernel("k")
+	p := b.ParamU64("p")
+	i := b.GlobalTidX()
+	b.If(b.SetpI(sass.CmpLT, i, 10), func() {
+		for off := int64(0); off < 9; off++ {
+			b.StGlobalU32(p, off*4, i)
+		}
+	})
+	m := ptx.NewModule()
+	m.Add(b.MustDone())
+	prog, err := ptxas.Compile(m, ptxas.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if with >= withNoCvt {
-		t.Errorf("if-conversion did not shrink code further: %d -> %d", withNoCvt, with)
-	}
+	return prog.Kernels[0]
 }

@@ -94,3 +94,22 @@ func TestCompileLowersDeadAtomicWithoutDst(t *testing.T) {
 		t.Fatalf("compiled kernel: %d atomics with dst, %d without; want 1 and 1", withDst, without)
 	}
 }
+
+// TestCopyPropShrinksCode: copy propagation and dead-code elimination must
+// strictly reduce the instruction count of builder-generated code.
+func TestCopyPropShrinksCode(t *testing.T) {
+	b := ptx.NewKernel("k")
+	p := b.ParamU64("p")
+	i := b.GlobalTidX()
+	b.If(b.SetpI(sass.CmpLT, i, 10), func() {
+		b.StGlobalU32(b.Index(p, i, 2), 0, i)
+	})
+	f := b.MustDone()
+	before := len(f.Instrs)
+	st := newValueStats(f)
+	copyPropagate(f, st)
+	deadCodeEliminate(f, st)
+	if after := len(f.Instrs); after >= before {
+		t.Errorf("copy-prop did not shrink code: %d -> %d", before, after)
+	}
+}

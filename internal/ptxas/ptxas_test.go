@@ -1,6 +1,7 @@
 package ptxas_test
 
 import (
+	"strings"
 	"testing"
 
 	"sassi/internal/ptx"
@@ -94,11 +95,13 @@ func TestSPIsNeverAllocated(t *testing.T) {
 	}
 }
 
-func TestMaxRegsExceededIsError(t *testing.T) {
+// TestOutOfRegistersIsError: more simultaneously live values than the
+// register file holds is a compile error, since the backend has no spiller.
+func TestOutOfRegistersIsError(t *testing.T) {
 	b := ptx.NewKernel("k")
 	out := b.ParamU64("out")
 	var vals []ptx.Value
-	for i := 0; i < 30; i++ {
+	for i := 0; i < sass.NumGPR+5; i++ {
 		vals = append(vals, b.AddI(b.TidX(), int64(i)))
 	}
 	sum := b.Var(b.ImmU32(0))
@@ -108,8 +111,9 @@ func TestMaxRegsExceededIsError(t *testing.T) {
 	b.StGlobalU32(out, 0, sum)
 	m := ptx.NewModule()
 	m.Add(b.MustDone())
-	if _, err := ptxas.Compile(m, ptxas.Options{MaxRegs: 8}); err == nil {
-		t.Error("register cap exceeded without error")
+	_, err := ptxas.Compile(m, ptxas.Options{})
+	if err == nil || !strings.Contains(err.Error(), "out of registers") {
+		t.Errorf("err = %v, want out of registers", err)
 	}
 }
 

@@ -190,12 +190,9 @@ type allocation struct {
 //
 // R1 is reserved as the ABI stack pointer. 64-bit values take an aligned
 // even/odd register pair.
-func allocate(ivs []interval, maxRegs int) (*allocation, error) {
-	if maxRegs <= 0 || maxRegs > sass.NumGPR {
-		maxRegs = sass.NumGPR
-	}
+func allocate(ivs []interval) (*allocation, error) {
 	a := &allocation{reg: map[int32]uint8{}, pred: map[int32]uint8{}}
-	inUse := make([]int32, maxRegs) // -1 free, else vreg id
+	inUse := make([]int32, sass.NumGPR) // -1 free, else vreg id
 	for i := range inUse {
 		inUse[i] = -1
 	}
@@ -274,7 +271,7 @@ func allocate(ivs []interval, maxRegs int) (*allocation, error) {
 			}
 		}
 		if got == -1 {
-			return nil, fmt.Errorf("ptxas: out of registers (cap %d): kernel needs spilling, which this backend does not implement — raise -maxrregcount", maxRegs)
+			return nil, fmt.Errorf("ptxas: out of registers (%d): kernel needs spilling, which this backend does not implement", sass.NumGPR)
 		}
 		for j := 0; j < need; j++ {
 			inUse[got+j] = iv.v

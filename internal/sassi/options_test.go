@@ -25,7 +25,7 @@ func buildMixed(t *testing.T) *sass.Program {
 	})
 	m := ptx.NewModule()
 	m.Add(b.MustDone())
-	prog, err := ptxas.Compile(m, ptxas.Options{NoIfConvert: true})
+	prog, err := ptxas.Compile(m, ptxas.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,20 +29,28 @@ func perLane(fn func(c device.Lane, args sassi.HandlerArgs)) sassi.HandlerFunc {
 	}
 }
 
-// runProbe compiles the store kernel out[i] = i, instruments per opts, and
-// runs with the probe handler.
-func runProbe(t *testing.T, opts sassi.Options, compile ptxas.Options, p *probe) *cuda.Context {
+// runProbe compiles the store kernel if (i < 16) out[i] = i, instruments
+// per opts, and runs with the probe handler. With branch set the store is
+// repeated nine times, more than ptxas predicates in place of a branch, so
+// the kernel keeps its conditional branch.
+func runProbe(t *testing.T, opts sassi.Options, branch bool, p *probe) *cuda.Context {
 	t.Helper()
 	b := ptx.NewKernel("k")
 	out := b.ParamU64("out")
 	i := b.GlobalTidX()
 	cond := b.SetpI(sass.CmpLT, i, 16)
+	stores := 1
+	if branch {
+		stores = 9
+	}
 	b.If(cond, func() {
-		b.StGlobalU32(b.Index(out, i, 2), 0, i)
+		for range stores {
+			b.StGlobalU32(b.Index(out, i, 2), 0, i)
+		}
 	})
 	m := ptx.NewModule()
 	m.Add(b.MustDone())
-	prog, err := ptxas.Compile(m, compile)
+	prog, err := ptxas.Compile(m, ptxas.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +111,7 @@ func TestBeforeParamsFields(t *testing.T) {
 	// Keep the guard (no if-conversion removes it to a branch...): with
 	// default compile options the short body is predicated, so the STG
 	// carries the guard directly.
-	runProbe(t, sassi.Options{Where: sassi.BeforeMem, BeforeHandler: "h", What: sassi.PassMemoryInfo}, ptxas.Options{}, p)
+	runProbe(t, sassi.Options{Where: sassi.BeforeMem, BeforeHandler: "h", What: sassi.PassMemoryInfo}, false, p)
 	if seen == 0 {
 		t.Fatal("probe never saw the store")
 	}
@@ -139,7 +147,7 @@ func TestMemoryParamsAddress(t *testing.T) {
 			t.Error("domain wrong")
 		}
 	}}
-	runProbe(t, sassi.Options{Where: sassi.BeforeMem, BeforeHandler: "h", What: sassi.PassMemoryInfo}, ptxas.Options{}, p)
+	runProbe(t, sassi.Options{Where: sassi.BeforeMem, BeforeHandler: "h", What: sassi.PassMemoryInfo}, false, p)
 	if base == 0 {
 		t.Fatal("no active store observed")
 	}
@@ -168,7 +176,7 @@ func TestCondBranchParams(t *testing.T) {
 		}
 	}}
 	runProbe(t, sassi.Options{Where: sassi.BeforeCondBranches, BeforeHandler: "h", What: sassi.PassCondBranchInfo},
-		ptxas.Options{NoIfConvert: true}, p)
+		true, p)
 	if !seen {
 		t.Fatal("no conditional branch observed")
 	}
@@ -196,7 +204,7 @@ func TestRegisterParamsValues(t *testing.T) {
 		}
 	}}
 	runProbe(t, sassi.Options{Where: sassi.AfterRegWrites, AfterHandler: "h", What: sassi.PassRegisterInfo},
-		ptxas.Options{}, p)
+		false, p)
 	if seen == 0 {
 		t.Fatal("never observed the tid write")
 	}

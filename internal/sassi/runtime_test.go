@@ -273,17 +273,21 @@ func TestDispatchZeroAlloc(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A full-warp store, then one conditional branch on the full
-			// warp: out[tid+32] = tid; if (tid < 16) out[tid] = tid.
+			// warp: out[tid+32] = tid; if (tid < 16) out[tid] = tid, nine
+			// times, which is more than ptxas predicates in place of a
+			// branch.
 			b := ptx.NewKernel("k")
 			out := b.ParamU64("out")
 			i := b.GlobalTidX()
 			b.StGlobalU32(b.Index(out, b.AddI(i, 32), 2), 0, i)
 			b.If(b.SetpI(sass.CmpLT, i, 16), func() {
-				b.StGlobalU32(b.Index(out, i, 2), 0, i)
+				for range 9 {
+					b.StGlobalU32(b.Index(out, i, 2), 0, i)
+				}
 			})
 			m := ptx.NewModule()
 			m.Add(b.MustDone())
-			prog, err := ptxas.Compile(m, ptxas.Options{NoIfConvert: true})
+			prog, err := ptxas.Compile(m, ptxas.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
