@@ -19,7 +19,7 @@ var StampKernel = stampKernel
 func testEngine(tb testing.TB, d *Device, prog *sass.Program, p LaunchParams) (*engine, *CTA) {
 	tb.Helper()
 	k := prog.Kernels[0]
-	base, err := d.code(prog, k, &p)
+	base, err := d.code(prog, k)
 	if err != nil {
 		tb.Fatal(err)
 	}

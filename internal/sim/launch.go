@@ -44,13 +44,6 @@ type LaunchParams struct {
 	// 32-bit parameters use the low word.
 	Args []uint64
 
-	// SharedBytes is extra dynamic shared memory per CTA.
-	SharedBytes int
-
-	// StackBytes overrides the per-thread local memory size (0 = config
-	// default plus the kernel's static requirement).
-	StackBytes int
-
 	// Twin, when non-nil, makes the warps it picks run a second kernel.
 	Twin *Twin
 }
@@ -209,8 +202,8 @@ type warpCode struct {
 
 // code resolves what warps running k, a kernel of prog, take from it. A
 // kernel that cannot run (preKernel.err) is an ErrInvalid KernelError.
-func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (warpCode, error) {
-	c := warpCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: p.StackBytes}
+func (d *Device) code(prog *sass.Program, k *sass.Kernel) (warpCode, error) {
+	c := warpCode{k: k, handlers: prog.Handlers, numRegs: k.NumRegs, localBytes: k.LocalBytes + d.Cfg.DefaultStackBytes}
 	c.pre = k.Lowered(predecode).(*preKernel)
 	if err := c.pre.err; err != nil {
 		return c, &KernelError{Kind: ErrInvalid, Kernel: k.Name, Detail: err.Error(), Err: err}
@@ -235,9 +228,6 @@ func (d *Device) code(prog *sass.Program, k *sass.Kernel, p *LaunchParams) (warp
 	}
 	// Every register an admitted kernel names lies below both bounds.
 	c.numRegs = min(max(c.numRegs, sass.MinRegs), sass.NumGPR)
-	if c.localBytes == 0 {
-		c.localBytes = k.LocalBytes + d.Cfg.DefaultStackBytes
-	}
 	return c, nil
 }
 
@@ -251,7 +241,7 @@ type twinCode struct {
 
 // twinCode checks that t's kernel can share a launch of k, whose code is
 // base, on d and resolves its code.
-func (d *Device) twinCode(t *Twin, k *sass.Kernel, base *warpCode, p *LaunchParams) (*twinCode, error) {
+func (d *Device) twinCode(t *Twin, k *sass.Kernel, base *warpCode) (*twinCode, error) {
 	refuse := func(format string, args ...any) (*twinCode, error) {
 		return nil, &TwinError{Kernel: k.Name, Reason: fmt.Sprintf(format, args...)}
 	}
@@ -280,7 +270,7 @@ func (d *Device) twinCode(t *Twin, k *sass.Kernel, base *warpCode, p *LaunchPara
 	case t.Site != nil && d.Reference != nil:
 		return refuse("the reference loop runs no site")
 	}
-	c, err := d.code(t.Prog, tk, p)
+	c, err := d.code(t.Prog, tk)
 	if err != nil {
 		return nil, err
 	}
@@ -304,17 +294,17 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 	if len(p.Args) != len(k.Params) {
 		return nil, fmt.Errorf("sim: kernel %q wants %d args, got %d", kernelName, len(k.Params), len(p.Args))
 	}
-	sharedBytes := k.SharedBytes + p.SharedBytes
+	sharedBytes := k.SharedBytes
 	if sharedBytes > d.Cfg.SharedPerSM {
 		return nil, fmt.Errorf("sim: CTA needs %d shared bytes, SM has %d", sharedBytes, d.Cfg.SharedPerSM)
 	}
-	base, err := d.code(prog, k, &p)
+	base, err := d.code(prog, k)
 	if err != nil {
 		return nil, err
 	}
 	e := &engine{dev: d, base: base}
 	if t := p.Twin; t != nil {
-		if e.twin, err = d.twinCode(t, k, &e.base, &p); err != nil {
+		if e.twin, err = d.twinCode(t, k, &e.base); err != nil {
 			return nil, err
 		}
 		e.fence = t.Fence

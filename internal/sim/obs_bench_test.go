@@ -40,11 +40,13 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 
-	dev := NewDevice(MiniGPU())
+	cfg := MiniGPU()
+	cfg.DefaultStackBytes = 256
+	dev := NewDevice(cfg)
 	dev.Metrics = reg
 	dev.Trace = tr
 	dev.Alloc(4096, "global")
-	e, cta := testEngine(tb, dev, prog, LaunchParams{Grid: D1(1), Block: D1(32), StackBytes: 256})
+	e, cta := testEngine(tb, dev, prog, LaunchParams{Grid: D1(1), Block: D1(32)})
 	if samp != nil {
 		e.attachSampler(samp, k, 32)
 	}

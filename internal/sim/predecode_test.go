@@ -247,6 +247,8 @@ func (failingDispatcher) Dispatch(*Device, *Warp, int) error {
 // afterwards are still right.
 func TestFailedLaunchReturnsSlabs(t *testing.T) {
 	clean := stampKernel(t, 3)
+	greedy := stampKernel(t, 3)
+	greedy.Kernels[0].SharedBytes = MiniGPU().SharedPerSM + 1
 	for name, bad := range failingLaunches(t) {
 		for _, seq := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/sequentialSMs=%v", name, seq), func(t *testing.T) {
@@ -265,8 +267,8 @@ func TestFailedLaunchReturnsSlabs(t *testing.T) {
 						t.Fatalf("%d slabs outstanding after the failed launch", n)
 					}
 				}
-				if _, err := dev.Launch(clean, "stamp", LaunchParams{
-					Grid: D1(1), Block: D1(32), SharedBytes: cfg.SharedPerSM + 1, Args: []uint64{buf},
+				if _, err := dev.Launch(greedy, "stamp", LaunchParams{
+					Grid: D1(1), Block: D1(32), Args: []uint64{buf},
 				}); err == nil || dev.LiveSlabs() != 0 {
 					t.Errorf("oversized shared request: err %v, %d slabs outstanding", err, dev.LiveSlabs())
 				}
@@ -332,10 +334,11 @@ func TestRetiredStacksAreDropped(t *testing.T) {
 	}
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
+	const stack = 16 << 10
 	cfg := MiniGPU()
 	cfg.SequentialSMs = true
+	cfg.DefaultStackBytes = stack
 	dev := NewDevice(cfg)
-	const stack = 16 << 10
 	peak := 0
 	dev.CTARetire = func(cta *CTA) {
 		n := 0
@@ -347,7 +350,7 @@ func TestRetiredStacksAreDropped(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := dev.Launch(prog, "deep", LaunchParams{Grid: D1(8), Block: D1(256), StackBytes: stack}); err != nil {
+	if _, err := dev.Launch(prog, "deep", LaunchParams{Grid: D1(8), Block: D1(256)}); err != nil {
 		t.Fatal(err)
 	}
 	runtime.GC()

@@ -18,11 +18,13 @@ import (
 // returns the error and every lane's whole stack as the warp left it.
 func stepWarp(t *testing.T, ref bool, prog *sass.Program, threads, stack int) (error, [][]byte) {
 	t.Helper()
-	d := sim.NewDevice(sim.MiniGPU())
+	cfg := sim.MiniGPU()
+	cfg.DefaultStackBytes = stack
+	d := sim.NewDevice(cfg)
 	if ref {
 		simref.Install(d)
 	}
-	w, _, err := sim.StepFirstWarp(t, d, prog, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(threads), StackBytes: stack})
+	w, _, err := sim.StepFirstWarp(t, d, prog, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(threads)})
 	stacks := make([][]byte, threads)
 	for l := range stacks {
 		stacks[l] = make([]byte, stack)
