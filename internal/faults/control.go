@@ -71,9 +71,6 @@ type ControlCampaign struct {
 	// Config is the device model; the watchdog is recalibrated from the
 	// profiling run automatically (corrupted control state loves to spin).
 	Config sim.Config
-	// Classes restricts the corruption classes; nil means every class with
-	// at least one qualifying site on this workload.
-	Classes []handlers.CtrlClass
 	// Workers is the number of concurrent injection executions. Every run
 	// derives its RNG from (Seed, run index), so outcomes are identical at
 	// any worker count. Zero means GOMAXPROCS.
@@ -85,16 +82,12 @@ type ControlCampaign struct {
 
 // ControlResult aggregates a control campaign per corruption class.
 type ControlResult struct {
-	Workload string
-	Dataset  string
 	// Counts[class][outcome] over the injection runs.
 	Counts [handlers.NumCtrlClasses][numCtrlOutcomes]int
 	// ClassTotals[class] is the number of runs drawn for the class.
 	ClassTotals [handlers.NumCtrlClasses]int
 	// Sites[class] is the qualifying-dispatch count from the profiling run.
 	Sites [handlers.NumCtrlClasses]uint64
-	// Total is the number of injection runs.
-	Total int
 	// FalsePositives counts CFI violations reported on the uncorrupted
 	// profiling run — the contract is that this is zero.
 	FalsePositives int
@@ -127,7 +120,7 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 	if err := checkDataset(c.Spec, c.Dataset); err != nil {
 		return nil, nil, err
 	}
-	res := &ControlResult{Workload: c.Spec.Name, Dataset: c.Dataset}
+	res := &ControlResult{}
 
 	cache := c.Cache
 	if cache == nil {
@@ -204,16 +197,10 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 		res.Sites[cl] = profilers[cl].Total()
 	}
 
-	// Candidate classes: requested (or all), kept only when the workload
-	// offers at least one qualifying site.
-	classes := c.Classes
-	if classes == nil {
-		for cl := handlers.CtrlClass(0); cl < handlers.NumCtrlClasses; cl++ {
-			classes = append(classes, cl)
-		}
-	}
+	// Candidate classes: those the workload offers at least one qualifying
+	// site for.
 	var usable []handlers.CtrlClass
-	for _, cl := range classes {
+	for cl := handlers.CtrlClass(0); cl < handlers.NumCtrlClasses; cl++ {
 		if res.Sites[cl] > 0 {
 			usable = append(usable, cl)
 		}
@@ -251,7 +238,6 @@ func (c *ControlCampaign) run(widen bool) (*ControlResult, []CtrlOutcome, error)
 	for run, o := range outcomes {
 		res.Counts[classOf[run]][o]++
 		res.ClassTotals[classOf[run]]++
-		res.Total++
 	}
 	return res, outcomes, nil
 }

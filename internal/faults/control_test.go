@@ -29,20 +29,18 @@ func TestControlCampaignCallTree(t *testing.T) {
 	if res.FalsePositives != 0 {
 		t.Errorf("false positives on the uncorrupted run: %d", res.FalsePositives)
 	}
-	if res.Total != 40 {
-		t.Fatalf("total = %d, want 40", res.Total)
-	}
-	sum := 0
+	sum, runs := 0, 0
 	for cl := 0; cl < int(handlers.NumCtrlClasses); cl++ {
 		class := handlers.CtrlClass(cl)
 		for o := 0; o < faults.NumCtrlOutcomes; o++ {
 			sum += res.Counts[cl][o]
 		}
+		runs += res.ClassTotals[cl]
 		t.Logf("%-12s sites=%-4d runs=%-3d detected=%.0f%%",
 			class, res.Sites[cl], res.ClassTotals[cl], 100*res.DetectionRate(class))
 	}
-	if sum != res.Total {
-		t.Fatalf("outcome counts sum %d != total %d", sum, res.Total)
+	if sum != 40 || runs != 40 {
+		t.Fatalf("outcome counts sum %d and class totals %d, want 40 runs", sum, runs)
 	}
 	// The call tree qualifies every class (calls, divergence, any-site).
 	for cl := 0; cl < int(handlers.NumCtrlClasses); cl++ {
@@ -80,23 +78,5 @@ func TestControlCampaignWorkerInvariance(t *testing.T) {
 	a, b := run(1), run(4)
 	if a.Counts != b.Counts {
 		t.Errorf("outcome counts differ across worker counts:\n 1: %v\n 4: %v", a.Counts, b.Counts)
-	}
-}
-
-// TestControlCampaignNoSites: a workload with no call tree still qualifies
-// the forged-call class (any site), but restricting the campaign to
-// call-stack classes must fail cleanly.
-func TestControlCampaignNoSites(t *testing.T) {
-	spec, ok := workloads.Get("demo.vecadd")
-	if !ok {
-		t.Fatal("demo.vecadd not registered")
-	}
-	c := &faults.ControlCampaign{
-		Spec: spec, Dataset: "small",
-		Injections: 2, Seed: 1, Config: sim.MiniGPU(),
-		Classes: []handlers.CtrlClass{handlers.CtrlRetBitFlip},
-	}
-	if _, err := c.Run(); err == nil {
-		t.Error("expected an error for a class with no qualifying sites")
 	}
 }

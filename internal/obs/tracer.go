@@ -59,9 +59,6 @@ type Tracer struct {
 // NewTracer returns a tracer whose host clock starts now.
 func NewTracer() *Tracer { return &Tracer{start: time.Now()} }
 
-// Enabled reports whether spans will be recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Now returns the host-lane timestamp (µs since the tracer started).
 func (t *Tracer) Now() float64 {
 	if t == nil {
@@ -105,14 +102,6 @@ func (t *Tracer) HostSpan(tid int, name string, fn func()) {
 	t.Span(PidHost, tid, name, ts, t.Now()-ts, nil)
 }
 
-// Counter records a counter sample ("C" phase) on a lane.
-func (t *Tracer) Counter(pid, tid int, name string, ts float64, values map[string]any) {
-	if t == nil {
-		return
-	}
-	t.add(traceEvent{Name: name, Ph: "C", Ts: ts, Pid: pid, Tid: tid, Args: values})
-}
-
 // NameProcess attaches a display name to a pid.
 func (t *Tracer) NameProcess(pid int, name string) {
 	if t == nil {
@@ -129,16 +118,6 @@ func (t *Tracer) NameThread(pid, tid int, name string) {
 	}
 	t.add(traceEvent{Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
 		Args: map[string]any{"name": name}})
-}
-
-// Dropped returns how many spans the cap discarded.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Len returns the number of buffered events.

@@ -30,16 +30,11 @@ type Event struct {
 // MemTracer records coalesced global accesses from a device.
 type MemTracer struct {
 	Events []Event
-	// MaxEvents caps the trace length (0 = unlimited).
-	MaxEvents int
 }
 
 // Attach hooks the tracer into a device's memory watch point.
 func (t *MemTracer) Attach(dev *sim.Device) {
 	dev.MemWatch = func(ev sim.MemAccess) {
-		if t.MaxEvents > 0 && len(t.Events) >= t.MaxEvents {
-			return
-		}
 		lines := append([]uint64(nil), ev.Res.Lines...)
 		t.Events = append(t.Events, Event{
 			PC: int32(ev.PC), SM: int32(ev.SM), Warp: int32(ev.Warp),
@@ -154,7 +149,6 @@ func Read(r io.Reader) (*MemTracer, error) {
 type CacheSimResult struct {
 	Accesses uint64
 	Hits     uint64
-	Misses   uint64
 }
 
 // HitRate returns hits/accesses.
@@ -177,6 +171,5 @@ func ReplayCache(t *MemTracer, sizeBytes, lineBytes uint64, ways int) CacheSimRe
 	return CacheSimResult{
 		Accesses: c.Stats.Accesses,
 		Hits:     c.Stats.Hits,
-		Misses:   c.Stats.Misses,
 	}
 }

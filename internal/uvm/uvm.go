@@ -43,9 +43,8 @@ func (s Side) String() string {
 
 // Event is one touch of managed memory.
 type Event struct {
-	Who   Side
-	Addr  uint64
-	Write bool
+	Who  Side
+	Addr uint64
 }
 
 // Manager tracks managed allocations and their page residency.
@@ -57,8 +56,6 @@ type Manager struct {
 	lastMv map[uint64]Side // last migration direction (ping-pong detection)
 
 	Events []Event
-	// TraceEvents caps the recorded stream (0 = unlimited).
-	TraceEvents int
 
 	// Stats.
 	H2D, D2H   uint64 // page migrations
@@ -102,14 +99,8 @@ func (m *Manager) isManaged(addr uint64) bool {
 	return false
 }
 
-func (m *Manager) record(e Event) {
-	if m.TraceEvents == 0 || len(m.Events) < m.TraceEvents {
-		m.Events = append(m.Events, e)
-	}
-}
-
 // touch moves the page if needed and updates statistics.
-func (m *Manager) touch(addr uint64, who Side, write bool) {
+func (m *Manager) touch(addr uint64, who Side) {
 	if !m.isManaged(addr) {
 		return
 	}
@@ -118,7 +109,7 @@ func (m *Manager) touch(addr uint64, who Side, write bool) {
 	} else {
 		m.CPUTouches++
 	}
-	m.record(Event{Who: who, Addr: addr, Write: write})
+	m.Events = append(m.Events, Event{Who: who, Addr: addr})
 	page := addr &^ (PageSize - 1)
 	cur, ok := m.pages[page]
 	if !ok {
@@ -157,13 +148,12 @@ func (m *Manager) Handler() *sassi.Handler {
 		Name: "sassi_uvm_handler",
 		What: sassi.PassMemoryInfo,
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
-			isStore := args.MP.IsStore()
 			w.ReturnUnless(args.BP.WillExecuteMask())
 			var addrs device.Vec64
 			args.MP.Addresses(&addrs)
 			for l := w.First(); l >= 0; l = w.Next(l) {
 				if addr := addrs[l]; mem.IsGlobal(addr) {
-					m.touch(addr, GPU, isStore)
+					m.touch(addr, GPU)
 				}
 			}
 		},
@@ -175,7 +165,7 @@ func (m *Manager) Handler() *sassi.Handler {
 // HostReadF32 reads floats through the UVM layer, migrating pages CPU-ward.
 func (m *Manager) HostReadF32(src cuda.DevPtr, count int) ([]float32, error) {
 	for i := 0; i < count; i++ {
-		m.touch(uint64(src)+uint64(4*i), CPU, false)
+		m.touch(uint64(src)+uint64(4*i), CPU)
 	}
 	return m.ctx.ReadF32(src, count)
 }
@@ -185,7 +175,7 @@ func (m *Manager) HostWriteF32(dst cuda.DevPtr, vals []float32) error {
 	buf := make([]byte, 4*len(vals))
 	for i, v := range vals {
 		putF32(buf[4*i:], v)
-		m.touch(uint64(dst)+uint64(4*i), CPU, true)
+		m.touch(uint64(dst)+uint64(4*i), CPU)
 	}
 	return m.ctx.MemcpyHtoD(dst, buf)
 }
@@ -193,7 +183,7 @@ func (m *Manager) HostWriteF32(dst cuda.DevPtr, vals []float32) error {
 // HostReadU32 reads words through the UVM layer.
 func (m *Manager) HostReadU32(src cuda.DevPtr, count int) ([]uint32, error) {
 	for i := 0; i < count; i++ {
-		m.touch(uint64(src)+uint64(4*i), CPU, false)
+		m.touch(uint64(src)+uint64(4*i), CPU)
 	}
 	return m.ctx.ReadU32(src, count)
 }
@@ -203,7 +193,7 @@ func (m *Manager) HostWriteU32(dst cuda.DevPtr, vals []uint32) error {
 	buf := make([]byte, 4*len(vals))
 	for i, v := range vals {
 		putU32(buf[4*i:], v)
-		m.touch(uint64(dst)+uint64(4*i), CPU, true)
+		m.touch(uint64(dst)+uint64(4*i), CPU)
 	}
 	return m.ctx.MemcpyHtoD(dst, buf)
 }

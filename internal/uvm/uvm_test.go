@@ -130,17 +130,3 @@ func TestUnmanagedMemoryIgnored(t *testing.T) {
 		t.Errorf("unmanaged memory traced: touches=%d events=%d", mgr.GPUTouches, len(mgr.Events))
 	}
 }
-
-func TestEventCap(t *testing.T) {
-	ctx := cuda.NewContext(sim.MiniGPU())
-	mgr := uvm.NewManager(ctx)
-	mgr.TraceEvents = 10
-	buf := mgr.AllocManaged(4*100, "d")
-	_ = mgr.HostWriteU32(buf, make([]uint32, 100))
-	if len(mgr.Events) != 10 {
-		t.Errorf("events = %d, want cap 10", len(mgr.Events))
-	}
-	if mgr.CPUTouches != 100 {
-		t.Errorf("touch stats should not be capped: %d", mgr.CPUTouches)
-	}
-}
