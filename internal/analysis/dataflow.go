@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"sassi/internal/sass"
@@ -102,15 +101,6 @@ func (b Bits) Equal(o Bits) bool {
 		}
 	}
 	return true
-}
-
-// Count returns the number of set bits.
-func (b Bits) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
 }
 
 // Direction of a dataflow problem.

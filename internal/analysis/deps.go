@@ -115,7 +115,6 @@ func (b *BlockDAG) LocalAdj() (succs [][]int, indeg []int) {
 // scheduler never moves instructions across blocks, so it holds no
 // cross-block edges.
 type Graph struct {
-	CFG    *sass.CFG
 	Blocks []*BlockDAG
 }
 
@@ -298,7 +297,7 @@ func BuildDeps(f *KernelFacts) *Graph {
 	}
 	edges := make([]Edge, 0, total)
 	dags := make([]BlockDAG, len(cfg.Blocks))
-	g := &Graph{CFG: cfg, Blocks: make([]*BlockDAG, len(cfg.Blocks))}
+	g := &Graph{Blocks: make([]*BlockDAG, len(cfg.Blocks))}
 	for b, blk := range cfg.Blocks {
 		first := len(edges)
 		for j := blk.Start + 1; j < blk.End; j++ {
@@ -312,9 +311,4 @@ func BuildDeps(f *KernelFacts) *Graph {
 		g.Blocks[b] = &dags[b]
 	}
 	return g
-}
-
-// BlockOf returns the block DAG containing instruction idx.
-func (g *Graph) BlockOf(idx int) *BlockDAG {
-	return g.Blocks[g.CFG.BlockOf(idx).ID]
 }

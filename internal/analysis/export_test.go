@@ -280,3 +280,12 @@ func ReachingDefs(cfg *sass.CFG) *ReachInfo {
 	})
 	return ri
 }
+
+// Count returns the number of set bits.
+func (b Bits) Count() int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}

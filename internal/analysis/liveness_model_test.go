@@ -129,10 +129,10 @@ func maybeAssignedAt(cfg *sass.CFG) (regs []sass.RegSet, preds []sass.PredSet, c
 				accR.Add(sass.SP)
 			}
 			for _, pr := range b.Preds {
-				accR.Union(&genR[pr])
-				accR.Union(&inR[pr])
-				accP.Union(genP[pr])
-				accP.Union(inP[pr])
+				unionRegs(&accR, &genR[pr])
+				unionRegs(&accR, &inR[pr])
+				accP |= genP[pr]
+				accP |= inP[pr]
 				accCC = accCC || genCC[pr] || inCC[pr]
 			}
 			if accR != inR[bi] || accP != inP[bi] || accCC != inCC[bi] {
@@ -189,8 +189,8 @@ func modelLiveness(cfg *sass.CFG) *modelLiveInfo {
 			for _, s := range b.Succs {
 				sb := cfg.Blocks[s]
 				if sb.Start < n {
-					out.Union(&li.LiveIn[sb.Start])
-					pout.Union(li.PredLiveIn[sb.Start])
+					unionRegs(&out, &li.LiveIn[sb.Start])
+					pout |= li.PredLiveIn[sb.Start]
 					ccout = ccout || li.CCLiveIn[sb.Start]
 				}
 			}
@@ -220,11 +220,11 @@ func modelLiveness(cfg *sass.CFG) *modelLiveInfo {
 				for _, r := range defs[i].Regs() {
 					live.Remove(r)
 				}
-				live.Union(&uses[i])
+				unionRegs(&live, &uses[i])
 				for _, p := range pdefs[i].Preds() {
-					plive.Remove(p)
+					plive &^= 1 << p
 				}
-				plive.Union(puses[i])
+				plive |= puses[i]
 				if ccdefs[i] {
 					cclive = false
 				}
@@ -270,4 +270,11 @@ func livenessMismatch(cfg *sass.CFG) string {
 		}
 	}
 	return ""
+}
+
+// unionRegs merges o into s: the model's register-set union.
+func unionRegs(s, o *sass.RegSet) {
+	for i := range s {
+		s[i] |= o[i]
+	}
 }

@@ -138,7 +138,7 @@ func pcsampExecCycles(env Env, spec *workloads.Spec, dataset string) (map[pcsamp
 		return nil, err
 	}
 	out := make(map[pcsamp.PCKey]uint64, len(counts))
-	for addr, c := range counts {
+	for addr, execs := range counts {
 		ki := int(addr>>20) - 1
 		if ki < 0 || ki >= len(prog.Kernels) {
 			continue
@@ -149,7 +149,7 @@ func pcsampExecCycles(env Env, spec *workloads.Spec, dataset string) (map[pcsamp
 			continue
 		}
 		cost := uint64(sass.IssueCost(&k.Instrs[idx]))
-		out[pcsamp.PCKey{Kernel: k.Name, PC: int32(idx)}] += c.Execs * cost
+		out[pcsamp.PCKey{Kernel: k.Name, PC: int32(idx)}] += execs * cost
 	}
 	return out, nil
 }

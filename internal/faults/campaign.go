@@ -468,7 +468,6 @@ func (c *Campaign) selectSite(profiles []launchProfile, total uint64, rng *prng)
 				continue
 			}
 			return handlers.InjectionSite{
-				Kernel:     lp.kernel,
 				Invocation: li,
 				ThreadID:   uint64(t),
 				InstrIndex: pick,

@@ -111,7 +111,7 @@ func TestSiteRunsOneBlock(t *testing.T) {
 					app, run, narrow.off, narrow.value, whole.off, whole.value)
 			}
 			i := sass.IndexOfOffset(whole.off)
-			if block := uint64(probe.weights[site.Kernel][i]); narrowStats.InjectedWarpInstrs != block || narrow.calls != 1 {
+			if block := uint64(probe.weights[g.profiles[site.Invocation].kernel][i]); narrowStats.InjectedWarpInstrs != block || narrow.calls != 1 {
 				t.Errorf("%s run %d: %d injected instructions and %d handler calls, want the site's block of %d and one call",
 					app, run, narrowStats.InjectedWarpInstrs, narrow.calls, block)
 			}

@@ -159,16 +159,6 @@ func (c *CFIChecker) Violations() []CFIViolation {
 	return out
 }
 
-// Reset clears findings and per-warp shadow state, keeping the prepared
-// tables.
-func (c *CFIChecker) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.violations = nil
-	c.Dropped = 0
-	c.shadows = map[*sim.Warp]*cfiShadow{}
-}
-
 func (c *CFIChecker) record(v CFIViolation) {
 	if len(c.violations) >= maxCFIViolations {
 		c.Dropped++

@@ -82,9 +82,8 @@ func (p *InjProfiler) DevPtr() cuda.DevPtr { return p.counts }
 // InjectionSite selects where a single bit flip lands, the tuple the
 // paper's off-line stochastic step produces.
 type InjectionSite struct {
-	// Kernel and Invocation select the launch; the campaign driver (in
+	// Invocation selects the launch; the campaign driver (in
 	// internal/faults) arms the injector only for that launch.
-	Kernel     string
 	Invocation int
 	// ThreadID is the grid-flat thread index.
 	ThreadID uint64
@@ -118,12 +117,6 @@ const (
 // running the target thread may set injected mid-launch.
 type Injector struct {
 	Site InjectionSite
-
-	// FlippedReg/FlippedBit record what was hit (for reporting). They are
-	// written only by the goroutine executing the target thread and read
-	// after the launch completes.
-	FlippedReg uint8
-	FlippedBit uint32
 
 	armed    atomic.Bool
 	injected atomic.Bool
@@ -193,8 +186,6 @@ func (inj *Injector) inject(l int, args sassi.HandlerArgs) {
 			p := uint8(inj.Site.DstSeed % 7)
 			bp.SetPredValue(l, p, !bp.GetPredValue(l, p))
 			inj.injected.Store(true)
-			inj.FlippedReg = p
-			inj.FlippedBit = uint32(p)
 			return
 		}
 		fallthrough
@@ -211,8 +202,6 @@ func (inj *Injector) inject(l int, args sassi.HandlerArgs) {
 		bit := inj.Site.BitSeed % 32
 		rp.SetRegValue(l, reg, rp.GetRegValue(l, reg)^(1<<bit))
 		inj.injected.Store(true)
-		inj.FlippedReg = reg
-		inj.FlippedBit = bit
 	case TargetCC:
 		inj.flipCC(l, bp)
 	}
@@ -222,6 +211,4 @@ func (inj *Injector) flipCC(l int, bp sassi.BeforeParams) {
 	bit := inj.Site.BitSeed % 4
 	bp.SetCCValue(l, bp.GetCCValue(l)^(1<<bit))
 	inj.injected.Store(true)
-	inj.FlippedReg = 0xff
-	inj.FlippedBit = bit
 }

@@ -116,13 +116,6 @@ func (t *InsTable) ReadAll() ([]Entry, error) {
 	return out, nil
 }
 
-// Reset zeroes the table (between kernel launches when per-launch stats
-// are wanted).
-func (t *InsTable) Reset() error {
-	zero := make([]byte, uint64(t.slots)*t.entrySize())
-	return t.ctx.MemcpyHtoD(cuda.DevPtr(t.base), zero)
-}
-
 func le32(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -6,15 +6,8 @@ import (
 	"sassi/internal/sassi"
 )
 
-// PC-profile field indices within the InsTable entry.
-const (
-	pcExec  = iota // warp-level executions
-	pcLanes        // active threads summed over executions
-	pcFields
-)
-
-// PCProfiler counts exact warp-level executions (and active-lane sums) of
-// every original instruction, keyed by SASSI instruction address. It is the
+// PCProfiler counts exact warp-level executions of every original
+// instruction, keyed by SASSI instruction address. It is the
 // ground-truth side of the PC-sampling accuracy experiment: the sampler
 // estimates per-PC cycles statistically, this handler counts per-PC
 // executions exactly, and the two must agree on where the time goes.
@@ -26,7 +19,7 @@ type PCProfiler struct {
 // distinct static instructions across all kernels; 4096 covers every
 // built-in workload with room to spare.
 func NewPCProfiler(ctx *cuda.Context) *PCProfiler {
-	return &PCProfiler{Table: NewInsTable(ctx, "sassi.pc_prof", 4096, pcFields, nil)}
+	return &PCProfiler{Table: NewInsTable(ctx, "sassi.pc_prof", 4096, 1, nil)}
 }
 
 // Options returns the instrumentation specification: before every original
@@ -45,31 +38,23 @@ func (p *PCProfiler) Handler() *sassi.Handler {
 	return &sassi.Handler{
 		Name: "sassi_pcprof_handler",
 		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
-			active := device.Popc(w.ActiveMask())
 			c := w.Lane(w.First())
-			stats := p.Table.Find(c, args.BP.InsAddr())
-			c.AtomicAdd64(stats+pcExec*8, 1)
-			c.AtomicAdd64(stats+pcLanes*8, uint64(active))
+			c.AtomicAdd64(p.Table.Find(c, args.BP.InsAddr()), 1)
 		},
 	}
 }
 
-// PCCount is one instruction's decoded counts.
-type PCCount struct {
-	Execs uint64 // warp-level executions
-	Lanes uint64 // active threads summed over executions
-}
-
-// Counts decodes the table into a map keyed by SASSI instruction address
-// (sassi.FnAddr(kernelIndex) + byte offset of the original instruction).
-func (p *PCProfiler) Counts() (map[int32]PCCount, error) {
+// Counts decodes the table into each instruction's warp-level executions,
+// keyed by SASSI instruction address (sassi.FnAddr(kernelIndex) + byte
+// offset of the original instruction).
+func (p *PCProfiler) Counts() (map[int32]uint64, error) {
 	entries, err := p.Table.ReadAll()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[int32]PCCount, len(entries))
+	out := make(map[int32]uint64, len(entries))
 	for _, e := range entries {
-		out[e.Key] = PCCount{Execs: e.Fields[pcExec], Lanes: e.Fields[pcLanes]}
+		out[e.Key] = e.Fields[0]
 	}
 	return out, nil
 }

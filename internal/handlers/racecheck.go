@@ -183,11 +183,3 @@ func (r *RaceChecker) Races() []RacePair {
 	})
 	return out
 }
-
-// Reset clears all shadow state and recorded races.
-func (r *RaceChecker) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.ctas = make(map[[3]uint32]*ctaShadow)
-	r.races = make(map[RacePair]struct{})
-}

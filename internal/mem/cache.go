@@ -11,7 +11,6 @@ import (
 // modeled; data always comes from the backing store, so the cache purely
 // produces hit/miss statistics and timing inputs.
 type Cache struct {
-	name      string
 	lineBytes uint64
 	lineShift uint
 	sets      int
@@ -41,35 +40,21 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.Evictions += o.Evictions
 }
 
-// HitRate returns hits/accesses, or 0 for an idle cache.
-func (s CacheStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // NewCache builds a cache model. sizeBytes must be divisible by
 // ways*lineBytes.
-func NewCache(name string, sizeBytes, lineBytes uint64, ways int) *Cache {
+func NewCache(sizeBytes, lineBytes uint64, ways int) *Cache {
 	if lineBytes == 0 || lineBytes&(lineBytes-1) != 0 {
 		panic("mem: cache line size must be a power of two")
 	}
 	sets := int(sizeBytes / (uint64(ways) * lineBytes))
 	if sets == 0 || sets&(sets-1) != 0 {
-		panic(fmt.Sprintf("mem: cache %s: set count %d must be a nonzero power of two", name, sets))
+		panic(fmt.Sprintf("mem: cache set count %d must be a nonzero power of two", sets))
 	}
-	c := &Cache{name: name, lineBytes: lineBytes, lineShift: uint(bits.TrailingZeros64(lineBytes)), sets: sets, ways: ways}
+	c := &Cache{lineBytes: lineBytes, lineShift: uint(bits.TrailingZeros64(lineBytes)), sets: sets, ways: ways}
 	c.tags = make([]uint64, sets*ways)
 	c.Invalidate()
 	return c
 }
-
-// Name returns the cache's configured name.
-func (c *Cache) Name() string { return c.name }
-
-// LineBytes returns the cache line size.
-func (c *Cache) LineBytes() uint64 { return c.lineBytes }
 
 // Access performs a load (store=false) or store (store=true) of the line
 // containing addr and reports whether it hit. Loads allocate on miss;

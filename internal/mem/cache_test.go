@@ -3,7 +3,7 @@ package mem
 import "testing"
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache("t", 1024, 64, 2) // 8 sets, 2 ways
+	c := NewCache(1024, 64, 2) // 8 sets, 2 ways
 	if c.Access(0, false) {
 		t.Error("cold access hit")
 	}
@@ -22,7 +22,7 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache("t", 1024, 64, 2) // 8 sets; addresses 64*8 apart share a set
+	c := NewCache(1024, 64, 2) // 8 sets; addresses 64*8 apart share a set
 	setStride := uint64(64 * 8)
 	a, b, d := uint64(0), setStride, 2*setStride
 	c.Access(a, false)
@@ -41,7 +41,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheStoreNoAllocate(t *testing.T) {
-	c := NewCache("t", 1024, 64, 2)
+	c := NewCache(1024, 64, 2)
 	c.Access(0, true) // write miss: no allocate
 	if c.Access(0, false) {
 		t.Error("store allocated a line")
@@ -49,7 +49,7 @@ func TestCacheStoreNoAllocate(t *testing.T) {
 }
 
 func TestCacheInvalidate(t *testing.T) {
-	c := NewCache("t", 1024, 64, 2)
+	c := NewCache(1024, 64, 2)
 	c.Access(0, false)
 	c.Invalidate()
 	if c.Access(0, false) {
@@ -59,8 +59,8 @@ func TestCacheInvalidate(t *testing.T) {
 
 func TestCacheRejectsBadGeometry(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewCache("t", 1024, 48, 2) }, // line not power of two
-		func() { NewCache("t", 100, 64, 2) },  // sets not power of two
+		func() { NewCache(1024, 48, 2) }, // line not power of two
+		func() { NewCache(100, 64, 2) },  // sets not power of two
 	} {
 		func() {
 			defer func() {
@@ -85,8 +85,8 @@ func TestDRAM(t *testing.T) {
 
 func TestHierarchyAccessLines(t *testing.T) {
 	h := Hierarchy{
-		L1:        NewCache("l1", 1024, 64, 2),
-		L2:        NewCache("l2", 4096, 64, 4),
+		L1:        NewCache(1024, 64, 2),
+		L2:        NewCache(4096, 64, 4),
 		DRAM:      &DRAM{LatencyCycles: 100},
 		L1Latency: 10, L2Latency: 40,
 	}

@@ -366,7 +366,7 @@ func driveGlobalWarpAccess(t *testing.T, stream []byte) {
 		g.Alloc(256, "b")
 		g.Alloc(64, "c")
 	}
-	caches := []*Cache{NewCache("l1", 1024, 128, 2), NewCache("l2", 4096, 128, 4)}
+	caches := []*Cache{NewCache(1024, 128, 2), NewCache(4096, 128, 4)}
 	models := []*cacheModel{newCacheModel(1024, 128, 2), newCacheModel(4096, 128, 4)}
 	var addrs [32]uint64
 	var gotRows, wantRows [4][32]uint32
@@ -455,7 +455,7 @@ func driveGlobalWarpAccess(t *testing.T, stream []byte) {
 		for i, line := range gotRes.Lines {
 			for k := range caches {
 				if hit, wantHit := caches[k].Access(line, store), models[k].access(line, store); hit != wantHit {
-					t.Fatalf("%s: line %d (%#x) in %s: hit %v, model %v", what, i, line, caches[k].Name(), hit, wantHit)
+					t.Fatalf("%s: line %d (%#x) in cache %d: hit %v, model %v", what, i, line, k, hit, wantHit)
 				}
 			}
 		}
@@ -466,7 +466,7 @@ func driveGlobalWarpAccess(t *testing.T, stream []byte) {
 	}
 	for k := range caches {
 		if caches[k].Stats != models[k].Stats {
-			t.Fatalf("%s: stats %+v, model %+v", caches[k].Name(), caches[k].Stats, models[k].Stats)
+			t.Fatalf("cache %d: stats %+v, model %+v", k, caches[k].Stats, models[k].Stats)
 		}
 	}
 }

@@ -288,13 +288,6 @@ func (s *Sampler) Profile() *Profile {
 	return s.prof.Clone()
 }
 
-// Launches returns how many launches have completed into the profile.
-func (s *Sampler) Launches() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.prof.Launches
-}
-
 // WaitLaunches blocks until n more launches complete (or the timeout
 // elapses), reporting whether the target was reached. It powers the
 // ?launches=N continuous-profiling endpoint.

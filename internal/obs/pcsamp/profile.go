@@ -119,9 +119,6 @@ func (p *Profile) TotalSamples() uint64 {
 	return n
 }
 
-// Cycles estimates the total cycles the profile attributes.
-func (p *Profile) Cycles() uint64 { return p.TotalSamples() * p.Period }
-
 // PCKey identifies one static instruction across the profile's kernels.
 type PCKey struct {
 	Kernel string

@@ -34,18 +34,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
 
-// Size returns the type's size in bytes.
-func (t Type) Size() int {
-	switch t {
-	case TU64:
-		return 8
-	case TPred:
-		return 0
-	default:
-		return 4
-	}
-}
-
 // Value identifies a virtual register. The zero Value means "none".
 type Value struct{ id int32 }
 

@@ -17,19 +17,6 @@ func (s *RegSet) Remove(r uint8) { s[r>>6] &^= 1 << (r & 63) }
 // Has reports whether register r is in the set.
 func (s *RegSet) Has(r uint8) bool { return s[r>>6]&(1<<(r&63)) != 0 }
 
-// Union merges o into s and reports whether s changed.
-func (s *RegSet) Union(o *RegSet) bool {
-	changed := false
-	for i := range s {
-		n := s[i] | o[i]
-		if n != s[i] {
-			changed = true
-			s[i] = n
-		}
-	}
-	return changed
-}
-
 // Regs returns the member registers in ascending order.
 func (s *RegSet) Regs() []uint8 {
 	var out []uint8
@@ -44,34 +31,14 @@ func (s *RegSet) Regs() []uint8 {
 	return out
 }
 
-// Count returns the set cardinality.
-func (s *RegSet) Count() int {
-	n := 0
-	for _, w := range s {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // PredSet is a bitset over the 8 predicate register numbers.
 type PredSet uint8
 
 // Add inserts predicate p.
 func (s *PredSet) Add(p uint8) { *s |= 1 << p }
 
-// Remove deletes predicate p.
-func (s *PredSet) Remove(p uint8) { *s &^= 1 << p }
-
 // Has reports whether predicate p is in the set.
 func (s PredSet) Has(p uint8) bool { return s&(1<<p) != 0 }
-
-// Union merges o into s and reports whether s changed.
-func (s *PredSet) Union(o PredSet) bool {
-	n := *s | o
-	changed := n != *s
-	*s = n
-	return changed
-}
 
 // Preds returns member predicates in ascending order.
 func (s PredSet) Preds() []uint8 {
@@ -82,15 +49,4 @@ func (s PredSet) Preds() []uint8 {
 		}
 	}
 	return out
-}
-
-// Count returns the set cardinality.
-func (s PredSet) Count() int {
-	n := 0
-	for p := uint8(0); p < 8; p++ {
-		if s.Has(p) {
-			n++
-		}
-	}
-	return n
 }

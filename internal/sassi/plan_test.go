@@ -168,11 +168,11 @@ func TestPlannedSiteShapes(t *testing.T) {
 	}
 	for name, in := range instrs {
 		for wname, what := range whats {
-			for _, lv := range []sass.RegSet{{}, live} {
+			for li, lv := range []sass.RegSet{{}, live} {
 				opts := sassi.Options{What: what, BeforeHandler: "h"}
 				planned, emitted, _, err := sassi.SiteLengths(opts, &in, lv, -1, -1)
 				if err != nil || planned != emitted {
-					t.Errorf("%s (pass %s, %d live): planned %v, emitted %v, err %v", name, wname, lv.Count(), planned, emitted, err)
+					t.Errorf("%s (pass %s, live set %d): planned %v, emitted %v, err %v", name, wname, li, planned, emitted, err)
 				}
 				// Into buffers too small for it, the emitter counts on
 				// without writing past them or growing them. Every site

@@ -372,10 +372,10 @@ func NewDevice(cfg Config) *Device {
 	d.DRAMs = make([]*mem.DRAM, cfg.NumSMs)
 	d.L1s = make([]*mem.Cache, cfg.NumSMs)
 	for i := range d.L1s {
-		d.L2s[i] = mem.NewCache(fmt.Sprintf("L2.%d", i), slice, cfg.L2Line, cfg.L2Ways)
+		d.L2s[i] = mem.NewCache(slice, cfg.L2Line, cfg.L2Ways)
 		d.DRAMs[i] = &mem.DRAM{LatencyCycles: cfg.DRAMLat}
 		if cfg.L1Bytes > 0 {
-			d.L1s[i] = mem.NewCache(fmt.Sprintf("L1.%d", i), cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)
+			d.L1s[i] = mem.NewCache(cfg.L1Bytes, cfg.L1Line, cfg.L1Ways)
 		}
 	}
 	return d

@@ -113,9 +113,6 @@ func (t *Thread) WriteLocal32(off uint64, v uint32) error {
 	return t.warp.local.Write32(int(t.LaneID), off, v)
 }
 
-// Warp returns the warp this thread belongs to.
-func (t *Thread) Warp() *Warp { return t.warp }
-
 // guardPasses evaluates a predicate guard for this thread.
 func (t *Thread) guardPasses(reg uint8, neg bool) bool {
 	v := t.ReadPred(reg)

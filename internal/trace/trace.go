@@ -162,7 +162,7 @@ func (r CacheSimResult) HitRate() float64 {
 // ReplayCache drives a fresh cache model with the trace — the downstream
 // "other simulator" of §9.4.
 func ReplayCache(t *MemTracer, sizeBytes, lineBytes uint64, ways int) CacheSimResult {
-	c := mem.NewCache("replay", sizeBytes, lineBytes, ways)
+	c := mem.NewCache(sizeBytes, lineBytes, ways)
 	for _, e := range t.Events {
 		for _, l := range e.Lines {
 			c.Access(l, e.Store)
