@@ -46,8 +46,6 @@ type CFITargets struct {
 	// branch at i whose guard is not provably warp-uniform. A
 	// deferred-path divergence-stack entry must resume at one of these.
 	Defer map[int]bool
-	// CallSites maps each CAL instruction index to its target.
-	CallSites map[int]int
 }
 
 // Legal reports whether a warp call-stack entry value is a legal return
@@ -62,11 +60,10 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 	cfg := f.CFG
 	k := cfg.Kernel
 	t := &CFITargets{
-		Entries:   map[int]bool{},
-		Returns:   map[int]bool{},
-		Reconv:    map[int]bool{},
-		Defer:     map[int]bool{},
-		CallSites: map[int]int{},
+		Entries: map[int]bool{},
+		Returns: map[int]bool{},
+		Reconv:  map[int]bool{},
+		Defer:   map[int]bool{},
 	}
 	var diags []Diagnostic
 	report := func(sev Severity, idx int, format string, args ...any) {
@@ -92,7 +89,6 @@ func AnalyzeCFI(f *KernelFacts) (*CFITargets, []Diagnostic) {
 		switch {
 		case in.Op == sass.OpCAL && ok:
 			t.Entries[to] = true
-			t.CallSites[i] = to
 			if i+1 < n {
 				t.Returns[i+1] = true
 			}

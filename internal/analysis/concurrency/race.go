@@ -11,7 +11,6 @@ import (
 // sharedAccess is one static shared-memory access site.
 type sharedAccess struct {
 	idx     int
-	op      sass.Opcode
 	addr    analysis.Value // generic shared-window address form
 	width   int
 	write   bool
@@ -140,7 +139,6 @@ func collectSharedAccesses(cfg *sass.CFG, val *analysis.Valuation, dims analysis
 		}
 		acc := sharedAccess{
 			idx:     i,
-			op:      in.Op,
 			addr:    addr,
 			width:   in.Mods.Width.Bytes(),
 			write:   in.Op.IsMemWrite(),

@@ -77,7 +77,6 @@ type Edge struct {
 
 // BlockDAG is the dependence DAG of one basic block.
 type BlockDAG struct {
-	ID         int
 	Start, End int // instruction index range [Start, End)
 	Edges      []Edge
 }
@@ -307,7 +306,7 @@ func BuildDeps(f *KernelFacts) *Graph {
 				}
 			}
 		}
-		dags[b] = BlockDAG{ID: blk.ID, Start: blk.Start, End: blk.End, Edges: edges[first:len(edges):len(edges)]}
+		dags[b] = BlockDAG{Start: blk.Start, End: blk.End, Edges: edges[first:len(edges):len(edges)]}
 		g.Blocks[b] = &dags[b]
 	}
 	return g

@@ -203,7 +203,7 @@ func VerifyInstrumentedKernel(orig, inst *sass.Kernel, spec ABISpec, origPos []i
 		return diags, nil
 	}
 	li := Liveness(cfg)
-	sc := &siteChecker{spec: spec, inst: inst, bad: bad}
+	sc := &siteChecker{spec: spec, bad: bad}
 	maxFrame := int64(0)
 	for p := 0; p < len(inst.Instrs); p++ {
 		in := &inst.Instrs[p]
@@ -263,7 +263,6 @@ const (
 // chunk (= one injection site) at a time.
 type siteChecker struct {
 	spec ABISpec
-	inst *sass.Kernel
 	bad  func(int, string, ...any)
 
 	live     sass.RegSet

@@ -70,9 +70,10 @@ func (c *Context) Device() *sim.Device { return c.dev }
 // Subscribe registers launch callbacks.
 func (c *Context) Subscribe(cb LaunchCallbacks) { c.callbacks = append(c.callbacks, cb) }
 
-// Malloc allocates device memory.
+// Malloc allocates device memory. The name labels the allocation at the
+// call site, as cudaMalloc's callers do; the device keeps no names.
 func (c *Context) Malloc(n uint64, name string) DevPtr {
-	return DevPtr(c.dev.Alloc(n, name))
+	return DevPtr(c.dev.Alloc(n))
 }
 
 // MemcpyHtoD copies host bytes to the device.

@@ -15,7 +15,6 @@ import (
 // launch, copied to the host and accumulated on kernel exit. This is the
 // reusable pattern every case-study library in the paper builds on CUPTI.
 type CounterBank struct {
-	ctx   *cuda.Context
 	ptr   cuda.DevPtr
 	count int
 
@@ -27,9 +26,9 @@ type CounterBank struct {
 // context's kernel boundaries.
 func NewCounterBank(ctx *cuda.Context, name string, count int) *CounterBank {
 	b := &CounterBank{
-		ctx: ctx, count: count,
-		ptr:  ctx.Malloc(uint64(8*count), name),
-		Host: make([]uint64, count),
+		count: count,
+		ptr:   ctx.Malloc(uint64(8*count), name),
+		Host:  make([]uint64, count),
 	}
 	zero := make([]byte, 8*count)
 	_ = ctx.MemcpyHtoD(b.ptr, zero)

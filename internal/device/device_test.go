@@ -53,7 +53,7 @@ func harness(t *testing.T, dev *sim.Device, fn func(w *device.Warp)) error {
 	rt.MustRegister(&isassi.Handler{Name: "h",
 		Fn: func(w *device.Warp, args isassi.HandlerArgs) { fn(w) }})
 	rt.Attach(dev)
-	buf := dev.Alloc(4*32, "out")
+	buf := dev.Alloc(4 * 32)
 	_, err = dev.Launch(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{buf},
 	})
@@ -277,7 +277,7 @@ func TestHandlerMemFaultBecomesError(t *testing.T) {
 
 func TestAtomicHelpers(t *testing.T) {
 	dev := sim.NewDevice(sim.MiniGPU())
-	base := dev.Alloc(64, "c")
+	base := dev.Alloc(64)
 	err := harness(t, dev, func(w *device.Warp) {
 		for l := w.First(); l >= 0; l = w.Next(l) {
 			c := w.Lane(l)
@@ -318,7 +318,7 @@ func TestAtomicHelpers(t *testing.T) {
 // lanes' values into memory.
 func TestWarpAtomicAnd(t *testing.T) {
 	dev := sim.NewDevice(sim.MiniGPU())
-	base := dev.Alloc(8, "c")
+	base := dev.Alloc(8)
 	if err := dev.Global.Write32(base, 0xffffffff); err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestWarpAtomicAnd(t *testing.T) {
 // and a fault is its lowest faulting lane's, with every lane below it added.
 func TestWarpAtomicAdd64(t *testing.T) {
 	dev := sim.NewDevice(sim.MiniGPU())
-	base := dev.Alloc(8*32, "c")
+	base := dev.Alloc(8 * 32)
 	err := harness(t, dev, func(w *device.Warp) {
 		var addrs device.Vec64
 		for l := range addrs {
@@ -380,7 +380,7 @@ func TestWarpAtomicAdd64(t *testing.T) {
 // generic-address loads and stores, per lane.
 func TestLaneStateAccess(t *testing.T) {
 	dev := sim.NewDevice(sim.MiniGPU())
-	base := dev.Alloc(8*32, "c")
+	base := dev.Alloc(8 * 32)
 	err := harness(t, dev, func(w *device.Warp) {
 		for l := w.First(); l >= 0; l = w.Next(l) {
 			c := w.Lane(l)

@@ -51,8 +51,6 @@ func NewOracle(tools []Tool) *Oracle {
 
 // Result is one kernel's verdict across the whole matrix.
 type Result struct {
-	Prog     *Prog
-	NumRegs  int // base kernel register count
 	Launches int
 	Failures []Failure
 }
@@ -105,7 +103,7 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difftest: compile seed %d: %w", p.Seed, err)
 	}
-	res := &Result{Prog: p, NumRegs: base.Kernels[0].NumRegs}
+	res := &Result{}
 
 	ref, err := o.launch(p, base, nil, coreCells[0], "base")
 	res.Launches++
@@ -209,7 +207,7 @@ func (o *Oracle) RunSchedule(p *Prog, schedSeed uint64) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("difftest: scheduled compile seed %d: %w", p.Seed, err)
 	}
-	res := &Result{Prog: p, NumRegs: base.Kernels[0].NumRegs}
+	res := &Result{}
 
 	ref, err := o.launch(p, base, nil, coreCells[0], "base")
 	res.Launches++
@@ -368,6 +366,5 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 		Acc:     acc,
 		Stats:   stats,
 		Metrics: reg.Flat("sm"),
-		NumRegs: prog.Kernels[0].NumRegs,
 	}, nil
 }

@@ -19,7 +19,6 @@ type ThreadState struct {
 
 // CTAState is one CTA's final state, captured via sim.Device.CTARetire.
 type CTAState struct {
-	Index   int
 	Shared  []byte
 	Threads []ThreadState
 }
@@ -32,7 +31,6 @@ type RunState struct {
 	Acc     []uint32 // kernel-owned atomic accumulator
 	Stats   *sim.KernelStats
 	Metrics map[string]uint64 // obs registry snapshot (sim+mem counters)
-	NumRegs int               // register count of the launched kernel
 }
 
 // collector snapshots CTAs as they retire. CTARetire fires concurrently
@@ -57,7 +55,7 @@ func (c *collector) hook(cta *sim.CTA) {
 // memory — with threads in FlatTid order. It is the collector's body, for
 // callers that attach their own sim.Device.CTARetire.
 func Snapshot(cta *sim.CTA) *CTAState {
-	st := &CTAState{Index: cta.Index}
+	st := &CTAState{}
 	if cta.Shared != nil && cta.Shared.Size() > 0 {
 		st.Shared = make([]byte, cta.Shared.Size())
 		_ = cta.Shared.Read(0, st.Shared)

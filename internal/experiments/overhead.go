@@ -42,7 +42,6 @@ type OverheadRow struct {
 
 	BaselineWarpInstrs uint64
 	BaselineCycles     uint64
-	Launches           int
 
 	Tools []OverheadCell
 }
@@ -106,7 +105,6 @@ func OverheadReport(env Env, apps, tools []string) ([]OverheadRow, error) {
 		}
 		row.BaselineWarpInstrs = baseCtx.TotalWarpInstrs
 		row.BaselineCycles = baseCtx.TotalKernelCycles
-		row.Launches = baseCtx.Launches()
 
 		for _, tool := range tools {
 			setup, err := overheadSetup(env, tool)

@@ -177,7 +177,7 @@ func TestLaunchCutSplice(t *testing.T) {
 	lc := newLaunchCut(syntheticFootprint(), false)
 	const size = numLines - lineA
 	golden := mem.NewGlobal()
-	golden.Alloc(size, "buf")
+	golden.Alloc(size)
 	for i := range size {
 		_ = golden.Write(lineA+uint64(i), []byte{byte(i + 1)})
 	}
@@ -202,7 +202,7 @@ func TestLaunchCutSplice(t *testing.T) {
 			map[uint64]uint32{lineH: 4, lineH + 4: 1, lineH + 28: 0xffffffff, lineI: 5}},
 	} {
 		run := mem.NewGlobal()
-		run.Alloc(size, "buf")
+		run.Alloc(size)
 		for a, v := range tc.ran {
 			_ = run.Write32(a, v)
 		}

@@ -247,8 +247,8 @@ func driveAtomicWarp(t *testing.T, stream []byte) {
 	s := &opStream{b: stream}
 	got, want := NewGlobal(), NewGlobal()
 	for _, g := range []*Global{got, want} {
-		g.Alloc(2*pageSize+64, "big")
-		g.Alloc(64, "small")
+		g.Alloc(2*pageSize + 64)
+		g.Alloc(64)
 	}
 	var b AtomicBatch
 	for s.i < len(s.b) {
@@ -309,7 +309,7 @@ func FuzzAtomicWarp(f *testing.F) {
 // site profiler's per-thread adds).
 func BenchmarkAtomic(b *testing.B) {
 	g := NewGlobal()
-	base := g.Alloc(8*32, "c")
+	base := g.Alloc(8 * 32)
 	add := func(o uint64) uint64 { return o + 1 }
 	for _, n := range []int{1, 32} {
 		b.Run(fmt.Sprintf("batch/%d", n), func(b *testing.B) {

@@ -7,4 +7,3 @@ func (s CacheStats) HitRate() float64 {
 	}
 	return float64(s.Hits) / float64(s.Accesses)
 }
-

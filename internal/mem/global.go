@@ -37,7 +37,6 @@ type Global struct {
 type allocation struct {
 	base uint64
 	size uint64
-	name string
 }
 
 // NewGlobal returns an empty device memory with strict bounds checking.
@@ -77,7 +76,7 @@ func (g *Global) SetStrictBounds(strict bool) {
 
 // Alloc reserves size bytes of device memory and returns its base address.
 // Allocations are 256-byte aligned, like cudaMalloc.
-func (g *Global) Alloc(size uint64, name string) uint64 {
+func (g *Global) Alloc(size uint64) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if size == 0 {
@@ -85,7 +84,7 @@ func (g *Global) Alloc(size uint64, name string) uint64 {
 	}
 	base := (g.next + 255) &^ 255
 	g.next = base + size
-	g.allocs = append(g.allocs, allocation{base: base, size: size, name: name})
+	g.allocs = append(g.allocs, allocation{base: base, size: size})
 	return base
 }
 

@@ -18,8 +18,8 @@ func TestGlobalConcurrentAtomics(t *testing.T) {
 	)
 	// counters spread over several pages so multiple stripes are in play;
 	// slots gives each worker private cells on shared pages.
-	counters := g.Alloc(8*64*1024, "counters")
-	slots := g.Alloc(4*workers*iters, "slots")
+	counters := g.Alloc(8 * 64 * 1024)
+	slots := g.Alloc(4 * workers * iters)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -75,7 +75,7 @@ func TestGlobalConcurrentAtomicBatches(t *testing.T) {
 	if testing.Short() {
 		iters = 100
 	}
-	base := g.Alloc(counters*4096, "counters") // one counter per 4 KiB
+	base := g.Alloc(counters * 4096) // one counter per 4 KiB
 	counter := func(i int) uint64 { return base + uint64(i%counters)*4096 }
 	row := func(w int) uint64 { return counter(16*w) + 64 } // 32 owned words
 
@@ -146,7 +146,7 @@ func TestGlobalConcurrentAtomicBatches(t *testing.T) {
 func TestGlobalConcurrentCrossPage(t *testing.T) {
 	g := NewGlobal()
 	const span = 256 // bytes written across a page boundary
-	base := g.Alloc(pageSize*4, "xpage")
+	base := g.Alloc(pageSize * 4)
 	// The range [edge, edge+span) straddles the first page boundary.
 	edge := base + pageSize - span/2
 

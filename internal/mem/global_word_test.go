@@ -57,8 +57,8 @@ func driveGlobalWord(t *testing.T, stream []byte) {
 	s := &opStream{b: stream}
 	got, want := NewGlobal(), NewGlobal()
 	for _, g := range []*Global{got, want} {
-		g.Alloc(2*pageSize+64, "big")
-		g.Alloc(64, "small")
+		g.Alloc(2*pageSize + 64)
+		g.Alloc(64)
 	}
 	for s.i < len(s.b) {
 		op := s.next() % 11

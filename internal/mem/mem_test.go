@@ -43,8 +43,8 @@ func TestSpacePredicates(t *testing.T) {
 
 func TestGlobalAllocAlignment(t *testing.T) {
 	g := NewGlobal()
-	a := g.Alloc(10, "a")
-	b := g.Alloc(1, "b")
+	a := g.Alloc(10)
+	b := g.Alloc(1)
 	if a%256 != 0 || b%256 != 0 {
 		t.Errorf("allocations misaligned: %#x %#x", a, b)
 	}
@@ -58,7 +58,7 @@ func TestGlobalAllocAlignment(t *testing.T) {
 
 func TestGlobalReadWriteRoundtrip(t *testing.T) {
 	g := NewGlobal()
-	base := g.Alloc(1<<17+64, "big") // spans multiple 64K pages
+	base := g.Alloc(1<<17 + 64) // spans multiple 64K pages
 	data := make([]byte, 1<<17)
 	for i := range data {
 		data[i] = byte(i * 7)
@@ -79,7 +79,7 @@ func TestGlobalReadWriteRoundtrip(t *testing.T) {
 
 func TestGlobalStrictFaults(t *testing.T) {
 	g := NewGlobal()
-	base := g.Alloc(64, "x")
+	base := g.Alloc(64)
 	if err := g.Write32(base+60, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestGlobalStrictFaults(t *testing.T) {
 
 func TestGlobalLenientWindow(t *testing.T) {
 	g := NewGlobal()
-	base := g.Alloc(64, "x")
+	base := g.Alloc(64)
 	g.SetStrictBounds(false)
 	// Between allocations but inside the heap window: allowed.
 	if err := g.Write32(base+4096, 7); err != nil {
@@ -135,7 +135,7 @@ func TestGlobalLenientWindow(t *testing.T) {
 func TestGlobalReset(t *testing.T) {
 	g := NewGlobal()
 	g.SetStrictBounds(false)
-	base := g.Alloc(3*pageSize, "heap")
+	base := g.Alloc(3 * pageSize)
 	stray := base + 1<<30
 	for _, addr := range []uint64{base, base + 2*pageSize + 8, stray} {
 		if err := g.Write32(addr, 0xdeadbeef); err != nil {
@@ -149,7 +149,7 @@ func TestGlobalReset(t *testing.T) {
 	if _, err := g.Read32(base); err == nil {
 		t.Error("bounds still lenient, or the old allocation still mapped, after Reset")
 	}
-	if got := g.Alloc(3*pageSize, "heap"); got != base {
+	if got := g.Alloc(3 * pageSize); got != base {
 		t.Errorf("allocator restarts at %#x, want %#x", got, base)
 	}
 	g.SetStrictBounds(false)
@@ -190,7 +190,7 @@ var globalAtomicCases = []struct {
 func TestGlobalAtomics(t *testing.T) {
 	for _, c := range globalAtomicCases {
 		g := NewGlobal()
-		base := g.Alloc(16, "c")
+		base := g.Alloc(16)
 		b := AtomicBatch{N: 1, Op: AtomExch, Width: c.width, Addrs: [32]uint64{base + c.off}, Vals: [32]uint64{c.init}}
 		if _, err := g.AtomicWarp(&b); err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestGlobalAtomics(t *testing.T) {
 
 func TestGlobal64Roundtrip(t *testing.T) {
 	g := NewGlobal()
-	base := g.Alloc(8, "v")
+	base := g.Alloc(8)
 	if err := g.Write64(base, 0x1122334455667788); err != nil {
 		t.Fatal(err)
 	}

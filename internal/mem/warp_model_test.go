@@ -362,9 +362,9 @@ func driveGlobalWarpAccess(t *testing.T, stream []byte) {
 	s := &opStream{b: stream}
 	got, want := NewGlobal(), NewGlobal()
 	for _, g := range []*Global{got, want} {
-		g.Alloc(2*pageSize, "a")
-		g.Alloc(256, "b")
-		g.Alloc(64, "c")
+		g.Alloc(2 * pageSize)
+		g.Alloc(256)
+		g.Alloc(64)
 	}
 	caches := []*Cache{NewCache(1024, 128, 2), NewCache(4096, 128, 4)}
 	models := []*cacheModel{newCacheModel(1024, 128, 2), newCacheModel(4096, 128, 4)}

@@ -81,7 +81,7 @@ const DefaultRingSize = 1024
 // ring has a single writer, its SM goroutine).
 type Sample struct {
 	PC     int32           // instruction index in the kernel
-	Warp   int32           // launch-global warp id (CTA*warpsPerCTA + idInCTA)
+	_      int32           // pads the cell to 64 bytes
 	Weight uint32          // period boundaries this issue window crossed
 	Active uint16          // active-lane count at issue
 	Reason Reason          // stall classification
@@ -111,7 +111,6 @@ type counts struct {
 type SMBuf struct {
 	ring      []Sample
 	n         int
-	recorded  uint64
 	truncated uint64
 	agg       map[smKey]counts
 }
@@ -127,14 +126,13 @@ func newSMBuf(ringSize int) *SMBuf {
 // reused, and when the ring is full it folds into the aggregation map
 // first (map writes to existing keys do not allocate, so steady-state
 // sampling of a kernel's finite location set stays allocation-free).
-func (b *SMBuf) Record(pc, warp int32, active uint16, reason Reason, weight uint32, stack []int) {
+func (b *SMBuf) Record(pc int32, active uint16, reason Reason, weight uint32, stack []int) {
 	if b.n == len(b.ring) {
 		b.fold()
 	}
 	s := &b.ring[b.n]
 	b.n++
-	b.recorded++
-	s.PC, s.Warp, s.Weight, s.Active, s.Reason = pc, warp, weight, active, reason
+	s.PC, s.Weight, s.Active, s.Reason = pc, weight, active, reason
 	d := len(stack)
 	if d > MaxStack {
 		b.truncated++
@@ -168,7 +166,6 @@ func (b *SMBuf) fold() {
 // reset clears the buffer for reuse by a later launch.
 func (b *SMBuf) reset() {
 	b.n = 0
-	b.recorded = 0
 	b.truncated = 0
 	for k := range b.agg {
 		delete(b.agg, k)

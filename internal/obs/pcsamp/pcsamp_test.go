@@ -45,7 +45,7 @@ func TestRecordFoldsOnFullRing(t *testing.T) {
 	ls := s.LaunchBegin(k, 1)
 	const n = 100
 	for i := 0; i < n; i++ {
-		ls.SMs[0].Record(int32(i%3), 0, 32, ReasonNone, 2, nil)
+		ls.SMs[0].Record(int32(i%3), 32, ReasonNone, 2, nil)
 	}
 	s.LaunchEnd(ls)
 	prof := s.Profile()
@@ -72,7 +72,7 @@ func TestStackTruncation(t *testing.T) {
 	for i := range stack {
 		stack[i] = i + 1
 	}
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 1, stack)
+	ls.SMs[0].Record(0, 32, ReasonNone, 1, stack)
 	s.LaunchEnd(ls)
 	prof := s.Profile()
 	if prof.TruncatedStacks != 1 {
@@ -98,14 +98,14 @@ func TestPooledReuseIsClean(t *testing.T) {
 	s := NewWithRing(1, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 2)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 5, nil)
-	ls.SMs[1].Record(1, 0, 32, ReasonMemory, 7, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 5, nil)
+	ls.SMs[1].Record(1, 32, ReasonMemory, 7, nil)
 	s.LaunchEnd(ls)
 	ls2 := s.LaunchBegin(k, 2)
 	if ls2 != ls {
 		t.Fatal("expected pooled LaunchSamples reuse for matching SM count")
 	}
-	ls2.SMs[0].Record(0, 0, 32, ReasonNone, 1, nil)
+	ls2.SMs[0].Record(0, 32, ReasonNone, 1, nil)
 	s.LaunchEnd(ls2)
 	prof := s.Profile()
 	if got := prof.TotalSamples(); got != 5+7+1 {
@@ -124,11 +124,11 @@ func TestMergeOrderIndependence(t *testing.T) {
 		s := NewWithRing(1, 8)
 		k := testKernel(t, "spin")
 		a := s.LaunchBegin(k, 1)
-		a.SMs[0].Record(0, 0, 32, ReasonNone, 3, nil)
-		a.SMs[0].Record(1, 1, 16, ReasonScoreboard, 2, []int{2})
+		a.SMs[0].Record(0, 32, ReasonNone, 3, nil)
+		a.SMs[0].Record(1, 16, ReasonScoreboard, 2, []int{2})
 		b := s.LaunchBegin(k, 1)
-		b.SMs[0].Record(1, 0, 16, ReasonScoreboard, 4, []int{2})
-		b.SMs[0].Record(2, 2, 8, ReasonMemory, 1, nil)
+		b.SMs[0].Record(1, 16, ReasonScoreboard, 4, []int{2})
+		b.SMs[0].Record(2, 8, ReasonMemory, 1, nil)
 		both := []*LaunchSamples{a, b}
 		for _, i := range order {
 			s.LaunchEnd(both[i])
@@ -145,12 +145,12 @@ func TestCloneSub(t *testing.T) {
 	s := NewWithRing(1, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 10, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 10, nil)
 	s.LaunchEnd(ls)
 	base := s.Profile()
 	ls = s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 4, nil)
-	ls.SMs[0].Record(1, 0, 32, ReasonMemory, 6, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 4, nil)
+	ls.SMs[0].Record(1, 32, ReasonMemory, 6, nil)
 	s.LaunchEnd(ls)
 	delta := s.Profile().Sub(base)
 	if got := delta.TotalSamples(); got != 10 {
@@ -193,7 +193,7 @@ func TestLaunchEndPublishesMetrics(t *testing.T) {
 	s.Metrics = obs.NewRegistry()
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 3, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 3, nil)
 	s.LaunchEnd(ls)
 	flat := s.Metrics.Flat("sm")
 	if flat[obs.MPCSampSamples] != 3 {
@@ -208,8 +208,8 @@ func TestWriteFolded(t *testing.T) {
 	s := NewWithRing(1, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(1, 0, 32, ReasonScoreboard, 5, nil)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 2, nil)
+	ls.SMs[0].Record(1, 32, ReasonScoreboard, 5, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 2, nil)
 	s.LaunchEnd(ls)
 	var b strings.Builder
 	if err := s.Profile().WriteFolded(&b); err != nil {
@@ -297,8 +297,8 @@ func TestProtoShape(t *testing.T) {
 	s := NewWithRing(100, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 2, nil)
-	ls.SMs[0].Record(1, 0, 32, ReasonMemory, 3, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 2, nil)
+	ls.SMs[0].Record(1, 32, ReasonMemory, 3, nil)
 	s.LaunchEnd(ls)
 	prof := s.Profile()
 	fields := protoFields(t, prof.proto())
@@ -349,7 +349,7 @@ func TestProfileHandler(t *testing.T) {
 	s := NewWithRing(1, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 2, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 2, nil)
 	s.LaunchEnd(ls)
 
 	rec = httptest.NewRecorder()

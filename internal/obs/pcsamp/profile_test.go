@@ -17,8 +17,8 @@ func TestProfileAccessors(t *testing.T) {
 	s := NewWithRing(10, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonNone, 2, nil)
-	ls.SMs[0].Record(1, 0, 16, ReasonMemory, 3, nil)
+	ls.SMs[0].Record(0, 32, ReasonNone, 2, nil)
+	ls.SMs[0].Record(1, 16, ReasonMemory, 3, nil)
 	s.LaunchEnd(ls)
 	if got := s.Launches(); got != 1 {
 		t.Errorf("Sampler.Launches = %d, want 1", got)
@@ -64,9 +64,9 @@ func TestCallStackSymbolization(t *testing.T) {
 	ls := s.LaunchBegin(k, 1)
 	// Leaf inside fn with return address 1 (the instruction after the CAL):
 	// the frame must be named after the callee label.
-	ls.SMs[0].Record(2, 0, 32, ReasonNone, 4, []int{1})
+	ls.SMs[0].Record(2, 32, ReasonNone, 4, []int{1})
 	// A return address whose predecessor is not a CAL degrades to ret_...
-	ls.SMs[0].Record(2, 0, 32, ReasonNone, 1, []int{3})
+	ls.SMs[0].Record(2, 32, ReasonNone, 1, []int{3})
 	s.LaunchEnd(ls)
 	var b strings.Builder
 	if err := s.Profile().WriteFolded(&b); err != nil {
@@ -87,7 +87,7 @@ func TestWritePprof(t *testing.T) {
 	s := NewWithRing(1, 8)
 	k := testKernel(t, "spin")
 	ls := s.LaunchBegin(k, 1)
-	ls.SMs[0].Record(0, 0, 32, ReasonScoreboard, 7, nil)
+	ls.SMs[0].Record(0, 32, ReasonScoreboard, 7, nil)
 	s.LaunchEnd(ls)
 	prof := s.Profile()
 	var gz bytes.Buffer

@@ -49,8 +49,8 @@ func TestParseAndRunSaxpy(t *testing.T) {
 	}
 	dev := sim.NewDevice(sim.MiniGPU())
 	const n = 100
-	dx := dev.Alloc(4*n, "x")
-	dy := dev.Alloc(4*n, "y")
+	dx := dev.Alloc(4 * n)
+	dy := dev.Alloc(4 * n)
 	for i := 0; i < n; i++ {
 		dev.Global.Write32(dx+uint64(4*i), math.Float32bits(float32(i)))
 		dev.Global.Write32(dy+uint64(4*i), math.Float32bits(1))
@@ -106,7 +106,7 @@ func TestParseLoopWithMutableRegs(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(4*32, "out")
+	out := dev.Alloc(4 * 32)
 	if _, err := dev.Launch(prog, "count", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{out},
 	}); err != nil {
@@ -144,7 +144,7 @@ func TestParseAtomics(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := sim.NewDevice(sim.MiniGPU())
-	hist := dev.Alloc(16, "hist")
+	hist := dev.Alloc(16)
 	if _, err := dev.Launch(prog, "histo", sim.LaunchParams{
 		Grid: sim.D1(2), Block: sim.D1(32), Args: []uint64{hist},
 	}); err != nil {

@@ -29,7 +29,7 @@ func runKernel(t *testing.T, k *sass.Kernel, threads int) (*sim.Device, uint64) 
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(4096, "out")
+	out := dev.Alloc(4096)
 	if _, err := dev.Launch(prog, k.Name, sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(threads), Args: []uint64{out},
 	}); err != nil {

@@ -32,7 +32,7 @@ func runStats(t *testing.T, k *sass.Kernel) (*sim.KernelStats, [32]uint32) {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(8192, "out")
+	out := dev.Alloc(8192)
 	stats, err := dev.Launch(prog, k.Name, sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{out},
 	})

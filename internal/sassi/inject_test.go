@@ -37,9 +37,9 @@ func buildVecAdd(t *testing.T) *sass.Program {
 
 func runVecAdd(t *testing.T, dev *sim.Device, prog *sass.Program, n int) *sim.KernelStats {
 	t.Helper()
-	aBuf := dev.Alloc(uint64(4*n), "a")
-	bBuf := dev.Alloc(uint64(4*n), "b")
-	oBuf := dev.Alloc(uint64(4*n), "out")
+	aBuf := dev.Alloc(uint64(4 * n))
+	bBuf := dev.Alloc(uint64(4 * n))
+	oBuf := dev.Alloc(uint64(4 * n))
 	for i := 0; i < n; i++ {
 		dev.Global.Write32(aBuf+uint64(4*i), math.Float32bits(float32(i)))
 		dev.Global.Write32(bBuf+uint64(4*i), math.Float32bits(float32(i)))
@@ -74,7 +74,7 @@ func TestOpcountHandler(t *testing.T) {
 	}
 
 	dev := sim.NewDevice(sim.MiniGPU())
-	counters := dev.Alloc(7*8, "dynamic_instr_counts")
+	counters := dev.Alloc(7 * 8)
 
 	rt := sassi.NewRuntime(prog)
 	rt.MustRegister(&sassi.Handler{

@@ -352,7 +352,7 @@ func TestBarrierSynchronizesCTA(t *testing.T) {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(4*64, "out")
+	out := dev.Alloc(4 * 64)
 	if _, err := dev.Launch(prog, "bar", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(64), Args: []uint64{out},
 	}); err != nil {

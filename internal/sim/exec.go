@@ -40,11 +40,9 @@ type engine struct {
 	cycleBase uint64
 
 	// PC-sampling attachment (nil when the device has no sampler): the
-	// per-launch buffer set, the cycle cadence, and the warps-per-CTA
-	// factor that makes launch-global warp ids (CTA*warpsPerCTA + id).
-	samp        *pcsamp.LaunchSamples
-	sampPeriod  uint64
-	warpsPerCTA int
+	// per-launch buffer set and the cycle cadence.
+	samp       *pcsamp.LaunchSamples
+	sampPeriod uint64
 
 	// probe is the launch's site counting (nil without a Device.Probe).
 	probe *siteCount

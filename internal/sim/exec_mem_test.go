@@ -24,7 +24,7 @@ func memRun(t *testing.T, sharedBytes int, body func(scratchOff int) []sass.Inst
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())
-	scratch := dev.Alloc(4096, "scratch")
+	scratch := dev.Alloc(4096)
 	if _, err := dev.Launch(prog, "m", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{scratch},
 	}); err != nil {
@@ -353,7 +353,7 @@ func TestAtomicGlobalFaultPrefix(t *testing.T) {
 			prog := sass.NewProgram()
 			prog.AddKernel(k)
 			dev := sim.NewDevice(sim.MiniGPU())
-			scratch := dev.Alloc(4096, "scratch")
+			scratch := dev.Alloc(4096)
 			_, err := dev.Launch(prog, "m", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{scratch}})
 			var f *mem.Fault
 			if !errors.As(err, &f) || f.Why != tc.why || !f.Write || f.Space != mem.SpaceGlobal {
@@ -447,7 +447,7 @@ func TestCoalescingStats(t *testing.T) {
 		prog := sass.NewProgram()
 		prog.AddKernel(k)
 		dev := sim.NewDevice(sim.MiniGPU())
-		dev.Alloc(1<<16, "scratch")
+		dev.Alloc(1 << 16)
 		stats, err := dev.Launch(prog, "c", sim.LaunchParams{
 			Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{mem.GlobalBase + 256},
 		})

@@ -36,7 +36,7 @@ func runShape(t *testing.T, ref bool, prog *sass.Program, threads int) shapeOutc
 	if ref {
 		simref.Install(d)
 	}
-	buf := d.Alloc(shapeBufBytes, "buf")
+	buf := d.Alloc(shapeBufBytes)
 	init := make([]byte, shapeBufBytes)
 	for i := range init {
 		init[i] = byte(7*i + 3)

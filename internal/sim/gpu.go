@@ -426,7 +426,7 @@ func (d *Device) DRAMTransactions() uint64 {
 }
 
 // Alloc reserves device memory (cudaMalloc analog).
-func (d *Device) Alloc(size uint64, name string) uint64 { return d.Global.Alloc(size, name) }
+func (d *Device) Alloc(size uint64) uint64 { return d.Global.Alloc(size) }
 
 // KernelStats reports what one launch executed and (approximately) cost.
 type KernelStats struct {

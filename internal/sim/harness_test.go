@@ -138,10 +138,10 @@ func (h *warpHarness) run(t *testing.T) [][]uint32 {
 		if h.handler != nil {
 			dev.Dispatcher = funcDispatcher(h.handler)
 		}
-		out := dev.Alloc(uint64(4*nout*h.threads), "out")
+		out := dev.Alloc(uint64(4 * nout * h.threads))
 		args := []uint64{out}
 		if nin > 0 {
-			in := dev.Alloc(uint64(4*nin*h.threads), "in")
+			in := dev.Alloc(uint64(4 * nin * h.threads))
 			for lane := 0; lane < h.threads; lane++ {
 				for i := range h.inputs {
 					if err := dev.Global.Write32(in+uint64(4*(lane*nin+i)), h.inputs[i].v[lane]); err != nil {
@@ -202,7 +202,7 @@ func (h *warpHarness) runErr(t *testing.T, dev *sim.Device) error {
 	}
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
-	out := dev.Alloc(16, "out")
+	out := dev.Alloc(16)
 	_, err := dev.Launch(prog, "t", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(h.threads), Args: []uint64{out},
 	})

@@ -44,9 +44,9 @@ func TestVecAddEndToEnd(t *testing.T) {
 	dev := sim.NewDevice(sim.MiniGPU())
 
 	const n = 1000
-	aBuf := dev.Alloc(4*n, "a")
-	bBuf := dev.Alloc(4*n, "b")
-	oBuf := dev.Alloc(4*n, "out")
+	aBuf := dev.Alloc(4 * n)
+	bBuf := dev.Alloc(4 * n)
+	oBuf := dev.Alloc(4 * n)
 	for i := 0; i < n; i++ {
 		dev.Global.Write32(aBuf+uint64(4*i), math.Float32bits(float32(i)))
 		dev.Global.Write32(bBuf+uint64(4*i), math.Float32bits(float32(2*i)))

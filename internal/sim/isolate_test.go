@@ -90,7 +90,7 @@ const copyCTAs, copyThreads = 12, 64
 // returns their addresses and the launch parameters.
 func copyLaunch(dev *sim.Device) (out, in uint64, p sim.LaunchParams) {
 	n := copyCTAs * copyThreads
-	out, in = dev.Alloc(uint64(4*n), "out"), dev.Alloc(uint64(4*n), "in")
+	out, in = dev.Alloc(uint64(4*n)), dev.Alloc(uint64(4*n))
 	for g := 0; g < n; g++ {
 		_ = dev.Global.Write32(in+uint64(4*g), uint32(1000+g))
 	}

@@ -346,7 +346,7 @@ func (d *Device) Launch(prog *sass.Program, kernelName string, p LaunchParams) (
 		}
 	}
 	if d.PCSamp != nil {
-		e.attachSampler(d.PCSamp, k, threadsPerCTA)
+		e.attachSampler(d.PCSamp, k)
 	}
 
 	// Residency limit per SM.
@@ -557,7 +557,7 @@ func (e *engine) buildCTA(ctaIdx int, grid, block Dim3, sharedBytes, sm int) *CT
 	cy := uint32(ctaIdx / grid.X % grid.Y)
 	cz := uint32(ctaIdx / (grid.X * grid.Y))
 	cta := &CTA{
-		Index: ctaIdx, CtaX: cx, CtaY: cy, CtaZ: cz,
+		Index:  ctaIdx,
 		Shared: mem.NewShared(sharedBytes),
 		SM:     sm,
 	}

@@ -56,7 +56,7 @@ func TestLaunchGeometry2D(t *testing.T) {
 	grid := sim.D2(3, 2)
 	block := sim.D2(8, 4) // 32 threads per CTA
 	total := grid.Count() * block.Count()
-	out := dev.Alloc(uint64(4*total), "out")
+	out := dev.Alloc(uint64(4 * total))
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: grid, Block: block, Args: []uint64{out},
 	})
@@ -77,7 +77,7 @@ func TestLaunchGeometry2D(t *testing.T) {
 func TestLaunchPartialWarp(t *testing.T) {
 	prog := storeGlobalIdKernel(t)
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(4*50, "out")
+	out := dev.Alloc(4 * 50)
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(50), Args: []uint64{out}, // 1.5 warps
 	})
@@ -99,7 +99,7 @@ func TestLaunchDistributesAcrossSMs(t *testing.T) {
 	prog := storeGlobalIdKernel(t)
 	cfg := sim.MiniGPU() // 2 SMs
 	dev := sim.NewDevice(cfg)
-	out := dev.Alloc(4*32*8, "out")
+	out := dev.Alloc(4 * 32 * 8)
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(8), Block: sim.D1(32), Args: []uint64{out},
 	})
@@ -149,7 +149,7 @@ func TestLaunchSharedMemoryLimit(t *testing.T) {
 func TestLaunchStatsInjectedSeparation(t *testing.T) {
 	prog := storeGlobalIdKernel(t)
 	dev := sim.NewDevice(sim.MiniGPU())
-	out := dev.Alloc(4*32, "out")
+	out := dev.Alloc(4 * 32)
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{out},
 	})

@@ -45,10 +45,10 @@ func warpStepper(tb testing.TB, loop []sass.Instruction, reg *obs.Registry, tr *
 	dev := NewDevice(cfg)
 	dev.Metrics = reg
 	dev.Trace = tr
-	dev.Alloc(4096, "global")
+	dev.Alloc(4096)
 	e, cta := testEngine(tb, dev, prog, LaunchParams{Grid: D1(1), Block: D1(32)})
 	if samp != nil {
-		e.attachSampler(samp, k, 32)
+		e.attachSampler(samp, k)
 	}
 	w := cta.Warps[0]
 	return func() {
@@ -182,7 +182,7 @@ func TestWarpFootprint(t *testing.T) {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := NewDevice(MiniGPU())
-	buf := dev.Alloc(4*128, "out")
+	buf := dev.Alloc(4 * 128)
 	launch := func() {
 		if _, err := dev.Launch(prog, "gid", LaunchParams{Grid: D1(1), Block: D1(128), Args: []uint64{buf}}); err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ func launchStats(t *testing.T, cfg sim.Config, grid, block sim.Dim3) *sim.Kernel
 	prog := storeGlobalIdKernel(t)
 	dev := sim.NewDevice(cfg)
 	total := grid.Count() * block.Count()
-	out := dev.Alloc(uint64(4*total), "out")
+	out := dev.Alloc(uint64(4 * total))
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: grid, Block: block, Args: []uint64{out},
 	})
@@ -69,7 +69,7 @@ func launchMetrics(t *testing.T, cfg sim.Config, grid, block sim.Dim3) map[strin
 	dev := sim.NewDevice(cfg)
 	reg := obs.NewRegistry()
 	dev.Metrics = reg
-	out := dev.Alloc(uint64(4*grid.Count()*block.Count()), "out")
+	out := dev.Alloc(uint64(4 * grid.Count() * block.Count()))
 	if _, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: grid, Block: block, Args: []uint64{out},
 	}); err != nil {

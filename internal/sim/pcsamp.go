@@ -39,17 +39,13 @@ func (e *engine) takeSample(st *smShard, w *Warp, pc int, in *sass.Instruction, 
 	case st.divergentBranches != divBefore:
 		reason = pcsamp.ReasonDivergence
 	}
-
-	// Launch-global warp id, matching the MemAccess convention.
-	warp := int32(w.CTA.Index*e.warpsPerCTA + w.IDinCTA)
-	st.samp.Record(int32(pc), warp, uint16(nexec), reason, uint32(n), w.CallStack)
+	st.samp.Record(int32(pc), uint16(nexec), reason, uint32(n), w.CallStack)
 }
 
 // attachSampler wires a device sampler into the launch engine: per-SM
 // buffers into the shards and the first boundary one period out.
-func (e *engine) attachSampler(s *pcsamp.Sampler, k *sass.Kernel, threadsPerCTA int) {
+func (e *engine) attachSampler(s *pcsamp.Sampler, k *sass.Kernel) {
 	e.sampPeriod = s.Period()
-	e.warpsPerCTA = (threadsPerCTA + WarpSize - 1) / WarpSize
 	e.samp = s.LaunchBegin(k, len(e.sms))
 	for i := range e.sms {
 		e.sms[i].samp = e.samp.SMs[i]

@@ -58,7 +58,7 @@ func TestPCSampPeriodOneExact(t *testing.T) {
 	dev := NewDevice(MiniGPU())
 	samp := pcsamp.New(1)
 	dev.PCSamp = samp
-	buf := dev.Alloc(4*64, "out")
+	buf := dev.Alloc(4 * 64)
 	stats, err := dev.Launch(prog, "gid", LaunchParams{
 		Grid: D1(2), Block: D1(32), Args: []uint64{buf},
 	})
@@ -105,7 +105,7 @@ func TestPCSampAccumulatesAcrossLaunches(t *testing.T) {
 	dev := NewDevice(MiniGPU())
 	samp := pcsamp.New(1)
 	dev.PCSamp = samp
-	buf := dev.Alloc(4*64, "out")
+	buf := dev.Alloc(4 * 64)
 	var cycles uint64
 	const launches = 3
 	for i := 0; i < launches; i++ {

@@ -146,15 +146,13 @@ type preInstr struct {
 	target int32
 
 	// Memory classes.
-	memBase  uint8 // address base register (RZ when absolute)
-	memOff   int64
-	memE     bool // 64-bit address in a register pair
-	width    sass.Width
-	nbytes   uint8
-	store    bool
-	forceG   bool  // LDG/STG: address must decode to global space
-	dataReg  uint8 // store data base register
-	memFault bool  // memory op needs per-lane space decode (generic LD/ST)
+	memBase uint8 // address base register (RZ when absolute)
+	memOff  int64
+	memE    bool // 64-bit address in a register pair
+	width   sass.Width
+	nbytes  uint8
+	store   bool
+	dataReg uint8 // store data base register
 }
 
 // preKernel is the predecoded form of one kernel. It is cached on the
@@ -445,7 +443,6 @@ func (p *preInstr) fillOperands(in *sass.Instruction) {
 		p.nbytes = uint8(in.Mods.Width.Bytes())
 		p.memE = in.Mods.E
 		p.store = !in.Op.IsMemRead()
-		p.forceG = in.Op == sass.OpLDG || in.Op == sass.OpSTG
 		for _, s := range in.Srcs {
 			if s.Kind == sass.OpdMem {
 				p.memBase = s.Reg

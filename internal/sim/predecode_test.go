@@ -115,7 +115,7 @@ func TestArenaRecycleConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			dev := NewDevice(MiniGPU())
-			buf := dev.Alloc(4*ctas*threads, "out")
+			buf := dev.Alloc(4 * ctas * threads)
 			for i := 0; i < launches; i++ {
 				if _, err := dev.Launch(prog, "stamp", LaunchParams{
 					Grid: D1(ctas), Block: D1(threads), Args: []uint64{buf},
@@ -156,7 +156,7 @@ func TestPredecodeFollowsInstrs(t *testing.T) {
 	prog := stampKernel(t, 7)
 	k := prog.Kernels[0]
 	dev := NewDevice(MiniGPU())
-	buf := dev.Alloc(4*32, "out")
+	buf := dev.Alloc(4 * 32)
 	launch := func(d *Device) uint32 {
 		t.Helper()
 		if _, err := d.Launch(prog, "stamp", LaunchParams{Grid: D1(1), Block: D1(32), Args: []uint64{buf}}); err != nil {
@@ -257,7 +257,7 @@ func TestFailedLaunchReturnsSlabs(t *testing.T) {
 				cfg.WatchdogWarpInstrs = 2000
 				dev := NewDevice(cfg)
 				dev.Dispatcher = failingDispatcher{}
-				buf := dev.Alloc(4*24*64, "out")
+				buf := dev.Alloc(4 * 24 * 64)
 				for i := 0; i < 3; i++ {
 					var ke *KernelError
 					if err := bad(dev); !errors.As(err, &ke) {
@@ -306,9 +306,9 @@ func TestRecycledSlabReadsZeroStack(t *testing.T) {
 	cfg := MiniGPU()
 	cfg.NumSMs = 1
 	dev := NewDevice(cfg)
-	buf := dev.Alloc(4, "out")
+	buf := dev.Alloc(4)
 	if _, err := dev.Launch(stampKernel(t, 0xabcd), "stamp", LaunchParams{
-		Grid: D1(1), Block: D1(1), Args: []uint64{dev.Alloc(4, "scratch")},
+		Grid: D1(1), Block: D1(1), Args: []uint64{dev.Alloc(4)},
 	}); err != nil {
 		t.Fatal(err)
 	}

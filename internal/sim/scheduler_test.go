@@ -15,7 +15,7 @@ func TestCTAWaves(t *testing.T) {
 	cfg.MaxCTAsPerSM = 1 // force waves: 8 CTAs over 2 SMs = 4 waves each
 	dev := sim.NewDevice(cfg)
 	const ctas = 8
-	out := dev.Alloc(4*32*ctas, "out")
+	out := dev.Alloc(4 * 32 * ctas)
 	stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(ctas), Block: sim.D1(32), Args: []uint64{out},
 	})
@@ -39,7 +39,7 @@ func TestResidencyLimitedByThreads(t *testing.T) {
 	cfg := sim.MiniGPU()
 	cfg.MaxThreadsPerSM = 64 // two 32-thread CTAs at a time
 	dev := sim.NewDevice(cfg)
-	out := dev.Alloc(4*32*6, "out")
+	out := dev.Alloc(4 * 32 * 6)
 	if _, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(6), Block: sim.D1(32), Args: []uint64{out},
 	}); err != nil {
@@ -74,7 +74,7 @@ func TestAtomicsAcrossCTAs(t *testing.T) {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	dev := sim.NewDevice(sim.MiniGPU())
-	ctr := dev.Alloc(4, "ctr")
+	ctr := dev.Alloc(4)
 	const ctas, threads = 7, 96
 	if _, err := dev.Launch(prog, "acc", sim.LaunchParams{
 		Grid: sim.D1(ctas), Block: sim.D1(threads), Args: []uint64{ctr},
@@ -93,7 +93,7 @@ func TestCyclesScaleWithWork(t *testing.T) {
 	prog := storeGlobalIdKernel(t)
 	run := func(ctas int) uint64 {
 		dev := sim.NewDevice(sim.MiniGPU())
-		out := dev.Alloc(uint64(4*32*ctas), "out")
+		out := dev.Alloc(uint64(4 * 32 * ctas))
 		stats, err := dev.Launch(prog, "gid", sim.LaunchParams{
 			Grid: sim.D1(ctas), Block: sim.D1(32), Args: []uint64{out},
 		})
@@ -134,7 +134,7 @@ func TestPerKernelConstBankIsolation(t *testing.T) {
 	prog.AddKernel(k2)
 
 	dev := sim.NewDevice(sim.MiniGPU())
-	buf := dev.Alloc(4*64, "buf")
+	buf := dev.Alloc(4 * 64)
 	if _, err := dev.Launch(prog, "gid", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{buf},
 	}); err != nil {

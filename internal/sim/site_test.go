@@ -88,7 +88,7 @@ func launchSite(t *testing.T, stale, site, moveSP bool, instance, budget uint64)
 	if site {
 		tw.Site = &sim.TwinSite{Thread: 0, Instance: instance}
 	}
-	out := dev.Alloc(4*sim.WarpSize, "out")
+	out := dev.Alloc(4 * sim.WarpSize)
 	stats, err := dev.Launch(base, "site", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(sim.WarpSize), Args: []uint64{out}, Twin: tw})
 	if err == nil {
@@ -200,7 +200,7 @@ func TestTwinSiteRefused(t *testing.T) {
 		}
 		dev.Dispatcher = &spMover{}
 		_, err := dev.Launch(base, "site", sim.LaunchParams{
-			Grid: sim.D1(1), Block: sim.D1(sim.WarpSize), Args: []uint64{dev.Alloc(4*sim.WarpSize, "out")},
+			Grid: sim.D1(1), Block: sim.D1(sim.WarpSize), Args: []uint64{dev.Alloc(4 * sim.WarpSize)},
 			Twin: &sim.Twin{Prog: c.twin, Warps: func(int, int) bool { return true }, Site: &sim.TwinSite{}}})
 		var te *sim.TwinError
 		if !errors.As(err, &te) {

@@ -42,7 +42,7 @@ func TestKernelStatsMetricsLive(t *testing.T) {
 	dev := NewDevice(MiniGPU())
 	reg := obs.NewRegistry()
 	dev.Metrics = reg
-	buf := dev.Alloc(4*64, "out")
+	buf := dev.Alloc(4 * 64)
 	if _, err := dev.Launch(prog, "gid", LaunchParams{
 		Grid: D1(2), Block: D1(32), Args: []uint64{buf},
 	}); err != nil {

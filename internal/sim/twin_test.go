@@ -62,7 +62,7 @@ func TestTwinRunsPickedCTAs(t *testing.T) {
 				}
 				disp := &countingDispatcher{want: twin.Kernels[0]}
 				dev.Dispatcher = disp
-				buf := dev.Alloc(4*ctas*threads, "out")
+				buf := dev.Alloc(4 * ctas * threads)
 				stats, err := dev.Launch(base, "stamp", sim.LaunchParams{
 					Grid: sim.D1(ctas), Block: sim.D1(threads), Args: []uint64{buf},
 					Twin: &sim.Twin{Prog: twin, Warps: func(cta, _ int) bool { return picked(cta) }},
@@ -195,7 +195,7 @@ func TestTwinRunsPickedWarps(t *testing.T) {
 							}
 						}
 					}
-					buf := dev.Alloc(4*ctas*threads, "out")
+					buf := dev.Alloc(4 * ctas * threads)
 					stats, err := dev.Launch(shape.base, "xchg", sim.LaunchParams{
 						Grid: sim.D1(ctas), Block: sim.D1(threads), Args: []uint64{buf},
 						Twin: &sim.Twin{Prog: shape.twin, Warps: picked},
@@ -267,7 +267,7 @@ func TestTwinRefused(t *testing.T) {
 	}
 	launch := func(t *testing.T, dev *sim.Device, twin *sim.Twin) {
 		t.Helper()
-		buf := dev.Alloc(4*4*32, "out")
+		buf := dev.Alloc(4 * 4 * 32)
 		_, err := dev.Launch(base, "stamp", sim.LaunchParams{
 			Grid: sim.D1(4), Block: sim.D1(32), Args: []uint64{buf}, Twin: twin,
 		})

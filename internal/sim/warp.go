@@ -325,11 +325,10 @@ func (w *Warp) PushReturnAddr(pc int) { w.CallStack = append(w.CallStack, pc) }
 
 // CTA is one cooperative thread array (thread block) resident on an SM.
 type CTA struct {
-	Index            int // flat CTA index within the grid
-	CtaX, CtaY, CtaZ uint32
-	Shared           *mem.Shared
-	Warps            []*Warp
-	SM               int
+	Index  int // flat CTA index within the grid
+	Shared *mem.Shared
+	Warps  []*Warp
+	SM     int
 
 	// traceStart is the SM-cycle count when the CTA became resident (used
 	// only when the device records a trace).

@@ -248,9 +248,8 @@ func genFEMatrix(side int, seed uint64) *SparseMatrix {
 
 // ELLMatrix is the column-major padded format miniFE-ELL uses.
 type ELLMatrix struct {
-	Rows   int
 	PerRow int
-	Cols   []uint32  // PerRow*Rows, column-major: Cols[k*Rows+row]
+	Cols   []uint32  // PerRow*rows, column-major: Cols[k*rows+row]
 	Vals   []float32 // same layout; padding entries have Vals==0
 }
 
@@ -262,7 +261,7 @@ func toELL(m *SparseMatrix) *ELLMatrix {
 			perRow = n
 		}
 	}
-	e := &ELLMatrix{Rows: m.Rows, PerRow: perRow,
+	e := &ELLMatrix{PerRow: perRow,
 		Cols: make([]uint32, perRow*m.Rows),
 		Vals: make([]float32, perRow*m.Rows)}
 	for i := 0; i < m.Rows; i++ {

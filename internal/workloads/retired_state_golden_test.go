@@ -40,15 +40,16 @@ var retiredStateTools = []struct {
 	}},
 }
 
-// hashCTA folds one retired CTA's snapshot into h: shared memory, then per
-// thread its registers, predicates, CC and whole local memory.
-func hashCTA(h hash.Hash, st *difftest.CTAState) {
+// hashCTA folds one retired CTA's index and snapshot into h: shared
+// memory, then per thread its registers, predicates, CC and whole local
+// memory.
+func hashCTA(h hash.Hash, index int, st *difftest.CTAState) {
 	var w [4]byte
 	put := func(v uint32) {
 		binary.LittleEndian.PutUint32(w[:], v)
 		h.Write(w[:])
 	}
-	put(uint32(st.Index))
+	put(uint32(index))
 	put(uint32(len(st.Shared)))
 	h.Write(st.Shared)
 	put(uint32(len(st.Threads)))
@@ -94,7 +95,7 @@ func retiredStateDigest(t *testing.T, spec *Spec, tool func(*cuda.Context) (*sas
 	ctas := map[int][]byte{}
 	ctx.Device().CTARetire = func(cta *sim.CTA) {
 		h := sha256.New()
-		hashCTA(h, difftest.Snapshot(cta))
+		hashCTA(h, cta.Index, difftest.Snapshot(cta))
 		ctas[cta.Index] = h.Sum(nil)
 	}
 	ctx.Subscribe(cuda.LaunchCallbacks{PostLaunch: func(kernel string, idx int, stats *sim.KernelStats, err error) {

@@ -469,6 +469,9 @@ func (m *module) unusedFields() map[string]finding {
 			}
 			for i := range st.NumFields() {
 				f := st.Field(i)
+				if f.Name() == "_" {
+					continue // padding
+				}
 				u := &fieldUse{key: m.key(f, tn.Name()), pos: f.Pos()}
 				_, u.read = reflect.StructTag(st.Tag(i)).Lookup("json")
 				fields[f] = u

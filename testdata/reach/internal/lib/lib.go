@@ -44,8 +44,10 @@ type Report struct {
 	Count int64 `json:"count"`
 }
 
-// State's mutex and atomic are used through their methods: kept.
+// State's mutex and atomic are used through their methods: kept. Its
+// padding is never a finding.
 type State struct {
+	_     [8]byte
 	mu    sync.Mutex
 	hits  atomic.Int64
 	count int          // incremented, never read: a finding
