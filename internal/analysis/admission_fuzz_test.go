@@ -22,9 +22,9 @@ var verifyOnly = []string{
 }
 
 // launchRefusalFor returns the refusal Launch must give k when CheckStructure
-// reports diags on it — the first instruction Verify refuses by a rule the
-// launch applies too, with Verify's message there — or "" when Launch must
-// run k. Verify holds a kernel to NumRegs, the launch to NumRegs but at
+// reports diags on it — Verify's resource finding, or else the first
+// instruction Verify refuses by a rule the launch applies too, with
+// Verify's message there — or "" when Launch must run k. Verify holds a kernel to NumRegs, the launch to NumRegs but at
 // least sass.MinRegs, so a register between the two is Verify's alone.
 func launchRefusalFor(k *sass.Kernel, diags []analysis.Diagnostic) string {
 	regs := max(k.NumRegs, sass.MinRegs)
@@ -42,6 +42,9 @@ next:
 			}
 			return fmt.Sprintf("pc=%d: names R%d, the kernel has %d registers", d.Instr, r, regs)
 		}
+		if d.Instr < 0 {
+			return d.Msg
+		}
 		return fmt.Sprintf("pc=%d: %s", d.Instr, d.Msg)
 	}
 	return ""
@@ -52,16 +55,24 @@ next:
 // reports an error by a rule the launch applies too, and then at the first
 // instruction Verify refuses so, with Verify's message — sim's
 // TestVerifyAgreesWithLaunch and TestKernelAdmissionAgrees on arbitrary
-// bytes. The kernel launches as one warp, without its parameter layout
-// and its shared and local sizes: admission judges none of them, and the
-// launch takes them as they come, up to gigabytes from a decoded header.
+// bytes. The kernel launches as one warp with its parameter layout and
+// local size, which sass.Kernel.CheckResources bounds for both sides, and
+// without its shared size, which the launch holds to the SM's alone.
 func FuzzAdmissionAgrees(f *testing.F) {
-	for _, k := range goldenKernels(f) {
+	for i, k := range goldenKernels(f) {
 		// Each small kernel as compiled and one register short, where both
-		// sides refuse it when the register is past the launch's minimum.
+		// sides refuse it when the register is past the launch's minimum;
+		// the first also with a 2-byte parameter and with 1 MiB of stack.
 		short := k.Clone()
 		short.NumRegs = launchGPRs(k) - 1
-		for _, k := range []*sass.Kernel{k, short} {
+		seeds := []*sass.Kernel{k, short}
+		if i == 0 {
+			narrow, deep := k.Clone(), k.Clone()
+			narrow.Params = append(narrow.Params, sass.ParamDesc{Name: "narrow", Size: 2, Offset: sass.ParamBase})
+			deep.LocalBytes = 1 << 20
+			seeds = append(seeds, narrow, deep)
+		}
+		for _, k := range seeds {
 			data, err := k.MarshalBinary()
 			if err != nil {
 				f.Fatal(err)
@@ -78,11 +89,12 @@ func FuzzAdmissionAgrees(f *testing.F) {
 		if k.UnmarshalBinary(data) != nil {
 			return
 		}
-		k.Params, k.SharedBytes, k.LocalBytes = nil, 0, 0
+		k.SharedBytes = 0
 		want := launchRefusalFor(&k, analysis.CheckStructure(&k))
 		prog := sass.NewProgram()
 		prog.AddKernel(&k)
-		stats, err := sim.NewDevice(cfg).Launch(prog, k.Name, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32)})
+		stats, err := sim.NewDevice(cfg).Launch(prog, k.Name, sim.LaunchParams{
+			Grid: sim.D1(1), Block: sim.D1(32), Args: make([]uint64, len(k.Params))})
 		if stats != nil {
 			err = nil // it ran; how the run ended is no admission question
 		}

@@ -6,9 +6,10 @@ import (
 	"sassi/internal/sass"
 )
 
-// CheckStructure validates the static shape of a kernel: each
-// instruction by sass.Kernel.CheckInstr, the rule set the launch refuses a
-// kernel by too, and the register figure CheckInstr returns for it within
+// CheckStructure validates the static shape of a kernel: its resource
+// fields by sass.Kernel.CheckResources and each instruction by
+// sass.Kernel.CheckInstr, the rule sets the launch refuses a kernel by
+// too, and the register figure CheckInstr returns for it within
 // the kernel's allocation (NumRegs, or the MinRegs every launch gives a
 // thread when the kernel states none); an instruction CheckInstr refuses
 // gets that one finding and no other. Then the rules the launch does not
@@ -31,6 +32,9 @@ func CheckStructure(k *sass.Kernel) []Diagnostic {
 		})
 	}
 
+	if err := k.CheckResources(); err != nil {
+		bad(-1, "%v", err)
+	}
 	n := len(k.Instrs)
 	if n == 0 {
 		bad(-1, "kernel has no instructions")

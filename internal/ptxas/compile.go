@@ -97,6 +97,9 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 // checkKernel refuses what the compiler must never emit: an instruction the
 // launch would refuse (sass.Kernel.CheckInstr) or a kernel with no EXIT.
 func checkKernel(k *sass.Kernel) error {
+	if err := k.CheckResources(); err != nil {
+		return fmt.Errorf("kernel %s: %v", k.Name, err)
+	}
 	exit := false
 	for i := range k.Instrs {
 		if _, err := k.CheckInstr(i); err != nil {

@@ -34,6 +34,17 @@ const (
 // kernel's NumRegs; Verify holds a kernel that states no NumRegs to it.
 const MinRegs = 16
 
+// The bounds Kernel.CheckResources holds a kernel's resource fields to,
+// CUDA's own.
+const (
+	// ParamBytes is the parameter space that starts at ParamBase (CUDA's
+	// 4 KB kernel-parameter limit).
+	ParamBytes = 4096
+	// MaxLocalBytes is the most local memory a kernel may ask of each
+	// thread (CUDA's 512 KiB per-thread limit).
+	MaxLocalBytes = 512 << 10
+)
+
 // Kernel is one compiled GPU entry point: a flat instruction sequence plus
 // the resources the launch needs to reserve.
 type Kernel struct {
@@ -147,6 +158,29 @@ func (k *Kernel) AddParam(name string, size int) int {
 	}
 	k.Params = append(k.Params, ParamDesc{Name: name, Size: size, Offset: off})
 	return off
+}
+
+// CheckResources judges the resource fields a launch sizes a kernel's
+// state from: every parameter is 4 or 8 bytes, at or past ParamBase,
+// aligned to its size and ending within ParamBytes of ParamBase, and
+// LocalBytes lies in [0, MaxLocalBytes]. Verify's structural check and the
+// launch both call it, as they call CheckInstr, so they refuse the same
+// kernels with the same message.
+func (k *Kernel) CheckResources() error {
+	for i, p := range k.Params {
+		switch {
+		case p.Size != 4 && p.Size != 8:
+			return fmt.Errorf("parameter %d (%s) is %d bytes, not 4 or 8", i, p.Name, p.Size)
+		case p.Offset < ParamBase || p.Offset%p.Size != 0:
+			return fmt.Errorf("parameter %d (%s) at %#x is not %d-byte aligned at or past %#x", i, p.Name, p.Offset, p.Size, ParamBase)
+		case p.Offset > ParamBase+ParamBytes-p.Size:
+			return fmt.Errorf("parameter %d (%s) at %#x ends past the %d-byte parameter space at %#x", i, p.Name, p.Offset, ParamBytes, ParamBase)
+		}
+	}
+	if k.LocalBytes < 0 || k.LocalBytes > MaxLocalBytes {
+		return fmt.Errorf("LocalBytes %d is outside the per-thread local limit of %d", k.LocalBytes, MaxLocalBytes)
+	}
+	return nil
 }
 
 // ParamOffset returns the constant-bank offset of a named parameter.

@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -107,7 +109,7 @@ func launchRefusal(t *testing.T, dev *sim.Device, k *sass.Kernel) error {
 	prog := sass.NewProgram()
 	prog.AddKernel(k)
 	prog.InternHandler("h")
-	stats, err := dev.Launch(prog, k.Name, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32)})
+	stats, err := dev.Launch(prog, k.Name, sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32), Args: make([]uint64, len(k.Params))})
 	if stats == nil && err == nil {
 		t.Fatal("Launch returned neither stats nor an error")
 	}
@@ -173,7 +175,10 @@ func TestAllocationRuleIsVerifyOnly(t *testing.T) {
 // but those marked verifyOnly, where Verify refuses a kernel that Launch
 // runs, for the reason given. A JCAL to a symbol the program does not link
 // is refused by neither: the launch fails it when it issues (the program
-// it is linked into is the launch's, not the kernel's).
+// it is linked into is the launch's, not the kernel's). A kernel's
+// resource fields (sass.Kernel.CheckResources) are refused by both with
+// one message, as a *sim.KernelError from the launch, before it sizes a
+// constant bank or a stack from them.
 func TestKernelAdmissionAgrees(t *testing.T) {
 	cfg := sim.MiniGPU()
 	cfg.WatchdogWarpInstrs = 1 << 12
@@ -189,6 +194,18 @@ func TestKernelAdmissionAgrees(t *testing.T) {
 	ldg64 := sass.Instruction{Guard: sass.Always, Op: sass.OpLDG, Mods: sass.Mods{Width: sass.W64},
 		Dsts: []sass.Operand{sass.R(19)}, Srcs: []sass.Operand{sass.Mem(4, 0)}}
 	iadd20 := sass.New(sass.OpIADD, []sass.Operand{sass.R(20)}, []sass.Operand{sass.R(3), sass.Imm(1)})
+	stl := sass.Instruction{Guard: sass.Always, Op: sass.OpSTL, Srcs: []sass.Operand{sass.Mem(sass.RZ, 0), sass.R(0)}}
+	params := func(ps ...sass.ParamDesc) *sass.Kernel {
+		k := kernel(16, exit)
+		k.Params = ps
+		return k
+	}
+	local := func(bytes int) *sass.Kernel {
+		k := kernel(16, stl, exit)
+		k.LocalBytes = bytes
+		return k
+	}
+	const limit = sass.ParamBase + sass.ParamBytes
 	for _, c := range []struct {
 		name       string
 		k          *sass.Kernel
@@ -203,9 +220,32 @@ func TestKernelAdmissionAgrees(t *testing.T) {
 		{"JCAL to an unlinked symbol", kernel(16, sass.New(sass.OpJCAL, nil, []sass.Operand{sass.Sym("unlinked")}), exit), ""},
 		{"LDG.64 R19 at NumRegs 20", kernel(20, ldg64, exit), ""},
 		{"IADD R20 at NumRegs 0", kernel(0, iadd20, exit), ""},
+		{"parameters at the ends of the space", params(
+			sass.ParamDesc{Name: "a", Size: 4, Offset: sass.ParamBase},
+			sass.ParamDesc{Name: "b", Size: 8, Offset: limit - 8}), ""},
+		{"1-byte parameter", params(sass.ParamDesc{Name: "a", Size: 1, Offset: sass.ParamBase}), ""},
+		{"parameter below ParamBase", params(sass.ParamDesc{Name: "a", Size: 4, Offset: sass.ParamBase - 4}), ""},
+		{"misaligned 8-byte parameter", params(sass.ParamDesc{Name: "a", Size: 8, Offset: sass.ParamBase + 4}), ""},
+		{"parameter past 4 KB", params(sass.ParamDesc{Name: "a", Size: 8, Offset: limit - 4}), ""},
+		{"parameter near 2^32", params(sass.ParamDesc{Name: "a", Size: 4, Offset: 1<<32 - 4}), ""},
+		{"LocalBytes at 512 KiB", local(sass.MaxLocalBytes), ""},
+		{"LocalBytes at 4 MiB", local(4 << 20), ""},
+		{"negative LocalBytes", local(-4), ""},
 	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		verify := analysis.Errors(analysis.CheckStructure(c.k))
 		launch := launchRefusal(t, dev, c.k)
+		runtime.ReadMemStats(&after)
+		var ke *sim.KernelError
+		if len(verify) > 0 && verify[0].Instr < 0 && c.verifyOnly == "" {
+			if !errors.As(launch, &ke) || !strings.Contains(launch.Error(), verify[0].Msg) {
+				t.Errorf("%s: Verify refuses the kernel with %q, Launch with %v", c.name, verify[0].Msg, launch)
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+				t.Errorf("%s: refused after allocating %d bytes", c.name, n)
+			}
+		}
 		switch {
 		case c.verifyOnly != "":
 			if len(verify) == 0 || launch != nil {

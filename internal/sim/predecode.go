@@ -23,9 +23,11 @@ import (
 // operations — divergence-stack and call control, barriers, collectives,
 // atomics and memory shapes no class takes. A SASSI handler call has a
 // class too: its symbol is resolved once per launch, not per call. A
-// kernel with an instruction sass.Kernel.CheckInstr refuses — the rule set
-// Verify judges it by too — or whose register figure is past the kernel's
-// count is refused at launch (preKernel.err), whichever loop runs it.
+// kernel whose resource fields sass.Kernel.CheckResources refuses, with an
+// instruction sass.Kernel.CheckInstr refuses — the rule sets Verify judges
+// it by too — or whose register figure is past the kernel's count is
+// refused at launch (preKernel.err), before any state is sized from it,
+// whichever loop runs it.
 //
 // Everything observable — architectural state, KernelStats (including
 // cycles and scoreboard stalls), obs metrics, PC samples — is bit-equal
@@ -181,7 +183,8 @@ type preKernel struct {
 	// A launch resolves them against the warp's program (warpCode.handlerIDs):
 	// the same kernel may be linked into more than one program.
 	syms []string
-	// err, when non-nil, is why k cannot run: the first instruction
+	// err, when non-nil, is why k cannot run: what
+	// sass.Kernel.CheckResources finds, or else the first instruction
 	// sass.Kernel.CheckInstr refuses or whose register figure is past the
 	// registers a thread gets. Nothing else is filled in then.
 	err error
@@ -203,6 +206,9 @@ func straightLine(op sass.Opcode) bool {
 // offsets are validated against the size every launch of the kernel uses,
 // a function of its parameter layout.
 func predecode(k *sass.Kernel) any {
+	if err := k.CheckResources(); err != nil {
+		return &preKernel{k: k, err: err}
+	}
 	regs, gprs := max(k.NumRegs, sass.MinRegs), 0
 	for i := range k.Instrs {
 		n, err := k.CheckInstr(i)
