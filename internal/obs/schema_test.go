@@ -166,10 +166,6 @@ func validateTraceEvents(evs []traceEv) error {
 			if ev.Name == "" {
 				fail("complete event missing name")
 			}
-		case "C":
-			if ev.Pid == nil || ev.Ts == nil || ev.Name == "" || len(ev.Args) == 0 {
-				fail("counter event needs pid, ts, name, args")
-			}
 		case "M":
 			if ev.Name != "process_name" && ev.Name != "thread_name" {
 				fail("unknown metadata record")

@@ -24,8 +24,8 @@ const (
 	TidHostCompile = 1 // compile + instrument phases (CompileCache builds)
 )
 
-// traceEvent is one Chrome trace-event object. Only the "X" (complete),
-// "M" (metadata), and "C" (counter) phases are emitted.
+// traceEvent is one Chrome trace-event object. Only the "X" (complete)
+// and "M" (metadata) phases are emitted.
 type traceEvent struct {
 	Name string         `json:"name"`
 	Ph   string         `json:"ph"`
