@@ -47,7 +47,9 @@ var stdlibCalled = map[string]bool{
 //     an interface or a type parameter reaches every method of its name.
 //   - A field of an internal/ struct that no code reads. A field with a
 //     json: tag counts as read; a field used through its methods (a mutex,
-//     an atomic) is read by the selector that names it.
+//     an atomic) is read by the selector that names it. Printing a whole
+//     struct with fmt's %v reads its fields by reflection, which the rule
+//     does not see.
 //   - An exported field of an internal/ struct that no code writes. Writes
 //     are assignment, ++ and --, a composite-literal key or position, a
 //     taken address (which also counts as a read) and x.F[i] = v.
