@@ -24,8 +24,9 @@ var verifyOnly = []string{
 // launchRefusalFor returns the refusal Launch must give k when CheckStructure
 // reports diags on it — Verify's resource finding, or else the first
 // instruction Verify refuses by a rule the launch applies too, with
-// Verify's message there — or "" when Launch must run k. Verify holds a kernel to NumRegs, the launch to NumRegs but at
-// least sass.MinRegs, so a register between the two is Verify's alone.
+// Verify's message there — or "" when Launch must run k. Verify holds a
+// kernel to NumRegs, the launch to NumRegs but at least sass.MinRegs, so a
+// register between the two is Verify's alone.
 func launchRefusalFor(k *sass.Kernel, diags []analysis.Diagnostic) string {
 	regs := max(k.NumRegs, sass.MinRegs)
 next:
