@@ -60,7 +60,7 @@ func TestPublicAPIRoundtrip(t *testing.T) {
 	prog := scaleProgram(t)
 	instrumentMemSites(t, prog)
 	ctx := sassi.NewContext(sassi.MiniGPU())
-	counter := ctx.Malloc(8, "counter")
+	counter := ctx.Malloc(8)
 	attachMemSiteCounter(ctx, prog, counter)
 
 	host := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
@@ -157,7 +157,7 @@ func TestInstrumentAfterLaunch(t *testing.T) {
 	// calls and the count.
 	run := func(ctx *sassi.Context) (uint64, uint64) {
 		t.Helper()
-		counter := ctx.Malloc(8, "counter")
+		counter := ctx.Malloc(8)
 		if len(prog.Handlers) > 0 {
 			attachMemSiteCounter(ctx, prog, counter)
 		}

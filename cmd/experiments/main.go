@@ -182,7 +182,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Not part of "all": the overhead breakdown is an on-demand report.
 	if want["overhead"] {
 		step("overhead", func() (string, error) {
-			rows, err := experiments.OverheadReport(env, appList, nil)
+			rows, err := experiments.OverheadReport(env, appList)
 			if err != nil {
 				return "", err
 			}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"sassi/internal/difftest"
+	"sassi/internal/handlers"
 	"sassi/internal/obscli"
 )
 
@@ -36,7 +37,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "campaign seed; run i uses splitmix64(seed, i)")
 	n := fs.Int("n", 200, "number of generated kernels")
 	workers := fs.Int("workers", 0, "concurrent oracle runs (0 = GOMAXPROCS); results are identical at any value")
-	handlers := fs.String("handlers", "all", "comma-separated handler tools to check (all: "+strings.Join(difftest.ToolNames(), ",")+")")
+	toolList := fs.String("handlers", "all", "comma-separated handler tools to check (all: "+strings.Join(handlers.ToolNames(), ",")+")")
 	gpu := obscli.RegisterGPU(fs, "mini")
 	outDir := fs.String("out", ".", "directory for minimized .ptx repros of failures")
 	noShrink := fs.Bool("no-shrink", false, "report raw failing kernels without minimizing")
@@ -52,9 +53,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	tools, err := difftest.SelectTools(*handlers)
+	tools, err := handlers.SelectTools(*toolList)
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		fmt.Fprintln(stderr, "sassi-difftest:", err)
 		return 2
 	}
 	cfg := gpu.Config()

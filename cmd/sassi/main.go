@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	list := fs.Bool("list", false, "list available workloads and mutants and exit")
 	workload := fs.String("workload", "demo.vecadd", "workload or mutant to run")
 	dataset := fs.String("dataset", "", "dataset (default: workload's first)")
-	tool := fs.String("tool", "none", "instrumentation: none, opcount, branch, memdiv, valueprof, cfi, racecheck")
+	tool := fs.String("tool", "none", "instrumentation: none, "+strings.Join(handlers.ToolNames(), ", "))
 	gpu := obscli.RegisterGPU(fs, "k10")
 	disas := fs.Bool("disas", false, "print the compiled (and instrumented) SASS")
 	ptxFile := fs.String("ptx", "", "compile kernels from a PTX-like assembly file instead of a workload")
@@ -76,6 +76,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	obsFlags := obscli.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
+	}
+	var toolSpec handlers.ToolSpec
+	if *tool != "none" {
+		var err error
+		if toolSpec, err = handlers.LookupTool(*tool); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 2
+		}
 	}
 
 	if *list {
@@ -152,113 +160,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// Select the tool: its instrumentation, its handler, and the report
-	// printed after the run. flagged is set by a report that finds a
-	// violation or race.
-	var opts sassi.Options
-	var handler *sassi.Handler
-	var prepare func(*sass.Program) error
-	var report func()
-	flagged := false
-	switch *tool {
-	case "none":
-	case "opcount":
-		p := handlers.NewOpCounter(ctx)
-		opts, handler = p.Options(), p.Handler()
-		report = func() {
-			t := p.Totals()
-			fmt.Fprintf(stdout, "opcount: mem=%d wide=%d ctrl=%d sync=%d numeric=%d texture=%d total=%d\n",
-				t[handlers.OcMem], t[handlers.OcMemWide], t[handlers.OcControl],
-				t[handlers.OcSync], t[handlers.OcNumeric], t[handlers.OcTexture], t[handlers.OcTotal])
-		}
-	case "branch":
-		p := handlers.NewBranchProfiler(ctx)
-		opts, handler = p.Options(), p.Handler()
-		report = func() {
-			rows, err := p.Results()
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			s, _ := p.Summarize()
-			fmt.Fprintf(stdout, "branches: static=%d divergent=%d (%.1f%%); dynamic=%d divergent=%d (%.1f%%)\n",
-				s.StaticBranches, s.StaticDivergent, s.StaticDivergentPc,
-				s.DynamicBranches, s.DynamicDivergent, s.DynDivergentPc)
-			for _, r := range rows {
-				fmt.Fprintf(stdout, "  branch 0x%08x: executed=%d active=%d taken=%d fall=%d divergent=%d\n",
-					uint32(r.InsAddr), r.Total, r.Active, r.Taken, r.NotTaken, r.Divergent)
-			}
-		}
-	case "memdiv":
-		p := handlers.NewMemDivProfiler(ctx)
-		opts, handler = p.Options(), p.Handler()
-		report = func() {
-			m, err := p.Matrix()
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			pmf := m.UniqueLinePMF()
-			fmt.Fprintf(stdout, "memory divergence over %d warp accesses (32B lines):\n", m.TotalAccesses())
-			for u, f := range pmf {
-				if f > 0.005 {
-					fmt.Fprintf(stdout, "  %2d unique lines: %5.1f%%\n", u+1, 100*f)
-				}
-			}
-		}
-	case "valueprof":
-		p := handlers.NewValueProfiler(ctx)
-		opts, handler = p.Options(), p.Handler()
-		report = func() {
-			s, err := p.Summarize()
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			fmt.Fprintf(stdout, "value profile: dynamic const bits %.0f%%, scalar %.0f%%; static const bits %.0f%%, scalar %.0f%%\n",
-				s.DynConstBitsPc, s.DynScalarPc, s.StatConstBitsPc, s.StatScalarPc)
-		}
-	case "cfi":
-		p := handlers.NewCFIChecker()
-		opts, handler, prepare = p.Options(), p.Handler(), p.Prepare
-		report = func() {
-			vs := p.Violations()
-			for _, v := range vs {
-				fmt.Fprintf(stdout, "cfi: %v\n", v)
-			}
-			if p.Dropped > 0 {
-				fmt.Fprintf(stdout, "cfi: (%d further violations dropped)\n", p.Dropped)
-			}
-			fmt.Fprintf(stdout, "cfi: %d violation(s)\n", len(vs)+p.Dropped)
-			flagged = len(vs)+p.Dropped > 0
-		}
-	case "racecheck":
-		// Race sites index the original kernels; name their opcodes before
-		// Instrument rewrites the program in place.
-		siteOp := map[int]sass.Opcode{}
-		for _, k := range prog.Kernels {
-			for i := range k.Instrs {
-				if _, seen := siteOp[i]; !seen {
-					siteOp[i] = k.Instrs[i].Op
-				}
-			}
-		}
-		p := handlers.NewRaceChecker()
-		opts, handler = p.Options(), p.Handler()
-		report = func() {
-			races := p.Races()
-			for _, r := range races {
-				fmt.Fprintf(stdout, "racecheck: %s@%04x <-> %s@%04x raced (same CTA, same barrier interval, distinct threads)\n",
-					siteOp[r.A], sass.InsOffset(r.A), siteOp[r.B], sass.InsOffset(r.B))
-			}
-			fmt.Fprintf(stdout, "racecheck: %d race(s)\n", len(races))
-			flagged = len(races) > 0
-		}
-	default:
-		fmt.Fprintf(stderr, "unknown tool %q\n", *tool)
-		return 2
-	}
-	if handler != nil {
+	var report func() bool
+	if toolSpec.New != nil {
+		tool := toolSpec.New(ctx)
+		report = reporter(tool, prog, stdout, stderr)
+		opts := tool.Options()
 		opts.Metrics = reg
 		opts.Trace = tr
 		if mutant {
@@ -268,15 +174,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		if prepare != nil {
-			if err := prepare(prog); err != nil {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
+		if err := handlers.Prepare(tool, prog); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		rt := sassi.NewRuntime(prog)
 		rt.Metrics = reg
-		rt.MustRegister(handler)
+		rt.MustRegister(tool.Handler())
 		rt.Attach(ctx.Device())
 	}
 
@@ -309,9 +213,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "launches=%d kernel-cycles=%d warp-instrs=%d handler-calls=%d wall=%s\n",
 		ctx.Launches(), ctx.TotalKernelCycles, ctx.TotalWarpInstrs, ctx.TotalHandlerCalls,
 		wall.Round(time.Millisecond))
-	if report != nil {
-		report()
-	}
+	flagged := report != nil && report()
 	if err := session.Finish(); err != nil {
 		fmt.Fprintf(stderr, "obs output: %v\n", err)
 		return 1
@@ -321,6 +223,99 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// reporter returns the report printed after tool's run, which reports
+// whether the tool found a violation or race. prog is the program before
+// instrumentation: race sites index its instructions.
+func reporter(tool handlers.Tool, prog *sass.Program, stdout, stderr io.Writer) func() bool {
+	switch p := tool.(type) {
+	case *handlers.OpCounter:
+		return func() bool {
+			t := p.Totals()
+			fmt.Fprintf(stdout, "opcount: mem=%d wide=%d ctrl=%d sync=%d numeric=%d texture=%d total=%d\n",
+				t[handlers.OcMem], t[handlers.OcMemWide], t[handlers.OcControl],
+				t[handlers.OcSync], t[handlers.OcNumeric], t[handlers.OcTexture], t[handlers.OcTotal])
+			return false
+		}
+	case *handlers.BranchProfiler:
+		return func() bool {
+			rows, err := p.Results()
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return false
+			}
+			s, _ := p.Summarize()
+			fmt.Fprintf(stdout, "branches: static=%d divergent=%d (%.1f%%); dynamic=%d divergent=%d (%.1f%%)\n",
+				s.StaticBranches, s.StaticDivergent, s.StaticDivergentPc,
+				s.DynamicBranches, s.DynamicDivergent, s.DynDivergentPc)
+			for _, r := range rows {
+				fmt.Fprintf(stdout, "  branch 0x%08x: executed=%d active=%d taken=%d fall=%d divergent=%d\n",
+					uint32(r.InsAddr), r.Total, r.Active, r.Taken, r.NotTaken, r.Divergent)
+			}
+			return false
+		}
+	case *handlers.MemDivProfiler:
+		return func() bool {
+			m, err := p.Matrix()
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return false
+			}
+			pmf := m.UniqueLinePMF()
+			fmt.Fprintf(stdout, "memory divergence over %d warp accesses (32B lines):\n", m.TotalAccesses())
+			for u, f := range pmf {
+				if f > 0.005 {
+					fmt.Fprintf(stdout, "  %2d unique lines: %5.1f%%\n", u+1, 100*f)
+				}
+			}
+			return false
+		}
+	case *handlers.ValueProfiler:
+		return func() bool {
+			s, err := p.Summarize()
+			if err != nil {
+				fmt.Fprintln(stderr, err)
+				return false
+			}
+			fmt.Fprintf(stdout, "value profile: dynamic const bits %.0f%%, scalar %.0f%%; static const bits %.0f%%, scalar %.0f%%\n",
+				s.DynConstBitsPc, s.DynScalarPc, s.StatConstBitsPc, s.StatScalarPc)
+			return false
+		}
+	case *handlers.CFIChecker:
+		return func() bool {
+			vs := p.Violations()
+			for _, v := range vs {
+				fmt.Fprintf(stdout, "cfi: %v\n", v)
+			}
+			if p.Dropped > 0 {
+				fmt.Fprintf(stdout, "cfi: (%d further violations dropped)\n", p.Dropped)
+			}
+			fmt.Fprintf(stdout, "cfi: %d violation(s)\n", len(vs)+p.Dropped)
+			return len(vs)+p.Dropped > 0
+		}
+	case *handlers.RaceChecker:
+		// Race sites index the original kernels; name their opcodes before
+		// Instrument rewrites the program in place.
+		siteOp := map[int]sass.Opcode{}
+		for _, k := range prog.Kernels {
+			for i := range k.Instrs {
+				if _, seen := siteOp[i]; !seen {
+					siteOp[i] = k.Instrs[i].Op
+				}
+			}
+		}
+		return func() bool {
+			races := p.Races()
+			for _, r := range races {
+				fmt.Fprintf(stdout, "racecheck: %s@%04x <-> %s@%04x raced (same CTA, same barrier interval, distinct threads)\n",
+					siteOp[r.A], sass.InsOffset(r.A), siteOp[r.B], sass.InsOffset(r.B))
+			}
+			fmt.Fprintf(stdout, "racecheck: %d race(s)\n", len(races))
+			return len(races) > 0
+		}
+	}
+	panic(fmt.Sprintf("sassi: no report for tool %T", tool))
 }
 
 // ptxFileSpec wraps a PTX-like assembly file as an ad-hoc workload: pointer
@@ -365,7 +360,7 @@ func ptxFileSpec(path, argList string, grid, block, bufWords int) (*workloads.Sp
 				si := 0
 				for _, p := range k.Params {
 					if p.Size == 8 {
-						buf := ctx.Malloc(uint64(4*bufWords), p.Name)
+						buf := ctx.Malloc(uint64(4 * bufWords))
 						if firstBuf == 0 {
 							firstBuf, firstBufSize = buf, 4*bufWords
 						}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"sassi/internal/handlers"
 	"sassi/internal/obs"
 	"sassi/internal/workloads"
 )
@@ -254,6 +255,23 @@ func TestUsage(t *testing.T) {
 	for _, name := range append(workloads.Names(), workloads.MutantNames()...) {
 		if !strings.Contains(out, name+" ") {
 			t.Errorf("-list output missing %s", name)
+		}
+	}
+}
+
+// TestToolNames: -tool takes exactly the names of handlers.Tools (and
+// none): each runs demo.vecadd to a verified result, and any other name,
+// the old valueprof included, is a usage error.
+func TestToolNames(t *testing.T) {
+	for _, name := range append([]string{"none"}, handlers.ToolNames()...) {
+		code, out, errs := sassiRun("-tool", name, "-gpu", "mini", "-workload", "demo.vecadd")
+		if code != 0 || !strings.Contains(out, "verification: PASSED") {
+			t.Errorf("-tool %s: exit %d\nstdout: %s\nstderr: %s", name, code, out, errs)
+		}
+	}
+	for _, name := range []string{"valueprof", "all", "", "Branch", "branch,memdiv"} {
+		if code, _, errs := sassiRun("-tool", name, "-workload", "demo.vecadd"); code != 2 || !strings.Contains(errs, "unknown tool") {
+			t.Errorf("-tool %q: exit %d, want 2; stderr: %s", name, code, errs)
 		}
 	}
 }

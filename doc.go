@@ -23,7 +23,7 @@
 //
 // Five commands drive the same workflow from the shell. cmd/sassi compiles
 // a workload (or a seed-buggy mutant), instruments it with one tool
-// (-tool opcount, branch, memdiv, valueprof, cfi or racecheck) and runs
+// (-tool opcount, branch, memdiv, value, cfi or racecheck) and runs
 // it; cmd/sassi-lint runs the static verifier and its checks;
 // cmd/sassi-fi runs an error-injection campaign; cmd/experiments
 // regenerates the tables and figures, plus the cfi, sched and other

@@ -45,7 +45,7 @@ func main() {
 	// 3. Set up the device, device-resident counters, and the handler —
 	//    a direct translation of the paper's Figure 3.
 	ctx := sassi.NewContext(sassi.KeplerK10())
-	counters := ctx.Malloc(7*8, "dynamic_instr_counts")
+	counters := ctx.Malloc(7 * 8)
 
 	rt := sassi.NewRuntime(prog)
 	rt.MustRegister(&sassi.Handler{
@@ -89,7 +89,7 @@ func main() {
 	}
 	da := ctx.AllocF32("a", host)
 	db := ctx.AllocF32("b", host)
-	dout := ctx.Malloc(4*N, "out")
+	dout := ctx.Malloc(4 * N)
 	stats, err := ctx.LaunchKernel(prog, "vecadd", sassi.LaunchParams{
 		Grid: sassi.D1((N + 255) / 256), Block: sassi.D1(256),
 		Args: []uint64{uint64(da), uint64(db), uint64(dout), N},

@@ -361,7 +361,7 @@ func (sc *siteChecker) instr(p int, in *sass.Instruction) {
 	case sass.OpLDL:
 		sc.checkLDL(p, in)
 	case sass.OpJCAL:
-		sc.checkJCAL(p, in)
+		sc.checkJCAL(p)
 	case sass.OpP2R:
 		if len(in.Dsts) == 1 && in.Dsts[0].Kind == sass.OpdReg {
 			r := in.Dsts[0].Reg
@@ -541,7 +541,7 @@ func (sc *siteChecker) noteWriteLoad(p int, in *sass.Instruction, r uint8) {
 	delete(sc.lastImm, r)
 }
 
-func (sc *siteChecker) checkJCAL(p int, in *sass.Instruction) {
+func (sc *siteChecker) checkJCAL(p int) {
 	sc.sawJCAL = true
 	if sc.spDelta == 0 {
 		sc.bad(p, "handler call without a stack frame")

@@ -202,13 +202,9 @@ func TestPredicatedFirstWriteNotLiveAtEntry(t *testing.T) {
 // generated difftest programs.
 func TestLivenessMatchesModel(t *testing.T) {
 	ctx := cuda.NewContext(sim.KeplerK10())
-	tools := map[string]sassi.Options{
-		"branch":   handlers.NewBranchProfiler(ctx).Options(),
-		"memdiv":   handlers.NewMemDivProfiler(ctx).Options(),
-		"value":    handlers.NewValueProfiler(ctx).Options(),
-		"opcount":  handlers.NewOpCounter(ctx).Options(),
-		"cfi":      handlers.NewCFIChecker().Options(),
-		"errorinj": handlers.NewInjProfiler(ctx, 1).Options(),
+	tools := map[string]sassi.Options{"errorinj": handlers.NewInjProfiler(ctx, 1).Options()}
+	for _, t := range handlers.Tools() {
+		tools[t.Name] = t.New(ctx).Options()
 	}
 	check := func(t *testing.T, what string, prog *sass.Program) {
 		t.Helper()

@@ -70,9 +70,8 @@ func (c *Context) Device() *sim.Device { return c.dev }
 // Subscribe registers launch callbacks.
 func (c *Context) Subscribe(cb LaunchCallbacks) { c.callbacks = append(c.callbacks, cb) }
 
-// Malloc allocates device memory. The name labels the allocation at the
-// call site, as cudaMalloc's callers do; the device keeps no names.
-func (c *Context) Malloc(n uint64, name string) DevPtr {
+// Malloc allocates n bytes of device memory.
+func (c *Context) Malloc(n uint64) DevPtr {
 	return DevPtr(c.dev.Alloc(n))
 }
 
@@ -97,7 +96,7 @@ func (c *Context) Memset32(dst DevPtr, v uint32, count int) error {
 
 // AllocF32 uploads a float slice, returning its device pointer.
 func (c *Context) AllocF32(name string, host []float32) DevPtr {
-	p := c.Malloc(uint64(4*len(host)), name)
+	p := c.Malloc(uint64(4 * len(host)))
 	buf := make([]byte, 4*len(host))
 	for i, f := range host {
 		binary.LittleEndian.PutUint32(buf[4*i:], math.Float32bits(f))
@@ -110,7 +109,7 @@ func (c *Context) AllocF32(name string, host []float32) DevPtr {
 
 // AllocU32 uploads a uint32 slice.
 func (c *Context) AllocU32(name string, host []uint32) DevPtr {
-	p := c.Malloc(uint64(4*len(host)), name)
+	p := c.Malloc(uint64(4 * len(host)))
 	buf := make([]byte, 4*len(host))
 	for i, v := range host {
 		binary.LittleEndian.PutUint32(buf[4*i:], v)

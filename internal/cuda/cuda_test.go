@@ -49,7 +49,7 @@ func TestMemcpyRoundtrips(t *testing.T) {
 			t.Errorf("u[%d] = %v", i, ub[i])
 		}
 	}
-	raw := ctx.Malloc(16, "raw")
+	raw := ctx.Malloc(16)
 	if err := ctx.Memset32(raw, 0xDEAD, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestLaunchCallbacksOrderAndStats(t *testing.T) {
 			events = append(events, "post")
 		},
 	})
-	out := ctx.Malloc(4*64, "out")
+	out := ctx.Malloc(4 * 64)
 	for i := 0; i < 2; i++ {
 		if _, err := ctx.LaunchKernel(prog, "store_tid", sim.LaunchParams{
 			Grid: sim.D1(2), Block: sim.D1(32), Args: []uint64{uint64(out)},
@@ -132,13 +132,13 @@ func TestTwinCallbackAndReset(t *testing.T) {
 		}
 	}
 	launch := func() error {
-		out := ctx.Malloc(4*64, "out")
+		out := ctx.Malloc(4 * 64)
 		_, err := ctx.LaunchKernel(prog, "store_tid", sim.LaunchParams{
 			Grid: sim.D1(2), Block: sim.D1(32), Args: []uint64{uint64(out)},
 		})
 		return err
 	}
-	first := ctx.Malloc(4, "probe")
+	first := ctx.Malloc(4)
 	if err := launch(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTwinCallbackAndReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	asked = nil
-	if got := ctx.Malloc(4, "probe"); got != first {
+	if got := ctx.Malloc(4); got != first {
 		t.Errorf("first allocation after Reset at %#x, a new context's is at %#x", got, first)
 	}
 	if err := launch(); err != nil {

@@ -24,10 +24,10 @@ type CounterBank struct {
 
 // NewCounterBank allocates count device counters and subscribes to the
 // context's kernel boundaries.
-func NewCounterBank(ctx *cuda.Context, name string, count int) *CounterBank {
+func NewCounterBank(ctx *cuda.Context, count int) *CounterBank {
 	b := &CounterBank{
 		count: count,
-		ptr:   ctx.Malloc(uint64(8*count), name),
+		ptr:   ctx.Malloc(uint64(8 * count)),
 		Host:  make([]uint64, count),
 	}
 	zero := make([]byte, 8*count)

@@ -36,7 +36,7 @@ func instrumentedProg(t *testing.T) *sass.Program {
 func TestCounterBankPerLaunchIsolation(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	prog := instrumentedProg(t)
-	bank := cupti.NewCounterBank(ctx, "counters", 2)
+	bank := cupti.NewCounterBank(ctx, 2)
 	rt := isassi.NewRuntime(prog)
 	rt.MustRegister(&isassi.Handler{Name: "h",
 		Fn: func(w *device.Warp, args isassi.HandlerArgs) {
@@ -45,7 +45,7 @@ func TestCounterBankPerLaunchIsolation(t *testing.T) {
 			}
 		}})
 	rt.Attach(ctx.Device())
-	out := ctx.Malloc(4*64, "out")
+	out := ctx.Malloc(4 * 64)
 	for l := 0; l < 3; l++ {
 		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 			Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(out)},
@@ -90,7 +90,7 @@ func TestSubscribeSitesFire(t *testing.T) {
 			}
 		},
 	})
-	out := ctx.Malloc(4*64, "out")
+	out := ctx.Malloc(4 * 64)
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(out)},
 	}); err != nil {
@@ -137,7 +137,7 @@ func TestKernelExitOncePerLaunchConcurrentSMs(t *testing.T) {
 			t.Errorf("launch %d: unmerged stats %+v", idx, stats)
 		}
 	}})
-	out := ctx.Malloc(4*ctas*block, "out")
+	out := ctx.Malloc(4 * ctas * block)
 	for l := 0; l < launches; l++ {
 		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 			Grid: sim.D1(ctas), Block: sim.D1(block), Args: []uint64{uint64(out)},

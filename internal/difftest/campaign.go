@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"sassi/internal/fanout"
+	"sassi/internal/handlers"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
 )
@@ -19,9 +20,9 @@ type Campaign struct {
 	Runs    int
 	Workers int // 0 = GOMAXPROCS
 	Size    Size
-	Tools   []Tool     // nil = all registered tools
-	Cfg     sim.Config // zero = MiniGPU
-	Log     io.Writer  // nil = quiet; failures are logged as they appear
+	Tools   []handlers.ToolSpec // nil = every tool of handlers.Tools
+	Cfg     sim.Config          // zero = MiniGPU
+	Log     io.Writer           // nil = quiet; failures are logged as they appear
 
 	// Shrink minimizes failing kernels before reporting (on by default in
 	// the CLI; tests that want the raw failing Prog leave it false).
@@ -59,19 +60,13 @@ type CampaignResult struct {
 // problems; kernel divergences land in CampaignResult.Failures and
 // harness errors in CampaignResult.Errors, both in run order.
 func (c *Campaign) Run() (*CampaignResult, error) {
-	cfg := c.Cfg
-	if cfg.NumSMs == 0 {
-		cfg = sim.MiniGPU()
-	}
-	tools := c.Tools
-	if tools == nil {
-		tools = Tools()
-	}
 	cache := sassi.NewCompileCache()
 	// Each worker owns an Oracle (Run threads per-tool state), all sharing
 	// the campaign-wide compile cache.
 	newOracle := func() *Oracle {
-		return &Oracle{Cfg: cfg, Tools: tools, Cache: cache, HandlerMaxRegs: sassi.HandlerMaxRegs}
+		o := NewOracle(c.Tools, c.Cfg)
+		o.Cache = cache
+		return o
 	}
 	// A run's harness error lands in its slot, not in fanout.Run's result:
 	// one run's error stops no other.

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"sassi/internal/handlers"
 	"sassi/internal/sassi"
 	"sassi/internal/sim"
 )
@@ -19,7 +20,7 @@ func TestCampaignWorkerInvariantFailures(t *testing.T) {
 	notes := func(workers int) []string {
 		c := &Campaign{
 			Seed: 1, Runs: 6, Workers: workers, Size: DefaultSize(), Cfg: cfg,
-			Tools: []Tool{MutantClobberTool(uint8(sassi.HandlerMaxRegs))},
+			Tools: []handlers.ToolSpec{MutantClobberTool(uint8(sassi.HandlerMaxRegs))},
 		}
 		res, err := c.Run()
 		if err != nil {

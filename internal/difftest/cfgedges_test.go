@@ -136,34 +136,26 @@ func (r *edgeRecorder) handler() *sassi.Handler {
 	}}
 }
 
+// recTool is the recorder as a tool of the oracle, sited on prog.
+type recTool struct {
+	rec  *edgeRecorder
+	prog *sass.Program
+}
+
+func (t recTool) Options() sassi.Options  { return t.rec.options(t.prog) }
+func (t recTool) Handler() *sassi.Handler { return t.rec.handler() }
+
 // launched starts the next launch's threads afresh.
 func (r *edgeRecorder) launched() { clear(r.last) }
 
-// edgeTool is one instrumentation the oracle stacks the recorder on: the
+// edgeTools are the instrumentations the recorder is stacked on: the
 // tool's own sites run, and the recorder checks the kernel they produced.
-type edgeTool struct {
-	name string
-	make func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func(*sass.Program) error)
-}
-
-func edgeTools() []edgeTool {
-	tools := []edgeTool{
-		{"errorinj", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func(*sass.Program) error) {
-			p := handlers.NewInjProfiler(ctx, 1)
-			return p.Options(), p.Handler(), nil
-		}},
-		{"cfi", func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func(*sass.Program) error) {
-			p := handlers.NewCFIChecker()
-			return p.Options(), p.Handler(), p.Prepare
-		}},
-	}
-	for _, tool := range Tools() {
-		tools = append(tools, edgeTool{tool.Name, func(ctx *cuda.Context) (sassi.Options, *sassi.Handler, func(*sass.Program) error) {
-			opts, hs := tool.Make(ctx)
-			return opts, hs[0], nil
-		}})
-	}
-	return tools
+// The error-injection profiler is not a named tool, but its sites are
+// stacked on too.
+func edgeTools() []handlers.ToolSpec {
+	return append([]handlers.ToolSpec{{Name: "errorinj", New: func(ctx *cuda.Context) handlers.Tool {
+		return handlers.NewInjProfiler(ctx, 1)
+	}}}, handlers.Tools()...)
 }
 
 // edgeWarps is the share of warps that run the recorded kernel in a
@@ -172,7 +164,7 @@ func edgeTools() []edgeTool {
 const edgeWarps = 8
 
 // TestCFGEdgesMatchExecution is the CFG's oracle: every step a recorded
-// thread takes, in every workload plain, scheduled and under six
+// thread takes, in every workload plain, scheduled and under seven
 // instrumentations, and in difftest kernels of seeds 0-399, must be a CFG
 // edge or a call edge. Liveness runs on these edges, so a step the CFG
 // lacks is a register an injected site may clobber.
@@ -193,11 +185,11 @@ func TestCFGEdgesMatchExecution(t *testing.T) {
 	type variant struct {
 		name  string
 		sched bool
-		tool  *edgeTool
+		tool  *handlers.ToolSpec
 	}
 	variants := []variant{{name: "plain"}, {name: "scheduled", sched: true}}
 	for _, tool := range edgeTools() {
-		variants = append(variants, variant{name: tool.name, tool: &tool})
+		variants = append(variants, variant{name: tool.Name, tool: &tool})
 	}
 	for _, name := range workloads.Names() {
 		spec, _ := workloads.Get(name)
@@ -214,11 +206,10 @@ func TestCFGEdgesMatchExecution(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				prog, _ := spec.Compile(ptxas.Options{Schedule: v.sched})
-				var h *sassi.Handler
-				var prepare func(*sass.Program) error
+				var tool handlers.Tool
 				if v.tool != nil {
-					var opts sassi.Options
-					opts, h, prepare = v.tool.make(ctx)
+					tool = v.tool.New(ctx)
+					opts := tool.Options()
 					opts.Verify = analysis.VerifyOff
 					if err := sassi.Instrument(prog, opts); err != nil {
 						t.Fatalf("%s: %v", label, err)
@@ -230,17 +221,16 @@ func TestCFGEdgesMatchExecution(t *testing.T) {
 				}
 				rt := sassi.NewRuntime(prog)
 				rt.MustRegister(rec.handler())
-				if h != nil {
+				if tool != nil {
+					h := tool.Handler()
 					if _, ok := prog.Handlers[h.Name]; ok {
 						rt.MustRegister(h)
 					}
-				}
-				rt.Attach(ctx.Device())
-				if prepare != nil {
-					if err := prepare(prog); err != nil {
+					if err := handlers.Prepare(tool, prog); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 				}
+				rt.Attach(ctx.Device())
 				ctx.Subscribe(cuda.LaunchCallbacks{
 					Twin: func(string, int) *sim.Twin {
 						return &sim.Twin{Prog: prog, Warps: func(cta, warp int) bool { return (cta+warp)%edgeWarps == 0 }}
@@ -261,7 +251,7 @@ func TestCFGEdgesMatchExecution(t *testing.T) {
 
 	t.Run("difftest", func(t *testing.T) {
 		t.Parallel()
-		o := NewOracle(nil)
+		o := NewOracle(nil, sim.MiniGPU())
 		for seed := uint64(0); seed < 400; seed++ {
 			p := Generate(seed, DefaultSize())
 			fp, err := o.fingerprint(p)
@@ -273,8 +263,8 @@ func TestCFGEdgesMatchExecution(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec := newEdgeRecorder(t, fmt.Sprintf("difftest/%d", seed), base)
-			tool := Tool{Name: "cfg-edges", Make: func(*cuda.Context) (sassi.Options, []*sassi.Handler) {
-				return rec.options(base), []*sassi.Handler{rec.handler()}
+			tool := handlers.ToolSpec{Name: "cfg-edges", New: func(*cuda.Context) handlers.Tool {
+				return recTool{rec, base}
 			}}
 			if _, err := o.launch(p, nil, &instrumentedSpec{fp: fp, tool: tool}, coreCells[2], tool.Name); err != nil {
 				t.Errorf("difftest/%d: %v", seed, err)

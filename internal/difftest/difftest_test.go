@@ -7,11 +7,11 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
-	"strings"
 	"testing"
 
 	"sassi/internal/cuda"
 	"sassi/internal/device"
+	"sassi/internal/handlers"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
@@ -91,7 +91,7 @@ func mutantVictim(t *testing.T) *Prog {
 // window — and requires the oracle to flag it.
 func TestOracleCatchesMutantClobber(t *testing.T) {
 	p := mutantVictim(t)
-	o := NewOracle([]Tool{MutantClobberTool(uint8(sassi.HandlerMaxRegs))})
+	o := NewOracle([]handlers.ToolSpec{MutantClobberTool(uint8(sassi.HandlerMaxRegs))}, sim.MiniGPU())
 	res, err := o.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ var mixedBuild = regexp.MustCompile(`@cta\d+\.w\d+/`)
 // a different kernel — and requires the launch to refuse them.
 func TestMixedLaunchRejectsLayoutMutants(t *testing.T) {
 	p := Generate(SplitMix(1, 0), DefaultSize())
-	o := NewOracle(nil)
+	o := NewOracle(nil, sim.MiniGPU())
 	base, err := o.compile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestMixedLaunchRejectsLayoutMutants(t *testing.T) {
 // pins the comparison boundary at exactly HandlerMaxRegs.
 func TestMutantInScratchWindowIsTransparent(t *testing.T) {
 	p := mutantVictim(t)
-	o := NewOracle([]Tool{MutantClobberTool(sassi.ABIArg0)})
+	o := NewOracle([]handlers.ToolSpec{MutantClobberTool(sassi.ABIArg0)}, sim.MiniGPU())
 	res, err := o.Run(p)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestRegressionRepros(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := NewOracle(nil).Run(p)
+			res, err := NewOracle(nil, sim.MiniGPU()).Run(p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,21 +201,6 @@ func TestRegressionRepros(t *testing.T) {
 				t.Errorf("regression: %s", f)
 			}
 		})
-	}
-}
-
-func TestSelectTools(t *testing.T) {
-	all, err := SelectTools("all")
-	if err != nil || len(all) != len(Tools()) {
-		t.Fatalf("SelectTools(all) = %d tools, err %v", len(all), err)
-	}
-	two, err := SelectTools("branch, memdiv")
-	if err != nil || len(two) != 2 || two[0].Name != "branch" || two[1].Name != "memdiv" {
-		t.Fatalf("SelectTools(branch, memdiv) = %v, err %v", two, err)
-	}
-	if _, err := SelectTools("nosuch"); err == nil ||
-		!strings.Contains(err.Error(), "nosuch") {
-		t.Fatalf("SelectTools(nosuch) err = %v", err)
 	}
 }
 
@@ -240,23 +225,28 @@ func TestSplitMixMatchesCampaignDerivation(t *testing.T) {
 // when reg is live this models an injector that clobbers a live register
 // — the seeded transparency bug the oracle must catch. reg must be below
 // the victim kernel's register count.
-func MutantClobberTool(reg uint8) Tool {
-	return Tool{
+func MutantClobberTool(reg uint8) handlers.ToolSpec {
+	return handlers.ToolSpec{
 		Name: fmt.Sprintf("mutant-clobber-r%d", reg),
-		Make: func(ctx *cuda.Context) (sassi.Options, []*sassi.Handler) {
-			opts := sassi.Options{
-				Where:         sassi.BeforeAll,
-				BeforeHandler: "sassi_before_handler",
+		New:  func(*cuda.Context) handlers.Tool { return clobberTool(reg) },
+	}
+}
+
+// clobberTool is MutantClobberTool's tool: a before-all site whose handler
+// writes 0xdeadbeef into the GPR it names.
+type clobberTool uint8
+
+func (clobberTool) Options() sassi.Options {
+	return sassi.Options{Where: sassi.BeforeAll, BeforeHandler: "sassi_before_handler"}
+}
+
+func (reg clobberTool) Handler() *sassi.Handler {
+	return &sassi.Handler{
+		Name: "sassi_before_handler",
+		Fn: func(w *device.Warp, args sassi.HandlerArgs) {
+			for l := w.First(); l >= 0; l = w.Next(l) {
+				w.Lane(l).WriteReg(uint8(reg), 0xdeadbeef)
 			}
-			h := &sassi.Handler{
-				Name: "sassi_before_handler",
-				Fn: func(w *device.Warp, args sassi.HandlerArgs) {
-					for l := w.First(); l >= 0; l = w.Next(l) {
-						w.Lane(l).WriteReg(reg, 0xdeadbeef)
-					}
-				},
-			}
-			return opts, []*sassi.Handler{h}
 		},
 	}
 }

@@ -2,6 +2,9 @@ package difftest
 
 import (
 	"testing"
+
+	"sassi/internal/handlers"
+	"sassi/internal/sim"
 )
 
 // FuzzPredecode drives the execution axis only: each seed's kernel runs
@@ -43,4 +46,4 @@ func FuzzPredecode(f *testing.F) {
 // execution axis (base/ref-seq vs base/ref-par and base/core-*) at four
 // launches per kernel — several times more kernels per second than the full
 // instrumentation matrix.
-var predecodeOracle = NewOracle([]Tool{})
+var predecodeOracle = NewOracle([]handlers.ToolSpec{}, sim.MiniGPU())

@@ -3,13 +3,15 @@ package difftest
 import (
 	"sync"
 	"testing"
+
+	"sassi/internal/sim"
 )
 
 // fuzzOracle is shared across fuzz iterations in one process so the
 // compile cache persists; Oracle.Run is single-goroutine, hence the lock.
 var (
 	fuzzMu     sync.Mutex
-	fuzzOracle = NewOracle(nil)
+	fuzzOracle = NewOracle(nil, sim.MiniGPU())
 )
 
 // FuzzDifferential feeds generator seeds to the full oracle matrix: any

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 
 	"sassi/internal/cuda"
+	"sassi/internal/handlers"
 	"sassi/internal/obs"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
@@ -18,16 +19,11 @@ type Oracle struct {
 	// Cfg is the device model; SequentialSMs is overridden per launch, and
 	// the reference cells install package simref's interpreter.
 	Cfg sim.Config
-	// Tools are the instrumentation configurations checked for
-	// transparency (default: Tools()).
-	Tools []Tool
+	// Tools are the instrumentation tools checked for transparency.
+	Tools []handlers.ToolSpec
 	// Cache deduplicates compiles and instrumented builds across oracle
 	// runs — the shared compile-cache discipline from the fault campaigns.
 	Cache *sassi.CompileCache
-	// HandlerMaxRegs is the injection ABI's scratch-register window
-	// (default sassi.HandlerMaxRegs); GPRs at or above it must survive
-	// instrumentation bit-exactly.
-	HandlerMaxRegs int
 
 	// lastSeq threads each tool's sequential run to its parallel sibling
 	// inside Run. Oracles are single-goroutine; campaign workers each own
@@ -35,18 +31,17 @@ type Oracle struct {
 	lastSeq *RunState
 }
 
-// NewOracle builds an oracle on the mini device model with the given
-// tools (nil = all registered tools).
-func NewOracle(tools []Tool) *Oracle {
+// NewOracle builds an oracle on device model cfg (zero = MiniGPU) with the
+// given tools (nil = every tool of handlers.Tools) and a compile cache of
+// its own.
+func NewOracle(tools []handlers.ToolSpec, cfg sim.Config) *Oracle {
 	if tools == nil {
-		tools = Tools()
+		tools = handlers.Tools()
 	}
-	return &Oracle{
-		Cfg:            sim.MiniGPU(),
-		Tools:          tools,
-		Cache:          sassi.NewCompileCache(),
-		HandlerMaxRegs: sassi.HandlerMaxRegs,
+	if cfg.NumSMs == 0 {
+		cfg = sim.MiniGPU()
 	}
+	return &Oracle{Cfg: cfg, Tools: tools, Cache: sassi.NewCompileCache()}
 }
 
 // Result is one kernel's verdict across the whole matrix.
@@ -134,7 +129,7 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 			}
 			if i == 0 {
 				res.Failures = append(res.Failures,
-					compareTransparent(ref, st, o.HandlerMaxRegs)...)
+					compareTransparent(ref, st, sassi.HandlerMaxRegs)...)
 				o.lastSeq = st
 			} else if o.lastSeq != nil {
 				res.Failures = append(res.Failures, compareFull(o.lastSeq, st)...)
@@ -163,7 +158,7 @@ func (o *Oracle) Run(p *Prog) (*Result, error) {
 			}
 			if mixedRef == nil {
 				res.Failures = append(res.Failures,
-					compareTransparent(ref, st, o.HandlerMaxRegs)...)
+					compareTransparent(ref, st, sassi.HandlerMaxRegs)...)
 				mixedRef = st
 			} else {
 				res.Failures = append(res.Failures, compareFull(mixedRef, st)...)
@@ -259,7 +254,7 @@ func (o *Oracle) fingerprint(p *Prog) (string, error) {
 
 type instrumentedSpec struct {
 	fp   string
-	tool Tool
+	tool handlers.ToolSpec
 	// cta and warp name the one warp that runs the instrumented kernel
 	// when launch is given the base program too.
 	cta, warp int
@@ -289,30 +284,28 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 		inBuf[i] = uint32(SplitMix(p.Seed, uint64(i)))
 	}
 	inPtr := ctx.AllocU32("difftest.in", inBuf)
-	outPtr := ctx.Malloc(uint64(4*p.OutWords()), "difftest.out")
+	outPtr := ctx.Malloc(uint64(4 * p.OutWords()))
 	if err := ctx.Memset32(outPtr, 0, p.OutWords()); err != nil {
 		return nil, err
 	}
-	accPtr := ctx.Malloc(4*AccWords, "difftest.acc")
+	accPtr := ctx.Malloc(4 * AccWords)
 	if err := ctx.Memset32(accPtr, 0, AccWords); err != nil {
 		return nil, err
 	}
 
 	prog := base
 	if inst != nil {
-		opts, hs := inst.tool.Make(ctx)
-		ckey, cacheable := opts.CacheKey()
-		if !cacheable {
-			return nil, fmt.Errorf("difftest: tool %s options are uncacheable", inst.tool.Name)
-		}
+		// A tool's options depend on its name alone, so the name keys its
+		// build of this kernel.
+		tool := inst.tool.New(ctx)
 		var err error
-		prog, err = o.Cache.Get(inst.fp+"/tool/"+inst.tool.Name+"/"+ckey,
+		prog, err = o.Cache.Get(inst.fp+"/tool/"+inst.tool.Name,
 			func() (*sass.Program, error) {
 				ip, err := o.compile(p)
 				if err != nil {
 					return nil, err
 				}
-				if err := sassi.Instrument(ip, opts); err != nil {
+				if err := sassi.Instrument(ip, tool.Options()); err != nil {
 					return nil, err
 				}
 				return ip, nil
@@ -320,15 +313,16 @@ func (o *Oracle) launch(p *Prog, base *sass.Program, inst *instrumentedSpec,
 		if err != nil {
 			return nil, fmt.Errorf("difftest: instrument %s: %w", inst.tool.Name, err)
 		}
+		if err := handlers.Prepare(tool, prog); err != nil {
+			return nil, fmt.Errorf("difftest: prepare %s: %w", inst.tool.Name, err)
+		}
 		rt := sassi.NewRuntime(prog)
 		rt.Metrics = reg
-		for _, h := range hs {
-			// A kernel with no sites of the tool's class (e.g. no
-			// conditional branches for the branch profiler) gets no JCAL
-			// for the symbol; the handler simply never fires.
-			if _, ok := prog.Handlers[h.Name]; !ok {
-				continue
-			}
+		// A kernel with no sites of the tool's class (e.g. no conditional
+		// branches for the branch profiler) gets no JCAL for the symbol;
+		// the handler simply never fires.
+		h := tool.Handler()
+		if _, ok := prog.Handlers[h.Name]; ok {
 			if err := rt.Register(h); err != nil {
 				return nil, err
 			}

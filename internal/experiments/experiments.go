@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sassi/internal/cuda"
+	"sassi/internal/handlers"
 	"sassi/internal/obs"
 	"sassi/internal/obs/pcsamp"
 	"sassi/internal/ptxas"
@@ -54,7 +55,7 @@ func Default() Env {
 // registers the handler, and runs the workload to completion, requiring the
 // result to still verify. It returns the context for stats inspection.
 func instrumentedRun(env Env, workload, dataset string,
-	setup func(ctx *cuda.Context) (*sassi.Handler, sassi.Options)) (*cuda.Context, error) {
+	newTool func(ctx *cuda.Context) handlers.Tool) (*cuda.Context, error) {
 
 	spec, ok := workloads.Get(workload)
 	if !ok {
@@ -64,7 +65,8 @@ func instrumentedRun(env Env, workload, dataset string,
 	ctx.Device().Metrics = env.Metrics
 	ctx.Device().Trace = env.Trace
 	ctx.Device().PCSamp = env.PCSamp
-	h, opts := setup(ctx)
+	tool := newTool(ctx)
+	opts := tool.Options()
 	opts.Metrics, opts.Trace = env.Metrics, env.Trace
 	prog, err := spec.CompileInstrumented(env.Cache, ptxas.Options{}, opts)
 	if err != nil {
@@ -72,7 +74,7 @@ func instrumentedRun(env Env, workload, dataset string,
 	}
 	rt := sassi.NewRuntime(prog)
 	rt.Metrics = env.Metrics
-	if err := rt.Register(h); err != nil {
+	if err := rt.Register(tool.Handler()); err != nil {
 		return nil, err
 	}
 	rt.Attach(ctx.Device())

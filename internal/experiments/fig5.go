@@ -6,7 +6,6 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
-	"sassi/internal/sassi"
 )
 
 // Fig5Branch is one branch's bar in Figure 5: per-branch dynamic execution
@@ -26,9 +25,9 @@ func Figure5(env Env) (map[string][]Fig5Branch, error) {
 	for _, dataset := range []string{"1M", "UT"} {
 		var p *handlers.BranchProfiler
 		_, err := instrumentedRun(env, "parboil.bfs", dataset,
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+			func(ctx *cuda.Context) handlers.Tool {
 				p = handlers.NewBranchProfiler(ctx)
-				return p.Handler(), p.Options()
+				return p
 			})
 		if err != nil {
 			return nil, err

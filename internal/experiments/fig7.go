@@ -7,7 +7,6 @@ import (
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
 	"sassi/internal/mem"
-	"sassi/internal/sassi"
 )
 
 // Fig7Row is one application's unique-cacheline PMF (Figure 7): the
@@ -45,9 +44,9 @@ var fig7Apps = []struct {
 func memDivMatrix(env Env, app, dataset string) (*mem.DivergenceMatrix, error) {
 	var p *handlers.MemDivProfiler
 	_, err := instrumentedRun(env, app, dataset,
-		func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+		func(ctx *cuda.Context) handlers.Tool {
 			p = handlers.NewMemDivProfiler(ctx)
-			return p.Handler(), p.Options()
+			return p
 		})
 	if err != nil {
 		return nil, err

@@ -4,16 +4,14 @@ import (
 	"fmt"
 	"strings"
 
-	"sassi/internal/cuda"
 	"sassi/internal/handlers"
-	"sassi/internal/sassi"
 	"sassi/internal/workloads"
 )
 
-// OverheadTools names the instrumentation tools the overhead report sweeps
-// (the three profiling case studies; error injection perturbs execution and
-// has no meaningful instruction-count baseline comparison).
-var OverheadTools = []string{"branch", "memdiv", "valueprof"}
+// OverheadTools names the tools of handlers.Tools the overhead report
+// sweeps (the three profiling case studies; error injection perturbs
+// execution and has no meaningful instruction-count baseline comparison).
+const OverheadTools = "branch,memdiv,value"
 
 // OverheadCell is one (workload, tool) measurement: where the extra
 // dynamic work came from. InstrSlowdown is instrumented/baseline warp
@@ -52,43 +50,17 @@ func OverheadApps() []string {
 	return []string{"demo.vecadd", "rodinia.bfs", "parboil.stencil"}
 }
 
-// overheadSetup returns the handler+options constructor for a named tool.
-func overheadSetup(env Env, tool string) (func(ctx *cuda.Context) (*sassi.Handler, sassi.Options), error) {
-	switch tool {
-	case "branch":
-		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p := handlers.NewBranchProfiler(ctx)
-			return p.Handler(), p.Options()
-		}, nil
-	case "memdiv":
-		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p := handlers.NewMemDivProfiler(ctx)
-			return p.Handler(), p.Options()
-		}, nil
-	case "valueprof":
-		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p := handlers.NewValueProfiler(ctx)
-			return p.Handler(), p.Options()
-		}, nil
-	case "opcount":
-		return func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-			p := handlers.NewOpCounter(ctx)
-			return p.Handler(), p.Options()
-		}, nil
-	}
-	return nil, fmt.Errorf("experiments: unknown overhead tool %q", tool)
-}
-
 // OverheadReport measures, for each workload × tool, where instrumentation
 // overhead comes from: baseline vs instrumented warp-instruction counts,
 // the injected share of the instrumented stream, handler call counts, and
-// the modeled cycle slowdown. apps/tools nil select the defaults.
-func OverheadReport(env Env, apps, tools []string) ([]OverheadRow, error) {
+// the modeled cycle slowdown. apps nil selects the default workloads.
+func OverheadReport(env Env, apps []string) ([]OverheadRow, error) {
 	if apps == nil {
 		apps = OverheadApps()
 	}
-	if tools == nil {
-		tools = OverheadTools
+	tools, err := handlers.SelectTools(OverheadTools)
+	if err != nil {
+		return nil, err
 	}
 	var rows []OverheadRow
 	for _, app := range apps {
@@ -107,16 +79,12 @@ func OverheadReport(env Env, apps, tools []string) ([]OverheadRow, error) {
 		row.BaselineCycles = baseCtx.TotalKernelCycles
 
 		for _, tool := range tools {
-			setup, err := overheadSetup(env, tool)
+			ctx, err := instrumentedRun(env, app, dataset, tool.New)
 			if err != nil {
-				return nil, err
-			}
-			ctx, err := instrumentedRun(env, app, dataset, setup)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: overhead %s/%s: %w", app, tool, err)
+				return nil, fmt.Errorf("experiments: overhead %s/%s: %w", app, tool.Name, err)
 			}
 			cell := OverheadCell{
-				Tool:               tool,
+				Tool:               tool.Name,
 				WarpInstrs:         ctx.TotalWarpInstrs,
 				InjectedWarpInstrs: ctx.TotalInjectedWarpInstrs,
 				HandlerCalls:       ctx.TotalHandlerCalls,

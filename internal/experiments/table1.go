@@ -6,7 +6,6 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
-	"sassi/internal/sassi"
 )
 
 // Table1Row is one benchmark's branch-divergence summary (paper Table 1).
@@ -47,9 +46,9 @@ func Table1(env Env) ([]Table1Row, error) {
 	for _, app := range table1Apps {
 		var p *handlers.BranchProfiler
 		_, err := instrumentedRun(env, app.workload, app.dataset,
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+			func(ctx *cuda.Context) handlers.Tool {
 				p = handlers.NewBranchProfiler(ctx)
-				return p.Handler(), p.Options()
+				return p
 			})
 		if err != nil {
 			return nil, err

@@ -6,7 +6,6 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
-	"sassi/internal/sassi"
 	"sassi/internal/workloads"
 )
 
@@ -38,9 +37,9 @@ func Table2(env Env, apps []string) ([]Table2Row, error) {
 		}
 		var p *handlers.ValueProfiler
 		_, err := instrumentedRun(env, app, spec.DefaultDataset(),
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
+			func(ctx *cuda.Context) handlers.Tool {
 				p = handlers.NewValueProfiler(ctx)
-				return p.Handler(), p.Options()
+				return p
 			})
 		if err != nil {
 			return nil, err

@@ -8,7 +8,6 @@ import (
 
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
-	"sassi/internal/sassi"
 	"sassi/internal/workloads"
 )
 
@@ -25,7 +24,7 @@ type Table3Row struct {
 		Cycles   uint64
 		Launches int
 	}
-	// Indexed by case study: 0=branch, 1=memdiv, 2=valueprof, 3=errorinj.
+	// Indexed by case study: 0=branch, 1=memdiv, 2=value, 3=errorinj.
 	T [4]float64
 	K [4]float64
 }
@@ -40,6 +39,16 @@ func Table3Apps() []string { return workloads.Names() }
 func Table3(env Env, apps []string) ([]Table3Row, error) {
 	if apps == nil {
 		apps = Table3Apps()
+	}
+	// The profilers of handlers.Tools, and for the error-injection column
+	// an unarmed Injector: its sites and handler calls, no flip.
+	profilers, err := handlers.SelectTools("branch,memdiv,value")
+	if err != nil {
+		return nil, err
+	}
+	setups := [4]func(ctx *cuda.Context) handlers.Tool{
+		profilers[0].New, profilers[1].New, profilers[2].New,
+		func(*cuda.Context) handlers.Tool { return handlers.NewInjector(handlers.InjectionSite{}) },
 	}
 	var rows []Table3Row
 	for _, app := range apps {
@@ -58,24 +67,6 @@ func Table3(env Env, apps []string) ([]Table3Row, error) {
 		row.Baseline.Cycles = baseCtx.TotalKernelCycles
 		row.Baseline.Launches = baseCtx.Launches()
 
-		setups := [4]func(ctx *cuda.Context) (*sassi.Handler, sassi.Options){
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-				p := handlers.NewBranchProfiler(ctx)
-				return p.Handler(), p.Options()
-			},
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-				p := handlers.NewMemDivProfiler(ctx)
-				return p.Handler(), p.Options()
-			},
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-				p := handlers.NewValueProfiler(ctx)
-				return p.Handler(), p.Options()
-			},
-			func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-				inj := handlers.NewInjector(handlers.InjectionSite{})
-				return inj.Handler(), inj.Options()
-			},
-		}
 		for cs, setup := range setups {
 			start := time.Now()
 			ctx, err := instrumentedRun(env, app, dataset, setup)

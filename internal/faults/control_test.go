@@ -1,10 +1,13 @@
 package faults_test
 
 import (
+	"strings"
 	"testing"
 
+	"sassi/internal/cuda"
 	"sassi/internal/faults"
 	"sassi/internal/handlers"
+	"sassi/internal/sass"
 	"sassi/internal/sim"
 	"sassi/internal/workloads"
 )
@@ -54,6 +57,25 @@ func TestControlCampaignCallTree(t *testing.T) {
 		}
 	} else {
 		t.Error("no ret-addr runs drawn across 40 injections")
+	}
+}
+
+// TestControlCampaignNoSites: a workload whose run launches nothing
+// profiles no qualifying site in any class, and the campaign refuses it
+// before drawing a site from the empty set.
+func TestControlCampaignNoSites(t *testing.T) {
+	spec, ok := workloads.Get("demo.calltree")
+	if !ok {
+		t.Fatal("demo.calltree not registered")
+	}
+	idle := *spec
+	idle.Name = "demo.calltree-idle"
+	idle.Run = func(*cuda.Context, *sass.Program, string) (*workloads.Result, error) {
+		return &workloads.Result{}, nil
+	}
+	c := &faults.ControlCampaign{Spec: &idle, Dataset: "small", Injections: 4, Seed: 1, Config: sim.MiniGPU()}
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "has no qualifying control-state sites") {
+		t.Fatalf("campaign on a workload that launches nothing: err %v", err)
 	}
 }
 

@@ -26,7 +26,7 @@ func growingVecadd(t *testing.T, name string, sizes ...int) *workloads.Spec {
 			call++
 			a := ctx.AllocF32("a", make([]float32, n))
 			b := ctx.AllocF32("b", make([]float32, n))
-			out := ctx.Malloc(uint64(4*n), "out")
+			out := ctx.Malloc(uint64(4 * n))
 			if _, err := ctx.LaunchKernel(prog, "vecadd", sim.LaunchParams{
 				Grid: sim.D1(n / 64), Block: sim.D1(64),
 				Args: []uint64{uint64(a), uint64(b), uint64(out), uint64(n)},

@@ -39,7 +39,7 @@ type InjProfiler struct {
 // NewInjProfiler allocates one counter per grid thread.
 func NewInjProfiler(ctx *cuda.Context, maxThreads int) *InjProfiler {
 	p := &InjProfiler{ctx: ctx, threads: maxThreads}
-	p.counts = ctx.Malloc(uint64(8*maxThreads), "sassi.inj_profile")
+	p.counts = ctx.Malloc(uint64(8 * maxThreads))
 	zero := make([]byte, 8*maxThreads)
 	_ = ctx.MemcpyHtoD(p.counts, zero)
 	return p

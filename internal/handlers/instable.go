@@ -43,7 +43,7 @@ func NewInsTable(ctx *cuda.Context, name string, slots, fields int, inits []uint
 	t := &InsTable{ctx: ctx, slots: slots, fields: fields}
 	t.inits = make([]uint64, fields)
 	copy(t.inits, inits)
-	t.base = uint64(ctx.Malloc(uint64(slots)*t.entrySize(), name))
+	t.base = uint64(ctx.Malloc(uint64(slots) * t.entrySize()))
 	zero := make([]byte, uint64(slots)*t.entrySize())
 	if err := ctx.MemcpyHtoD(cuda.DevPtr(t.base), zero); err != nil {
 		panic(fmt.Sprintf("handlers: init table %s: %v", name, err))

@@ -37,7 +37,7 @@ func tableHarness(t *testing.T, ctx *cuda.Context, nWarps int, fn func(c device.
 			}
 		}})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(uint64(4*32*nWarps), "out")
+	buf := ctx.Malloc(uint64(4 * 32 * nWarps))
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(nWarps), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {

@@ -21,7 +21,7 @@ type MemDivProfiler struct {
 // NewMemDivProfiler allocates the device-side matrix.
 func NewMemDivProfiler(ctx *cuda.Context) *MemDivProfiler {
 	p := &MemDivProfiler{ctx: ctx, OffsetBits: 5}
-	p.matrix = ctx.Malloc(32*32*8, "sassi.memdiv_matrix")
+	p.matrix = ctx.Malloc(32 * 32 * 8)
 	zero := make([]byte, 32*32*8)
 	_ = ctx.MemcpyHtoD(p.matrix, zero)
 	return p

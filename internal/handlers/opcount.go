@@ -28,7 +28,7 @@ type OpCounter struct {
 
 // NewOpCounter allocates the counter bank and its CUPTI plumbing.
 func NewOpCounter(ctx *cuda.Context) *OpCounter {
-	return &OpCounter{Bank: cupti.NewCounterBank(ctx, "dynamic_instr_counts", ocFields)}
+	return &OpCounter{Bank: cupti.NewCounterBank(ctx, ocFields)}
 }
 
 // Options returns the instrumentation specification: before every

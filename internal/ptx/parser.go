@@ -215,6 +215,9 @@ func typeBySuffix(s string) (Type, bool) {
 	return TInvalid, false
 }
 
+// isInt32 reports whether t is a 32-bit integer type.
+func isInt32(t Type) bool { return t == TU32 || t == TS32 }
+
 var srByName = map[string]sass.SpecialReg{
 	"tid.x": sass.SRTidX, "tid.y": sass.SRTidY, "tid.z": sass.SRTidZ,
 	"ctaid.x": sass.SRCtaidX, "ctaid.y": sass.SRCtaidY, "ctaid.z": sass.SRCtaidZ,
@@ -665,11 +668,17 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 	return fmt.Errorf("unknown opcode %q", head)
 }
 
-// operandEmit resolves a register operand then emits.
+// operandEmit resolves a register operand of type t then emits. The
+// register must hold a t: the module verifier does not check source types,
+// and the backend would move a pair or a predicate as a 32-bit register.
+// Like PTX, it takes a u32 register for an s32 operand and the reverse.
 func (p *parser) operandEmit(in *Instr, tok string, t Type, slot *Value) error {
 	v, ok := p.vals[tok]
 	if !ok {
 		return fmt.Errorf("undefined register %q", tok)
+	}
+	if vt := p.f.TypeOf(v); vt != t && !(isInt32(vt) && isInt32(t)) {
+		return fmt.Errorf("register %s is %s, not %s", tok, vt, t)
 	}
 	*slot = v
 	p.f.Emit(*in)

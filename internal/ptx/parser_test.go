@@ -171,6 +171,15 @@ func TestParseModuleMultipleKernels(t *testing.T) {
 	}
 }
 
+// TestParseOperandTypes: a register operand takes a register of its type,
+// and of either 32-bit integer type for the other.
+func TestParseOperandTypes(t *testing.T) {
+	src := ".entry k\n.param ptr out\n%i = gtid.x\n%s = mov.s32 %i\n%f = cvt.f32.s32 %i\n%g = sqrt.f32 %f\n%w = cvt.u64.u32 %s\nexit"
+	if _, err := ptx.Parse(src); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
@@ -183,6 +192,10 @@ func TestParseErrors(t *testing.T) {
 		{"dangling label", ".entry k\nbra Lnowhere\nexit", "undefined label"},
 		{"retype", ".entry k\n%a = mov.u32 1\n%a = mov.f32 1.0", "different type"},
 		{"imm in a-slot", ".entry k\n%a = add.u32 1 %a", "not allowed"},
+		{"mov of a predicate", ".entry k\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = mov.u32 %p", "%p is pred, not u32"},
+		{"mov of a float", ".entry k\n%f = mov.f32 1.0\n%a = mov.u32 %f", "%f is f32, not u32"},
+		{"cvt of a pointer", ".entry k\n.param ptr x\n%f = cvt.f32.u32 %x", "%x is u64, not u32"},
+		{"mufu of an integer", ".entry k\n%i = gtid.x\n%f = rcp.f32 %i", "%i is u32, not f32"},
 	}
 	for _, c := range cases {
 		_, err := ptx.Parse(c.src)

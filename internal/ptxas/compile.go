@@ -41,23 +41,41 @@ func Compile(m *ptx.Module, opts Options) (*sass.Program, error) {
 	}
 	prog := sass.NewProgram()
 	for _, f := range m.Funcs {
-		k, err := CompileFunc(f, opts)
+		k, err := compileFunc(f)
 		if err != nil {
 			return nil, err
 		}
 		prog.AddKernel(k)
 	}
-	if opts.Verify.Enabled() {
-		if diags := analysis.Verify(prog); analysis.HasErrors(diags) {
-			return nil, fmt.Errorf("ptxas: emitted SASS failed verification: %w",
-				&analysis.VerifyError{Diags: diags})
-		}
+	if err := Finish(prog, opts); err != nil {
+		return nil, err
 	}
 	return prog, nil
 }
 
-// CompileFunc lowers a single kernel.
-func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
+// Finish is the tail every program takes, lowered from PTX or authored as
+// SASS: each kernel is scheduled if opts.Schedule and checked by
+// checkKernel, then the program is verified if opts.Verify is enabled.
+func Finish(prog *sass.Program, opts Options) error {
+	for _, k := range prog.Kernels {
+		if opts.Schedule {
+			scheduleKernel(k, opts.SchedSeed)
+		}
+		if err := checkKernel(k); err != nil {
+			return fmt.Errorf("ptxas: %w", err)
+		}
+	}
+	if opts.Verify.Enabled() {
+		if diags := analysis.Verify(prog); analysis.HasErrors(diags) {
+			return fmt.Errorf("ptxas: emitted SASS failed verification: %w",
+				&analysis.VerifyError{Diags: diags})
+		}
+	}
+	return nil
+}
+
+// compileFunc lowers a single kernel, up to Finish.
+func compileFunc(f *ptx.Func) (*sass.Kernel, error) {
 	st := newValueStats(f)
 	copyPropagate(f, st)
 	deadCodeEliminate(f, st)
@@ -85,12 +103,6 @@ func CompileFunc(f *ptx.Func, opts Options) (*sass.Kernel, error) {
 	}
 	k.NumRegs = alloc.numRegs
 	k.NumPreds = alloc.numPred
-	if opts.Schedule {
-		scheduleKernel(k, opts.SchedSeed)
-	}
-	if err := checkKernel(k); err != nil {
-		return nil, fmt.Errorf("ptxas: %w", err)
-	}
 	return k, nil
 }
 

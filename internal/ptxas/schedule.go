@@ -22,13 +22,6 @@ import (
 // verification (the `schedule` check) uses to re-derive and certify
 // legality against the reconstructed original stream.
 
-// ScheduleKernel applies the list scheduler to an already-compiled
-// kernel, recording provenance in SchedOrig. Exported for the tests that
-// schedule SASS-authored programs (workloads.Spec.BuildProgram), which
-// bypass CompileFunc; callers should re-run analysis.Verify afterwards to
-// certify the permutation.
-func ScheduleKernel(k *sass.Kernel, seed uint64) { scheduleKernel(k, seed) }
-
 // scheduleKernel reorders k in place. The kernel must have resolved
 // labels. Scheduling is block-local: labels target block leaders and
 // control transfers are DAG fences pinned to their positions, so the CFG

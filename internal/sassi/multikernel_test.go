@@ -49,7 +49,7 @@ func TestMultiKernelSiteIDsUnique(t *testing.T) {
 			seenAddrs[args.BP.InsAddr()] = true
 		}})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	for _, k := range []string{"alpha", "beta"} {
 		if _, err := ctx.LaunchKernel(prog, k, sim.LaunchParams{
 			Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
@@ -100,7 +100,7 @@ func TestTwoHandlersBeforeAndAfter(t *testing.T) {
 			afters++
 		}})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	if _, err := ctx.LaunchKernel(prog, "alpha", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {
@@ -126,7 +126,7 @@ func TestUnregisteredHandlerFaults(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	rt := sassi.NewRuntime(prog)
 	rt.Attach(ctx.Device()) // nothing registered
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	if _, err := ctx.LaunchKernel(prog, "alpha", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err == nil {
@@ -170,7 +170,7 @@ func TestStackedInstrumentation(t *testing.T) {
 			second++
 		}})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	if _, err := ctx.LaunchKernel(prog, "alpha", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {

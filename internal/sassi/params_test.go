@@ -65,7 +65,7 @@ func runProbe(t *testing.T, opts sassi.Options, branch bool, p *probe) *cuda.Con
 	}
 	rt.MustRegister(&sassi.Handler{Name: name, What: opts.What, Fn: perLane(p.fn)})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(4*64, "out")
+	buf := ctx.Malloc(4 * 64)
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {
@@ -251,7 +251,7 @@ func TestSetRegValueThroughSpill(t *testing.T) {
 	rt := sassi.NewRuntime(prog)
 	rt.MustRegister(&sassi.Handler{Name: "h", What: sassi.PassRegisterInfo, Fn: perLane(p.fn)})
 	rt.Attach(ctx.Device())
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {
@@ -317,7 +317,7 @@ func TestSetPredAndCCThroughSpill(t *testing.T) {
 		rt := sassi.NewRuntime(prog)
 		rt.MustRegister(&sassi.Handler{Name: "h", Fn: perLane(p.fn)})
 		rt.Attach(ctx.Device())
-		buf := ctx.Malloc(4*32, "out")
+		buf := ctx.Malloc(4 * 32)
 		if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 			Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 		}); err != nil {

@@ -17,16 +17,15 @@ import (
 	"sassi/internal/workloads"
 )
 
-// toolOptions are the instrumentation descriptors of the four tools the
-// repository ships results for.
+// toolOptions are the instrumentation descriptors of every named tool and
+// of the error-injection profiler.
 func toolOptions() map[string]sassi.Options {
 	ctx := cuda.NewContext(sim.KeplerK10())
-	return map[string]sassi.Options{
-		"branch":   handlers.NewBranchProfiler(ctx).Options(),
-		"memdiv":   handlers.NewMemDivProfiler(ctx).Options(),
-		"value":    handlers.NewValueProfiler(ctx).Options(),
-		"errorinj": handlers.NewInjProfiler(ctx, 1).Options(),
+	opts := map[string]sassi.Options{"errorinj": handlers.NewInjProfiler(ctx, 1).Options()}
+	for _, t := range handlers.Tools() {
+		opts[t.Name] = t.New(ctx).Options()
 	}
+	return opts
 }
 
 // emittedSites splits the injected instructions of out[from:to] into sites:

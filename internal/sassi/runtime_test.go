@@ -125,7 +125,7 @@ func TestHandlerFailureIsStructuredError(t *testing.T) {
 					simref.Install(ctx.Device())
 				}
 				prog := storeKernel(t)
-				buf := ctx.Malloc(4*32*storeCTAs, "out")
+				buf := ctx.Malloc(4 * 32 * storeCTAs)
 
 				armed := false
 				var ran [storeCTAs]uint32 // lanes the handler reached, per CTA
@@ -326,7 +326,7 @@ func TestDispatchZeroAlloc(t *testing.T) {
 				}
 				return nil
 			})
-			buf := ctx.Malloc(4*64, "out")
+			buf := ctx.Malloc(4 * 64)
 			if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 				Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 			}); err != nil {

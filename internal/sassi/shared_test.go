@@ -15,26 +15,6 @@ import (
 	"sassi/internal/workloads"
 )
 
-// sharedTools are the three case-study tools, each bound to a context so
-// that its handler can run the program it instrumented.
-var sharedTools = []struct {
-	name string
-	new  func(ctx *cuda.Context) (*sassi.Handler, sassi.Options)
-}{
-	{"branch", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewBranchProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-	{"memdiv", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewMemDivProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-	{"value", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewValueProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-}
-
 // sharingCopy returns a program whose kernels are fresh but whose injected
 // instructions hold the very operand lists of p's, so that a pass which
 // rewrites the copy in place shows on p if it writes an injected list. The
@@ -86,22 +66,23 @@ func programDiff(a, b *sass.Program) string {
 // round-trip included), checked against its original, encoded and decoded,
 // instrumented again through a copy that shares its injected lists, and
 // launched (which predecodes it), and must still equal the copy. Every
-// workload under the three case-study tools.
+// workload under every named tool.
 func TestInstrumentedListsStayUnwritten(t *testing.T) {
 	stacked := sassi.Options{
 		Where: sassi.BeforeAll, What: sassi.PassMemoryInfo | sassi.PassRegisterInfo,
 		BeforeHandler: "stacked", Verify: analysis.VerifyOff,
 	}
 	for _, spec := range workloads.All() {
-		for _, tool := range sharedTools {
-			what := spec.Name + "/" + tool.name
+		for _, named := range handlers.Tools() {
+			what := spec.Name + "/" + named.Name
 			prog, err := spec.Compile(ptxas.Options{Verify: analysis.VerifyOff})
 			if err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			orig := prog.Clone()
 			ctx := cuda.NewContext(sim.KeplerK10())
-			h, opts := tool.new(ctx)
+			tool := named.New(ctx)
+			opts := tool.Options()
 			opts.Verify = analysis.VerifyOff
 			if err := sassi.Instrument(prog, opts); err != nil {
 				t.Fatalf("%s: %v", what, err)
@@ -133,8 +114,11 @@ func TestInstrumentedListsStayUnwritten(t *testing.T) {
 				t.Fatalf("%s: stacked pass: %v", what, err)
 			}
 			check("a stacked Instrument pass")
+			if err := handlers.Prepare(tool, prog); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
 			rt := sassi.NewRuntime(prog)
-			if err := rt.Register(h); err != nil {
+			if err := rt.Register(tool.Handler()); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
 			rt.Attach(ctx.Device())

@@ -118,7 +118,7 @@ func viewsDispatch(t *testing.T, opts sassi.Options, perturb func(*sim.Warp), re
 		}
 		return rt.Dispatch(dev, w, id)
 	})
-	buf := ctx.Malloc(4*32, "out")
+	buf := ctx.Malloc(4 * 32)
 	_, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{Grid: sim.D1(1), Block: sim.D1(32), Args: []uint64{uint64(buf)}})
 	if err == nil {
 		return got, nil

@@ -28,7 +28,7 @@ func TestTraceCapturesAccesses(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU())
 	tr := &trace.MemTracer{}
 	tr.Attach(ctx.Device())
-	buf := ctx.Malloc(4*64, "out")
+	buf := ctx.Malloc(4 * 64)
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(2), Block: sim.D1(32), Args: []uint64{uint64(buf)},
 	}); err != nil {
@@ -118,7 +118,7 @@ func TestTraceEventsCarrySMAndWarp(t *testing.T) {
 	ctx := cuda.NewContext(sim.MiniGPU()) // 2 SMs
 	tr := &trace.MemTracer{}
 	tr.Attach(ctx.Device())
-	buf := ctx.Malloc(4*64*4, "out")
+	buf := ctx.Malloc(4 * 64 * 4)
 	// 4 CTAs of 2 warps each: CTAs round-robin across both SMs.
 	if _, err := ctx.LaunchKernel(prog, "k", sim.LaunchParams{
 		Grid: sim.D1(4), Block: sim.D1(64), Args: []uint64{uint64(buf)},

@@ -81,7 +81,7 @@ func NewManager(ctx *cuda.Context) *Manager {
 // AllocManaged allocates managed memory; pages start CPU-resident, as with
 // first-touch cudaMallocManaged.
 func (m *Manager) AllocManaged(size uint64, name string) cuda.DevPtr {
-	p := m.ctx.Malloc(size, name)
+	p := m.ctx.Malloc(size)
 	m.ranges = append(m.ranges, managedRange{base: uint64(p), size: size})
 	for page := uint64(p) &^ (PageSize - 1); page < uint64(p)+size; page += PageSize {
 		m.pages[page] = CPU

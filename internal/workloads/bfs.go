@@ -83,9 +83,9 @@ func bfsParboilSpec() *Spec {
 			// Frontier double buffers sized to the duplicate-enqueue worst
 			// case (every edge enqueues its head once).
 			cap := uint64(4 * (g.Edges() + g.N + 64))
-			dFrontA := ctx.Malloc(cap, "frontierA")
-			dFrontB := ctx.Malloc(cap, "frontierB")
-			dCnt := ctx.Malloc(8, "nextCnt")
+			dFrontA := ctx.Malloc(cap)
+			dFrontB := ctx.Malloc(cap)
+			dCnt := ctx.Malloc(8)
 			_ = ctx.Memset32(dFrontA, uint32(src), 1)
 
 			cur, nxt := dFrontA, dFrontB
@@ -223,7 +223,7 @@ func bfsRodiniaSpec() *Spec {
 			dUpd := ctx.AllocU32("updating", make([]uint32, g.N))
 			dVis := ctx.AllocU32("visited", visInit)
 			dCost := ctx.AllocU32("cost", costInit)
-			dChanged := ctx.Malloc(4, "changed")
+			dChanged := ctx.Malloc(4)
 
 			grid := sim.D1((g.N + 127) / 128)
 			for iter := 0; iter < g.N; iter++ {

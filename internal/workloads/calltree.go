@@ -27,7 +27,7 @@ func callTreeSpec() *Spec {
 				in[i] = uint32(i*7 + 3)
 			}
 			din := ctx.AllocU32("in", in)
-			dout := ctx.Malloc(4*n, "out")
+			dout := ctx.Malloc(4 * n)
 			if _, err := ctx.LaunchKernel(prog, "calltree", sim.LaunchParams{
 				Grid: sim.D1(callTreeCTAs), Block: sim.D1(callTreeThreads),
 				Args: []uint64{uint64(din), uint64(dout)},

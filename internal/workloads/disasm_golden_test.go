@@ -82,23 +82,26 @@ type disasmVariant struct {
 	inst  *sassi.Options // nil: uninstrumented
 }
 
-// disasmVariants are the two backend configurations and the four
-// instrumentation tools the repository ships results for.
-func disasmVariants() []disasmVariant {
+// disasmVariants are the two backend configurations, the three
+// case-study profilers and the error-injection profiler: a list of its own
+// because the golden's rows name them.
+func disasmVariants(t *testing.T) []disasmVariant {
 	ctx := cuda.NewContext(sim.KeplerK10())
-	branch := handlers.NewBranchProfiler(ctx).Options()
-	memdiv := handlers.NewMemDivProfiler(ctx).Options()
-	value := handlers.NewValueProfiler(ctx).Options()
-	errorinj := handlers.NewInjProfiler(ctx, 1).Options()
 	off := ptxas.Options{Verify: analysis.VerifyOff}
-	return []disasmVariant{
+	vs := []disasmVariant{
 		{"plain", off, nil},
 		{"scheduled", ptxas.Options{Schedule: true, Verify: analysis.VerifyOff}, nil},
-		{"branch", off, &branch},
-		{"memdiv", off, &memdiv},
-		{"value", off, &value},
-		{"errorinj", off, &errorinj},
 	}
+	tools, err := handlers.SelectTools("branch,memdiv,value")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tool := range tools {
+		opts := tool.New(ctx).Options()
+		vs = append(vs, disasmVariant{tool.Name, off, &opts})
+	}
+	errorinj := handlers.NewInjProfiler(ctx, 1).Options()
+	return append(vs, disasmVariant{"errorinj", off, &errorinj})
 }
 
 // programDigest hashes everything about a program that the pre-launch
@@ -140,7 +143,7 @@ func programDigest(prog *sass.Program) string {
 // `go test ./internal/workloads -run DisasmGolden -update`.
 func TestDisasmGolden(t *testing.T) {
 	var b strings.Builder
-	variants := disasmVariants()
+	variants := disasmVariants(t)
 	for _, spec := range All() {
 		for _, v := range variants {
 			prog, err := spec.Compile(v.ptxas)

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sassi/internal/cuda"
@@ -68,13 +69,19 @@ func cfiMutant(name string, mutate func(k *sass.Kernel) error) *Spec {
 	return s
 }
 
-// expectOp guards a mutant's hardcoded instruction index against drift in
-// the hand-authored calltree kernel.
-func expectOp(k *sass.Kernel, i int, op sass.Opcode) error {
-	if i >= len(k.Instrs) || k.Instrs[i].Op != op {
-		return fmt.Errorf("calltree layout changed: instr %d is not %v", i, op)
+// authored returns where the hand-authored calltree kernel's instruction i
+// sits in k, which a scheduled build may have moved within its block
+// (Kernel.SchedOrig), and guards the mutant's hardcoded index against drift
+// in the authored layout: the instruction must be an op.
+func authored(k *sass.Kernel, i int, op sass.Opcode) (int, error) {
+	p := i
+	if k.SchedOrig != nil {
+		p = slices.Index(k.SchedOrig, i)
 	}
-	return nil
+	if p < 0 || p >= len(k.Instrs) || k.Instrs[p].Op != op {
+		return 0, fmt.Errorf("calltree layout changed: instr %d is not %v", i, op)
+	}
+	return p, nil
 }
 
 // cfiRetNoCallMutant replaces the entry's final store with a RET: the
@@ -84,10 +91,11 @@ func expectOp(k *sass.Kernel, i int, op sass.Opcode) error {
 // faults.
 func cfiRetNoCallMutant() *Spec {
 	return cfiMutant("mutant.cfi-ret-nocall", func(k *sass.Kernel) error {
-		if err := expectOp(k, 16, sass.OpSTG); err != nil {
+		st, err := authored(k, 16, sass.OpSTG)
+		if err != nil {
 			return err
 		}
-		k.Instrs[16] = sass.New(sass.OpRET, nil, nil)
+		k.Instrs[st] = sass.New(sass.OpRET, nil, nil)
 		return nil
 	})
 }
@@ -99,10 +107,16 @@ func cfiRetNoCallMutant() *Spec {
 // arm the kernel.
 func cfiCalMidBlockMutant() *Spec {
 	return cfiMutant("mutant.cfi-cal-midblock", func(k *sass.Kernel) error {
-		if err := expectOp(k, 12, sass.OpCAL); err != nil {
+		cal, err := authored(k, 12, sass.OpCAL)
+		if err != nil {
 			return err
 		}
-		k.Instrs[12].Srcs[0].Imm = 20 // skips fn1's CAL fn2 and LOP
+		// fn1's ISETP: skips fn1's CAL fn2 and LOP.
+		target, err := authored(k, 20, sass.OpISETP)
+		if err != nil {
+			return err
+		}
+		k.Instrs[cal].Srcs[0].Imm = int64(target)
 		return nil
 	})
 }
@@ -114,10 +128,16 @@ func cfiCalMidBlockMutant() *Spec {
 // CFIChecker reports sync-underflow.
 func cfiSSYSkewMutant() *Spec {
 	return cfiMutant("mutant.cfi-ssy-skew", func(k *sass.Kernel) error {
-		if err := expectOp(k, 21, sass.OpSSY); err != nil {
+		ssy, err := authored(k, 21, sass.OpSSY)
+		if err != nil {
 			return err
 		}
-		k.Instrs[21].Srcs[0].Imm = 26 // the odd arm's SYNC, not the reconv point
+		// The odd arm's SYNC, not the reconvergence point.
+		target, err := authored(k, 26, sass.OpSYNC)
+		if err != nil {
+			return err
+		}
+		k.Instrs[ssy].Srcs[0].Imm = int64(target)
 		return nil
 	})
 }
@@ -160,7 +180,7 @@ func stencilHaloMutant() *Spec {
 			r := newRNG(23)
 			in := r.f32s(n, -1, 1)
 			din := ctx.AllocF32("in", in)
-			dout := ctx.Malloc(4*n, "out")
+			dout := ctx.Malloc(4 * n)
 			if _, err := ctx.LaunchKernel(prog, "stencil", sim.LaunchParams{
 				Grid: sim.D1(1), Block: sim.D1(n),
 				Args: []uint64{uint64(din), uint64(dout)},
@@ -236,7 +256,7 @@ func bfsFrontierMutant() *Spec {
 				}
 			}
 			din := ctx.AllocU32("active", active)
-			dout := ctx.Malloc(4, "count")
+			dout := ctx.Malloc(4)
 			if _, err := ctx.LaunchKernel(prog, "bfs_frontier", sim.LaunchParams{
 				Grid: sim.D1(1), Block: sim.D1(n),
 				Args: []uint64{uint64(din), uint64(dout)},

@@ -81,7 +81,7 @@ func sadSpec() *Spec {
 			}
 			dCur := ctx.AllocU32("cur", cur)
 			dRef := ctx.AllocU32("ref", ref)
-			dOut := ctx.Malloc(uint64(4*n), "out")
+			dOut := ctx.Malloc(uint64(4 * n))
 			if _, err := ctx.LaunchKernel(prog, "sad4x4", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dCur), uint64(dRef), uint64(dOut),
@@ -272,7 +272,7 @@ func cutcpSpec() *Spec {
 				atoms[3*i+2] = r.f32()*2 - 1
 			}
 			dAtoms := ctx.AllocF32("atoms", atoms)
-			dGrid := ctx.Malloc(4*w*h, "grid")
+			dGrid := ctx.Malloc(4 * w * h)
 			if _, err := ctx.LaunchKernel(prog, "cutcp", sim.LaunchParams{
 				Grid: sim.Dim3{X: (w + 63) / 64, Y: h, Z: 1}, Block: sim.D1(64),
 				Args: []uint64{uint64(dAtoms), uint64(dGrid),

@@ -20,25 +20,11 @@ import (
 	"sassi/internal/sim"
 )
 
-// retiredStateTools are the instrumentation variants retired_state.golden
-// pins besides the plain program: the three case-study profilers.
-var retiredStateTools = []struct {
-	name string
-	make func(ctx *cuda.Context) (*sassi.Handler, sassi.Options)
-}{
-	{"branch", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewBranchProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-	{"memdiv", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewMemDivProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-	{"value", func(ctx *cuda.Context) (*sassi.Handler, sassi.Options) {
-		p := handlers.NewValueProfiler(ctx)
-		return p.Handler(), p.Options()
-	}},
-}
+// retiredStateTools are the tools whose instrumentation variants
+// retired_state.golden pins besides the plain program: the three
+// case-study profilers, a list of its own because the golden's rows name
+// them.
+const retiredStateTools = "branch,memdiv,value"
 
 // hashCTA folds one retired CTA's index and snapshot into h: shared
 // memory, then per thread its registers, predicates, CC and whole local
@@ -71,7 +57,7 @@ func hashCTA(h hash.Hash, index int, st *difftest.CTAState) {
 // sequential SMs with the difftest collector's snapshot attached at every
 // CTA retirement, and hashes, launch by launch, each launch's KernelStats
 // and outcome followed by its retired CTAs in index order.
-func retiredStateDigest(t *testing.T, spec *Spec, tool func(*cuda.Context) (*sassi.Handler, sassi.Options)) string {
+func retiredStateDigest(t *testing.T, spec *Spec, tool func(*cuda.Context) handlers.Tool) string {
 	t.Helper()
 	prog, err := spec.Compile(ptxas.Options{})
 	if err != nil {
@@ -81,11 +67,12 @@ func retiredStateDigest(t *testing.T, spec *Spec, tool func(*cuda.Context) (*sas
 	cfg.SequentialSMs = true
 	ctx := cuda.NewContext(cfg)
 	if tool != nil {
-		h, opts := tool(ctx)
-		if err := sassi.Instrument(prog, opts); err != nil {
+		tool := tool(ctx)
+		if err := sassi.Instrument(prog, tool.Options()); err != nil {
 			t.Fatalf("%s: instrument: %v", spec.Name, err)
 		}
 		rt := sassi.NewRuntime(prog)
+		h := tool.Handler()
 		if _, ok := prog.Handlers[h.Name]; ok {
 			rt.MustRegister(h)
 		}
@@ -135,6 +122,10 @@ func TestRetiredStateGolden(t *testing.T) {
 		t.Skip("runs every workload four times")
 	}
 	specs := All()
+	tools, err := handlers.SelectTools(retiredStateTools)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := make([]string, len(specs))
 	t.Run("run", func(t *testing.T) {
 		for i, spec := range specs {
@@ -142,8 +133,8 @@ func TestRetiredStateGolden(t *testing.T) {
 				t.Parallel()
 				var b strings.Builder
 				fmt.Fprintf(&b, "%s plain %s\n", spec.Name, retiredStateDigest(t, spec, nil))
-				for _, tool := range retiredStateTools {
-					fmt.Fprintf(&b, "%s %s %s\n", spec.Name, tool.name, retiredStateDigest(t, spec, tool.make))
+				for _, tool := range tools {
+					fmt.Fprintf(&b, "%s %s %s\n", spec.Name, tool.Name, retiredStateDigest(t, spec, tool.New))
 				}
 				lines[i] = b.String()
 			})

@@ -89,7 +89,7 @@ func gaussianSpec() *Spec {
 			copy(ref, aug)
 
 			dA := ctx.AllocF32("aug", aug)
-			dM := ctx.Malloc(4*n, "mult")
+			dM := ctx.Malloc(4 * n)
 			for t := 0; t < n-1; t++ {
 				rows := n - t - 1
 				if _, err := ctx.LaunchKernel(prog, "fan1", sim.LaunchParams{
@@ -184,8 +184,8 @@ func streamclusterSpec() *Spec {
 			ctrs := r.f32s(k*dim, 0, 1)
 			dPts := ctx.AllocF32("pts", pts)
 			dCtr := ctx.AllocF32("ctrs", ctrs)
-			dAsn := ctx.Malloc(4*n, "assign")
-			dMin := ctx.Malloc(4*n, "mind")
+			dAsn := ctx.Malloc(4 * n)
+			dMin := ctx.Malloc(4 * n)
 			if _, err := ctx.LaunchKernel(prog, "sc_dist", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dPts), uint64(dCtr), uint64(dAsn), uint64(dMin),
@@ -295,7 +295,7 @@ func sradSpec(name string, variant int) *Spec {
 			r := newRNG(121)
 			img := r.f32s(w*h, 0, 1)
 			dImg := ctx.AllocF32("img", img)
-			dOut := ctx.Malloc(4*w*h, "out")
+			dOut := ctx.Malloc(4 * w * h)
 			if _, err := ctx.LaunchKernel(prog, "srad", sim.LaunchParams{
 				Grid: sim.Dim3{X: (w + 63) / 64, Y: h, Z: 1}, Block: sim.D1(64),
 				Args: []uint64{uint64(dImg), uint64(dOut), uint64(w), uint64(h),
@@ -401,7 +401,7 @@ func heartwallSpec() *Spec {
 			data := r.f32s(dlen, 0, 1)
 			dWork := ctx.AllocU32("work", work)
 			dData := ctx.AllocF32("data", data)
-			dOut := ctx.Malloc(uint64(4*n), "out")
+			dOut := ctx.Malloc(uint64(4 * n))
 			if _, err := ctx.LaunchKernel(prog, "heartwall", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dWork), uint64(dData), uint64(dOut),

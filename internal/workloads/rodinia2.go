@@ -65,7 +65,7 @@ func hotspotSpec() *Spec {
 			r := newRNG(141)
 			temp := r.f32s(w*h, 320, 340)
 			power := r.f32s(w*h, 0, 1)
-			bufs := [2]cuda.DevPtr{ctx.AllocF32("tempA", temp), ctx.Malloc(4*w*h, "tempB")}
+			bufs := [2]cuda.DevPtr{ctx.AllocF32("tempA", temp), ctx.Malloc(4 * w * h)}
 			dPow := ctx.AllocF32("power", power)
 			for s := 0; s < steps; s++ {
 				if _, err := ctx.LaunchKernel(prog, "hotspot", sim.LaunchParams{
@@ -159,7 +159,7 @@ func pathfinderSpec() *Spec {
 					grid[i][j] = uint32(r.intn(10))
 				}
 			}
-			bufs := [2]cuda.DevPtr{ctx.AllocU32("prev", grid[0]), ctx.Malloc(4*cols, "next")}
+			bufs := [2]cuda.DevPtr{ctx.AllocU32("prev", grid[0]), ctx.Malloc(4 * cols)}
 			for row := 1; row < rows; row++ {
 				dData := ctx.AllocU32(fmt.Sprintf("row%d", row), grid[row])
 				if _, err := ctx.LaunchKernel(prog, "pathfinder", sim.LaunchParams{
@@ -250,7 +250,7 @@ func kmeansSpec() *Spec {
 			ctrs := r.f32s(k*dim, 0, 1)
 			dPts := ctx.AllocF32("pts", pts)
 			dCtr := ctx.AllocF32("ctrs", ctrs)
-			dMem := ctx.Malloc(4*n, "member")
+			dMem := ctx.Malloc(4 * n)
 			dCnt := ctx.AllocU32("counts", make([]uint32, k))
 			if _, err := ctx.LaunchKernel(prog, "kmeans_assign", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
@@ -333,7 +333,7 @@ func nnSpec() *Spec {
 			qlat, qlng := float32(45), float32(90)
 			dLat := ctx.AllocF32("lat", lat)
 			dLng := ctx.AllocF32("lng", lng)
-			dDist := ctx.Malloc(4*n, "dist")
+			dDist := ctx.Malloc(4 * n)
 			if _, err := ctx.LaunchKernel(prog, "nn", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dLat), uint64(dLng), uint64(dDist),
@@ -402,7 +402,7 @@ func backpropSpec() *Spec {
 			w := r.f32s(nIn*nHid, -0.5, 0.5)
 			dIn := ctx.AllocF32("in", in)
 			dW := ctx.AllocF32("w", w)
-			dHid := ctx.Malloc(4*nHid, "hidden")
+			dHid := ctx.Malloc(4 * nHid)
 			if _, err := ctx.LaunchKernel(prog, "backprop_forward", sim.LaunchParams{
 				Grid: sim.D1((nHid + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dIn), uint64(dW), uint64(dHid),

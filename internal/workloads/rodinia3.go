@@ -113,7 +113,7 @@ func btreeSpec() *Spec {
 			}
 			dNodes := ctx.AllocU32("nodes", nodes)
 			dQ := ctx.AllocU32("queries", queries)
-			dOut := ctx.Malloc(4*nq, "out")
+			dOut := ctx.Malloc(4 * nq)
 			if _, err := ctx.LaunchKernel(prog, "btree_find", sim.LaunchParams{
 				Grid: sim.D1((nq + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dNodes), uint64(dQ), uint64(dOut),
@@ -309,7 +309,7 @@ func lavamdSpec() *Spec {
 			}
 			dPos := ctx.AllocF32("pos", pos)
 			dNbr := ctx.AllocU32("nbr", nbrs)
-			dF := ctx.Malloc(uint64(4*n), "force")
+			dF := ctx.Malloc(uint64(4 * n))
 			if _, err := ctx.LaunchKernel(prog, "lavamd", sim.LaunchParams{
 				Grid: sim.D1(boxes), Block: sim.D1(perBox),
 				Args: []uint64{uint64(dPos), uint64(dNbr), uint64(dF),
@@ -413,11 +413,11 @@ func mummerSpec() *Spec {
 					}
 				}
 			}
-			dRef := ctx.Malloc(rlen, "ref")
+			dRef := ctx.Malloc(rlen)
 			_ = ctx.MemcpyHtoD(dRef, refRaw)
-			dQ := ctx.Malloc(nq*qlen, "queries")
+			dQ := ctx.Malloc(nq * qlen)
 			_ = ctx.MemcpyHtoD(dQ, qRaw)
-			dOut := ctx.Malloc(4*nq, "out")
+			dOut := ctx.Malloc(4 * nq)
 			if _, err := ctx.LaunchKernel(prog, "mummer_match", sim.LaunchParams{
 				Grid: sim.D1((nq + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dRef), uint64(dQ), uint64(dOut),

@@ -7,7 +7,6 @@ import (
 	"sassi/internal/analysis"
 	"sassi/internal/cuda"
 	"sassi/internal/ptxas"
-	"sassi/internal/sass"
 	"sassi/internal/sim"
 	"sassi/internal/workloads"
 )
@@ -27,32 +26,12 @@ func runOnce(t *testing.T, spec *workloads.Spec, schedule bool) *workloads.Resul
 	if err != nil {
 		t.Fatal(err)
 	}
-	if schedule && !anyScheduled(prog) {
-		// SASS-authored programs bypass CompileFunc: schedule them here and
-		// re-certify through the verifier (the `schedule` check included).
-		for _, k := range prog.Kernels {
-			ptxas.ScheduleKernel(k, 0)
-		}
-		if diags := analysis.Verify(prog); analysis.HasErrors(diags) {
-			t.Fatalf("scheduled authored SASS failed verification: %v",
-				&analysis.VerifyError{Diags: diags})
-		}
-	}
 	ctx := cuda.NewContext(sim.MiniGPU())
 	res, err := spec.Run(ctx, prog, spec.DefaultDataset())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func anyScheduled(prog *sass.Program) bool {
-	for _, k := range prog.Kernels {
-		if k.SchedOrig != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // TestScheduleBitEqual is the workload-level soundness gate for the
@@ -94,5 +73,24 @@ func TestScheduleBitEqual(t *testing.T) {
 					base.Stdout, sched.Stdout)
 			}
 		})
+	}
+}
+
+// TestAuthoredFinishAllocatesNothing: the tail a SASS-authored program
+// takes in Compile (ptxas.Finish, unscheduled and unverified, as the
+// benchmark compiles it) allocates nothing: the output check only reads.
+func TestAuthoredFinishAllocatesNothing(t *testing.T) {
+	spec, _ := workloads.Get("demo.calltree")
+	prog, err := spec.BuildProgram()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := ptxas.Options{Verify: analysis.VerifyOff}
+	if n := testing.AllocsPerRun(10, func() {
+		if err := ptxas.Finish(prog, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ptxas.Finish allocated %.0f times per call", n)
 	}
 }

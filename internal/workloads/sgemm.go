@@ -95,7 +95,7 @@ func sgemmVariant(name string, tailBar bool) *Spec {
 			bm := r.f32s(kDim*nDim, -1, 1)
 			da := ctx.AllocF32("A", a)
 			db := ctx.AllocF32("B", bm)
-			dc := ctx.Malloc(uint64(4*mDim*nDim), "C")
+			dc := ctx.Malloc(uint64(4 * mDim * nDim))
 			if _, err := ctx.LaunchKernel(prog, "sgemm", sim.LaunchParams{
 				Grid:  sim.D2(nDim/sgemmTile, mDim/sgemmTile),
 				Block: sim.D2(sgemmTile, sgemmTile),

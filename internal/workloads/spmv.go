@@ -109,7 +109,7 @@ func runCSR(ctx *cuda.Context, prog *sass.Program, kernel string, mat *SparseMat
 	dCol := ctx.AllocU32("cols", mat.Cols)
 	dVal := ctx.AllocF32("vals", mat.Vals)
 	dx := ctx.AllocF32("x", x)
-	dy := ctx.Malloc(uint64(4*mat.Rows), "y")
+	dy := ctx.Malloc(uint64(4 * mat.Rows))
 	if _, err := ctx.LaunchKernel(prog, kernel, sim.LaunchParams{
 		Grid: sim.D1((mat.Rows + 127) / 128), Block: sim.D1(128),
 		Args: []uint64{uint64(dRow), uint64(dCol), uint64(dVal),
@@ -163,7 +163,7 @@ func minifeSpec(name, format string) *Spec {
 			dCol := ctx.AllocU32("ellCols", ell.Cols)
 			dVal := ctx.AllocF32("ellVals", ell.Vals)
 			dx := ctx.AllocF32("x", x)
-			dy := ctx.Malloc(uint64(4*mat.Rows), "y")
+			dy := ctx.Malloc(uint64(4 * mat.Rows))
 			if _, err := ctx.LaunchKernel(prog, "minife_ell", sim.LaunchParams{
 				Grid: sim.D1((mat.Rows + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dCol), uint64(dVal), uint64(dx), uint64(dy),

@@ -233,8 +233,8 @@ func mriqSpec() *Spec {
 			dphi := ctx.AllocF32("phi", phi)
 			dx := ctx.AllocF32("x", x)
 			dy := ctx.AllocF32("y", y)
-			dqr := ctx.Malloc(4*n, "qr")
-			dqi := ctx.Malloc(4*n, "qi")
+			dqr := ctx.Malloc(4 * n)
+			dqi := ctx.Malloc(4 * n)
 			if _, err := ctx.LaunchKernel(prog, "mriq", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(dkx), uint64(dky), uint64(dphi),

@@ -47,7 +47,7 @@ func vecAddSpec() *Spec {
 			b := r.f32s(n, -1, 1)
 			da := ctx.AllocF32("a", a)
 			db := ctx.AllocF32("b", b)
-			do := ctx.Malloc(uint64(4*n), "out")
+			do := ctx.Malloc(uint64(4 * n))
 			if _, err := ctx.LaunchKernel(prog, "vecadd", sim.LaunchParams{
 				Grid: sim.D1((n + 127) / 128), Block: sim.D1(128),
 				Args: []uint64{uint64(da), uint64(db), uint64(do), uint64(n)},

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 
-	"sassi/internal/analysis"
 	"sassi/internal/cuda"
 	"sassi/internal/ptx"
 	"sassi/internal/ptxas"
@@ -107,8 +106,9 @@ func (s *Spec) HasDataset(d string) bool {
 }
 
 // Compile builds and compiles the workload's module. SASS-authored
-// workloads (BuildProgram) skip ptxas lowering but pass the same
-// verification gate; PostCompile runs last, after that gate.
+// workloads (BuildProgram) skip ptxas lowering but take the same tail,
+// ptxas.Finish: scheduling, the output check and verification.
+// PostCompile runs last, after that tail.
 func (s *Spec) Compile(opts ptxas.Options) (*sass.Program, error) {
 	var prog *sass.Program
 	if s.BuildProgram != nil {
@@ -116,11 +116,8 @@ func (s *Spec) Compile(opts ptxas.Options) (*sass.Program, error) {
 		if err != nil {
 			return nil, fmt.Errorf("workload %s: %w", s.Name, err)
 		}
-		if opts.Verify.Enabled() {
-			if diags := analysis.Verify(p); analysis.HasErrors(diags) {
-				return nil, fmt.Errorf("workload %s: authored SASS failed verification: %w",
-					s.Name, &analysis.VerifyError{Diags: diags})
-			}
+		if err := ptxas.Finish(p, opts); err != nil {
+			return nil, fmt.Errorf("workload %s: %w", s.Name, err)
 		}
 		prog = p
 	} else {
