@@ -37,7 +37,7 @@ package analysis
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"sassi/internal/mem"
 	"sassi/internal/sass"
@@ -86,16 +86,17 @@ func (b *BlockDAG) N() int { return b.End - b.Start }
 
 // LocalAdj returns the DAG as local adjacency lists plus in-degrees,
 // indexed by instruction position minus Start — the shape list scheduling
-// consumes. The lists share one array.
-func (b *BlockDAG) LocalAdj() (succs [][]int, indeg []int) {
+// consumes. It fills succs and indeg, each at least N long, and carves the
+// lists from backing, at least len(Edges) long, so one set of arrays sized
+// to a kernel's largest block serves all its blocks.
+func (b *BlockDAG) LocalAdj(succs [][]int, indeg, backing []int) ([][]int, []int) {
 	n := b.N()
-	succs = make([][]int, n)
-	indeg = make([]int, n)
+	succs, indeg = succs[:n], indeg[:n]
+	clear(indeg)
 	// indeg counts out-degrees first, to carve the lists.
 	for _, e := range b.Edges {
 		indeg[e.From-b.Start]++
 	}
-	backing := make([]int, len(b.Edges))
 	off := 0
 	for u, d := range indeg {
 		succs[u] = backing[off : off : off+d]
@@ -137,64 +138,56 @@ func fenceOp(in *sass.Instruction) bool {
 	return in.Op.IsAtomic()
 }
 
-// regSets fills uses and defs (cleared) with the instruction's regspace
-// use and def bits.
-func regSets(in *sass.Instruction, uses, defs Bits) {
+// regSlots appends the instruction's regspace uses and defs — GPRs,
+// predicates (the guard among them) and the condition code — to the two
+// buffers.
+func regSlots(in *sass.Instruction, uses, defs []int) ([]int, []int) {
 	var regs [16]uint8
 	for _, r := range in.AppendGPRSrcs(regs[:0]) {
-		uses.Set(GPRBit(r))
+		uses = append(uses, GPRBit(r))
 	}
 	for _, p := range in.AppendPredSrcs(regs[:0]) {
-		uses.Set(PredBit(p))
+		uses = append(uses, PredBit(p))
 	}
 	if in.Mods.X {
-		uses.Set(CCBit())
+		uses = append(uses, CCBit())
 	}
 	for _, r := range in.AppendGPRDsts(regs[:0]) {
-		defs.Set(GPRBit(r))
+		defs = append(defs, GPRBit(r))
 	}
 	for _, p := range in.AppendPredDsts(regs[:0]) {
-		defs.Set(PredBit(p))
+		defs = append(defs, PredBit(p))
 	}
 	if in.Mods.SetCC {
-		defs.Set(CCBit())
+		defs = append(defs, CCBit())
 	}
+	return uses, defs
 }
 
-// firstCommon returns the lowest bit set in both sets, or -1.
-func firstCommon(a, b Bits) int {
-	for w := range a {
-		if m := a[w] & b[w]; m != 0 {
-			return w*64 + bits.TrailingZeros64(m)
-		}
-	}
-	return -1
+// accessesMemory reports whether the instruction reads or writes memory a
+// store can reach: constant-bank loads read an immutable space and are
+// excluded.
+func accessesMemory(in *sass.Instruction) bool {
+	space := sass.MemSpaceOf(in.Op)
+	return space != sass.MemNone && space != sass.MemConst
 }
 
 // memAccess is the static description of one memory operation's address.
 type memAccess struct {
-	isMem bool
-	write bool
 	known bool // addr is a usable lattice value
 	addr  Value
 	width int
 	local bool // space-relative per-thread local window (LDL/STL)
 }
 
-// memAccessOf derives the access description for instruction idx using the
+// memAccessOf derives the address of memory instruction idx using the
 // shared sass.MemSpaceOf classification. Shared and local offsets are
 // normalized into the generic address numbering (window base + offset) so
-// accesses in different spaces separate by construction; constant-bank
-// loads read an immutable space no store can touch and are excluded.
+// accesses in different spaces separate by construction.
 func memAccessOf(val *Valuation, k *sass.Kernel, idx int) memAccess {
 	in := &k.Instrs[idx]
 	space := sass.MemSpaceOf(in.Op)
-	if space == sass.MemNone || space == sass.MemConst {
-		return memAccess{}
-	}
 	acc := memAccess{
-		isMem: true,
-		write: in.Op.IsMemWrite(),
 		width: in.Mods.Width.Bytes(),
 		local: space == sass.MemLocal,
 	}
@@ -243,71 +236,217 @@ func disjoint(a, b memAccess, dims BlockDims) bool {
 	return DisjointAcrossThreads(a.addr, a.width, b.addr, b.width, dims)
 }
 
+// kindRank orders the kinds a pair can have: a pair with several reasons
+// to be ordered keeps the first kind of fence, RAW, WAW, WAR, mem.
+var kindRank = [...]uint8{Fence: 0, RAW: 1, WAW: 2, WAR: 3, Mem: 4}
+
+// pred is one predecessor of the instruction being visited, compactly:
+// the edge's To is implied by the instruction it was found for.
+type pred struct {
+	from int32
+	slot int16
+	kind EdgeKind
+}
+
+// useRec is one register read in the uses-since-the-last-def list of a
+// regspace slot: the reading instruction and the next older record, -1
+// at the end.
+type useRec struct {
+	instr, next int32
+}
+
+// memOp is one memory operation of the current fence segment; its address
+// is derived when a pair first needs it.
+type memOp struct {
+	idx      int
+	write    bool
+	resolved bool
+	acc      memAccess
+}
+
+// depsBuilder holds the state of BuildDeps' forward pass over a kernel.
+// Instruction indices only grow, so per-slot state from earlier segments
+// is recognised by its index (below segStart) rather than cleared.
+type depsBuilder struct {
+	f    *KernelFacts
+	k    *sass.Kernel
+	val  *Valuation // nil until a segment holds a memory pair one of which writes
+	dims BlockDims
+
+	segStart  int   // first instruction after the last fence (or the block's first)
+	prevFence int   // the last fence of the block so far, -1 for none
+	lastDef   []int // per regspace slot: the last instruction that defined it
+	useHead   []int32
+	uses      []useRec
+	mems      []memOp // the segment's memory operations, in order
+
+	cand  []pred  // the visited instruction's predecessors
+	at    []int32 // at[i]: i's index in cand, valid when cand[at[i]].from == i
+	preds []pred  // every instruction's sorted predecessors, in order
+	count []int32 // count[j]: how many of preds are j's
+}
+
+// add records i as a predecessor of the visited instruction for the given
+// reason, keeping one entry per i with the first kind by kindRank and,
+// within a kind, the lowest slot.
+func (b *depsBuilder) add(i int, kind EdgeKind, slot int) {
+	p := pred{from: int32(i), slot: int16(slot), kind: kind}
+	if a := int(b.at[i]); a < len(b.cand) && b.cand[a].from == p.from {
+		old := &b.cand[a]
+		if kindRank[kind] < kindRank[old.kind] || kind == old.kind && p.slot < old.slot {
+			*old = p
+		}
+		return
+	}
+	b.at[i] = int32(len(b.cand))
+	b.cand = append(b.cand, p)
+}
+
+// visit finds instruction j's predecessors and then folds j into the
+// segment state.
+func (b *depsBuilder) visit(j int) {
+	in := &b.k.Instrs[j]
+	b.cand = b.cand[:0]
+	if fenceOp(in) {
+		// Ordered after everything since the last fence, and that fence:
+		// with the edge every later instruction gets from it, a fence is
+		// ordered against the whole block.
+		if b.prevFence >= 0 {
+			b.add(b.prevFence, Fence, -1)
+		}
+		for i := b.segStart; i < j; i++ {
+			b.add(i, Fence, -1)
+		}
+		b.prevFence, b.segStart = j, j+1
+		b.mems = b.mems[:0]
+		b.flush(j)
+		return
+	}
+	if b.prevFence >= 0 {
+		b.add(b.prevFence, Fence, -1)
+	}
+
+	var ubuf, dbuf [32]int
+	uses, defs := regSlots(in, ubuf[:0], dbuf[:0])
+	for _, s := range uses {
+		if d := b.lastDef[s]; d >= b.segStart {
+			b.add(d, RAW, s)
+		}
+	}
+	for _, s := range defs {
+		if d := b.lastDef[s]; d >= b.segStart {
+			b.add(d, WAW, s)
+		}
+		// The reads since the last definition; older ones are ordered
+		// before it, and it before j.
+		for r := b.useHead[s]; r >= 0 && int(b.uses[r].instr) >= b.segStart; r = b.uses[r].next {
+			b.add(int(b.uses[r].instr), WAR, s)
+		}
+	}
+
+	if accessesMemory(in) {
+		// Disjointness is not transitive, so memory pairs are not chained:
+		// j is tested against every memory operation of its segment.
+		op := memOp{idx: j, write: in.Op.IsMemWrite()}
+		for m := range b.mems {
+			if !b.mems[m].write && !op.write {
+				continue
+			}
+			if !disjoint(b.resolve(&b.mems[m]), b.resolve(&op), b.dims) {
+				b.add(b.mems[m].idx, Mem, -1)
+			}
+		}
+		b.mems = append(b.mems, op)
+	}
+
+	for _, s := range uses {
+		b.uses = append(b.uses, useRec{instr: int32(j), next: b.useHead[s]})
+		b.useHead[s] = int32(len(b.uses) - 1)
+	}
+	for _, s := range defs {
+		b.lastDef[s] = j
+		b.useHead[s] = -1
+	}
+	b.flush(j)
+}
+
+// resolve returns op's address, running the value fixpoint the first
+// time any address is needed.
+func (b *depsBuilder) resolve(op *memOp) memAccess {
+	if !op.resolved {
+		if b.val == nil {
+			b.val = b.f.Values()
+		}
+		op.acc, op.resolved = memAccessOf(b.val, b.k, op.idx), true
+	}
+	return op.acc
+}
+
+// flush appends j's predecessors, in instruction order, to the kernel's
+// list.
+func (b *depsBuilder) flush(j int) {
+	slices.SortFunc(b.cand, func(x, y pred) int { return int(x.from - y.from) })
+	b.preds = append(b.preds, b.cand...)
+	b.count[j] = int32(len(b.cand))
+}
+
 // BuildDeps constructs the dependence graph of a kernel. Labels must be
-// resolved (the CFG requires it). Memory edges consult f's valuation.
+// resolved (the CFG requires it). Memory edges consult f's valuation,
+// which is computed only if some fence segment holds two memory
+// operations one of which writes.
+//
+// Each block is built in one forward pass. Fences split it into
+// segments. A fence gets an edge from every instruction of the segment
+// before it and from the fence before that; every other instruction gets
+// one edge from the fence before it. Within a segment, each regspace slot
+// keeps its last definition and the reads since it: a read gets a RAW
+// edge from the last definition, a definition a WAW edge from it and a
+// WAR edge from each of those reads. Memory operations are paired as the
+// pairwise rule pairs them. Each edge is one the pairwise rule gives too,
+// and each edge that rule gives is implied by a path of these, so the two
+// graphs order the same pairs (DESIGN.md "Scheduling").
 func BuildDeps(f *KernelFacts) *Graph {
 	cfg := f.CFG
 	k := cfg.Kernel
 	n := len(k.Instrs)
-	val := f.Values()
-	// Every instruction's use and def sets, from one table.
-	sets := newBitsTable(2*n, CCBit()+1)
-	uses, defs := sets[:n:n], sets[n:]
-	fences := make([]bool, n)
-	mems := make([]memAccess, n)
-	for i := range k.Instrs {
-		regSets(&k.Instrs[i], uses[i], defs[i])
-		fences[i] = fenceOp(&k.Instrs[i])
-		mems[i] = memAccessOf(val, k, i)
+	b := &depsBuilder{
+		f:       f,
+		k:       k,
+		dims:    BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]},
+		lastDef: make([]int, CCBit()+1),
+		useHead: make([]int32, CCBit()+1),
+		at:      make([]int32, n),
+		preds:   make([]pred, 0, 4*n),
+		count:   make([]int32, n),
 	}
-	dims := BlockDims{X: k.BlockDim[0], Y: k.BlockDim[1], Z: k.BlockDim[2]}
-	// dependence is the edge that orders i < j of one block, if any.
-	dependence := func(i, j int) (Edge, bool) {
-		if fences[i] || fences[j] {
-			return Edge{From: i, To: j, Kind: Fence, Slot: -1}, true
+	for s := range b.lastDef {
+		b.lastDef[s], b.useHead[s] = -1, -1
+	}
+	for _, blk := range cfg.Blocks {
+		b.segStart, b.prevFence = blk.Start, -1
+		b.mems = b.mems[:0]
+		for j := blk.Start; j < blk.End; j++ {
+			b.visit(j)
 		}
-		if slot := firstCommon(defs[i], uses[j]); slot >= 0 {
-			return Edge{From: i, To: j, Kind: RAW, Slot: slot}, true
-		}
-		if slot := firstCommon(defs[i], defs[j]); slot >= 0 {
-			return Edge{From: i, To: j, Kind: WAW, Slot: slot}, true
-		}
-		if slot := firstCommon(uses[i], defs[j]); slot >= 0 {
-			return Edge{From: i, To: j, Kind: WAR, Slot: slot}, true
-		}
-		mi, mj := &mems[i], &mems[j]
-		if mi.isMem && mj.isMem && (mi.write || mj.write) && !disjoint(*mi, *mj, dims) {
-			return Edge{From: i, To: j, Kind: Mem, Slot: -1}, true
-		}
-		return Edge{}, false
 	}
 
-	// Count the edges, then list them in one array: pairs run in (j, i)
-	// order, a block's edges sliced out of it in turn.
-	total := 0
-	for _, blk := range cfg.Blocks {
-		for j := blk.Start + 1; j < blk.End; j++ {
-			for i := blk.Start; i < j; i++ {
-				if _, ok := dependence(i, j); ok {
-					total++
-				}
-			}
-		}
-	}
-	edges := make([]Edge, 0, total)
+	// List the edges in one array of exactly their number, in (To, From)
+	// order, each block's a slice of it.
+	edges := make([]Edge, len(b.preds))
 	dags := make([]BlockDAG, len(cfg.Blocks))
 	g := &Graph{Blocks: make([]*BlockDAG, len(cfg.Blocks))}
-	for b, blk := range cfg.Blocks {
-		first := len(edges)
-		for j := blk.Start + 1; j < blk.End; j++ {
-			for i := blk.Start; i < j; i++ {
-				if e, ok := dependence(i, j); ok {
-					edges = append(edges, e)
-				}
+	e := 0
+	for bi, blk := range cfg.Blocks {
+		first := e
+		for j := blk.Start; j < blk.End; j++ {
+			for range b.count[j] {
+				p := b.preds[e]
+				edges[e] = Edge{From: int(p.from), To: j, Kind: p.kind, Slot: int(p.slot)}
+				e++
 			}
 		}
-		dags[b] = BlockDAG{Start: blk.Start, End: blk.End, Edges: edges[first:len(edges):len(edges)]}
-		g.Blocks[b] = &dags[b]
+		dags[bi] = BlockDAG{Start: blk.Start, End: blk.End, Edges: edges[first:e:e]}
+		g.Blocks[bi] = &dags[bi]
 	}
 	return g
 }

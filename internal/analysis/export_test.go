@@ -15,6 +15,10 @@ var UpdateGolden = updateGolden
 // instruction of cfg's kernel: "" if they agree, else the first difference.
 var LivenessMismatch = livenessMismatch
 
+// ModelDeps is the pairwise dependence graph BuildDeps replaced: every
+// conflicting pair of a block gets its edge.
+var ModelDeps = modelDeps
+
 // ValueRuns reports how many value fixpoints f.Values has run: it memoises,
 // so none or one.
 func (f *KernelFacts) ValueRuns() int {

@@ -32,9 +32,10 @@ func scheduleKernel(k *sass.Kernel, seed uint64) {
 		return // leave the kernel unscheduled; checkKernel will judge it
 	}
 	g := analysis.BuildDeps(analysis.NewKernelFacts(cfg))
-	order := make([]int, 0, len(k.Instrs))
+	s := newScheduler(k, g, seed)
+	order := make([]int, len(k.Instrs))
 	for _, bd := range g.Blocks {
-		order = append(order, scheduleBlock(k, bd, seed)...)
+		s.block(bd, order[bd.Start:bd.End])
 	}
 	instrs := make([]sass.Instruction, len(k.Instrs))
 	for p, o := range order {
@@ -44,88 +45,100 @@ func scheduleKernel(k *sass.Kernel, seed uint64) {
 	k.SchedOrig = order
 }
 
-// scheduleBlock returns the block's instructions as original indices in
-// scheduled order.
-func scheduleBlock(k *sass.Kernel, bd *analysis.BlockDAG, seed uint64) []int {
-	n := bd.N()
-	out := make([]int, 0, n)
-	if n <= 1 {
-		for i := 0; i < n; i++ {
-			out = append(out, bd.Start+i)
-		}
-		return out
+// scheduler holds one kernel's list-scheduling state. Its arrays are
+// sized to the kernel's largest block and reused by every block.
+type scheduler struct {
+	k    *sass.Kernel
+	seed uint64
+
+	succs   [][]int
+	indeg   []int
+	backing []int
+	prio    []int64
+	jitter  []uint64
+	ready   []int
+	// Greedy simulation mirroring sim.Warp.scoreboard: readyAt per
+	// regspace slot, plus a per-node floor from scheduled predecessors.
+	readyAt   []uint64
+	nodeFloor []uint64
+	clock     uint64
+}
+
+func newScheduler(k *sass.Kernel, g *analysis.Graph, seed uint64) *scheduler {
+	n, e := 0, 0
+	for _, bd := range g.Blocks {
+		n, e = max(n, bd.N()), max(e, len(bd.Edges))
 	}
-	succs, indeg := bd.LocalAdj()
+	s := &scheduler{
+		k:         k,
+		seed:      seed,
+		succs:     make([][]int, n),
+		indeg:     make([]int, n),
+		backing:   make([]int, e),
+		prio:      make([]int64, n),
+		ready:     make([]int, 0, n),
+		readyAt:   make([]uint64, analysis.CCBit()+1),
+		nodeFloor: make([]uint64, n),
+	}
+	if seed != 0 {
+		s.jitter = make([]uint64, n)
+	}
+	return s
+}
+
+// block writes the block's instructions into out as original indices in
+// scheduled order.
+func (s *scheduler) block(bd *analysis.BlockDAG, out []int) {
+	n := bd.N()
+	if n <= 1 {
+		for i := range out {
+			out[i] = bd.Start + i
+		}
+		return
+	}
+	succs, indeg := bd.LocalAdj(s.succs, s.indeg, s.backing)
 
 	// Critical-path priority: longest latency chain from each node to the
 	// block exit, under the same model the stall simulation uses.
-	prio := make([]int64, n)
+	prio := s.prio[:n]
 	for i := n - 1; i >= 0; i-- {
-		in := &k.Instrs[bd.Start+i]
+		in := &s.k.Instrs[bd.Start+i]
 		w := int64(sass.IssueCost(in) + sass.ResultLatency(in))
 		best := int64(0)
-		for _, s := range succs[i] {
-			if prio[s] > best {
-				best = prio[s]
+		for _, c := range succs[i] {
+			if prio[c] > best {
+				best = prio[c]
 			}
 		}
 		prio[i] = w + best
 	}
 
 	var jitter []uint64
-	if seed != 0 {
-		jitter = make([]uint64, n)
+	if s.jitter != nil {
+		jitter = s.jitter[:n]
 		for i := range jitter {
-			jitter[i] = sass.SplitMix(seed, uint64(bd.Start+i))
+			jitter[i] = sass.SplitMix(s.seed, uint64(bd.Start+i))
 		}
 	}
 
-	// Greedy simulation mirroring sim.Warp.scoreboard: readyAt per regspace
-	// slot, plus a per-node floor from scheduled mem/fence predecessors.
-	readyAt := make([]uint64, analysis.CCBit()+1)
-	nodeFloor := make([]uint64, n)
-	clock := uint64(0)
+	clear(s.readyAt)
+	nodeFloor := s.nodeFloor[:n]
+	clear(nodeFloor)
+	s.clock = 0
 
-	issueAt := func(i int) uint64 {
-		in := &k.Instrs[bd.Start+i]
-		ready := nodeFloor[i]
-		consider := func(slot int) {
-			if r := readyAt[slot]; r > ready {
-				ready = r
-			}
-		}
-		var buf [24]uint8
-		for _, r := range in.AppendGPRSrcs(buf[:0]) {
-			consider(analysis.GPRBit(r))
-		}
-		for _, r := range in.AppendGPRDsts(buf[:0]) {
-			consider(analysis.GPRBit(r)) // WAW stall, as the sim charges it
-		}
-		for _, p := range in.PredSrcs() {
-			consider(analysis.PredBit(p))
-		}
-		if in.Mods.X || in.Mods.SetCC {
-			consider(analysis.CCBit())
-		}
-		if ready < clock {
-			ready = clock
-		}
-		return ready
-	}
-
-	ready := make([]int, 0, n)
+	ready := s.ready[:0]
 	for i := 0; i < n; i++ {
 		if indeg[i] == 0 {
 			ready = append(ready, i)
 		}
 	}
-	for len(ready) > 0 {
+	for p := range out {
 		// Pick the candidate issuing earliest; break ties by critical path,
 		// jitter, then original order.
 		bestIdx := 0
-		bestIssue := issueAt(ready[0])
+		bestIssue := s.issueAt(bd.Start, ready[0], nodeFloor)
 		for c := 1; c < len(ready); c++ {
-			is := issueAt(ready[c])
+			is := s.issueAt(bd.Start, ready[c], nodeFloor)
 			i, b := ready[c], ready[bestIdx]
 			better := false
 			switch {
@@ -145,29 +158,57 @@ func scheduleBlock(k *sass.Kernel, bd *analysis.BlockDAG, seed uint64) []int {
 		i := ready[bestIdx]
 		ready = append(ready[:bestIdx], ready[bestIdx+1:]...)
 
-		in := &k.Instrs[bd.Start+i]
-		clock = bestIssue + uint64(sass.IssueCost(in))
-		retire := clock + uint64(sass.ResultLatency(in))
+		in := &s.k.Instrs[bd.Start+i]
+		s.clock = bestIssue + uint64(sass.IssueCost(in))
+		retire := s.clock + uint64(sass.ResultLatency(in))
 		var buf [24]uint8
 		for _, d := range in.AppendGPRDsts(buf[:0]) {
-			readyAt[analysis.GPRBit(d)] = retire
+			s.readyAt[analysis.GPRBit(d)] = retire
 		}
 		for _, p := range in.PredDsts() {
-			readyAt[analysis.PredBit(p)] = retire
+			s.readyAt[analysis.PredBit(p)] = retire
 		}
 		if in.Mods.SetCC {
-			readyAt[analysis.CCBit()] = retire
+			s.readyAt[analysis.CCBit()] = retire
 		}
-		for _, s := range succs[i] {
-			if nodeFloor[s] < clock {
-				nodeFloor[s] = clock
+		for _, c := range succs[i] {
+			if nodeFloor[c] < s.clock {
+				nodeFloor[c] = s.clock
 			}
-			indeg[s]--
-			if indeg[s] == 0 {
-				ready = append(ready, s)
+			indeg[c]--
+			if indeg[c] == 0 {
+				ready = append(ready, c)
 			}
 		}
-		out = append(out, bd.Start+i)
+		out[p] = bd.Start + i
 	}
-	return out
+}
+
+// issueAt is the earliest cycle local node i of the block starting at
+// start could issue: after its operands retire, its floor and the clock.
+func (s *scheduler) issueAt(start, i int, nodeFloor []uint64) uint64 {
+	in := &s.k.Instrs[start+i]
+	ready := nodeFloor[i]
+	consider := func(slot int) {
+		if r := s.readyAt[slot]; r > ready {
+			ready = r
+		}
+	}
+	var buf [24]uint8
+	for _, r := range in.AppendGPRSrcs(buf[:0]) {
+		consider(analysis.GPRBit(r))
+	}
+	for _, r := range in.AppendGPRDsts(buf[:0]) {
+		consider(analysis.GPRBit(r)) // WAW stall, as the sim charges it
+	}
+	for _, p := range in.PredSrcs() {
+		consider(analysis.PredBit(p))
+	}
+	if in.Mods.X || in.Mods.SetCC {
+		consider(analysis.CCBit())
+	}
+	if ready < s.clock {
+		ready = s.clock
+	}
+	return ready
 }
