@@ -379,7 +379,7 @@ func instrRegSets(in *sass.Instruction) (uses, defs analysis.Bits) {
 	for _, r := range in.GPRSrcs() {
 		uses.Set(analysis.GPRBit(r))
 	}
-	for _, p := range in.PredSrcs() {
+	for _, p := range in.AppendPredSrcs(nil) {
 		uses.Set(analysis.PredBit(p))
 	}
 	if in.Mods.X {

@@ -52,7 +52,7 @@ func instrDefsUses(in *sass.Instruction, maybeR *sass.RegSet, maybeP sass.PredSe
 			use.Add(r)
 		}
 	}
-	for _, p := range in.PredSrcs() {
+	for _, p := range in.AppendPredSrcs(nil) {
 		puse.Add(p)
 	}
 	for _, p := range in.PredDsts() {

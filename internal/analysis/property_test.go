@@ -99,7 +99,7 @@ func checkKernelProperties(t *testing.T, k *sass.Kernel) {
 				t.Errorf("kernel %s@%d: R%d read with no reaching def and no def-assign finding", k.Name, i, r)
 			}
 		}
-		for _, p := range k.Instrs[i].PredSrcs() {
+		for _, p := range k.Instrs[i].AppendPredSrcs(nil) {
 			bit := analysis.PredBit(p)
 			if len(ri.ReachingAt(i, bit)) == 0 && !uninitAt[[2]int{i, bit}] {
 				t.Errorf("kernel %s@%d: P%d read with no reaching def and no def-assign finding", k.Name, i, p)

@@ -114,6 +114,18 @@ func stripComment(s string) string {
 type parser struct {
 	f    *Func
 	vals map[string]Value
+	// fresh is the register the current line defines for the first
+	// time; the line cannot read it, since it holds nothing yet.
+	fresh string
+}
+
+// lookup resolves a register the current line reads.
+func (p *parser) lookup(tok string) (Value, bool) {
+	if tok == p.fresh {
+		return Value{}, false
+	}
+	v, ok := p.vals[tok]
+	return v, ok
 }
 
 func (p *parser) line(line string) error {
@@ -168,6 +180,7 @@ func (p *parser) line(line string) error {
 // instr parses "[@[!]%p] [%dst =] op[.mods] operands...".
 func (p *parser) instr(line string) error {
 	var in Instr
+	p.fresh = ""
 	fields := strings.Fields(line)
 	// Guard.
 	if strings.HasPrefix(fields[0], "@") {
@@ -262,16 +275,18 @@ func (p *parser) defDst(in *Instr, name string, t Type) error {
 	}
 	d := p.f.NewValue(t)
 	p.vals[name] = d
+	p.fresh = name
 	in.Dst = d
 	return nil
 }
 
-// operand resolves a register reference or an immediate of type t.
+// operand resolves a register reference or an immediate of type t. A
+// register must hold a t, as for operandEmit.
 func (p *parser) operand(in *Instr, tok string, t Type, slot *Value) error {
 	if strings.HasPrefix(tok, "%") {
-		v, ok := p.vals[tok]
-		if !ok {
-			return fmt.Errorf("undefined register %q", tok)
+		v, err := p.register(tok, t)
+		if err != nil {
+			return err
 		}
 		*slot = v
 		return nil
@@ -364,11 +379,11 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("index wants base, idx, shift")
 		}
-		base, ok := p.vals[args[0]]
+		base, ok := p.lookup(args[0])
 		if !ok {
 			return fmt.Errorf("undefined base %q", args[0])
 		}
-		idx, ok := p.vals[args[1]]
+		idx, ok := p.lookup(args[1])
 		if !ok {
 			return fmt.Errorf("undefined index %q", args[1])
 		}
@@ -471,7 +486,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if err := p.operand(in, args[1], t, &in.B); err != nil {
 			return err
 		}
-		c, ok := p.vals[args[2]]
+		c, ok := p.lookup(args[2])
 		if !ok {
 			return fmt.Errorf("undefined predicate %q", args[2])
 		}
@@ -498,9 +513,9 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		}
 		in.Type = t
 		for i, slot := range []*Value{&in.A, &in.B, &in.C} {
-			v, ok := p.vals[args[i]]
-			if !ok {
-				return fmt.Errorf("undefined register %q", args[i])
+			v, err := p.register(args[i], t)
+			if err != nil {
+				return err
 			}
 			*slot = v
 		}
@@ -554,7 +569,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != wantArgs {
 			return fmt.Errorf("%s wants %d operands", head, wantArgs)
 		}
-		addr, ok := p.vals[args[0]]
+		addr, ok := p.lookup(args[0])
 		if !ok {
 			return fmt.Errorf("undefined address %q", args[0])
 		}
@@ -573,7 +588,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 			}
 			in.Op = OpLd
 		} else {
-			v, ok := p.vals[args[2]]
+			v, ok := p.lookup(args[2])
 			if !ok {
 				return fmt.Errorf("undefined store value %q", args[2])
 			}
@@ -598,7 +613,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("atom wants addr, offset, value")
 		}
-		addr, ok := p.vals[args[0]]
+		addr, ok := p.lookup(args[0])
 		if !ok {
 			return fmt.Errorf("undefined address %q", args[0])
 		}
@@ -606,7 +621,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad offset %q", args[1])
 		}
-		v, ok := p.vals[args[2]]
+		v, ok := p.lookup(args[2])
 		if !ok {
 			return fmt.Errorf("undefined value %q", args[2])
 		}
@@ -668,19 +683,28 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 	return fmt.Errorf("unknown opcode %q", head)
 }
 
-// operandEmit resolves a register operand of type t then emits. The
-// register must hold a t: the module verifier does not check source types,
-// and the backend would move a pair or a predicate as a 32-bit register.
-// Like PTX, it takes a u32 register for an s32 operand and the reverse.
+// operandEmit resolves a register operand of type t then emits.
 func (p *parser) operandEmit(in *Instr, tok string, t Type, slot *Value) error {
-	v, ok := p.vals[tok]
-	if !ok {
-		return fmt.Errorf("undefined register %q", tok)
-	}
-	if vt := p.f.TypeOf(v); vt != t && !(isInt32(vt) && isInt32(t)) {
-		return fmt.Errorf("register %s is %s, not %s", tok, vt, t)
+	v, err := p.register(tok, t)
+	if err != nil {
+		return err
 	}
 	*slot = v
 	p.f.Emit(*in)
 	return nil
+}
+
+// register resolves a register that must hold a t: the module verifier
+// does not check source types, and the backend would move a pair or a
+// predicate as a 32-bit register. Like PTX, it takes a u32 register for
+// an s32 operand and the reverse.
+func (p *parser) register(tok string, t Type) (Value, error) {
+	v, ok := p.lookup(tok)
+	if !ok {
+		return Value{}, fmt.Errorf("undefined register %q", tok)
+	}
+	if vt := p.f.TypeOf(v); vt != t && !(isInt32(vt) && isInt32(t)) {
+		return Value{}, fmt.Errorf("register %s is %s, not %s", tok, vt, t)
+	}
+	return v, nil
 }

@@ -180,6 +180,14 @@ func TestParseOperandTypes(t *testing.T) {
 	}
 }
 
+// A binary, compare, select or fused operand is typed like operandEmit's:
+// these two parsed once, and the first then panicked in ptxas's lowering
+// while the second compiled to an add of the pointer's low half.
+const (
+	predAddSrc = ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = add.u32 %p 1\nst.global.u32 %out 0 %a\nexit"
+	ptrAddSrc  = ".entry k\n.param ptr out\n%a = add.u32 %out 1\nst.global.u32 %out 0 %a\nexit"
+)
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantSub string
@@ -196,6 +204,12 @@ func TestParseErrors(t *testing.T) {
 		{"mov of a float", ".entry k\n%f = mov.f32 1.0\n%a = mov.u32 %f", "%f is f32, not u32"},
 		{"cvt of a pointer", ".entry k\n.param ptr x\n%f = cvt.f32.u32 %x", "%x is u64, not u32"},
 		{"mufu of an integer", ".entry k\n%i = gtid.x\n%f = rcp.f32 %i", "%i is u32, not f32"},
+		{"add of a predicate", predAddSrc, "%p is pred, not u32"},
+		{"add of a pointer", ptrAddSrc, "%out is u64, not u32"},
+		{"fma of an integer", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%g = fma.f32 %f %i %f", "%i is u32, not f32"},
+		{"read of its own first definition", ".entry t\n%a = mov.u32 %a\nexit", "undefined register"},
+		{"setp of a float", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%p = setp.lt.u32 %i %f", "%f is f32, not u32"},
+		{"sel of a pointer", ".entry k\n.param ptr x\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = sel.u32 %x %i %p", "%x is u64, not u32"},
 	}
 	for _, c := range cases {
 		_, err := ptx.Parse(c.src)

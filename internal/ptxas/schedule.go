@@ -165,7 +165,7 @@ func (s *scheduler) block(bd *analysis.BlockDAG, out []int) {
 		for _, d := range in.AppendGPRDsts(buf[:0]) {
 			s.readyAt[analysis.GPRBit(d)] = retire
 		}
-		for _, p := range in.PredDsts() {
+		for _, p := range in.AppendPredDsts(buf[:0]) {
 			s.readyAt[analysis.PredBit(p)] = retire
 		}
 		if in.Mods.SetCC {
@@ -201,7 +201,7 @@ func (s *scheduler) issueAt(start, i int, nodeFloor []uint64) uint64 {
 	for _, r := range in.AppendGPRDsts(buf[:0]) {
 		consider(analysis.GPRBit(r)) // WAW stall, as the sim charges it
 	}
-	for _, p := range in.PredSrcs() {
+	for _, p := range in.AppendPredSrcs(buf[:0]) {
 		consider(analysis.PredBit(p))
 	}
 	if in.Mods.X || in.Mods.SetCC {

@@ -233,10 +233,6 @@ func (in *Instruction) AppendPredDsts(buf []uint8) []uint8 {
 	return buf
 }
 
-// PredSrcs returns predicate registers read by the instruction, including
-// the guard.
-func (in *Instruction) PredSrcs() []uint8 { return in.AppendPredSrcs(nil) }
-
 // AppendPredSrcs appends the read predicate registers, guard first, to buf
 // and returns it (see AppendGPRDsts for the buffer discipline).
 func (in *Instruction) AppendPredSrcs(buf []uint8) []uint8 {

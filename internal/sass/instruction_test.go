@@ -117,13 +117,13 @@ func TestGPRSrcsAddressAndData(t *testing.T) {
 func TestPredSrcsIncludesGuard(t *testing.T) {
 	in := New(OpSEL, []Operand{R(0)}, []Operand{R(1), R(2), P(3)})
 	in.Guard = PredGuard{Reg: 1, Neg: true}
-	got := in.PredSrcs()
+	got := in.AppendPredSrcs(nil)
 	if len(got) != 2 {
 		t.Fatalf("pred srcs = %v", got)
 	}
 	// PT guard and PT operands are excluded.
 	in2 := New(OpSEL, []Operand{R(0)}, []Operand{R(1), R(2), P(PT)})
-	if got := in2.PredSrcs(); len(got) != 0 {
+	if got := in2.AppendPredSrcs(nil); len(got) != 0 {
 		t.Errorf("PT-only pred srcs = %v, want none", got)
 	}
 }
