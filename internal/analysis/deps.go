@@ -6,22 +6,36 @@
 // Within each basic block, instructions become DAG nodes and edges record
 // the constraints any reordering must respect:
 //
-//   - RAW/WAR/WAW edges over the architectural register space — GPRs,
-//     predicates (including the @P guard), and the condition code — using
-//     the same regspace layout as the dataflow framework.
-//   - Memory edges between two memory operations when at least one writes,
-//     unless the affine value lattice (internal/analysis/values.go) proves
-//     the accesses disjoint for *every* pair of threads in the CTA: across
-//     threads via DisjointAcrossThreads and for the shared thread index
-//     via DisjointSameThread. Warps execute in lockstep, so swapping two
-//     memory instructions reorders every lane of one against every lane of
-//     the other — the proof must cover all pairs, not just one thread.
 //   - Fence edges pinning instructions that order the whole stream:
 //     control transfers (BRA/CAL/JCAL/RET/EXIT/SYNC), divergence-stack
 //     pushes (SSY), barriers, atomics, clock reads, and
-//     SASSI-injected instrumentation sites. A fence is ordered against
-//     every other instruction of its block, which fixes its position under
-//     any topological order.
+//     SASSI-injected instrumentation sites. Fences split a block into
+//     segments. A fence gets an edge from every instruction of the
+//     segment before it and from the fence before that; every other
+//     instruction gets one edge from the fence before it. Through these
+//     chains a fence is ordered against every other instruction of its
+//     block, which fixes its position under any topological order.
+//   - RAW/WAR/WAW edges over the architectural register space — GPRs,
+//     predicates (including the @P guard), and the condition code — using
+//     the same regspace layout as the dataflow framework. They stay inside
+//     a segment, and each slot keeps only its last definition and the
+//     reads since it: RAW and WAW edges run from the last definition, WAR
+//     edges from each of those reads. An older definition or read is
+//     ordered before the last definition by the edges it got itself.
+//   - Memory edges between two memory operations of a segment when at
+//     least one writes, unless the affine value lattice
+//     (internal/analysis/values.go) proves the accesses disjoint for
+//     *every* pair of threads in the CTA: across threads via
+//     DisjointAcrossThreads and for the shared thread index via
+//     DisjointSameThread. Warps execute in lockstep, so swapping two
+//     memory instructions reorders every lane of one against every lane
+//     of the other — the proof must cover all pairs, not just one thread.
+//     Disjointness is not transitive, so these stay pairwise.
+//
+// Every edge is one a pairwise test of the block would give, and every
+// pair such a test orders is joined by a path of these edges: the graph
+// has the pairwise graph's transitive closure, and so its legal orders,
+// with a number of edges linear in the block (DESIGN.md "Scheduling").
 //
 // Soundness scope: legality is warp-local. Reordering also permutes a
 // warp's accesses relative to other warps and CTAs; that is
@@ -273,10 +287,10 @@ type depsBuilder struct {
 	val  *Valuation // nil until a segment holds a memory pair one of which writes
 	dims BlockDims
 
-	segStart  int   // first instruction after the last fence (or the block's first)
-	prevFence int   // the last fence of the block so far, -1 for none
-	lastDef   []int // per regspace slot: the last instruction that defined it
-	useHead   []int32
+	segStart  int     // first instruction after the last fence (or the block's first)
+	prevFence int     // the last fence of the block so far, -1 for none
+	lastDef   []int   // per regspace slot: the last instruction that defined it
+	useHead   []int32 // per regspace slot: the newest read since lastDef, -1 for none
 	uses      []useRec
 	mems      []memOp // the segment's memory operations, in order
 
@@ -390,21 +404,11 @@ func (b *depsBuilder) flush(j int) {
 	b.count[j] = int32(len(b.cand))
 }
 
-// BuildDeps constructs the dependence graph of a kernel. Labels must be
-// resolved (the CFG requires it). Memory edges consult f's valuation,
-// which is computed only if some fence segment holds two memory
-// operations one of which writes.
-//
-// Each block is built in one forward pass. Fences split it into
-// segments. A fence gets an edge from every instruction of the segment
-// before it and from the fence before that; every other instruction gets
-// one edge from the fence before it. Within a segment, each regspace slot
-// keeps its last definition and the reads since it: a read gets a RAW
-// edge from the last definition, a definition a WAW edge from it and a
-// WAR edge from each of those reads. Memory operations are paired as the
-// pairwise rule pairs them. Each edge is one the pairwise rule gives too,
-// and each edge that rule gives is implied by a path of these, so the two
-// graphs order the same pairs (DESIGN.md "Scheduling").
+// BuildDeps constructs the dependence graph of a kernel, one forward pass
+// per block (the rules are in the file comment). Labels must be resolved
+// (the CFG requires it). Memory edges consult f's valuation, which is
+// computed only if some segment holds two memory operations one of which
+// writes.
 func BuildDeps(f *KernelFacts) *Graph {
 	cfg := f.CFG
 	k := cfg.Kernel

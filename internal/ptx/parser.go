@@ -119,15 +119,6 @@ type parser struct {
 	fresh string
 }
 
-// lookup resolves a register the current line reads.
-func (p *parser) lookup(tok string) (Value, bool) {
-	if tok == p.fresh {
-		return Value{}, false
-	}
-	v, ok := p.vals[tok]
-	return v, ok
-}
-
 func (p *parser) line(line string) error {
 	switch {
 	case strings.HasPrefix(line, ".entry"):
@@ -226,6 +217,15 @@ func typeBySuffix(s string) (Type, bool) {
 		return TU64, true
 	}
 	return TInvalid, false
+}
+
+// addrType is the type of an address into space: a 64-bit pointer into
+// global or generic memory, a 32-bit offset into shared or local memory.
+func addrType(space Space) Type {
+	if space == SpShared || space == SpLocal {
+		return TU32
+	}
+	return TU64
 }
 
 // isInt32 reports whether t is a 32-bit integer type.
@@ -379,13 +379,13 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("index wants base, idx, shift")
 		}
-		base, ok := p.lookup(args[0])
-		if !ok {
-			return fmt.Errorf("undefined base %q", args[0])
+		base, err := p.register(args[0], TU64)
+		if err != nil {
+			return err
 		}
-		idx, ok := p.lookup(args[1])
-		if !ok {
-			return fmt.Errorf("undefined index %q", args[1])
+		idx, err := p.register(args[1], TU32)
+		if err != nil {
+			return err
 		}
 		shift, err := strconv.Atoi(args[2])
 		if err != nil {
@@ -486,9 +486,9 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if err := p.operand(in, args[1], t, &in.B); err != nil {
 			return err
 		}
-		c, ok := p.lookup(args[2])
-		if !ok {
-			return fmt.Errorf("undefined predicate %q", args[2])
+		c, err := p.register(args[2], TPred)
+		if err != nil {
+			return err
 		}
 		in.C = c
 		emit()
@@ -569,9 +569,9 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != wantArgs {
 			return fmt.Errorf("%s wants %d operands", head, wantArgs)
 		}
-		addr, ok := p.lookup(args[0])
-		if !ok {
-			return fmt.Errorf("undefined address %q", args[0])
+		addr, err := p.register(args[0], addrType(space))
+		if err != nil {
+			return err
 		}
 		off, err := strconv.ParseInt(args[1], 0, 64)
 		if err != nil {
@@ -588,9 +588,9 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 			}
 			in.Op = OpLd
 		} else {
-			v, ok := p.lookup(args[2])
-			if !ok {
-				return fmt.Errorf("undefined store value %q", args[2])
+			v, err := p.register(args[2], t)
+			if err != nil {
+				return err
 			}
 			in.Op = OpSt
 			in.B = v
@@ -613,17 +613,17 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("atom wants addr, offset, value")
 		}
-		addr, ok := p.lookup(args[0])
-		if !ok {
-			return fmt.Errorf("undefined address %q", args[0])
+		addr, err := p.register(args[0], addrType(space))
+		if err != nil {
+			return err
 		}
 		off, err := strconv.ParseInt(args[1], 0, 64)
 		if err != nil {
 			return fmt.Errorf("bad offset %q", args[1])
 		}
-		v, ok := p.lookup(args[2])
-		if !ok {
-			return fmt.Errorf("undefined value %q", args[2])
+		v, err := p.register(args[2], TU32)
+		if err != nil {
+			return err
 		}
 		in.Op = OpAtom
 		in.Atom = aop
@@ -694,13 +694,13 @@ func (p *parser) operandEmit(in *Instr, tok string, t Type, slot *Value) error {
 	return nil
 }
 
-// register resolves a register that must hold a t: the module verifier
-// does not check source types, and the backend would move a pair or a
-// predicate as a 32-bit register. Like PTX, it takes a u32 register for
-// an s32 operand and the reverse.
+// register resolves a register the current line reads, which must hold a
+// t: the module verifier does not check source types, and the backend
+// would move a pair or a predicate as a 32-bit register. Like PTX, it
+// takes a u32 register for an s32 operand and the reverse.
 func (p *parser) register(tok string, t Type) (Value, error) {
-	v, ok := p.lookup(tok)
-	if !ok {
+	v, ok := p.vals[tok]
+	if !ok || tok == p.fresh {
 		return Value{}, fmt.Errorf("undefined register %q", tok)
 	}
 	if vt := p.f.TypeOf(v); vt != t && !(isInt32(vt) && isInt32(t)) {

@@ -208,6 +208,11 @@ func TestParseErrors(t *testing.T) {
 		{"add of a pointer", ptrAddSrc, "%out is u64, not u32"},
 		{"fma of an integer", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%g = fma.f32 %f %i %f", "%i is u32, not f32"},
 		{"read of its own first definition", ".entry t\n%a = mov.u32 %a\nexit", "undefined register"},
+		{"store of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\nst.global.u32 %out 0 %p", "%p is pred, not u32"},
+		{"atom of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\natom.add.global %out 0 %p", "%p is pred, not u32"},
+		{"global load through an offset", ".entry k\n%i = gtid.x\n%a = ld.global.u32 %i 0", "%i is u32, not u64"},
+		{"shared store through a pointer", ".entry k\n.param ptr out\n%i = gtid.x\nst.shared.u32 %out 0 %i", "%out is u64, not u32"},
+		{"index of an offset", ".entry k\n%i = gtid.x\n%a = index %i %i 2", "%i is u32, not u64"},
 		{"setp of a float", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%p = setp.lt.u32 %i %f", "%f is f32, not u32"},
 		{"sel of a pointer", ".entry k\n.param ptr x\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = sel.u32 %x %i %p", "%x is u64, not u32"},
 	}

@@ -51,17 +51,14 @@ type scheduler struct {
 	k    *sass.Kernel
 	seed uint64
 
-	succs   [][]int
-	indeg   []int
-	backing []int
-	prio    []int64
-	jitter  []uint64
-	ready   []int
-	// Greedy simulation mirroring sim.Warp.scoreboard: readyAt per
-	// regspace slot, plus a per-node floor from scheduled predecessors.
+	succs     [][]int
+	indeg     []int
+	backing   []int
+	prio      []int64
+	jitter    []uint64
+	ready     []int
 	readyAt   []uint64
 	nodeFloor []uint64
-	clock     uint64
 }
 
 func newScheduler(k *sass.Kernel, g *analysis.Graph, seed uint64) *scheduler {
@@ -121,10 +118,40 @@ func (s *scheduler) block(bd *analysis.BlockDAG, out []int) {
 		}
 	}
 
-	clear(s.readyAt)
+	// Greedy simulation mirroring sim.Warp.scoreboard: readyAt per regspace
+	// slot, plus a per-node floor from scheduled mem/fence predecessors.
+	readyAt := s.readyAt
+	clear(readyAt)
 	nodeFloor := s.nodeFloor[:n]
 	clear(nodeFloor)
-	s.clock = 0
+	clock := uint64(0)
+
+	issueAt := func(i int) uint64 {
+		in := &s.k.Instrs[bd.Start+i]
+		ready := nodeFloor[i]
+		consider := func(slot int) {
+			if r := readyAt[slot]; r > ready {
+				ready = r
+			}
+		}
+		var buf [24]uint8
+		for _, r := range in.AppendGPRSrcs(buf[:0]) {
+			consider(analysis.GPRBit(r))
+		}
+		for _, r := range in.AppendGPRDsts(buf[:0]) {
+			consider(analysis.GPRBit(r)) // WAW stall, as the sim charges it
+		}
+		for _, p := range in.AppendPredSrcs(buf[:0]) {
+			consider(analysis.PredBit(p))
+		}
+		if in.Mods.X || in.Mods.SetCC {
+			consider(analysis.CCBit())
+		}
+		if ready < clock {
+			ready = clock
+		}
+		return ready
+	}
 
 	ready := s.ready[:0]
 	for i := 0; i < n; i++ {
@@ -132,13 +159,13 @@ func (s *scheduler) block(bd *analysis.BlockDAG, out []int) {
 			ready = append(ready, i)
 		}
 	}
-	for p := range out {
+	for pos := range out {
 		// Pick the candidate issuing earliest; break ties by critical path,
 		// jitter, then original order.
 		bestIdx := 0
-		bestIssue := s.issueAt(bd.Start, ready[0], nodeFloor)
+		bestIssue := issueAt(ready[0])
 		for c := 1; c < len(ready); c++ {
-			is := s.issueAt(bd.Start, ready[c], nodeFloor)
+			is := issueAt(ready[c])
 			i, b := ready[c], ready[bestIdx]
 			better := false
 			switch {
@@ -159,56 +186,27 @@ func (s *scheduler) block(bd *analysis.BlockDAG, out []int) {
 		ready = append(ready[:bestIdx], ready[bestIdx+1:]...)
 
 		in := &s.k.Instrs[bd.Start+i]
-		s.clock = bestIssue + uint64(sass.IssueCost(in))
-		retire := s.clock + uint64(sass.ResultLatency(in))
+		clock = bestIssue + uint64(sass.IssueCost(in))
+		retire := clock + uint64(sass.ResultLatency(in))
 		var buf [24]uint8
 		for _, d := range in.AppendGPRDsts(buf[:0]) {
-			s.readyAt[analysis.GPRBit(d)] = retire
+			readyAt[analysis.GPRBit(d)] = retire
 		}
 		for _, p := range in.AppendPredDsts(buf[:0]) {
-			s.readyAt[analysis.PredBit(p)] = retire
+			readyAt[analysis.PredBit(p)] = retire
 		}
 		if in.Mods.SetCC {
-			s.readyAt[analysis.CCBit()] = retire
+			readyAt[analysis.CCBit()] = retire
 		}
 		for _, c := range succs[i] {
-			if nodeFloor[c] < s.clock {
-				nodeFloor[c] = s.clock
+			if nodeFloor[c] < clock {
+				nodeFloor[c] = clock
 			}
 			indeg[c]--
 			if indeg[c] == 0 {
 				ready = append(ready, c)
 			}
 		}
-		out[p] = bd.Start + i
+		out[pos] = bd.Start + i
 	}
-}
-
-// issueAt is the earliest cycle local node i of the block starting at
-// start could issue: after its operands retire, its floor and the clock.
-func (s *scheduler) issueAt(start, i int, nodeFloor []uint64) uint64 {
-	in := &s.k.Instrs[start+i]
-	ready := nodeFloor[i]
-	consider := func(slot int) {
-		if r := s.readyAt[slot]; r > ready {
-			ready = r
-		}
-	}
-	var buf [24]uint8
-	for _, r := range in.AppendGPRSrcs(buf[:0]) {
-		consider(analysis.GPRBit(r))
-	}
-	for _, r := range in.AppendGPRDsts(buf[:0]) {
-		consider(analysis.GPRBit(r)) // WAW stall, as the sim charges it
-	}
-	for _, p := range in.AppendPredSrcs(buf[:0]) {
-		consider(analysis.PredBit(p))
-	}
-	if in.Mods.X || in.Mods.SetCC {
-		consider(analysis.CCBit())
-	}
-	if ready < s.clock {
-		ready = s.clock
-	}
-	return ready
 }
