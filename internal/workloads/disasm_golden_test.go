@@ -15,6 +15,7 @@ import (
 	"sassi/internal/analysis"
 	"sassi/internal/cuda"
 	"sassi/internal/handlers"
+	"sassi/internal/obs"
 	"sassi/internal/ptxas"
 	"sassi/internal/sass"
 	"sassi/internal/sassi"
@@ -82,21 +83,16 @@ type disasmVariant struct {
 	inst  *sassi.Options // nil: uninstrumented
 }
 
-// disasmVariants are the two backend configurations, the three
-// case-study profilers and the error-injection profiler: a list of its own
-// because the golden's rows name them.
-func disasmVariants(t *testing.T) []disasmVariant {
+// disasmVariants are the two backend configurations, every tool of
+// handlers.Tools and the error-injection profiler.
+func disasmVariants() []disasmVariant {
 	ctx := cuda.NewContext(sim.KeplerK10())
 	off := ptxas.Options{Verify: analysis.VerifyOff}
 	vs := []disasmVariant{
 		{"plain", off, nil},
 		{"scheduled", ptxas.Options{Schedule: true, Verify: analysis.VerifyOff}, nil},
 	}
-	tools, err := handlers.SelectTools("branch,memdiv,value")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tool := range tools {
+	for _, tool := range handlers.Tools() {
 		opts := tool.New(ctx).Options()
 		vs = append(vs, disasmVariant{tool.Name, off, &opts})
 	}
@@ -109,7 +105,7 @@ func disasmVariants(t *testing.T) []disasmVariant {
 // order, NumRegs, LocalBytes, every Injected flag, and the position of
 // each original (non-injected) instruction — on a program instrumented
 // once that is the origAt remap instrumentKernel returns, which
-// TestPlannedSiteLengths (internal/sassi) asserts.
+// TestOriginalPositions (internal/sassi) asserts.
 func programDigest(prog *sass.Program) string {
 	h := sha256.New()
 	for _, k := range prog.Kernels {
@@ -143,7 +139,7 @@ func programDigest(prog *sass.Program) string {
 // `go test ./internal/workloads -run DisasmGolden -update`.
 func TestDisasmGolden(t *testing.T) {
 	var b strings.Builder
-	variants := disasmVariants(t)
+	variants := disasmVariants()
 	for _, spec := range All() {
 		for _, v := range variants {
 			prog, err := spec.Compile(v.ptxas)
@@ -160,8 +156,49 @@ func TestDisasmGolden(t *testing.T) {
 			fmt.Fprintf(&b, "%s %s %s\n", spec.Name, v.name, programDigest(prog))
 		}
 	}
-	got := b.String()
-	golden := filepath.Join("testdata", "disasm.golden")
+	compareGolden(t, "disasm.golden", "DisasmGolden", b.String())
+}
+
+// TestInstrumentCountersGolden pins the counters Instrument publishes
+// (sassi.instrument.*: kernels, sites, injected instructions, per handler
+// symbol and in total, and their save/restore share) for every workload ×
+// instrumented variant of disasmVariants (testdata/instrument_counters.golden).
+// The stream alone does not pin them: they are the injector's own
+// accounting of what it emitted.
+func TestInstrumentCountersGolden(t *testing.T) {
+	var b strings.Builder
+	for _, spec := range All() {
+		for _, v := range disasmVariants() {
+			if v.inst == nil {
+				continue
+			}
+			prog, err := spec.Compile(v.ptxas)
+			if err != nil {
+				t.Fatalf("%s/%s: compile: %v", spec.Name, v.name, err)
+			}
+			opts := *v.inst
+			opts.Verify = analysis.VerifyOff
+			opts.Metrics = obs.NewRegistry()
+			if err := sassi.Instrument(prog, opts); err != nil {
+				t.Fatalf("%s/%s: instrument: %v", spec.Name, v.name, err)
+			}
+			fmt.Fprintf(&b, "%s %s", spec.Name, v.name)
+			for _, m := range opts.Metrics.Snapshot() {
+				if name, ok := strings.CutPrefix(m.Name, "sassi.instrument."); ok {
+					fmt.Fprintf(&b, " %s=%d", name, m.Value)
+				}
+			}
+			b.WriteByte('\n')
+		}
+	}
+	compareGolden(t, "instrument_counters.golden", "InstrumentCountersGolden", b.String())
+}
+
+// compareGolden holds got to testdata/name line by line, or rewrites the
+// file under -update; test is the -run pattern that regenerates it.
+func compareGolden(t *testing.T, name, test, got string) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *updateGolden {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -169,7 +206,7 @@ func TestDisasmGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/workloads -run DisasmGolden -update` to create it)", err)
+		t.Fatalf("%v (run `go test ./internal/workloads -run %s -update` to create it)", err, test)
 	}
 	if got == string(want) {
 		return
