@@ -51,7 +51,9 @@ func (s *valueStats) count(f *ptx.Func) {
 // sources. Only unguarded `mov d, a` instructions where both d and a are
 // defined exactly once qualify: single-def values cannot be invalidated by
 // later redefinition, and d's definition dominates its uses in a verified
-// program, so global replacement is sound.
+// program, so global replacement is sound. A copy whose source resolves to
+// d itself (`mov d, d`, or the second of `mov a, b; mov b, a`) is left as
+// it is: recording it would make resolve chase d forever.
 func copyPropagate(f *ptx.Func, st *valueStats) {
 	st.count(f)
 	repl := map[int32]ptx.Value{}
@@ -72,7 +74,9 @@ func copyPropagate(f *ptx.Func, st *valueStats) {
 		if st.defs[in.Dst.ID()] != 1 || st.defs[in.A.ID()] != 1 {
 			continue
 		}
-		repl[in.Dst.ID()] = resolve(in.A)
+		if src := resolve(in.A); src.ID() != in.Dst.ID() {
+			repl[in.Dst.ID()] = src
+		}
 	}
 	if len(repl) == 0 {
 		return

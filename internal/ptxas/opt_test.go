@@ -113,3 +113,34 @@ func TestCopyPropShrinksCode(t *testing.T) {
 		t.Errorf("copy-prop did not shrink code: %d -> %d", before, after)
 	}
 }
+
+// TestCopyPropagateSelfCopies: a copy whose source resolves to its own
+// destination — `mov d, d`, or `mov a, b; mov b, a` with each defined only
+// there — is not followed forever. The parser refuses the first form, but
+// ptx.Func.Emit takes both from Go code; each must compile to a program or
+// return an error (before the fix, Compile never returned).
+func TestCopyPropagateSelfCopies(t *testing.T) {
+	mov := func(d, a ptx.Value) ptx.Instr { return ptx.Instr{Op: ptx.OpMov, Type: ptx.TU32, Dst: d, A: a} }
+	for name, copies := range map[string]func(f *ptx.Func) ptx.Value{
+		"mov d, d": func(f *ptx.Func) ptx.Value {
+			d := f.NewValue(ptx.TU32)
+			f.Emit(mov(d, d))
+			return d
+		},
+		"mov a, b; mov b, a": func(f *ptx.Func) ptx.Value {
+			a, b := f.NewValue(ptx.TU32), f.NewValue(ptx.TU32)
+			f.Emit(mov(a, b))
+			f.Emit(mov(b, a))
+			return b
+		},
+	} {
+		b := ptx.NewKernel("k")
+		out := b.ParamU64("out")
+		b.StGlobalU32(out, 0, copies(b.F))
+		m := ptx.NewModule()
+		m.Add(b.MustDone())
+		if prog, err := Compile(m, Options{}); err == nil && prog == nil {
+			t.Errorf("%s: Compile returned neither a program nor an error", name)
+		}
+	}
+}

@@ -131,10 +131,7 @@ func (k *Kernel) Clone() *Kernel {
 		SchedOrig: append([]int(nil), k.SchedOrig...),
 	}
 	for i := range k.Instrs {
-		in := k.Instrs[i]
-		in.Dsts = append([]Operand(nil), in.Dsts...)
-		in.Srcs = append([]Operand(nil), in.Srcs...)
-		c.Instrs[i] = in
+		c.Instrs[i] = k.Instrs[i].Clone()
 	}
 	if k.Labels != nil {
 		c.Labels = make(map[string]int, len(k.Labels))

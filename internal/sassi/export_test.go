@@ -1,6 +1,9 @@
 package sassi
 
-import "sassi/internal/sass"
+import (
+	"sassi/internal/analysis"
+	"sassi/internal/sass"
+)
 
 // InstrumentKernel is instrumentKernel, for tests that need the remap table
 // it returns.
@@ -17,22 +20,18 @@ func RowGrain(args HandlerArgs) (arg0, arg1 bool) {
 	return arg0, arg1
 }
 
-// SiteLengths plans the site Instrument would inject at in under opts with
-// the given live-register set, then emits it into buffers of outCap
-// instructions and opsCap arena operands (negative: exactly the plan). It
-// returns the planned and the emitted (instructions, operands, arena
-// operands) and how many instructions the output buffer holds afterwards.
-func SiteLengths(opts Options, in *sass.Instruction, live sass.RegSet, outCap, opsCap int) (planned, emitted [3]int, outLen int, err error) {
-	k := &sass.Kernel{Name: "site", Instrs: []sass.Instruction{*in}}
-	opts.BeforeHandler = "h"
-	ij := &injector{prog: sass.NewProgram(), k: k, opts: &opts}
-	st := ij.newSite(0, in, &live)
-	l := ij.plan(st)
-	if outCap < 0 {
-		outCap, opsCap = l.instrs, l.arena
+// EmitSite emits the site Instrument would inject before instruction 0 of
+// k under what, with k's live registers there, into out and ops (nil to
+// count only). It returns the instructions and arena operands it counted
+// and the two buffers as the emitter left them.
+func EmitSite(k *sass.Kernel, what What, out []sass.Instruction, ops []sass.Operand) (n, narena int, outAfter []sass.Instruction, opsAfter []sass.Operand, err error) {
+	cfg, err := sass.BuildCFG(k)
+	if err != nil {
+		return 0, 0, nil, nil, err
 	}
-	ij.out = make([]sass.Instruction, outCap)
-	ij.ops = make([]sass.Operand, opsCap)
-	err = ij.injectCall(st, 0, 0, []sass.Operand{sass.Sym(opts.BeforeHandler)})
-	return [3]int{l.instrs, l.operands, l.arena}, [3]int{ij.n, ij.nops, ij.narena}, len(ij.out), err
+	li := analysis.Liveness(cfg)
+	opts := Options{What: what, BeforeHandler: "h"}
+	ij := &injector{prog: sass.NewProgram(), opts: &opts, out: out, ops: ops}
+	ij.injectCall(ij.newSite(0, &k.Instrs[0], &li.LiveIn[0]), 0, 0, []sass.Operand{sass.Sym(opts.BeforeHandler)})
+	return ij.n, ij.narena, ij.out, ij.ops, nil
 }

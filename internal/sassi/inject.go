@@ -69,29 +69,20 @@ func FnAddr(ki int) int32 { return int32(ki+1) << 20 }
 
 type injector struct {
 	prog *sass.Program
-	k    *sass.Kernel
 	opts *Options
 
-	// out and ops are the planned output, sized exactly before anything is
-	// emitted: the instruction stream, and the arena that holds the operand
-	// lists which differ from site to site, each a cap == len sub-slice (so
-	// an append to one list can never write into its neighbour). Every other
-	// injected list comes from shared. n counts the instructions emitted,
-	// nops their operands and narena the arena's share of those; they keep
-	// counting past the end without writing, so a site that outruns its
-	// plan is reported, never resized for.
-	out             []sass.Instruction
-	ops             []sass.Operand
-	n, nops, narena int
-	maxFrame        int64
-
-	// Instrumentation-time accounting, published to opts.Metrics at the end
-	// of instrumentKernel. saveRestore is the ABI spill/fill share of
-	// injected — the quantity behind the paper's §9.1 observation that most
-	// instrumentation overhead is state save/restore, not handler work.
-	injected    uint64
-	saveRestore uint64
-	injBySym    map[string]uint64
+	// out and ops are the output: the instruction stream, and the arena that
+	// holds the operand lists which differ from site to site, each a
+	// cap == len sub-slice (so an append to one list can never write into
+	// its neighbour). Every other injected list comes from shared. n counts
+	// the instructions emitted and narena the arena operands among them;
+	// past the end of either buffer (nil while counting) they count on
+	// without writing, so the emitter sizes its own output and is never
+	// resized for.
+	out       []sass.Instruction
+	ops       []sass.Operand
+	n, narena int
+	maxFrame  int64
 }
 
 // maxFrameSize is the largest stack frame a site allocates: RegisterParams
@@ -176,7 +167,6 @@ func (ij *injector) emit(g sass.PredGuard, op sass.Opcode, mods sass.Mods, nd in
 		ij.put(g, op, mods, nd, l)
 	} else {
 		ij.n++
-		ij.nops += len(opds)
 	}
 	ij.narena = end
 }
@@ -193,7 +183,6 @@ func (ij *injector) put(g sass.PredGuard, op sass.Opcode, mods sass.Mods, nd int
 		}
 	}
 	ij.n++
-	ij.nops += len(l)
 }
 
 func (ij *injector) emitOp(op sass.Opcode, mods sass.Mods, nd int, opds ...sass.Operand) {
@@ -243,29 +232,6 @@ func (ij *injector) guardFlag(g sass.PredGuard, reg uint8) {
 	}
 }
 
-// seqLen is the planned size of an injected sequence: its instructions,
-// their operands, and how many of those the arena holds.
-type seqLen struct{ instrs, operands, arena int }
-
-// add counts n instructions of opds shared operands each.
-func (l *seqLen) add(n, opds int) {
-	l.instrs += n
-	l.operands += n * opds
-}
-
-// addArena counts n instructions of opds arena operands each.
-func (l *seqLen) addArena(n, opds int) {
-	l.add(n, opds)
-	l.arena += n * opds
-}
-
-// fields counts n parameter fields: a MOV32I of the field's value and its
-// STL.
-func (l *seqLen) fields(n int) {
-	l.addArena(n, 2)
-	l.add(n, 2)
-}
-
 // site is one handler call to inject, reduced to what the emitted sequence
 // depends on.
 type site struct {
@@ -293,79 +259,24 @@ func (ij *injector) newSite(origIdx int, in *sass.Instruction, live *sass.RegSet
 	return st
 }
 
-// plan returns the exact size of the sequence injectCall emits for st. It
-// is stated apart from the emitter, line for line in the same order, so the
-// output can be sized before anything is written; injectCall checks the two
-// against each other at every site.
-func (ij *injector) plan(st site) seqLen {
-	var l seqLen
-	spills := bits.OnesCount16(st.spills)
-	l.add(2, 3)        // (1)+(7) frame allocate and release
-	l.add(2*spills, 2) // (2)+(7) one STL and one LDL per spilled GPR
-	l.add(2, 3)        // (2) P2R, P2R.X
-	l.add(2, 2)        //     and their STLs
-	in := st.in
-	switch st.extra { // (3)
-	case mpSize:
-		ref, form := memAddr(in)
-		l.add(usesScratchPred(ref, form), 2) // LDL reloads of R3's original value
-		switch form {
-		case addrNone:
-			l.add(2, 2)
-		case addrPair:
-			l.addArena(2, 3)
-		case addrLocal, addrShared:
-			l.addArena(2, 3)
-			l.add(1, 2)
-		default:
-			l.addArena(1, 3)
-			l.add(1, 2)
-		}
-		l.add(1, 2) // STL.64
-		l.fields(3)
-	case cbSize:
-		l.add(2, 3)
-		l.add(1, 2)
-		l.fields(2)
-	case rpSize:
-		var buf [32]uint8
-		dsts, srcs := regParams(in, &buf)
-		l.fields(2 + len(dsts) + len(srcs))
-	}
-	if in.Guard.IsAlways() { // willExecute
-		l.fields(1)
-	} else {
-		l.add(2, 3)
-		l.add(1, 2)
-	}
-	l.fields(9) // (4) nine static fields
-	l.add(1, 3) // (5) LOP.OR arg0, and three or two MOV32I 0
-	if st.extra > 0 {
-		l.add(2, 3)
-		l.add(2, 2)
-	} else {
-		l.add(3, 2)
-	}
-	l.add(1, 1) // (6) JCAL
-	l.add(4, 2) // (7) LDL, R2P, LDL, R2P.X
-	return l
-}
-
 // instrumentKernel rewrites one kernel. It returns the number of sites it
 // injected and the output position of each input instruction (the remap
 // table), which the verifier uses to tell this pass's additions apart from
 // the input — the Injected flags alone cannot, once passes stack.
 //
-// It works in two passes. The plan pass decides every site and computes its
-// length (plan), which fixes where each input instruction lands and the
-// exact size of the output and of its operand arena. The emit pass fills
-// both, taking every other injected list from shared, and rewrites label
-// operands through the remap table as the original instructions are copied
-// (in place: their operand lists are shared with the input, which this
-// kernel replaces). Only label operands are rewritten, and injected code
-// holds none, so a shared list is never written. A site whose emitted length
-// differs from its plan is an *Error; the kernel is then left unusable, as
-// a program is after any failed Instrument.
+// It runs the emitter twice. The first pass, with no buffers, decides
+// every site and only counts, which fixes where each input instruction
+// lands and the exact size of the output and of its operand arena. The
+// second fills both, taking every other injected list from shared, and
+// rewrites label operands through the remap table as the original
+// instructions are copied (in place: their operand lists are shared with
+// the input, which this kernel replaces). Only label operands are
+// rewritten, and injected code holds none, so a shared list is never
+// written. If a Select callback edits an instruction whose site the first
+// pass has counted, the second pass can reach an input instruction away
+// from the position the first gave it, or end without filling both buffers
+// exactly: either is an *Error, and the kernel is then left unusable, as a
+// program is after any failed Instrument.
 func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options, siteBase int32) (int32, []int, error) {
 	cfg, err := sass.BuildCFG(k)
 	if err != nil {
@@ -380,7 +291,7 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		}
 	}
 
-	ij := &injector{prog: prog, k: k, opts: opts}
+	ij := &injector{prog: prog, opts: opts}
 	// remap[i] is where input instruction i's before-site code starts (where
 	// labels land); origAt[i] the output position of instruction i itself.
 	// A site exists exactly where the two leave a gap.
@@ -396,46 +307,55 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 	selected := func(i int) bool {
 		return opts.Select == nil || opts.Select(k, i, &k.Instrs[i])
 	}
+	// The JCAL operand lists of the before and the after handler.
+	calls := []sass.Operand{sass.Sym(opts.BeforeHandler), sass.Sym(opts.AfterHandler)}
 
-	var total seqLen
-	planSite := func(st site) {
-		l := ij.plan(st)
-		total.instrs += l.instrs
-		total.arena += l.arena
-	}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
-		remap[i] = total.instrs
+		remap[i] = ij.n
 		before := opts.beforeSite(in) ||
 			(opts.Where&KernelEntry != 0 && i == 0) ||
 			(opts.Where&BBHeaders != 0 && blockStart[i])
 		if before && opts.BeforeHandler != "" && selected(i) {
-			planSite(ij.newSite(i, in, &li.LiveIn[i]))
+			ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), 0, ki, calls[:1:1])
 		}
-		origAt[i] = total.instrs
-		total.instrs++
+		origAt[i] = ij.n
+		ij.n++
 		if opts.afterSite(in) && opts.AfterHandler != "" && selected(i) {
-			planSite(ij.newSite(i, in, liveAfter(i)))
+			ij.injectCall(ij.newSite(i, in, liveAfter(i)), 0, ki, calls[1:])
 		}
 	}
-	remap[len(k.Instrs)] = total.instrs
+	remap[len(k.Instrs)] = ij.n
 
-	ij.out = make([]sass.Instruction, total.instrs)
-	ij.ops = make([]sass.Operand, total.arena)
-	// The JCAL operand lists of the before and the after handler.
-	calls := []sass.Operand{sass.Sym(opts.BeforeHandler), sass.Sym(opts.AfterHandler)}
+	ij.out = make([]sass.Instruction, ij.n)
+	ij.ops = make([]sass.Operand, ij.narena)
+	ij.n, ij.narena = 0, 0
+	// Account the sites as they are written: the save/restore share is the
+	// two frame adjusts, the GPR spill/fill pairs, and the four P2R/R2P
+	// snapshots with their STL/LDL companions — the quantity behind the
+	// paper's §9.1 observation that most instrumentation overhead is state
+	// save/restore, not handler work.
 	sites := int32(0)
+	var saveRestore uint64
+	var injBySym map[string]uint64
+	inject := func(st site, call []sass.Operand) {
+		start := ij.n
+		ij.injectCall(st, siteBase+sites, ki, call)
+		sites++
+		saveRestore += 10 + 2*uint64(bits.OnesCount16(st.spills))
+		if injBySym == nil {
+			injBySym = make(map[string]uint64)
+		}
+		injBySym[call[0].Name] += uint64(ij.n - start)
+	}
 	for i := range k.Instrs {
 		in := &k.Instrs[i]
 		if origAt[i] > remap[i] {
-			if err := ij.injectCall(ij.newSite(i, in, &li.LiveIn[i]), siteBase+sites, ki, calls[:1:1]); err != nil {
-				return 0, nil, err
-			}
-			sites++
+			inject(ij.newSite(i, in, &li.LiveIn[i]), calls[:1:1])
 		}
 		if ij.n != origAt[i] {
 			return 0, nil, &Error{Kernel: k.Name, Site: i, Err: fmt.Errorf(
-				"instruction planned at output position %d, emitted at %d", origAt[i], ij.n)}
+				"instruction counted at output position %d, emitted at %d", origAt[i], ij.n)}
 		}
 		for s := range in.Srcs {
 			o := &in.Srcs[s]
@@ -446,11 +366,13 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 		ij.out[ij.n] = *in // the original instruction, otherwise untouched
 		ij.n++
 		if remap[i+1] > origAt[i]+1 {
-			if err := ij.injectCall(ij.newSite(i, in, liveAfter(i)), siteBase+sites, ki, calls[1:]); err != nil {
-				return 0, nil, err
-			}
-			sites++
+			inject(ij.newSite(i, in, liveAfter(i)), calls[1:])
 		}
+	}
+	if ij.n != len(ij.out) || ij.narena != len(ij.ops) {
+		return 0, nil, &Error{Kernel: k.Name, Site: -1, Err: fmt.Errorf(
+			"output counted as %d instructions (%d arena operands), emitted %d (%d)",
+			len(ij.out), len(ij.ops), ij.n, ij.narena)}
 	}
 
 	for name, idx := range k.Labels {
@@ -468,27 +390,27 @@ func instrumentKernel(prog *sass.Program, k *sass.Kernel, ki int, opts *Options,
 	if reg := opts.Metrics; reg != nil {
 		reg.Counter(obs.MSassiKernels).Inc()
 		reg.Counter(obs.MSassiSites).Add(uint64(sites))
-		reg.Counter(obs.MSassiInjectedInstrs).Add(ij.injected)
-		reg.Counter(obs.MSassiSaveRestoreInstrs).Add(ij.saveRestore)
-		for sym, n := range ij.injBySym {
+		reg.Counter(obs.MSassiInjectedInstrs).Add(uint64(len(ij.out) - len(origAt)))
+		reg.Counter(obs.MSassiSaveRestoreInstrs).Add(saveRestore)
+		for sym, n := range injBySym {
 			reg.Counter(obs.MSassiInjectedPrefix + sym).Add(n)
 		}
 	}
 	return sites, origAt, nil
 }
 
-// injectCall emits the full ABI-compliant call sequence for one site and
-// checks it against the site's plan. st.origIdx identifies the instrumented
+// injectCall emits the full ABI-compliant call sequence for one site: the
+// one statement of Figure 2's sequence, which instrumentKernel runs once to
+// count and once to write. st.origIdx identifies the instrumented
 // instruction by its position in the kernel being instrumented, so
 // handler-visible addresses are stable across instrumentation configs. call
 // is the JCAL's operand list, which names the handler.
-func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operand) error {
+func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operand) {
 	in := st.in
 	frame := frameSize(st.extra)
 	if frame > ij.maxFrame {
 		ij.maxFrame = frame
 	}
-	startN, startOps, startArena := ij.n, ij.nops, ij.narena
 
 	// (1) Allocate the stack frame.
 	ij.putOp(sass.OpIADD, sass.Mods{}, 1, shared.frame[0][frame/16][:])
@@ -561,8 +483,7 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 	ij.movZero(ABIArg1 + 1)
 
 	// (6) The call.
-	handlerSym := call[0].Name
-	ij.prog.InternHandler(handlerSym)
+	ij.prog.InternHandler(call[0].Name)
 	ij.putOp(sass.OpJCAL, sass.Mods{}, 0, call)
 
 	// (7) Restore: predicates and CC first (through R3), then GPRs —
@@ -575,24 +496,6 @@ func (ij *injector) injectCall(st site, siteID int32, ki int, call []sass.Operan
 		ij.fill(slot, r)
 	}
 	ij.putOp(sass.OpIADD, sass.Mods{}, 1, shared.frame[1][frame/16][:])
-
-	emitted := seqLen{ij.n - startN, ij.nops - startOps, ij.narena - startArena}
-	if want := ij.plan(st); emitted != want {
-		return &Error{Kernel: ij.k.Name, Site: st.origIdx, Err: fmt.Errorf(
-			"site planned as %d instructions with %d operands (%d in the arena), emitted %d with %d (%d)",
-			want.instrs, want.operands, want.arena, emitted.instrs, emitted.operands, emitted.arena)}
-	}
-
-	// Account the site: everything emitted is injected; the save/restore
-	// share is the two frame adjusts, the GPR spill/fill pairs, and the
-	// four P2R/R2P snapshots with their STL/LDL companions.
-	ij.injected += uint64(emitted.instrs)
-	ij.saveRestore += 10 + 2*uint64(spills)
-	if ij.injBySym == nil {
-		ij.injBySym = make(map[string]uint64)
-	}
-	ij.injBySym[handlerSym] += uint64(emitted.instrs)
-	return nil
 }
 
 // extraSize returns the byte size of the site's extra parameter object,

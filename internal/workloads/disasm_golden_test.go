@@ -167,8 +167,9 @@ func TestDisasmGolden(t *testing.T) {
 // accounting of what it emitted.
 func TestInstrumentCountersGolden(t *testing.T) {
 	var b strings.Builder
+	variants := disasmVariants()
 	for _, spec := range All() {
-		for _, v := range disasmVariants() {
+		for _, v := range variants {
 			if v.inst == nil {
 				continue
 			}
