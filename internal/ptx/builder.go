@@ -11,8 +11,9 @@ import (
 // provides typed value construction and structured control flow (If, While)
 // that lowers to the SSY/SYNC divergence idioms the hardware expects.
 //
-// Builder methods panic on type errors; kernel construction is programmer
-// code, not input handling.
+// Builder methods panic at the call that breaks the PTX rule set (the
+// per-instruction check Func.Verify applies); kernel construction is
+// programmer code, not input handling.
 type Builder struct {
 	F      *Func
 	labelN int
@@ -37,14 +38,12 @@ func (b *Builder) label(prefix string) string {
 
 func (b *Builder) typeOf(v Value) Type { return b.F.TypeOf(v) }
 
-func (b *Builder) want(v Value, what string, types ...Type) {
-	t := b.typeOf(v)
-	for _, ok := range types {
-		if t == ok {
-			return
-		}
+// emit appends in, panicking if the PTX rule set refuses it.
+func (b *Builder) emit(in Instr) {
+	if err := b.F.check(&in); err != nil {
+		panic(fmt.Sprintf("ptx: %s: %v", in.String(), err))
 	}
-	panic(fmt.Sprintf("ptx: %s: operand %s has type %s, want one of %v", what, v, t, types))
+	b.F.Emit(in)
 }
 
 // Parameters and constants.
@@ -53,7 +52,7 @@ func (b *Builder) want(v Value, what string, types ...Type) {
 func (b *Builder) ParamU64(name string) Value {
 	b.F.AddParam(name, 8)
 	d := b.F.NewValue(TU64)
-	b.F.Emit(Instr{Op: OpLdParam, Type: TU64, Dst: d, Param: name})
+	b.emit(Instr{Op: OpLdParam, Type: TU64, Dst: d, Param: name})
 	return d
 }
 
@@ -61,7 +60,7 @@ func (b *Builder) ParamU64(name string) Value {
 func (b *Builder) ParamU32(name string) Value {
 	b.F.AddParam(name, 4)
 	d := b.F.NewValue(TU32)
-	b.F.Emit(Instr{Op: OpLdParam, Type: TU32, Dst: d, Param: name})
+	b.emit(Instr{Op: OpLdParam, Type: TU32, Dst: d, Param: name})
 	return d
 }
 
@@ -69,7 +68,7 @@ func (b *Builder) ParamU32(name string) Value {
 func (b *Builder) ParamS32(name string) Value {
 	b.F.AddParam(name, 4)
 	d := b.F.NewValue(TS32)
-	b.F.Emit(Instr{Op: OpLdParam, Type: TS32, Dst: d, Param: name})
+	b.emit(Instr{Op: OpLdParam, Type: TS32, Dst: d, Param: name})
 	return d
 }
 
@@ -77,13 +76,13 @@ func (b *Builder) ParamS32(name string) Value {
 func (b *Builder) ParamF32(name string) Value {
 	b.F.AddParam(name, 4)
 	d := b.F.NewValue(TF32)
-	b.F.Emit(Instr{Op: OpLdParam, Type: TF32, Dst: d, Param: name})
+	b.emit(Instr{Op: OpLdParam, Type: TF32, Dst: d, Param: name})
 	return d
 }
 
 func (b *Builder) imm(t Type, v int64) Value {
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpMov, Type: t, Dst: d, Imm: v, HasImm: true})
+	b.emit(Instr{Op: OpMov, Type: t, Dst: d, Imm: v, HasImm: true})
 	return d
 }
 
@@ -105,7 +104,7 @@ func (b *Builder) ImmF32(v float32) Value {
 
 func (b *Builder) sreg(sr sass.SpecialReg) Value {
 	d := b.F.NewValue(TU32)
-	b.F.Emit(Instr{Op: OpSreg, Type: TU32, Dst: d, SR: sr})
+	b.emit(Instr{Op: OpSreg, Type: TU32, Dst: d, SR: sr})
 	return d
 }
 
@@ -137,38 +136,36 @@ func (b *Builder) GlobalTidX() Value {
 
 // Variables and assignment (non-SSA mutation for loop counters).
 
-// Var allocates a mutable value initialized from init.
-func (b *Builder) Var(init Value) Value {
-	t := b.typeOf(init)
+// mov copies a into a fresh value of type t; a reinterpreting copy names
+// a's type as src.
+func (b *Builder) mov(t Type, a Value, src Type) Value {
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpMov, Type: t, Dst: d, A: init})
+	b.emit(Instr{Op: OpMov, Type: t, SrcType: src, Dst: d, A: a})
 	return d
 }
 
-// Assign overwrites dst with src (same type).
+// Var allocates a mutable value initialized from init.
+func (b *Builder) Var(init Value) Value { return b.mov(b.typeOf(init), init, TInvalid) }
+
+// Assign overwrites dst with src, of dst's type (a u32 for an s32 or the
+// reverse).
 func (b *Builder) Assign(dst, src Value) {
-	if b.typeOf(dst) != b.typeOf(src) {
-		panic(fmt.Sprintf("ptx: assign: %s <- %s type mismatch", b.typeOf(dst), b.typeOf(src)))
-	}
-	b.F.Emit(Instr{Op: OpMov, Type: b.typeOf(dst), Dst: dst, A: src})
+	b.emit(Instr{Op: OpMov, Type: b.typeOf(dst), Dst: dst, A: src})
 }
 
 // Arithmetic. Result type follows the first operand.
 
 func (b *Builder) bin(op Op, a, c Value) Value {
 	t := b.typeOf(a)
-	if tc := b.typeOf(c); tc != t {
-		panic(fmt.Sprintf("ptx: %s: mixed operand types %s and %s", op, t, tc))
-	}
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: op, Type: t, Dst: d, A: a, B: c})
+	b.emit(Instr{Op: op, Type: t, Dst: d, A: a, B: c})
 	return d
 }
 
 func (b *Builder) binI(op Op, a Value, imm int64) Value {
 	t := b.typeOf(a)
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: op, Type: t, Dst: d, A: a, Imm: imm, HasImm: true})
+	b.emit(Instr{Op: op, Type: t, Dst: d, A: a, Imm: imm, HasImm: true})
 	return d
 }
 
@@ -193,11 +190,8 @@ func (b *Builder) MulI(a Value, imm int64) Value { return b.binI(OpMul, a, imm) 
 // Mad returns a*c+d.
 func (b *Builder) Mad(a, c, d Value) Value {
 	t := b.typeOf(a)
-	if b.typeOf(c) != t || b.typeOf(d) != t {
-		panic(fmt.Sprintf("ptx: mad: mixed operand types %s, %s, %s", t, b.typeOf(c), b.typeOf(d)))
-	}
 	r := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpMad, Type: t, Dst: r, A: a, B: c, C: d})
+	b.emit(Instr{Op: OpMad, Type: t, Dst: r, A: a, B: c, C: d})
 	return r
 }
 
@@ -226,7 +220,7 @@ func (b *Builder) XorI(a Value, imm int64) Value { return b.binI(OpXor, a, imm) 
 func (b *Builder) Not(a Value) Value {
 	t := b.typeOf(a)
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpNot, Type: t, Dst: d, A: a})
+	b.emit(Instr{Op: OpNot, Type: t, Dst: d, A: a})
 	return d
 }
 
@@ -247,44 +241,43 @@ func (b *Builder) ShrI(a Value, imm int64) Value { return b.binI(OpShr, a, imm) 
 // Setp compares a and c, returning a predicate.
 func (b *Builder) Setp(cmp sass.CmpOp, a, c Value) Value {
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpSetp, Type: b.typeOf(a), Cmp: cmp, Dst: d, A: a, B: c})
+	b.emit(Instr{Op: OpSetp, Type: b.typeOf(a), Cmp: cmp, Dst: d, A: a, B: c})
 	return d
 }
 
 // SetpI compares a against an immediate.
 func (b *Builder) SetpI(cmp sass.CmpOp, a Value, imm int64) Value {
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpSetp, Type: b.typeOf(a), Cmp: cmp, Dst: d, A: a, Imm: imm, HasImm: true})
+	b.emit(Instr{Op: OpSetp, Type: b.typeOf(a), Cmp: cmp, Dst: d, A: a, Imm: imm, HasImm: true})
 	return d
 }
 
 // PAnd returns a&&c for predicates.
 func (b *Builder) PAnd(a, c Value) Value {
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpPAnd, Type: TPred, Dst: d, A: a, B: c})
+	b.emit(Instr{Op: OpPAnd, Type: TPred, Dst: d, A: a, B: c})
 	return d
 }
 
 // POr returns a||c for predicates.
 func (b *Builder) POr(a, c Value) Value {
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpPOr, Type: TPred, Dst: d, A: a, B: c})
+	b.emit(Instr{Op: OpPOr, Type: TPred, Dst: d, A: a, B: c})
 	return d
 }
 
 // PNot returns !a for a predicate.
 func (b *Builder) PNot(a Value) Value {
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpPNot, Type: TPred, Dst: d, A: a})
+	b.emit(Instr{Op: OpPNot, Type: TPred, Dst: d, A: a})
 	return d
 }
 
 // Sel returns pred ? a : c.
 func (b *Builder) Sel(pred, a, c Value) Value {
-	b.want(pred, "sel", TPred)
 	t := b.typeOf(a)
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpSel, Type: t, Dst: d, A: a, B: c, C: pred})
+	b.emit(Instr{Op: OpSel, Type: t, Dst: d, A: a, B: c, C: pred})
 	return d
 }
 
@@ -292,48 +285,37 @@ func (b *Builder) Sel(pred, a, c Value) Value {
 
 // CvtU64 widens a 32-bit value to 64 bits (zero extension).
 func (b *Builder) CvtU64(a Value) Value {
-	b.want(a, "cvt.u64", TU32, TS32)
 	d := b.F.NewValue(TU64)
-	b.F.Emit(Instr{Op: OpCvt, Type: TU64, SrcType: b.typeOf(a), Dst: d, A: a})
+	b.emit(Instr{Op: OpCvt, Type: TU64, SrcType: b.typeOf(a), Dst: d, A: a})
 	return d
 }
 
 // CvtF32 converts an integer to float.
 func (b *Builder) CvtF32(a Value) Value {
-	b.want(a, "cvt.f32", TU32, TS32)
 	d := b.F.NewValue(TF32)
-	b.F.Emit(Instr{Op: OpCvt, Type: TF32, SrcType: b.typeOf(a), Dst: d, A: a})
+	b.emit(Instr{Op: OpCvt, Type: TF32, SrcType: b.typeOf(a), Dst: d, A: a})
 	return d
 }
 
 // CvtS32 truncates a float to a signed integer.
 func (b *Builder) CvtS32(a Value) Value {
-	b.want(a, "cvt.s32", TF32)
 	d := b.F.NewValue(TS32)
-	b.F.Emit(Instr{Op: OpCvt, Type: TS32, SrcType: TF32, Dst: d, A: a})
+	b.emit(Instr{Op: OpCvt, Type: TS32, SrcType: TF32, Dst: d, A: a})
 	return d
 }
 
-// AsU32 reinterprets a value as unsigned (no code emitted at SASS level).
-func (b *Builder) AsU32(a Value) Value {
-	d := b.F.NewValue(TU32)
-	b.F.Emit(Instr{Op: OpMov, Type: TU32, Dst: d, A: a})
-	return d
-}
+// AsU32 reinterprets a 32-bit value as unsigned (no code emitted at SASS
+// level).
+func (b *Builder) AsU32(a Value) Value { return b.mov(TU32, a, b.typeOf(a)) }
 
-// AsS32 reinterprets a value as signed.
-func (b *Builder) AsS32(a Value) Value {
-	d := b.F.NewValue(TS32)
-	b.F.Emit(Instr{Op: OpMov, Type: TS32, Dst: d, A: a})
-	return d
-}
+// AsS32 reinterprets a 32-bit value as signed.
+func (b *Builder) AsS32(a Value) Value { return b.mov(TS32, a, b.typeOf(a)) }
 
 // Float special functions.
 
 func (b *Builder) mufu(f sass.MufuFunc, a Value) Value {
-	b.want(a, "mufu", TF32)
 	d := b.F.NewValue(TF32)
-	b.F.Emit(Instr{Op: OpMufu, Type: TF32, Mufu: f, Dst: d, A: a})
+	b.emit(Instr{Op: OpMufu, Type: TF32, Mufu: f, Dst: d, A: a})
 	return d
 }
 
@@ -360,9 +342,8 @@ func (b *Builder) Lg2(a Value) Value { return b.mufu(sass.MufuLG2, a) }
 
 // Fma returns a*c+d for floats.
 func (b *Builder) Fma(a, c, d Value) Value {
-	b.want(a, "fma", TF32)
 	r := b.F.NewValue(TF32)
-	b.F.Emit(Instr{Op: OpFma, Type: TF32, Dst: r, A: a, B: c, C: d})
+	b.emit(Instr{Op: OpFma, Type: TF32, Dst: r, A: a, B: c, C: d})
 	return r
 }
 
@@ -370,125 +351,106 @@ func (b *Builder) Fma(a, c, d Value) Value {
 
 // Index computes base + (idx << elemShift) as a 64-bit address.
 func (b *Builder) Index(base, idx Value, elemShift uint) Value {
-	b.want(base, "index base", TU64)
-	b.want(idx, "index", TU32, TS32)
-	scaled := idx
+	scaled := b.mov(TU32, idx, TInvalid)
 	if elemShift > 0 {
-		scaled = b.ShlI(b.AsU32(idx), int64(elemShift))
-	} else {
-		scaled = b.AsU32(idx)
+		scaled = b.ShlI(scaled, int64(elemShift))
 	}
 	return b.Add(base, b.CvtU64(scaled))
 }
 
 func (b *Builder) ld(space Space, t Type, width int, addr Value, off int64) Value {
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpLd, Type: t, Space: space, Width: width, Dst: d, A: addr, Imm: off})
+	b.emit(Instr{Op: OpLd, Type: t, Space: space, Width: width, Dst: d, A: addr, Imm: off})
 	return d
 }
 
 func (b *Builder) st(space Space, t Type, width int, addr Value, off int64, v Value) {
-	b.F.Emit(Instr{Op: OpSt, Type: t, Space: space, Width: width, A: addr, B: v, Imm: off})
+	b.emit(Instr{Op: OpSt, Type: t, Space: space, Width: width, A: addr, B: v, Imm: off})
 }
 
 // LdGlobalU32 loads a u32 from global memory at addr+off.
 func (b *Builder) LdGlobalU32(addr Value, off int64) Value {
-	b.want(addr, "ld.global", TU64)
 	return b.ld(SpGlobal, TU32, 4, addr, off)
 }
 
 // LdGlobalS32 loads an s32 from global memory.
 func (b *Builder) LdGlobalS32(addr Value, off int64) Value {
-	b.want(addr, "ld.global", TU64)
 	return b.ld(SpGlobal, TS32, 4, addr, off)
 }
 
 // LdGlobalF32 loads an f32 from global memory.
 func (b *Builder) LdGlobalF32(addr Value, off int64) Value {
-	b.want(addr, "ld.global", TU64)
 	return b.ld(SpGlobal, TF32, 4, addr, off)
 }
 
 // LdGlobalU8 loads a byte (zero-extended).
 func (b *Builder) LdGlobalU8(addr Value, off int64) Value {
-	b.want(addr, "ld.global.u8", TU64)
 	return b.ld(SpGlobal, TU32, 1, addr, off)
 }
 
 // StGlobalU32 stores a u32 to global memory.
 func (b *Builder) StGlobalU32(addr Value, off int64, v Value) {
-	b.want(addr, "st.global", TU64)
 	b.st(SpGlobal, TU32, 4, addr, off, v)
 }
 
 // StGlobalF32 stores an f32 to global memory.
 func (b *Builder) StGlobalF32(addr Value, off int64, v Value) {
-	b.want(addr, "st.global", TU64)
 	b.st(SpGlobal, TF32, 4, addr, off, v)
 }
 
 // StGlobalU8 stores the low byte of v.
 func (b *Builder) StGlobalU8(addr Value, off int64, v Value) {
-	b.want(addr, "st.global.u8", TU64)
 	b.st(SpGlobal, TU32, 1, addr, off, v)
 }
 
 // LdSharedU32 loads a u32 from CTA shared memory at byte offset addr+off.
 func (b *Builder) LdSharedU32(addr Value, off int64) Value {
-	b.want(addr, "ld.shared", TU32, TS32)
 	return b.ld(SpShared, TU32, 4, addr, off)
 }
 
 // LdSharedF32 loads an f32 from CTA shared memory.
 func (b *Builder) LdSharedF32(addr Value, off int64) Value {
-	b.want(addr, "ld.shared", TU32, TS32)
 	return b.ld(SpShared, TF32, 4, addr, off)
 }
 
 // StSharedU32 stores a u32 to CTA shared memory.
 func (b *Builder) StSharedU32(addr Value, off int64, v Value) {
-	b.want(addr, "st.shared", TU32, TS32)
 	b.st(SpShared, TU32, 4, addr, off, v)
 }
 
 // StSharedF32 stores an f32 to CTA shared memory.
 func (b *Builder) StSharedF32(addr Value, off int64, v Value) {
-	b.want(addr, "st.shared", TU32, TS32)
 	b.st(SpShared, TF32, 4, addr, off, v)
 }
 
 // AtomAddGlobal atomically adds v at addr+off, returning the old value.
 func (b *Builder) AtomAddGlobal(addr Value, off int64, v Value) Value {
-	b.want(addr, "atom.global", TU64)
 	d := b.F.NewValue(b.typeOf(v))
-	b.F.Emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomADD, Width: 4,
+	b.emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomADD, Width: 4,
 		Space: SpGlobal, Dst: d, A: addr, B: v, Imm: off})
 	return d
 }
 
 // AtomMaxGlobal atomically takes the max.
 func (b *Builder) AtomMaxGlobal(addr Value, off int64, v Value) Value {
-	b.want(addr, "atom.global", TU64)
 	d := b.F.NewValue(b.typeOf(v))
-	b.F.Emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomMAX, Width: 4,
+	b.emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomMAX, Width: 4,
 		Space: SpGlobal, Dst: d, A: addr, B: v, Imm: off})
 	return d
 }
 
 // AtomAddShared atomically adds v at shared byte offset addr+off.
 func (b *Builder) AtomAddShared(addr Value, off int64, v Value) Value {
-	b.want(addr, "atom.shared", TU32, TS32)
 	d := b.F.NewValue(b.typeOf(v))
-	b.F.Emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomADD, Width: 4,
+	b.emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomADD, Width: 4,
 		Space: SpShared, Dst: d, A: addr, B: v, Imm: off})
 	return d
 }
 
 // ExchGlobal atomically exchanges v at addr+off.
 func (b *Builder) ExchGlobal(addr Value, off int64, v Value) Value {
-	b.want(addr, "atom.exch", TU64)
 	d := b.F.NewValue(b.typeOf(v))
-	b.F.Emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomEXCH, Width: 4,
+	b.emit(Instr{Op: OpAtom, Type: b.typeOf(v), Atom: sass.AtomEXCH, Width: 4,
 		Space: SpGlobal, Dst: d, A: addr, B: v, Imm: off})
 	return d
 }
@@ -496,25 +458,21 @@ func (b *Builder) ExchGlobal(addr Value, off int64, v Value) Value {
 // LdLocalU32 loads a u32 from per-thread local memory at byte offset
 // addr+off (space-relative, like ld.local).
 func (b *Builder) LdLocalU32(addr Value, off int64) Value {
-	b.want(addr, "ld.local", TU32, TS32)
 	return b.ld(SpLocal, TU32, 4, addr, off)
 }
 
 // LdLocalF32 loads an f32 from per-thread local memory.
 func (b *Builder) LdLocalF32(addr Value, off int64) Value {
-	b.want(addr, "ld.local", TU32, TS32)
 	return b.ld(SpLocal, TF32, 4, addr, off)
 }
 
 // StLocalU32 stores a u32 to per-thread local memory.
 func (b *Builder) StLocalU32(addr Value, off int64, v Value) {
-	b.want(addr, "st.local", TU32, TS32)
 	b.st(SpLocal, TU32, 4, addr, off, v)
 }
 
 // StLocalF32 stores an f32 to per-thread local memory.
 func (b *Builder) StLocalF32(addr Value, off int64, v Value) {
-	b.want(addr, "st.local", TU32, TS32)
 	b.st(SpLocal, TF32, 4, addr, off, v)
 }
 
@@ -523,25 +481,22 @@ func (b *Builder) StLocalF32(addr Value, off int64, v Value) {
 // Ballot returns the 32-bit mask of active lanes where pred holds
 // (vote.ballot.b32).
 func (b *Builder) Ballot(pred Value) Value {
-	b.want(pred, "vote.ballot", TPred)
 	d := b.F.NewValue(TU32)
-	b.F.Emit(Instr{Op: OpVote, Type: TU32, Vote: sass.VoteBALLOT, Dst: d, A: pred})
+	b.emit(Instr{Op: OpVote, Type: TU32, Vote: sass.VoteBALLOT, Dst: d, A: pred})
 	return d
 }
 
 // VoteAll returns a predicate: pred holds on every active lane.
 func (b *Builder) VoteAll(pred Value) Value {
-	b.want(pred, "vote.all", TPred)
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpVote, Type: TPred, Vote: sass.VoteALL, Dst: d, A: pred})
+	b.emit(Instr{Op: OpVote, Type: TPred, Vote: sass.VoteALL, Dst: d, A: pred})
 	return d
 }
 
 // VoteAny returns a predicate: pred holds on some active lane.
 func (b *Builder) VoteAny(pred Value) Value {
-	b.want(pred, "vote.any", TPred)
 	d := b.F.NewValue(TPred)
-	b.F.Emit(Instr{Op: OpVote, Type: TPred, Vote: sass.VoteANY, Dst: d, A: pred})
+	b.emit(Instr{Op: OpVote, Type: TPred, Vote: sass.VoteANY, Dst: d, A: pred})
 	return d
 }
 
@@ -549,63 +504,54 @@ func (b *Builder) VoteAny(pred Value) Value {
 // source lanes yield the reading lane's own value.
 func (b *Builder) Shfl(v, lane Value) Value {
 	t := b.typeOf(v)
-	if t != TU32 && t != TS32 && t != TF32 {
-		panic(fmt.Sprintf("ptx: shfl of %s (want a 32-bit type)", t))
-	}
-	b.want(lane, "shfl lane", TU32, TS32)
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpShfl, Type: t, Dst: d, A: v, B: lane})
+	b.emit(Instr{Op: OpShfl, Type: t, Dst: d, A: v, B: lane})
 	return d
 }
 
 // ShflI is Shfl with an immediate source lane.
 func (b *Builder) ShflI(v Value, lane int64) Value {
 	t := b.typeOf(v)
-	if t != TU32 && t != TS32 && t != TF32 {
-		panic(fmt.Sprintf("ptx: shfl of %s (want a 32-bit type)", t))
-	}
 	d := b.F.NewValue(t)
-	b.F.Emit(Instr{Op: OpShfl, Type: t, Dst: d, A: v, Imm: lane, HasImm: true})
+	b.emit(Instr{Op: OpShfl, Type: t, Dst: d, A: v, Imm: lane, HasImm: true})
 	return d
 }
 
 // Control flow.
 
 // Bar emits a CTA-wide barrier.
-func (b *Builder) Bar() { b.F.Emit(Instr{Op: OpBar}) }
+func (b *Builder) Bar() { b.emit(Instr{Op: OpBar}) }
 
 // Exit terminates the thread.
-func (b *Builder) Exit() { b.F.Emit(Instr{Op: OpExit}) }
+func (b *Builder) Exit() { b.emit(Instr{Op: OpExit}) }
 
 // Trap raises a device-side fault (assertion failure analog).
-func (b *Builder) Trap() { b.F.Emit(Instr{Op: OpTrap}) }
+func (b *Builder) Trap() { b.emit(Instr{Op: OpTrap}) }
 
 // If runs then() for lanes where cond holds, reconverging afterwards.
 func (b *Builder) If(cond Value, then func()) {
-	b.want(cond, "if", TPred)
 	reconv := b.label("reconv")
 	sync := b.label("sync")
-	b.F.Emit(Instr{Op: OpSSY, Label: reconv})
-	b.F.Emit(Instr{Op: OpBra, Label: sync, Guard: cond, GuardNeg: true})
+	b.emit(Instr{Op: OpSSY, Label: reconv})
+	b.emit(Instr{Op: OpBra, Label: sync, Guard: cond, GuardNeg: true})
 	then()
-	b.F.Emit(Instr{Op: OpLabel, Label: sync})
-	b.F.Emit(Instr{Op: OpSync})
-	b.F.Emit(Instr{Op: OpLabel, Label: reconv})
+	b.emit(Instr{Op: OpLabel, Label: sync})
+	b.emit(Instr{Op: OpSync})
+	b.emit(Instr{Op: OpLabel, Label: reconv})
 }
 
 // IfElse runs then() where cond holds and els() elsewhere.
 func (b *Builder) IfElse(cond Value, then, els func()) {
-	b.want(cond, "ifelse", TPred)
 	reconv := b.label("reconv")
 	elseL := b.label("else")
-	b.F.Emit(Instr{Op: OpSSY, Label: reconv})
-	b.F.Emit(Instr{Op: OpBra, Label: elseL, Guard: cond, GuardNeg: true})
+	b.emit(Instr{Op: OpSSY, Label: reconv})
+	b.emit(Instr{Op: OpBra, Label: elseL, Guard: cond, GuardNeg: true})
 	then()
-	b.F.Emit(Instr{Op: OpSync})
-	b.F.Emit(Instr{Op: OpLabel, Label: elseL})
+	b.emit(Instr{Op: OpSync})
+	b.emit(Instr{Op: OpLabel, Label: elseL})
 	els()
-	b.F.Emit(Instr{Op: OpSync})
-	b.F.Emit(Instr{Op: OpLabel, Label: reconv})
+	b.emit(Instr{Op: OpSync})
+	b.emit(Instr{Op: OpLabel, Label: reconv})
 }
 
 // While loops while cond() yields true, with per-lane divergence handled
@@ -614,16 +560,15 @@ func (b *Builder) While(cond func() Value, body func()) {
 	exit := b.label("exit")
 	head := b.label("head")
 	sync := b.label("wsync")
-	b.F.Emit(Instr{Op: OpSSY, Label: exit})
-	b.F.Emit(Instr{Op: OpLabel, Label: head})
+	b.emit(Instr{Op: OpSSY, Label: exit})
+	b.emit(Instr{Op: OpLabel, Label: head})
 	c := cond()
-	b.want(c, "while", TPred)
-	b.F.Emit(Instr{Op: OpBra, Label: sync, Guard: c, GuardNeg: true})
+	b.emit(Instr{Op: OpBra, Label: sync, Guard: c, GuardNeg: true})
 	body()
-	b.F.Emit(Instr{Op: OpBra, Label: head})
-	b.F.Emit(Instr{Op: OpLabel, Label: sync})
-	b.F.Emit(Instr{Op: OpSync})
-	b.F.Emit(Instr{Op: OpLabel, Label: exit})
+	b.emit(Instr{Op: OpBra, Label: head})
+	b.emit(Instr{Op: OpLabel, Label: sync})
+	b.emit(Instr{Op: OpSync})
+	b.emit(Instr{Op: OpLabel, Label: exit})
 }
 
 // ForRange runs body(i) for i in [start, end) with unit stride.

@@ -201,29 +201,24 @@ type Func struct {
 	// analyses that need tid bounds.
 	ReqBlock [3]int
 
-	nextID int32
-	types  map[int32]Type
+	types []Type // of value ID i at i-1
 }
 
 // NewFunc creates an empty kernel.
-func NewFunc(name string) *Func {
-	return &Func{Name: name, types: make(map[int32]Type)}
-}
+func NewFunc(name string) *Func { return &Func{Name: name} }
 
 // NewValue allocates a fresh virtual register of type t.
 func (f *Func) NewValue(t Type) Value {
-	f.nextID++
-	v := Value{id: f.nextID}
-	f.types[v.id] = t
-	return v
+	f.types = append(f.types, t)
+	return Value{id: int32(len(f.types))}
 }
 
 // TypeOf returns a value's declared type.
 func (f *Func) TypeOf(v Value) Type {
-	if !v.Valid() {
+	if !v.Valid() || int(v.id) > len(f.types) {
 		return TInvalid
 	}
-	return f.types[v.id]
+	return f.types[v.id-1]
 }
 
 // AddParam declares a kernel parameter.
@@ -242,8 +237,11 @@ func (f *Func) AllocShared(bytes int) int {
 // Emit appends an instruction.
 func (f *Func) Emit(in Instr) { f.Instrs = append(f.Instrs, in) }
 
-// Verify checks structural invariants: types of operands, labels defined,
-// exactly matched SSY/Sync use, and terminating Exit.
+// Verify checks a kernel against the PTX rule set: every instruction by
+// check, every branch and SSY target defined exactly once, and an exit. It
+// does not pair SSY with sync, and it does not judge whether a value is
+// defined before it is read: ptxas refuses such a read from the liveness it
+// computes for register allocation.
 func (f *Func) Verify() error {
 	labels := map[string]bool{}
 	for i := range f.Instrs {
@@ -257,6 +255,9 @@ func (f *Func) Verify() error {
 	sawExit := false
 	for i := range f.Instrs {
 		in := &f.Instrs[i]
+		if err := f.check(in); err != nil {
+			return fmt.Errorf("%s@%d (%s): %w", f.Name, i, in, err)
+		}
 		switch in.Op {
 		case OpBra, OpSSY:
 			if !labels[in.Label] {
@@ -264,26 +265,162 @@ func (f *Func) Verify() error {
 			}
 		case OpExit:
 			sawExit = true
-		case OpLdParam:
-			found := false
-			for _, p := range f.Params {
-				if p.Name == in.Param {
-					found = true
-					if p.Size == 8 && f.TypeOf(in.Dst) != TU64 {
-						return fmt.Errorf("%s@%d: 8-byte param %q loaded into %s", f.Name, i, in.Param, f.TypeOf(in.Dst))
-					}
-				}
-			}
-			if !found {
-				return fmt.Errorf("%s@%d: unknown param %q", f.Name, i, in.Param)
-			}
-		}
-		if in.Guard.Valid() && f.TypeOf(in.Guard) != TPred {
-			return fmt.Errorf("%s@%d: guard %s is not a predicate", f.Name, i, in.Guard)
 		}
 	}
 	if !sawExit {
 		return fmt.Errorf("%s: missing exit", f.Name)
+	}
+	return nil
+}
+
+// is32 reports whether t is held in one 32-bit register.
+func is32(t Type) bool { return t == TU32 || t == TS32 || t == TF32 }
+
+// isInt32 reports whether t is a 32-bit integer type.
+func isInt32(t Type) bool { return t == TU32 || t == TS32 }
+
+// addrType is the type of an address into space: a 64-bit pointer into
+// global or generic memory, a 32-bit offset into shared or local memory.
+func addrType(space Space) Type {
+	if space == SpShared || space == SpLocal {
+		return TU32
+	}
+	return TU64
+}
+
+// check is the PTX operand rule set, the one place operand types are
+// judged: Verify applies it to every instruction, the Builder to each one
+// it emits and the parser to each line. Per Op it fixes the type each of
+// Dst, A, B and C holds (TInvalid: the slot is empty) and the types ptxas
+// lowers, so nothing it accepts reaches the backend mistyped. The
+// destination's type must match exactly; a source of either 32-bit integer
+// type stands for the other. It allocates only to report an error.
+func (f *Func) check(in *Instr) error {
+	t := in.Type
+	var d, a, b, c Type // what Dst, A, B and C hold
+	ok := true          // ptxas lowers in.Op at this type
+	imm := false        // HasImm may replace the last source
+	switch in.Op {
+	case OpNop, OpLabel, OpBra, OpSSY, OpSync, OpExit, OpTrap, OpBar:
+	case OpMov:
+		d, a, imm = t, t, t != TPred
+		ok = is32(t) || t == TU64 || t == TPred
+		if in.SrcType != TInvalid { // a reinterpretation (AsU32, AsS32)
+			a, ok = in.SrcType, is32(t) && is32(in.SrcType)
+		}
+	case OpAdd:
+		d, a, b, imm = t, t, t, true
+		ok = is32(t) || t == TU64
+	case OpSub, OpMul, OpMin, OpMax:
+		d, a, b, imm = t, t, t, true
+		ok = is32(t)
+	case OpAnd, OpOr, OpXor, OpShl, OpShr:
+		d, a, b, imm = t, t, t, true
+		ok = isInt32(t)
+	case OpNot:
+		d, a = t, t
+		ok = isInt32(t)
+	case OpMad, OpFma:
+		d, a, b, c = t, t, t, t
+		ok = is32(t) && (in.Op == OpMad || t == TF32)
+	case OpSetp:
+		d, a, b, imm = TPred, t, t, true
+		ok = is32(t)
+	case OpPAnd, OpPOr, OpPNot:
+		d, a = t, t
+		if in.Op != OpPNot {
+			b = t
+		}
+		ok = t == TPred
+	case OpSel:
+		d, a, b, c = t, t, t, TPred
+		ok = is32(t)
+	case OpCvt:
+		d, a = t, in.SrcType
+		ok = isInt32(in.SrcType) && (t == TU64 || t == TF32) || t == TS32 && in.SrcType == TF32
+	case OpMufu:
+		d, a = t, t
+		ok = t == TF32
+	case OpSreg:
+		d = t
+		ok = t == TU32
+	case OpLdParam:
+		d = t
+		size := 0
+		for _, p := range f.Params {
+			if p.Name == in.Param {
+				size = p.Size
+				break
+			}
+		}
+		if size == 0 {
+			return fmt.Errorf("unknown param %q", in.Param)
+		}
+		if !(size == 8 && t == TU64 || size == 4 && is32(t)) {
+			return fmt.Errorf("%d-byte param %q loaded into %s", size, in.Param, t)
+		}
+	case OpLd, OpSt:
+		a = addrType(in.Space)
+		if in.Op == OpLd {
+			d = t
+		} else {
+			b = t
+		}
+		w := 4
+		if t == TU64 {
+			w = 8
+		}
+		ok = (is32(t) || t == TU64) && (in.Width == w || in.Width == 1 && t == TU32) && in.Space <= SpLocal
+	case OpAtom:
+		a, b = addrType(in.Space), t
+		if in.Dst.Valid() { // reduceDeadAtomics drops an unread result
+			d = t
+		}
+		if in.Atom == sass.AtomCAS {
+			c = t
+		}
+		ok = isInt32(t) && in.Width == 4 && in.Space < SpLocal
+	case OpVote:
+		d, a = t, TPred
+		ok = in.Vote == sass.VoteBALLOT && t == TU32 || (in.Vote == sass.VoteALL || in.Vote == sass.VoteANY) && t == TPred
+	case OpShfl:
+		d, a, b, imm = t, t, TU32, true
+		ok = is32(t)
+	default:
+		return fmt.Errorf("unknown op %s", in.Op)
+	}
+	switch {
+	case in.Op == OpCvt && !ok:
+		return fmt.Errorf("cvt.%s.%s is not implemented", t, in.SrcType)
+	case (in.Op == OpLd || in.Op == OpSt || in.Op == OpAtom) && !ok:
+		return fmt.Errorf("%s.%s.%s of %d bytes is not implemented", in.Op, in.Space, t, in.Width)
+	case !ok:
+		return fmt.Errorf("%s.%s is not implemented", in.Op, t)
+	case in.HasImm && !imm:
+		return fmt.Errorf("%s.%s takes no immediate", in.Op, t)
+	case in.HasImm && in.Op == OpMov:
+		a = TInvalid
+	case in.HasImm:
+		b = TInvalid
+	}
+	if in.Guard.Valid() && f.TypeOf(in.Guard) != TPred {
+		return fmt.Errorf("guard %s is not a predicate", in.Guard)
+	}
+	for _, s := range [...]struct {
+		name string
+		v    Value
+		want Type
+	}{{"destination", in.Dst, d}, {"operand a", in.A, a}, {"operand b", in.B, b}, {"operand c", in.C, c}} {
+		got := f.TypeOf(s.v)
+		switch {
+		case s.want == TInvalid && s.v.Valid():
+			return fmt.Errorf("%s takes no %s", in.Op, s.name)
+		case s.want == TInvalid:
+		case !s.v.Valid():
+			return fmt.Errorf("%s needs %s", in.Op, s.name)
+		case got != s.want && (s.name == "destination" || !isInt32(got) || !isInt32(s.want)):
+			return fmt.Errorf("%s is %s, not %s (%s)", s.name, got, s.want, s.v)
+		}
 	}
 	return nil
 }

@@ -168,7 +168,8 @@ func (p *parser) line(line string) error {
 	return p.instr(line)
 }
 
-// instr parses "[@[!]%p] [%dst =] op[.mods] operands...".
+// instr parses "[@[!]%p] [%dst =] op[.mods] operands...", emits it and
+// holds what the line emitted to the PTX rule set (Func.check).
 func (p *parser) instr(line string) error {
 	var in Instr
 	p.fresh = ""
@@ -199,9 +200,17 @@ func (p *parser) instr(line string) error {
 	if len(fields) == 0 {
 		return fmt.Errorf("missing opcode")
 	}
-	op := fields[0]
-	args := fields[1:]
-	return p.emitOp(&in, op, dstName, args)
+	n := len(p.f.Instrs)
+	if err := p.parseOp(&in, fields[0], dstName, fields[1:]); err != nil {
+		return err
+	}
+	p.f.Emit(in)
+	for i := n; i < len(p.f.Instrs); i++ {
+		if err := p.f.check(&p.f.Instrs[i]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // typeBySuffix maps type suffixes.
@@ -218,18 +227,6 @@ func typeBySuffix(s string) (Type, bool) {
 	}
 	return TInvalid, false
 }
-
-// addrType is the type of an address into space: a 64-bit pointer into
-// global or generic memory, a 32-bit offset into shared or local memory.
-func addrType(space Space) Type {
-	if space == SpShared || space == SpLocal {
-		return TU32
-	}
-	return TU64
-}
-
-// isInt32 reports whether t is a 32-bit integer type.
-func isInt32(t Type) bool { return t == TU32 || t == TS32 }
 
 var srByName = map[string]sass.SpecialReg{
 	"tid.x": sass.SRTidX, "tid.y": sass.SRTidY, "tid.z": sass.SRTidZ,
@@ -280,16 +277,12 @@ func (p *parser) defDst(in *Instr, name string, t Type) error {
 	return nil
 }
 
-// operand resolves a register reference or an immediate of type t. A
-// register must hold a t, as for operandEmit.
+// operand resolves a register reference, or an immediate of type t.
 func (p *parser) operand(in *Instr, tok string, t Type, slot *Value) error {
 	if strings.HasPrefix(tok, "%") {
-		v, err := p.register(tok, t)
-		if err != nil {
-			return err
-		}
+		v, err := p.register(tok)
 		*slot = v
-		return nil
+		return err
 	}
 	// Immediate: only legal in the B slot.
 	if slot != &in.B {
@@ -312,24 +305,33 @@ func (p *parser) operand(in *Instr, tok string, t Type, slot *Value) error {
 	return nil
 }
 
-func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
+// registers resolves the register operands toks into slots.
+func (p *parser) registers(toks []string, slots ...*Value) error {
+	for i, slot := range slots {
+		v, err := p.register(toks[i])
+		if err != nil {
+			return err
+		}
+		*slot = v
+	}
+	return nil
+}
+
+// parseOp fills in from the opcode and its operands; instr emits it. The
+// gtid and index forms emit their temporaries first.
+func (p *parser) parseOp(in *Instr, op, dst string, args []string) error {
 	parts := strings.Split(op, ".")
 	head := parts[0]
-
-	emit := func() { p.f.Emit(*in) }
 
 	switch head {
 	case "exit":
 		in.Op = OpExit
-		emit()
 		return nil
 	case "bar":
 		in.Op = OpBar
-		emit()
 		return nil
 	case "sync":
 		in.Op = OpSync
-		emit()
 		return nil
 	case "bra", "ssy":
 		if len(args) != 1 {
@@ -340,7 +342,6 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 			in.Op = OpSSY
 		}
 		in.Label = args[0]
-		emit()
 		return nil
 	case "gtid":
 		// %d = gtid.x : blockIdx.x*blockDim.x + threadIdx.x, expanded.
@@ -350,14 +351,10 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		p.f.Emit(Instr{Op: OpSreg, Type: TU32, Dst: ct, SR: sass.SRCtaidX})
 		p.f.Emit(Instr{Op: OpSreg, Type: TU32, Dst: nt, SR: sass.SRNTidX})
 		p.f.Emit(Instr{Op: OpSreg, Type: TU32, Dst: td, SR: sass.SRTidX})
-		if err := p.defDst(in, dst, TU32); err != nil {
-			return err
-		}
 		in.Op = OpMad
 		in.Type = TU32
 		in.A, in.B, in.C = ct, nt, td
-		emit()
-		return nil
+		return p.defDst(in, dst, TU32)
 	case "sreg":
 		if len(args) != 1 {
 			return fmt.Errorf("sreg wants a name")
@@ -366,48 +363,37 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if !ok {
 			return fmt.Errorf("unknown special register %q", args[0])
 		}
-		if err := p.defDst(in, dst, TU32); err != nil {
-			return err
-		}
 		in.Op = OpSreg
 		in.Type = TU32
 		in.SR = sr
-		emit()
-		return nil
+		return p.defDst(in, dst, TU32)
 	case "index":
 		// %a = index %base %idx shift
 		if len(args) != 3 {
 			return fmt.Errorf("index wants base, idx, shift")
 		}
-		base, err := p.register(args[0], TU64)
-		if err != nil {
-			return err
-		}
-		idx, err := p.register(args[1], TU32)
-		if err != nil {
+		var idx Value
+		if err := p.registers(args, &in.A, &idx); err != nil {
 			return err
 		}
 		shift, err := strconv.Atoi(args[2])
 		if err != nil {
 			return fmt.Errorf("bad shift %q", args[2])
 		}
-		// scaled = idx << shift (u32); wide = zext scaled; dst = base+wide
-		scaled := idx
+		// scaled = idx << shift (u32); wide = zext scaled; dst = base+wide.
+		// The temporaries are pure, so they go unguarded even when the
+		// line is guarded: a guarded definition read under the same guard
+		// is a read before definition to ptxas.
 		if shift > 0 {
 			s := p.f.NewValue(TU32)
-			p.f.Emit(Instr{Op: OpShl, Type: TU32, Dst: s, A: idx, Imm: int64(shift), HasImm: true, Guard: in.Guard, GuardNeg: in.GuardNeg})
-			scaled = s
+			p.f.Emit(Instr{Op: OpShl, Type: TU32, Dst: s, A: idx, Imm: int64(shift), HasImm: true})
+			idx = s
 		}
-		wide := p.f.NewValue(TU64)
-		p.f.Emit(Instr{Op: OpCvt, Type: TU64, SrcType: TU32, Dst: wide, A: scaled, Guard: in.Guard, GuardNeg: in.GuardNeg})
-		if err := p.defDst(in, dst, TU64); err != nil {
-			return err
-		}
+		in.B = p.f.NewValue(TU64)
+		p.f.Emit(Instr{Op: OpCvt, Type: TU64, SrcType: TU32, Dst: in.B, A: idx})
 		in.Op = OpAdd
 		in.Type = TU64
-		in.A, in.B = base, wide
-		emit()
-		return nil
+		return p.defDst(in, dst, TU64)
 	case "mov":
 		if len(parts) != 2 {
 			return fmt.Errorf("mov wants a type suffix")
@@ -425,15 +411,10 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 			return fmt.Errorf("mov wants one operand")
 		}
 		if strings.HasPrefix(args[0], "%") {
-			return p.operandEmit(in, args[0], t, &in.A)
+			return p.registers(args, &in.A)
 		}
-		if err := p.operand(in, args[0], t, &in.B); err != nil {
-			return err
-		}
-		// Immediate mov uses Imm directly.
-		in.B = Value{}
-		emit()
-		return nil
+		// An immediate mov takes its value from Imm alone.
+		return p.operand(in, args[0], t, &in.B)
 	case "setp":
 		// setp.<cmp>.<t> a b
 		if len(parts) != 3 {
@@ -459,11 +440,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if err := p.operand(in, args[0], t, &in.A); err != nil {
 			return err
 		}
-		if err := p.operand(in, args[1], t, &in.B); err != nil {
-			return err
-		}
-		emit()
-		return nil
+		return p.operand(in, args[1], t, &in.B)
 	case "sel":
 		if len(parts) != 2 {
 			return fmt.Errorf("sel wants a type suffix")
@@ -480,19 +457,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		}
 		in.Op = OpSel
 		in.Type = t
-		if err := p.operand(in, args[0], t, &in.A); err != nil {
-			return err
-		}
-		if err := p.operand(in, args[1], t, &in.B); err != nil {
-			return err
-		}
-		c, err := p.register(args[2], TPred)
-		if err != nil {
-			return err
-		}
-		in.C = c
-		emit()
-		return nil
+		return p.registers(args, &in.A, &in.B, &in.C)
 	case "fma", "mad":
 		if len(parts) != 2 {
 			return fmt.Errorf("%s wants a type suffix", head)
@@ -512,15 +477,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 			in.Op = OpFma
 		}
 		in.Type = t
-		for i, slot := range []*Value{&in.A, &in.B, &in.C} {
-			v, err := p.register(args[i], t)
-			if err != nil {
-				return err
-			}
-			*slot = v
-		}
-		emit()
-		return nil
+		return p.registers(args, &in.A, &in.B, &in.C)
 	case "cvt":
 		// cvt.<to>.<from>
 		if len(parts) != 3 {
@@ -540,7 +497,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		in.Op = OpCvt
 		in.Type = to
 		in.SrcType = from
-		return p.operandEmit(in, args[0], from, &in.A)
+		return p.registers(args, &in.A)
 	case "ld", "st":
 		// ld.<space>.<t|u8> addr offset [src for st]
 		if len(parts) != 3 {
@@ -569,34 +526,23 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != wantArgs {
 			return fmt.Errorf("%s wants %d operands", head, wantArgs)
 		}
-		addr, err := p.register(args[0], addrType(space))
-		if err != nil {
-			return err
-		}
 		off, err := strconv.ParseInt(args[1], 0, 64)
 		if err != nil {
 			return fmt.Errorf("bad offset %q", args[1])
 		}
 		in.Space = space
 		in.Width = width
-		in.A = addr
 		in.Imm = off
 		in.Type = t
-		if head == "ld" {
-			if err := p.defDst(in, dst, t); err != nil {
-				return err
-			}
-			in.Op = OpLd
-		} else {
-			v, err := p.register(args[2], t)
-			if err != nil {
-				return err
-			}
+		if head == "st" {
 			in.Op = OpSt
-			in.B = v
+			return p.registers([]string{args[0], args[2]}, &in.A, &in.B)
 		}
-		emit()
-		return nil
+		in.Op = OpLd
+		if err := p.registers(args, &in.A); err != nil {
+			return err
+		}
+		return p.defDst(in, dst, t)
 	case "atom":
 		// atom.<op>.<space> addr off val
 		if len(parts) != 3 {
@@ -613,16 +559,11 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("atom wants addr, offset, value")
 		}
-		addr, err := p.register(args[0], addrType(space))
-		if err != nil {
-			return err
-		}
 		off, err := strconv.ParseInt(args[1], 0, 64)
 		if err != nil {
 			return fmt.Errorf("bad offset %q", args[1])
 		}
-		v, err := p.register(args[2], TU32)
-		if err != nil {
+		if err := p.registers([]string{args[0], args[2]}, &in.A, &in.B); err != nil {
 			return err
 		}
 		in.Op = OpAtom
@@ -630,15 +571,10 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		in.Space = space
 		in.Width = 4
 		in.Type = TU32
-		in.A = addr
 		in.Imm = off
-		in.B = v
 		if dst != "" {
-			if err := p.defDst(in, dst, TU32); err != nil {
-				return err
-			}
+			return p.defDst(in, dst, TU32)
 		}
-		emit()
 		return nil
 	}
 	// Binary arithmetic with a type suffix.
@@ -661,11 +597,7 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		if err := p.operand(in, args[0], t, &in.A); err != nil {
 			return err
 		}
-		if err := p.operand(in, args[1], t, &in.B); err != nil {
-			return err
-		}
-		emit()
-		return nil
+		return p.operand(in, args[1], t, &in.B)
 	}
 	// MUFU family.
 	if mf, ok := mufuOps[head]; ok {
@@ -678,33 +610,17 @@ func (p *parser) emitOp(in *Instr, op, dst string, args []string) error {
 		in.Op = OpMufu
 		in.Mufu = mf
 		in.Type = TF32
-		return p.operandEmit(in, args[0], TF32, &in.A)
+		return p.registers(args, &in.A)
 	}
 	return fmt.Errorf("unknown opcode %q", head)
 }
 
-// operandEmit resolves a register operand of type t then emits.
-func (p *parser) operandEmit(in *Instr, tok string, t Type, slot *Value) error {
-	v, err := p.register(tok, t)
-	if err != nil {
-		return err
-	}
-	*slot = v
-	p.f.Emit(*in)
-	return nil
-}
-
-// register resolves a register the current line reads, which must hold a
-// t: the module verifier does not check source types, and the backend
-// would move a pair or a predicate as a 32-bit register. Like PTX, it
-// takes a u32 register for an s32 operand and the reverse.
-func (p *parser) register(tok string, t Type) (Value, error) {
+// register resolves a register the current line reads. A line cannot read
+// the register it first defines: that holds nothing yet.
+func (p *parser) register(tok string) (Value, error) {
 	v, ok := p.vals[tok]
 	if !ok || tok == p.fresh {
 		return Value{}, fmt.Errorf("undefined register %q", tok)
-	}
-	if vt := p.f.TypeOf(v); vt != t && !(isInt32(vt) && isInt32(t)) {
-		return Value{}, fmt.Errorf("register %s is %s, not %s", tok, vt, t)
 	}
 	return v, nil
 }

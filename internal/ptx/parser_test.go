@@ -200,21 +200,26 @@ func TestParseErrors(t *testing.T) {
 		{"dangling label", ".entry k\nbra Lnowhere\nexit", "undefined label"},
 		{"retype", ".entry k\n%a = mov.u32 1\n%a = mov.f32 1.0", "different type"},
 		{"imm in a-slot", ".entry k\n%a = add.u32 1 %a", "not allowed"},
-		{"mov of a predicate", ".entry k\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = mov.u32 %p", "%p is pred, not u32"},
-		{"mov of a float", ".entry k\n%f = mov.f32 1.0\n%a = mov.u32 %f", "%f is f32, not u32"},
-		{"cvt of a pointer", ".entry k\n.param ptr x\n%f = cvt.f32.u32 %x", "%x is u64, not u32"},
-		{"mufu of an integer", ".entry k\n%i = gtid.x\n%f = rcp.f32 %i", "%i is u32, not f32"},
-		{"add of a predicate", predAddSrc, "%p is pred, not u32"},
-		{"add of a pointer", ptrAddSrc, "%out is u64, not u32"},
-		{"fma of an integer", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%g = fma.f32 %f %i %f", "%i is u32, not f32"},
+		{"mov of a predicate", ".entry k\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = mov.u32 %p", "operand a is pred, not u32"},
+		{"mov of a float", ".entry k\n%f = mov.f32 1.0\n%a = mov.u32 %f", "operand a is f32, not u32"},
+		{"cvt of a pointer", ".entry k\n.param ptr x\n%f = cvt.f32.u32 %x", "operand a is u64, not u32"},
+		{"mufu of an integer", ".entry k\n%i = gtid.x\n%f = rcp.f32 %i", "operand a is u32, not f32"},
+		{"add of a predicate", predAddSrc, "operand a is pred, not u32"},
+		{"add of a pointer", ptrAddSrc, "operand a is u64, not u32"},
+		{"fma of an integer", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%g = fma.f32 %f %i %f", "operand b is u32, not f32"},
 		{"read of its own first definition", ".entry t\n%a = mov.u32 %a\nexit", "undefined register"},
-		{"store of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\nst.global.u32 %out 0 %p", "%p is pred, not u32"},
-		{"atom of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\natom.add.global %out 0 %p", "%p is pred, not u32"},
-		{"global load through an offset", ".entry k\n%i = gtid.x\n%a = ld.global.u32 %i 0", "%i is u32, not u64"},
-		{"shared store through a pointer", ".entry k\n.param ptr out\n%i = gtid.x\nst.shared.u32 %out 0 %i", "%out is u64, not u32"},
-		{"index of an offset", ".entry k\n%i = gtid.x\n%a = index %i %i 2", "%i is u32, not u64"},
-		{"setp of a float", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%p = setp.lt.u32 %i %f", "%f is f32, not u32"},
-		{"sel of a pointer", ".entry k\n.param ptr x\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = sel.u32 %x %i %p", "%x is u64, not u32"},
+		{"store of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\nst.global.u32 %out 0 %p", "operand b is pred, not u32"},
+		{"atom of a predicate", ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\natom.add.global %out 0 %p", "operand b is pred, not u32"},
+		{"global load through an offset", ".entry k\n%i = gtid.x\n%a = ld.global.u32 %i 0", "operand a is u32, not u64"},
+		{"shared store through a pointer", ".entry k\n.param ptr out\n%i = gtid.x\nst.shared.u32 %out 0 %i", "operand a is u64, not u32"},
+		{"index of an offset", ".entry k\n%i = gtid.x\n%a = index %i %i 2", "operand a is u32, not u64"},
+		{"setp of a float", ".entry k\n%i = gtid.x\n%f = mov.f32 1.0\n%p = setp.lt.u32 %i %f", "operand b is f32, not u32"},
+		{"sel of a pointer", ".entry k\n.param ptr x\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = sel.u32 %x %i %p", "operand a is u64, not u32"},
+		{"shl of a pointer", ".entry k\n.param ptr out\n%i = gtid.x\n%a = shl.u64 %out 2\nst.global.u32 %a 0 %i", "shl.u64 is not implemented"},
+		{"mad of pointers", ".entry k\n.param ptr out\n%a = mad.u64 %out %out %out", "mad.u64 is not implemented"},
+		{"max of pointers", ".entry k\n.param ptr out\n%a = max.u64 %out %out", "max.u64 is not implemented"},
+		{"cvt from a pointer", ".entry k\n.param ptr out\n%f = cvt.f32.u64 %out", "cvt.f32.u64 is not implemented"},
+		{"sel of an immediate", ".entry k\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n%a = sel.u32 %i 5 %p", `undefined register "5"`},
 	}
 	for _, c := range cases {
 		_, err := ptx.Parse(c.src)
@@ -224,6 +229,27 @@ func TestParseErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), c.wantSub) {
 			t.Errorf("%s: error %q missing %q", c.name, err, c.wantSub)
+		}
+	}
+}
+
+// TestGuardedDefinitions: ptxas refuses a value defined only under a guard
+// and read under the same guard, a rule stricter than the SASS check's
+// same-guard pairing. A guarded index line still compiles once its
+// destination is defined, because its temporaries are defined unguarded.
+func TestGuardedDefinitions(t *testing.T) {
+	const head = ".entry k\n.param ptr out\n%i = gtid.x\n%p = setp.lt.u32 %i 4\n"
+	for src, wantErr := range map[string]string{
+		head + "%a = mov.u64 0\n@%p %a = index %out %i 2\n@%p st.global.u32 %a 0 %i": "",
+		head + "@%p %a = index %out %i 2\n@%p st.global.u32 %a 0 %i":                 "read before it is defined",
+	} {
+		m, err := ptx.ParseModule(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = ptxas.Compile(m, ptxas.Options{})
+		if wantErr == "" && err != nil || wantErr != "" && (err == nil || !strings.Contains(err.Error(), wantErr)) {
+			t.Errorf("%q: Compile error %v, want %q", src, err, wantErr)
 		}
 	}
 }

@@ -159,3 +159,27 @@ func TestValueIdentity(t *testing.T) {
 		t.Error("zero value not invalid")
 	}
 }
+
+// TestCheckAllocatesNothing: the PTX rule set allocates only to report an
+// error, so the Builder, the parser and Verify pay nothing for it on valid
+// code.
+func TestCheckAllocatesNothing(t *testing.T) {
+	b := NewKernel("k")
+	p := b.ParamU64("data")
+	i := b.GlobalTidX()
+	b.If(b.SetpI(sass.CmpLT, i, 8), func() {
+		a := b.Index(p, i, 2)
+		b.StGlobalF32(a, 0, b.Fma(b.LdGlobalF32(a, 0), b.CvtF32(i), b.ImmF32(1)))
+		b.AtomAddGlobal(a, 4, b.Shfl(b.AsU32(b.ImmF32(2)), b.LaneID()))
+	})
+	f := b.MustDone()
+	if n := testing.AllocsPerRun(10, func() {
+		for i := range f.Instrs {
+			if f.check(&f.Instrs[i]) != nil {
+				t.Fatal("valid instruction refused")
+			}
+		}
+	}); n != 0 {
+		t.Errorf("check allocated %v times per kernel", n)
+	}
+}

@@ -93,9 +93,7 @@ func compileFunc(f *ptx.Func) (*sass.Kernel, error) {
 		k.AddParam(p.Name, p.Size)
 	}
 	lo := &lowerer{f: f, a: alloc, k: k}
-	if err := lo.lower(); err != nil {
-		return nil, err
-	}
+	lo.lower()
 	coalesceMovs(k)
 	ifConvert(k)
 	if err := k.ResolveLabels(); err != nil {

@@ -65,18 +65,16 @@ func widthOf(bytes int) sass.Width {
 }
 
 // lower translates the function body. Labels are recorded by name and
-// resolved afterwards.
-func (lo *lowerer) lower() error {
+// resolved afterwards. It takes a function ptx.Func.Verify accepted, so
+// every operand has the type and every Op the Type its case lowers.
+func (lo *lowerer) lower() {
 	lo.k.Labels = map[string]int{}
 	for i := range lo.f.Instrs {
-		if err := lo.lowerInstr(&lo.f.Instrs[i]); err != nil {
-			return fmt.Errorf("ptxas: %s@%d (%s): %w", lo.f.Name, i, lo.f.Instrs[i].String(), err)
-		}
+		lo.lowerInstr(&lo.f.Instrs[i])
 	}
-	return nil
 }
 
-func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
+func (lo *lowerer) lowerInstr(in *ptx.Instr) {
 	g := lo.guardOf(in)
 	unsigned := in.Type == ptx.TU32 || in.Type == ptx.TU64
 	emit := func(op sass.Opcode, mods sass.Mods, dsts, srcs []sass.Operand) {
@@ -85,44 +83,31 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 	}
 
 	switch in.Op {
-	case ptx.OpNop:
-		return nil
-
 	case ptx.OpLabel:
 		lo.k.Labels[in.Label] = len(lo.k.Instrs)
-		return nil
 
 	case ptx.OpBra:
 		emit(sass.OpBRA, sass.Mods{}, nil, []sass.Operand{sass.Label(in.Label)})
-		return nil
 
 	case ptx.OpSSY:
 		emit(sass.OpSSY, sass.Mods{}, nil, []sass.Operand{sass.Label(in.Label)})
-		return nil
 
 	case ptx.OpSync:
 		emit(sass.OpSYNC, sass.Mods{}, nil, nil)
-		return nil
 
 	case ptx.OpExit:
 		emit(sass.OpEXIT, sass.Mods{}, nil, nil)
-		return nil
 
 	case ptx.OpBar:
 		emit(sass.OpBAR, sass.Mods{}, nil, nil)
-		return nil
 
 	case ptx.OpTrap:
 		// Store through a null generic pointer: guaranteed fault.
 		emit(sass.OpST, sass.Mods{Width: sass.W32}, nil,
 			[]sass.Operand{sass.Mem(sass.RZ, 0), sass.R(sass.RZ)})
-		return nil
 
 	case ptx.OpLdParam:
-		off, ok := lo.k.ParamOffset(in.Param)
-		if !ok {
-			return fmt.Errorf("unknown param %q", in.Param)
-		}
+		off, _ := lo.k.ParamOffset(in.Param)
 		d := lo.gpr(in.Dst)
 		emit(sass.OpMOV, sass.Mods{}, []sass.Operand{sass.R(d)},
 			[]sass.Operand{sass.CMem(0, int64(off))})
@@ -130,7 +115,6 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 			emit(sass.OpMOV, sass.Mods{}, []sass.Operand{sass.R(d + 1)},
 				[]sass.Operand{sass.CMem(0, int64(off+4))})
 		}
-		return nil
 
 	case ptx.OpMov:
 		if in.Type == ptx.TPred {
@@ -138,7 +122,7 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 			emit(sass.OpPSETP, sass.Mods{Logic: sass.LogicAND},
 				[]sass.Operand{sass.P(lo.pr(in.Dst))},
 				[]sass.Operand{sass.P(lo.pr(in.A)), sass.P(sass.PT)})
-			return nil
+			return
 		}
 		d := lo.gpr(in.Dst)
 		if in.HasImm {
@@ -148,19 +132,17 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 				emit(sass.OpMOV32, sass.Mods{}, []sass.Operand{sass.R(d + 1)},
 					[]sass.Operand{sass.Imm(in.Imm >> 32)})
 			}
-			return nil
+			return
 		}
 		s := lo.gpr(in.A)
 		emit(sass.OpMOV, sass.Mods{}, []sass.Operand{sass.R(d)}, []sass.Operand{sass.R(s)})
 		if in.Type == ptx.TU64 {
 			emit(sass.OpMOV, sass.Mods{}, []sass.Operand{sass.R(d + 1)}, []sass.Operand{sass.R(s + 1)})
 		}
-		return nil
 
 	case ptx.OpSreg:
 		emit(sass.OpS2R, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.SReg(in.SR)})
-		return nil
 
 	case ptx.OpAdd, ptx.OpSub:
 		negB := in.Op == ptx.OpSub
@@ -168,12 +150,9 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 			emit(sass.OpFADD, sass.Mods{NegB: negB},
 				[]sass.Operand{sass.R(lo.gpr(in.Dst))},
 				[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-			return nil
+			return
 		}
 		if in.Type == ptx.TU64 {
-			if negB {
-				return fmt.Errorf("64-bit subtraction is not supported")
-			}
 			d, a := lo.gpr(in.Dst), lo.gpr(in.A)
 			var bLo, bHi sass.Operand
 			if in.HasImm {
@@ -187,7 +166,7 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 				[]sass.Operand{sass.R(d)}, []sass.Operand{sass.R(a), bLo})
 			emit(sass.OpIADD, sass.Mods{X: true},
 				[]sass.Operand{sass.R(d + 1)}, []sass.Operand{sass.R(a + 1), bHi})
-			return nil
+			return
 		}
 		b := lo.srcB(in)
 		if negB && in.HasImm {
@@ -197,35 +176,28 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 		emit(sass.OpIADD, sass.Mods{NegB: negB},
 			[]sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), b})
-		return nil
 
 	case ptx.OpMul:
 		if in.Type == ptx.TF32 {
 			emit(sass.OpFMUL, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 				[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-			return nil
-		}
-		if in.Type == ptx.TU64 {
-			return fmt.Errorf("64-bit multiply is not supported")
+			return
 		}
 		emit(sass.OpIMUL, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-		return nil
 
 	case ptx.OpMad:
 		if in.Type == ptx.TF32 {
 			emit(sass.OpFFMA, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 				[]sass.Operand{sass.R(lo.gpr(in.A)), sass.R(lo.gpr(in.B)), sass.R(lo.gpr(in.C))})
-			return nil
+			return
 		}
 		emit(sass.OpIMAD, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), sass.R(lo.gpr(in.B)), sass.R(lo.gpr(in.C))})
-		return nil
 
 	case ptx.OpFma:
 		emit(sass.OpFFMA, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), sass.R(lo.gpr(in.B)), sass.R(lo.gpr(in.C))})
-		return nil
 
 	case ptx.OpMin, ptx.OpMax:
 		sel := sass.P(sass.PT)
@@ -238,14 +210,10 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 		}
 		emit(op, sass.Mods{Unsigned: unsigned}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in), sel})
-		return nil
 
 	case ptx.OpAnd, ptx.OpOr, ptx.OpXor, ptx.OpNot:
-		if in.Type == ptx.TU64 {
-			return fmt.Errorf("64-bit logic is not supported")
-		}
 		var logic sass.LogicOp
-		srcs := []sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)}
+		var srcs []sass.Operand
 		switch in.Op {
 		case ptx.OpAnd:
 			logic = sass.LogicAND
@@ -257,33 +225,29 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 			logic = sass.LogicNOT
 			srcs = []sass.Operand{sass.R(sass.RZ), sass.R(lo.gpr(in.A))}
 		}
+		if srcs == nil {
+			srcs = []sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)}
+		}
 		emit(sass.OpLOP, sass.Mods{Logic: logic},
 			[]sass.Operand{sass.R(lo.gpr(in.Dst))}, srcs)
-		return nil
 
 	case ptx.OpShl:
 		emit(sass.OpSHL, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-		return nil
 
 	case ptx.OpShr:
 		emit(sass.OpSHR, sass.Mods{Unsigned: in.Type != ptx.TS32},
 			[]sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-		return nil
 
 	case ptx.OpSetp:
 		op := sass.OpISETP
 		if in.Type == ptx.TF32 {
 			op = sass.OpFSETP
 		}
-		if in.Type == ptx.TU64 {
-			return fmt.Errorf("64-bit compare is not supported")
-		}
 		emit(op, sass.Mods{Cmp: in.Cmp, Unsigned: in.Type == ptx.TU32, Logic: sass.LogicAND},
 			[]sass.Operand{sass.P(lo.pr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in), sass.P(sass.PT)})
-		return nil
 
 	case ptx.OpPAnd, ptx.OpPOr:
 		logic := sass.LogicAND
@@ -293,33 +257,29 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 		emit(sass.OpPSETP, sass.Mods{Logic: logic},
 			[]sass.Operand{sass.P(lo.pr(in.Dst))},
 			[]sass.Operand{sass.P(lo.pr(in.A)), sass.P(lo.pr(in.B))})
-		return nil
 
 	case ptx.OpPNot:
 		emit(sass.OpPSETP, sass.Mods{Logic: sass.LogicAND},
 			[]sass.Operand{sass.P(lo.pr(in.Dst))},
 			[]sass.Operand{sass.NotP(lo.pr(in.A)), sass.P(sass.PT)})
-		return nil
 
 	case ptx.OpSel:
 		emit(sass.OpSEL, sass.Mods{}, []sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), sass.R(lo.gpr(in.B)), sass.P(lo.pr(in.C))})
-		return nil
 
 	case ptx.OpCvt:
-		return lo.lowerCvt(in, g)
+		lo.lowerCvt(in, g)
 
 	case ptx.OpMufu:
 		emit(sass.OpMUFU, sass.Mods{Mufu: in.Mufu},
 			[]sass.Operand{sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A))})
-		return nil
 
 	case ptx.OpLd, ptx.OpSt:
-		return lo.lowerMem(in, g)
+		lo.lowerMem(in, g)
 
 	case ptx.OpAtom:
-		return lo.lowerAtom(in, g)
+		lo.lowerAtom(in, g)
 
 	case ptx.OpVote:
 		d := in.Dst
@@ -331,18 +291,15 @@ func (lo *lowerer) lowerInstr(in *ptx.Instr) error {
 		}
 		emit(sass.OpVOTE, sass.Mods{Vote: in.Vote}, []sass.Operand{dst},
 			[]sass.Operand{sass.P(lo.pr(in.A))})
-		return nil
 
 	case ptx.OpShfl:
 		emit(sass.OpSHFL, sass.Mods{Shfl: sass.ShflIDX},
 			[]sass.Operand{sass.P(sass.PT), sass.R(lo.gpr(in.Dst))},
 			[]sass.Operand{sass.R(lo.gpr(in.A)), lo.srcB(in)})
-		return nil
 	}
-	return fmt.Errorf("cannot lower %s", in.Op)
 }
 
-func (lo *lowerer) lowerCvt(in *ptx.Instr, g sass.PredGuard) error {
+func (lo *lowerer) lowerCvt(in *ptx.Instr, g sass.PredGuard) {
 	d := lo.gpr(in.Dst)
 	a := lo.gpr(in.A)
 	emit := func(op sass.Opcode, mods sass.Mods, dsts, srcs []sass.Operand) {
@@ -359,19 +316,15 @@ func (lo *lowerer) lowerCvt(in *ptx.Instr, g sass.PredGuard) error {
 			emit(sass.OpMOV32, sass.Mods{}, []sass.Operand{sass.R(d + 1)},
 				[]sass.Operand{sass.Imm(0)})
 		}
-		return nil
 	case in.Type == ptx.TF32:
 		emit(sass.OpI2F, sass.Mods{Unsigned: in.SrcType == ptx.TU32},
 			[]sass.Operand{sass.R(d)}, []sass.Operand{sass.R(a)})
-		return nil
-	case in.Type == ptx.TS32 && in.SrcType == ptx.TF32:
+	default: // s32 from f32, the one other pair Verify admits
 		emit(sass.OpF2I, sass.Mods{}, []sass.Operand{sass.R(d)}, []sass.Operand{sass.R(a)})
-		return nil
 	}
-	return fmt.Errorf("unsupported conversion %s -> %s", in.SrcType, in.Type)
 }
 
-func (lo *lowerer) lowerMem(in *ptx.Instr, g sass.PredGuard) error {
+func (lo *lowerer) lowerMem(in *ptx.Instr, g sass.PredGuard) {
 	w := widthOf(in.Width)
 	var op sass.Opcode
 	var e bool
@@ -413,10 +366,9 @@ func (lo *lowerer) lowerMem(in *ptx.Instr, g sass.PredGuard) error {
 		lo.emit(sass.Instruction{Guard: g, Op: op, Mods: mods,
 			Srcs: []sass.Operand{ref, sass.R(lo.gpr(in.B))}})
 	}
-	return nil
 }
 
-func (lo *lowerer) lowerAtom(in *ptx.Instr, g sass.PredGuard) error {
+func (lo *lowerer) lowerAtom(in *ptx.Instr, g sass.PredGuard) {
 	ref := sass.Mem(lo.gpr(in.A), in.Imm)
 	srcs := []sass.Operand{ref, sass.R(lo.gpr(in.B))}
 	if in.C.Valid() {
@@ -436,5 +388,4 @@ func (lo *lowerer) lowerAtom(in *ptx.Instr, g sass.PredGuard) error {
 		Mods: sass.Mods{Atom: in.Atom, Width: widthOf(in.Width), E: e,
 			Unsigned: in.Type == ptx.TU32},
 		Dsts: dsts, Srcs: srcs})
-	return nil
 }

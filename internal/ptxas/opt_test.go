@@ -1,6 +1,7 @@
 package ptxas
 
 import (
+	"strings"
 	"testing"
 
 	"sassi/internal/ptx"
@@ -117,8 +118,9 @@ func TestCopyPropShrinksCode(t *testing.T) {
 // TestCopyPropagateSelfCopies: a copy whose source resolves to its own
 // destination — `mov d, d`, or `mov a, b; mov b, a` with each defined only
 // there — is not followed forever. The parser refuses the first form, but
-// ptx.Func.Emit takes both from Go code; each must compile to a program or
-// return an error (before the fix, Compile never returned).
+// ptx.Func.Emit takes both from Go code. Each stores a value nothing
+// defines, so Compile must return (before the copy fix it never did) an
+// error that names the stored value.
 func TestCopyPropagateSelfCopies(t *testing.T) {
 	mov := func(d, a ptx.Value) ptx.Instr { return ptx.Instr{Op: ptx.OpMov, Type: ptx.TU32, Dst: d, A: a} }
 	for name, copies := range map[string]func(f *ptx.Func) ptx.Value{
@@ -136,11 +138,13 @@ func TestCopyPropagateSelfCopies(t *testing.T) {
 	} {
 		b := ptx.NewKernel("k")
 		out := b.ParamU64("out")
-		b.StGlobalU32(out, 0, copies(b.F))
+		v := copies(b.F)
+		b.StGlobalU32(out, 0, v)
 		m := ptx.NewModule()
 		m.Add(b.MustDone())
-		if prog, err := Compile(m, Options{}); err == nil && prog == nil {
-			t.Errorf("%s: Compile returned neither a program nor an error", name)
+		_, err := Compile(m, Options{})
+		if want := v.String() + " read before it is defined"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: Compile error %v, want one containing %q", name, err, want)
 		}
 	}
 }

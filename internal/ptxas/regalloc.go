@@ -24,7 +24,10 @@ type interval struct {
 	start, end int
 }
 
-// liveAnalysis computes per-vreg live intervals for a PTX function.
+// liveAnalysis computes per-vreg live intervals for a PTX function. A
+// value live at entry is read on some path before any unguarded definition
+// (a guarded one merges the old value), so that is an error: the read would
+// see whatever its register last held.
 func liveAnalysis(f *ptx.Func) ([]interval, error) {
 	n := len(f.Instrs)
 	// Label positions.
@@ -128,6 +131,12 @@ func liveAnalysis(f *ptx.Func) ([]interval, error) {
 				liveIn[i].CopyFrom(out)
 				changed = true
 			}
+		}
+	}
+
+	for w, word := range liveIn[0] {
+		if word != 0 {
+			return nil, fmt.Errorf("%%v%d read before it is defined", w*64+bits.TrailingZeros64(word))
 		}
 	}
 
